@@ -1,7 +1,7 @@
 //! The online compiler driver.
 
 use crate::lowering::lower_function;
-use crate::regassign::{assign, RegAllocMode};
+use crate::regassign::{RegAllocMode, RegAssigner};
 use splitc_targets::{MProgram, TargetDesc};
 use splitc_vbc::{verify_module, Module, VerifyError};
 use std::error::Error;
@@ -205,6 +205,7 @@ pub fn compile_module(
         name: module.name.clone(),
         functions: Vec::new(),
     };
+    let mut regs = RegAssigner::new(target, options.regalloc);
     for func in module.functions() {
         let vf = lower_function(func, target, use_simd)?;
         stats.lowering_work += vf.emitted;
@@ -216,8 +217,7 @@ pub fn compile_module(
                 stats.scalarized = true;
             }
         }
-        let mfunc = assign(&vf, func, target, options.regalloc, &mut stats)?;
-        program.functions.push(mfunc);
+        program.functions.push(regs.assign(vf, func, &mut stats)?);
     }
     Ok((program, stats))
 }

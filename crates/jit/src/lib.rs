@@ -62,5 +62,4 @@ mod mir;
 mod regassign;
 
 pub use compile::{compile_module, JitError, JitOptions, JitStats};
-pub use mir::{def as minst_def, rewrite_def, rewrite_uses, successors, uses as minst_uses};
 pub use regassign::RegAllocMode;

@@ -29,13 +29,20 @@ pub(crate) struct VirtualFunc {
     pub params: Vec<PReg>,
     /// One instruction vector per basic block (indices match the bytecode).
     pub blocks: Vec<Vec<MInst>>,
-    /// Map from bytecode registers to their machine register (scalars only).
-    pub vbc_map: HashMap<VReg, PReg>,
+    /// The machine register of each bytecode register, indexed by
+    /// [`VReg::index`]; `None` for registers lowering never met and for
+    /// vector registers that were scalarized into lanes.
+    pub vbc_map: Vec<Option<PReg>>,
+    /// Virtual registers created per class (int, float, vector): the indices
+    /// of a class are exactly `0..count`, so `class offset + index` numbers
+    /// every virtual register of the function densely.
+    pub counts: [u32; 3],
     /// Machine instructions emitted (lowering work measure).
     pub emitted: u64,
 }
 
-fn class_index(c: RegClass) -> usize {
+/// Position of a register class in per-class tables (int, float, vector).
+pub(crate) fn class_index(c: RegClass) -> usize {
     match c {
         RegClass::Int => 0,
         RegClass::Float => 1,
@@ -59,7 +66,7 @@ struct Lowerer<'a> {
     func: &'a Function,
     target: &'a TargetDesc,
     use_simd: bool,
-    map: HashMap<VReg, PReg>,
+    map: Vec<Option<PReg>>,
     lanes: HashMap<VReg, Vec<PReg>>,
     next: [u32; 3],
     blocks: Vec<Vec<MInst>>,
@@ -84,8 +91,8 @@ impl<'a> Lowerer<'a> {
     }
 
     fn scalar_reg(&mut self, r: VReg) -> Result<PReg, JitError> {
-        if let Some(p) = self.map.get(&r) {
-            return Ok(*p);
+        if let Some(p) = self.map[r.index()] {
+            return Ok(p);
         }
         let class = match self.func.vreg_type(r) {
             Type::Scalar(s) => scalar_class(s),
@@ -97,7 +104,7 @@ impl<'a> Lowerer<'a> {
             }
         };
         let p = self.fresh(class)?;
-        self.map.insert(r, p);
+        self.map[r.index()] = Some(p);
         Ok(p)
     }
 
@@ -127,11 +134,11 @@ impl<'a> Lowerer<'a> {
     }
 
     fn vec_reg(&mut self, r: VReg) -> Result<PReg, JitError> {
-        if let Some(p) = self.map.get(&r) {
-            return Ok(*p);
+        if let Some(p) = self.map[r.index()] {
+            return Ok(p);
         }
         let p = self.fresh(RegClass::Vec)?;
-        self.map.insert(r, p);
+        self.map[r.index()] = Some(p);
         Ok(p)
     }
 
@@ -598,7 +605,7 @@ pub(crate) fn lower_function(
         func,
         target,
         use_simd,
-        map: HashMap::new(),
+        map: vec![None; func.num_vregs()],
         lanes: HashMap::new(),
         next: [0, 0, 0],
         blocks: vec![Vec::new(); func.blocks.len()],
@@ -627,6 +634,7 @@ pub(crate) fn lower_function(
         params,
         blocks: low.blocks,
         vbc_map: low.map,
+        counts: low.next,
         emitted: low.emitted,
     })
 }

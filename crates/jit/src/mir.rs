@@ -1,192 +1,145 @@
-//! Helpers over the virtual machine code used inside the online compiler.
+//! Operand access over the virtual machine code used inside the online compiler.
 //!
 //! The lowering phase produces machine instructions whose register indices are
 //! *virtual* (unbounded); the register assignment phase then rewrites them to
-//! the target's physical registers. This module provides the def/use/rewrite
-//! introspection both phases need.
+//! the target's physical registers. This module provides the def/use
+//! introspection that rewrite needs, without allocating: operands are handed
+//! to a visitor in operand order, a `Call`'s argument list is walked where it
+//! lies.
 
 use splitc_targets::{MInst, PReg};
 
-/// The registers read by a machine instruction, in operand order.
-pub fn uses(inst: &MInst) -> Vec<PReg> {
-    match inst {
-        MInst::Imm { .. } | MInst::FImm { .. } | MInst::Jump { .. } | MInst::Reload { .. } => {
-            vec![]
+/// Apply `$f` to every register `$inst` reads, in operand order. `$inst` may
+/// be a `&MInst` (operands arrive as `&PReg`) or a `&mut MInst` (`&mut PReg`):
+/// one operand table serves both the read-only and the rewriting visitor.
+macro_rules! visit_uses {
+    ($inst:expr, $f:ident) => {
+        match $inst {
+            MInst::Imm { .. } | MInst::FImm { .. } | MInst::Jump { .. } | MInst::Reload { .. } => {}
+            MInst::Mov { src, .. }
+            | MInst::IntNeg { src, .. }
+            | MInst::IntNot { src, .. }
+            | MInst::FloatNeg { src, .. }
+            | MInst::IntToFloat { src, .. }
+            | MInst::FloatToInt { src, .. }
+            | MInst::FloatCvt { src, .. }
+            | MInst::IntResize { src, .. }
+            | MInst::VecSplatInt { src, .. }
+            | MInst::VecSplatFloat { src, .. }
+            | MInst::VecReduceInt { src, .. }
+            | MInst::VecReduceFloat { src, .. }
+            | MInst::Spill { src, .. } => $f(src),
+            MInst::IntOp { lhs, rhs, .. }
+            | MInst::FloatOp { lhs, rhs, .. }
+            | MInst::IntCmp { lhs, rhs, .. }
+            | MInst::FloatCmp { lhs, rhs, .. }
+            | MInst::VecIntOp { lhs, rhs, .. }
+            | MInst::VecFloatOp { lhs, rhs, .. } => {
+                $f(lhs);
+                $f(rhs);
+            }
+            MInst::Select {
+                cond,
+                if_true,
+                if_false,
+                ..
+            } => {
+                $f(cond);
+                $f(if_true);
+                $f(if_false);
+            }
+            MInst::Load { base, .. } | MInst::VecLoad { base, .. } => $f(base),
+            MInst::Store { base, src, .. } | MInst::VecStore { base, src, .. } => {
+                $f(base);
+                $f(src);
+            }
+            MInst::BranchNz { cond, .. } => $f(cond),
+            MInst::Call { args, .. } => {
+                for a in args {
+                    $f(a);
+                }
+            }
+            MInst::Ret { value } => {
+                if let Some(v) = value {
+                    $f(v);
+                }
+            }
         }
-        MInst::Mov { src, .. }
-        | MInst::IntNeg { src, .. }
-        | MInst::IntNot { src, .. }
-        | MInst::FloatNeg { src, .. }
-        | MInst::IntToFloat { src, .. }
-        | MInst::FloatToInt { src, .. }
-        | MInst::FloatCvt { src, .. }
-        | MInst::IntResize { src, .. }
-        | MInst::VecSplatInt { src, .. }
-        | MInst::VecSplatFloat { src, .. }
-        | MInst::VecReduceInt { src, .. }
-        | MInst::VecReduceFloat { src, .. }
-        | MInst::Spill { src, .. } => vec![*src],
-        MInst::IntOp { lhs, rhs, .. }
-        | MInst::FloatOp { lhs, rhs, .. }
-        | MInst::IntCmp { lhs, rhs, .. }
-        | MInst::FloatCmp { lhs, rhs, .. }
-        | MInst::VecIntOp { lhs, rhs, .. }
-        | MInst::VecFloatOp { lhs, rhs, .. } => vec![*lhs, *rhs],
-        MInst::Select {
-            cond,
-            if_true,
-            if_false,
-            ..
-        } => vec![*cond, *if_true, *if_false],
-        MInst::Load { base, .. } | MInst::VecLoad { base, .. } => vec![*base],
-        MInst::Store { base, src, .. } | MInst::VecStore { base, src, .. } => vec![*base, *src],
-        MInst::BranchNz { cond, .. } => vec![*cond],
-        MInst::Call { args, .. } => args.clone(),
-        MInst::Ret { value } => value.iter().copied().collect(),
-    }
+    };
+}
+
+/// The register `$inst` defines, if any, as an `Option` of a reference with
+/// the mutability of `$inst`.
+macro_rules! def_operand {
+    ($inst:expr) => {
+        match $inst {
+            MInst::Imm { dst, .. }
+            | MInst::FImm { dst, .. }
+            | MInst::Mov { dst, .. }
+            | MInst::IntOp { dst, .. }
+            | MInst::FloatOp { dst, .. }
+            | MInst::IntNeg { dst, .. }
+            | MInst::IntNot { dst, .. }
+            | MInst::FloatNeg { dst, .. }
+            | MInst::IntCmp { dst, .. }
+            | MInst::FloatCmp { dst, .. }
+            | MInst::Select { dst, .. }
+            | MInst::IntToFloat { dst, .. }
+            | MInst::FloatToInt { dst, .. }
+            | MInst::FloatCvt { dst, .. }
+            | MInst::IntResize { dst, .. }
+            | MInst::Load { dst, .. }
+            | MInst::VecLoad { dst, .. }
+            | MInst::VecSplatInt { dst, .. }
+            | MInst::VecSplatFloat { dst, .. }
+            | MInst::VecIntOp { dst, .. }
+            | MInst::VecFloatOp { dst, .. }
+            | MInst::VecReduceInt { dst, .. }
+            | MInst::VecReduceFloat { dst, .. }
+            | MInst::Reload { dst, .. } => Some(dst),
+            MInst::Call { ret, .. } => ret.into(),
+            MInst::Spill { .. }
+            | MInst::Store { .. }
+            | MInst::VecStore { .. }
+            | MInst::Jump { .. }
+            | MInst::BranchNz { .. }
+            | MInst::Ret { .. } => None,
+        }
+    };
+}
+
+/// Call `f` on every register read by `inst`, in operand order.
+pub(crate) fn for_each_use(inst: &MInst, mut f: impl FnMut(PReg)) {
+    let mut visit = |r: &PReg| f(*r);
+    visit_uses!(inst, visit);
+}
+
+/// Call `f` on every *use* operand of `inst`, in operand order, for rewriting
+/// in place (the definition is untouched).
+pub(crate) fn for_each_use_mut(inst: &mut MInst, mut f: impl FnMut(&mut PReg)) {
+    visit_uses!(inst, f);
 }
 
 /// The register defined by a machine instruction, if any.
-pub fn def(inst: &MInst) -> Option<PReg> {
-    match inst {
-        MInst::Imm { dst, .. }
-        | MInst::FImm { dst, .. }
-        | MInst::Mov { dst, .. }
-        | MInst::IntOp { dst, .. }
-        | MInst::FloatOp { dst, .. }
-        | MInst::IntNeg { dst, .. }
-        | MInst::IntNot { dst, .. }
-        | MInst::FloatNeg { dst, .. }
-        | MInst::IntCmp { dst, .. }
-        | MInst::FloatCmp { dst, .. }
-        | MInst::Select { dst, .. }
-        | MInst::IntToFloat { dst, .. }
-        | MInst::FloatToInt { dst, .. }
-        | MInst::FloatCvt { dst, .. }
-        | MInst::IntResize { dst, .. }
-        | MInst::Load { dst, .. }
-        | MInst::VecLoad { dst, .. }
-        | MInst::VecSplatInt { dst, .. }
-        | MInst::VecSplatFloat { dst, .. }
-        | MInst::VecIntOp { dst, .. }
-        | MInst::VecFloatOp { dst, .. }
-        | MInst::VecReduceInt { dst, .. }
-        | MInst::VecReduceFloat { dst, .. }
-        | MInst::Reload { dst, .. } => Some(*dst),
-        MInst::Call { ret, .. } => *ret,
-        MInst::Spill { .. }
-        | MInst::Store { .. }
-        | MInst::VecStore { .. }
-        | MInst::Jump { .. }
-        | MInst::BranchNz { .. }
-        | MInst::Ret { .. } => None,
-    }
+pub(crate) fn def(inst: &MInst) -> Option<PReg> {
+    def_operand!(inst).copied()
 }
 
-/// Rewrite the *use* operands of `inst` with `f` (the definition is untouched).
-pub fn rewrite_uses(inst: &mut MInst, mut f: impl FnMut(PReg) -> PReg) {
-    match inst {
-        MInst::Imm { .. } | MInst::FImm { .. } | MInst::Jump { .. } | MInst::Reload { .. } => {}
-        MInst::Mov { src, .. }
-        | MInst::IntNeg { src, .. }
-        | MInst::IntNot { src, .. }
-        | MInst::FloatNeg { src, .. }
-        | MInst::IntToFloat { src, .. }
-        | MInst::FloatToInt { src, .. }
-        | MInst::FloatCvt { src, .. }
-        | MInst::IntResize { src, .. }
-        | MInst::VecSplatInt { src, .. }
-        | MInst::VecSplatFloat { src, .. }
-        | MInst::VecReduceInt { src, .. }
-        | MInst::VecReduceFloat { src, .. }
-        | MInst::Spill { src, .. } => *src = f(*src),
-        MInst::IntOp { lhs, rhs, .. }
-        | MInst::FloatOp { lhs, rhs, .. }
-        | MInst::IntCmp { lhs, rhs, .. }
-        | MInst::FloatCmp { lhs, rhs, .. }
-        | MInst::VecIntOp { lhs, rhs, .. }
-        | MInst::VecFloatOp { lhs, rhs, .. } => {
-            *lhs = f(*lhs);
-            *rhs = f(*rhs);
-        }
-        MInst::Select {
-            cond,
-            if_true,
-            if_false,
-            ..
-        } => {
-            *cond = f(*cond);
-            *if_true = f(*if_true);
-            *if_false = f(*if_false);
-        }
-        MInst::Load { base, .. } | MInst::VecLoad { base, .. } => *base = f(*base),
-        MInst::Store { base, src, .. } | MInst::VecStore { base, src, .. } => {
-            *base = f(*base);
-            *src = f(*src);
-        }
-        MInst::BranchNz { cond, .. } => *cond = f(*cond),
-        MInst::Call { args, .. } => {
-            for a in args {
-                *a = f(*a);
-            }
-        }
-        MInst::Ret { value } => {
-            if let Some(v) = value {
-                *v = f(*v);
-            }
-        }
-    }
-}
-
-/// Rewrite the *definition* operand of `inst` with `f`, if it has one.
-pub fn rewrite_def(inst: &mut MInst, mut f: impl FnMut(PReg) -> PReg) {
-    match inst {
-        MInst::Imm { dst, .. }
-        | MInst::FImm { dst, .. }
-        | MInst::Mov { dst, .. }
-        | MInst::IntOp { dst, .. }
-        | MInst::FloatOp { dst, .. }
-        | MInst::IntNeg { dst, .. }
-        | MInst::IntNot { dst, .. }
-        | MInst::FloatNeg { dst, .. }
-        | MInst::IntCmp { dst, .. }
-        | MInst::FloatCmp { dst, .. }
-        | MInst::Select { dst, .. }
-        | MInst::IntToFloat { dst, .. }
-        | MInst::FloatToInt { dst, .. }
-        | MInst::FloatCvt { dst, .. }
-        | MInst::IntResize { dst, .. }
-        | MInst::Load { dst, .. }
-        | MInst::VecLoad { dst, .. }
-        | MInst::VecSplatInt { dst, .. }
-        | MInst::VecSplatFloat { dst, .. }
-        | MInst::VecIntOp { dst, .. }
-        | MInst::VecFloatOp { dst, .. }
-        | MInst::VecReduceInt { dst, .. }
-        | MInst::VecReduceFloat { dst, .. }
-        | MInst::Reload { dst, .. } => *dst = f(*dst),
-        MInst::Call { ret: Some(r), .. } => *r = f(*r),
-        _ => {}
-    }
-}
-
-/// Control-flow successors of a terminator.
-pub fn successors(inst: &MInst) -> Vec<u32> {
-    match inst {
-        MInst::Jump { target } => vec![*target],
-        MInst::BranchNz {
-            then_target,
-            else_target,
-            ..
-        } => vec![*then_target, *else_target],
-        _ => vec![],
-    }
+/// The *definition* operand of `inst`, if it has one, for rewriting in place.
+pub(crate) fn def_mut(inst: &mut MInst) -> Option<&mut PReg> {
+    def_operand!(inst)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use splitc_targets::{AluOp, Width};
+
+    fn uses(inst: &MInst) -> Vec<PReg> {
+        let mut out = Vec::new();
+        for_each_use(inst, |r| out.push(r));
+        out
+    }
 
     #[test]
     fn def_use_and_rewrite_cover_alu() {
@@ -200,15 +153,15 @@ mod tests {
         };
         assert_eq!(def(&i), Some(PReg::int(0)));
         assert_eq!(uses(&i), vec![PReg::int(1), PReg::int(2)]);
-        rewrite_uses(&mut i, |r| PReg::int(r.index + 10));
-        rewrite_def(&mut i, |_| PReg::int(5));
+        for_each_use_mut(&mut i, |r| r.index += 10);
+        *def_mut(&mut i).unwrap() = PReg::int(5);
         assert_eq!(def(&i), Some(PReg::int(5)));
         assert_eq!(uses(&i), vec![PReg::int(11), PReg::int(12)]);
     }
 
     #[test]
     fn stores_and_branches_have_no_defs() {
-        let s = MInst::Store {
+        let mut s = MInst::Store {
             width: Width::W32,
             float: true,
             base: PReg::int(0),
@@ -216,15 +169,16 @@ mod tests {
             src: PReg::float(1),
         };
         assert_eq!(def(&s), None);
+        assert!(def_mut(&mut s).is_none());
         assert_eq!(uses(&s), vec![PReg::int(0), PReg::float(1)]);
         let b = MInst::BranchNz {
             cond: PReg::int(3),
             then_target: 1,
             else_target: 2,
         };
-        assert_eq!(successors(&b), vec![1, 2]);
+        assert_eq!(def(&b), None);
         assert_eq!(uses(&b), vec![PReg::int(3)]);
-        assert_eq!(successors(&MInst::Ret { value: None }), Vec::<u32>::new());
+        assert_eq!(uses(&MInst::Ret { value: None }), vec![]);
     }
 
     #[test]
@@ -236,10 +190,9 @@ mod tests {
         };
         assert_eq!(def(&c), Some(PReg::float(2)));
         assert_eq!(uses(&c).len(), 2);
-        rewrite_uses(&mut c, |r| PReg {
-            class: r.class,
-            index: r.index + 1,
-        });
+        for_each_use_mut(&mut c, |r| r.index += 1);
         assert_eq!(uses(&c), vec![PReg::int(2), PReg::float(1)]);
+        def_mut(&mut c).unwrap().index = 7;
+        assert_eq!(def(&c), Some(PReg::float(7)));
     }
 }

@@ -8,19 +8,88 @@
 //! scratch allocator with eviction. Three modes reproduce the comparison of
 //! the paper's Section 4:
 //!
-//! * [`RegAllocMode::SplitAnnotations`] — linear-time online assignment driven
-//!   by the offline ranking (the split approach);
+//! * [`RegAllocMode::SplitAnnotations`] — the ranking of the globals is read
+//!   off the offline annotation (the split approach);
 //! * [`RegAllocMode::OnlineGreedy`] — what a fast JIT does without hints:
 //!   first-come-first-served assignment, no ranking analysis;
-//! * [`RegAllocMode::OnlineAnalyze`] — the JIT recomputes the ranking itself,
-//!   matching the split code quality but paying the analysis cost online.
+//! * [`RegAllocMode::OnlineAnalyze`] — the JIT recomputes the ranking itself
+//!   (one more pass and a sort), matching the split code quality but paying
+//!   the analysis cost online.
+//!
+//! # The algorithm
+//!
+//! Lowering numbers the virtual registers of each class `0..count`, so
+//! `class offset + index` is a dense key and everything the pass knows about
+//! a register is one entry of one table (`VState`). Per function:
+//!
+//! 1. **Globals**, one forward scan. A register is global iff it is a
+//!    parameter or *upward-exposed* in some block: read there before any
+//!    write in that block (a per-block "defined" stamp decides). The same
+//!    scan records the order in which registers first appear.
+//! 2. **Ranking**: parameters, then the mode's order (annotation / none /
+//!    score), then whatever is left in order of first appearance; a `ranked`
+//!    flag per register de-duplicates.
+//! 3. **Placement**: in ranking order, each global takes the next register of
+//!    its class until only `SCRATCH_REGS` are left, then a stack slot.
+//! 4. **Rewrite**, block by block. One forward walk lays the block's use
+//!    operands out flat and one reverse walk chains each operand to the next
+//!    instruction reading the same register, leaving every register's cursor
+//!    (`next_use`) at its first read. The forward rewrite then resolves each
+//!    operand from the table (reloading spilled globals and evicted locals
+//!    into scratch registers), writes the physical registers into the
+//!    instruction in place, advances the cursors, frees what died, and
+//!    resolves the definition. Instructions are moved, not cloned.
+//!
+//! Every step is linear in the number of instructions and operands, with two
+//! bounded factors: an operand looks through the earlier operands of its own
+//! instruction (three at most, except for `Call` arguments), and an eviction —
+//! only when the scratch pool of the class is exhausted — looks through that
+//! pool once (at most the register file of the class). `OnlineAnalyze` adds
+//! its scan and an `O(g log g)` sort of the `g` globals. No step allocates
+//! per instruction: the tables live in the `RegAssigner` and are cleared and
+//! reused from block to block and function to function; what is allocated is
+//! the output (one vector per block) and the tables' growth to the largest
+//! function seen.
+//!
+//! # Why the globals need no liveness fixpoint
+//!
+//! "Live across a block boundary" is `⋃ live_in[b] ∪ ⋃ live_out[b]` of the
+//! backward dataflow `live_in[b] = use[b] ∪ (live_out[b] ∖ def[b])`,
+//! `live_out[b] = ⋃ live_in[succ]`, where `use[b]` is the upward-exposed set.
+//! In the least fixpoint every element of a `live_in` was put there by some
+//! block's `use` set and then only propagated, and every `live_out` is a
+//! union of `live_in`s, so the union of all of them is contained in
+//! `⋃ use[b]`; and `use[b] ⊆ live_in[b]` gives the other inclusion. The set
+//! the fixpoint was run for is therefore `params ∪ ⋃ use[b]`, which step 1
+//! reads off directly (unreachable blocks included, as before).
+//!
+//! # Ordering invariants
+//!
+//! The generated code is pinned bit for bit (`tests/jit_golden.rs`, the
+//! artifact store, the benchmark's exact counters), and it depends on
+//! orders that used to fall out of `BTreeSet`/`BTreeMap` iteration:
+//!
+//! * `OnlineAnalyze` scores the globals in `(class, index)` order — dense
+//!   key order — and sorts stably, so ties keep that order;
+//! * the scratch pool of a class is handed out lowest register first and
+//!   reused most-recently-freed first (a stack); within one instruction the
+//!   scratch copies of spilled globals are freed before the dying locals,
+//!   each group in operand order;
+//! * an eviction walks the occupied scratch registers in register order and
+//!   replaces its candidate only on a strictly farther next use, so the
+//!   lowest register wins ties; the victim is spilled iff it is read again;
+//! * a resident's next use counts the current instruction while its operand
+//!   is still unresolved, and no longer once it is (resolved operands are
+//!   pinned and never candidates), which is why the cursors may be advanced
+//!   as soon as the instruction's uses are resolved;
+//! * stack slots are numbered in the order they are first needed: spilled
+//!   globals in ranking order, then evictions in program order.
 
 use crate::compile::{JitError, JitStats};
-use crate::lowering::VirtualFunc;
+use crate::lowering::{class_index, VirtualFunc};
 use crate::mir;
 use splitc_targets::{MBlock, MFunction, MInst, PReg, RegClass, TargetDesc};
 use splitc_vbc::Function;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// How the online compiler decides which values keep registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -38,331 +107,12 @@ pub enum RegAllocMode {
 /// block-local allocator and for reloads of spilled values.
 const SCRATCH_REGS: u16 = 2;
 
-fn class_index(c: RegClass) -> usize {
-    match c {
-        RegClass::Int => 0,
-        RegClass::Float => 1,
-        RegClass::Vec => 2,
-    }
-}
+/// "No such instruction / register": the next-use position of a value that is
+/// not read again in its block, and the occupant of an empty scratch register.
+const NONE: u32 = u32::MAX;
 
-fn class_limit(target: &TargetDesc, c: RegClass) -> u16 {
-    match c {
-        RegClass::Int => target.int_regs,
-        RegClass::Float => target.float_regs,
-        RegClass::Vec => target.vector.map(|v| v.regs).unwrap_or(0),
-    }
-}
-
-/// Block-level liveness over virtual machine registers.
-fn machine_liveness(vf: &VirtualFunc) -> (Vec<BTreeSet<PReg>>, Vec<BTreeSet<PReg>>) {
-    let n = vf.blocks.len();
-    let mut use_set = vec![BTreeSet::new(); n];
-    let mut def_set = vec![BTreeSet::new(); n];
-    for (b, insts) in vf.blocks.iter().enumerate() {
-        for inst in insts {
-            for u in mir::uses(inst) {
-                if !def_set[b].contains(&u) {
-                    use_set[b].insert(u);
-                }
-            }
-            if let Some(d) = mir::def(inst) {
-                def_set[b].insert(d);
-            }
-        }
-    }
-    let succs: Vec<Vec<u32>> = vf
-        .blocks
-        .iter()
-        .map(|insts| insts.last().map(mir::successors).unwrap_or_default())
-        .collect();
-    let mut live_in = vec![BTreeSet::new(); n];
-    let mut live_out = vec![BTreeSet::new(); n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..n).rev() {
-            let mut out = BTreeSet::new();
-            for s in &succs[b] {
-                out.extend(live_in[*s as usize].iter().copied());
-            }
-            let mut inn = use_set[b].clone();
-            for r in &out {
-                if !def_set[b].contains(r) {
-                    inn.insert(*r);
-                }
-            }
-            if out != live_out[b] || inn != live_in[b] {
-                live_out[b] = out;
-                live_in[b] = inn;
-                changed = true;
-            }
-        }
-    }
-    (live_in, live_out)
-}
-
-/// Rank the global (cross-block) virtual registers from most to least worth
-/// keeping in a physical register.
-fn rank_globals(
-    vf: &VirtualFunc,
-    vbc_func: &Function,
-    globals: &BTreeSet<PReg>,
-    mode: RegAllocMode,
-    stats: &mut JitStats,
-) -> Vec<PReg> {
-    // Parameters always come first: every mode keeps them if at all possible.
-    let mut ranked: Vec<PReg> = Vec::new();
-    for p in &vf.params {
-        if globals.contains(p) && !ranked.contains(p) {
-            ranked.push(*p);
-        }
-    }
-
-    let first_appearance: Vec<PReg> = {
-        let mut seen = BTreeSet::new();
-        let mut order = Vec::new();
-        for insts in &vf.blocks {
-            for inst in insts {
-                for r in mir::def(inst).into_iter().chain(mir::uses(inst)) {
-                    if globals.contains(&r) && seen.insert(r) {
-                        order.push(r);
-                    }
-                }
-            }
-        }
-        order
-    };
-
-    match mode {
-        RegAllocMode::SplitAnnotations => {
-            // Translate the portable bytecode ranking to machine registers.
-            if let Some(order) = vbc_func.annotations.spill_order() {
-                stats.annotations_used = true;
-                stats.regalloc_work += order.keep_order.len() as u64;
-                for vreg in &order.keep_order {
-                    if let Some(p) = vf.vbc_map.get(&splitc_vbc::VReg(*vreg)) {
-                        if globals.contains(p) && !ranked.contains(p) {
-                            ranked.push(*p);
-                        }
-                    }
-                }
-            }
-            // Machine registers the offline step never saw (e.g. scalarization
-            // lanes) are appended in appearance order.
-            for r in first_appearance {
-                if !ranked.contains(&r) {
-                    ranked.push(r);
-                }
-            }
-        }
-        RegAllocMode::OnlineGreedy => {
-            stats.regalloc_work += globals.len() as u64;
-            for r in first_appearance {
-                if !ranked.contains(&r) {
-                    ranked.push(r);
-                }
-            }
-        }
-        RegAllocMode::OnlineAnalyze => {
-            // Recompute use counts and spans online — the work the split
-            // approach avoids.
-            let mut accesses: HashMap<PReg, u64> = HashMap::new();
-            let mut blocks_seen: HashMap<PReg, BTreeSet<usize>> = HashMap::new();
-            for (b, insts) in vf.blocks.iter().enumerate() {
-                for inst in insts {
-                    stats.regalloc_work += 1;
-                    for r in mir::def(inst).into_iter().chain(mir::uses(inst)) {
-                        if globals.contains(&r) {
-                            *accesses.entry(r).or_default() += 1;
-                            blocks_seen.entry(r).or_default().insert(b);
-                        }
-                    }
-                }
-            }
-            let mut scored: Vec<(PReg, f64)> = globals
-                .iter()
-                .map(|r| {
-                    let a = accesses.get(r).copied().unwrap_or(0) as f64;
-                    let span = blocks_seen.get(r).map(|s| s.len()).unwrap_or(1).max(1) as f64;
-                    (*r, a / span)
-                })
-                .collect();
-            scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            for (r, _) in scored {
-                if !ranked.contains(&r) {
-                    ranked.push(r);
-                }
-            }
-        }
-    }
-    ranked
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    Reg(u16),
-    Slot(u32),
-}
-
-struct Assigner<'a> {
-    target: &'a TargetDesc,
-    /// Physical register (by class) for globals that keep a register.
-    kept: HashMap<PReg, u16>,
-    /// Stack slot for globals that do not.
-    spilled: HashMap<PReg, u32>,
-    /// Number of physical registers handed to kept globals, per class.
-    kept_count: [u16; 3],
-    next_slot: u32,
-}
-
-impl Assigner<'_> {
-    /// Physical registers available to block-local values and reloads: every
-    /// register of the class that was not handed to a kept global.
-    fn scratch_pool(&self, class: RegClass) -> Vec<u16> {
-        let limit = class_limit(self.target, class);
-        (self.kept_count[class_index(class)]..limit).collect()
-    }
-}
-
-/// Assign physical registers and stack slots, producing final machine code.
-pub(crate) fn assign(
-    vf: &VirtualFunc,
-    vbc_func: &Function,
-    target: &TargetDesc,
-    mode: RegAllocMode,
-    stats: &mut JitStats,
-) -> Result<MFunction, JitError> {
-    let (live_in, live_out) = machine_liveness(vf);
-    stats.regalloc_work += vf.emitted;
-
-    // Globals: everything live across a block boundary.
-    let mut globals: BTreeSet<PReg> = BTreeSet::new();
-    for set in live_in.iter().chain(live_out.iter()) {
-        globals.extend(set.iter().copied());
-    }
-    for p in &vf.params {
-        globals.insert(*p);
-    }
-
-    let ranked = rank_globals(vf, vbc_func, &globals, mode, stats);
-
-    let mut assigner = Assigner {
-        target,
-        kept: HashMap::new(),
-        spilled: HashMap::new(),
-        kept_count: [0, 0, 0],
-        next_slot: 0,
-    };
-
-    // Hand out the non-scratch registers of each class in ranking order.
-    let mut next_phys: [u16; 3] = [0, 0, 0];
-    for r in &ranked {
-        let limit = class_limit(target, r.class);
-        if limit < SCRATCH_REGS {
-            return Err(JitError::RegisterPressure {
-                function: vf.name.clone(),
-                detail: format!(
-                    "target {} has no {} registers",
-                    target.name,
-                    class_name(r.class)
-                ),
-            });
-        }
-        let keepable = limit - SCRATCH_REGS;
-        let idx = &mut next_phys[class_index(r.class)];
-        if *idx < keepable {
-            assigner.kept.insert(*r, *idx);
-            *idx += 1;
-        } else {
-            assigner.spilled.insert(*r, assigner.next_slot);
-            assigner.next_slot += 1;
-        }
-    }
-    assigner.kept_count = next_phys;
-
-    // Parameters must end up in registers: the simulator's calling convention
-    // delivers arguments to registers, not to stack slots.
-    let mut params = Vec::with_capacity(vf.params.len());
-    let mut prologue: Vec<MInst> = Vec::new();
-    for p in &vf.params {
-        if let Some(phys) = assigner.kept.get(p) {
-            params.push(PReg {
-                class: p.class,
-                index: *phys,
-            });
-        } else if let Some(slot) = assigner.spilled.get(p) {
-            // Deliver into a scratch register, then spill in the prologue.
-            let pool = assigner.scratch_pool(p.class);
-            let deliver = PReg {
-                class: p.class,
-                index: pool[params.len() % pool.len()],
-            };
-            params.push(deliver);
-            prologue.push(MInst::Spill {
-                slot: *slot,
-                src: deliver,
-            });
-        } else {
-            // A parameter that is never used: deliver it to scratch 0 and drop it.
-            let pool = assigner.scratch_pool(p.class);
-            params.push(PReg {
-                class: p.class,
-                index: pool[0],
-            });
-        }
-    }
-    // More than one spilled parameter of a class would share delivery
-    // registers; reject that corner case explicitly rather than miscompile.
-    {
-        let mut delivered: Vec<PReg> = Vec::new();
-        for (p, d) in vf.params.iter().zip(&params) {
-            if assigner.kept.contains_key(p) {
-                continue;
-            }
-            if delivered.contains(d) && assigner.spilled.contains_key(p) {
-                return Err(JitError::RegisterPressure {
-                    function: vf.name.clone(),
-                    detail: "too many parameters for the register file".into(),
-                });
-            }
-            delivered.push(*d);
-        }
-    }
-
-    // Rewrite every block.
-    let mut blocks = Vec::with_capacity(vf.blocks.len());
-    for (bi, insts) in vf.blocks.iter().enumerate() {
-        let mut out: Vec<MInst> = if bi == 0 {
-            prologue.clone()
-        } else {
-            Vec::new()
-        };
-        rewrite_block(insts, &mut assigner, &mut out, &vf.name)?;
-        blocks.push(MBlock { insts: out });
-        let _ = (&live_in, &live_out, bi);
-    }
-
-    let mfunc = MFunction {
-        name: vf.name.clone(),
-        params,
-        blocks,
-        num_slots: assigner.next_slot,
-    };
-    stats.static_spills += mfunc
-        .blocks
-        .iter()
-        .flat_map(|b| b.insts.iter())
-        .filter(|i| matches!(i, MInst::Spill { .. }))
-        .count() as u64;
-    stats.static_reloads += mfunc
-        .blocks
-        .iter()
-        .flat_map(|b| b.insts.iter())
-        .filter(|i| matches!(i, MInst::Reload { .. }))
-        .count() as u64;
-    Ok(mfunc)
-}
+/// The register classes in [`class_index`] order.
+const CLASSES: [RegClass; 3] = [RegClass::Int, RegClass::Float, RegClass::Vec];
 
 fn class_name(c: RegClass) -> &'static str {
     match c {
@@ -372,295 +122,596 @@ fn class_name(c: RegClass) -> &'static str {
     }
 }
 
-fn rewrite_block(
-    insts: &[MInst],
-    assigner: &mut Assigner<'_>,
-    out: &mut Vec<MInst>,
-    fname: &str,
-) -> Result<(), JitError> {
-    // Next-use positions of block-local virtual registers.
-    let mut positions: HashMap<PReg, Vec<usize>> = HashMap::new();
-    for (i, inst) in insts.iter().enumerate() {
-        for r in mir::uses(inst) {
-            positions.entry(r).or_default().push(i);
+/// Dense number of virtual register `r`, given the per-class offsets.
+fn dense(base: [usize; 3], r: PReg) -> usize {
+    base[class_index(r.class)] + usize::from(r.index)
+}
+
+/// Where a virtual register's value lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Loc {
+    /// A block-local temporary outside its live range.
+    #[default]
+    Nowhere,
+    /// A global that owns this physical register for the whole function.
+    Kept(u16),
+    /// A global that lives in this stack slot.
+    Spilled(u32),
+    /// A block-local temporary resident in this scratch register.
+    Reg(u16),
+    /// A block-local temporary evicted to this stack slot.
+    Slot(u32),
+}
+
+/// Everything the assignment tracks about one virtual register.
+#[derive(Debug, Clone, Copy, Default)]
+struct VState {
+    loc: Loc,
+    /// Read before written in some block, or a parameter.
+    global: bool,
+    /// Already entered in the first-appearance order.
+    seen: bool,
+    /// Already entered in the keep ranking.
+    ranked: bool,
+    /// The last block (by stamp) that touched the register: the block that
+    /// defined it during the globals scan, the block that accessed it during
+    /// the online analysis, the block that reads it during the rewrite.
+    stamp: u32,
+    /// During the rewrite of a block that reads the register: the first
+    /// instruction at or after the current one that reads it, or [`NONE`].
+    next_use: u32,
+    /// Accesses and distinct accessing blocks ([`RegAllocMode::OnlineAnalyze`]).
+    accesses: u32,
+    span: u32,
+}
+
+/// One use operand of the block being rewritten.
+#[derive(Debug, Clone, Copy)]
+struct UseOp {
+    reg: PReg,
+    /// The next later instruction of the block reading `reg`, or [`NONE`].
+    next: u32,
+}
+
+/// The register assigner for one online compilation: the target's register
+/// file plus the tables of the pass, which are cleared and reused from block
+/// to block and from function to function.
+pub(crate) struct RegAssigner<'t> {
+    target: &'t TargetDesc,
+    mode: RegAllocMode,
+    /// Physical registers per class.
+    limit: [u16; 3],
+
+    // --- Per function. ---
+    /// Dense-number offset of each class.
+    base: [usize; 3],
+    vregs: Vec<VState>,
+    /// Every virtual register in order of first appearance (definition before
+    /// uses within an instruction).
+    appearance: Vec<PReg>,
+    num_globals: u64,
+    /// Globals from most to least worth a physical register.
+    ranked: Vec<PReg>,
+    scored: Vec<(PReg, f64)>,
+    /// Physical registers handed to kept globals, per class; the registers
+    /// from there up to the class limit are the scratch pool.
+    kept_count: [u16; 3],
+    next_slot: u32,
+    /// Source of block stamps, unique within the function.
+    stamp: u32,
+
+    // --- Per block. ---
+    /// The use operands of the block, instruction after instruction.
+    ops: Vec<UseOp>,
+    /// `ops[starts[i]..starts[i + 1]]` are the operands of instruction `i`.
+    starts: Vec<usize>,
+    /// Free scratch registers per class, next to hand out last.
+    free: [Vec<u16>; 3],
+    /// Dense number of the local resident in each physical register, per
+    /// class, or [`NONE`].
+    occupant: [Vec<u32>; 3],
+
+    // --- Per instruction. ---
+    /// The physical register of each use operand, in operand order.
+    phys: Vec<PReg>,
+    /// Scratch registers holding reloaded spilled globals.
+    temp: Vec<PReg>,
+}
+
+impl<'t> RegAssigner<'t> {
+    pub(crate) fn new(target: &'t TargetDesc, mode: RegAllocMode) -> Self {
+        RegAssigner {
+            target,
+            mode,
+            limit: [
+                target.int_regs,
+                target.float_regs,
+                target.vector.map(|v| v.regs).unwrap_or(0),
+            ],
+            base: [0; 3],
+            vregs: Vec::new(),
+            appearance: Vec::new(),
+            num_globals: 0,
+            ranked: Vec::new(),
+            scored: Vec::new(),
+            kept_count: [0; 3],
+            next_slot: 0,
+            stamp: 0,
+            ops: Vec::new(),
+            starts: Vec::new(),
+            free: Default::default(),
+            occupant: Default::default(),
+            phys: Vec::new(),
+            temp: Vec::new(),
         }
     }
 
-    // Per-class scratch state: free physical indices and current residents.
-    let mut free: [Vec<u16>; 3] = [
-        assigner.scratch_pool(RegClass::Int),
-        assigner.scratch_pool(RegClass::Float),
-        assigner.scratch_pool(RegClass::Vec),
-    ];
-    // Pop from the low end first so allocation order is deterministic.
-    for pool in &mut free {
-        pool.reverse();
-    }
-    // Location of block-local temporaries.
-    let mut local_loc: HashMap<PReg, Loc> = HashMap::new();
-    // Which local currently occupies each scratch register (ordered for
-    // deterministic eviction decisions).
-    let mut occupant: BTreeMap<(RegClass, u16), PReg> = BTreeMap::new();
+    /// Assign physical registers and stack slots, producing final machine code.
+    pub(crate) fn assign(
+        &mut self,
+        vf: VirtualFunc,
+        vbc_func: &Function,
+        stats: &mut JitStats,
+    ) -> Result<MFunction, JitError> {
+        stats.regalloc_work += vf.emitted;
 
-    let pressure_error = |fname: &str, class: RegClass| JitError::RegisterPressure {
-        function: fname.to_owned(),
-        detail: format!("not enough {} scratch registers", class_name(class)),
-    };
+        let [ints, floats, vecs] = vf.counts.map(|n| n as usize);
+        self.base = [0, ints, ints + floats];
+        self.vregs.clear();
+        self.vregs.resize(ints + floats + vecs, VState::default());
+        self.stamp = 0;
 
-    for (idx, inst) in insts.iter().enumerate() {
-        let mut inst = inst.clone();
-        let mut pinned: Vec<(RegClass, u16)> = Vec::new();
-        let mut temp: Vec<(RegClass, u16)> = Vec::new();
+        self.find_globals(&vf);
+        self.rank_globals(&vf, vbc_func, stats);
+        self.place_globals(&vf.name)?;
 
-        // --- Resolve uses. ---
-        let use_regs = mir::uses(&inst);
-        let mut use_map: HashMap<PReg, PReg> = HashMap::new();
-        for u in &use_regs {
-            if use_map.contains_key(u) {
-                continue;
-            }
-            let phys = if let Some(k) = assigner.kept.get(u) {
-                PReg {
-                    class: u.class,
-                    index: *k,
-                }
-            } else if let Some(slot) = assigner.spilled.get(u).copied() {
-                let s = alloc_scratch(
-                    u.class,
-                    idx,
-                    &mut free,
-                    &mut occupant,
-                    &mut local_loc,
-                    &positions,
-                    &pinned,
-                    assigner,
-                    out,
-                )
-                .ok_or_else(|| pressure_error(fname, u.class))?;
-                out.push(MInst::Reload {
-                    slot,
-                    dst: PReg {
-                        class: u.class,
-                        index: s,
-                    },
-                });
-                temp.push((u.class, s));
-                pinned.push((u.class, s));
-                PReg {
-                    class: u.class,
-                    index: s,
-                }
-            } else {
-                match local_loc.get(u).copied() {
-                    Some(Loc::Reg(s)) => {
-                        pinned.push((u.class, s));
-                        PReg {
-                            class: u.class,
-                            index: s,
-                        }
-                    }
-                    Some(Loc::Slot(slot)) => {
-                        let s = alloc_scratch(
-                            u.class,
-                            idx,
-                            &mut free,
-                            &mut occupant,
-                            &mut local_loc,
-                            &positions,
-                            &pinned,
-                            assigner,
-                            out,
-                        )
-                        .ok_or_else(|| pressure_error(fname, u.class))?;
-                        out.push(MInst::Reload {
-                            slot,
-                            dst: PReg {
-                                class: u.class,
-                                index: s,
-                            },
+        // Parameters must end up in registers: the simulator's calling
+        // convention delivers arguments to registers, not to stack slots. A
+        // spilled parameter is delivered into a scratch register and stored
+        // by the prologue.
+        let mut params = vf.params;
+        let mut prologue: Vec<MInst> = Vec::new();
+        for (i, p) in params.iter_mut().enumerate() {
+            let c = class_index(p.class);
+            p.index = match self.vregs[dense(self.base, *p)].loc {
+                Loc::Kept(r) => r,
+                Loc::Spilled(slot) => {
+                    let pool = self.limit[c] - self.kept_count[c];
+                    let deliver = PReg {
+                        class: p.class,
+                        index: self.kept_count[c] + (i % usize::from(pool)) as u16,
+                    };
+                    // Two spilled parameters delivered into one register
+                    // would overwrite each other; reject that corner case
+                    // explicitly rather than miscompile.
+                    if prologue
+                        .iter()
+                        .any(|s| matches!(s, MInst::Spill { src, .. } if *src == deliver))
+                    {
+                        return Err(JitError::RegisterPressure {
+                            function: vf.name,
+                            detail: "too many parameters for the register file".into(),
                         });
-                        local_loc.insert(*u, Loc::Reg(s));
-                        occupant.insert((u.class, s), *u);
-                        pinned.push((u.class, s));
-                        PReg {
-                            class: u.class,
-                            index: s,
+                    }
+                    prologue.push(MInst::Spill { slot, src: deliver });
+                    deliver.index
+                }
+                loc => unreachable!("parameter {p} is a global but was placed {loc:?}"),
+            };
+        }
+
+        // Rewrite every block; the first one starts with the prologue.
+        let mut blocks = Vec::with_capacity(vf.blocks.len());
+        for insts in vf.blocks {
+            let mut out = std::mem::take(&mut prologue);
+            stats.static_spills += out.len() as u64;
+            out.reserve(insts.len());
+            self.rewrite_block(insts, &mut out, &vf.name, stats)?;
+            blocks.push(MBlock { insts: out });
+        }
+
+        Ok(MFunction {
+            name: vf.name,
+            params,
+            blocks,
+            num_slots: self.next_slot,
+        })
+    }
+
+    /// Mark the globals — the values that live across a block boundary — and
+    /// record the order in which registers first appear. See the module docs
+    /// for why one scan finds exactly what a liveness fixpoint would.
+    fn find_globals(&mut self, vf: &VirtualFunc) {
+        let base = self.base;
+        let (vregs, appearance) = (&mut self.vregs, &mut self.appearance);
+        appearance.clear();
+        let mut num_globals = 0;
+        for p in &vf.params {
+            let v = &mut vregs[dense(base, *p)];
+            num_globals += u64::from(!v.global);
+            v.global = true;
+        }
+        for insts in &vf.blocks {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let mut appear = |v: &mut VState, r: PReg| {
+                if !v.seen {
+                    v.seen = true;
+                    appearance.push(r);
+                }
+            };
+            for inst in insts {
+                let def = mir::def(inst);
+                if let Some(d) = def {
+                    appear(&mut vregs[dense(base, d)], d);
+                }
+                mir::for_each_use(inst, |u| {
+                    let v = &mut vregs[dense(base, u)];
+                    if v.stamp != stamp && !v.global {
+                        v.global = true;
+                        num_globals += 1;
+                    }
+                    appear(v, u);
+                });
+                if let Some(d) = def {
+                    vregs[dense(base, d)].stamp = stamp;
+                }
+            }
+        }
+        self.num_globals = num_globals;
+    }
+
+    /// Rank the globals from most to least worth keeping in a physical
+    /// register, into `self.ranked`.
+    fn rank_globals(&mut self, vf: &VirtualFunc, vbc_func: &Function, stats: &mut JitStats) {
+        if self.mode == RegAllocMode::OnlineAnalyze {
+            self.score_globals(vf, stats);
+        }
+        let base = self.base;
+        let (vregs, ranked) = (&mut self.vregs, &mut self.ranked);
+        ranked.clear();
+        let mut rank = |r: PReg| {
+            let v = &mut vregs[dense(base, r)];
+            if v.global && !v.ranked {
+                v.ranked = true;
+                ranked.push(r);
+            }
+        };
+
+        // Parameters always come first: every mode keeps them if at all possible.
+        for p in &vf.params {
+            rank(*p);
+        }
+        match self.mode {
+            RegAllocMode::SplitAnnotations => {
+                // Translate the portable bytecode ranking to machine registers.
+                if let Some(order) = vbc_func.annotations.spill_order() {
+                    stats.annotations_used = true;
+                    stats.regalloc_work += order.keep_order.len() as u64;
+                    for vreg in &order.keep_order {
+                        if let Some(Some(p)) = vf.vbc_map.get(*vreg as usize) {
+                            rank(*p);
                         }
                     }
-                    None => {
+                }
+            }
+            RegAllocMode::OnlineGreedy => stats.regalloc_work += self.num_globals,
+            RegAllocMode::OnlineAnalyze => {
+                for (r, _) in &self.scored {
+                    rank(*r);
+                }
+            }
+        }
+        // Whatever is left — every global under `OnlineGreedy`, the machine
+        // registers the offline step never saw (scalarization lanes, say)
+        // under `SplitAnnotations`, nothing under `OnlineAnalyze` — follows
+        // in order of first appearance.
+        for r in &self.appearance {
+            rank(*r);
+        }
+    }
+
+    /// Recompute use counts and spans online — the work the split approach
+    /// avoids — and sort the globals by accesses per block into `self.scored`.
+    fn score_globals(&mut self, vf: &VirtualFunc, stats: &mut JitStats) {
+        let base = self.base;
+        let vregs = &mut self.vregs;
+        for insts in &vf.blocks {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let mut access = |r: PReg| {
+                let v = &mut vregs[dense(base, r)];
+                if v.global {
+                    v.accesses += 1;
+                    if v.stamp != stamp {
+                        v.stamp = stamp;
+                        v.span += 1;
+                    }
+                }
+            };
+            for inst in insts {
+                stats.regalloc_work += 1;
+                if let Some(d) = mir::def(inst) {
+                    access(d);
+                }
+                mir::for_each_use(inst, &mut access);
+            }
+        }
+        // Score in register order, so that the stable sort breaks ties by
+        // class, then index.
+        self.scored.clear();
+        for (c, class) in CLASSES.into_iter().enumerate() {
+            for index in 0..vf.counts[c] {
+                let v = &vregs[base[c] + index as usize];
+                if v.global {
+                    let score = f64::from(v.accesses) / f64::from(v.span.max(1));
+                    let index = index as u16;
+                    self.scored.push((PReg { class, index }, score));
+                }
+            }
+        }
+        self.scored
+            .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    }
+
+    /// Hand out the non-scratch registers of each class in ranking order;
+    /// the globals that get none live in a stack slot each.
+    fn place_globals(&mut self, fname: &str) -> Result<(), JitError> {
+        self.kept_count = [0; 3];
+        self.next_slot = 0;
+        for r in &self.ranked {
+            let c = class_index(r.class);
+            if self.limit[c] < SCRATCH_REGS {
+                return Err(JitError::RegisterPressure {
+                    function: fname.to_owned(),
+                    detail: format!(
+                        "target {} has no {} registers",
+                        self.target.name,
+                        class_name(r.class)
+                    ),
+                });
+            }
+            let loc = &mut self.vregs[dense(self.base, *r)].loc;
+            if self.kept_count[c] < self.limit[c] - SCRATCH_REGS {
+                *loc = Loc::Kept(self.kept_count[c]);
+                self.kept_count[c] += 1;
+            } else {
+                *loc = Loc::Spilled(self.next_slot);
+                self.next_slot += 1;
+            }
+        }
+        Ok(())
+    }
+
+    fn rewrite_block(
+        &mut self,
+        insts: Vec<MInst>,
+        out: &mut Vec<MInst>,
+        fname: &str,
+        stats: &mut JitStats,
+    ) -> Result<(), JitError> {
+        let base = self.base;
+        self.stamp += 1;
+        let stamp = self.stamp;
+
+        // Lay the use operands of the block out flat, then chain each to the
+        // next instruction reading the same register by one reverse scan.
+        // The scan leaves every register read in the block stamped with the
+        // block and `next_use` at its first read.
+        self.ops.clear();
+        self.starts.clear();
+        for inst in &insts {
+            self.starts.push(self.ops.len());
+            let ops = &mut self.ops;
+            mir::for_each_use(inst, |reg| ops.push(UseOp { reg, next: NONE }));
+        }
+        self.starts.push(self.ops.len());
+        for idx in (0..insts.len()).rev() {
+            let operands = &mut self.ops[self.starts[idx]..self.starts[idx + 1]];
+            for op in operands.iter_mut() {
+                let v = &self.vregs[dense(base, op.reg)];
+                if v.stamp == stamp {
+                    op.next = v.next_use;
+                }
+            }
+            for op in operands.iter() {
+                let v = &mut self.vregs[dense(base, op.reg)];
+                v.stamp = stamp;
+                v.next_use = idx as u32;
+            }
+        }
+
+        // Every register not handed to a kept global is scratch, lowest
+        // index first.
+        for c in 0..3 {
+            self.free[c].clear();
+            self.free[c].extend((self.kept_count[c]..self.limit[c]).rev());
+            self.occupant[c].clear();
+            self.occupant[c].resize(usize::from(self.limit[c]), NONE);
+        }
+
+        let pressure_error = |class: RegClass| JitError::RegisterPressure {
+            function: fname.to_owned(),
+            detail: format!("not enough {} scratch registers", class_name(class)),
+        };
+
+        for (idx, mut inst) in insts.into_iter().enumerate() {
+            let operands = self.starts[idx]..self.starts[idx + 1];
+            self.phys.clear();
+
+            // --- Resolve uses. ---
+            for k in operands.clone() {
+                let u = self.ops[k].reg;
+                let earlier = &self.ops[operands.start..k];
+                if let Some(j) = earlier.iter().position(|op| op.reg == u) {
+                    self.phys.push(self.phys[j]);
+                    continue;
+                }
+                let v = dense(base, u);
+                let index = match self.vregs[v].loc {
+                    Loc::Kept(r) | Loc::Reg(r) => r,
+                    Loc::Spilled(slot) | Loc::Slot(slot) => {
+                        let s = self
+                            .alloc_scratch(u.class, out, stats)
+                            .ok_or_else(|| pressure_error(u.class))?;
+                        let dst = PReg {
+                            class: u.class,
+                            index: s,
+                        };
+                        out.push(MInst::Reload { slot, dst });
+                        stats.static_reloads += 1;
+                        if let Loc::Slot(_) = self.vregs[v].loc {
+                            self.vregs[v].loc = Loc::Reg(s);
+                            self.occupant[class_index(u.class)][usize::from(s)] = v as u32;
+                        } else {
+                            // A spilled global only visits: the register is
+                            // free again once the instruction has read it.
+                            self.temp.push(dst);
+                        }
+                        s
+                    }
+                    Loc::Nowhere => {
                         return Err(JitError::Internal(format!(
                             "virtual register {u} used before definition in {fname} (instruction {idx}: {inst:?})"
                         )));
                     }
-                }
-            };
-            use_map.insert(*u, phys);
-        }
-        mir::rewrite_uses(&mut inst, |r| use_map.get(&r).copied().unwrap_or(r));
-
-        // Free scratch copies of spilled globals (their value has been read)
-        // and locals whose last use is this instruction.
-        for (class, s) in temp {
-            free[class_index(class)].push(s);
-        }
-        let dying: Vec<PReg> = use_regs
-            .iter()
-            .copied()
-            .filter(|u| {
-                local_loc.contains_key(u)
-                    && positions
-                        .get(u)
-                        .map(|p| p.iter().all(|x| *x <= idx))
-                        .unwrap_or(true)
-            })
-            .collect();
-        for u in dying {
-            if let Some(Loc::Reg(s)) = local_loc.get(&u).copied() {
-                free[class_index(u.class)].push(s);
-                occupant.remove(&(u.class, s));
-            }
-            local_loc.remove(&u);
-        }
-
-        // --- Resolve the definition. ---
-        let mut post_spill: Option<MInst> = None;
-        if let Some(d) = mir::def(&inst) {
-            let phys = if let Some(k) = assigner.kept.get(&d) {
-                PReg {
-                    class: d.class,
-                    index: *k,
-                }
-            } else if let Some(slot) = assigner.spilled.get(&d).copied() {
-                let s = alloc_scratch(
-                    d.class,
-                    idx,
-                    &mut free,
-                    &mut occupant,
-                    &mut local_loc,
-                    &positions,
-                    &pinned,
-                    assigner,
-                    out,
-                )
-                .ok_or_else(|| pressure_error(fname, d.class))?;
-                post_spill = Some(MInst::Spill {
-                    slot,
-                    src: PReg {
-                        class: d.class,
-                        index: s,
-                    },
+                };
+                self.phys.push(PReg {
+                    class: u.class,
+                    index,
                 });
-                free[class_index(d.class)].push(s);
-                PReg {
-                    class: d.class,
-                    index: s,
+            }
+            let mut resolved = self.phys.iter();
+            mir::for_each_use_mut(&mut inst, |r| {
+                *r = *resolved.next().expect("one register per use operand");
+            });
+
+            // Free the scratch copies of spilled globals (their value has
+            // been read) and the locals whose last use is this instruction;
+            // move every read register's next use past this instruction.
+            for r in self.temp.drain(..) {
+                self.free[class_index(r.class)].push(r.index);
+            }
+            for op in &self.ops[operands] {
+                let v = &mut self.vregs[dense(base, op.reg)];
+                v.next_use = op.next;
+                if let (Loc::Reg(s), NONE) = (v.loc, op.next) {
+                    v.loc = Loc::Nowhere;
+                    let c = class_index(op.reg.class);
+                    self.free[c].push(s);
+                    self.occupant[c][usize::from(s)] = NONE;
                 }
-            } else {
-                // Block-local temporary.
-                match local_loc.get(&d).copied() {
-                    Some(Loc::Reg(s)) => PReg {
-                        class: d.class,
-                        index: s,
-                    },
-                    _ => {
-                        let s = alloc_scratch(
-                            d.class,
-                            idx,
-                            &mut free,
-                            &mut occupant,
-                            &mut local_loc,
-                            &positions,
-                            &pinned,
-                            assigner,
-                            out,
-                        )
-                        .ok_or_else(|| pressure_error(fname, d.class))?;
-                        local_loc.insert(d, Loc::Reg(s));
-                        occupant.insert((d.class, s), d);
-                        PReg {
+            }
+
+            // --- Resolve the definition. ---
+            let mut post_spill: Option<MInst> = None;
+            if let Some(d) = mir::def(&inst) {
+                let c = class_index(d.class);
+                let v = dense(base, d);
+                let index = match self.vregs[v].loc {
+                    Loc::Kept(r) | Loc::Reg(r) => r,
+                    Loc::Spilled(slot) => {
+                        let s = self
+                            .alloc_scratch(d.class, out, stats)
+                            .ok_or_else(|| pressure_error(d.class))?;
+                        let src = PReg {
                             class: d.class,
                             index: s,
-                        }
+                        };
+                        post_spill = Some(MInst::Spill { slot, src });
+                        self.free[c].push(s);
+                        s
                     }
-                }
-            };
-            mir::rewrite_def(&mut inst, |_| phys);
-        }
+                    // Block-local temporary.
+                    Loc::Slot(_) | Loc::Nowhere => {
+                        let s = self
+                            .alloc_scratch(d.class, out, stats)
+                            .ok_or_else(|| pressure_error(d.class))?;
+                        self.vregs[v].loc = Loc::Reg(s);
+                        self.occupant[c][usize::from(s)] = v as u32;
+                        s
+                    }
+                };
+                mir::def_mut(&mut inst)
+                    .expect("the instruction has a definition")
+                    .index = index;
 
-        // Drop trivial moves that the assignment made redundant.
-        let redundant = matches!(&inst, MInst::Mov { dst, src } if dst == src);
-        if !redundant {
-            out.push(inst);
-        }
-        if let Some(spill) = post_spill {
-            out.push(spill);
-        }
-
-        // Defensive: locals defined but never used can release their register
-        // immediately.
-        if let Some(d) = insts.get(idx).and_then(mir::def) {
-            if local_loc.contains_key(&d) && !positions.contains_key(&d) {
-                if let Some(Loc::Reg(s)) = local_loc.get(&d).copied() {
-                    free[class_index(d.class)].push(s);
-                    occupant.remove(&(d.class, s));
+                // A local that nothing in the block reads can release its
+                // register immediately.
+                if let (Loc::Reg(s), true) = (self.vregs[v].loc, self.vregs[v].stamp != stamp) {
+                    self.vregs[v].loc = Loc::Nowhere;
+                    self.free[c].push(s);
+                    self.occupant[c][usize::from(s)] = NONE;
                 }
-                local_loc.remove(&d);
+            }
+
+            // Drop trivial moves that the assignment made redundant.
+            let redundant = matches!(&inst, MInst::Mov { dst, src } if dst == src);
+            if !redundant {
+                out.push(inst);
+            }
+            if let Some(spill) = post_spill {
+                out.push(spill);
+                stats.static_spills += 1;
             }
         }
-    }
-    Ok(())
-}
 
-/// Allocate one scratch register of `class`, evicting the block-local value
-/// with the farthest next use if necessary. Returns `None` when every scratch
-/// register is pinned by the current instruction.
-#[allow(clippy::too_many_arguments)]
-fn alloc_scratch(
-    class: RegClass,
-    idx: usize,
-    free: &mut [Vec<u16>; 3],
-    occupant: &mut BTreeMap<(RegClass, u16), PReg>,
-    local_loc: &mut HashMap<PReg, Loc>,
-    positions: &HashMap<PReg, Vec<usize>>,
-    pinned: &[(RegClass, u16)],
-    assigner: &mut Assigner<'_>,
-    out: &mut Vec<MInst>,
-) -> Option<u16> {
-    if let Some(s) = free[class_index(class)].pop() {
-        return Some(s);
-    }
-    // Evict the resident local with the farthest next use that is not pinned.
-    // A value used *by the current instruction* (position == idx) is still
-    // needed and must not be dropped, hence the `>= idx` comparison.
-    let mut best: Option<(u16, PReg, usize)> = None;
-    for ((c, s), holder) in occupant.iter() {
-        if *c != class || pinned.contains(&(*c, *s)) {
-            continue;
+        // Locals do not outlive their block.
+        for op in &self.ops {
+            let loc = &mut self.vregs[dense(base, op.reg)].loc;
+            if let Loc::Reg(_) | Loc::Slot(_) = loc {
+                *loc = Loc::Nowhere;
+            }
         }
-        let next = positions
-            .get(holder)
-            .and_then(|p| p.iter().find(|x| **x >= idx))
-            .copied()
-            .unwrap_or(usize::MAX);
-        if best.map(|(_, _, n)| next > n).unwrap_or(true) {
-            best = Some((*s, *holder, next));
+        Ok(())
+    }
+
+    /// Allocate one scratch register of `class`, evicting the block-local value
+    /// with the farthest next use if necessary. Returns `None` when every scratch
+    /// register is pinned by the current instruction.
+    fn alloc_scratch(
+        &mut self,
+        class: RegClass,
+        out: &mut Vec<MInst>,
+        stats: &mut JitStats,
+    ) -> Option<u16> {
+        let c = class_index(class);
+        if let Some(s) = self.free[c].pop() {
+            return Some(s);
         }
+        // Evict the resident local with the farthest next use that is not
+        // pinned, i.e. not already chosen for an operand of the current
+        // instruction; the lowest register wins a tie. A resident read by the
+        // current instruction but not pinned yet has `next_use` at this very
+        // instruction, so it goes last and is spilled, never dropped.
+        let mut best: Option<(u16, u32, u32)> = None;
+        for s in self.kept_count[c]..self.limit[c] {
+            let holder = self.occupant[c][usize::from(s)];
+            if holder == NONE || self.phys.contains(&PReg { class, index: s }) {
+                continue;
+            }
+            let next = self.vregs[holder as usize].next_use;
+            if best.is_none_or(|(_, _, n)| next > n) {
+                best = Some((s, holder, next));
+            }
+        }
+        let (s, victim, next) = best?;
+        self.vregs[victim as usize].loc = if next != NONE {
+            // Still needed later: spill it to a fresh slot.
+            let slot = self.next_slot;
+            self.next_slot += 1;
+            out.push(MInst::Spill {
+                slot,
+                src: PReg { class, index: s },
+            });
+            stats.static_spills += 1;
+            Loc::Slot(slot)
+        } else {
+            Loc::Nowhere
+        };
+        self.occupant[c][usize::from(s)] = NONE;
+        Some(s)
     }
-    let (s, victim, next) = best?;
-    if next != usize::MAX {
-        // Still needed later: spill it to a fresh slot.
-        let slot = assigner.next_slot;
-        assigner.next_slot += 1;
-        out.push(MInst::Spill {
-            slot,
-            src: PReg { class, index: s },
-        });
-        local_loc.insert(victim, Loc::Slot(slot));
-    } else {
-        local_loc.remove(&victim);
-    }
-    occupant.remove(&(class, s));
-    Some(s)
 }
 
 #[cfg(test)]

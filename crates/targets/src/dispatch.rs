@@ -27,7 +27,9 @@
 //! run metered everywhere — a semantics-preserving fallback, not an error.
 
 use crate::desc::CostModel;
-use crate::exec::{Frame, FramePool, PInst, PreparedFunction, PreparedProgram, RRef, SlotValue};
+use crate::exec::{
+    store_slot_vec, Frame, FramePool, PInst, PreparedFunction, PreparedProgram, RRef, SlotValue,
+};
 use crate::mcode::{AluOp, CmpPred, FpuOp, RedOp, RegClass, Width};
 use crate::simulator::{
     alu, check_range, compare, fpu, normalize, read_lane_float, read_lane_int, read_mem,
@@ -283,6 +285,7 @@ pub(crate) struct ExecCtx<'a> {
     pub(crate) float: &'a mut [f64],
     pub(crate) vec: &'a mut [u8],
     pub(crate) slots: &'a mut [SlotValue],
+    pub(crate) slot_vec: &'a mut Vec<u8>,
     pub(crate) mem: &'a mut [u8],
     pub(crate) pool: &'a mut FramePool,
     pub(crate) fuel: &'a mut u64,
@@ -442,6 +445,7 @@ pub(crate) fn run_ops(
         float: frame.float.as_mut_slice(),
         vec: frame.vec.as_mut_slice(),
         slots: frame.slots.as_mut_slice(),
+        slot_vec: &mut frame.slot_vec,
         mem,
         pool,
         fuel,
@@ -949,8 +953,13 @@ fn h_spill_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 
 fn h_spill_vec(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     let (s, vb) = (op.a as usize, cx.vb);
-    let value = SlotValue::Vec(cx.vec[s..s + vb].to_vec());
-    tryh!(cx, pc, spill_into(cx, op.e, value));
+    tryh!(cx, pc, spill_into(cx, op.e, SlotValue::Vec));
+    store_slot_vec(
+        cx.slot_vec,
+        cx.slots.len(),
+        op.e as usize,
+        &cx.vec[s..s + vb],
+    );
     u64::from(pc) + 1
 }
 
@@ -1001,10 +1010,11 @@ fn h_reload_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 fn h_reload_vec(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     let (d, vb) = (op.a as usize, cx.vb);
     match cx.slots.get(op.e as usize) {
-        Some(SlotValue::Vec(v)) => {
-            // `slots` and `vec` are disjoint ExecCtx fields, so the borrows
-            // split cleanly here.
-            cx.vec[d..d + vb].copy_from_slice(v);
+        Some(SlotValue::Vec) => {
+            // A `Vec` tag is only ever written by `h_spill_vec` during this
+            // call, after it sized `slot_vec` to cover every slot.
+            let at = op.e as usize * vb;
+            cx.vec[d..d + vb].copy_from_slice(&cx.slot_vec[at..at + vb]);
         }
         other => {
             let e = reload_error(other, op.e);

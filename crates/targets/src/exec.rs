@@ -87,12 +87,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// A value held in a spill slot of a prepared frame.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum SlotValue {
     Empty,
     Int(i64),
     Float(f64),
-    Vec(Vec<u8>),
+    /// A vector: the slot's `vector_bytes` of [`Frame::slot_vec`].
+    Vec,
 }
 
 /// One recycled call frame: the register files and spill slots of one call.
@@ -105,6 +106,23 @@ pub(crate) struct Frame {
     pub(crate) float: Vec<f64>,
     pub(crate) vec: Vec<u8>,
     pub(crate) slots: Vec<SlotValue>,
+    /// The bytes of spilled vectors, flat like `vec` (`slots × vector_bytes`).
+    /// Sized by the first vector spill of a call and kept when the frame is
+    /// recycled — `slots` says which ranges are live — so that executed
+    /// vector spills do not allocate.
+    pub(crate) slot_vec: Vec<u8>,
+}
+
+/// Copy the vector register bytes `src` into spill slot `slot` of a frame's
+/// flat [`Frame::slot_vec`]. The first vector spill after the buffer was last
+/// too small sizes it for all `slots` of the frame; every later one only
+/// copies.
+pub(crate) fn store_slot_vec(slot_vec: &mut Vec<u8>, slots: usize, slot: usize, src: &[u8]) {
+    let vb = src.len();
+    if slot_vec.len() < slots * vb {
+        slot_vec.resize(slots * vb, 0);
+    }
+    slot_vec[slot * vb..(slot + 1) * vb].copy_from_slice(src);
 }
 
 /// A pool of reusable call frames (and call-argument scratch buffers).
@@ -1418,12 +1436,17 @@ impl PreparedProgram {
                 }
                 PInst::SpillVec { slot, src } => {
                     let s = *src as usize;
-                    let value = SlotValue::Vec(frame.vec[s..s + vb].to_vec());
                     *frame
                         .slots
                         .get_mut(*slot as usize)
                         .ok_or_else(|| SimError::Trap(format!("spill to invalid slot {slot}")))? =
-                        value;
+                        SlotValue::Vec;
+                    store_slot_vec(
+                        &mut frame.slot_vec,
+                        frame.slots.len(),
+                        *slot as usize,
+                        &frame.vec[s..s + vb],
+                    );
                     tm.op(
                         stats,
                         LatClass::SpillStore,
@@ -1443,9 +1466,9 @@ impl PreparedProgram {
                         (RegClass::Float, SlotValue::Float(v)) => {
                             frame.float[*dst as usize] = *v;
                         }
-                        (RegClass::Vec, SlotValue::Vec(v)) => {
-                            let d = *dst as usize;
-                            frame.vec[d..d + vb].copy_from_slice(v);
+                        (RegClass::Vec, SlotValue::Vec) => {
+                            let (d, at) = (*dst as usize, *slot as usize * vb);
+                            frame.vec[d..d + vb].copy_from_slice(&frame.slot_vec[at..at + vb]);
                         }
                         (_, SlotValue::Empty) => {
                             return Err(SimError::Trap(format!(

@@ -1,0 +1,47 @@
+//! A counting allocator for the suites that gate on allocation counts.
+//!
+//! Counts are per thread, so tests of one binary running side by side do
+//! not see each other's allocations. A suite installs it with
+//! `#[global_allocator] static ALLOC: CountingAlloc = CountingAlloc;`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting `alloc` and `realloc` calls per thread.
+pub struct CountingAlloc;
+
+fn count() {
+    // A thread that is being torn down has no counter left; nothing measures it.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// const-initialized thread-local `Cell` without a destructor, so touching it
+// neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+/// Run `f` and return its result with the number of allocations the calling
+/// thread made meanwhile.
+pub fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}

@@ -9,12 +9,18 @@
 //! the metered per-instruction fallback too. These tests pin that
 //! equivalence down and also check that pooling/reuse never changes results.
 
+mod common;
+
+use common::{allocations_in, CountingAlloc};
 use splitc::{checksum, prepare, PreparedProgram, PreparedSimulator, Workspace};
 use splitc_jit::{compile_module, JitOptions, RegAllocMode};
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_runtime::{ExecutionEngine, FramePool};
 use splitc_targets::{SimStats, Simulator, TargetDesc, TimingKind};
-use splitc_workloads::{all_kernels, module_for};
+use splitc_workloads::{all_kernels, kernel, module_for};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const N: usize = 173; // deliberately not a multiple of any lane count
 
@@ -269,6 +275,47 @@ fn frame_pool_reuse_across_repeats_never_changes_results() {
         assert_eq!(out_a, out_b, "seed {run}");
         assert_eq!(warm.stats(), cold.stats(), "seed {run}");
         assert_eq!(ws_a.bytes(), ws_b.bytes(), "seed {run}");
+    }
+}
+
+#[test]
+fn executed_vector_spills_do_not_allocate_once_the_pool_is_warm() {
+    // `horner_f32` on x86-sse keeps more vectors live than the machine has
+    // vector registers, so its loop body spills and reloads vectors on every
+    // iteration. The first run sizes the recycled frame; from the second run
+    // on, neither dispatch loop may touch the allocator.
+    let kernel = kernel("horner_f32").expect("horner_f32 is in the catalogue");
+    let mut module =
+        module_for(std::slice::from_ref(&kernel), kernel.name).expect("kernel compiles");
+    optimize_module(&mut module, &OptOptions::full());
+    let target = TargetDesc::x86_sse();
+    let (program, _jit) = compile_module(&module, &target, &JitOptions::split()).unwrap();
+    let prepared = PreparedProgram::prepare(&program, &target).unwrap();
+
+    for metered in [false, true] {
+        let mut sim = PreparedSimulator::new(&prepared);
+        let run = |sim: &mut PreparedSimulator<'_>| {
+            let mut ws = Workspace::new(1 << 16);
+            let inputs = prepare(kernel.name, N, 5, &mut ws);
+            let (result, allocations) = allocations_in(|| {
+                if metered {
+                    sim.run_metered(kernel.name, &inputs.args, ws.bytes_mut())
+                } else {
+                    sim.run(kernel.name, &inputs.args, ws.bytes_mut())
+                }
+            });
+            let sum = checksum(result.unwrap(), &inputs, &ws);
+            (sum, sim.stats(), allocations)
+        };
+        let (first_sum, first_stats, _) = run(&mut sim);
+        let (second_sum, second_stats, second_allocations) = run(&mut sim);
+        assert!(
+            first_stats.spill_stores > 0 && first_stats.vector_ops > 0,
+            "the kernel must actually spill vectors: {first_stats:?}"
+        );
+        assert_eq!(second_allocations, 0, "metered: {metered}");
+        assert_eq!(second_stats, first_stats, "metered: {metered}");
+        assert_eq!(second_sum, first_sum, "metered: {metered}");
     }
 }
 
