@@ -1,4 +1,4 @@
-//! Bench — threaded dispatch vs the metered enum loop vs the legacy walk.
+//! Bench — the prepared executor's two loops against the legacy walk.
 //!
 //! The measurement itself lives in `splitc_bench::dispatch` (shared with the
 //! `report` binary's `BENCH_sweep.json` trajectory): the same JIT-compiled
@@ -7,22 +7,22 @@
 //! * **cold / legacy** — the original `MProgram` block walk, which decodes
 //!   (and clones) every instruction on every step, re-validates registers
 //!   per instruction, resolves call targets by name and allocates a fresh
-//!   frame per call;
-//! * **metered** — the pre-decoded `PreparedProgram` stream driven by the
-//!   per-instruction enum-match loop (PR 3's hot loop, retained as the
-//!   deopt/reference path), with a warm frame pool;
-//! * **threaded** — the same prepared program driven through the fn-pointer
-//!   handler table with macro-op fusion, adjacent-record welding and
-//!   per-region fuel/instruction charges (this PR's hot loop), same pool.
+//!   frame per call. It is the fixed reference both floors are stated
+//!   against: nothing in the prepared executor shares code with it;
+//! * **metered** — the pre-decoded `PreparedProgram` driven by the metered
+//!   loop: one handler call per instruction over the 1:1 record stream, fuel
+//!   and timing charged per record, with a warm frame pool;
+//! * **threaded** — the same handlers driven through the fused and welded
+//!   stream with per-region fuel/instruction prepayment, same pool.
 //!
 //! Results and `SimStats` are asserted bit-identical across all three before
-//! any timing; the headline is the ns-per-run ratio of each successive step.
-//! The thresholds (metered ≥1.3× legacy, threaded ≥1.25× metered) are
+//! any timing; the headline is the ns-per-run of each prepared loop over the
+//! legacy walk. The floors (metered ≥1.3× legacy, threaded ≥1.6× legacy) are
 //! report-only by default (shared CI runners are noisy); set
-//! `SIM_BENCH_ASSERT=1` on a quiet host to enforce them. The threaded
-//! floor is set below the ~1.35× measured on a quiet host: the 2× stretch
-//! target needs per-record body specialization beyond what bit-identical
-//! `SimStats` currently allows (see ROADMAP).
+//! `SIM_BENCH_ASSERT=1` on a quiet host to enforce them. They sit well under
+//! the quiet-host readings and gate each loop against the reference, not the
+//! two loops against each other: the loops share their handlers, so a change
+//! that speeds up metering must not trip a threaded-over-metered ratio.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use splitc::splitc_targets::{PreparedProgram, PreparedSimulator, Simulator, TargetDesc};
@@ -45,11 +45,12 @@ fn bench_simulator(c: &mut Criterion) {
     if std::env::var_os("SIM_BENCH_ASSERT").is_some() {
         assert!(
             prepared_speedup >= 1.3,
-            "expected the metered prepared loop >= 1.3x the legacy walk, got {prepared_speedup:.2}x"
+            "expected the metered loop >= 1.3x the legacy walk, got {prepared_speedup:.2}x"
         );
+        let threaded_speedup = legacy_ns / threaded_ns;
         assert!(
-            dispatch_speedup >= 1.25,
-            "expected threaded dispatch >= 1.25x the metered enum loop, got {dispatch_speedup:.2}x"
+            threaded_speedup >= 1.6,
+            "expected threaded dispatch >= 1.6x the legacy walk, got {threaded_speedup:.2}x"
         );
     }
 

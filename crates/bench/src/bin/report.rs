@@ -33,7 +33,7 @@
 //! compiling — recording the cold-vs-warm time-to-first-response delta,
 //! the split-compilation saving a process restart no longer pays); and the `dispatch` row
 //! (the tight-loop kernel of `benches/simulator.rs` timed on the legacy
-//! walk, the metered enum loop and the threaded handler table: ns/run,
+//! walk, the metered loop and the threaded handler table: ns/run,
 //! ns/instruction, the speedup of each step, and the macro-op fusion and
 //! welding hit counts).
 
@@ -380,7 +380,7 @@ const JSON_DISPATCH_RUNS: u32 = 200;
 fn dispatch_to_json(m: &dispatch::DispatchMeasurement) -> String {
     let per_inst = |ns: f64| ns / m.instructions as f64;
     format!(
-        "  {{\n    \"kernel\": \"tight\",\n    \"n\": {},\n    \"runs\": {JSON_DISPATCH_RUNS},\n    \"instructions_per_run\": {},\n    \"legacy_ns_per_run\": {:.0},\n    \"metered_ns_per_run\": {:.0},\n    \"threaded_ns_per_run\": {:.0},\n    \"legacy_ns_per_inst\": {:.3},\n    \"metered_ns_per_inst\": {:.3},\n    \"threaded_ns_per_inst\": {:.3},\n    \"prepared_speedup\": {:.3},\n    \"dispatch_speedup\": {:.3},\n    \"fusion\": {{\"cmp_branch\": {}, \"load_op\": {}, \"indvar\": {}, \"pair\": {}, \"triple\": {}}}\n  }}",
+        "  {{\n    \"kernel\": \"tight\",\n    \"n\": {},\n    \"runs\": {JSON_DISPATCH_RUNS},\n    \"instructions_per_run\": {},\n    \"legacy_ns_per_run\": {:.0},\n    \"metered_ns_per_run\": {:.0},\n    \"threaded_ns_per_run\": {:.0},\n    \"legacy_ns_per_inst\": {:.3},\n    \"metered_ns_per_inst\": {:.3},\n    \"threaded_ns_per_inst\": {:.3},\n    \"prepared_speedup\": {:.3},\n    \"dispatch_speedup\": {:.3},\n    \"fusion\": {{\"cmp_branch\": {}, \"load_op\": {}, \"indvar\": {}, \"pair\": {}}}\n  }}",
         dispatch::N,
         m.instructions,
         m.legacy_ns,
@@ -395,7 +395,6 @@ fn dispatch_to_json(m: &dispatch::DispatchMeasurement) -> String {
         m.fusion.load_op,
         m.fusion.indvar,
         m.fusion.pair,
-        m.fusion.triple,
     )
 }
 
@@ -476,7 +475,7 @@ fn write_sweep_json(path: &str, n: usize) -> Result<(), Box<dyn std::error::Erro
     let timing_rows = timing_to_json(n)?;
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
-        "{{\n  \"schema\": \"splitc-bench-sweep/7\",\n  \"n\": {n},\n  \"repeats\": {JSON_SWEEP_REPEATS},\n  \"host_cores\": {host_cores},\n  \"sweeps\": [\n{}\n  ],\n  \"timing\": [\n{}\n  ],\n  \"serving\": [\n{}\n  ],\n  \"store\": [\n{}\n  ],\n  \"dispatch\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"splitc-bench-sweep/8\",\n  \"n\": {n},\n  \"repeats\": {JSON_SWEEP_REPEATS},\n  \"host_cores\": {host_cores},\n  \"sweeps\": [\n{}\n  ],\n  \"timing\": [\n{}\n  ],\n  \"serving\": [\n{}\n  ],\n  \"store\": [\n{}\n  ],\n  \"dispatch\": [\n{}\n  ]\n}}\n",
         sweeps.join(",\n"),
         timing_rows,
         serving.join(",\n"),

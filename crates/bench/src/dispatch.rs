@@ -1,5 +1,5 @@
 //! Shared harness for the dispatch benchmark: the tight-loop kernel timed
-//! three ways — cold legacy walk, warm metered enum loop, warm threaded
+//! three ways — cold legacy walk, warm metered loop, warm threaded
 //! handler table — with bit-identity asserted before any timing.
 //!
 //! `benches/simulator.rs` drives this for the Criterion run and the
@@ -41,7 +41,7 @@ pub const TIGHT_LOOP: &str = "fn tight(n: i32, x: *i32, y: *i32) -> i32 {
 pub struct DispatchMeasurement {
     /// ns per run, fresh `Simulator` + legacy block walk each run.
     pub legacy_ns: f64,
-    /// ns per run, warm `PreparedSimulator` on the metered enum loop.
+    /// ns per run, warm `PreparedSimulator` on the metered loop.
     pub metered_ns: f64,
     /// ns per run, warm `PreparedSimulator` on the threaded handler table.
     pub threaded_ns: f64,
@@ -57,7 +57,7 @@ impl DispatchMeasurement {
         self.legacy_ns / self.metered_ns
     }
 
-    /// Threaded handler table over the metered enum loop.
+    /// Threaded handler table over the metered loop.
     pub fn dispatch_speedup(&self) -> f64 {
         self.metered_ns / self.threaded_ns
     }
@@ -89,7 +89,7 @@ pub fn workspace() -> (Workspace, [MachineValue; 3]) {
 }
 
 /// Run the three-way comparison: assert results, memory and `SimStats` are
-/// bit-identical across the legacy walk, the metered enum loop and the
+/// bit-identical across the legacy walk, the metered loop and the
 /// threaded handler table, then time each side over `runs` runs.
 pub fn measure(runs: u32) -> DispatchMeasurement {
     let target = TargetDesc::x86_sse();
@@ -131,7 +131,7 @@ pub fn measure(runs: u32) -> DispatchMeasurement {
     assert_eq!(ws_a.bytes(), ws_c.bytes(), "memory must be bit-identical");
     let instructions = threaded_sim.stats().instructions;
 
-    // Headline: ns per run — cold legacy walk, warm metered enum loop, warm
+    // Headline: ns per run — cold legacy walk, warm metered loop, warm
     // threaded handler table.
     let (mut ws, args) = workspace();
     let start = Instant::now();

@@ -1,40 +1,48 @@
-//! Threaded dispatch and macro-op fusion over the prepared stream.
+//! Instruction handlers, threaded dispatch and macro-op fusion over the
+//! prepared stream.
 //!
-//! The metered interpreter in [`exec`](crate::exec) still pays three costs on
-//! every instruction: a fuel check + decrement, a `stats.instructions`
-//! increment, and a ~40-arm enum match. This module removes all three at
-//! prepare time:
+//! Every [`PInst`] is lowered to an [`OpRecord`] — a packed 32-byte operand
+//! record whose first field is the **handler fn pointer** — and the handlers
+//! in this module are the only statement of what a straight-line instruction
+//! does to registers and memory. Both loops of the executor run them:
 //!
-//! * every [`PInst`] is lowered to an [`OpRecord`] — a packed 32-byte operand
-//!   record whose first field is the **handler fn pointer** — so the hot loop
-//!   is `(op.handler)(op, ctx)` with no discriminant match;
-//! * fuel and instruction accounting are hoisted into **per-region charges**:
-//!   a region is a maximal straight-line run (from a block entry, or from the
-//!   return point of a call, through its first control-flow op inclusive) and
-//!   its source-instruction count is prepaid on entry. A region either fully
-//!   retires (the prepaid charge is exact), aborts the whole execution via a
-//!   trap (a per-op `fixup` table corrects `stats.instructions` on that cold
-//!   path), or — when fuel can no longer cover a prepayment — **deopts** to
-//!   the metered loop, which then reproduces legacy out-of-fuel timing to the
-//!   instruction;
-//! * adjacent instructions are **fused into macro-ops** (compare+branch,
-//!   load+ALU, and the 3- and 4-instruction induction-variable steps the
-//!   lowered indvar shape produces), each charging the exact sum of its
-//!   constituents' cycles and fuel so `SimStats` stays bit-identical.
+//! * the metered loop in [`exec`](crate::exec) walks the 1:1 stream built by
+//!   [`lower_metered`], paying fuel, `stats.instructions` and the
+//!   instruction's `OpInfo` charge around each handler call;
+//! * the threaded loop here ([`run_ops`]) is `(op.handler)(op, ctx, pc)` with
+//!   no per-instruction accounting at all: fuel and instruction counts are
+//!   hoisted into **per-region charges**. A region is a maximal
+//!   straight-line run (from a block entry, or from the return point of a
+//!   call, through its first control-flow op inclusive); its
+//!   source-instruction count and the sum of its `OpInfo` charges are
+//!   prepaid on entry. A region either fully retires (the prepaid charge is
+//!   exact), aborts the whole execution via a trap (`refund_unretired` gives
+//!   back what had not retired, on that cold path), or — when fuel can
+//!   no longer cover a prepayment — **deopts** to the metered loop, which
+//!   then reproduces legacy out-of-fuel timing to the instruction.
 //!
-//! Targets whose cost model or vector file cannot be packed into the 32-byte
-//! record (see [`costs_fit_u32`]) simply never build a threaded stream and
-//! run metered everywhere — a semantics-preserving fallback, not an error.
+//! On the threaded stream adjacent instructions are **fused into macro-ops**
+//! (compare+branch, load+ALU, and the 3- and 4-instruction
+//! induction-variable steps the lowered indvar shape produces) whose handlers
+//! are compositions of the plain handlers' bodies, and any two adjacent
+//! records of common kinds are **welded**: the first one's handler runs
+//! both. Neither is visible in `SimStats`.
+//!
+//! Nothing can fail to pack: register numbers are `u16` by type (vector
+//! handlers scale them to byte offsets), and records carry no cycle costs —
+//! straight-line charges live in the `OpInfo` table, and the few handlers
+//! that charge dynamically read the program's
+//! [`CostModel`](crate::CostModel).
 
-use crate::desc::CostModel;
 use crate::exec::{
-    store_slot_vec, Frame, FramePool, PInst, PreparedFunction, PreparedProgram, RRef, SlotValue,
+    store_slot_vec, Frame, FramePool, PInst, PreparedFunction, PreparedProgram, SlotValue,
 };
-use crate::mcode::{AluOp, CmpPred, FpuOp, RedOp, RegClass, Width};
+use crate::mcode::{AluOp, CmpPred, FpuOp, PReg, RedOp, RegClass, Width};
 use crate::simulator::{
     alu, check_range, compare, fpu, normalize, read_lane_float, read_lane_int, read_mem,
     write_lane_float, write_lane_int, write_mem, MachineValue, SimError, SimStats,
 };
+use crate::timing::FlatCost;
 
 /// A handler executes one packed record against the live execution context.
 ///
@@ -42,7 +50,7 @@ use crate::simulator::{
 /// **absolute index of the next record to dispatch** in the low 32 bits —
 /// never a `Result`, whose by-memory return would cost the hot loop a stack
 /// round-trip per record. A fall-through handler returns `pc + 1`, a welded
-/// handler `pc + 2` or `pc + 3`, a branch its target region's first record.
+/// handler `pc + 2`, a branch its target region's first record.
 /// The high 32 bits are zero on that hot path, so the dispatch loop is one
 /// indirect call plus one never-taken branch; the cold outcomes — return,
 /// deopt, trap — come back tagged ([`FLOW_RET`] / [`FLOW_DEOPT`] /
@@ -50,11 +58,10 @@ use crate::simulator::{
 /// value stashed in the context ([`ExecCtx::err`] / [`ExecCtx::ret`]).
 pub(crate) type Handler = fn(&OpRecord, &mut ExecCtx<'_>, u32) -> u64;
 
-/// One threaded-dispatch operation: a handler fn pointer plus its operands
-/// packed into exactly 32 bytes (two records per cache line). Scalar register
-/// indexes and vector byte offsets fit the `u16` fields (guaranteed by the
-/// prepare-time guard), region/call-site indexes and baked cycle costs use
-/// the `u32` fields, and memory offsets / packed per-kind flags use `imm`.
+/// One dispatch operation: a handler fn pointer plus its operands packed into
+/// exactly 32 bytes (two records per cache line). Register numbers use the
+/// `u16` fields, region/call-site/slot indexes and lane counts the `u32`
+/// fields, and memory offsets / immediates / packed per-kind flags `imm`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OpRecord {
     pub(crate) handler: Handler,
@@ -86,7 +93,7 @@ pub(crate) const FLOW_RET: u64 = 1 << 32;
 /// pc in the low 32 bits on the metered loop.
 pub(crate) const FLOW_DEOPT: u64 = 2 << 32;
 /// The execution trapped; the error is in [`ExecCtx::err`] and the low 32
-/// bits index the faulting record's fixup (a welded handler reports the
+/// bits index the faulting record (a welded handler reports the
 /// *constituent* that trapped, not the weld opener).
 pub(crate) const FLOW_ERR: u64 = 3 << 32;
 
@@ -98,9 +105,9 @@ pub(crate) enum Threaded {
     Deopt(u32),
 }
 
-/// The statically-known slice of one record's (or one region's) `SimStats`
-/// traffic: everything the metered loop would charge that does not depend on
-/// runtime values. Summed per region at prepare time and prepaid on region
+/// The statically-known slice of one region's `SimStats` traffic: the sum of
+/// its instructions' `OpInfo` charges, i.e. everything the metered loop
+/// would charge that does not depend on runtime values. Prepaid on region
 /// entry, so straight-line handlers touch no accounting at all. The only
 /// *dynamic* charges left to handlers are the taken/not-taken cycles of
 /// conditional branches and the cycles of calls (whose argv build can trap
@@ -117,14 +124,17 @@ pub(crate) struct StaticStats {
 }
 
 impl StaticStats {
-    fn add(&mut self, o: &StaticStats) {
-        self.cycles += o.cycles;
-        self.loads += o.loads;
-        self.stores += o.stores;
-        self.spill_stores += o.spill_stores;
-        self.spill_reloads += o.spill_reloads;
-        self.vector_ops += o.vector_ops;
-        self.branches += o.branches;
+    /// Narrow a running `OpInfo::prepay` sum over one region.
+    fn of(sum: &SimStats) -> StaticStats {
+        StaticStats {
+            cycles: sum.cycles,
+            loads: sum.loads as u32,
+            stores: sum.stores as u32,
+            spill_stores: sum.spill_stores as u32,
+            spill_reloads: sum.spill_reloads as u32,
+            vector_ops: sum.vector_ops as u32,
+            branches: sum.branches as u32,
+        }
     }
 
     /// Apply this prepayment to the live counters (region entry).
@@ -137,30 +147,46 @@ impl StaticStats {
         stats.vector_ops += u64::from(self.vector_ops);
         stats.branches += u64::from(self.branches);
     }
-
-    /// Give back the prepaid-but-not-retired portion (trap cold path).
-    fn refund(&self, stats: &mut SimStats) {
-        stats.cycles -= self.cycles;
-        stats.loads -= u64::from(self.loads);
-        stats.stores -= u64::from(self.stores);
-        stats.spill_stores -= u64::from(self.spill_stores);
-        stats.spill_reloads -= u64::from(self.spill_reloads);
-        stats.vector_ops -= u64::from(self.vector_ops);
-        stats.branches -= u64::from(self.branches);
-    }
 }
 
-/// Trap-path correction for one record: when its handler errors out, the
-/// region was already prepaid in full, so the charges for everything the
-/// legacy walk would *not* have retired by that point are given back.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct FixupRec {
-    /// `stats.instructions` to give back (the faulting source instruction
-    /// itself stays counted, matching the legacy walk — except a `FellOff`
-    /// fetch, which was never retired).
-    pub(crate) instructions: u32,
-    /// Static counter charges to give back.
-    pub(crate) stat: StaticStats,
+/// Trap-path correction: record `k` of `f` raised an error after its region
+/// was prepaid in full, so give back the charges for everything the legacy
+/// walk would *not* have retired by that point — record `k` and the rest of
+/// its region, except the faulting source instruction's own fetch.
+#[cold]
+fn refund_unretired(f: &PreparedFunction, k: usize, stats: &mut SimStats) {
+    let mut instructions = 0;
+    let mut unretired = SimStats::default();
+    for m in &f.meta[k..] {
+        let span = m.enum_pc as usize..m.enum_pc as usize + usize::from(m.len);
+        instructions += u64::from(m.len);
+        f.info[span.clone()]
+            .iter()
+            .for_each(|i| i.prepay(&mut unretired));
+        if f.code[span.end - 1].is_control() {
+            break;
+        }
+    }
+    let first = f.meta[k].enum_pc as usize;
+    match f.code[first] {
+        // Fuel stays consumed, but the failed fetch retired nothing.
+        PInst::FellOff { .. } => {}
+        // The move retired before the vector-class check trapped.
+        PInst::Ret { .. } => {
+            instructions -= 1;
+            unretired.cycles -= f.info[first].cycles;
+        }
+        // Only the first constituent of a record can trap: it was fetched.
+        _ => instructions -= 1,
+    }
+    stats.instructions -= instructions;
+    stats.cycles -= unretired.cycles;
+    stats.loads -= unretired.loads;
+    stats.stores -= unretired.stores;
+    stats.spill_stores -= unretired.spill_stores;
+    stats.spill_reloads -= unretired.spill_reloads;
+    stats.vector_ops -= unretired.vector_ops;
+    stats.branches -= unretired.branches;
 }
 
 /// Where control can land in the threaded stream: each basic block gets one
@@ -176,25 +202,6 @@ pub(crate) struct BlockTarget {
     pub(crate) stat: StaticStats,
 }
 
-/// A resolved call site referenced by a threaded call record.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum CallSite {
-    /// Call to a function in this program.
-    Known {
-        /// Dense index of the callee.
-        callee: usize,
-        /// Argument registers.
-        args: Box<[RRef]>,
-        /// Destination of the returned value, if any.
-        ret: Option<RRef>,
-        /// Index into `targets` of the after-call region.
-        after: u32,
-    },
-    /// Call to a name that does not exist in the program (runtime error,
-    /// like the legacy walk).
-    Unknown(Box<str>),
-}
-
 /// Per-record provenance: which enum-stream instructions a record covers and
 /// whether it is a fused macro-op. Cold data — only read by `disasm` and the
 /// trap path.
@@ -203,10 +210,8 @@ pub(crate) struct OpMeta {
     pub(crate) enum_pc: u32,
     pub(crate) len: u8,
     pub(crate) fused: FuseKind,
-    /// Records this one's handler retires per dispatch: 0 for a plain
-    /// handler, 2 (pair) or 3 (triple) for a weld opener whose handler also
-    /// executes the following record(s).
-    pub(crate) welded: u8,
+    /// A pair opener: its handler also executes the following record.
+    pub(crate) paired: bool,
 }
 
 /// The macro-op fusion catalogue.
@@ -257,19 +262,15 @@ pub struct FusionStats {
     pub indvar: u64,
     /// Adjacent records welded by the second-level pairing sweep: the first
     /// record's handler executes both, halving dispatch round-trips on the
-    /// covered stretch. Constituents keep their own records (and trap
-    /// fixups), so any two eligible neighbours pair regardless of shape.
+    /// covered stretch. Constituents keep their own records, so any two
+    /// eligible neighbours pair regardless of shape.
     pub pair: u64,
-    /// Adjacent-record triples welded by the same sweep (integer kinds only
-    /// — the combination table for a third position is kept small), each
-    /// retiring three records per dispatch round-trip.
-    pub triple: u64,
 }
 
 impl FusionStats {
     /// Total fused records of any kind.
     pub fn total(&self) -> u64 {
-        self.cmp_branch + self.load_op + self.indvar + self.pair + self.triple
+        self.cmp_branch + self.load_op + self.indvar + self.pair
     }
 }
 
@@ -296,7 +297,90 @@ pub(crate) struct ExecCtx<'a> {
     pub(crate) err: Option<SimError>,
 }
 
-impl ExecCtx<'_> {
+impl<'a> ExecCtx<'a> {
+    /// The execution state of one call of `f` in `frame`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        prog: &'a PreparedProgram,
+        f: &'a PreparedFunction,
+        frame: &'a mut Frame,
+        mem: &'a mut [u8],
+        pool: &'a mut FramePool,
+        fuel: &'a mut u64,
+        stats: &'a mut SimStats,
+        depth: usize,
+    ) -> Self {
+        ExecCtx {
+            prog,
+            f,
+            int: frame.int.as_mut_slice(),
+            float: frame.float.as_mut_slice(),
+            vec: frame.vec.as_mut_slice(),
+            slots: frame.slots.as_mut_slice(),
+            slot_vec: &mut frame.slot_vec,
+            mem,
+            pool,
+            fuel,
+            stats,
+            depth,
+            vb: prog.vector_bytes,
+            ret: None,
+            err: None,
+        }
+    }
+
+    /// Run the handlers of the straight-line `records`, the first of which
+    /// sits at `pc` (the metered loop's inner loop): how many retired, and
+    /// the trap of the one after them if it raised one.
+    pub(crate) fn run_straight(
+        &mut self,
+        records: &[OpRecord],
+        pc: usize,
+    ) -> (usize, Option<SimError>) {
+        for (i, op) in records.iter().enumerate() {
+            if (op.handler)(op, self, (pc + i) as u32) >= FLOW_RET {
+                return (i, Some(self.take_err()));
+            }
+        }
+        (records.len(), None)
+    }
+
+    #[cold]
+    fn take_err(&mut self) -> SimError {
+        self.err.take().expect("failing handler set an error")
+    }
+
+    /// The scalar register `r` holds, or `None` for a vector register
+    /// (vectors do not cross calls).
+    pub(crate) fn read(&self, r: PReg) -> Option<MachineValue> {
+        match r.class {
+            RegClass::Int => Some(MachineValue::Int(self.int_at(r.index.into()))),
+            RegClass::Float => Some(MachineValue::Float(self.float_at(r.index.into()))),
+            RegClass::Vec => None,
+        }
+    }
+
+    /// Write what a call to function `callee` returned into `ret`.
+    pub(crate) fn write_returned(
+        &mut self,
+        callee: usize,
+        ret: Option<PReg>,
+        out: Option<MachineValue>,
+    ) -> Result<(), SimError> {
+        match (ret.map(|r| (r.class, usize::from(r.index))), out) {
+            (None, _) => {}
+            (Some((RegClass::Int, i)), Some(MachineValue::Int(v))) => self.set_int(i, v),
+            (Some((RegClass::Float, i)), Some(MachineValue::Float(v))) => self.set_float(i, v),
+            _ => {
+                return Err(SimError::Trap(format!(
+                    "call to {} did not produce the expected value",
+                    self.prog.functions[callee].name
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Read integer register `i`.
     ///
     /// Every register index reachable from the threaded stream was validated
@@ -363,38 +447,6 @@ macro_rules! tryh {
     };
 }
 
-/// Cycle costs are baked into `u32` record fields, sometimes as sums of up to
-/// four constituents; cap each cost well below `u32::MAX` so no packed sum
-/// can overflow. Every shipped [`TargetDesc`](crate::TargetDesc) preset uses
-/// single- to low-double-digit costs; this guard only excludes hand-built
-/// pathological models, which then run metered (exact, just slower).
-pub(crate) fn costs_fit_u32(c: &CostModel) -> bool {
-    let limit = u64::from(u32::MAX / 4);
-    [
-        c.int_op,
-        c.int_mul,
-        c.int_div,
-        c.fp_add,
-        c.fp_mul,
-        c.fp_div,
-        c.load,
-        c.store,
-        c.mov,
-        c.convert,
-        c.branch_taken,
-        c.branch_not_taken,
-        c.vec_op,
-        c.vec_load,
-        c.vec_store,
-        c.vec_reduce,
-        c.call,
-        c.spill_store,
-        c.spill_load,
-    ]
-    .iter()
-    .all(|&v| v <= limit)
-}
-
 /// Enter region `tidx`: prepay its fuel/instruction charge and its static
 /// counter sum, then jump to its first record — or deopt to the metered loop
 /// at its enum pc when the remaining fuel cannot cover the prepayment (the
@@ -406,7 +458,7 @@ fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
     // Cooperative cancellation is polled here, at region entry, because it
     // is the one boundary every loop iteration crosses. Deopt *uncharged*
     // to the metered loop (whose entry check raises `Cancelled`): going
-    // through `FLOW_ERR` instead would trigger a fixup refund for a region
+    // through `FLOW_ERR` instead would trigger a trap-path refund for a region
     // that was never charged.
     if cx.pool.cancel_requested() {
         return FLOW_DEOPT | u64::from(t.enum_pc);
@@ -422,69 +474,38 @@ fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
     }
 }
 
-/// Drive the threaded stream from record `entry` (whose region the caller
-/// has already charged). On a handler error the prepaid instruction count is
-/// corrected from the per-op fixup table before the error propagates.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_ops(
-    prog: &PreparedProgram,
-    f: &PreparedFunction,
-    frame: &mut Frame,
-    mem: &mut [u8],
-    pool: &mut FramePool,
-    fuel: &mut u64,
-    depth: usize,
-    stats: &mut SimStats,
-    entry: u32,
-) -> Result<Threaded, SimError> {
+/// Drive the threaded stream of `cx.f` from its entry region. On a handler
+/// error the prepaid charges are corrected before the error propagates.
+pub(crate) fn run_ops(cx: &mut ExecCtx<'_>) -> Result<Threaded, SimError> {
+    let f = cx.f;
     let ops = &f.ops;
-    let mut cx = ExecCtx {
-        prog,
-        f,
-        int: frame.int.as_mut_slice(),
-        float: frame.float.as_mut_slice(),
-        vec: frame.vec.as_mut_slice(),
-        slots: frame.slots.as_mut_slice(),
-        slot_vec: &mut frame.slot_vec,
-        mem,
-        pool,
-        fuel,
-        stats,
-        depth,
-        vb: prog.vector_bytes,
-        ret: None,
-        err: None,
-    };
-    let mut pc = entry as usize;
+    let mut r = enter(cx, 0);
     loop {
-        debug_assert!(pc < ops.len());
-        // SAFETY: `entry`, every branch target and every fall-through pc a
-        // handler returns are in bounds: region entries come from
-        // `build_threaded`, and sequential fall-through always reaches a
-        // region-closing control record (every block ends in one — `FellOff`
-        // is synthesized where code falls off) before `pc` can pass the end
-        // of the stream.
-        let op = unsafe { ops.get_unchecked(pc) };
-        let r = (op.handler)(op, &mut cx, pc as u32);
-        if r < FLOW_RET {
-            pc = r as usize;
-            continue;
+        if r >= FLOW_RET {
+            break;
         }
-        return match r & !0xffff_ffff {
-            FLOW_RET => Ok(Threaded::Done(cx.ret.take())),
-            FLOW_DEOPT => Ok(Threaded::Deopt(r as u32)),
-            _ => {
-                // The region was prepaid in full; give back the charges for
-                // everything the legacy walk would not have retired by the
-                // faulting instruction (cold path). The low bits index the
-                // faulting record — a welded handler reports the constituent
-                // that trapped, whose fixup is the exact correction.
-                let fx = &f.fixup[r as u32 as usize];
-                cx.stats.instructions -= u64::from(fx.instructions);
-                fx.stat.refund(cx.stats);
-                Err(cx.err.take().expect("failing handler set an error"))
-            }
-        };
+        let pc = r as usize;
+        debug_assert!(pc < ops.len());
+        // SAFETY: every region entry and every fall-through pc a handler
+        // returns are in bounds: region entries come from `build_threaded`,
+        // and sequential fall-through always reaches a region-closing
+        // control record (every block ends in one — `FellOff` is synthesized
+        // where code falls off) before `pc` can pass the end of the stream.
+        let op = unsafe { ops.get_unchecked(pc) };
+        r = (op.handler)(op, cx, pc as u32);
+    }
+    match r & !0xffff_ffff {
+        FLOW_RET => Ok(Threaded::Done(cx.ret.take())),
+        FLOW_DEOPT => Ok(Threaded::Deopt(r as u32)),
+        _ => {
+            // The region was prepaid in full; give back the charges for
+            // everything the legacy walk would not have retired by the
+            // faulting instruction (cold path). The low bits index the
+            // faulting record — a welded handler reports the constituent
+            // that trapped.
+            refund_unretired(f, r as u32 as usize, cx.stats);
+            Err(cx.take_err())
+        }
     }
 }
 
@@ -606,7 +627,7 @@ fn red_from(bits: u16) -> RedOp {
     }
 }
 
-/// Integer compare exactly as the metered loop performs it.
+/// Integer compare exactly as the legacy walk performs it.
 #[inline(always)]
 fn int_compare(pred: CmpPred, width: Width, signed: bool, a: i64, b: i64) -> i64 {
     let a = normalize(width, signed, a);
@@ -618,7 +639,7 @@ fn int_compare(pred: CmpPred, width: Width, signed: bool, a: i64, b: i64) -> i64
     }
 }
 
-/// Float compare exactly as the metered loop performs it (NaN ⇒ `Ne`).
+/// Float compare exactly as the legacy walk performs it (NaN ⇒ `Ne`).
 #[inline(always)]
 fn float_compare(pred: CmpPred, double: bool, a: f64, b: f64) -> i64 {
     let (a, b) = if double {
@@ -634,10 +655,116 @@ fn float_compare(pred: CmpPred, double: bool, a: f64, b: f64) -> i64 {
 }
 
 // ---------------------------------------------------------------------------
-// Handlers. Each replicates the effect (including evaluation order and stat
-// updates) of the matching metered-loop arm; fused handlers replicate the
-// exact sequence of their constituents — including writes to intermediate
-// destinations, which later code may read.
+// Instruction bodies shared between a plain handler and the fused handlers
+// that contain the instruction: decoded operands in, effect out. A fused
+// handler is the exact sequence of its constituents' bodies — including
+// writes to intermediate destinations, which later code may read.
+// ---------------------------------------------------------------------------
+
+#[inline(always)]
+fn int_op(
+    cx: &mut ExecCtx<'_>,
+    (dst, lhs, rhs): (u16, u16, u16),
+    (op, width, signed): (AluOp, Width, bool),
+) -> Result<i64, SimError> {
+    let v = alu(
+        op,
+        width,
+        signed,
+        cx.int_at(lhs.into()),
+        cx.int_at(rhs.into()),
+    )?;
+    cx.set_int(dst.into(), v);
+    Ok(v)
+}
+
+#[inline(always)]
+fn float_op(cx: &mut ExecCtx<'_>, (dst, lhs, rhs): (u16, u16, u16), op: FpuOp, double: bool) {
+    let v = fpu(op, double, cx.float_at(lhs.into()), cx.float_at(rhs.into()));
+    cx.set_float(dst.into(), v);
+}
+
+#[inline(always)]
+fn int_cmp(
+    cx: &mut ExecCtx<'_>,
+    (dst, lhs, rhs): (u16, u16, u16),
+    (pred, width, signed): (CmpPred, Width, bool),
+) -> i64 {
+    let t = int_compare(
+        pred,
+        width,
+        signed,
+        cx.int_at(lhs.into()),
+        cx.int_at(rhs.into()),
+    );
+    cx.set_int(dst.into(), t);
+    t
+}
+
+#[inline(always)]
+fn float_cmp(
+    cx: &mut ExecCtx<'_>,
+    (dst, lhs, rhs): (u16, u16, u16),
+    pred: CmpPred,
+    double: bool,
+) -> i64 {
+    let t = float_compare(
+        pred,
+        double,
+        cx.float_at(lhs.into()),
+        cx.float_at(rhs.into()),
+    );
+    cx.set_int(dst.into(), t);
+    t
+}
+
+#[inline(always)]
+fn load_int(
+    cx: &mut ExecCtx<'_>,
+    (dst, base, offset): (u16, u16, i64),
+    (width, signed): (Width, bool),
+) -> Result<(), SimError> {
+    let addr = cx.int_at(base.into()).wrapping_add(offset);
+    let raw = read_mem(cx.mem, addr, width.bytes())?;
+    cx.set_int(dst.into(), normalize(width, signed, raw as i64));
+    Ok(())
+}
+
+#[inline(always)]
+fn load_float(
+    cx: &mut ExecCtx<'_>,
+    (dst, base, offset): (u16, u16, i64),
+    width: Width,
+) -> Result<(), SimError> {
+    let addr = cx.int_at(base.into()).wrapping_add(offset);
+    let raw = read_mem(cx.mem, addr, width.bytes())?;
+    let v = match width {
+        Width::W32 => f64::from(f32::from_bits(raw as u32)),
+        _ => f64::from_bits(raw),
+    };
+    cx.set_float(dst.into(), v);
+    Ok(())
+}
+
+/// Retire a conditional branch on the threaded stream: its taken/not-taken
+/// cycles are the one charge region prepayment cannot know, then the target
+/// region is entered.
+#[inline(always)]
+fn branch(cx: &mut ExecCtx<'_>, taken: bool, then_region: u32, else_region: u32) -> u64 {
+    let cost = &cx.prog.cost;
+    let (region, cycles) = if taken {
+        (then_region, cost.branch_taken)
+    } else {
+        (else_region, cost.branch_not_taken)
+    };
+    cx.stats.cycles += cycles;
+    enter(cx, region)
+}
+
+// ---------------------------------------------------------------------------
+// Handlers: what each instruction does to registers and memory, stated once.
+// Evaluation order and trap points match the legacy walk's arm for the same
+// instruction. Straight-line handlers touch no accounting.
 // ---------------------------------------------------------------------------
 
 fn h_imm(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
@@ -661,25 +788,20 @@ fn h_mov_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 }
 
 fn h_mov_vec(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let (d, s, vb) = (op.a as usize, op.b as usize, cx.vb);
+    let vb = cx.vb;
+    let (d, s) = (op.a as usize * vb, op.b as usize * vb);
     cx.vec.copy_within(s..s + vb, d);
     u64::from(pc) + 1
 }
 
 fn h_int_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let a = cx.int_at(op.b as usize);
-    let b = cx.int_at(op.c as usize);
-    let (alu_op, width, signed) = (alu_from(op.d), wfrom(op.d >> 4), op.d & (1 << 6) != 0);
-    let v = tryh!(cx, pc, alu(alu_op, width, signed, a, b));
-    cx.set_int(op.a as usize, v);
+    let shape = (alu_from(op.d), wfrom(op.d >> 4), op.d & (1 << 6) != 0);
+    tryh!(cx, pc, int_op(cx, (op.a, op.b, op.c), shape));
     u64::from(pc) + 1
 }
 
 fn h_float_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let a = cx.float_at(op.b as usize);
-    let b = cx.float_at(op.c as usize);
-    let (fpu_op, double) = (fpu_from(op.d), op.d & (1 << 3) != 0);
-    cx.set_float(op.a as usize, fpu(fpu_op, double, a, b));
+    float_op(cx, (op.a, op.b, op.c), fpu_from(op.d), op.d & (1 << 3) != 0);
     u64::from(pc) + 1
 }
 
@@ -712,18 +834,18 @@ fn h_float_neg(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 }
 
 fn h_int_cmp(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let a = cx.int_at(op.b as usize);
-    let b = cx.int_at(op.c as usize);
-    let (pred, width, signed) = (pred_from(op.d), wfrom(op.d >> 3), op.d & (1 << 5) != 0);
-    cx.set_int(op.a as usize, int_compare(pred, width, signed, a, b));
+    let shape = (pred_from(op.d), wfrom(op.d >> 3), op.d & (1 << 5) != 0);
+    int_cmp(cx, (op.a, op.b, op.c), shape);
     u64::from(pc) + 1
 }
 
 fn h_float_cmp(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let a = cx.float_at(op.b as usize);
-    let b = cx.float_at(op.c as usize);
-    let (pred, double) = (pred_from(op.d), op.d & (1 << 3) != 0);
-    cx.set_int(op.a as usize, float_compare(pred, double, a, b));
+    float_cmp(
+        cx,
+        (op.a, op.b, op.c),
+        pred_from(op.d),
+        op.d & (1 << 3) != 0,
+    );
     u64::from(pc) + 1
 }
 
@@ -748,13 +870,14 @@ fn h_select_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 }
 
 fn h_select_vec(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
+    let vb = cx.vb;
     let chosen = if cx.int_at(op.b as usize) != 0 {
         op.c
     } else {
         op.d
-    } as usize;
-    let vb = cx.vb;
-    cx.vec.copy_within(chosen..chosen + vb, op.a as usize);
+    } as usize
+        * vb;
+    cx.vec.copy_within(chosen..chosen + vb, op.a as usize * vb);
     u64::from(pc) + 1
 }
 
@@ -794,24 +917,13 @@ fn h_int_resize(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 }
 
 fn h_load_int(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let addr = cx.int_at(op.b as usize).wrapping_add(op.imm);
-    let (width, signed) = (wfrom(op.d), op.d & (1 << 2) != 0);
-    let raw = tryh!(cx, pc, read_mem(cx.mem, addr, width.bytes()));
-    cx.set_int(op.a as usize, normalize(width, signed, raw as i64));
+    let shape = (wfrom(op.d), op.d & (1 << 2) != 0);
+    tryh!(cx, pc, load_int(cx, (op.a, op.b, op.imm), shape));
     u64::from(pc) + 1
 }
 
 fn h_load_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let addr = cx.int_at(op.b as usize).wrapping_add(op.imm);
-    let width = wfrom(op.d);
-    let raw = tryh!(cx, pc, read_mem(cx.mem, addr, width.bytes()));
-    cx.set_float(
-        op.a as usize,
-        match width {
-            Width::W32 => f64::from(f32::from_bits(raw as u32)),
-            _ => f64::from_bits(raw),
-        },
-    );
+    tryh!(cx, pc, load_float(cx, (op.a, op.b, op.imm), wfrom(op.d)));
     u64::from(pc) + 1
 }
 
@@ -842,7 +954,7 @@ fn h_vec_load(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     let addr = cx.int_at(op.b as usize).wrapping_add(op.imm);
     let vb = cx.vb;
     tryh!(cx, pc, check_range(cx.mem, addr, vb as u64));
-    let d = op.a as usize;
+    let d = op.a as usize * vb;
     cx.vec[d..d + vb].copy_from_slice(&cx.mem[addr as usize..addr as usize + vb]);
     u64::from(pc) + 1
 }
@@ -851,14 +963,15 @@ fn h_vec_store(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     let addr = cx.int_at(op.b as usize).wrapping_add(op.imm);
     let vb = cx.vb;
     tryh!(cx, pc, check_range(cx.mem, addr, vb as u64));
-    let s = op.a as usize;
+    let s = op.a as usize * vb;
     cx.mem[addr as usize..addr as usize + vb].copy_from_slice(&cx.vec[s..s + vb]);
     u64::from(pc) + 1
 }
 
 fn h_vec_splat_int(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     let v = cx.int_at(op.b as usize);
-    let (d, vb, elem) = (op.a as usize, cx.vb, wfrom(op.d));
+    let (vb, elem) = (cx.vb, wfrom(op.d));
+    let d = op.a as usize * vb;
     let reg = &mut cx.vec[d..d + vb];
     for lane in 0..op.e as usize {
         write_lane_int(reg, lane, elem, v);
@@ -868,7 +981,8 @@ fn h_vec_splat_int(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 
 fn h_vec_splat_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     let v = cx.float_at(op.b as usize);
-    let (d, vb, elem) = (op.a as usize, cx.vb, wfrom(op.d));
+    let (vb, elem) = (cx.vb, wfrom(op.d));
+    let d = op.a as usize * vb;
     let reg = &mut cx.vec[d..d + vb];
     for lane in 0..op.e as usize {
         write_lane_float(reg, lane, elem, v);
@@ -877,8 +991,12 @@ fn h_vec_splat_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 }
 
 fn h_vec_int_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let (d, l, r, vb) = (op.a as usize, op.b as usize, op.c as usize, cx.vb);
+    let vb = cx.vb;
+    let (d, l, r) = (op.a as usize * vb, op.b as usize * vb, op.c as usize * vb);
     let (alu_op, elem, signed) = (alu_from(op.d), wfrom(op.d >> 4), op.d & (1 << 6) != 0);
+    // Lane-by-lane read-then-write is aliasing-safe without the legacy
+    // walk's per-op input clones: writing lane i of dst never changes a
+    // lane j > i of lhs/rhs.
     for lane in 0..op.e as usize {
         let x = read_lane_int(&cx.vec[l..l + vb], lane, elem, signed);
         let y = read_lane_int(&cx.vec[r..r + vb], lane, elem, signed);
@@ -889,7 +1007,8 @@ fn h_vec_int_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 }
 
 fn h_vec_float_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let (d, l, r, vb) = (op.a as usize, op.b as usize, op.c as usize, cx.vb);
+    let vb = cx.vb;
+    let (d, l, r) = (op.a as usize * vb, op.b as usize * vb, op.c as usize * vb);
     let (fpu_op, elem, double) = (fpu_from(op.d), wfrom(op.d >> 3), op.d & (1 << 5) != 0);
     for lane in 0..op.e as usize {
         let x = read_lane_float(&cx.vec[l..l + vb], lane, elem);
@@ -901,7 +1020,8 @@ fn h_vec_float_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 }
 
 fn h_vec_reduce_int(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let (s, vb) = (op.b as usize, cx.vb);
+    let vb = cx.vb;
+    let s = op.b as usize * vb;
     let (red, elem, signed) = (red_from(op.d), wfrom(op.d >> 2), op.d & (1 << 4) != 0);
     let reg = &cx.vec[s..s + vb];
     let mut acc = read_lane_int(reg, 0, elem, signed);
@@ -922,7 +1042,8 @@ fn h_vec_reduce_int(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 }
 
 fn h_vec_reduce_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let (s, vb) = (op.b as usize, cx.vb);
+    let vb = cx.vb;
+    let s = op.b as usize * vb;
     let (red, elem) = (red_from(op.d), wfrom(op.d >> 2));
     let double = elem == Width::W64;
     let reg = &cx.vec[s..s + vb];
@@ -952,7 +1073,8 @@ fn h_spill_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 }
 
 fn h_spill_vec(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let (s, vb) = (op.a as usize, cx.vb);
+    let vb = cx.vb;
+    let s = op.a as usize * vb;
     tryh!(cx, pc, spill_into(cx, op.e, SlotValue::Vec));
     store_slot_vec(
         cx.slot_vec,
@@ -1008,7 +1130,8 @@ fn h_reload_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 }
 
 fn h_reload_vec(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let (d, vb) = (op.a as usize, cx.vb);
+    let vb = cx.vb;
+    let d = op.a as usize * vb;
     match cx.slots.get(op.e as usize) {
         Some(SlotValue::Vec) => {
             // A `Vec` tag is only ever written by `h_spill_vec` during this
@@ -1034,6 +1157,14 @@ fn reload_error(value: Option<&SlotValue>, slot: u32) -> SimError {
     }
 }
 
+// --- control kinds: threaded stream only (the metered loop has arms) --------
+
+/// Stands in the metered stream for the kinds the metered loop interprets
+/// itself, so that stream stays index-parallel to the enum stream.
+fn h_metered_arm(_op: &OpRecord, _cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
+    unreachable!("the metered loop has an arm for this kind")
+}
+
 fn h_jump(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
     // Fully static: the jump's cycles and branch count ride the region
     // prepayment; only the next region's entry charge is dynamic.
@@ -1042,82 +1173,51 @@ fn h_jump(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
 
 fn h_branch_nz(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
     let taken = cx.int_at(op.a as usize) != 0;
-    // imm packs the taken (low 32) and not-taken (high 32) cycle charges.
-    let charges = op.imm as u64;
-    let (target, cycles) = if taken {
-        (op.e, charges & 0xffff_ffff)
-    } else {
-        (op.f, charges >> 32)
-    };
-    cx.stats.cycles += cycles;
-    enter(cx, target)
+    branch(cx, taken, op.e, op.f)
 }
 
+/// A call: `e` is its own enum pc (the payload stays in the enum stream),
+/// `f` the after-call region.
 fn h_call(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let f = cx.f;
-    let CallSite::Known {
-        callee,
-        args,
-        ret,
-        after,
-    } = &f.calls[op.e as usize]
-    else {
-        unreachable!("call record must reference a known call site")
+    let PInst::Call(call) = &cx.f.code[op.e as usize] else {
+        unreachable!("call record must reference a call")
+    };
+    let callee = match &call.callee {
+        Ok(index) => *index,
+        Err(name) => return fail(cx, SimError::UnknownFunction(name.to_string()), pc),
     };
     let mut argv = cx.pool.take_argv();
-    for &(class, idx) in args.iter() {
-        argv.push(match class {
-            RegClass::Int => MachineValue::Int(cx.int_at(idx)),
-            RegClass::Float => MachineValue::Float(cx.float_at(idx)),
-            RegClass::Vec => {
-                return fail(
-                    cx,
-                    SimError::Trap("vector call arguments are unsupported".into()),
-                    pc,
-                );
-            }
-        });
+    for &arg in call.args.iter() {
+        let Some(value) = cx.read(arg) else {
+            return fail(
+                cx,
+                SimError::Trap("vector call arguments are unsupported".into()),
+                pc,
+            );
+        };
+        argv.push(value);
     }
-    cx.stats.cycles += u64::from(op.f);
+    cx.stats.cycles += cx.prog.cost.call;
     // The threaded stream is only built under flat timing (region prepayment
     // sums static charges), so the nested call charges flat too.
     let out = tryh!(
         cx,
         pc,
         cx.prog.exec(
-            *callee,
+            callee,
             &argv,
             cx.mem,
             cx.pool,
             cx.fuel,
             cx.depth + 1,
             cx.stats,
-            &mut crate::timing::FlatCost,
+            &mut FlatCost,
+            true,
         )
     );
     cx.pool.give_argv(argv);
-    if let Some((class, idx)) = *ret {
-        match (class, out) {
-            (RegClass::Int, Some(MachineValue::Int(v))) => cx.set_int(idx, v),
-            (RegClass::Float, Some(MachineValue::Float(v))) => cx.set_float(idx, v),
-            _ => {
-                let e = SimError::Trap(format!(
-                    "call to {} did not produce the expected value",
-                    cx.prog.functions[*callee].name
-                ));
-                return fail(cx, e, pc);
-            }
-        }
-    }
-    enter(cx, *after)
-}
-
-fn h_call_unknown(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let f = cx.f;
-    let CallSite::Unknown(name) = &f.calls[op.e as usize] else {
-        unreachable!("unknown-call record must reference an unknown call site")
-    };
-    fail(cx, SimError::UnknownFunction(name.to_string()), pc)
+    tryh!(cx, pc, cx.write_returned(callee, call.ret, out));
+    enter(cx, op.f)
 }
 
 fn h_ret_none(_op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
@@ -1137,8 +1237,7 @@ fn h_ret_float(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
 
 fn h_ret_vec(_op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     // The legacy walk charges the move *before* noticing the bad class, so
-    // the statically prepaid cycles stand (this record's fixup refunds
-    // nothing for them).
+    // the statically prepaid cycles stand (`refund_unretired` keeps them).
     fail(
         cx,
         SimError::Trap("vector return values are unsupported".into()),
@@ -1148,7 +1247,7 @@ fn h_ret_vec(_op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 
 fn h_fell_off(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     // Fuel stays consumed but the failed fetch is not a retired instruction;
-    // the fixup table (always 1 for this record) uncounts it.
+    // `refund_unretired` uncounts it.
     let e = SimError::Trap(format!(
         "fell off the end of block {} in {}",
         op.e, cx.f.name
@@ -1158,136 +1257,78 @@ fn h_fell_off(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 
 // --- fused macro-ops -------------------------------------------------------
 
+/// The compare/step shape an induction-variable record packs in its flags.
+#[inline(always)]
+fn indvar_shapes(flags: u16) -> ((AluOp, Width, bool), (CmpPred, Width, bool)) {
+    (
+        (AluOp::Add, wfrom(flags), flags & (1 << 2) != 0),
+        (
+            pred_from(flags >> 3),
+            wfrom(flags >> 6),
+            flags & (1 << 8) != 0,
+        ),
+    )
+}
+
 fn h_cmp_branch_int(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
-    let a = cx.int_at(op.b as usize);
-    let b = cx.int_at(op.c as usize);
-    let (pred, width, signed) = (pred_from(op.d), wfrom(op.d >> 3), op.d & (1 << 5) != 0);
-    let t = int_compare(pred, width, signed, a, b);
-    // The compare destination is still written: code on either branch path
-    // (or a later block) may read it.
-    cx.set_int(op.a as usize, t);
-    let charges = op.imm as u64;
-    let (target, cycles) = if t != 0 {
-        (op.e, charges & 0xffff_ffff)
-    } else {
-        (op.f, charges >> 32)
-    };
-    cx.stats.cycles += cycles;
-    enter(cx, target)
+    let shape = (pred_from(op.d), wfrom(op.d >> 3), op.d & (1 << 5) != 0);
+    let t = int_cmp(cx, (op.a, op.b, op.c), shape);
+    branch(cx, t != 0, op.e, op.f)
 }
 
 fn h_cmp_branch_float(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
-    let a = cx.float_at(op.b as usize);
-    let b = cx.float_at(op.c as usize);
-    let (pred, double) = (pred_from(op.d), op.d & (1 << 3) != 0);
-    let t = float_compare(pred, double, a, b);
-    cx.set_int(op.a as usize, t);
-    let charges = op.imm as u64;
-    let (target, cycles) = if t != 0 {
-        (op.e, charges & 0xffff_ffff)
-    } else {
-        (op.f, charges >> 32)
-    };
-    cx.stats.cycles += cycles;
-    enter(cx, target)
+    let t = float_cmp(
+        cx,
+        (op.a, op.b, op.c),
+        pred_from(op.d),
+        op.d & (1 << 3) != 0,
+    );
+    branch(cx, t != 0, op.e, op.f)
 }
 
 fn h_load_int_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    // Constituent 1: the load (the only part that can trap).
-    let addr = cx.int_at(op.b as usize).wrapping_add(op.imm);
-    let flags = (op.e >> 16) as u16;
-    let (lw, ls) = (wfrom(flags), flags & (1 << 2) != 0);
-    let raw = tryh!(cx, pc, read_mem(cx.mem, addr, lw.bytes()));
-    let loaded = normalize(lw, ls, raw as i64);
-    cx.set_int(op.a as usize, loaded);
-    // Constituent 2: the ALU op, reading its inputs *after* the load wrote
-    // its destination (so `lhs`/`rhs` may be the loaded register).
-    let (aop, aw, asg) = (
+    let (dst, flags) = (op.e as u16, (op.e >> 16) as u16);
+    let load_shape = (wfrom(flags), flags & (1 << 2) != 0);
+    let alu_shape = (
         alu_from(flags >> 3),
         wfrom(flags >> 7),
         flags & (1 << 9) != 0,
     );
-    let x = cx.int_at(op.c as usize);
-    let y = cx.int_at(op.d as usize);
-    let v = tryh!(cx, pc, alu(aop, aw, asg, x, y));
-    cx.set_int((op.e & 0xffff) as usize, v);
+    // Only the load can trap (`Div`/`Rem` never fuse), which is what
+    // `refund_unretired` assumes of a fused record.
+    tryh!(cx, pc, load_int(cx, (op.a, op.b, op.imm), load_shape));
+    tryh!(cx, pc, int_op(cx, (dst, op.c, op.d), alu_shape));
     u64::from(pc) + 1
 }
 
 fn h_load_float_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let addr = cx.int_at(op.b as usize).wrapping_add(op.imm);
-    let flags = (op.e >> 16) as u16;
-    let lw = wfrom(flags);
-    let raw = tryh!(cx, pc, read_mem(cx.mem, addr, lw.bytes()));
-    cx.set_float(
-        op.a as usize,
-        match lw {
-            Width::W32 => f64::from(f32::from_bits(raw as u32)),
-            _ => f64::from_bits(raw),
-        },
+    let (dst, flags) = (op.e as u16, (op.e >> 16) as u16);
+    tryh!(cx, pc, load_float(cx, (op.a, op.b, op.imm), wfrom(flags)));
+    float_op(
+        cx,
+        (dst, op.c, op.d),
+        fpu_from(flags >> 2),
+        flags & (1 << 5) != 0,
     );
-    let (fop, double) = (fpu_from(flags >> 2), flags & (1 << 5) != 0);
-    let x = cx.float_at(op.c as usize);
-    let y = cx.float_at(op.d as usize);
-    cx.set_float((op.e & 0xffff) as usize, fpu(fop, double, x, y));
     u64::from(pc) + 1
 }
 
+/// `add i,i,s ; cmp t,i,n ; bnz t` with `a = i, b = s, c = n, d = t`.
 fn h_indvar3(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let flags = op.imm as u16;
-    let (aw, asg) = (wfrom(flags), flags & (1 << 2) != 0);
-    let (pred, cw, csg) = (
-        pred_from(flags >> 3),
-        wfrom(flags >> 6),
-        flags & (1 << 8) != 0,
-    );
-    // add i, i, s
-    let iv = cx.int_at(op.a as usize);
-    let sv = cx.int_at(op.b as usize);
-    let stepped = tryh!(cx, pc, alu(AluOp::Add, aw, asg, iv, sv));
-    cx.set_int(op.a as usize, stepped);
-    // cmp t, i, n  (reads happen after the add retires, like the metered loop)
-    let nv = cx.int_at(op.c as usize);
-    let t = int_compare(pred, cw, csg, stepped, nv);
-    cx.set_int(op.d as usize, t);
-    // bnz t
-    let cost = &cx.prog.cost;
-    cx.stats.cycles += if t != 0 {
-        cost.branch_taken
-    } else {
-        cost.branch_not_taken
-    };
-    enter(cx, if t != 0 { op.e } else { op.f })
+    let (step, cmp) = indvar_shapes(op.imm as u16);
+    tryh!(cx, pc, int_op(cx, (op.a, op.a, op.b), step));
+    let t = int_cmp(cx, (op.d, op.a, op.c), cmp);
+    branch(cx, t != 0, op.e, op.f)
 }
 
+/// `add tmp,i,s ; mov i,tmp ; cmp t,i,n ; bnz t` with `a = tmp, b = i,
+/// c = s, d = n` and `t` in the low half of `imm`.
 fn h_indvar4(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let flags = (op.imm >> 16) as u16;
-    let (aw, asg) = (wfrom(flags), flags & (1 << 2) != 0);
-    let (pred, cw, csg) = (
-        pred_from(flags >> 3),
-        wfrom(flags >> 6),
-        flags & (1 << 8) != 0,
-    );
-    let t_reg = (op.imm & 0xffff) as usize;
-    // add tmp, i, s
-    let iv = cx.int_at(op.b as usize);
-    let sv = cx.int_at(op.c as usize);
-    let stepped = tryh!(cx, pc, alu(AluOp::Add, aw, asg, iv, sv));
-    cx.set_int(op.a as usize, stepped);
-    // mov i, tmp
+    let (step, cmp) = indvar_shapes((op.imm >> 16) as u16);
+    let stepped = tryh!(cx, pc, int_op(cx, (op.a, op.b, op.c), step));
     cx.set_int(op.b as usize, stepped);
-    // cmp t, i, n  (n read after both writes, like the metered loop)
-    let nv = cx.int_at(op.d as usize);
-    let t = int_compare(pred, cw, csg, stepped, nv);
-    cx.set_int(t_reg, t);
-    // bnz t
-    let cost = &cx.prog.cost;
-    cx.stats.cycles += if t != 0 {
-        cost.branch_taken
-    } else {
-        cost.branch_not_taken
-    };
-    enter(cx, if t != 0 { op.e } else { op.f })
+    let t = int_cmp(cx, (op.imm as u16, op.b, op.d), cmp);
+    branch(cx, t != 0, op.e, op.f)
 }
 
 // --- adjacent-record pairing -----------------------------------------------
@@ -1302,7 +1343,7 @@ fn h_indvar4(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 // loop to advance past the pair. Because each constituent keeps its own
 // record (the combined handler reads the partner at `op + 1`), there is no
 // operand re-packing, any kind can pair with any kind, and a trap in either
-// constituent resolves through that record's own fixup — so pairing is
+// constituent is reported under that record's own index — so pairing is
 // invisible to `SimStats`.
 
 /// Pairable record kinds: indexes into [`base`] and the [`PAIRS`] table.
@@ -1385,8 +1426,8 @@ fn h_pair<const A: usize, const B: usize>(op: &OpRecord, cx: &mut ExecCtx<'_>, p
     // SAFETY: the pair sweep only rewrites a record whose immediate
     // successor is its partner in the same straight-line run, so `op` is
     // never the stream's last record. The partner runs under its own pc, so
-    // any outcome it reports — fall-through, branch target, trap fixup —
-    // is already absolute and flows straight back to the dispatch loop.
+    // any outcome it reports — fall-through, branch target, trapping record
+    // — is already absolute and flows straight back to the dispatch loop.
     let partner = unsafe { &*std::ptr::from_ref(op).add(1) };
     (const { base(B) })(partner, cx, pc + 1)
 }
@@ -1441,103 +1482,6 @@ static PAIRS: [[Handler; NSECOND]; NFIRST] = [
     pair_row!(15),
 ];
 
-/// The combined handler for a triple of kinds `A`, `B`, then `C`, welding a
-/// three-record stretch into one dispatch round-trip.
-fn h_triple<const A: usize, const B: usize, const C: usize>(
-    op: &OpRecord,
-    cx: &mut ExecCtx<'_>,
-    pc: u32,
-) -> u64 {
-    let r = (const { base(A) })(op, cx, pc);
-    if r != u64::from(pc) + 1 {
-        return r;
-    }
-    // SAFETY: the weld sweep only builds a triple whose two partner records
-    // follow the opener inside the same straight-line run (see `h_pair`).
-    let second = unsafe { &*std::ptr::from_ref(op).add(1) };
-    let r = (const { base(B) })(second, cx, pc + 1);
-    if r != u64::from(pc) + 2 {
-        return r;
-    }
-    let third = unsafe { &*std::ptr::from_ref(op).add(2) };
-    (const { base(C) })(third, cx, pc + 2)
-}
-
-// The triple combination table is restricted to the integer straight-line
-// kinds (plus the two run closers that dominate integer loops) to keep the
-// number of monomorphized combinations in check: 8 × 8 × 10. Stretches the
-// table misses still weld as pairs.
-
-macro_rules! triple_c {
-    ($a:expr, $b:expr) => {
-        [
-            h_triple::<$a, $b, 0>,  // Imm
-            h_triple::<$a, $b, 1>,  // MovInt
-            h_triple::<$a, $b, 2>,  // IntOp
-            h_triple::<$a, $b, 3>,  // IntResize
-            h_triple::<$a, $b, 5>,  // LoadInt
-            h_triple::<$a, $b, 6>,  // StoreInt
-            h_triple::<$a, $b, 7>,  // SpillInt
-            h_triple::<$a, $b, 8>,  // ReloadInt
-            h_triple::<$a, $b, 16>, // CmpBranchInt
-            h_triple::<$a, $b, 19>, // Jump
-        ]
-    };
-}
-
-macro_rules! triple_b {
-    ($a:expr) => {
-        [
-            triple_c!($a, 0),
-            triple_c!($a, 1),
-            triple_c!($a, 2),
-            triple_c!($a, 3),
-            triple_c!($a, 5),
-            triple_c!($a, 6),
-            triple_c!($a, 7),
-            triple_c!($a, 8),
-        ]
-    };
-}
-
-/// Every combined triple handler, indexed by the compact positions from
-/// [`tri_open`] (first two) and [`tri_close`] (third).
-static TRIPLES: [[[Handler; 10]; 8]; 8] = [
-    triple_b!(0),
-    triple_b!(1),
-    triple_b!(2),
-    triple_b!(3),
-    triple_b!(5),
-    triple_b!(6),
-    triple_b!(7),
-    triple_b!(8),
-];
-
-/// Compact [`TRIPLES`] position of a kind usable in a triple's first or
-/// second slot.
-fn tri_open(k: u8) -> Option<usize> {
-    match k {
-        K_IMM => Some(0),
-        K_MOV_INT => Some(1),
-        K_INT_OP => Some(2),
-        K_INT_RESIZE => Some(3),
-        K_LOAD_INT => Some(4),
-        K_STORE_INT => Some(5),
-        K_SPILL_INT => Some(6),
-        K_RELOAD_INT => Some(7),
-        _ => None,
-    }
-}
-
-/// Compact [`TRIPLES`] position of a kind usable in a triple's third slot.
-fn tri_close(k: u8) -> Option<usize> {
-    match k {
-        K_CMP_BRANCH_INT => Some(8),
-        K_JUMP => Some(9),
-        _ => tri_open(k),
-    }
-}
-
 /// Pairable kind of one 1:1-lowered enum instruction ([`K_NONE`] when the
 /// record cannot take part in a pair).
 fn pair_kind(inst: &PInst) -> u8 {
@@ -1567,12 +1511,11 @@ fn pair_kind(inst: &PInst) -> u8 {
         PInst::BranchNz { .. } => K_BRANCH_NZ,
         PInst::Jump { .. } => K_JUMP,
         PInst::Ret { value: None } => K_RET_NONE,
-        PInst::Ret {
-            value: Some((RegClass::Int, _)),
-        } => K_RET_INT,
-        PInst::Ret {
-            value: Some((RegClass::Float, _)),
-        } => K_RET_FLOAT,
+        PInst::Ret { value: Some(r) } => match r.class {
+            RegClass::Int => K_RET_INT,
+            RegClass::Float => K_RET_FLOAT,
+            RegClass::Vec => K_NONE,
+        },
         _ => K_NONE,
     }
 }
@@ -1581,100 +1524,14 @@ fn pair_kind(inst: &PInst) -> u8 {
 // Prepare-time lowering: enum stream -> threaded stream.
 // ---------------------------------------------------------------------------
 
-/// Straight-line role of one record, driving the region/fixup pass.
+/// Straight-line role of one record, driving the region pass.
 enum End {
     /// Falls through.
     Normal,
-    /// Ends its region (branch, return, unknown call).
+    /// Ends its region (branch, return, fall-off).
     Control,
     /// Ends its region and opens the after-call region at this target index.
     Call(u32),
-    /// Ends its region; the failed fetch is not a retired instruction.
-    FellOff,
-}
-
-fn c32(v: u64) -> u32 {
-    debug_assert!(v <= u64::from(u32::MAX));
-    v as u32
-}
-
-/// The statically-known `SimStats` contribution of one enum instruction,
-/// mirroring the metered loop's charge table exactly. Conditional branches
-/// contribute only their branch *count* (the taken/not-taken cycles depend
-/// on the outcome), and calls contribute nothing (their cycles are charged
-/// dynamically because the argv build can trap before the legacy walk
-/// charges them). Fused records charge the sum of their constituents.
-fn static_stats(inst: &PInst, cost: &CostModel) -> StaticStats {
-    let mut s = StaticStats::default();
-    match inst {
-        PInst::Imm { .. }
-        | PInst::FImm { .. }
-        | PInst::MovInt { .. }
-        | PInst::MovFloat { .. }
-        | PInst::MovVec { .. }
-        | PInst::SelectInt { .. }
-        | PInst::SelectFloat { .. }
-        | PInst::SelectVec { .. }
-        | PInst::Ret { .. } => s.cycles = cost.mov,
-        PInst::IntOp { cost: c, .. } | PInst::FloatOp { cost: c, .. } => s.cycles = *c,
-        PInst::IntNeg { .. }
-        | PInst::IntNot { .. }
-        | PInst::IntCmp { .. }
-        | PInst::IntResize { .. } => s.cycles = cost.int_op,
-        PInst::FloatNeg { .. } | PInst::FloatCmp { .. } => s.cycles = cost.fp_add,
-        PInst::IntToFloat { .. } | PInst::FloatToInt { .. } | PInst::FloatCvt { .. } => {
-            s.cycles = cost.convert;
-        }
-        PInst::LoadInt { .. } | PInst::LoadFloat { .. } => {
-            s.cycles = cost.load;
-            s.loads = 1;
-        }
-        PInst::StoreInt { .. } | PInst::StoreFloat { .. } => {
-            s.cycles = cost.store;
-            s.stores = 1;
-        }
-        PInst::VecLoad { .. } => {
-            s.cycles = cost.vec_load;
-            s.loads = 1;
-            s.vector_ops = 1;
-        }
-        PInst::VecStore { .. } => {
-            s.cycles = cost.vec_store;
-            s.stores = 1;
-            s.vector_ops = 1;
-        }
-        PInst::VecSplatInt { .. }
-        | PInst::VecSplatFloat { .. }
-        | PInst::VecIntOp { .. }
-        | PInst::VecFloatOp { .. } => {
-            s.cycles = cost.vec_op;
-            s.vector_ops = 1;
-        }
-        PInst::VecReduceInt { .. } | PInst::VecReduceFloat { .. } => {
-            s.cycles = cost.vec_reduce;
-            s.vector_ops = 1;
-        }
-        PInst::SpillInt { .. } | PInst::SpillFloat { .. } | PInst::SpillVec { .. } => {
-            s.cycles = cost.spill_store;
-            s.spill_stores = 1;
-        }
-        PInst::Reload { .. } => {
-            s.cycles = cost.spill_load;
-            s.spill_reloads = 1;
-        }
-        PInst::Jump { .. } => {
-            s.cycles = cost.branch_taken;
-            s.branches = 1;
-        }
-        PInst::BranchNz { .. } => s.branches = 1,
-        PInst::Call(_) | PInst::CallUnknown { .. } | PInst::FellOff { .. } => {}
-    }
-    s
-}
-
-/// Pack the taken (low 32) / not-taken (high 32) cycle charges of a branch.
-fn pack_branch_charges(taken: u64, not_taken: u64) -> i64 {
-    ((u64::from(c32(not_taken)) << 32) | u64::from(c32(taken))) as i64
 }
 
 fn rec(handler: Handler) -> OpRecord {
@@ -1691,16 +1548,10 @@ fn rec(handler: Handler) -> OpRecord {
 }
 
 /// Lower the prepared enum stream of `pf` to a threaded dispatch stream:
-/// fuse macro-ops (when `fuse`), emit packed records, and resolve per-region
-/// fuel/instruction charges and per-op trap fixups. Requires the prepare-time
-/// packing guard ([`costs_fit_u32`] + vector file ≤ 64 KiB) to have passed.
-#[allow(clippy::too_many_lines)]
-pub(crate) fn build_threaded(
-    pf: &mut PreparedFunction,
-    cost: &CostModel,
-    fuse: bool,
-    fusion: &mut FusionStats,
-) {
+/// fuse macro-ops (when `fuse`), emit packed records (an unfused
+/// straight-line record is its metered-stream record), and resolve
+/// per-region fuel/instruction charges.
+pub(crate) fn build_threaded(pf: &mut PreparedFunction, fuse: bool, fusion: &mut FusionStats) {
     let nblocks = pf.block_offsets.len();
     let code_len = pf.code.len() as u32;
     let mut targets: Vec<BlockTarget> = pf
@@ -1713,15 +1564,9 @@ pub(crate) fn build_threaded(
             stat: StaticStats::default(),
         })
         .collect();
-    let mut calls: Vec<CallSite> = Vec::new();
     let mut ops: Vec<OpRecord> = Vec::new();
     let mut meta: Vec<OpMeta> = Vec::new();
     let mut ends: Vec<End> = Vec::new();
-    // Per-record static stats, and the slice of them the legacy walk charges
-    // *before* the record's own trap point (only `Ret`, whose move retires
-    // before the vector-class check can trap).
-    let mut stat: Vec<StaticStats> = Vec::new();
-    let mut precharged: Vec<u64> = Vec::new();
     // Per-record pairable kind, consumed by the pairing sweep below.
     let mut kinds: Vec<u8> = Vec::new();
 
@@ -1746,124 +1591,73 @@ pub(crate) fn build_threaded(
             targets[bi].ops_pc = ops.len() as u32;
             let mut p = start;
             while p < end {
-                let pi = p as usize;
-                let avail = (end - p) as usize;
-                let mut fused_len = 0u8;
-                if fuse {
-                    if let Some((record, len, kind, end_kind)) =
-                        try_fuse(code, pi, avail, cost, &bidx)
-                    {
-                        match kind {
-                            FuseKind::CmpBranchInt | FuseKind::CmpBranchFloat => {
+                let span = p as usize..end as usize;
+                let fused = if fuse {
+                    try_fuse(&code[span.clone()], &pf.metered[span], &bidx)
+                } else {
+                    None
+                };
+                let (record, len, fused, end_kind, kind) = match fused {
+                    Some((record, len, fused, end_kind)) => {
+                        let kind = match fused {
+                            FuseKind::CmpBranchInt => {
                                 fusion.cmp_branch += 1;
+                                K_CMP_BRANCH_INT
                             }
-                            FuseKind::LoadIntOp | FuseKind::LoadFloatOp => fusion.load_op += 1,
-                            FuseKind::IndVar3 | FuseKind::IndVar4 => fusion.indvar += 1,
+                            FuseKind::CmpBranchFloat => {
+                                fusion.cmp_branch += 1;
+                                K_CMP_BRANCH_FLOAT
+                            }
+                            FuseKind::LoadIntOp | FuseKind::LoadFloatOp => {
+                                fusion.load_op += 1;
+                                K_NONE
+                            }
+                            FuseKind::IndVar3 | FuseKind::IndVar4 => {
+                                fusion.indvar += 1;
+                                K_NONE
+                            }
                             FuseKind::None => unreachable!(),
-                        }
-                        ops.push(record);
-                        meta.push(OpMeta {
-                            enum_pc: p,
-                            len,
-                            fused: kind,
-                            welded: 0,
-                        });
-                        ends.push(end_kind);
-                        let mut fs = StaticStats::default();
-                        for c in &code[pi..pi + len as usize] {
-                            fs.add(&static_stats(c, cost));
-                        }
-                        stat.push(fs);
-                        precharged.push(0);
-                        kinds.push(match kind {
-                            FuseKind::CmpBranchInt => K_CMP_BRANCH_INT,
-                            FuseKind::CmpBranchFloat => K_CMP_BRANCH_FLOAT,
-                            _ => K_NONE,
-                        });
-                        fused_len = len;
+                        };
+                        (record, len, fused, end_kind, kind)
                     }
-                }
-                if fused_len > 0 {
-                    p += u32::from(fused_len);
-                    continue;
-                }
-                match &code[pi] {
-                    PInst::Call(call) => {
-                        let site = calls.len() as u32;
-                        let after = targets.len() as u32;
-                        calls.push(CallSite::Known {
-                            callee: call.callee,
-                            args: call.args.clone(),
-                            ret: call.ret,
-                            after,
-                        });
-                        let mut r = rec(h_call);
-                        r.e = site;
-                        r.f = c32(cost.call);
-                        ops.push(r);
-                        meta.push(OpMeta {
-                            enum_pc: p,
-                            len: 1,
-                            fused: FuseKind::None,
-                            welded: 0,
-                        });
-                        ends.push(End::Call(after));
-                        stat.push(StaticStats::default());
-                        precharged.push(0);
-                        kinds.push(K_NONE);
-                        targets.push(BlockTarget {
-                            ops_pc: ops.len() as u32,
-                            enum_pc: p + 1,
-                            charge: 0,
-                            stat: StaticStats::default(),
-                        });
+                    None => {
+                        let inst = &code[p as usize];
+                        let (record, end_kind) = match inst {
+                            PInst::Call(_) => {
+                                let after = targets.len() as u32;
+                                targets.push(BlockTarget {
+                                    ops_pc: ops.len() as u32 + 1,
+                                    enum_pc: p + 1,
+                                    charge: 0,
+                                    stat: StaticStats::default(),
+                                });
+                                let mut r = rec(h_call);
+                                (r.e, r.f) = (p, after);
+                                (r, End::Call(after))
+                            }
+                            inst if inst.is_control() => (lower_control(inst, &bidx), End::Control),
+                            _ => (pf.metered[p as usize], End::Normal),
+                        };
+                        (record, 1, FuseKind::None, end_kind, pair_kind(inst))
                     }
-                    PInst::CallUnknown { name } => {
-                        let site = calls.len() as u32;
-                        calls.push(CallSite::Unknown(name.clone()));
-                        let mut r = rec(h_call_unknown);
-                        r.e = site;
-                        ops.push(r);
-                        meta.push(OpMeta {
-                            enum_pc: p,
-                            len: 1,
-                            fused: FuseKind::None,
-                            welded: 0,
-                        });
-                        ends.push(End::Control);
-                        stat.push(StaticStats::default());
-                        precharged.push(0);
-                        kinds.push(K_NONE);
-                    }
-                    inst => {
-                        let (record, end_kind) = lower_single(inst, cost, &bidx);
-                        ops.push(record);
-                        meta.push(OpMeta {
-                            enum_pc: p,
-                            len: 1,
-                            fused: FuseKind::None,
-                            welded: 0,
-                        });
-                        ends.push(end_kind);
-                        stat.push(static_stats(inst, cost));
-                        precharged.push(if matches!(inst, PInst::Ret { .. }) {
-                            cost.mov
-                        } else {
-                            0
-                        });
-                        kinds.push(pair_kind(inst));
-                    }
-                }
-                p += 1;
+                };
+                ops.push(record);
+                meta.push(OpMeta {
+                    enum_pc: p,
+                    len,
+                    fused,
+                    paired: false,
+                });
+                ends.push(end_kind);
+                kinds.push(kind);
+                p += u32::from(len);
             }
         }
     }
 
     // Region pass: every straight-line run from a region entry through its
-    // closing control op gets its source-instruction count and its static
-    // counter sum as the entry's prepaid charge, and every record a
-    // trap-path fixup for all of them.
-    let mut fixup = vec![FixupRec::default(); ops.len()];
+    // closing control op gets its source-instruction count and the sum of
+    // its instructions' `OpInfo` charges as the entry's prepayment.
     for bi in 0..nblocks {
         let first = targets[bi].ops_pc as usize;
         let last = if bi + 1 < nblocks {
@@ -1872,75 +1666,33 @@ pub(crate) fn build_threaded(
             ops.len()
         };
         let mut pending = Some(bi);
-        let mut insts = 0u32;
-        let mut sum = StaticStats::default();
         let mut run_start = first;
         for j in first..last {
-            insts += u32::from(meta[j].len);
-            sum.add(&stat[j]);
             if matches!(ends[j], End::Normal) {
                 continue;
             }
-            // Close the region: a record that traps has retired its first
-            // source instruction (which the legacy walk counts) but none
-            // after it — except FellOff, whose failed fetch is not retired —
-            // and none of its own charge-after-success counters, except the
-            // precharged slice (a vector `Ret` charges its move first).
-            let mut before_insts = 0u32;
-            let mut before = StaticStats::default();
-            for k in run_start..=j {
-                fixup[k] = FixupRec {
-                    instructions: if matches!(ends[k], End::FellOff) {
-                        insts - before_insts
-                    } else {
-                        insts - before_insts - 1
-                    },
-                    stat: StaticStats {
-                        cycles: sum.cycles - before.cycles - precharged[k],
-                        loads: sum.loads - before.loads,
-                        stores: sum.stores - before.stores,
-                        spill_stores: sum.spill_stores - before.spill_stores,
-                        spill_reloads: sum.spill_reloads - before.spill_reloads,
-                        vector_ops: sum.vector_ops - before.vector_ops,
-                        branches: sum.branches - before.branches,
-                    },
-                };
-                before_insts += u32::from(meta[k].len);
-                before.add(&stat[k]);
-            }
+            // Close the region run_start..=j.
             if let Some(t) = pending {
-                targets[t].charge = insts;
-                targets[t].stat = sum;
+                let mut sum = SimStats::default();
+                for m in &meta[run_start..=j] {
+                    targets[t].charge += u32::from(m.len);
+                    pf.info[m.enum_pc as usize..][..usize::from(m.len)]
+                        .iter()
+                        .for_each(|i| i.prepay(&mut sum));
+                }
+                targets[t].stat = StaticStats::of(&sum);
             }
-            // Welding sweep over the closed run: greedily weld a triple
-            // when the combination table covers it, else a pair, else move
-            // on. Only the opener's handler changes; jumps can't land inside
-            // a run, so no entry point ever targets a consumed partner.
+            // Pairing sweep over the closed run: greedily weld neighbours
+            // the table covers. Only the opener's handler changes; jumps
+            // can't land inside a run, so no entry point ever targets a
+            // consumed partner.
             if fuse {
                 let mut k = run_start;
                 while k < j {
-                    let a = kinds[k] as usize;
-                    if a >= NFIRST {
-                        k += 1;
-                        continue;
-                    }
-                    if k + 2 <= j {
-                        if let (Some(x), Some(y), Some(z)) = (
-                            tri_open(kinds[k]),
-                            tri_open(kinds[k + 1]),
-                            tri_close(kinds[k + 2]),
-                        ) {
-                            ops[k].handler = TRIPLES[x][y][z];
-                            meta[k].welded = 3;
-                            fusion.triple += 1;
-                            k += 3;
-                            continue;
-                        }
-                    }
-                    let b = kinds[k + 1] as usize;
-                    if b < NSECOND {
+                    let (a, b) = (kinds[k] as usize, kinds[k + 1] as usize);
+                    if a < NFIRST && b < NSECOND {
                         ops[k].handler = PAIRS[a][b];
-                        meta[k].welded = 2;
+                        meta[k].paired = true;
                         fusion.pair += 1;
                         k += 2;
                     } else {
@@ -1952,287 +1704,226 @@ pub(crate) fn build_threaded(
                 End::Call(after) => Some(after as usize),
                 _ => None,
             };
-            insts = 0;
-            sum = StaticStats::default();
             run_start = j + 1;
         }
     }
 
     pf.ops = ops;
-    pf.fixup = fixup;
     pf.meta = meta;
     pf.targets = targets;
-    pf.calls = calls;
 }
 
-/// Try to fuse a macro-op starting at `code[pi]`, entirely within the
-/// current block (`avail` instructions remain). Greedy, longest shape first.
-/// Only the *first* constituent of any fused shape may trap (loads;
-/// `Div`/`Rem` are excluded from load+op), so the single per-record fixup is
-/// always exact.
+/// Try to fuse a macro-op from the first instructions of `code`, the rest of
+/// the current block (`metered` holds their metered-stream records). Greedy,
+/// longest shape first. Only the *first* constituent of any fused shape may
+/// trap (loads; `Div`/`Rem` are excluded from load+op), which the trap-path
+/// refund relies on.
 fn try_fuse(
     code: &[PInst],
-    pi: usize,
-    avail: usize,
-    cost: &CostModel,
+    metered: &[OpRecord],
     bidx: &impl Fn(u32) -> u32,
 ) -> Option<(OpRecord, u8, FuseKind, End)> {
-    // indvar4: add tmp,i,s ; mov i,tmp ; cmp t,i,n ; bnz t
-    if avail >= 4 {
-        if let (
-            PInst::IntOp {
-                op: AluOp::Add,
-                width: aw,
-                signed: asg,
-                dst: tmp,
-                lhs: i,
-                rhs: s,
-                ..
-            },
-            PInst::MovInt { dst: md, src: ms },
-            PInst::IntCmp {
-                pred,
-                width: cw,
-                signed: csg,
-                dst: t,
-                lhs: cl,
-                rhs: n,
-            },
-            PInst::BranchNz {
-                cond,
-                then_target,
-                else_target,
-            },
-        ) = (&code[pi], &code[pi + 1], &code[pi + 2], &code[pi + 3])
+    let indvar_flags = |aw: Width, asg: bool, pred: CmpPred, cw: Width, csg: bool| {
+        wbits(aw)
+            | u16::from(asg) << 2
+            | pred_bits(pred) << 3
+            | wbits(cw) << 6
+            | u16::from(csg) << 8
+    };
+    match *code {
+        // indvar4: add tmp,i,s ; mov i,tmp ; cmp t,i,n ; bnz t
+        [PInst::IntOp {
+            op: AluOp::Add,
+            width: aw,
+            signed: asg,
+            dst: tmp,
+            lhs: i,
+            rhs: s,
+        }, PInst::MovInt { dst: md, src: ms }, PInst::IntCmp {
+            pred,
+            width: cw,
+            signed: csg,
+            dst: t,
+            lhs: cl,
+            rhs: n,
+        }, PInst::BranchNz {
+            cond,
+            then_target,
+            else_target,
+        }, ..]
+            if ms == tmp && md == i && cl == i && cond == t =>
         {
-            if ms == tmp && md == i && cl == i && cond == t {
-                let flags = wbits(*aw)
-                    | u16::from(*asg) << 2
-                    | pred_bits(*pred) << 3
-                    | wbits(*cw) << 6
-                    | u16::from(*csg) << 8;
-                let mut r = rec(h_indvar4);
-                r.a = *tmp as u16;
-                r.b = *i as u16;
-                r.c = *s as u16;
-                r.d = *n as u16;
-                r.imm = i64::from(*t as u16) | i64::from(flags) << 16;
-                r.e = bidx(*then_target);
-                r.f = bidx(*else_target);
-                return Some((r, 4, FuseKind::IndVar4, End::Control));
-            }
+            let mut r = rec(h_indvar4);
+            (r.a, r.b, r.c, r.d) = (tmp, i, s, n);
+            r.imm = i64::from(t) | i64::from(indvar_flags(aw, asg, pred, cw, csg)) << 16;
+            (r.e, r.f) = (bidx(then_target), bidx(else_target));
+            Some((r, 4, FuseKind::IndVar4, End::Control))
         }
-    }
-    // indvar3: add i,i,s ; cmp t,i,n ; bnz t
-    if avail >= 3 {
-        if let (
-            PInst::IntOp {
-                op: AluOp::Add,
-                width: aw,
-                signed: asg,
-                dst,
-                lhs,
-                rhs: s,
-                ..
-            },
-            PInst::IntCmp {
-                pred,
-                width: cw,
-                signed: csg,
-                dst: t,
-                lhs: cl,
-                rhs: n,
-            },
-            PInst::BranchNz {
-                cond,
-                then_target,
-                else_target,
-            },
-        ) = (&code[pi], &code[pi + 1], &code[pi + 2])
+        // indvar3: add i,i,s ; cmp t,i,n ; bnz t
+        [PInst::IntOp {
+            op: AluOp::Add,
+            width: aw,
+            signed: asg,
+            dst,
+            lhs,
+            rhs: s,
+        }, PInst::IntCmp {
+            pred,
+            width: cw,
+            signed: csg,
+            dst: t,
+            lhs: cl,
+            rhs: n,
+        }, PInst::BranchNz {
+            cond,
+            then_target,
+            else_target,
+        }, ..]
+            if dst == lhs && cl == dst && cond == t =>
         {
-            if dst == lhs && cl == dst && cond == t {
-                let flags = wbits(*aw)
-                    | u16::from(*asg) << 2
-                    | pred_bits(*pred) << 3
-                    | wbits(*cw) << 6
-                    | u16::from(*csg) << 8;
-                let mut r = rec(h_indvar3);
-                r.a = *dst as u16;
-                r.b = *s as u16;
-                r.c = *n as u16;
-                r.d = *t as u16;
-                r.imm = i64::from(flags);
-                r.e = bidx(*then_target);
-                r.f = bidx(*else_target);
-                return Some((r, 3, FuseKind::IndVar3, End::Control));
-            }
+            let mut r = rec(h_indvar3);
+            (r.a, r.b, r.c, r.d) = (dst, s, n, t);
+            r.imm = i64::from(indvar_flags(aw, asg, pred, cw, csg));
+            (r.e, r.f) = (bidx(then_target), bidx(else_target));
+            Some((r, 3, FuseKind::IndVar3, End::Control))
         }
-    }
-    if avail >= 2 {
         // load+op (int): the ALU op consumes the loaded value.
-        if let (
-            PInst::LoadInt {
-                width: lw,
-                signed: ls,
-                dst: ld,
-                base,
-                offset,
-            },
-            PInst::IntOp {
-                op,
-                width: aw,
-                signed: asg,
-                dst: ad,
-                lhs,
-                rhs,
-                cost: ac,
-            },
-        ) = (&code[pi], &code[pi + 1])
+        [PInst::LoadInt {
+            width: lw,
+            signed: ls,
+            dst: ld,
+            base,
+            offset,
+        }, PInst::IntOp {
+            op,
+            width: aw,
+            signed: asg,
+            dst: ad,
+            lhs,
+            rhs,
+        }, ..]
+            if !matches!(op, AluOp::Div | AluOp::Rem) && (lhs == ld || rhs == ld) =>
         {
-            if !matches!(op, AluOp::Div | AluOp::Rem) && (lhs == ld || rhs == ld) {
-                let flags = wbits(*lw)
-                    | u16::from(*ls) << 2
-                    | alu_bits(*op) << 3
-                    | wbits(*aw) << 7
-                    | u16::from(*asg) << 9;
-                let mut r = rec(h_load_int_op);
-                r.a = *ld as u16;
-                r.b = *base as u16;
-                r.c = *lhs as u16;
-                r.d = *rhs as u16;
-                r.e = ad | u32::from(flags) << 16;
-                r.f = c32(cost.load + ac);
-                r.imm = *offset;
-                return Some((r, 2, FuseKind::LoadIntOp, End::Normal));
-            }
+            let flags = wbits(lw)
+                | u16::from(ls) << 2
+                | alu_bits(op) << 3
+                | wbits(aw) << 7
+                | u16::from(asg) << 9;
+            let mut r = rec(h_load_int_op);
+            (r.a, r.b, r.c, r.d) = (ld, base, lhs, rhs);
+            r.e = u32::from(ad) | u32::from(flags) << 16;
+            r.imm = offset;
+            Some((r, 2, FuseKind::LoadIntOp, End::Normal))
         }
         // load+op (float): fp ops never trap, so all of them fuse.
-        if let (
-            PInst::LoadFloat {
-                width: lw,
-                dst: ld,
-                base,
-                offset,
-            },
-            PInst::FloatOp {
-                op,
-                double,
-                dst: ad,
-                lhs,
-                rhs,
-                cost: ac,
-            },
-        ) = (&code[pi], &code[pi + 1])
+        [PInst::LoadFloat {
+            width: lw,
+            dst: ld,
+            base,
+            offset,
+        }, PInst::FloatOp {
+            op,
+            double,
+            dst: ad,
+            lhs,
+            rhs,
+        }, ..]
+            if lhs == ld || rhs == ld =>
         {
-            if lhs == ld || rhs == ld {
-                let flags = wbits(*lw) | fpu_bits(*op) << 2 | u16::from(*double) << 5;
-                let mut r = rec(h_load_float_op);
-                r.a = *ld as u16;
-                r.b = *base as u16;
-                r.c = *lhs as u16;
-                r.d = *rhs as u16;
-                r.e = ad | u32::from(flags) << 16;
-                r.f = c32(cost.load + ac);
-                r.imm = *offset;
-                return Some((r, 2, FuseKind::LoadFloatOp, End::Normal));
-            }
+            let flags = wbits(lw) | fpu_bits(op) << 2 | u16::from(double) << 5;
+            let mut r = rec(h_load_float_op);
+            (r.a, r.b, r.c, r.d) = (ld, base, lhs, rhs);
+            r.e = u32::from(ad) | u32::from(flags) << 16;
+            r.imm = offset;
+            Some((r, 2, FuseKind::LoadFloatOp, End::Normal))
         }
-        // cmp+branch (int).
-        if let (
-            PInst::IntCmp {
-                pred,
-                width,
-                signed,
-                dst,
-                lhs,
-                rhs,
-            },
-            PInst::BranchNz {
-                cond,
-                then_target,
-                else_target,
-            },
-        ) = (&code[pi], &code[pi + 1])
+        // cmp+branch: the branch consumes the compare result.
+        [ref cmp @ (PInst::IntCmp { dst, .. } | PInst::FloatCmp { dst, .. }), PInst::BranchNz {
+            cond,
+            then_target,
+            else_target,
+        }, ..]
+            if cond == dst =>
         {
-            if cond == dst {
-                let mut r = rec(h_cmp_branch_int);
-                r.a = *dst as u16;
-                r.b = *lhs as u16;
-                r.c = *rhs as u16;
-                r.d = pred_bits(*pred) | wbits(*width) << 3 | u16::from(*signed) << 5;
-                r.e = bidx(*then_target);
-                r.f = bidx(*else_target);
-                r.imm = pack_branch_charges(cost.branch_taken, cost.branch_not_taken);
-                return Some((r, 2, FuseKind::CmpBranchInt, End::Control));
-            }
+            // Same operands as the plain compare; the handler and the two
+            // region indexes are what the fused record adds.
+            let mut r = metered[0];
+            let kind = if matches!(cmp, PInst::IntCmp { .. }) {
+                r.handler = h_cmp_branch_int;
+                FuseKind::CmpBranchInt
+            } else {
+                r.handler = h_cmp_branch_float;
+                FuseKind::CmpBranchFloat
+            };
+            (r.e, r.f) = (bidx(then_target), bidx(else_target));
+            Some((r, 2, kind, End::Control))
         }
-        // cmp+branch (float).
-        if let (
-            PInst::FloatCmp {
-                pred,
-                double,
-                dst,
-                lhs,
-                rhs,
-            },
-            PInst::BranchNz {
-                cond,
-                then_target,
-                else_target,
-            },
-        ) = (&code[pi], &code[pi + 1])
-        {
-            if cond == dst {
-                let mut r = rec(h_cmp_branch_float);
-                r.a = *dst as u16;
-                r.b = *lhs as u16;
-                r.c = *rhs as u16;
-                r.d = pred_bits(*pred) | u16::from(*double) << 3;
-                r.e = bidx(*then_target);
-                r.f = bidx(*else_target);
-                r.imm = pack_branch_charges(cost.branch_taken, cost.branch_not_taken);
-                return Some((r, 2, FuseKind::CmpBranchFloat, End::Control));
-            }
-        }
+        _ => None,
     }
-    None
 }
 
-/// Lower one (non-call) enum instruction to its packed record.
-#[allow(clippy::too_many_lines)]
-fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (OpRecord, End) {
-    let mut end = End::Normal;
+/// The threaded-stream record of one control instruction other than a call.
+fn lower_control(inst: &PInst, bidx: &impl Fn(u32) -> u32) -> OpRecord {
     let mut r;
-    match inst {
+    match *inst {
+        PInst::Jump { target } => {
+            r = rec(h_jump);
+            r.e = bidx(target);
+        }
+        PInst::BranchNz {
+            cond,
+            then_target,
+            else_target,
+        } => {
+            r = rec(h_branch_nz);
+            (r.a, r.e, r.f) = (cond, bidx(then_target), bidx(else_target));
+        }
+        PInst::Ret { value } => {
+            r = rec(match value.map(|v| v.class) {
+                None => h_ret_none,
+                Some(RegClass::Int) => h_ret_int,
+                Some(RegClass::Float) => h_ret_float,
+                Some(RegClass::Vec) => h_ret_vec,
+            });
+            r.a = value.map_or(0, |v| v.index);
+        }
+        PInst::FellOff { block } => {
+            r = rec(h_fell_off);
+            r.e = block;
+        }
+        _ => unreachable!("straight-line kinds and calls are lowered elsewhere"),
+    }
+    r
+}
+
+/// The metered-stream record of one enum instruction: what its handler
+/// needs, or a placeholder for the control kinds, which the metered loop
+/// interprets itself.
+#[allow(clippy::too_many_lines)]
+pub(crate) fn lower_metered(inst: &PInst) -> OpRecord {
+    let mut r;
+    match *inst {
         PInst::Imm { dst, value } => {
             r = rec(h_imm);
-            r.a = *dst as u16;
-            r.imm = *value;
-            r.e = c32(cost.mov);
+            r.a = dst;
+            r.imm = value;
         }
         PInst::FImm { dst, value } => {
             r = rec(h_fimm);
-            r.a = *dst as u16;
+            r.a = dst;
             r.imm = value.to_bits() as i64;
-            r.e = c32(cost.mov);
         }
         PInst::MovInt { dst, src } => {
             r = rec(h_mov_int);
-            r.a = *dst as u16;
-            r.b = *src as u16;
-            r.e = c32(cost.mov);
+            (r.a, r.b) = (dst, src);
         }
         PInst::MovFloat { dst, src } => {
             r = rec(h_mov_float);
-            r.a = *dst as u16;
-            r.b = *src as u16;
-            r.e = c32(cost.mov);
+            (r.a, r.b) = (dst, src);
         }
         PInst::MovVec { dst, src } => {
             r = rec(h_mov_vec);
-            r.a = *dst as u16;
-            r.b = *src as u16;
-            r.e = c32(cost.mov);
+            (r.a, r.b) = (dst, src);
         }
         PInst::IntOp {
             op,
@@ -2241,14 +1932,10 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             dst,
             lhs,
             rhs,
-            cost: c,
         } => {
             r = rec(h_int_op);
-            r.a = *dst as u16;
-            r.b = *lhs as u16;
-            r.c = *rhs as u16;
-            r.d = alu_bits(*op) | wbits(*width) << 4 | u16::from(*signed) << 6;
-            r.e = c32(*c);
+            (r.a, r.b, r.c) = (dst, lhs, rhs);
+            r.d = alu_bits(op) | wbits(width) << 4 | u16::from(signed) << 6;
         }
         PInst::FloatOp {
             op,
@@ -2256,35 +1943,22 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             dst,
             lhs,
             rhs,
-            cost: c,
         } => {
             r = rec(h_float_op);
-            r.a = *dst as u16;
-            r.b = *lhs as u16;
-            r.c = *rhs as u16;
-            r.d = fpu_bits(*op) | u16::from(*double) << 3;
-            r.e = c32(*c);
+            (r.a, r.b, r.c) = (dst, lhs, rhs);
+            r.d = fpu_bits(op) | u16::from(double) << 3;
         }
         PInst::IntNeg { width, dst, src } => {
             r = rec(h_int_neg);
-            r.a = *dst as u16;
-            r.b = *src as u16;
-            r.d = wbits(*width);
-            r.e = c32(cost.int_op);
+            (r.a, r.b, r.d) = (dst, src, wbits(width));
         }
         PInst::IntNot { width, dst, src } => {
             r = rec(h_int_not);
-            r.a = *dst as u16;
-            r.b = *src as u16;
-            r.d = wbits(*width);
-            r.e = c32(cost.int_op);
+            (r.a, r.b, r.d) = (dst, src, wbits(width));
         }
         PInst::FloatNeg { double, dst, src } => {
             r = rec(h_float_neg);
-            r.a = *dst as u16;
-            r.b = *src as u16;
-            r.d = u16::from(*double);
-            r.e = c32(cost.fp_add);
+            (r.a, r.b, r.d) = (dst, src, u16::from(double));
         }
         PInst::IntCmp {
             pred,
@@ -2295,11 +1969,8 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             rhs,
         } => {
             r = rec(h_int_cmp);
-            r.a = *dst as u16;
-            r.b = *lhs as u16;
-            r.c = *rhs as u16;
-            r.d = pred_bits(*pred) | wbits(*width) << 3 | u16::from(*signed) << 5;
-            r.e = c32(cost.int_op);
+            (r.a, r.b, r.c) = (dst, lhs, rhs);
+            r.d = pred_bits(pred) | wbits(width) << 3 | u16::from(signed) << 5;
         }
         PInst::FloatCmp {
             pred,
@@ -2309,11 +1980,8 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             rhs,
         } => {
             r = rec(h_float_cmp);
-            r.a = *dst as u16;
-            r.b = *lhs as u16;
-            r.c = *rhs as u16;
-            r.d = pred_bits(*pred) | u16::from(*double) << 3;
-            r.e = c32(cost.fp_add);
+            (r.a, r.b, r.c) = (dst, lhs, rhs);
+            r.d = pred_bits(pred) | u16::from(double) << 3;
         }
         PInst::SelectInt {
             dst,
@@ -2322,11 +1990,7 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             if_false,
         } => {
             r = rec(h_select_int);
-            r.a = *dst as u16;
-            r.b = *cond as u16;
-            r.c = *if_true as u16;
-            r.d = *if_false as u16;
-            r.e = c32(cost.mov);
+            (r.a, r.b, r.c, r.d) = (dst, cond, if_true, if_false);
         }
         PInst::SelectFloat {
             dst,
@@ -2335,11 +1999,7 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             if_false,
         } => {
             r = rec(h_select_float);
-            r.a = *dst as u16;
-            r.b = *cond as u16;
-            r.c = *if_true as u16;
-            r.d = *if_false as u16;
-            r.e = c32(cost.mov);
+            (r.a, r.b, r.c, r.d) = (dst, cond, if_true, if_false);
         }
         PInst::SelectVec {
             dst,
@@ -2348,11 +2008,7 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             if_false,
         } => {
             r = rec(h_select_vec);
-            r.a = *dst as u16;
-            r.b = *cond as u16;
-            r.c = *if_true as u16;
-            r.d = *if_false as u16;
-            r.e = c32(cost.mov);
+            (r.a, r.b, r.c, r.d) = (dst, cond, if_true, if_false);
         }
         PInst::IntToFloat {
             signed,
@@ -2361,10 +2017,8 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             src,
         } => {
             r = rec(h_int_to_float);
-            r.a = *dst as u16;
-            r.b = *src as u16;
-            r.d = u16::from(*signed) | u16::from(*double) << 1;
-            r.e = c32(cost.convert);
+            (r.a, r.b) = (dst, src);
+            r.d = u16::from(signed) | u16::from(double) << 1;
         }
         PInst::FloatToInt {
             width,
@@ -2373,10 +2027,8 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             src,
         } => {
             r = rec(h_float_to_int);
-            r.a = *dst as u16;
-            r.b = *src as u16;
-            r.d = wbits(*width) | u16::from(*signed) << 2;
-            r.e = c32(cost.convert);
+            (r.a, r.b) = (dst, src);
+            r.d = wbits(width) | u16::from(signed) << 2;
         }
         PInst::FloatCvt {
             to_double,
@@ -2384,10 +2036,7 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             src,
         } => {
             r = rec(h_float_cvt);
-            r.a = *dst as u16;
-            r.b = *src as u16;
-            r.d = u16::from(*to_double);
-            r.e = c32(cost.convert);
+            (r.a, r.b, r.d) = (dst, src, u16::from(to_double));
         }
         PInst::IntResize {
             width,
@@ -2396,10 +2045,8 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             src,
         } => {
             r = rec(h_int_resize);
-            r.a = *dst as u16;
-            r.b = *src as u16;
-            r.d = wbits(*width) | u16::from(*signed) << 2;
-            r.e = c32(cost.int_op);
+            (r.a, r.b) = (dst, src);
+            r.d = wbits(width) | u16::from(signed) << 2;
         }
         PInst::LoadInt {
             width,
@@ -2409,11 +2056,8 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             offset,
         } => {
             r = rec(h_load_int);
-            r.a = *dst as u16;
-            r.b = *base as u16;
-            r.d = wbits(*width) | u16::from(*signed) << 2;
-            r.e = c32(cost.load);
-            r.imm = *offset;
+            (r.a, r.b, r.imm) = (dst, base, offset);
+            r.d = wbits(width) | u16::from(signed) << 2;
         }
         PInst::LoadFloat {
             width,
@@ -2422,11 +2066,8 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             offset,
         } => {
             r = rec(h_load_float);
-            r.a = *dst as u16;
-            r.b = *base as u16;
-            r.d = wbits(*width);
-            r.e = c32(cost.load);
-            r.imm = *offset;
+            (r.a, r.b, r.imm) = (dst, base, offset);
+            r.d = wbits(width);
         }
         PInst::StoreInt {
             width,
@@ -2435,11 +2076,8 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             src,
         } => {
             r = rec(h_store_int);
-            r.a = *src as u16;
-            r.b = *base as u16;
-            r.d = wbits(*width);
-            r.e = c32(cost.store);
-            r.imm = *offset;
+            (r.a, r.b, r.imm) = (src, base, offset);
+            r.d = wbits(width);
         }
         PInst::StoreFloat {
             width,
@@ -2448,25 +2086,16 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             src,
         } => {
             r = rec(h_store_float);
-            r.a = *src as u16;
-            r.b = *base as u16;
-            r.d = wbits(*width);
-            r.e = c32(cost.store);
-            r.imm = *offset;
+            (r.a, r.b, r.imm) = (src, base, offset);
+            r.d = wbits(width);
         }
         PInst::VecLoad { dst, base, offset } => {
             r = rec(h_vec_load);
-            r.a = *dst as u16;
-            r.b = *base as u16;
-            r.e = c32(cost.vec_load);
-            r.imm = *offset;
+            (r.a, r.b, r.imm) = (dst, base, offset);
         }
         PInst::VecStore { base, offset, src } => {
             r = rec(h_vec_store);
-            r.a = *src as u16;
-            r.b = *base as u16;
-            r.e = c32(cost.vec_store);
-            r.imm = *offset;
+            (r.a, r.b, r.imm) = (src, base, offset);
         }
         PInst::VecSplatInt {
             elem,
@@ -2475,11 +2104,7 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             src,
         } => {
             r = rec(h_vec_splat_int);
-            r.a = *dst as u16;
-            r.b = *src as u16;
-            r.d = wbits(*elem);
-            r.e = *lanes;
-            r.f = c32(cost.vec_op);
+            (r.a, r.b, r.d, r.e) = (dst, src, wbits(elem), lanes);
         }
         PInst::VecSplatFloat {
             elem,
@@ -2488,11 +2113,7 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             src,
         } => {
             r = rec(h_vec_splat_float);
-            r.a = *dst as u16;
-            r.b = *src as u16;
-            r.d = wbits(*elem);
-            r.e = *lanes;
-            r.f = c32(cost.vec_op);
+            (r.a, r.b, r.d, r.e) = (dst, src, wbits(elem), lanes);
         }
         PInst::VecIntOp {
             op,
@@ -2504,12 +2125,8 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             rhs,
         } => {
             r = rec(h_vec_int_op);
-            r.a = *dst as u16;
-            r.b = *lhs as u16;
-            r.c = *rhs as u16;
-            r.d = alu_bits(*op) | wbits(*elem) << 4 | u16::from(*signed) << 6;
-            r.e = *lanes;
-            r.f = c32(cost.vec_op);
+            (r.a, r.b, r.c, r.e) = (dst, lhs, rhs, lanes);
+            r.d = alu_bits(op) | wbits(elem) << 4 | u16::from(signed) << 6;
         }
         PInst::VecFloatOp {
             op,
@@ -2521,12 +2138,8 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             rhs,
         } => {
             r = rec(h_vec_float_op);
-            r.a = *dst as u16;
-            r.b = *lhs as u16;
-            r.c = *rhs as u16;
-            r.d = fpu_bits(*op) | wbits(*elem) << 3 | u16::from(*double) << 5;
-            r.e = *lanes;
-            r.f = c32(cost.vec_op);
+            (r.a, r.b, r.c, r.e) = (dst, lhs, rhs, lanes);
+            r.d = fpu_bits(op) | wbits(elem) << 3 | u16::from(double) << 5;
         }
         PInst::VecReduceInt {
             op,
@@ -2537,11 +2150,8 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             src,
         } => {
             r = rec(h_vec_reduce_int);
-            r.a = *dst as u16;
-            r.b = *src as u16;
-            r.d = red_bits(*op) | wbits(*elem) << 2 | u16::from(*signed) << 4;
-            r.e = *lanes;
-            r.f = c32(cost.vec_reduce);
+            (r.a, r.b, r.e) = (dst, src, lanes);
+            r.d = red_bits(op) | wbits(elem) << 2 | u16::from(signed) << 4;
         }
         PInst::VecReduceFloat {
             op,
@@ -2551,29 +2161,20 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
             src,
         } => {
             r = rec(h_vec_reduce_float);
-            r.a = *dst as u16;
-            r.b = *src as u16;
-            r.d = red_bits(*op) | wbits(*elem) << 2;
-            r.e = *lanes;
-            r.f = c32(cost.vec_reduce);
+            (r.a, r.b, r.e) = (dst, src, lanes);
+            r.d = red_bits(op) | wbits(elem) << 2;
         }
         PInst::SpillInt { slot, src } => {
             r = rec(h_spill_int);
-            r.a = *src as u16;
-            r.e = *slot;
-            r.f = c32(cost.spill_store);
+            (r.a, r.e) = (src, slot);
         }
         PInst::SpillFloat { slot, src } => {
             r = rec(h_spill_float);
-            r.a = *src as u16;
-            r.e = *slot;
-            r.f = c32(cost.spill_store);
+            (r.a, r.e) = (src, slot);
         }
         PInst::SpillVec { slot, src } => {
             r = rec(h_spill_vec);
-            r.a = *src as u16;
-            r.e = *slot;
-            r.f = c32(cost.spill_store);
+            (r.a, r.e) = (src, slot);
         }
         PInst::Reload { slot, class, dst } => {
             r = rec(match class {
@@ -2581,54 +2182,13 @@ fn lower_single(inst: &PInst, cost: &CostModel, bidx: &impl Fn(u32) -> u32) -> (
                 RegClass::Float => h_reload_float,
                 RegClass::Vec => h_reload_vec,
             });
-            r.a = *dst as u16;
-            r.e = *slot;
-            r.f = c32(cost.spill_load);
+            (r.a, r.e) = (dst, slot);
         }
-        PInst::Jump { target } => {
-            r = rec(h_jump);
-            r.e = bidx(*target);
-            r.f = c32(cost.branch_taken);
-            end = End::Control;
-        }
-        PInst::BranchNz {
-            cond,
-            then_target,
-            else_target,
-        } => {
-            r = rec(h_branch_nz);
-            r.a = *cond as u16;
-            r.e = bidx(*then_target);
-            r.f = bidx(*else_target);
-            r.imm = pack_branch_charges(cost.branch_taken, cost.branch_not_taken);
-            end = End::Control;
-        }
-        PInst::Ret { value } => {
-            r = match value {
-                None => rec(h_ret_none),
-                Some((RegClass::Int, idx)) => {
-                    let mut r = rec(h_ret_int);
-                    r.a = *idx as u16;
-                    r
-                }
-                Some((RegClass::Float, idx)) => {
-                    let mut r = rec(h_ret_float);
-                    r.a = *idx as u16;
-                    r
-                }
-                Some((RegClass::Vec, _)) => rec(h_ret_vec),
-            };
-            r.e = c32(cost.mov);
-            end = End::Control;
-        }
-        PInst::FellOff { block } => {
-            r = rec(h_fell_off);
-            r.e = *block;
-            end = End::FellOff;
-        }
-        PInst::Call(_) | PInst::CallUnknown { .. } => {
-            unreachable!("calls are lowered by the emission loop")
-        }
+        PInst::Jump { .. }
+        | PInst::BranchNz { .. }
+        | PInst::Call(_)
+        | PInst::Ret { .. }
+        | PInst::FellOff { .. } => r = rec(h_metered_arm),
     }
-    (r, end)
+    r
 }

@@ -14,23 +14,48 @@
 //!   indices** (no per-call linear name lookup);
 //! * every register index is **bounds-checked once at prepare time** against
 //!   the target's register files, so the hot loop never re-validates;
-//! * per-instruction cycle costs and vector lane counts are **precomputed**
-//!   where they depend on the opcode;
+//! * what retiring each instruction costs — latency class, cycle charge,
+//!   scoreboard keys, counter bumps — is **tabulated once** per instruction
+//!   ([`OpInfo`], stated per kind by [`op_info`]) and vector lane counts are
+//!   precomputed;
 //! * call frames come from a [`FramePool`] that recycles the register-file
 //!   and spill-slot allocations across calls and across runs;
-//! * on top of the flat stream, each function is lowered to a **threaded
-//!   dispatch stream** of fn-pointer handlers over packed 32-byte operand
-//!   records (see [`dispatch`](crate::exec) internals), with fuel and
-//!   instruction accounting hoisted out of the per-instruction path into
-//!   per-region charges, and adjacent instructions **fused into macro-ops**
-//!   (compare+branch, load+op, induction-variable steps).
+//! * every straight-line instruction is lowered to a packed 32-byte operand
+//!   record whose fn-pointer **handler is the only statement of what the
+//!   instruction does** to registers and memory (see
+//!   [`dispatch`](crate::exec) internals).
+//!
+//! One executor runs those handlers under two accounting disciplines:
+//!
+//! * the **metered loop** ([`PreparedProgram::run_metered`]) walks a 1:1
+//!   record stream and pays fuel and `stats.instructions` per record like the
+//!   legacy walk: it runs the handlers of one straight-line run back to
+//!   back, charges the timing model and the counters from the [`OpInfo`]
+//!   rows of those that retired, and interprets the record that closes the
+//!   run itself. Only the control kinds (jump, branch, call, return,
+//!   fall-off), whose accounting differs between per-record metering and
+//!   region prepayment, and the two selects whose scoreboard key depends on
+//!   the condition, have such arms. It is the whole pipelined timing tier
+//!   and the deoptimization target of the threaded loop;
+//! * the **threaded loop** ([`PreparedProgram::run`] under flat timing)
+//!   dispatches a second stream in which adjacent instructions are **fused
+//!   into macro-ops** (compare+branch, load+op, induction-variable steps) and
+//!   welded in pairs, with fuel, instruction counts and the summed [`OpInfo`]
+//!   charges prepaid per straight-line region.
 //!
 //! Semantics are bit-identical to the legacy walk — results, traps and
-//! [`SimStats`] alike — which the cross-crate differential tests assert.
-//! The per-instruction enum interpreter survives as the *metered* path
-//! ([`PreparedProgram::run_metered`]): it is the in-crate semantic reference,
-//! the deoptimization target when fuel runs too low to prepay a region, and
-//! the baseline side of the dispatch microbenchmark.
+//! [`SimStats`] alike, under both timing tiers — which the cross-crate
+//! differential tests assert.
+//!
+//! # Adding a machine instruction
+//!
+//! 1. the variant in [`MInst`] (`mcode.rs`) and its wire encoding;
+//! 2. its arm in the legacy walk (`Simulator::call`, the independent
+//!    reference);
+//! 3. its [`PInst`] variant and validation arm in `prepare_function`;
+//! 4. its handler and `lower_metered` arm in `dispatch.rs` (plus a pair-kind
+//!    if it should weld);
+//! 5. its row in [`op_info`].
 //!
 //! # Example
 //!
@@ -71,15 +96,11 @@
 
 use crate::desc::{CostModel, TargetDesc};
 pub use crate::dispatch::FusionStats;
-use crate::dispatch::{self, FuseKind, OpMeta, OpRecord, Threaded};
+use crate::dispatch::{self, ExecCtx, FuseKind, OpMeta, OpRecord, Threaded};
 use crate::mcode::{
     AluOp, CmpPred, FpuOp, MFunction, MInst, MProgram, PReg, RedOp, RegClass, Width,
 };
-use crate::simulator::{
-    alu, check_range, compare, fpu, normalize, read_lane_float, read_lane_int, read_mem,
-    write_lane_float, write_lane_int, write_mem, MachineValue, SimError, SimStats,
-    DEFAULT_SIM_FUEL, MAX_CALL_DEPTH,
-};
+use crate::simulator::{MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH};
 use crate::timing::{FlatCost, InOrderPipeline, LatClass, TimingKind, TimingModel, NO_REG};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -210,251 +231,243 @@ impl FramePool {
     }
 }
 
-/// A register operand resolved to `(class, index)` with the index validated
-/// at prepare time. For vector registers the `usize` is a *byte offset* into
-/// the frame's flat vector buffer.
-pub(crate) type RRef = (RegClass, usize);
-
-/// Payload of a resolved call, boxed so [`PInst`] stays within its 32-byte
-/// cache-footprint budget.
+/// Payload of a call (boxed to keep [`PInst`] small); its registers are
+/// validated like every other operand.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PCall {
-    pub(crate) callee: usize,
-    pub(crate) args: Box<[RRef]>,
-    pub(crate) ret: Option<RRef>,
+    /// Dense index of the callee — or its name if the program has no such
+    /// function, which stays a runtime error (like the legacy walk) so dead
+    /// malformed calls don't poison preparation of an otherwise-valid
+    /// program.
+    pub(crate) callee: Result<usize, Box<str>>,
+    pub(crate) args: Box<[PReg]>,
+    pub(crate) ret: Option<PReg>,
 }
 
 /// One pre-decoded instruction of the flat stream.
 ///
-/// Operands are `u32` indices (validated at prepare time), block targets are
-/// instruction offsets, call targets are function indices, and
-/// opcode-dependent cycle costs / lane counts are baked in. The enum is kept
-/// at or under 32 bytes (statically asserted below) so the metered stream
-/// stays two instructions per cache line.
+/// Register operands are register numbers, `u16` like [`PReg::index`] and
+/// validated against the target's files at prepare time (vector handlers
+/// scale them to byte offsets); block targets are instruction offsets, call
+/// targets are function indices, and vector lane counts are baked in. The
+/// executors read it only for the control kinds; `disasm`, the fusion
+/// matcher and the lowering read the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum PInst {
     Imm {
-        dst: u32,
+        dst: u16,
         value: i64,
     },
     FImm {
-        dst: u32,
+        dst: u16,
         value: f64,
     },
     MovInt {
-        dst: u32,
-        src: u32,
+        dst: u16,
+        src: u16,
     },
     MovFloat {
-        dst: u32,
-        src: u32,
+        dst: u16,
+        src: u16,
     },
     MovVec {
-        dst: u32,
-        src: u32,
+        dst: u16,
+        src: u16,
     },
     IntOp {
         op: AluOp,
         width: Width,
         signed: bool,
-        dst: u32,
-        lhs: u32,
-        rhs: u32,
-        cost: u64,
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
     },
     FloatOp {
         op: FpuOp,
         double: bool,
-        dst: u32,
-        lhs: u32,
-        rhs: u32,
-        cost: u64,
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
     },
     IntNeg {
         width: Width,
-        dst: u32,
-        src: u32,
+        dst: u16,
+        src: u16,
     },
     IntNot {
         width: Width,
-        dst: u32,
-        src: u32,
+        dst: u16,
+        src: u16,
     },
     FloatNeg {
         double: bool,
-        dst: u32,
-        src: u32,
+        dst: u16,
+        src: u16,
     },
     IntCmp {
         pred: CmpPred,
         width: Width,
         signed: bool,
-        dst: u32,
-        lhs: u32,
-        rhs: u32,
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
     },
     FloatCmp {
         pred: CmpPred,
         double: bool,
-        dst: u32,
-        lhs: u32,
-        rhs: u32,
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
     },
     SelectInt {
-        dst: u32,
-        cond: u32,
-        if_true: u32,
-        if_false: u32,
+        dst: u16,
+        cond: u16,
+        if_true: u16,
+        if_false: u16,
     },
     SelectFloat {
-        dst: u32,
-        cond: u32,
-        if_true: u32,
-        if_false: u32,
+        dst: u16,
+        cond: u16,
+        if_true: u16,
+        if_false: u16,
     },
     SelectVec {
-        dst: u32,
-        cond: u32,
-        if_true: u32,
-        if_false: u32,
+        dst: u16,
+        cond: u16,
+        if_true: u16,
+        if_false: u16,
     },
     IntToFloat {
         signed: bool,
         double: bool,
-        dst: u32,
-        src: u32,
+        dst: u16,
+        src: u16,
     },
     FloatToInt {
         width: Width,
         signed: bool,
-        dst: u32,
-        src: u32,
+        dst: u16,
+        src: u16,
     },
     FloatCvt {
         to_double: bool,
-        dst: u32,
-        src: u32,
+        dst: u16,
+        src: u16,
     },
     IntResize {
         width: Width,
         signed: bool,
-        dst: u32,
-        src: u32,
+        dst: u16,
+        src: u16,
     },
     LoadInt {
         width: Width,
         signed: bool,
-        dst: u32,
-        base: u32,
+        dst: u16,
+        base: u16,
         offset: i64,
     },
     LoadFloat {
         width: Width,
-        dst: u32,
-        base: u32,
+        dst: u16,
+        base: u16,
         offset: i64,
     },
     StoreInt {
         width: Width,
-        base: u32,
+        base: u16,
         offset: i64,
-        src: u32,
+        src: u16,
     },
     StoreFloat {
         width: Width,
-        base: u32,
+        base: u16,
         offset: i64,
-        src: u32,
+        src: u16,
     },
     VecLoad {
-        dst: u32,
-        base: u32,
+        dst: u16,
+        base: u16,
         offset: i64,
     },
     VecStore {
-        base: u32,
+        base: u16,
         offset: i64,
-        src: u32,
+        src: u16,
     },
     VecSplatInt {
         elem: Width,
         lanes: u32,
-        dst: u32,
-        src: u32,
+        dst: u16,
+        src: u16,
     },
     VecSplatFloat {
         elem: Width,
         lanes: u32,
-        dst: u32,
-        src: u32,
+        dst: u16,
+        src: u16,
     },
     VecIntOp {
         op: AluOp,
         elem: Width,
         signed: bool,
         lanes: u32,
-        dst: u32,
-        lhs: u32,
-        rhs: u32,
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
     },
     VecFloatOp {
         op: FpuOp,
         elem: Width,
         double: bool,
         lanes: u32,
-        dst: u32,
-        lhs: u32,
-        rhs: u32,
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
     },
     VecReduceInt {
         op: RedOp,
         elem: Width,
         signed: bool,
         lanes: u32,
-        dst: u32,
-        src: u32,
+        dst: u16,
+        src: u16,
     },
     VecReduceFloat {
         op: RedOp,
         elem: Width,
         lanes: u32,
-        dst: u32,
-        src: u32,
+        dst: u16,
+        src: u16,
     },
     SpillInt {
         slot: u32,
-        src: u32,
+        src: u16,
     },
     SpillFloat {
         slot: u32,
-        src: u32,
+        src: u16,
     },
     SpillVec {
         slot: u32,
-        src: u32,
+        src: u16,
     },
     Reload {
         slot: u32,
         class: RegClass,
-        dst: u32,
+        dst: u16,
     },
     Jump {
         target: u32,
     },
     BranchNz {
-        cond: u32,
+        cond: u16,
         then_target: u32,
         else_target: u32,
     },
     Call(Box<PCall>),
-    /// A call whose target does not exist in the program. Kept as a runtime
-    /// error (like the legacy walk) so dead malformed calls don't poison
-    /// preparation of an otherwise-valid program.
-    CallUnknown {
-        name: Box<str>,
-    },
     Ret {
-        value: Option<RRef>,
+        value: Option<PReg>,
     },
     /// Synthetic trap appended after any block that does not end in a
     /// terminator, preserving the legacy "fell off the end" behaviour in a
@@ -464,50 +477,294 @@ pub(crate) enum PInst {
     },
 }
 
-// The hot streams must stay cache-dense: the metered enum stream at two
-// instructions per 64-byte line, the threaded operand records at exactly two
-// per line. Fusion variants and new opcodes must not bloat either.
-const _: () = assert!(std::mem::size_of::<PInst>() <= 32);
-const _: () = assert!(std::mem::size_of::<OpRecord>() <= 32);
-
-/// Scoreboard key of a flat *integer*-file register index for the timing
-/// model (see [`crate::timing::InOrderPipeline`]).
-#[inline(always)]
-fn ik(r: u32) -> u32 {
-    r << 1
+impl PInst {
+    /// The kinds that end a straight-line region of the threaded stream.
+    pub(crate) fn is_control(&self) -> bool {
+        matches!(
+            self,
+            PInst::Jump { .. }
+                | PInst::BranchNz { .. }
+                | PInst::Call(_)
+                | PInst::Ret { .. }
+                | PInst::FellOff { .. }
+        )
+    }
 }
 
-/// Scoreboard key of a flat *float*-file register index for the timing model.
-#[inline(always)]
-fn fk(r: u32) -> u32 {
-    (r << 1) | 1
+// The hot streams must stay cache-dense: operand records at exactly two per
+// 64-byte line, the per-instruction charge table at four.
+const _: () = assert!(std::mem::size_of::<OpRecord>() <= 32);
+const _: () = assert!(std::mem::size_of::<OpInfo>() <= 16);
+
+/// What retiring one instruction costs: the one per-instruction fact table.
+/// [`op_info`] states it once per [`PInst`] kind; region prepayment sums it,
+/// the metered loop charges it per record and `disasm` prints it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct OpInfo {
+    /// The statically known cycle charge (which doubles as the unit latency
+    /// under pipelined timing). Zero for conditional branches and calls,
+    /// whose charge the executors resolve when they retire.
+    pub(crate) cycles: u64,
+    /// Register number of the written operand and of the two read operands
+    /// the scoreboard tracks; `u16::MAX` (one past the largest register
+    /// file) for an untracked operand.
+    regs: [u16; 3],
+    /// The functional unit, which also decides the architectural counters
+    /// the instruction bumps; `None` for the kinds the timing model prices
+    /// through its control-flow hooks and for synthetic traps.
+    pub(crate) class: Option<LatClass>,
+    /// Bit `i`: `regs[i]` names the float file. Plus [`OpInfo::BRANCH`] and
+    /// [`OpInfo::ARM`].
+    tags: u8,
+}
+
+/// An [`OpInfo`] operand the scoreboard does not track: vector registers are
+/// not scoreboarded, and an absent operand is written as one.
+const NO: PReg = PReg {
+    class: RegClass::Vec,
+    index: 0,
+};
+
+impl OpInfo {
+    /// Counts in `stats.branches`.
+    const BRANCH: u8 = 1 << 3;
+    /// The metered loop has an arm for this kind instead of calling its
+    /// handler: the control kinds, and the selects whose read key is dynamic.
+    const ARM: u8 = 1 << 4;
+
+    fn new(class: Option<LatClass>, cycles: u64, operands: [PReg; 3], mut tags: u8) -> OpInfo {
+        let mut regs = [u16::MAX; 3];
+        for (i, r) in operands.iter().enumerate() {
+            if r.class != RegClass::Vec {
+                regs[i] = r.index;
+                tags |= u8::from(r.class == RegClass::Float) << i;
+            }
+        }
+        OpInfo {
+            cycles,
+            regs,
+            class,
+            tags,
+        }
+    }
+
+    /// Scoreboard key of read operand `i` (1 or 2).
+    #[inline(always)]
+    fn key(&self, i: usize) -> u32 {
+        self.key_of(i, self.regs[i])
+    }
+
+    /// Scoreboard key of register `reg` in the file read operand `i` names.
+    /// An untracked operand needs no special case here: no file holds
+    /// register `u16::MAX`, so the slot its key names is never written and
+    /// always reads ready.
+    #[inline(always)]
+    fn key_of(&self, i: usize, reg: u16) -> u32 {
+        (u32::from(reg) << 1) | u32::from(self.tags >> i & 1)
+    }
+
+    /// Scoreboard key of the written operand, which must not claim a slot
+    /// when untracked.
+    #[inline(always)]
+    fn dst_key(&self) -> u32 {
+        if self.regs[0] == u16::MAX {
+            NO_REG
+        } else {
+            self.key_of(0, self.regs[0])
+        }
+    }
+
+    #[inline(always)]
+    fn has_arm(&self) -> bool {
+        self.tags & OpInfo::ARM != 0
+    }
+
+    /// The architectural counters this instruction counts in — they follow
+    /// from the unit that retires it — as increments packed one per
+    /// [`LANE_BITS`]-bit lane, so that a run of rows sums them with one add
+    /// per row and no data-dependent branch ([`bump_lanes`] unpacks).
+    #[inline(always)]
+    fn counter_lanes(&self) -> u64 {
+        use LatClass as L;
+        const LOADS: u64 = 1;
+        const STORES: u64 = 1 << LANE_BITS;
+        const SPILL_STORES: u64 = 1 << (2 * LANE_BITS);
+        const SPILL_RELOADS: u64 = 1 << (3 * LANE_BITS);
+        const VECTOR_OPS: u64 = 1 << (4 * LANE_BITS);
+        match self.class {
+            Some(L::Load) => LOADS,
+            Some(L::Store) => STORES,
+            Some(L::VecLoad) => LOADS | VECTOR_OPS,
+            Some(L::VecStore) => STORES | VECTOR_OPS,
+            Some(L::Vec | L::VecReduce) => VECTOR_OPS,
+            Some(L::SpillStore) => SPILL_STORES,
+            Some(L::SpillReload) => SPILL_RELOADS,
+            _ => 0,
+        }
+    }
+
+    /// Bump the architectural counters this instruction counts in.
+    #[inline(always)]
+    pub(crate) fn bump(&self, stats: &mut SimStats) {
+        stats.branches += u64::from(self.tags & OpInfo::BRANCH != 0);
+        bump_lanes(stats, self.counter_lanes());
+    }
+
+    /// Add the instruction's static charge to a region's running sum.
+    pub(crate) fn prepay(&self, sum: &mut SimStats) {
+        sum.cycles += self.cycles;
+        self.bump(sum);
+    }
+
+    /// Retire the instruction on `tm` with `b` as its second read key (its
+    /// own [`OpInfo::key`]`(2)` unless the key is dynamic). Only for kinds
+    /// with a latency class.
+    #[inline(always)]
+    fn retire<T: TimingModel>(&self, stats: &mut SimStats, tm: &mut T, b: u32) {
+        let class = self.class.expect("kinds priced by `op` have a class");
+        tm.op(stats, class, self.cycles, self.dst_key(), self.key(1), b);
+    }
+
+    /// [`OpInfo::retire`] the instruction and [`OpInfo::bump`] its counters.
+    #[inline(always)]
+    fn charge<T: TimingModel>(&self, stats: &mut SimStats, tm: &mut T, b: u32) {
+        self.retire(stats, tm, b);
+        self.bump(stats);
+    }
+}
+
+/// The [`OpInfo`] row of one instruction on a target with cost table `cost`.
+pub(crate) fn op_info(inst: &PInst, cost: &CostModel) -> OpInfo {
+    use LatClass as L;
+    let (ik, fk) = (PReg::int, PReg::float);
+    let op = |class: LatClass, dst: PReg, a: PReg, b: PReg| {
+        let cycles = match class {
+            L::Alu => cost.int_op,
+            L::Mul => cost.int_mul,
+            L::Div => cost.int_div,
+            L::FpAdd => cost.fp_add,
+            L::FpMul => cost.fp_mul,
+            L::FpDiv => cost.fp_div,
+            L::Load => cost.load,
+            L::Store => cost.store,
+            L::Mov => cost.mov,
+            L::Convert => cost.convert,
+            L::Vec => cost.vec_op,
+            L::VecLoad => cost.vec_load,
+            L::VecStore => cost.vec_store,
+            L::VecReduce => cost.vec_reduce,
+            L::SpillStore => cost.spill_store,
+            L::SpillReload => cost.spill_load,
+        };
+        OpInfo::new(Some(class), cycles, [dst, a, b], 0)
+    };
+    let arm = |info: OpInfo| OpInfo {
+        tags: info.tags | OpInfo::ARM,
+        ..info
+    };
+    let control =
+        |cycles: u64, a: PReg, tags: u8| OpInfo::new(None, cycles, [NO, a, NO], tags | OpInfo::ARM);
+    match *inst {
+        PInst::Imm { dst, .. } => op(L::Mov, ik(dst), NO, NO),
+        PInst::FImm { dst, .. } => op(L::Mov, fk(dst), NO, NO),
+        PInst::MovInt { dst, src } => op(L::Mov, ik(dst), ik(src), NO),
+        PInst::MovFloat { dst, src } => op(L::Mov, fk(dst), fk(src), NO),
+        PInst::MovVec { .. } => op(L::Mov, NO, NO, NO),
+        PInst::IntOp {
+            op: alu,
+            dst,
+            lhs,
+            rhs,
+            ..
+        } => {
+            let class = match alu {
+                AluOp::Mul => L::Mul,
+                AluOp::Div | AluOp::Rem => L::Div,
+                _ => L::Alu,
+            };
+            op(class, ik(dst), ik(lhs), ik(rhs))
+        }
+        PInst::FloatOp {
+            op: fpu,
+            dst,
+            lhs,
+            rhs,
+            ..
+        } => {
+            let class = match fpu {
+                FpuOp::Mul => L::FpMul,
+                FpuOp::Div => L::FpDiv,
+                _ => L::FpAdd,
+            };
+            op(class, fk(dst), fk(lhs), fk(rhs))
+        }
+        PInst::IntNeg { dst, src, .. }
+        | PInst::IntNot { dst, src, .. }
+        | PInst::IntResize { dst, src, .. } => op(L::Alu, ik(dst), ik(src), NO),
+        PInst::FloatNeg { dst, src, .. } => op(L::FpAdd, fk(dst), fk(src), NO),
+        PInst::IntCmp { dst, lhs, rhs, .. } => op(L::Alu, ik(dst), ik(lhs), ik(rhs)),
+        PInst::FloatCmp { dst, lhs, rhs, .. } => op(L::FpAdd, ik(dst), fk(lhs), fk(rhs)),
+        // The second read is whichever source the condition picks: the row
+        // names `if_true`'s file and the metered loop supplies the register.
+        PInst::SelectInt {
+            dst, cond, if_true, ..
+        } => arm(op(L::Mov, ik(dst), ik(cond), ik(if_true))),
+        PInst::SelectFloat {
+            dst, cond, if_true, ..
+        } => arm(op(L::Mov, fk(dst), ik(cond), fk(if_true))),
+        PInst::SelectVec { cond, .. } => op(L::Mov, NO, ik(cond), NO),
+        PInst::IntToFloat { dst, src, .. } => op(L::Convert, fk(dst), ik(src), NO),
+        PInst::FloatToInt { dst, src, .. } => op(L::Convert, ik(dst), fk(src), NO),
+        PInst::FloatCvt { dst, src, .. } => op(L::Convert, fk(dst), fk(src), NO),
+        PInst::LoadInt { dst, base, .. } => op(L::Load, ik(dst), ik(base), NO),
+        PInst::LoadFloat { dst, base, .. } => op(L::Load, fk(dst), ik(base), NO),
+        PInst::StoreInt { base, src, .. } => op(L::Store, NO, ik(base), ik(src)),
+        PInst::StoreFloat { base, src, .. } => op(L::Store, NO, ik(base), fk(src)),
+        PInst::VecLoad { base, .. } => op(L::VecLoad, NO, ik(base), NO),
+        PInst::VecStore { base, .. } => op(L::VecStore, NO, ik(base), NO),
+        PInst::VecSplatInt { src, .. } => op(L::Vec, NO, ik(src), NO),
+        PInst::VecSplatFloat { src, .. } => op(L::Vec, NO, fk(src), NO),
+        PInst::VecIntOp { .. } | PInst::VecFloatOp { .. } => op(L::Vec, NO, NO, NO),
+        PInst::VecReduceInt { dst, .. } => op(L::VecReduce, ik(dst), NO, NO),
+        PInst::VecReduceFloat { dst, .. } => op(L::VecReduce, fk(dst), NO, NO),
+        PInst::SpillInt { src, .. } => op(L::SpillStore, NO, ik(src), NO),
+        PInst::SpillFloat { src, .. } => op(L::SpillStore, NO, fk(src), NO),
+        PInst::SpillVec { .. } => op(L::SpillStore, NO, NO, NO),
+        PInst::Reload { class, dst, .. } => op(L::SpillReload, PReg { class, index: dst }, NO, NO),
+        PInst::Ret { value } => arm(op(L::Mov, NO, value.unwrap_or(NO), NO)),
+        PInst::Jump { .. } => control(cost.branch_taken, NO, OpInfo::BRANCH),
+        PInst::BranchNz { cond, .. } => control(0, ik(cond), OpInfo::BRANCH),
+        PInst::Call(_) | PInst::FellOff { .. } => control(0, NO, 0),
+    }
 }
 
 /// One function of a [`PreparedProgram`]: a flat, pre-validated instruction
-/// stream, the threaded dispatch stream lowered from it, and the frame layout
-/// it needs.
+/// stream, the two record streams lowered from it, and the frame layout it
+/// needs.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PreparedFunction {
     pub(crate) name: String,
-    pub(crate) params: Box<[RRef]>,
+    pub(crate) params: Box<[PReg]>,
     pub(crate) num_slots: usize,
-    /// The unfused per-instruction stream: metered reference and deopt target.
+    /// The flat per-instruction stream; every offset called an *enum pc*
+    /// indexes it (and `info` and `metered`, which run parallel to it).
     pub(crate) code: Vec<PInst>,
+    /// What retiring each instruction of `code` costs.
+    pub(crate) info: Vec<OpInfo>,
+    /// The metered stream: one unfused, unwelded record per instruction of
+    /// `code` (a placeholder for the kinds the metered loop has arms for).
+    pub(crate) metered: Vec<OpRecord>,
     /// Enum-stream offset of every block (one synthetic block if none).
     pub(crate) block_offsets: Vec<u32>,
-    /// The threaded stream: packed operand records dispatched by fn pointer.
+    /// The threaded stream: fused and welded records with region prepayment.
+    /// Empty, like the two tables below, unless timing is flat.
     pub(crate) ops: Vec<OpRecord>,
-    /// Per-op correction subtracted from the prepaid `stats.instructions`
-    /// and static counter charges when the op raises an error (cold path).
-    pub(crate) fixup: Vec<dispatch::FixupRec>,
     /// Per-op enum-stream span and fusion kind (disasm / accounting, cold).
     pub(crate) meta: Vec<OpMeta>,
     /// Region entries (block entries first, then after-call regions): where
     /// control can land plus the fuel/instruction charge and static counter
     /// sums prepaid on entry.
     pub(crate) targets: Vec<dispatch::BlockTarget>,
-    /// Resolved call sites referenced by threaded call records.
-    pub(crate) calls: Vec<dispatch::CallSite>,
 }
 
 /// A machine program pre-decoded for one target, ready to run many times.
@@ -532,12 +789,6 @@ pub struct PreparedProgram {
     /// Timing tier copied from the target at prepare time; selects which
     /// [`TimingModel`] the run entries instantiate.
     pub(crate) timing: TimingKind,
-    /// `false` when the target's shape cannot be packed into 32-byte operand
-    /// records (oversized custom cost model or vector file), **or** when the
-    /// target's timing tier is not flat: region prepayment sums static per-op
-    /// cycle charges, which is only sound when cycles are a pure per-op
-    /// accumulator. Pipelined timing always runs the metered enum stream.
-    pub(crate) threaded: bool,
     fused: bool,
     fusion: FusionStats,
 }
@@ -587,22 +838,18 @@ impl PreparedProgram {
         let layout = Layout {
             int_regs: usize::from(target.int_regs),
             float_regs: usize::from(target.float_regs),
-            vec_regs: target.vector.map(|v| usize::from(v.regs)).unwrap_or(0),
-            vector_bytes: target.vector_bytes() as usize,
+            vec_regs: target.vector.map_or(0, |v| usize::from(v.regs)),
         };
-        let vec_bytes_total = layout.vec_regs * layout.vector_bytes;
-        // The packed operand records hold register/byte offsets in 16 bits
-        // and baked costs in 32; a (hand-built) target outside those bounds
-        // falls back to the metered stream rather than mis-packing.
-        let threaded = vec_bytes_total <= usize::from(u16::MAX) + 1
-            && dispatch::costs_fit_u32(&target.cost)
-            && target.timing == TimingKind::Flat;
+        let vector_bytes = target.vector_bytes() as usize;
         let mut fusion = FusionStats::default();
         let mut functions = Vec::with_capacity(program.functions.len());
         for f in &program.functions {
             let mut pf = prepare_function(f, target, &layout, &by_name)?;
-            if threaded {
-                dispatch::build_threaded(&mut pf, &target.cost, fuse, &mut fusion);
+            // Region prepayment sums static per-op cycle charges, which is
+            // only sound when cycles are a pure per-op accumulator: the
+            // pipelined tier runs the metered stream alone.
+            if target.timing == TimingKind::Flat {
+                dispatch::build_threaded(&mut pf, fuse, &mut fusion);
             }
             functions.push(pf);
         }
@@ -612,11 +859,10 @@ impl PreparedProgram {
             by_name,
             int_regs: layout.int_regs,
             float_regs: layout.float_regs,
-            vec_bytes_total,
-            vector_bytes: layout.vector_bytes,
+            vec_bytes_total: layout.vec_regs * vector_bytes,
+            vector_bytes,
             cost: target.cost,
             timing: target.timing,
-            threaded,
             fused: fuse,
             fusion,
         })
@@ -656,10 +902,12 @@ impl PreparedProgram {
     /// This is the externally-pooled entry the engine and sweep workers use
     /// so frame allocations amortize across *runs*, not just across calls
     /// within one run. [`PreparedSimulator`] wraps it with an owned pool.
-    /// Execution takes the threaded dispatch stream; fuel and instruction
-    /// counts are prepaid per straight-line region and the engine deopts to
-    /// the metered stream when a region's charge no longer fits the budget,
-    /// so behaviour is bit-identical to [`PreparedProgram::run_metered`].
+    /// Under flat timing execution takes the threaded stream; fuel and
+    /// instruction counts are prepaid per straight-line region and the engine
+    /// deopts to the metered loop when a region's charge no longer fits the
+    /// budget, so behaviour is bit-identical to
+    /// [`PreparedProgram::run_metered`]. The pipelined tier is metered
+    /// throughout.
     ///
     /// # Errors
     ///
@@ -674,30 +922,12 @@ impl PreparedProgram {
         fuel: u64,
         stats: &mut SimStats,
     ) -> Result<Option<MachineValue>, SimError> {
-        *stats = SimStats::default();
-        let fi = self
-            .function_index(func)
-            .ok_or_else(|| SimError::UnknownFunction(func.to_owned()))?;
-        let mut fuel = fuel;
-        match self.timing {
-            TimingKind::Flat => {
-                let mut tm = FlatCost;
-                let r = self.exec(fi, args, mem, pool, &mut fuel, 0, stats, &mut tm);
-                tm.finish(stats);
-                r
-            }
-            TimingKind::InOrder => {
-                let mut tm = InOrderPipeline::new(&self.cost);
-                let r = self.exec(fi, args, mem, pool, &mut fuel, 0, stats, &mut tm);
-                tm.finish(stats);
-                r
-            }
-        }
+        self.run_top(func, args, mem, pool, fuel, stats, true)
     }
 
-    /// Execute `func` on the metered per-instruction enum stream — the
-    /// pre-threading prepared loop, kept as the in-crate semantic reference
-    /// and the baseline side of the dispatch microbenchmark.
+    /// Execute `func` on the metered loop alone: per-record fuel and timing
+    /// over the 1:1 stream, never the threaded one. The baseline side of the
+    /// dispatch microbenchmark and one column of the differential suites.
     ///
     /// # Errors
     ///
@@ -711,27 +941,58 @@ impl PreparedProgram {
         fuel: u64,
         stats: &mut SimStats,
     ) -> Result<Option<MachineValue>, SimError> {
+        self.run_top(func, args, mem, pool, fuel, stats, false)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn run_top(
+        &self,
+        func: &str,
+        args: &[MachineValue],
+        mem: &mut [u8],
+        pool: &mut FramePool,
+        fuel: u64,
+        stats: &mut SimStats,
+        threaded: bool,
+    ) -> Result<Option<MachineValue>, SimError> {
         *stats = SimStats::default();
         let fi = self
             .function_index(func)
             .ok_or_else(|| SimError::UnknownFunction(func.to_owned()))?;
-        let mut fuel = fuel;
         match self.timing {
-            TimingKind::Flat => {
-                let mut tm = FlatCost;
-                let r = self.exec_metered(fi, args, mem, pool, &mut fuel, 0, stats, &mut tm);
-                tm.finish(stats);
-                r
-            }
+            TimingKind::Flat => self.run_on(FlatCost, fi, args, mem, pool, fuel, stats, threaded),
+            // Region prepayment is flat-only: the pipelined tier is metered.
             TimingKind::InOrder => {
-                let mut tm = InOrderPipeline::new(&self.cost);
-                let r = self.exec_metered(fi, args, mem, pool, &mut fuel, 0, stats, &mut tm);
-                tm.finish(stats);
-                r
+                let tm = InOrderPipeline::new(&self.cost);
+                self.run_on(tm, fi, args, mem, pool, fuel, stats, false)
             }
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
+    fn run_on<T: TimingModel>(
+        &self,
+        mut tm: T,
+        fi: usize,
+        args: &[MachineValue],
+        mem: &mut [u8],
+        pool: &mut FramePool,
+        mut fuel: u64,
+        stats: &mut SimStats,
+        threaded: bool,
+    ) -> Result<Option<MachineValue>, SimError> {
+        let r = self.exec(fi, args, mem, pool, &mut fuel, 0, stats, &mut tm, threaded);
+        tm.finish(stats);
+        r
+    }
+
+    /// Run function `fi` in a fresh frame: on the threaded stream when
+    /// `threaded` (flat timing only; the caller has checked), deopting to the
+    /// metered loop whenever a region's charge no longer fits the remaining
+    /// fuel, else metered from the first instruction. Calls made from metered
+    /// code stay metered all the way down: once fuel is too low for region
+    /// prepayment the whole remaining execution runs per-instruction, which
+    /// reproduces the legacy walk's out-of-fuel point exactly.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn exec<T: TimingModel>(
         &self,
@@ -743,6 +1004,7 @@ impl PreparedProgram {
         depth: usize,
         stats: &mut SimStats,
         tm: &mut T,
+        threaded: bool,
     ) -> Result<Option<MachineValue>, SimError> {
         if depth > MAX_CALL_DEPTH {
             return Err(SimError::Trap("call depth exceeded".into()));
@@ -760,879 +1022,204 @@ impl PreparedProgram {
             self.vec_bytes_total,
             f.num_slots,
         );
-        let result = self.exec_in_frame(f, &mut frame, args, mem, pool, fuel, depth, stats, tm);
-        pool.release(frame);
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn exec_metered<T: TimingModel>(
-        &self,
-        fi: usize,
-        args: &[MachineValue],
-        mem: &mut [u8],
-        pool: &mut FramePool,
-        fuel: &mut u64,
-        depth: usize,
-        stats: &mut SimStats,
-        tm: &mut T,
-    ) -> Result<Option<MachineValue>, SimError> {
-        if depth > MAX_CALL_DEPTH {
-            return Err(SimError::Trap("call depth exceeded".into()));
-        }
-        let f = &self.functions[fi];
-        if f.params.len() != args.len() {
-            return Err(SimError::BadArgumentCount {
-                expected: f.params.len(),
-                found: args.len(),
-            });
-        }
-        let mut frame = pool.acquire(
-            self.int_regs,
-            self.float_regs,
-            self.vec_bytes_total,
-            f.num_slots,
-        );
-        let result = write_params(f, &mut frame, args)
-            .and_then(|()| self.run_enum(f, &mut frame, mem, pool, fuel, depth, stats, 0, tm));
-        pool.release(frame);
-        result
-    }
-
-    /// Threaded entry: write parameters, prepay the entry region, and drive
-    /// the fn-pointer dispatch loop; deopt to the metered stream whenever a
-    /// region's charge no longer fits the remaining fuel (the metered loop
-    /// then reproduces exact legacy out-of-fuel timing).
-    #[allow(clippy::too_many_arguments)]
-    fn exec_in_frame<T: TimingModel>(
-        &self,
-        f: &PreparedFunction,
-        frame: &mut Frame,
-        args: &[MachineValue],
-        mem: &mut [u8],
-        pool: &mut FramePool,
-        fuel: &mut u64,
-        depth: usize,
-        stats: &mut SimStats,
-        tm: &mut T,
-    ) -> Result<Option<MachineValue>, SimError> {
-        write_params(f, frame, args)?;
-        if self.threaded {
-            let entry = &f.targets[0];
-            let charge = u64::from(entry.charge);
-            if *fuel >= charge {
-                *fuel -= charge;
-                stats.instructions += charge;
-                entry.stat.charge(stats);
-                let entry_pc = entry.ops_pc;
-                return match dispatch::run_ops(
-                    self, f, frame, mem, pool, fuel, depth, stats, entry_pc,
-                )? {
-                    Threaded::Done(v) => Ok(v),
-                    Threaded::Deopt(enum_pc) => self.run_enum(
-                        f,
-                        frame,
-                        mem,
-                        pool,
-                        fuel,
-                        depth,
-                        stats,
-                        enum_pc as usize,
-                        tm,
-                    ),
-                };
+        let result = write_params(f, &mut frame, args).and_then(|()| {
+            let mut cx = ExecCtx::new(self, f, &mut frame, mem, pool, fuel, stats, depth);
+            let mut start = 0;
+            if threaded {
+                match dispatch::run_ops(&mut cx)? {
+                    Threaded::Done(v) => return Ok(v),
+                    Threaded::Deopt(enum_pc) => start = enum_pc as usize,
+                }
             }
-        }
-        self.run_enum(f, frame, mem, pool, fuel, depth, stats, 0, tm)
+            self.run_metered_from(&mut cx, start, tm)
+        });
+        pool.release(frame);
+        result
     }
 
-    /// The metered per-instruction interpreter over the enum stream, charging
-    /// fuel and `stats.instructions` exactly like the legacy block walk. Runs
-    /// the whole function when threading is off (or forced off via
-    /// [`PreparedProgram::run_metered`]) and the post-deopt tail otherwise;
-    /// calls made from metered code stay metered all the way down.
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    fn run_enum<T: TimingModel>(
+    /// The metered loop: walk the 1:1 record stream from enum pc `pc`,
+    /// charging fuel and `stats.instructions` per record exactly like the
+    /// legacy block walk. It alternates between a straight-line run — as
+    /// many handlers as the fuel covers, back to back, then the [`OpInfo`]
+    /// rows of those that retired, in order — and the one record with an arm
+    /// that closes the run. The timing model only ever sees the order of
+    /// retirement, so charging a run after executing it is invisible.
+    fn run_metered_from<T: TimingModel>(
         &self,
-        f: &PreparedFunction,
-        frame: &mut Frame,
-        mem: &mut [u8],
-        pool: &mut FramePool,
-        fuel: &mut u64,
-        depth: usize,
-        stats: &mut SimStats,
-        start: usize,
+        cx: &mut ExecCtx<'_>,
+        mut pc: usize,
         tm: &mut T,
     ) -> Result<Option<MachineValue>, SimError> {
-        let cost = &self.cost;
-        let vb = self.vector_bytes;
-        let code = &f.code;
-        let mut pc = start;
+        let f = cx.f;
         // Cooperative cancellation: poll at function entry (which is also
         // every post-deopt resumption) and at branches below, so a hot loop
         // cannot outrun a flipped token by more than one basic block.
-        if pool.cancel_requested() {
+        if cx.pool.cancel_requested() {
             return Err(SimError::Cancelled);
         }
+        let (infos, records) = (f.info.as_slice(), f.metered.as_slice());
         loop {
-            if *fuel == 0 {
+            // Every block ends in a record with an arm (`FellOff` where the
+            // code does not), so the scan stops inside the stream.
+            let run = infos[pc..].iter().take_while(|i| !i.has_arm()).count();
+            let afforded = run.min(usize::try_from(*cx.fuel).unwrap_or(usize::MAX));
+            let (retired, trap) = cx.run_straight(&records[pc..pc + afforded], pc);
+            charge_run(&infos[pc..pc + retired], cx.stats, tm);
+            // A trapping instruction spent its fuel and counts as fetched.
+            let fetched = (retired + usize::from(trap.is_some())) as u64;
+            *cx.fuel -= fetched;
+            cx.stats.instructions += fetched;
+            if let Some(e) = trap {
+                return Err(e);
+            }
+            pc += retired;
+
+            if *cx.fuel == 0 {
                 return Err(SimError::OutOfFuel);
             }
-            *fuel -= 1;
-            let inst = &code[pc];
-            pc += 1;
-            stats.instructions += 1;
-
-            match inst {
-                PInst::Imm { dst, value } => {
-                    frame.int[*dst as usize] = *value;
-                    tm.op(stats, LatClass::Mov, cost.mov, ik(*dst), NO_REG, NO_REG);
-                }
-                PInst::FImm { dst, value } => {
-                    frame.float[*dst as usize] = *value;
-                    tm.op(stats, LatClass::Mov, cost.mov, fk(*dst), NO_REG, NO_REG);
-                }
-                PInst::MovInt { dst, src } => {
-                    frame.int[*dst as usize] = frame.int[*src as usize];
-                    tm.op(stats, LatClass::Mov, cost.mov, ik(*dst), ik(*src), NO_REG);
-                }
-                PInst::MovFloat { dst, src } => {
-                    frame.float[*dst as usize] = frame.float[*src as usize];
-                    tm.op(stats, LatClass::Mov, cost.mov, fk(*dst), fk(*src), NO_REG);
-                }
-                PInst::MovVec { dst, src } => {
-                    let (d, s) = (*dst as usize, *src as usize);
-                    frame.vec.copy_within(s..s + vb, d);
-                    tm.op(stats, LatClass::Mov, cost.mov, NO_REG, NO_REG, NO_REG);
-                }
-                PInst::IntOp {
-                    op,
-                    width,
-                    signed,
-                    dst,
-                    lhs,
-                    rhs,
-                    cost,
-                } => {
-                    let a = frame.int[*lhs as usize];
-                    let b = frame.int[*rhs as usize];
-                    frame.int[*dst as usize] = alu(*op, *width, *signed, a, b)?;
-                    let class = match op {
-                        AluOp::Mul => LatClass::Mul,
-                        AluOp::Div | AluOp::Rem => LatClass::Div,
-                        _ => LatClass::Alu,
-                    };
-                    tm.op(stats, class, *cost, ik(*dst), ik(*lhs), ik(*rhs));
-                }
-                PInst::FloatOp {
-                    op,
-                    double,
-                    dst,
-                    lhs,
-                    rhs,
-                    cost,
-                } => {
-                    let a = frame.float[*lhs as usize];
-                    let b = frame.float[*rhs as usize];
-                    frame.float[*dst as usize] = fpu(*op, *double, a, b);
-                    let class = match op {
-                        FpuOp::Mul => LatClass::FpMul,
-                        FpuOp::Div => LatClass::FpDiv,
-                        _ => LatClass::FpAdd,
-                    };
-                    tm.op(stats, class, *cost, fk(*dst), fk(*lhs), fk(*rhs));
-                }
-                PInst::IntNeg { width, dst, src } => {
-                    let v = frame.int[*src as usize];
-                    frame.int[*dst as usize] = normalize(*width, true, v.wrapping_neg());
-                    tm.op(
-                        stats,
-                        LatClass::Alu,
-                        cost.int_op,
-                        ik(*dst),
-                        ik(*src),
-                        NO_REG,
-                    );
-                }
-                PInst::IntNot { width, dst, src } => {
-                    let v = frame.int[*src as usize];
-                    frame.int[*dst as usize] = normalize(*width, false, !v);
-                    tm.op(
-                        stats,
-                        LatClass::Alu,
-                        cost.int_op,
-                        ik(*dst),
-                        ik(*src),
-                        NO_REG,
-                    );
-                }
-                PInst::FloatNeg { double, dst, src } => {
-                    let v = frame.float[*src as usize];
-                    frame.float[*dst as usize] = if *double { -v } else { f64::from(-(v as f32)) };
-                    tm.op(
-                        stats,
-                        LatClass::FpAdd,
-                        cost.fp_add,
-                        fk(*dst),
-                        fk(*src),
-                        NO_REG,
-                    );
-                }
-                PInst::IntCmp {
-                    pred,
-                    width,
-                    signed,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    let a = normalize(*width, *signed, frame.int[*lhs as usize]);
-                    let b = normalize(*width, *signed, frame.int[*rhs as usize]);
-                    frame.int[*dst as usize] = if *signed {
-                        compare(*pred, a, b)
-                    } else {
-                        compare(*pred, a as u64, b as u64)
-                    };
-                    tm.op(
-                        stats,
-                        LatClass::Alu,
-                        cost.int_op,
-                        ik(*dst),
-                        ik(*lhs),
-                        ik(*rhs),
-                    );
-                }
-                PInst::FloatCmp {
-                    pred,
-                    double,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    let a = frame.float[*lhs as usize];
-                    let b = frame.float[*rhs as usize];
-                    let (a, b) = if *double {
-                        (a, b)
-                    } else {
-                        (f64::from(a as f32), f64::from(b as f32))
-                    };
-                    frame.int[*dst as usize] = if a.partial_cmp(&b).is_none() {
-                        i64::from(*pred == CmpPred::Ne)
-                    } else {
-                        compare(*pred, a, b)
-                    };
-                    tm.op(
-                        stats,
-                        LatClass::FpAdd,
-                        cost.fp_add,
-                        ik(*dst),
-                        fk(*lhs),
-                        fk(*rhs),
-                    );
-                }
+            *cx.fuel -= 1;
+            cx.stats.instructions += 1;
+            let info = &infos[pc];
+            match &f.code[pc] {
                 PInst::SelectInt {
-                    dst,
                     cond,
                     if_true,
                     if_false,
+                    ..
+                }
+                | PInst::SelectFloat {
+                    cond,
+                    if_true,
+                    if_false,
+                    ..
                 } => {
-                    let chosen = if frame.int[*cond as usize] != 0 {
+                    // Read before the handler runs: `dst` may be `cond`.
+                    let chosen = if cx.int[usize::from(*cond)] != 0 {
                         *if_true
                     } else {
                         *if_false
                     };
-                    frame.int[*dst as usize] = frame.int[chosen as usize];
-                    tm.op(
-                        stats,
-                        LatClass::Mov,
-                        cost.mov,
-                        ik(*dst),
-                        ik(*cond),
-                        ik(chosen),
-                    );
-                }
-                PInst::SelectFloat {
-                    dst,
-                    cond,
-                    if_true,
-                    if_false,
-                } => {
-                    let chosen = if frame.int[*cond as usize] != 0 {
-                        *if_true
-                    } else {
-                        *if_false
-                    };
-                    frame.float[*dst as usize] = frame.float[chosen as usize];
-                    tm.op(
-                        stats,
-                        LatClass::Mov,
-                        cost.mov,
-                        fk(*dst),
-                        ik(*cond),
-                        fk(chosen),
-                    );
-                }
-                PInst::SelectVec {
-                    dst,
-                    cond,
-                    if_true,
-                    if_false,
-                } => {
-                    let chosen = if frame.int[*cond as usize] != 0 {
-                        *if_true as usize
-                    } else {
-                        *if_false as usize
-                    };
-                    frame.vec.copy_within(chosen..chosen + vb, *dst as usize);
-                    tm.op(stats, LatClass::Mov, cost.mov, NO_REG, ik(*cond), NO_REG);
-                }
-                PInst::IntToFloat {
-                    signed,
-                    double,
-                    dst,
-                    src,
-                } => {
-                    let v = frame.int[*src as usize];
-                    let x = if *signed { v as f64 } else { v as u64 as f64 };
-                    frame.float[*dst as usize] = if *double { x } else { f64::from(x as f32) };
-                    tm.op(
-                        stats,
-                        LatClass::Convert,
-                        cost.convert,
-                        fk(*dst),
-                        ik(*src),
-                        NO_REG,
-                    );
-                }
-                PInst::FloatToInt {
-                    width,
-                    signed,
-                    dst,
-                    src,
-                } => {
-                    let v = frame.float[*src as usize];
-                    frame.int[*dst as usize] = normalize(*width, *signed, v as i64);
-                    tm.op(
-                        stats,
-                        LatClass::Convert,
-                        cost.convert,
-                        ik(*dst),
-                        fk(*src),
-                        NO_REG,
-                    );
-                }
-                PInst::FloatCvt {
-                    to_double,
-                    dst,
-                    src,
-                } => {
-                    let v = frame.float[*src as usize];
-                    frame.float[*dst as usize] = if *to_double { v } else { f64::from(v as f32) };
-                    tm.op(
-                        stats,
-                        LatClass::Convert,
-                        cost.convert,
-                        fk(*dst),
-                        fk(*src),
-                        NO_REG,
-                    );
-                }
-                PInst::IntResize {
-                    width,
-                    signed,
-                    dst,
-                    src,
-                } => {
-                    let v = frame.int[*src as usize];
-                    frame.int[*dst as usize] = normalize(*width, *signed, v);
-                    tm.op(
-                        stats,
-                        LatClass::Alu,
-                        cost.int_op,
-                        ik(*dst),
-                        ik(*src),
-                        NO_REG,
-                    );
-                }
-                PInst::LoadInt {
-                    width,
-                    signed,
-                    dst,
-                    base,
-                    offset,
-                } => {
-                    let addr = frame.int[*base as usize].wrapping_add(*offset);
-                    let raw = read_mem(mem, addr, width.bytes())?;
-                    frame.int[*dst as usize] = normalize(*width, *signed, raw as i64);
-                    tm.op(
-                        stats,
-                        LatClass::Load,
-                        cost.load,
-                        ik(*dst),
-                        ik(*base),
-                        NO_REG,
-                    );
-                    stats.loads += 1;
-                }
-                PInst::LoadFloat {
-                    width,
-                    dst,
-                    base,
-                    offset,
-                } => {
-                    let addr = frame.int[*base as usize].wrapping_add(*offset);
-                    let raw = read_mem(mem, addr, width.bytes())?;
-                    frame.float[*dst as usize] = match width {
-                        Width::W32 => f64::from(f32::from_bits(raw as u32)),
-                        _ => f64::from_bits(raw),
-                    };
-                    tm.op(
-                        stats,
-                        LatClass::Load,
-                        cost.load,
-                        fk(*dst),
-                        ik(*base),
-                        NO_REG,
-                    );
-                    stats.loads += 1;
-                }
-                PInst::StoreInt {
-                    width,
-                    base,
-                    offset,
-                    src,
-                } => {
-                    let addr = frame.int[*base as usize].wrapping_add(*offset);
-                    write_mem(mem, addr, width.bytes(), frame.int[*src as usize] as u64)?;
-                    tm.op(
-                        stats,
-                        LatClass::Store,
-                        cost.store,
-                        NO_REG,
-                        ik(*base),
-                        ik(*src),
-                    );
-                    stats.stores += 1;
-                }
-                PInst::StoreFloat {
-                    width,
-                    base,
-                    offset,
-                    src,
-                } => {
-                    let addr = frame.int[*base as usize].wrapping_add(*offset);
-                    let v = frame.float[*src as usize];
-                    let raw = match width {
-                        Width::W32 => u64::from((v as f32).to_bits()),
-                        _ => v.to_bits(),
-                    };
-                    write_mem(mem, addr, width.bytes(), raw)?;
-                    tm.op(
-                        stats,
-                        LatClass::Store,
-                        cost.store,
-                        NO_REG,
-                        ik(*base),
-                        fk(*src),
-                    );
-                    stats.stores += 1;
-                }
-                PInst::VecLoad { dst, base, offset } => {
-                    let addr = frame.int[*base as usize].wrapping_add(*offset);
-                    check_range(mem, addr, vb as u64)?;
-                    let d = *dst as usize;
-                    frame.vec[d..d + vb].copy_from_slice(&mem[addr as usize..addr as usize + vb]);
-                    tm.op(
-                        stats,
-                        LatClass::VecLoad,
-                        cost.vec_load,
-                        NO_REG,
-                        ik(*base),
-                        NO_REG,
-                    );
-                    stats.loads += 1;
-                    stats.vector_ops += 1;
-                }
-                PInst::VecStore { base, offset, src } => {
-                    let addr = frame.int[*base as usize].wrapping_add(*offset);
-                    check_range(mem, addr, vb as u64)?;
-                    let s = *src as usize;
-                    mem[addr as usize..addr as usize + vb].copy_from_slice(&frame.vec[s..s + vb]);
-                    tm.op(
-                        stats,
-                        LatClass::VecStore,
-                        cost.vec_store,
-                        NO_REG,
-                        ik(*base),
-                        NO_REG,
-                    );
-                    stats.stores += 1;
-                    stats.vector_ops += 1;
-                }
-                PInst::VecSplatInt {
-                    elem,
-                    lanes,
-                    dst,
-                    src,
-                } => {
-                    let v = frame.int[*src as usize];
-                    let d = *dst as usize;
-                    let reg = &mut frame.vec[d..d + vb];
-                    for lane in 0..*lanes as usize {
-                        write_lane_int(reg, lane, *elem, v);
+                    if let (_, Some(e)) = cx.run_straight(&records[pc..=pc], pc) {
+                        return Err(e);
                     }
-                    tm.op(stats, LatClass::Vec, cost.vec_op, NO_REG, ik(*src), NO_REG);
-                    stats.vector_ops += 1;
-                }
-                PInst::VecSplatFloat {
-                    elem,
-                    lanes,
-                    dst,
-                    src,
-                } => {
-                    let v = frame.float[*src as usize];
-                    let d = *dst as usize;
-                    let reg = &mut frame.vec[d..d + vb];
-                    for lane in 0..*lanes as usize {
-                        write_lane_float(reg, lane, *elem, v);
-                    }
-                    tm.op(stats, LatClass::Vec, cost.vec_op, NO_REG, fk(*src), NO_REG);
-                    stats.vector_ops += 1;
-                }
-                PInst::VecIntOp {
-                    op,
-                    elem,
-                    signed,
-                    lanes,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    // Lane-by-lane read-then-write is aliasing-safe without
-                    // the legacy per-op input clones: writing lane i of dst
-                    // never changes a lane j > i of lhs/rhs.
-                    let (d, l, r) = (*dst as usize, *lhs as usize, *rhs as usize);
-                    for lane in 0..*lanes as usize {
-                        let x = read_lane_int(&frame.vec[l..l + vb], lane, *elem, *signed);
-                        let y = read_lane_int(&frame.vec[r..r + vb], lane, *elem, *signed);
-                        let v = alu(*op, *elem, *signed, x, y)?;
-                        write_lane_int(&mut frame.vec[d..d + vb], lane, *elem, v);
-                    }
-                    tm.op(stats, LatClass::Vec, cost.vec_op, NO_REG, NO_REG, NO_REG);
-                    stats.vector_ops += 1;
-                }
-                PInst::VecFloatOp {
-                    op,
-                    elem,
-                    double,
-                    lanes,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    let (d, l, r) = (*dst as usize, *lhs as usize, *rhs as usize);
-                    for lane in 0..*lanes as usize {
-                        let x = read_lane_float(&frame.vec[l..l + vb], lane, *elem);
-                        let y = read_lane_float(&frame.vec[r..r + vb], lane, *elem);
-                        let v = fpu(*op, *double, x, y);
-                        write_lane_float(&mut frame.vec[d..d + vb], lane, *elem, v);
-                    }
-                    tm.op(stats, LatClass::Vec, cost.vec_op, NO_REG, NO_REG, NO_REG);
-                    stats.vector_ops += 1;
-                }
-                PInst::VecReduceInt {
-                    op,
-                    elem,
-                    signed,
-                    lanes,
-                    dst,
-                    src,
-                } => {
-                    let s = *src as usize;
-                    let reg = &frame.vec[s..s + vb];
-                    let mut acc = read_lane_int(reg, 0, *elem, *signed);
-                    for lane in 1..*lanes as usize {
-                        let x = read_lane_int(reg, lane, *elem, *signed);
-                        acc = match op {
-                            RedOp::Add => alu(AluOp::Add, *elem, *signed, acc, x)?,
-                            RedOp::Min => alu(AluOp::Min, *elem, *signed, acc, x)?,
-                            RedOp::Max => alu(AluOp::Max, *elem, *signed, acc, x)?,
-                        };
-                    }
-                    frame.int[*dst as usize] = acc;
-                    tm.op(
-                        stats,
-                        LatClass::VecReduce,
-                        cost.vec_reduce,
-                        ik(*dst),
-                        NO_REG,
-                        NO_REG,
-                    );
-                    stats.vector_ops += 1;
-                }
-                PInst::VecReduceFloat {
-                    op,
-                    elem,
-                    lanes,
-                    dst,
-                    src,
-                } => {
-                    let s = *src as usize;
-                    let reg = &frame.vec[s..s + vb];
-                    let double = *elem == Width::W64;
-                    let mut acc = read_lane_float(reg, 0, *elem);
-                    for lane in 1..*lanes as usize {
-                        let x = read_lane_float(reg, lane, *elem);
-                        acc = match op {
-                            RedOp::Add => fpu(FpuOp::Add, double, acc, x),
-                            RedOp::Min => fpu(FpuOp::Min, double, acc, x),
-                            RedOp::Max => fpu(FpuOp::Max, double, acc, x),
-                        };
-                    }
-                    frame.float[*dst as usize] = acc;
-                    tm.op(
-                        stats,
-                        LatClass::VecReduce,
-                        cost.vec_reduce,
-                        fk(*dst),
-                        NO_REG,
-                        NO_REG,
-                    );
-                    stats.vector_ops += 1;
-                }
-                PInst::SpillInt { slot, src } => {
-                    let value = SlotValue::Int(frame.int[*src as usize]);
-                    *frame
-                        .slots
-                        .get_mut(*slot as usize)
-                        .ok_or_else(|| SimError::Trap(format!("spill to invalid slot {slot}")))? =
-                        value;
-                    tm.op(
-                        stats,
-                        LatClass::SpillStore,
-                        cost.spill_store,
-                        NO_REG,
-                        ik(*src),
-                        NO_REG,
-                    );
-                    stats.spill_stores += 1;
-                }
-                PInst::SpillFloat { slot, src } => {
-                    let value = SlotValue::Float(frame.float[*src as usize]);
-                    *frame
-                        .slots
-                        .get_mut(*slot as usize)
-                        .ok_or_else(|| SimError::Trap(format!("spill to invalid slot {slot}")))? =
-                        value;
-                    tm.op(
-                        stats,
-                        LatClass::SpillStore,
-                        cost.spill_store,
-                        NO_REG,
-                        fk(*src),
-                        NO_REG,
-                    );
-                    stats.spill_stores += 1;
-                }
-                PInst::SpillVec { slot, src } => {
-                    let s = *src as usize;
-                    *frame
-                        .slots
-                        .get_mut(*slot as usize)
-                        .ok_or_else(|| SimError::Trap(format!("spill to invalid slot {slot}")))? =
-                        SlotValue::Vec;
-                    store_slot_vec(
-                        &mut frame.slot_vec,
-                        frame.slots.len(),
-                        *slot as usize,
-                        &frame.vec[s..s + vb],
-                    );
-                    tm.op(
-                        stats,
-                        LatClass::SpillStore,
-                        cost.spill_store,
-                        NO_REG,
-                        NO_REG,
-                        NO_REG,
-                    );
-                    stats.spill_stores += 1;
-                }
-                PInst::Reload { slot, class, dst } => {
-                    let value = frame.slots.get(*slot as usize).ok_or_else(|| {
-                        SimError::Trap(format!("reload from invalid slot {slot}"))
-                    })?;
-                    match (class, value) {
-                        (RegClass::Int, SlotValue::Int(v)) => frame.int[*dst as usize] = *v,
-                        (RegClass::Float, SlotValue::Float(v)) => {
-                            frame.float[*dst as usize] = *v;
-                        }
-                        (RegClass::Vec, SlotValue::Vec) => {
-                            let (d, at) = (*dst as usize, *slot as usize * vb);
-                            frame.vec[d..d + vb].copy_from_slice(&frame.slot_vec[at..at + vb]);
-                        }
-                        (_, SlotValue::Empty) => {
-                            return Err(SimError::Trap(format!(
-                                "reload of uninitialized slot {slot}"
-                            )));
-                        }
-                        _ => {
-                            return Err(SimError::Trap(format!(
-                                "reload class mismatch for slot {slot}"
-                            )));
-                        }
-                    }
-                    let dkey = match class {
-                        RegClass::Int => ik(*dst),
-                        RegClass::Float => fk(*dst),
-                        RegClass::Vec => NO_REG,
-                    };
-                    tm.op(
-                        stats,
-                        LatClass::SpillReload,
-                        cost.spill_load,
-                        dkey,
-                        NO_REG,
-                        NO_REG,
-                    );
-                    stats.spill_reloads += 1;
+                    info.charge(cx.stats, tm, info.key_of(2, chosen));
+                    pc += 1;
                 }
                 PInst::Jump { target } => {
-                    if pool.cancel_requested() {
+                    if cx.pool.cancel_requested() {
                         return Err(SimError::Cancelled);
                     }
                     pc = *target as usize;
-                    tm.jump(stats, cost.branch_taken);
-                    stats.branches += 1;
+                    tm.jump(cx.stats, info.cycles);
+                    info.bump(cx.stats);
                 }
                 PInst::BranchNz {
                     cond,
                     then_target,
                     else_target,
                 } => {
-                    if pool.cancel_requested() {
+                    if cx.pool.cancel_requested() {
                         return Err(SimError::Cancelled);
                     }
-                    let taken = frame.int[*cond as usize] != 0;
-                    // Predictor site id: this branch's own enum-stream offset
-                    // (`pc` already advanced past the fetch), captured before
-                    // the redirect below.
-                    let site = (pc - 1) as u32;
-                    pc = if taken {
-                        *then_target as usize
+                    let taken = cx.int[usize::from(*cond)] != 0;
+                    // Predictor site id: this branch's own enum-stream
+                    // offset; the legacy walk numbers its sites the same way.
+                    let site = pc as u32;
+                    let (target, cycles) = if taken {
+                        (*then_target, self.cost.branch_taken)
                     } else {
-                        *else_target as usize
+                        (*else_target, self.cost.branch_not_taken)
                     };
-                    let c = if taken {
-                        cost.branch_taken
-                    } else {
-                        cost.branch_not_taken
-                    };
-                    tm.branch(stats, site, taken, c, ik(*cond));
-                    stats.branches += 1;
+                    pc = target as usize;
+                    tm.branch(cx.stats, site, taken, cycles, info.key(1));
+                    info.bump(cx.stats);
                 }
                 PInst::Call(call) => {
-                    let mut argv = pool.take_argv();
-                    for &(class, idx) in call.args.iter() {
-                        argv.push(match class {
-                            RegClass::Int => MachineValue::Int(frame.int[idx]),
-                            RegClass::Float => MachineValue::Float(frame.float[idx]),
-                            RegClass::Vec => {
-                                return Err(SimError::Trap(
-                                    "vector call arguments are unsupported".into(),
-                                ));
-                            }
-                        });
-                    }
-                    tm.call(stats, cost.call);
-                    // Calls made from metered code stay metered: once fuel is
-                    // too low for region prepayment, the whole remaining
-                    // execution runs per-instruction like the legacy walk.
-                    let out = self.exec_metered(
-                        call.callee,
-                        &argv,
-                        mem,
-                        pool,
-                        fuel,
-                        depth + 1,
-                        stats,
-                        tm,
-                    )?;
-                    pool.give_argv(argv);
-                    if let Some((class, idx)) = call.ret {
-                        match (class, out) {
-                            (RegClass::Int, Some(MachineValue::Int(v))) => frame.int[idx] = v,
-                            (RegClass::Float, Some(MachineValue::Float(v))) => {
-                                frame.float[idx] = v;
-                            }
-                            _ => {
-                                return Err(SimError::Trap(format!(
-                                    "call to {} did not produce the expected value",
-                                    self.functions[call.callee].name
-                                )));
-                            }
-                        }
-                    }
-                }
-                PInst::CallUnknown { name } => {
-                    return Err(SimError::UnknownFunction(name.to_string()));
+                    self.call_metered(cx, call, tm)?;
+                    pc += 1;
                 }
                 PInst::Ret { value } => {
-                    let src = match value {
-                        Some((RegClass::Int, idx)) => ik(*idx as u32),
-                        Some((RegClass::Float, idx)) => fk(*idx as u32),
-                        _ => NO_REG,
+                    // The move retires before the class check can trap.
+                    info.charge(cx.stats, tm, NO_REG);
+                    return match value.map(|r| cx.read(r)) {
+                        Some(None) => Err(SimError::Trap(
+                            "vector return values are unsupported".into(),
+                        )),
+                        Some(v) => Ok(v),
+                        None => Ok(None),
                     };
-                    tm.op(stats, LatClass::Mov, cost.mov, NO_REG, src, NO_REG);
-                    return Ok(match value {
-                        Some((RegClass::Int, idx)) => Some(MachineValue::Int(frame.int[*idx])),
-                        Some((RegClass::Float, idx)) => {
-                            Some(MachineValue::Float(frame.float[*idx]))
-                        }
-                        Some((RegClass::Vec, _)) => {
-                            return Err(SimError::Trap(
-                                "vector return values are unsupported".into(),
-                            ));
-                        }
-                        None => None,
-                    });
                 }
                 PInst::FellOff { block } => {
                     // The legacy walk charged fuel for the failed fetch but
                     // did not count an instruction; mirror that exactly.
-                    stats.instructions -= 1;
+                    cx.stats.instructions -= 1;
                     return Err(SimError::Trap(format!(
                         "fell off the end of block {block} in {}",
                         f.name
                     )));
                 }
+                other => unreachable!("{other:?} retires through its handler"),
             }
         }
+    }
+
+    /// Retire a call from metered code: build the arguments, charge the call,
+    /// run the callee metered — calls made from metered code stay metered all
+    /// the way down — and write its result back.
+    fn call_metered<T: TimingModel>(
+        &self,
+        cx: &mut ExecCtx<'_>,
+        call: &PCall,
+        tm: &mut T,
+    ) -> Result<(), SimError> {
+        let callee = match &call.callee {
+            Ok(index) => *index,
+            Err(name) => return Err(SimError::UnknownFunction(name.to_string())),
+        };
+        let mut argv = cx.pool.take_argv();
+        for &arg in call.args.iter() {
+            argv.push(
+                cx.read(arg).ok_or_else(|| {
+                    SimError::Trap("vector call arguments are unsupported".into())
+                })?,
+            );
+        }
+        tm.call(cx.stats, self.cost.call);
+        let out = self.exec(
+            callee,
+            &argv,
+            cx.mem,
+            cx.pool,
+            cx.fuel,
+            cx.depth + 1,
+            cx.stats,
+            tm,
+            false,
+        )?;
+        cx.pool.give_argv(argv);
+        cx.write_returned(callee, call.ret, out)
     }
 
     /// Render the prepared (and fused) instruction streams of every function:
     /// resolved offsets, per-instruction cycle costs, fusion decisions and
     /// per-region fuel charges. This is the debugging surface behind
     /// `splitc disasm`.
-    #[allow(clippy::too_many_lines)]
     pub fn disasm(&self) -> String {
         let mut out = String::new();
+        let threaded = self.timing == TimingKind::Flat;
         let _ = writeln!(
             out,
             "; prepared program `{}` — {} function(s), dispatch: {}, fusion: {}",
             self.name,
             self.functions.len(),
-            if self.threaded {
-                "threaded"
-            } else {
-                "metered (fallback)"
-            },
+            if threaded { "threaded" } else { "metered" },
             if self.fused { "on" } else { "off" },
         );
         let fs = self.fusion;
         let _ = writeln!(
             out,
-            "; fused macro-ops: {} cmp+branch, {} load+op, {} indvar-step, {} paired, {} tripled",
-            fs.cmp_branch, fs.load_op, fs.indvar, fs.pair, fs.triple
+            "; fused macro-ops: {} cmp+branch, {} load+op, {} indvar-step, {} paired",
+            fs.cmp_branch, fs.load_op, fs.indvar, fs.pair
         );
         let _ = writeln!(out, "; timing model: {}", self.timing.label());
         for (fi, f) in self.functions.iter().enumerate() {
@@ -1645,8 +1232,8 @@ impl PreparedProgram {
                 f.code.len(),
                 f.ops.len(),
             );
-            if !self.threaded {
-                // No threaded stream was built; dump the enum stream directly.
+            if !threaded {
+                // No threaded stream was built; dump the metered stream.
                 for (pc, inst) in f.code.iter().enumerate() {
                     let block = f
                         .block_offsets
@@ -1654,21 +1241,18 @@ impl PreparedProgram {
                         .position(|&o| o as usize == pc)
                         .map(|b| format!("b{b}:"))
                         .unwrap_or_default();
-                    // Under the pipelined model the baked charge doubles as
-                    // the op's result latency; name its latency class so the
+                    // Under the pipelined model the charge doubles as the
+                    // op's result latency; name its latency class so the
                     // stall attribution in `SimStats` can be traced per op.
-                    let lat = if self.timing == TimingKind::InOrder {
-                        pinst_lat_class(inst)
-                            .map(|c| format!(" ; lat {}", c.label()))
-                            .unwrap_or_default()
-                    } else {
-                        String::new()
-                    };
+                    let lat = f.info[pc]
+                        .class
+                        .map(|c| format!(" ; lat {}", c.label()))
+                        .unwrap_or_default();
                     let _ = writeln!(
                         out,
                         "  {block:>5} @{pc:<4} {:<60} ; cycles {}{lat}",
                         pinst_text(inst),
-                        pinst_cost_text(inst, &self.cost)
+                        self.cost_text(f, pc)
                     );
                 }
                 continue;
@@ -1695,41 +1279,31 @@ impl PreparedProgram {
                         t.charge, t.stat.cycles
                     );
                 }
-                let span = if meta.len > 1 {
-                    format!("@{enum_pc}..{}", enum_pc + meta.len as usize)
+                let span = enum_pc..enum_pc + meta.len as usize;
+                let at = if meta.len > 1 {
+                    format!("@{enum_pc}..{}", span.end)
                 } else {
                     format!("@{enum_pc}")
                 };
-                // A `+` (pair) or `*` (triple) after the record index marks
-                // a weld opener: its handler also executes the next one or
-                // two records printed below it.
-                let pm = match meta.welded {
-                    2 => "+",
-                    3 => "*",
-                    _ => " ",
-                };
+                // A `+` after the record index marks a pair opener: its
+                // handler also executes the record printed below it.
+                let pm = if meta.paired { "+" } else { " " };
                 match meta.fused {
                     FuseKind::None => {
-                        let inst = &f.code[enum_pc];
                         let _ = writeln!(
                             out,
-                            "  {pi:>4}{pm}{span:<9} {:<58} ; cycles {}",
-                            pinst_text(inst),
-                            pinst_cost_text(inst, &self.cost)
+                            "  {pi:>4}{pm}{at:<9} {:<58} ; cycles {}",
+                            pinst_text(&f.code[enum_pc]),
+                            self.cost_text(f, enum_pc)
                         );
                     }
                     kind => {
-                        let parts: Vec<String> = f.code[enum_pc..enum_pc + meta.len as usize]
-                            .iter()
-                            .map(pinst_text)
-                            .collect();
-                        let costs: Vec<String> = f.code[enum_pc..enum_pc + meta.len as usize]
-                            .iter()
-                            .map(|i| pinst_cost_text(i, &self.cost))
-                            .collect();
+                        let parts: Vec<String> =
+                            f.code[span.clone()].iter().map(pinst_text).collect();
+                        let costs: Vec<String> = span.map(|pc| self.cost_text(f, pc)).collect();
                         let _ = writeln!(
                             out,
-                            "  {pi:>4}{pm}{span:<9} fuse.{} {{ {} }} ; cycles {} ; fuel {}",
+                            "  {pi:>4}{pm}{at:<9} fuse.{} {{ {} }} ; cycles {} ; fuel {}",
                             kind.label(),
                             parts.join(" ; "),
                             costs.join(" + "),
@@ -1741,6 +1315,49 @@ impl PreparedProgram {
         }
         out
     }
+
+    /// The cycle charge of instruction `pc` of `f` as text: its [`OpInfo`]
+    /// charge, or what the executors resolve when the kind retires.
+    fn cost_text(&self, f: &PreparedFunction, pc: usize) -> String {
+        match &f.code[pc] {
+            PInst::BranchNz { .. } => {
+                format!("{}/{}", self.cost.branch_taken, self.cost.branch_not_taken)
+            }
+            PInst::Call(c) if c.callee.is_ok() => self.cost.call.to_string(),
+            PInst::Call(_) | PInst::FellOff { .. } => "0 (trap)".to_string(),
+            _ => f.info[pc].cycles.to_string(),
+        }
+    }
+}
+
+/// Width of one counter lane of [`OpInfo::counter_lanes`].
+const LANE_BITS: u32 = 12;
+
+/// Add a sum of at most `2^LANE_BITS - 1` rows' [`OpInfo::counter_lanes`] to
+/// the counters.
+#[inline(always)]
+fn bump_lanes(stats: &mut SimStats, lanes: u64) {
+    let lane = |i: u32| (lanes >> (i * LANE_BITS)) & ((1 << LANE_BITS) - 1);
+    stats.loads += lane(0);
+    stats.stores += lane(1);
+    stats.spill_stores += lane(2);
+    stats.spill_reloads += lane(3);
+    stats.vector_ops += lane(4);
+}
+
+/// Charge the rows of a straight-line run that retired, in order. Out of
+/// line on purpose: as parameters `stats` and `tm` are known not to alias the
+/// table, so their counters stay in registers across the run.
+#[inline(never)]
+fn charge_run<T: TimingModel>(infos: &[OpInfo], stats: &mut SimStats, tm: &mut T) {
+    for chunk in infos.chunks((1 << LANE_BITS) - 1) {
+        let mut lanes = 0;
+        for info in chunk {
+            info.retire(stats, tm, info.key(2));
+            lanes += info.counter_lanes();
+        }
+        bump_lanes(stats, lanes);
+    }
 }
 
 /// Copy `args` into the register files named by the function's parameters.
@@ -1749,8 +1366,9 @@ fn write_params(
     frame: &mut Frame,
     args: &[MachineValue],
 ) -> Result<(), SimError> {
-    for (&(class, idx), value) in f.params.iter().zip(args) {
-        match (class, value) {
+    for (param, value) in f.params.iter().zip(args) {
+        let idx = usize::from(param.index);
+        match (param.class, value) {
             (RegClass::Int, MachineValue::Int(v)) => frame.int[idx] = *v,
             (RegClass::Float, MachineValue::Float(v)) => frame.float[idx] = *v,
             (RegClass::Int, MachineValue::Float(v)) => frame.int[idx] = *v as i64,
@@ -1768,109 +1386,15 @@ fn write_params(
 /// Compact one-line rendering of a pre-decoded instruction.
 fn pinst_text(inst: &PInst) -> String {
     match inst {
-        PInst::Call(c) => format!(
-            "Call {{ callee: #{}, args: {:?}, ret: {:?} }}",
-            c.callee, c.args, c.ret
-        ),
+        PInst::Call(c) => match &c.callee {
+            Ok(index) => format!(
+                "Call {{ callee: #{index}, args: {:?}, ret: {:?} }}",
+                c.args, c.ret
+            ),
+            Err(name) => format!("CallUnknown {{ name: {name:?} }}"),
+        },
         other => format!("{other:?}"),
     }
-}
-
-/// The cycle charge of one pre-decoded instruction as text (`taken/not`
-/// for conditional branches, whose charge depends on the outcome).
-fn pinst_cost_text(inst: &PInst, cost: &CostModel) -> String {
-    match inst {
-        PInst::Imm { .. }
-        | PInst::FImm { .. }
-        | PInst::MovInt { .. }
-        | PInst::MovFloat { .. }
-        | PInst::MovVec { .. }
-        | PInst::SelectInt { .. }
-        | PInst::SelectFloat { .. }
-        | PInst::SelectVec { .. }
-        | PInst::Ret { .. } => cost.mov.to_string(),
-        PInst::IntOp { cost, .. } | PInst::FloatOp { cost, .. } => cost.to_string(),
-        PInst::IntNeg { .. }
-        | PInst::IntNot { .. }
-        | PInst::IntCmp { .. }
-        | PInst::IntResize { .. } => cost.int_op.to_string(),
-        PInst::FloatNeg { .. } | PInst::FloatCmp { .. } => cost.fp_add.to_string(),
-        PInst::IntToFloat { .. } | PInst::FloatToInt { .. } | PInst::FloatCvt { .. } => {
-            cost.convert.to_string()
-        }
-        PInst::LoadInt { .. } | PInst::LoadFloat { .. } => cost.load.to_string(),
-        PInst::StoreInt { .. } | PInst::StoreFloat { .. } => cost.store.to_string(),
-        PInst::VecLoad { .. } => cost.vec_load.to_string(),
-        PInst::VecStore { .. } => cost.vec_store.to_string(),
-        PInst::VecSplatInt { .. }
-        | PInst::VecSplatFloat { .. }
-        | PInst::VecIntOp { .. }
-        | PInst::VecFloatOp { .. } => cost.vec_op.to_string(),
-        PInst::VecReduceInt { .. } | PInst::VecReduceFloat { .. } => cost.vec_reduce.to_string(),
-        PInst::SpillInt { .. } | PInst::SpillFloat { .. } | PInst::SpillVec { .. } => {
-            cost.spill_store.to_string()
-        }
-        PInst::Reload { .. } => cost.spill_load.to_string(),
-        PInst::Jump { .. } => cost.branch_taken.to_string(),
-        PInst::BranchNz { .. } => {
-            format!("{}/{}", cost.branch_taken, cost.branch_not_taken)
-        }
-        PInst::Call(_) => cost.call.to_string(),
-        PInst::CallUnknown { .. } | PInst::FellOff { .. } => "0 (trap)".to_string(),
-    }
-}
-
-/// The latency class of one pre-decoded instruction under the pipelined
-/// timing model, or `None` for instructions priced by control-flow hooks
-/// (branches, jumps, calls) or synthetic traps.
-fn pinst_lat_class(inst: &PInst) -> Option<LatClass> {
-    Some(match inst {
-        PInst::Imm { .. }
-        | PInst::FImm { .. }
-        | PInst::MovInt { .. }
-        | PInst::MovFloat { .. }
-        | PInst::MovVec { .. }
-        | PInst::SelectInt { .. }
-        | PInst::SelectFloat { .. }
-        | PInst::SelectVec { .. }
-        | PInst::Ret { .. } => LatClass::Mov,
-        PInst::IntOp { op, .. } => match op {
-            AluOp::Mul => LatClass::Mul,
-            AluOp::Div | AluOp::Rem => LatClass::Div,
-            _ => LatClass::Alu,
-        },
-        PInst::FloatOp { op, .. } => match op {
-            FpuOp::Mul => LatClass::FpMul,
-            FpuOp::Div => LatClass::FpDiv,
-            _ => LatClass::FpAdd,
-        },
-        PInst::IntNeg { .. }
-        | PInst::IntNot { .. }
-        | PInst::IntCmp { .. }
-        | PInst::IntResize { .. } => LatClass::Alu,
-        PInst::FloatNeg { .. } | PInst::FloatCmp { .. } => LatClass::FpAdd,
-        PInst::IntToFloat { .. } | PInst::FloatToInt { .. } | PInst::FloatCvt { .. } => {
-            LatClass::Convert
-        }
-        PInst::LoadInt { .. } | PInst::LoadFloat { .. } => LatClass::Load,
-        PInst::StoreInt { .. } | PInst::StoreFloat { .. } => LatClass::Store,
-        PInst::VecLoad { .. } => LatClass::VecLoad,
-        PInst::VecStore { .. } => LatClass::VecStore,
-        PInst::VecSplatInt { .. }
-        | PInst::VecSplatFloat { .. }
-        | PInst::VecIntOp { .. }
-        | PInst::VecFloatOp { .. } => LatClass::Vec,
-        PInst::VecReduceInt { .. } | PInst::VecReduceFloat { .. } => LatClass::VecReduce,
-        PInst::SpillInt { .. } | PInst::SpillFloat { .. } | PInst::SpillVec { .. } => {
-            LatClass::SpillStore
-        }
-        PInst::Reload { .. } => LatClass::SpillReload,
-        PInst::Jump { .. }
-        | PInst::BranchNz { .. }
-        | PInst::Call(_)
-        | PInst::CallUnknown { .. }
-        | PInst::FellOff { .. } => return None,
-    })
 }
 
 /// Register-file shape of the target a program is being prepared for.
@@ -1878,34 +1402,29 @@ struct Layout {
     int_regs: usize,
     float_regs: usize,
     vec_regs: usize,
-    vector_bytes: usize,
 }
 
 impl Layout {
-    /// Validate `r` against its class's register file; returns the direct
-    /// frame index (a byte offset for vector registers).
-    fn resolve(&self, r: PReg, fname: &str) -> Result<u32, SimError> {
-        let idx = usize::from(r.index);
-        let ok = match r.class {
-            RegClass::Int => idx < self.int_regs,
-            RegClass::Float => idx < self.float_regs,
-            RegClass::Vec => idx < self.vec_regs,
+    /// Validate `r` against its class's register file; returns its number.
+    fn resolve(&self, r: PReg, fname: &str) -> Result<u16, SimError> {
+        let regs = match r.class {
+            RegClass::Int => self.int_regs,
+            RegClass::Float => self.float_regs,
+            RegClass::Vec => self.vec_regs,
         };
-        if !ok {
-            return Err(SimError::BadRegister {
+        if usize::from(r.index) < regs {
+            Ok(r.index)
+        } else {
+            Err(SimError::BadRegister {
                 reg: r.to_string(),
                 function: fname.to_owned(),
-            });
+            })
         }
-        Ok(match r.class {
-            RegClass::Vec => (idx * self.vector_bytes) as u32,
-            _ => idx as u32,
-        })
     }
 
-    /// Resolve `r` as `(class, index)` for class-dispatched instructions.
-    fn resolve_ref(&self, r: PReg, fname: &str) -> Result<RRef, SimError> {
-        Ok((r.class, self.resolve(r, fname)? as usize))
+    /// Validate `r` for instructions that dispatch on its class at run time.
+    fn resolve_ref(&self, r: PReg, fname: &str) -> Result<PReg, SimError> {
+        self.resolve(r, fname).map(|_| r)
     }
 }
 
@@ -1985,11 +1504,6 @@ fn prepare_function(
                     dst: layout.resolve(*dst, fname)?,
                     lhs: layout.resolve(*lhs, fname)?,
                     rhs: layout.resolve(*rhs, fname)?,
-                    cost: match op {
-                        AluOp::Mul => target.cost.int_mul,
-                        AluOp::Div | AluOp::Rem => target.cost.int_div,
-                        _ => target.cost.int_op,
-                    },
                 },
                 MInst::FloatOp {
                     op,
@@ -2003,11 +1517,6 @@ fn prepare_function(
                     dst: layout.resolve(*dst, fname)?,
                     lhs: layout.resolve(*lhs, fname)?,
                     rhs: layout.resolve(*rhs, fname)?,
-                    cost: match op {
-                        FpuOp::Mul => target.cost.fp_mul,
-                        FpuOp::Div => target.cost.fp_div,
-                        _ => target.cost.fp_add,
-                    },
                 },
                 MInst::IntNeg { width, dst, src } => PInst::IntNeg {
                     width: *width,
@@ -2310,16 +1819,14 @@ fn prepare_function(
                         Some(r) => Some(layout.resolve_ref(*r, fname)?),
                         None => None,
                     };
-                    match by_name.get(callee) {
-                        Some(&index) => PInst::Call(Box::new(PCall {
-                            callee: index,
-                            args: resolved.into_boxed_slice(),
-                            ret,
-                        })),
-                        None => PInst::CallUnknown {
-                            name: callee.clone().into_boxed_str(),
-                        },
-                    }
+                    PInst::Call(Box::new(PCall {
+                        callee: by_name
+                            .get(callee)
+                            .copied()
+                            .ok_or_else(|| callee.clone().into_boxed_str()),
+                        args: resolved.into_boxed_slice(),
+                        ret,
+                    }))
                 }
                 MInst::Ret { value } => PInst::Ret {
                     value: match value {
@@ -2342,13 +1849,13 @@ fn prepare_function(
         name: f.name.clone(),
         params: params.into_boxed_slice(),
         num_slots: f.num_slots as usize,
+        info: code.iter().map(|i| op_info(i, &target.cost)).collect(),
+        metered: code.iter().map(dispatch::lower_metered).collect(),
         code,
         block_offsets: offsets,
         ops: Vec::new(),
-        fixup: Vec::new(),
         meta: Vec::new(),
         targets: Vec::new(),
-        calls: Vec::new(),
     })
 }
 
@@ -2729,14 +2236,18 @@ mod tests {
                 num_slots: 0,
             }],
         };
-        let prepared = PreparedProgram::prepare(&p, &TargetDesc::powerpc()).unwrap();
-        let mut sim = PreparedSimulator::new(&prepared);
-        let mut mem = vec![0u8; 16];
-        let err = sim.run("f", &[], &mut mem).unwrap_err();
-        assert_eq!(
-            err,
-            SimError::Trap("fell off the end of block 0 in f".into())
-        );
+        // Fuel for the failed fetch is spent, but it is not an instruction.
+        for timing in [TimingKind::Flat, TimingKind::InOrder] {
+            let target = TargetDesc::powerpc().with_timing(timing);
+            let results = run_every_path(&p, &target, "f", &[], 16, 10);
+            let (out, stats, _) = &results[0];
+            assert_eq!(
+                out,
+                &Err(SimError::Trap("fell off the end of block 0 in f".into()))
+            );
+            assert_eq!(stats.instructions, 1);
+            assert!(results.iter().all(|r| r == &results[0]), "{results:?}");
+        }
     }
 
     /// A counting loop whose back edge is the exact 4-instruction
@@ -2818,15 +2329,15 @@ mod tests {
 
     #[test]
     fn hot_stream_records_stay_within_32_bytes() {
-        // Backstop for the compile-time asserts: both per-op representations
-        // must stay at two records per 64-byte cache line.
-        assert!(
-            std::mem::size_of::<PInst>() <= 32,
-            "PInst grew past 32 bytes"
-        );
+        // Backstop for the compile-time asserts: operand records must stay
+        // at two per 64-byte cache line, charge rows at four.
         assert!(
             std::mem::size_of::<OpRecord>() <= 32,
             "OpRecord grew past 32 bytes"
+        );
+        assert!(
+            std::mem::size_of::<OpInfo>() <= 16,
+            "OpInfo grew past 16 bytes"
         );
     }
 
@@ -2858,54 +2369,433 @@ mod tests {
         assert!(outs.iter().all(|o| o == &outs[0]), "{outs:?}");
     }
 
-    #[test]
-    fn fuel_exhaustion_is_identical_across_fused_unfused_and_metered() {
-        // Satellite bugfix pin: `OutOfFuel` must trigger at the identical
-        // retired-instruction count whether the back edge runs as one fused
-        // record or four metered instructions — i.e. for every fuel value
-        // from 0 to "just enough", including ones that land *inside* the
-        // fused span, all paths agree on outcome and full stats.
-        let p = counting_loop();
-        let target = TargetDesc::x86_sse();
-        let fused = PreparedProgram::prepare_with(&p, &target, true).unwrap();
-        let unfused = PreparedProgram::prepare_with(&p, &target, false).unwrap();
-        let args = [MachineValue::Int(4)];
-
-        let total = {
-            let mut mem = vec![0u8; 32];
-            let mut sim = PreparedSimulator::new(&fused);
-            sim.run("count", &args, &mut mem).unwrap();
-            sim.stats().instructions
+    /// A program holding every straight-line instruction kind — vector ops,
+    /// all three spill/reload classes, the three selects (one overwriting
+    /// its own condition) and a call — so a fuel sweep over it isolates one
+    /// [`op_info`] row per fuel value. Wherever the register files allow,
+    /// an instruction reads what its predecessor wrote, so that under the
+    /// pipelined tier a row naming the wrong scoreboard key changes the
+    /// stall count. `vtop` is the highest vector register it uses;
+    /// `kinds(base)` needs `32 + vector_bytes` bytes of memory at `base`.
+    fn every_kind_program(vtop: u16) -> MProgram {
+        let (r, f, v) = (PReg::int, PReg::float, PReg::vec);
+        let w = Width::W32;
+        let imm = |dst, value| MInst::Imm { dst, value };
+        let fimm = |dst, value| MInst::FImm { dst, value };
+        let mov = |dst, src| MInst::Mov { dst, src };
+        let alu = |op, dst, lhs, rhs| MInst::IntOp {
+            op,
+            width: w,
+            signed: true,
+            dst,
+            lhs,
+            rhs,
         };
-        assert!(total > 8, "loop must straddle several fused back edges");
+        let fpu = |op, double, dst, lhs, rhs| MInst::FloatOp {
+            op,
+            double,
+            dst,
+            lhs,
+            rhs,
+        };
+        let icmp = |dst, lhs, rhs| MInst::IntCmp {
+            pred: CmpPred::Lt,
+            width: w,
+            signed: true,
+            dst,
+            lhs,
+            rhs,
+        };
+        let fcmp = |dst, lhs, rhs| MInst::FloatCmp {
+            pred: CmpPred::Gt,
+            double: false,
+            dst,
+            lhs,
+            rhs,
+        };
+        let select = |dst, cond, if_true, if_false| MInst::Select {
+            dst,
+            cond,
+            if_true,
+            if_false,
+        };
+        let i2f = |dst, src| MInst::IntToFloat {
+            signed: true,
+            double: false,
+            dst,
+            src,
+        };
+        let f2i = |width, dst, src| MInst::FloatToInt {
+            width,
+            signed: true,
+            dst,
+            src,
+        };
+        let load = |float, dst, base, offset| MInst::Load {
+            width: w,
+            float,
+            signed: true,
+            dst,
+            base,
+            offset,
+        };
+        let store = |float, base, offset, src| MInst::Store {
+            width: w,
+            float,
+            base,
+            offset,
+            src,
+        };
+        let vstore = |base, src| MInst::VecStore {
+            base,
+            offset: 16,
+            src,
+        };
+        let spill = |slot, src| MInst::Spill { slot, src };
+        let reload = |slot, dst| MInst::Reload { slot, dst };
+        let insts = vec![
+            // The integer file, as one dependency chain.
+            imm(r(1), 7),
+            mov(r(2), r(1)),
+            alu(AluOp::Add, r(2), r(2), r(1)),
+            alu(AluOp::Mul, r(3), r(2), r(1)),
+            MInst::IntNeg {
+                width: w,
+                dst: r(3),
+                src: r(3),
+            },
+            MInst::IntNot {
+                width: w,
+                dst: r(3),
+                src: r(3),
+            },
+            MInst::IntResize {
+                width: Width::W8,
+                signed: false,
+                dst: r(3),
+                src: r(3),
+            },
+            alu(AluOp::Div, r(3), r(3), r(1)),
+            // Through memory into the float file, and along it.
+            imm(r(4), 3),
+            store(false, r(0), 0, r(4)),
+            mov(r(2), r(0)),
+            load(false, r(2), r(2), 0),
+            i2f(f(0), r(2)),
+            MInst::FloatCvt {
+                to_double: false,
+                dst: f(1),
+                src: f(0),
+            },
+            mov(f(2), f(1)),
+            MInst::FloatNeg {
+                double: false,
+                dst: f(2),
+                src: f(2),
+            },
+            fpu(FpuOp::Mul, false, f(3), f(2), f(1)),
+            mov(r(3), r(0)),
+            store(true, r(3), 4, f(3)),
+            mov(r(3), r(0)),
+            load(true, f(4), r(3), 4),
+            fpu(FpuOp::Div, true, f(3), f(4), f(2)),
+            // Selects whose condition is false and ready *before* the source
+            // it picks: only the dynamically chosen key makes them stall.
+            fimm(f(5), 1.5),
+            f2i(w, r(5), f(5)),
+            icmp(r(4), r(1), r(1)),
+            select(r(4), r(4), r(1), r(5)), // dst == cond
+            icmp(r(4), r(4), r(1)),
+            i2f(f(6), r(4)),
+            fcmp(r(5), f(1), f(1)),
+            select(f(7), r(5), f(1), f(6)),
+            fcmp(r(5), f(7), f(1)),
+            select(v(4), r(5), v(2), v(3)),
+            // The vector unit (its registers are not scoreboarded).
+            imm(r(2), 5),
+            MInst::VecSplatInt {
+                elem: w,
+                dst: v(0),
+                src: r(2),
+            },
+            fimm(f(0), 2.0),
+            MInst::VecSplatFloat {
+                elem: w,
+                dst: v(1),
+                src: f(0),
+            },
+            mov(r(3), r(0)),
+            vstore(r(3), v(0)),
+            mov(r(3), r(0)),
+            MInst::VecLoad {
+                dst: v(2),
+                base: r(3),
+                offset: 16,
+            },
+            mov(v(3), v(2)),
+            MInst::VecIntOp {
+                op: AluOp::Add,
+                elem: w,
+                signed: true,
+                dst: v(2),
+                lhs: v(2),
+                rhs: v(0),
+            },
+            MInst::VecFloatOp {
+                op: FpuOp::Mul,
+                elem: w,
+                dst: v(1),
+                lhs: v(1),
+                rhs: v(1),
+            },
+            MInst::VecReduceInt {
+                op: RedOp::Add,
+                elem: w,
+                signed: true,
+                dst: r(1),
+                src: v(2),
+            },
+            spill(0, r(1)),
+            MInst::VecReduceFloat {
+                op: RedOp::Max,
+                elem: w,
+                dst: f(0),
+                src: v(1),
+            },
+            spill(1, f(0)),
+            spill(2, v(2)),
+            reload(0, r(5)),
+            mov(r(2), r(5)),
+            reload(1, f(2)),
+            mov(f(3), f(2)),
+            reload(2, v(vtop)),
+            vstore(r(0), v(vtop)),
+            MInst::Call {
+                callee: "sq".into(),
+                args: vec![f(3)],
+                ret: Some(f(4)),
+            },
+            f2i(Width::W64, r(4), f(4)),
+            alu(AluOp::Add, r(5), r(5), r(4)),
+            MInst::Jump { target: 1 },
+        ];
+        let tail = [
+            vec![MInst::BranchNz {
+                cond: r(5),
+                then_target: 2,
+                else_target: 2,
+            }],
+            vec![MInst::Ret { value: Some(r(5)) }],
+        ];
+        let mut program = call_program();
+        program.functions.push(MFunction {
+            name: "kinds".into(),
+            params: vec![r(0)],
+            blocks: std::iter::once(insts)
+                .chain(tail)
+                .map(|insts| MBlock { insts })
+                .collect(),
+            num_slots: 3,
+        });
+        program
+    }
 
-        for fuel in 0..=total + 1 {
-            let mut results = Vec::new();
-            for prog in [&fused, &unfused] {
-                for metered in [false, true] {
-                    let mut mem = vec![0u8; 32];
-                    let mut sim = PreparedSimulator::new(prog).with_fuel(fuel);
-                    let out = if metered {
-                        sim.run_metered("count", &args, &mut mem)
-                    } else {
-                        sim.run("count", &args, &mut mem)
-                    };
-                    results.push((out, sim.stats()));
-                }
-            }
-            assert!(
-                results.iter().all(|r| r == &results[0]),
-                "fuel {fuel}: paths diverged: {results:?}"
-            );
-            let (out, stats) = &results[0];
-            if fuel >= total {
-                assert!(out.is_ok(), "fuel {fuel}");
-            } else {
-                assert_eq!(out, &Err(SimError::OutOfFuel), "fuel {fuel}");
-                // Exactly `fuel` source instructions retired before running dry.
-                assert_eq!(stats.instructions, fuel, "fuel {fuel}");
+    type RunOutcome = Result<Option<MachineValue>, SimError>;
+
+    /// `(outcome, SimStats, memory)` of `func` on every execution path —
+    /// legacy walk, metered loop, threaded fused, threaded unfused — with
+    /// `fuel`.
+    fn run_every_path(
+        program: &MProgram,
+        target: &TargetDesc,
+        func: &str,
+        args: &[MachineValue],
+        mem_len: usize,
+        fuel: u64,
+    ) -> Vec<(RunOutcome, SimStats, Vec<u8>)> {
+        let mut results = Vec::new();
+        let mut mem = vec![0u8; mem_len];
+        let mut legacy = crate::Simulator::new(program, target).with_fuel(fuel);
+        let out = legacy.run_legacy(func, args, &mut mem);
+        results.push((out, legacy.stats(), mem));
+        for fuse in [true, false] {
+            let prepared = PreparedProgram::prepare_with(program, target, fuse).unwrap();
+            for metered in [false, true] {
+                let mut mem = vec![0u8; mem_len];
+                let mut sim = PreparedSimulator::new(&prepared).with_fuel(fuel);
+                let out = if metered {
+                    sim.run_metered(func, args, &mut mem)
+                } else {
+                    sim.run(func, args, &mut mem)
+                };
+                results.push((out, sim.stats(), mem));
             }
         }
+        results
+    }
+
+    #[test]
+    fn fuel_exhaustion_is_identical_across_fused_unfused_and_metered() {
+        // `OutOfFuel` must trigger at the identical retired-instruction count
+        // on every path — legacy walk, metered loop, threaded fused and
+        // unfused — i.e. for every fuel value from 0 to "just enough",
+        // including ones that land *inside* a fused span, all paths agree on
+        // outcome, memory and full stats, under both timing tiers. On the
+        // every-kind program each fuel value adds exactly one instruction, so
+        // the sweep checks every `op_info` row against the legacy arm.
+        let inputs = [
+            (counting_loop(), "count", MachineValue::Int(4)),
+            (every_kind_program(5), "kinds", MachineValue::Int(16)),
+        ];
+        // Pairwise distinct costs, so a row charging the wrong table entry
+        // shows in `cycles`; and long enough that a consumer several
+        // instructions behind its producer still stalls under the pipeline,
+        // so a row naming the wrong scoreboard key shows in `stalls`.
+        let cost = CostModel {
+            int_op: 23,
+            int_mul: 29,
+            int_div: 31,
+            fp_add: 37,
+            fp_mul: 41,
+            fp_div: 43,
+            load: 47,
+            store: 53,
+            mov: 59,
+            convert: 61,
+            branch_taken: 67,
+            branch_not_taken: 71,
+            vec_op: 73,
+            vec_load: 79,
+            vec_store: 83,
+            vec_reduce: 89,
+            call: 97,
+            spill_store: 101,
+            spill_load: 103,
+        };
+        for (program, func, arg) in &inputs {
+            for timing in [TimingKind::Flat, TimingKind::InOrder] {
+                let target = TargetDesc {
+                    cost,
+                    timing,
+                    ..TargetDesc::x86_sse()
+                };
+                let full = run_every_path(program, &target, func, &[*arg], 64, DEFAULT_SIM_FUEL);
+                assert!(full[0].0.is_ok(), "{func}: {:?}", full[0].0);
+                let total = full[0].1.instructions;
+                assert!(total > 8, "{func} must straddle several regions");
+
+                for fuel in 0..=total + 1 {
+                    let results = run_every_path(program, &target, func, &[*arg], 64, fuel);
+                    assert!(
+                        results.iter().all(|r| r == &results[0]),
+                        "{func} under {timing:?}, fuel {fuel}: paths diverged: {results:?}"
+                    );
+                    let (out, stats, _) = &results[0];
+                    if fuel >= total {
+                        assert!(out.is_ok(), "{func} fuel {fuel}");
+                    } else {
+                        assert_eq!(out, &Err(SimError::OutOfFuel), "{func} fuel {fuel}");
+                        // Exactly `fuel` source instructions retired before
+                        // running dry.
+                        assert_eq!(stats.instructions, fuel, "{func} fuel {fuel}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_trap_at_any_instruction_leaves_identical_stats_on_every_path() {
+        // Region prepayment charges a whole region up front and the trap
+        // path gives back what had not retired: replace each instruction of
+        // the every-kind program in turn by a load that always traps (so the
+        // trap lands first, mid and last in regions, inside fused spans and
+        // in either half of a welded pair) and compare with the paths that
+        // never prepay. Last, a `Ret` whose move retires before it traps.
+        let program = every_kind_program(5);
+        let kinds = program.functions.len() - 1;
+        let trapping_load = MInst::Load {
+            width: Width::W32,
+            float: false,
+            signed: true,
+            dst: PReg::int(2),
+            base: PReg::int(0),
+            offset: -16,
+        };
+        let vector_ret = MInst::Ret {
+            value: Some(PReg::vec(0)),
+        };
+        let body = program.functions[kinds].blocks[0].insts.len();
+        for timing in [TimingKind::Flat, TimingKind::InOrder] {
+            let target = TargetDesc::x86_sse().with_timing(timing);
+            for (at, trap) in (0..body)
+                .map(|at| (at, &trapping_load))
+                .chain([(body - 1, &vector_ret)])
+            {
+                let mut program = program.clone();
+                program.functions[kinds].blocks[0].insts[at] = trap.clone();
+                let results = run_every_path(
+                    &program,
+                    &target,
+                    "kinds",
+                    &[MachineValue::Int(16)],
+                    64,
+                    DEFAULT_SIM_FUEL,
+                );
+                let (out, stats, _) = &results[0];
+                assert!(matches!(out, Err(SimError::Trap(_))), "at {at}: {out:?}");
+                assert!(stats.instructions > at as u64, "at {at}");
+                assert!(
+                    results.iter().all(|r| r == &results[0]),
+                    "{timing:?}, trap at {at}: paths diverged: {:?}",
+                    results.iter().map(|r| (&r.0, &r.1)).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wide_vector_files_and_huge_costs_run_threaded_and_match_the_legacy_walk() {
+        // Byte offsets into a 64 x 2 KiB vector file do not fit 16 bits and
+        // these costs overflow 32 once a region sums them; records carry
+        // register numbers and no costs, so neither can fail to pack.
+        let huge = u64::from(u32::MAX);
+        let target = TargetDesc {
+            vector: Some(crate::VectorUnit {
+                bytes: 2048,
+                regs: 64,
+            }),
+            cost: CostModel {
+                int_op: huge,
+                vec_op: huge + 7,
+                branch_taken: huge + 3,
+                ..CostModel::default()
+            },
+            ..TargetDesc::x86_sse()
+        };
+        let program = every_kind_program(63);
+        let prepared = PreparedProgram::prepare(&program, &target).unwrap();
+        assert!(prepared.disasm().contains("dispatch: threaded"));
+        assert!(prepared.fusion_stats().total() > 0);
+
+        let results = run_every_path(
+            &program,
+            &target,
+            "kinds",
+            &[MachineValue::Int(16)],
+            16 + 32 + 2048,
+            DEFAULT_SIM_FUEL,
+        );
+        assert!(results[0].0.is_ok(), "{:?}", results[0].0);
+        assert!(results[0].1.cycles > 8 * huge, "{:?}", results[0].1);
+        assert!(
+            results.iter().all(|r| r == &results[0]),
+            "paths diverged: {:?}",
+            results
+                .iter()
+                .map(|(out, stats, _)| (out, stats))
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -505,6 +505,17 @@ impl<'p> Simulator<'p> {
         }
 
         let cost = &self.target.cost;
+        // Offset of every block in the flat numbering the prepared stream
+        // uses (an unterminated block holds one extra synthetic slot there):
+        // branch-predictor site ids must agree across execution paths for
+        // the timing-class counters to be comparable.
+        let mut block_starts = Vec::with_capacity(f.blocks.len());
+        let mut flat_len = 0u32;
+        for b in &f.blocks {
+            block_starts.push(flat_len);
+            let terminated = b.insts.last().is_some_and(MInst::is_terminator);
+            flat_len += b.insts.len() as u32 + u32::from(!terminated);
+        }
         let mut block = 0usize;
         let mut index = 0usize;
         loop {
@@ -1144,10 +1155,9 @@ impl<'p> Simulator<'p> {
                     else_target,
                 } => {
                     let taken = geti!(cond) != 0;
-                    // Predictor site id: the branch's own (block, offset),
-                    // captured before the redirect below. Stable within the
-                    // legacy walk; predictor state never crosses paths.
-                    let site = ((block as u32 & 0xffff) << 16) | ((index as u32 - 1) & 0xffff);
+                    // Predictor site id: the branch's own flat offset,
+                    // captured before the redirect below.
+                    let site = block_starts[block] + index as u32 - 1;
                     block = if taken {
                         then_target as usize
                     } else {

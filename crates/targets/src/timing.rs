@@ -158,8 +158,8 @@ pub trait TimingModel {
     fn op(&mut self, stats: &mut SimStats, class: LatClass, cost: u64, dst: u32, a: u32, b: u32);
 
     /// A conditional branch retires. `site` is a deterministic static id of
-    /// the branch (stable within one execution path; predictor state is
-    /// per-run, so ids need not agree *across* paths), `taken` the outcome,
+    /// the branch (its offset in the function's flattened instruction stream,
+    /// on every execution path), `taken` the outcome,
     /// `cost` the already-resolved taken/not-taken charge and `cond` the
     /// condition register.
     fn branch(&mut self, stats: &mut SimStats, site: u32, taken: bool, cost: u64, cond: u32);
@@ -298,6 +298,9 @@ impl InOrderPipeline {
 }
 
 impl TimingModel for InOrderPipeline {
+    // Inlined into the metered loop's charge pass, where `now` and the
+    // counters then stay in registers across a straight-line run.
+    #[inline]
     fn op(&mut self, stats: &mut SimStats, class: LatClass, cost: u64, dst: u32, a: u32, b: u32) {
         let seq = self.now + 1;
         let issue = seq.max(self.ready_at(a)).max(self.ready_at(b));

@@ -547,6 +547,25 @@ fn check_program(source: &str, name: &str, seed: u64, float: bool) {
                 "seed {seed}: {} with {mode:?} (pipelined) memory image diverged\n--- source ---\n{source}",
                 target.name
             );
+            // The legacy walk under the same tier: every counter, the
+            // timing-class ones included, must agree with the prepared run.
+            let mut legacy_pipe_ws = ws.clone();
+            let mut legacy_pipe_sim = Simulator::new(&program, &pipe_target);
+            let legacy_pipe_result = legacy_pipe_sim
+                .run_legacy(name, &args, legacy_pipe_ws.bytes_mut())
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "seed {seed}: {} with {mode:?} (legacy pipelined) failed: {e}\n--- source ---\n{source}",
+                        target.name
+                    )
+                });
+            assert_eq!(legacy_pipe_result, expected_result);
+            assert_eq!(
+                pipe_sim.stats(),
+                legacy_pipe_sim.stats(),
+                "seed {seed}: {} with {mode:?}: pipelined SimStats diverged from the legacy walk\n--- source ---\n{source}",
+                target.name
+            );
             let flat = legacy_sim.stats();
             let pipe = pipe_sim.stats();
             assert_eq!(
