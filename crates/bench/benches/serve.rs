@@ -44,7 +44,7 @@ const SOAK_REQUESTS: usize = 100_000;
 const SOAK_MIN_REQ_PER_SEC: f64 = 2_000.0;
 /// Enforced soak ceiling on queue-wait p999: the quiet-host number is
 /// ~3 ms with a 128-request window; 250 ms flags a scheduling pathology
-/// (lost wakeups, a stuck shard) without tripping on a loaded runner.
+/// (a lost wakeup, a stranded worker) without tripping on a loaded runner.
 const SOAK_MAX_P999_WAIT_NS: u64 = 250_000_000;
 
 fn load(workers: usize) -> LoadConfig {

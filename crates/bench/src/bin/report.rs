@@ -22,7 +22,7 @@
 //! deployment: instructions, cycles and CPI per tier, plus the pipeline's
 //! stall/mispredict/predicted counters — checksums asserted bit-identical
 //! across tiers before a row is emitted); the `serving` rows (the same mixed-module traffic
-//! pushed through the sharded request queue at 1 and 4 workers, a
+//! pushed through the serving queue at 1 and 4 workers, a
 //! 10⁵-request soak, and a chaos soak under the stock seeded fault plan:
 //! requests/s, queue high water, queue-wait and execute latency quantiles,
 //! batch-size distribution, fault-tolerance counters — deadline expiries,
@@ -408,7 +408,7 @@ fn write_sweep_json(path: &str, n: usize) -> Result<(), Box<dyn std::error::Erro
         sweeps.push(sweep_to_json(jobs, &result, elapsed_ns));
     }
     // The serving trajectory: the same kernels and targets as the sweep
-    // rows, but as mixed-module request traffic through the sharded queue.
+    // rows, but as mixed-module request traffic through the serving tier.
     let kernels = table1_kernels();
     let requests = kernels.len() * TargetDesc::presets().len() * JSON_SERVE_REPEATS;
     let mut serving = Vec::new();

@@ -35,8 +35,8 @@
 //!   the compile-once-run-many amortization.
 //! * `serve-bench` drives mixed-module request traffic (every Table 1
 //!   kernel as its own deployment, rotating over the full target catalogue)
-//!   through the serving tier: sharded bounded intake (`--queue` is the
-//!   global bound) drained by `--workers` threads (0 = one per host core)
+//!   through the serving tier: one bounded queue (`--queue` is its bound)
+//!   drained by `--workers` threads (0 = one per host core)
 //!   with continuous batching up to `--max-batch` requests per pull, over
 //!   shared, fingerprint-deduplicated engines, optionally LRU-bounded with
 //!   `--cache-cap`. Prints requests/s, queue-wait and execute p50/p99/p999,

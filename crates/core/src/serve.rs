@@ -25,18 +25,18 @@
 pub use splitc_runtime::serve::{
     module_fingerprint, BreakerPolicy, FaultKind, FaultPlan, FaultRule, FaultSelector, FaultSite,
     Request, Response, ResponseHandle, ResponseLost, RetryPolicy, ServeModule, Server,
-    ServerConfig, ServerStats, SubmitError, ENGINE_SHARDS, PANIC_MESSAGE_CAP,
+    ServerConfig, ServerStats, SubmitError, PANIC_MESSAGE_CAP,
 };
 use splitc_runtime::EngineError;
 pub use splitc_runtime::{Histogram, EMPTY_QUANTILE};
 
-use crate::harness::{checksum_bytes, prepare};
+use crate::harness::{checksum_bytes, prepare, PreparedKernel};
 use crate::report::fmt_cache_line;
 use crate::session::{run_on_target, PipelineError, Workspace};
 use splitc_jit::JitOptions;
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_runtime::ArtifactStore;
-use splitc_targets::TargetDesc;
+use splitc_targets::{MachineValue, TargetDesc};
 use splitc_workloads::{module_for, table1_kernels, Kernel};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -271,62 +271,26 @@ fn fmt_fault_lines(stats: &ServerStats) -> String {
 /// Panics if a worker dies before responding ([`ResponseLost`]) — graceful
 /// shutdown makes that unreachable short of a worker panic.
 pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, PipelineError> {
-    assert!(!cfg.kernels.is_empty(), "a load needs at least one kernel");
-    assert!(!cfg.targets.is_empty(), "a load needs at least one target");
     // Offline step, outside the measured window: one module per kernel.
-    let mut modules = Vec::with_capacity(cfg.kernels.len());
-    for kernel in &cfg.kernels {
-        let mut module = module_for(std::slice::from_ref(kernel), kernel.name)
-            .map_err(PipelineError::Frontend)?;
-        optimize_module(&mut module, &OptOptions::full());
-        modules.push(ServeModule::new(module));
-    }
-
-    let server = Server::start(ServerConfig {
-        workers: cfg.workers,
-        queue_capacity: cfg.queue_capacity,
-        cache_capacity: cfg.cache_capacity,
-        max_batch: cfg.max_batch,
-        seed: cfg.seed,
-        store: cfg.store.clone(),
-        ..ServerConfig::default()
-    });
+    let modules = deploy_modules(cfg)?;
+    let server = Server::start(server_config(cfg));
 
     // Build every request before starting the clock: input generation is
     // the generator's cost, not the serving layer's.
-    let mut requests = Vec::with_capacity(cfg.requests);
-    let mut prepared_all = Vec::with_capacity(cfg.requests);
-    for r in 0..cfg.requests {
-        let ki = r % cfg.kernels.len();
-        let ti = (r / cfg.kernels.len()) % cfg.targets.len();
-        let mut ws = Workspace::sized_for(cfg.n);
-        let prepared = prepare(
-            cfg.kernels[ki].name,
-            cfg.n,
-            cfg.seed.wrapping_add(r as u64),
-            &mut ws,
-        );
-        requests.push(Request {
-            module: modules[ki].clone(),
-            kernel: cfg.kernels[ki].name.to_owned(),
-            target: cfg.targets[ti].clone(),
-            options: cfg.options,
-            args: prepared.args.clone(),
-            mem: ws.into_bytes(),
-            deadline: None,
-            tag: r as u64,
-        });
-        prepared_all.push(prepared);
-    }
+    let (requests, prepared_all): (Vec<_>, Vec<_>) = (0..cfg.requests)
+        .map(|r| {
+            let ki = r % cfg.kernels.len();
+            let target = &cfg.targets[(r / cfg.kernels.len()) % cfg.targets.len()];
+            let seed = cfg.seed.wrapping_add(r as u64);
+            let (mut request, prepared) =
+                prepare_request(cfg, &modules[ki], &cfg.kernels[ki], target, seed);
+            request.tag = r as u64;
+            (request, prepared)
+        })
+        .unzip();
 
     let start = Instant::now();
-    let mut handles = Vec::with_capacity(cfg.requests);
-    for request in requests {
-        let handle = server
-            .submit(request)
-            .unwrap_or_else(|e| panic!("the load generator's server refused a request: {e}"));
-        handles.push(handle);
-    }
+    let handles: Vec<_> = requests.into_iter().map(|r| submit(&server, r)).collect();
 
     // The clock stops at the last *response*; checksumming the returned
     // memory images is generator-side verification work, done after.
@@ -349,18 +313,82 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, PipelineError> {
         checksums.push(checksum_bytes(run.result, prepared, &response.mem));
     }
 
-    let workers = server.workers();
-    let stats = server.shutdown();
-    let secs = (elapsed_ns as f64 / 1e9).max(1e-9);
     Ok(LoadReport {
         requests: cfg.requests,
-        workers,
+        workers: server.workers(),
         elapsed_ns,
         ttfr_ns,
-        requests_per_sec: cfg.requests as f64 / secs,
+        requests_per_sec: per_sec(cfg.requests, elapsed_ns),
         checksums,
-        stats,
+        stats: server.shutdown(),
     })
+}
+
+/// The offline step every load driver starts with: each kernel of the mix
+/// compiled and optimized into **its own module** and deployed. Panics on
+/// an empty kernel or target list — no traffic can be generated from one.
+fn deploy_modules(cfg: &LoadConfig) -> Result<Vec<ServeModule>, PipelineError> {
+    assert!(!cfg.kernels.is_empty(), "a load needs at least one kernel");
+    assert!(!cfg.targets.is_empty(), "a load needs at least one target");
+    cfg.kernels
+        .iter()
+        .map(|kernel| {
+            let mut module = module_for(std::slice::from_ref(kernel), kernel.name)
+                .map_err(PipelineError::Frontend)?;
+            optimize_module(&mut module, &OptOptions::full());
+            Ok(ServeModule::new(module))
+        })
+        .collect()
+}
+
+/// One fully built request (no deadline, tag 0) of `kernel` on `target` with
+/// inputs from `seed`, plus the metadata its response is checksummed with.
+fn prepare_request(
+    cfg: &LoadConfig,
+    module: &ServeModule,
+    kernel: &Kernel,
+    target: &TargetDesc,
+    seed: u64,
+) -> (Request, PreparedKernel) {
+    let mut ws = Workspace::sized_for(cfg.n);
+    let prepared = prepare(kernel.name, cfg.n, seed, &mut ws);
+    let request = Request {
+        module: module.clone(),
+        kernel: kernel.name.to_owned(),
+        target: target.clone(),
+        options: cfg.options,
+        args: prepared.args.clone(),
+        mem: ws.into_bytes(),
+        deadline: None,
+        tag: 0,
+    };
+    (request, prepared)
+}
+
+/// Blocking submit. Only a server that is shutting down refuses one, and the
+/// load drivers shut theirs down last.
+fn submit(server: &Server, request: Request) -> ResponseHandle {
+    server
+        .submit(request)
+        .unwrap_or_else(|e| panic!("the load generator's server refused a request: {e}"))
+}
+
+/// The server sizing `cfg` asks for; everything else stays at its default.
+fn server_config(cfg: &LoadConfig) -> ServerConfig {
+    ServerConfig {
+        workers: cfg.workers,
+        queue_capacity: cfg.queue_capacity,
+        cache_capacity: cfg.cache_capacity,
+        max_batch: cfg.max_batch,
+        seed: cfg.seed,
+        store: cfg.store.clone(),
+        ..ServerConfig::default()
+    }
+}
+
+/// Throughput of `requests` requests served in `elapsed_ns`.
+fn per_sec(requests: usize, elapsed_ns: u128) -> f64 {
+    requests as f64 / (elapsed_ns as f64 / 1e9).max(1e-9)
 }
 
 /// A completed cold-vs-warm artifact-store benchmark ([`run_store_bench`]):
@@ -471,13 +499,103 @@ pub fn run_store_bench(cfg: &LoadConfig, dir: &Path) -> Result<StoreBenchReport,
 /// clones prototypes instead of pre-building every request, so its memory
 /// footprint is `templates + in-flight window`, not `total requests`.
 struct SoakTemplate {
-    module: ServeModule,
-    target: TargetDesc,
-    /// Prepared kernel metadata (name, args, output region) — kept so
-    /// response verification checksums without re-generating inputs.
-    prepared: crate::harness::PreparedKernel,
-    mem: Vec<u8>,
+    /// The prototype; each clone gets its own deadline and tag.
+    request: Request,
+    /// Prepared kernel metadata (output region) — kept so response
+    /// verification checksums without re-generating inputs.
+    prepared: PreparedKernel,
     expect: u64,
+}
+
+impl SoakTemplate {
+    /// Panic unless a served result and memory image checksum to `expect`.
+    fn assert_matches(&self, t: usize, result: Option<MachineValue>, mem: &[u8], expect: u64) {
+        assert_eq!(
+            checksum_bytes(result, &self.prepared, mem),
+            expect,
+            "response for template {t} ({} for {}) diverged from its single-threaded reference",
+            self.prepared.name,
+            self.request.target.name,
+        );
+    }
+}
+
+/// Checksum of a fresh single-threaded run of `request` on `target` — what
+/// a response served there is verified against.
+fn reference_checksum(
+    request: &Request,
+    prepared: &PreparedKernel,
+    target: &TargetDesc,
+) -> Result<u64, PipelineError> {
+    let mut mem = request.mem.clone();
+    let run = run_on_target(
+        request.module.module(),
+        target,
+        &request.options,
+        &request.kernel,
+        &request.args,
+        &mut mem,
+    )?;
+    Ok(checksum_bytes(run.result, prepared, &mem))
+}
+
+/// One template per kernel × target of `cfg` (kernel-major), each with the
+/// reference checksum of its own target.
+fn build_templates(cfg: &LoadConfig) -> Result<Vec<SoakTemplate>, PipelineError> {
+    let modules = deploy_modules(cfg)?;
+    let mut templates = Vec::with_capacity(cfg.kernels.len() * cfg.targets.len());
+    for (kernel, module) in cfg.kernels.iter().zip(&modules) {
+        for target in &cfg.targets {
+            let seed = cfg.seed.wrapping_add(templates.len() as u64);
+            let (request, prepared) = prepare_request(cfg, module, kernel, target, seed);
+            let expect = reference_checksum(&request, &prepared, target)?;
+            templates.push(SoakTemplate {
+                request,
+                prepared,
+                expect,
+            });
+        }
+    }
+    Ok(templates)
+}
+
+/// The in-flight window of a streamed load: twice the queue bound.
+fn stream_window(cfg: &LoadConfig) -> usize {
+    (cfg.queue_capacity * 2).clamp(1, cfg.requests.max(1))
+}
+
+/// The windowed submit/drain loop of [`run_soak`] and [`run_chaos`]: request
+/// `r` clones template `r % templates.len()` with `deadline_for(r)`, at most
+/// [`stream_window`] responses are outstanding, and each goes to
+/// `on_response` with its template index, in submission order. Returns the
+/// nanoseconds from first submission to last response.
+fn stream(
+    server: &Server,
+    cfg: &LoadConfig,
+    templates: &[SoakTemplate],
+    deadline_for: impl Fn(usize) -> Option<Instant>,
+    mut on_response: impl FnMut(usize, Response) -> Result<(), PipelineError>,
+) -> Result<u128, PipelineError> {
+    let window = stream_window(cfg);
+    let mut drain = |(t, handle): (usize, ResponseHandle)| {
+        on_response(t, handle.wait().expect("serving worker died mid-stream"))
+    };
+    let start = Instant::now();
+    let mut in_flight = std::collections::VecDeque::with_capacity(window);
+    for r in 0..cfg.requests {
+        let t = r % templates.len();
+        let request = Request {
+            deadline: deadline_for(r),
+            tag: r as u64,
+            ..templates[t].request.clone()
+        };
+        in_flight.push_back((t, submit(server, request)));
+        if in_flight.len() >= window {
+            drain(in_flight.pop_front().expect("window is non-empty"))?;
+        }
+    }
+    in_flight.into_iter().try_for_each(drain)?;
+    Ok(start.elapsed().as_nanos())
 }
 
 /// A completed serving soak: SLO-grade latency distributions over a
@@ -537,17 +655,15 @@ impl SoakReport {
 /// Where [`run_load`] pre-builds all `cfg.requests` requests (each owning
 /// its memory image) and only then starts the clock, a soak's point is
 /// volume — 10⁵+ requests would mean gigabytes of pre-built buffers. So the
-/// soak prepares one [`SoakTemplate`] per (kernel × target) pair — inputs,
-/// memory image and the checksum of a fresh single-threaded
-/// [`run_on_target`] reference — and then streams: request `r` clones
-/// template `r % templates`, at most `2 × queue_capacity` responses are
-/// outstanding at once, and each is checked against its template's
-/// reference checksum the moment it arrives. Backpressure comes from both
-/// ends: the window caps the generator, the bounded queue caps the window.
+/// soak builds one [`SoakTemplate`] per (kernel × target) pair and streams
+/// clones of them, checking each response against its template's
+/// single-threaded [`run_on_target`] reference the moment it arrives.
+/// Backpressure comes from both ends: the window (`2 × queue_capacity`
+/// outstanding responses) caps the generator, the bounded queue caps it.
 ///
 /// Request inputs depend only on the template (kernel, target, seed), so
 /// verification is exact bit-identity against the reference — across worker
-/// counts, batching, and work stealing.
+/// counts and batching.
 ///
 /// # Errors
 ///
@@ -560,114 +676,22 @@ impl SoakReport {
 /// (a bit-identity violation — a serving-layer bug, not a load problem), or
 /// if a worker dies before responding.
 pub fn run_soak(cfg: &LoadConfig) -> Result<SoakReport, PipelineError> {
-    assert!(!cfg.kernels.is_empty(), "a soak needs at least one kernel");
-    assert!(!cfg.targets.is_empty(), "a soak needs at least one target");
-    // Offline step: one module per kernel, one template per kernel × target,
-    // each with its reference checksum from a fresh single-threaded run.
-    let mut modules = Vec::with_capacity(cfg.kernels.len());
-    for kernel in &cfg.kernels {
-        let mut module = module_for(std::slice::from_ref(kernel), kernel.name)
-            .map_err(PipelineError::Frontend)?;
-        optimize_module(&mut module, &OptOptions::full());
-        modules.push(ServeModule::new(module));
-    }
-    let mut templates = Vec::with_capacity(cfg.kernels.len() * cfg.targets.len());
-    for (ki, kernel) in cfg.kernels.iter().enumerate() {
-        for target in &cfg.targets {
-            let t = templates.len();
-            let mut ws = Workspace::sized_for(cfg.n);
-            let prepared = prepare(kernel.name, cfg.n, cfg.seed.wrapping_add(t as u64), &mut ws);
-            let mem = ws.into_bytes();
-            let mut reference_mem = mem.clone();
-            let run = run_on_target(
-                modules[ki].module(),
-                target,
-                &cfg.options,
-                kernel.name,
-                &prepared.args,
-                &mut reference_mem,
-            )?;
-            let expect = checksum_bytes(run.result, &prepared, &reference_mem);
-            templates.push(SoakTemplate {
-                module: modules[ki].clone(),
-                target: target.clone(),
-                prepared,
-                mem,
-                expect,
-            });
-        }
-    }
-
-    let server = Server::start(ServerConfig {
-        workers: cfg.workers,
-        queue_capacity: cfg.queue_capacity,
-        cache_capacity: cfg.cache_capacity,
-        max_batch: cfg.max_batch,
-        seed: cfg.seed,
-        store: cfg.store.clone(),
-        ..ServerConfig::default()
-    });
-    let window = (cfg.queue_capacity * 2).clamp(1, cfg.requests.max(1));
-
-    // Stream: submit (blocking — the queue's backpressure throttles us),
-    // keep at most `window` responses outstanding, verify as they drain.
-    let verify = |t: usize, handle: ResponseHandle| -> Result<(), PipelineError> {
-        let response = handle.wait().expect("serving worker died mid-soak");
-        let template: &SoakTemplate = &templates[t];
-        let run = response.outcome?;
-        // Inputs were byte-identical to the template's, so the memory image
-        // and the execution record must match the reference exactly.
-        let got = checksum_bytes(run.result, &template.prepared, &response.mem);
-        assert_eq!(
-            got, template.expect,
-            "soak response for template {t} ({} on {}) diverged from its \
-             single-threaded reference",
-            template.prepared.name, template.target.name,
-        );
+    let templates = build_templates(cfg)?;
+    let server = Server::start(server_config(cfg));
+    let verify = |t: usize, response: Response| {
+        let template = &templates[t];
+        template.assert_matches(t, response.outcome?.result, &response.mem, template.expect);
         Ok(())
     };
-
-    let start = Instant::now();
-    let mut in_flight: std::collections::VecDeque<(usize, ResponseHandle)> =
-        std::collections::VecDeque::with_capacity(window);
-    for r in 0..cfg.requests {
-        let t = r % templates.len();
-        let template = &templates[t];
-        let request = Request {
-            module: template.module.clone(),
-            kernel: template.prepared.name.clone(),
-            target: template.target.clone(),
-            options: cfg.options,
-            args: template.prepared.args.clone(),
-            mem: template.mem.clone(),
-            deadline: None,
-            tag: r as u64,
-        };
-        let handle = server
-            .submit(request)
-            .unwrap_or_else(|e| panic!("the soak generator's server refused a request: {e}"));
-        in_flight.push_back((t, handle));
-        if in_flight.len() >= window {
-            let (t, handle) = in_flight.pop_front().expect("window is non-empty");
-            verify(t, handle)?;
-        }
-    }
-    for (t, handle) in in_flight {
-        verify(t, handle)?;
-    }
-    let elapsed_ns = start.elapsed().as_nanos();
-
-    let workers = server.workers();
-    let stats = server.shutdown();
-    let secs = (elapsed_ns as f64 / 1e9).max(1e-9);
+    let elapsed_ns = stream(&server, cfg, &templates, |_| None, verify)?;
     Ok(SoakReport {
         requests: cfg.requests,
         templates: templates.len(),
-        workers,
-        window,
+        workers: server.workers(),
+        window: stream_window(cfg),
         elapsed_ns,
-        requests_per_sec: cfg.requests as f64 / secs,
-        stats,
+        requests_per_sec: per_sec(cfg.requests, elapsed_ns),
+        stats: server.shutdown(),
     })
 }
 
@@ -812,9 +836,8 @@ fn tally_chaos_response(
     fallback_expect: &[u64],
     tally: &mut ChaosTally,
     t: usize,
-    handle: ResponseHandle,
+    response: Response,
 ) {
-    let response = handle.wait().expect("serving worker died mid-chaos");
     let template = &templates[t];
     match response.outcome {
         Ok(run) => {
@@ -823,13 +846,7 @@ fn tally_chaos_response(
             } else {
                 template.expect
             };
-            let got = checksum_bytes(run.result, &template.prepared, &response.mem);
-            assert_eq!(
-                got, expect,
-                "chaos response for template {t} ({} on {}, degraded: {}) diverged \
-                 from its single-threaded reference",
-                template.prepared.name, template.target.name, response.degraded,
-            );
+            template.assert_matches(t, run.result, &response.mem, expect);
             if response.degraded {
                 tally.degraded_ok += 1;
             } else {
@@ -882,108 +899,32 @@ fn tally_chaos_response(
 /// Panics if any of the invariants above fails — a chaos soak treats an
 /// accounting tear the same way a differential test treats a wrong answer.
 pub fn run_chaos(cfg: &LoadConfig, plan: &FaultPlan) -> Result<ChaosReport, PipelineError> {
-    assert!(!cfg.kernels.is_empty(), "a chaos soak needs a kernel");
-    assert!(!cfg.targets.is_empty(), "a chaos soak needs a target");
-    let mut modules = Vec::with_capacity(cfg.kernels.len());
-    for kernel in &cfg.kernels {
-        let mut module = module_for(std::slice::from_ref(kernel), kernel.name)
-            .map_err(PipelineError::Frontend)?;
-        optimize_module(&mut module, &OptOptions::full());
-        modules.push(ServeModule::new(module));
-    }
+    let templates = build_templates(cfg)?;
     // The fallback core for graceful degradation: the first target of the
     // mix. Results are portable across targets (that is the paper's whole
     // premise), so a degraded response must still match a reference run —
     // on the fallback target.
     let fallback = cfg.targets[0].clone();
-    let mut templates = Vec::with_capacity(cfg.kernels.len() * cfg.targets.len());
-    let mut fallback_expect = Vec::with_capacity(cfg.kernels.len() * cfg.targets.len());
-    for (ki, kernel) in cfg.kernels.iter().enumerate() {
-        for target in &cfg.targets {
-            let t = templates.len();
-            let mut ws = Workspace::sized_for(cfg.n);
-            let prepared = prepare(kernel.name, cfg.n, cfg.seed.wrapping_add(t as u64), &mut ws);
-            let mem = ws.into_bytes();
-            let mut reference_mem = mem.clone();
-            let run = run_on_target(
-                modules[ki].module(),
-                target,
-                &cfg.options,
-                kernel.name,
-                &prepared.args,
-                &mut reference_mem,
-            )?;
-            let expect = checksum_bytes(run.result, &prepared, &reference_mem);
-            let mut fallback_mem = mem.clone();
-            let fb = run_on_target(
-                modules[ki].module(),
-                &fallback,
-                &cfg.options,
-                kernel.name,
-                &prepared.args,
-                &mut fallback_mem,
-            )?;
-            fallback_expect.push(checksum_bytes(fb.result, &prepared, &fallback_mem));
-            templates.push(SoakTemplate {
-                module: modules[ki].clone(),
-                target: target.clone(),
-                prepared,
-                mem,
-                expect,
-            });
-        }
-    }
-
+    let fallback_expect = templates
+        .iter()
+        .map(|t| reference_checksum(&t.request, &t.prepared, &fallback))
+        .collect::<Result<Vec<_>, _>>()?;
     let server = Server::start(
-        ServerConfig {
-            workers: cfg.workers,
-            queue_capacity: cfg.queue_capacity,
-            cache_capacity: cfg.cache_capacity,
-            max_batch: cfg.max_batch,
-            seed: cfg.seed,
-            store: cfg.store.clone(),
-            ..ServerConfig::default()
-        }
-        .with_faults(plan.clone())
-        .with_fallback(fallback),
+        server_config(cfg)
+            .with_faults(plan.clone())
+            .with_fallback(fallback),
     );
-    let window = (cfg.queue_capacity * 2).clamp(1, cfg.requests.max(1));
 
-    let start = Instant::now();
     let mut tally = ChaosTally::default();
-    let mut in_flight: std::collections::VecDeque<(usize, ResponseHandle)> =
-        std::collections::VecDeque::with_capacity(window);
-    for r in 0..cfg.requests {
-        let t = r % templates.len();
-        let template = &templates[t];
-        // A slice of the traffic carries tight deadlines, so the soak
-        // exercises queue sheds and (under latency faults) mid-flight
-        // cancellation. Which requests expire depends on real scheduling;
-        // the books below hold for any mix.
-        let deadline = (r % 31 == 17).then(|| Instant::now() + Duration::from_millis(3));
-        let request = Request {
-            module: template.module.clone(),
-            kernel: template.prepared.name.clone(),
-            target: template.target.clone(),
-            options: cfg.options,
-            args: template.prepared.args.clone(),
-            mem: template.mem.clone(),
-            deadline,
-            tag: r as u64,
-        };
-        let handle = server
-            .submit(request)
-            .unwrap_or_else(|e| panic!("the chaos generator's server refused a request: {e}"));
-        in_flight.push_back((t, handle));
-        if in_flight.len() >= window {
-            let (t, handle) = in_flight.pop_front().expect("window is non-empty");
-            tally_chaos_response(&templates, &fallback_expect, &mut tally, t, handle);
-        }
-    }
-    for (t, handle) in in_flight {
-        tally_chaos_response(&templates, &fallback_expect, &mut tally, t, handle);
-    }
-    let elapsed_ns = start.elapsed().as_nanos();
+    // A slice of the traffic carries tight deadlines, so the soak exercises
+    // queue sheds and (under latency faults) mid-flight cancellation. Which
+    // requests expire depends on real scheduling; the books below hold for
+    // any mix.
+    let deadline_for = |r| (r % 31 == 17).then(|| Instant::now() + Duration::from_millis(3));
+    let elapsed_ns = stream(&server, cfg, &templates, deadline_for, |t, response| {
+        tally_chaos_response(&templates, &fallback_expect, &mut tally, t, response);
+        Ok(())
+    })?;
 
     let workers = server.workers();
     let stats = server.shutdown();
@@ -1013,7 +954,6 @@ pub fn run_chaos(cfg: &LoadConfig, plan: &FaultPlan) -> Result<ChaosReport, Pipe
     assert_eq!(stats.batch_sizes.sum(), stats.completed);
     assert_eq!(stats.retry_attempts.count(), stats.completed);
 
-    let secs = (elapsed_ns as f64 / 1e9).max(1e-9);
     Ok(ChaosReport {
         requests: cfg.requests,
         templates: templates.len(),
@@ -1026,7 +966,7 @@ pub fn run_chaos(cfg: &LoadConfig, plan: &FaultPlan) -> Result<ChaosReport, Pipe
         transient: tally.transient,
         failed_fast: tally.failed_fast,
         elapsed_ns,
-        requests_per_sec: cfg.requests as f64 / secs,
+        requests_per_sec: per_sec(cfg.requests, elapsed_ns),
         stats,
     })
 }

@@ -1,18 +1,19 @@
-//! The serving tier: sharded intake, continuous batching, shared engines.
+//! The serving tier: one bounded queue, continuous batching, shared engines.
 //!
 //! Split compilation's deployment story (Cohen & Rohou, DAC 2010) is that one
 //! offline-compiled module serves *many* heterogeneous consumers, each paying
 //! only the cheap online step. This module is the request front-end of that
 //! story, shaped like a production inference/serving tier:
 //!
-//! * **Sharded intake.** Clients submit [`Request`]s into a bounded MPMC
-//!   queue made of per-worker shards: submitters are routed by batch key and
-//!   reserve capacity on one atomic, so they never contend on a global queue
-//!   mutex; workers drain their home shard first and **steal** from other
-//!   shards when it runs dry. The global bound, the backpressure semantics
-//!   ([`Server::submit`] blocks, [`Server::try_submit`] hands the request
-//!   back) and lossless draining shutdown are exactly those of the original
-//!   single-queue design.
+//! * **One boring queue.** Clients submit [`Request`]s into a bounded MPMC
+//!   FIFO whose whole state sits behind one mutex, with a condvar for parked
+//!   workers and one for parked submitters. Capacity, the shutdown flag and
+//!   the `accepted` count are checked in the critical section that inserts,
+//!   so there is no reservation to back out and no wakeup protocol to
+//!   prove. One lock is enough because it is held for a `push_back` or a
+//!   `pop_front` while a served request executes for microseconds (4–4.5 µs
+//!   at the median on the `serve_skewed` benchmark workload); per-worker
+//!   shards with work stealing measured no faster on any serving workload.
 //! * **Continuous batching.** A worker that pops a job also drains every
 //!   queued request with the same *batch key* — `(module fingerprint, target
 //!   fingerprint, JitOptions)` — up to [`ServerConfig::max_batch`], and runs
@@ -28,10 +29,10 @@
 //!   p50/p99/p999 for both phases plus the batch-size distribution.
 //!
 //! Every distinct deployed module is backed by **one shared
-//! [`ExecutionEngine`]**, deduplicated by module fingerprint in a sharded
-//! registry; the engine's in-flight-deduplicated cache guarantees exactly one
-//! online compilation per (target, options) pair however many requests race
-//! on a cold pair.
+//! [`ExecutionEngine`]**, deduplicated by module fingerprint in one locked
+//! registry (consulted once per batch); the engine's in-flight-deduplicated
+//! cache guarantees exactly one online compilation per (target, options)
+//! pair however many requests race on a cold pair.
 //!
 //! # Fault tolerance
 //!
@@ -78,12 +79,12 @@
 //!
 //! # Backpressure
 //!
-//! The queue is bounded ([`ServerConfig::queue_capacity`], a *global* bound
-//! across all shards). [`Server::submit`] blocks until space frees up (so a
-//! fast producer is throttled to the pool's drain rate instead of growing an
-//! unbounded backlog); [`Server::try_submit`] never blocks and hands the
-//! request back in [`SubmitError::QueueFull`] so the caller can shed load or
-//! retry. Refusals are counted: full-queue refusals in
+//! The queue is bounded ([`ServerConfig::queue_capacity`]).
+//! [`Server::submit`] blocks until space frees up (so a fast producer is
+//! throttled to the pool's drain rate instead of growing an unbounded
+//! backlog); [`Server::try_submit`] never blocks and hands the request back
+//! in [`SubmitError::QueueFull`] so the caller can shed load or retry.
+//! Refusals are counted: full-queue refusals in
 //! [`ServerStats::rejected`], shutdown-time refusals in
 //! [`ServerStats::rejected_shutdown`] — so `accepted + rejected +
 //! rejected_shutdown` always equals submission attempts, even across a
@@ -162,24 +163,15 @@ use crate::hist::Histogram;
 use splitc_jit::JitOptions;
 use splitc_targets::{Fnv1a, FramePool, MachineValue, SimError, TargetDesc};
 use splitc_vbc::{encode_module, Module};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Number of independently locked shards in the module → engine registry.
-///
-/// Requests for different modules resolve their engines without contending
-/// on one global lock; requests for the *same* module land on the same shard
-/// and the same shared engine.
-pub const ENGINE_SHARDS: usize = 8;
 
 /// Fingerprint of a module's canonical wire encoding ([`Fnv1a`] over
 /// [`encode_module`]).
@@ -605,10 +597,9 @@ pub struct ServerConfig {
     /// Worker threads (0 = one per host core, the sweep `--jobs 0`
     /// convention).
     pub workers: usize,
-    /// Global bound on queued (accepted but not yet running) requests across
-    /// all intake shards; clamped to at least 1. This is the backpressure
-    /// knob: blocking submits throttle producers to the drain rate once the
-    /// queue holds this many requests.
+    /// Bound on queued (accepted but not yet running) requests; clamped to
+    /// at least 1. This is the backpressure knob: blocking submits throttle
+    /// producers to the drain rate once the queue holds this many requests.
     pub queue_capacity: usize,
     /// Per-engine LRU bound on compiled (target, options) pairs
     /// ([`ExecutionEngine::set_cache_capacity`]); 0 = unbounded.
@@ -810,301 +801,149 @@ impl ServerStats {
     }
 }
 
-/// What a refused [`ShardedQueue::push`] hands back.
+/// Why [`BoundedQueue::push`] refused, and the item it hands back.
 enum PushRefused<T> {
     /// At capacity (non-blocking pushes only).
     Full(T),
-    /// The queue was closed.
     Closed(T),
 }
 
-/// One intake shard: a plain FIFO plus the count of items ever accepted
-/// into it. `accepted` is incremented under the shard lock **with** the push
-/// that makes the item visible, so a snapshot holding all shard locks can
-/// never see a consumer finish an item before it was counted as accepted.
-struct QueueShard<T> {
-    items: VecDeque<T>,
-    accepted: u64,
-}
-
-/// A consistent single-acquisition view of the queue's counters (all shard
-/// locks held at once): `high_water >= depth` and — combined with a
-/// `completed` value read beforehand — `completed + depth <= accepted`.
+/// The queue's counters from one lock acquisition: `high_water >= depth`
+/// and, for a `completed` read beforehand, `completed + depth <= accepted`.
 struct QueueSnapshot {
     depth: usize,
     accepted: u64,
     high_water: usize,
 }
 
-/// A bounded MPMC queue sharded into per-worker FIFOs with work stealing —
-/// the vendored-deps-friendly core of the serving tier.
+/// Everything a [`BoundedQueue`] knows, behind its one mutex.
+struct QueueState<T> {
+    items: VecDeque<T>,
+    /// Items ever accepted, counted with the insert that makes the item
+    /// visible: no snapshot sees a consumer finish an uncounted item.
+    accepted: u64,
+    high_water: usize,
+    open: bool,
+    /// Threads waiting on `not_empty` / `not_full`. A condvar is notified
+    /// only when its count is non-zero: `notify_*` is a futex syscall even
+    /// with nobody waiting; paid on every push and pop it cost 7.7 % `serve_rps`.
+    parked_poppers: usize,
+    parked_pushers: usize,
+}
+
+/// A bounded MPMC FIFO: one mutex, a condvar per direction.
 ///
-/// Capacity is a *global* bound enforced by one atomic reservation counter,
-/// so submitters to different shards never serialize on a common mutex; the
-/// only mutexes are per-shard (touched once per push/pop) and a `gate` that
-/// guards slow-path parking only.
-///
-/// Closing stops *intake* only: pending items drain normally, then poppers
-/// see `false`. That asymmetry is what makes graceful shutdown lossless.
-///
-/// # Why no wakeup is ever lost
-///
-/// Fast paths never touch the gate. The slow paths use an epoch protocol:
-/// every committed push bumps `pushes` *after* its insert, then checks
-/// `sleepers`; a popper that found every shard empty increments `sleepers`
-/// under the gate *before* re-reading the epoch. All counters are `SeqCst`,
-/// so for any push a sleepy popper's scan missed, either the popper's epoch
-/// re-read sees the bump (and rescans) or the pusher's `sleepers` read sees
-/// the popper (and notifies — under the gate the popper holds until it
-/// parks, so the notification cannot slip between check and wait).
-///
-/// Exit is just as careful: a popper returns `false` only when the queue is
-/// closed, a full scan found nothing, the epoch is unchanged since before
-/// that scan **and** the reservation counter is zero — so a push that
-/// reserved capacity before `close()` landed still gets drained (the popper
-/// waits for its insert; the insert's epoch bump wakes it).
-struct ShardedQueue<T> {
-    shards: Vec<Mutex<QueueShard<T>>>,
+/// Every decision — is there room, is the queue open, is anyone parked — is
+/// made under the lock that guards the items, so a waiter's check and park
+/// are atomic with respect to every push, pop and close: no wakeup is lost.
+/// Closing stops *intake* only — pending items drain, then poppers see
+/// `false` — which is what makes graceful shutdown lossless.
+struct BoundedQueue<T> {
+    state: Mutex<QueueState<T>>,
     capacity: usize,
-    /// Committed capacity reservations: incremented before an item becomes
-    /// visible, decremented after it is removed — so `len >=` the number of
-    /// queued items at every instant.
-    len: AtomicUsize,
-    high_water: AtomicUsize,
-    open: AtomicBool,
-    /// Push epoch: bumped after every insert — the "something changed,
-    /// rescan" signal for poppers. A backed-out reservation does *not* bump
-    /// it (no item became visible); that path re-notifies both condvars
-    /// under the gate instead, which is what wakes waiters re-evaluating
-    /// `len`.
-    pushes: AtomicU64,
-    /// Poppers parked (or committing to park) on `not_empty`.
-    sleepers: AtomicUsize,
-    /// Pushers parked (or committing to park) on `not_full`.
-    full_waiters: AtomicUsize,
-    /// Guards parking only — never held on a fast path.
-    gate: Mutex<()>,
     not_empty: Condvar,
     not_full: Condvar,
 }
 
-impl<T> ShardedQueue<T> {
-    fn new(shards: usize, capacity: usize) -> Self {
-        ShardedQueue {
-            shards: (0..shards.max(1))
-                .map(|_| {
-                    Mutex::new(QueueShard {
-                        items: VecDeque::new(),
-                        accepted: 0,
-                    })
-                })
-                .collect(),
+impl<T> BoundedQueue<T> {
+    fn new(capacity: usize) -> Self {
+        BoundedQueue {
+            state: Mutex::new(QueueState {
+                items: VecDeque::new(),
+                accepted: 0,
+                high_water: 0,
+                open: true,
+                parked_poppers: 0,
+                parked_pushers: 0,
+            }),
             capacity: capacity.max(1),
-            len: AtomicUsize::new(0),
-            high_water: AtomicUsize::new(0),
-            open: AtomicBool::new(true),
-            pushes: AtomicU64::new(0),
-            sleepers: AtomicUsize::new(0),
-            full_waiters: AtomicUsize::new(0),
-            gate: Mutex::new(()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
     }
 
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Enqueue `item` into `shard` (mod the shard count). With `block`,
-    /// waits for capacity; otherwise refuses a full queue immediately.
-    /// Refusals hand the item back.
-    fn push(&self, item: T, shard: usize, block: bool) -> Result<(), PushRefused<T>> {
-        // Phase 1: reserve one unit of the global capacity.
-        let reserved = loop {
-            if !self.open.load(Ordering::SeqCst) {
+    /// Enqueue `item`, waiting for capacity if `block`; refusals return it.
+    fn push(&self, item: T, block: bool) -> Result<(), PushRefused<T>> {
+        let mut state = self.state.lock().expect("serve queue poisoned");
+        loop {
+            if !state.open {
                 return Err(PushRefused::Closed(item));
             }
-            let len = self.len.load(Ordering::SeqCst);
-            if len < self.capacity {
-                if self
-                    .len
-                    .compare_exchange(len, len + 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    break len + 1;
-                }
-                continue; // lost the race, re-read
+            if state.items.len() < self.capacity {
+                break;
             }
             if !block {
                 return Err(PushRefused::Full(item));
             }
-            // Park until a popper frees a slot (or the queue closes). The
-            // waiter count is published before the re-check, mirroring the
-            // sleeper protocol: a popper either freed the slot before our
-            // re-check (we see it and retry) or reads our count after its
-            // decrement (and notifies under the gate we hold until parked).
-            let gate = self.gate.lock().expect("serve queue gate poisoned");
-            self.full_waiters.fetch_add(1, Ordering::SeqCst);
-            if self.len.load(Ordering::SeqCst) >= self.capacity && self.open.load(Ordering::SeqCst)
-            {
-                let _gate = self.not_full.wait(gate).expect("serve queue gate poisoned");
-            }
-            self.full_waiters.fetch_sub(1, Ordering::SeqCst);
-        };
-        // The high-water mark tracks reservations and is raised *before* the
-        // insert, so `high_water >= queued depth` at every instant a
-        // snapshot can observe the item.
-        self.high_water.fetch_max(reserved, Ordering::SeqCst);
-        // Phase 2: the close() contract is "nothing accepted after close";
-        // our reservation may have raced it, so re-check before the item
-        // becomes visible and back the reservation out on shutdown.
-        if !self.open.load(Ordering::SeqCst) {
-            self.len.fetch_sub(1, Ordering::SeqCst);
-            // Poppers waiting for `len == 0` to exit and pushers waiting for
-            // the freed slot both need to re-evaluate.
-            self.notify_pushed();
-            self.notify_popped();
-            return Err(PushRefused::Closed(item));
+            state.parked_pushers += 1;
+            state = self.not_full.wait(state).expect("serve queue poisoned");
+            state.parked_pushers -= 1;
         }
-        {
-            let mut guard = self.shards[shard % self.shards.len()]
-                .lock()
-                .expect("serve queue shard poisoned");
-            guard.items.push_back(item);
-            guard.accepted += 1;
+        state.items.push_back(item);
+        state.accepted += 1;
+        state.high_water = state.high_water.max(state.items.len());
+        let wake = state.parked_poppers > 0;
+        drop(state);
+        if wake {
+            self.not_empty.notify_one();
         }
-        // Publish the insert to sleepy poppers: bump the epoch first, *then*
-        // look for sleepers (see the type-level ordering proof).
-        self.pushes.fetch_add(1, Ordering::SeqCst);
-        self.notify_pushed();
         Ok(())
     }
 
-    fn notify_pushed(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _gate = self.gate.lock().expect("serve queue gate poisoned");
-            self.not_empty.notify_all();
-        }
-    }
-
-    fn notify_popped(&self) {
-        if self.full_waiters.load(Ordering::SeqCst) > 0 {
-            let _gate = self.gate.lock().expect("serve queue gate poisoned");
-            self.not_full.notify_all();
-        }
-    }
-
-    /// Dequeue a batch into `out`: the oldest item of the first non-empty
-    /// shard (scanning from `home`, stealing from other shards when the home
-    /// shard is dry) plus up to `max_batch - 1` younger items of the same
-    /// shard that are `compatible` with it, in FIFO order. Blocks while the
-    /// queue is open but empty; returns `false` (with `out` empty) only once
-    /// the queue is closed *and* fully drained.
+    /// Dequeue a batch into `out`: the oldest item plus up to
+    /// `max_batch - 1` younger ones `compatible` with it, in FIFO order (the
+    /// items left behind keep theirs). Blocks while the queue is open but
+    /// empty; returns `false` only once it is closed *and* fully drained.
     fn next_batch(
         &self,
-        home: usize,
         max_batch: usize,
         compatible: impl Fn(&T, &T) -> bool,
         out: &mut Vec<T>,
     ) -> bool {
         debug_assert!(out.is_empty());
-        let n = self.shards.len();
-        loop {
-            let epoch = self.pushes.load(Ordering::SeqCst);
-            for i in 0..n {
-                let mut shard = self.shards[(home + i) % n]
-                    .lock()
-                    .expect("serve queue shard poisoned");
-                if let Some(first) = shard.items.pop_front() {
-                    out.push(first);
-                    // Continuous batching: sweep the rest of this shard's
-                    // FIFO for items the caller can serve together with the
-                    // one just popped. Relative order of both the batch and
-                    // the left-behind items is preserved.
-                    let mut idx = 0;
-                    while out.len() < max_batch && idx < shard.items.len() {
-                        if compatible(&out[0], &shard.items[idx]) {
-                            let item = shard.items.remove(idx).expect("index is in bounds");
-                            out.push(item);
-                        } else {
-                            idx += 1;
-                        }
-                    }
-                    drop(shard);
-                    self.len.fetch_sub(out.len(), Ordering::SeqCst);
-                    self.notify_popped();
-                    // A sibling popper may have scanned every shard empty
-                    // between our pop (under the shard lock) and the
-                    // decrement above, and parked because `len != 0` made the
-                    // closed queue look undrained. No push will ever wake it
-                    // — intake is refused after close — so once our decrement
-                    // lands on a closed queue, wake the sleepers to
-                    // re-evaluate the drain condition. (SeqCst makes this a
-                    // Dekker pair with the sleeper protocol: either our
-                    // `sleepers` read sees the parked popper, or its `len`
-                    // read sees our decrement and it exits on its own.)
-                    if !self.open.load(Ordering::SeqCst) {
-                        self.notify_pushed();
-                    }
-                    return true;
-                }
+        let mut state = self.state.lock().expect("serve queue poisoned");
+        let first = loop {
+            if let Some(first) = state.items.pop_front() {
+                break first;
             }
-            // Full scan found nothing: park — or exit if closed and truly
-            // drained. `sleepers` is published *before* the epoch re-read
-            // (see the type-level proof of why this never loses a wakeup).
-            let gate = self.gate.lock().expect("serve queue gate poisoned");
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            if self.pushes.load(Ordering::SeqCst) == epoch {
-                if !self.open.load(Ordering::SeqCst) && self.len.load(Ordering::SeqCst) == 0 {
-                    // Closed, every shard scanned empty, no push landed
-                    // since, and no reservation is in flight: drained.
-                    self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                    return false;
-                }
-                let _gate = self
-                    .not_empty
-                    .wait(gate)
-                    .expect("serve queue gate poisoned");
+            if !state.open {
+                return false;
             }
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            state.parked_poppers += 1;
+            state = self.not_empty.wait(state).expect("serve queue poisoned");
+            state.parked_poppers -= 1;
+        };
+        out.push(first);
+        let mut idx = 0;
+        while out.len() < max_batch && idx < state.items.len() {
+            if compatible(&out[0], &state.items[idx]) {
+                out.push(state.items.remove(idx).expect("index is in bounds"));
+            } else {
+                idx += 1;
+            }
         }
+        let wake = state.parked_pushers > 0;
+        drop(state);
+        if wake {
+            // A batch frees several slots: every parked pusher re-checks.
+            self.not_full.notify_all();
+        }
+        true
     }
 
-    /// Close the queue to new items and wake everyone blocked on it.
-    /// Pending items still drain ([`ShardedQueue::next_batch`] keeps
-    /// returning them); only intake stops.
+    /// Stop intake and wake everyone blocked; pending items still drain.
     fn close(&self) {
-        self.open.store(false, Ordering::SeqCst);
-        // Taking the gate orders this after any in-progress park decision:
-        // a popper (or full-waiter) that read `open == true` either parks
-        // before we get the gate — and is notified — or re-checks after.
-        let _gate = self.gate.lock().expect("serve queue gate poisoned");
+        self.state.lock().expect("serve queue poisoned").open = false;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 
-    /// One consistent view of depth, accepted count and high-water mark
-    /// (all shard locks acquired together, in index order).
     fn snapshot(&self) -> QueueSnapshot {
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("serve queue shard poisoned"))
-            .collect();
-        let mut depth = 0usize;
-        let mut accepted = 0u64;
-        for g in &guards {
-            depth += g.items.len();
-            accepted += g.accepted;
-        }
-        // Reservations raise the mark before inserting, so with the shard
-        // locks held `high_water >= depth` is already guaranteed.
-        let high_water = self.high_water.load(Ordering::SeqCst);
+        let state = self.state.lock().expect("serve queue poisoned");
         QueueSnapshot {
-            depth,
-            accepted,
-            high_water,
+            depth: state.items.len(),
+            accepted: state.accepted,
+            high_water: state.high_water,
         }
     }
 }
@@ -1134,85 +973,72 @@ fn backoff_ns(policy: &RetryPolicy, seed: u64, tag: u64, attempt: u32) -> u64 {
     band / 2 + jitter
 }
 
-/// An armed deadline: when `at` passes, `token` flips and the executor
-/// cancels at its next region boundary. Ordered by `at` only (reversed, so
-/// [`BinaryHeap`] pops the *earliest* deadline first).
-struct DeadlineEntry {
-    at: Instant,
-    token: Arc<AtomicBool>,
-}
-
-impl PartialEq for DeadlineEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at
-    }
-}
-impl Eq for DeadlineEntry {}
-impl PartialOrd for DeadlineEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DeadlineEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.at.cmp(&self.at)
-    }
-}
-
-/// The deadline watchdog's shared state: a min-heap of armed deadlines
-/// under a mutex, a condvar the watchdog parks on, and the shutdown flag.
+/// The deadline watchdog's shared state: per worker, the cancellation token
+/// its frame pool polls and the deadline of the job it is running, if any.
+///
+/// Tokens are written only under the lock: the watchdog flips one only for
+/// a deadline still armed and due, and [`DeadlineWatch::disarm`] clears
+/// deadline and token together — so once a job has disarmed, no fire meant
+/// for it can reach the worker's next job.
 struct DeadlineWatch {
+    tokens: Vec<Arc<AtomicBool>>,
     state: Mutex<DeadlineState>,
     cv: Condvar,
 }
 
 struct DeadlineState {
-    heap: BinaryHeap<DeadlineEntry>,
+    armed: Vec<Option<Instant>>,
     closed: bool,
 }
 
 impl DeadlineWatch {
-    fn new() -> Self {
+    fn new(workers: usize) -> Self {
         DeadlineWatch {
+            tokens: (0..workers).map(|_| Arc::default()).collect(),
             state: Mutex::new(DeadlineState {
-                heap: BinaryHeap::new(),
+                armed: vec![None; workers],
                 closed: false,
             }),
             cv: Condvar::new(),
         }
     }
 
-    /// Arm `token` to flip when `at` passes. Tokens are never unregistered:
-    /// one that outlives its job fires into a disarmed pool, which is
-    /// harmless (workers clear/re-arm their pool token per job).
-    fn watch(&self, at: Instant, token: Arc<AtomicBool>) {
+    /// Flip `worker`'s token once `at` passes, unless disarmed first.
+    fn arm(&self, worker: usize, at: Instant) {
         let mut state = self.state.lock().expect("deadline watch poisoned");
-        state.heap.push(DeadlineEntry { at, token });
+        state.armed[worker] = Some(at);
         self.cv.notify_one();
     }
 
-    /// Stop the watchdog thread. Called only *after* the workers are
-    /// joined: every in-flight job has finished by then, so no armed token
-    /// still matters.
+    fn disarm(&self, worker: usize) {
+        let mut state = self.state.lock().expect("deadline watch poisoned");
+        state.armed[worker] = None;
+        self.tokens[worker].store(false, Ordering::SeqCst);
+    }
+
+    /// Stop the watchdog thread. Called only *after* the workers are joined:
+    /// every job has finished by then, so no armed deadline still matters.
     fn close(&self) {
         self.state.lock().expect("deadline watch poisoned").closed = true;
         self.cv.notify_all();
     }
 
     /// The watchdog loop: flip every due token, then sleep until the next
-    /// deadline (or park when none are armed).
+    /// deadline (or park while none is armed).
     fn run(&self) {
         let mut state = self.state.lock().expect("deadline watch poisoned");
         loop {
             let now = Instant::now();
-            while state.heap.peek().is_some_and(|e| e.at <= now) {
-                let entry = state.heap.pop().expect("peeked entry exists");
-                entry.token.store(true, Ordering::SeqCst);
+            for (armed, token) in state.armed.iter_mut().zip(&self.tokens) {
+                if armed.is_some_and(|at| at <= now) {
+                    token.store(true, Ordering::SeqCst);
+                    *armed = None;
+                }
             }
             if state.closed {
                 return;
             }
-            state = match state.heap.peek().map(|e| e.at) {
+            state = match state.armed.iter().flatten().min().copied() {
                 Some(at) => {
                     let wait = at.saturating_duration_since(now);
                     self.cv
@@ -1293,15 +1119,6 @@ fn same_batch(a: &Job, b: &Job) -> bool {
     a.batch_key() == b.batch_key()
 }
 
-/// Intake shard for a batch key: keying the *routing* by the *batching*
-/// equivalence sends batchable work to the same shard, so a worker's
-/// single-shard batch sweep finds it.
-fn shard_for_key(key: &(u64, u64, JitOptions), shards: usize) -> usize {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    (hasher.finish() % shards as u64) as usize
-}
-
 /// A registry entry: the engine plus the canonical encoding of the module it
 /// was deployed from, kept so every fingerprint hit can be verified against
 /// the actual bytes.
@@ -1324,9 +1141,9 @@ struct WorkerMetrics {
 
 /// State shared between the submission API and the worker pool.
 struct Inner {
-    queue: ShardedQueue<Job>,
-    /// Module fingerprint → shared engine, sharded by fingerprint.
-    engines: [Mutex<HashMap<u64, EngineEntry>>; ENGINE_SHARDS],
+    queue: BoundedQueue<Job>,
+    /// Module fingerprint → shared engine; locked once per *batch*.
+    engines: Mutex<HashMap<u64, EngineEntry>>,
     cache_capacity: usize,
     max_batch: usize,
     completed: AtomicU64,
@@ -1355,8 +1172,8 @@ struct Inner {
 
 impl Inner {
     /// The shared engine for `module`, created on first sight. Racing
-    /// requests for one fingerprint rendezvous on the registry shard's lock
-    /// and share a single engine — creation is cheap (no compilation), so it
+    /// requests for one fingerprint rendezvous on the registry lock and
+    /// share a single engine — creation is cheap (no compilation), so it
     /// happens under the lock.
     ///
     /// # Panics
@@ -1367,8 +1184,7 @@ impl Inner {
     /// an `Arc` pointer comparison in the common case (clients clone one
     /// deployed handle) and a byte comparison otherwise.
     fn engine_for(&self, module: &ServeModule) -> Arc<ExecutionEngine> {
-        let shard = &self.engines[(module.fingerprint() % ENGINE_SHARDS as u64) as usize];
-        let mut guard = shard.lock().expect("engine registry shard poisoned");
+        let mut guard = self.engines.lock().expect("engine registry poisoned");
         let entry = guard.entry(module.fingerprint()).or_insert_with(|| {
             let mut engine = ExecutionEngine::from_arc(module.module_arc());
             if let Some(store) = &self.store {
@@ -1506,10 +1322,10 @@ impl Inner {
     /// Evict `key`'s compiled artifact from its module's engine.
     fn quarantine(&self, key: &(u64, u64, JitOptions)) {
         let (module_fp, target_fp, options) = key;
-        let shard = &self.engines[(module_fp % ENGINE_SHARDS as u64) as usize];
-        let engine = shard
+        let engine = self
+            .engines
             .lock()
-            .expect("engine registry shard poisoned")
+            .expect("engine registry poisoned")
             .get(module_fp)
             .map(|entry| Arc::clone(&entry.engine));
         if let Some(engine) = engine {
@@ -1518,17 +1334,15 @@ impl Inner {
     }
 }
 
-/// The serving front-end: sharded bounded intake with work stealing,
-/// drained batch-wise by a worker pool over fingerprint-deduplicated shared
-/// engines.
+/// The serving front-end: one bounded queue, drained batch-wise by a worker
+/// pool over fingerprint-deduplicated shared engines.
 ///
 /// See the [module documentation](self) for the full contract. The server is
 /// `Send + Sync`; clients on any number of threads submit through `&self`.
 pub struct Server {
     inner: Arc<Inner>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// The deadline watchdog thread; joined *after* the workers (see
-    /// [`Server::shutdown`] for why the order matters).
+    /// The deadline watchdog; joined *after* the workers ([`Server::drain`]).
     watchdog: Mutex<Option<JoinHandle<()>>>,
     worker_count: usize,
 }
@@ -1560,8 +1374,8 @@ impl Server {
             config.workers
         };
         let inner = Arc::new(Inner {
-            queue: ShardedQueue::new(worker_count, config.queue_capacity),
-            engines: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            queue: BoundedQueue::new(config.queue_capacity),
+            engines: Mutex::new(HashMap::new()),
             cache_capacity: config.cache_capacity,
             max_batch: config.max_batch.max(1),
             completed: AtomicU64::new(0),
@@ -1583,7 +1397,7 @@ impl Server {
             faults: config.faults,
             seed: config.seed,
             breakers: Mutex::new(Breakers::default()),
-            deadlines: DeadlineWatch::new(),
+            deadlines: DeadlineWatch::new(worker_count),
             store: config.store,
         });
         let workers = (0..worker_count)
@@ -1650,10 +1464,8 @@ impl Server {
             target_fp,
             accepted_at: Instant::now(),
         };
-        let shard = shard_for_key(&job.batch_key(), self.inner.queue.shard_count());
-        match self.inner.queue.push(job, shard, block) {
-            // The queue counted the acceptance under its shard lock,
-            // atomically with making the job visible to workers.
+        match self.inner.queue.push(job, block) {
+            // Counted as accepted under the queue lock, with the insert.
             Ok(()) => Ok(ResponseHandle { rx }),
             Err(PushRefused::Full(job)) => {
                 self.inner.rejected.fetch_add(1, Ordering::SeqCst);
@@ -1678,16 +1490,15 @@ impl Server {
     pub fn stats(&self) -> ServerStats {
         let mut cache = CacheStats::default();
         let mut online_work = 0u64;
-        let mut engines = 0usize;
-        for shard in &self.inner.engines {
-            let guard = shard.lock().expect("engine registry shard poisoned");
-            engines += guard.len();
-            for entry in guard.values() {
+        let engines = {
+            let registry = self.inner.engines.lock().expect("engine registry poisoned");
+            for entry in registry.values() {
                 let snap = entry.engine.snapshot();
                 cache += snap.stats;
                 online_work += snap.online_work;
             }
-        }
+            registry.len()
+        };
         let mut per_target: BTreeMap<String, u64> = BTreeMap::new();
         let mut queue_wait = Histogram::new();
         let mut execute = Histogram::new();
@@ -1712,12 +1523,10 @@ impl Server {
             (b.opened, b.half_opened, b.closed)
         };
         // `completed` and `expired` are read *before* the queue snapshot:
-        // all three only grow and a job is accepted (under its shard lock)
+        // all three only grow, and a job is accepted (under the queue lock)
         // before any worker can complete or expire it, so this order
-        // guarantees `completed + expired <= accepted` AND
-        // `completed + expired + queue_depth <= accepted` in every snapshot
-        // — the queue's depth and accepted count come from one all-locks
-        // acquisition, never from separate racing reads.
+        // guarantees `completed + expired + queue_depth <= accepted` — depth
+        // and accepted come from one lock acquisition, never racing reads.
         let completed = self.inner.completed.load(Ordering::SeqCst);
         let expired = self.inner.expired.load(Ordering::SeqCst);
         let queue = self.inner.queue.snapshot();
@@ -1753,36 +1562,40 @@ impl Server {
     /// (`completed + expired == accepted` on return). Idempotent — later
     /// calls just return the final stats.
     ///
-    /// The deadline watchdog is closed *after* the workers are joined, never
-    /// before: an in-flight runaway kernel is only stoppable by the watchdog
-    /// flipping its cancellation token, so closing the watchdog first could
-    /// leave a worker spinning forever and deadlock the drain.
-    ///
     /// # Panics
     ///
     /// Propagates a panic from a worker thread. Kernel-execution panics are
     /// caught inside the worker and never reach here; this fires only on a
     /// genuine bug in the serving loop itself.
     pub fn shutdown(&self) -> ServerStats {
+        self.drain().expect("a serving thread panicked");
+        self.stats()
+    }
+
+    /// Close the queue, join the workers, then close and join the deadline
+    /// watchdog; returns the first panic any of those threads died with.
+    ///
+    /// The watchdog outlives the workers: a runaway in-flight kernel is only
+    /// stoppable by the watchdog flipping its cancellation token, so closing
+    /// the watchdog first could leave a worker spinning and the drain stuck.
+    fn drain(&self) -> std::thread::Result<()> {
         self.inner.queue.close();
         // The worker-list lock is held across the joins, so a concurrent
         // shutdown (or drop) blocks here until the first caller's drain
-        // finishes — every shutdown returns genuinely final counters.
+        // finishes — every shutdown returns genuinely final counters. Joins
+        // return panics as values, so nothing poisons either lock.
+        let mut outcome = Ok(());
         let mut workers = self.workers.lock().expect("worker list poisoned");
         for worker in workers.drain(..) {
-            worker.join().expect("serving worker panicked");
+            outcome = outcome.and(worker.join());
         }
         drop(workers);
         self.inner.deadlines.close();
-        if let Some(watchdog) = self
-            .watchdog
-            .lock()
-            .expect("watchdog handle poisoned")
-            .take()
-        {
-            watchdog.join().expect("deadline watchdog panicked");
+        let mut watchdog = self.watchdog.lock().expect("watchdog handle poisoned");
+        if let Some(watchdog) = watchdog.take() {
+            outcome = outcome.and(watchdog.join());
         }
-        self.stats()
+        outcome
     }
 }
 
@@ -1790,38 +1603,23 @@ impl Drop for Server {
     fn drop(&mut self) {
         // A dropped server still drains accepted work; clients that kept
         // their handles see every response. Unlike `shutdown()`, a worker
-        // panic is *not* re-raised here: drop may itself run during an
-        // unwind (e.g. the test that observed ResponseLost), and a second
-        // panic would abort the process and mask the original one.
-        self.inner.queue.close();
-        if let Ok(mut workers) = self.workers.lock() {
-            for worker in workers.drain(..) {
-                let _ = worker.join();
-            }
-        }
-        // Same ordering as `shutdown()`: the watchdog outlives the workers
-        // so a runaway in-flight kernel can still be cancelled mid-drain.
-        self.inner.deadlines.close();
-        if let Ok(mut watchdog) = self.watchdog.lock() {
-            if let Some(handle) = watchdog.take() {
-                let _ = handle.join();
-            }
-        }
+        // panic is *not* re-raised: drop may run during an unwind (e.g. the
+        // test that observed ResponseLost), where a second panic would abort.
+        let _ = self.drain();
     }
 }
 
-/// One worker: pull batches until the queue is closed *and* drained. The
-/// worker's home shard is its own index (submitters route batch keys across
-/// shards; the scan steals from other shards when home is dry), and a
+/// One worker: pull batches until the queue is closed *and* drained. A
 /// worker-held [`FramePool`] recycles call frames across every request it
-/// serves — the same per-worker amortization the sweep pool uses.
+/// serves — the same per-worker amortization the sweep pool uses — and
+/// polls the worker's deadline token.
 fn worker_loop(inner: &Inner, worker: usize) {
     let mut pool = FramePool::new();
+    pool.set_cancel_token(Arc::clone(&inner.deadlines.tokens[worker]));
     let mut batch: Vec<Job> = Vec::new();
-    let home = worker % inner.queue.shard_count();
     while inner
         .queue
-        .next_batch(home, inner.max_batch, same_batch, &mut batch)
+        .next_batch(inner.max_batch, same_batch, &mut batch)
     {
         serve_batch(inner, worker, &mut pool, &mut batch);
     }
@@ -1933,10 +1731,12 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
                 inner.degraded.fetch_add(1, Ordering::SeqCst);
                 // The fallback target has its own (module, target, options)
                 // key, so its runs never feed the broken key's breaker.
-                (run_job(inner, &engine, None, request, pool, true), true)
+                let result = run_job(inner, worker, &engine, None, request, pool, true);
+                (result, true)
             }
             Gate::Run { probe } => {
-                let result = run_job(inner, &engine, program.as_ref(), request, pool, false);
+                let program = program.as_ref();
+                let result = run_job(inner, worker, &engine, program, request, pool, false);
                 inner.breaker_record(&key, probe, result.tripped);
                 (result, false)
             }
@@ -1998,7 +1798,7 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
 }
 
 /// Run one job of a batch under the full fault-tolerance stack: deadline
-/// token arming, configured fault injection, the panic guard, and bounded
+/// arming, configured fault injection, the panic guard, and bounded
 /// retries with jittered exponential backoff.
 ///
 /// `program` is the batch-level compiled-program fetch: `Some(Ok(_))`
@@ -2023,6 +1823,7 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
 /// before every retry, so a retried request runs against pristine state.
 fn run_job(
     inner: &Inner,
+    worker: usize,
     engine: &ExecutionEngine,
     program: Option<&Result<Arc<CompiledModule>, EngineError>>,
     request: Request,
@@ -2060,17 +1861,11 @@ fn run_job(
             tripped: false,
         };
     }
-    // Arm the deadline: the watchdog flips this token when the deadline
-    // passes, and the interpreter's cooperative checks (function entry and
-    // loop back edges) turn the flip into `SimError::Cancelled` mid-kernel.
-    // Tokens are registered once per job and never unregistered — a stale
-    // fire after the job finished is harmless because the pool's token slot
-    // is cleared below.
-    let token = deadline.map(|at| {
-        let token = Arc::new(AtomicBool::new(false));
-        inner.deadlines.watch(at, Arc::clone(&token));
-        token
-    });
+    // The watchdog flips this worker's token when the deadline passes; the
+    // executor's polls (function entry, back edges) raise `SimError::Cancelled`.
+    if let Some(at) = deadline {
+        inner.deadlines.arm(worker, at);
+    }
     // Retries need pristine memory: back it up before the first attempt
     // (`RetryPolicy::none()` skips the copy entirely).
     let backup = (inner.retry.max_retries > 0).then(|| mem.clone());
@@ -2078,11 +1873,6 @@ fn run_job(
     let mut attempt: u32 = 0;
     let mut cancelled = false;
     let outcome = loop {
-        if let Some(token) = &token {
-            // (Re-)arm the pool each attempt: a panic replaced the pool —
-            // and with it the token slot — wholesale.
-            pool.set_cancel_token(Arc::clone(token));
-        }
         let compile_fault = faults_at(inner, FaultSite::Compile, tag, attempt);
         let execute_fault = faults_at(inner, FaultSite::Execute, tag, attempt);
         attempt += 1;
@@ -2117,6 +1907,7 @@ fn run_job(
             Ok(outcome) => outcome,
             Err(payload) => {
                 *pool = FramePool::new();
+                pool.set_cancel_token(Arc::clone(&inner.deadlines.tokens[worker]));
                 Err(EngineError::Panicked(panic_message(payload.as_ref())))
             }
         };
@@ -2130,8 +1921,7 @@ fn run_job(
             outcome,
             Err(EngineError::Panicked(_)) | Err(EngineError::Transient(_))
         );
-        let deadline_passed = token.as_ref().is_some_and(|t| t.load(Ordering::SeqCst))
-            || deadline.is_some_and(|at| Instant::now() >= at);
+        let deadline_passed = deadline.is_some_and(|at| Instant::now() >= at);
         if !(retryable && attempt <= inner.retry.max_retries && !deadline_passed) {
             break outcome;
         }
@@ -2144,8 +1934,9 @@ fn run_job(
             std::thread::sleep(Duration::from_nanos(backoff));
         }
     };
-    // Clear the slot so later jobs on this worker never see a stale token.
-    pool.clear_cancel_token();
+    if deadline.is_some() {
+        inner.deadlines.disarm(worker);
+    }
     let tripped = matches!(
         outcome,
         Err(EngineError::Panicked(_)) | Err(EngineError::Transient(_)) | Err(EngineError::Jit(_))
@@ -2249,11 +2040,11 @@ mod tests {
         }
     }
 
-    /// Dequeue exactly one item (no batching) — the old `pop` shape, used
-    /// by the queue-semantics tests.
-    fn pop1<T>(q: &ShardedQueue<T>) -> Option<T> {
+    /// Dequeue exactly one item (no batching) — the shape the
+    /// queue-semantics tests want.
+    fn pop1<T>(q: &BoundedQueue<T>) -> Option<T> {
         let mut out = Vec::new();
-        if q.next_batch(0, 1, |_, _| false, &mut out) {
+        if q.next_batch(1, |_, _| false, &mut out) {
             debug_assert_eq!(out.len(), 1);
             out.pop()
         } else {
@@ -2261,23 +2052,47 @@ mod tests {
         }
     }
 
-    // --- ShardedQueue: deterministic backpressure semantics ---
+    /// How long a test waits for a thread before declaring it stranded.
+    const STRANDED: Duration = Duration::from_secs(30);
+
+    /// Run `f` on its own thread and receive its result through a channel, so
+    /// a thread stranded on the queue fails the test (`recv_timeout`)
+    /// instead of hanging it (`join`).
+    fn watched<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Receiver<T> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx
+    }
+
+    /// Spin until `parked` says the thread under test has gone to sleep on
+    /// the queue — the park is the interleaving these tests are about, so
+    /// they wait for it instead of hoping a sleep was long enough.
+    fn wait_until_parked<T>(q: &BoundedQueue<T>, parked: impl Fn(&QueueState<T>) -> bool) {
+        let start = Instant::now();
+        while !parked(&q.state.lock().unwrap()) {
+            assert!(start.elapsed() < STRANDED, "the thread never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    // --- BoundedQueue: deterministic backpressure semantics ---
 
     #[test]
     fn try_push_refuses_a_full_queue_and_hands_the_item_back() {
-        let q = ShardedQueue::new(1, 2);
-        assert!(q.push(1u32, 0, false).is_ok());
-        assert!(q.push(2, 0, false).is_ok());
-        match q.push(3, 0, false) {
+        let q = BoundedQueue::new(2);
+        assert!(q.push(1u32, false).is_ok());
+        assert!(q.push(2, false).is_ok());
+        match q.push(3, false) {
             Err(PushRefused::Full(item)) => assert_eq!(item, 3),
             _ => panic!("a full queue must refuse non-blocking pushes"),
         }
         let snap = q.snapshot();
         assert_eq!(snap.depth, 2);
+        assert_eq!(snap.accepted, 2, "a refusal is not an acceptance");
         assert_eq!(snap.high_water, 2);
         // Draining makes room again, FIFO order preserved.
         assert_eq!(pop1(&q), Some(1));
-        assert!(q.push(3, 0, false).is_ok());
+        assert!(q.push(3, false).is_ok());
         assert_eq!(pop1(&q), Some(2));
         assert_eq!(pop1(&q), Some(3));
         assert_eq!(
@@ -2288,40 +2103,26 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_global_across_shards() {
-        let q = ShardedQueue::new(4, 2);
-        assert!(q.push(1u32, 0, false).is_ok());
-        assert!(q.push(2, 3, false).is_ok());
-        assert!(
-            matches!(q.push(3, 1, false), Err(PushRefused::Full(3))),
-            "the bound spans all shards, not each one"
-        );
-        let snap = q.snapshot();
-        assert_eq!(snap.depth, 2);
-        assert_eq!(snap.accepted, 2);
-    }
-
-    #[test]
     fn blocking_push_waits_for_space_instead_of_refusing() {
-        let q = Arc::new(ShardedQueue::new(1, 1));
-        assert!(q.push(10u32, 0, true).is_ok());
+        let q = Arc::new(BoundedQueue::new(1));
+        assert!(q.push(10u32, true).is_ok());
         let qt = Arc::clone(&q);
-        let pusher = std::thread::spawn(move || qt.push(20, 0, true).is_ok());
-        // The pusher can only finish after this pop frees a slot; if push
-        // wrongly refused instead of blocking, the assert below catches the
-        // missing item.
+        let pushed = watched(move || qt.push(20, true).is_ok());
+        wait_until_parked(&q, |s| s.parked_pushers == 1);
+        assert_eq!(q.snapshot().depth, 1, "the parked push inserted nothing");
+        // Only this pop lets the pusher finish.
         assert_eq!(pop1(&q), Some(10));
-        assert!(pusher.join().unwrap());
+        assert_eq!(pushed.recv_timeout(STRANDED), Ok(true));
         assert_eq!(pop1(&q), Some(20));
     }
 
     #[test]
     fn close_refuses_intake_but_drains_pending_items() {
-        let q = ShardedQueue::new(1, 4);
-        assert!(q.push(1u32, 0, false).is_ok());
-        assert!(q.push(2, 0, false).is_ok());
+        let q = BoundedQueue::new(4);
+        assert!(q.push(1u32, false).is_ok());
+        assert!(q.push(2, false).is_ok());
         q.close();
-        match q.push(3, 0, true) {
+        match q.push(3, true) {
             Err(PushRefused::Closed(item)) => assert_eq!(item, 3),
             _ => panic!("a closed queue must refuse even blocking pushes"),
         }
@@ -2333,36 +2134,56 @@ mod tests {
 
     #[test]
     fn close_wakes_blocked_poppers() {
-        let q = Arc::new(ShardedQueue::<u32>::new(2, 1));
+        let q = Arc::new(BoundedQueue::<u32>::new(1));
         let qt = Arc::clone(&q);
-        let popper = std::thread::spawn(move || pop1(&qt));
+        let popped = watched(move || pop1(&qt));
+        wait_until_parked(&q, |s| s.parked_poppers == 1);
         q.close();
-        assert_eq!(popper.join().unwrap(), None);
+        assert_eq!(popped.recv_timeout(STRANDED), Ok(None));
+    }
+
+    #[test]
+    fn close_hands_a_blocked_pusher_its_item_back() {
+        let q = Arc::new(BoundedQueue::new(1));
+        assert!(q.push(1u32, true).is_ok());
+        let qt = Arc::clone(&q);
+        let refused = watched(move || qt.push(2, true).err());
+        wait_until_parked(&q, |s| s.parked_pushers == 1);
+        q.close();
+        match refused.recv_timeout(STRANDED) {
+            Ok(Some(PushRefused::Closed(item))) => assert_eq!(item, 2),
+            Ok(_) => panic!("a pusher parked on a full queue must be refused by close"),
+            Err(_) => panic!("close left a parked pusher asleep"),
+        }
+        assert_eq!(
+            q.snapshot().accepted,
+            1,
+            "the refused item was never counted"
+        );
+        assert_eq!(pop1(&q), Some(1), "what was accepted still drains");
+        assert_eq!(pop1(&q), None);
     }
 
     #[test]
     fn closed_drain_never_strands_a_popper() {
-        // Regression: a popper that scanned every shard empty could park on
-        // a closed queue forever because a sibling had popped the last item
-        // under the shard lock but not yet published the `len` decrement —
-        // the popper saw `open == false, len != 0` and waited, and the
-        // decrement only notified `not_full`. Hammer that window: every
-        // popper draining a closed queue must exit.
+        // Regression (sharded predecessor): a popper could park forever on a
+        // closed queue whose last item a sibling was still accounting for.
+        // Hammer the closed drain: every popper must exit, nothing is lost.
         for round in 0..200 {
-            let q = Arc::new(ShardedQueue::<u32>::new(2, 64));
+            let q = Arc::new(BoundedQueue::<u32>::new(64));
             for v in 0..8u32 {
-                assert!(q.push(v, v as usize, false).is_ok());
+                assert!(q.push(v, false).is_ok());
             }
             q.close();
             let (done_tx, done_rx) = mpsc::channel();
             let poppers: Vec<_> = (0..4)
-                .map(|home| {
+                .map(|_| {
                     let qt = Arc::clone(&q);
                     let tx = done_tx.clone();
                     std::thread::spawn(move || {
                         let mut out = Vec::new();
                         let mut popped = 0usize;
-                        while qt.next_batch(home, 2, |_, _| true, &mut out) {
+                        while qt.next_batch(2, |_, _| true, &mut out) {
                             popped += out.len();
                             out.clear();
                         }
@@ -2375,11 +2196,9 @@ mod tests {
             // failure instead of a silent hang.
             let mut total = 0usize;
             for _ in 0..poppers.len() {
-                total += done_rx
-                    .recv_timeout(std::time::Duration::from_secs(30))
-                    .unwrap_or_else(|_| {
-                        panic!("round {round}: popper stranded on a closed, drained queue")
-                    });
+                total += done_rx.recv_timeout(STRANDED).unwrap_or_else(|_| {
+                    panic!("round {round}: popper stranded on a closed, drained queue")
+                });
             }
             assert_eq!(total, 8, "round {round}: lossless drain");
             for p in poppers {
@@ -2389,59 +2208,102 @@ mod tests {
     }
 
     #[test]
+    fn a_capacity_one_queue_hands_every_item_over_exactly_once() {
+        // Capacity 1 with several threads on each side: nearly every push
+        // parks on `not_full` and nearly every pop on `not_empty`, so this
+        // lives on the wake paths the roomier tests only reach by luck.
+        const PUSHERS: u32 = 3;
+        const POPPERS: u32 = 3;
+        const PER_PUSHER: u32 = 2_000;
+        let q = Arc::new(BoundedQueue::<u32>::new(1));
+        let pushers: Vec<_> = (0..PUSHERS)
+            .map(|p| {
+                let qt = Arc::clone(&q);
+                watched(move || {
+                    for i in 0..PER_PUSHER {
+                        assert!(qt.push(p * PER_PUSHER + i, true).is_ok());
+                    }
+                })
+            })
+            .collect();
+        let poppers: Vec<_> = (0..POPPERS)
+            .map(|_| {
+                let qt = Arc::clone(&q);
+                watched(move || {
+                    let mut seen = Vec::new();
+                    let mut out = Vec::new();
+                    while qt.next_batch(2, |_, _| true, &mut out) {
+                        seen.append(&mut out);
+                    }
+                    seen
+                })
+            })
+            .collect();
+        for pushed in &pushers {
+            pushed
+                .recv_timeout(STRANDED)
+                .expect("a pusher is stranded on a queue that keeps draining");
+        }
+        q.close();
+        let mut seen = Vec::new();
+        for popped in &poppers {
+            seen.extend(
+                popped
+                    .recv_timeout(STRANDED)
+                    .expect("a popper is stranded on a closed, drained queue"),
+            );
+        }
+        seen.sort_unstable();
+        let all: Vec<u32> = (0..PUSHERS * PER_PUSHER).collect();
+        assert_eq!(seen, all, "every item popped exactly once");
+        let snap = q.snapshot();
+        assert_eq!(snap.accepted, u64::from(PUSHERS * PER_PUSHER));
+        assert_eq!((snap.depth, snap.high_water), (0, 1));
+    }
+
+    #[test]
     fn next_batch_drains_compatible_items_in_fifo_order() {
-        let q = ShardedQueue::new(1, 16);
+        let q = BoundedQueue::new(16);
         for v in 1..=6u32 {
-            assert!(q.push(v, 0, false).is_ok());
+            assert!(q.push(v, false).is_ok());
         }
         let parity = |a: &u32, b: &u32| a % 2 == b % 2;
         let mut out = Vec::new();
-        assert!(q.next_batch(0, 8, parity, &mut out));
+        assert!(q.next_batch(8, parity, &mut out));
         assert_eq!(out, vec![1, 3, 5], "odd batch, order preserved");
         out.clear();
-        assert!(q.next_batch(0, 8, parity, &mut out));
+        assert!(q.next_batch(8, parity, &mut out));
         assert_eq!(out, vec![2, 4, 6], "left-behind items keep their order");
         assert_eq!(q.snapshot().depth, 0);
     }
 
     #[test]
     fn next_batch_respects_max_batch() {
-        let q = ShardedQueue::new(1, 16);
+        let q = BoundedQueue::new(16);
         for v in 0..5u32 {
-            assert!(q.push(v, 0, false).is_ok());
+            assert!(q.push(v, false).is_ok());
         }
         let mut out = Vec::new();
-        assert!(q.next_batch(0, 2, |_, _| true, &mut out));
+        assert!(q.next_batch(2, |_, _| true, &mut out));
         assert_eq!(out, vec![0, 1]);
         out.clear();
-        assert!(q.next_batch(0, 2, |_, _| true, &mut out));
+        assert!(q.next_batch(2, |_, _| true, &mut out));
         assert_eq!(out, vec![2, 3]);
         out.clear();
-        assert!(q.next_batch(0, 2, |_, _| true, &mut out));
+        assert!(q.next_batch(2, |_, _| true, &mut out));
         assert_eq!(out, vec![4], "a short tail still serves");
     }
 
     #[test]
-    fn workers_steal_from_other_shards() {
-        let q = ShardedQueue::new(4, 16);
-        assert!(q.push(7u32, 2, false).is_ok());
-        let mut out = Vec::new();
-        // Home shard 0 is empty; the scan must find shard 2's item instead
-        // of parking forever.
-        assert!(q.next_batch(0, 4, |_, _| true, &mut out));
-        assert_eq!(out, vec![7]);
-    }
-
-    #[test]
     fn snapshot_is_consistent_under_churn() {
-        let q = Arc::new(ShardedQueue::<u64>::new(4, 32));
+        let q = Arc::new(BoundedQueue::<u64>::new(32));
         let popped = Arc::new(AtomicU64::new(0));
         let mut producers = Vec::new();
-        for p in 0..2 {
+        for _ in 0..2 {
             let qt = Arc::clone(&q);
             producers.push(std::thread::spawn(move || {
                 for i in 0..500u64 {
-                    qt.push(i, (p + i as usize) % 4, true).ok();
+                    qt.push(i, true).ok();
                 }
             }));
         }
@@ -2449,7 +2311,7 @@ mod tests {
         let popped_t = Arc::clone(&popped);
         let consumer = std::thread::spawn(move || {
             let mut out = Vec::new();
-            while qt.next_batch(0, 4, |_, _| true, &mut out) {
+            while qt.next_batch(4, |_, _| true, &mut out) {
                 // Count completions BEFORE the next observation can run, the
                 // same order the server maintains.
                 popped_t.fetch_add(out.len() as u64, Ordering::SeqCst);
@@ -2788,6 +2650,21 @@ mod tests {
     }
 
     // --- Fault tolerance ---
+
+    #[test]
+    fn a_completed_request_leaves_no_deadline_armed() {
+        let module = triple_module();
+        let server = Server::start(ServerConfig::default().with_workers(1));
+        let mut request = triple_request(&module, 2);
+        request.deadline = Some(Instant::now() + Duration::from_secs(3600));
+        let response = server.submit(request).unwrap().wait().unwrap();
+        assert_eq!(response.outcome.unwrap().result, Some(MachineValue::Int(6)));
+        // The worker disarms before it answers, so the hour-out deadline is
+        // already gone: nothing accumulates per request.
+        let watch = &server.inner.deadlines;
+        assert_eq!(watch.state.lock().unwrap().armed, [None]);
+        assert!(!watch.tokens[0].load(Ordering::SeqCst));
+    }
 
     #[test]
     fn a_transient_fault_is_retried_and_the_attempt_count_stamped() {
