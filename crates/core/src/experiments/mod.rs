@@ -11,8 +11,7 @@
 //!
 //! Every driver returns a structured result with a `render()` method that
 //! prints a paper-style table; the `report` binary of the `splitc-bench`
-//! crate and the Criterion benchmarks are thin wrappers around these
-//! functions.
+//! crate is a thin wrapper around these functions.
 
 pub mod codesize;
 pub mod hetero;

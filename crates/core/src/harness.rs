@@ -248,12 +248,10 @@ pub fn prepare(kernel: &str, n: usize, seed: u64, ws: &mut Workspace) -> Prepare
 /// Summarize a finished run (return value plus output region) into a checksum
 /// that must agree across compilation strategies and targets.
 ///
-/// Checksums are only ever compared *within* one build of this crate. Note
-/// for anyone diffing historical `BENCH_sweep.json` files: the hash moved to
-/// the shared [`Fnv1a`] with the `splitc-bench-sweep/2` schema bump — the
-/// old hand-rolled loop multiplied by a typo'd FNV prime (`0x1000_0000_01b3`
-/// instead of `0x100_0000_01b3`) — so every checksum value changed at that
-/// point while cycles stayed comparable.
+/// Checksums are only ever compared *within* one build of this crate; the
+/// committed `BENCH_sweep.json` golden (schema `splitc-bench-sweep/9`) pins
+/// them per (kernel, target) cell, so a change to this function or to
+/// [`Fnv1a`] must regenerate that file.
 pub fn checksum(result: Option<MachineValue>, prepared: &PreparedKernel, ws: &Workspace) -> u64 {
     checksum_bytes(result, prepared, ws.bytes())
 }

@@ -19,7 +19,7 @@
 //! drivers that regenerate every table and figure of the paper
 //! (see [`experiments`]), provides the parallel sweep layer
 //! (see [`sweep`]) that fans kernel × target × repeat matrices across
-//! cores over one shared, sharded engine cache, and the serving layer
+//! cores over one shared engine cache, and the serving layer
 //! (see [`serve`]) that exposes deployments behind a bounded request queue
 //! with fingerprint-deduplicated shared engines.
 //!
@@ -86,7 +86,7 @@ pub use splitc_runtime::{
 };
 
 // Re-export the component crates so that downstream users (examples, tests,
-// benches) can reach the whole system through this facade.
+// the `report` binary) can reach the whole system through this facade.
 pub use splitc_jit;
 pub use splitc_minic;
 pub use splitc_opt;

@@ -12,11 +12,10 @@
 //! Determinism: request `r`'s kernel, target and input bytes depend only on
 //! `(r, cfg.seed)`, never on worker scheduling, so a `workers = 8` load is
 //! bit-identical (checksum-for-checksum) to a `workers = 1` load — the
-//! property `benches/serve.rs` and the serving test suite pin down.
+//! property this module's tests and the serving test suite pin down.
 //!
-//! The CLI's `splitc serve-bench`, the `report --json` serving trajectory and
-//! `benches/serve.rs` all run through [`run_load`]; `serve-bench --soak` and
-//! the SLO rows of the sweep JSON run through [`run_soak`], which streams
+//! The CLI's `splitc serve-bench` runs through [`run_load`] and
+//! `serve-bench --soak` through [`run_soak`], which streams
 //! requests through a bounded in-flight window instead of materializing the
 //! whole load up front — that's what makes 10⁵+-request soaks affordable —
 //! and verifies every response against a per-template single-threaded
@@ -27,8 +26,7 @@ pub use splitc_runtime::serve::{
     Request, Response, ResponseHandle, ResponseLost, RetryPolicy, ServeModule, Server,
     ServerConfig, ServerStats, SubmitError, PANIC_MESSAGE_CAP,
 };
-use splitc_runtime::EngineError;
-pub use splitc_runtime::{Histogram, EMPTY_QUANTILE};
+use splitc_runtime::{EngineError, Histogram, EMPTY_QUANTILE};
 
 use crate::harness::{checksum_bytes, prepare, PreparedKernel};
 use crate::report::fmt_cache_line;
@@ -1034,6 +1032,7 @@ mod tests {
         assert_eq!(report.requests, 120);
         assert_eq!(report.templates, 9, "one template per kernel × target");
         assert_eq!(report.window, 16, "twice the queue bound");
+        assert_eq!(report.stats.accepted, 120);
         assert_eq!(report.stats.completed, 120, "lossless under streaming");
         assert_eq!(report.stats.queue_wait.count(), 120);
         assert_eq!(report.stats.execute.count(), 120);

@@ -9,8 +9,8 @@
 //! Two amortizations happen here, per the paper's "compile once, run many
 //! times" economics:
 //!
-//! * **online compilation** — all workers share the engine's sharded code
-//!   cache, so a cold `(target, options)` pair is compiled exactly once no
+//! * **online compilation** — all workers share the engine's code cache
+//!   (one lock, compiles outside it), so a cold `(target, options)` pair is compiled exactly once no
 //!   matter how many cells race on it;
 //! * **workspace setup** — each worker allocates one scratch [`Workspace`]
 //!   and resets it per cell instead of reallocating, so repeated runs of the
@@ -244,8 +244,7 @@ pub fn sweep_engine(
 }
 
 /// Compile `kernels` into one module (full offline optimization), deploy it,
-/// and sweep it over `targets` — the one-call entry the CLI and the
-/// throughput bench use.
+/// and sweep it over `targets` — the one-call entry the CLI uses.
 ///
 /// # Errors
 ///

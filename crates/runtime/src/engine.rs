@@ -26,34 +26,37 @@
 //! The engine is `Send + Sync` and built for many threads hammering one
 //! deployment (see [`crate::sweep`]):
 //!
-//! * the cache is **sharded** into [`SHARD_COUNT`] independently locked maps,
-//!   so lookups and cold compiles for different (target, options) pairs never
-//!   contend on one global lock;
-//! * compilation happens **outside** the shard lock. A cold lookup registers
-//!   an *in-flight* marker under the lock, releases it, and compiles; a second
+//! * the cache's whole mutable state — the entry map, the [`CacheStats`]
+//!   counters, the LRU clock, the resident count and the bound — is **one
+//!   struct behind one lock**. The critical section of a hit is a map probe,
+//!   a stamp and an [`Arc`] clone, which is short next to hashing the target
+//!   description into its fingerprint (done before the lock is taken) and
+//!   tiny next to the run that follows, so one lock is not the bottleneck;
+//! * compilation happens **outside** the lock. A cold lookup registers an
+//!   *in-flight* marker under the lock, releases it, and compiles; a second
 //!   thread racing on the same cold key finds the marker and waits on it
 //!   instead of compiling again. Two threads racing on one cold key produce
 //!   **exactly one** compilation — the waiter counts as a cache hit;
-//! * the [`CacheStats`] counters live **inside the shards**, mutated only
-//!   under the owning shard's lock, and [`ExecutionEngine::snapshot`] reads
-//!   them with every shard lock held at once. A snapshot taken while workers
-//!   are mid-flight is therefore *consistent*: it never tears a single
-//!   lookup apart (each lookup bumps exactly one counter, atomically with
-//!   the map change it describes), successive snapshots are pointwise
-//!   non-decreasing, and `compiles + disk_hits - evictions` always equals
-//!   the number of resident entries ([`CacheSnapshot::live`]). The serving layer
-//!   ([`crate::serve`]) relies on exactly these guarantees when it reports
-//!   cache counters from a live worker pool.
+//! * every counter moves in the same acquisition as the map change it
+//!   describes, and [`ExecutionEngine::snapshot`] reads under that lock. A
+//!   snapshot taken while workers are mid-flight is therefore *consistent*:
+//!   it never tears a single lookup apart, successive snapshots are
+//!   pointwise non-decreasing, and `compiles + disk_hits - evictions` always
+//!   equals the number of resident entries ([`CacheSnapshot::live`]). The
+//!   serving layer ([`crate::serve`]) relies on exactly these guarantees when
+//!   it reports cache counters from a live worker pool.
 //!
 //! # Eviction
 //!
 //! By default the cache grows without bound (one entry per distinct pair,
 //! which is small). Long-running multi-tenant deployments can bound it with
-//! [`ExecutionEngine::set_cache_capacity`]: inserts beyond the bound evict the
-//! least-recently-used entry (tracked by a global logical clock across all
-//! shards) and count into [`CacheStats::evictions`]. A re-request of an
-//! evicted pair recompiles — bit-identically, since online compilation is
-//! deterministic — and counts as a fresh compile.
+//! [`ExecutionEngine::set_cache_capacity`]: an insert beyond the bound evicts
+//! the least-recently-used entry (by a logical clock ticked on every hit and
+//! insert) *in the same lock acquisition*, so no thread — and no snapshot —
+//! ever observes more than `capacity` resident entries, however many threads
+//! insert at once. Evictions count into [`CacheStats::evictions`]. A
+//! re-request of an evicted pair recompiles — bit-identically, since online
+//! compilation is deterministic — and counts as a fresh compile.
 //!
 //! # Example
 //!
@@ -94,16 +97,7 @@ use splitc_vbc::{encode_module, Module};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Number of independently locked cache shards.
-///
-/// Cold compiles for keys in different shards proceed fully in parallel; even
-/// within one shard the lock is only held for map bookkeeping, never across a
-/// compilation.
-pub const SHARD_COUNT: usize = 8;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Any error that can occur along the offline/online pipeline or at run time.
 ///
@@ -294,45 +288,89 @@ type CacheKey = (u64, JitOptions);
 /// shared compiled program or with the compile error.
 type InFlightCell = OnceLock<Result<Arc<CompiledModule>, JitError>>;
 
-/// A compiled entry plus its last-use stamp from the engine's logical clock.
+/// One slot of the code cache.
 #[derive(Debug)]
-struct ReadyEntry {
-    compiled: Arc<CompiledModule>,
-    stamp: u64,
-}
-
-#[derive(Debug)]
-enum ShardEntry {
-    /// Compiled and cached.
-    Ready(ReadyEntry),
+enum Entry {
+    /// Compiled and cached, with its last-use stamp from the cache's clock.
+    Ready {
+        compiled: Arc<CompiledModule>,
+        stamp: u64,
+    },
     /// A thread is compiling this key right now; wait on the cell.
     InFlight(Arc<InFlightCell>),
 }
 
+/// The cache's whole mutable state, behind the engine's one lock. Every
+/// counter moves in the same acquisition as the map change it describes,
+/// which is what makes [`ExecutionEngine::snapshot`] consistent.
 #[derive(Debug, Default)]
-struct Shard {
-    entries: HashMap<CacheKey, ShardEntry>,
-    /// Counters for events on this shard's keys, mutated only under the
-    /// shard lock — atomically with the map change each one describes — so
-    /// [`ExecutionEngine::snapshot`] (which holds every shard lock at once)
-    /// observes a consistent cross-shard total.
+struct Cache {
+    entries: HashMap<CacheKey, Entry>,
     stats: CacheStats,
-    /// Online-compilation work units spent on this shard's keys.
+    /// Online-compilation work units spent so far.
     online_work: u64,
+    /// Logical LRU clock; every hit or insert takes the next tick.
+    clock: u64,
+    /// Number of `Ready` entries.
+    live: usize,
+    /// LRU bound on `live`; 0 means unbounded.
+    capacity: usize,
 }
 
-/// A consistent view of the engine's cache, taken with every shard lock held
-/// at once (see [`ExecutionEngine::snapshot`]).
+impl Cache {
+    /// Make `compiled` the resident entry for `key` (replacing the in-flight
+    /// marker), then evict down to the bound before the lock is released.
+    fn insert_ready(&mut self, key: CacheKey, compiled: Arc<CompiledModule>) {
+        self.clock += 1;
+        let stamp = self.clock;
+        self.entries.insert(key, Entry::Ready { compiled, stamp });
+        self.live += 1;
+        self.enforce_capacity();
+    }
+
+    /// Remove `key` if it is `Ready`, counting the eviction. In-flight
+    /// markers are left alone: their waiters hold the cell, and the winner's
+    /// insert repopulates the slot.
+    fn remove_ready(&mut self, key: &CacheKey) -> bool {
+        if !matches!(self.entries.get(key), Some(Entry::Ready { .. })) {
+            return false;
+        }
+        self.entries.remove(key);
+        self.live -= 1;
+        self.stats.evictions += 1;
+        true
+    }
+
+    /// Evict least-recently-used entries until the cache fits its bound.
+    fn enforce_capacity(&mut self) {
+        while self.capacity != 0 && self.live > self.capacity {
+            let lru = self
+                .entries
+                .iter()
+                .filter_map(|(key, entry)| match entry {
+                    Entry::Ready { stamp, .. } => Some((*stamp, *key)),
+                    Entry::InFlight(_) => None,
+                })
+                .min_by_key(|(stamp, _)| *stamp);
+            let Some((_, key)) = lru else { break };
+            self.remove_ready(&key);
+        }
+    }
+}
+
+/// A consistent view of the engine's cache, taken under its lock (see
+/// [`ExecutionEngine::snapshot`]).
 ///
-/// Because each counter is updated under its shard's lock, atomically with
-/// the cache mutation it describes, any snapshot — even one taken while
-/// worker threads are mid-lookup — satisfies:
+/// Because each counter is updated in the same lock acquisition as the cache
+/// mutation it describes, any snapshot — even one taken while worker threads
+/// are mid-lookup — satisfies:
 ///
 /// * `stats.lookups() == stats.compiles + stats.hits + stats.disk_hits`
 ///   (definitional);
 /// * `live == stats.compiles + stats.disk_hits - stats.evictions` — every
 ///   resident entry got there by a compile or a validated disk load, and no
 ///   lookup is ever half counted;
+/// * `live <= capacity` whenever a bound is set;
 /// * successive snapshots are pointwise non-decreasing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheSnapshot {
@@ -350,7 +388,7 @@ pub struct CacheSnapshot {
 /// poisons the cell with an error (so waiters wake instead of blocking
 /// forever while the panic propagates).
 struct InFlightGuard<'a> {
-    shard: &'a Mutex<Shard>,
+    cache: &'a Mutex<Cache>,
     key: CacheKey,
     cell: &'a Arc<InFlightCell>,
     armed: bool,
@@ -361,7 +399,7 @@ impl Drop for InFlightGuard<'_> {
         if !self.armed {
             return;
         }
-        if let Ok(mut guard) = self.shard.lock() {
+        if let Ok(mut guard) = self.cache.lock() {
             guard.entries.remove(&self.key);
         }
         let _ = self.cell.set(Err(JitError::Internal(
@@ -379,25 +417,46 @@ struct StoreHandle {
 }
 
 /// What the compiling thread's pre-compile store probe found. Carried into
-/// the bookkeeping paths so the right disk counter moves under the shard
-/// lock, atomically with the cache mutation it explains.
+/// the bookkeeping block so the right disk counter moves under the lock,
+/// with the cache mutation it explains.
 enum DiskProbe {
     /// No store attached.
     NoStore,
     /// A validated artifact was loaded; no compilation needed.
-    Hit(Box<CompiledModule>),
+    Hit,
     /// No entry on disk for this key; compile and then populate it.
     Miss(StoreKey),
     /// An entry existed but failed validation; compile and overwrite it.
     Reject(StoreKey),
 }
 
-/// What `program_for` decided to do after the (brief) shard-locked lookup.
-enum Role {
-    /// Another thread is compiling this key; wait for its result.
-    Waiter(Arc<InFlightCell>),
-    /// This thread registered the in-flight marker and must compile.
-    Compiler(Arc<InFlightCell>),
+/// The deploy-time step after code generation (fresh or loaded from the
+/// store): pre-decode `program` once, so no run ever pays preparation. A
+/// prepare failure means the JIT emitted invalid code — surfaced as an
+/// internal JIT error so every entry point and every waiter sees one shape.
+fn prepare_program(
+    program: MProgram,
+    jit: JitStats,
+    target: &TargetDesc,
+    options: &JitOptions,
+) -> Result<CompiledModule, JitError> {
+    let prepared = PreparedProgram::prepare_with(&program, target, options.fuse)
+        .map_err(|e| JitError::Internal(format!("deploy-time preparation failed: {e}")))?;
+    Ok(CompiledModule {
+        program,
+        jit,
+        prepared,
+    })
+}
+
+/// The whole online step: compile `module` for `target`, then prepare it.
+fn compile(
+    module: &Module,
+    target: &TargetDesc,
+    options: &JitOptions,
+) -> Result<CompiledModule, JitError> {
+    let (program, jit) = compile_module(module, target, options)?;
+    prepare_program(program, jit, target, options)
 }
 
 /// A deployed module plus a shared cache of online-compiled code.
@@ -411,13 +470,7 @@ enum Role {
 #[derive(Debug)]
 pub struct ExecutionEngine {
     module: Arc<Module>,
-    shards: [Mutex<Shard>; SHARD_COUNT],
-    /// Logical LRU clock; every hit or insert takes the next tick.
-    clock: AtomicU64,
-    /// Number of `Ready` entries across all shards.
-    len: AtomicUsize,
-    /// LRU bound on `len`; 0 means unbounded.
-    capacity: AtomicUsize,
+    cache: Mutex<Cache>,
     /// Optional persistent artifact store probed before any cold compile
     /// (and populated after one). `None` keeps the historical behaviour.
     store: Option<StoreHandle>,
@@ -433,16 +486,13 @@ impl ExecutionEngine {
     pub fn from_arc(module: Arc<Module>) -> Self {
         ExecutionEngine {
             module,
-            shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
-            clock: AtomicU64::new(0),
-            len: AtomicUsize::new(0),
-            capacity: AtomicUsize::new(0),
+            cache: Mutex::new(Cache::default()),
             store: None,
         }
     }
 
     /// Attach a persistent [`ArtifactStore`]: cold compiles first probe the
-    /// store (outside every shard lock, deduplicated by the same in-flight
+    /// store (outside the cache lock, deduplicated by the same in-flight
     /// rendezvous that dedups compiles) and populate it on miss or reject.
     ///
     /// The module fingerprint keying this deployment's entries is computed
@@ -477,30 +527,29 @@ impl ExecutionEngine {
         Arc::clone(&self.module)
     }
 
+    fn cache(&self) -> MutexGuard<'_, Cache> {
+        self.cache.lock().expect("engine cache poisoned")
+    }
+
     /// Bound the code cache to at most `capacity` compiled programs,
     /// evicting least-recently-used entries immediately if it is already
     /// over the bound. A `capacity` of 0 removes the bound.
     pub fn set_cache_capacity(&self, capacity: usize) {
-        self.capacity.store(capacity, Ordering::Relaxed);
-        self.enforce_capacity();
+        let mut cache = self.cache();
+        cache.capacity = capacity;
+        cache.enforce_capacity();
     }
 
     /// The current cache bound (0 = unbounded).
     pub fn cache_capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
+        self.cache().capacity
     }
 
     /// Total online-compilation work units spent by this deployment so far
     /// (summed [`JitStats::total_work`] over every compile, including
     /// recompiles after eviction).
     pub fn online_work(&self) -> u64 {
-        self.snapshot().online_work
-    }
-
-    fn shard_for(&self, key: &CacheKey) -> &Mutex<Shard> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[hasher.finish() as usize % SHARD_COUNT]
+        self.cache().online_work
     }
 
     /// Compile the module for `target` under `options`, or fetch the program
@@ -518,165 +567,95 @@ impl ExecutionEngine {
         options: &JitOptions,
     ) -> Result<Arc<CompiledModule>, EngineError> {
         let key = (target.fingerprint(), *options);
-        let shard = self.shard_for(&key);
-        let role = {
-            let mut guard = shard.lock().expect("engine cache shard poisoned");
-            match guard.entries.get_mut(&key) {
-                Some(ShardEntry::Ready(ready)) => {
-                    ready.stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-                    let compiled = Arc::clone(&ready.compiled);
-                    guard.stats.hits += 1;
-                    return Ok(compiled);
-                }
-                Some(ShardEntry::InFlight(cell)) => Role::Waiter(Arc::clone(cell)),
-                None => {
-                    let cell = Arc::new(InFlightCell::new());
-                    guard
-                        .entries
-                        .insert(key, ShardEntry::InFlight(Arc::clone(&cell)));
-                    Role::Compiler(cell)
-                }
+        let mut guard = self.cache();
+        let cache = &mut *guard;
+        let cell = match cache.entries.get_mut(&key) {
+            Some(Entry::Ready { compiled, stamp }) => {
+                cache.clock += 1;
+                *stamp = cache.clock;
+                cache.stats.hits += 1;
+                return Ok(Arc::clone(compiled));
+            }
+            Some(Entry::InFlight(cell)) => {
+                let cell = Arc::clone(cell);
+                drop(guard);
+                // The waiter's lookup counts as a hit, taken under the lock
+                // like every other counter update.
+                return match cell.wait() {
+                    Ok(compiled) => {
+                        self.cache().stats.hits += 1;
+                        Ok(Arc::clone(compiled))
+                    }
+                    Err(e) => Err(EngineError::Jit(e.clone())),
+                };
+            }
+            None => {
+                let cell = Arc::new(InFlightCell::new());
+                cache
+                    .entries
+                    .insert(key, Entry::InFlight(Arc::clone(&cell)));
+                cell
             }
         };
-        match role {
-            Role::Waiter(cell) => match cell.wait() {
+        drop(guard);
+        // Load or compile with no lock held: racing requests for *other*
+        // keys proceed, racing requests for *this* key wait on the cell. The
+        // guard keeps a JIT panic from stranding them: on unwind it removes
+        // the marker and poisons the cell with an error. The in-flight marker
+        // also dedups the store probe, so N threads (and, via the filesystem,
+        // N processes) racing on one cold key perform at most one disk read
+        // each — never a thundering herd of decodes.
+        let mut in_flight = InFlightGuard {
+            cache: &self.cache,
+            key,
+            cell: &cell,
+            armed: true,
+        };
+        let (probe, loaded) = self.probe_store(target, options, key.0);
+        let outcome = match loaded {
+            Some(compiled) => Ok(compiled),
+            None => compile(&self.module, target, options),
+        }
+        .map(Arc::new);
+        {
+            // One acquisition does all the bookkeeping of this lookup: the
+            // probe outcome, the counter that explains the new entry, the
+            // insert and the eviction it may force — so a concurrent snapshot
+            // can never see the entry without its compile (or vice versa),
+            // nor the cache over its bound.
+            let mut cache = self.cache();
+            match probe {
+                // A disk hit is a resident entry that no compile explains:
+                // it moves `disk_hits`, not `compiles`, and no online work.
+                DiskProbe::Hit => cache.stats.disk_hits += 1,
+                DiskProbe::Miss(_) => cache.stats.disk_misses += 1,
+                DiskProbe::Reject(_) => cache.stats.disk_rejects += 1,
+                DiskProbe::NoStore => {}
+            }
+            match &outcome {
                 Ok(compiled) => {
-                    // The waiter's lookup counts as a hit; like every other
-                    // counter update it happens under the shard lock so a
-                    // concurrent snapshot stays consistent.
-                    shard
-                        .lock()
-                        .expect("engine cache shard poisoned")
-                        .stats
-                        .hits += 1;
-                    Ok(Arc::clone(compiled))
+                    if !matches!(probe, DiskProbe::Hit) {
+                        cache.stats.compiles += 1;
+                        cache.online_work += compiled.jit.total_work();
+                    }
+                    cache.insert_ready(key, Arc::clone(compiled));
                 }
-                Err(e) => Err(EngineError::Jit(e.clone())),
-            },
-            Role::Compiler(cell) => {
-                // Compile with no lock held: racing requests for *other* keys
-                // proceed, racing requests for *this* key wait on the cell.
-                // The guard keeps a JIT panic from stranding them: on unwind
-                // it removes the marker and poisons the cell with an error.
-                let mut guard = InFlightGuard {
-                    shard,
-                    key,
-                    cell: &cell,
-                    armed: true,
-                };
-                // Probe the persistent store before compiling, also outside
-                // every shard lock. The in-flight marker already dedups this
-                // path per cold key, so N threads (and, via the filesystem,
-                // N processes) racing on one cold key perform at most one
-                // disk read each — never a thundering herd of decodes.
-                let probe = self.probe_store(target, options, key.0);
-                if let DiskProbe::Hit(compiled) = probe {
-                    let compiled: Arc<CompiledModule> = Arc::from(compiled);
-                    {
-                        let mut locked = shard.lock().expect("engine cache shard poisoned");
-                        locked.entries.insert(
-                            key,
-                            ShardEntry::Ready(ReadyEntry {
-                                compiled: Arc::clone(&compiled),
-                                stamp: self.clock.fetch_add(1, Ordering::Relaxed),
-                            }),
-                        );
-                        // A disk hit is a resident entry that no compile
-                        // explains: it moves `disk_hits` (not `compiles`,
-                        // and no online work — none was done), under the
-                        // same lock as the insert, preserving the snapshot
-                        // invariant `live == compiles + disk_hits -
-                        // evictions`.
-                        locked.stats.disk_hits += 1;
-                        self.len.fetch_add(1, Ordering::Relaxed);
-                    }
-                    guard.armed = false;
-                    let _ = cell.set(Ok(Arc::clone(&compiled)));
-                    self.enforce_capacity();
-                    return Ok(compiled);
-                }
-                // The deploy-time step is compilation *plus* pre-decoding:
-                // the prepared form is built here, once, and cached with the
-                // program, so no run ever pays preparation again. A prepare
-                // failure means the JIT emitted invalid code — surfaced as an
-                // internal JIT error so waiters rendezvous on one error type.
-                let built =
-                    compile_module(&self.module, target, options).and_then(|(program, jit)| {
-                        let prepared = PreparedProgram::prepare_with(
-                            &program,
-                            target,
-                            options.fuse,
-                        )
-                        .map_err(|e| {
-                            JitError::Internal(format!("deploy-time preparation failed: {e}"))
-                        })?;
-                        Ok(CompiledModule {
-                            program,
-                            jit,
-                            prepared,
-                        })
-                    });
-                match built {
-                    Ok(compiled) => {
-                        let jit = compiled.jit;
-                        let compiled = Arc::new(compiled);
-                        {
-                            let mut locked = shard.lock().expect("engine cache shard poisoned");
-                            locked.entries.insert(
-                                key,
-                                ShardEntry::Ready(ReadyEntry {
-                                    compiled: Arc::clone(&compiled),
-                                    stamp: self.clock.fetch_add(1, Ordering::Relaxed),
-                                }),
-                            );
-                            // The counters and `len` move with the insert,
-                            // under the same shard lock eviction removes
-                            // under — so a concurrent snapshot can never see
-                            // the entry without its compile (or vice versa),
-                            // whatever order racing inserts and evictions
-                            // interleave in. The disk counter rides along:
-                            // the probe outcome is part of this lookup.
-                            locked.stats.compiles += 1;
-                            locked.online_work += jit.total_work();
-                            match &probe {
-                                DiskProbe::Miss(_) => locked.stats.disk_misses += 1,
-                                DiskProbe::Reject(_) => locked.stats.disk_rejects += 1,
-                                DiskProbe::NoStore | DiskProbe::Hit(_) => {}
-                            }
-                            self.len.fetch_add(1, Ordering::Relaxed);
-                        }
-                        guard.armed = false;
-                        let _ = cell.set(Ok(Arc::clone(&compiled)));
-                        self.enforce_capacity();
-                        // Populate (or overwrite) the store entry —
-                        // best-effort, after the waiters were released, so
-                        // disk latency never extends the rendezvous.
-                        if let (Some(handle), DiskProbe::Miss(skey) | DiskProbe::Reject(skey)) =
-                            (&self.store, &probe)
-                        {
-                            handle.store.save(skey, &compiled.program, &compiled.jit);
-                        }
-                        Ok(compiled)
-                    }
-                    Err(e) => {
-                        // Drop the marker so a later request can retry, then
-                        // wake the waiters with the error. The disk probe
-                        // still happened — count it with the removal.
-                        let mut locked = shard.lock().expect("engine cache shard poisoned");
-                        locked.entries.remove(&key);
-                        match &probe {
-                            DiskProbe::Miss(_) => locked.stats.disk_misses += 1,
-                            DiskProbe::Reject(_) => locked.stats.disk_rejects += 1,
-                            DiskProbe::NoStore | DiskProbe::Hit(_) => {}
-                        }
-                        drop(locked);
-                        guard.armed = false;
-                        let _ = cell.set(Err(e.clone()));
-                        Err(EngineError::Jit(e))
-                    }
+                // Drop the marker so a later request can retry.
+                Err(_) => {
+                    cache.entries.remove(&key);
                 }
             }
         }
+        in_flight.armed = false;
+        let _ = cell.set(outcome.clone());
+        // Populate (or overwrite) the store entry — best-effort, after the
+        // waiters were released, so disk latency never extends the rendezvous.
+        if let (Ok(compiled), Some(handle), DiskProbe::Miss(skey) | DiskProbe::Reject(skey)) =
+            (&outcome, &self.store, &probe)
+        {
+            handle.store.save(skey, &compiled.program, &compiled.jit);
+        }
+        outcome.map_err(EngineError::Jit)
     }
 
     /// Probe the attached store (if any) for this deployment's artifact for
@@ -685,9 +664,14 @@ impl ExecutionEngine {
     /// the simulator, so it is recomputed rather than trusted from disk; an
     /// artifact that decodes but fails to prepare is treated exactly like a
     /// corrupt entry (reject → fresh compile → overwrite).
-    fn probe_store(&self, target: &TargetDesc, options: &JitOptions, target_fp: u64) -> DiskProbe {
+    fn probe_store(
+        &self,
+        target: &TargetDesc,
+        options: &JitOptions,
+        target_fp: u64,
+    ) -> (DiskProbe, Option<CompiledModule>) {
         let Some(handle) = &self.store else {
-            return DiskProbe::NoStore;
+            return (DiskProbe::NoStore, None);
         };
         let skey = StoreKey {
             module_fp: handle.module_fp,
@@ -696,64 +680,14 @@ impl ExecutionEngine {
         };
         match handle.store.load(&skey) {
             StoreLoad::Hit(artifact) => {
-                match PreparedProgram::prepare_with(&artifact.program, target, options.fuse) {
-                    Ok(prepared) => DiskProbe::Hit(Box::new(CompiledModule {
-                        program: artifact.program,
-                        jit: artifact.jit,
-                        prepared,
-                    })),
-                    Err(_) => DiskProbe::Reject(skey),
+                match prepare_program(artifact.program, artifact.jit, target, options) {
+                    Ok(compiled) => (DiskProbe::Hit, Some(compiled)),
+                    Err(_) => (DiskProbe::Reject(skey), None),
                 }
             }
-            StoreLoad::Miss => DiskProbe::Miss(skey),
-            StoreLoad::Reject => DiskProbe::Reject(skey),
+            StoreLoad::Miss => (DiskProbe::Miss(skey), None),
+            StoreLoad::Reject => (DiskProbe::Reject(skey), None),
         }
-    }
-
-    /// Evict least-recently-used entries until the cache fits its bound.
-    fn enforce_capacity(&self) {
-        let cap = self.capacity.load(Ordering::Relaxed);
-        if cap == 0 {
-            return;
-        }
-        while self.len.load(Ordering::Relaxed) > cap {
-            if !self.evict_lru() {
-                break;
-            }
-        }
-    }
-
-    /// Try to evict the globally least-recently-used `Ready` entry. Returns
-    /// `false` when there is nothing evictable (the caller stops), `true`
-    /// when it evicted or lost a benign race (the caller re-checks the bound).
-    fn evict_lru(&self) -> bool {
-        let mut oldest: Option<(usize, CacheKey, u64)> = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let guard = shard.lock().expect("engine cache shard poisoned");
-            for (key, entry) in &guard.entries {
-                if let ShardEntry::Ready(ready) = entry {
-                    if oldest.is_none_or(|(_, _, stamp)| ready.stamp < stamp) {
-                        oldest = Some((i, *key, ready.stamp));
-                    }
-                }
-            }
-        }
-        let Some((i, key, stamp)) = oldest else {
-            return false;
-        };
-        let mut guard = self.shards[i].lock().expect("engine cache shard poisoned");
-        if let Some(ShardEntry::Ready(ready)) = guard.entries.get(&key) {
-            if ready.stamp == stamp {
-                guard.entries.remove(&key);
-                // Decremented under the same shard lock the entry's insert
-                // incremented under; see `program_for`.
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                guard.stats.evictions += 1;
-            }
-        }
-        // Either we evicted, or the candidate was touched/removed meanwhile;
-        // both count as progress — the caller re-checks the bound.
-        true
     }
 
     /// Evict the cached compile for exactly `(target fingerprint, options)`,
@@ -764,24 +698,10 @@ impl ExecutionEngine {
     /// the cache so the half-open probe (and any later traffic) compiles
     /// fresh instead of replaying a bad artifact forever. In-flight
     /// compiles are left alone — their waiters hold the cell, and the
-    /// winner's insert simply repopulates the slot.
+    /// winner's insert simply repopulates the slot. The removal is visible
+    /// in the eviction counter.
     pub fn invalidate(&self, target_fp: u64, options: &JitOptions) -> bool {
-        let key = (target_fp, *options);
-        let mut guard = self
-            .shard_for(&key)
-            .lock()
-            .expect("engine cache shard poisoned");
-        if let Some(ShardEntry::Ready(_)) = guard.entries.get(&key) {
-            guard.entries.remove(&key);
-            // Same discipline as `evict_lru`: the length is decremented
-            // under the shard lock the insert incremented under, and the
-            // removal is visible in the eviction counter.
-            self.len.fetch_sub(1, Ordering::Relaxed);
-            guard.stats.evictions += 1;
-            true
-        } else {
-            false
-        }
+        self.cache().remove_ready(&(target_fp, *options))
     }
 
     /// JIT statistics for `target` under `options` (compiling on demand).
@@ -880,20 +800,7 @@ impl ExecutionEngine {
         if module.function(kernel).is_none() {
             return Err(EngineError::UnknownKernel(kernel.to_owned()));
         }
-        let (program, jit) = compile_module(module, target, options)?;
-        // Wrapped identically to the cached path (`program_for`), so callers
-        // see one error shape for a prepare failure whichever entry they use.
-        let prepared =
-            PreparedProgram::prepare_with(&program, target, options.fuse).map_err(|e| {
-                EngineError::Jit(JitError::Internal(format!(
-                    "deploy-time preparation failed: {e}"
-                )))
-            })?;
-        let compiled = CompiledModule {
-            program,
-            jit,
-            prepared,
-        };
+        let compiled = compile(module, target, options)?;
         let mut pool = FramePool::new();
         simulate(&compiled, target, kernel, args, mem, &mut pool)
     }
@@ -905,47 +812,28 @@ impl ExecutionEngine {
     /// serving (it never observes a torn lookup), pointwise monotonic across
     /// successive reads.
     pub fn stats(&self) -> CacheStats {
-        self.snapshot().stats
+        self.cache().stats
     }
 
-    /// Take a consistent cross-shard snapshot of the cache.
+    /// Take a consistent snapshot of the cache.
     ///
-    /// All [`SHARD_COUNT`] shard locks are held simultaneously while the
-    /// counters are summed, so the result reflects one instant: no lookup,
-    /// compile or eviction is ever half-counted, and
-    /// `live == stats.compiles + stats.disk_hits - stats.evictions` holds in
-    /// every snapshot —
-    /// the guarantee the serving layer's live statistics rely on. Locks are
-    /// acquired in shard order and every other engine path holds at most one
-    /// shard lock at a time, so the sweep cannot deadlock.
+    /// The counters are read under the one lock every cache mutation takes,
+    /// so the result reflects one instant: no lookup, compile or eviction is
+    /// ever half-counted, `live == stats.compiles + stats.disk_hits -
+    /// stats.evictions` holds and `live` never exceeds a set bound in every
+    /// snapshot — the guarantees the serving layer's live statistics rely on.
     pub fn snapshot(&self) -> CacheSnapshot {
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("engine cache shard poisoned"))
-            .collect();
-        let mut stats = CacheStats::default();
-        let mut online_work = 0u64;
-        let mut live = 0usize;
-        for g in &guards {
-            stats += g.stats;
-            online_work += g.online_work;
-            live += g
-                .entries
-                .values()
-                .filter(|e| matches!(e, ShardEntry::Ready(_)))
-                .count();
-        }
+        let cache = self.cache();
         CacheSnapshot {
-            stats,
-            online_work,
-            live,
+            stats: cache.stats,
+            online_work: cache.online_work,
+            live: cache.live,
         }
     }
 
     /// Number of (target, options) pairs currently held compiled in the cache.
     pub fn compiled_variants(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.cache().live
     }
 }
 
@@ -1380,6 +1268,45 @@ mod tests {
         assert_eq!(prev.live, 2, "the LRU bound caps resident entries");
         assert_eq!(engine.stats(), prev.stats, "stats() is the snapshot view");
         assert_eq!(engine.online_work(), prev.online_work);
+    }
+
+    #[test]
+    fn a_bounded_cache_is_never_observed_over_its_bound() {
+        // Three threads keep inserting cold keys into a cache bounded at 2
+        // while this thread snapshots it: the insert and the eviction it
+        // forces share one lock acquisition, so no snapshot may ever see a
+        // third resident entry.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let engine = deployed();
+        let bound = 2usize;
+        engine.set_cache_capacity(bound);
+        let stop = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    let options = JitOptions::split();
+                    let targets = TargetDesc::presets();
+                    start.wait();
+                    while !stop.load(Ordering::Relaxed) {
+                        for target in &targets {
+                            engine.program_for(target, &options).unwrap();
+                        }
+                    }
+                });
+            }
+            start.wait();
+            let worst = (0..200_000)
+                .map(|_| engine.snapshot().live)
+                .max()
+                .unwrap_or(0);
+            stop.store(true, Ordering::Relaxed);
+            assert!(
+                worst <= bound,
+                "observed {worst} resident entries under a bound of {bound}"
+            );
+        });
+        assert!(engine.stats().evictions > 0, "the bound was exercised");
     }
 
     fn temp_store(name: &str) -> Arc<crate::ArtifactStore> {

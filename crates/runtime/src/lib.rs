@@ -7,8 +7,8 @@
 //!   phone SoC with a DSP, Cell-style blade with SIMD accelerators).
 //! * [`ExecutionEngine`] is the shared, cached execution layer: one deployed
 //!   module, one online compilation per distinct (core type, JIT config)
-//!   pair — guaranteed even under concurrent cold lookups by a sharded cache
-//!   with in-flight deduplication — compiled programs shared via `Arc`, an
+//!   pair — guaranteed even under concurrent cold lookups by in-flight
+//!   deduplication over a one-lock cache — compiled programs shared via `Arc`, an
 //!   optional LRU bound for long-running deployments, and cache statistics
 //!   for the paper's "online compilation pays for itself" story.
 //! * [`sweep`] fans a list of independent jobs (kernel × target × repeat
@@ -75,7 +75,7 @@ pub mod store;
 mod sweep;
 
 pub use engine::{
-    CacheSnapshot, CacheStats, CompiledModule, EngineError, Execution, ExecutionEngine, SHARD_COUNT,
+    CacheSnapshot, CacheStats, CompiledModule, EngineError, Execution, ExecutionEngine,
 };
 pub use executor::{Executor, RunOutcome, RuntimeError};
 pub use hist::{Histogram, EMPTY_QUANTILE};

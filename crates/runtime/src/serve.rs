@@ -1990,8 +1990,7 @@ fn apply_fault(
 /// Upper bound on the bytes of panic payload preserved in
 /// [`EngineError::Panicked`]. Panic messages can embed arbitrary runtime
 /// state (a formatted kernel argument, a huge assertion dump); responses
-/// are queued, cloned into stats paths and shipped across the bench JSON
-/// boundary, so an unbounded payload is a memory-amplification vector.
+/// are queued and cloned into stats paths, so an unbounded payload is a memory-amplification vector.
 pub const PANIC_MESSAGE_CAP: usize = 256;
 
 /// Best-effort extraction of a panic payload's message, truncated to

@@ -5,7 +5,7 @@
 //! once. This module provides the fan-out half: a job list — typically the
 //! cells of a `K kernels × T targets × R repeats` matrix — is distributed
 //! over a pool of scoped worker threads that all share one
-//! [`ExecutionEngine`](crate::ExecutionEngine), whose sharded, in-flight
+//! [`ExecutionEngine`](crate::ExecutionEngine), whose in-flight
 //! deduplicated code cache guarantees that racing cold compiles still happen
 //! exactly once per (target, options) pair.
 //!

@@ -1,7 +1,7 @@
 //! Parallel sweeps: fan a kernel × target × repeat matrix across cores.
 //!
-//! One deployment, many workers: the engine's sharded, in-flight-deduplicated
-//! code cache guarantees each (target, JIT-options) pair compiles exactly
+//! One deployment, many workers: the engine's in-flight-deduplicated code
+//! cache guarantees each (target, JIT-options) pair compiles exactly
 //! once even when workers race on cold keys, and the sweep layer returns the
 //! cells in deterministic order — a parallel sweep is bit-identical to a
 //! sequential one. The example also bounds the cache with an LRU limit to

@@ -1,4 +1,4 @@
-//! Concurrency stress tests for the sharded, in-flight-deduplicated engine
+//! Concurrency stress tests for the one-lock, in-flight-deduplicated engine
 //! cache and the parallel sweep layer.
 //!
 //! The properties pinned down here are the ones the paper's amortization
@@ -275,6 +275,7 @@ fn stats_snapshots_stay_consistent_while_workers_churn_the_cache() {
             (snap.stats.compiles + snap.stats.disk_hits - snap.stats.evictions) as usize,
             "a snapshot tore a compile apart from its insert/evict"
         );
+        assert!(snap.live <= 2, "the LRU bound holds in every snapshot");
         assert_eq!(
             snap.stats.lookups(),
             snap.stats.compiles + snap.stats.hits + snap.stats.disk_hits

@@ -12,11 +12,13 @@
 mod common;
 
 use common::{allocations_in, CountingAlloc};
-use splitc::{checksum, prepare, PreparedProgram, PreparedSimulator, Workspace};
+use splitc::splitc_minic::compile_source;
+use splitc::{checksum, prepare, PreparedKernel, PreparedProgram, PreparedSimulator, Workspace};
 use splitc_jit::{compile_module, JitOptions, RegAllocMode};
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_runtime::{ExecutionEngine, FramePool};
-use splitc_targets::{SimStats, Simulator, TargetDesc, TimingKind};
+use splitc_targets::{MachineValue, SimStats, Simulator, TargetDesc, TimingKind};
+use splitc_vbc::Module;
 use splitc_workloads::{all_kernels, kernel, module_for};
 
 #[global_allocator]
@@ -24,38 +26,75 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const N: usize = 173; // deliberately not a multiple of any lane count
 
+/// A kernel shape the catalogue lacks: a branchy integer map and reduce whose
+/// per-element load → ALU → compare → two-sided branch is what macro-op
+/// fusion and welding feed on.
+const TIGHT_LOOP: &str = "fn tight(n: i32, x: *i32, y: *i32) -> i32 {
+    let acc: i32 = 0;
+    for (let i: i32 = 0; i < n; i = i + 1) {
+        let v: i32 = x[i];
+        let w: i32 = (v * 3 + i) - (v / 7);
+        if (w > 64) { y[i] = w - 64; } else { y[i] = 64 - w; }
+    }
+    for (let k: i32 = 0; k < n; k = k + 1) {
+        acc = acc + y[k];
+    }
+    return acc;
+}";
+
+fn prepare_tight(ws: &mut Workspace) -> PreparedKernel {
+    let bytes = 4 * N as u64;
+    let (x, y) = (ws.alloc(bytes), ws.alloc(bytes));
+    let data: Vec<i32> = (0..N as i32).map(|i| (i * 37) % 1000 - 500).collect();
+    ws.write_i32s(x, &data);
+    PreparedKernel {
+        name: "tight".into(),
+        args: [N as i64, x as i64, y as i64]
+            .map(MachineValue::Int)
+            .to_vec(),
+        output: Some((y, bytes)),
+        input_bytes: bytes,
+    }
+}
+
 #[test]
 fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
+    type Setup = Box<dyn Fn(&mut Workspace) -> PreparedKernel>;
+    let mut programs: Vec<(Module, Setup)> = Vec::new();
     for kernel in all_kernels() {
-        let mut module =
+        let module =
             module_for(std::slice::from_ref(&kernel), kernel.name).expect("kernel compiles");
+        programs.push((module, Box::new(move |ws| prepare(kernel.name, N, 99, ws))));
+    }
+    programs.push((
+        compile_source(TIGHT_LOOP, "tight").expect("kernel compiles"),
+        Box::new(prepare_tight),
+    ));
+    for (mut module, setup) in programs {
         optimize_module(&mut module, &OptOptions::full());
         for target in TargetDesc::presets() {
             let (program, _jit) = compile_module(&module, &target, &JitOptions::split())
-                .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, target.name));
+                .unwrap_or_else(|e| panic!("{} on {}: {e}", module.name, target.name));
 
             // Legacy block-walking reference.
             let mut legacy_ws = Workspace::new(1 << 16);
-            let prepared_inputs = prepare(kernel.name, N, 99, &mut legacy_ws);
+            let prepared_inputs = setup(&mut legacy_ws);
+            let name = prepared_inputs.name.as_str();
             let mut legacy_sim = Simulator::new(&program, &target);
             let legacy_result = legacy_sim
-                .run_legacy(kernel.name, &prepared_inputs.args, legacy_ws.bytes_mut())
-                .unwrap_or_else(|e| panic!("{} on {} (legacy): {e}", kernel.name, target.name));
+                .run_legacy(name, &prepared_inputs.args, legacy_ws.bytes_mut())
+                .unwrap_or_else(|e| panic!("{name} on {} (legacy): {e}", target.name));
             let legacy_stats = legacy_sim.stats();
             let legacy_sum = checksum(legacy_result, &prepared_inputs, &legacy_ws);
 
             // Deploy-time prepared forms: the fused threaded loop, the
             // unfused threaded loop, and the metered loop — all three
             // must match the legacy walk bit-for-bit.
-            let fused = PreparedProgram::prepare(&program, &target).unwrap_or_else(|e| {
-                panic!("{} on {}: prepare failed: {e}", kernel.name, target.name)
-            });
+            let fused = PreparedProgram::prepare(&program, &target)
+                .unwrap_or_else(|e| panic!("{name} on {}: prepare failed: {e}", target.name));
             let unfused =
                 PreparedProgram::prepare_with(&program, &target, false).unwrap_or_else(|e| {
-                    panic!(
-                        "{} on {}: unfused prepare failed: {e}",
-                        kernel.name, target.name
-                    )
+                    panic!("{name} on {}: unfused prepare failed: {e}", target.name)
                 });
             let paths: [(&str, &PreparedProgram, bool); 3] = [
                 ("fused", &fused, false),
@@ -64,32 +103,30 @@ fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
             ];
             for (path, prepared, metered) in paths {
                 let mut prepared_ws = Workspace::new(1 << 16);
-                let inputs = prepare(kernel.name, N, 99, &mut prepared_ws);
+                let inputs = setup(&mut prepared_ws);
                 let mut sim = PreparedSimulator::new(prepared);
                 let result = if metered {
-                    sim.run_metered(kernel.name, &inputs.args, prepared_ws.bytes_mut())
+                    sim.run_metered(name, &inputs.args, prepared_ws.bytes_mut())
                 } else {
-                    sim.run(kernel.name, &inputs.args, prepared_ws.bytes_mut())
+                    sim.run(name, &inputs.args, prepared_ws.bytes_mut())
                 }
-                .unwrap_or_else(|e| panic!("{} on {} ({path}): {e}", kernel.name, target.name));
+                .unwrap_or_else(|e| panic!("{name} on {} ({path}): {e}", target.name));
 
                 assert_eq!(
                     result, legacy_result,
-                    "{} on {}: {path} result diverged",
-                    kernel.name, target.name
+                    "{name} on {}: {path} result diverged",
+                    target.name
                 );
                 assert_eq!(
                     sim.stats(),
                     legacy_stats,
-                    "{} on {}: {path} SimStats (cycles/spills/...) diverged",
-                    kernel.name,
+                    "{name} on {}: {path} SimStats (cycles/spills/...) diverged",
                     target.name
                 );
                 assert_eq!(
                     prepared_ws.bytes(),
                     legacy_ws.bytes(),
-                    "{} on {}: {path} memory effects diverged",
-                    kernel.name,
+                    "{name} on {}: {path} memory effects diverged",
                     target.name
                 );
                 assert_eq!(checksum(result, &inputs, &prepared_ws), legacy_sum);
