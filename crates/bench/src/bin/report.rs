@@ -22,6 +22,8 @@
 //! cycle count, a checksum or a cache counter must regenerate it. Host
 //! wall-clock numbers live in `e2e/` and nowhere else.
 
+#![forbid(unsafe_code)]
+
 use splitc::experiments::{codesize, hetero, kpn, regalloc, splitflow, table1};
 use splitc::splitc_opt::{optimize_module, OptOptions};
 use splitc::splitc_runtime::Platform;

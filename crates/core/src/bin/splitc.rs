@@ -65,6 +65,8 @@
 //!   `--no-store` cancels a `--store` flag (handy when a wrapper script
 //!   always passes one).
 
+#![forbid(unsafe_code)]
+
 use splitc::serve::{
     default_chaos_plan, run_chaos, run_load, run_soak, run_store_bench, LoadConfig,
 };

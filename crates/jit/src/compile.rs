@@ -172,7 +172,7 @@ impl From<VerifyError> for JitError {
 /// ```
 /// use splitc_jit::{compile_module, JitOptions};
 /// use splitc_minic::compile_source;
-/// use splitc_targets::{MachineValue, Simulator, TargetDesc};
+/// use splitc_targets::{MachineValue, PreparedProgram, PreparedSimulator, TargetDesc};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let module = compile_source("fn triple(x: i32) -> i32 { return 3 * x; }", "m")?;
@@ -181,7 +181,8 @@ impl From<VerifyError> for JitError {
 /// assert!(stats.total_work() > 0);
 ///
 /// let mut mem = vec![0u8; 64];
-/// let mut sim = Simulator::new(&program, &target);
+/// let prepared = PreparedProgram::prepare(&program, &target)?;
+/// let mut sim = PreparedSimulator::new(&prepared);
 /// assert_eq!(
 ///     sim.run("triple", &[MachineValue::Int(14)], &mut mem)?,
 ///     Some(MachineValue::Int(42)),
@@ -227,7 +228,7 @@ mod tests {
     use super::*;
     use splitc_minic::compile_source;
     use splitc_opt::{optimize_module, OptOptions};
-    use splitc_targets::{MachineValue, Simulator};
+    use splitc_targets::{MachineValue, PreparedProgram, PreparedSimulator};
 
     const KERNELS: &str = r#"
         fn vecadd(n: i32, x: *f32, y: *f32, z: *f32) {
@@ -277,7 +278,8 @@ mod tests {
             for i in 0..n {
                 mem[base + i] = (i * 7 % 251) as u8;
             }
-            let mut sim = Simulator::new(&program, &target);
+            let prepared = PreparedProgram::prepare(&program, &target).unwrap();
+            let mut sim = PreparedSimulator::new(&prepared);
             let out = sim
                 .run(
                     "sum_u8",

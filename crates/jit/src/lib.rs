@@ -23,7 +23,7 @@
 //! use splitc_jit::{compile_module, JitOptions};
 //! use splitc_minic::compile_source;
 //! use splitc_opt::{optimize_module, OptOptions};
-//! use splitc_targets::{MachineValue, Simulator, TargetDesc};
+//! use splitc_targets::{MachineValue, PreparedProgram, PreparedSimulator, TargetDesc};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Offline: compile and optimize once, on the developer workstation.
@@ -40,7 +40,8 @@
 //!     let (program, stats) = compile_module(&module, &target, &JitOptions::split())?;
 //!     let mut mem = vec![0u8; 4096];
 //!     mem[256..260].copy_from_slice(&2.0f32.to_le_bytes());
-//!     let mut sim = Simulator::new(&program, &target);
+//!     let prepared = PreparedProgram::prepare(&program, &target)?;
+//!     let mut sim = PreparedSimulator::new(&prepared);
 //!     sim.run(
 //!         "dscal",
 //!         &[MachineValue::Int(1), MachineValue::Float(0.5), MachineValue::Int(256)],
@@ -53,6 +54,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

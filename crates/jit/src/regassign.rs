@@ -720,7 +720,7 @@ mod tests {
     use crate::compile::{compile_module, JitOptions};
     use splitc_minic::compile_source;
     use splitc_opt::{optimize_module, OptOptions};
-    use splitc_targets::{MachineValue, Simulator};
+    use splitc_targets::{MachineValue, PreparedProgram, PreparedSimulator};
 
     const PRESSURE: &str = r#"
         fn horner(n: i32, x: *f32, y: *f32) {
@@ -750,7 +750,8 @@ mod tests {
         for i in 0..n {
             mem[xbase + 4 * i..xbase + 4 * i + 4].copy_from_slice(&(i as f32 * 0.01).to_le_bytes());
         }
-        let mut sim = Simulator::new(&program, target);
+        let prepared = PreparedProgram::prepare(&program, target).unwrap();
+        let mut sim = PreparedSimulator::new(&prepared);
         sim.run(
             "horner",
             &[
@@ -820,7 +821,8 @@ mod tests {
         let target = TargetDesc::powerpc();
         let (program, stats) = compile_module(&m, &target, &JitOptions::default()).unwrap();
         assert_eq!(stats.static_spills, 0);
-        let mut sim = Simulator::new(&program, &target);
+        let prepared = PreparedProgram::prepare(&program, &target).unwrap();
+        let mut sim = PreparedSimulator::new(&prepared);
         let mut mem = vec![0u8; 64];
         let out = sim
             .run(

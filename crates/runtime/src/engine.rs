@@ -507,6 +507,13 @@ impl ExecutionEngine {
     /// Attach a persistent [`ArtifactStore`] using a caller-supplied module
     /// fingerprint (which must be the FNV-1a hash of the module's canonical
     /// vbc encoding — the value [`ExecutionEngine::with_store`] computes).
+    ///
+    /// The on-disk [`StoreKey`] is that fingerprint, not the encoding: the
+    /// serving tier tells colliding modules apart in memory (it compares
+    /// encodings), but two different modules engineered to share a 64-bit
+    /// FNV-1a would still share store entries. Whoever can write a module
+    /// into a deployment that has a store attached is inside the store's
+    /// trust boundary.
     pub fn with_store_keyed(mut self, store: Arc<ArtifactStore>, module_fp: u64) -> Self {
         self.store = Some(StoreHandle { store, module_fp });
         self

@@ -45,11 +45,15 @@
 //!   [`ServerStats::expired`], answered with
 //!   [`EngineError::DeadlineExceeded`], and *not* counted as completed (the
 //!   drain invariant becomes `accepted == completed + expired`). A request
-//!   whose deadline passes **mid-execution** is cancelled cooperatively: a
-//!   deadline-watchdog thread flips a token the executor polls at region
-//!   boundaries, the runaway kernel stops within one basic block, the
-//!   worker is freed, and the client is answered with `DeadlineExceeded`
-//!   (counted as completed and in [`ServerStats::cancelled`]).
+//!   whose deadline passes **mid-execution** is cancelled cooperatively by
+//!   the thread that executes it: the worker hands the deadline to its
+//!   [`FramePool`] at the top of every attempt, the executor polls it at
+//!   region boundaries (reading the clock at the first poll and then once
+//!   every few dozen regions), the runaway kernel stops about a microsecond
+//!   of execution after its deadline, the worker is freed, and the client is
+//!   answered with `DeadlineExceeded` (counted as completed and in
+//!   [`ServerStats::cancelled`]). No other thread, lock or flag is involved,
+//!   so there is nothing to arm, disarm or order at shutdown.
 //! * **Retries.** Transient failures — panics, [`EngineError::Transient`] —
 //!   are retried up to [`RetryPolicy::max_retries`] times with bounded
 //!   exponential backoff and *deterministic* jitter (derived from the
@@ -104,7 +108,8 @@
 //!
 //! [`Server::shutdown`] closes the queue to new submissions, wakes every
 //! worker and blocked submitter, **drains all accepted work**, joins the
-//! workers and returns the final [`ServerStats`]. An accepted request is
+//! workers — the only threads a server has — and returns the final
+//! [`ServerStats`]. An accepted request is
 //! never dropped: its response arrives even if shutdown was requested while
 //! it sat in the queue. Dropping the server performs the same graceful
 //! shutdown.
@@ -167,11 +172,35 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Acquire one of this module's locks — the serving tier's one poisoned-lock
+/// policy: **propagate**. Every mutex here guards plain bookkeeping (the
+/// queue, the engine registry, the breakers, a worker's metrics, the worker
+/// list) and is never held around client-driven work: kernels, online
+/// compilation and injected faults run inside [`run_job`]'s panic guard (or
+/// the batch fetch's) with no lock of this module held. A poisoned lock
+/// therefore means a bug in the serving loop itself panicked mid-update;
+/// serving on from half-updated books could break the exactly-once
+/// accounting silently, so the thread that finds the poison panics too and
+/// [`Server::shutdown`] re-raises it.
+#[track_caller]
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .expect("a serving thread panicked while holding this lock")
+}
+
+/// [`lock`]'s policy for the re-acquisition at the end of a condvar wait.
+#[track_caller]
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard)
+        .expect("a serving thread panicked while holding this lock")
+}
 
 /// Fingerprint of a module's canonical wire encoding ([`Fnv1a`] over
 /// [`encode_module`]).
@@ -179,10 +208,12 @@ use std::time::{Duration, Instant};
 /// Two modules with equal encodings — whatever their provenance — fingerprint
 /// identically, which is exactly the equivalence the serving layer
 /// deduplicates deployments by: byte-identical bytecode shares one engine,
-/// one code cache, one compiled artifact per (target, options) pair. (The
-/// registry additionally verifies the encoding bytes on every hit, so a
-/// 64-bit collision between *different* modules fails loudly instead of
-/// silently serving the wrong code.)
+/// one code cache, one compiled artifact per (target, options) pair. The
+/// fingerprint is only the *index*: identity is the encoding itself, which
+/// the registry and the batch sweep compare on every fingerprint match, so
+/// two different modules that collide on 64 bits (FNV-1a is not
+/// collision-resistant, and the bytes are client-supplied) are each served
+/// by their own engine.
 pub fn module_fingerprint(module: &Module) -> u64 {
     Fnv1a::hash(&encode_module(module))
 }
@@ -231,6 +262,13 @@ impl ServeModule {
     pub fn module_arc(&self) -> Arc<Module> {
         Arc::clone(&self.module)
     }
+
+    /// `true` if this handle deploys the encoding `encoded` — module
+    /// identity. A pointer comparison in the common case (clients clone one
+    /// deployed handle), a byte comparison otherwise.
+    fn is_encoded_as(&self, encoded: &Arc<[u8]>) -> bool {
+        Arc::ptr_eq(&self.encoded, encoded) || self.encoded == *encoded
+    }
 }
 
 /// One unit of client work: run `kernel` from `module` on `target`.
@@ -256,9 +294,12 @@ pub struct Request {
     /// Optional absolute deadline. A request whose deadline passes while it
     /// is queued is shed at dequeue (counted in [`ServerStats::expired`],
     /// answered [`EngineError::DeadlineExceeded`]); one whose deadline
-    /// passes mid-execution is cancelled cooperatively at the next region
-    /// boundary and answered the same way (counted as completed, plus
-    /// [`ServerStats::cancelled`]). `None` means the request never expires.
+    /// passes mid-execution — or during a retry backoff — is cancelled by
+    /// its own worker at a region boundary (the executor reads the clock
+    /// there, at the first region of every attempt and once every few dozen
+    /// after) and answered the same way (counted as completed, plus
+    /// [`ServerStats::cancelled`]). `None` means the request never expires
+    /// and its run never reads the clock.
     pub deadline: Option<Instant>,
     /// Client-assigned request tag. Deterministic machinery keys off it:
     /// retry-backoff jitter and every [`FaultPlan`] selector are pure
@@ -864,7 +905,7 @@ impl<T> BoundedQueue<T> {
 
     /// Enqueue `item`, waiting for capacity if `block`; refusals return it.
     fn push(&self, item: T, block: bool) -> Result<(), PushRefused<T>> {
-        let mut state = self.state.lock().expect("serve queue poisoned");
+        let mut state = lock(&self.state);
         loop {
             if !state.open {
                 return Err(PushRefused::Closed(item));
@@ -876,7 +917,7 @@ impl<T> BoundedQueue<T> {
                 return Err(PushRefused::Full(item));
             }
             state.parked_pushers += 1;
-            state = self.not_full.wait(state).expect("serve queue poisoned");
+            state = wait(&self.not_full, state);
             state.parked_pushers -= 1;
         }
         state.items.push_back(item);
@@ -901,7 +942,7 @@ impl<T> BoundedQueue<T> {
         out: &mut Vec<T>,
     ) -> bool {
         debug_assert!(out.is_empty());
-        let mut state = self.state.lock().expect("serve queue poisoned");
+        let mut state = lock(&self.state);
         let first = loop {
             if let Some(first) = state.items.pop_front() {
                 break first;
@@ -910,14 +951,14 @@ impl<T> BoundedQueue<T> {
                 return false;
             }
             state.parked_poppers += 1;
-            state = self.not_empty.wait(state).expect("serve queue poisoned");
+            state = wait(&self.not_empty, state);
             state.parked_poppers -= 1;
         };
         out.push(first);
         let mut idx = 0;
         while out.len() < max_batch && idx < state.items.len() {
             if compatible(&out[0], &state.items[idx]) {
-                out.push(state.items.remove(idx).expect("index is in bounds"));
+                out.extend(state.items.remove(idx));
             } else {
                 idx += 1;
             }
@@ -933,13 +974,13 @@ impl<T> BoundedQueue<T> {
 
     /// Stop intake and wake everyone blocked; pending items still drain.
     fn close(&self) {
-        self.state.lock().expect("serve queue poisoned").open = false;
+        lock(&self.state).open = false;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 
     fn snapshot(&self) -> QueueSnapshot {
-        let state = self.state.lock().expect("serve queue poisoned");
+        let state = lock(&self.state);
         QueueSnapshot {
             depth: state.items.len(),
             accepted: state.accepted,
@@ -971,85 +1012,6 @@ fn backoff_ns(policy: &RetryPolicy, seed: u64, tag: u64, attempt: u32) -> u64 {
         .min(policy.max_backoff_ns);
     let jitter = splitmix64(seed ^ tag.rotate_left(17) ^ u64::from(attempt)) % (band / 2 + 1);
     band / 2 + jitter
-}
-
-/// The deadline watchdog's shared state: per worker, the cancellation token
-/// its frame pool polls and the deadline of the job it is running, if any.
-///
-/// Tokens are written only under the lock: the watchdog flips one only for
-/// a deadline still armed and due, and [`DeadlineWatch::disarm`] clears
-/// deadline and token together — so once a job has disarmed, no fire meant
-/// for it can reach the worker's next job.
-struct DeadlineWatch {
-    tokens: Vec<Arc<AtomicBool>>,
-    state: Mutex<DeadlineState>,
-    cv: Condvar,
-}
-
-struct DeadlineState {
-    armed: Vec<Option<Instant>>,
-    closed: bool,
-}
-
-impl DeadlineWatch {
-    fn new(workers: usize) -> Self {
-        DeadlineWatch {
-            tokens: (0..workers).map(|_| Arc::default()).collect(),
-            state: Mutex::new(DeadlineState {
-                armed: vec![None; workers],
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Flip `worker`'s token once `at` passes, unless disarmed first.
-    fn arm(&self, worker: usize, at: Instant) {
-        let mut state = self.state.lock().expect("deadline watch poisoned");
-        state.armed[worker] = Some(at);
-        self.cv.notify_one();
-    }
-
-    fn disarm(&self, worker: usize) {
-        let mut state = self.state.lock().expect("deadline watch poisoned");
-        state.armed[worker] = None;
-        self.tokens[worker].store(false, Ordering::SeqCst);
-    }
-
-    /// Stop the watchdog thread. Called only *after* the workers are joined:
-    /// every job has finished by then, so no armed deadline still matters.
-    fn close(&self) {
-        self.state.lock().expect("deadline watch poisoned").closed = true;
-        self.cv.notify_all();
-    }
-
-    /// The watchdog loop: flip every due token, then sleep until the next
-    /// deadline (or park while none is armed).
-    fn run(&self) {
-        let mut state = self.state.lock().expect("deadline watch poisoned");
-        loop {
-            let now = Instant::now();
-            for (armed, token) in state.armed.iter_mut().zip(&self.tokens) {
-                if armed.is_some_and(|at| at <= now) {
-                    token.store(true, Ordering::SeqCst);
-                    *armed = None;
-                }
-            }
-            if state.closed {
-                return;
-            }
-            state = match state.armed.iter().flatten().min().copied() {
-                Some(at) => {
-                    let wait = at.saturating_duration_since(now);
-                    self.cv
-                        .wait_timeout(state, wait)
-                        .expect("deadline watch poisoned")
-                        .0
-                }
-                None => self.cv.wait(state).expect("deadline watch poisoned"),
-            };
-        }
-    }
 }
 
 /// One key's circuit-breaker state.
@@ -1114,14 +1076,15 @@ impl Job {
     }
 }
 
-/// Two jobs may share a continuous batch.
+/// Two jobs may share a continuous batch: equal keys, and — a fingerprint
+/// being an index, not an identity — the same module encoding.
 fn same_batch(a: &Job, b: &Job) -> bool {
-    a.batch_key() == b.batch_key()
+    a.batch_key() == b.batch_key() && a.request.module.is_encoded_as(&b.request.module.encoded)
 }
 
 /// A registry entry: the engine plus the canonical encoding of the module it
-/// was deployed from, kept so every fingerprint hit can be verified against
-/// the actual bytes.
+/// was deployed from — the identity every fingerprint match is checked
+/// against.
 struct EngineEntry {
     encoded: Arc<[u8]>,
     engine: Arc<ExecutionEngine>,
@@ -1142,8 +1105,9 @@ struct WorkerMetrics {
 /// State shared between the submission API and the worker pool.
 struct Inner {
     queue: BoundedQueue<Job>,
-    /// Module fingerprint → shared engine; locked once per *batch*.
-    engines: Mutex<HashMap<u64, EngineEntry>>,
+    /// Module fingerprint → the shared engine of every module with that
+    /// fingerprint (one, short of a collision); locked once per *batch*.
+    engines: Mutex<HashMap<u64, Vec<EngineEntry>>>,
     cache_capacity: usize,
     max_batch: usize,
     completed: AtomicU64,
@@ -1165,48 +1129,38 @@ struct Inner {
     faults: Option<FaultPlan>,
     seed: u64,
     breakers: Mutex<Breakers>,
-    deadlines: DeadlineWatch,
     /// Persistent artifact store attached to every engine at creation.
     store: Option<Arc<crate::ArtifactStore>>,
 }
 
 impl Inner {
     /// The shared engine for `module`, created on first sight. Racing
-    /// requests for one fingerprint rendezvous on the registry lock and
-    /// share a single engine — creation is cheap (no compilation), so it
-    /// happens under the lock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two modules with *different* encodings collide on one
-    /// 64-bit fingerprint (probability ~2⁻⁶⁴ per pair): serving the wrong
-    /// program silently would be far worse than failing loudly. The check is
-    /// an `Arc` pointer comparison in the common case (clients clone one
-    /// deployed handle) and a byte comparison otherwise.
+    /// requests for one module rendezvous on the registry lock and share a
+    /// single engine — creation is cheap (no compilation), so it happens
+    /// under the lock. Modules whose fingerprints collide get an engine each:
+    /// the entry is picked by encoding, never by fingerprint alone.
     fn engine_for(&self, module: &ServeModule) -> Arc<ExecutionEngine> {
-        let mut guard = self.engines.lock().expect("engine registry poisoned");
-        let entry = guard.entry(module.fingerprint()).or_insert_with(|| {
-            let mut engine = ExecutionEngine::from_arc(module.module_arc());
-            if let Some(store) = &self.store {
-                // The serving tier computed the module fingerprint at
-                // deployment (over the canonical encoding it still holds),
-                // so the engine can key the store without re-encoding.
-                engine = engine.with_store_keyed(Arc::clone(store), module.fingerprint());
-            }
-            if self.cache_capacity > 0 {
-                engine.set_cache_capacity(self.cache_capacity);
-            }
-            EngineEntry {
-                encoded: Arc::clone(&module.encoded),
-                engine: Arc::new(engine),
-            }
+        let mut registry = lock(&self.engines);
+        let entries = registry.entry(module.fingerprint()).or_default();
+        if let Some(entry) = entries.iter().find(|e| module.is_encoded_as(&e.encoded)) {
+            return Arc::clone(&entry.engine);
+        }
+        let mut engine = ExecutionEngine::from_arc(module.module_arc());
+        if let Some(store) = &self.store {
+            // The serving tier computed the module fingerprint at
+            // deployment (over the canonical encoding it still holds),
+            // so the engine can key the store without re-encoding.
+            engine = engine.with_store_keyed(Arc::clone(store), module.fingerprint());
+        }
+        if self.cache_capacity > 0 {
+            engine.set_cache_capacity(self.cache_capacity);
+        }
+        let engine = Arc::new(engine);
+        entries.push(EngineEntry {
+            encoded: Arc::clone(&module.encoded),
+            engine: Arc::clone(&engine),
         });
-        assert!(
-            Arc::ptr_eq(&entry.encoded, &module.encoded) || entry.encoded == module.encoded,
-            "module fingerprint collision: two different modules hash to {:#018x}",
-            module.fingerprint()
-        );
-        Arc::clone(&entry.engine)
+        engine
     }
 
     /// The breaker's logical clock: completed requests, server-wide. Using
@@ -1224,7 +1178,7 @@ impl Inner {
         if self.breaker.failure_threshold == 0 {
             return true;
         }
-        let breakers = self.breakers.lock().expect("breaker registry poisoned");
+        let breakers = lock(&self.breakers);
         matches!(
             breakers.map.get(key),
             None | Some(BreakerState::Closed { .. })
@@ -1237,33 +1191,23 @@ impl Inner {
         if self.breaker.failure_threshold == 0 {
             return Gate::Run { probe: false };
         }
-        let mut breakers = self.breakers.lock().expect("breaker registry poisoned");
+        let mut breakers = lock(&self.breakers);
         let clock = self.breaker_clock();
-        match breakers.map.get_mut(key) {
-            None | Some(BreakerState::Closed { .. }) => Gate::Run { probe: false },
-            Some(state @ BreakerState::Open { .. }) => {
-                let BreakerState::Open { until } = *state else {
-                    unreachable!()
-                };
-                if clock >= until {
-                    *state = BreakerState::HalfOpen;
-                    breakers.half_opened += 1;
-                    Gate::Run { probe: true }
-                } else if self.fallback.is_some() {
-                    Gate::Degrade
-                } else {
-                    Gate::FailFast
-                }
-            }
-            Some(BreakerState::HalfOpen) => {
-                // A probe is already in flight; don't pile more traffic on
-                // a key that is still presumed broken.
-                if self.fallback.is_some() {
-                    Gate::Degrade
-                } else {
-                    Gate::FailFast
-                }
-            }
+        let state = match breakers.map.get_mut(key) {
+            None | Some(BreakerState::Closed { .. }) => return Gate::Run { probe: false },
+            Some(state) => state,
+        };
+        if matches!(*state, BreakerState::Open { until } if clock >= until) {
+            *state = BreakerState::HalfOpen;
+            breakers.half_opened += 1;
+            return Gate::Run { probe: true };
+        }
+        // Still cooling down, or a probe is already in flight: don't pile
+        // more traffic on a key that is still presumed broken.
+        if self.fallback.is_some() {
+            Gate::Degrade
+        } else {
+            Gate::FailFast
         }
     }
 
@@ -1277,7 +1221,7 @@ impl Inner {
         if self.breaker.failure_threshold == 0 {
             return;
         }
-        let mut breakers = self.breakers.lock().expect("breaker registry poisoned");
+        let mut breakers = lock(&self.breakers);
         let clock = self.breaker_clock();
         let until = clock.saturating_add(self.breaker.cooldown);
         let state = breakers
@@ -1319,17 +1263,14 @@ impl Inner {
         }
     }
 
-    /// Evict `key`'s compiled artifact from its module's engine.
+    /// Evict `key`'s compiled artifact from its module's engine (from each
+    /// engine under the fingerprint, had it collided: breakers are keyed by
+    /// fingerprint, and an eviction only ever costs a recompile). Registry
+    /// lock, then engine lock — the order [`Server::stats`] takes them in.
     fn quarantine(&self, key: &(u64, u64, JitOptions)) {
         let (module_fp, target_fp, options) = key;
-        let engine = self
-            .engines
-            .lock()
-            .expect("engine registry poisoned")
-            .get(module_fp)
-            .map(|entry| Arc::clone(&entry.engine));
-        if let Some(engine) = engine {
-            engine.invalidate(*target_fp, options);
+        for entry in lock(&self.engines).get(module_fp).into_iter().flatten() {
+            entry.engine.invalidate(*target_fp, options);
         }
     }
 }
@@ -1342,8 +1283,6 @@ impl Inner {
 pub struct Server {
     inner: Arc<Inner>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// The deadline watchdog; joined *after* the workers ([`Server::drain`]).
-    watchdog: Mutex<Option<JoinHandle<()>>>,
     worker_count: usize,
 }
 
@@ -1397,7 +1336,6 @@ impl Server {
             faults: config.faults,
             seed: config.seed,
             breakers: Mutex::new(Breakers::default()),
-            deadlines: DeadlineWatch::new(worker_count),
             store: config.store,
         });
         let workers = (0..worker_count)
@@ -1409,17 +1347,9 @@ impl Server {
                     .expect("cannot spawn serving worker")
             })
             .collect();
-        let watchdog = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("serve-deadline".into())
-                .spawn(move || inner.deadlines.run())
-                .expect("cannot spawn deadline watchdog")
-        };
         Server {
             inner,
             workers: Mutex::new(workers),
-            watchdog: Mutex::new(Some(watchdog)),
             worker_count,
         }
     }
@@ -1491,13 +1421,15 @@ impl Server {
         let mut cache = CacheStats::default();
         let mut online_work = 0u64;
         let engines = {
-            let registry = self.inner.engines.lock().expect("engine registry poisoned");
-            for entry in registry.values() {
+            let registry = lock(&self.inner.engines);
+            let mut engines = 0;
+            for entry in registry.values().flatten() {
                 let snap = entry.engine.snapshot();
                 cache += snap.stats;
                 online_work += snap.online_work;
+                engines += 1;
             }
-            registry.len()
+            engines
         };
         let mut per_target: BTreeMap<String, u64> = BTreeMap::new();
         let mut queue_wait = Histogram::new();
@@ -1505,7 +1437,7 @@ impl Server {
         let mut batch_sizes = Histogram::new();
         let mut retry_attempts = Histogram::new();
         for metrics in &self.inner.metrics {
-            let m = metrics.lock().expect("worker metrics poisoned");
+            let m = lock(metrics);
             for (name, count) in m.per_target.iter() {
                 *per_target.entry(name.clone()).or_insert(0) += count;
             }
@@ -1515,11 +1447,7 @@ impl Server {
             retry_attempts.merge(&m.retry_attempts);
         }
         let (breaker_opened, breaker_half_opened, breaker_closed) = {
-            let b = self
-                .inner
-                .breakers
-                .lock()
-                .expect("breaker registry poisoned");
+            let b = lock(&self.inner.breakers);
             (b.opened, b.half_opened, b.closed)
         };
         // `completed` and `expired` are read *before* the queue snapshot:
@@ -1572,28 +1500,19 @@ impl Server {
         self.stats()
     }
 
-    /// Close the queue, join the workers, then close and join the deadline
-    /// watchdog; returns the first panic any of those threads died with.
-    ///
-    /// The watchdog outlives the workers: a runaway in-flight kernel is only
-    /// stoppable by the watchdog flipping its cancellation token, so closing
-    /// the watchdog first could leave a worker spinning and the drain stuck.
+    /// Close the queue and join the workers; returns the first panic one of
+    /// them died with. A runaway in-flight kernel cannot stall the drain past
+    /// its deadline: the worker running it enforces the deadline itself.
     fn drain(&self) -> std::thread::Result<()> {
         self.inner.queue.close();
         // The worker-list lock is held across the joins, so a concurrent
         // shutdown (or drop) blocks here until the first caller's drain
         // finishes — every shutdown returns genuinely final counters. Joins
-        // return panics as values, so nothing poisons either lock.
+        // return panics as values, so nothing poisons the lock.
         let mut outcome = Ok(());
-        let mut workers = self.workers.lock().expect("worker list poisoned");
+        let mut workers = lock(&self.workers);
         for worker in workers.drain(..) {
             outcome = outcome.and(worker.join());
-        }
-        drop(workers);
-        self.inner.deadlines.close();
-        let mut watchdog = self.watchdog.lock().expect("watchdog handle poisoned");
-        if let Some(watchdog) = watchdog.take() {
-            outcome = outcome.and(watchdog.join());
         }
         outcome
     }
@@ -1612,10 +1531,9 @@ impl Drop for Server {
 /// One worker: pull batches until the queue is closed *and* drained. A
 /// worker-held [`FramePool`] recycles call frames across every request it
 /// serves — the same per-worker amortization the sweep pool uses — and
-/// polls the worker's deadline token.
+/// carries the deadline of the job being run ([`run_job`] sets it).
 fn worker_loop(inner: &Inner, worker: usize) {
     let mut pool = FramePool::new();
-    pool.set_cancel_token(Arc::clone(&inner.deadlines.tokens[worker]));
     let mut batch: Vec<Job> = Vec::new();
     while inner
         .queue
@@ -1731,12 +1649,13 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
                 inner.degraded.fetch_add(1, Ordering::SeqCst);
                 // The fallback target has its own (module, target, options)
                 // key, so its runs never feed the broken key's breaker.
-                let result = run_job(inner, worker, &engine, None, request, pool, true);
+                let fallback = inner.fallback.as_ref();
+                let result = run_job(inner, &engine, None, request, pool, fallback);
                 (result, true)
             }
             Gate::Run { probe } => {
                 let program = program.as_ref();
-                let result = run_job(inner, worker, &engine, program, request, pool, false);
+                let result = run_job(inner, &engine, program, request, pool, None);
                 inner.breaker_record(&key, probe, result.tripped);
                 (result, false)
             }
@@ -1751,9 +1670,7 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
             // `stats()` ever takes the lock from another thread). The
             // per-target count lands *after* the request completed, so the
             // map never counts work that was merely started.
-            let mut m = inner.metrics[worker]
-                .lock()
-                .expect("worker metrics poisoned");
+            let mut m = lock(&inner.metrics[worker]);
             m.queue_wait.record(queue_wait_ns);
             m.execute.record(result.execute_ns);
             m.retry_attempts.record(u64::from(result.attempts));
@@ -1789,16 +1706,12 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
         // One sample per batch, counting only the requests the worker
         // actually answered itself (expired sheds are excluded) — this is
         // what keeps `batch_sizes.sum() == completed`.
-        inner.metrics[worker]
-            .lock()
-            .expect("worker metrics poisoned")
-            .batch_sizes
-            .record(served);
+        lock(&inner.metrics[worker]).batch_sizes.record(served);
     }
 }
 
-/// Run one job of a batch under the full fault-tolerance stack: deadline
-/// arming, configured fault injection, the panic guard, and bounded
+/// Run one job of a batch under the full fault-tolerance stack: its
+/// deadline, configured fault injection, the panic guard, and bounded
 /// retries with jittered exponential backoff.
 ///
 /// `program` is the batch-level compiled-program fetch: `Some(Ok(_))`
@@ -1809,8 +1722,7 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
 /// retry after a quarantine compiles fresh; `None` means no job in the
 /// batch names a known kernel (or the breaker skipped the batch fetch).
 ///
-/// With `degraded`, the request is rerouted to the configured fallback
-/// target (the caller has already checked it exists).
+/// With a `fallback`, the request is rerouted to that target.
 ///
 /// Execution is wrapped in a panic guard: a panicking kernel answers with
 /// [`EngineError::Panicked`] (payload capped at [`PANIC_MESSAGE_CAP`]
@@ -1823,12 +1735,11 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
 /// before every retry, so a retried request runs against pristine state.
 fn run_job(
     inner: &Inner,
-    worker: usize,
     engine: &ExecutionEngine,
     program: Option<&Result<Arc<CompiledModule>, EngineError>>,
     request: Request,
     pool: &mut FramePool,
-    degraded: bool,
+    fallback: Option<&TargetDesc>,
 ) -> JobResult {
     let inject = inner.fault.is_some_and(|hook| hook(&request));
     let Request {
@@ -1841,14 +1752,7 @@ fn run_job(
         deadline,
         tag,
     } = request;
-    let target = if degraded {
-        inner
-            .fallback
-            .clone()
-            .expect("degraded run without a fallback target")
-    } else {
-        target
-    };
+    let target = fallback.cloned().unwrap_or(target);
     if module.module().function(&kernel).is_none() {
         // Matches `run_pooled`'s precheck: unknown kernels fail before any
         // cache traffic and before the execute clock starts.
@@ -1861,11 +1765,6 @@ fn run_job(
             tripped: false,
         };
     }
-    // The watchdog flips this worker's token when the deadline passes; the
-    // executor's polls (function entry, back edges) raise `SimError::Cancelled`.
-    if let Some(at) = deadline {
-        inner.deadlines.arm(worker, at);
-    }
     // Retries need pristine memory: back it up before the first attempt
     // (`RetryPolicy::none()` skips the copy entirely).
     let backup = (inner.retry.max_retries > 0).then(|| mem.clone());
@@ -1873,6 +1772,12 @@ fn run_job(
     let mut attempt: u32 = 0;
     let mut cancelled = false;
     let outcome = loop {
+        // Set per attempt, not per job: the first poll after `set_deadline`
+        // reads the clock, so a deadline that passed during a latency fault
+        // or a retry backoff raises `SimError::Cancelled` at the attempt's
+        // first region — and a pool replaced after a caught panic gets the
+        // deadline back.
+        pool.set_deadline(deadline);
         let compile_fault = faults_at(inner, FaultSite::Compile, tag, attempt);
         let execute_fault = faults_at(inner, FaultSite::Execute, tag, attempt);
         attempt += 1;
@@ -1907,7 +1812,6 @@ fn run_job(
             Ok(outcome) => outcome,
             Err(payload) => {
                 *pool = FramePool::new();
-                pool.set_cancel_token(Arc::clone(&inner.deadlines.tokens[worker]));
                 Err(EngineError::Panicked(panic_message(payload.as_ref())))
             }
         };
@@ -1934,9 +1838,7 @@ fn run_job(
             std::thread::sleep(Duration::from_nanos(backoff));
         }
     };
-    if deadline.is_some() {
-        inner.deadlines.disarm(worker);
-    }
+    pool.set_deadline(None);
     let tripped = matches!(
         outcome,
         Err(EngineError::Panicked(_)) | Err(EngineError::Transient(_)) | Err(EngineError::Jit(_))
@@ -2021,6 +1923,7 @@ fn saturating_ns(d: std::time::Duration) -> u64 {
 mod tests {
     use super::*;
     use splitc_minic::compile_source;
+    use std::sync::atomic::AtomicBool;
 
     fn triple_module() -> ServeModule {
         ServeModule::new(compile_source("fn triple(x: i32) -> i32 { return 3 * x; }", "k").unwrap())
@@ -2575,20 +2478,24 @@ mod tests {
 
     // --- Continuous batching ---
 
-    /// Gate for [`stall_on_0`]: the hooked worker spins until released.
-    static STALL_GATE: AtomicBool = AtomicBool::new(false);
-
-    /// Fault hook that never injects a fault, but stalls the worker while
-    /// serving the sentinel request (first arg 0) until [`STALL_GATE`]
-    /// opens — letting a test pile up a known backlog behind a 1-worker
-    /// server and then observe it served as one continuous batch.
-    fn stall_on_0(request: &Request) -> bool {
+    /// Never injects a fault, but stalls the worker while serving the
+    /// sentinel request (first arg 0) until `gate` opens — letting a test
+    /// pile up a known backlog behind a 1-worker server and then observe how
+    /// it is swept into batches. One gate (and one hook) per test: tests run
+    /// in parallel, and an opened gate stays open.
+    fn stall_sentinel(gate: &AtomicBool, request: &Request) -> bool {
         if request.args.first() == Some(&MachineValue::Int(0)) {
-            while !STALL_GATE.load(Ordering::SeqCst) {
+            while !gate.load(Ordering::SeqCst) {
                 std::thread::yield_now();
             }
         }
         false
+    }
+
+    static STALL_GATE: AtomicBool = AtomicBool::new(false);
+
+    fn stall_on_0(request: &Request) -> bool {
+        stall_sentinel(&STALL_GATE, request)
     }
 
     #[test]
@@ -2648,21 +2555,158 @@ mod tests {
         );
     }
 
+    // --- Fingerprint collisions ---
+
+    static COLLISION_GATE: AtomicBool = AtomicBool::new(false);
+
+    fn stall_collision_sentinel(request: &Request) -> bool {
+        stall_sentinel(&COLLISION_GATE, request)
+    }
+
+    #[test]
+    fn colliding_fingerprints_are_served_by_their_own_engines() {
+        // Two different modules under one hand-set fingerprint — what a
+        // 64-bit FNV-1a collision (which a client can engineer) looks like
+        // to the server. Both kernels are named `f`, so being served by the
+        // other module's engine would be a silently wrong number.
+        let forge = |source: &str| {
+            let mut module = ServeModule::new(compile_source(source, "k").unwrap());
+            module.fingerprint = 0x00C0_111D_ED00;
+            module
+        };
+        let triple = forge("fn f(x: i32) -> i32 { return 3 * x; }");
+        let square = forge("fn f(x: i32) -> i32 { return x * x; }");
+        assert_ne!(triple.encoded, square.encoded);
+        let request = |module: &ServeModule, x: i64| Request {
+            kernel: "f".into(),
+            ..triple_request(module, x)
+        };
+        let server = Server::start_instrumented(
+            ServerConfig::default()
+                .with_workers(1)
+                .with_max_batch(8)
+                .with_queue_capacity(64),
+            Some(stall_collision_sentinel),
+        );
+        // Stall the worker, then interleave the two modules behind it so one
+        // queue sweep sees both under equal batch keys.
+        let sentinel = server.submit(request(&triple, 0)).unwrap();
+        while server.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        let handles: Vec<_> = (4..12)
+            .map(|x| {
+                let module = if x % 2 == 0 { &triple } else { &square };
+                (x, server.submit(request(module, x)).unwrap())
+            })
+            .collect();
+        COLLISION_GATE.store(true, Ordering::SeqCst);
+        sentinel.wait().unwrap().outcome.unwrap();
+        for (x, handle) in handles {
+            let response = handle.wait().unwrap();
+            let want = if x % 2 == 0 { 3 * x } else { x * x };
+            assert_eq!(
+                response.outcome.unwrap().result,
+                Some(MachineValue::Int(want)),
+                "x = {x} was served from the wrong module"
+            );
+            assert_eq!(response.batch, 4, "a sweep takes one module's jobs only");
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.engines, 2, "one engine per encoding");
+        assert_eq!(stats.cache.compiles, 2);
+        assert_eq!((stats.accepted, stats.completed, stats.expired), (9, 9, 0));
+        assert_eq!(stats.batch_sizes.sum(), stats.completed);
+    }
+
     // --- Fault tolerance ---
 
     #[test]
-    fn a_completed_request_leaves_no_deadline_armed() {
-        let module = triple_module();
+    fn a_cancelled_request_leaves_no_deadline_behind() {
+        // `sum(n)` pays one back edge per term: at this `n` it runs for
+        // seconds, far past the deadline; at a small one it returns at once.
+        let module = ServeModule::new(
+            compile_source(
+                "fn sum(n: i32) -> i32 {
+                     let s: i32 = 0;
+                     for (let i: i32 = 0; i < n; i = i + 1) { s = s + i; }
+                     return s;
+                 }",
+                "k",
+            )
+            .unwrap(),
+        );
+        let sum_request = |n: i64, deadline: Option<Instant>| Request {
+            kernel: "sum".into(),
+            deadline,
+            ..triple_request(&module, n)
+        };
         let server = Server::start(ServerConfig::default().with_workers(1));
-        let mut request = triple_request(&module, 2);
-        request.deadline = Some(Instant::now() + Duration::from_secs(3600));
+        // 20 ms rather than 1 ms: the request must still be dequeued in
+        // time, or it is shed (`expired`) instead of cancelled mid-run.
+        let deadline = Instant::now() + Duration::from_millis(20);
+        let doomed = server
+            .submit(sum_request(200_000_000, Some(deadline)))
+            .unwrap();
+        let response = doomed.wait().unwrap();
+        assert!(
+            matches!(response.outcome, Err(EngineError::DeadlineExceeded)),
+            "got {:?}",
+            response.outcome
+        );
+        assert_eq!(response.attempts, 1, "cancelled mid-run, not shed");
+        // The same worker, the same frame pool, no deadline: a deadline left
+        // behind would cancel this run at its first region.
+        let response = server
+            .submit(sum_request(10, None))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(
+            response.outcome.unwrap().result,
+            Some(MachineValue::Int(45))
+        );
+        let stats = server.shutdown();
+        assert_eq!((stats.cancelled, stats.expired), (1, 0));
+        assert_eq!((stats.accepted, stats.completed), (2, 2));
+    }
+
+    #[test]
+    fn a_deadline_that_passes_during_a_retry_backoff_cancels_the_retry() {
+        // Attempt 1 fails at once on an injected transient fault, well
+        // inside the deadline; the backoff (50–100 ms) outlasts it. The
+        // deadline is set afresh for every attempt, so attempt 2 reads the
+        // clock at its first region and is cancelled before it runs.
+        let module = triple_module();
+        let plan = FaultPlan::seeded(7).with_rule(FaultRule {
+            site: FaultSite::Execute,
+            kind: FaultKind::Transient,
+            selector: FaultSelector::tag_range(5, 6),
+            persistent: false,
+        });
+        let server = Server::start(
+            ServerConfig::default()
+                .with_workers(1)
+                .with_faults(plan)
+                .with_retry(RetryPolicy {
+                    max_retries: 2,
+                    base_backoff_ns: 100_000_000,
+                    max_backoff_ns: 100_000_000,
+                }),
+        );
+        let mut request = triple_request(&module, 4);
+        request.tag = 5;
+        request.deadline = Some(Instant::now() + Duration::from_millis(25));
         let response = server.submit(request).unwrap().wait().unwrap();
-        assert_eq!(response.outcome.unwrap().result, Some(MachineValue::Int(6)));
-        // The worker disarms before it answers, so the hour-out deadline is
-        // already gone: nothing accumulates per request.
-        let watch = &server.inner.deadlines;
-        assert_eq!(watch.state.lock().unwrap().armed, [None]);
-        assert!(!watch.tokens[0].load(Ordering::SeqCst));
+        assert!(
+            matches!(response.outcome, Err(EngineError::DeadlineExceeded)),
+            "got {:?}",
+            response.outcome
+        );
+        assert_eq!(response.attempts, 2, "the retry started, then cancelled");
+        let stats = server.shutdown();
+        assert_eq!((stats.cancelled, stats.retried, stats.expired), (1, 1, 0));
+        assert_eq!((stats.accepted, stats.completed), (1, 1));
     }
 
     #[test]

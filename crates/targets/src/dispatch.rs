@@ -19,7 +19,10 @@
 //!   exact), aborts the whole execution via a trap (`refund_unretired` gives
 //!   back what had not retired, on that cold path), or — when fuel can
 //!   no longer cover a prepayment — **deopts** to the metered loop, which
-//!   then reproduces legacy out-of-fuel timing to the instruction.
+//!   then reproduces legacy out-of-fuel timing to the instruction. Region
+//!   entry is also where the run's deadline, if its [`FramePool`] carries
+//!   one, is polled: one branch without a deadline, and a passed deadline
+//!   takes the same uncharged deopt.
 //!
 //! On the threaded stream adjacent instructions are **fused into macro-ops**
 //! (compare+branch, load+ALU, and the 3- and 4-instruction
@@ -455,11 +458,11 @@ macro_rules! tryh {
 #[inline(always)]
 fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
     let t = &cx.f.targets[tidx as usize];
-    // Cooperative cancellation is polled here, at region entry, because it
-    // is the one boundary every loop iteration crosses. Deopt *uncharged*
-    // to the metered loop (whose entry check raises `Cancelled`): going
-    // through `FLOW_ERR` instead would trigger a trap-path refund for a region
-    // that was never charged.
+    // The deadline is polled here, at region entry, because it is the one
+    // boundary every loop iteration crosses (one branch when none is set).
+    // Deopt *uncharged* to the metered loop (whose entry poll raises
+    // `Cancelled`): going through `FLOW_ERR` instead would trigger a
+    // trap-path refund for a region that was never charged.
     if cx.pool.cancel_requested() {
         return FLOW_DEOPT | u64::from(t.enum_pc);
     }

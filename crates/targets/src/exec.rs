@@ -19,7 +19,9 @@
 //!   ([`OpInfo`], stated per kind by [`op_info`]) and vector lane counts are
 //!   precomputed;
 //! * call frames come from a [`FramePool`] that recycles the register-file
-//!   and spill-slot allocations across calls and across runs;
+//!   and spill-slot allocations across calls and across runs (and carries the
+//!   run's optional wall-clock deadline, which the executing thread polls at
+//!   region boundaries — [`FramePool::set_deadline`]);
 //! * every straight-line instruction is lowered to a packed 32-byte operand
 //!   record whose fn-pointer **handler is the only statement of what the
 //!   instruction does** to registers and memory (see
@@ -104,8 +106,7 @@ use crate::simulator::{MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_C
 use crate::timing::{FlatCost, InOrderPipeline, LatClass, TimingKind, TimingModel, NO_REG};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::time::Instant;
 
 /// A value held in a spill slot of a prepared frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,18 +156,26 @@ pub(crate) fn store_slot_vec(slot_vec: &mut Vec<u8>, slots: usize, slot: usize, 
 /// target-agnostic (frames are resized on acquire, reusing capacity), so one
 /// pool can serve a whole sweep across many targets.
 ///
-/// A pool can also carry an optional **cancellation token** for the runs it
-/// backs ([`FramePool::set_cancel_token`]): the executor polls it at region
-/// boundaries (region prepayment on the threaded path, back edges on the
-/// metered path) and aborts with [`SimError::Cancelled`] once it flips —
-/// the cooperative-cancellation hook the serving tier's deadlines use to
-/// stop a runaway kernel without killing the worker thread.
+/// A pool can also carry an optional wall-clock **deadline** for the runs it
+/// backs ([`FramePool::set_deadline`]): the executor polls it at region
+/// boundaries (region prepayment on the threaded path, function entry and
+/// branches on the metered path) and aborts with [`SimError::Cancelled`] once
+/// it has passed — how the serving tier stops a runaway kernel without
+/// killing the worker thread, and without a second thread: the thread that
+/// executes is the one that reads the clock.
 #[derive(Debug, Default)]
 pub struct FramePool {
     frames: Vec<Frame>,
     argv: Vec<Vec<MachineValue>>,
-    cancel: Option<Arc<AtomicBool>>,
+    deadline: Option<Instant>,
+    /// Polls to skip before the clock is read again; 0 reads it at the next.
+    polls_to_skip: u32,
 }
+
+/// Polls per clock read of a deadline-carrying run: a poll is one simulated
+/// region (tens of nanoseconds), so a passed deadline is noticed within about
+/// a microsecond of execution for one ~25 ns clock read.
+const DEADLINE_POLL_INTERVAL: u32 = 32;
 
 impl FramePool {
     /// An empty pool; frames are created on first use and recycled after.
@@ -179,28 +188,44 @@ impl FramePool {
         self.frames.len()
     }
 
-    /// Arm cooperative cancellation for subsequent runs drawn from this
-    /// pool: once `token` reads `true`, execution stops at the next region
-    /// boundary with [`SimError::Cancelled`]. The token stays armed until
-    /// [`FramePool::clear_cancel_token`]; callers that reuse one pool across
-    /// requests must re-arm (or clear) per run.
-    pub fn set_cancel_token(&mut self, token: Arc<AtomicBool>) {
-        self.cancel = Some(token);
+    /// Set (`Some`) or clear (`None`) the deadline of subsequent runs drawn
+    /// from this pool: once it has passed, execution stops at the next region
+    /// boundary with [`SimError::Cancelled`]. The first poll after every call
+    /// reads the clock, so a deadline that has already passed cancels before
+    /// the first instruction. It stays set until replaced; callers that reuse
+    /// one pool across requests set it per run.
+    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
+        self.deadline = deadline;
+        self.polls_to_skip = 0;
     }
 
-    /// Disarm cooperative cancellation (subsequent runs are uncancellable).
-    pub fn clear_cancel_token(&mut self) {
-        self.cancel = None;
-    }
-
-    /// `true` once the armed token (if any) has been flipped. Hot-path
-    /// polling site: a `None` token is a single branch.
+    /// `true` once the deadline (if any) has passed. Hot-path polling site:
+    /// without a deadline it is a single branch and never reads the clock.
     #[inline(always)]
-    pub fn cancel_requested(&self) -> bool {
-        match &self.cancel {
-            Some(t) => t.load(Ordering::Relaxed),
+    pub(crate) fn cancel_requested(&mut self) -> bool {
+        match self.deadline {
+            Some(at) => self.poll_deadline(at),
             None => false,
         }
+    }
+
+    /// The deadline-carrying half of [`FramePool::cancel_requested`]: read the
+    /// clock once per [`DEADLINE_POLL_INTERVAL`] polls. A passed deadline
+    /// leaves the countdown at 0, so every later poll agrees (the clock is
+    /// monotonic) — the threaded loop's uncharged deopt relies on the metered
+    /// loop's entry poll raising the `Cancelled` it saw.
+    #[cold]
+    #[inline(never)]
+    fn poll_deadline(&mut self, at: Instant) -> bool {
+        if self.polls_to_skip > 0 {
+            self.polls_to_skip -= 1;
+            return false;
+        }
+        let passed = Instant::now() >= at;
+        if !passed {
+            self.polls_to_skip = DEADLINE_POLL_INTERVAL - 1;
+        }
+        passed
     }
 
     fn acquire(&mut self, int: usize, float: usize, vec_bytes: usize, slots: usize) -> Frame {
@@ -926,8 +951,8 @@ impl PreparedProgram {
     }
 
     /// Execute `func` on the metered loop alone: per-record fuel and timing
-    /// over the 1:1 stream, never the threaded one. The baseline side of the
-    /// dispatch microbenchmark and one column of the differential suites.
+    /// over the 1:1 stream, never the threaded one: one column of the
+    /// differential suites.
     ///
     /// # Errors
     ///
@@ -1052,8 +1077,8 @@ impl PreparedProgram {
     ) -> Result<Option<MachineValue>, SimError> {
         let f = cx.f;
         // Cooperative cancellation: poll at function entry (which is also
-        // every post-deopt resumption) and at branches below, so a hot loop
-        // cannot outrun a flipped token by more than one basic block.
+        // every post-deopt resumption) and at branches below, so no loop
+        // runs without polling its deadline.
         if cx.pool.cancel_requested() {
             return Err(SimError::Cancelled);
         }
@@ -1859,9 +1884,9 @@ fn prepare_function(
     })
 }
 
-/// A reusable executor over one [`PreparedProgram`]: owns a [`FramePool`] and
-/// the fuel/stats bookkeeping, mirroring the [`Simulator`](crate::Simulator)
-/// API for code that runs the same prepared program many times.
+/// A reusable executor over one [`PreparedProgram`] — the public driver of
+/// the prepared path: owns a [`FramePool`] and the fuel/stats bookkeeping,
+/// for code that runs the same prepared program many times.
 #[derive(Debug)]
 pub struct PreparedSimulator<'p> {
     program: &'p PreparedProgram,
@@ -2367,6 +2392,41 @@ mod tests {
         // 0+1+...+9 = 45; all four paths agree on result and full stats.
         assert_eq!(outs[0].0, Some(MachineValue::Int(45)));
         assert!(outs.iter().all(|o| o == &outs[0]), "{outs:?}");
+    }
+
+    #[test]
+    fn a_passed_deadline_cancels_before_the_first_instruction_on_every_path() {
+        let p = counting_loop();
+        let args = [MachineValue::Int(10)];
+        let mut pool = FramePool::new();
+        let mut mem = vec![0u8; 32];
+        for timing in [TimingKind::Flat, TimingKind::InOrder] {
+            let target = TargetDesc::x86_sse().with_timing(timing);
+            let prepared = PreparedProgram::prepare(&p, &target).unwrap();
+            for metered in [false, true] {
+                let run = if metered {
+                    PreparedProgram::run_metered
+                } else {
+                    PreparedProgram::run
+                };
+                // The first poll after `set_deadline` reads the clock: nothing
+                // retires, nothing is charged — not even the entry region the
+                // threaded loop would have prepaid.
+                let mut stats = SimStats::default();
+                pool.set_deadline(Some(Instant::now()));
+                let out = run(
+                    &prepared, "count", &args, &mut mem, &mut pool, 1_000, &mut stats,
+                );
+                assert_eq!(out, Err(SimError::Cancelled), "{timing:?} {metered}");
+                assert_eq!(stats, SimStats::default(), "{timing:?} {metered}");
+                // Clearing the deadline makes the same pool runnable again.
+                pool.set_deadline(None);
+                let out = run(
+                    &prepared, "count", &args, &mut mem, &mut pool, 1_000, &mut stats,
+                );
+                assert_eq!(out, Ok(Some(MachineValue::Int(45))));
+            }
+        }
     }
 
     /// A program holding every straight-line instruction kind — vector ops,

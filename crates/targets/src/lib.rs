@@ -5,9 +5,12 @@
 //! heterogeneous platforms of Section 3 (ARM+Neon phones, Cell PPE/SPU, DSPs);
 //! none of that hardware is available to this reproduction, so each machine is
 //! modeled as a [`TargetDesc`] — register files, an optional SIMD unit and a
-//! per-operation [`CostModel`] — together with a [`Simulator`] that executes
+//! per-operation [`CostModel`] — together with a simulator that executes
 //! the virtual machine code ([`MProgram`]) emitted by the online compiler and
-//! reports deterministic cycle counts ([`SimStats`]).
+//! reports deterministic cycle counts ([`SimStats`]): programs are prepared
+//! once per target ([`PreparedProgram`]) and run through
+//! [`PreparedSimulator`]; the block-walking [`Simulator`] is the independent
+//! reference the differential tests compare that executor against.
 //!
 //! Absolute cycle numbers are synthetic; the experiments only rely on the
 //! *relative* behaviour (scalar vs. vectorized code, one target vs. another),
@@ -17,8 +20,8 @@
 //!
 //! ```
 //! use splitc_targets::{
-//!     AluOp, MBlock, MFunction, MInst, MProgram, MachineValue, PReg, Simulator, TargetDesc,
-//!     Width,
+//!     AluOp, MBlock, MFunction, MInst, MProgram, MachineValue, PReg, PreparedProgram,
+//!     PreparedSimulator, TargetDesc, Width,
 //! };
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -44,7 +47,8 @@
 //! let mut mem = vec![0u8; 32];
 //! let mut cycles = Vec::new();
 //! for target in [TargetDesc::x86_sse(), TargetDesc::ultrasparc()] {
-//!     let mut sim = Simulator::new(&program, &target);
+//!     let prepared = PreparedProgram::prepare(&program, &target)?;
+//!     let mut sim = PreparedSimulator::new(&prepared);
 //!     let out = sim.run("double", &[MachineValue::Int(21)], &mut mem)?;
 //!     assert_eq!(out, Some(MachineValue::Int(42)));
 //!     cycles.push(sim.stats().cycles);

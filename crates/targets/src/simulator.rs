@@ -85,11 +85,11 @@ pub enum SimError {
     Trap(String),
     /// The instruction budget was exhausted.
     OutOfFuel,
-    /// Execution was cancelled cooperatively: the caller armed a
-    /// cancellation token on the run's `FramePool` and flipped it (the
-    /// serving tier does this when a request's deadline passes). Unlike a
-    /// trap this says nothing about the program — the same run without
-    /// cancellation may have completed normally.
+    /// Execution was cancelled cooperatively: the caller set a deadline on
+    /// the run's `FramePool` and it passed (the serving tier sets each
+    /// request's deadline this way). Unlike a trap this says nothing about
+    /// the program — the same run without a deadline may have completed
+    /// normally.
     Cancelled,
 }
 
@@ -281,23 +281,21 @@ pub(crate) fn compare<T: PartialOrd>(pred: CmpPred, a: T, b: T) -> i64 {
     i64::from(r)
 }
 
-/// The cycle-cost simulator for one target.
+/// The reference cycle-cost simulator for one target: the original
+/// block-walking interpreter, which decodes every instruction as it goes.
 ///
-/// Since the pre-decoded execution representation landed
-/// ([`PreparedProgram`](crate::PreparedProgram)), this type is a thin wrapper
-/// that prepares the program on the fly — once, on the first
-/// [`Simulator::run`] — and then drives the flat program-counter loop. The
-/// original block-walking interpreter survives as
-/// [`Simulator::run_legacy`]: it is the semantic reference the differential
-/// tests compare the prepared path against, and the "cold" side of the
-/// simulator microbenchmark.
+/// Programs are *served* by the pre-decoded executor
+/// ([`PreparedProgram`](crate::PreparedProgram), driven through
+/// [`PreparedSimulator`](crate::PreparedSimulator)); this walk shares no
+/// execution code with it and is the semantic reference the differential
+/// tests compare the prepared path against, bit for bit.
 ///
 /// # Examples
 ///
 /// ```
 /// use splitc_targets::{
-///     MachineValue, MBlock, MFunction, MInst, MProgram, PReg, Simulator, TargetDesc, Width,
-///     AluOp,
+///     MachineValue, MBlock, MFunction, MInst, MProgram, PReg, PreparedProgram,
+///     PreparedSimulator, Simulator, TargetDesc, Width, AluOp,
 /// };
 ///
 /// // fn add1(r0) { r1 = 1; r0 = r0 + r1; return r0 }
@@ -318,11 +316,17 @@ pub(crate) fn compare<T: PartialOrd>(pred: CmpPred, a: T, b: T) -> i64 {
 /// };
 /// let program = MProgram { name: "demo".into(), functions: vec![f] };
 /// let target = TargetDesc::x86_sse();
-/// let mut sim = Simulator::new(&program, &target);
+/// let prepared = PreparedProgram::prepare(&program, &target).unwrap();
+/// let mut sim = PreparedSimulator::new(&prepared);
 /// let mut mem = vec![0u8; 64];
 /// let out = sim.run("add1", &[MachineValue::Int(41)], &mut mem).unwrap();
 /// assert_eq!(out, Some(MachineValue::Int(42)));
 /// assert!(sim.stats().cycles > 0);
+///
+/// // The reference walk agrees, result and statistics alike.
+/// let mut reference = Simulator::new(&program, &target);
+/// let same = reference.run_legacy("add1", &[MachineValue::Int(41)], &mut mem).unwrap();
+/// assert_eq!((same, reference.stats()), (out, sim.stats()));
 /// ```
 #[derive(Debug)]
 pub struct Simulator<'p> {
@@ -330,9 +334,6 @@ pub struct Simulator<'p> {
     target: &'p TargetDesc,
     fuel: u64,
     stats: SimStats,
-    /// Pre-decoded form, built lazily by the first [`Simulator::run`].
-    prepared: Option<crate::exec::PreparedProgram>,
-    pool: crate::exec::FramePool,
 }
 
 impl<'p> Simulator<'p> {
@@ -343,8 +344,6 @@ impl<'p> Simulator<'p> {
             target,
             fuel: DEFAULT_SIM_FUEL,
             stats: SimStats::default(),
-            prepared: None,
-            pool: crate::exec::FramePool::new(),
         }
     }
 
@@ -354,50 +353,21 @@ impl<'p> Simulator<'p> {
         self
     }
 
-    /// Statistics from the most recent [`Simulator::run`] /
-    /// [`Simulator::run_legacy`].
+    /// Statistics from the most recent [`Simulator::run_legacy`].
     pub fn stats(&self) -> SimStats {
         self.stats
-    }
-
-    /// Execute `func` with `args` against `mem`.
-    ///
-    /// Prepares the program for the target on the first call (see
-    /// [`PreparedProgram`](crate::PreparedProgram)) and then drives the flat
-    /// pre-decoded loop; subsequent runs reuse both the prepared code and the
-    /// frame pool. Results, traps and statistics are bit-identical to
-    /// [`Simulator::run_legacy`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] on unknown functions, register-file violations,
-    /// vector use on scalar-only targets, runtime traps or fuel exhaustion.
-    pub fn run(
-        &mut self,
-        func: &str,
-        args: &[MachineValue],
-        mem: &mut [u8],
-    ) -> Result<Option<MachineValue>, SimError> {
-        if self.prepared.is_none() {
-            self.prepared = Some(crate::exec::PreparedProgram::prepare(
-                self.program,
-                self.target,
-            )?);
-        }
-        let prepared = self.prepared.as_ref().expect("prepared above");
-        prepared.run(func, args, mem, &mut self.pool, self.fuel, &mut self.stats)
     }
 
     /// Execute `func` with `args` against `mem` using the original
     /// block-walking interpreter (no preparation, per-instruction decode).
     ///
     /// This is the semantic reference: the differential suites assert the
-    /// prepared path agrees with it bit-for-bit, and the simulator
-    /// microbenchmark uses it as the "cold" baseline.
+    /// prepared path agrees with it bit-for-bit.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Simulator::run`].
+    /// Returns a [`SimError`] on unknown functions, register-file violations,
+    /// vector use on scalar-only targets, runtime traps or fuel exhaustion.
     pub fn run_legacy(
         &mut self,
         func: &str,
@@ -1341,6 +1311,7 @@ pub(crate) fn write_lane_float(reg: &mut [u8], lane: usize, elem: Width, value: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{PreparedProgram, PreparedSimulator};
     use crate::mcode::{MBlock, MFunction};
 
     fn program(f: MFunction) -> MProgram {
@@ -1469,7 +1440,8 @@ mod tests {
         };
         let p = program(f);
         let target = TargetDesc::x86_sse();
-        let mut sim = Simulator::new(&p, &target);
+        let prepared = PreparedProgram::prepare(&p, &target).unwrap();
+        let mut sim = PreparedSimulator::new(&prepared);
         let mut mem = vec![0u8; 256];
         for i in 0..100u8 {
             mem[16 + i as usize] = i;
@@ -1520,7 +1492,8 @@ mod tests {
         ];
         let p = straight(insts, vec![PReg::int(0)]);
         let x86 = TargetDesc::x86_sse();
-        let mut sim = Simulator::new(&p, &x86);
+        let prepared = PreparedProgram::prepare(&p, &x86).unwrap();
+        let mut sim = PreparedSimulator::new(&prepared);
         let mut mem = vec![0u8; 64];
         for i in 0..16 {
             mem[16 + i] = i as u8 * 3;
@@ -1529,11 +1502,9 @@ mod tests {
         assert_eq!(out, Some(MachineValue::Int(90))); // max lane 15*3 doubled = 90
         assert_eq!(sim.stats().vector_ops, 3);
 
+        // Scalar-only targets refuse the program when it is prepared.
         let sparc = TargetDesc::ultrasparc();
-        let mut sim = Simulator::new(&p, &sparc);
-        let err = sim
-            .run("f", &[MachineValue::Int(16)], &mut mem)
-            .unwrap_err();
+        let err = PreparedProgram::prepare(&p, &sparc).unwrap_err();
         assert!(matches!(err, SimError::NoVectorUnit { .. }));
     }
 
@@ -1562,7 +1533,8 @@ mod tests {
         ];
         let p = straight(insts, vec![]);
         let target = TargetDesc::powerpc();
-        let mut sim = Simulator::new(&p, &target);
+        let prepared = PreparedProgram::prepare(&p, &target).unwrap();
+        let mut sim = PreparedSimulator::new(&prepared);
         let mut mem = vec![0u8; 32];
         assert_eq!(
             sim.run("f", &[], &mut mem).unwrap(),
@@ -1583,10 +1555,8 @@ mod tests {
         ];
         let p = straight(insts, vec![]);
         let target = TargetDesc::x86_sse(); // only 6 integer registers
-        let mut sim = Simulator::new(&p, &target);
-        let mut mem = vec![0u8; 32];
         assert!(matches!(
-            sim.run("f", &[], &mut mem).unwrap_err(),
+            PreparedProgram::prepare(&p, &target).unwrap_err(),
             SimError::BadRegister { .. }
         ));
     }
@@ -1606,7 +1576,8 @@ mod tests {
         ];
         let p = straight(insts, vec![PReg::int(0)]);
         let target = TargetDesc::arm_neon();
-        let mut sim = Simulator::new(&p, &target);
+        let prepared = PreparedProgram::prepare(&p, &target).unwrap();
+        let mut sim = PreparedSimulator::new(&prepared);
         let mut mem = vec![0u8; 16];
         assert!(matches!(
             sim.run("f", &[MachineValue::Int(12)], &mut mem)
@@ -1635,7 +1606,8 @@ mod tests {
         };
         let p = program(f);
         let target = TargetDesc::x86_sse();
-        let mut sim = Simulator::new(&p, &target).with_fuel(10_000);
+        let prepared = PreparedProgram::prepare(&p, &target).unwrap();
+        let mut sim = PreparedSimulator::new(&prepared).with_fuel(10_000);
         let mut mem = vec![0u8; 16];
         assert_eq!(
             sim.run("spin", &[], &mut mem).unwrap_err(),
@@ -1646,7 +1618,7 @@ mod tests {
     #[test]
     fn prepared_and_legacy_walks_agree_on_results_and_stats() {
         // The sum-loop program from `loads_stores_and_loop_execute_with_costs`,
-        // run through both execution paths of the same simulator.
+        // run through the prepared executor and the reference walk.
         let f = MFunction {
             name: "sum".into(),
             params: vec![PReg::int(0), PReg::int(1)],
@@ -1738,12 +1710,13 @@ mod tests {
                 mem[16 + i as usize] = i;
             }
             let mut legacy_mem = mem.clone();
-            let mut sim = Simulator::new(&p, &target);
+            let prepared = PreparedProgram::prepare(&p, &target).unwrap();
+            let mut sim = PreparedSimulator::new(&prepared);
             let out = sim.run("sum", &args, &mut mem).unwrap();
-            let prepared_stats = sim.stats();
-            let legacy_out = sim.run_legacy("sum", &args, &mut legacy_mem).unwrap();
+            let mut legacy = Simulator::new(&p, &target);
+            let legacy_out = legacy.run_legacy("sum", &args, &mut legacy_mem).unwrap();
             assert_eq!(out, legacy_out, "{}", target.name);
-            assert_eq!(prepared_stats, sim.stats(), "{}", target.name);
+            assert_eq!(sim.stats(), legacy.stats(), "{}", target.name);
             assert_eq!(mem, legacy_mem, "{}", target.name);
         }
     }
@@ -1791,7 +1764,8 @@ mod tests {
             functions: vec![callee, caller],
         };
         let target = TargetDesc::x86_sse();
-        let mut sim = Simulator::new(&p, &target);
+        let prepared = PreparedProgram::prepare(&p, &target).unwrap();
+        let mut sim = PreparedSimulator::new(&prepared);
         let mut mem = vec![0u8; 16];
         let out = sim
             .run("main", &[MachineValue::Float(3.0)], &mut mem)

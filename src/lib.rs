@@ -6,4 +6,6 @@
 //!
 //! Start with [`splitc`] for the high-level pipeline API.
 
+#![forbid(unsafe_code)]
+
 pub use splitc;

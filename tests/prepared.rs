@@ -6,8 +6,9 @@
 //! `MProgram` walk — results, memory effects and `SimStats` (cycles, spill
 //! traffic, every counter, under both timing tiers) alike — for every
 //! catalogue kernel on every simulated target, whether the threaded loop runs
-//! fused or unfused and on the metered loop too. These tests pin that
-//! equivalence down and also check that pooling/reuse never changes results.
+//! fused or unfused, on the metered loop too, and with a deadline that never
+//! passes. These tests pin that equivalence down and also check that
+//! pooling/reuse never changes results.
 
 mod common;
 
@@ -17,9 +18,10 @@ use splitc::{checksum, prepare, PreparedKernel, PreparedProgram, PreparedSimulat
 use splitc_jit::{compile_module, JitOptions, RegAllocMode};
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_runtime::{ExecutionEngine, FramePool};
-use splitc_targets::{MachineValue, SimStats, Simulator, TargetDesc, TimingKind};
+use splitc_targets::{MachineValue, SimStats, Simulator, TargetDesc, TimingKind, DEFAULT_SIM_FUEL};
 use splitc_vbc::Module;
 use splitc_workloads::{all_kernels, kernel, module_for};
+use std::time::{Duration, Instant};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -88,28 +90,43 @@ fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
             let legacy_sum = checksum(legacy_result, &prepared_inputs, &legacy_ws);
 
             // Deploy-time prepared forms: the fused threaded loop, the
-            // unfused threaded loop, and the metered loop — all three
-            // must match the legacy walk bit-for-bit.
+            // unfused threaded loop, the metered loop, and the fused loop
+            // again polling a deadline one hour out (which reads the clock
+            // and must change nothing else) — all four must match the
+            // legacy walk bit-for-bit.
             let fused = PreparedProgram::prepare(&program, &target)
                 .unwrap_or_else(|e| panic!("{name} on {}: prepare failed: {e}", target.name));
             let unfused =
                 PreparedProgram::prepare_with(&program, &target, false).unwrap_or_else(|e| {
                     panic!("{name} on {}: unfused prepare failed: {e}", target.name)
                 });
-            let paths: [(&str, &PreparedProgram, bool); 3] = [
-                ("fused", &fused, false),
-                ("unfused", &unfused, false),
-                ("metered", &fused, true),
+            let paths: [(&str, &PreparedProgram, bool, bool); 4] = [
+                ("fused", &fused, false, false),
+                ("unfused", &unfused, false, false),
+                ("metered", &fused, true, false),
+                ("deadline", &fused, false, true),
             ];
-            for (path, prepared, metered) in paths {
+            for (path, prepared, metered, deadline) in paths {
                 let mut prepared_ws = Workspace::new(1 << 16);
                 let inputs = setup(&mut prepared_ws);
-                let mut sim = PreparedSimulator::new(prepared);
-                let result = if metered {
-                    sim.run_metered(name, &inputs.args, prepared_ws.bytes_mut())
+                let mut pool = FramePool::new();
+                pool.set_deadline(deadline.then(|| Instant::now() + Duration::from_secs(3600)));
+                let run = if metered {
+                    PreparedProgram::run_metered
                 } else {
-                    sim.run(name, &inputs.args, prepared_ws.bytes_mut())
-                }
+                    PreparedProgram::run
+                };
+                let mut stats = SimStats::default();
+                let mem = prepared_ws.bytes_mut();
+                let result = run(
+                    prepared,
+                    name,
+                    &inputs.args,
+                    mem,
+                    &mut pool,
+                    DEFAULT_SIM_FUEL,
+                    &mut stats,
+                )
                 .unwrap_or_else(|e| panic!("{name} on {} ({path}): {e}", target.name));
 
                 assert_eq!(
@@ -118,8 +135,7 @@ fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
                     target.name
                 );
                 assert_eq!(
-                    sim.stats(),
-                    legacy_stats,
+                    stats, legacy_stats,
                     "{name} on {}: {path} SimStats (cycles/spills/...) diverged",
                     target.name
                 );

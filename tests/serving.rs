@@ -796,8 +796,8 @@ fn shutdown_with_deadlines_answers_every_accepted_handle_exactly_once() {
     }
 
     // Pull the plug with the runaway still in flight. The drop must drain:
-    // the watchdog has to outlive the workers so the in-flight deadline can
-    // still cancel the runaway — otherwise this drop deadlocks.
+    // the worker running the runaway enforces its deadline itself, so the
+    // join cannot wait on it past that deadline.
     drop(server);
 
     let response = doomed.wait().expect("the in-flight request is answered");
