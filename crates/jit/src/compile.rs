@@ -204,7 +204,7 @@ pub fn compile_module(
     let use_simd = options.allow_simd && target.has_simd();
     let mut program = MProgram {
         name: module.name.clone(),
-        functions: Vec::new(),
+        functions: Vec::with_capacity(module.functions().len()),
     };
     let mut regs = RegAssigner::new(target, options.regalloc);
     for func in module.functions() {

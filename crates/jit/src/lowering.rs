@@ -11,6 +11,16 @@
 //!   vector value becomes a bundle of scalar lane registers and each vector
 //!   operation becomes an unrolled sequence of scalar operations — exactly the
 //!   fallback the paper describes for the UltraSparc and PowerPC JITs.
+//!
+//! Lowering allocates per function and per block, never per instruction or
+//! operand. The lanes of a scalarized vector register are handed out by one
+//! run of the per-class counter, so they have consecutive indices and the
+//! "lane list" is a range — `(class, first index, count)`, kept in a dense
+//! table indexed by bytecode register — that is copied, not cloned, each time
+//! an operation names the register. And every bytecode instruction lowers to a
+//! known number of machine instructions (one, or one per lane when
+//! scalarized), so each block is sized once to its exact length even where
+//! scalarization expands it severalfold.
 
 use crate::compile::JitError;
 use splitc_targets::{AluOp, CmpPred, FpuOp, MInst, PReg, RedOp, RegClass, TargetDesc, Width};
@@ -18,7 +28,6 @@ use splitc_vbc::{
     BinOp, CmpOp, Function, Inst, ReduceOp, ScalarType, Type, UnOp, VReg,
     DEFAULT_VECTOR_WIDTH_BYTES,
 };
-use std::collections::HashMap;
 
 /// Machine code with unbounded virtual register indices, before assignment.
 #[derive(Debug, Clone)]
@@ -62,12 +71,37 @@ fn width_of(ty: ScalarType) -> Width {
     Width::from_bytes(ty.size_bytes())
 }
 
+/// The scalar registers standing in for one scalarized vector register:
+/// `count` registers of `class` with consecutive indices from `first`.
+#[derive(Debug, Clone, Copy)]
+struct Lanes {
+    class: RegClass,
+    first: u16,
+    count: u16,
+}
+
+impl Lanes {
+    fn get(self, lane: u16) -> PReg {
+        debug_assert!(lane < self.count);
+        PReg {
+            class: self.class,
+            index: self.first + lane,
+        }
+    }
+
+    fn iter(self) -> impl Iterator<Item = PReg> {
+        (0..self.count).map(move |lane| self.get(lane))
+    }
+}
+
 struct Lowerer<'a> {
     func: &'a Function,
     target: &'a TargetDesc,
     use_simd: bool,
     map: Vec<Option<PReg>>,
-    lanes: HashMap<VReg, Vec<PReg>>,
+    /// The lanes of each scalarized vector register, indexed by
+    /// [`VReg::index`]; empty when the vector builtins map onto SIMD.
+    lanes: Vec<Option<Lanes>>,
     next: [u32; 3],
     blocks: Vec<Vec<MInst>>,
     current: usize,
@@ -75,19 +109,24 @@ struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
-    fn fresh(&mut self, class: RegClass) -> Result<PReg, JitError> {
-        let idx = self.next[class_index(class)];
-        self.next[class_index(class)] += 1;
-        if idx > u32::from(u16::MAX) {
+    /// Hand out `count` fresh virtual registers of `class` with consecutive
+    /// indices and return the first index.
+    fn fresh_run(&mut self, class: RegClass, count: u32) -> Result<u16, JitError> {
+        let next = &mut self.next[class_index(class)];
+        let first = *next;
+        *next += count;
+        if *next > u32::from(u16::MAX) + 1 {
             return Err(JitError::Internal(format!(
                 "function {} exhausts the virtual register space",
                 self.func.name
             )));
         }
-        Ok(PReg {
-            class,
-            index: idx as u16,
-        })
+        Ok(first as u16)
+    }
+
+    fn fresh(&mut self, class: RegClass) -> Result<PReg, JitError> {
+        let index = self.fresh_run(class, 1)?;
+        Ok(PReg { class, index })
     }
 
     fn scalar_reg(&mut self, r: VReg) -> Result<PReg, JitError> {
@@ -119,18 +158,38 @@ impl<'a> Lowerer<'a> {
     }
 
     /// The scalar lane registers standing in for vector register `r`.
-    fn lane_regs(&mut self, r: VReg, elem: ScalarType) -> Result<Vec<PReg>, JitError> {
-        if let Some(l) = self.lanes.get(&r) {
-            return Ok(l.clone());
+    fn lane_regs(&mut self, r: VReg, elem: ScalarType) -> Result<Lanes, JitError> {
+        if let Some(l) = self.lanes[r.index()] {
+            return Ok(l);
         }
-        let n = self.lane_count(elem) as usize;
         let class = scalar_class(elem);
-        let mut regs = Vec::with_capacity(n);
-        for _ in 0..n {
-            regs.push(self.fresh(class)?);
+        // At most 16 lanes (one byte each in a 16-byte vector).
+        let count = self.lane_count(elem) as u16;
+        let first = self.fresh_run(class, u32::from(count))?;
+        let l = Lanes {
+            class,
+            first,
+            count,
+        };
+        self.lanes[r.index()] = Some(l);
+        Ok(l)
+    }
+
+    /// Machine instructions `inst` lowers to: one, except that a scalarized
+    /// vector operation becomes one per lane.
+    fn lowered_len(&self, inst: &Inst) -> usize {
+        match inst {
+            Inst::VecSplat { elem, .. }
+            | Inst::VecLoad { elem, .. }
+            | Inst::VecStore { elem, .. }
+            | Inst::VecBin { elem, .. }
+            | Inst::VecReduce { elem, .. }
+                if !self.use_simd =>
+            {
+                self.lane_count(*elem) as usize
+            }
+            _ => 1,
         }
-        self.lanes.insert(r, regs.clone());
-        Ok(regs)
     }
 
     fn vec_reg(&mut self, r: VReg) -> Result<PReg, JitError> {
@@ -437,7 +496,7 @@ impl<'a> Lowerer<'a> {
                     }
                 } else {
                     let lanes = self.lane_regs(*dst, *elem)?;
-                    for lane in lanes {
+                    for lane in lanes.iter() {
                         self.emit(MInst::Mov { dst: lane, src: s });
                     }
                 }
@@ -458,7 +517,7 @@ impl<'a> Lowerer<'a> {
                     });
                 } else {
                     let lanes = self.lane_regs(*dst, *elem)?;
-                    for (i, lane) in lanes.into_iter().enumerate() {
+                    for (i, lane) in lanes.iter().enumerate() {
                         self.emit(MInst::Load {
                             width: width_of(*elem),
                             float: elem.is_float(),
@@ -486,7 +545,7 @@ impl<'a> Lowerer<'a> {
                     });
                 } else {
                     let lanes = self.lane_regs(*value, *elem)?;
-                    for (i, lane) in lanes.into_iter().enumerate() {
+                    for (i, lane) in lanes.iter().enumerate() {
                         self.emit(MInst::Store {
                             width: width_of(*elem),
                             float: elem.is_float(),
@@ -530,8 +589,8 @@ impl<'a> Lowerer<'a> {
                     let l = self.lane_regs(*lhs, *elem)?;
                     let r = self.lane_regs(*rhs, *elem)?;
                     let d = self.lane_regs(*dst, *elem)?;
-                    for i in 0..d.len() {
-                        self.scalar_bin(*op, *elem, d[i], l[i], r[i])?;
+                    for i in 0..d.count {
+                        self.scalar_bin(*op, *elem, d.get(i), l.get(i), r.get(i))?;
                     }
                 }
             }
@@ -559,10 +618,10 @@ impl<'a> Lowerer<'a> {
                     let lanes = self.lane_regs(*src, *elem)?;
                     self.emit(MInst::Mov {
                         dst: d,
-                        src: lanes[0],
+                        src: lanes.get(0),
                     });
-                    for lane in &lanes[1..] {
-                        self.scalar_bin(op.as_bin_op(), *elem, d, d, *lane)?;
+                    for lane in lanes.iter().skip(1) {
+                        self.scalar_bin(op.as_bin_op(), *elem, d, d, lane)?;
                     }
                 }
             }
@@ -606,7 +665,7 @@ pub(crate) fn lower_function(
         target,
         use_simd,
         map: vec![None; func.num_vregs()],
-        lanes: HashMap::new(),
+        lanes: vec![None; if use_simd { 0 } else { func.num_vregs() }],
         next: [0, 0, 0],
         blocks: vec![Vec::new(); func.blocks.len()],
         current: 0,
@@ -625,6 +684,9 @@ pub(crate) fn lower_function(
     }
     for block in &func.blocks {
         low.current = block.id.index();
+        // Scalarization expands a block severalfold; size it once.
+        let len = block.insts.iter().map(|i| low.lowered_len(i)).sum();
+        low.blocks[low.current].reserve_exact(len);
         for inst in &block.insts {
             low.lower_inst(inst)?;
         }
@@ -708,6 +770,23 @@ mod tests {
     }
 
     #[test]
+    fn lowered_blocks_are_sized_once_to_their_exact_length() {
+        // `lowered_len` must agree with what `lower_inst` emits, with SIMD
+        // (one machine instruction each) and scalarized (one per lane).
+        let m = saxpy_module(true);
+        let f = m.function("saxpy").unwrap();
+        for (target, use_simd) in [
+            (TargetDesc::x86_sse(), true),
+            (TargetDesc::ultrasparc(), false),
+        ] {
+            let vf = lower_function(f, &target, use_simd).unwrap();
+            for (b, block) in vf.blocks.iter().enumerate() {
+                assert_eq!(block.capacity(), block.len(), "{}: block {b}", target.name);
+            }
+        }
+    }
+
+    #[test]
     fn u8_kernels_scalarize_to_sixteen_lanes() {
         let mut m = compile_source(
             "fn max_u8(n: i32, x: *u8) -> u8 {
@@ -740,5 +819,7 @@ mod tests {
             loads >= 17,
             "16 unrolled lanes plus the scalar epilogue, got {loads}"
         );
+        // A scalarized reduction is sized like the other lane-wise operations.
+        assert!(vf.blocks.iter().all(|b| b.capacity() == b.len()));
     }
 }

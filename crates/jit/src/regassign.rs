@@ -305,7 +305,6 @@ impl<'t> RegAssigner<'t> {
         for insts in vf.blocks {
             let mut out = std::mem::take(&mut prologue);
             stats.static_spills += out.len() as u64;
-            out.reserve(insts.len());
             self.rewrite_block(insts, &mut out, &vf.name, stats)?;
             blocks.push(MBlock { insts: out });
         }
@@ -500,16 +499,24 @@ impl<'t> RegAssigner<'t> {
         // block and `next_use` at its first read.
         self.ops.clear();
         self.starts.clear();
+        // Spill code the placement already implies: a reload per read of a
+        // spilled global, a store per write of one.
+        let mut spill_code = 0;
         for inst in &insts {
             self.starts.push(self.ops.len());
             let ops = &mut self.ops;
             mir::for_each_use(inst, |reg| ops.push(UseOp { reg, next: NONE }));
+            if let Some(d) = mir::def(inst) {
+                spill_code +=
+                    usize::from(matches!(self.vregs[dense(base, d)].loc, Loc::Spilled(_)));
+            }
         }
         self.starts.push(self.ops.len());
         for idx in (0..insts.len()).rev() {
             let operands = &mut self.ops[self.starts[idx]..self.starts[idx + 1]];
             for op in operands.iter_mut() {
                 let v = &self.vregs[dense(base, op.reg)];
+                spill_code += usize::from(matches!(v.loc, Loc::Spilled(_)));
                 if v.stamp == stamp {
                     op.next = v.next_use;
                 }
@@ -520,6 +527,9 @@ impl<'t> RegAssigner<'t> {
                 v.next_use = idx as u32;
             }
         }
+        // Size the block once: only the evictions of block-local values, which
+        // depend on the walk below, can still make it grow.
+        out.reserve_exact(insts.len() + spill_code);
 
         // Every register not handed to a kept global is scratch, lowest
         // index first.

@@ -12,16 +12,15 @@ pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
     let mut stack: Vec<(BlockId, usize)> = vec![(f.entry, 0)];
     visited[f.entry.index()] = true;
     while let Some((b, i)) = stack.pop() {
-        let succs = f.block(b).successors();
-        if i < succs.len() {
-            stack.push((b, i + 1));
-            let s = succs[i];
-            if !visited[s.index()] {
-                visited[s.index()] = true;
-                stack.push((s, 0));
+        match f.block(b).successors().nth(i) {
+            Some(s) => {
+                stack.push((b, i + 1));
+                if !visited[s.index()] {
+                    visited[s.index()] = true;
+                    stack.push((s, 0));
+                }
             }
-        } else {
-            post.push(b);
+            None => post.push(b),
         }
     }
     post.reverse();

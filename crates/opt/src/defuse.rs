@@ -32,9 +32,7 @@ impl DefUse {
                 if let Some(d) = inst.dst() {
                     defs[d.index()].push(pos);
                 }
-                for u in inst.uses() {
-                    uses[u.index()].push(pos);
-                }
+                inst.for_each_use(|u| uses[u.index()].push(pos));
             }
         }
         DefUse { defs, uses }

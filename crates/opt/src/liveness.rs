@@ -24,11 +24,11 @@ impl Liveness {
         for block in &f.blocks {
             let b = block.id.index();
             for inst in &block.insts {
-                for u in inst.uses() {
+                inst.for_each_use(|u| {
                     if !def_set[b].contains(&u) {
                         use_set[b].insert(u);
                     }
-                }
+                });
                 if let Some(d) = inst.dst() {
                     def_set[b].insert(d);
                 }
@@ -91,9 +91,9 @@ impl Liveness {
                 if let Some(d) = inst.dst() {
                     live.remove(&d);
                 }
-                for u in inst.uses() {
+                inst.for_each_use(|u| {
                     live.insert(u);
-                }
+                });
                 max = max.max(live.len());
             }
         }
@@ -110,9 +110,9 @@ impl Liveness {
             if let Some(d) = inst.dst() {
                 live.remove(&d);
             }
-            for u in inst.uses() {
+            inst.for_each_use(|u| {
                 live.insert(u);
-            }
+            });
             rev.push(live.len() as u32);
         }
         rev.reverse();

@@ -483,7 +483,9 @@ fn analyze_loop(f: &Function, l: &Loop, du: &DefUse, work: &mut u64) -> Result<P
         if skip.contains(&index) || address_slice.contains(&index) {
             continue;
         }
-        if !matches!(inst, Inst::Jump { .. }) && inst.uses().contains(&iv.reg) {
+        let mut reads_iv = false;
+        inst.for_each_use(|u| reads_iv |= u == iv.reg);
+        if reads_iv {
             return Err("the induction variable is used as a value inside the loop".into());
         }
     }

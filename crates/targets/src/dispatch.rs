@@ -36,6 +36,14 @@
 //! straight-line charges live in the `OpInfo` table, and the few handlers
 //! that charge dynamically read the program's
 //! [`CostModel`](crate::CostModel).
+//!
+//! Building the threaded stream is deploy-time work a device pays on every
+//! bring-up, so [`build_threaded`] allocates only what the function keeps,
+//! once each: `ops` and `meta` are sized from the enum stream's length
+//! (fusion only shortens it) and `targets` from its blocks and calls, while
+//! the two per-record scratch tables of the region pass live in a
+//! [`ThreadedScratch`] that `prepare_with` reuses across the functions of a
+//! program.
 
 use crate::exec::{
     store_slot_vec, Frame, FramePool, PInst, PreparedFunction, PreparedProgram, SlotValue,
@@ -1550,28 +1558,53 @@ fn rec(handler: Handler) -> OpRecord {
     }
 }
 
+/// The per-record scratch tables of [`build_threaded`]. They are cleared and
+/// reused from function to function (the `RegAssigner` recipe), so preparing
+/// a program allocates them once, at the size of its largest function; what
+/// is allocated per function is what the function keeps — `ops`, `meta` and
+/// `targets`, each sized up front from counts the enum stream already gives.
+#[derive(Default)]
+pub(crate) struct ThreadedScratch {
+    /// Straight-line role of each record, driving the region pass.
+    ends: Vec<End>,
+    /// Per-record pairable kind, consumed by the pairing sweep.
+    kinds: Vec<u8>,
+}
+
 /// Lower the prepared enum stream of `pf` to a threaded dispatch stream:
 /// fuse macro-ops (when `fuse`), emit packed records (an unfused
 /// straight-line record is its metered-stream record), and resolve
 /// per-region fuel/instruction charges.
-pub(crate) fn build_threaded(pf: &mut PreparedFunction, fuse: bool, fusion: &mut FusionStats) {
+pub(crate) fn build_threaded(
+    pf: &mut PreparedFunction,
+    fuse: bool,
+    fusion: &mut FusionStats,
+    scratch: &mut ThreadedScratch,
+) {
     let nblocks = pf.block_offsets.len();
     let code_len = pf.code.len() as u32;
-    let mut targets: Vec<BlockTarget> = pf
-        .block_offsets
+    // One region per block plus one per call (its return point).
+    let calls = pf
+        .code
         .iter()
-        .map(|&o| BlockTarget {
-            ops_pc: 0,
-            enum_pc: o,
-            charge: 0,
-            stat: StaticStats::default(),
-        })
-        .collect();
-    let mut ops: Vec<OpRecord> = Vec::new();
-    let mut meta: Vec<OpMeta> = Vec::new();
-    let mut ends: Vec<End> = Vec::new();
-    // Per-record pairable kind, consumed by the pairing sweep below.
-    let mut kinds: Vec<u8> = Vec::new();
+        .filter(|inst| matches!(inst, PInst::Call(_)))
+        .count();
+    let mut targets: Vec<BlockTarget> = Vec::with_capacity(nblocks + calls);
+    targets.extend(pf.block_offsets.iter().map(|&o| BlockTarget {
+        ops_pc: 0,
+        enum_pc: o,
+        charge: 0,
+        stat: StaticStats::default(),
+    }));
+    // Fusion only ever shortens the stream, so the enum stream's length
+    // bounds both tables.
+    let mut ops: Vec<OpRecord> = Vec::with_capacity(pf.code.len());
+    let mut meta: Vec<OpMeta> = Vec::with_capacity(pf.code.len());
+    let ThreadedScratch { ends, kinds } = scratch;
+    ends.clear();
+    ends.reserve(pf.code.len());
+    kinds.clear();
+    kinds.reserve(pf.code.len());
 
     {
         let code = &pf.code;

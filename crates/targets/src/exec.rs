@@ -106,6 +106,7 @@ use crate::simulator::{MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_C
 use crate::timing::{FlatCost, InOrderPipeline, LatClass, TimingKind, TimingModel, NO_REG};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A value held in a spill slot of a prepared frame.
@@ -768,7 +769,8 @@ pub(crate) fn op_info(inst: &PInst, cost: &CostModel) -> OpInfo {
 /// needs.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PreparedFunction {
-    pub(crate) name: String,
+    /// Shared with the program's name index.
+    pub(crate) name: Arc<str>,
     pub(crate) params: Box<[PReg]>,
     pub(crate) num_slots: usize,
     /// The flat per-instruction stream; every offset called an *enum pc*
@@ -803,7 +805,7 @@ pub(crate) struct PreparedFunction {
 pub struct PreparedProgram {
     name: String,
     pub(crate) functions: Vec<PreparedFunction>,
-    by_name: HashMap<String, usize>,
+    by_name: HashMap<Arc<str>, usize>,
     pub(crate) int_regs: usize,
     pub(crate) float_regs: usize,
     /// Total bytes of the flat vector buffer (`vec_regs × vector_bytes`);
@@ -855,10 +857,12 @@ impl PreparedProgram {
         target: &TargetDesc,
         fuse: bool,
     ) -> Result<PreparedProgram, SimError> {
-        let mut by_name = HashMap::with_capacity(program.functions.len());
+        // Each name is copied once: the index owns it and the prepared
+        // function shares it.
+        let mut by_name: HashMap<Arc<str>, usize> = HashMap::with_capacity(program.functions.len());
         for (i, f) in program.functions.iter().enumerate() {
             // First definition wins, matching `MProgram::function`.
-            by_name.entry(f.name.clone()).or_insert(i);
+            by_name.entry(Arc::from(f.name.as_str())).or_insert(i);
         }
         let layout = Layout {
             int_regs: usize::from(target.int_regs),
@@ -868,13 +872,14 @@ impl PreparedProgram {
         let vector_bytes = target.vector_bytes() as usize;
         let mut fusion = FusionStats::default();
         let mut functions = Vec::with_capacity(program.functions.len());
+        let mut scratch = dispatch::ThreadedScratch::default();
         for f in &program.functions {
             let mut pf = prepare_function(f, target, &layout, &by_name)?;
             // Region prepayment sums static per-op cycle charges, which is
             // only sound when cycles are a pure per-op accumulator: the
             // pipelined tier runs the metered stream alone.
             if target.timing == TimingKind::Flat {
-                dispatch::build_threaded(&mut pf, fuse, &mut fusion);
+                dispatch::build_threaded(&mut pf, fuse, &mut fusion, &mut scratch);
             }
             functions.push(pf);
         }
@@ -1458,7 +1463,7 @@ fn prepare_function(
     f: &MFunction,
     target: &TargetDesc,
     layout: &Layout,
-    by_name: &HashMap<String, usize>,
+    by_name: &HashMap<Arc<str>, usize>,
 ) -> Result<PreparedFunction, SimError> {
     let fname = &f.name;
     // Pass 1: instruction offset of every block in the flat stream (blocks
@@ -1846,7 +1851,7 @@ fn prepare_function(
                     };
                     PInst::Call(Box::new(PCall {
                         callee: by_name
-                            .get(callee)
+                            .get(callee.as_str())
                             .copied()
                             .ok_or_else(|| callee.clone().into_boxed_str()),
                         args: resolved.into_boxed_slice(),
@@ -1870,8 +1875,11 @@ fn prepare_function(
         code.push(PInst::FellOff { block: 0 });
         offsets.push(0);
     }
+    let (name, _) = by_name
+        .get_key_value(f.name.as_str())
+        .expect("every function of the program is in its name index");
     Ok(PreparedFunction {
-        name: f.name.clone(),
+        name: Arc::clone(name),
         params: params.into_boxed_slice(),
         num_slots: f.num_slots as usize,
         info: code.iter().map(|i| op_info(i, &target.cost)).collect(),

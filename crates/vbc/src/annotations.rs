@@ -196,7 +196,13 @@ impl AnnotationSet {
 
     /// Insert or replace the annotation under `key`.
     pub fn set(&mut self, key: &str, value: impl Into<AnnotationValue>) {
-        self.entries.insert(key.to_owned(), value.into());
+        self.insert(key.to_owned(), value.into());
+    }
+
+    /// [`AnnotationSet::set`] for a key the caller already owns: the decoder
+    /// moves each key it read into the map instead of copying it.
+    pub(crate) fn insert(&mut self, key: String, value: AnnotationValue) {
+        self.entries.insert(key, value);
     }
 
     /// Remove the annotation under `key`, returning its previous value.

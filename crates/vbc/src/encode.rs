@@ -14,8 +14,18 @@
 //! (non-canonical encodings would let two byte strings alias one value),
 //! and a decode only succeeds if it consumes the buffer *exactly* —
 //! trailing bytes are rejected, so a concatenated or padded entry can never
-//! decode silently. Hostile inputs must always produce a [`DecodeError`],
-//! never a panic and never a wrong module.
+//! decode silently. Register and block numbers are 32-bit on both sides of
+//! the wire: a LEB128 value past `u32::MAX` in such a position is an error,
+//! never truncated to the index it would alias. Hostile inputs must always
+//! produce a [`DecodeError`], never a panic and never a wrong module.
+//!
+//! Decoding is also the first thing a device does with a module, so it is
+//! kept cheap: [`Reader::uleb`] reads the one-byte integers that make up most
+//! of an encoding (register numbers, small counts) without entering the
+//! general loop, keys and strings are moved into the structures that own
+//! them, and every collection is sized from its length field — through
+//! `cap_hint`, so that a hostile count can claim at most `MAX_PREALLOC`
+//! elements of memory before the truncated input fails.
 //!
 //! The low-level primitives ([`Writer`], [`Reader`]) are public so sibling
 //! wire formats (the artifact store's compiled-program encoding) share one
@@ -282,7 +292,23 @@ impl<'a> Reader<'a> {
     /// Returns [`DecodeError::UnexpectedEof`] on truncation, or
     /// [`DecodeError::BadTag`] if the value overflows 64 bits or the final
     /// byte carries discarded bits.
+    #[inline]
     pub fn uleb(&mut self) -> Result<u64, DecodeError> {
+        // Register numbers, tags and most counts fit seven bits. A lone byte
+        // below 0x80 is always the canonical encoding of its own value, so
+        // this path has nothing to validate.
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.uleb_multibyte(),
+        }
+    }
+
+    /// [`Reader::uleb`] when the first byte is a continuation byte (or
+    /// missing): the general loop, with the canonicality checks.
+    fn uleb_multibyte(&mut self) -> Result<u64, DecodeError> {
         let mut shift = 0u32;
         let mut out = 0u64;
         loop {
@@ -508,7 +534,7 @@ fn read_annotations(r: &mut Reader<'_>) -> Result<AnnotationSet, DecodeError> {
     for _ in 0..n {
         let k = r.str()?;
         let v = read_value(r)?;
-        a.set(&k, v);
+        a.insert(k, v);
     }
     Ok(a)
 }
@@ -721,8 +747,22 @@ fn write_inst(w: &mut Writer, inst: &Inst) {
     }
 }
 
+/// Read a LEB128 integer that names a 32-bit index (a register or a block).
+///
+/// A value past `u32::MAX` is rejected, never truncated: `81 80 80 80 10`
+/// (2³² + 1) silently becoming register 1 would let two distinct byte strings
+/// decode to one module, and module identity is the encoding.
+fn read_u32(r: &mut Reader<'_>, what: &'static str) -> Result<u32, DecodeError> {
+    let v = r.uleb()?;
+    u32::try_from(v).map_err(|_| DecodeError::BadTag { what, tag: v as u8 })
+}
+
 fn read_vreg(r: &mut Reader<'_>) -> Result<VReg, DecodeError> {
-    Ok(VReg(r.uleb()? as u32))
+    read_u32(r, "register").map(VReg)
+}
+
+fn read_block_id(r: &mut Reader<'_>) -> Result<BlockId, DecodeError> {
+    read_u32(r, "block").map(BlockId)
 }
 
 fn read_inst(r: &mut Reader<'_>) -> Result<Inst, DecodeError> {
@@ -861,12 +901,12 @@ fn read_inst(r: &mut Reader<'_>) -> Result<Inst, DecodeError> {
             src: read_vreg(r)?,
         },
         16 => Inst::Jump {
-            target: BlockId(r.uleb()? as u32),
+            target: read_block_id(r)?,
         },
         17 => Inst::Branch {
             cond: read_vreg(r)?,
-            then_bb: BlockId(r.uleb()? as u32),
-            else_bb: BlockId(r.uleb()? as u32),
+            then_bb: read_block_id(r)?,
+            else_bb: read_block_id(r)?,
         },
         18 => Inst::Ret {
             value: if r.u8()? != 0 {
@@ -932,7 +972,7 @@ fn read_function(r: &mut Reader<'_>) -> Result<Function, DecodeError> {
     for _ in 0..nvregs {
         vreg_types.push(read_type(r)?);
     }
-    let entry = BlockId(r.uleb()? as u32);
+    let entry = read_block_id(r)?;
     let nblocks = r.uleb()? as usize;
     let mut blocks = Vec::with_capacity(cap_hint(nblocks));
     for id in 0..nblocks {
@@ -1150,6 +1190,160 @@ mod tests {
         let mut nine = [0xffu8; 9];
         nine[8] = 0x7f;
         assert_eq!(Reader::new(&nine).uleb().unwrap(), u64::MAX >> 1);
+    }
+
+    #[test]
+    fn uleb_boundaries_around_the_one_byte_path() {
+        let read = |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            r.uleb().map(|v| (v, r.pos()))
+        };
+        // The largest value the one-byte path takes, and the first two the
+        // general loop does.
+        assert_eq!(read(&[0x7f]), Ok((127, 1)));
+        assert_eq!(read(&[0x80, 0x01]), Ok((128, 2)));
+        assert_eq!(read(&[0xff, 0x7f]), Ok((16_383, 2)));
+        // Only the integer's own bytes are consumed.
+        assert_eq!(read(&[0x05, 0xff]), Ok((5, 1)));
+        // A continuation byte with nothing after it, and nothing at all.
+        assert_eq!(read(&[0x80]), Err(DecodeError::UnexpectedEof));
+        assert_eq!(read(&[]), Err(DecodeError::UnexpectedEof));
+        // Padded (non-minimal) encodings have always been accepted — only
+        // bits shifted past bit 63 are rejected — and still are: `80 00`
+        // reads as 0, exactly like `00`.
+        assert_eq!(read(&[0x80, 0x00]), Ok((0, 2)));
+        assert_eq!(read(&[0x00]), Ok((0, 1)));
+    }
+
+    /// The bytes of a module `m` holding one void function `f` with two
+    /// `i32` registers, the given entry block and one block of `ninsts`
+    /// instructions written by `insts`.
+    fn one_block_module(entry: u64, ninsts: u64, insts: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.bytes(MAGIC);
+        w.u8(VERSION);
+        w.str("m");
+        w.uleb(1);
+        w.str("f");
+        w.uleb(0); // parameters
+        w.u8(0); // no return type
+        w.uleb(2);
+        write_type(&mut w, Type::Scalar(ScalarType::I32));
+        write_type(&mut w, Type::Scalar(ScalarType::I32));
+        w.uleb(entry);
+        w.uleb(1); // blocks
+        w.uleb(ninsts);
+        insts(&mut w);
+        w.uleb(0); // function annotations
+        w.uleb(0); // module annotations
+        w.into_bytes()
+    }
+
+    fn write_move(w: &mut Writer, dst: u64, src: u64) {
+        w.u8(1);
+        w.uleb(dst);
+        w.u8(scalar_tag(ScalarType::I32));
+        w.uleb(src);
+    }
+
+    fn write_ret_none(w: &mut Writer) {
+        w.u8(18);
+        w.u8(0);
+    }
+
+    #[test]
+    fn indices_past_32_bits_are_rejected_not_truncated() {
+        // `81 80 80 80 10` is 2^32 + 1. Truncated to 32 bits it would name
+        // register 1, and two byte strings would decode to one module.
+        let mut w = Writer::new();
+        w.uleb((1 << 32) + 1);
+        assert_eq!(w.into_bytes(), [0x81, 0x80, 0x80, 0x80, 0x10]);
+        let with_dst = |dst: u64| {
+            one_block_module(0, 2, |w| {
+                write_move(w, dst, 0);
+                write_ret_none(w);
+            })
+        };
+        let honest = decode_module(&with_dst(1)).expect("register 1 decodes");
+        assert_eq!(encode_module(&honest), with_dst(1));
+        assert_eq!(
+            decode_module(&with_dst((1 << 32) + 1)),
+            Err(DecodeError::BadTag {
+                what: "register",
+                tag: 1
+            })
+        );
+        // A read operand, likewise.
+        let wide_src = one_block_module(0, 2, |w| {
+            write_move(w, 1, 1 << 32);
+            write_ret_none(w);
+        });
+        assert!(matches!(
+            decode_module(&wide_src),
+            Err(DecodeError::BadTag {
+                what: "register",
+                ..
+            })
+        ));
+
+        // Block numbers: a jump, both arms of a branch, the entry block.
+        let block_error = Err(DecodeError::BadTag {
+            what: "block",
+            tag: 0,
+        });
+        let jump = one_block_module(0, 1, |w| {
+            w.u8(16);
+            w.uleb(1 << 32);
+        });
+        assert_eq!(decode_module(&jump), block_error);
+        for (then_bb, else_bb) in [(1 << 32, 0), (0, 1 << 32)] {
+            let branch = one_block_module(0, 1, |w| {
+                w.u8(17);
+                w.uleb(0);
+                w.uleb(then_bb);
+                w.uleb(else_bb);
+            });
+            assert_eq!(decode_module(&branch), block_error);
+        }
+        assert_eq!(
+            decode_module(&one_block_module(1 << 32, 1, write_ret_none)),
+            block_error
+        );
+    }
+
+    #[test]
+    fn the_largest_32_bit_indices_decode_and_fail_in_the_verifier() {
+        // `u32::MAX` is a legal number on the wire; that no such register or
+        // block exists is the verifier's finding, not the decoder's.
+        let register = one_block_module(0, 2, |w| {
+            write_move(w, u64::from(u32::MAX), 0);
+            write_ret_none(w);
+        });
+        let m = decode_module(&register).expect("u32::MAX fits a register number");
+        assert_eq!(encode_module(&m), register);
+        assert_eq!(
+            crate::verify::verify_module(&m),
+            Err(crate::verify::VerifyError::BadRegister {
+                function: "f".into(),
+                block: BlockId(0),
+                reg: VReg(u32::MAX),
+            })
+        );
+
+        let block = one_block_module(0, 1, |w| {
+            w.u8(16);
+            w.uleb(u64::from(u32::MAX));
+        });
+        let m = decode_module(&block).expect("u32::MAX fits a block number");
+        assert_eq!(encode_module(&m), block);
+        assert_eq!(
+            crate::verify::verify_module(&m),
+            Err(crate::verify::VerifyError::BadBlockTarget {
+                function: "f".into(),
+                block: BlockId(0),
+                target: BlockId(u32::MAX),
+            })
+        );
     }
 
     #[test]

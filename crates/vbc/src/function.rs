@@ -30,8 +30,11 @@ impl Block {
     }
 
     /// Control-flow successors of this block (empty if unterminated or `ret`).
-    pub fn successors(&self) -> Vec<BlockId> {
-        self.terminator().map(Inst::successors).unwrap_or_default()
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        self.terminator()
+            .map_or([None; 2], Inst::successor_slots)
+            .into_iter()
+            .flatten()
     }
 }
 
@@ -256,7 +259,7 @@ mod tests {
     #[test]
     fn successors_and_predecessors_are_consistent() {
         let f = sample();
-        let entry_succs = f.block(f.entry).successors();
+        let entry_succs: Vec<BlockId> = f.block(f.entry).successors().collect();
         assert_eq!(entry_succs, vec![BlockId(1), BlockId(2)]);
         let preds = f.predecessors();
         assert_eq!(preds[1], vec![f.entry]);
@@ -305,6 +308,6 @@ mod tests {
         assert!(f.block(f.entry).terminator().is_some());
         let empty = Block::new(BlockId(9));
         assert!(empty.terminator().is_none());
-        assert!(empty.successors().is_empty());
+        assert_eq!(empty.successors().count(), 0);
     }
 }

@@ -8,6 +8,12 @@
 //! the `Vec*` instructions: they operate on vectors whose lane count is left
 //! to the online compiler ([`Inst::VecWidth`] materializes that lane count as
 //! a runtime/JIT-time constant).
+//!
+//! Which registers an instruction reads, and in which order, is stated once,
+//! by [`Inst::for_each_use`]; its successors by [`Inst::successors`]. Both
+//! visit in place — the load-time verifier and the offline analyses walk
+//! every instruction of a module, and none of them needs an owned list
+//! ([`Inst::uses`] remains for the callers that do).
 
 use crate::types::ScalarType;
 use serde::{Deserialize, Serialize};
@@ -569,31 +575,52 @@ impl Inst {
         }
     }
 
-    /// The registers read by this instruction, in operand order.
-    pub fn uses(&self) -> Vec<VReg> {
+    /// Hand every register this instruction reads to `f`, in operand order.
+    ///
+    /// This is the one statement of read-operand order; [`Inst::uses`] only
+    /// collects it. The load-time verifier and the offline analyses walk
+    /// operands through it, so visiting an instruction allocates nothing.
+    pub fn for_each_use(&self, mut f: impl FnMut(VReg)) {
         match self {
-            Inst::Const { .. } | Inst::VecWidth { .. } | Inst::Jump { .. } => Vec::new(),
-            Inst::Move { src, .. } | Inst::Un { src, .. } | Inst::Cast { src, .. } => vec![*src],
+            Inst::Const { .. } | Inst::VecWidth { .. } | Inst::Jump { .. } => {}
+            Inst::Move { src, .. }
+            | Inst::Un { src, .. }
+            | Inst::Cast { src, .. }
+            | Inst::VecSplat { src, .. }
+            | Inst::VecReduce { src, .. } => f(*src),
             Inst::Bin { lhs, rhs, .. }
             | Inst::Cmp { lhs, rhs, .. }
             | Inst::VecBin { lhs, rhs, .. } => {
-                vec![*lhs, *rhs]
+                f(*lhs);
+                f(*rhs);
             }
             Inst::Select {
                 cond,
                 if_true,
                 if_false,
                 ..
-            } => vec![*cond, *if_true, *if_false],
-            Inst::Load { addr, .. } | Inst::VecLoad { addr, .. } => vec![*addr],
-            Inst::Store { addr, value, .. } | Inst::VecStore { addr, value, .. } => {
-                vec![*addr, *value]
+            } => {
+                f(*cond);
+                f(*if_true);
+                f(*if_false);
             }
-            Inst::Call { args, .. } => args.clone(),
-            Inst::VecSplat { src, .. } | Inst::VecReduce { src, .. } => vec![*src],
-            Inst::Branch { cond, .. } => vec![*cond],
-            Inst::Ret { value } => value.iter().copied().collect(),
+            Inst::Load { addr, .. } | Inst::VecLoad { addr, .. } => f(*addr),
+            Inst::Store { addr, value, .. } | Inst::VecStore { addr, value, .. } => {
+                f(*addr);
+                f(*value);
+            }
+            Inst::Call { args, .. } => args.iter().copied().for_each(f),
+            Inst::Branch { cond, .. } => f(*cond),
+            Inst::Ret { value } => value.iter().copied().for_each(f),
         }
+    }
+
+    /// The registers read by this instruction, in operand order, as an owned
+    /// list. Code that only visits them should use [`Inst::for_each_use`].
+    pub fn uses(&self) -> Vec<VReg> {
+        let mut regs = Vec::new();
+        self.for_each_use(|r| regs.push(r));
+        regs
     }
 
     /// `true` if the instruction terminates a basic block.
@@ -604,15 +631,21 @@ impl Inst {
         )
     }
 
-    /// Control-flow successors of a terminator (empty for non-terminators and `Ret`).
-    pub fn successors(&self) -> Vec<BlockId> {
+    /// The (at most two) control-flow successors of this instruction, in
+    /// target order; a slot the instruction does not have is `None`.
+    pub(crate) fn successor_slots(&self) -> [Option<BlockId>; 2] {
         match self {
-            Inst::Jump { target } => vec![*target],
+            Inst::Jump { target } => [Some(*target), None],
             Inst::Branch {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            _ => Vec::new(),
+            } => [Some(*then_bb), Some(*else_bb)],
+            _ => [None, None],
         }
+    }
+
+    /// Control-flow successors of a terminator (empty for non-terminators and `Ret`).
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        self.successor_slots().into_iter().flatten()
     }
 
     /// `true` if the instruction reads or writes linear memory or transfers control.
@@ -734,21 +767,54 @@ mod tests {
     fn terminator_successors() {
         let j = Inst::Jump { target: BlockId(3) };
         assert!(j.is_terminator());
-        assert_eq!(j.successors(), vec![BlockId(3)]);
+        assert_eq!(j.successors().collect::<Vec<_>>(), vec![BlockId(3)]);
 
         let b = Inst::Branch {
             cond: VReg(0),
             then_bb: BlockId(1),
             else_bb: BlockId(2),
         };
-        assert_eq!(b.successors(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(
+            b.successors().collect::<Vec<_>>(),
+            vec![BlockId(1), BlockId(2)]
+        );
 
         let r = Inst::Ret {
             value: Some(VReg(5)),
         };
         assert!(r.is_terminator());
-        assert!(r.successors().is_empty());
+        assert_eq!(r.successors().count(), 0);
         assert_eq!(r.uses(), vec![VReg(5)]);
+    }
+
+    #[test]
+    fn for_each_use_visits_calls_and_returns_in_operand_order() {
+        let visited = |i: &Inst| {
+            let mut regs = Vec::new();
+            i.for_each_use(|r| regs.push(r));
+            regs
+        };
+        let call = Inst::Call {
+            dst: Some(VReg(9)),
+            callee: "f".into(),
+            args: vec![VReg(3), VReg(1), VReg(3)],
+        };
+        assert_eq!(visited(&call), vec![VReg(3), VReg(1), VReg(3)]);
+        assert_eq!(visited(&Inst::Ret { value: None }), vec![]);
+        assert_eq!(
+            visited(&Inst::Ret {
+                value: Some(VReg(4))
+            }),
+            vec![VReg(4)]
+        );
+        let select = Inst::Select {
+            ty: ScalarType::I32,
+            dst: VReg(0),
+            cond: VReg(1),
+            if_true: VReg(2),
+            if_false: VReg(3),
+        };
+        assert_eq!(visited(&select), select.uses());
     }
 
     #[test]

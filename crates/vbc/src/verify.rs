@@ -4,6 +4,13 @@
 //! it before shipping a module and the JIT runs it before lowering, mirroring
 //! the verification role that the paper assigns to the offline step of
 //! traditional bytecode tool chains (Section 2.2).
+//!
+//! Because the device pays for it on every bring-up, verifying a well-formed
+//! module allocates nothing: operands are visited through
+//! [`Inst::for_each_use`], the at most two successors of a terminator are
+//! read in place, and types come straight out of the function's register
+//! table. Only the error path builds anything (the [`VerifyError`] itself);
+//! `tests/online_cost.rs` gates the count at exactly zero.
 
 use crate::function::Function;
 use crate::inst::{BlockId, Inst, VReg};
@@ -160,22 +167,28 @@ fn expect_type(
     Ok(())
 }
 
+/// Every register the instruction names is below `num_vregs`. Reports the
+/// first offender in operand order, the destination last.
 fn check_regs(f: &Function, block: BlockId, inst: &Inst) -> Result<(), VerifyError> {
     let limit = f.num_vregs() as u32;
-    let mut regs = inst.uses();
-    if let Some(d) = inst.dst() {
-        regs.push(d);
-    }
-    for r in regs {
-        if r.0 >= limit {
-            return Err(VerifyError::BadRegister {
-                function: f.name.clone(),
-                block,
-                reg: r,
-            });
+    let mut bad = None;
+    let mut check = |r: VReg| {
+        if bad.is_none() && r.0 >= limit {
+            bad = Some(r);
         }
+    };
+    inst.for_each_use(&mut check);
+    if let Some(d) = inst.dst() {
+        check(d);
     }
-    Ok(())
+    match bad {
+        None => Ok(()),
+        Some(reg) => Err(VerifyError::BadRegister {
+            function: f.name.clone(),
+            block,
+            reg,
+        }),
+    }
 }
 
 fn check_types(f: &Function, block: BlockId, inst: &Inst) -> Result<(), VerifyError> {
@@ -330,7 +343,7 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
             }
             check_regs(f, b.id, inst)?;
             check_types(f, b.id, inst)?;
-            for target in inst.successors() {
+            for target in inst.successor_slots().into_iter().flatten() {
                 if target.index() >= f.blocks.len() {
                     return Err(VerifyError::BadBlockTarget {
                         function: f.name.clone(),

@@ -9,22 +9,25 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting `alloc` and `realloc` calls per thread.
+/// The system allocator, counting `alloc` and `realloc` calls and the bytes
+/// they ask for (a `realloc` counts its whole new size) per thread.
 pub struct CountingAlloc;
 
-fn count() {
+fn count(bytes: usize) {
     // A thread that is being torn down has no counter left; nothing measures it.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
-// SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// const-initialized thread-local `Cell` without a destructor, so touching it
-// neither allocates nor re-enters the allocator.
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// const-initialized thread-local `Cell`s without a destructor, so touching
+// them neither allocates nor re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -33,7 +36,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,4 +47,13 @@ pub fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Run `f` and return its result with the number of bytes the calling
+/// thread asked the allocator for meanwhile.
+#[allow(dead_code)] // not every suite that counts allocations also bounds bytes
+pub fn bytes_allocated_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
