@@ -7,7 +7,7 @@
 //! splitc run <module.svbc|kernels.mc> --kernel <fn> --target <name> [--arg i:<int>|f:<float>]...
 //! splitc disasm <catalogue-kernel|module.svbc|kernels.mc> [--target <name>] [--timing flat|in-order] [--no-fuse]
 //! splitc bench <catalogue-kernel> [--n <elems>] [--target <name>] [--jobs <N>] [--repeats <R>]
-//! splitc serve-bench [--n <elems>] [--requests <R>] [--workers <N>] [--queue <Q>] [--cache-cap <C>] [--max-batch <B>] [--seed <S>] [--soak | --chaos | --store <dir> [--no-store]]
+//! splitc serve-bench [--n <elems>] [--requests <R>] [--workers <N>] [--queue <Q>] [--cache-cap <C>] [--max-batch <B>] [--seed <S>] [--chaos | --store <dir>]
 //! ```
 //!
 //! * `build` runs the offline step (front end + optimizer) and writes the
@@ -34,42 +34,39 @@
 //!   share one engine, and `--repeats R` re-runs every cell R times to show
 //!   the compile-once-run-many amortization.
 //! * `serve-bench` drives mixed-module request traffic (every Table 1
-//!   kernel as its own deployment, rotating over the full target catalogue)
-//!   through the serving tier: one bounded queue (`--queue` is its bound)
-//!   drained by `--workers` threads (0 = one per host core)
-//!   with continuous batching up to `--max-batch` requests per pull, over
-//!   shared, fingerprint-deduplicated engines, optionally LRU-bounded with
-//!   `--cache-cap`. Prints requests/s, queue-wait and execute p50/p99/p999,
-//!   the batch-size distribution, and the server's queue, engine and cache
-//!   counters. `--soak` switches to the streaming soak driver: requests are
-//!   generated from per-(kernel × target) templates through a bounded
-//!   in-flight window (so 10⁵+ requests don't need 10⁵ pre-built buffers)
-//!   and every response is verified against its template's single-threaded
-//!   reference checksum. `--seed <S>` reseeds the whole run — request
-//!   inputs, retry-backoff jitter and (with `--chaos`) every fault-plan
-//!   decision derive from it, so two runs with one seed are replays of each
-//!   other. `--chaos` switches to the chaos soak: the soak's streamed,
-//!   verified traffic under a deterministic seeded fault plan (injected
-//!   panics, transient failures, latency spikes, a persistent poisoning
-//!   that drives one circuit breaker open and back closed, deadlines on a
-//!   slice of the requests). The run asserts exactly-once answering, exact
-//!   books (`accepted == completed + expired`, response tallies equal the
-//!   server counters) and bit-identity of every successful response against
-//!   its single-threaded reference — and fails loudly if the breaker never
-//!   opened or never recovered. `--store <dir>` switches to the persistent
-//!   artifact-store benchmark: the same load runs twice against the store
-//!   directory — once cold (store cleared, every key compiled and
-//!   published) and once warm in a fresh server (zero compilations, every
-//!   key loaded from disk) — and prints the cold-vs-warm time-to-first-
-//!   response delta, asserting bit-identity between the passes.
-//!   `--no-store` cancels a `--store` flag (handy when a wrapper script
-//!   always passes one).
+//!   kernel as its own deployment, one request template per kernel × target
+//!   of the full catalogue) through the serving tier: one bounded queue
+//!   (`--queue` is its bound) drained by `--workers` threads (0 = one per
+//!   host core) with continuous batching up to `--max-batch` requests per
+//!   pull, over shared, fingerprint-deduplicated engines, optionally
+//!   LRU-bounded with `--cache-cap`. Requests are clones of the templates
+//!   streamed through a bounded in-flight window (so 10⁵+ requests don't
+//!   need 10⁵ pre-built buffers), every response is verified against its
+//!   template's single-threaded reference checksum, and the run asserts
+//!   exactly-once answering and exact books (`accepted == completed +
+//!   expired`, response tallies equal the server counters). Prints the
+//!   per-outcome tallies, a digest of the verified responses, the server's
+//!   queue-wait and execute p50/p99/p999, the batch-size distribution, and
+//!   its queue, engine and cache counters — contracts and counters, not
+//!   speed: throughput and round-trip time are the `e2e/` benchmark's
+//!   `serve_rps` and `serve_rtt_us`. `--seed <S>` reseeds the whole run —
+//!   request inputs, retry-backoff jitter and (with `--chaos`) every
+//!   fault-plan decision derive from it, so two runs with one seed are
+//!   replays of each other. `--chaos` is the same load under a
+//!   deterministic seeded fault plan (injected panics, transient failures,
+//!   latency spikes, a persistent poisoning that drives one circuit breaker
+//!   open and back closed, deadlines on a slice of the requests) with the
+//!   first target as the degradation fallback; it fails loudly if the
+//!   breaker never opened or never recovered. `--store <dir>` runs the load
+//!   twice against the store directory — once cold (store cleared, every
+//!   key compiled and published) and once warm in a fresh server — and
+//!   asserts the warm pass compiled nothing, hit the disk once per key and
+//!   answered bit-identically (what that buys in time is `online_cold_ms`
+//!   vs `online_warm_ms` on the benchmark's `deploy` workload).
 
 #![forbid(unsafe_code)]
 
-use splitc::serve::{
-    default_chaos_plan, run_chaos, run_load, run_soak, run_store_bench, LoadConfig,
-};
+use splitc::serve::{default_chaos_plan, run_load, run_store_bench, LoadConfig};
 use splitc::splitc_jit::JitOptions;
 use splitc::splitc_opt::OptOptions;
 use splitc::splitc_targets::{MachineValue, TargetDesc, TimingKind};
@@ -79,7 +76,7 @@ use splitc::{fmt_cache_line, offline_compile, run_on_target, Workspace};
 use std::process::ExitCode;
 
 fn usage() -> &'static str {
-    "usage:\n  splitc build <kernels.mc> -o <module.svbc> [--no-vectorize] [--strip]\n  splitc dis <module.svbc>\n  splitc targets\n  splitc run <module.svbc|kernels.mc> --kernel <fn> --target <name> [--arg i:<int>|f:<float>]...\n  splitc disasm <catalogue-kernel|module.svbc|kernels.mc> [--target <name>] [--timing flat|in-order] [--no-fuse]\n  splitc bench <kernel> [--n <elems>] [--target <name>] [--jobs <N>] [--repeats <R>]\n  splitc serve-bench [--n <elems>] [--requests <R>] [--workers <N>] [--queue <Q>] [--cache-cap <C>] [--max-batch <B>] [--seed <S>] [--soak | --chaos | --store <dir> [--no-store]]"
+    "usage:\n  splitc build <kernels.mc> -o <module.svbc> [--no-vectorize] [--strip]\n  splitc dis <module.svbc>\n  splitc targets\n  splitc run <module.svbc|kernels.mc> --kernel <fn> --target <name> [--arg i:<int>|f:<float>]...\n  splitc disasm <catalogue-kernel|module.svbc|kernels.mc> [--target <name>] [--timing flat|in-order] [--no-fuse]\n  splitc bench <kernel> [--n <elems>] [--target <name>] [--jobs <N>] [--repeats <R>]\n  splitc serve-bench [--n <elems>] [--requests <R>] [--workers <N>] [--queue <Q>] [--cache-cap <C>] [--max-batch <B>] [--seed <S>] [--chaos | --store <dir>]"
 }
 
 /// Parse one `--arg` value of the form `i:<integer>` or `f:<float>`.
@@ -329,55 +326,48 @@ fn cmd_serve_bench(mut args: Vec<String>) -> Result<(), String> {
     let seed: Option<u64> = take_flag(&mut args, "--seed")
         .map(|s| s.parse().map_err(|e| format!("bad --seed value: {e}")))
         .transpose()?;
-    let soak = take_switch(&mut args, "--soak");
     let chaos = take_switch(&mut args, "--chaos");
-    let mut store_dir = take_flag(&mut args, "--store");
-    if take_switch(&mut args, "--no-store") {
-        store_dir = None;
-    }
-    if soak && chaos {
-        return Err("--soak and --chaos are mutually exclusive".to_owned());
-    }
-    if store_dir.is_some() && (soak || chaos) {
-        return Err("--store runs the cold-vs-warm load driver; drop --soak/--chaos".to_owned());
+    let store_dir = take_flag(&mut args, "--store");
+    if store_dir.is_some() && chaos {
+        return Err("--store runs the cold-vs-warm pair of clean loads; drop --chaos".to_owned());
     }
     if let Some(extra) = args.first() {
-        return Err(format!(
-            "serve-bench takes no positional argument `{extra}`"
-        ));
+        return Err(format!("serve-bench takes no argument `{extra}`"));
     }
-    let mut cfg = LoadConfig::catalogue(n, requests)
+    let mut cfg = LoadConfig::catalogue(n, requests);
+    cfg.server = cfg
+        .server
         .with_workers(workers)
         .with_queue_capacity(queue)
         .with_cache_capacity(cache_cap)
         .with_max_batch(max_batch);
     if let Some(seed) = seed {
-        cfg = cfg.with_seed(seed);
+        cfg.server.seed = seed;
     }
     if let Some(dir) = store_dir {
         let report = run_store_bench(&cfg, std::path::Path::new(&dir))
-            .map_err(|e| format!("store benchmark failed: {e}"))?;
+            .map_err(|e| format!("store check failed: {e}"))?;
         print!("{}", report.render());
-    } else if chaos {
-        let plan = default_chaos_plan(cfg.kernels.len() * cfg.targets.len(), cfg.seed);
-        let report = run_chaos(&cfg, &plan).map_err(|e| format!("chaos soak failed: {e}"))?;
-        print!("{}", report.render());
-        // The stock plan promises the full breaker lifecycle; a chaos run
-        // that never opened (or never recovered) a breaker proves nothing
-        // and must fail the CI step that invoked it.
-        if report.stats.breaker_opened == 0 || report.stats.breaker_closed == 0 {
-            return Err(format!(
-                "chaos soak did not exercise the breaker lifecycle \
-                 (opened {}, closed {}) — increase --requests",
-                report.stats.breaker_opened, report.stats.breaker_closed
-            ));
-        }
-    } else if soak {
-        let report = run_soak(&cfg).map_err(|e| format!("serving soak failed: {e}"))?;
-        print!("{}", report.render());
-    } else {
-        let report = run_load(&cfg).map_err(|e| format!("serving load failed: {e}"))?;
-        print!("{}", report.render());
+        return Ok(());
+    }
+    if chaos {
+        let plan = default_chaos_plan(cfg.kernels.len() * cfg.targets.len(), cfg.server.seed);
+        cfg.server = cfg
+            .server
+            .with_faults(plan)
+            .with_fallback(cfg.targets[0].clone());
+    }
+    let report = run_load(&cfg).map_err(|e| format!("serving load failed: {e}"))?;
+    print!("{}", report.render());
+    // The stock plan promises the full breaker lifecycle; a chaos run that
+    // never opened (or never recovered) a breaker proves nothing and must
+    // fail the CI step that invoked it.
+    if chaos && (report.stats.breaker_opened == 0 || report.stats.breaker_closed == 0) {
+        return Err(format!(
+            "chaos load did not exercise the breaker lifecycle \
+             (opened {}, closed {}) — increase --requests",
+            report.stats.breaker_opened, report.stats.breaker_closed
+        ));
     }
     Ok(())
 }
@@ -497,6 +487,7 @@ mod tests {
 
     #[test]
     fn serve_bench_soak_streams_and_verifies() {
+        // 64 requests through a window of 16: the load streams.
         cmd_serve_bench(vec![
             "--n".into(),
             "32".into(),
@@ -508,14 +499,13 @@ mod tests {
             "8".into(),
             "--seed".into(),
             "7".into(),
-            "--soak".into(),
         ])
-        .expect("serving soak succeeds");
+        .expect("a seeded streamed load succeeds");
         assert!(cmd_serve_bench(vec!["--seed".into(), "x".into()]).is_err());
-        assert!(
-            cmd_serve_bench(vec!["--soak".into(), "--chaos".into()]).is_err(),
-            "the two soak modes are mutually exclusive"
-        );
+        // Every load streams and verifies: no switch selects a driver, and
+        // an unknown one is refused by name instead of being ignored.
+        let err = cmd_serve_bench(vec!["--no-such-switch".into()]).unwrap_err();
+        assert!(err.contains("--no-such-switch"), "{err}");
     }
 
     #[test]
@@ -534,24 +524,11 @@ mod tests {
             "--store".into(),
             dir.to_string_lossy().into_owned(),
         ])
-        .expect("store benchmark succeeds (cold pass compiles, warm pass loads)");
+        .expect("store check succeeds (cold pass compiles, warm pass loads)");
         assert!(
-            cmd_serve_bench(vec!["--store".into(), "x".into(), "--soak".into()]).is_err(),
-            "--store and --soak are mutually exclusive"
+            cmd_serve_bench(vec!["--store".into(), "x".into(), "--chaos".into()]).is_err(),
+            "--store and --chaos are mutually exclusive"
         );
-        // --no-store cancels --store: this runs the plain load driver.
-        cmd_serve_bench(vec![
-            "--n".into(),
-            "32".into(),
-            "--requests".into(),
-            "4".into(),
-            "--workers".into(),
-            "1".into(),
-            "--store".into(),
-            dir.to_string_lossy().into_owned(),
-            "--no-store".into(),
-        ])
-        .expect("--no-store falls back to the storeless load");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -570,7 +547,7 @@ mod tests {
             "11".into(),
             "--chaos".into(),
         ])
-        .expect("chaos soak succeeds, including the breaker lifecycle check");
+        .expect("chaos load succeeds, including the breaker lifecycle check");
     }
 
     #[test]

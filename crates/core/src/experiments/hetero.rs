@@ -10,8 +10,9 @@
 use crate::harness::prepare;
 use crate::report::{fmt_amortized_jit, fmt_cache_line, TextTable};
 use crate::session::{PipelineError, Workspace};
+use splitc_jit::JitOptions;
 use splitc_opt::{optimize_module, OptOptions};
-use splitc_runtime::{CacheStats, EngineError, Executor, Platform};
+use splitc_runtime::{run_offloaded, CacheStats, EngineError, ExecutionEngine, Platform};
 use splitc_workloads::{kernel, module_for};
 
 /// One execution configuration of the experiment.
@@ -203,17 +204,22 @@ pub fn run_with(kernel_name: &str, sizes: &[usize], jobs: usize) -> Result<Heter
     let phone = Platform::phone();
     let cell = Platform::cell_blade(1);
     let gpu_node = Platform::gpu_node();
-    let exec = Executor::deploy(module);
+    let engine = ExecutionEngine::new(module);
+    let options = JitOptions::split();
     // One deployment serves every configuration; compile each distinct core
     // type once, before the size sweep starts measuring.
-    exec.precompile([
-        workstation.host(),
-        phone.core("arm").expect("phone has an arm core"),
-        cell.host(),
-        cell.core("spu0").expect("blade has an spu"),
-        gpu_node.host(),
-        gpu_node.core("gpu").expect("node has a gpu"),
-    ])?;
+    engine.precompile(
+        [
+            workstation.host(),
+            phone.core("arm").expect("phone has an arm core"),
+            cell.host(),
+            cell.core("spu0").expect("blade has an spu"),
+            gpu_node.host(),
+            gpu_node.core("gpu").expect("node has a gpu"),
+        ]
+        .map(|core| &core.target),
+        &options,
+    )?;
 
     // The measurement matrix: every (size, configuration) cell, sized so one
     // per-worker workspace fits the largest problem of the sweep.
@@ -247,33 +253,22 @@ pub fn run_with(kernel_name: &str, sizes: &[usize], jobs: usize) -> Result<Heter
                     Some(&gpu_node.dma),
                 ),
             };
-            match dma {
-                None => {
-                    let outcome = exec.run(core, kernel_name, &prepared.args, ws.bytes_mut())?;
-                    Ok(HeteroCell {
-                        config,
-                        compute: outcome.scaled_cycles,
-                        transfer: 0.0,
-                    })
-                }
-                Some(dma) => {
-                    let bytes_out = prepared.output.map(|(_, len)| len).unwrap_or(8);
-                    let (outcome, cost) = exec.run_offloaded(
-                        core,
-                        kernel_name,
-                        &prepared.args,
-                        ws.bytes_mut(),
-                        dma,
-                        prepared.input_bytes,
-                        bytes_out,
-                    )?;
-                    Ok(HeteroCell {
-                        config,
-                        compute: outcome.scaled_cycles,
-                        transfer: cost.dma_cycles as f64,
-                    })
-                }
-            }
+            let run = engine.run(
+                &core.target,
+                &options,
+                kernel_name,
+                &prepared.args,
+                ws.bytes_mut(),
+            )?;
+            let transfer = dma.map_or(0.0, |dma| {
+                let bytes_out = prepared.output.map(|(_, len)| len).unwrap_or(8);
+                run_offloaded(&run, dma, prepared.input_bytes, bytes_out).dma_cycles as f64
+            });
+            Ok(HeteroCell {
+                config,
+                compute: run.scaled_cycles,
+                transfer,
+            })
         },
     );
 
@@ -290,8 +285,8 @@ pub fn run_with(kernel_name: &str, sizes: &[usize], jobs: usize) -> Result<Heter
     Ok(Hetero {
         kernel: kernel_name.to_owned(),
         rows,
-        cache: exec.engine().stats(),
-        online_work: exec.engine().online_work(),
+        cache: engine.stats(),
+        online_work: engine.online_work(),
         jobs,
     })
 }

@@ -4,22 +4,26 @@
 //! pool, fingerprint-deduplicated engines); this module is the batteries: it
 //! knows how to turn the workload catalogue into **mixed-module traffic** —
 //! each kernel compiled offline into its own module, so the server juggles
-//! several deployments at once — generate seeded per-request inputs in a
-//! [`Workspace`], drive a full load through a [`Server`] and summarize the
-//! outcome ([`LoadReport`]: requests/s, queue high water, aggregated cache
-//! counters, per-request checksums).
+//! several deployments at once — and to drive it through a [`Server`] with
+//! one driver, [`run_load`]: one seeded request template per kernel × target,
+//! clones of them streamed through a bounded in-flight window (so 10⁵+
+//! requests never exist at once), every response verified against its
+//! template's single-threaded reference as it drains, the server's books
+//! asserted on the way out, and the outcome summarized in one
+//! [`LoadReport`].
 //!
-//! Determinism: request `r`'s kernel, target and input bytes depend only on
-//! `(r, cfg.seed)`, never on worker scheduling, so a `workers = 8` load is
-//! bit-identical (checksum-for-checksum) to a `workers = 1` load — the
+//! Determinism: request `r` is template `r % templates` and a template's
+//! kernel, target and input bytes depend only on its index and
+//! `cfg.server.seed`, never on worker scheduling, so a `workers = 8` load is
+//! bit-identical ([`LoadReport::digest`]) to a `workers = 1` load — the
 //! property this module's tests and the serving test suite pin down.
 //!
-//! The CLI's `splitc serve-bench` runs through [`run_load`] and
-//! `serve-bench --soak` through [`run_soak`], which streams
-//! requests through a bounded in-flight window instead of materializing the
-//! whole load up front — that's what makes 10⁵+-request soaks affordable —
-//! and verifies every response against a per-template single-threaded
-//! reference checksum as it drains.
+//! The driver checks contracts; it reads no clock for a performance number.
+//! Throughput, round-trip time and cold-vs-warm bring-up are measured by the
+//! `e2e/` benchmark package (`serve_rps`, `serve_rtt_us`, `online_cold_ms`
+//! vs `online_warm_ms`). The CLI's `splitc serve-bench` is [`run_load`];
+//! `--chaos` is the same call with a fault plan and a fallback target in
+//! `cfg.server`, `--store` is [`run_store_bench`].
 
 pub use splitc_runtime::serve::{
     module_fingerprint, BreakerPolicy, FaultKind, FaultPlan, FaultRule, FaultSelector, FaultSite,
@@ -34,100 +38,59 @@ use crate::session::{run_on_target, PipelineError, Workspace};
 use splitc_jit::JitOptions;
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_runtime::ArtifactStore;
-use splitc_targets::{MachineValue, TargetDesc};
+use splitc_targets::{Fnv1a, TargetDesc};
 use splitc_workloads::{module_for, table1_kernels, Kernel};
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Shape of one serving load: traffic mix, volume and server sizing.
+/// Shape of one serving load: the traffic mix, its volume and the server it
+/// runs against.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
     /// Kernels in the mix; each is compiled into **its own module**, so the
     /// server dedups and shares one engine per kernel.
     pub kernels: Vec<Kernel>,
-    /// Targets requests rotate over.
+    /// Targets the templates cover (one template per kernel × target).
     pub targets: Vec<TargetDesc>,
     /// Total requests to submit.
     pub requests: usize,
     /// Elements processed per request.
     pub n: usize,
-    /// Worker threads (0 = one per host core).
-    pub workers: usize,
-    /// Bound on the server's request queue.
-    pub queue_capacity: usize,
-    /// Per-engine code-cache bound (0 = unbounded).
-    pub cache_capacity: usize,
-    /// Base seed; request `r` prepares its inputs from `seed + r`.
-    pub seed: u64,
     /// Online-compilation configuration shared by every request.
     pub options: JitOptions,
-    /// Continuous-batching bound forwarded to [`ServerConfig::max_batch`]
-    /// (1 disables batching).
-    pub max_batch: usize,
-    /// Persistent artifact store the server's engines consult before
-    /// compiling (`None` = in-memory caching only, the historical behaviour).
-    pub store: Option<Arc<ArtifactStore>>,
+    /// The server under load, configured exactly as any other server is.
+    /// `server.seed` is the run's one seed: template `t` prepares its inputs
+    /// from `seed + t`, and retry-backoff jitter and the stock fault plan
+    /// ([`default_chaos_plan`]) derive from it too, so two runs with one
+    /// seed are replays of each other. `server.queue_capacity` also sizes
+    /// the generator's in-flight window (twice the bound). A `server.faults`
+    /// plan makes the run a chaos soak — infrastructure failures are then
+    /// tallied instead of returned, and a slice of the traffic carries tight
+    /// deadlines — and a `server.fallback` target adds the fallback
+    /// references degraded responses are verified against.
+    pub server: ServerConfig,
 }
 
 impl LoadConfig {
     /// A catalogue load: the Table 1 kernels over the full preset target
-    /// catalogue, `requests` requests of `n` elements each, one worker.
+    /// catalogue, `requests` requests of `n` elements each, against a
+    /// one-worker server with a 64-request queue.
     pub fn catalogue(n: usize, requests: usize) -> Self {
         LoadConfig {
             kernels: table1_kernels(),
             targets: TargetDesc::presets(),
             requests,
             n,
-            workers: 1,
-            queue_capacity: 64,
-            cache_capacity: 0,
-            seed: 0xdac,
             options: JitOptions::split(),
-            max_batch: 16,
-            store: None,
+            server: ServerConfig {
+                workers: 1,
+                queue_capacity: 64,
+                seed: 0xdac,
+                ..ServerConfig::default()
+            },
         }
-    }
-
-    /// Same load fanned over `workers` worker threads (0 = all cores).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Same load with a queue bound of `capacity` requests.
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
-    }
-
-    /// Same load with a per-engine code-cache bound.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Same load with a continuous-batching bound (1 disables batching).
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch;
-        self
-    }
-
-    /// Same load with this base seed. Every generated input, every
-    /// retry-backoff jitter and every [`FaultPlan`] decision derives from
-    /// it, so two runs with one seed are replays of each other.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Same load backed by a persistent artifact store: every engine the
-    /// server deduplicates probes `store` before compiling and publishes
-    /// what it compiles, so a second process (or a second [`run_load`])
-    /// pointed at the same directory starts warm.
-    pub fn with_store(mut self, store: Arc<ArtifactStore>) -> Self {
-        self.store = Some(store);
-        self
     }
 }
 
@@ -152,27 +115,38 @@ fn fmt_latency(label: &str, h: &Histogram) -> String {
     )
 }
 
-/// A completed serving load.
+/// A completed serving load: what was sent, how every response came back,
+/// and the server's final books.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
-    /// Requests served (every one of them answered).
+    /// Requests submitted — and answered exactly once each.
     pub requests: usize,
+    /// Distinct traffic templates (kernel × target pairs) in the mix.
+    pub templates: usize,
     /// Worker threads the server ran (0 resolved to the host's cores).
     pub workers: usize,
-    /// Wall-clock duration from first submission to last response, in
-    /// nanoseconds.
-    pub elapsed_ns: u128,
-    /// Time to first response: wall-clock duration from first submission
-    /// until the *first submitted* request's response arrived, in
-    /// nanoseconds. On a cold start this is dominated by the first online
-    /// compilation; with a populated artifact store it collapses to a disk
-    /// read — the cold-vs-warm delta [`run_store_bench`] reports.
-    pub ttfr_ns: u128,
-    /// Serving throughput over that window.
-    pub requests_per_sec: f64,
-    /// Per-request result checksums, in submission order — the bit-identity
-    /// handle loads of different worker counts are compared with.
-    pub checksums: Vec<u64>,
+    /// In-flight window the generator held open.
+    pub window: usize,
+    /// Responses that executed on their requested target and matched the
+    /// single-threaded reference bit-for-bit.
+    pub ok: usize,
+    /// Responses served by the fallback target (open breaker) that matched
+    /// the fallback reference bit-for-bit.
+    pub degraded_ok: usize,
+    /// Requests shed at dequeue because their deadline had passed.
+    pub expired: usize,
+    /// Requests cancelled cooperatively mid-execution by their deadline.
+    pub cancelled: usize,
+    /// Requests whose final outcome (after retries) was a panic.
+    pub panicked: usize,
+    /// Requests whose final outcome was an injected transient failure.
+    pub transient: usize,
+    /// Requests answered [`EngineError::CircuitOpen`] without executing.
+    pub failed_fast: usize,
+    /// Order-sensitive digest of the verified responses' checksums, in
+    /// submission order — the bit-identity handle loads of different worker
+    /// counts, cache bounds or store states are compared with.
+    pub digest: u64,
     /// Final server counters (taken after the graceful shutdown drain).
     pub stats: ServerStats,
 }
@@ -180,39 +154,41 @@ pub struct LoadReport {
 impl LoadReport {
     /// Render the report the way `splitc serve-bench` prints it.
     pub fn render(&self) -> String {
+        let stats = &self.stats;
         let mut out = format!(
-            "serve: {} requests over {} workers in {:.1} ms ({:.1} req/s, first response {:.1} ms)\n",
-            self.requests,
-            self.workers,
-            self.elapsed_ns as f64 / 1e6,
-            self.requests_per_sec,
-            self.ttfr_ns as f64 / 1e6,
+            "serve: {} requests ({} templates) over {} workers (window {}) · digest {:016x}\n",
+            self.requests, self.templates, self.workers, self.window, self.digest,
         );
         out.push_str(&format!(
-            "queue: high water {} · accepted {} · completed {} · rejected {}\n",
-            self.stats.queue_high_water,
-            self.stats.accepted,
-            self.stats.completed,
-            self.stats.rejected,
+            "outcomes: ok {} · degraded-ok {} · expired {} · cancelled {} · \
+             panicked {} · transient {} · failed-fast {}\n",
+            self.ok,
+            self.degraded_ok,
+            self.expired,
+            self.cancelled,
+            self.panicked,
+            self.transient,
+            self.failed_fast,
         ));
         out.push_str(&format!(
-            "engines: {} shared deployments\n",
-            self.stats.engines
+            "queue: high water {} · accepted {} · completed {} · rejected {}\n",
+            stats.queue_high_water, stats.accepted, stats.completed, stats.rejected,
         ));
+        out.push_str(&format!("engines: {} shared deployments\n", stats.engines));
         out.push_str("latency:\n");
-        out.push_str(&fmt_latency("queue-wait", &self.stats.queue_wait));
-        out.push_str(&fmt_latency("execute", &self.stats.execute));
+        out.push_str(&fmt_latency("queue-wait", &stats.queue_wait));
+        out.push_str(&fmt_latency("execute", &stats.execute));
         out.push_str(&format!(
             "batches: {} served · mean size {:.2} · max {}\n",
-            self.stats.batch_sizes.count(),
-            self.stats.batch_sizes.mean(),
-            self.stats.batch_sizes.max(),
+            stats.batch_sizes.count(),
+            stats.batch_sizes.mean(),
+            stats.batch_sizes.max(),
         ));
-        for (target, count) in &self.stats.per_target {
+        for (target, count) in &stats.per_target {
             out.push_str(&format!("  {target:<12} {count} requests\n"));
         }
-        out.push_str(&fmt_fault_lines(&self.stats));
-        out.push_str(&fmt_cache_line(&self.stats.cache));
+        out.push_str(&fmt_fault_lines(stats));
+        out.push_str(&fmt_cache_line(&stats.cache));
         out.push('\n');
         out
     }
@@ -247,275 +223,22 @@ fn fmt_fault_lines(stats: &ServerStats) -> String {
     )
 }
 
-/// Run one serving load: compile each kernel offline into its own module,
-/// start a [`Server`], submit `cfg.requests` requests (kernel-major rotation
-/// over `kernels × targets`, seeded inputs), wait for every response, verify
-/// and checksum it, then gracefully shut the server down.
-///
-/// Submission uses the blocking [`Server::submit`], so the bounded queue's
-/// backpressure throttles the generator to the pool's drain rate. Every
-/// request is fully built — inputs generated, memory filled — *before* the
-/// clock starts: the measured window covers submission through last
-/// response, so `requests_per_sec` reflects the serving layer itself, not
-/// the generator's single-threaded input preparation.
-///
-/// # Errors
-///
-/// Returns the first [`PipelineError`] from offline compilation or from any
-/// served request.
-///
-/// # Panics
-///
-/// Panics if a worker dies before responding ([`ResponseLost`]) — graceful
-/// shutdown makes that unreachable short of a worker panic.
-pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, PipelineError> {
-    // Offline step, outside the measured window: one module per kernel.
-    let modules = deploy_modules(cfg)?;
-    let server = Server::start(server_config(cfg));
-
-    // Build every request before starting the clock: input generation is
-    // the generator's cost, not the serving layer's.
-    let (requests, prepared_all): (Vec<_>, Vec<_>) = (0..cfg.requests)
-        .map(|r| {
-            let ki = r % cfg.kernels.len();
-            let target = &cfg.targets[(r / cfg.kernels.len()) % cfg.targets.len()];
-            let seed = cfg.seed.wrapping_add(r as u64);
-            let (mut request, prepared) =
-                prepare_request(cfg, &modules[ki], &cfg.kernels[ki], target, seed);
-            request.tag = r as u64;
-            (request, prepared)
-        })
-        .unzip();
-
-    let start = Instant::now();
-    let handles: Vec<_> = requests.into_iter().map(|r| submit(&server, r)).collect();
-
-    // The clock stops at the last *response*; checksumming the returned
-    // memory images is generator-side verification work, done after.
-    // Handles resolve in submission order, so the first wait that returns
-    // dates the first submitted request's response — the time-to-first-
-    // response a freshly started deployment makes its users feel.
-    let mut responses = Vec::with_capacity(cfg.requests);
-    let mut ttfr_ns = 0u128;
-    for (i, handle) in handles.into_iter().enumerate() {
-        responses.push(handle.wait().expect("serving worker died mid-load"));
-        if i == 0 {
-            ttfr_ns = start.elapsed().as_nanos();
-        }
-    }
-    let elapsed_ns = start.elapsed().as_nanos();
-
-    let mut checksums = Vec::with_capacity(cfg.requests);
-    for (response, prepared) in responses.into_iter().zip(&prepared_all) {
-        let run = response.outcome?;
-        checksums.push(checksum_bytes(run.result, prepared, &response.mem));
-    }
-
-    Ok(LoadReport {
-        requests: cfg.requests,
-        workers: server.workers(),
-        elapsed_ns,
-        ttfr_ns,
-        requests_per_sec: per_sec(cfg.requests, elapsed_ns),
-        checksums,
-        stats: server.shutdown(),
-    })
-}
-
-/// The offline step every load driver starts with: each kernel of the mix
-/// compiled and optimized into **its own module** and deployed. Panics on
-/// an empty kernel or target list — no traffic can be generated from one.
-fn deploy_modules(cfg: &LoadConfig) -> Result<Vec<ServeModule>, PipelineError> {
-    assert!(!cfg.kernels.is_empty(), "a load needs at least one kernel");
-    assert!(!cfg.targets.is_empty(), "a load needs at least one target");
-    cfg.kernels
-        .iter()
-        .map(|kernel| {
-            let mut module = module_for(std::slice::from_ref(kernel), kernel.name)
-                .map_err(PipelineError::Frontend)?;
-            optimize_module(&mut module, &OptOptions::full());
-            Ok(ServeModule::new(module))
-        })
-        .collect()
-}
-
-/// One fully built request (no deadline, tag 0) of `kernel` on `target` with
-/// inputs from `seed`, plus the metadata its response is checksummed with.
-fn prepare_request(
-    cfg: &LoadConfig,
-    module: &ServeModule,
-    kernel: &Kernel,
-    target: &TargetDesc,
-    seed: u64,
-) -> (Request, PreparedKernel) {
-    let mut ws = Workspace::sized_for(cfg.n);
-    let prepared = prepare(kernel.name, cfg.n, seed, &mut ws);
-    let request = Request {
-        module: module.clone(),
-        kernel: kernel.name.to_owned(),
-        target: target.clone(),
-        options: cfg.options,
-        args: prepared.args.clone(),
-        mem: ws.into_bytes(),
-        deadline: None,
-        tag: 0,
-    };
-    (request, prepared)
-}
-
-/// Blocking submit. Only a server that is shutting down refuses one, and the
-/// load drivers shut theirs down last.
-fn submit(server: &Server, request: Request) -> ResponseHandle {
-    server
-        .submit(request)
-        .unwrap_or_else(|e| panic!("the load generator's server refused a request: {e}"))
-}
-
-/// The server sizing `cfg` asks for; everything else stays at its default.
-fn server_config(cfg: &LoadConfig) -> ServerConfig {
-    ServerConfig {
-        workers: cfg.workers,
-        queue_capacity: cfg.queue_capacity,
-        cache_capacity: cfg.cache_capacity,
-        max_batch: cfg.max_batch,
-        seed: cfg.seed,
-        store: cfg.store.clone(),
-        ..ServerConfig::default()
-    }
-}
-
-/// Throughput of `requests` requests served in `elapsed_ns`.
-fn per_sec(requests: usize, elapsed_ns: u128) -> f64 {
-    requests as f64 / (elapsed_ns as f64 / 1e9).max(1e-9)
-}
-
-/// A completed cold-vs-warm artifact-store benchmark ([`run_store_bench`]):
-/// the same load run twice against one store directory — first with the
-/// store emptied (every engine compiles and publishes), then again in a
-/// fresh server sharing the now-populated store (every engine loads instead
-/// of compiling). The cold/warm time-to-first-response delta is the number
-/// the persistent store exists for: it is the compilation latency a restart
-/// no longer pays.
-#[derive(Debug, Clone)]
-pub struct StoreBenchReport {
-    /// Store directory both passes shared.
-    pub dir: PathBuf,
-    /// Entries on disk after the warm pass — one per distinct
-    /// `(module, target, options)` key the load exercised.
-    pub entries: usize,
-    /// The cold pass: empty store, every key compiled and published.
-    pub cold: LoadReport,
-    /// The warm pass: a fresh server, zero compilations, every key served
-    /// from disk — bit-identical checksums to the cold pass.
-    pub warm: LoadReport,
-}
-
-impl StoreBenchReport {
-    /// Cold TTFR over warm TTFR — how much faster a restarted deployment
-    /// answers its first request thanks to the store.
-    pub fn ttfr_speedup(&self) -> f64 {
-        self.cold.ttfr_ns as f64 / (self.warm.ttfr_ns as f64).max(1.0)
-    }
-
-    /// Render the report the way `splitc serve-bench --store` prints it.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "store: {} ({} entries after the cold pass)\n",
-            self.dir.display(),
-            self.entries,
-        );
-        out.push_str(&format!(
-            "cold: first response {:.2} ms · total {:.1} ms · {} compiles · {} disk misses\n",
-            self.cold.ttfr_ns as f64 / 1e6,
-            self.cold.elapsed_ns as f64 / 1e6,
-            self.cold.stats.cache.compiles,
-            self.cold.stats.cache.disk_misses,
-        ));
-        out.push_str(&format!(
-            "warm: first response {:.2} ms · total {:.1} ms · {} compiles · {} disk hits\n",
-            self.warm.ttfr_ns as f64 / 1e6,
-            self.warm.elapsed_ns as f64 / 1e6,
-            self.warm.stats.cache.compiles,
-            self.warm.stats.cache.disk_hits,
-        ));
-        out.push_str(&format!(
-            "time-to-first-response speedup: {}x\n",
-            crate::report::fmt_speedup(self.ttfr_speedup()),
-        ));
-        out
-    }
-}
-
-/// Run the cold-vs-warm artifact-store benchmark: clear the store at `dir`,
-/// run `cfg`'s load against it cold (compiling and publishing every key),
-/// then run the identical load again in a fresh server sharing the now-warm
-/// store, and assert the split-compilation contract on the way out:
-/// the warm pass compiles **nothing** (`compiles == 0`, one disk hit per
-/// key the cold pass compiled) and its responses are bit-identical,
-/// checksum-for-checksum, to the cold pass's.
-///
-/// # Errors
-///
-/// Returns the first [`PipelineError`] either pass produces.
-///
-/// # Panics
-///
-/// Panics if the store directory cannot be created, or if the warm pass
-/// violates the contract above (a store bug — staleness must fall back to
-/// recompilation, never to a wrong or slow-path answer).
-pub fn run_store_bench(cfg: &LoadConfig, dir: &Path) -> Result<StoreBenchReport, PipelineError> {
-    let store = Arc::new(
-        ArtifactStore::open(dir)
-            .unwrap_or_else(|e| panic!("cannot open artifact store at {}: {e}", dir.display())),
-    );
-    store.clear();
-    let cfg = cfg.clone().with_store(Arc::clone(&store));
-    let cold = run_load(&cfg)?;
-    let warm = run_load(&cfg)?;
-    assert_eq!(
-        cold.checksums, warm.checksums,
-        "store-loaded responses must be bit-identical to freshly compiled ones"
-    );
-    assert_eq!(
-        warm.stats.cache.compiles, 0,
-        "a warm store must satisfy every key without compiling"
-    );
-    assert_eq!(
-        warm.stats.cache.disk_hits, cold.stats.cache.compiles,
-        "the warm pass must hit the store once per key the cold pass compiled"
-    );
-    Ok(StoreBenchReport {
-        dir: dir.to_path_buf(),
-        entries: store.len(),
-        cold,
-        warm,
-    })
-}
-
-/// One soak traffic template: a fully prepared request prototype plus the
-/// checksum a fresh single-threaded reference run produces for it. The soak
+/// One traffic template: a fully prepared request prototype plus the
+/// checksums fresh single-threaded reference runs produce for it. The load
 /// clones prototypes instead of pre-building every request, so its memory
 /// footprint is `templates + in-flight window`, not `total requests`.
-struct SoakTemplate {
+struct Template {
     /// The prototype; each clone gets its own deadline and tag.
     request: Request,
     /// Prepared kernel metadata (output region) — kept so response
     /// verification checksums without re-generating inputs.
     prepared: PreparedKernel,
+    /// Reference checksum on the template's own target.
     expect: u64,
-}
-
-impl SoakTemplate {
-    /// Panic unless a served result and memory image checksum to `expect`.
-    fn assert_matches(&self, t: usize, result: Option<MachineValue>, mem: &[u8], expect: u64) {
-        assert_eq!(
-            checksum_bytes(result, &self.prepared, mem),
-            expect,
-            "response for template {t} ({} for {}) diverged from its single-threaded reference",
-            self.prepared.name,
-            self.request.target.name,
-        );
-    }
+    /// Reference checksum on the server's fallback target, if it has one.
+    /// Results are portable across targets (that is the paper's whole
+    /// premise), so a degraded response must match a reference run too.
+    fallback_expect: Option<u64>,
 }
 
 /// Checksum of a fresh single-threaded run of `request` on `target` — what
@@ -537,159 +260,291 @@ fn reference_checksum(
     Ok(checksum_bytes(run.result, prepared, &mem))
 }
 
-/// One template per kernel × target of `cfg` (kernel-major), each with the
-/// reference checksum of its own target.
-fn build_templates(cfg: &LoadConfig) -> Result<Vec<SoakTemplate>, PipelineError> {
-    let modules = deploy_modules(cfg)?;
+/// The offline step and the references: each kernel of the mix compiled and
+/// optimized into **its own module** and deployed, then one template per
+/// kernel × target (kernel-major), inputs seeded by the template's index.
+/// Panics on an empty kernel or target list — no traffic can be generated
+/// from one.
+fn build_templates(cfg: &LoadConfig) -> Result<Vec<Template>, PipelineError> {
+    assert!(!cfg.kernels.is_empty(), "a load needs at least one kernel");
+    assert!(!cfg.targets.is_empty(), "a load needs at least one target");
     let mut templates = Vec::with_capacity(cfg.kernels.len() * cfg.targets.len());
-    for (kernel, module) in cfg.kernels.iter().zip(&modules) {
+    for kernel in &cfg.kernels {
+        let mut module = module_for(std::slice::from_ref(kernel), kernel.name)
+            .map_err(PipelineError::Frontend)?;
+        optimize_module(&mut module, &OptOptions::full());
+        let module = ServeModule::new(module);
         for target in &cfg.targets {
-            let seed = cfg.seed.wrapping_add(templates.len() as u64);
-            let (request, prepared) = prepare_request(cfg, module, kernel, target, seed);
+            let seed = cfg.server.seed.wrapping_add(templates.len() as u64);
+            let mut ws = Workspace::sized_for(cfg.n);
+            let prepared = prepare(kernel.name, cfg.n, seed, &mut ws);
+            let request = Request {
+                module: module.clone(),
+                kernel: kernel.name.to_owned(),
+                target: target.clone(),
+                options: cfg.options,
+                args: prepared.args.clone(),
+                mem: ws.into_bytes(),
+                deadline: None,
+                tag: 0,
+            };
             let expect = reference_checksum(&request, &prepared, target)?;
-            templates.push(SoakTemplate {
+            let fallback_expect = cfg
+                .server
+                .fallback
+                .as_ref()
+                .map(|fallback| reference_checksum(&request, &prepared, fallback))
+                .transpose()?;
+            templates.push(Template {
                 request,
                 prepared,
                 expect,
+                fallback_expect,
             });
         }
     }
     Ok(templates)
 }
 
-/// The in-flight window of a streamed load: twice the queue bound.
-fn stream_window(cfg: &LoadConfig) -> usize {
-    (cfg.queue_capacity * 2).clamp(1, cfg.requests.max(1))
-}
-
-/// The windowed submit/drain loop of [`run_soak`] and [`run_chaos`]: request
-/// `r` clones template `r % templates.len()` with `deadline_for(r)`, at most
-/// [`stream_window`] responses are outstanding, and each goes to
-/// `on_response` with its template index, in submission order. Returns the
-/// nanoseconds from first submission to last response.
-fn stream(
-    server: &Server,
-    cfg: &LoadConfig,
-    templates: &[SoakTemplate],
-    deadline_for: impl Fn(usize) -> Option<Instant>,
-    mut on_response: impl FnMut(usize, Response) -> Result<(), PipelineError>,
-) -> Result<u128, PipelineError> {
-    let window = stream_window(cfg);
-    let mut drain = |(t, handle): (usize, ResponseHandle)| {
-        on_response(t, handle.wait().expect("serving worker died mid-stream"))
+/// Run one serving load: sustained mixed-module traffic, streamed through a
+/// bounded in-flight window, every response verified as it drains and the
+/// server's books asserted at the end.
+///
+/// Request `r` clones template `r % templates` (tag `r`) and is submitted
+/// with the blocking [`Server::submit`]; backpressure comes from both ends:
+/// the window (`2 × queue_capacity` outstanding responses) caps the
+/// generator, the bounded queue caps it. Responses drain in submission
+/// order. A successful one must checksum to its template's single-threaded
+/// [`run_on_target`] reference — on its own target, or on the fallback
+/// target when it came back [`Response::degraded`] — and is folded into
+/// [`LoadReport::digest`].
+///
+/// With a fault plan in `cfg.server.faults` the run is a chaos soak:
+/// every 31st request carries a 3 ms deadline (so queue sheds and, under
+/// latency faults, mid-flight cancellation are exercised; which requests
+/// expire depends on real scheduling, the books hold for any mix), and
+/// responses that end in a panic, a transient failure, a deadline or an open
+/// breaker are tallied by outcome. Without one, any failed response is
+/// returned as the error it is.
+///
+/// On the way out the books are asserted *exactly*:
+///
+/// * every request was answered exactly once (the tallies sum to the
+///   request count);
+/// * `accepted == completed + expired`;
+/// * the response-derived tallies equal the server's own `expired`,
+///   `cancelled` and `failed_fast` counters;
+/// * `batch_sizes.sum() == completed` and
+///   `retry_attempts.count() == completed`.
+///
+/// # Errors
+///
+/// Returns the first [`PipelineError`] from offline compilation or the
+/// reference runs, the first *semantic* error (trap, unknown kernel, JIT
+/// rejection) any served request produced, and — without a fault plan —
+/// the first failure of any kind.
+///
+/// # Panics
+///
+/// Panics if a response's checksum differs from its reference (a
+/// bit-identity violation — a serving-layer bug, not a load problem), if
+/// any of the books above fails to balance, or if a worker dies before
+/// responding ([`ResponseLost`]).
+pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, PipelineError> {
+    let templates = build_templates(cfg)?;
+    let server = Server::start(cfg.server.clone());
+    let chaos = cfg.server.faults.is_some();
+    let window = (cfg.server.queue_capacity * 2).clamp(1, cfg.requests.max(1));
+    let mut report = LoadReport {
+        requests: cfg.requests,
+        templates: templates.len(),
+        workers: server.workers(),
+        window,
+        ok: 0,
+        degraded_ok: 0,
+        expired: 0,
+        cancelled: 0,
+        panicked: 0,
+        transient: 0,
+        failed_fast: 0,
+        digest: 0,
+        // Replaced by the final counters once the server has drained.
+        stats: server.stats(),
     };
-    let start = Instant::now();
-    let mut in_flight = std::collections::VecDeque::with_capacity(window);
+    let mut digest = Fnv1a::new();
+    let mut drain = |(t, handle): (usize, ResponseHandle)| {
+        let template = &templates[t];
+        let response = handle.wait().expect("serving worker died mid-load");
+        let tally = match response.outcome {
+            Ok(run) => {
+                let sum = checksum_bytes(run.result, &template.prepared, &response.mem);
+                let expect = if response.degraded {
+                    template.fallback_expect
+                } else {
+                    Some(template.expect)
+                };
+                assert_eq!(
+                    Some(sum),
+                    expect,
+                    "response for template {t} ({} for {}) diverged from its single-threaded reference",
+                    template.prepared.name,
+                    template.request.target.name,
+                );
+                digest.write(&sum.to_le_bytes());
+                if response.degraded {
+                    &mut report.degraded_ok
+                } else {
+                    &mut report.ok
+                }
+            }
+            Err(err) if !chaos => return Err(err),
+            // attempts == 0 ⇒ shed at dequeue (expired); otherwise the
+            // deadline cancelled a run already in flight.
+            Err(EngineError::DeadlineExceeded) if response.attempts == 0 => &mut report.expired,
+            Err(EngineError::DeadlineExceeded) => &mut report.cancelled,
+            Err(EngineError::CircuitOpen) => &mut report.failed_fast,
+            Err(EngineError::Panicked(_)) => &mut report.panicked,
+            Err(EngineError::Transient(_)) => &mut report.transient,
+            // A plan injects panics, transients and latency only: a semantic
+            // error escaping the retry/breaker stack is a serving bug.
+            Err(err) => return Err(err),
+        };
+        *tally += 1;
+        Ok(())
+    };
+    let mut in_flight = VecDeque::with_capacity(window);
     for r in 0..cfg.requests {
         let t = r % templates.len();
         let request = Request {
-            deadline: deadline_for(r),
+            deadline: (chaos && r % 31 == 17).then(|| Instant::now() + Duration::from_millis(3)),
             tag: r as u64,
             ..templates[t].request.clone()
         };
-        in_flight.push_back((t, submit(server, request)));
+        // Only a server that is shutting down refuses a blocking submit,
+        // and this one is shut down last.
+        let handle = server
+            .submit(request)
+            .unwrap_or_else(|e| panic!("the load generator's server refused a request: {e}"));
+        in_flight.push_back((t, handle));
         if in_flight.len() >= window {
             drain(in_flight.pop_front().expect("window is non-empty"))?;
         }
     }
-    in_flight.into_iter().try_for_each(drain)?;
-    Ok(start.elapsed().as_nanos())
+    in_flight.into_iter().try_for_each(&mut drain)?;
+    report.digest = digest.finish();
+    report.stats = server.shutdown();
+
+    // Exactly-once: the per-outcome tallies partition the request count.
+    let stats = &report.stats;
+    let answered = report.ok
+        + report.degraded_ok
+        + report.expired
+        + report.cancelled
+        + report.panicked
+        + report.transient
+        + report.failed_fast;
+    assert_eq!(
+        answered, cfg.requests,
+        "every request answered exactly once"
+    );
+    // Exact books, cross-checked response-side vs. server-side.
+    assert_eq!(stats.accepted, cfg.requests as u64);
+    assert_eq!(stats.completed + stats.expired, stats.accepted);
+    assert_eq!(stats.expired, report.expired as u64);
+    assert_eq!(stats.cancelled, report.cancelled as u64);
+    assert_eq!(stats.failed_fast, report.failed_fast as u64);
+    assert!(
+        stats.degraded >= report.degraded_ok as u64,
+        "degraded responses can fail too, but never exceed the degraded count"
+    );
+    assert_eq!(stats.batch_sizes.sum(), stats.completed);
+    assert_eq!(stats.retry_attempts.count(), stats.completed);
+    Ok(report)
 }
 
-/// A completed serving soak: SLO-grade latency distributions over a
-/// sustained, verified load.
+/// A completed cold-vs-warm artifact-store check ([`run_store_bench`]): the
+/// same load run twice against one store directory — first with the store
+/// emptied (every engine compiles and publishes), then again in a fresh
+/// server sharing the now-populated store (every engine loads instead of
+/// compiling). What the store buys in time is `online_cold_ms` vs
+/// `online_warm_ms` on the `e2e/` benchmark's `deploy` workload.
 #[derive(Debug, Clone)]
-pub struct SoakReport {
-    /// Requests served and verified (every response's checksum matched its
-    /// template's single-threaded reference).
-    pub requests: usize,
-    /// Distinct traffic templates (kernel × target pairs) in the mix.
-    pub templates: usize,
-    /// Worker threads the server ran (0 resolved to the host's cores).
-    pub workers: usize,
-    /// In-flight window the generator held open.
-    pub window: usize,
-    /// Wall-clock duration from first submission to last response, in
-    /// nanoseconds.
-    pub elapsed_ns: u128,
-    /// Serving throughput over that window.
-    pub requests_per_sec: f64,
-    /// Final server counters — including the queue-wait / execute / batch
-    /// histograms the SLO numbers come from.
-    pub stats: ServerStats,
+pub struct StoreBenchReport {
+    /// Store directory both passes shared.
+    pub dir: PathBuf,
+    /// Entries on disk after the warm pass — one per distinct
+    /// `(module, target, options)` key the load exercised.
+    pub entries: usize,
+    /// The cold pass: empty store, every key compiled and published.
+    pub cold: LoadReport,
+    /// The warm pass: a fresh server, zero compilations, every key served
+    /// from disk — the same digest as the cold pass.
+    pub warm: LoadReport,
 }
 
-impl SoakReport {
-    /// Render the report the way `splitc serve-bench --soak` prints it.
+impl StoreBenchReport {
+    /// Render the report the way `splitc serve-bench --store` prints it.
     pub fn render(&self) -> String {
-        let mut out = format!(
-            "soak: {} requests ({} templates) over {} workers in {:.1} ms ({:.0} req/s, window {})\n",
-            self.requests,
-            self.templates,
-            self.workers,
-            self.elapsed_ns as f64 / 1e6,
-            self.requests_per_sec,
-            self.window,
-        );
-        out.push_str("latency:\n");
-        out.push_str(&fmt_latency("queue-wait", &self.stats.queue_wait));
-        out.push_str(&fmt_latency("execute", &self.stats.execute));
-        out.push_str(&format!(
-            "batches: {} served · mean size {:.2} · max {}\n",
-            self.stats.batch_sizes.count(),
-            self.stats.batch_sizes.mean(),
-            self.stats.batch_sizes.max(),
-        ));
-        out.push_str(&fmt_fault_lines(&self.stats));
-        out.push_str(&fmt_cache_line(&self.stats.cache));
-        out.push('\n');
-        out
+        format!(
+            "store: {} ({} entries after the cold pass)\n\
+             cold: {} compiles · {} disk misses · digest {:016x}\n\
+             warm: {} compiles · {} disk hits · digest {:016x}\n",
+            self.dir.display(),
+            self.entries,
+            self.cold.stats.cache.compiles,
+            self.cold.stats.cache.disk_misses,
+            self.cold.digest,
+            self.warm.stats.cache.compiles,
+            self.warm.stats.cache.disk_hits,
+            self.warm.digest,
+        )
     }
 }
 
-/// Run a serving soak: sustained mixed-module traffic, streamed through a
-/// bounded in-flight window, every response verified as it drains.
-///
-/// Where [`run_load`] pre-builds all `cfg.requests` requests (each owning
-/// its memory image) and only then starts the clock, a soak's point is
-/// volume — 10⁵+ requests would mean gigabytes of pre-built buffers. So the
-/// soak builds one [`SoakTemplate`] per (kernel × target) pair and streams
-/// clones of them, checking each response against its template's
-/// single-threaded [`run_on_target`] reference the moment it arrives.
-/// Backpressure comes from both ends: the window (`2 × queue_capacity`
-/// outstanding responses) caps the generator, the bounded queue caps it.
-///
-/// Request inputs depend only on the template (kernel, target, seed), so
-/// verification is exact bit-identity against the reference — across worker
-/// counts and batching.
+/// Run the cold-vs-warm artifact-store check: clear the store at `dir`,
+/// run `cfg`'s load against it cold (compiling and publishing every key),
+/// then run the identical load again in a fresh server sharing the now-warm
+/// store, and assert the split-compilation contract on the way out:
+/// the warm pass compiles **nothing** (`compiles == 0`, one disk hit per
+/// key the cold pass compiled) and its responses are bit-identical,
+/// digest for digest, to the cold pass's.
 ///
 /// # Errors
 ///
-/// Returns the first [`PipelineError`] from offline compilation, from the
-/// reference runs, or from any served request.
+/// Returns the first [`PipelineError`] either pass produces.
 ///
 /// # Panics
 ///
-/// Panics if a response's checksum differs from its template's reference
-/// (a bit-identity violation — a serving-layer bug, not a load problem), or
-/// if a worker dies before responding.
-pub fn run_soak(cfg: &LoadConfig) -> Result<SoakReport, PipelineError> {
-    let templates = build_templates(cfg)?;
-    let server = Server::start(server_config(cfg));
-    let verify = |t: usize, response: Response| {
-        let template = &templates[t];
-        template.assert_matches(t, response.outcome?.result, &response.mem, template.expect);
-        Ok(())
-    };
-    let elapsed_ns = stream(&server, cfg, &templates, |_| None, verify)?;
-    Ok(SoakReport {
-        requests: cfg.requests,
-        templates: templates.len(),
-        workers: server.workers(),
-        window: stream_window(cfg),
-        elapsed_ns,
-        requests_per_sec: per_sec(cfg.requests, elapsed_ns),
-        stats: server.shutdown(),
+/// Panics if the store directory cannot be created, or if the warm pass
+/// violates the contract above (a store bug — staleness must fall back to
+/// recompilation, never to a wrong or slow-path answer).
+pub fn run_store_bench(cfg: &LoadConfig, dir: &Path) -> Result<StoreBenchReport, PipelineError> {
+    let store = Arc::new(
+        ArtifactStore::open(dir)
+            .unwrap_or_else(|e| panic!("cannot open artifact store at {}: {e}", dir.display())),
+    );
+    store.clear();
+    let mut cfg = cfg.clone();
+    cfg.server.store = Some(Arc::clone(&store));
+    let cold = run_load(&cfg)?;
+    let warm = run_load(&cfg)?;
+    assert_eq!(
+        cold.digest, warm.digest,
+        "store-loaded responses must be bit-identical to freshly compiled ones"
+    );
+    assert_eq!(
+        warm.stats.cache.compiles, 0,
+        "a warm store must satisfy every key without compiling"
+    );
+    assert_eq!(
+        warm.stats.cache.disk_hits, cold.stats.cache.compiles,
+        "the warm pass must hit the store once per key the cold pass compiled"
+    );
+    Ok(StoreBenchReport {
+        dir: dir.to_path_buf(),
+        entries: store.len(),
+        cold,
+        warm,
     })
 }
 
@@ -704,7 +559,7 @@ pub fn default_chaos_plan(templates: usize, seed: u64) -> FaultPlan {
         // Persistently poison template 0 during an early tag window: its
         // key's breaker opens after the configured threshold, reroutes to
         // the fallback while open, and — once the window has passed and the
-        // cooldown elapsed — recovers through a half-open probe.
+        // cooldown is over — recovers through a half-open probe.
         .with_rule(FaultRule {
             site: FaultSite::Execute,
             kind: FaultKind::Panic,
@@ -740,235 +595,6 @@ pub fn default_chaos_plan(templates: usize, seed: u64) -> FaultPlan {
         })
 }
 
-/// Per-outcome tallies a chaos soak accumulates from the responses
-/// themselves (cross-checked against the server's own counters at the end).
-#[derive(Debug, Clone, Copy, Default)]
-struct ChaosTally {
-    ok: usize,
-    degraded_ok: usize,
-    expired: usize,
-    cancelled: usize,
-    panicked: usize,
-    transient: usize,
-    failed_fast: usize,
-}
-
-/// A completed chaos soak ([`run_chaos`]): sustained traffic under a
-/// deterministic [`FaultPlan`], every invariant asserted on the way out.
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// Requests submitted — and answered exactly once each.
-    pub requests: usize,
-    /// Distinct traffic templates (kernel × target pairs) in the mix.
-    pub templates: usize,
-    /// Worker threads the server ran.
-    pub workers: usize,
-    /// Responses that executed cleanly on their requested target and
-    /// matched the single-threaded reference bit-for-bit.
-    pub ok: usize,
-    /// Responses served by the fallback target (open breaker) that matched
-    /// the fallback reference bit-for-bit.
-    pub degraded_ok: usize,
-    /// Requests shed at dequeue because their deadline had passed.
-    pub expired: usize,
-    /// Requests cancelled cooperatively mid-execution by their deadline.
-    pub cancelled: usize,
-    /// Requests whose final outcome (after retries) was a panic.
-    pub panicked: usize,
-    /// Requests whose final outcome was an injected transient failure.
-    pub transient: usize,
-    /// Requests answered [`EngineError::CircuitOpen`] without executing.
-    pub failed_fast: usize,
-    /// Wall-clock duration from first submission to last response, in
-    /// nanoseconds.
-    pub elapsed_ns: u128,
-    /// Serving throughput over that window.
-    pub requests_per_sec: f64,
-    /// Final server counters (after the graceful shutdown drain).
-    pub stats: ServerStats,
-}
-
-impl ChaosReport {
-    /// Render the report the way `splitc serve-bench --chaos` prints it.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "chaos: {} requests ({} templates) over {} workers in {:.1} ms ({:.0} req/s)\n",
-            self.requests,
-            self.templates,
-            self.workers,
-            self.elapsed_ns as f64 / 1e6,
-            self.requests_per_sec,
-        );
-        out.push_str(&format!(
-            "outcomes: ok {} · degraded-ok {} · expired {} · cancelled {} · \
-             panicked {} · transient {} · failed-fast {}\n",
-            self.ok,
-            self.degraded_ok,
-            self.expired,
-            self.cancelled,
-            self.panicked,
-            self.transient,
-            self.failed_fast,
-        ));
-        out.push_str(&fmt_fault_lines(&self.stats));
-        out.push_str("latency:\n");
-        out.push_str(&fmt_latency("queue-wait", &self.stats.queue_wait));
-        out.push_str(&fmt_latency("execute", &self.stats.execute));
-        out.push_str(&fmt_cache_line(&self.stats.cache));
-        out.push('\n');
-        out
-    }
-}
-
-/// Tally one chaos response, verifying successful outcomes bit-for-bit
-/// against the right reference (own target, or the fallback's when the
-/// response is degraded).
-///
-/// # Panics
-///
-/// Panics on a checksum mismatch or on a *semantic* error (trap, unknown
-/// kernel): the fault plan only injects panics, transients and latency, so
-/// anything else escaping the retry/breaker stack is a serving bug.
-fn tally_chaos_response(
-    templates: &[SoakTemplate],
-    fallback_expect: &[u64],
-    tally: &mut ChaosTally,
-    t: usize,
-    response: Response,
-) {
-    let template = &templates[t];
-    match response.outcome {
-        Ok(run) => {
-            let expect = if response.degraded {
-                fallback_expect[t]
-            } else {
-                template.expect
-            };
-            template.assert_matches(t, run.result, &response.mem, expect);
-            if response.degraded {
-                tally.degraded_ok += 1;
-            } else {
-                tally.ok += 1;
-            }
-        }
-        Err(EngineError::DeadlineExceeded) => {
-            // attempts == 0 ⇒ shed at dequeue (expired); otherwise the
-            // deadline cancelled a run already in flight.
-            if response.attempts == 0 {
-                tally.expired += 1;
-            } else {
-                tally.cancelled += 1;
-            }
-        }
-        Err(EngineError::CircuitOpen) => tally.failed_fast += 1,
-        Err(EngineError::Panicked(_)) => tally.panicked += 1,
-        Err(EngineError::Transient(_)) => tally.transient += 1,
-        Err(err) => {
-            panic!("chaos produced a semantic error — a serving bug, not an injected fault: {err}")
-        }
-    }
-}
-
-/// Run a chaos soak: [`run_soak`]'s streamed, verified load under a
-/// deterministic [`FaultPlan`], with deadlines on a slice of the traffic
-/// and a fallback target configured so open breakers degrade instead of
-/// failing fast.
-///
-/// Every response is tallied by outcome; on the way out the books are
-/// asserted *exactly*:
-///
-/// * every request was answered exactly once (the tallies sum to the
-///   request count);
-/// * `accepted == completed + expired`;
-/// * the response-derived tallies equal the server's own `expired`,
-///   `cancelled` and `failed_fast` counters;
-/// * `batch_sizes.sum() == completed` and
-///   `retry_attempts.count() == completed`;
-/// * every successful response — including degraded ones — is bit-identical
-///   to a single-threaded reference run.
-///
-/// # Errors
-///
-/// Returns the first [`PipelineError`] from offline compilation or the
-/// reference runs.
-///
-/// # Panics
-///
-/// Panics if any of the invariants above fails — a chaos soak treats an
-/// accounting tear the same way a differential test treats a wrong answer.
-pub fn run_chaos(cfg: &LoadConfig, plan: &FaultPlan) -> Result<ChaosReport, PipelineError> {
-    let templates = build_templates(cfg)?;
-    // The fallback core for graceful degradation: the first target of the
-    // mix. Results are portable across targets (that is the paper's whole
-    // premise), so a degraded response must still match a reference run —
-    // on the fallback target.
-    let fallback = cfg.targets[0].clone();
-    let fallback_expect = templates
-        .iter()
-        .map(|t| reference_checksum(&t.request, &t.prepared, &fallback))
-        .collect::<Result<Vec<_>, _>>()?;
-    let server = Server::start(
-        server_config(cfg)
-            .with_faults(plan.clone())
-            .with_fallback(fallback),
-    );
-
-    let mut tally = ChaosTally::default();
-    // A slice of the traffic carries tight deadlines, so the soak exercises
-    // queue sheds and (under latency faults) mid-flight cancellation. Which
-    // requests expire depends on real scheduling; the books below hold for
-    // any mix.
-    let deadline_for = |r| (r % 31 == 17).then(|| Instant::now() + Duration::from_millis(3));
-    let elapsed_ns = stream(&server, cfg, &templates, deadline_for, |t, response| {
-        tally_chaos_response(&templates, &fallback_expect, &mut tally, t, response);
-        Ok(())
-    })?;
-
-    let workers = server.workers();
-    let stats = server.shutdown();
-
-    // Exactly-once: the per-outcome tallies partition the request count.
-    let answered = tally.ok
-        + tally.degraded_ok
-        + tally.expired
-        + tally.cancelled
-        + tally.panicked
-        + tally.transient
-        + tally.failed_fast;
-    assert_eq!(
-        answered, cfg.requests,
-        "every request answered exactly once"
-    );
-    // Exact books, cross-checked response-side vs. server-side.
-    assert_eq!(stats.accepted, cfg.requests as u64);
-    assert_eq!(stats.completed + stats.expired, stats.accepted);
-    assert_eq!(stats.expired, tally.expired as u64);
-    assert_eq!(stats.cancelled, tally.cancelled as u64);
-    assert_eq!(stats.failed_fast, tally.failed_fast as u64);
-    assert!(
-        stats.degraded >= tally.degraded_ok as u64,
-        "degraded responses can fail too, but never exceed the degraded count"
-    );
-    assert_eq!(stats.batch_sizes.sum(), stats.completed);
-    assert_eq!(stats.retry_attempts.count(), stats.completed);
-
-    Ok(ChaosReport {
-        requests: cfg.requests,
-        templates: templates.len(),
-        workers,
-        ok: tally.ok,
-        degraded_ok: tally.degraded_ok,
-        expired: tally.expired,
-        cancelled: tally.cancelled,
-        panicked: tally.panicked,
-        transient: tally.transient,
-        failed_fast: tally.failed_fast,
-        elapsed_ns,
-        requests_per_sec: per_sec(cfg.requests, elapsed_ns),
-        stats,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -983,13 +609,16 @@ mod tests {
     #[test]
     fn loads_are_bit_identical_across_worker_counts() {
         let sequential = run_load(&small_load()).unwrap();
-        let parallel = run_load(&small_load().with_workers(4)).unwrap();
-        assert_eq!(sequential.checksums, parallel.checksums);
+        let mut cfg = small_load();
+        cfg.server.workers = 4;
+        let parallel = run_load(&cfg).unwrap();
+        assert_eq!(sequential.digest, parallel.digest);
         assert_eq!(sequential.requests, 24);
         assert_eq!(parallel.workers, 4);
         // Mixed-module traffic: one shared engine per kernel module, one
         // compile per (module, target, options) triple, zero losses.
         for report in [&sequential, &parallel] {
+            assert_eq!(report.ok, 24, "a clean load serves every request clean");
             assert_eq!(report.stats.engines, 3);
             assert_eq!(report.stats.cache.compiles, 9);
             assert_eq!(report.stats.accepted, 24);
@@ -1001,8 +630,11 @@ mod tests {
     #[test]
     fn bounded_cache_loads_evict_but_stay_correct() {
         let unbounded = run_load(&small_load()).unwrap();
-        let churned = run_load(&small_load().with_workers(2).with_cache_capacity(1)).unwrap();
-        assert_eq!(unbounded.checksums, churned.checksums);
+        let mut cfg = small_load();
+        cfg.server.workers = 2;
+        cfg.server.cache_capacity = 1;
+        let churned = run_load(&cfg).unwrap();
+        assert_eq!(unbounded.digest, churned.digest);
         assert!(
             churned.stats.cache.evictions > 0,
             "a 1-entry cache over 3 targets must evict"
@@ -1013,23 +645,29 @@ mod tests {
     fn report_rendering_mentions_the_serving_counters() {
         let report = run_load(&small_load()).unwrap();
         let text = report.render();
-        assert!(text.contains("req/s"));
+        assert!(text.contains("serve: 24 requests (9 templates)"));
+        assert!(text.contains("outcomes: ok 24"));
         assert!(text.contains("high water"));
         assert!(text.contains("online compilations"));
         assert!(text.contains("shared deployments"));
         assert!(text.contains("queue-wait"), "latency lines are rendered");
         assert!(text.contains("p999"), "tail quantiles are rendered");
         assert!(text.contains("batches:"), "batch distribution is rendered");
+        assert!(
+            !text.contains("breaker:"),
+            "a clean load prints no fault lines"
+        );
     }
 
     #[test]
     fn soaks_stream_verify_and_report_slo_latency() {
         let mut cfg = small_load();
         cfg.requests = 120;
-        cfg.workers = 2;
-        cfg.queue_capacity = 8;
-        let report = run_soak(&cfg).unwrap();
+        cfg.server.workers = 2;
+        cfg.server.queue_capacity = 8;
+        let report = run_load(&cfg).unwrap();
         assert_eq!(report.requests, 120);
+        assert_eq!(report.ok, 120, "every response verified");
         assert_eq!(report.templates, 9, "one template per kernel × target");
         assert_eq!(report.window, 16, "twice the queue bound");
         assert_eq!(report.stats.accepted, 120);
@@ -1041,22 +679,24 @@ mod tests {
             120,
             "batch sizes account for every request"
         );
-        assert!(report.requests_per_sec > 0.0);
-        let text = report.render();
-        assert!(text.contains("soak:"));
-        assert!(text.contains("p999"));
+        assert!(report.render().contains("p999"));
     }
 
     #[test]
     fn chaos_soaks_keep_exact_books_and_recover_the_breaker() {
-        let mut cfg = small_load().with_seed(0xc4a05);
+        let mut cfg = small_load();
         cfg.requests = 2_000;
-        cfg.workers = 2;
-        cfg.queue_capacity = 16;
-        let plan = default_chaos_plan(cfg.kernels.len() * cfg.targets.len(), cfg.seed);
-        // `run_chaos` itself asserts exactly-once answering and the exact
+        cfg.server.workers = 2;
+        cfg.server.queue_capacity = 16;
+        cfg.server.seed = 0xc4a05;
+        cfg.server.faults = Some(default_chaos_plan(
+            cfg.kernels.len() * cfg.targets.len(),
+            cfg.server.seed,
+        ));
+        cfg.server.fallback = Some(cfg.targets[0].clone());
+        // `run_load` itself asserts exactly-once answering and the exact
         // books; the checks here pin the lifecycle the stock plan promises.
-        let report = run_chaos(&cfg, &plan).unwrap();
+        let report = run_load(&cfg).unwrap();
         assert!(report.stats.faults_injected > 0, "the plan actually fired");
         assert!(report.stats.retried > 0, "transient faults were retried");
         assert!(
@@ -1078,7 +718,7 @@ mod tests {
             report.requests
         );
         let text = report.render();
-        assert!(text.contains("chaos:"));
+        assert!(text.contains("outcomes: ok"));
         assert!(text.contains("breaker: opened"));
     }
 

@@ -33,22 +33,14 @@ pub fn offline_optimize(module: &mut Module, opts: &OptOptions) -> OptReport {
     optimize_module(module, opts)
 }
 
-/// Measurement of one kernel execution on one simulated target.
-///
-/// Alias of the unified [`Execution`] result produced by the
-/// [`ExecutionEngine`] (which also carries the clock-scaled cycle count the
-/// heterogeneous runtime compares cores with).
-pub type RunMeasurement = Execution;
-
 /// The online step plus execution, as a one-shot convenience: JIT-compile
 /// `module` for `target`, run `kernel` with `args` against `mem`, and return
 /// the measurements.
 ///
 /// Every call compiles the module afresh (via
 /// [`ExecutionEngine::run_once`]). Code that runs more than one kernel,
-/// target or repetition should hold an [`ExecutionEngine`] (or a
-/// [`splitc_runtime::Executor`]) instead, so each distinct (target, options)
-/// pair is compiled exactly once and shared.
+/// target or repetition should hold an [`ExecutionEngine`] instead, so each
+/// distinct (target, options) pair is compiled exactly once and shared.
 ///
 /// # Errors
 ///
@@ -60,7 +52,7 @@ pub fn run_on_target(
     kernel: &str,
     args: &[MachineValue],
     mem: &mut [u8],
-) -> Result<RunMeasurement, PipelineError> {
+) -> Result<Execution, PipelineError> {
     ExecutionEngine::run_once(module, target, jit_options, kernel, args, mem)
 }
 

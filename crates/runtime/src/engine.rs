@@ -101,9 +101,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Any error that can occur along the offline/online pipeline or at run time.
 ///
-/// This is the single error type of the whole execution stack; the historical
-/// `PipelineError` (core) and `RuntimeError` (runtime) names are aliases of
-/// it, so both halves of the system report failures identically.
+/// This is the single error type of the whole execution stack (the `splitc`
+/// facade re-exports it as `PipelineError`), so both halves of the system
+/// report failures identically.
 #[derive(Debug)]
 pub enum EngineError {
     /// Front-end (mini-C) error during the offline step.
@@ -197,9 +197,6 @@ pub struct CompiledModule {
 }
 
 /// Result of executing one kernel once.
-///
-/// This unifies the historical `RunMeasurement` (core) and `RunOutcome`
-/// (runtime) result types — both names remain as aliases.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Execution {
     /// The kernel's return value, if any.
@@ -1029,6 +1026,18 @@ mod tests {
             compiled_before,
             "runs must all be cache hits"
         );
+    }
+
+    #[test]
+    fn precompile_covers_duplicate_core_types_once() {
+        // A blade's four SPUs are one core type: five cores, two compiles.
+        let engine = deployed();
+        let platform = crate::Platform::cell_blade(4);
+        let targets = platform.cores.iter().map(|core| &core.target);
+        engine.precompile(targets, &JitOptions::split()).unwrap();
+        assert_eq!(engine.compiled_variants(), 2);
+        assert_eq!(engine.stats().compiles, 2);
+        assert_eq!(engine.stats().hits, 3);
     }
 
     #[test]

@@ -18,14 +18,12 @@
 //!   bounded MPMC work queue with backpressure, a worker pool, and shared
 //!   engines deduplicated by module fingerprint, with graceful lossless
 //!   shutdown and live [`serve::ServerStats`].
-//! * [`Executor`] is a core-oriented facade over the engine: it deploys a
-//!   bytecode module with fixed [`JitOptions`](splitc_jit::JitOptions) and
-//!   addresses execution by [`Core`].
 //! * [`choose_core`] and [`list_schedule`] map kernels and task graphs onto
 //!   cores, guided by the kernel-trait annotations the offline compiler left
 //!   in the bytecode.
-//! * [`DmaModel`] accounts for the cost of shipping data to accelerators
-//!   (the offload-profitability crossover of experiment E4).
+//! * [`DmaModel`] and [`run_offloaded`] account for the cost of shipping
+//!   data to accelerators (the offload-profitability crossover of
+//!   experiment E4).
 //! * [`Network`] is a Kahn-process-network substrate for portable,
 //!   deterministic concurrency (Section 4).
 //!
@@ -34,7 +32,8 @@
 //! ```
 //! use splitc_minic::compile_source;
 //! use splitc_opt::{optimize_module, OptOptions};
-//! use splitc_runtime::{choose_core, Executor, Platform};
+//! use splitc_jit::JitOptions;
+//! use splitc_runtime::{choose_core, ExecutionEngine, Platform};
 //! use splitc_targets::MachineValue;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -51,10 +50,11 @@
 //! let core = choose_core(&traits, &platform);
 //! assert_eq!(core.name, "arm"); // the vector-capable core, not the DSP
 //!
-//! let exec = Executor::deploy(module);
+//! let engine = ExecutionEngine::new(module);
 //! let mut mem = vec![0u8; 1024];
 //! mem[256..260].copy_from_slice(&4.0f32.to_le_bytes());
-//! exec.run(core, "dscal", &[MachineValue::Int(1), MachineValue::Float(0.25), MachineValue::Int(256)], &mut mem)?;
+//! let args = [MachineValue::Int(1), MachineValue::Float(0.25), MachineValue::Int(256)];
+//! engine.run(&core.target, &JitOptions::split(), "dscal", &args, &mut mem)?;
 //! assert_eq!(&mem[256..260], &1.0f32.to_le_bytes());
 //! # Ok(())
 //! # }
@@ -65,7 +65,6 @@
 #![warn(rust_2018_idioms)]
 
 mod engine;
-mod executor;
 pub mod hist;
 mod kpn;
 mod offload;
@@ -78,10 +77,9 @@ mod sweep;
 pub use engine::{
     CacheSnapshot, CacheStats, CompiledModule, EngineError, Execution, ExecutionEngine,
 };
-pub use executor::{Executor, RunOutcome, RuntimeError};
 pub use hist::{Histogram, EMPTY_QUANTILE};
 pub use kpn::{pipeline, profile_pipeline, ChannelId, KpnReport, Network, Process, ProcessId};
-pub use offload::{DmaModel, OffloadCost};
+pub use offload::{run_offloaded, DmaModel, OffloadCost};
 pub use platform::{Core, Platform};
 pub use scheduler::{affinity, choose_core, list_schedule, Placement, Schedule, TaskEstimate};
 pub use store::{

@@ -6,6 +6,8 @@
 //! cost, which is what determines the offload-profitability crossover studied
 //! in experiment E4.
 
+use crate::engine::Execution;
+
 /// Cost model for one data transfer path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmaModel {
@@ -71,9 +73,59 @@ impl OffloadCost {
     }
 }
 
+/// The cost, as the host sees it, of having run a kernel on an accelerator
+/// core: `run`'s compute cycles (already scaled to host cycles) plus shipping
+/// `bytes_in` of input there and `bytes_out` of output back over `dma`.
+pub fn run_offloaded(
+    run: &Execution,
+    dma: &DmaModel,
+    bytes_in: u64,
+    bytes_out: u64,
+) -> OffloadCost {
+    OffloadCost {
+        compute_cycles: run.scaled_cycles as u64,
+        dma_cycles: dma.round_trip_cycles(bytes_in, bytes_out),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExecutionEngine, Platform};
+    use splitc_jit::JitOptions;
+    use splitc_minic::compile_source;
+    use splitc_targets::MachineValue;
+
+    #[test]
+    fn offload_accounts_for_dma() {
+        let module = compile_source(
+            "fn dscal(n: i32, a: f32, x: *f32) {
+                for (let i: i32 = 0; i < n; i = i + 1) { x[i] = a * x[i]; }
+            }",
+            "k",
+        )
+        .unwrap();
+        let platform = Platform::cell_blade(1);
+        let spu = platform.core("spu0").unwrap();
+        let n = 64u64;
+        let mut mem = vec![0u8; 4096];
+        let args = [
+            MachineValue::Int(n as i64),
+            MachineValue::Float(0.5),
+            MachineValue::Int(256),
+        ];
+        let run = ExecutionEngine::new(module)
+            .run(&spu.target, &JitOptions::split(), "dscal", &args, &mut mem)
+            .unwrap();
+        let cost = run_offloaded(&run, &platform.dma, n * 4, n * 4);
+        assert_eq!(cost.compute_cycles, run.scaled_cycles as u64);
+        assert_eq!(
+            cost.dma_cycles,
+            platform.dma.round_trip_cycles(n * 4, n * 4)
+        );
+        assert!(cost.dma_cycles > 0);
+        assert!(cost.total() > cost.compute_cycles);
+    }
 
     #[test]
     fn transfer_cost_scales_with_size_and_includes_latency() {

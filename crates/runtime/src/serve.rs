@@ -54,14 +54,20 @@
 //!   answered with `DeadlineExceeded` (counted as completed and in
 //!   [`ServerStats::cancelled`]). No other thread, lock or flag is involved,
 //!   so there is nothing to arm, disarm or order at shutdown.
-//! * **Retries.** Transient failures — panics, [`EngineError::Transient`] —
-//!   are retried up to [`RetryPolicy::max_retries`] times with bounded
-//!   exponential backoff and *deterministic* jitter (derived from the
-//!   server seed, the request tag and the attempt number). Semantic errors
-//!   (traps, unknown kernels, JIT rejections) are never retried. Each
-//!   [`Response`] stamps how many attempts it took
-//!   ([`Response::attempts`]); the per-request attempt distribution lands
-//!   in [`ServerStats::retry_attempts`].
+//! * **Retries.** An attempt is retried only if it failed *before the
+//!   kernel started* with an infrastructure failure — a panic or
+//!   [`EngineError::Transient`] — up to [`RetryPolicy::max_retries`] times
+//!   with bounded exponential backoff and *deterministic* jitter (derived
+//!   from the server seed, the request tag and the attempt number). That
+//!   needs no copy of the request's memory and loses no recovery: (1) all
+//!   that can fail now and succeed later — the [`FaultPlan`] sites, the test
+//!   hook, the online compile — runs before the kernel's first store, so
+//!   the memory is still as the client sent it; (2) `Transient` is built by
+//!   injected faults only; (3) the simulator is a deterministic function of
+//!   (program, arguments, memory), so a later failure would recur, like the
+//!   semantic errors (traps, unknown kernels, JIT rejections) that are never
+//!   retried. [`Response::attempts`] stamps each response; the distribution
+//!   lands in [`ServerStats::retry_attempts`].
 //! * **Circuit breakers.** Failures are tracked per batch key
 //!   `(module fingerprint, target fingerprint, options)`. After
 //!   [`BreakerPolicy::failure_threshold`] *consecutive* infrastructure
@@ -100,9 +106,10 @@
 //! rendezvous channel (plain `mpsc`, no external async runtime) on which
 //! exactly one [`Response`] arrives: the [`Execution`] outcome plus the
 //! request's memory buffer, which travels *with* the request through the
-//! queue and back, so serving moves no bytes it doesn't have to. Responses
-//! also carry the request's measured queue-wait and execute times and the
-//! size of the batch it was served in.
+//! queue and back; the kernel runs against it in place and nothing on the
+//! serving path, retries included, copies it. Responses also carry the
+//! request's measured queue-wait and execute times and the size of the batch
+//! it was served in.
 //!
 //! # Shutdown and worker panics
 //!
@@ -274,8 +281,8 @@ impl ServeModule {
 /// One unit of client work: run `kernel` from `module` on `target`.
 ///
 /// The request owns its memory buffer; it travels through the queue with the
-/// request and comes back in the [`Response`], so the serving path never
-/// copies kernel memory.
+/// request, the kernel runs against it in place, and it comes back in the
+/// [`Response`] — the serving path never copies kernel memory.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// The deployed module to serve from.
@@ -419,15 +426,17 @@ impl fmt::Display for SubmitError {
 
 impl Error for SubmitError {}
 
-/// Retry policy for transient failures (panics, [`EngineError::Transient`]).
+/// Retry policy for infrastructure failures (panics,
+/// [`EngineError::Transient`]) that strike before the kernel starts.
 ///
 /// Semantic errors — traps, unknown kernels, JIT rejections, deadline
-/// expiry — are **never** retried: re-running a deterministic failure only
-/// burns worker time. Backoff is bounded exponential with deterministic
-/// jitter: attempt `k` sleeps in `[b/2, b]` where
-/// `b = min(max_backoff_ns, base_backoff_ns << (k-1))` and the point inside
-/// the band is a pure function of (server seed, request tag, attempt) — so
-/// a replayed request stream backs off identically.
+/// expiry — and any failure once the kernel has started are **never**
+/// retried: re-running a deterministic failure only burns worker time (the
+/// [module documentation](self) argues that no recovery is lost). Backoff
+/// is bounded exponential with deterministic jitter: attempt `k` sleeps in
+/// `[b/2, b]` where `b = min(max_backoff_ns, base_backoff_ns << (k-1))` and
+/// the point inside the band is a pure function of (server seed, request
+/// tag, attempt) — so a replayed request stream backs off identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (0 disables retrying).
@@ -649,7 +658,7 @@ pub struct ServerConfig {
     /// target and options; one program fetch, one frame pool); clamped to at
     /// least 1. 1 disables batching.
     pub max_batch: usize,
-    /// Retry policy for transient failures.
+    /// Retry policy for failures before the kernel starts.
     pub retry: RetryPolicy,
     /// Circuit-breaker policy (per batch key).
     pub breaker: BreakerPolicy,
@@ -1173,7 +1182,7 @@ impl Inner {
     /// `true` while nothing forbids serving `key` from its cached compile —
     /// used to decide whether a batch-level program fetch is worth making.
     /// (A half-open probe deliberately skips the batch fetch and compiles
-    /// fresh through `run_pooled`: its key's artifact was quarantined.)
+    /// fresh inside [`run_job`]: its key's artifact was quarantined.)
     fn breaker_fetch_allowed(&self, key: &(u64, u64, JitOptions)) -> bool {
         if self.breaker.failure_threshold == 0 {
             return true;
@@ -1714,25 +1723,22 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
 /// deadline, configured fault injection, the panic guard, and bounded
 /// retries with jittered exponential backoff.
 ///
-/// `program` is the batch-level compiled-program fetch: `Some(Ok(_))`
-/// drives the *first* attempt through [`crate::engine::simulate`] directly
-/// (the same call `run_pooled` bottoms out in); `Some(Err(_))` or a retry
-/// re-runs the per-job lookup so each client receives exactly the error an
+/// Every attempt resolves its program, then runs the kernel through the one
+/// [`crate::engine::simulate`] call. `program` is the batch-level fetch:
+/// `Some(Ok(_))` is the *first* attempt's program; `Some(Err(_))` or a retry
+/// re-runs the per-job lookup, so each client receives exactly the error an
 /// unbatched run would have produced (`EngineError` is not `Clone`) and a
-/// retry after a quarantine compiles fresh; `None` means no job in the
-/// batch names a known kernel (or the breaker skipped the batch fetch).
+/// retry after a quarantine compiles fresh; `None` means the batch made no
+/// fetch (its breaker is not closed, or the job is rerouted to `fallback`).
 ///
-/// With a `fallback`, the request is rerouted to that target.
-///
-/// Execution is wrapped in a panic guard: a panicking kernel answers with
+/// The attempt is wrapped in a panic guard: a panic answers with
 /// [`EngineError::Panicked`] (payload capped at [`PANIC_MESSAGE_CAP`]
 /// bytes) and costs the worker its frame pool (recycled frames may have
 /// been mid-mutation when the unwind tore through), but never the worker
-/// itself. Only infrastructure failures — [`EngineError::Panicked`] and
-/// [`EngineError::Transient`] — are retried; semantic errors (traps,
-/// unknown kernels, compile diagnostics) would fail identically again and
-/// are answered immediately. Memory is restored from a pre-run backup
-/// before every retry, so a retried request runs against pristine state.
+/// itself. Only a [`EngineError::Panicked`] or [`EngineError::Transient`]
+/// from *before the kernel started* (`touched` still `false`) is retried:
+/// the memory is then as the client sent it, so there is nothing to restore.
+/// Semantic errors and any later failure would recur and are answered at once.
 fn run_job(
     inner: &Inner,
     engine: &ExecutionEngine,
@@ -1754,8 +1760,8 @@ fn run_job(
     } = request;
     let target = fallback.cloned().unwrap_or(target);
     if module.module().function(&kernel).is_none() {
-        // Matches `run_pooled`'s precheck: unknown kernels fail before any
-        // cache traffic and before the execute clock starts.
+        // Unknown kernels fail before any cache traffic and before the
+        // execute clock starts, as in an unbatched engine run.
         return JobResult {
             outcome: Err(EngineError::UnknownKernel(kernel)),
             mem,
@@ -1765,12 +1771,11 @@ fn run_job(
             tripped: false,
         };
     }
-    // Retries need pristine memory: back it up before the first attempt
-    // (`RetryPolicy::none()` skips the copy entirely).
-    let backup = (inner.retry.max_retries > 0).then(|| mem.clone());
     let started = Instant::now();
     let mut attempt: u32 = 0;
     let mut cancelled = false;
+    // Set once the kernel may have stored to `mem`; never cleared.
+    let mut touched = false;
     let outcome = loop {
         // Set per attempt, not per job: the first poll after `set_deadline`
         // reads the clock, so a deadline that passed during a latency fault
@@ -1781,32 +1786,29 @@ fn run_job(
         let compile_fault = faults_at(inner, FaultSite::Compile, tag, attempt);
         let execute_fault = faults_at(inner, FaultSite::Execute, tag, attempt);
         attempt += 1;
-        // The batch-level artifact serves the first attempt only: a retry
-        // (or a half-open probe, which never gets a batch artifact) goes
-        // through the engine lookup so a quarantined key compiles fresh.
-        let batch_program = if attempt == 1 { program } else { None };
         let ran = catch_unwind(AssertUnwindSafe(|| {
             if inject {
                 panic!("injected serving fault in kernel `{kernel}`");
             }
             if let Some(kind) = compile_fault {
-                match apply_fault(inner, kind, FaultSite::Compile, &kernel) {
-                    Ok(()) => {}
-                    Err(err) => return Err(err),
-                }
+                apply_fault(inner, kind, FaultSite::Compile, &kernel)?;
             }
             if let Some(kind) = execute_fault {
-                match apply_fault(inner, kind, FaultSite::Execute, &kernel) {
-                    Ok(()) => {}
-                    Err(err) => return Err(err),
-                }
+                apply_fault(inner, kind, FaultSite::Execute, &kernel)?;
             }
-            match batch_program {
-                Some(Ok(compiled)) => {
-                    crate::engine::simulate(compiled, &target, &kernel, &args, &mut mem, pool)
+            let fetched;
+            let compiled = match program {
+                // The batch artifact serves the first attempt only: a retry
+                // (or a half-open probe, which never gets one) looks the
+                // program up again, so a quarantined key compiles fresh.
+                Some(Ok(compiled)) if attempt == 1 => compiled,
+                _ => {
+                    fetched = engine.program_for(&target, &options)?;
+                    &fetched
                 }
-                _ => engine.run_pooled(&target, &options, &kernel, &args, &mut mem, pool),
-            }
+            };
+            touched = true;
+            crate::engine::simulate(compiled, &target, &kernel, &args, &mut mem, pool)
         }));
         let outcome = match ran {
             Ok(outcome) => outcome,
@@ -1821,16 +1823,14 @@ fn run_job(
             cancelled = true;
             break Err(EngineError::DeadlineExceeded);
         }
-        let retryable = matches!(
-            outcome,
-            Err(EngineError::Panicked(_)) | Err(EngineError::Transient(_))
-        );
+        let retryable = !touched
+            && matches!(
+                outcome,
+                Err(EngineError::Panicked(_)) | Err(EngineError::Transient(_))
+            );
         let deadline_passed = deadline.is_some_and(|at| Instant::now() >= at);
         if !(retryable && attempt <= inner.retry.max_retries && !deadline_passed) {
             break outcome;
-        }
-        if let Some(backup) = &backup {
-            mem.clone_from(backup);
         }
         inner.retried.fetch_add(1, Ordering::SeqCst);
         let backoff = backoff_ns(&inner.retry, inner.seed, tag, attempt);
@@ -2711,7 +2711,24 @@ mod tests {
 
     #[test]
     fn a_transient_fault_is_retried_and_the_attempt_count_stamped() {
-        let module = triple_module();
+        // A kernel that rewrites its memory in place: a retry that ran
+        // against anything but the client's bytes would show in the image.
+        let module = ServeModule::new(
+            compile_source(
+                "fn scale(n: i32, x: *i32) {
+                     for (let i: i32 = 0; i < n; i = i + 1) { x[i] = 3 * x[i] + i; }
+                 }",
+                "k",
+            )
+            .unwrap(),
+        );
+        let scale_request = |tag: u64| Request {
+            kernel: "scale".into(),
+            args: vec![MachineValue::Int(16), MachineValue::Int(64)],
+            mem: (0..128u8).collect(),
+            tag,
+            ..triple_request(&module, 0)
+        };
         let plan = FaultPlan::seeded(7).with_rule(FaultRule {
             site: FaultSite::Execute,
             kind: FaultKind::Transient,
@@ -2719,17 +2736,31 @@ mod tests {
             persistent: false,
         });
         let server = Server::start(ServerConfig::default().with_workers(1).with_faults(plan));
-        let mut request = triple_request(&module, 4);
-        request.tag = 5;
-        let response = server.submit(request).unwrap().wait().unwrap();
+        let response = server.submit(scale_request(5)).unwrap().wait().unwrap();
+        // The reference: the same request, unfaulted, straight on an engine.
+        let mut reference = scale_request(5);
+        let expect = crate::ExecutionEngine::from_arc(module.module_arc())
+            .run(
+                &reference.target,
+                &reference.options,
+                &reference.kernel,
+                &reference.args,
+                &mut reference.mem,
+            )
+            .unwrap();
+        assert_ne!(reference.mem, scale_request(5).mem, "the kernel stores");
         assert_eq!(
-            response.outcome.unwrap().result,
-            Some(MachineValue::Int(12)),
+            response.outcome.unwrap(),
+            expect,
             "the retry ran clean: non-persistent faults clear on attempt 2"
+        );
+        assert_eq!(
+            response.mem, reference.mem,
+            "the retry ran against the bytes the client sent"
         );
         assert_eq!(response.attempts, 2, "one failed attempt, one clean");
         assert!(!response.degraded);
-        let clean = server.submit(triple_request(&module, 1)).unwrap();
+        let clean = server.submit(scale_request(1)).unwrap();
         assert_eq!(clean.wait().unwrap().attempts, 1, "untouched tags run once");
         let stats = server.shutdown();
         assert_eq!(stats.retried, 1);

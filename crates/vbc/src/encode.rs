@@ -36,7 +36,7 @@ use crate::function::{Block, Function};
 use crate::inst::{BinOp, BlockId, CmpOp, Immediate, Inst, ReduceOp, UnOp, VReg};
 use crate::module::Module;
 use crate::types::{ScalarType, Type};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -487,8 +487,24 @@ fn write_value(w: &mut Writer, v: &AnnotationValue) {
     }
 }
 
-fn read_value(r: &mut Reader<'_>) -> Result<AnnotationValue, DecodeError> {
-    Ok(match r.u8()? {
+/// Deepest list/map nesting [`read_value`] follows. It recurses once per
+/// level, so without a cap a few hundred kilobytes of `04 01 04 01 …`
+/// overflow the decoding thread's stack — an abort no `catch_unwind` can
+/// turn into an error. The typed records the offline compiler writes nest
+/// two deep.
+const MAX_ANNOTATION_NESTING: usize = 16;
+
+/// Decode one annotation value that sits inside `depth` enclosing lists and
+/// maps.
+fn read_value(r: &mut Reader<'_>, depth: usize) -> Result<AnnotationValue, DecodeError> {
+    let tag = r.u8()?;
+    if matches!(tag, 4 | 5) && depth == MAX_ANNOTATION_NESTING {
+        return Err(DecodeError::BadTag {
+            what: "annotation nesting",
+            tag,
+        });
+    }
+    Ok(match tag {
         0 => AnnotationValue::Int(r.sleb()?),
         1 => AnnotationValue::Float(r.f64()?),
         2 => AnnotationValue::Bool(r.u8()? != 0),
@@ -497,7 +513,7 @@ fn read_value(r: &mut Reader<'_>) -> Result<AnnotationValue, DecodeError> {
             let n = r.uleb()? as usize;
             let mut xs = Vec::with_capacity(cap_hint(n));
             for _ in 0..n {
-                xs.push(read_value(r)?);
+                xs.push(read_value(r, depth + 1)?);
             }
             AnnotationValue::List(xs)
         }
@@ -506,7 +522,7 @@ fn read_value(r: &mut Reader<'_>) -> Result<AnnotationValue, DecodeError> {
             let mut m = BTreeMap::new();
             for _ in 0..n {
                 let k = r.str()?;
-                m.insert(k, read_value(r)?);
+                m.insert(k, read_value(r, depth + 1)?);
             }
             AnnotationValue::Map(m)
         }
@@ -533,7 +549,7 @@ fn read_annotations(r: &mut Reader<'_>) -> Result<AnnotationSet, DecodeError> {
     let mut a = AnnotationSet::new();
     for _ in 0..n {
         let k = r.str()?;
-        let v = read_value(r)?;
+        let v = read_value(r, 0)?;
         a.insert(k, v);
     }
     Ok(a)
@@ -1031,8 +1047,9 @@ fn write_module(w: &mut Writer, m: &Module) {
 /// # Errors
 ///
 /// Returns a [`DecodeError`] if the buffer is truncated, has the wrong magic
-/// or version, contains invalid tags, or carries trailing bytes after the
-/// module (a decode must consume its input exactly).
+/// or version, contains invalid tags, repeats a function name, nests an
+/// annotation value more than 16 lists/maps deep, or carries trailing bytes
+/// after the module (a decode must consume its input exactly).
 pub fn decode_module(bytes: &[u8]) -> Result<Module, DecodeError> {
     let mut r = Reader::new(bytes);
     if bytes.len() < 4 || &bytes[..4] != MAGIC {
@@ -1044,14 +1061,28 @@ pub fn decode_module(bytes: &[u8]) -> Result<Module, DecodeError> {
         return Err(DecodeError::BadVersion(version));
     }
     let name = r.str()?;
-    let mut m = Module::new(&name);
     let nfuncs = r.uleb()? as usize;
+    let mut functions = Vec::with_capacity(cap_hint(nfuncs));
     for _ in 0..nfuncs {
-        m.add_function(read_function(&mut r)?);
+        functions.push(read_function(&mut r)?);
     }
-    m.annotations = read_annotations(&mut r)?;
+    // One pass over the names, not `Module::add_function`'s scan per
+    // function — and a repeated name is an error, not a replacement: the
+    // module would re-encode shorter, so two byte strings would decode to it.
+    let mut names = HashSet::with_capacity(functions.len());
+    if let Some(repeat) = functions
+        .iter()
+        .position(|f| !names.insert(f.name.as_str()))
+    {
+        return Err(DecodeError::BadTag {
+            what: "duplicate function name",
+            // No tag byte is at fault; report which function (low byte).
+            tag: repeat as u8,
+        });
+    }
+    let annotations = read_annotations(&mut r)?;
     r.finish()?;
-    Ok(m)
+    Ok(Module::from_parts(name, functions, annotations))
 }
 
 /// Size in bytes of the compact encoding of `m`.
@@ -1423,6 +1454,115 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(decode_module(&bytes[..cut]).is_err(), "prefix {cut}");
         }
+    }
+
+    /// The bytes of a module named `m` with `functions` (already encoded,
+    /// `count` of them) and one module annotation `k` whose value is `value`.
+    fn assemble(count: u64, functions: &[u8], value: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.bytes(MAGIC);
+        w.u8(VERSION);
+        w.str("m");
+        w.uleb(count);
+        w.bytes(functions);
+        w.uleb(1);
+        w.str("k");
+        w.bytes(value);
+        w.into_bytes()
+    }
+
+    /// The encoding of a function `name` with no parameters, registers or
+    /// blocks — the shortest one the decoder accepts.
+    fn empty_function(w: &mut Writer, name: &str) {
+        w.str(name);
+        // params, no return type, vregs, entry, blocks, annotations.
+        w.bytes(&[0, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn annotation_nesting_is_capped_before_it_can_exhaust_the_stack() {
+        // 100 000 one-element lists inside each other: the parent recursed
+        // once per level and overflowed a 2 MiB stack (an abort, not a
+        // panic). A stack this small only survives if decoding stops early.
+        let bytes = assemble(0, &[], &[4, 1].repeat(100_000));
+        let decoded = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || decode_module(&bytes))
+            .unwrap()
+            .join()
+            .expect("the decoder returns instead of overflowing its stack");
+        assert_eq!(
+            decoded,
+            Err(DecodeError::BadTag {
+                what: "annotation nesting",
+                tag: 4
+            })
+        );
+        // Exactly at the cap a value round-trips (alternating lists and
+        // maps); one level deeper is refused, whichever container it is.
+        let nested = |levels: usize| {
+            (0..levels).fold(AnnotationValue::Int(7), |inner, level| {
+                if level % 2 == 0 {
+                    AnnotationValue::List(vec![inner])
+                } else {
+                    AnnotationValue::Map(BTreeMap::from([("x".to_owned(), inner)]))
+                }
+            })
+        };
+        let mut m = Module::new("m");
+        m.annotations.set("k", nested(MAX_ANNOTATION_NESTING));
+        assert_eq!(decode_module(&encode_module(&m)).as_ref(), Ok(&m));
+        for too_deep in [MAX_ANNOTATION_NESTING + 1, MAX_ANNOTATION_NESTING + 2] {
+            m.annotations.set("k", nested(too_deep));
+            assert!(matches!(
+                decode_module(&encode_module(&m)),
+                Err(DecodeError::BadTag {
+                    what: "annotation nesting",
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn decoding_is_linear_in_the_function_count() {
+        // Assembled from bytes, not through `Module::add_function`, whose
+        // scan per function is what made the parent's decoder quadratic:
+        // there this input takes minutes, so a regression hangs the suite
+        // instead of flaking a timer.
+        const FUNCTIONS: usize = 200_000;
+        let mut w = Writer::new();
+        for i in 0..FUNCTIONS {
+            empty_function(&mut w, &format!("f{i}"));
+        }
+        let bytes = assemble(FUNCTIONS as u64, &w.into_bytes(), &[2, 1]);
+        let m = decode_module(&bytes).expect("decodes");
+        assert_eq!(m.functions().len(), FUNCTIONS);
+        assert_eq!(m.functions()[FUNCTIONS - 1].name, "f199999");
+        assert_eq!(encode_module(&m), bytes, "re-encodes byte for byte");
+    }
+
+    #[test]
+    fn a_repeated_function_name_is_rejected() {
+        // `add_function` would have replaced the first `twin` with the
+        // second: a one-function module that re-encodes shorter, so two byte
+        // strings for one module.
+        let mut w = Writer::new();
+        empty_function(&mut w, "twin");
+        empty_function(&mut w, "other");
+        empty_function(&mut w, "twin");
+        assert_eq!(
+            decode_module(&assemble(3, &w.into_bytes(), &[2, 1])),
+            Err(DecodeError::BadTag {
+                what: "duplicate function name",
+                tag: 2
+            })
+        );
+        let mut w = Writer::new();
+        empty_function(&mut w, "twin");
+        empty_function(&mut w, "other");
+        let distinct = decode_module(&assemble(2, &w.into_bytes(), &[2, 1])).unwrap();
+        assert_eq!(distinct.functions().len(), 2);
     }
 
     #[test]

@@ -39,7 +39,26 @@ impl Module {
         }
     }
 
+    /// Assemble a module from decoded parts. The caller has checked that the
+    /// function names are distinct, which [`Module::add_function`] would
+    /// re-establish with a scan per function.
+    pub(crate) fn from_parts(
+        name: String,
+        functions: Vec<Function>,
+        annotations: AnnotationSet,
+    ) -> Self {
+        Module {
+            name,
+            functions,
+            annotations,
+        }
+    }
+
     /// Add a function, replacing any existing function with the same name.
+    ///
+    /// The replace-or-append lookup compares `f`'s name with every function
+    /// already in the module, so this is O(functions) per call — the
+    /// builder's convenience, not a bulk-load path.
     pub fn add_function(&mut self, f: Function) {
         if let Some(slot) = self.functions.iter_mut().find(|g| g.name == f.name) {
             *slot = f;

@@ -6,7 +6,7 @@
 use splitc::{checksum, prepare, run_on_target, ExecutionEngine, Workspace};
 use splitc_jit::JitOptions;
 use splitc_opt::{optimize_module, OptOptions};
-use splitc_runtime::{choose_core, Executor, Platform};
+use splitc_runtime::{choose_core, Platform};
 use splitc_targets::{SimStats, TargetDesc};
 use splitc_vbc::{decode_module, encode_module, keys, verify_module};
 use splitc_workloads::{all_kernels, full_module, table1_kernels};
@@ -74,21 +74,41 @@ fn stripping_annotations_degrades_gracefully() {
     assert!(run.stats.cycles > 0);
 }
 
+/// One bytecode runs on every core of a platform, and cores of one type
+/// share one compilation: the engine is addressed by each core's target.
 #[test]
 fn the_executor_reuses_compiled_code_across_cores_of_the_same_type() {
     let mut module = full_module("suite").expect("suite compiles");
     optimize_module(&mut module, &OptOptions::full());
     let platform = Platform::cell_blade(4);
-    let exec = Executor::deploy(module);
+    let engine = ExecutionEngine::new(module);
+    let mut first = None;
     for core in &platform.cores {
-        let stats = exec.jit_stats(core).expect("compiles for the core");
-        assert!(stats.functions > 0);
+        let mut ws = Workspace::new(1 << 16);
+        let prepared = prepare("dscal_f32", 100, 5, &mut ws);
+        let run = engine
+            .run(
+                &core.target,
+                &JitOptions::split(),
+                "dscal_f32",
+                &prepared.args,
+                ws.bytes_mut(),
+            )
+            .unwrap_or_else(|e| panic!("{}: {e}", core.name));
+        assert!(run.jit.functions > 0 && run.stats.cycles > 0);
+        let sum = checksum(run.result, &prepared, &ws);
+        assert_eq!(
+            *first.get_or_insert(sum),
+            sum,
+            "{} computed a different answer from the same bytecode",
+            core.name
+        );
     }
     // 1 PPE type + 1 SPU type, not 5 separate compilations.
-    assert_eq!(exec.compiled_variants(), 2);
-    assert_eq!(exec.engine().stats().compiles, 2);
+    assert_eq!(engine.compiled_variants(), 2);
+    assert_eq!(engine.stats().compiles, 2);
     assert_eq!(
-        exec.engine().stats().hits,
+        engine.stats().hits,
         3,
         "three SPUs reused the first SPU's code"
     );

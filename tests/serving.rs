@@ -1,6 +1,7 @@
 //! Serving-grade tests for the async request layer: soak, cache churn under
 //! load, graceful shutdown, backpressure accounting, tear-free stats
-//! snapshots under churn, and flood-versus-shutdown races.
+//! snapshots under churn, flood-versus-shutdown races, and hostile modules
+//! and panicking compiles that must be answered, not crash a worker.
 //!
 //! The contract under test: whatever the interleaving of submitting threads,
 //! worker scheduling and cache eviction, every served response is
@@ -10,13 +11,16 @@
 //! an LRU bound forces recompiles, and a graceful shutdown answers every
 //! accepted request.
 
-use splitc::serve::{Request, ServeModule, Server, ServerConfig, SubmitError};
+use splitc::serve::{
+    FaultKind, FaultPlan, FaultRule, FaultSelector, FaultSite, Request, RetryPolicy, ServeModule,
+    Server, ServerConfig, SubmitError,
+};
 use splitc::splitc_minic::compile_source;
 use splitc::{checksum_bytes, prepare, run_on_target, EngineError, Execution, Workspace};
 use splitc_jit::JitOptions;
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_targets::{MachineValue, TargetDesc};
-use splitc_vbc::Module;
+use splitc_vbc::{verify_module, Module};
 use splitc_workloads::{kernel, module_for, table1_kernels, Kernel};
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
@@ -830,4 +834,84 @@ fn shutdown_with_deadlines_answers_every_accepted_handle_exactly_once() {
             "drain changed a served memory image"
         );
     }
+}
+
+/// The trust boundary of the request path: a module the verifier rejects and
+/// a compile step that panics on every attempt both reach a worker, both are
+/// *answered*, the (single) worker serves the next request, and the books
+/// stay exact.
+#[test]
+fn a_hostile_module_and_a_panicking_compile_are_answered_and_the_worker_lives() {
+    let source = "fn triple(x: i32) -> i32 { return 3 * x; }";
+    // A block that lost its terminator: decodes, deploys, fails to verify.
+    let mut hostile = compile_source(source, "hostile").unwrap();
+    hostile.functions_mut()[0].blocks[0].insts.pop();
+    assert!(verify_module(&hostile).is_err());
+    let hostile = ServeModule::new(hostile);
+    let healthy = ServeModule::new(compile_source(source, "healthy").unwrap());
+    // Tag 7's online step panics on every attempt, retries included.
+    let plan = FaultPlan::seeded(1).with_rule(FaultRule {
+        site: FaultSite::Compile,
+        kind: FaultKind::Panic,
+        selector: FaultSelector::tag_range(7, 8),
+        persistent: true,
+    });
+    let retry = RetryPolicy::default();
+    let server = Server::start(ServerConfig::default().with_workers(1).with_faults(plan));
+    let ask = |module: &ServeModule, tag: u64| {
+        let request = Request {
+            module: module.clone(),
+            kernel: "triple".into(),
+            target: TargetDesc::x86_sse(),
+            options: JitOptions::split(),
+            args: vec![MachineValue::Int(14)],
+            mem: vec![0xa5; 64],
+            deadline: None,
+            tag,
+        };
+        let response = server.submit(request).expect("accepting").wait();
+        response.expect("the worker answered instead of dying")
+    };
+
+    let rejected = ask(&hostile, 1);
+    assert!(
+        matches!(rejected.outcome, Err(EngineError::Jit(_))),
+        "got {:?}",
+        rejected.outcome
+    );
+    assert_eq!(rejected.attempts, 1, "a verifier rejection is not retried");
+    assert_eq!(
+        rejected.mem,
+        vec![0xa5; 64],
+        "the memory comes back as sent"
+    );
+
+    let crashed = ask(&healthy, 7);
+    assert!(
+        matches!(
+            crashed.outcome,
+            Err(EngineError::Panicked(ref msg)) if msg.contains("injected compile fault")
+        ),
+        "got {:?}",
+        crashed.outcome
+    );
+    assert_eq!(
+        crashed.attempts,
+        1 + retry.max_retries,
+        "retried to the limit"
+    );
+    assert_eq!(crashed.mem, vec![0xa5; 64]);
+
+    let served = ask(&healthy, 8);
+    assert_eq!(
+        served.outcome.expect("the worker serves on").result,
+        Some(MachineValue::Int(42))
+    );
+
+    let stats = server.shutdown();
+    assert_eq!((stats.accepted, stats.completed, stats.expired), (3, 3, 0));
+    assert_eq!(stats.batch_sizes.sum(), stats.completed);
+    assert_eq!(stats.retry_attempts.count(), stats.completed);
+    assert_eq!(stats.retried, u64::from(retry.max_retries));
+    assert_eq!(stats.engines, 2);
 }
