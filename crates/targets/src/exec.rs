@@ -2822,6 +2822,298 @@ mod tests {
         }
     }
 
+    // --- named edges of pipelined timing: wherever the timing model's view
+    // of a run depends on something only known at run time, every path —
+    // legacy walk, metered loop, threaded fused and unfused — must agree on
+    // the whole `SimStats`, `stalls`/`mispredicts`/`predicted` included.
+
+    fn r(i: u16) -> PReg {
+        PReg::int(i)
+    }
+
+    fn imm(dst: u16, value: i64) -> MInst {
+        MInst::Imm { dst: r(dst), value }
+    }
+
+    fn alu(op: AluOp, dst: u16, lhs: u16, rhs: u16) -> MInst {
+        MInst::IntOp {
+            op,
+            width: Width::W64,
+            signed: true,
+            dst: r(dst),
+            lhs: r(lhs),
+            rhs: r(rhs),
+        }
+    }
+
+    fn icmp(pred: CmpPred, dst: u16, lhs: u16, rhs: u16) -> MInst {
+        MInst::IntCmp {
+            pred,
+            width: Width::W64,
+            signed: true,
+            dst: r(dst),
+            lhs: r(lhs),
+            rhs: r(rhs),
+        }
+    }
+
+    fn select(dst: u16, cond: u16, if_true: u16, if_false: u16) -> MInst {
+        MInst::Select {
+            dst: r(dst),
+            cond: r(cond),
+            if_true: r(if_true),
+            if_false: r(if_false),
+        }
+    }
+
+    fn load(dst: u16, base: u16) -> MInst {
+        MInst::Load {
+            width: Width::W64,
+            float: false,
+            signed: true,
+            dst: r(dst),
+            base: r(base),
+            offset: 0,
+        }
+    }
+
+    fn bnz(cond: u16, then_target: u32, else_target: u32) -> MInst {
+        MInst::BranchNz {
+            cond: r(cond),
+            then_target,
+            else_target,
+        }
+    }
+
+    fn call(callee: &str, args: Vec<PReg>, ret: Option<PReg>) -> MInst {
+        MInst::Call {
+            callee: callee.into(),
+            args,
+            ret,
+        }
+    }
+
+    fn ret(value: u16) -> MInst {
+        MInst::Ret {
+            value: Some(r(value)),
+        }
+    }
+
+    fn func(name: &str, params: u16, blocks: Vec<Vec<MInst>>) -> MFunction {
+        MFunction {
+            name: name.into(),
+            params: (0..params).map(r).collect(),
+            blocks: blocks.into_iter().map(|insts| MBlock { insts }).collect(),
+            num_slots: 0,
+        }
+    }
+
+    fn program(functions: Vec<MFunction>) -> MProgram {
+        MProgram {
+            name: "m".into(),
+            functions,
+        }
+    }
+
+    /// Run `func(args)` on every path under both timing tiers, assert that
+    /// the paths of a tier agree, and hand back the pipelined outcome.
+    fn agree_on_both_tiers(
+        program: &MProgram,
+        func: &str,
+        args: &[i64],
+        fuel: u64,
+    ) -> (RunOutcome, SimStats) {
+        agree_from(0, program, func, args, fuel)
+    }
+
+    /// [`agree_on_both_tiers`] over the paths of [`run_every_path`] from
+    /// index `first` on (1 leaves the legacy walk out).
+    fn agree_from(
+        first: usize,
+        program: &MProgram,
+        func: &str,
+        args: &[i64],
+        fuel: u64,
+    ) -> (RunOutcome, SimStats) {
+        let args: Vec<MachineValue> = args.iter().copied().map(MachineValue::Int).collect();
+        let mut pipelined = None;
+        for timing in [TimingKind::Flat, TimingKind::InOrder] {
+            let target = TargetDesc::x86_sse().with_timing(timing);
+            let results = &run_every_path(program, &target, func, &args, 64, fuel)[first..];
+            assert!(
+                results.iter().all(|r| r == &results[0]),
+                "{func}{args:?} under {timing:?}, fuel {fuel}: paths diverged: {:?}",
+                results.iter().map(|r| (&r.0, &r.1)).collect::<Vec<_>>()
+            );
+            let (out, stats, _) = &results[0];
+            pipelined = Some((out.clone(), *stats));
+        }
+        pipelined.expect("both tiers ran")
+    }
+
+    #[test]
+    fn in_order_select_overwriting_its_condition_or_read_before_its_sources_change_agrees() {
+        // `select r4 = r4 ? r3 : r1` overwrites its own condition, and the
+        // sources of both selects are rewritten later in the same region: the
+        // scoreboard key must be the source chosen when the select retired.
+        let body = vec![
+            imm(1, 7),
+            imm(2, 9),
+            alu(AluOp::Mul, 3, 1, 2),
+            icmp(CmpPred::Lt, 4, 0, 2),
+            select(4, 4, 3, 1),
+            alu(AluOp::Div, 3, 2, 1),
+            imm(1, 0),
+            select(5, 1, 2, 3),
+            imm(3, 1),
+            alu(AluOp::Add, 5, 5, 4),
+            ret(5),
+        ];
+        let p = program(vec![func("f", 1, vec![body])]);
+        for (arg, expect) in [(0, 63 + 1), (100, 7 + 1)] {
+            let (out, stats) = agree_on_both_tiers(&p, "f", &[arg], DEFAULT_SIM_FUEL);
+            assert_eq!(out, Ok(Some(MachineValue::Int(expect))));
+            assert!(stats.stalls > 0, "{stats:?}");
+        }
+    }
+
+    #[test]
+    fn in_order_select_after_a_load_stalls_on_the_chosen_source_only() {
+        // The load-use stall lands on the select only when the condition
+        // picks the loaded register.
+        let body = vec![imm(2, 5), load(3, 0), select(4, 1, 3, 2), ret(4)];
+        let p = program(vec![func("f", 2, vec![body])]);
+        let (out, loaded) = agree_on_both_tiers(&p, "f", &[16, 1], DEFAULT_SIM_FUEL);
+        assert_eq!(out, Ok(Some(MachineValue::Int(0))));
+        let (out, ready) = agree_on_both_tiers(&p, "f", &[16, 0], DEFAULT_SIM_FUEL);
+        assert_eq!(out, Ok(Some(MachineValue::Int(5))));
+        assert!(loaded.stalls > ready.stalls, "{loaded:?} vs {ready:?}");
+        assert_eq!(loaded.instructions, ready.instructions);
+    }
+
+    /// `fact(n)` recursive, and `sum(n)` calling it from a loop whose back
+    /// edge is the induction-variable shape.
+    fn calling_program() -> MProgram {
+        let fact = func(
+            "fact",
+            1,
+            vec![
+                vec![imm(1, 1), icmp(CmpPred::Le, 2, 0, 1), bnz(2, 1, 2)],
+                vec![ret(1)],
+                vec![
+                    alu(AluOp::Sub, 3, 0, 1),
+                    call("fact", vec![r(3)], Some(r(4))),
+                    alu(AluOp::Mul, 0, 0, 4),
+                    ret(0),
+                ],
+            ],
+        );
+        let sum = func(
+            "sum",
+            1,
+            vec![
+                vec![imm(1, 0), imm(2, 1), imm(3, 0), MInst::Jump { target: 1 }],
+                vec![
+                    alu(AluOp::Mul, 5, 1, 1),
+                    call("fact", vec![r(1)], Some(r(4))),
+                    alu(AluOp::Add, 3, 3, 4),
+                    alu(AluOp::Add, 1, 1, 2),
+                    icmp(CmpPred::Lt, 5, 1, 0),
+                    bnz(5, 1, 2),
+                ],
+                vec![ret(3)],
+            ],
+        );
+        program(vec![fact, sum])
+    }
+
+    #[test]
+    fn in_order_calls_in_a_loop_and_recursion_agree_at_every_fuel_value() {
+        // A call drains the pipeline and clears the scoreboard, the callee
+        // retires on the caller's pipeline, and fuel may run dry anywhere —
+        // inside the callee, or inside the after-call region of either
+        // caller.
+        let p = calling_program();
+        let (out, full) = agree_on_both_tiers(&p, "sum", &[5], DEFAULT_SIM_FUEL);
+        assert_eq!(out, Ok(Some(MachineValue::Int(1 + 1 + 2 + 6 + 24))));
+        assert!(full.stalls > 0 && full.mispredicts > 0, "{full:?}");
+        for fuel in 0..=full.instructions {
+            let (out, stats) = agree_on_both_tiers(&p, "sum", &[5], fuel);
+            if fuel < full.instructions {
+                assert_eq!(out, Err(SimError::OutOfFuel), "fuel {fuel}");
+                assert_eq!(stats.instructions, fuel);
+            } else {
+                assert_eq!(stats, full);
+            }
+        }
+    }
+
+    #[test]
+    fn in_order_traps_at_a_call_or_a_return_agree_on_every_path() {
+        // An unknown callee and a vector argument trap before the call is
+        // charged; a vector return retires its move first. In each case the
+        // multiply ahead of the trap has retired and nothing behind it has.
+        // (The legacy walk resolves the callee's name only after charging
+        // the call, so it sits out the unknown-callee case.)
+        let lead = alu(AluOp::Mul, 1, 0, 0);
+        let traps = [
+            (1, call("nowhere", vec![r(1)], Some(r(2))), "unknown callee"),
+            (0, call("f", vec![PReg::vec(0)], None), "vector argument"),
+            (
+                0,
+                MInst::Ret {
+                    value: Some(PReg::vec(0)),
+                },
+                "vector return",
+            ),
+        ];
+        for (first, trap, what) in traps {
+            let body = vec![lead.clone(), trap, imm(2, 1), ret(2)];
+            let p = program(vec![func("f", 1, vec![body])]);
+            let (out, stats) = agree_from(first, &p, "f", &[3], DEFAULT_SIM_FUEL);
+            assert!(
+                matches!(out, Err(SimError::Trap(_) | SimError::UnknownFunction(_))),
+                "{what}: {out:?}"
+            );
+            assert_eq!(stats.instructions, 2, "{what}");
+        }
+    }
+
+    #[test]
+    fn in_order_branches_whose_sites_alias_in_the_bht_agree_on_every_path() {
+        // A parity branch at enum pc 5 and the loop's back edge — an
+        // induction-variable step, fused where fusion is on — at 5 + 256
+        // share one 2-bit counter: the site must be the `BranchNz`'s own
+        // offset on every path, or the counter histories diverge.
+        let mut filler: Vec<MInst> = (0..252).map(|k| imm(5, k)).collect();
+        filler.push(MInst::Jump { target: 3 });
+        let f = func(
+            "f",
+            1,
+            vec![
+                vec![imm(1, 0), imm(2, 1), imm(5, 0), MInst::Jump { target: 1 }],
+                vec![alu(AluOp::And, 3, 1, 2), bnz(3, 2, 3)],
+                filler,
+                vec![
+                    alu(AluOp::Add, 1, 1, 2),
+                    icmp(CmpPred::Lt, 4, 1, 0),
+                    bnz(4, 1, 4),
+                ],
+                vec![ret(1)],
+            ],
+        );
+        let p = program(vec![f]);
+        let prepared = PreparedProgram::prepare(&p, &TargetDesc::x86_sse()).unwrap();
+        let code = &prepared.functions[0].code;
+        assert!(matches!(code[5], PInst::BranchNz { .. }));
+        assert!(matches!(code[5 + 256], PInst::BranchNz { .. }));
+        assert_eq!(prepared.fusion_stats().indvar, 1);
+        let (out, stats) = agree_on_both_tiers(&p, "f", &[9], DEFAULT_SIM_FUEL);
+        assert_eq!(out, Ok(Some(MachineValue::Int(9))));
+        assert!(stats.mispredicts > 2, "{stats:?}");
+        assert_eq!(stats.predicted + stats.mispredicts, stats.branches);
+    }
+
     #[test]
     fn wide_vector_files_and_huge_costs_run_threaded_and_match_the_legacy_walk() {
         // Byte offsets into a 64 x 2 KiB vector file do not fit 16 bits and

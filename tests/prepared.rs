@@ -3,11 +3,11 @@
 //! `PreparedProgram` (deploy-time flattening, resolved jumps/calls,
 //! prepare-time register validation, pooled frames, threaded fn-pointer
 //! dispatch with macro-op fusion) must be **bit-identical** to the legacy
-//! `MProgram` walk — results, memory effects and `SimStats` (cycles, spill
-//! traffic, every counter, under both timing tiers) alike — for every
-//! catalogue kernel on every simulated target, whether the threaded loop runs
-//! fused or unfused, on the metered loop too, and with a deadline that never
-//! passes. These tests pin that equivalence down and also check that
+//! `MProgram` walk — results, memory effects and `SimStats` (cycles, stalls,
+//! mispredictions, spill traffic, every counter) alike — for every catalogue
+//! kernel on every simulated target under both timing tiers, whether the
+//! threaded loop runs fused or unfused, on the metered loop too, and with a
+//! deadline that never passes. These tests pin that equivalence down and also check that
 //! pooling/reuse never changes results.
 
 mod common;
@@ -74,7 +74,10 @@ fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
     ));
     for (mut module, setup) in programs {
         optimize_module(&mut module, &OptOptions::full());
-        for target in TargetDesc::presets() {
+        for target in TargetDesc::presets()
+            .into_iter()
+            .flat_map(|t| [t.clone(), t.with_timing(TimingKind::InOrder)])
+        {
             let (program, _jit) = compile_module(&module, &target, &JitOptions::split())
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", module.name, target.name));
 
@@ -136,8 +139,8 @@ fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
                 );
                 assert_eq!(
                     stats, legacy_stats,
-                    "{name} on {}: {path} SimStats (cycles/spills/...) diverged",
-                    target.name
+                    "{name} on {} ({:?}): {path} SimStats (cycles/stalls/spills/...) diverged",
+                    target.name, target.timing
                 );
                 assert_eq!(
                     prepared_ws.bytes(),
