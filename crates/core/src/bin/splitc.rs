@@ -22,10 +22,10 @@
 //!   cycle costs, per-region fuel-and-prepaid-cycle charges, and — unless
 //!   `--no-fuse` is given — the fused macro-ops with their constituent spans.
 //!   `--timing in-order` prepares under the pipelined timing tier instead:
-//!   the stream drops to the metered loop (region prepayment is flat-only)
-//!   and every op is annotated with its latency class, so stall attribution
-//!   is inspectable. This is the debugging surface for fusion and cost
-//!   decisions.
+//!   the same stream, whose regions then prepay 0 cycles (the pipeline
+//!   computes them as each region closes) and whose ops are annotated with
+//!   their latency class, so stall attribution is inspectable. This is the
+//!   debugging surface for fusion and cost decisions.
 //! * `bench` prepares one of the workload-catalogue kernels (which take
 //!   pointer arguments) with generated data and reports simulated cycles on
 //!   the chosen target, or on all Table 1 targets when none is given. The

@@ -1138,6 +1138,16 @@ mod tests {
     }
 
     #[test]
+    fn a_saved_entry_decodes_and_re_encodes_byte_for_byte() {
+        // The reader takes minimal LEB128 only, which is all the writer
+        // emits: an entry on disk stays readable and is its own re-encoding.
+        let (artifact, key) = compiled_artifact();
+        let entry = encode_entry(&key, &artifact.program, &artifact.jit);
+        let decoded = decode_entry(&entry, &key).expect("decodes");
+        assert_eq!(encode_entry(&key, &decoded.program, &decoded.jit), entry);
+    }
+
+    #[test]
     fn save_then_load_round_trips_through_disk() {
         let store = temp_store("round-trip");
         let (artifact, key) = compiled_artifact();

@@ -6,11 +6,9 @@
 //! in this module are the only statement of what a straight-line instruction
 //! does to registers and memory. Both loops of the executor run them:
 //!
-//! * the metered loop in [`exec`](crate::exec) walks the 1:1 stream built by
-//!   [`lower_metered`], paying fuel, `stats.instructions` and the
-//!   instruction's `OpInfo` charge around each handler call;
-//! * the threaded loop here ([`run_ops`]) is `(op.handler)(op, ctx, pc)` with
-//!   no per-instruction accounting at all: fuel and instruction counts are
+//! * the threaded loop here ([`run_ops`]) is `(op.handler)(op, ctx, pc)` over
+//!   the one record stream a prepared function keeps, with no
+//!   per-instruction accounting at all: fuel and instruction counts are
 //!   hoisted into **per-region charges**. A region is a maximal
 //!   straight-line run (from a block entry, or from the return point of a
 //!   call, through its first control-flow op inclusive); its
@@ -22,7 +20,24 @@
 //!   then reproduces legacy out-of-fuel timing to the instruction. Region
 //!   entry is also where the run's deadline, if its [`FramePool`] carries
 //!   one, is polled: one branch without a deadline, and a passed deadline
-//!   takes the same uncharged deopt.
+//!   takes the same uncharged deopt;
+//! * the metered loop in [`exec`](crate::exec) keeps no stream: it lowers
+//!   each straight-line instruction with [`lower_metered`] as it reaches it,
+//!   paying fuel, `stats.instructions` and the instruction's `OpInfo` charge
+//!   around the handler calls.
+//!
+//! What a region prepays depends on the timing tier. **Flat**: everything,
+//! cycles included — handlers touch no accounting but a branch's
+//! taken/not-taken cycles and a call's. **In-order**: everything but cycles.
+//! [`ExecCtx`] carries the run's pipeline, the region's closing enum pc and a
+//! watermark (the first row of the region not yet retired), and the handlers
+//! that close a region — branch, jump, call, return, and the trap path —
+//! first retire the `OpInfo` rows up to their own on the pipeline, in order,
+//! then make the one dynamic call (`branch` with the `BranchNz`'s own enum pc
+//! as the predictor site, `jump`, `call`). The two scalar selects, whose
+//! second read key is the source they chose, are the only charge points
+//! inside a region. Flat timing pays for this one predictable branch per
+//! region close and two stores per region entry.
 //!
 //! On the threaded stream adjacent instructions are **fused into macro-ops**
 //! (compare+branch, load+ALU, and the 3- and 4-instruction
@@ -46,14 +61,15 @@
 //! program.
 
 use crate::exec::{
-    store_slot_vec, Frame, FramePool, PInst, PreparedFunction, PreparedProgram, SlotValue,
+    retire_run, store_slot_vec, Frame, FramePool, PInst, PreparedFunction, PreparedProgram,
+    SlotValue,
 };
 use crate::mcode::{AluOp, CmpPred, FpuOp, PReg, RedOp, RegClass, Width};
 use crate::simulator::{
     alu, check_range, compare, fpu, normalize, read_lane_float, read_lane_int, read_mem,
     write_lane_float, write_lane_int, write_mem, MachineValue, SimError, SimStats,
 };
-use crate::timing::FlatCost;
+use crate::timing::{InOrderPipeline, TimingKind, TimingModel};
 
 /// A handler executes one packed record against the live execution context.
 ///
@@ -120,9 +136,10 @@ pub(crate) enum Threaded {
 /// its instructions' `OpInfo` charges, i.e. everything the metered loop
 /// would charge that does not depend on runtime values. Prepaid on region
 /// entry, so straight-line handlers touch no accounting at all. The only
-/// *dynamic* charges left to handlers are the taken/not-taken cycles of
-/// conditional branches and the cycles of calls (whose argv build can trap
-/// before the legacy walk charges them).
+/// *dynamic* charges left to handlers under flat timing are the
+/// taken/not-taken cycles of conditional branches and the cycles of calls
+/// (whose argv build can trap before the legacy walk charges them); under
+/// in-order timing `cycles` is zero and the region's close retires its rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct StaticStats {
     pub(crate) cycles: u64,
@@ -135,10 +152,15 @@ pub(crate) struct StaticStats {
 }
 
 impl StaticStats {
-    /// Narrow a running `OpInfo::prepay` sum over one region.
-    fn of(sum: &SimStats) -> StaticStats {
+    /// Narrow a running `OpInfo::prepay` sum over one region. Cycles are
+    /// prepaid under flat timing only: the pipeline computes its own when
+    /// the region's rows retire.
+    fn of(sum: &SimStats, timing: TimingKind) -> StaticStats {
         StaticStats {
-            cycles: sum.cycles,
+            cycles: match timing {
+                TimingKind::Flat => sum.cycles,
+                TimingKind::InOrder => 0,
+            },
             loads: sum.loads as u32,
             stores: sum.stores as u32,
             spill_stores: sum.spill_stores as u32,
@@ -163,9 +185,10 @@ impl StaticStats {
 /// Trap-path correction: record `k` of `f` raised an error after its region
 /// was prepaid in full, so give back the charges for everything the legacy
 /// walk would *not* have retired by that point — record `k` and the rest of
-/// its region, except the faulting source instruction's own fetch.
+/// its region, except the faulting source instruction's own fetch. Cycles
+/// are given back only if they were prepaid (`flat`).
 #[cold]
-fn refund_unretired(f: &PreparedFunction, k: usize, stats: &mut SimStats) {
+fn refund_unretired(f: &PreparedFunction, k: usize, stats: &mut SimStats, flat: bool) {
     let mut instructions = 0;
     let mut unretired = SimStats::default();
     for m in &f.meta[k..] {
@@ -191,7 +214,9 @@ fn refund_unretired(f: &PreparedFunction, k: usize, stats: &mut SimStats) {
         _ => instructions -= 1,
     }
     stats.instructions -= instructions;
-    stats.cycles -= unretired.cycles;
+    if flat {
+        stats.cycles -= unretired.cycles;
+    }
     stats.loads -= unretired.loads;
     stats.stores -= unretired.stores;
     stats.spill_stores -= unretired.spill_stores;
@@ -306,6 +331,14 @@ pub(crate) struct ExecCtx<'a> {
     pub(crate) vb: usize,
     pub(crate) ret: Option<MachineValue>,
     pub(crate) err: Option<SimError>,
+    /// The run's pipeline under in-order timing — on the threaded stream
+    /// only: the metered loop takes it out and charges it itself.
+    pub(crate) pipe: Option<&'a mut InOrderPipeline>,
+    /// In-order watermark: first enum pc of the current region whose
+    /// `OpInfo` row has not retired on `pipe`.
+    charged: u32,
+    /// Enum pc of the control instruction closing the current region.
+    close: u32,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -320,6 +353,7 @@ impl<'a> ExecCtx<'a> {
         fuel: &'a mut u64,
         stats: &'a mut SimStats,
         depth: usize,
+        pipe: Option<&'a mut InOrderPipeline>,
     ) -> Self {
         ExecCtx {
             prog,
@@ -337,23 +371,39 @@ impl<'a> ExecCtx<'a> {
             vb: prog.vector_bytes,
             ret: None,
             err: None,
+            pipe,
+            charged: 0,
+            close: 0,
         }
     }
 
-    /// Run the handlers of the straight-line `records`, the first of which
-    /// sits at `pc` (the metered loop's inner loop): how many retired, and
-    /// the trap of the one after them if it raised one.
-    pub(crate) fn run_straight(
-        &mut self,
-        records: &[OpRecord],
-        pc: usize,
-    ) -> (usize, Option<SimError>) {
-        for (i, op) in records.iter().enumerate() {
-            if (op.handler)(op, self, (pc + i) as u32) >= FLOW_RET {
+    /// Under in-order timing, retire the `OpInfo` rows `[charged, upto)` of
+    /// the current region on the pipeline, in order, move the watermark, and
+    /// hand back the pipeline for the caller's one dynamic charge. Sound for
+    /// the reason the metered loop's run-then-charge is: the timing model
+    /// only ever sees the order of retirement. `None` under flat timing,
+    /// whose cycles were prepaid.
+    #[inline(always)]
+    fn settle(&mut self, upto: u32) -> Option<(&mut InOrderPipeline, &mut SimStats)> {
+        let tm = self.pipe.as_deref_mut()?;
+        let rows = &self.f.info[self.charged as usize..upto as usize];
+        retire_run(rows, self.stats, tm);
+        self.charged = upto;
+        Some((tm, self.stats))
+    }
+
+    /// Run the handlers of the straight-line instructions `code`, the first
+    /// of which sits at `pc` (the metered loop's inner loop), each on a
+    /// record lowered on the spot: how many retired, and the trap of the one
+    /// after them if it raised one.
+    pub(crate) fn run_straight(&mut self, code: &[PInst], pc: usize) -> (usize, Option<SimError>) {
+        for (i, inst) in code.iter().enumerate() {
+            let op = lower_metered(inst);
+            if (op.handler)(&op, self, (pc + i) as u32) >= FLOW_RET {
                 return (i, Some(self.take_err()));
             }
         }
-        (records.len(), None)
+        (code.len(), None)
     }
 
     #[cold]
@@ -459,10 +509,12 @@ macro_rules! tryh {
 }
 
 /// Enter region `tidx`: prepay its fuel/instruction charge and its static
-/// counter sum, then jump to its first record — or deopt to the metered loop
-/// at its enum pc when the remaining fuel cannot cover the prepayment (the
-/// metered loop then raises `OutOfFuel` at exactly the instruction the
-/// legacy walk would, with nothing from this region charged yet).
+/// counter sum, note where its rows start and close (what in-order timing
+/// retires them by), then jump to its first record — or deopt to the metered
+/// loop at its enum pc when the remaining fuel cannot cover the prepayment
+/// (the metered loop then raises `OutOfFuel` at exactly the instruction the
+/// legacy walk would, with nothing from this region charged yet and every
+/// earlier region settled on the pipeline the metered loop continues on).
 #[inline(always)]
 fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
     let t = &cx.f.targets[tidx as usize];
@@ -479,6 +531,9 @@ fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
         *cx.fuel -= charge;
         cx.stats.instructions += charge;
         t.stat.charge(cx.stats);
+        // A region's charge counts its instructions, the last of which is
+        // the control instruction that closes it.
+        (cx.charged, cx.close) = (t.enum_pc, t.enum_pc + t.charge - 1);
         u64::from(t.ops_pc)
     } else {
         FLOW_DEOPT | u64::from(t.enum_pc)
@@ -513,8 +568,14 @@ pub(crate) fn run_ops(cx: &mut ExecCtx<'_>) -> Result<Threaded, SimError> {
             // everything the legacy walk would not have retired by the
             // faulting instruction (cold path). The low bits index the
             // faulting record — a welded handler reports the constituent
-            // that trapped.
-            refund_unretired(f, r as u32 as usize, cx.stats);
+            // that trapped. Under in-order timing the rows ahead of it
+            // retire first (a `Ret`'s own move too: it retires before its
+            // vector-class check traps) and no cycles were prepaid.
+            let k = r as u32 as usize;
+            let first = f.meta[k].enum_pc;
+            let own = u32::from(matches!(f.code[first as usize], PInst::Ret { .. }));
+            let flat = cx.settle(first + own).is_none();
+            refund_unretired(f, k, cx.stats, flat);
             Err(cx.take_err())
         }
     }
@@ -759,7 +820,8 @@ fn load_float(
 
 /// Retire a conditional branch on the threaded stream: its taken/not-taken
 /// cycles are the one charge region prepayment cannot know, then the target
-/// region is entered.
+/// region is entered. The predictor site is the `BranchNz`'s own enum pc —
+/// the region's closing pc, also when a fused record retires it.
 #[inline(always)]
 fn branch(cx: &mut ExecCtx<'_>, taken: bool, then_region: u32, else_region: u32) -> u64 {
     let cost = &cx.prog.cost;
@@ -768,7 +830,13 @@ fn branch(cx: &mut ExecCtx<'_>, taken: bool, then_region: u32, else_region: u32)
     } else {
         (else_region, cost.branch_not_taken)
     };
-    cx.stats.cycles += cycles;
+    let (f, site) = (cx.f, cx.close);
+    match cx.settle(site) {
+        Some((tm, stats)) => {
+            tm.branch(stats, site, taken, cycles, f.info[site as usize].key(1));
+        }
+        None => cx.stats.cycles += cycles,
+    }
     enter(cx, region)
 }
 
@@ -860,13 +928,31 @@ fn h_float_cmp(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     u64::from(pc) + 1
 }
 
+/// In-order timing on the threaded stream: a scalar select's second read key
+/// is the source it chose, which its row cannot name, so the select is a
+/// charge point — the rows ahead of it retire, then it does, on `chosen`.
+#[inline(never)]
+fn retire_select(cx: &mut ExecCtx<'_>, pc: u32, chosen: u16) {
+    let f = cx.f;
+    let at = f.meta[pc as usize].enum_pc;
+    if let Some((tm, stats)) = cx.settle(at) {
+        let info = &f.info[at as usize];
+        info.retire(stats, tm, info.key_of(2, chosen));
+        cx.charged = at + 1;
+    }
+}
+
 fn h_select_int(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
+    // The condition is read before the write: `dst` may be `cond`.
     let chosen = if cx.int_at(op.b as usize) != 0 {
         op.c
     } else {
         op.d
     };
     cx.set_int(op.a as usize, cx.int_at(chosen as usize));
+    if cx.pipe.is_some() {
+        retire_select(cx, pc, chosen);
+    }
     u64::from(pc) + 1
 }
 
@@ -877,6 +963,9 @@ fn h_select_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
         op.d
     };
     cx.set_float(op.a as usize, cx.float_at(chosen as usize));
+    if cx.pipe.is_some() {
+        retire_select(cx, pc, chosen);
+    }
     u64::from(pc) + 1
 }
 
@@ -1168,17 +1257,18 @@ fn reload_error(value: Option<&SlotValue>, slot: u32) -> SimError {
     }
 }
 
-// --- control kinds: threaded stream only (the metered loop has arms) --------
-
-/// Stands in the metered stream for the kinds the metered loop interprets
-/// itself, so that stream stays index-parallel to the enum stream.
-fn h_metered_arm(_op: &OpRecord, _cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
-    unreachable!("the metered loop has an arm for this kind")
-}
+// --- control kinds: threaded stream only (the metered loop has arms). Each
+// closes its region, so under in-order timing each first settles the
+// region's rows on the pipeline. ---------------------------------------------
 
 fn h_jump(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
-    // Fully static: the jump's cycles and branch count ride the region
-    // prepayment; only the next region's entry charge is dynamic.
+    // Fully static under flat timing: the jump's cycles and branch count
+    // ride the region prepayment; only the next region's entry charge is
+    // dynamic.
+    let (f, close) = (cx.f, cx.close);
+    if let Some((tm, stats)) = cx.settle(close) {
+        tm.jump(stats, f.info[close as usize].cycles);
+    }
     enter(cx, op.e)
 }
 
@@ -1208,9 +1298,13 @@ fn h_call(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
         };
         argv.push(value);
     }
-    cx.stats.cycles += cx.prog.cost.call;
-    // The threaded stream is only built under flat timing (region prepayment
-    // sums static charges), so the nested call charges flat too.
+    // Charged once the arguments are built (they can trap), before the
+    // callee runs — threaded, and on the same pipeline if there is one.
+    let cost = cx.prog.cost.call;
+    match cx.settle(cx.close) {
+        Some((tm, stats)) => tm.call(stats, cost),
+        None => cx.stats.cycles += cost,
+    }
     let out = tryh!(
         cx,
         pc,
@@ -1222,7 +1316,7 @@ fn h_call(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
             cx.fuel,
             cx.depth + 1,
             cx.stats,
-            &mut FlatCost,
+            cx.pipe.as_deref_mut(),
             true,
         )
     );
@@ -1231,24 +1325,31 @@ fn h_call(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     enter(cx, op.f)
 }
 
+// A return's own move is a plain row (its second read key is untracked), so
+// in-order timing settles the region through it.
+
 fn h_ret_none(_op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
+    cx.settle(cx.close + 1);
     cx.ret = None;
     FLOW_RET
 }
 
 fn h_ret_int(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
+    cx.settle(cx.close + 1);
     cx.ret = Some(MachineValue::Int(cx.int_at(op.a as usize)));
     FLOW_RET
 }
 
 fn h_ret_float(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
+    cx.settle(cx.close + 1);
     cx.ret = Some(MachineValue::Float(cx.float_at(op.a as usize)));
     FLOW_RET
 }
 
 fn h_ret_vec(_op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     // The legacy walk charges the move *before* noticing the bad class, so
-    // the statically prepaid cycles stand (`refund_unretired` keeps them).
+    // the statically prepaid cycles stand (`refund_unretired` keeps them;
+    // under in-order timing the trap path retires the move).
     fail(
         cx,
         SimError::Trap("vector return values are unsupported".into()),
@@ -1573,11 +1674,12 @@ pub(crate) struct ThreadedScratch {
 
 /// Lower the prepared enum stream of `pf` to a threaded dispatch stream:
 /// fuse macro-ops (when `fuse`), emit packed records (an unfused
-/// straight-line record is its metered-stream record), and resolve
-/// per-region fuel/instruction charges.
+/// straight-line record is what the metered loop would lower), and resolve
+/// per-region fuel/instruction charges and what `timing` prepays with them.
 pub(crate) fn build_threaded(
     pf: &mut PreparedFunction,
     fuse: bool,
+    timing: TimingKind,
     fusion: &mut FusionStats,
     scratch: &mut ThreadedScratch,
 ) {
@@ -1627,9 +1729,8 @@ pub(crate) fn build_threaded(
             targets[bi].ops_pc = ops.len() as u32;
             let mut p = start;
             while p < end {
-                let span = p as usize..end as usize;
                 let fused = if fuse {
-                    try_fuse(&code[span.clone()], &pf.metered[span], &bidx)
+                    try_fuse(&code[p as usize..end as usize], &bidx)
                 } else {
                     None
                 };
@@ -1672,7 +1773,7 @@ pub(crate) fn build_threaded(
                                 (r, End::Call(after))
                             }
                             inst if inst.is_control() => (lower_control(inst, &bidx), End::Control),
-                            _ => (pf.metered[p as usize], End::Normal),
+                            _ => (lower_metered(inst), End::Normal),
                         };
                         (record, 1, FuseKind::None, end_kind, pair_kind(inst))
                     }
@@ -1716,7 +1817,7 @@ pub(crate) fn build_threaded(
                         .iter()
                         .for_each(|i| i.prepay(&mut sum));
                 }
-                targets[t].stat = StaticStats::of(&sum);
+                targets[t].stat = StaticStats::of(&sum, timing);
             }
             // Pairing sweep over the closed run: greedily weld neighbours
             // the table covers. Only the opener's handler changes; jumps
@@ -1750,15 +1851,10 @@ pub(crate) fn build_threaded(
 }
 
 /// Try to fuse a macro-op from the first instructions of `code`, the rest of
-/// the current block (`metered` holds their metered-stream records). Greedy,
-/// longest shape first. Only the *first* constituent of any fused shape may
-/// trap (loads; `Div`/`Rem` are excluded from load+op), which the trap-path
-/// refund relies on.
-fn try_fuse(
-    code: &[PInst],
-    metered: &[OpRecord],
-    bidx: &impl Fn(u32) -> u32,
-) -> Option<(OpRecord, u8, FuseKind, End)> {
+/// the current block. Greedy, longest shape first. Only the *first*
+/// constituent of any fused shape may trap (loads; `Div`/`Rem` are excluded
+/// from load+op), which the trap-path refund and settle rely on.
+fn try_fuse(code: &[PInst], bidx: &impl Fn(u32) -> u32) -> Option<(OpRecord, u8, FuseKind, End)> {
     let indvar_flags = |aw: Width, asg: bool, pred: CmpPred, cw: Width, csg: bool| {
         wbits(aw)
             | u16::from(asg) << 2
@@ -1883,7 +1979,7 @@ fn try_fuse(
         {
             // Same operands as the plain compare; the handler and the two
             // region indexes are what the fused record adds.
-            let mut r = metered[0];
+            let mut r = lower_metered(cmp);
             let kind = if matches!(cmp, PInst::IntCmp { .. }) {
                 r.handler = h_cmp_branch_int;
                 FuseKind::CmpBranchInt
@@ -1932,9 +2028,9 @@ fn lower_control(inst: &PInst, bidx: &impl Fn(u32) -> u32) -> OpRecord {
     r
 }
 
-/// The metered-stream record of one enum instruction: what its handler
-/// needs, or a placeholder for the control kinds, which the metered loop
-/// interprets itself.
+/// The unfused record of one straight-line enum instruction: what its
+/// handler needs. The threaded builder copies it and the metered loop, which
+/// keeps no stream, calls this for each instruction it reaches.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn lower_metered(inst: &PInst) -> OpRecord {
     let mut r;
@@ -2224,7 +2320,7 @@ pub(crate) fn lower_metered(inst: &PInst) -> OpRecord {
         | PInst::BranchNz { .. }
         | PInst::Call(_)
         | PInst::Ret { .. }
-        | PInst::FellOff { .. } => r = rec(h_metered_arm),
+        | PInst::FellOff { .. } => unreachable!("the metered loop has an arm for {inst:?}"),
     }
     r
 }

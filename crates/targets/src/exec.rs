@@ -27,23 +27,33 @@
 //!   instruction does** to registers and memory (see
 //!   [`dispatch`](crate::exec) internals).
 //!
-//! One executor runs those handlers under two accounting disciplines:
+//! One executor runs those handlers, over **one record stream**, under two
+//! accounting disciplines:
 //!
-//! * the **metered loop** ([`PreparedProgram::run_metered`]) walks a 1:1
-//!   record stream and pays fuel and `stats.instructions` per record like the
-//!   legacy walk: it runs the handlers of one straight-line run back to
-//!   back, charges the timing model and the counters from the [`OpInfo`]
-//!   rows of those that retired, and interprets the record that closes the
-//!   run itself. Only the control kinds (jump, branch, call, return,
-//!   fall-off), whose accounting differs between per-record metering and
-//!   region prepayment, and the two selects whose scoreboard key depends on
-//!   the condition, have such arms. It is the whole pipelined timing tier
-//!   and the deoptimization target of the threaded loop;
-//! * the **threaded loop** ([`PreparedProgram::run`] under flat timing)
-//!   dispatches a second stream in which adjacent instructions are **fused
-//!   into macro-ops** (compare+branch, load+op, induction-variable steps) and
-//!   welded in pairs, with fuel, instruction counts and the summed [`OpInfo`]
-//!   charges prepaid per straight-line region.
+//! * the **threaded loop** ([`PreparedProgram::run`], either timing tier)
+//!   dispatches the stream, in which adjacent instructions are **fused into
+//!   macro-ops** (compare+branch, load+op, induction-variable steps) and
+//!   welded in pairs. Fuel, instruction counts and the architectural
+//!   counters summed from the [`OpInfo`] rows are prepaid per straight-line
+//!   region. Under flat timing the region's summed cycles are prepaid with
+//!   them. Under in-order timing a region prepays no cycles: the handler
+//!   that closes it retires its rows on the run's [`InOrderPipeline`], in
+//!   order, and then makes the one call that needs a run-time value (the
+//!   branch's outcome and site, the jump, the call). The **charge-point
+//!   rule**: a handler touches the timing model only if it closes a region
+//!   or its scoreboard key is dynamic (the two scalar selects), and it first
+//!   retires every row of the region ahead of itself — sound because the
+//!   timing model only ever sees the order of retirement;
+//! * the **metered loop** ([`PreparedProgram::run_metered`]) pays fuel and
+//!   `stats.instructions` per instruction like the legacy walk: it runs the
+//!   handlers of one straight-line run back to back, each on a record
+//!   lowered on the spot, charges the timing model and the counters from
+//!   the rows of those that retired, and interprets the instruction that
+//!   closes the run itself. Only the control kinds (jump, branch, call,
+//!   return, fall-off), whose accounting differs between per-instruction
+//!   metering and region prepayment, and the two selects have such arms. It
+//!   is the cold path: the deoptimization target of the threaded loop when
+//!   fuel runs low, and a column of the differential suites.
 //!
 //! Semantics are bit-identical to the legacy walk — results, traps and
 //! [`SimStats`] alike, under both timing tiers — which the cross-crate
@@ -57,7 +67,8 @@
 //! 3. its [`PInst`] variant and validation arm in `prepare_function`;
 //! 4. its handler and `lower_metered` arm in `dispatch.rs` (plus a pair-kind
 //!    if it should weld);
-//! 5. its row in [`op_info`].
+//! 5. its row in [`op_info`] — all either timing tier needs, unless a
+//!    scoreboard key of the new kind is only known at run time.
 //!
 //! # Example
 //!
@@ -168,6 +179,9 @@ pub(crate) fn store_slot_vec(slot_vec: &mut Vec<u8>, slots: usize, slot: usize, 
 pub struct FramePool {
     frames: Vec<Frame>,
     argv: Vec<Vec<MachineValue>>,
+    /// The pipelined tier's scoreboard table, lent to each run's
+    /// [`InOrderPipeline`] and taken back, so a warm run grows nothing.
+    scoreboard: Vec<u64>,
     deadline: Option<Instant>,
     /// Polls to skip before the clock is read again; 0 reads it at the next.
     polls_to_skip: u32,
@@ -524,7 +538,8 @@ const _: () = assert!(std::mem::size_of::<OpInfo>() <= 16);
 
 /// What retiring one instruction costs: the one per-instruction fact table.
 /// [`op_info`] states it once per [`PInst`] kind; region prepayment sums it,
-/// the metered loop charges it per record and `disasm` prints it.
+/// in-order timing retires it row by row when a region closes, the metered
+/// loop charges it per instruction and `disasm` prints it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct OpInfo {
     /// The statically known cycle charge (which doubles as the unit latency
@@ -554,8 +569,9 @@ const NO: PReg = PReg {
 impl OpInfo {
     /// Counts in `stats.branches`.
     const BRANCH: u8 = 1 << 3;
-    /// The metered loop has an arm for this kind instead of calling its
-    /// handler: the control kinds, and the selects whose read key is dynamic.
+    /// The metered loop has an arm for this kind: the control kinds, and the
+    /// selects whose read key is dynamic (on the threaded stream those are
+    /// the kinds whose handlers touch the timing model).
     const ARM: u8 = 1 << 4;
 
     fn new(class: Option<LatClass>, cycles: u64, operands: [PReg; 3], mut tags: u8) -> OpInfo {
@@ -576,7 +592,7 @@ impl OpInfo {
 
     /// Scoreboard key of read operand `i` (1 or 2).
     #[inline(always)]
-    fn key(&self, i: usize) -> u32 {
+    pub(crate) fn key(&self, i: usize) -> u32 {
         self.key_of(i, self.regs[i])
     }
 
@@ -585,7 +601,7 @@ impl OpInfo {
     /// register `u16::MAX`, so the slot its key names is never written and
     /// always reads ready.
     #[inline(always)]
-    fn key_of(&self, i: usize, reg: u16) -> u32 {
+    pub(crate) fn key_of(&self, i: usize, reg: u16) -> u32 {
         (u32::from(reg) << 1) | u32::from(self.tags >> i & 1)
     }
 
@@ -646,7 +662,7 @@ impl OpInfo {
     /// own [`OpInfo::key`]`(2)` unless the key is dynamic). Only for kinds
     /// with a latency class.
     #[inline(always)]
-    fn retire<T: TimingModel>(&self, stats: &mut SimStats, tm: &mut T, b: u32) {
+    pub(crate) fn retire<T: TimingModel>(&self, stats: &mut SimStats, tm: &mut T, b: u32) {
         let class = self.class.expect("kinds priced by `op` have a class");
         tm.op(stats, class, self.cycles, self.dst_key(), self.key(1), b);
     }
@@ -731,7 +747,7 @@ pub(crate) fn op_info(inst: &PInst, cost: &CostModel) -> OpInfo {
         PInst::IntCmp { dst, lhs, rhs, .. } => op(L::Alu, ik(dst), ik(lhs), ik(rhs)),
         PInst::FloatCmp { dst, lhs, rhs, .. } => op(L::FpAdd, ik(dst), fk(lhs), fk(rhs)),
         // The second read is whichever source the condition picks: the row
-        // names `if_true`'s file and the metered loop supplies the register.
+        // names `if_true`'s file and whoever retires it supplies the register.
         PInst::SelectInt {
             dst, cond, if_true, ..
         } => arm(op(L::Mov, ik(dst), ik(cond), ik(if_true))),
@@ -765,8 +781,7 @@ pub(crate) fn op_info(inst: &PInst, cost: &CostModel) -> OpInfo {
 }
 
 /// One function of a [`PreparedProgram`]: a flat, pre-validated instruction
-/// stream, the two record streams lowered from it, and the frame layout it
-/// needs.
+/// stream, the record stream lowered from it, and the frame layout it needs.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PreparedFunction {
     /// Shared with the program's name index.
@@ -774,17 +789,13 @@ pub(crate) struct PreparedFunction {
     pub(crate) params: Box<[PReg]>,
     pub(crate) num_slots: usize,
     /// The flat per-instruction stream; every offset called an *enum pc*
-    /// indexes it (and `info` and `metered`, which run parallel to it).
+    /// indexes it (and `info`, which runs parallel to it).
     pub(crate) code: Vec<PInst>,
     /// What retiring each instruction of `code` costs.
     pub(crate) info: Vec<OpInfo>,
-    /// The metered stream: one unfused, unwelded record per instruction of
-    /// `code` (a placeholder for the kinds the metered loop has arms for).
-    pub(crate) metered: Vec<OpRecord>,
     /// Enum-stream offset of every block (one synthetic block if none).
     pub(crate) block_offsets: Vec<u32>,
     /// The threaded stream: fused and welded records with region prepayment.
-    /// Empty, like the two tables below, unless timing is flat.
     pub(crate) ops: Vec<OpRecord>,
     /// Per-op enum-stream span and fusion kind (disasm / accounting, cold).
     pub(crate) meta: Vec<OpMeta>,
@@ -825,7 +836,11 @@ impl PreparedProgram {
     ///
     /// All register indices, spill-slot indices, block targets and vector
     /// capabilities are validated here, **once**, so the execution loop never
-    /// re-checks them.
+    /// re-checks them. Every function is then lowered to the one threaded
+    /// record stream both timing tiers dispatch, which fixes what its
+    /// handlers rely on besides: every straight-line region ends in a control
+    /// instruction (a synthetic fall-off where the code has none), at the
+    /// region's first enum pc plus its instruction count less one.
     ///
     /// Validation is deliberately **eager and whole-program**: a malformed
     /// instruction fails deployment even if it sits in a function the
@@ -875,12 +890,7 @@ impl PreparedProgram {
         let mut scratch = dispatch::ThreadedScratch::default();
         for f in &program.functions {
             let mut pf = prepare_function(f, target, &layout, &by_name)?;
-            // Region prepayment sums static per-op cycle charges, which is
-            // only sound when cycles are a pure per-op accumulator: the
-            // pipelined tier runs the metered stream alone.
-            if target.timing == TimingKind::Flat {
-                dispatch::build_threaded(&mut pf, fuse, &mut fusion, &mut scratch);
-            }
+            dispatch::build_threaded(&mut pf, fuse, target.timing, &mut fusion, &mut scratch);
             functions.push(pf);
         }
         Ok(PreparedProgram {
@@ -932,12 +942,11 @@ impl PreparedProgram {
     /// This is the externally-pooled entry the engine and sweep workers use
     /// so frame allocations amortize across *runs*, not just across calls
     /// within one run. [`PreparedSimulator`] wraps it with an owned pool.
-    /// Under flat timing execution takes the threaded stream; fuel and
-    /// instruction counts are prepaid per straight-line region and the engine
-    /// deopts to the metered loop when a region's charge no longer fits the
-    /// budget, so behaviour is bit-identical to
-    /// [`PreparedProgram::run_metered`]. The pipelined tier is metered
-    /// throughout.
+    /// Execution takes the threaded stream under either timing tier; fuel
+    /// and instruction counts are prepaid per straight-line region and the
+    /// engine deopts to the metered loop when a region's charge no longer
+    /// fits the budget, so behaviour is bit-identical to
+    /// [`PreparedProgram::run_metered`].
     ///
     /// # Errors
     ///
@@ -955,9 +964,11 @@ impl PreparedProgram {
         self.run_top(func, args, mem, pool, fuel, stats, true)
     }
 
-    /// Execute `func` on the metered loop alone: per-record fuel and timing
-    /// over the 1:1 stream, never the threaded one: one column of the
-    /// differential suites.
+    /// Execute `func` on the metered loop alone: fuel, counters and timing
+    /// per instruction, never the threaded stream — one column of the
+    /// differential suites. This is the cold path: it is what a threaded run
+    /// falls back to when fuel runs low, it keeps no record stream of its
+    /// own, and it lowers each instruction's record as it reaches it.
     ///
     /// # Errors
     ///
@@ -981,7 +992,7 @@ impl PreparedProgram {
         args: &[MachineValue],
         mem: &mut [u8],
         pool: &mut FramePool,
-        fuel: u64,
+        mut fuel: u64,
         stats: &mut SimStats,
         threaded: bool,
     ) -> Result<Option<MachineValue>, SimError> {
@@ -990,41 +1001,30 @@ impl PreparedProgram {
             .function_index(func)
             .ok_or_else(|| SimError::UnknownFunction(func.to_owned()))?;
         match self.timing {
-            TimingKind::Flat => self.run_on(FlatCost, fi, args, mem, pool, fuel, stats, threaded),
-            // Region prepayment is flat-only: the pipelined tier is metered.
+            TimingKind::Flat => self.exec(fi, args, mem, pool, &mut fuel, 0, stats, None, threaded),
             TimingKind::InOrder => {
-                let tm = InOrderPipeline::new(&self.cost);
-                self.run_on(tm, fi, args, mem, pool, fuel, stats, false)
+                let mut tm = InOrderPipeline::new(&self.cost);
+                tm.ready = std::mem::take(&mut pool.scoreboard);
+                tm.ready.clear();
+                let pipe = Some(&mut tm);
+                let r = self.exec(fi, args, mem, pool, &mut fuel, 0, stats, pipe, threaded);
+                tm.finish(stats);
+                pool.scoreboard = tm.ready;
+                r
             }
         }
     }
 
+    /// Run function `fi` in a fresh frame, charging `pipe` if the run is
+    /// pipelined and flat costs if not: on the threaded stream when
+    /// `threaded`, deopting to the metered loop whenever a region's charge no
+    /// longer fits the remaining fuel, else metered from the first
+    /// instruction. Calls made from metered code stay metered all the way
+    /// down: once fuel is too low for region prepayment the whole remaining
+    /// execution runs per-instruction, which reproduces the legacy walk's
+    /// out-of-fuel point exactly.
     #[allow(clippy::too_many_arguments)]
-    fn run_on<T: TimingModel>(
-        &self,
-        mut tm: T,
-        fi: usize,
-        args: &[MachineValue],
-        mem: &mut [u8],
-        pool: &mut FramePool,
-        mut fuel: u64,
-        stats: &mut SimStats,
-        threaded: bool,
-    ) -> Result<Option<MachineValue>, SimError> {
-        let r = self.exec(fi, args, mem, pool, &mut fuel, 0, stats, &mut tm, threaded);
-        tm.finish(stats);
-        r
-    }
-
-    /// Run function `fi` in a fresh frame: on the threaded stream when
-    /// `threaded` (flat timing only; the caller has checked), deopting to the
-    /// metered loop whenever a region's charge no longer fits the remaining
-    /// fuel, else metered from the first instruction. Calls made from metered
-    /// code stay metered all the way down: once fuel is too low for region
-    /// prepayment the whole remaining execution runs per-instruction, which
-    /// reproduces the legacy walk's out-of-fuel point exactly.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec<T: TimingModel>(
+    pub(crate) fn exec(
         &self,
         fi: usize,
         args: &[MachineValue],
@@ -1033,7 +1033,7 @@ impl PreparedProgram {
         fuel: &mut u64,
         depth: usize,
         stats: &mut SimStats,
-        tm: &mut T,
+        pipe: Option<&mut InOrderPipeline>,
         threaded: bool,
     ) -> Result<Option<MachineValue>, SimError> {
         if depth > MAX_CALL_DEPTH {
@@ -1053,7 +1053,7 @@ impl PreparedProgram {
             f.num_slots,
         );
         let result = write_params(f, &mut frame, args).and_then(|()| {
-            let mut cx = ExecCtx::new(self, f, &mut frame, mem, pool, fuel, stats, depth);
+            let mut cx = ExecCtx::new(self, f, &mut frame, mem, pool, fuel, stats, depth, pipe);
             let mut start = 0;
             if threaded {
                 match dispatch::run_ops(&mut cx)? {
@@ -1061,20 +1061,26 @@ impl PreparedProgram {
                     Threaded::Deopt(enum_pc) => start = enum_pc as usize,
                 }
             }
-            self.run_metered_from(&mut cx, start, tm)
+            // The metered loop holds the timing model itself; with none left
+            // in `cx`, the handlers it runs charge nothing.
+            match cx.pipe.take() {
+                Some(tm) => self.run_metered_from(&mut cx, start, tm),
+                None => self.run_metered_from(&mut cx, start, &mut FlatCost),
+            }
         });
         pool.release(frame);
         result
     }
 
-    /// The metered loop: walk the 1:1 record stream from enum pc `pc`,
-    /// charging fuel and `stats.instructions` per record exactly like the
-    /// legacy block walk. It alternates between a straight-line run — as
-    /// many handlers as the fuel covers, back to back, then the [`OpInfo`]
-    /// rows of those that retired, in order — and the one record with an arm
-    /// that closes the run. The timing model only ever sees the order of
-    /// retirement, so charging a run after executing it is invisible.
-    fn run_metered_from<T: TimingModel>(
+    /// The metered loop: walk the enum stream from `pc`, charging fuel and
+    /// `stats.instructions` per instruction exactly like the legacy block
+    /// walk. It alternates between a straight-line run — as many handlers as
+    /// the fuel covers, back to back, each on a record lowered on the spot,
+    /// then the [`OpInfo`] rows of those that retired, in order — and the one
+    /// instruction with an arm that closes the run. The timing model only
+    /// ever sees the order of retirement, so charging a run after executing
+    /// it is invisible.
+    fn run_metered_from<T: Meter>(
         &self,
         cx: &mut ExecCtx<'_>,
         mut pc: usize,
@@ -1087,13 +1093,13 @@ impl PreparedProgram {
         if cx.pool.cancel_requested() {
             return Err(SimError::Cancelled);
         }
-        let (infos, records) = (f.info.as_slice(), f.metered.as_slice());
+        let infos = f.info.as_slice();
         loop {
-            // Every block ends in a record with an arm (`FellOff` where the
-            // code does not), so the scan stops inside the stream.
+            // Every block ends in an instruction with an arm (`FellOff` where
+            // the code does not), so the scan stops inside the stream.
             let run = infos[pc..].iter().take_while(|i| !i.has_arm()).count();
             let afforded = run.min(usize::try_from(*cx.fuel).unwrap_or(usize::MAX));
-            let (retired, trap) = cx.run_straight(&records[pc..pc + afforded], pc);
+            let (retired, trap) = cx.run_straight(&f.code[pc..pc + afforded], pc);
             charge_run(&infos[pc..pc + retired], cx.stats, tm);
             // A trapping instruction spent its fuel and counts as fetched.
             let fetched = (retired + usize::from(trap.is_some())) as u64;
@@ -1129,7 +1135,7 @@ impl PreparedProgram {
                     } else {
                         *if_false
                     };
-                    if let (_, Some(e)) = cx.run_straight(&records[pc..=pc], pc) {
+                    if let (_, Some(e)) = cx.run_straight(&f.code[pc..=pc], pc) {
                         return Err(e);
                     }
                     info.charge(cx.stats, tm, info.key_of(2, chosen));
@@ -1196,7 +1202,7 @@ impl PreparedProgram {
     /// Retire a call from metered code: build the arguments, charge the call,
     /// run the callee metered — calls made from metered code stay metered all
     /// the way down — and write its result back.
-    fn call_metered<T: TimingModel>(
+    fn call_metered<T: Meter>(
         &self,
         cx: &mut ExecCtx<'_>,
         call: &PCall,
@@ -1223,7 +1229,7 @@ impl PreparedProgram {
             cx.fuel,
             cx.depth + 1,
             cx.stats,
-            tm,
+            tm.pipe(),
             false,
         )?;
         cx.pool.give_argv(argv);
@@ -1236,13 +1242,11 @@ impl PreparedProgram {
     /// `splitc disasm`.
     pub fn disasm(&self) -> String {
         let mut out = String::new();
-        let threaded = self.timing == TimingKind::Flat;
         let _ = writeln!(
             out,
-            "; prepared program `{}` — {} function(s), dispatch: {}, fusion: {}",
+            "; prepared program `{}` — {} function(s), dispatch: threaded, fusion: {}",
             self.name,
             self.functions.len(),
-            if threaded { "threaded" } else { "metered" },
             if self.fused { "on" } else { "off" },
         );
         let fs = self.fusion;
@@ -1262,31 +1266,6 @@ impl PreparedProgram {
                 f.code.len(),
                 f.ops.len(),
             );
-            if !threaded {
-                // No threaded stream was built; dump the metered stream.
-                for (pc, inst) in f.code.iter().enumerate() {
-                    let block = f
-                        .block_offsets
-                        .iter()
-                        .position(|&o| o as usize == pc)
-                        .map(|b| format!("b{b}:"))
-                        .unwrap_or_default();
-                    // Under the pipelined model the charge doubles as the
-                    // op's result latency; name its latency class so the
-                    // stall attribution in `SimStats` can be traced per op.
-                    let lat = f.info[pc]
-                        .class
-                        .map(|c| format!(" ; lat {}", c.label()))
-                        .unwrap_or_default();
-                    let _ = writeln!(
-                        out,
-                        "  {block:>5} @{pc:<4} {:<60} ; cycles {}{lat}",
-                        pinst_text(inst),
-                        self.cost_text(f, pc)
-                    );
-                }
-                continue;
-            }
             for (pi, meta) in f.meta.iter().enumerate() {
                 let enum_pc = meta.enum_pc as usize;
                 // Block label + region charge when an op starts a region.
@@ -1318,11 +1297,24 @@ impl PreparedProgram {
                 // A `+` after the record index marks a pair opener: its
                 // handler also executes the record printed below it.
                 let pm = if meta.paired { "+" } else { " " };
+                // Under the pipelined model the charge doubles as the op's
+                // result latency; name its latency class so the stall
+                // attribution in `SimStats` can be traced per op.
+                let mut lat = String::new();
+                if self.timing == TimingKind::InOrder {
+                    let classes: Vec<&str> = f.info[span.clone()]
+                        .iter()
+                        .filter_map(|i| i.class.map(LatClass::label))
+                        .collect();
+                    if !classes.is_empty() {
+                        lat = format!(" ; lat {}", classes.join(" + "));
+                    }
+                }
                 match meta.fused {
                     FuseKind::None => {
                         let _ = writeln!(
                             out,
-                            "  {pi:>4}{pm}{at:<9} {:<58} ; cycles {}",
+                            "  {pi:>4}{pm}{at:<9} {:<58} ; cycles {}{lat}",
                             pinst_text(&f.code[enum_pc]),
                             self.cost_text(f, enum_pc)
                         );
@@ -1333,7 +1325,7 @@ impl PreparedProgram {
                         let costs: Vec<String> = span.map(|pc| self.cost_text(f, pc)).collect();
                         let _ = writeln!(
                             out,
-                            "  {pi:>4}{pm}{at:<9} fuse.{} {{ {} }} ; cycles {} ; fuel {}",
+                            "  {pi:>4}{pm}{at:<9} fuse.{} {{ {} }} ; cycles {}{lat} ; fuel {}",
                             kind.label(),
                             parts.join(" ; "),
                             costs.join(" + "),
@@ -1375,18 +1367,41 @@ fn bump_lanes(stats: &mut SimStats, lanes: u64) {
     stats.vector_ops += lane(4);
 }
 
-/// Charge the rows of a straight-line run that retired, in order. Out of
-/// line on purpose: as parameters `stats` and `tm` are known not to alias the
-/// table, so their counters stay in registers across the run.
+/// Retire the rows of a straight-line run on `tm`, in order. Out of line on
+/// purpose: as parameters `stats` and `tm` are known not to alias the table,
+/// so their counters stay in registers across the run.
 #[inline(never)]
+pub(crate) fn retire_run<T: TimingModel>(infos: &[OpInfo], stats: &mut SimStats, tm: &mut T) {
+    for info in infos {
+        info.retire(stats, tm, info.key(2));
+    }
+}
+
+/// The metered loop's charge for the rows of a straight-line run that
+/// retired: [`retire_run`], then the architectural counters a threaded
+/// region would have prepaid.
 fn charge_run<T: TimingModel>(infos: &[OpInfo], stats: &mut SimStats, tm: &mut T) {
+    retire_run(infos, stats, tm);
     for chunk in infos.chunks((1 << LANE_BITS) - 1) {
-        let mut lanes = 0;
-        for info in chunk {
-            info.retire(stats, tm, info.key(2));
-            lanes += info.counter_lanes();
-        }
-        bump_lanes(stats, lanes);
+        bump_lanes(stats, chunk.iter().map(OpInfo::counter_lanes).sum());
+    }
+}
+
+/// The two timing models the metered loop is instantiated for, as what a
+/// nested [`PreparedProgram::exec`] takes.
+trait Meter: TimingModel {
+    fn pipe(&mut self) -> Option<&mut InOrderPipeline>;
+}
+
+impl Meter for FlatCost {
+    fn pipe(&mut self) -> Option<&mut InOrderPipeline> {
+        None
+    }
+}
+
+impl Meter for InOrderPipeline {
+    fn pipe(&mut self) -> Option<&mut InOrderPipeline> {
+        Some(self)
     }
 }
 
@@ -1883,7 +1898,6 @@ fn prepare_function(
         params: params.into_boxed_slice(),
         num_slots: f.num_slots as usize,
         info: code.iter().map(|i| op_info(i, &target.cost)).collect(),
-        metered: code.iter().map(dispatch::lower_metered).collect(),
         code,
         block_offsets: offsets,
         ops: Vec::new(),
@@ -1942,8 +1956,8 @@ impl<'p> PreparedSimulator<'p> {
             .run(func, args, mem, &mut self.pool, self.fuel, &mut self.stats)
     }
 
-    /// Execute `func` on the metered per-instruction stream (the reference
-    /// loop the threaded path is differenced against).
+    /// Execute `func` on the metered per-instruction loop (the reference
+    /// the threaded path is differenced against).
     ///
     /// # Errors
     ///
@@ -3172,5 +3186,15 @@ mod tests {
             !unfused.disasm().contains("fuse."),
             "no fused spans expected"
         );
+        // One listing for both tiers: in-order regions prepay no cycles and
+        // every op names its latency class.
+        assert!(!text.contains("; lat "), "{text}");
+        let in_order = target.with_timing(TimingKind::InOrder);
+        let text = PreparedProgram::prepare(&p, &in_order).unwrap().disasm();
+        assert!(text.contains("dispatch: threaded"), "{text}");
+        assert!(text.contains("fuse.indvar4"), "{text}");
+        assert!(text.contains("prepaid 0 cycles)"), "{text}");
+        assert!(text.contains("; lat alu + mov + alu ; fuel 4"), "{text}");
+        assert!(text.matches("prepaid").count() == text.matches("prepaid 0 ").count());
     }
 }

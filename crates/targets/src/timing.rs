@@ -13,8 +13,12 @@
 //!
 //! The contract every model must honour: **timing never changes
 //! architecture**. Models receive the resolved cycle charge and the operand
-//! registers of each retiring instruction but cannot observe or influence
-//! values, memory, traps or control flow — so results, memory images and all
+//! registers of each retiring instruction, in program order, but cannot
+//! observe or influence values, memory, traps or control flow. That is also
+//! all they can observe — the *order* of retirement, not when the host
+//! executed what — which is what lets the prepared executors run a whole
+//! straight-line region first and retire its instructions on the model
+//! afterwards, when the region closes. So results, memory images and all
 //! architectural counters (`instructions`, `loads`, `stores`, spills,
 //! `branches`, `vector_ops`) are bit-identical across models, and only the
 //! timing-class counters (`cycles`, `stalls`, `mispredicts`, `predicted`)
@@ -141,13 +145,13 @@ impl LatClass {
 
 /// One timing model: the sink for every cycle charge an execution path makes.
 ///
-/// The executors call exactly one method per retiring instruction, at the
-/// same point they previously charged `stats.cycles` directly, passing the
-/// cost already resolved from the target's [`CostModel`] (or baked into the
-/// prepared stream). Register operands are passed as packed scoreboard keys —
-/// `(index << 1) | float_bit`, or [`NO_REG`] for untracked operands — so the
-/// flat model can ignore them at zero cost while the pipeline scoreboards
-/// them.
+/// The executors call exactly one method per retiring instruction, in
+/// program order (the legacy walk as each retires, the prepared executors a
+/// straight-line run at a time), passing the cost already resolved from the
+/// target's [`CostModel`]. Register operands are passed as packed scoreboard
+/// keys — `(index << 1) | float_bit`, or [`NO_REG`] for untracked operands —
+/// so the flat model can ignore them at zero cost while the pipeline
+/// scoreboards them.
 ///
 /// Models mutate only the timing-class counters of [`SimStats`] (`cycles`,
 /// `stalls`, `mispredicts`, `predicted`); all architectural counters stay
@@ -252,8 +256,10 @@ pub struct InOrderPipeline {
     /// Latest outstanding writeback (drained by calls and `finish`).
     horizon: u64,
     /// Earliest issue cycle at which each scoreboard key's value is ready;
-    /// lazily grown, missing keys are ready immediately.
-    ready: Vec<u64>,
+    /// lazily grown, missing keys are ready immediately. A prepared run
+    /// lends it the table its `FramePool` keeps, so growing it allocates on
+    /// a pool's first runs only.
+    pub(crate) ready: Vec<u64>,
     /// 2-bit saturating counters, initialized weakly-not-taken.
     bht: [u8; BHT_SIZE],
     /// Front-end refill cost of a mispredicted conditional branch.
@@ -298,8 +304,8 @@ impl InOrderPipeline {
 }
 
 impl TimingModel for InOrderPipeline {
-    // Inlined into the metered loop's charge pass, where `now` and the
-    // counters then stay in registers across a straight-line run.
+    // Inlined into the executors' row walks (`retire_run`), where `now` and
+    // the counters then stay in registers across a straight-line run.
     #[inline]
     fn op(&mut self, stats: &mut SimStats, class: LatClass, cost: u64, dst: u32, a: u32, b: u32) {
         let seq = self.now + 1;

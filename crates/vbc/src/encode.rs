@@ -11,7 +11,8 @@
 //! they can be truncated, corrupted or version-skewed between the process
 //! that wrote them and the one that reads them. Every length is
 //! overflow-checked, every LEB128 terminator is validated for canonicality
-//! (non-canonical encodings would let two byte strings alias one value),
+//! (an overflowing or a padded encoding would let two byte strings alias one
+//! value, and module identity is the encoding),
 //! and a decode only succeeds if it consumes the buffer *exactly* —
 //! trailing bytes are rejected, so a concatenated or padded entry can never
 //! decode silently. Register and block numbers are 32-bit on both sides of
@@ -281,17 +282,20 @@ impl<'a> Reader<'a> {
     /// Read an unsigned LEB128 integer.
     ///
     /// Rejects non-canonical encodings: a final byte whose bits would be
-    /// shifted past bit 63 is an error, never silently truncated. (The
-    /// historical decoder kept only the low bit of a 10th byte, so e.g.
-    /// `ff…ff 03` aliased to the same value as `ff…ff 01` — two distinct
-    /// byte strings decoding to one integer, which breaks every consumer
-    /// that equates encodings with values, fingerprinting included.)
+    /// shifted past bit 63 is an error, never silently truncated, and so is
+    /// a multi-byte encoding whose final byte adds no bits (`80 00` for 0).
+    /// (The historical decoder kept only the low bit of a 10th byte, so e.g.
+    /// `ff…ff 03` aliased to the same value as `ff…ff 01`, and it took any
+    /// padding — two distinct byte strings decoding to one integer, which
+    /// breaks every consumer that equates encodings with values: module
+    /// identity is the encoding.) [`Writer::uleb`] only emits the minimal
+    /// form.
     ///
     /// # Errors
     ///
     /// Returns [`DecodeError::UnexpectedEof`] on truncation, or
-    /// [`DecodeError::BadTag`] if the value overflows 64 bits or the final
-    /// byte carries discarded bits.
+    /// [`DecodeError::BadTag`] if the value overflows 64 bits, the final
+    /// byte carries discarded bits, or the encoding is padded.
     #[inline]
     pub fn uleb(&mut self) -> Result<u64, DecodeError> {
         // Register numbers, tags and most counts fit seven bits. A lone byte
@@ -324,6 +328,14 @@ impl<'a> Reader<'a> {
             }
             out |= bits << shift;
             if b & 0x80 == 0 {
+                // The first byte continued (or this is not the multi-byte
+                // path), so a final byte without payload is padding.
+                if bits == 0 {
+                    return Err(DecodeError::BadTag {
+                        what: "non-minimal LEB128",
+                        tag: b,
+                    });
+                }
                 return Ok(out);
             }
             shift += 7;
@@ -1239,11 +1251,48 @@ mod tests {
         // A continuation byte with nothing after it, and nothing at all.
         assert_eq!(read(&[0x80]), Err(DecodeError::UnexpectedEof));
         assert_eq!(read(&[]), Err(DecodeError::UnexpectedEof));
-        // Padded (non-minimal) encodings have always been accepted — only
-        // bits shifted past bit 63 are rejected — and still are: `80 00`
-        // reads as 0, exactly like `00`.
-        assert_eq!(read(&[0x80, 0x00]), Ok((0, 2)));
+        // A padded (non-minimal) encoding is a second byte string for the
+        // same integer: `80 00` must not read as 0 the way `00` does, however
+        // long the padding.
+        let padded = Err(DecodeError::BadTag {
+            what: "non-minimal LEB128",
+            tag: 0,
+        });
+        assert_eq!(read(&[0x80, 0x00]), padded);
+        assert_eq!(read(&[0xff, 0x80, 0x00]), padded);
+        assert_eq!(read(&[0x80, 0x80, 0x80, 0x00]), padded);
         assert_eq!(read(&[0x00]), Ok((0, 1)));
+        // A zero byte in the middle is payload, not padding.
+        assert_eq!(read(&[0x80, 0x80, 0x01]), Ok((1 << 14, 3)));
+    }
+
+    #[test]
+    fn sleb_rejects_padded_encodings_too() {
+        let read = |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            r.sleb().map(|v| (v, r.pos()))
+        };
+        // Signed integers are zigzag over `uleb`: −1 is `01`, and its padded
+        // twin `81 00` is rejected; `ff 7f` is the minimal form of −8192.
+        assert_eq!(read(&[0x01]), Ok((-1, 1)));
+        assert!(matches!(
+            read(&[0x81, 0x00]),
+            Err(DecodeError::BadTag {
+                what: "non-minimal LEB128",
+                ..
+            })
+        ));
+        assert_eq!(read(&[0xff, 0x7f]), Ok((-8192, 2)));
+        // Everything the writer emits is minimal, at every length.
+        for shift in 0..64 {
+            let p = 1i64 << shift;
+            for v in [p, p.wrapping_neg(), p.wrapping_sub(1)] {
+                let mut w = Writer::new();
+                w.sleb(v);
+                let bytes = w.into_bytes();
+                assert_eq!(read(&bytes), Ok((v, bytes.len())), "{v}");
+            }
+        }
     }
 
     /// The bytes of a module `m` holding one void function `f` with two

@@ -9,7 +9,7 @@ use splitc_opt::{optimize_module, OptOptions};
 use splitc_runtime::{choose_core, Platform};
 use splitc_targets::{SimStats, TargetDesc};
 use splitc_vbc::{decode_module, encode_module, keys, verify_module};
-use splitc_workloads::{all_kernels, full_module, table1_kernels};
+use splitc_workloads::{all_kernels, full_module, module_for, table1_kernels};
 
 #[test]
 fn the_full_suite_survives_the_wire_format_and_compiles_everywhere() {
@@ -21,6 +21,17 @@ fn the_full_suite_survives_the_wire_format_and_compiles_everywhere() {
     let wire = encode_module(&module);
     let received = decode_module(&wire).expect("decodes");
     assert_eq!(received, module, "the wire format is lossless");
+    // The writer emits minimal LEB128 only, which is all the reader takes:
+    // every catalogue module — the suite, and each kernel alone — decodes
+    // and re-encodes byte for byte.
+    assert_eq!(encode_module(&received), wire);
+    for kernel in all_kernels() {
+        let mut alone = module_for(std::slice::from_ref(&kernel), kernel.name).expect("compiles");
+        optimize_module(&mut alone, &OptOptions::full());
+        let wire = encode_module(&alone);
+        let received = decode_module(&wire).unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
+        assert_eq!(encode_module(&received), wire, "{}", kernel.name);
+    }
     assert_eq!(
         received.annotations.get_bool(keys::OFFLINE_OPTIMIZED),
         Some(true)

@@ -41,17 +41,15 @@ const DECODE_ALLOCATIONS_BUDGET: u64 = 540;
 /// site (the boxed call record and its argument list).
 ///
 /// Per program: the name index, the function list and the program's name.
-/// Per function, in-order timing keeps six vectors (the name, the
-/// parameters, the block offsets, `code`, `info`, `metered`) — that bound is
-/// met with equality when every function has parameters — and flat timing
-/// three more (`ops`, `meta`, `targets`), plus at most one growth of each of
-/// the threaded builder's two scratch tables when a function is the largest
-/// so far (the catalogue measures 9.5 per function all told; the parent of
-/// the change that set the gate measured 29.8, growing every table from
-/// empty).
+/// Per function, under either timing tier, eight vectors are kept (the name,
+/// the parameters, the block offsets, `code`, `info`, `ops`, `meta`,
+/// `targets`), plus at most one growth of each of the threaded builder's two
+/// scratch tables when a function is the largest so far (the catalogue
+/// measures 8.4 per function all told, the module with calls 9.7; with a
+/// second 1:1 record stream per function the ceiling was 11, and growing
+/// every table from empty measured 29.8).
 const PREPARE_ALLOCATIONS_PER_PROGRAM: u64 = 3;
-const IN_ORDER_PREPARE_ALLOCATIONS_PER_FUNCTION: u64 = 6;
-const FLAT_PREPARE_ALLOCATIONS_PER_FUNCTION: u64 = 11;
+const PREPARE_ALLOCATIONS_PER_FUNCTION: u64 = 10;
 
 /// The optimized 17-kernel catalogue module, as the offline step ships it.
 fn catalogue() -> Module {
@@ -105,10 +103,6 @@ fn module_with_calls() -> Module {
 /// Prepare `module` for every preset under `timing`; returns the summed
 /// allocations of `prepare_with` and the gate they must stay under.
 fn prepare_everywhere(module: &Module, timing: TimingKind) -> (u64, u64) {
-    let per_function = match timing {
-        TimingKind::Flat => FLAT_PREPARE_ALLOCATIONS_PER_FUNCTION,
-        TimingKind::InOrder => IN_ORDER_PREPARE_ALLOCATIONS_PER_FUNCTION,
-    };
     let (mut allocations, mut gate) = (0, 0);
     for mut target in TargetDesc::presets() {
         target.timing = timing;
@@ -126,7 +120,7 @@ fn prepare_everywhere(module: &Module, timing: TimingKind) -> (u64, u64) {
             .filter(|i| matches!(i, MInst::Call { .. }))
             .count() as u64;
         gate += PREPARE_ALLOCATIONS_PER_PROGRAM
-            + per_function * program.functions.len() as u64
+            + PREPARE_ALLOCATIONS_PER_FUNCTION * program.functions.len() as u64
             + 2 * calls;
     }
     (allocations, gate)

@@ -341,17 +341,25 @@ fn frame_pool_reuse_across_repeats_never_changes_results() {
 fn executed_vector_spills_do_not_allocate_once_the_pool_is_warm() {
     // `horner_f32` on x86-sse keeps more vectors live than the machine has
     // vector registers, so its loop body spills and reloads vectors on every
-    // iteration. The first run sizes the recycled frame; from the second run
-    // on, neither dispatch loop may touch the allocator.
+    // iteration. The first run sizes the recycled frame — and, under in-order
+    // timing, the pipeline's scoreboard table, which the pool keeps; from the
+    // second run on, neither dispatch loop may touch the allocator under
+    // either timing tier.
     let kernel = kernel("horner_f32").expect("horner_f32 is in the catalogue");
     let mut module =
         module_for(std::slice::from_ref(&kernel), kernel.name).expect("kernel compiles");
     optimize_module(&mut module, &OptOptions::full());
-    let target = TargetDesc::x86_sse();
-    let (program, _jit) = compile_module(&module, &target, &JitOptions::split()).unwrap();
-    let prepared = PreparedProgram::prepare(&program, &target).unwrap();
+    let flat = TargetDesc::x86_sse();
+    let (program, _jit) = compile_module(&module, &flat, &JitOptions::split()).unwrap();
+    let in_order = flat.clone().with_timing(TimingKind::InOrder);
 
-    for metered in [false, true] {
+    for (target, metered) in [
+        (&flat, false),
+        (&flat, true),
+        (&in_order, false),
+        (&in_order, true),
+    ] {
+        let prepared = PreparedProgram::prepare(&program, target).unwrap();
         let mut sim = PreparedSimulator::new(&prepared);
         let run = |sim: &mut PreparedSimulator<'_>| {
             let mut ws = Workspace::new(1 << 16);
@@ -372,9 +380,10 @@ fn executed_vector_spills_do_not_allocate_once_the_pool_is_warm() {
             first_stats.spill_stores > 0 && first_stats.vector_ops > 0,
             "the kernel must actually spill vectors: {first_stats:?}"
         );
-        assert_eq!(second_allocations, 0, "metered: {metered}");
-        assert_eq!(second_stats, first_stats, "metered: {metered}");
-        assert_eq!(second_sum, first_sum, "metered: {metered}");
+        let path = format!("{:?}, metered: {metered}", target.timing);
+        assert_eq!(second_allocations, 0, "{path}");
+        assert_eq!(second_stats, first_stats, "{path}");
+        assert_eq!(second_sum, first_sum, "{path}");
     }
 }
 
