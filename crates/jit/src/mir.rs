@@ -141,6 +141,315 @@ mod tests {
         out
     }
 
+    /// One instance of every `MInst` variant with every register operand
+    /// distinct, beside the registers it reads (in operand order) and the one
+    /// it defines.
+    fn every_variant() -> Vec<(MInst, Vec<PReg>, Option<PReg>)> {
+        use splitc_targets::{CmpPred, FpuOp, RedOp};
+        let (r, f, v) = (PReg::int, PReg::float, PReg::vec);
+        let (w, yes) = (Width::W32, true);
+        let (dst, src, lhs, rhs) = (r(1), r(2), r(3), r(4));
+        vec![
+            (MInst::Imm { dst, value: -7 }, vec![], Some(dst)),
+            (
+                MInst::FImm {
+                    dst: f(1),
+                    value: 0.5,
+                },
+                vec![],
+                Some(f(1)),
+            ),
+            (MInst::Mov { dst, src }, vec![src], Some(dst)),
+            (
+                MInst::IntOp {
+                    op: AluOp::Sub,
+                    width: w,
+                    signed: yes,
+                    dst,
+                    lhs,
+                    rhs,
+                },
+                vec![lhs, rhs],
+                Some(dst),
+            ),
+            (
+                MInst::FloatOp {
+                    op: FpuOp::Div,
+                    double: yes,
+                    dst: f(1),
+                    lhs: f(3),
+                    rhs: f(4),
+                },
+                vec![f(3), f(4)],
+                Some(f(1)),
+            ),
+            (MInst::IntNeg { width: w, dst, src }, vec![src], Some(dst)),
+            (MInst::IntNot { width: w, dst, src }, vec![src], Some(dst)),
+            (
+                MInst::FloatNeg {
+                    double: yes,
+                    dst: f(1),
+                    src: f(2),
+                },
+                vec![f(2)],
+                Some(f(1)),
+            ),
+            (
+                MInst::IntCmp {
+                    pred: CmpPred::Lt,
+                    width: w,
+                    signed: yes,
+                    dst,
+                    lhs,
+                    rhs,
+                },
+                vec![lhs, rhs],
+                Some(dst),
+            ),
+            (
+                MInst::FloatCmp {
+                    pred: CmpPred::Ge,
+                    double: yes,
+                    dst,
+                    lhs: f(3),
+                    rhs: f(4),
+                },
+                vec![f(3), f(4)],
+                Some(dst),
+            ),
+            (
+                MInst::Select {
+                    dst: f(1),
+                    cond: r(5),
+                    if_true: f(6),
+                    if_false: f(7),
+                },
+                vec![r(5), f(6), f(7)],
+                Some(f(1)),
+            ),
+            (
+                MInst::IntToFloat {
+                    signed: yes,
+                    double: yes,
+                    dst: f(1),
+                    src,
+                },
+                vec![src],
+                Some(f(1)),
+            ),
+            (
+                MInst::FloatToInt {
+                    width: w,
+                    signed: yes,
+                    dst,
+                    src: f(2),
+                },
+                vec![f(2)],
+                Some(dst),
+            ),
+            (
+                MInst::FloatCvt {
+                    to_double: yes,
+                    dst: f(1),
+                    src: f(2),
+                },
+                vec![f(2)],
+                Some(f(1)),
+            ),
+            (
+                MInst::IntResize {
+                    width: w,
+                    signed: yes,
+                    dst,
+                    src,
+                },
+                vec![src],
+                Some(dst),
+            ),
+            (
+                MInst::Load {
+                    width: w,
+                    float: yes,
+                    signed: false,
+                    dst: f(1),
+                    base: r(8),
+                    offset: 16,
+                },
+                vec![r(8)],
+                Some(f(1)),
+            ),
+            (
+                MInst::Store {
+                    width: w,
+                    float: yes,
+                    base: r(8),
+                    offset: -16,
+                    src: f(2),
+                },
+                vec![r(8), f(2)],
+                None,
+            ),
+            (
+                MInst::VecLoad {
+                    dst: v(1),
+                    base: r(8),
+                    offset: 32,
+                },
+                vec![r(8)],
+                Some(v(1)),
+            ),
+            (
+                MInst::VecStore {
+                    base: r(8),
+                    offset: 32,
+                    src: v(2),
+                },
+                vec![r(8), v(2)],
+                None,
+            ),
+            (
+                MInst::VecSplatInt {
+                    elem: w,
+                    dst: v(1),
+                    src,
+                },
+                vec![src],
+                Some(v(1)),
+            ),
+            (
+                MInst::VecSplatFloat {
+                    elem: w,
+                    dst: v(1),
+                    src: f(2),
+                },
+                vec![f(2)],
+                Some(v(1)),
+            ),
+            (
+                MInst::VecIntOp {
+                    op: AluOp::Max,
+                    elem: w,
+                    signed: yes,
+                    dst: v(1),
+                    lhs: v(3),
+                    rhs: v(4),
+                },
+                vec![v(3), v(4)],
+                Some(v(1)),
+            ),
+            (
+                MInst::VecFloatOp {
+                    op: FpuOp::Mul,
+                    elem: w,
+                    dst: v(1),
+                    lhs: v(3),
+                    rhs: v(4),
+                },
+                vec![v(3), v(4)],
+                Some(v(1)),
+            ),
+            (
+                MInst::VecReduceInt {
+                    op: RedOp::Min,
+                    elem: w,
+                    signed: yes,
+                    dst,
+                    src: v(2),
+                },
+                vec![v(2)],
+                Some(dst),
+            ),
+            (
+                MInst::VecReduceFloat {
+                    op: RedOp::Add,
+                    elem: w,
+                    dst: f(1),
+                    src: v(2),
+                },
+                vec![v(2)],
+                Some(f(1)),
+            ),
+            (MInst::Spill { slot: 3, src }, vec![src], None),
+            (MInst::Reload { slot: 3, dst }, vec![], Some(dst)),
+            (MInst::Jump { target: 2 }, vec![], None),
+            (
+                MInst::BranchNz {
+                    cond: r(5),
+                    then_target: 1,
+                    else_target: 2,
+                },
+                vec![r(5)],
+                None,
+            ),
+            (
+                MInst::Call {
+                    callee: "g".into(),
+                    args: vec![r(9), f(9), r(2)],
+                    ret: Some(f(1)),
+                },
+                vec![r(9), f(9), r(2)],
+                Some(f(1)),
+            ),
+            (
+                MInst::Call {
+                    callee: "g".into(),
+                    args: vec![],
+                    ret: None,
+                },
+                vec![],
+                None,
+            ),
+            (MInst::Ret { value: Some(f(2)) }, vec![f(2)], None),
+            (MInst::Ret { value: None }, vec![], None),
+        ]
+    }
+
+    #[test]
+    fn every_variant_reports_its_uses_in_operand_order_and_its_definition() {
+        let table = every_variant();
+        let kinds: std::collections::HashSet<_> = table
+            .iter()
+            .map(|(inst, ..)| std::mem::discriminant(inst))
+            .collect();
+        assert_eq!(kinds.len(), 31, "one row per MInst variant");
+        for (inst, reads, defines) in table {
+            assert_eq!(uses(&inst), reads, "{inst:?}");
+            assert_eq!(def(&inst), defines, "{inst:?}");
+            // The rewriting walks visit the same operands in the same order,
+            // and never the other kind.
+            let mut rewritten = inst.clone();
+            let mut seen = Vec::new();
+            for_each_use_mut(&mut rewritten, |r| {
+                seen.push(*r);
+                r.index += 100;
+            });
+            assert_eq!(seen, reads, "{inst:?}");
+            assert_eq!(def(&rewritten), defines, "{inst:?}");
+            let moved: Vec<PReg> = reads
+                .iter()
+                .map(|r| PReg {
+                    index: r.index + 100,
+                    ..*r
+                })
+                .collect();
+            assert_eq!(uses(&rewritten), moved, "{inst:?}");
+            let mut renamed = inst.clone();
+            assert_eq!(def_mut(&mut renamed).copied(), defines, "{inst:?}");
+            if let Some(d) = def_mut(&mut renamed) {
+                d.index += 100;
+            }
+            assert_eq!(uses(&renamed), reads, "{inst:?}");
+            assert_eq!(
+                def(&renamed),
+                defines.map(|d| PReg {
+                    index: d.index + 100,
+                    ..d
+                }),
+                "{inst:?}"
+            );
+        }
+    }
+
     #[test]
     fn def_use_and_rewrite_cover_alu() {
         let mut i = MInst::IntOp {

@@ -831,6 +831,203 @@ mod tests {
         assert_eq!(i.uses(), vec![VReg(11), VReg(12), VReg(13)]);
     }
 
+    /// One instance of every `Inst` variant with every register operand
+    /// distinct, beside the registers it reads (in operand order) and the one
+    /// it defines.
+    fn every_variant() -> Vec<(Inst, Vec<VReg>, Option<VReg>)> {
+        let ty = ScalarType::I32;
+        let (dst, src, lhs, rhs) = (VReg(1), VReg(2), VReg(3), VReg(4));
+        let (addr, value) = (VReg(5), VReg(6));
+        vec![
+            (
+                Inst::Const {
+                    dst,
+                    ty,
+                    imm: Immediate::Int(7),
+                },
+                vec![],
+                Some(dst),
+            ),
+            (Inst::Move { dst, ty, src }, vec![src], Some(dst)),
+            (
+                Inst::Bin {
+                    op: BinOp::Sub,
+                    ty,
+                    dst,
+                    lhs,
+                    rhs,
+                },
+                vec![lhs, rhs],
+                Some(dst),
+            ),
+            (
+                Inst::Un {
+                    op: UnOp::Not,
+                    ty,
+                    dst,
+                    src,
+                },
+                vec![src],
+                Some(dst),
+            ),
+            (
+                Inst::Cmp {
+                    op: CmpOp::Le,
+                    ty,
+                    dst,
+                    lhs,
+                    rhs,
+                },
+                vec![lhs, rhs],
+                Some(dst),
+            ),
+            (
+                Inst::Select {
+                    ty,
+                    dst,
+                    cond: VReg(7),
+                    if_true: VReg(8),
+                    if_false: VReg(9),
+                },
+                vec![VReg(7), VReg(8), VReg(9)],
+                Some(dst),
+            ),
+            (
+                Inst::Cast {
+                    dst,
+                    to: ScalarType::F64,
+                    src,
+                    from: ty,
+                },
+                vec![src],
+                Some(dst),
+            ),
+            (
+                Inst::Load {
+                    dst,
+                    ty,
+                    addr,
+                    offset: 8,
+                },
+                vec![addr],
+                Some(dst),
+            ),
+            (
+                Inst::Store {
+                    ty,
+                    addr,
+                    offset: -8,
+                    value,
+                },
+                vec![addr, value],
+                None,
+            ),
+            (
+                Inst::Call {
+                    dst: Some(dst),
+                    callee: "g".into(),
+                    args: vec![VReg(9), VReg(2), VReg(9)],
+                },
+                vec![VReg(9), VReg(2), VReg(9)],
+                Some(dst),
+            ),
+            (
+                Inst::Call {
+                    dst: None,
+                    callee: "g".into(),
+                    args: vec![],
+                },
+                vec![],
+                None,
+            ),
+            (Inst::VecWidth { dst, elem: ty }, vec![], Some(dst)),
+            (Inst::VecSplat { dst, elem: ty, src }, vec![src], Some(dst)),
+            (
+                Inst::VecLoad {
+                    dst,
+                    elem: ty,
+                    addr,
+                    offset: 16,
+                },
+                vec![addr],
+                Some(dst),
+            ),
+            (
+                Inst::VecStore {
+                    elem: ty,
+                    addr,
+                    offset: 16,
+                    value,
+                },
+                vec![addr, value],
+                None,
+            ),
+            (
+                Inst::VecBin {
+                    op: BinOp::Max,
+                    elem: ty,
+                    dst,
+                    lhs,
+                    rhs,
+                },
+                vec![lhs, rhs],
+                Some(dst),
+            ),
+            (
+                Inst::VecReduce {
+                    op: ReduceOp::Min,
+                    elem: ty,
+                    dst,
+                    src,
+                },
+                vec![src],
+                Some(dst),
+            ),
+            (Inst::Jump { target: BlockId(3) }, vec![], None),
+            (
+                Inst::Branch {
+                    cond: VReg(7),
+                    then_bb: BlockId(1),
+                    else_bb: BlockId(2),
+                },
+                vec![VReg(7)],
+                None,
+            ),
+            (Inst::Ret { value: Some(value) }, vec![value], None),
+            (Inst::Ret { value: None }, vec![], None),
+        ]
+    }
+
+    #[test]
+    fn every_variant_reports_its_uses_in_operand_order_and_its_definition() {
+        let table = every_variant();
+        let kinds: std::collections::HashSet<_> = table
+            .iter()
+            .map(|(inst, ..)| std::mem::discriminant(inst))
+            .collect();
+        assert_eq!(kinds.len(), 19, "one row per Inst variant");
+        for (inst, reads, defines) in table {
+            assert_eq!(inst.uses(), reads, "{inst:?}");
+            assert_eq!(inst.dst(), defines, "{inst:?}");
+            // `rewrite_regs` hands over the definition first, then the uses
+            // in operand order, and stores what the closure answers.
+            let mut rewritten = inst.clone();
+            let mut seen = Vec::new();
+            rewritten.rewrite_regs(|r| {
+                seen.push(r);
+                VReg(r.0 + 100)
+            });
+            let expected: Vec<VReg> = defines.iter().chain(&reads).copied().collect();
+            assert_eq!(seen, expected, "{inst:?}");
+            let moved = |r: &VReg| VReg(r.0 + 100);
+            assert_eq!(
+                rewritten.uses(),
+                reads.iter().map(moved).collect::<Vec<_>>()
+            );
+            assert_eq!(rewritten.dst(), defines.as_ref().map(moved), "{inst:?}");
+        }
+    }
+
     #[test]
     fn cmp_negation_is_involutive_and_swapping_consistent() {
         for op in CmpOp::ALL {
