@@ -7,128 +7,96 @@
 //! to a visitor in operand order, a `Call`'s argument list is walked where it
 //! lies.
 
-use splitc_targets::{MInst, PReg};
+use splitc_targets::{minst_shapes, MInst, PReg};
 
-/// Apply `$f` to every register `$inst` reads, in operand order. `$inst` may
-/// be a `&MInst` (operands arrive as `&PReg`) or a `&mut MInst` (`&mut PReg`):
-/// one operand table serves both the read-only and the rewriting visitor.
-macro_rules! visit_uses {
-    ($inst:expr, $f:ident) => {
-        match $inst {
-            MInst::Imm { .. } | MInst::FImm { .. } | MInst::Jump { .. } | MInst::Reload { .. } => {}
-            MInst::Mov { src, .. }
-            | MInst::IntNeg { src, .. }
-            | MInst::IntNot { src, .. }
-            | MInst::FloatNeg { src, .. }
-            | MInst::IntToFloat { src, .. }
-            | MInst::FloatToInt { src, .. }
-            | MInst::FloatCvt { src, .. }
-            | MInst::IntResize { src, .. }
-            | MInst::VecSplatInt { src, .. }
-            | MInst::VecSplatFloat { src, .. }
-            | MInst::VecReduceInt { src, .. }
-            | MInst::VecReduceFloat { src, .. }
-            | MInst::Spill { src, .. } => $f(src),
-            MInst::IntOp { lhs, rhs, .. }
-            | MInst::FloatOp { lhs, rhs, .. }
-            | MInst::IntCmp { lhs, rhs, .. }
-            | MInst::FloatCmp { lhs, rhs, .. }
-            | MInst::VecIntOp { lhs, rhs, .. }
-            | MInst::VecFloatOp { lhs, rhs, .. } => {
-                $f(lhs);
-                $f(rhs);
+/// Hand `$x`, a field of role `$role`, to `$f` once per register it reads.
+/// Works on `&` and `&mut` bindings alike (operands arrive as `&PReg` or
+/// `&mut PReg`), so one rule set serves the read-only and the rewriting walk.
+macro_rules! visit_use {
+    (use $x:ident $f:ident) => {
+        $f($x)
+    };
+    (ouse $x:ident $f:ident) => {
+        if let Some(r) = $x {
+            $f(r)
+        }
+    };
+    (uses $x:ident $f:ident) => {
+        for r in $x {
+            $f(r)
+        }
+    };
+    ($other:ident $x:ident $f:ident) => {};
+}
+
+/// `$found` unless `$x`, a field of role `$role`, is the definition.
+macro_rules! or_def {
+    (def $x:ident $found:ident) => {
+        Some($x)
+    };
+    (odef $x:ident $found:ident) => {
+        $x.into()
+    };
+    ($other:ident $x:ident $found:ident) => {
+        $found
+    };
+}
+
+/// The four walks, generated from the rows of `minst_shapes!`: uses are
+/// visited in row (= operand) order.
+macro_rules! walks {
+    ($($tag:literal $variant:ident {
+        $($role:ident $(($($class:tt)+))? $field:ident),*
+    })*) => {
+        /// Call `f` on every register read by `inst`, in operand order.
+        #[allow(unused_variables)]
+        pub(crate) fn for_each_use(inst: &MInst, mut f: impl FnMut(PReg)) {
+            let mut visit = |r: &PReg| f(*r);
+            match inst {
+                $(MInst::$variant { $($field),* } => {
+                    $(visit_use!($role $field visit);)*
+                })*
             }
-            MInst::Select {
-                cond,
-                if_true,
-                if_false,
-                ..
-            } => {
-                $f(cond);
-                $f(if_true);
-                $f(if_false);
+        }
+
+        /// Call `f` on every *use* operand of `inst`, in operand order, for
+        /// rewriting in place (the definition is untouched).
+        #[allow(unused_variables)]
+        pub(crate) fn for_each_use_mut(inst: &mut MInst, mut f: impl FnMut(&mut PReg)) {
+            match inst {
+                $(MInst::$variant { $($field),* } => {
+                    $(visit_use!($role $field f);)*
+                })*
             }
-            MInst::Load { base, .. } | MInst::VecLoad { base, .. } => $f(base),
-            MInst::Store { base, src, .. } | MInst::VecStore { base, src, .. } => {
-                $f(base);
-                $f(src);
+        }
+
+        /// The register defined by a machine instruction, if any.
+        #[allow(unused_variables)]
+        pub(crate) fn def(inst: &MInst) -> Option<PReg> {
+            match inst {
+                $(MInst::$variant { $($field),* } => {
+                    let found: Option<&PReg> = None;
+                    $(let found: Option<&PReg> = or_def!($role $field found);)*
+                    found.copied()
+                })*
             }
-            MInst::BranchNz { cond, .. } => $f(cond),
-            MInst::Call { args, .. } => {
-                for a in args {
-                    $f(a);
-                }
-            }
-            MInst::Ret { value } => {
-                if let Some(v) = value {
-                    $f(v);
-                }
+        }
+
+        /// The *definition* operand of `inst`, if it has one, for rewriting
+        /// in place.
+        #[allow(unused_variables)]
+        pub(crate) fn def_mut(inst: &mut MInst) -> Option<&mut PReg> {
+            match inst {
+                $(MInst::$variant { $($field),* } => {
+                    let found: Option<&mut PReg> = None;
+                    $(let found: Option<&mut PReg> = or_def!($role $field found);)*
+                    found
+                })*
             }
         }
     };
 }
-
-/// The register `$inst` defines, if any, as an `Option` of a reference with
-/// the mutability of `$inst`.
-macro_rules! def_operand {
-    ($inst:expr) => {
-        match $inst {
-            MInst::Imm { dst, .. }
-            | MInst::FImm { dst, .. }
-            | MInst::Mov { dst, .. }
-            | MInst::IntOp { dst, .. }
-            | MInst::FloatOp { dst, .. }
-            | MInst::IntNeg { dst, .. }
-            | MInst::IntNot { dst, .. }
-            | MInst::FloatNeg { dst, .. }
-            | MInst::IntCmp { dst, .. }
-            | MInst::FloatCmp { dst, .. }
-            | MInst::Select { dst, .. }
-            | MInst::IntToFloat { dst, .. }
-            | MInst::FloatToInt { dst, .. }
-            | MInst::FloatCvt { dst, .. }
-            | MInst::IntResize { dst, .. }
-            | MInst::Load { dst, .. }
-            | MInst::VecLoad { dst, .. }
-            | MInst::VecSplatInt { dst, .. }
-            | MInst::VecSplatFloat { dst, .. }
-            | MInst::VecIntOp { dst, .. }
-            | MInst::VecFloatOp { dst, .. }
-            | MInst::VecReduceInt { dst, .. }
-            | MInst::VecReduceFloat { dst, .. }
-            | MInst::Reload { dst, .. } => Some(dst),
-            MInst::Call { ret, .. } => ret.into(),
-            MInst::Spill { .. }
-            | MInst::Store { .. }
-            | MInst::VecStore { .. }
-            | MInst::Jump { .. }
-            | MInst::BranchNz { .. }
-            | MInst::Ret { .. } => None,
-        }
-    };
-}
-
-/// Call `f` on every register read by `inst`, in operand order.
-pub(crate) fn for_each_use(inst: &MInst, mut f: impl FnMut(PReg)) {
-    let mut visit = |r: &PReg| f(*r);
-    visit_uses!(inst, visit);
-}
-
-/// Call `f` on every *use* operand of `inst`, in operand order, for rewriting
-/// in place (the definition is untouched).
-pub(crate) fn for_each_use_mut(inst: &mut MInst, mut f: impl FnMut(&mut PReg)) {
-    visit_uses!(inst, f);
-}
-
-/// The register defined by a machine instruction, if any.
-pub(crate) fn def(inst: &MInst) -> Option<PReg> {
-    def_operand!(inst).copied()
-}
-
-/// The *definition* operand of `inst`, if it has one, for rewriting in place.
-pub(crate) fn def_mut(inst: &mut MInst) -> Option<&mut PReg> {
-    def_operand!(inst)
-}
+minst_shapes!(walks);
 
 #[cfg(test)]
 mod tests {

@@ -1459,6 +1459,76 @@ mod tests {
     }
 
     #[test]
+    fn a_store_entry_with_an_operand_in_the_wrong_register_file_is_rejected() {
+        // An entry anyone can write: key, length and FNV-1a all correct, the
+        // payload a program whose `triple` adds *float* register 7 as an
+        // integer operation. x86-sse has 6 integer and 8 float registers, so
+        // the index is valid for the operand's class and past the end of the
+        // file the handler indexes. Preparation must refuse it, which the
+        // engine books as a reject: it compiles fresh and heals the entry.
+        use splitc_targets::{AluOp, MBlock, MFunction, MInst, MProgram, PReg, Width};
+        let store = temp_store("wrong-file");
+        let options = JitOptions::split();
+        let target = TargetDesc::x86_sse();
+        let engine = deployed().with_store(Arc::clone(&store));
+        let key = StoreKey {
+            module_fp: Fnv1a::hash(&encode_module(engine.module())),
+            target_fp: target.fingerprint(),
+            options_fp: options.fingerprint(),
+        };
+        let wrong = PReg::float(7);
+        let hostile = MProgram {
+            name: "k".into(),
+            functions: vec![MFunction {
+                name: "triple".into(),
+                params: vec![PReg::int(0)],
+                blocks: vec![MBlock {
+                    insts: vec![
+                        MInst::IntOp {
+                            op: AluOp::Add,
+                            width: Width::W32,
+                            signed: true,
+                            dst: wrong,
+                            lhs: wrong,
+                            rhs: wrong,
+                        },
+                        MInst::Ret {
+                            value: Some(PReg::int(0)),
+                        },
+                    ],
+                }],
+                num_slots: 0,
+            }],
+        };
+        assert!(store.save(&key, &hostile, &JitStats::default()));
+        assert!(
+            matches!(store.load(&key), StoreLoad::Hit(_)),
+            "the entry passes every rung below preparation"
+        );
+
+        let mut mem = vec![0u8; 256];
+        let run = engine
+            .run(
+                &target,
+                &options,
+                "triple",
+                &[MachineValue::Int(5)],
+                &mut mem,
+            )
+            .unwrap();
+        assert_eq!(run.result, Some(MachineValue::Int(15)));
+        let stats = engine.stats();
+        assert_eq!(stats.disk_rejects, 1);
+        assert_eq!(stats.compiles, 1);
+        assert_eq!(stats.disk_hits, 0);
+        match store.load(&key) {
+            StoreLoad::Hit(healed) => assert_ne!(healed.program, hostile),
+            other => panic!("the fresh compile overwrote the entry, got {other:?}"),
+        }
+        store.clear();
+    }
+
+    #[test]
     fn shrinking_the_capacity_evicts_immediately() {
         let engine = deployed();
         let options = JitOptions::split();

@@ -60,9 +60,9 @@
 //!   with bounded exponential backoff and *deterministic* jitter (derived
 //!   from the server seed, the request tag and the attempt number). That
 //!   needs no copy of the request's memory and loses no recovery: (1) all
-//!   that can fail now and succeed later — the [`FaultPlan`] sites, the test
-//!   hook, the online compile — runs before the kernel's first store, so
-//!   the memory is still as the client sent it; (2) `Transient` is built by
+//!   that can fail now and succeed later — the [`FaultPlan`] sites, the
+//!   online compile — runs before the kernel's first store, so the memory
+//!   is still as the client sent it; (2) `Transient` is built by
 //!   injected faults only; (3) the simulator is a deterministic function of
 //!   (program, arguments, memory), so a later failure would recur, like the
 //!   semantic errors (traps, unknown kernels, JIT rejections) that are never
@@ -553,16 +553,6 @@ impl FaultSelector {
             remainder: 0,
             lo,
             hi,
-        }
-    }
-
-    /// Every `n`-th tag (tags divisible by `n`).
-    pub fn every_nth(n: u64) -> Self {
-        FaultSelector::Slot {
-            modulo: n,
-            remainder: 0,
-            lo: 0,
-            hi: u64::MAX,
         }
     }
 }
@@ -1056,11 +1046,6 @@ enum Gate {
     Degrade,
 }
 
-/// Injectable per-request fault for tests: return `true` to make the worker
-/// panic while serving this request (inside its panic guard).
-#[doc(hidden)]
-pub type FaultHook = fn(&Request) -> bool;
-
 /// A queued unit of work: the request, its response rendezvous, the cached
 /// target fingerprint (computed once at submit so batch-key comparisons in
 /// the queue are integer-cheap) and the accept timestamp.
@@ -1130,8 +1115,6 @@ struct Inner {
     faults_injected: AtomicU64,
     /// One metrics block per worker; [`Server::stats`] merges them.
     metrics: Vec<Mutex<WorkerMetrics>>,
-    /// Test-only fault injection (see [`Server::start_instrumented`]).
-    fault: Option<FaultHook>,
     retry: RetryPolicy,
     breaker: BreakerPolicy,
     fallback: Option<TargetDesc>,
@@ -1308,14 +1291,6 @@ impl fmt::Debug for Server {
 impl Server {
     /// Start a server: spawn the worker pool and open the queue.
     pub fn start(config: ServerConfig) -> Self {
-        Server::start_instrumented(config, None)
-    }
-
-    /// [`Server::start`] with an injectable per-request fault hook, for
-    /// tests that need a kernel to panic (or a worker to stall) on demand.
-    /// Not part of the stable serving API.
-    #[doc(hidden)]
-    pub fn start_instrumented(config: ServerConfig, fault: Option<FaultHook>) -> Self {
         let worker_count = if config.workers == 0 {
             crate::sweep::default_jobs()
         } else {
@@ -1338,7 +1313,6 @@ impl Server {
             metrics: (0..worker_count)
                 .map(|_| Mutex::new(WorkerMetrics::default()))
                 .collect(),
-            fault,
             retry: config.retry,
             breaker: config.breaker,
             fallback: config.fallback,
@@ -1747,7 +1721,6 @@ fn run_job(
     pool: &mut FramePool,
     fallback: Option<&TargetDesc>,
 ) -> JobResult {
-    let inject = inner.fault.is_some_and(|hook| hook(&request));
     let Request {
         module,
         kernel,
@@ -1787,9 +1760,6 @@ fn run_job(
         let execute_fault = faults_at(inner, FaultSite::Execute, tag, attempt);
         attempt += 1;
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            if inject {
-                panic!("injected serving fault in kernel `{kernel}`");
-            }
             if let Some(kind) = compile_fault {
                 apply_fault(inner, kind, FaultSite::Compile, &kernel)?;
             }
@@ -1923,7 +1893,6 @@ fn saturating_ns(d: std::time::Duration) -> u64 {
 mod tests {
     use super::*;
     use splitc_minic::compile_source;
-    use std::sync::atomic::AtomicBool;
 
     fn triple_module() -> ServeModule {
         ServeModule::new(compile_source("fn triple(x: i32) -> i32 { return 3 * x; }", "k").unwrap())
@@ -2432,21 +2401,29 @@ mod tests {
 
     // --- Panic safety ---
 
-    /// Fault hook: panic while serving any request whose first argument is
-    /// the sentinel 13.
-    fn panic_on_13(request: &Request) -> bool {
-        request.args.first() == Some(&MachineValue::Int(13))
-    }
-
     #[test]
     fn a_panicking_kernel_answers_the_client_and_spares_the_worker() {
         let module = triple_module();
         // ONE worker: if the panic killed it, the later requests would hang
         // (and shutdown's completed == accepted guarantee would break).
-        let server =
-            Server::start_instrumented(ServerConfig::default().with_workers(1), Some(panic_on_13));
+        let panic_on_tag_13 = FaultPlan::seeded(0).with_rule(FaultRule {
+            site: FaultSite::Execute,
+            kind: FaultKind::Panic,
+            selector: FaultSelector::tag_range(13, 14),
+            persistent: true,
+        });
+        let server = Server::start(
+            ServerConfig::default()
+                .with_workers(1)
+                .with_faults(panic_on_tag_13),
+        );
         let before = server.submit(triple_request(&module, 2)).unwrap();
-        let boom = server.submit(triple_request(&module, 13)).unwrap();
+        let boom = server
+            .submit(Request {
+                tag: 13,
+                ..triple_request(&module, 13)
+            })
+            .unwrap();
         let after = server.submit(triple_request(&module, 4)).unwrap();
         assert_eq!(
             before.wait().unwrap().outcome.unwrap().result,
@@ -2456,7 +2433,7 @@ mod tests {
         assert!(
             matches!(
                 crashed.outcome,
-                Err(EngineError::Panicked(ref msg)) if msg.contains("injected serving fault")
+                Err(EngineError::Panicked(ref msg)) if msg.contains("injected execute fault")
             ),
             "got {:?}",
             crashed.outcome
@@ -2478,38 +2455,51 @@ mod tests {
 
     // --- Continuous batching ---
 
-    /// Never injects a fault, but stalls the worker while serving the
-    /// sentinel request (first arg 0) until `gate` opens — letting a test
-    /// pile up a known backlog behind a 1-worker server and then observe how
-    /// it is swept into batches. One gate (and one hook) per test: tests run
-    /// in parallel, and an opened gate stays open.
-    fn stall_sentinel(gate: &AtomicBool, request: &Request) -> bool {
-        if request.args.first() == Some(&MachineValue::Int(0)) {
-            while !gate.load(Ordering::SeqCst) {
-                std::thread::yield_now();
-            }
-        }
-        false
+    /// Tag of the request that occupies a one-worker server while a test
+    /// piles up a known backlog behind it, to observe how the backlog is
+    /// swept into batches.
+    const SENTINEL_TAG: u64 = 0x57A11;
+
+    /// A one-worker server that holds the request tagged [`SENTINEL_TAG`]
+    /// for 400 ms before executing it: a latency fault, so its result is
+    /// untouched. The backlog has to be queued within that time — see
+    /// [`assert_still_stalled`].
+    fn stalling_server() -> Server {
+        let stall = FaultPlan::seeded(0).with_rule(FaultRule {
+            site: FaultSite::Execute,
+            kind: FaultKind::Latency(400_000_000),
+            selector: FaultSelector::tag_range(SENTINEL_TAG, SENTINEL_TAG + 1),
+            persistent: false,
+        });
+        Server::start(
+            ServerConfig::default()
+                .with_workers(1)
+                .with_max_batch(8)
+                .with_queue_capacity(64)
+                .with_faults(stall),
+        )
     }
 
-    static STALL_GATE: AtomicBool = AtomicBool::new(false);
-
-    fn stall_on_0(request: &Request) -> bool {
-        stall_sentinel(&STALL_GATE, request)
+    /// The premise of a backlog test: the sentinel was still being held when
+    /// the last request of the backlog was queued.
+    fn assert_still_stalled(sentinel: &mut ResponseHandle) {
+        assert!(
+            matches!(sentinel.try_wait(), Ok(None)),
+            "this thread was descheduled for longer than the sentinel's latency fault"
+        );
     }
 
     #[test]
     fn a_backlog_of_one_key_is_served_as_one_bit_identical_batch() {
         let module = triple_module();
-        let server = Server::start_instrumented(
-            ServerConfig::default()
-                .with_workers(1)
-                .with_max_batch(8)
-                .with_queue_capacity(64),
-            Some(stall_on_0),
-        );
+        let server = stalling_server();
         // Occupy the single worker with the stalling sentinel…
-        let sentinel = server.submit(triple_request(&module, 0)).unwrap();
+        let mut sentinel = server
+            .submit(Request {
+                tag: SENTINEL_TAG,
+                ..triple_request(&module, 0)
+            })
+            .unwrap();
         while server.queue_depth() > 0 {
             std::thread::yield_now();
         }
@@ -2517,7 +2507,7 @@ mod tests {
         let handles: Vec<_> = (1..=8)
             .map(|i| server.submit(triple_request(&module, i)).unwrap())
             .collect();
-        STALL_GATE.store(true, Ordering::SeqCst);
+        assert_still_stalled(&mut sentinel);
         sentinel.wait().unwrap().outcome.unwrap();
         let engine = crate::ExecutionEngine::from_arc(module.module_arc());
         let mut pool = FramePool::new();
@@ -2557,12 +2547,6 @@ mod tests {
 
     // --- Fingerprint collisions ---
 
-    static COLLISION_GATE: AtomicBool = AtomicBool::new(false);
-
-    fn stall_collision_sentinel(request: &Request) -> bool {
-        stall_sentinel(&COLLISION_GATE, request)
-    }
-
     #[test]
     fn colliding_fingerprints_are_served_by_their_own_engines() {
         // Two different modules under one hand-set fingerprint — what a
@@ -2581,16 +2565,15 @@ mod tests {
             kernel: "f".into(),
             ..triple_request(module, x)
         };
-        let server = Server::start_instrumented(
-            ServerConfig::default()
-                .with_workers(1)
-                .with_max_batch(8)
-                .with_queue_capacity(64),
-            Some(stall_collision_sentinel),
-        );
+        let server = stalling_server();
         // Stall the worker, then interleave the two modules behind it so one
         // queue sweep sees both under equal batch keys.
-        let sentinel = server.submit(request(&triple, 0)).unwrap();
+        let mut sentinel = server
+            .submit(Request {
+                tag: SENTINEL_TAG,
+                ..request(&triple, 0)
+            })
+            .unwrap();
         while server.queue_depth() > 0 {
             std::thread::yield_now();
         }
@@ -2600,7 +2583,7 @@ mod tests {
                 (x, server.submit(request(module, x)).unwrap())
             })
             .collect();
-        COLLISION_GATE.store(true, Ordering::SeqCst);
+        assert_still_stalled(&mut sentinel);
         sentinel.wait().unwrap().outcome.unwrap();
         for (x, handle) in handles {
             let response = handle.wait().unwrap();

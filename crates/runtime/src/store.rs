@@ -35,7 +35,13 @@
 //!
 //! The payload uses the vbc [`Writer`]/[`Reader`] primitives (LEB128
 //! integers, length-prefixed strings, raw f64 bits), so the whole file is
-//! decoded by the same hardened machinery the deployment format trusts.
+//! decoded by the same hardened machinery the deployment format trusts. An
+//! instruction travels as the row of `splitc_targets::minst_shapes!` that
+//! describes its variant — the row's tag byte, then its fields in row order,
+//! each encoded as its Rust type prescribes (the private `Wire` trait: a
+//! register is a class byte and a LEB128 index, an operand enum its `code()`,
+//! a flag strictly 0 or 1) — and the encoder and the decoder are both
+//! generated from those rows, so there is one statement of the layout.
 //!
 //! # Validation ladder, failure is fallback
 //!
@@ -49,6 +55,16 @@
 //! compiling fresh and overwriting the entry; a store can thus never produce
 //! a wrong result, only a slower one.
 //!
+//! The checksum guards against accidents, not against whoever can write the
+//! file: FNV-1a is recomputed in microseconds. What a decoded program may do
+//! is therefore decided by the last rung, which the engine adds on every
+//! load: `PreparedProgram::prepare_with` re-validates the whole program —
+//! every operand's register class against the file its handler indexes,
+//! every index against that file, block targets, the slot table's size — and
+//! a program that fails it is booked as a reject like any other. The
+//! executor's unchecked register accesses rest on that validation alone,
+//! never on where a program came from.
+//!
 //! Writes are atomic: the entry is written to a unique temp file in the same
 //! directory and `rename`d into place, so a crash mid-write leaves at worst
 //! a stray temp file, never a half-entry a sibling process could load. All
@@ -57,7 +73,8 @@
 
 use splitc_jit::JitStats;
 use splitc_targets::{
-    AluOp, CmpPred, Fnv1a, FpuOp, MBlock, MFunction, MInst, MProgram, PReg, RedOp, RegClass, Width,
+    minst_shapes, AluOp, CmpPred, Fnv1a, FpuOp, MBlock, MFunction, MInst, MProgram, PReg, RedOp,
+    RegClass, Width,
 };
 use splitc_vbc::{DecodeError, Reader, Writer};
 use std::fs;
@@ -313,115 +330,242 @@ fn decode_entry(bytes: &[u8], key: &StoreKey) -> Result<StoredArtifact, DecodeEr
 //
 // This is a trust boundary exactly like `decode_module`: lengths are
 // attacker-controlled (a flipped bit), so pre-allocation hints are capped and
-// every tag is validated. The encoder and decoder must stay in exact
-// lockstep; any change here requires bumping STORE_FORMAT_VERSION.
+// every tag is validated. Any change to what is written — a row of
+// `minst_shapes!` reordered or renumbered, an enum's `code()`, a `Wire` impl —
+// requires bumping STORE_FORMAT_VERSION.
 // ---------------------------------------------------------------------------
 
 /// Cap on speculative pre-allocation from wire lengths (same rationale as
 /// the vbc decoder: a corrupt length must fail as EOF, not abort on OOM).
 const MAX_PREALLOC: usize = 1 << 12;
 
-fn cap_hint(n: usize) -> usize {
-    n.min(MAX_PREALLOC)
-}
-
 fn bad(what: &'static str, tag: u8) -> DecodeError {
     DecodeError::BadTag { what, tag }
 }
 
+/// How a value of one *field type* travels. An instruction's codec is
+/// generated from its row of `minst_shapes!` — tag, then every field's `put`
+/// in row order; tag, then every field's `get` in the same order — so a
+/// field's Rust type picks its encoding in both directions at once, and the
+/// encoder and decoder have no second statement of the layout to drift on.
+///
+/// Every `get` is strict (a flag is 0 or 1, a code names a variant, an index
+/// fits its integer type): an entry that decodes is its own re-encoding.
+trait Wire: Sized {
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+}
+
+/// Slots, block numbers, counts that are 32-bit in memory: LEB128 on the
+/// wire, and a value past `u32::MAX` is an error, never truncated.
+impl Wire for u32 {
+    fn put(&self, w: &mut Writer) {
+        w.uleb(u64::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let v = r.uleb()?;
+        u32::try_from(v).map_err(|_| bad("32-bit index", v as u8))
+    }
+}
+
+impl Wire for i64 {
+    fn put(&self, w: &mut Writer) {
+        w.sleb(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.sleb()
+    }
+}
+
+impl Wire for f64 {
+    fn put(&self, w: &mut Writer) {
+        w.f64(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.f64()
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        w.str(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.str()
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, w: &mut Writer) {
+        w.u8(u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(bad("flag", tag)),
+        }
+    }
+}
+
+/// The operand enums travel as one byte, their `code()`.
+macro_rules! wire_code {
+    ($($ty:ident $what:literal),+) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                w.u8(self.code());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                let tag = r.u8()?;
+                $ty::from_code(tag).ok_or(bad($what, tag))
+            }
+        }
+    )+};
+}
+wire_code!(
+    RegClass "register class",
+    Width "width",
+    AluOp "alu op",
+    FpuOp "fpu op",
+    CmpPred "compare predicate",
+    RedOp "reduce op"
+);
+
+impl Wire for PReg {
+    fn put(&self, w: &mut Writer) {
+        self.class.put(w);
+        w.uleb(u64::from(self.index));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let class = RegClass::get(r)?;
+        let index = r.uleb()?;
+        let index = u16::try_from(index).map_err(|_| bad("register index", index as u8))?;
+        Ok(PReg { class, index })
+    }
+}
+
+/// A presence flag, then the value if there is one.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(if bool::get(r)? {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// A count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        w.uleb(self.len() as u64);
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = r.uleb()? as usize;
+        let mut out = Vec::with_capacity(n.min(MAX_PREALLOC));
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// The codec of [`MInst`], generated from the rows of `minst_shapes!`.
+macro_rules! minst_codec {
+    ($($tag:literal $variant:ident {
+        $($role:ident $(($($class:tt)+))? $field:ident),*
+    })*) => {
+        impl Wire for MInst {
+            fn put(&self, w: &mut Writer) {
+                match self {
+                    $(MInst::$variant { $($field),* } => {
+                        w.u8($tag);
+                        $($field.put(w);)*
+                    })*
+                }
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok(match r.u8()? {
+                    $($tag => MInst::$variant { $($field: Wire::get(r)?),* },)*
+                    tag => return Err(bad("machine instruction", tag)),
+                })
+            }
+        }
+    };
+}
+minst_shapes!(minst_codec);
+
+impl Wire for MBlock {
+    fn put(&self, w: &mut Writer) {
+        self.insts.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(MBlock {
+            insts: Wire::get(r)?,
+        })
+    }
+}
+
+impl Wire for MFunction {
+    fn put(&self, w: &mut Writer) {
+        self.name.put(w);
+        self.params.put(w);
+        self.num_slots.put(w);
+        self.blocks.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(MFunction {
+            name: Wire::get(r)?,
+            params: Wire::get(r)?,
+            num_slots: Wire::get(r)?,
+            blocks: Wire::get(r)?,
+        })
+    }
+}
+
 fn write_artifact(w: &mut Writer, program: &MProgram, jit: &JitStats) {
-    write_program(w, program);
-    write_jit_stats(w, jit);
+    program.name.put(w);
+    program.functions.put(w);
+    for count in [
+        jit.functions,
+        jit.verify_work,
+        jit.lowering_work,
+        jit.regalloc_work,
+        jit.static_spills,
+        jit.static_reloads,
+    ] {
+        w.uleb(count);
+    }
+    w.u8(u8::from(jit.annotations_used)
+        | u8::from(jit.used_simd) << 1
+        | u8::from(jit.scalarized) << 2);
 }
 
 fn read_artifact(r: &mut Reader<'_>) -> Result<StoredArtifact, DecodeError> {
-    let program = read_program(r)?;
-    let jit = read_jit_stats(r)?;
-    Ok(StoredArtifact { program, jit })
-}
-
-fn write_program(w: &mut Writer, p: &MProgram) {
-    w.str(&p.name);
-    w.uleb(p.functions.len() as u64);
-    for f in &p.functions {
-        write_function(w, f);
+    let program = MProgram {
+        name: Wire::get(r)?,
+        functions: Wire::get(r)?,
+    };
+    let mut counts = [0u64; 6];
+    for count in &mut counts {
+        *count = r.uleb()?;
     }
-}
-
-fn read_program(r: &mut Reader<'_>) -> Result<MProgram, DecodeError> {
-    let name = r.str()?;
-    let nfuncs = r.uleb()? as usize;
-    let mut functions = Vec::with_capacity(cap_hint(nfuncs));
-    for _ in 0..nfuncs {
-        functions.push(read_function(r)?);
-    }
-    Ok(MProgram { name, functions })
-}
-
-fn write_function(w: &mut Writer, f: &MFunction) {
-    w.str(&f.name);
-    w.uleb(f.params.len() as u64);
-    for p in &f.params {
-        write_preg(w, *p);
-    }
-    w.uleb(u64::from(f.num_slots));
-    w.uleb(f.blocks.len() as u64);
-    for b in &f.blocks {
-        w.uleb(b.insts.len() as u64);
-        for inst in &b.insts {
-            write_inst(w, inst);
-        }
-    }
-}
-
-fn read_function(r: &mut Reader<'_>) -> Result<MFunction, DecodeError> {
-    let name = r.str()?;
-    let nparams = r.uleb()? as usize;
-    let mut params = Vec::with_capacity(cap_hint(nparams));
-    for _ in 0..nparams {
-        params.push(read_preg(r)?);
-    }
-    let num_slots = read_u32(r, "num_slots")?;
-    let nblocks = r.uleb()? as usize;
-    let mut blocks = Vec::with_capacity(cap_hint(nblocks));
-    for _ in 0..nblocks {
-        let ninsts = r.uleb()? as usize;
-        let mut insts = Vec::with_capacity(cap_hint(ninsts));
-        for _ in 0..ninsts {
-            insts.push(read_inst(r)?);
-        }
-        blocks.push(MBlock { insts });
-    }
-    Ok(MFunction {
-        name,
-        params,
-        blocks,
-        num_slots,
-    })
-}
-
-fn write_jit_stats(w: &mut Writer, s: &JitStats) {
-    w.uleb(s.functions);
-    w.uleb(s.verify_work);
-    w.uleb(s.lowering_work);
-    w.uleb(s.regalloc_work);
-    w.uleb(s.static_spills);
-    w.uleb(s.static_reloads);
-    w.u8(u8::from(s.annotations_used) | u8::from(s.used_simd) << 1 | u8::from(s.scalarized) << 2);
-}
-
-fn read_jit_stats(r: &mut Reader<'_>) -> Result<JitStats, DecodeError> {
-    let functions = r.uleb()?;
-    let verify_work = r.uleb()?;
-    let lowering_work = r.uleb()?;
-    let regalloc_work = r.uleb()?;
-    let static_spills = r.uleb()?;
-    let static_reloads = r.uleb()?;
+    let [functions, verify_work, lowering_work, regalloc_work, static_spills, static_reloads] =
+        counts;
     let flags = r.u8()?;
     if flags > 0b111 {
         return Err(bad("jit stats flags", flags));
     }
-    Ok(JitStats {
+    let jit = JitStats {
         functions,
         verify_work,
         lowering_work,
@@ -431,658 +575,8 @@ fn read_jit_stats(r: &mut Reader<'_>) -> Result<JitStats, DecodeError> {
         annotations_used: flags & 1 != 0,
         used_simd: flags & 2 != 0,
         scalarized: flags & 4 != 0,
-    })
-}
-
-fn write_preg(w: &mut Writer, p: PReg) {
-    w.u8(match p.class {
-        RegClass::Int => 0,
-        RegClass::Float => 1,
-        RegClass::Vec => 2,
-    });
-    w.uleb(u64::from(p.index));
-}
-
-fn read_preg(r: &mut Reader<'_>) -> Result<PReg, DecodeError> {
-    let class = match r.u8()? {
-        0 => RegClass::Int,
-        1 => RegClass::Float,
-        2 => RegClass::Vec,
-        tag => return Err(bad("register class", tag)),
     };
-    let index = r.uleb()?;
-    let index = u16::try_from(index).map_err(|_| bad("register index", index as u8))?;
-    Ok(PReg { class, index })
-}
-
-fn write_opt_preg(w: &mut Writer, p: Option<PReg>) {
-    match p {
-        Some(p) => {
-            w.u8(1);
-            write_preg(w, p);
-        }
-        None => w.u8(0),
-    }
-}
-
-fn read_opt_preg(r: &mut Reader<'_>) -> Result<Option<PReg>, DecodeError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(read_preg(r)?)),
-        tag => Err(bad("optional register", tag)),
-    }
-}
-
-fn write_width(w: &mut Writer, width: Width) {
-    w.u8(match width {
-        Width::W8 => 0,
-        Width::W16 => 1,
-        Width::W32 => 2,
-        Width::W64 => 3,
-    });
-}
-
-fn read_width(r: &mut Reader<'_>) -> Result<Width, DecodeError> {
-    Ok(match r.u8()? {
-        0 => Width::W8,
-        1 => Width::W16,
-        2 => Width::W32,
-        3 => Width::W64,
-        tag => return Err(bad("width", tag)),
-    })
-}
-
-fn write_alu_op(w: &mut Writer, op: AluOp) {
-    w.u8(match op {
-        AluOp::Add => 0,
-        AluOp::Sub => 1,
-        AluOp::Mul => 2,
-        AluOp::Div => 3,
-        AluOp::Rem => 4,
-        AluOp::And => 5,
-        AluOp::Or => 6,
-        AluOp::Xor => 7,
-        AluOp::Shl => 8,
-        AluOp::Shr => 9,
-        AluOp::Min => 10,
-        AluOp::Max => 11,
-    });
-}
-
-fn read_alu_op(r: &mut Reader<'_>) -> Result<AluOp, DecodeError> {
-    Ok(match r.u8()? {
-        0 => AluOp::Add,
-        1 => AluOp::Sub,
-        2 => AluOp::Mul,
-        3 => AluOp::Div,
-        4 => AluOp::Rem,
-        5 => AluOp::And,
-        6 => AluOp::Or,
-        7 => AluOp::Xor,
-        8 => AluOp::Shl,
-        9 => AluOp::Shr,
-        10 => AluOp::Min,
-        11 => AluOp::Max,
-        tag => return Err(bad("alu op", tag)),
-    })
-}
-
-fn write_fpu_op(w: &mut Writer, op: FpuOp) {
-    w.u8(match op {
-        FpuOp::Add => 0,
-        FpuOp::Sub => 1,
-        FpuOp::Mul => 2,
-        FpuOp::Div => 3,
-        FpuOp::Min => 4,
-        FpuOp::Max => 5,
-    });
-}
-
-fn read_fpu_op(r: &mut Reader<'_>) -> Result<FpuOp, DecodeError> {
-    Ok(match r.u8()? {
-        0 => FpuOp::Add,
-        1 => FpuOp::Sub,
-        2 => FpuOp::Mul,
-        3 => FpuOp::Div,
-        4 => FpuOp::Min,
-        5 => FpuOp::Max,
-        tag => return Err(bad("fpu op", tag)),
-    })
-}
-
-fn write_pred(w: &mut Writer, pred: CmpPred) {
-    w.u8(match pred {
-        CmpPred::Eq => 0,
-        CmpPred::Ne => 1,
-        CmpPred::Lt => 2,
-        CmpPred::Le => 3,
-        CmpPred::Gt => 4,
-        CmpPred::Ge => 5,
-    });
-}
-
-fn read_pred(r: &mut Reader<'_>) -> Result<CmpPred, DecodeError> {
-    Ok(match r.u8()? {
-        0 => CmpPred::Eq,
-        1 => CmpPred::Ne,
-        2 => CmpPred::Lt,
-        3 => CmpPred::Le,
-        4 => CmpPred::Gt,
-        5 => CmpPred::Ge,
-        tag => return Err(bad("compare predicate", tag)),
-    })
-}
-
-fn write_red_op(w: &mut Writer, op: RedOp) {
-    w.u8(match op {
-        RedOp::Add => 0,
-        RedOp::Min => 1,
-        RedOp::Max => 2,
-    });
-}
-
-fn read_red_op(r: &mut Reader<'_>) -> Result<RedOp, DecodeError> {
-    Ok(match r.u8()? {
-        0 => RedOp::Add,
-        1 => RedOp::Min,
-        2 => RedOp::Max,
-        tag => return Err(bad("reduce op", tag)),
-    })
-}
-
-fn read_bool(r: &mut Reader<'_>, what: &'static str) -> Result<bool, DecodeError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        tag => Err(bad(what, tag)),
-    }
-}
-
-fn read_u32(r: &mut Reader<'_>, what: &'static str) -> Result<u32, DecodeError> {
-    let v = r.uleb()?;
-    u32::try_from(v).map_err(|_| bad(what, v as u8))
-}
-
-fn write_inst(w: &mut Writer, inst: &MInst) {
-    match inst {
-        MInst::Imm { dst, value } => {
-            w.u8(0);
-            write_preg(w, *dst);
-            w.sleb(*value);
-        }
-        MInst::FImm { dst, value } => {
-            w.u8(1);
-            write_preg(w, *dst);
-            w.f64(*value);
-        }
-        MInst::Mov { dst, src } => {
-            w.u8(2);
-            write_preg(w, *dst);
-            write_preg(w, *src);
-        }
-        MInst::IntOp {
-            op,
-            width,
-            signed,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            w.u8(3);
-            write_alu_op(w, *op);
-            write_width(w, *width);
-            w.u8(u8::from(*signed));
-            write_preg(w, *dst);
-            write_preg(w, *lhs);
-            write_preg(w, *rhs);
-        }
-        MInst::FloatOp {
-            op,
-            double,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            w.u8(4);
-            write_fpu_op(w, *op);
-            w.u8(u8::from(*double));
-            write_preg(w, *dst);
-            write_preg(w, *lhs);
-            write_preg(w, *rhs);
-        }
-        MInst::IntNeg { width, dst, src } => {
-            w.u8(5);
-            write_width(w, *width);
-            write_preg(w, *dst);
-            write_preg(w, *src);
-        }
-        MInst::IntNot { width, dst, src } => {
-            w.u8(6);
-            write_width(w, *width);
-            write_preg(w, *dst);
-            write_preg(w, *src);
-        }
-        MInst::FloatNeg { double, dst, src } => {
-            w.u8(7);
-            w.u8(u8::from(*double));
-            write_preg(w, *dst);
-            write_preg(w, *src);
-        }
-        MInst::IntCmp {
-            pred,
-            width,
-            signed,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            w.u8(8);
-            write_pred(w, *pred);
-            write_width(w, *width);
-            w.u8(u8::from(*signed));
-            write_preg(w, *dst);
-            write_preg(w, *lhs);
-            write_preg(w, *rhs);
-        }
-        MInst::FloatCmp {
-            pred,
-            double,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            w.u8(9);
-            write_pred(w, *pred);
-            w.u8(u8::from(*double));
-            write_preg(w, *dst);
-            write_preg(w, *lhs);
-            write_preg(w, *rhs);
-        }
-        MInst::Select {
-            dst,
-            cond,
-            if_true,
-            if_false,
-        } => {
-            w.u8(10);
-            write_preg(w, *dst);
-            write_preg(w, *cond);
-            write_preg(w, *if_true);
-            write_preg(w, *if_false);
-        }
-        MInst::IntToFloat {
-            signed,
-            double,
-            dst,
-            src,
-        } => {
-            w.u8(11);
-            w.u8(u8::from(*signed));
-            w.u8(u8::from(*double));
-            write_preg(w, *dst);
-            write_preg(w, *src);
-        }
-        MInst::FloatToInt {
-            width,
-            signed,
-            dst,
-            src,
-        } => {
-            w.u8(12);
-            write_width(w, *width);
-            w.u8(u8::from(*signed));
-            write_preg(w, *dst);
-            write_preg(w, *src);
-        }
-        MInst::FloatCvt {
-            to_double,
-            dst,
-            src,
-        } => {
-            w.u8(13);
-            w.u8(u8::from(*to_double));
-            write_preg(w, *dst);
-            write_preg(w, *src);
-        }
-        MInst::IntResize {
-            width,
-            signed,
-            dst,
-            src,
-        } => {
-            w.u8(14);
-            write_width(w, *width);
-            w.u8(u8::from(*signed));
-            write_preg(w, *dst);
-            write_preg(w, *src);
-        }
-        MInst::Load {
-            width,
-            float,
-            signed,
-            dst,
-            base,
-            offset,
-        } => {
-            w.u8(15);
-            write_width(w, *width);
-            w.u8(u8::from(*float));
-            w.u8(u8::from(*signed));
-            write_preg(w, *dst);
-            write_preg(w, *base);
-            w.sleb(*offset);
-        }
-        MInst::Store {
-            width,
-            float,
-            base,
-            offset,
-            src,
-        } => {
-            w.u8(16);
-            write_width(w, *width);
-            w.u8(u8::from(*float));
-            write_preg(w, *base);
-            w.sleb(*offset);
-            write_preg(w, *src);
-        }
-        MInst::VecLoad { dst, base, offset } => {
-            w.u8(17);
-            write_preg(w, *dst);
-            write_preg(w, *base);
-            w.sleb(*offset);
-        }
-        MInst::VecStore { base, offset, src } => {
-            w.u8(18);
-            write_preg(w, *base);
-            w.sleb(*offset);
-            write_preg(w, *src);
-        }
-        MInst::VecSplatInt { elem, dst, src } => {
-            w.u8(19);
-            write_width(w, *elem);
-            write_preg(w, *dst);
-            write_preg(w, *src);
-        }
-        MInst::VecSplatFloat { elem, dst, src } => {
-            w.u8(20);
-            write_width(w, *elem);
-            write_preg(w, *dst);
-            write_preg(w, *src);
-        }
-        MInst::VecIntOp {
-            op,
-            elem,
-            signed,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            w.u8(21);
-            write_alu_op(w, *op);
-            write_width(w, *elem);
-            w.u8(u8::from(*signed));
-            write_preg(w, *dst);
-            write_preg(w, *lhs);
-            write_preg(w, *rhs);
-        }
-        MInst::VecFloatOp {
-            op,
-            elem,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            w.u8(22);
-            write_fpu_op(w, *op);
-            write_width(w, *elem);
-            write_preg(w, *dst);
-            write_preg(w, *lhs);
-            write_preg(w, *rhs);
-        }
-        MInst::VecReduceInt {
-            op,
-            elem,
-            signed,
-            dst,
-            src,
-        } => {
-            w.u8(23);
-            write_red_op(w, *op);
-            write_width(w, *elem);
-            w.u8(u8::from(*signed));
-            write_preg(w, *dst);
-            write_preg(w, *src);
-        }
-        MInst::VecReduceFloat { op, elem, dst, src } => {
-            w.u8(24);
-            write_red_op(w, *op);
-            write_width(w, *elem);
-            write_preg(w, *dst);
-            write_preg(w, *src);
-        }
-        MInst::Spill { slot, src } => {
-            w.u8(25);
-            w.uleb(u64::from(*slot));
-            write_preg(w, *src);
-        }
-        MInst::Reload { slot, dst } => {
-            w.u8(26);
-            w.uleb(u64::from(*slot));
-            write_preg(w, *dst);
-        }
-        MInst::Jump { target } => {
-            w.u8(27);
-            w.uleb(u64::from(*target));
-        }
-        MInst::BranchNz {
-            cond,
-            then_target,
-            else_target,
-        } => {
-            w.u8(28);
-            write_preg(w, *cond);
-            w.uleb(u64::from(*then_target));
-            w.uleb(u64::from(*else_target));
-        }
-        MInst::Call { callee, args, ret } => {
-            w.u8(29);
-            w.str(callee);
-            w.uleb(args.len() as u64);
-            for a in args {
-                write_preg(w, *a);
-            }
-            write_opt_preg(w, *ret);
-        }
-        MInst::Ret { value } => {
-            w.u8(30);
-            write_opt_preg(w, *value);
-        }
-    }
-}
-
-fn read_inst(r: &mut Reader<'_>) -> Result<MInst, DecodeError> {
-    Ok(match r.u8()? {
-        0 => MInst::Imm {
-            dst: read_preg(r)?,
-            value: r.sleb()?,
-        },
-        1 => MInst::FImm {
-            dst: read_preg(r)?,
-            value: r.f64()?,
-        },
-        2 => MInst::Mov {
-            dst: read_preg(r)?,
-            src: read_preg(r)?,
-        },
-        3 => MInst::IntOp {
-            op: read_alu_op(r)?,
-            width: read_width(r)?,
-            signed: read_bool(r, "int op signed")?,
-            dst: read_preg(r)?,
-            lhs: read_preg(r)?,
-            rhs: read_preg(r)?,
-        },
-        4 => MInst::FloatOp {
-            op: read_fpu_op(r)?,
-            double: read_bool(r, "float op double")?,
-            dst: read_preg(r)?,
-            lhs: read_preg(r)?,
-            rhs: read_preg(r)?,
-        },
-        5 => MInst::IntNeg {
-            width: read_width(r)?,
-            dst: read_preg(r)?,
-            src: read_preg(r)?,
-        },
-        6 => MInst::IntNot {
-            width: read_width(r)?,
-            dst: read_preg(r)?,
-            src: read_preg(r)?,
-        },
-        7 => MInst::FloatNeg {
-            double: read_bool(r, "float neg double")?,
-            dst: read_preg(r)?,
-            src: read_preg(r)?,
-        },
-        8 => MInst::IntCmp {
-            pred: read_pred(r)?,
-            width: read_width(r)?,
-            signed: read_bool(r, "int cmp signed")?,
-            dst: read_preg(r)?,
-            lhs: read_preg(r)?,
-            rhs: read_preg(r)?,
-        },
-        9 => MInst::FloatCmp {
-            pred: read_pred(r)?,
-            double: read_bool(r, "float cmp double")?,
-            dst: read_preg(r)?,
-            lhs: read_preg(r)?,
-            rhs: read_preg(r)?,
-        },
-        10 => MInst::Select {
-            dst: read_preg(r)?,
-            cond: read_preg(r)?,
-            if_true: read_preg(r)?,
-            if_false: read_preg(r)?,
-        },
-        11 => MInst::IntToFloat {
-            signed: read_bool(r, "int to float signed")?,
-            double: read_bool(r, "int to float double")?,
-            dst: read_preg(r)?,
-            src: read_preg(r)?,
-        },
-        12 => MInst::FloatToInt {
-            width: read_width(r)?,
-            signed: read_bool(r, "float to int signed")?,
-            dst: read_preg(r)?,
-            src: read_preg(r)?,
-        },
-        13 => MInst::FloatCvt {
-            to_double: read_bool(r, "float cvt to_double")?,
-            dst: read_preg(r)?,
-            src: read_preg(r)?,
-        },
-        14 => MInst::IntResize {
-            width: read_width(r)?,
-            signed: read_bool(r, "int resize signed")?,
-            dst: read_preg(r)?,
-            src: read_preg(r)?,
-        },
-        15 => MInst::Load {
-            width: read_width(r)?,
-            float: read_bool(r, "load float")?,
-            signed: read_bool(r, "load signed")?,
-            dst: read_preg(r)?,
-            base: read_preg(r)?,
-            offset: r.sleb()?,
-        },
-        16 => MInst::Store {
-            width: read_width(r)?,
-            float: read_bool(r, "store float")?,
-            base: read_preg(r)?,
-            offset: r.sleb()?,
-            src: read_preg(r)?,
-        },
-        17 => MInst::VecLoad {
-            dst: read_preg(r)?,
-            base: read_preg(r)?,
-            offset: r.sleb()?,
-        },
-        18 => MInst::VecStore {
-            base: read_preg(r)?,
-            offset: r.sleb()?,
-            src: read_preg(r)?,
-        },
-        19 => MInst::VecSplatInt {
-            elem: read_width(r)?,
-            dst: read_preg(r)?,
-            src: read_preg(r)?,
-        },
-        20 => MInst::VecSplatFloat {
-            elem: read_width(r)?,
-            dst: read_preg(r)?,
-            src: read_preg(r)?,
-        },
-        21 => MInst::VecIntOp {
-            op: read_alu_op(r)?,
-            elem: read_width(r)?,
-            signed: read_bool(r, "vec int op signed")?,
-            dst: read_preg(r)?,
-            lhs: read_preg(r)?,
-            rhs: read_preg(r)?,
-        },
-        22 => MInst::VecFloatOp {
-            op: read_fpu_op(r)?,
-            elem: read_width(r)?,
-            dst: read_preg(r)?,
-            lhs: read_preg(r)?,
-            rhs: read_preg(r)?,
-        },
-        23 => MInst::VecReduceInt {
-            op: read_red_op(r)?,
-            elem: read_width(r)?,
-            signed: read_bool(r, "vec reduce signed")?,
-            dst: read_preg(r)?,
-            src: read_preg(r)?,
-        },
-        24 => MInst::VecReduceFloat {
-            op: read_red_op(r)?,
-            elem: read_width(r)?,
-            dst: read_preg(r)?,
-            src: read_preg(r)?,
-        },
-        25 => MInst::Spill {
-            slot: read_u32(r, "spill slot")?,
-            src: read_preg(r)?,
-        },
-        26 => MInst::Reload {
-            slot: read_u32(r, "reload slot")?,
-            dst: read_preg(r)?,
-        },
-        27 => MInst::Jump {
-            target: read_u32(r, "jump target")?,
-        },
-        28 => MInst::BranchNz {
-            cond: read_preg(r)?,
-            then_target: read_u32(r, "branch then target")?,
-            else_target: read_u32(r, "branch else target")?,
-        },
-        29 => {
-            let callee = r.str()?;
-            let nargs = r.uleb()? as usize;
-            let mut args = Vec::with_capacity(cap_hint(nargs));
-            for _ in 0..nargs {
-                args.push(read_preg(r)?);
-            }
-            let ret = read_opt_preg(r)?;
-            MInst::Call { callee, args, ret }
-        }
-        30 => MInst::Ret {
-            value: read_opt_preg(r)?,
-        },
-        tag => return Err(bad("machine instruction", tag)),
-    })
+    Ok(StoredArtifact { program, jit })
 }
 
 #[cfg(test)]
@@ -1222,6 +716,284 @@ mod tests {
         assert!(matches!(store.load(&key), StoreLoad::Hit(_)));
         assert!(store.remove(&key));
         assert!(matches!(store.load(&key), StoreLoad::Miss));
+        store.clear();
+    }
+
+    /// Deterministic xorshift64* PRNG — no external crates, stable seeds.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Every register operand of `inst`, definition and uses alike.
+    macro_rules! registers_of {
+        ($($tag:literal $variant:ident {
+            $($role:ident $(($($class:tt)+))? $field:ident),*
+        })*) => {
+            #[allow(unused_variables)]
+            fn registers_of(inst: &mut MInst) -> Vec<&mut PReg> {
+                let mut out: Vec<&mut PReg> = Vec::new();
+                match inst {
+                    $(MInst::$variant { $($field),* } => {
+                        $(registers_of!(@push $role $field out);)*
+                    })*
+                }
+                out
+            }
+        };
+        (@push val $x:ident $out:ident) => {};
+        (@push def $x:ident $out:ident) => {
+            $out.push($x)
+        };
+        (@push use $x:ident $out:ident) => {
+            $out.push($x)
+        };
+        (@push $many:ident $x:ident $out:ident) => {
+            $out.extend($x)
+        };
+    }
+    minst_shapes!(registers_of);
+
+    /// A store entry for `key` around an arbitrary payload, with the length
+    /// and checksum an attacker (or a very unlucky disk) would recompute.
+    fn entry_around(key: &StoreKey, payload: &[u8]) -> Vec<u8> {
+        let (program, jit) = (MProgram::default(), JitStats::default());
+        let mut entry = encode_entry(key, &program, &jit);
+        entry.truncate(HEADER_LEN - 16);
+        entry.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        entry.extend_from_slice(&Fnv1a::hash(payload).to_le_bytes());
+        entry.extend_from_slice(payload);
+        entry
+    }
+
+    /// One structural mutation of a program that still encodes: the decoder
+    /// takes it, so preparation (or the run) has to.
+    fn mutate_program(p: &mut MProgram, target: &TargetDesc, rng: &mut Rng) {
+        let files = [
+            target.int_regs,
+            target.float_regs,
+            target.vector.map_or(0, |v| v.regs),
+        ];
+        let nf = p.functions.len();
+        let f = &mut p.functions[rng.below(nf)];
+        let nblocks = f.blocks.len() as u32;
+        let hostile_register = |r: &mut PReg, rng: &mut Rng| {
+            let class = [RegClass::Int, RegClass::Float, RegClass::Vec][rng.below(3)];
+            // The last register of some file, one past it, or the largest.
+            let index = [
+                files[rng.below(3)].saturating_sub(1),
+                files[rng.below(3)],
+                u16::MAX,
+            ][rng.below(3)];
+            match rng.below(3) {
+                0 => r.class = class,
+                1 => r.index = index,
+                _ => *r = PReg { class, index },
+            }
+        };
+        match rng.below(8) {
+            0 if !f.params.is_empty() => {
+                let at = rng.below(f.params.len());
+                hostile_register(&mut f.params[at], rng);
+            }
+            1 => f.num_slots = [0, 1, u32::MAX][rng.below(3)],
+            2 if f.blocks.len() > 1 => {
+                f.blocks.remove(rng.below(f.blocks.len()));
+            }
+            _ => {
+                let nb = f.blocks.len();
+                let block = &mut f.blocks[rng.below(nb)];
+                if block.insts.is_empty() {
+                    return;
+                }
+                let at = rng.below(block.insts.len());
+                let inst = &mut block.insts[at];
+                let far = [nblocks, nblocks + 1, u32::MAX][rng.below(3)];
+                match (rng.below(6), &mut *inst) {
+                    (0, MInst::Spill { slot, .. } | MInst::Reload { slot, .. }) => *slot = far,
+                    (0, MInst::Jump { target }) => *target = far,
+                    (
+                        0,
+                        MInst::BranchNz {
+                            then_target,
+                            else_target,
+                            ..
+                        },
+                    ) => *[then_target, else_target][rng.below(2)] = far,
+                    (0, MInst::Call { callee, args, .. }) => match rng.below(3) {
+                        0 => callee.push('?'),
+                        1 => args.clear(),
+                        _ => args.push(PReg::vec(0)),
+                    },
+                    (0, MInst::Load { float, .. } | MInst::Store { float, .. }) => *float = !*float,
+                    (1, _) => {
+                        block.insts.remove(at);
+                    }
+                    (2, _) => {
+                        let copy = inst.clone();
+                        let to = rng.below(block.insts.len() + 1);
+                        block.insts.insert(to, copy);
+                    }
+                    _ => {
+                        let mut regs = registers_of(inst);
+                        if !regs.is_empty() {
+                            let which = rng.below(regs.len());
+                            hostile_register(regs[which], rng);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One byte-level mutation of an encoded payload: what the decoder's
+    /// tags, flags, lengths and indices are made of.
+    fn mutate_payload(payload: &mut Vec<u8>, rng: &mut Rng) {
+        if payload.is_empty() {
+            return;
+        }
+        let at = rng.below(payload.len());
+        match rng.below(6) {
+            // Most tags, codes, classes and small indices live below 40.
+            0 | 1 => payload[at] = rng.below(40) as u8,
+            2 => payload[at] = rng.next() as u8,
+            3 => {
+                payload.insert(at, rng.below(40) as u8);
+            }
+            4 => {
+                payload.remove(at);
+            }
+            _ => payload.truncate(at),
+        }
+    }
+
+    #[test]
+    fn hostile_payloads_with_honest_checksums_never_panic() {
+        // `corrupt_entries_never_panic` flips bytes of whole entries, so the
+        // checksum rejects nearly every mutation before the payload decoder
+        // runs. Here the length and FNV-1a are recomputed after the payload
+        // is mutated — as anyone who can write the file would — so every
+        // mutation reaches `MInst::get`, and what decodes reaches
+        // `prepare_with` and both execution loops. Accepted outcomes: a
+        // reject, a prepare error, or a run (result, trap or fuel exhaustion)
+        // that is bit-identical between the threaded and the metered loop.
+        // Never a panic — which under `debug_assertions` includes the
+        // `debug_assert!`s beside the executor's unchecked register reads.
+        use splitc_opt::{optimize_module, OptOptions};
+        use splitc_targets::{FramePool, MachineValue, PreparedProgram, SimStats};
+        let mut module = compile_source(
+            "fn scale(n: i32, a: f32, x: *f32) -> f32 {
+                let acc: f32 = 0.0;
+                for (let i: i32 = 0; i < n; i = i + 1) {
+                    x[i] = a * x[i];
+                    acc = acc + x[i];
+                }
+                return acc;
+            }
+            fn sum(n: i32, x: *u8) -> i32 {
+                let s: i32 = 0;
+                for (let i: i32 = 0; i < n; i = i + 1) { s = s + (x[i] as i32); }
+                return s;
+            }
+            fn busy(a: i32, b: i32, c: i32, x: *u8) -> i32 {
+                let d: i32 = a + c; let e: i32 = a * b; let f: i32 = c * d;
+                let g: i32 = a - d; let h: i32 = b - c; let i: i32 = e * f;
+                let j: i32 = g * h;
+                if (i < j) { return sum(a, x) + e + f + g + h; }
+                return i + j + e + f + g + h + a + b + c + d;
+            }
+            fn both(n: i32, a: f32, x: *f32) -> f32 { return scale(n, a, x) + scale(n, a, x); }",
+            "m",
+        )
+        .unwrap();
+        optimize_module(&mut module, &OptOptions::full());
+        let store = temp_store("payload-fuzz");
+        let options = JitOptions::split();
+        let mut rng = Rng(0x5eed_0021_c0de_u64);
+        let (mut rejected, mut unprepared, mut ran) = (0, 0, 0);
+        for target in [TargetDesc::x86_sse(), TargetDesc::ultrasparc()] {
+            let (program, jit) = compile_module(&module, &target, &options).unwrap();
+            let key = StoreKey {
+                module_fp: Fnv1a::hash(&splitc_vbc::encode_module(&module)),
+                target_fp: target.fingerprint(),
+                options_fp: options.fingerprint(),
+            };
+            let path = store.entry_path(&key);
+            for _ in 0..1_200 {
+                let mut hostile = program.clone();
+                for _ in 0..rng.below(3) {
+                    mutate_program(&mut hostile, &target, &mut rng);
+                }
+                let mut w = Writer::new();
+                write_artifact(&mut w, &hostile, &jit);
+                let mut payload = w.into_bytes();
+                // Every third entry is a structural mutation alone.
+                for _ in 0..rng.below(3) {
+                    mutate_payload(&mut payload, &mut rng);
+                }
+                std::fs::write(&path, entry_around(&key, &payload)).unwrap();
+                let StoreLoad::Hit(loaded) = store.load(&key) else {
+                    rejected += 1;
+                    continue;
+                };
+                let Ok(prepared) = PreparedProgram::prepare_with(&loaded.program, &target, true)
+                else {
+                    unprepared += 1;
+                    continue;
+                };
+                ran += 1;
+                let mut pool = FramePool::new();
+                for f in &loaded.program.functions {
+                    let args: Vec<MachineValue> = f
+                        .params
+                        .iter()
+                        .zip([3, 64, 128, 5])
+                        .map(|(p, v)| match p.class {
+                            RegClass::Float => MachineValue::Float(1.5),
+                            _ => MachineValue::Int(v),
+                        })
+                        .collect();
+                    let mut outcomes = Vec::new();
+                    for threaded in [true, false] {
+                        let mut mem: Vec<u8> = (0..=255).cycle().take(1024).collect();
+                        let mut stats = SimStats::default();
+                        let run = if threaded {
+                            PreparedProgram::run
+                        } else {
+                            PreparedProgram::run_metered
+                        };
+                        let out = run(
+                            &prepared, &f.name, &args, &mut mem, &mut pool, 2_000, &mut stats,
+                        )
+                        .map(|v| {
+                            v.map(|v| match v {
+                                MachineValue::Int(i) => (false, i as u64),
+                                MachineValue::Float(x) => (true, x.to_bits()),
+                            })
+                        });
+                        outcomes.push((out, stats, mem));
+                    }
+                    assert_eq!(
+                        outcomes[0], outcomes[1],
+                        "{} of {:?}",
+                        f.name, loaded.program
+                    );
+                }
+            }
+        }
+        // The mutations are seeded, so the split is a property of the code:
+        // every outcome class is exercised, none by accident.
+        println!("payload fuzz: {rejected} rejected, {unprepared} failed to prepare, {ran} ran");
+        assert!(rejected > 200 && unprepared > 200 && ran > 200);
         store.clear();
     }
 

@@ -444,17 +444,19 @@ impl<'a> ExecCtx<'a> {
 
     /// Read integer register `i`.
     ///
-    /// Every register index reachable from the threaded stream was validated
-    /// against the target's register file when the program was prepared (see
-    /// [`PreparedProgram::prepare`](crate::PreparedProgram::prepare): "so the
-    /// execution loop never re-checks them"), so the bounds check a slice
-    /// index would repeat on every access is provably dead; eliding it keeps
-    /// a len load and a panic branch out of every handler.
+    /// Every register operand reachable from the threaded stream was
+    /// validated when the program was prepared — fact 1 of
+    /// [`PreparedProgram::prepare`](crate::PreparedProgram::prepare): the
+    /// operand's class is the file its handler indexes, and its index is
+    /// below that file's size — so the bounds check a slice index would
+    /// repeat on every access is provably dead; eliding it keeps a len load
+    /// and a panic branch out of every handler.
     #[inline(always)]
     fn int_at(&self, i: usize) -> i64 {
         debug_assert!(i < self.int.len());
-        // SAFETY: `i` was validated against the register file at prepare
-        // time (see the doc comment).
+        // SAFETY: prepare fact 1 — a handler that calls this passes an
+        // operand whose class was checked to be integer and whose index was
+        // checked against `int_regs`, the length of `self.int`.
         unsafe { *self.int.get_unchecked(i) }
     }
 
@@ -463,8 +465,7 @@ impl<'a> ExecCtx<'a> {
     #[inline(always)]
     fn set_int(&mut self, i: usize, v: i64) {
         debug_assert!(i < self.int.len());
-        // SAFETY: `i` was validated against the register file at prepare
-        // time (see `ExecCtx::int_at`).
+        // SAFETY: prepare fact 1, as in `ExecCtx::int_at`.
         unsafe { *self.int.get_unchecked_mut(i) = v };
     }
 
@@ -473,8 +474,9 @@ impl<'a> ExecCtx<'a> {
     #[inline(always)]
     fn float_at(&self, i: usize) -> f64 {
         debug_assert!(i < self.float.len());
-        // SAFETY: `i` was validated against the register file at prepare
-        // time (see `ExecCtx::int_at`).
+        // SAFETY: prepare fact 1 — the operand's class was checked to be
+        // float and its index against `float_regs`, the length of
+        // `self.float`.
         unsafe { *self.float.get_unchecked(i) }
     }
 
@@ -483,8 +485,7 @@ impl<'a> ExecCtx<'a> {
     #[inline(always)]
     fn set_float(&mut self, i: usize, v: f64) {
         debug_assert!(i < self.float.len());
-        // SAFETY: `i` was validated against the register file at prepare
-        // time (see `ExecCtx::int_at`).
+        // SAFETY: prepare fact 1, as in `ExecCtx::float_at`.
         unsafe { *self.float.get_unchecked_mut(i) = v };
     }
 }
@@ -553,10 +554,11 @@ pub(crate) fn run_ops(cx: &mut ExecCtx<'_>) -> Result<Threaded, SimError> {
         let pc = r as usize;
         debug_assert!(pc < ops.len());
         // SAFETY: every region entry and every fall-through pc a handler
-        // returns are in bounds: region entries come from `build_threaded`,
-        // and sequential fall-through always reaches a region-closing
-        // control record (every block ends in one — `FellOff` is synthesized
-        // where code falls off) before `pc` can pass the end of the stream.
+        // returns are in bounds. Prepare fact 3: a branch or jump lands on a
+        // region entry, and region entries come from `build_threaded`. Fact
+        // 5: sequential fall-through always reaches a region-closing control
+        // record (every block ends in one — `FellOff` is synthesized where
+        // code falls off) before `pc` can pass the end of the stream.
         let op = unsafe { ops.get_unchecked(pc) };
         r = (op.handler)(op, cx, pc as u32);
     }
@@ -584,119 +586,56 @@ pub(crate) fn run_ops(cx: &mut ExecCtx<'_>) -> Result<Threaded, SimError> {
 // ---------------------------------------------------------------------------
 // Flag packing helpers: operand shapes (width / signedness / opcode) are
 // packed into the record's spare `u16`s (or `imm` for fused ops) at prepare
-// time and decoded branch-free-ly by the handlers.
+// time and decoded branch-free-ly by the handlers. The numbering is the
+// enums' own (`code()` / `from_code()` in `mcode.rs`, shared with the
+// artifact store); the masks are the field widths of the packing. Flag bits
+// are only ever written from a valid enum, so a decoder's fallback is never
+// taken: it makes decoding total without a panic path in a handler.
 // ---------------------------------------------------------------------------
 
 fn wbits(w: Width) -> u16 {
-    match w {
-        Width::W8 => 0,
-        Width::W16 => 1,
-        Width::W32 => 2,
-        Width::W64 => 3,
-    }
+    w.code().into()
 }
 
+#[inline(always)]
 fn wfrom(bits: u16) -> Width {
-    match bits & 3 {
-        0 => Width::W8,
-        1 => Width::W16,
-        2 => Width::W32,
-        _ => Width::W64,
-    }
+    Width::from_code(bits as u8 & 3).unwrap_or(Width::W64)
 }
 
 fn alu_bits(op: AluOp) -> u16 {
-    match op {
-        AluOp::Add => 0,
-        AluOp::Sub => 1,
-        AluOp::Mul => 2,
-        AluOp::Div => 3,
-        AluOp::Rem => 4,
-        AluOp::And => 5,
-        AluOp::Or => 6,
-        AluOp::Xor => 7,
-        AluOp::Shl => 8,
-        AluOp::Shr => 9,
-        AluOp::Min => 10,
-        AluOp::Max => 11,
-    }
+    op.code().into()
 }
 
+#[inline(always)]
 fn alu_from(bits: u16) -> AluOp {
-    match bits & 15 {
-        0 => AluOp::Add,
-        1 => AluOp::Sub,
-        2 => AluOp::Mul,
-        3 => AluOp::Div,
-        4 => AluOp::Rem,
-        5 => AluOp::And,
-        6 => AluOp::Or,
-        7 => AluOp::Xor,
-        8 => AluOp::Shl,
-        9 => AluOp::Shr,
-        10 => AluOp::Min,
-        _ => AluOp::Max,
-    }
+    AluOp::from_code(bits as u8 & 15).unwrap_or(AluOp::Max)
 }
 
 fn fpu_bits(op: FpuOp) -> u16 {
-    match op {
-        FpuOp::Add => 0,
-        FpuOp::Sub => 1,
-        FpuOp::Mul => 2,
-        FpuOp::Div => 3,
-        FpuOp::Min => 4,
-        FpuOp::Max => 5,
-    }
+    op.code().into()
 }
 
+#[inline(always)]
 fn fpu_from(bits: u16) -> FpuOp {
-    match bits & 7 {
-        0 => FpuOp::Add,
-        1 => FpuOp::Sub,
-        2 => FpuOp::Mul,
-        3 => FpuOp::Div,
-        4 => FpuOp::Min,
-        _ => FpuOp::Max,
-    }
+    FpuOp::from_code(bits as u8 & 7).unwrap_or(FpuOp::Max)
 }
 
 fn pred_bits(p: CmpPred) -> u16 {
-    match p {
-        CmpPred::Eq => 0,
-        CmpPred::Ne => 1,
-        CmpPred::Lt => 2,
-        CmpPred::Le => 3,
-        CmpPred::Gt => 4,
-        CmpPred::Ge => 5,
-    }
+    p.code().into()
 }
 
+#[inline(always)]
 fn pred_from(bits: u16) -> CmpPred {
-    match bits & 7 {
-        0 => CmpPred::Eq,
-        1 => CmpPred::Ne,
-        2 => CmpPred::Lt,
-        3 => CmpPred::Le,
-        4 => CmpPred::Gt,
-        _ => CmpPred::Ge,
-    }
+    CmpPred::from_code(bits as u8 & 7).unwrap_or(CmpPred::Ge)
 }
 
 fn red_bits(op: RedOp) -> u16 {
-    match op {
-        RedOp::Add => 0,
-        RedOp::Min => 1,
-        RedOp::Max => 2,
-    }
+    op.code().into()
 }
 
+#[inline(always)]
 fn red_from(bits: u16) -> RedOp {
-    match bits & 3 {
-        0 => RedOp::Add,
-        1 => RedOp::Min,
-        _ => RedOp::Max,
-    }
+    RedOp::from_code(bits as u8 & 3).unwrap_or(RedOp::Max)
 }
 
 /// Integer compare exactly as the legacy walk performs it.
@@ -1537,7 +1476,8 @@ fn h_pair<const A: usize, const B: usize>(op: &OpRecord, cx: &mut ExecCtx<'_>, p
     }
     // SAFETY: the pair sweep only rewrites a record whose immediate
     // successor is its partner in the same straight-line run, so `op` is
-    // never the stream's last record. The partner runs under its own pc, so
+    // never the stream's last record (prepare fact 5: a straight-line record
+    // never is). The partner runs under its own pc, so
     // any outcome it reports — fall-through, branch target, trapping record
     // — is already absolute and flows straight back to the dispatch loop.
     let partner = unsafe { &*std::ptr::from_ref(op).add(1) };

@@ -12,8 +12,10 @@
 //!   `blocks[b].insts[i]` double indirection, no per-step instruction clone);
 //! * call targets are resolved from `&str` names to **dense function
 //!   indices** (no per-call linear name lookup);
-//! * every register index is **bounds-checked once at prepare time** against
-//!   the target's register files, so the hot loop never re-validates;
+//! * every register operand is **checked once at prepare time** — its class
+//!   against the register file its handler indexes, its index against that
+//!   file's size — so the hot loop never re-validates (the validator's whole
+//!   contract is listed on [`PreparedProgram::prepare`]);
 //! * what retiring each instruction costs — latency class, cycle charge,
 //!   scoreboard keys, counter bumps — is **tabulated once** per instruction
 //!   ([`OpInfo`], stated per kind by [`op_info`]) and vector lane counts are
@@ -61,10 +63,15 @@
 //!
 //! # Adding a machine instruction
 //!
-//! 1. the variant in [`MInst`] (`mcode.rs`) and its wire encoding;
+//! 1. the variant in [`MInst`] (`mcode.rs`) and its row in `minst_shapes!`
+//!    beside it: tag, fields in wire order, each field's role and — for a
+//!    register the handler will index in a fixed file — that file's class.
+//!    The row *is* the store's wire encoding, the online compiler's def/use
+//!    walks and the prepare-time class check; nothing in `store.rs` or
+//!    `mir.rs` names the variant;
 //! 2. its arm in the legacy walk (`Simulator::call`, the independent
 //!    reference);
-//! 3. its [`PInst`] variant and validation arm in `prepare_function`;
+//! 3. its [`PInst`] variant and translation arm in `prepare_function`;
 //! 4. its handler and `lower_metered` arm in `dispatch.rs` (plus a pair-kind
 //!    if it should weld);
 //! 5. its row in [`op_info`] — all either timing tier needs, unless a
@@ -834,13 +841,43 @@ pub struct PreparedProgram {
 impl PreparedProgram {
     /// Pre-decode `program` for `target`, with macro-op fusion enabled.
     ///
-    /// All register indices, spill-slot indices, block targets and vector
-    /// capabilities are validated here, **once**, so the execution loop never
-    /// re-checks them. Every function is then lowered to the one threaded
-    /// record stream both timing tiers dispatch, which fixes what its
-    /// handlers rely on besides: every straight-line region ends in a control
-    /// instruction (a synthetic fall-off where the code has none), at the
-    /// region's first enum pc plus its instruction count less one.
+    /// A program is validated here, **once**, so the execution loop never
+    /// re-checks it, and every function is then lowered to the one threaded
+    /// record stream both timing tiers dispatch. A `PreparedProgram` can only
+    /// be built here, from any `MProgram` at all — a store entry with a valid
+    /// checksum is attacker-chosen input — so this is the whole contract the
+    /// executor's `unsafe` blocks rest on (each `SAFETY:` comment cites its
+    /// fact by number):
+    ///
+    /// 1. **Registers.** Every register operand names a register of the file
+    ///    *its handler indexes*: its class is the one the instruction kind
+    ///    implies (`MInst::class_mismatch`, generated from the class
+    ///    annotations of `minst_shapes!` — `Load` / `Store` by their `float`
+    ///    flag, the sources of `Mov` / `Select` by the destination's class),
+    ///    and its index is below that file's size on this target. Operands
+    ///    whose handler dispatches on the class at run time (spills and
+    ///    reloads, call arguments and results, return values, parameters)
+    ///    are checked against the file of their own class.
+    /// 2. **Slots.** A function declares at most `MAX_FRAME_SLOTS` spill
+    ///    slots, which bounds what a call allocates. A slot *number* is not
+    ///    trusted: the spill and reload handlers look it up with `get` and
+    ///    trap, as the legacy walk does.
+    /// 3. **Blocks.** Every `Jump` / `BranchNz` target names a block of its
+    ///    function and is resolved to that block's region, so control only
+    ///    ever lands on a region entry.
+    /// 4. **Vectors.** Vector instructions are refused on a target without a
+    ///    vector unit, and lane counts are computed here as `vector_bytes /
+    ///    elem.bytes()`, so lanes × element size never exceeds
+    ///    `vector_bytes`. (Vector registers and spilled vectors are sliced
+    ///    with bounds checks besides.)
+    /// 5. **Regions close.** Every straight-line region ends in a control
+    ///    record (a synthetic fall-off where the code has no terminator), at
+    ///    the region's first enum pc plus its instruction count less one: a
+    ///    sequential pc reaches a control record before it can pass the end
+    ///    of the stream, and a straight-line record is never the last.
+    ///
+    /// Memory operands are not part of this contract: an address is a
+    /// run-time value, range-checked at every access.
     ///
     /// Validation is deliberately **eager and whole-program**: a malformed
     /// instruction fails deployment even if it sits in a function the
@@ -853,8 +890,11 @@ impl PreparedProgram {
     ///
     /// Returns the same [`SimError`] variants the legacy walk would raise at
     /// run time: [`SimError::BadRegister`] for an index beyond the target's
-    /// register file, [`SimError::NoVectorUnit`] for vector instructions on a
-    /// scalar-only target, and [`SimError::Trap`] for malformed control flow.
+    /// register file — and for an operand of a class its instruction does
+    /// not take, which the legacy walk does not look for —
+    /// [`SimError::NoVectorUnit`] for vector instructions on a scalar-only
+    /// target, and [`SimError::Trap`] for malformed control flow or a slot
+    /// table past the frame limit.
     pub fn prepare(program: &MProgram, target: &TargetDesc) -> Result<PreparedProgram, SimError> {
         PreparedProgram::prepare_with(program, target, true)
     }
@@ -1442,6 +1482,12 @@ fn pinst_text(inst: &PInst) -> String {
     }
 }
 
+/// Most spill slots one function may declare: 64 KiB of slot table per call
+/// (plus `vector_bytes` per slot once a vector is spilled), a hundred times
+/// what the register assigner has ever needed, and small enough that a
+/// hostile declaration costs memory in proportion to the call depth only.
+const MAX_FRAME_SLOTS: u32 = 1 << 12;
+
 /// Register-file shape of the target a program is being prepared for.
 struct Layout {
     int_regs: usize,
@@ -1517,6 +1563,16 @@ fn prepare_function(
     let mut code = Vec::with_capacity(len as usize);
     for (bi, b) in f.blocks.iter().enumerate() {
         for inst in &b.insts {
+            // Fact 1, the class half: the arms below check each operand's
+            // index against the file of *its own* class, and the handlers
+            // index the file the instruction kind implies — so the two must
+            // be the same file before anything is translated.
+            if let Some(r) = inst.class_mismatch() {
+                return Err(SimError::BadRegister {
+                    reg: r.to_string(),
+                    function: fname.clone(),
+                });
+            }
             let p = match inst {
                 MInst::Imm { dst, value } => PInst::Imm {
                     dst: layout.resolve(*dst, fname)?,
@@ -1890,6 +1946,14 @@ fn prepare_function(
         code.push(PInst::FellOff { block: 0 });
         offsets.push(0);
     }
+    // Fact 2, the size half: every call allocates the function's whole slot
+    // table, and a store entry can declare 2^32 - 1 slots in five bytes.
+    if f.num_slots > MAX_FRAME_SLOTS {
+        return Err(SimError::Trap(format!(
+            "{fname} declares {} spill slots, a frame holds at most {MAX_FRAME_SLOTS}",
+            f.num_slots
+        )));
+    }
     let (name, _) = by_name
         .get_key_value(f.name.as_str())
         .expect("every function of the program is in its name index");
@@ -2093,6 +2157,313 @@ mod tests {
         let err = PreparedProgram::prepare(&vecp, &TargetDesc::ultrasparc()).unwrap_err();
         assert!(matches!(err, SimError::NoVectorUnit { .. }));
         assert!(PreparedProgram::prepare(&vecp, &TargetDesc::x86_sse()).is_ok());
+    }
+
+    /// One instance of every `MInst` variant, every operand in the register
+    /// file its handler indexes and low enough for every preset.
+    fn one_of_every_variant() -> Vec<MInst> {
+        let (r, f, v) = (PReg::int, PReg::float, PReg::vec);
+        let (w, op, fop, pred) = (Width::W32, AluOp::Add, FpuOp::Mul, CmpPred::Lt);
+        let (signed, double) = (true, false);
+        let (dst, src, lhs, rhs) = (r(1), r(2), r(2), r(3));
+        vec![
+            MInst::Imm { dst, value: 1 },
+            MInst::FImm {
+                dst: f(1),
+                value: 1.0,
+            },
+            MInst::Mov { dst, src },
+            MInst::IntOp {
+                op,
+                width: w,
+                signed,
+                dst,
+                lhs,
+                rhs,
+            },
+            MInst::FloatOp {
+                op: fop,
+                double,
+                dst: f(1),
+                lhs: f(2),
+                rhs: f(3),
+            },
+            MInst::IntNeg { width: w, dst, src },
+            MInst::IntNot { width: w, dst, src },
+            MInst::FloatNeg {
+                double,
+                dst: f(1),
+                src: f(2),
+            },
+            MInst::IntCmp {
+                pred,
+                width: w,
+                signed,
+                dst,
+                lhs,
+                rhs,
+            },
+            MInst::FloatCmp {
+                pred,
+                double,
+                dst,
+                lhs: f(2),
+                rhs: f(3),
+            },
+            MInst::Select {
+                dst: f(1),
+                cond: r(1),
+                if_true: f(2),
+                if_false: f(3),
+            },
+            MInst::IntToFloat {
+                signed,
+                double,
+                dst: f(1),
+                src,
+            },
+            MInst::FloatToInt {
+                width: w,
+                signed,
+                dst,
+                src: f(2),
+            },
+            MInst::FloatCvt {
+                to_double: true,
+                dst: f(1),
+                src: f(2),
+            },
+            MInst::IntResize {
+                width: w,
+                signed,
+                dst,
+                src,
+            },
+            MInst::Load {
+                width: w,
+                float: false,
+                signed,
+                dst,
+                base: r(0),
+                offset: 0,
+            },
+            MInst::Load {
+                width: w,
+                float: true,
+                signed,
+                dst: f(1),
+                base: r(0),
+                offset: 0,
+            },
+            MInst::Store {
+                width: w,
+                float: false,
+                base: r(0),
+                offset: 0,
+                src,
+            },
+            MInst::Store {
+                width: w,
+                float: true,
+                base: r(0),
+                offset: 0,
+                src: f(2),
+            },
+            MInst::VecLoad {
+                dst: v(1),
+                base: r(0),
+                offset: 0,
+            },
+            MInst::VecStore {
+                base: r(0),
+                offset: 0,
+                src: v(2),
+            },
+            MInst::VecSplatInt {
+                elem: w,
+                dst: v(1),
+                src,
+            },
+            MInst::VecSplatFloat {
+                elem: w,
+                dst: v(1),
+                src: f(2),
+            },
+            MInst::VecIntOp {
+                op,
+                elem: w,
+                signed,
+                dst: v(1),
+                lhs: v(2),
+                rhs: v(3),
+            },
+            MInst::VecFloatOp {
+                op: fop,
+                elem: w,
+                dst: v(1),
+                lhs: v(2),
+                rhs: v(3),
+            },
+            MInst::VecReduceInt {
+                op: RedOp::Add,
+                elem: w,
+                signed,
+                dst,
+                src: v(2),
+            },
+            MInst::VecReduceFloat {
+                op: RedOp::Max,
+                elem: w,
+                dst: f(1),
+                src: v(2),
+            },
+            MInst::Spill { slot: 0, src },
+            MInst::Reload { slot: 0, dst },
+            MInst::Jump { target: 0 },
+            MInst::BranchNz {
+                cond: r(1),
+                then_target: 0,
+                else_target: 0,
+            },
+            MInst::Call {
+                callee: "f".into(),
+                args: vec![r(1), f(1)],
+                ret: Some(r(2)),
+            },
+            MInst::Ret { value: Some(f(1)) },
+        ]
+    }
+
+    /// The register operands of `inst` whose register file its handler
+    /// fixes — written out here, not read off `minst_shapes!`, so that the
+    /// table's class annotations are checked against a second statement.
+    /// (`Spill`, `Reload`, `Call` and `Ret` dispatch on the operand's own
+    /// class, as do the destinations of `Mov` and `Select`.)
+    fn classed_operands(inst: &mut MInst) -> Vec<&mut PReg> {
+        match inst {
+            MInst::Imm { dst, .. } | MInst::FImm { dst, .. } => vec![dst],
+            MInst::Mov { src, .. } => vec![src],
+            MInst::IntOp { dst, lhs, rhs, .. }
+            | MInst::FloatOp { dst, lhs, rhs, .. }
+            | MInst::IntCmp { dst, lhs, rhs, .. }
+            | MInst::FloatCmp { dst, lhs, rhs, .. }
+            | MInst::VecIntOp { dst, lhs, rhs, .. }
+            | MInst::VecFloatOp { dst, lhs, rhs, .. } => vec![dst, lhs, rhs],
+            MInst::IntNeg { dst, src, .. }
+            | MInst::IntNot { dst, src, .. }
+            | MInst::FloatNeg { dst, src, .. }
+            | MInst::IntToFloat { dst, src, .. }
+            | MInst::FloatToInt { dst, src, .. }
+            | MInst::FloatCvt { dst, src, .. }
+            | MInst::IntResize { dst, src, .. }
+            | MInst::VecSplatInt { dst, src, .. }
+            | MInst::VecSplatFloat { dst, src, .. }
+            | MInst::VecReduceInt { dst, src, .. }
+            | MInst::VecReduceFloat { dst, src, .. } => vec![dst, src],
+            MInst::Select {
+                cond,
+                if_true,
+                if_false,
+                ..
+            } => vec![cond, if_true, if_false],
+            MInst::Load { dst, base, .. } | MInst::VecLoad { dst, base, .. } => vec![dst, base],
+            MInst::Store { base, src, .. } | MInst::VecStore { base, src, .. } => vec![base, src],
+            MInst::BranchNz { cond, .. } => vec![cond],
+            MInst::Spill { .. }
+            | MInst::Reload { .. }
+            | MInst::Jump { .. }
+            | MInst::Call { .. }
+            | MInst::Ret { .. } => vec![],
+        }
+    }
+
+    #[test]
+    fn an_operand_in_the_wrong_register_file_fails_at_prepare_time_on_every_preset() {
+        // The handlers index the file the instruction kind implies — the
+        // integer and float files without a bounds check — so an operand of
+        // another class must never get past preparation, whatever its index:
+        // here the highest register of the wrong file, which on most presets
+        // is past the end of the right one.
+        let one_inst_program = |inst: MInst| MProgram {
+            name: "m".into(),
+            functions: vec![MFunction {
+                name: "f".into(),
+                params: vec![],
+                blocks: vec![MBlock { insts: vec![inst] }],
+                num_slots: 1,
+            }],
+        };
+        let variants = one_of_every_variant();
+        let kinds: std::collections::HashSet<_> =
+            variants.iter().map(std::mem::discriminant).collect();
+        assert_eq!(kinds.len(), 31, "one instance per MInst variant");
+        let mut flipped = 0;
+        for target in TargetDesc::presets() {
+            let file = |class| match class {
+                RegClass::Int => target.int_regs,
+                RegClass::Float => target.float_regs,
+                RegClass::Vec => target.vector.map_or(0, |v| v.regs),
+            };
+            for inst in &variants {
+                let as_written = PreparedProgram::prepare(&one_inst_program(inst.clone()), &target);
+                if target.has_simd() || !inst.is_vector() {
+                    assert!(as_written.is_ok(), "{inst:?} on {}", target.name);
+                }
+                let operands = classed_operands(&mut inst.clone()).len();
+                for at in 0..operands {
+                    for wrong in [RegClass::Int, RegClass::Float, RegClass::Vec] {
+                        let mut hostile = inst.clone();
+                        let operand = classed_operands(&mut hostile).swap_remove(at);
+                        if operand.class == wrong {
+                            continue;
+                        }
+                        *operand = PReg {
+                            class: wrong,
+                            index: file(wrong).saturating_sub(1),
+                        };
+                        let outcome =
+                            PreparedProgram::prepare(&one_inst_program(hostile.clone()), &target);
+                        assert!(
+                            matches!(outcome, Err(SimError::BadRegister { .. })),
+                            "{hostile:?} on {}: {outcome:?}",
+                            target.name
+                        );
+                        flipped += 1;
+                    }
+                }
+            }
+        }
+        // 59 class-fixed operands over the instances above (`Load` and
+        // `Store` appear twice), two wrong classes each, nine presets.
+        assert_eq!(flipped, 59 * 2 * TargetDesc::presets().len());
+    }
+
+    #[test]
+    fn a_function_declaring_more_slots_than_a_frame_holds_fails_at_prepare_time() {
+        // Found by the store's payload fuzz: `num_slots` is five bytes of a
+        // store entry, and every call of the function allocated that many
+        // slots — 64 GiB for `u32::MAX`, an abort no caller can catch.
+        let declaring = |num_slots| MProgram {
+            name: "m".into(),
+            functions: vec![MFunction {
+                name: "f".into(),
+                params: vec![],
+                blocks: vec![MBlock {
+                    insts: vec![MInst::Ret { value: None }],
+                }],
+                num_slots,
+            }],
+        };
+        let target = TargetDesc::x86_sse();
+        for over in [MAX_FRAME_SLOTS + 1, u32::MAX] {
+            assert!(matches!(
+                PreparedProgram::prepare(&declaring(over), &target),
+                Err(SimError::Trap(_))
+            ));
+        }
+        let most = PreparedProgram::prepare(&declaring(MAX_FRAME_SLOTS), &target).unwrap();
+        let mut sim = PreparedSimulator::new(&most);
+        assert_eq!(sim.run("f", &[], &mut []), Ok(None));
     }
 
     #[test]

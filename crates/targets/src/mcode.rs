@@ -181,7 +181,47 @@ pub enum RedOp {
     Max,
 }
 
+/// Give each operand enum its number: `code()` and `from_code()` are the one
+/// enum ↔ integer mapping, used by the artifact store's wire format and by
+/// the executor's packed operand records alike. A number, once released, is
+/// part of the store format and never changes meaning.
+macro_rules! wire_codes {
+    ($($ty:ident { $($code:literal $variant:ident),+ })+) => {$(
+        impl $ty {
+            /// This variant's number on the wire and in packed records.
+            #[inline]
+            pub const fn code(self) -> u8 {
+                match self {
+                    $($ty::$variant => $code),+
+                }
+            }
+
+            /// The variant numbered `code`, if there is one.
+            #[inline]
+            pub const fn from_code(code: u8) -> Option<$ty> {
+                match code {
+                    $($code => Some($ty::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    )+};
+}
+
+wire_codes! {
+    RegClass { 0 Int, 1 Float, 2 Vec }
+    Width { 0 W8, 1 W16, 2 W32, 3 W64 }
+    AluOp { 0 Add, 1 Sub, 2 Mul, 3 Div, 4 Rem, 5 And, 6 Or, 7 Xor, 8 Shl, 9 Shr, 10 Min, 11 Max }
+    FpuOp { 0 Add, 1 Sub, 2 Mul, 3 Div, 4 Min, 5 Max }
+    CmpPred { 0 Eq, 1 Ne, 2 Lt, 3 Le, 4 Gt, 5 Ge }
+    RedOp { 0 Add, 1 Min, 2 Max }
+}
+
 /// One machine instruction of the virtual ISA.
+///
+/// The *shape* of every variant — wire tag, field order, which fields are
+/// registers and of which class — is stated once, in
+/// [`minst_shapes!`](crate::minst_shapes); a new variant needs its row there.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum MInst {
     /// `dst = value` (integer register).
@@ -501,6 +541,128 @@ pub enum MInst {
         value: Option<PReg>,
     },
 }
+
+/// The shape of every [`MInst`] variant, stated once: `minst_shapes!(cb)`
+/// expands to `cb! { rows }`, one row per variant, and every consumer — the
+/// artifact store's codec (`splitc-runtime`), the online compiler's def/use
+/// walks (`splitc-jit`), the register-class check below — is a small macro
+/// over the rows.
+///
+/// A row is `tag Variant { role field, … }`:
+///
+/// * `tag` is the variant's byte in a store entry, and **the fields are in
+///   wire order**: row order *is* the store's payload format (the field's
+///   Rust type picks its encoding) and the operand order of the def/use
+///   walks. Reordering a row, or renumbering one, changes the format and
+///   needs a `STORE_FORMAT_VERSION` bump.
+/// * `role` says what the field is: `def` a register the instruction
+///   writes, `use` one it reads, `odef` / `ouse` an `Option<PReg>` written /
+///   read, `uses` a `Vec<PReg>` read in order, `val` anything that is not a
+///   register (immediates, widths, slots, block numbers, names).
+/// * a `def` / `use` may name, in parentheses, the register file the
+///   instruction's handler indexes it in: `int`, `float`, `vec`, `same f`
+///   (the class of field `f`) or `mem f` (float if the `bool` field `f` is
+///   set, integer otherwise). A register role without one dispatches on the
+///   operand's own class at run time, so every class is valid there.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! minst_shapes {
+    ($cb:ident) => {
+        $cb! {
+            0 Imm { def(int) dst, val value }
+            1 FImm { def(float) dst, val value }
+            2 Mov { def dst, use(same dst) src }
+            3 IntOp { val op, val width, val signed, def(int) dst, use(int) lhs, use(int) rhs }
+            4 FloatOp { val op, val double, def(float) dst, use(float) lhs, use(float) rhs }
+            5 IntNeg { val width, def(int) dst, use(int) src }
+            6 IntNot { val width, def(int) dst, use(int) src }
+            7 FloatNeg { val double, def(float) dst, use(float) src }
+            8 IntCmp { val pred, val width, val signed, def(int) dst, use(int) lhs, use(int) rhs }
+            9 FloatCmp { val pred, val double, def(int) dst, use(float) lhs, use(float) rhs }
+            10 Select { def dst, use(int) cond, use(same dst) if_true, use(same dst) if_false }
+            11 IntToFloat { val signed, val double, def(float) dst, use(int) src }
+            12 FloatToInt { val width, val signed, def(int) dst, use(float) src }
+            13 FloatCvt { val to_double, def(float) dst, use(float) src }
+            14 IntResize { val width, val signed, def(int) dst, use(int) src }
+            15 Load { val width, val float, val signed, def(mem float) dst, use(int) base, val offset }
+            16 Store { val width, val float, use(int) base, val offset, use(mem float) src }
+            17 VecLoad { def(vec) dst, use(int) base, val offset }
+            18 VecStore { use(int) base, val offset, use(vec) src }
+            19 VecSplatInt { val elem, def(vec) dst, use(int) src }
+            20 VecSplatFloat { val elem, def(vec) dst, use(float) src }
+            21 VecIntOp { val op, val elem, val signed, def(vec) dst, use(vec) lhs, use(vec) rhs }
+            22 VecFloatOp { val op, val elem, def(vec) dst, use(vec) lhs, use(vec) rhs }
+            23 VecReduceInt { val op, val elem, val signed, def(int) dst, use(vec) src }
+            24 VecReduceFloat { val op, val elem, def(float) dst, use(vec) src }
+            25 Spill { val slot, use src }
+            26 Reload { val slot, def dst }
+            27 Jump { val target }
+            28 BranchNz { use(int) cond, val then_target, val else_target }
+            29 Call { val callee, uses args, odef ret }
+            30 Ret { ouse value }
+        }
+    };
+}
+
+/// The register class a `def` / `use` annotation of [`minst_shapes!`] names.
+macro_rules! annotated_class {
+    (int) => {
+        RegClass::Int
+    };
+    (float) => {
+        RegClass::Float
+    };
+    (vec) => {
+        RegClass::Vec
+    };
+    (same $of:ident) => {
+        $of.class
+    };
+    (mem $float:ident) => {
+        if *$float {
+            RegClass::Float
+        } else {
+            RegClass::Int
+        }
+    };
+}
+
+/// The six roles of [`minst_shapes!`]; any other word does not expand.
+macro_rules! known_role {
+    (def) => {};
+    (use) => {};
+    (odef) => {};
+    (ouse) => {};
+    (uses) => {};
+    (val) => {};
+}
+
+macro_rules! class_check {
+    ($($tag:literal $variant:ident {
+        $($role:ident $(($($class:tt)+))? $field:ident),*
+    })*) => {
+        impl MInst {
+            /// The first register operand whose class is not the one this
+            /// instruction's handler indexes it in (the annotations of
+            /// [`minst_shapes!`]), if there is one. Preparation refuses such
+            /// an instruction: the handlers index the file the instruction
+            /// kind implies without looking at the operand's class.
+            #[allow(unused_variables)]
+            pub(crate) fn class_mismatch(&self) -> Option<PReg> {
+                match self {
+                    $(MInst::$variant { $($field),* } => {
+                        $(known_role!($role);)*
+                        $($(if $field.class != annotated_class!($($class)+) {
+                            return Some(*$field);
+                        })?)*
+                        None
+                    })*
+                }
+            }
+        }
+    };
+}
+minst_shapes!(class_check);
 
 impl MInst {
     /// `true` if this instruction ends a basic block.

@@ -1245,9 +1245,12 @@ pub(crate) fn check_range(mem: &[u8], addr: i64, len: u64) -> Result<(), SimErro
 
 pub(crate) fn read_mem(mem: &[u8], addr: i64, len: u64) -> Result<u64, SimError> {
     check_range(mem, addr, len)?;
-    // SAFETY: `check_range` proved `addr > 0` and `addr + len <= mem.len()`.
-    // Reading a fixed width beats the variable-length `copy_from_slice`
-    // (a memcpy call) this compiled to before.
+    // SAFETY: `check_range` proved `addr > 0` and `addr + len <= mem.len()`,
+    // and `len` is a `Width::bytes()` — 1, 2, 4 or 8 — at every caller, so
+    // the widest arm reads exactly the 8 bytes that were checked. This rests
+    // on none of the prepare facts: an address is a run-time value, checked
+    // here at every access. Reading a fixed width beats the variable-length
+    // `copy_from_slice` (a memcpy call) this compiled to before.
     let p = unsafe { mem.as_ptr().add(addr as usize) };
     Ok(unsafe {
         match len {
@@ -1262,7 +1265,8 @@ pub(crate) fn read_mem(mem: &[u8], addr: i64, len: u64) -> Result<u64, SimError>
 pub(crate) fn write_mem(mem: &mut [u8], addr: i64, len: u64, value: u64) -> Result<(), SimError> {
     check_range(mem, addr, len)?;
     let bytes = value.to_le_bytes();
-    // SAFETY: as in `read_mem`; widths are 1, 2, 4 or 8 bytes.
+    // SAFETY: as in `read_mem` (no prepare fact involved): `check_range`
+    // just passed and `len` is a `Width::bytes()`, 1, 2, 4 or 8.
     let p = unsafe { mem.as_mut_ptr().add(addr as usize) };
     unsafe {
         match len {

@@ -194,15 +194,20 @@ impl AnnotationSet {
         self.entries.is_empty()
     }
 
-    /// Insert or replace the annotation under `key`.
-    pub fn set(&mut self, key: &str, value: impl Into<AnnotationValue>) {
-        self.insert(key.to_owned(), value.into());
+    /// The set holding exactly `entries` (what the decoder read, keys moved
+    /// in rather than copied).
+    pub(crate) fn from_map(entries: BTreeMap<String, AnnotationValue>) -> Self {
+        AnnotationSet { entries }
     }
 
-    /// [`AnnotationSet::set`] for a key the caller already owns: the decoder
-    /// moves each key it read into the map instead of copying it.
-    pub(crate) fn insert(&mut self, key: String, value: AnnotationValue) {
-        self.entries.insert(key, value);
+    /// The annotations by key (what the encoder writes).
+    pub(crate) fn as_map(&self) -> &BTreeMap<String, AnnotationValue> {
+        &self.entries
+    }
+
+    /// Insert or replace the annotation under `key`.
+    pub fn set(&mut self, key: &str, value: impl Into<AnnotationValue>) {
+        self.entries.insert(key.to_owned(), value.into());
     }
 
     /// Remove the annotation under `key`, returning its previous value.

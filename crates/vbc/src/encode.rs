@@ -34,7 +34,7 @@
 
 use crate::annotations::{AnnotationSet, AnnotationValue};
 use crate::function::{Block, Function};
-use crate::inst::{BinOp, BlockId, CmpOp, Immediate, Inst, ReduceOp, UnOp, VReg};
+use crate::inst::{inst_shapes, BinOp, BlockId, CmpOp, Immediate, Inst, ReduceOp, UnOp, VReg};
 use crate::module::Module;
 use crate::types::{ScalarType, Type};
 use std::collections::{BTreeMap, HashSet};
@@ -412,34 +412,6 @@ fn scalar_from_tag(tag: u8) -> Result<ScalarType, DecodeError> {
         })
 }
 
-fn binop_tag(op: BinOp) -> u8 {
-    BinOp::ALL.iter().position(|o| *o == op).expect("op in ALL") as u8
-}
-
-fn binop_from_tag(tag: u8) -> Result<BinOp, DecodeError> {
-    BinOp::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or(DecodeError::BadTag {
-            what: "binary operator",
-            tag,
-        })
-}
-
-fn cmpop_tag(op: CmpOp) -> u8 {
-    CmpOp::ALL.iter().position(|o| *o == op).expect("op in ALL") as u8
-}
-
-fn cmpop_from_tag(tag: u8) -> Result<CmpOp, DecodeError> {
-    CmpOp::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or(DecodeError::BadTag {
-            what: "comparison operator",
-            tag,
-        })
-}
-
 fn write_type(w: &mut Writer, t: Type) {
     match t {
         Type::Scalar(s) => {
@@ -463,6 +435,211 @@ fn read_type(r: &mut Reader<'_>) -> Result<Type, DecodeError> {
     }
 }
 
+/// How a value of one *field type* travels. The codec of an instruction is
+/// generated from its row of `inst_shapes!` — tag, then every field's `put`
+/// in row order; tag, then every field's `get` in the same order — so a
+/// field's Rust type picks its encoding, in both directions at once, and
+/// there is no second statement of the layout for the two to disagree on.
+///
+/// Every `get` is strict: a flag is 0 or 1, a tag names a variant, an index
+/// fits 32 bits. Anything else is a [`DecodeError`], because a byte string
+/// that decodes must be the *only* one that decodes to its module.
+trait Wire: Sized {
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+}
+
+/// Read a LEB128 integer that names a 32-bit index (a register or a block).
+///
+/// A value past `u32::MAX` is rejected, never truncated: `81 80 80 80 10`
+/// (2³² + 1) silently becoming register 1 would let two distinct byte strings
+/// decode to one module, and module identity is the encoding.
+fn read_u32(r: &mut Reader<'_>, what: &'static str) -> Result<u32, DecodeError> {
+    let v = r.uleb()?;
+    u32::try_from(v).map_err(|_| DecodeError::BadTag { what, tag: v as u8 })
+}
+
+impl Wire for VReg {
+    fn put(&self, w: &mut Writer) {
+        w.uleb(u64::from(self.0));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        read_u32(r, "register").map(VReg)
+    }
+}
+
+impl Wire for BlockId {
+    fn put(&self, w: &mut Writer) {
+        w.uleb(u64::from(self.0));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        read_u32(r, "block").map(BlockId)
+    }
+}
+
+impl Wire for i64 {
+    fn put(&self, w: &mut Writer) {
+        w.sleb(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.sleb()
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        w.str(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.str()
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, w: &mut Writer) {
+        w.u8(u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(DecodeError::BadTag { what: "flag", tag }),
+        }
+    }
+}
+
+/// A presence flag, then the value if there is one.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(if bool::get(r)? {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// A count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        w.uleb(self.len() as u64);
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = r.uleb()? as usize;
+        let mut out = Vec::with_capacity(cap_hint(n));
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl Wire for ScalarType {
+    fn put(&self, w: &mut Writer) {
+        w.u8(scalar_tag(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        scalar_from_tag(r.u8()?)
+    }
+}
+
+impl Wire for Type {
+    fn put(&self, w: &mut Writer) {
+        write_type(w, *self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        read_type(r)
+    }
+}
+
+/// An operator enum as one byte: its position in `$table`.
+macro_rules! wire_operator {
+    ($ty:ty, $what:literal, $table:expr) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                let at = $table.iter().position(|v| v == self);
+                w.u8(at.expect("every operator is in its table") as u8);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                let tag = r.u8()?;
+                $table
+                    .get(usize::from(tag))
+                    .copied()
+                    .ok_or(DecodeError::BadTag { what: $what, tag })
+            }
+        }
+    };
+}
+wire_operator!(BinOp, "binary operator", BinOp::ALL);
+wire_operator!(CmpOp, "comparison operator", CmpOp::ALL);
+wire_operator!(UnOp, "unary operator", [UnOp::Neg, UnOp::Not]);
+wire_operator!(
+    ReduceOp,
+    "reduce operator",
+    [ReduceOp::Add, ReduceOp::Min, ReduceOp::Max]
+);
+
+impl Wire for Immediate {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            Immediate::Int(v) => {
+                w.u8(0);
+                w.sleb(*v);
+            }
+            Immediate::Float(v) => {
+                w.u8(1);
+                w.f64(*v);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(Immediate::Int(r.sleb()?)),
+            1 => Ok(Immediate::Float(r.f64()?)),
+            tag => Err(DecodeError::BadTag {
+                what: "immediate",
+                tag,
+            }),
+        }
+    }
+}
+
+/// `write_inst` / `read_inst`, generated from the rows of `inst_shapes!`.
+macro_rules! inst_codec {
+    ($($tag:literal $variant:ident { $($role:ident $field:ident),* })*) => {
+        fn write_inst(w: &mut Writer, inst: &Inst) {
+            match inst {
+                $(Inst::$variant { $($field),* } => {
+                    w.u8($tag);
+                    $($field.put(w);)*
+                })*
+            }
+        }
+
+        fn read_inst(r: &mut Reader<'_>) -> Result<Inst, DecodeError> {
+            Ok(match r.u8()? {
+                $($tag => Inst::$variant { $($field: Wire::get(r)?),* },)*
+                tag => {
+                    return Err(DecodeError::BadTag {
+                        what: "instruction",
+                        tag,
+                    })
+                }
+            })
+        }
+    };
+}
+inst_shapes!(inst_codec);
+
 fn write_value(w: &mut Writer, v: &AnnotationValue) {
     match v {
         AnnotationValue::Int(x) => {
@@ -475,7 +652,7 @@ fn write_value(w: &mut Writer, v: &AnnotationValue) {
         }
         AnnotationValue::Bool(x) => {
             w.u8(2);
-            w.u8(u8::from(*x));
+            x.put(w);
         }
         AnnotationValue::Str(x) => {
             w.u8(3);
@@ -490,11 +667,7 @@ fn write_value(w: &mut Writer, v: &AnnotationValue) {
         }
         AnnotationValue::Map(m) => {
             w.u8(5);
-            w.uleb(m.len() as u64);
-            for (k, x) in m {
-                w.str(k);
-                write_value(w, x);
-            }
+            write_map(w, m);
         }
     }
 }
@@ -519,7 +692,7 @@ fn read_value(r: &mut Reader<'_>, depth: usize) -> Result<AnnotationValue, Decod
     Ok(match tag {
         0 => AnnotationValue::Int(r.sleb()?),
         1 => AnnotationValue::Float(r.f64()?),
-        2 => AnnotationValue::Bool(r.u8()? != 0),
+        2 => AnnotationValue::Bool(Wire::get(r)?),
         3 => AnnotationValue::Str(r.str()?),
         4 => {
             let n = r.uleb()? as usize;
@@ -529,15 +702,7 @@ fn read_value(r: &mut Reader<'_>, depth: usize) -> Result<AnnotationValue, Decod
             }
             AnnotationValue::List(xs)
         }
-        5 => {
-            let n = r.uleb()? as usize;
-            let mut m = BTreeMap::new();
-            for _ in 0..n {
-                let k = r.str()?;
-                m.insert(k, read_value(r, depth + 1)?);
-            }
-            AnnotationValue::Map(m)
-        }
+        5 => AnnotationValue::Map(read_map(r, depth + 1)?),
         tag => {
             return Err(DecodeError::BadTag {
                 what: "annotation value",
@@ -547,430 +712,52 @@ fn read_value(r: &mut Reader<'_>, depth: usize) -> Result<AnnotationValue, Decod
     })
 }
 
-fn write_annotations(w: &mut Writer, a: &AnnotationSet) {
-    let entries: Vec<_> = a.iter().collect();
-    w.uleb(entries.len() as u64);
-    for (k, v) in entries {
+/// A keyed collection (an annotation set, a `Map` value): a count, then the
+/// entries in key order.
+fn write_map(w: &mut Writer, m: &BTreeMap<String, AnnotationValue>) {
+    w.uleb(m.len() as u64);
+    for (k, x) in m {
         w.str(k);
-        write_value(w, v);
+        write_value(w, x);
     }
 }
 
-fn read_annotations(r: &mut Reader<'_>) -> Result<AnnotationSet, DecodeError> {
-    let n = r.uleb()? as usize;
-    let mut a = AnnotationSet::new();
-    for _ in 0..n {
-        let k = r.str()?;
-        let v = read_value(r, 0)?;
-        a.insert(k, v);
-    }
-    Ok(a)
-}
-
-fn write_inst(w: &mut Writer, inst: &Inst) {
-    match inst {
-        Inst::Const { dst, ty, imm } => {
-            w.u8(0);
-            w.uleb(u64::from(dst.0));
-            w.u8(scalar_tag(*ty));
-            match imm {
-                Immediate::Int(v) => {
-                    w.u8(0);
-                    w.sleb(*v);
-                }
-                Immediate::Float(v) => {
-                    w.u8(1);
-                    w.f64(*v);
-                }
-            }
-        }
-        Inst::Move { dst, ty, src } => {
-            w.u8(1);
-            w.uleb(u64::from(dst.0));
-            w.u8(scalar_tag(*ty));
-            w.uleb(u64::from(src.0));
-        }
-        Inst::Bin {
-            op,
-            ty,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            w.u8(2);
-            w.u8(binop_tag(*op));
-            w.u8(scalar_tag(*ty));
-            w.uleb(u64::from(dst.0));
-            w.uleb(u64::from(lhs.0));
-            w.uleb(u64::from(rhs.0));
-        }
-        Inst::Un { op, ty, dst, src } => {
-            w.u8(3);
-            w.u8(match op {
-                UnOp::Neg => 0,
-                UnOp::Not => 1,
-            });
-            w.u8(scalar_tag(*ty));
-            w.uleb(u64::from(dst.0));
-            w.uleb(u64::from(src.0));
-        }
-        Inst::Cmp {
-            op,
-            ty,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            w.u8(4);
-            w.u8(cmpop_tag(*op));
-            w.u8(scalar_tag(*ty));
-            w.uleb(u64::from(dst.0));
-            w.uleb(u64::from(lhs.0));
-            w.uleb(u64::from(rhs.0));
-        }
-        Inst::Select {
-            ty,
-            dst,
-            cond,
-            if_true,
-            if_false,
-        } => {
-            w.u8(5);
-            w.u8(scalar_tag(*ty));
-            w.uleb(u64::from(dst.0));
-            w.uleb(u64::from(cond.0));
-            w.uleb(u64::from(if_true.0));
-            w.uleb(u64::from(if_false.0));
-        }
-        Inst::Cast { dst, to, src, from } => {
-            w.u8(6);
-            w.uleb(u64::from(dst.0));
-            w.u8(scalar_tag(*to));
-            w.uleb(u64::from(src.0));
-            w.u8(scalar_tag(*from));
-        }
-        Inst::Load {
-            dst,
-            ty,
-            addr,
-            offset,
-        } => {
-            w.u8(7);
-            w.uleb(u64::from(dst.0));
-            w.u8(scalar_tag(*ty));
-            w.uleb(u64::from(addr.0));
-            w.sleb(*offset);
-        }
-        Inst::Store {
-            ty,
-            addr,
-            offset,
-            value,
-        } => {
-            w.u8(8);
-            w.u8(scalar_tag(*ty));
-            w.uleb(u64::from(addr.0));
-            w.sleb(*offset);
-            w.uleb(u64::from(value.0));
-        }
-        Inst::Call { dst, callee, args } => {
-            w.u8(9);
-            match dst {
-                Some(d) => {
-                    w.u8(1);
-                    w.uleb(u64::from(d.0));
-                }
-                None => w.u8(0),
-            }
-            w.str(callee);
-            w.uleb(args.len() as u64);
-            for a in args {
-                w.uleb(u64::from(a.0));
-            }
-        }
-        Inst::VecWidth { dst, elem } => {
-            w.u8(10);
-            w.uleb(u64::from(dst.0));
-            w.u8(scalar_tag(*elem));
-        }
-        Inst::VecSplat { dst, elem, src } => {
-            w.u8(11);
-            w.uleb(u64::from(dst.0));
-            w.u8(scalar_tag(*elem));
-            w.uleb(u64::from(src.0));
-        }
-        Inst::VecLoad {
-            dst,
-            elem,
-            addr,
-            offset,
-        } => {
-            w.u8(12);
-            w.uleb(u64::from(dst.0));
-            w.u8(scalar_tag(*elem));
-            w.uleb(u64::from(addr.0));
-            w.sleb(*offset);
-        }
-        Inst::VecStore {
-            elem,
-            addr,
-            offset,
-            value,
-        } => {
-            w.u8(13);
-            w.u8(scalar_tag(*elem));
-            w.uleb(u64::from(addr.0));
-            w.sleb(*offset);
-            w.uleb(u64::from(value.0));
-        }
-        Inst::VecBin {
-            op,
-            elem,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            w.u8(14);
-            w.u8(binop_tag(*op));
-            w.u8(scalar_tag(*elem));
-            w.uleb(u64::from(dst.0));
-            w.uleb(u64::from(lhs.0));
-            w.uleb(u64::from(rhs.0));
-        }
-        Inst::VecReduce { op, elem, dst, src } => {
-            w.u8(15);
-            w.u8(match op {
-                ReduceOp::Add => 0,
-                ReduceOp::Min => 1,
-                ReduceOp::Max => 2,
-            });
-            w.u8(scalar_tag(*elem));
-            w.uleb(u64::from(dst.0));
-            w.uleb(u64::from(src.0));
-        }
-        Inst::Jump { target } => {
-            w.u8(16);
-            w.uleb(u64::from(target.0));
-        }
-        Inst::Branch {
-            cond,
-            then_bb,
-            else_bb,
-        } => {
-            w.u8(17);
-            w.uleb(u64::from(cond.0));
-            w.uleb(u64::from(then_bb.0));
-            w.uleb(u64::from(else_bb.0));
-        }
-        Inst::Ret { value } => {
-            w.u8(18);
-            match value {
-                Some(v) => {
-                    w.u8(1);
-                    w.uleb(u64::from(v.0));
-                }
-                None => w.u8(0),
-            }
-        }
-    }
-}
-
-/// Read a LEB128 integer that names a 32-bit index (a register or a block).
+/// Decode a keyed collection whose values sit inside `depth` lists and maps.
 ///
-/// A value past `u32::MAX` is rejected, never truncated: `81 80 80 80 10`
-/// (2³² + 1) silently becoming register 1 would let two distinct byte strings
-/// decode to one module, and module identity is the encoding.
-fn read_u32(r: &mut Reader<'_>, what: &'static str) -> Result<u32, DecodeError> {
-    let v = r.uleb()?;
-    u32::try_from(v).map_err(|_| DecodeError::BadTag { what, tag: v as u8 })
-}
-
-fn read_vreg(r: &mut Reader<'_>) -> Result<VReg, DecodeError> {
-    read_u32(r, "register").map(VReg)
-}
-
-fn read_block_id(r: &mut Reader<'_>) -> Result<BlockId, DecodeError> {
-    read_u32(r, "block").map(BlockId)
-}
-
-fn read_inst(r: &mut Reader<'_>) -> Result<Inst, DecodeError> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        0 => {
-            let dst = read_vreg(r)?;
-            let ty = scalar_from_tag(r.u8()?)?;
-            let imm = match r.u8()? {
-                0 => Immediate::Int(r.sleb()?),
-                1 => Immediate::Float(r.f64()?),
-                t => {
-                    return Err(DecodeError::BadTag {
-                        what: "immediate",
-                        tag: t,
-                    })
-                }
-            };
-            Inst::Const { dst, ty, imm }
-        }
-        1 => Inst::Move {
-            dst: read_vreg(r)?,
-            ty: scalar_from_tag(r.u8()?)?,
-            src: read_vreg(r)?,
-        },
-        2 => Inst::Bin {
-            op: binop_from_tag(r.u8()?)?,
-            ty: scalar_from_tag(r.u8()?)?,
-            dst: read_vreg(r)?,
-            lhs: read_vreg(r)?,
-            rhs: read_vreg(r)?,
-        },
-        3 => Inst::Un {
-            op: match r.u8()? {
-                0 => UnOp::Neg,
-                1 => UnOp::Not,
-                t => {
-                    return Err(DecodeError::BadTag {
-                        what: "unary operator",
-                        tag: t,
-                    })
-                }
-            },
-            ty: scalar_from_tag(r.u8()?)?,
-            dst: read_vreg(r)?,
-            src: read_vreg(r)?,
-        },
-        4 => Inst::Cmp {
-            op: cmpop_from_tag(r.u8()?)?,
-            ty: scalar_from_tag(r.u8()?)?,
-            dst: read_vreg(r)?,
-            lhs: read_vreg(r)?,
-            rhs: read_vreg(r)?,
-        },
-        5 => Inst::Select {
-            ty: scalar_from_tag(r.u8()?)?,
-            dst: read_vreg(r)?,
-            cond: read_vreg(r)?,
-            if_true: read_vreg(r)?,
-            if_false: read_vreg(r)?,
-        },
-        6 => Inst::Cast {
-            dst: read_vreg(r)?,
-            to: scalar_from_tag(r.u8()?)?,
-            src: read_vreg(r)?,
-            from: scalar_from_tag(r.u8()?)?,
-        },
-        7 => Inst::Load {
-            dst: read_vreg(r)?,
-            ty: scalar_from_tag(r.u8()?)?,
-            addr: read_vreg(r)?,
-            offset: r.sleb()?,
-        },
-        8 => Inst::Store {
-            ty: scalar_from_tag(r.u8()?)?,
-            addr: read_vreg(r)?,
-            offset: r.sleb()?,
-            value: read_vreg(r)?,
-        },
-        9 => {
-            let dst = if r.u8()? != 0 {
-                Some(read_vreg(r)?)
-            } else {
-                None
-            };
-            let callee = r.str()?;
-            let n = r.uleb()? as usize;
-            let mut args = Vec::with_capacity(cap_hint(n));
-            for _ in 0..n {
-                args.push(read_vreg(r)?);
-            }
-            Inst::Call { dst, callee, args }
-        }
-        10 => Inst::VecWidth {
-            dst: read_vreg(r)?,
-            elem: scalar_from_tag(r.u8()?)?,
-        },
-        11 => Inst::VecSplat {
-            dst: read_vreg(r)?,
-            elem: scalar_from_tag(r.u8()?)?,
-            src: read_vreg(r)?,
-        },
-        12 => Inst::VecLoad {
-            dst: read_vreg(r)?,
-            elem: scalar_from_tag(r.u8()?)?,
-            addr: read_vreg(r)?,
-            offset: r.sleb()?,
-        },
-        13 => Inst::VecStore {
-            elem: scalar_from_tag(r.u8()?)?,
-            addr: read_vreg(r)?,
-            offset: r.sleb()?,
-            value: read_vreg(r)?,
-        },
-        14 => Inst::VecBin {
-            op: binop_from_tag(r.u8()?)?,
-            elem: scalar_from_tag(r.u8()?)?,
-            dst: read_vreg(r)?,
-            lhs: read_vreg(r)?,
-            rhs: read_vreg(r)?,
-        },
-        15 => Inst::VecReduce {
-            op: match r.u8()? {
-                0 => ReduceOp::Add,
-                1 => ReduceOp::Min,
-                2 => ReduceOp::Max,
-                t => {
-                    return Err(DecodeError::BadTag {
-                        what: "reduce operator",
-                        tag: t,
-                    })
-                }
-            },
-            elem: scalar_from_tag(r.u8()?)?,
-            dst: read_vreg(r)?,
-            src: read_vreg(r)?,
-        },
-        16 => Inst::Jump {
-            target: read_block_id(r)?,
-        },
-        17 => Inst::Branch {
-            cond: read_vreg(r)?,
-            then_bb: read_block_id(r)?,
-            else_bb: read_block_id(r)?,
-        },
-        18 => Inst::Ret {
-            value: if r.u8()? != 0 {
-                Some(read_vreg(r)?)
-            } else {
-                None
-            },
-        },
-        t => {
+/// Each key must be strictly greater than the one before it, which is the
+/// order [`write_map`] emits. Taking them in any order would give one
+/// collection as many encodings as it has permutations, and taking a
+/// repeated key (last one wins) would give it arbitrarily many more.
+fn read_map(
+    r: &mut Reader<'_>,
+    depth: usize,
+) -> Result<BTreeMap<String, AnnotationValue>, DecodeError> {
+    let n = r.uleb()?;
+    let mut m = BTreeMap::new();
+    for i in 0..n {
+        let k = r.str()?;
+        if m.last_key_value().is_some_and(|(last, _)| *last >= k) {
             return Err(DecodeError::BadTag {
-                what: "instruction",
-                tag: t,
-            })
+                what: "annotation key order",
+                // No tag byte is at fault; report which entry (low byte).
+                tag: i as u8,
+            });
         }
-    })
+        m.insert(k, read_value(r, depth)?);
+    }
+    Ok(m)
 }
 
 fn write_function(w: &mut Writer, f: &Function) {
     w.str(&f.name);
     w.uleb(f.params.len() as u64);
     for (r, t) in &f.params {
-        w.uleb(u64::from(r.0));
-        write_type(w, *t);
+        r.put(w);
+        t.put(w);
     }
-    match f.ret {
-        Some(t) => {
-            w.u8(1);
-            write_type(w, t);
-        }
-        None => w.u8(0),
-    }
-    w.uleb(f.vreg_types.len() as u64);
-    for t in &f.vreg_types {
-        write_type(w, *t);
-    }
-    w.uleb(u64::from(f.entry.0));
+    f.ret.put(w);
+    f.vreg_types.put(w);
+    f.entry.put(w);
     w.uleb(f.blocks.len() as u64);
     for b in &f.blocks {
         w.uleb(b.insts.len() as u64);
@@ -978,7 +765,7 @@ fn write_function(w: &mut Writer, f: &Function) {
             write_inst(w, inst);
         }
     }
-    write_annotations(w, &f.annotations);
+    write_map(w, f.annotations.as_map());
 }
 
 fn read_function(r: &mut Reader<'_>) -> Result<Function, DecodeError> {
@@ -986,21 +773,11 @@ fn read_function(r: &mut Reader<'_>) -> Result<Function, DecodeError> {
     let nparams = r.uleb()? as usize;
     let mut params = Vec::with_capacity(cap_hint(nparams));
     for _ in 0..nparams {
-        let reg = read_vreg(r)?;
-        let ty = read_type(r)?;
-        params.push((reg, ty));
+        params.push((VReg::get(r)?, Type::get(r)?));
     }
-    let ret = if r.u8()? != 0 {
-        Some(read_type(r)?)
-    } else {
-        None
-    };
-    let nvregs = r.uleb()? as usize;
-    let mut vreg_types = Vec::with_capacity(cap_hint(nvregs));
-    for _ in 0..nvregs {
-        vreg_types.push(read_type(r)?);
-    }
-    let entry = read_block_id(r)?;
+    let ret = Wire::get(r)?;
+    let vreg_types = Wire::get(r)?;
+    let entry = Wire::get(r)?;
     let nblocks = r.uleb()? as usize;
     let mut blocks = Vec::with_capacity(cap_hint(nblocks));
     for id in 0..nblocks {
@@ -1014,7 +791,7 @@ fn read_function(r: &mut Reader<'_>) -> Result<Function, DecodeError> {
             insts,
         });
     }
-    let annotations = read_annotations(r)?;
+    let annotations = AnnotationSet::from_map(read_map(r, 0)?);
     Ok(Function {
         name,
         params,
@@ -1051,7 +828,7 @@ fn write_module(w: &mut Writer, m: &Module) {
     for f in m.functions() {
         write_function(w, f);
     }
-    write_annotations(w, &m.annotations);
+    write_map(w, m.annotations.as_map());
 }
 
 /// Decode a module previously produced by [`encode_module`].
@@ -1092,7 +869,7 @@ pub fn decode_module(bytes: &[u8]) -> Result<Module, DecodeError> {
             tag: repeat as u8,
         });
     }
-    let annotations = read_annotations(&mut r)?;
+    let annotations = AnnotationSet::from_map(read_map(&mut r, 0)?);
     r.finish()?;
     Ok(Module::from_parts(name, functions, annotations))
 }
@@ -1488,14 +1265,14 @@ mod tests {
             if mutated == bytes {
                 continue;
             }
-            // The decoder must never panic; if the mutation happens to
-            // still decode, the result must re-encode canonically (no two
-            // distinct canonical encodings may alias one module).
+            // The decoder must never panic, and a mutation that still
+            // decodes must be the one encoding of what it decoded to: if it
+            // re-encoded differently, two byte strings would name one module.
             if let Ok(m) = decode_module(&mutated) {
-                let reencoded = encode_module(&m);
-                assert!(
-                    decode_module(&reencoded).as_ref() == Ok(&m),
-                    "mutated input decoded to a module that does not round-trip"
+                assert_eq!(
+                    encode_module(&m),
+                    mutated,
+                    "a decoded byte string is not its module's encoding"
                 );
             }
         }
@@ -1612,6 +1389,107 @@ mod tests {
         empty_function(&mut w, "other");
         let distinct = decode_module(&assemble(2, &w.into_bytes(), &[2, 1])).unwrap();
         assert_eq!(distinct.functions().len(), 2);
+    }
+
+    #[test]
+    fn presence_flags_and_booleans_are_strictly_zero_or_one() {
+        // `02` read as "present" (or `true`) would be a second encoding of
+        // what `01` already encodes.
+        let flag_error = |tag| Err(DecodeError::BadTag { what: "flag", tag });
+        // `Ret.value`'s presence byte.
+        let ret = |flag: u8| {
+            one_block_module(0, 1, |w| {
+                w.u8(18);
+                w.u8(flag);
+                if flag != 0 {
+                    w.uleb(1);
+                }
+            })
+        };
+        // `Call.dst`'s presence byte.
+        let call = |flag: u8| {
+            one_block_module(0, 2, |w| {
+                w.u8(9);
+                w.u8(flag);
+                if flag != 0 {
+                    w.uleb(1);
+                }
+                w.str("g");
+                w.uleb(0);
+                write_ret_none(w);
+            })
+        };
+        // An `AnnotationValue::Bool`.
+        let boolean = |flag: u8| assemble(0, &[], &[2, flag]);
+        for bytes in [ret, call, boolean].map(|make| [make(0), make(1), make(2), make(0xff)]) {
+            let [absent, present, two, high] = bytes;
+            for honest in [absent, present] {
+                let m = decode_module(&honest).expect("0 and 1 decode");
+                assert_eq!(encode_module(&m), honest);
+            }
+            assert_eq!(decode_module(&two), flag_error(2));
+            assert_eq!(decode_module(&high), flag_error(0xff));
+        }
+        // A function's return-type presence byte, likewise.
+        let returning = |flag: u8| {
+            let mut w = Writer::new();
+            w.str("f");
+            w.u8(0); // parameters
+            w.u8(flag);
+            if flag != 0 {
+                write_type(&mut w, Type::Scalar(ScalarType::I32));
+            }
+            w.bytes(&[0, 0, 0, 0]); // vregs, entry, blocks, annotations
+            assemble(1, &w.into_bytes(), &[2, 1])
+        };
+        assert!(decode_module(&returning(0)).is_ok());
+        assert!(decode_module(&returning(1)).is_ok());
+        assert_eq!(decode_module(&returning(2)), flag_error(2));
+    }
+
+    #[test]
+    fn annotation_keys_must_ascend_strictly() {
+        // Module annotations `a` and `b`, as the writer orders them; then
+        // swapped, then `a` twice (the parent kept the last one).
+        let with_keys = |keys: &[&str]| {
+            let mut w = Writer::new();
+            w.bytes(MAGIC);
+            w.u8(VERSION);
+            w.str("m");
+            w.uleb(0);
+            w.uleb(keys.len() as u64);
+            for k in keys {
+                w.str(k);
+                w.bytes(&[0, 2]); // Int(1)
+            }
+            w.into_bytes()
+        };
+        let sorted = with_keys(&["a", "b"]);
+        let m = decode_module(&sorted).expect("ascending keys decode");
+        assert_eq!(encode_module(&m), sorted);
+        let order_error = |entry| {
+            Err(DecodeError::BadTag {
+                what: "annotation key order",
+                tag: entry,
+            })
+        };
+        assert_eq!(decode_module(&with_keys(&["b", "a"])), order_error(1));
+        assert_eq!(decode_module(&with_keys(&["a", "a"])), order_error(1));
+        assert_eq!(decode_module(&with_keys(&["a", "c", "b"])), order_error(2));
+        // The same rule inside a `Map` value: `{y, x}` and `{x, x}`.
+        let map = |first: &str, second: &str| {
+            let mut w = Writer::new();
+            w.u8(5);
+            w.uleb(2);
+            for k in [first, second] {
+                w.str(k);
+                w.bytes(&[2, 1]); // Bool(true)
+            }
+            assemble(0, &[], &w.into_bytes())
+        };
+        assert!(decode_module(&map("x", "y")).is_ok());
+        assert_eq!(decode_module(&map("y", "x")), order_error(1));
+        assert_eq!(decode_module(&map("x", "x")), order_error(1));
     }
 
     #[test]

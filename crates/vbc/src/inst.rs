@@ -9,10 +9,14 @@
 //! to the online compiler ([`Inst::VecWidth`] materializes that lane count as
 //! a runtime/JIT-time constant).
 //!
-//! Which registers an instruction reads, and in which order, is stated once,
-//! by [`Inst::for_each_use`]; its successors by [`Inst::successors`]. Both
-//! visit in place — the load-time verifier and the offline analyses walk
-//! every instruction of a module, and none of them needs an owned list
+//! The *shape* of every instruction — its tag in the deployment encoding, the
+//! order of its fields there, which fields are registers, which one is the
+//! definition — is stated once, by the `inst_shapes!` table below the enum:
+//! [`Inst::dst`], [`Inst::for_each_use`], [`Inst::rewrite_regs`] and the
+//! instruction codec of [`encode`](crate::encode) are generated from its
+//! rows. Successors are stated by [`Inst::successors`]. The walks visit in
+//! place — the load-time verifier and the offline analyses walk every
+//! instruction of a module, and none of them needs an owned list
 //! ([`Inst::uses`] remains for the callers that do).
 
 use crate::types::ScalarType;
@@ -549,72 +553,141 @@ pub enum Inst {
     },
 }
 
+/// The shape of every [`Inst`] variant, stated once: `inst_shapes!(cb)`
+/// expands to `cb! { rows }`, one row per variant, and the walks below and the
+/// instruction codec in `encode.rs` are each a small macro over the rows.
+///
+/// A row is `tag Variant { role field, … }`. `tag` is the variant's byte in
+/// the deployment encoding and **the fields are in wire order**: row order
+/// *is* the wire format (the field's Rust type picks its encoding) and the
+/// operand order of the walks, so reordering or renumbering a row changes the
+/// format and needs a [`VERSION`](crate::VERSION) bump. `role` says what the
+/// field is: `def` the register the instruction writes, `use` one it reads,
+/// `odef` / `ouse` an `Option<VReg>` written / read, `uses` a `Vec<VReg>` read
+/// in order, `val` anything that is not a register (types, operators,
+/// immediates, displacements, block numbers, names).
+macro_rules! inst_shapes {
+    ($cb:ident) => {
+        $cb! {
+            0 Const { def dst, val ty, val imm }
+            1 Move { def dst, val ty, use src }
+            2 Bin { val op, val ty, def dst, use lhs, use rhs }
+            3 Un { val op, val ty, def dst, use src }
+            4 Cmp { val op, val ty, def dst, use lhs, use rhs }
+            5 Select { val ty, def dst, use cond, use if_true, use if_false }
+            6 Cast { def dst, val to, use src, val from }
+            7 Load { def dst, val ty, use addr, val offset }
+            8 Store { val ty, use addr, val offset, use value }
+            9 Call { odef dst, val callee, uses args }
+            10 VecWidth { def dst, val elem }
+            11 VecSplat { def dst, val elem, use src }
+            12 VecLoad { def dst, val elem, use addr, val offset }
+            13 VecStore { val elem, use addr, val offset, use value }
+            14 VecBin { val op, val elem, def dst, use lhs, use rhs }
+            15 VecReduce { val op, val elem, def dst, use src }
+            16 Jump { val target }
+            17 Branch { use cond, val then_bb, val else_bb }
+            18 Ret { ouse value }
+        }
+    };
+}
+pub(crate) use inst_shapes;
+
+/// Run `$body` with `$r` bound to each register of `$x`, a field of role
+/// `$role` bound by reference (`&VReg` or `&mut VReg` alike). A role that is
+/// none of the six does not expand.
+macro_rules! each_reg {
+    (val $x:ident |$r:ident| $body:expr) => {};
+    (def $($rest:tt)*) => {
+        each_reg!(use $($rest)*)
+    };
+    (use $x:ident |$r:ident| $body:expr) => {{
+        let $r = $x;
+        $body;
+    }};
+    (odef $($rest:tt)*) => {
+        each_reg!(ouse $($rest)*)
+    };
+    (ouse $x:ident |$r:ident| $body:expr) => {
+        if let Some($r) = $x {
+            $body;
+        }
+    };
+    (uses $x:ident |$r:ident| $body:expr) => {
+        for $r in $x {
+            $body;
+        }
+    };
+}
+
+/// [`each_reg!`] over the registers the instruction *reads* only.
+macro_rules! each_use {
+    (def $($rest:tt)*) => {};
+    (odef $($rest:tt)*) => {};
+    ($($rest:tt)*) => {
+        each_reg!($($rest)*)
+    };
+}
+
+/// `$found` unless `$x`, a field of role `$role`, is the definition.
+macro_rules! or_def {
+    (def $x:ident $found:ident) => {
+        Some(*$x)
+    };
+    (odef $x:ident $found:ident) => {
+        *$x
+    };
+    ($other:ident $x:ident $found:ident) => {
+        $found
+    };
+}
+
+macro_rules! walks {
+    ($($tag:literal $variant:ident { $($role:ident $field:ident),* })*) => {
+        impl Inst {
+            /// The register defined by this instruction, if any.
+            #[allow(unused_variables)]
+            pub fn dst(&self) -> Option<VReg> {
+                match self {
+                    $(Inst::$variant { $($field),* } => {
+                        let found: Option<VReg> = None;
+                        $(let found = or_def!($role $field found);)*
+                        found
+                    })*
+                }
+            }
+
+            /// Hand every register this instruction reads to `f`, in operand
+            /// order.
+            ///
+            /// [`Inst::uses`] only collects it. The load-time verifier and
+            /// the offline analyses walk operands through it, so visiting an
+            /// instruction allocates nothing.
+            #[allow(unused_variables)]
+            pub fn for_each_use(&self, mut f: impl FnMut(VReg)) {
+                match self {
+                    $(Inst::$variant { $($field),* } => {
+                        $(each_use!($role $field |r| f(*r));)*
+                    })*
+                }
+            }
+
+            /// Apply `f` to every register operand in place: the definition
+            /// first, then the uses in operand order.
+            #[allow(unused_variables)]
+            pub fn rewrite_regs(&mut self, mut f: impl FnMut(VReg) -> VReg) {
+                match self {
+                    $(Inst::$variant { $($field),* } => {
+                        $(each_reg!($role $field |r| *r = f(*r));)*
+                    })*
+                }
+            }
+        }
+    };
+}
+inst_shapes!(walks);
+
 impl Inst {
-    /// The register defined by this instruction, if any.
-    pub fn dst(&self) -> Option<VReg> {
-        match self {
-            Inst::Const { dst, .. }
-            | Inst::Move { dst, .. }
-            | Inst::Bin { dst, .. }
-            | Inst::Un { dst, .. }
-            | Inst::Cmp { dst, .. }
-            | Inst::Select { dst, .. }
-            | Inst::Cast { dst, .. }
-            | Inst::Load { dst, .. }
-            | Inst::VecWidth { dst, .. }
-            | Inst::VecSplat { dst, .. }
-            | Inst::VecLoad { dst, .. }
-            | Inst::VecBin { dst, .. }
-            | Inst::VecReduce { dst, .. } => Some(*dst),
-            Inst::Call { dst, .. } => *dst,
-            Inst::Store { .. }
-            | Inst::VecStore { .. }
-            | Inst::Jump { .. }
-            | Inst::Branch { .. }
-            | Inst::Ret { .. } => None,
-        }
-    }
-
-    /// Hand every register this instruction reads to `f`, in operand order.
-    ///
-    /// This is the one statement of read-operand order; [`Inst::uses`] only
-    /// collects it. The load-time verifier and the offline analyses walk
-    /// operands through it, so visiting an instruction allocates nothing.
-    pub fn for_each_use(&self, mut f: impl FnMut(VReg)) {
-        match self {
-            Inst::Const { .. } | Inst::VecWidth { .. } | Inst::Jump { .. } => {}
-            Inst::Move { src, .. }
-            | Inst::Un { src, .. }
-            | Inst::Cast { src, .. }
-            | Inst::VecSplat { src, .. }
-            | Inst::VecReduce { src, .. } => f(*src),
-            Inst::Bin { lhs, rhs, .. }
-            | Inst::Cmp { lhs, rhs, .. }
-            | Inst::VecBin { lhs, rhs, .. } => {
-                f(*lhs);
-                f(*rhs);
-            }
-            Inst::Select {
-                cond,
-                if_true,
-                if_false,
-                ..
-            } => {
-                f(*cond);
-                f(*if_true);
-                f(*if_false);
-            }
-            Inst::Load { addr, .. } | Inst::VecLoad { addr, .. } => f(*addr),
-            Inst::Store { addr, value, .. } | Inst::VecStore { addr, value, .. } => {
-                f(*addr);
-                f(*value);
-            }
-            Inst::Call { args, .. } => args.iter().copied().for_each(f),
-            Inst::Branch { cond, .. } => f(*cond),
-            Inst::Ret { value } => value.iter().copied().for_each(f),
-        }
-    }
-
     /// The registers read by this instruction, in operand order, as an owned
     /// list. Code that only visits them should use [`Inst::for_each_use`].
     pub fn uses(&self) -> Vec<VReg> {
@@ -683,50 +756,6 @@ impl Inst {
             self,
             Inst::Load { .. } | Inst::Store { .. } | Inst::VecLoad { .. } | Inst::VecStore { .. }
         )
-    }
-
-    /// Apply `f` to every register operand (uses and definition) in place.
-    pub fn rewrite_regs(&mut self, mut f: impl FnMut(VReg) -> VReg) {
-        macro_rules! rw {
-            ($($r:expr),*) => {{ $(*$r = f(*$r);)* }};
-        }
-        match self {
-            Inst::Const { dst, .. } | Inst::VecWidth { dst, .. } => rw!(dst),
-            Inst::Move { dst, src, .. }
-            | Inst::Un { dst, src, .. }
-            | Inst::Cast { dst, src, .. }
-            | Inst::VecSplat { dst, src, .. }
-            | Inst::VecReduce { dst, src, .. } => rw!(dst, src),
-            Inst::Bin { dst, lhs, rhs, .. }
-            | Inst::Cmp { dst, lhs, rhs, .. }
-            | Inst::VecBin { dst, lhs, rhs, .. } => rw!(dst, lhs, rhs),
-            Inst::Select {
-                dst,
-                cond,
-                if_true,
-                if_false,
-                ..
-            } => rw!(dst, cond, if_true, if_false),
-            Inst::Load { dst, addr, .. } | Inst::VecLoad { dst, addr, .. } => rw!(dst, addr),
-            Inst::Store { addr, value, .. } | Inst::VecStore { addr, value, .. } => {
-                rw!(addr, value)
-            }
-            Inst::Call { dst, args, .. } => {
-                if let Some(d) = dst {
-                    *d = f(*d);
-                }
-                for a in args {
-                    *a = f(*a);
-                }
-            }
-            Inst::Branch { cond, .. } => rw!(cond),
-            Inst::Ret { value } => {
-                if let Some(v) = value {
-                    *v = f(*v);
-                }
-            }
-            Inst::Jump { .. } => {}
-        }
     }
 }
 
