@@ -722,6 +722,28 @@ mod tests {
         assert!(text.contains("breaker: opened"));
     }
 
+    /// A clean catalogue load (`catalogue(64, 540)`, its own fixed seed
+    /// 0xdac) recorded at 1 and 4 workers: digest, responses served clean,
+    /// online compilations. Fault-free traffic must not tell servers with
+    /// and without failure-management machinery apart.
+    #[test]
+    fn a_clean_catalogue_load_serves_the_recorded_digest() {
+        const PINNED: [(usize, u64, usize, u64); 2] = [
+            (1, 0xda80_3dce_cac2_e799, 540, 54),
+            (4, 0xda80_3dce_cac2_e799, 540, 54),
+        ];
+        for (workers, digest, ok, compiles) in PINNED {
+            let mut cfg = LoadConfig::catalogue(64, 540);
+            cfg.server.workers = workers;
+            let report = run_load(&cfg).unwrap();
+            assert_eq!(
+                (report.digest, report.ok, report.stats.cache.compiles),
+                (digest, ok, compiles),
+                "workers = {workers}"
+            );
+        }
+    }
+
     #[test]
     fn empty_latency_lines_render_the_sentinel_not_zero() {
         assert_eq!(fmt_us(EMPTY_QUANTILE), "n/a");
