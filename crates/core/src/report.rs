@@ -96,7 +96,7 @@ pub fn fmt_cache_line(cache: &splitc_runtime::CacheStats) -> String {
     if cache.evictions > 0 {
         line.push_str(&format!(", {} evicted by the LRU bound", cache.evictions));
     }
-    // The persistent-store counters only appear when a store was attached
+    // The artifact-store counters only appear when a store was attached
     // (all three stay zero otherwise), so storeless golden outputs keep
     // their historical shape.
     if cache.disk_hits + cache.disk_misses + cache.disk_rejects > 0 {

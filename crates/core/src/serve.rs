@@ -14,21 +14,21 @@
 //!
 //! Determinism: request `r` is template `r % templates` and a template's
 //! kernel, target and input bytes depend only on its index and
-//! `cfg.server.seed`, never on worker scheduling, so a `workers = 8` load is
-//! bit-identical ([`LoadReport::digest`]) to a `workers = 1` load — the
+//! [`LoadConfig::seed`], never on worker scheduling, so a `workers = 8` load
+//! is bit-identical ([`LoadReport::digest`]) to a `workers = 1` load — the
 //! property this module's tests and the serving test suite pin down.
 //!
 //! The driver checks contracts; it reads no clock for a performance number.
 //! Throughput, round-trip time and cold-vs-warm bring-up are measured by the
 //! `e2e/` benchmark package (`serve_rps`, `serve_rtt_us`, `online_cold_ms`
 //! vs `online_warm_ms`). The CLI's `splitc serve-bench` is [`run_load`];
-//! `--chaos` is the same call with a fault plan and a fallback target in
-//! `cfg.server`, `--store` is [`run_store_bench`].
+//! `--chaos` is the same call with [`default_chaos_plan`] in `cfg.server`,
+//! `--store` is [`run_store_bench`].
 
 pub use splitc_runtime::serve::{
-    module_fingerprint, BreakerPolicy, FaultKind, FaultPlan, FaultRule, FaultSelector, FaultSite,
-    Request, Response, ResponseHandle, ResponseLost, RetryPolicy, ServeModule, Server,
-    ServerConfig, ServerStats, SubmitError, PANIC_MESSAGE_CAP,
+    module_fingerprint, FaultKind, FaultPlan, FaultRule, FaultSelector, Request, Response,
+    ResponseHandle, ResponseLost, ServeModule, Server, ServerConfig, ServerStats, SubmitError,
+    PANIC_MESSAGE_CAP,
 };
 use splitc_runtime::{EngineError, Histogram, EMPTY_QUANTILE};
 
@@ -60,16 +60,16 @@ pub struct LoadConfig {
     pub n: usize,
     /// Online-compilation configuration shared by every request.
     pub options: JitOptions,
+    /// The run's one seed: template `t` prepares its inputs from
+    /// `seed + t`, and the CLI derives its stock fault plan
+    /// ([`default_chaos_plan`]) from it, so two runs with one seed are
+    /// replays of each other.
+    pub seed: u64,
     /// The server under load, configured exactly as any other server is.
-    /// `server.seed` is the run's one seed: template `t` prepares its inputs
-    /// from `seed + t`, and retry-backoff jitter and the stock fault plan
-    /// ([`default_chaos_plan`]) derive from it too, so two runs with one
-    /// seed are replays of each other. `server.queue_capacity` also sizes
-    /// the generator's in-flight window (twice the bound). A `server.faults`
-    /// plan makes the run a chaos soak — infrastructure failures are then
-    /// tallied instead of returned, and a slice of the traffic carries tight
-    /// deadlines — and a `server.fallback` target adds the fallback
-    /// references degraded responses are verified against.
+    /// `server.queue_capacity` also sizes the generator's in-flight window
+    /// (twice the bound). A `server.faults` plan makes the run a chaos soak
+    /// — panics and deadline misses are then tallied instead of returned,
+    /// and a slice of the traffic carries tight deadlines.
     pub server: ServerConfig,
 }
 
@@ -84,10 +84,10 @@ impl LoadConfig {
             requests,
             n,
             options: JitOptions::split(),
+            seed: 0xdac,
             server: ServerConfig {
                 workers: 1,
                 queue_capacity: 64,
-                seed: 0xdac,
                 ..ServerConfig::default()
             },
         }
@@ -127,22 +127,14 @@ pub struct LoadReport {
     pub workers: usize,
     /// In-flight window the generator held open.
     pub window: usize,
-    /// Responses that executed on their requested target and matched the
-    /// single-threaded reference bit-for-bit.
+    /// Responses that matched the single-threaded reference bit-for-bit.
     pub ok: usize,
-    /// Responses served by the fallback target (open breaker) that matched
-    /// the fallback reference bit-for-bit.
-    pub degraded_ok: usize,
     /// Requests shed at dequeue because their deadline had passed.
     pub expired: usize,
     /// Requests cancelled cooperatively mid-execution by their deadline.
     pub cancelled: usize,
-    /// Requests whose final outcome (after retries) was a panic.
+    /// Requests answered [`EngineError::Panicked`].
     pub panicked: usize,
-    /// Requests whose final outcome was an injected transient failure.
-    pub transient: usize,
-    /// Requests answered [`EngineError::CircuitOpen`] without executing.
-    pub failed_fast: usize,
     /// Order-sensitive digest of the verified responses' checksums, in
     /// submission order — the bit-identity handle loads of different worker
     /// counts, cache bounds or store states are compared with.
@@ -160,15 +152,8 @@ impl LoadReport {
             self.requests, self.templates, self.workers, self.window, self.digest,
         );
         out.push_str(&format!(
-            "outcomes: ok {} · degraded-ok {} · expired {} · cancelled {} · \
-             panicked {} · transient {} · failed-fast {}\n",
-            self.ok,
-            self.degraded_ok,
-            self.expired,
-            self.cancelled,
-            self.panicked,
-            self.transient,
-            self.failed_fast,
+            "outcomes: ok {} · expired {} · cancelled {} · panicked {}\n",
+            self.ok, self.expired, self.cancelled, self.panicked,
         ));
         out.push_str(&format!(
             "queue: high water {} · accepted {} · completed {} · rejected {}\n",
@@ -194,32 +179,16 @@ impl LoadReport {
     }
 }
 
-/// Render the fault-tolerance counter lines shared by every serving report
-/// (empty when the load saw no faults, deadlines or breaker activity — the
-/// healthy-path output stays unchanged).
+/// Render the fault and deadline counter line (empty when the load saw no
+/// injected faults and no deadline misses — the healthy-path output stays
+/// unchanged).
 fn fmt_fault_lines(stats: &ServerStats) -> String {
-    let any = stats.expired
-        + stats.cancelled
-        + stats.retried
-        + stats.degraded
-        + stats.failed_fast
-        + stats.faults_injected
-        + stats.breaker_opened;
-    if any == 0 {
+    if stats.faults_injected + stats.expired + stats.cancelled == 0 {
         return String::new();
     }
     format!(
-        "faults: injected {} · retried {} · expired {} · cancelled {} · degraded {} · failed-fast {}\n\
-         breaker: opened {} · half-opened {} · closed {}\n",
-        stats.faults_injected,
-        stats.retried,
-        stats.expired,
-        stats.cancelled,
-        stats.degraded,
-        stats.failed_fast,
-        stats.breaker_opened,
-        stats.breaker_half_opened,
-        stats.breaker_closed,
+        "faults: injected {} · expired {} · cancelled {}\n",
+        stats.faults_injected, stats.expired, stats.cancelled,
     )
 }
 
@@ -233,25 +202,17 @@ struct Template {
     /// Prepared kernel metadata (output region) — kept so response
     /// verification checksums without re-generating inputs.
     prepared: PreparedKernel,
-    /// Reference checksum on the template's own target.
+    /// Reference checksum on the template's target.
     expect: u64,
-    /// Reference checksum on the server's fallback target, if it has one.
-    /// Results are portable across targets (that is the paper's whole
-    /// premise), so a degraded response must match a reference run too.
-    fallback_expect: Option<u64>,
 }
 
-/// Checksum of a fresh single-threaded run of `request` on `target` — what
-/// a response served there is verified against.
-fn reference_checksum(
-    request: &Request,
-    prepared: &PreparedKernel,
-    target: &TargetDesc,
-) -> Result<u64, PipelineError> {
+/// Checksum of a fresh single-threaded run of `request` — what its
+/// responses are verified against.
+fn reference_checksum(request: &Request, prepared: &PreparedKernel) -> Result<u64, PipelineError> {
     let mut mem = request.mem.clone();
     let run = run_on_target(
         request.module.module(),
-        target,
+        &request.target,
         &request.options,
         &request.kernel,
         &request.args,
@@ -275,7 +236,7 @@ fn build_templates(cfg: &LoadConfig) -> Result<Vec<Template>, PipelineError> {
         optimize_module(&mut module, &OptOptions::full());
         let module = ServeModule::new(module);
         for target in &cfg.targets {
-            let seed = cfg.server.seed.wrapping_add(templates.len() as u64);
+            let seed = cfg.seed.wrapping_add(templates.len() as u64);
             let mut ws = Workspace::sized_for(cfg.n);
             let prepared = prepare(kernel.name, cfg.n, seed, &mut ws);
             let request = Request {
@@ -288,18 +249,11 @@ fn build_templates(cfg: &LoadConfig) -> Result<Vec<Template>, PipelineError> {
                 deadline: None,
                 tag: 0,
             };
-            let expect = reference_checksum(&request, &prepared, target)?;
-            let fallback_expect = cfg
-                .server
-                .fallback
-                .as_ref()
-                .map(|fallback| reference_checksum(&request, &prepared, fallback))
-                .transpose()?;
+            let expect = reference_checksum(&request, &prepared)?;
             templates.push(Template {
                 request,
                 prepared,
                 expect,
-                fallback_expect,
             });
         }
     }
@@ -315,27 +269,23 @@ fn build_templates(cfg: &LoadConfig) -> Result<Vec<Template>, PipelineError> {
 /// the window (`2 × queue_capacity` outstanding responses) caps the
 /// generator, the bounded queue caps it. Responses drain in submission
 /// order. A successful one must checksum to its template's single-threaded
-/// [`run_on_target`] reference — on its own target, or on the fallback
-/// target when it came back [`Response::degraded`] — and is folded into
-/// [`LoadReport::digest`].
+/// [`run_on_target`] reference and is folded into [`LoadReport::digest`].
 ///
 /// With a fault plan in `cfg.server.faults` the run is a chaos soak:
 /// every 31st request carries a 3 ms deadline (so queue sheds and, under
 /// latency faults, mid-flight cancellation are exercised; which requests
 /// expire depends on real scheduling, the books hold for any mix), and
-/// responses that end in a panic, a transient failure, a deadline or an open
-/// breaker are tallied by outcome. Without one, any failed response is
-/// returned as the error it is.
+/// responses that end in a panic or a deadline are tallied by outcome.
+/// Without one, any failed response is returned as the error it is.
 ///
 /// On the way out the books are asserted *exactly*:
 ///
 /// * every request was answered exactly once (the tallies sum to the
 ///   request count);
 /// * `accepted == completed + expired`;
-/// * the response-derived tallies equal the server's own `expired`,
-///   `cancelled` and `failed_fast` counters;
-/// * `batch_sizes.sum() == completed` and
-///   `retry_attempts.count() == completed`.
+/// * the deadline answers equal the server's `expired + cancelled` (the
+///   report takes the split from those two counters);
+/// * `batch_sizes.sum() == completed`.
 ///
 /// # Errors
 ///
@@ -361,16 +311,16 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, PipelineError> {
         workers: server.workers(),
         window,
         ok: 0,
-        degraded_ok: 0,
         expired: 0,
         cancelled: 0,
         panicked: 0,
-        transient: 0,
-        failed_fast: 0,
         digest: 0,
         // Replaced by the final counters once the server has drained.
         stats: server.stats(),
     };
+    // Shed at dequeue or cancelled mid-run: a response cannot tell which;
+    // the server's `expired` and `cancelled` counters can.
+    let mut missed_deadline = 0usize;
     let mut digest = Fnv1a::new();
     let mut drain = |(t, handle): (usize, ResponseHandle)| {
         let template = &templates[t];
@@ -378,35 +328,21 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, PipelineError> {
         let tally = match response.outcome {
             Ok(run) => {
                 let sum = checksum_bytes(run.result, &template.prepared, &response.mem);
-                let expect = if response.degraded {
-                    template.fallback_expect
-                } else {
-                    Some(template.expect)
-                };
                 assert_eq!(
-                    Some(sum),
-                    expect,
+                    sum,
+                    template.expect,
                     "response for template {t} ({} for {}) diverged from its single-threaded reference",
                     template.prepared.name,
                     template.request.target.name,
                 );
                 digest.write(&sum.to_le_bytes());
-                if response.degraded {
-                    &mut report.degraded_ok
-                } else {
-                    &mut report.ok
-                }
+                &mut report.ok
             }
             Err(err) if !chaos => return Err(err),
-            // attempts == 0 ⇒ shed at dequeue (expired); otherwise the
-            // deadline cancelled a run already in flight.
-            Err(EngineError::DeadlineExceeded) if response.attempts == 0 => &mut report.expired,
-            Err(EngineError::DeadlineExceeded) => &mut report.cancelled,
-            Err(EngineError::CircuitOpen) => &mut report.failed_fast,
+            Err(EngineError::DeadlineExceeded) => &mut missed_deadline,
             Err(EngineError::Panicked(_)) => &mut report.panicked,
-            Err(EngineError::Transient(_)) => &mut report.transient,
-            // A plan injects panics, transients and latency only: a semantic
-            // error escaping the retry/breaker stack is a serving bug.
+            // A plan injects panics and latency only: a semantic error
+            // under chaos is a serving bug.
             Err(err) => return Err(err),
         };
         *tally += 1;
@@ -436,29 +372,18 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, PipelineError> {
 
     // Exactly-once: the per-outcome tallies partition the request count.
     let stats = &report.stats;
-    let answered = report.ok
-        + report.degraded_ok
-        + report.expired
-        + report.cancelled
-        + report.panicked
-        + report.transient
-        + report.failed_fast;
     assert_eq!(
-        answered, cfg.requests,
+        report.ok + missed_deadline + report.panicked,
+        cfg.requests,
         "every request answered exactly once"
     );
     // Exact books, cross-checked response-side vs. server-side.
     assert_eq!(stats.accepted, cfg.requests as u64);
     assert_eq!(stats.completed + stats.expired, stats.accepted);
-    assert_eq!(stats.expired, report.expired as u64);
-    assert_eq!(stats.cancelled, report.cancelled as u64);
-    assert_eq!(stats.failed_fast, report.failed_fast as u64);
-    assert!(
-        stats.degraded >= report.degraded_ok as u64,
-        "degraded responses can fail too, but never exceed the degraded count"
-    );
+    assert_eq!(stats.expired + stats.cancelled, missed_deadline as u64);
     assert_eq!(stats.batch_sizes.sum(), stats.completed);
-    assert_eq!(stats.retry_attempts.count(), stats.completed);
+    report.expired = stats.expired as usize;
+    report.cancelled = stats.cancelled as usize;
     Ok(report)
 }
 
@@ -548,50 +473,21 @@ pub fn run_store_bench(cfg: &LoadConfig, dir: &Path) -> Result<StoreBenchReport,
     })
 }
 
-/// The CLI's stock chaos plan for a load of `templates` traffic templates:
-/// one persistent poisoning that drives a breaker through its full
-/// open → half-open → closed lifecycle, plus sporadic retryable faults and
-/// latency spikes. Every decision derives from `seed`, so a chaos run is a
-/// replay of any other run with the same seed and request count.
-pub fn default_chaos_plan(templates: usize, seed: u64) -> FaultPlan {
-    let t = templates.max(1) as u64;
+/// The CLI's stock chaos plan: sporadic panics, each answered
+/// [`EngineError::Panicked`] by a worker that keeps serving, and latency
+/// spikes. Every decision derives from `seed`, so a chaos run is a replay
+/// of any other run with the same seed and request count.
+pub fn default_chaos_plan(seed: u64) -> FaultPlan {
     FaultPlan::seeded(seed)
-        // Persistently poison template 0 during an early tag window: its
-        // key's breaker opens after the configured threshold, reroutes to
-        // the fallback while open, and — once the window has passed and the
-        // cooldown is over — recovers through a half-open probe.
         .with_rule(FaultRule {
-            site: FaultSite::Execute,
             kind: FaultKind::Panic,
-            selector: FaultSelector::Slot {
-                modulo: t,
-                remainder: 0,
-                lo: t * 4,
-                hi: t * 24,
-            },
-            persistent: true,
-        })
-        // Sporadic transient failures one retry clears.
-        .with_rule(FaultRule {
-            site: FaultSite::Execute,
-            kind: FaultKind::Transient,
             selector: FaultSelector::Probability(0.01),
-            persistent: false,
-        })
-        // Sporadic compile-step panics, also cleared by a retry.
-        .with_rule(FaultRule {
-            site: FaultSite::Compile,
-            kind: FaultKind::Panic,
-            selector: FaultSelector::Probability(0.003),
-            persistent: false,
         })
         // Latency spikes: results stay bit-identical, only deadlines and
         // queue waits feel them.
         .with_rule(FaultRule {
-            site: FaultSite::Execute,
             kind: FaultKind::Latency(200_000),
             selector: FaultSelector::Probability(0.005),
-            persistent: false,
         })
 }
 
@@ -654,7 +550,7 @@ mod tests {
         assert!(text.contains("p999"), "tail quantiles are rendered");
         assert!(text.contains("batches:"), "batch distribution is rendered");
         assert!(
-            !text.contains("breaker:"),
+            !text.contains("faults:"),
             "a clean load prints no fault lines"
         );
     }
@@ -683,34 +579,18 @@ mod tests {
     }
 
     #[test]
-    fn chaos_soaks_keep_exact_books_and_recover_the_breaker() {
+    fn chaos_soaks_keep_exact_books() {
         let mut cfg = small_load();
         cfg.requests = 2_000;
         cfg.server.workers = 2;
         cfg.server.queue_capacity = 16;
-        cfg.server.seed = 0xc4a05;
-        cfg.server.faults = Some(default_chaos_plan(
-            cfg.kernels.len() * cfg.targets.len(),
-            cfg.server.seed,
-        ));
-        cfg.server.fallback = Some(cfg.targets[0].clone());
+        cfg.seed = 0xc4a05;
+        cfg.server.faults = Some(default_chaos_plan(cfg.seed));
         // `run_load` itself asserts exactly-once answering and the exact
-        // books; the checks here pin the lifecycle the stock plan promises.
+        // books; the checks here pin what the stock plan promises.
         let report = run_load(&cfg).unwrap();
         assert!(report.stats.faults_injected > 0, "the plan actually fired");
-        assert!(report.stats.retried > 0, "transient faults were retried");
-        assert!(
-            report.stats.breaker_opened >= 1,
-            "the persistent poisoning opened its key's breaker"
-        );
-        assert!(
-            report.stats.breaker_closed >= 1,
-            "a half-open probe closed the breaker after the poison window"
-        );
-        assert!(
-            report.degraded_ok > 0,
-            "open-breaker traffic was served by the fallback target"
-        );
+        assert!(report.panicked > 0, "injected panics were answered");
         assert!(
             report.ok > report.requests / 2,
             "most traffic still serves clean under chaos (got {} of {})",
@@ -719,7 +599,7 @@ mod tests {
         );
         let text = report.render();
         assert!(text.contains("outcomes: ok"));
-        assert!(text.contains("breaker: opened"));
+        assert!(text.contains("faults: injected"));
     }
 
     /// A clean catalogue load (`catalogue(64, 540)`, its own fixed seed

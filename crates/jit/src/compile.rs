@@ -68,10 +68,10 @@ impl JitOptions {
     /// Stable FNV-1a fingerprint of the option set.
     ///
     /// Unlike `Hash`, whose output is unspecified across Rust versions and
-    /// hasher seeds, this fingerprint is part of the persistent artifact
-    /// store's on-disk key — it must produce identical values in every
-    /// process that shares a store directory. Changing the encoding here
-    /// invalidates every stored entry (which is safe: key misses fall back
+    /// hasher seeds, this fingerprint is part of the artifact store's
+    /// on-disk key — it must produce identical values in every process that
+    /// shares a store directory. Changing the encoding here orphans every
+    /// stored entry (which is safe: key misses fall back
     /// to a fresh compile), so keep it in sync with the fields of the
     /// struct and give new fields new byte positions.
     pub fn fingerprint(&self) -> u64 {

@@ -123,13 +123,6 @@ pub enum EngineError {
     /// dequeue (it expired while queued) or cancelled cooperatively
     /// mid-execution. Says nothing about the program.
     DeadlineExceeded,
-    /// The request's (module, target, options) key has a tripped circuit
-    /// breaker and no fallback target is configured, so the server failed
-    /// fast instead of burning a worker on a known-bad compile.
-    CircuitOpen,
-    /// A transient infrastructure failure (e.g. an injected fault from a
-    /// chaos plan). Retryable, unlike the semantic errors above.
-    Transient(String),
 }
 
 impl fmt::Display for EngineError {
@@ -141,8 +134,6 @@ impl fmt::Display for EngineError {
             EngineError::UnknownKernel(k) => write!(f, "unknown kernel {k}"),
             EngineError::Panicked(msg) => write!(f, "execution panicked: {msg}"),
             EngineError::DeadlineExceeded => write!(f, "deadline exceeded"),
-            EngineError::CircuitOpen => write!(f, "circuit breaker open"),
-            EngineError::Transient(msg) => write!(f, "transient failure: {msg}"),
         }
     }
 }
@@ -156,8 +147,6 @@ impl Error for EngineError {
             EngineError::UnknownKernel(_) => None,
             EngineError::Panicked(_) => None,
             EngineError::DeadlineExceeded => None,
-            EngineError::CircuitOpen => None,
-            EngineError::Transient(_) => None,
         }
     }
 }
@@ -223,7 +212,7 @@ impl Execution {
 /// gap between compiles and the rest is the amortization story of the paper:
 /// after the first run per (target, options) pair, the online compiler never
 /// runs again — unless a cache bound evicted the entry, which `evictions`
-/// counts. With a persistent [`crate::ArtifactStore`] attached, even the
+/// counts. With an on-disk [`crate::ArtifactStore`] attached, even the
 /// *first* lookup of a process can skip the compiler: `disk_hits` counts
 /// programs loaded from a prior process's compilation, `disk_misses` cold
 /// keys that had no entry on disk, and `disk_rejects` entries that existed
@@ -239,7 +228,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Entries removed by the LRU bound (0 while the cache is unbounded).
     pub evictions: u64,
-    /// Lookups served by loading a validated artifact from the persistent
+    /// Lookups served by loading a validated artifact from the on-disk
     /// store instead of compiling.
     pub disk_hits: u64,
     /// Store probes that found no entry for the key (followed by a fresh
@@ -268,7 +257,7 @@ impl CacheStats {
     }
 
     /// Fraction of lookups served without compiling — from the in-memory
-    /// cache or the persistent store (0.0 when there were none).
+    /// cache or the on-disk store (0.0 when there were none).
     pub fn hit_rate(&self) -> f64 {
         if self.lookups() == 0 {
             0.0
@@ -325,20 +314,8 @@ impl Cache {
         self.enforce_capacity();
     }
 
-    /// Remove `key` if it is `Ready`, counting the eviction. In-flight
-    /// markers are left alone: their waiters hold the cell, and the winner's
-    /// insert repopulates the slot.
-    fn remove_ready(&mut self, key: &CacheKey) -> bool {
-        if !matches!(self.entries.get(key), Some(Entry::Ready { .. })) {
-            return false;
-        }
-        self.entries.remove(key);
-        self.live -= 1;
-        self.stats.evictions += 1;
-        true
-    }
-
-    /// Evict least-recently-used entries until the cache fits its bound.
+    /// Evict least-recently-used `Ready` entries until the cache fits its
+    /// bound. In-flight markers are left alone: their waiters hold the cell.
     fn enforce_capacity(&mut self) {
         while self.capacity != 0 && self.live > self.capacity {
             let lru = self
@@ -350,7 +327,9 @@ impl Cache {
                 })
                 .min_by_key(|(stamp, _)| *stamp);
             let Some((_, key)) = lru else { break };
-            self.remove_ready(&key);
+            self.entries.remove(&key);
+            self.live -= 1;
+            self.stats.evictions += 1;
         }
     }
 }
@@ -405,7 +384,7 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-/// A persistent store attached to an engine, with the module fingerprint
+/// An on-disk store attached to an engine, with the module fingerprint
 /// (over the canonical vbc encoding) that keys this deployment's entries.
 #[derive(Debug)]
 struct StoreHandle {
@@ -468,7 +447,7 @@ fn compile(
 pub struct ExecutionEngine {
     module: Arc<Module>,
     cache: Mutex<Cache>,
-    /// Optional persistent artifact store probed before any cold compile
+    /// Optional on-disk artifact store probed before any cold compile
     /// (and populated after one). `None` keeps the historical behaviour.
     store: Option<StoreHandle>,
 }
@@ -488,7 +467,7 @@ impl ExecutionEngine {
         }
     }
 
-    /// Attach a persistent [`ArtifactStore`]: cold compiles first probe the
+    /// Attach an on-disk [`ArtifactStore`]: cold compiles first probe the
     /// store (outside the cache lock, deduplicated by the same in-flight
     /// rendezvous that dedups compiles) and populate it on miss or reject.
     ///
@@ -501,7 +480,7 @@ impl ExecutionEngine {
         self.with_store_keyed(store, module_fp)
     }
 
-    /// Attach a persistent [`ArtifactStore`] using a caller-supplied module
+    /// Attach an on-disk [`ArtifactStore`] using a caller-supplied module
     /// fingerprint (which must be the FNV-1a hash of the module's canonical
     /// vbc encoding — the value [`ExecutionEngine::with_store`] computes).
     ///
@@ -516,7 +495,7 @@ impl ExecutionEngine {
         self
     }
 
-    /// The attached persistent store, if any.
+    /// The attached on-disk store, if any.
     pub fn store(&self) -> Option<&Arc<ArtifactStore>> {
         self.store.as_ref().map(|h| &h.store)
     }
@@ -692,20 +671,6 @@ impl ExecutionEngine {
             StoreLoad::Miss => (DiskProbe::Miss(skey), None),
             StoreLoad::Reject => (DiskProbe::Reject(skey), None),
         }
-    }
-
-    /// Evict the cached compile for exactly `(target fingerprint, options)`,
-    /// if one is `Ready`. Returns `true` if an entry was removed.
-    ///
-    /// This is the quarantine hook for the serving tier's circuit breakers:
-    /// when a key trips its breaker, the poisoned compile is dropped from
-    /// the cache so the half-open probe (and any later traffic) compiles
-    /// fresh instead of replaying a bad artifact forever. In-flight
-    /// compiles are left alone — their waiters hold the cell, and the
-    /// winner's insert simply repopulates the slot. The removal is visible
-    /// in the eviction counter.
-    pub fn invalidate(&self, target_fp: u64, options: &JitOptions) -> bool {
-        self.cache().remove_ready(&(target_fp, *options))
     }
 
     /// JIT statistics for `target` under `options` (compiling on demand).

@@ -34,10 +34,10 @@
 //! cache guarantees exactly one online compilation per (target, options)
 //! pair however many requests race on a cold pair.
 //!
-//! # Fault tolerance
+//! # Deadlines and failures
 //!
-//! Failure is a first-class input to the serving tier, handled in four
-//! layers (checked in this order for every request):
+//! A served request goes dequeue → deadline shed → program fetch → run →
+//! answer, once. The server answers failures; it does not manage them:
 //!
 //! * **Deadlines + cooperative cancellation.** A [`Request`] may carry an
 //!   absolute [`Request::deadline`]. Requests whose deadline passed while
@@ -47,45 +47,23 @@
 //!   drain invariant becomes `accepted == completed + expired`). A request
 //!   whose deadline passes **mid-execution** is cancelled cooperatively by
 //!   the thread that executes it: the worker hands the deadline to its
-//!   [`FramePool`] at the top of every attempt, the executor polls it at
-//!   region boundaries (reading the clock at the first poll and then once
-//!   every few dozen regions), the runaway kernel stops about a microsecond
-//!   of execution after its deadline, the worker is freed, and the client is
+//!   [`FramePool`] before the run, the executor polls it at region
+//!   boundaries (reading the clock at the first poll and then once every few
+//!   dozen regions), the runaway kernel stops about a microsecond of
+//!   execution after its deadline, the worker is freed, and the client is
 //!   answered with `DeadlineExceeded` (counted as completed and in
 //!   [`ServerStats::cancelled`]). No other thread, lock or flag is involved,
 //!   so there is nothing to arm, disarm or order at shutdown.
-//! * **Retries.** An attempt is retried only if it failed *before the
-//!   kernel started* with an infrastructure failure — a panic or
-//!   [`EngineError::Transient`] — up to [`RetryPolicy::max_retries`] times
-//!   with bounded exponential backoff and *deterministic* jitter (derived
-//!   from the server seed, the request tag and the attempt number). That
-//!   needs no copy of the request's memory and loses no recovery: (1) all
-//!   that can fail now and succeed later — the [`FaultPlan`] sites, the
-//!   online compile — runs before the kernel's first store, so the memory
-//!   is still as the client sent it; (2) `Transient` is built by
-//!   injected faults only; (3) the simulator is a deterministic function of
-//!   (program, arguments, memory), so a later failure would recur, like the
-//!   semantic errors (traps, unknown kernels, JIT rejections) that are never
-//!   retried. [`Response::attempts`] stamps each response; the distribution
-//!   lands in [`ServerStats::retry_attempts`].
-//! * **Circuit breakers.** Failures are tracked per batch key
-//!   `(module fingerprint, target fingerprint, options)`. After
-//!   [`BreakerPolicy::failure_threshold`] *consecutive* infrastructure
-//!   failures the key **opens**: its cached compile is evicted from the
-//!   engine (a poisoned artifact is never served again), and requests for
-//!   it either **fail fast** with [`EngineError::CircuitOpen`] or — when
-//!   [`ServerConfig::fallback`] names a degradation target — are rerouted
-//!   there and marked [`Response::degraded`]. After a cooldown measured on
-//!   the server's logical completion clock, one request **half-opens** the
-//!   key as a probe; success closes it, failure re-opens it. All
-//!   transitions are counted ([`ServerStats::breaker_opened`] /
-//!   `breaker_half_opened` / `breaker_closed`).
+//! * **Every other failure is the answer.** A trap, an unknown kernel, a
+//!   JIT rejection or a panic is returned to the client as the
+//!   [`EngineError`] it is, after one attempt. Nothing is retried and no key
+//!   is ever refused: online compilation and the simulator are
+//!   deterministic functions of their inputs, so a failure would recur.
 //! * **Deterministic fault injection.** A seeded [`FaultPlan`] threaded
-//!   through [`ServerConfig::faults`] fires compile panics, execute panics,
-//!   artificial latency or spurious transient errors at named sites, chosen
-//!   by request tag or seeded probability — so a chaos soak can prove the
-//!   exactly-once and bit-identity guarantees *under* failure, not just in
-//!   fair weather.
+//!   through [`ServerConfig::faults`] fires panics or artificial latency
+//!   just before the program fetch, chosen by request tag or seeded
+//!   probability — so a chaos soak can prove the exactly-once and
+//!   bit-identity guarantees *under* failure, not just in fair weather.
 //!
 //! # Backpressure
 //!
@@ -107,7 +85,7 @@
 //! exactly one [`Response`] arrives: the [`Execution`] outcome plus the
 //! request's memory buffer, which travels *with* the request through the
 //! queue and back; the kernel runs against it in place and nothing on the
-//! serving path, retries included, copies it. Responses also carry the
+//! serving path copies it. Responses also carry the
 //! request's measured queue-wait and execute times and the size of the batch
 //! it was served in.
 //!
@@ -187,8 +165,8 @@ use std::time::{Duration, Instant};
 
 /// Acquire one of this module's locks — the serving tier's one poisoned-lock
 /// policy: **propagate**. Every mutex here guards plain bookkeeping (the
-/// queue, the engine registry, the breakers, a worker's metrics, the worker
-/// list) and is never held around client-driven work: kernels, online
+/// queue, the engine registry, a worker's metrics, the worker list) and is
+/// never held around client-driven work: kernels, online
 /// compilation and injected faults run inside [`run_job`]'s panic guard (or
 /// the batch fetch's) with no lock of this module held. A poisoned lock
 /// therefore means a bug in the serving loop itself panicked mid-update;
@@ -301,18 +279,16 @@ pub struct Request {
     /// Optional absolute deadline. A request whose deadline passes while it
     /// is queued is shed at dequeue (counted in [`ServerStats::expired`],
     /// answered [`EngineError::DeadlineExceeded`]); one whose deadline
-    /// passes mid-execution — or during a retry backoff — is cancelled by
-    /// its own worker at a region boundary (the executor reads the clock
-    /// there, at the first region of every attempt and once every few dozen
-    /// after) and answered the same way (counted as completed, plus
-    /// [`ServerStats::cancelled`]). `None` means the request never expires
-    /// and its run never reads the clock.
+    /// passes mid-execution is cancelled by its own worker at a region
+    /// boundary (the executor reads the clock there, at the first region
+    /// and once every few dozen after) and answered the same way (counted as
+    /// completed, plus [`ServerStats::cancelled`]). `None` means the request
+    /// never expires and its run never reads the clock.
     pub deadline: Option<Instant>,
-    /// Client-assigned request tag. Deterministic machinery keys off it:
-    /// retry-backoff jitter and every [`FaultPlan`] selector are pure
-    /// functions of (seed, tag, attempt), so a replayed request stream
-    /// makes identical decisions. Pick the request index when generating
-    /// load; 0 is fine for ad-hoc requests.
+    /// Client-assigned request tag. Every [`FaultPlan`] selector is a pure
+    /// function of (plan seed, tag), so a replayed request stream injects
+    /// identical faults. Pick the request index when generating load; 0 is
+    /// fine for ad-hoc requests.
     pub tag: u64,
 }
 
@@ -335,16 +311,6 @@ pub struct Response {
     pub execute_ns: u64,
     /// Size of the batch this request was served in (≥ 1).
     pub batch: usize,
-    /// Execution attempts this response took: 1 for a clean first run,
-    /// `1 + retries` when transient failures were retried, 0 when the
-    /// request never reached execution (expired in the queue, unknown
-    /// kernel, or failed fast on an open breaker).
-    pub attempts: u32,
-    /// `true` when the request was rerouted to the server's configured
-    /// [`ServerConfig::fallback`] target because its own key's circuit
-    /// breaker was open. The outcome (and memory) came from the fallback
-    /// target — graceful degradation, not the requested core.
-    pub degraded: bool,
 }
 
 /// The serving thread disappeared before answering.
@@ -426,99 +392,13 @@ impl fmt::Display for SubmitError {
 
 impl Error for SubmitError {}
 
-/// Retry policy for infrastructure failures (panics,
-/// [`EngineError::Transient`]) that strike before the kernel starts.
-///
-/// Semantic errors — traps, unknown kernels, JIT rejections, deadline
-/// expiry — and any failure once the kernel has started are **never**
-/// retried: re-running a deterministic failure only burns worker time (the
-/// [module documentation](self) argues that no recovery is lost). Backoff
-/// is bounded exponential with deterministic jitter: attempt `k` sleeps in
-/// `[b/2, b]` where `b = min(max_backoff_ns, base_backoff_ns << (k-1))` and
-/// the point inside the band is a pure function of (server seed, request
-/// tag, attempt) — so a replayed request stream backs off identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 disables retrying).
-    pub max_retries: u32,
-    /// Backoff before the first retry, nanoseconds.
-    pub base_backoff_ns: u64,
-    /// Backoff ceiling, nanoseconds.
-    pub max_backoff_ns: u64,
-}
-
-impl Default for RetryPolicy {
-    /// Two retries, 50 µs base, 1 ms cap — enough to clear one-shot
-    /// transients without a misbehaving key stalling its worker.
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            base_backoff_ns: 50_000,
-            max_backoff_ns: 1_000_000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        }
-    }
-}
-
-/// Circuit-breaker policy, applied per batch key `(module fingerprint,
-/// target fingerprint, options)`.
-///
-/// A key's breaker opens after `failure_threshold` *consecutive*
-/// infrastructure failures (panics, transients, JIT errors — final outcomes,
-/// after retries; semantic errors don't count). While open, requests for the
-/// key fail fast with [`EngineError::CircuitOpen`] — or degrade to
-/// [`ServerConfig::fallback`] when one is configured — and the key's cached
-/// compile is evicted from its engine so a poisoned artifact is never served
-/// again. After `cooldown` ticks of the server's logical completion clock
-/// (each completed request is one tick), the next request half-opens the key
-/// as a probe: success closes it, failure re-opens it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerPolicy {
-    /// Consecutive failures that open a key; 0 disables breakers entirely.
-    pub failure_threshold: u32,
-    /// Logical ticks (completed requests, server-wide) an open key waits
-    /// before half-opening. A logical clock keeps recovery deterministic
-    /// under load instead of racing wall time.
-    pub cooldown: u64,
-}
-
-impl Default for BreakerPolicy {
-    /// Open after 8 consecutive failures, probe after 256 completions.
-    fn default() -> Self {
-        BreakerPolicy {
-            failure_threshold: 8,
-            cooldown: 256,
-        }
-    }
-}
-
-/// Where a [`FaultRule`] fires along the serving path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultSite {
-    /// While resolving the compiled program (the online step).
-    Compile,
-    /// While executing the kernel.
-    Execute,
-}
-
-/// What an injected fault does.
+/// What an injected fault does. Either fires inside the worker's panic
+/// guard, just before the request's program fetch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Panic (caught by the worker's panic guard, answered
-    /// [`EngineError::Panicked`] — retryable, breaker-tripping).
+    /// [`EngineError::Panicked`]).
     Panic,
-    /// Spurious [`EngineError::Transient`] (retryable, breaker-tripping),
-    /// injected without running the kernel.
-    Transient,
     /// Sleep this many nanoseconds, then proceed normally. Results stay
     /// bit-identical — latency faults only stress deadlines and queues.
     Latency(u64),
@@ -557,33 +437,26 @@ impl FaultSelector {
     }
 }
 
-/// One injected fault: what fires, where, and for which requests.
+/// One injected fault: what fires, and for which requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRule {
-    /// Pipeline stage the fault fires at.
-    pub site: FaultSite,
     /// What the fault does.
     pub kind: FaultKind,
     /// Which requests it selects.
     pub selector: FaultSelector,
-    /// `true`: fires on every attempt of a selected request (a *persistent*
-    /// fault — this is what drives breakers open). `false`: fires on the
-    /// first attempt only, so a retry clears it (a *transient* fault).
-    pub persistent: bool,
 }
 
 /// A deterministic, seeded fault-injection plan.
 ///
 /// Threaded through [`ServerConfig::faults`]; every decision is a pure
-/// function of `(seed, rule index, request tag, attempt)`, so a chaos soak
-/// replayed with the same seed and tags injects byte-for-byte the same
-/// faults — which is what lets the soak assert bit-identity *under* fire.
+/// function of `(seed, rule index, request tag)`, so a chaos soak replayed
+/// with the same seed and tags injects byte-for-byte the same faults —
+/// which is what lets the soak assert bit-identity *under* fire.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for probabilistic selectors.
     pub seed: u64,
-    /// Rules, checked in order; the first rule matching (site, tag,
-    /// attempt) fires.
+    /// Rules, checked in order; the first rule selecting the tag fires.
     pub rules: Vec<FaultRule>,
 }
 
@@ -602,12 +475,11 @@ impl FaultPlan {
         self
     }
 
-    /// The fault to inject at `site` for `(tag, attempt)`, if any.
-    fn at(&self, site: FaultSite, tag: u64, attempt: u32) -> Option<FaultKind> {
+    /// The fault to inject into the request tagged `tag`, if any.
+    fn at(&self, tag: u64) -> Option<FaultKind> {
         self.rules
             .iter()
             .enumerate()
-            .filter(|(_, r)| r.site == site && (r.persistent || attempt == 0))
             .find(|(i, r)| self.selects(*i, r.selector, tag))
             .map(|(_, r)| r.kind)
     }
@@ -648,20 +520,10 @@ pub struct ServerConfig {
     /// target and options; one program fetch, one frame pool); clamped to at
     /// least 1. 1 disables batching.
     pub max_batch: usize,
-    /// Retry policy for failures before the kernel starts.
-    pub retry: RetryPolicy,
-    /// Circuit-breaker policy (per batch key).
-    pub breaker: BreakerPolicy,
-    /// Graceful-degradation target: when a key's breaker is open, its
-    /// requests are served on this target instead of failing fast, and the
-    /// response is marked [`Response::degraded`]. `None` fails fast.
-    pub fallback: Option<TargetDesc>,
     /// Deterministic fault-injection plan (chaos testing); `None` serves
     /// clean.
     pub faults: Option<FaultPlan>,
-    /// Server seed, the deterministic root of retry-backoff jitter.
-    pub seed: u64,
-    /// Persistent artifact store shared by every engine this server creates
+    /// On-disk artifact store shared by every engine this server creates
     /// (keyed per module by its fingerprint, which the serving tier already
     /// holds — no re-encoding). `None` keeps compilation process-local.
     pub store: Option<Arc<crate::ArtifactStore>>,
@@ -674,11 +536,7 @@ impl Default for ServerConfig {
             queue_capacity: 256,
             cache_capacity: 0,
             max_batch: 16,
-            retry: RetryPolicy::default(),
-            breaker: BreakerPolicy::default(),
-            fallback: None,
             faults: None,
-            seed: 0,
             store: None,
         }
     }
@@ -709,37 +567,13 @@ impl ServerConfig {
         self
     }
 
-    /// Same configuration with this retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Same configuration with this circuit-breaker policy.
-    pub fn with_breaker(mut self, breaker: BreakerPolicy) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
-    /// Same configuration with a graceful-degradation fallback target.
-    pub fn with_fallback(mut self, fallback: TargetDesc) -> Self {
-        self.fallback = Some(fallback);
-        self
-    }
-
     /// Same configuration with a fault-injection plan installed.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = Some(faults);
         self
     }
 
-    /// Same configuration with this deterministic seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Same configuration with a persistent artifact store attached.
+    /// Same configuration with an on-disk artifact store attached.
     pub fn with_store(mut self, store: Arc<crate::ArtifactStore>) -> Self {
         self.store = Some(store);
         self
@@ -803,29 +637,12 @@ pub struct ServerStats {
     /// (answered [`EngineError::DeadlineExceeded`]; a subset of
     /// `completed` — the worker was freed, the books still balance).
     pub cancelled: u64,
-    /// Total retry attempts across all requests (attempts beyond each
-    /// request's first).
+    /// Always 0: every request runs once. Kept because the `e2e/` benchmark
+    /// package reports it as `serve.retried`; it goes with the next
+    /// `[benchmark]` PR.
     pub retried: u64,
-    /// Requests rerouted to the fallback target because their key's
-    /// breaker was open (a subset of `completed`).
-    pub degraded: u64,
-    /// Requests answered [`EngineError::CircuitOpen`] without executing
-    /// (open breaker, no fallback configured; a subset of `completed`).
-    pub failed_fast: u64,
-    /// Circuit-breaker keys opened (including re-opens after a failed
-    /// half-open probe).
-    pub breaker_opened: u64,
-    /// Open keys that half-opened for a probe after their cooldown.
-    pub breaker_half_opened: u64,
-    /// Half-open keys closed by a successful probe.
-    pub breaker_closed: u64,
-    /// Faults injected by the configured [`FaultPlan`] (every firing,
-    /// including on retries).
+    /// Faults injected by the configured [`FaultPlan`].
     pub faults_injected: u64,
-    /// Distribution of per-request execution attempts, one sample per
-    /// completed request (0 for requests that never executed — fail-fast
-    /// and unknown kernels; `retry_attempts.count() == completed`).
-    pub retry_attempts: Histogram,
 }
 
 impl ServerStats {
@@ -989,61 +806,13 @@ impl<T> BoundedQueue<T> {
 }
 
 /// SplitMix64 — the one-shot mixing step; full avalanche, so consecutive
-/// inputs (tags, attempts) produce uncorrelated outputs. This is the root
-/// of every deterministic decision the fault/retry machinery makes.
+/// tags produce uncorrelated outputs. This is the root of every
+/// probabilistic [`FaultPlan`] decision.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Backoff before retry `attempt` (1-based): bounded exponential with
-/// deterministic jitter in the upper half of the band — a pure function of
-/// (seed, tag, attempt), so replays back off identically and concurrent
-/// retriers of one hot key still spread out (distinct tags, distinct
-/// jitter).
-fn backoff_ns(policy: &RetryPolicy, seed: u64, tag: u64, attempt: u32) -> u64 {
-    let doublings = attempt.saturating_sub(1).min(20);
-    let band = policy
-        .base_backoff_ns
-        .saturating_mul(1u64 << doublings)
-        .min(policy.max_backoff_ns);
-    let jitter = splitmix64(seed ^ tag.rotate_left(17) ^ u64::from(attempt)) % (band / 2 + 1);
-    band / 2 + jitter
-}
-
-/// One key's circuit-breaker state.
-enum BreakerState {
-    /// Healthy; counting consecutive final failures.
-    Closed { consecutive: u32 },
-    /// Tripped: fail fast / degrade until the logical clock reaches
-    /// `until`, then half-open.
-    Open { until: u64 },
-    /// One probe is in flight; everyone else still fails fast / degrades.
-    HalfOpen,
-}
-
-/// The breaker registry plus its transition counters, all under one lock —
-/// transitions are rare and the map lookup is per *job*, not per record
-/// body, so contention is negligible next to execution.
-#[derive(Default)]
-struct Breakers {
-    map: HashMap<(u64, u64, JitOptions), BreakerState>,
-    opened: u64,
-    half_opened: u64,
-    closed: u64,
-}
-
-/// What the breaker tells the worker to do with a job.
-enum Gate {
-    /// Run normally (`probe` marks the one half-open probe, whose outcome
-    /// decides the key's fate).
-    Run { probe: bool },
-    /// Breaker open, no fallback: answer [`EngineError::CircuitOpen`].
-    FailFast,
-    /// Breaker open, fallback configured: serve on the fallback target.
-    Degrade,
 }
 
 /// A queued unit of work: the request, its response rendezvous, the cached
@@ -1093,7 +862,6 @@ struct WorkerMetrics {
     queue_wait: Histogram,
     execute: Histogram,
     batch_sizes: Histogram,
-    retry_attempts: Histogram,
 }
 
 /// State shared between the submission API and the worker pool.
@@ -1109,19 +877,11 @@ struct Inner {
     rejected_shutdown: AtomicU64,
     expired: AtomicU64,
     cancelled: AtomicU64,
-    retried: AtomicU64,
-    degraded: AtomicU64,
-    failed_fast: AtomicU64,
     faults_injected: AtomicU64,
     /// One metrics block per worker; [`Server::stats`] merges them.
     metrics: Vec<Mutex<WorkerMetrics>>,
-    retry: RetryPolicy,
-    breaker: BreakerPolicy,
-    fallback: Option<TargetDesc>,
     faults: Option<FaultPlan>,
-    seed: u64,
-    breakers: Mutex<Breakers>,
-    /// Persistent artifact store attached to every engine at creation.
+    /// On-disk artifact store attached to every engine at creation.
     store: Option<Arc<crate::ArtifactStore>>,
 }
 
@@ -1153,117 +913,6 @@ impl Inner {
             engine: Arc::clone(&engine),
         });
         engine
-    }
-
-    /// The breaker's logical clock: completed requests, server-wide. Using
-    /// completions (not wall time) keeps open→half-open recovery a
-    /// deterministic function of traffic.
-    fn breaker_clock(&self) -> u64 {
-        self.completed.load(Ordering::SeqCst)
-    }
-
-    /// `true` while nothing forbids serving `key` from its cached compile —
-    /// used to decide whether a batch-level program fetch is worth making.
-    /// (A half-open probe deliberately skips the batch fetch and compiles
-    /// fresh inside [`run_job`]: its key's artifact was quarantined.)
-    fn breaker_fetch_allowed(&self, key: &(u64, u64, JitOptions)) -> bool {
-        if self.breaker.failure_threshold == 0 {
-            return true;
-        }
-        let breakers = lock(&self.breakers);
-        matches!(
-            breakers.map.get(key),
-            None | Some(BreakerState::Closed { .. })
-        )
-    }
-
-    /// The breaker's verdict for one job of `key`, applying the
-    /// open→half-open transition when the cooldown has elapsed.
-    fn breaker_gate(&self, key: &(u64, u64, JitOptions)) -> Gate {
-        if self.breaker.failure_threshold == 0 {
-            return Gate::Run { probe: false };
-        }
-        let mut breakers = lock(&self.breakers);
-        let clock = self.breaker_clock();
-        let state = match breakers.map.get_mut(key) {
-            None | Some(BreakerState::Closed { .. }) => return Gate::Run { probe: false },
-            Some(state) => state,
-        };
-        if matches!(*state, BreakerState::Open { until } if clock >= until) {
-            *state = BreakerState::HalfOpen;
-            breakers.half_opened += 1;
-            return Gate::Run { probe: true };
-        }
-        // Still cooling down, or a probe is already in flight: don't pile
-        // more traffic on a key that is still presumed broken.
-        if self.fallback.is_some() {
-            Gate::Degrade
-        } else {
-            Gate::FailFast
-        }
-    }
-
-    /// Record a governed job's *final* outcome (after retries) against its
-    /// key's breaker, applying close/open transitions. Opening (including
-    /// re-opening after a failed probe) quarantines the key: its compiled
-    /// artifact is evicted from the engine so the eventual probe — and any
-    /// later traffic — compiles fresh instead of replaying a poisoned
-    /// artifact.
-    fn breaker_record(&self, key: &(u64, u64, JitOptions), probe: bool, failed: bool) {
-        if self.breaker.failure_threshold == 0 {
-            return;
-        }
-        let mut breakers = lock(&self.breakers);
-        let clock = self.breaker_clock();
-        let until = clock.saturating_add(self.breaker.cooldown);
-        let state = breakers
-            .map
-            .entry(*key)
-            .or_insert(BreakerState::Closed { consecutive: 0 });
-        let mut probe_succeeded = false;
-        let open = match state {
-            BreakerState::Closed { consecutive } => {
-                if failed {
-                    *consecutive += 1;
-                    *consecutive >= self.breaker.failure_threshold
-                } else {
-                    *consecutive = 0;
-                    false
-                }
-            }
-            BreakerState::HalfOpen if probe => {
-                if failed {
-                    true
-                } else {
-                    *state = BreakerState::Closed { consecutive: 0 };
-                    probe_succeeded = true;
-                    false
-                }
-            }
-            // A non-probe record against a half-open or open key carries no
-            // new information (it was gated before this state was entered);
-            // leave the probe to decide.
-            _ => false,
-        };
-        if open {
-            *state = BreakerState::Open { until };
-            breakers.opened += 1;
-            drop(breakers);
-            self.quarantine(key);
-        } else if probe_succeeded {
-            breakers.closed += 1;
-        }
-    }
-
-    /// Evict `key`'s compiled artifact from its module's engine (from each
-    /// engine under the fingerprint, had it collided: breakers are keyed by
-    /// fingerprint, and an eviction only ever costs a recompile). Registry
-    /// lock, then engine lock — the order [`Server::stats`] takes them in.
-    fn quarantine(&self, key: &(u64, u64, JitOptions)) {
-        let (module_fp, target_fp, options) = key;
-        for entry in lock(&self.engines).get(module_fp).into_iter().flatten() {
-            entry.engine.invalidate(*target_fp, options);
-        }
     }
 }
 
@@ -1306,19 +955,11 @@ impl Server {
             rejected_shutdown: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            failed_fast: AtomicU64::new(0),
             faults_injected: AtomicU64::new(0),
             metrics: (0..worker_count)
                 .map(|_| Mutex::new(WorkerMetrics::default()))
                 .collect(),
-            retry: config.retry,
-            breaker: config.breaker,
-            fallback: config.fallback,
             faults: config.faults,
-            seed: config.seed,
-            breakers: Mutex::new(Breakers::default()),
             store: config.store,
         });
         let workers = (0..worker_count)
@@ -1418,7 +1059,6 @@ impl Server {
         let mut queue_wait = Histogram::new();
         let mut execute = Histogram::new();
         let mut batch_sizes = Histogram::new();
-        let mut retry_attempts = Histogram::new();
         for metrics in &self.inner.metrics {
             let m = lock(metrics);
             for (name, count) in m.per_target.iter() {
@@ -1427,12 +1067,7 @@ impl Server {
             queue_wait.merge(&m.queue_wait);
             execute.merge(&m.execute);
             batch_sizes.merge(&m.batch_sizes);
-            retry_attempts.merge(&m.retry_attempts);
         }
-        let (breaker_opened, breaker_half_opened, breaker_closed) = {
-            let b = lock(&self.inner.breakers);
-            (b.opened, b.half_opened, b.closed)
-        };
         // `completed` and `expired` are read *before* the queue snapshot:
         // all three only grow, and a job is accepted (under the queue lock)
         // before any worker can complete or expire it, so this order
@@ -1448,13 +1083,8 @@ impl Server {
             rejected_shutdown: self.inner.rejected_shutdown.load(Ordering::SeqCst),
             expired,
             cancelled: self.inner.cancelled.load(Ordering::SeqCst),
-            retried: self.inner.retried.load(Ordering::SeqCst),
-            degraded: self.inner.degraded.load(Ordering::SeqCst),
-            failed_fast: self.inner.failed_fast.load(Ordering::SeqCst),
+            retried: 0,
             faults_injected: self.inner.faults_injected.load(Ordering::SeqCst),
-            breaker_opened,
-            breaker_half_opened,
-            breaker_closed,
             queue_depth: queue.depth,
             queue_high_water: queue.high_water,
             engines,
@@ -1464,7 +1094,6 @@ impl Server {
             queue_wait,
             execute,
             batch_sizes,
-            retry_attempts,
         }
     }
 
@@ -1526,20 +1155,13 @@ fn worker_loop(inner: &Inner, worker: usize) {
     }
 }
 
-/// Everything one governed job run produces, alongside the outcome itself.
+/// Everything one job run produces, alongside the outcome itself.
 struct JobResult {
     outcome: Result<Execution, EngineError>,
     mem: Vec<u8>,
     execute_ns: u64,
-    /// Execution attempts made (0 = never executed, 1 = clean, 1+n =
-    /// retried n times).
-    attempts: u32,
     /// The deadline cancelled the run mid-flight.
     cancelled: bool,
-    /// The final outcome is breaker-tripping (panic / transient / JIT
-    /// failure) — as opposed to success or a semantic error that would
-    /// fail identically on a healthy artifact.
-    tripped: bool,
 }
 
 /// Serve one continuous batch (all jobs share a batch key): resolve the
@@ -1547,23 +1169,19 @@ struct JobResult {
 /// through exactly the execution path an unbatched run uses — so responses
 /// are bit-identical to unbatched serving; batching only amortizes lookups.
 ///
-/// Each job first passes the deadline shed (already-expired requests are
-/// answered [`EngineError::DeadlineExceeded`] without executing, counted
-/// `expired`) and then its key's circuit breaker (open keys fail fast or
-/// reroute to the configured fallback target).
+/// Each job first passes the deadline shed: an already-expired request is
+/// answered [`EngineError::DeadlineExceeded`] without executing and counted
+/// `expired`.
 fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut Vec<Job>) {
     let dequeued = Instant::now();
     let batch_len = batch.len();
-    let key = batch[0].batch_key();
     let engine = inner.engine_for(&batch[0].request.module);
     let target_name = batch[0].request.target.name.clone();
     // One program fetch covers the whole batch: the identical (target,
     // options) artifact every job would have looked up individually. A
     // batch whose every kernel is unknown skips the fetch entirely —
     // matching the unbatched precheck, where unknown kernels never touch
-    // the cache. A batch whose key's breaker is not closed also skips it:
-    // the artifact was quarantined, and warming it back in from the batch
-    // path would bypass the half-open probe.
+    // the cache.
     let any_known = batch.iter().any(|j| {
         j.request
             .module
@@ -1574,10 +1192,10 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
     // The batch-level fetch runs under the same panic guard as per-job
     // execution: online compilation lives inside the panic-safe-worker
     // contract too. A panicking compile becomes `Some(Err(Panicked))`, which
-    // routes every job through the per-job fallback below — each retries the
-    // lookup inside its own `catch_unwind`, so each client is answered (with
-    // the real result if the panic doesn't reproduce) and the worker lives.
-    let program = if any_known && inner.breaker_fetch_allowed(&key) {
+    // sends every job to its own lookup inside its own `catch_unwind`, so
+    // each client is answered (with the real result if the panic doesn't
+    // reproduce) and the worker lives.
+    let program = if any_known {
         Some(
             catch_unwind(AssertUnwindSafe(|| {
                 engine.program_for(&batch[0].request.target, &batch[0].request.options)
@@ -1609,40 +1227,10 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
                 queue_wait_ns,
                 execute_ns: 0,
                 batch: batch_len,
-                attempts: 0,
-                degraded: false,
             });
             continue;
         }
-        let gate = inner.breaker_gate(&key);
-        let (result, degraded) = match gate {
-            Gate::FailFast => {
-                inner.failed_fast.fetch_add(1, Ordering::SeqCst);
-                let result = JobResult {
-                    outcome: Err(EngineError::CircuitOpen),
-                    mem: request.mem,
-                    execute_ns: 0,
-                    attempts: 0,
-                    cancelled: false,
-                    tripped: false,
-                };
-                (result, false)
-            }
-            Gate::Degrade => {
-                inner.degraded.fetch_add(1, Ordering::SeqCst);
-                // The fallback target has its own (module, target, options)
-                // key, so its runs never feed the broken key's breaker.
-                let fallback = inner.fallback.as_ref();
-                let result = run_job(inner, &engine, None, request, pool, fallback);
-                (result, true)
-            }
-            Gate::Run { probe } => {
-                let program = program.as_ref();
-                let result = run_job(inner, &engine, program, request, pool, None);
-                inner.breaker_record(&key, probe, result.tripped);
-                (result, false)
-            }
-        };
+        let result = run_job(inner, &engine, program.as_ref(), request, pool);
         if result.cancelled {
             inner.cancelled.fetch_add(1, Ordering::SeqCst);
         }
@@ -1656,20 +1244,10 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
             let mut m = lock(&inner.metrics[worker]);
             m.queue_wait.record(queue_wait_ns);
             m.execute.record(result.execute_ns);
-            m.retry_attempts.record(u64::from(result.attempts));
-            let name = if degraded {
-                inner
-                    .fallback
-                    .as_ref()
-                    .map(|t| t.name.as_str())
-                    .unwrap_or(target_name.as_str())
-            } else {
-                target_name.as_str()
-            };
-            if let Some(count) = m.per_target.get_mut(name) {
+            if let Some(count) = m.per_target.get_mut(&target_name) {
                 *count += 1;
             } else {
-                m.per_target.insert(name.to_owned(), 1);
+                m.per_target.insert(target_name.clone(), 1);
             }
         }
         // The client may have dropped its handle without waiting; a refused
@@ -1681,8 +1259,6 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
             queue_wait_ns,
             execute_ns: result.execute_ns,
             batch: batch_len,
-            attempts: result.attempts,
-            degraded,
         });
     }
     if served > 0 {
@@ -1693,33 +1269,26 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
     }
 }
 
-/// Run one job of a batch under the full fault-tolerance stack: its
-/// deadline, configured fault injection, the panic guard, and bounded
-/// retries with jittered exponential backoff.
+/// Run one job of a batch, once: its configured fault, its program, its
+/// kernel through the one [`crate::engine::simulate`] call, under its
+/// deadline and the panic guard.
 ///
-/// Every attempt resolves its program, then runs the kernel through the one
-/// [`crate::engine::simulate`] call. `program` is the batch-level fetch:
-/// `Some(Ok(_))` is the *first* attempt's program; `Some(Err(_))` or a retry
-/// re-runs the per-job lookup, so each client receives exactly the error an
-/// unbatched run would have produced (`EngineError` is not `Clone`) and a
-/// retry after a quarantine compiles fresh; `None` means the batch made no
-/// fetch (its breaker is not closed, or the job is rerouted to `fallback`).
+/// `program` is the batch-level fetch: `Some(Ok(_))` serves the job;
+/// `Some(Err(_))` or `None` (the batch made no fetch) re-runs the per-job
+/// lookup, so each client receives exactly the error an unbatched run would
+/// have produced (`EngineError` is not `Clone`).
 ///
-/// The attempt is wrapped in a panic guard: a panic answers with
-/// [`EngineError::Panicked`] (payload capped at [`PANIC_MESSAGE_CAP`]
-/// bytes) and costs the worker its frame pool (recycled frames may have
-/// been mid-mutation when the unwind tore through), but never the worker
-/// itself. Only a [`EngineError::Panicked`] or [`EngineError::Transient`]
-/// from *before the kernel started* (`touched` still `false`) is retried:
-/// the memory is then as the client sent it, so there is nothing to restore.
-/// Semantic errors and any later failure would recur and are answered at once.
+/// A panic answers with [`EngineError::Panicked`] (payload capped at
+/// [`PANIC_MESSAGE_CAP`] bytes) and costs the worker its frame pool
+/// (recycled frames may have been mid-mutation when the unwind tore
+/// through), but never the worker itself. Every other failure is answered
+/// as the error it is.
 fn run_job(
     inner: &Inner,
     engine: &ExecutionEngine,
     program: Option<&Result<Arc<CompiledModule>, EngineError>>,
     request: Request,
     pool: &mut FramePool,
-    fallback: Option<&TargetDesc>,
 ) -> JobResult {
     let Request {
         module,
@@ -1731,7 +1300,6 @@ fn run_job(
         deadline,
         tag,
     } = request;
-    let target = fallback.cloned().unwrap_or(target);
     if module.module().function(&kernel).is_none() {
         // Unknown kernels fail before any cache traffic and before the
         // execute clock starts, as in an unbatched engine run.
@@ -1739,123 +1307,55 @@ fn run_job(
             outcome: Err(EngineError::UnknownKernel(kernel)),
             mem,
             execute_ns: 0,
-            attempts: 0,
             cancelled: false,
-            tripped: false,
         };
     }
     let started = Instant::now();
-    let mut attempt: u32 = 0;
-    let mut cancelled = false;
-    // Set once the kernel may have stored to `mem`; never cleared.
-    let mut touched = false;
-    let outcome = loop {
-        // Set per attempt, not per job: the first poll after `set_deadline`
-        // reads the clock, so a deadline that passed during a latency fault
-        // or a retry backoff raises `SimError::Cancelled` at the attempt's
-        // first region — and a pool replaced after a caught panic gets the
-        // deadline back.
-        pool.set_deadline(deadline);
-        let compile_fault = faults_at(inner, FaultSite::Compile, tag, attempt);
-        let execute_fault = faults_at(inner, FaultSite::Execute, tag, attempt);
-        attempt += 1;
-        let ran = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(kind) = compile_fault {
-                apply_fault(inner, kind, FaultSite::Compile, &kernel)?;
-            }
-            if let Some(kind) = execute_fault {
-                apply_fault(inner, kind, FaultSite::Execute, &kernel)?;
-            }
-            let fetched;
-            let compiled = match program {
-                // The batch artifact serves the first attempt only: a retry
-                // (or a half-open probe, which never gets one) looks the
-                // program up again, so a quarantined key compiles fresh.
-                Some(Ok(compiled)) if attempt == 1 => compiled,
-                _ => {
-                    fetched = engine.program_for(&target, &options)?;
-                    &fetched
-                }
-            };
-            touched = true;
-            crate::engine::simulate(compiled, &target, &kernel, &args, &mut mem, pool)
-        }));
-        let outcome = match ran {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                *pool = FramePool::new();
-                Err(EngineError::Panicked(panic_message(payload.as_ref())))
+    // The first poll after `set_deadline` reads the clock, so a deadline
+    // that passed during a latency fault raises `SimError::Cancelled` at the
+    // run's first region.
+    pool.set_deadline(deadline);
+    let fault = inner.faults.as_ref().and_then(|plan| plan.at(tag));
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        if let Some(kind) = fault {
+            apply_fault(inner, kind, &kernel);
+        }
+        let fetched;
+        let compiled = match program {
+            Some(Ok(compiled)) => compiled,
+            _ => {
+                fetched = engine.program_for(&target, &options)?;
+                &fetched
             }
         };
-        // A cooperative cancellation surfaces to the client as the deadline
-        // error it is, never as a retryable failure.
-        if matches!(outcome, Err(EngineError::Sim(SimError::Cancelled))) {
-            cancelled = true;
-            break Err(EngineError::DeadlineExceeded);
-        }
-        let retryable = !touched
-            && matches!(
-                outcome,
-                Err(EngineError::Panicked(_)) | Err(EngineError::Transient(_))
-            );
-        let deadline_passed = deadline.is_some_and(|at| Instant::now() >= at);
-        if !(retryable && attempt <= inner.retry.max_retries && !deadline_passed) {
-            break outcome;
-        }
-        inner.retried.fetch_add(1, Ordering::SeqCst);
-        let backoff = backoff_ns(&inner.retry, inner.seed, tag, attempt);
-        if backoff > 0 {
-            std::thread::sleep(Duration::from_nanos(backoff));
-        }
-    };
+        crate::engine::simulate(compiled, &target, &kernel, &args, &mut mem, pool)
+    }));
+    let mut outcome = ran.unwrap_or_else(|payload| {
+        *pool = FramePool::new();
+        Err(EngineError::Panicked(panic_message(payload.as_ref())))
+    });
     pool.set_deadline(None);
-    let tripped = matches!(
-        outcome,
-        Err(EngineError::Panicked(_)) | Err(EngineError::Transient(_)) | Err(EngineError::Jit(_))
-    );
+    // A cooperative cancellation surfaces to the client as the deadline
+    // error it is.
+    let cancelled = matches!(outcome, Err(EngineError::Sim(SimError::Cancelled)));
+    if cancelled {
+        outcome = Err(EngineError::DeadlineExceeded);
+    }
     JobResult {
         outcome,
         mem,
         execute_ns: saturating_ns(started.elapsed()),
-        attempts: attempt,
         cancelled,
-        tripped,
     }
 }
 
-/// The configured [`FaultPlan`]'s verdict for `(site, tag, attempt)`.
-fn faults_at(inner: &Inner, site: FaultSite, tag: u64, attempt: u32) -> Option<FaultKind> {
-    inner
-        .faults
-        .as_ref()
-        .and_then(|plan| plan.at(site, tag, attempt))
-}
-
-/// Fire one injected fault. `Ok(())` means execution proceeds (latency
-/// faults); `Err` is returned to the client as-is (transient faults);
-/// panic faults unwind into the worker's panic guard.
-fn apply_fault(
-    inner: &Inner,
-    kind: FaultKind,
-    site: FaultSite,
-    kernel: &str,
-) -> Result<(), EngineError> {
+/// Fire one injected fault: a panic unwinds into the worker's panic guard;
+/// latency sleeps, then execution proceeds.
+fn apply_fault(inner: &Inner, kind: FaultKind, kernel: &str) {
     inner.faults_injected.fetch_add(1, Ordering::SeqCst);
-    let site_name = match site {
-        FaultSite::Compile => "compile",
-        FaultSite::Execute => "execute",
-    };
     match kind {
-        FaultKind::Panic => panic!("injected {site_name} fault in kernel `{kernel}`"),
-        FaultKind::Transient => Err(EngineError::Transient(format!(
-            "injected {site_name} fault in kernel `{kernel}`"
-        ))),
-        FaultKind::Latency(ns) => {
-            if ns > 0 {
-                std::thread::sleep(Duration::from_nanos(ns));
-            }
-            Ok(())
-        }
+        FaultKind::Panic => panic!("injected panic in kernel `{kernel}`"),
+        FaultKind::Latency(ns) => std::thread::sleep(Duration::from_nanos(ns)),
     }
 }
 
@@ -2407,10 +1907,8 @@ mod tests {
         // ONE worker: if the panic killed it, the later requests would hang
         // (and shutdown's completed == accepted guarantee would break).
         let panic_on_tag_13 = FaultPlan::seeded(0).with_rule(FaultRule {
-            site: FaultSite::Execute,
             kind: FaultKind::Panic,
             selector: FaultSelector::tag_range(13, 14),
-            persistent: true,
         });
         let server = Server::start(
             ServerConfig::default()
@@ -2433,7 +1931,7 @@ mod tests {
         assert!(
             matches!(
                 crashed.outcome,
-                Err(EngineError::Panicked(ref msg)) if msg.contains("injected execute fault")
+                Err(EngineError::Panicked(ref msg)) if msg.contains("injected panic")
             ),
             "got {:?}",
             crashed.outcome
@@ -2466,10 +1964,8 @@ mod tests {
     /// [`assert_still_stalled`].
     fn stalling_server() -> Server {
         let stall = FaultPlan::seeded(0).with_rule(FaultRule {
-            site: FaultSite::Execute,
             kind: FaultKind::Latency(400_000_000),
             selector: FaultSelector::tag_range(SENTINEL_TAG, SENTINEL_TAG + 1),
-            persistent: false,
         });
         Server::start(
             ServerConfig::default()
@@ -2602,7 +2098,7 @@ mod tests {
         assert_eq!(stats.batch_sizes.sum(), stats.completed);
     }
 
-    // --- Fault tolerance ---
+    // --- Deadlines and fault plans ---
 
     #[test]
     fn a_cancelled_request_leaves_no_deadline_behind() {
@@ -2637,7 +2133,6 @@ mod tests {
             "got {:?}",
             response.outcome
         );
-        assert_eq!(response.attempts, 1, "cancelled mid-run, not shed");
         // The same worker, the same frame pool, no deadline: a deadline left
         // behind would cancel this run at its first region.
         let response = server
@@ -2650,33 +2145,26 @@ mod tests {
             Some(MachineValue::Int(45))
         );
         let stats = server.shutdown();
-        assert_eq!((stats.cancelled, stats.expired), (1, 0));
+        assert_eq!(
+            (stats.cancelled, stats.expired),
+            (1, 0),
+            "cancelled mid-run, not shed"
+        );
         assert_eq!((stats.accepted, stats.completed), (2, 2));
     }
 
     #[test]
-    fn a_deadline_that_passes_during_a_retry_backoff_cancels_the_retry() {
-        // Attempt 1 fails at once on an injected transient fault, well
-        // inside the deadline; the backoff (50–100 ms) outlasts it. The
-        // deadline is set afresh for every attempt, so attempt 2 reads the
-        // clock at its first region and is cancelled before it runs.
+    fn a_deadline_that_passes_during_a_latency_fault_cancels_the_run() {
+        // The request is dequeued well inside its deadline; the injected
+        // latency (100 ms) outlasts it. The deadline is set before the fault
+        // fires, so the run reads the clock at its first region and is
+        // cancelled before it executes.
         let module = triple_module();
         let plan = FaultPlan::seeded(7).with_rule(FaultRule {
-            site: FaultSite::Execute,
-            kind: FaultKind::Transient,
+            kind: FaultKind::Latency(100_000_000),
             selector: FaultSelector::tag_range(5, 6),
-            persistent: false,
         });
-        let server = Server::start(
-            ServerConfig::default()
-                .with_workers(1)
-                .with_faults(plan)
-                .with_retry(RetryPolicy {
-                    max_retries: 2,
-                    base_backoff_ns: 100_000_000,
-                    max_backoff_ns: 100_000_000,
-                }),
-        );
+        let server = Server::start(ServerConfig::default().with_workers(1).with_faults(plan));
         let mut request = triple_request(&module, 4);
         request.tag = 5;
         request.deadline = Some(Instant::now() + Duration::from_millis(25));
@@ -2686,260 +2174,25 @@ mod tests {
             "got {:?}",
             response.outcome
         );
-        assert_eq!(response.attempts, 2, "the retry started, then cancelled");
         let stats = server.shutdown();
-        assert_eq!((stats.cancelled, stats.retried, stats.expired), (1, 1, 0));
+        assert_eq!(
+            (stats.cancelled, stats.expired, stats.faults_injected),
+            (1, 0, 1),
+            "cancelled after the fault, not shed"
+        );
         assert_eq!((stats.accepted, stats.completed), (1, 1));
-    }
-
-    #[test]
-    fn a_transient_fault_is_retried_and_the_attempt_count_stamped() {
-        // A kernel that rewrites its memory in place: a retry that ran
-        // against anything but the client's bytes would show in the image.
-        let module = ServeModule::new(
-            compile_source(
-                "fn scale(n: i32, x: *i32) {
-                     for (let i: i32 = 0; i < n; i = i + 1) { x[i] = 3 * x[i] + i; }
-                 }",
-                "k",
-            )
-            .unwrap(),
-        );
-        let scale_request = |tag: u64| Request {
-            kernel: "scale".into(),
-            args: vec![MachineValue::Int(16), MachineValue::Int(64)],
-            mem: (0..128u8).collect(),
-            tag,
-            ..triple_request(&module, 0)
-        };
-        let plan = FaultPlan::seeded(7).with_rule(FaultRule {
-            site: FaultSite::Execute,
-            kind: FaultKind::Transient,
-            selector: FaultSelector::tag_range(5, 6),
-            persistent: false,
-        });
-        let server = Server::start(ServerConfig::default().with_workers(1).with_faults(plan));
-        let response = server.submit(scale_request(5)).unwrap().wait().unwrap();
-        // The reference: the same request, unfaulted, straight on an engine.
-        let mut reference = scale_request(5);
-        let expect = crate::ExecutionEngine::from_arc(module.module_arc())
-            .run(
-                &reference.target,
-                &reference.options,
-                &reference.kernel,
-                &reference.args,
-                &mut reference.mem,
-            )
-            .unwrap();
-        assert_ne!(reference.mem, scale_request(5).mem, "the kernel stores");
-        assert_eq!(
-            response.outcome.unwrap(),
-            expect,
-            "the retry ran clean: non-persistent faults clear on attempt 2"
-        );
-        assert_eq!(
-            response.mem, reference.mem,
-            "the retry ran against the bytes the client sent"
-        );
-        assert_eq!(response.attempts, 2, "one failed attempt, one clean");
-        assert!(!response.degraded);
-        let clean = server.submit(scale_request(1)).unwrap();
-        assert_eq!(clean.wait().unwrap().attempts, 1, "untouched tags run once");
-        let stats = server.shutdown();
-        assert_eq!(stats.retried, 1);
-        assert_eq!(stats.faults_injected, 1);
-        assert_eq!(stats.retry_attempts.count(), stats.completed);
-        assert_eq!(stats.retry_attempts.max(), 2);
-        assert_eq!(
-            stats.breaker_opened, 0,
-            "one failure is below the threshold"
-        );
-    }
-
-    #[test]
-    fn a_persistent_fault_exhausts_retries_and_reports_every_attempt() {
-        let module = triple_module();
-        let plan = FaultPlan::seeded(7).with_rule(FaultRule {
-            site: FaultSite::Execute,
-            kind: FaultKind::Transient,
-            selector: FaultSelector::tag_range(0, 1),
-            persistent: true,
-        });
-        let server = Server::start(
-            ServerConfig::default()
-                .with_workers(1)
-                .with_faults(plan)
-                .with_retry(RetryPolicy {
-                    max_retries: 3,
-                    base_backoff_ns: 1_000,
-                    max_backoff_ns: 10_000,
-                })
-                // Keep the breaker out of this test's way.
-                .with_breaker(BreakerPolicy {
-                    failure_threshold: 0,
-                    cooldown: 0,
-                }),
-        );
-        let response = server
-            .submit(triple_request(&module, 2))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(matches!(response.outcome, Err(EngineError::Transient(_))));
-        assert_eq!(response.attempts, 4, "first try plus three retries");
-        let stats = server.shutdown();
-        assert_eq!(stats.retried, 3);
-        assert_eq!(stats.faults_injected, 4);
-    }
-
-    #[test]
-    fn the_breaker_opens_fails_fast_then_recovers_through_a_probe() {
-        let module = triple_module();
-        // Tags 0 and 1 panic on every attempt — two consecutive failures,
-        // exactly the threshold. Retries are off so each failure is final.
-        let plan = FaultPlan::seeded(1).with_rule(FaultRule {
-            site: FaultSite::Execute,
-            kind: FaultKind::Panic,
-            selector: FaultSelector::tag_range(0, 2),
-            persistent: true,
-        });
-        let server = Server::start(
-            ServerConfig::default()
-                .with_workers(1)
-                .with_max_batch(1)
-                .with_faults(plan)
-                .with_retry(RetryPolicy::none())
-                .with_breaker(BreakerPolicy {
-                    failure_threshold: 2,
-                    cooldown: 3,
-                }),
-        );
-        let answer = |tag: u64| {
-            let mut request = triple_request(&module, 3);
-            request.tag = tag;
-            server.submit(request).unwrap().wait().unwrap()
-        };
-        // Two poisoned requests trip the breaker open (clock = 1 at the
-        // open, so the cooldown ends at completed == 4)…
-        assert!(matches!(answer(0).outcome, Err(EngineError::Panicked(_))));
-        assert!(matches!(answer(1).outcome, Err(EngineError::Panicked(_))));
-        // …the next two healthy-tag requests on the same key fail fast
-        // without executing…
-        for _ in 0..2 {
-            let response = answer(100);
-            assert!(matches!(response.outcome, Err(EngineError::CircuitOpen)));
-            assert_eq!(response.attempts, 0, "failed fast before execution");
-            assert_eq!(response.execute_ns, 0);
-        }
-        // …and once the cooldown elapses, a half-open probe runs for real
-        // (recompiling the quarantined artifact) and closes the breaker.
-        let probe = answer(101);
-        assert_eq!(probe.outcome.unwrap().result, Some(MachineValue::Int(9)));
-        assert_eq!(probe.attempts, 1);
-        let after = answer(102);
-        assert_eq!(after.outcome.unwrap().result, Some(MachineValue::Int(9)));
-        let stats = server.shutdown();
-        assert_eq!(stats.breaker_opened, 1);
-        assert_eq!(stats.breaker_half_opened, 1);
-        assert_eq!(stats.breaker_closed, 1);
-        assert_eq!(stats.failed_fast, 2);
-        assert_eq!(stats.completed, 6);
-        assert_eq!(
-            stats.cache.compiles, 2,
-            "opening quarantined the artifact; the probe compiled fresh"
-        );
-    }
-
-    #[test]
-    fn an_open_breaker_degrades_to_the_fallback_target_when_configured() {
-        let module = triple_module();
-        let plan = FaultPlan::seeded(1).with_rule(FaultRule {
-            site: FaultSite::Execute,
-            kind: FaultKind::Panic,
-            selector: FaultSelector::tag_range(0, 1),
-            persistent: true,
-        });
-        let server = Server::start(
-            ServerConfig::default()
-                .with_workers(1)
-                .with_max_batch(1)
-                .with_faults(plan)
-                .with_retry(RetryPolicy::none())
-                .with_breaker(BreakerPolicy {
-                    failure_threshold: 1,
-                    cooldown: 1_000_000,
-                })
-                .with_fallback(TargetDesc::powerpc()),
-        );
-        let answer = |tag: u64| {
-            let mut request = triple_request(&module, 5);
-            request.tag = tag;
-            server.submit(request).unwrap().wait().unwrap()
-        };
-        assert!(matches!(answer(0).outcome, Err(EngineError::Panicked(_))));
-        let rerouted = answer(50);
-        assert!(rerouted.degraded, "open breaker + fallback = degradation");
-        assert_eq!(
-            rerouted.outcome.unwrap().result,
-            Some(MachineValue::Int(15)),
-            "the fallback target still produces the right answer"
-        );
-        let stats = server.shutdown();
-        assert_eq!(stats.degraded, 1);
-        assert_eq!(stats.failed_fast, 0, "degradation replaces failing fast");
-        assert!(
-            stats
-                .per_target
-                .iter()
-                .any(|(t, c)| t == "powerpc" && *c == 1),
-            "degraded work is attributed to the target that served it: {:?}",
-            stats.per_target
-        );
-    }
-
-    #[test]
-    fn backoff_is_deterministic_jittered_and_capped() {
-        let policy = RetryPolicy {
-            max_retries: 10,
-            base_backoff_ns: 1_000,
-            max_backoff_ns: 8_000,
-        };
-        for attempt in 1..=10u32 {
-            let a = backoff_ns(&policy, 42, 7, attempt);
-            let b = backoff_ns(&policy, 42, 7, attempt);
-            assert_eq!(a, b, "same (seed, tag, attempt) → same backoff");
-            let band = (policy.base_backoff_ns << (attempt - 1).min(20)).min(policy.max_backoff_ns);
-            assert!(
-                a >= band / 2 && a <= band,
-                "attempt {attempt}: {a} ∉ [{}, {band}]",
-                band / 2
-            );
-        }
-        assert_ne!(
-            backoff_ns(&policy, 42, 7, 1),
-            backoff_ns(&policy, 43, 7, 1),
-            "different seeds jitter differently (for these inputs)"
-        );
-        assert!(
-            backoff_ns(&policy, 42, 7, 64) <= policy.max_backoff_ns,
-            "huge attempt counts must not overflow the shift"
-        );
     }
 
     #[test]
     fn fault_plan_decisions_are_pure_and_seeded() {
         let rule = FaultRule {
-            site: FaultSite::Execute,
-            kind: FaultKind::Transient,
+            kind: FaultKind::Panic,
             selector: FaultSelector::Probability(0.5),
-            persistent: true,
         };
         let plan_a = FaultPlan::seeded(1).with_rule(rule);
         let plan_b = FaultPlan::seeded(2).with_rule(rule);
         let picks = |plan: &FaultPlan| -> Vec<bool> {
-            (0..256)
-                .map(|tag| plan.at(FaultSite::Execute, tag, 0).is_some())
-                .collect()
+            (0..256).map(|tag| plan.at(tag).is_some()).collect()
         };
         assert_eq!(picks(&plan_a), picks(&plan_a), "replay is identical");
         assert_ne!(picks(&plan_a), picks(&plan_b), "the seed matters");
@@ -2948,10 +2201,8 @@ mod tests {
             (64..192).contains(&hits),
             "p=0.5 over 256 tags should hit roughly half, got {hits}"
         );
-        // Slot selectors window precisely, and non-persistent rules clear
-        // on retry.
+        // Slot selectors window precisely.
         let slot = FaultPlan::seeded(0).with_rule(FaultRule {
-            site: FaultSite::Compile,
             kind: FaultKind::Panic,
             selector: FaultSelector::Slot {
                 modulo: 3,
@@ -2959,20 +2210,9 @@ mod tests {
                 lo: 10,
                 hi: 20,
             },
-            persistent: false,
         });
-        let selected: Vec<u64> = (0..30)
-            .filter(|&tag| slot.at(FaultSite::Compile, tag, 0).is_some())
-            .collect();
+        let selected: Vec<u64> = (0..30).filter(|&tag| slot.at(tag).is_some()).collect();
         assert_eq!(selected, vec![10, 13, 16, 19]);
-        assert!(
-            slot.at(FaultSite::Compile, 10, 1).is_none(),
-            "non-persistent faults never fire on retries"
-        );
-        assert!(
-            slot.at(FaultSite::Execute, 10, 0).is_none(),
-            "rules are site-specific"
-        );
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub enum StoreLoad {
     Reject,
 }
 
-/// A persistent on-disk artifact cache rooted at one directory.
+/// An on-disk artifact cache rooted at one directory.
 ///
 /// Safe to share between threads and — by design — between *processes*: all
 /// writes are atomic renames, all reads validate before trusting, so any
@@ -876,6 +876,40 @@ mod tests {
         }
     }
 
+    /// Run every function of `program`, prepared as `prepared`, on both
+    /// execution loops, and require bit-identical outcomes, stats and memory.
+    fn assert_loops_agree(prepared: &splitc_targets::PreparedProgram, program: &MProgram) {
+        use splitc_targets::{FramePool, MachineValue, PreparedProgram, SimStats};
+        let mut pool = FramePool::new();
+        for f in &program.functions {
+            let args: Vec<MachineValue> = f
+                .params
+                .iter()
+                .zip([3, 64, 128, 5])
+                .map(|(p, v)| match p.class {
+                    RegClass::Float => MachineValue::Float(1.5),
+                    _ => MachineValue::Int(v),
+                })
+                .collect();
+            let mut outcomes = Vec::new();
+            for run in [PreparedProgram::run, PreparedProgram::run_metered] {
+                let mut mem: Vec<u8> = (0..=255).cycle().take(1024).collect();
+                let mut stats = SimStats::default();
+                let out = run(
+                    prepared, &f.name, &args, &mut mem, &mut pool, 2_000, &mut stats,
+                )
+                .map(|v| {
+                    v.map(|v| match v {
+                        MachineValue::Int(i) => (false, i as u64),
+                        MachineValue::Float(x) => (true, x.to_bits()),
+                    })
+                });
+                outcomes.push((out, stats, mem));
+            }
+            assert_eq!(outcomes[0], outcomes[1], "{} of {program:?}", f.name);
+        }
+    }
+
     #[test]
     fn hostile_payloads_with_honest_checksums_never_panic() {
         // `corrupt_entries_never_panic` flips bytes of whole entries, so the
@@ -888,8 +922,10 @@ mod tests {
         // that is bit-identical between the threaded and the metered loop.
         // Never a panic — which under `debug_assertions` includes the
         // `debug_assert!`s beside the executor's unchecked register reads.
+        // The 2 400 entries split over two flat targets and one in-order
+        // one; every other entry is prepared unfused as well.
         use splitc_opt::{optimize_module, OptOptions};
-        use splitc_targets::{FramePool, MachineValue, PreparedProgram, SimStats};
+        use splitc_targets::{PreparedProgram, TimingKind};
         let mut module = compile_source(
             "fn scale(n: i32, a: f32, x: *f32) -> f32 {
                 let acc: f32 = 0.0;
@@ -919,8 +955,14 @@ mod tests {
         let store = temp_store("payload-fuzz");
         let options = JitOptions::split();
         let mut rng = Rng(0x5eed_0021_c0de_u64);
-        let (mut rejected, mut unprepared, mut ran) = (0, 0, 0);
-        for target in [TargetDesc::x86_sse(), TargetDesc::ultrasparc()] {
+        let (mut rejected, mut unprepared, mut ran, mut ran_unfused) = (0, 0, 0, 0);
+        let mut ran_in_order = 0;
+        let targets = [
+            TargetDesc::x86_sse(),
+            TargetDesc::ultrasparc(),
+            TargetDesc::x86_sse().with_timing(TimingKind::InOrder),
+        ];
+        for target in targets {
             let (program, jit) = compile_module(&module, &target, &options).unwrap();
             let key = StoreKey {
                 module_fp: Fnv1a::hash(&splitc_vbc::encode_module(&module)),
@@ -928,7 +970,7 @@ mod tests {
                 options_fp: options.fingerprint(),
             };
             let path = store.entry_path(&key);
-            for _ in 0..1_200 {
+            for entry in 0..800 {
                 let mut hostile = program.clone();
                 for _ in 0..rng.below(3) {
                     mutate_program(&mut hostile, &target, &mut rng);
@@ -945,55 +987,39 @@ mod tests {
                     rejected += 1;
                     continue;
                 };
-                let Ok(prepared) = PreparedProgram::prepare_with(&loaded.program, &target, true)
-                else {
+                let fused = PreparedProgram::prepare_with(&loaded.program, &target, true);
+                if entry % 2 == 1 {
+                    let unfused = PreparedProgram::prepare_with(&loaded.program, &target, false);
+                    assert_eq!(
+                        unfused.is_ok(),
+                        fused.is_ok(),
+                        "fusion decided whether {:?} prepares",
+                        loaded.program
+                    );
+                    if let Ok(unfused) = unfused {
+                        assert_loops_agree(&unfused, &loaded.program);
+                        ran_unfused += 1;
+                    }
+                }
+                let Ok(prepared) = fused else {
                     unprepared += 1;
                     continue;
                 };
+                assert_loops_agree(&prepared, &loaded.program);
                 ran += 1;
-                let mut pool = FramePool::new();
-                for f in &loaded.program.functions {
-                    let args: Vec<MachineValue> = f
-                        .params
-                        .iter()
-                        .zip([3, 64, 128, 5])
-                        .map(|(p, v)| match p.class {
-                            RegClass::Float => MachineValue::Float(1.5),
-                            _ => MachineValue::Int(v),
-                        })
-                        .collect();
-                    let mut outcomes = Vec::new();
-                    for threaded in [true, false] {
-                        let mut mem: Vec<u8> = (0..=255).cycle().take(1024).collect();
-                        let mut stats = SimStats::default();
-                        let run = if threaded {
-                            PreparedProgram::run
-                        } else {
-                            PreparedProgram::run_metered
-                        };
-                        let out = run(
-                            &prepared, &f.name, &args, &mut mem, &mut pool, 2_000, &mut stats,
-                        )
-                        .map(|v| {
-                            v.map(|v| match v {
-                                MachineValue::Int(i) => (false, i as u64),
-                                MachineValue::Float(x) => (true, x.to_bits()),
-                            })
-                        });
-                        outcomes.push((out, stats, mem));
-                    }
-                    assert_eq!(
-                        outcomes[0], outcomes[1],
-                        "{} of {:?}",
-                        f.name, loaded.program
-                    );
+                if target.timing == TimingKind::InOrder {
+                    ran_in_order += 1;
                 }
             }
         }
         // The mutations are seeded, so the split is a property of the code:
         // every outcome class is exercised, none by accident.
-        println!("payload fuzz: {rejected} rejected, {unprepared} failed to prepare, {ran} ran");
+        println!(
+            "payload fuzz: {rejected} rejected, {unprepared} failed to prepare, {ran} ran \
+             ({ran_unfused} unfused too, {ran_in_order} in order)"
+        );
         assert!(rejected > 200 && unprepared > 200 && ran > 200);
+        assert!(ran_unfused > 100 && ran_in_order > 100);
         store.clear();
     }
 

@@ -1488,6 +1488,20 @@ fn pinst_text(inst: &PInst) -> String {
 /// hostile declaration costs memory in proportion to the call depth only.
 const MAX_FRAME_SLOTS: u32 = 1 << 12;
 
+/// Fact 2, the size half: every call allocates the function's whole slot
+/// table, and a store entry can declare 2^32 - 1 slots in five bytes.
+/// `prepare` checks it once per function; the legacy walk, which prepares
+/// nothing, on entering one.
+pub(crate) fn check_frame_slots(f: &MFunction) -> Result<(), SimError> {
+    if f.num_slots > MAX_FRAME_SLOTS {
+        return Err(SimError::Trap(format!(
+            "{} declares {} spill slots, a frame holds at most {MAX_FRAME_SLOTS}",
+            f.name, f.num_slots
+        )));
+    }
+    Ok(())
+}
+
 /// Register-file shape of the target a program is being prepared for.
 struct Layout {
     int_regs: usize,
@@ -1946,14 +1960,7 @@ fn prepare_function(
         code.push(PInst::FellOff { block: 0 });
         offsets.push(0);
     }
-    // Fact 2, the size half: every call allocates the function's whole slot
-    // table, and a store entry can declare 2^32 - 1 slots in five bytes.
-    if f.num_slots > MAX_FRAME_SLOTS {
-        return Err(SimError::Trap(format!(
-            "{fname} declares {} spill slots, a frame holds at most {MAX_FRAME_SLOTS}",
-            f.num_slots
-        )));
-    }
+    check_frame_slots(f)?;
     let (name, _) = by_name
         .get_key_value(f.name.as_str())
         .expect("every function of the program is in its name index");
@@ -2442,7 +2449,8 @@ mod tests {
     fn a_function_declaring_more_slots_than_a_frame_holds_fails_at_prepare_time() {
         // Found by the store's payload fuzz: `num_slots` is five bytes of a
         // store entry, and every call of the function allocated that many
-        // slots — 64 GiB for `u32::MAX`, an abort no caller can catch.
+        // slots — 64 GiB for `u32::MAX`, an abort no caller can catch. The
+        // legacy walk, which prepares nothing, traps on entering it.
         let declaring = |num_slots| MProgram {
             name: "m".into(),
             functions: vec![MFunction {
@@ -2456,14 +2464,18 @@ mod tests {
         };
         let target = TargetDesc::x86_sse();
         for over in [MAX_FRAME_SLOTS + 1, u32::MAX] {
-            assert!(matches!(
-                PreparedProgram::prepare(&declaring(over), &target),
-                Err(SimError::Trap(_))
-            ));
+            let program = declaring(over);
+            let prepared = PreparedProgram::prepare(&program, &target);
+            assert!(matches!(prepared, Err(SimError::Trap(_))));
+            let legacy = crate::Simulator::new(&program, &target).run_legacy("f", &[], &mut []);
+            assert_eq!(legacy, prepared.map(|_| None), "the legacy column");
         }
-        let most = PreparedProgram::prepare(&declaring(MAX_FRAME_SLOTS), &target).unwrap();
+        let program = declaring(MAX_FRAME_SLOTS);
+        let most = PreparedProgram::prepare(&program, &target).unwrap();
         let mut sim = PreparedSimulator::new(&most);
         assert_eq!(sim.run("f", &[], &mut []), Ok(None));
+        let mut legacy = crate::Simulator::new(&program, &target);
+        assert_eq!(legacy.run_legacy("f", &[], &mut []), Ok(None));
     }
 
     #[test]

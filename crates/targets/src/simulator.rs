@@ -446,6 +446,7 @@ impl<'p> Simulator<'p> {
             .program
             .function(name)
             .ok_or_else(|| SimError::UnknownFunction(name.to_owned()))?;
+        crate::exec::check_frame_slots(f)?;
         if f.params.len() != args.len() {
             return Err(SimError::BadArgumentCount {
                 expected: f.params.len(),

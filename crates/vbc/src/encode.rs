@@ -101,7 +101,7 @@ enum Sink {
 /// variable-length integers (unsigned, and signed via zigzag), raw IEEE-754
 /// doubles and length-prefixed UTF-8 strings.
 ///
-/// Public so sibling wire formats (the runtime's persistent artifact store)
+/// Public so sibling wire formats (the runtime's on-disk artifact store)
 /// encode with exactly the discipline [`encode_module`] uses, and decode
 /// with the matching hardened [`Reader`].
 #[derive(Debug)]

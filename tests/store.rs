@@ -1,4 +1,4 @@
-//! Integration suite for the persistent compiled-artifact store: the split
+//! Integration suite for the on-disk compiled-artifact store: the split
 //! of the split — compilation paid once per *store directory*, not once per
 //! process.
 //!
