@@ -18,15 +18,39 @@ use splitc::{checksum, prepare, PreparedKernel, PreparedProgram, PreparedSimulat
 use splitc_jit::{compile_module, JitOptions, RegAllocMode};
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_runtime::{ExecutionEngine, FramePool};
-use splitc_targets::{MachineValue, SimStats, Simulator, TargetDesc, TimingKind, DEFAULT_SIM_FUEL};
+use splitc_targets::{
+    Fnv1a, MachineValue, SimStats, Simulator, TargetDesc, TimingKind, DEFAULT_SIM_FUEL,
+};
 use splitc_vbc::Module;
-use splitc_workloads::{all_kernels, kernel, module_for};
+use splitc_workloads::{all_kernels, full_module, kernel, module_for};
 use std::time::{Duration, Instant};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const N: usize = 173; // deliberately not a multiple of any lane count
+
+/// Problem size of the in-order pins below: the benchmark's execute-bound
+/// size, where every loop body retires thousands of times and so meets its
+/// own previous iterations' writebacks on entry.
+const PIN_N: usize = 4096;
+
+/// Whole-`SimStats` digests of the optimized catalogue module on the
+/// in-order tier of every preset: all 17 kernels at [`PIN_N`] through
+/// `PreparedProgram::run`, FNV-1a over each kernel's `cycles stalls
+/// mispredicts predicted` and its seven architectural counters, in catalogue
+/// order. Recorded from the row-by-row retirement of every region.
+const IN_ORDER_PINS: [(&str, u64); 9] = [
+    ("x86-sse", 11_865_974_393_403_723_514),
+    ("ultrasparc", 5_629_648_644_051_037_033),
+    ("powerpc", 1_982_271_684_660_226_288),
+    ("arm-neon", 3_388_665_734_000_483_314),
+    ("cell-ppe", 9_217_912_241_805_171_245),
+    ("cell-spu", 8_350_653_859_187_623_342),
+    ("dsp", 16_979_865_846_717_121),
+    ("riscv-rv64", 3_958_669_271_192_547_310),
+    ("gpu-wide", 13_899_498_587_771_617_870),
+];
 
 /// A kernel shape the catalogue lacks: a branchy integer map and reduce whose
 /// per-element load → ALU → compare → two-sided branch is what macro-op
@@ -152,6 +176,53 @@ fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
             }
         }
     }
+}
+
+#[test]
+fn in_order_catalogue_runs_at_n_4096_keep_their_recorded_stats_on_every_preset() {
+    // At N = 173 the in-order tier is pinned against the legacy walk; this
+    // pins the long steady-state loops, where almost every region is
+    // entered from the board its own previous iteration left.
+    let mut module = full_module("catalogue").expect("catalogue compiles");
+    optimize_module(&mut module, &OptOptions::full());
+    let kernels = all_kernels();
+    let mut pool = FramePool::new();
+    let mut digests = Vec::new();
+    for target in TargetDesc::presets() {
+        let target = target.with_timing(TimingKind::InOrder);
+        let (program, _jit) = compile_module(&module, &target, &JitOptions::split())
+            .unwrap_or_else(|e| panic!("catalogue on {}: {e}", target.name));
+        let prepared = PreparedProgram::prepare(&program, &target)
+            .unwrap_or_else(|e| panic!("catalogue on {}: {e}", target.name));
+        let mut digest = Fnv1a::new();
+        for kernel in &kernels {
+            let mut ws = Workspace::new(1 << 20);
+            let inputs = prepare(kernel.name, PIN_N, 11, &mut ws);
+            let mut s = SimStats::default();
+            prepared
+                .run(
+                    kernel.name,
+                    &inputs.args,
+                    ws.bytes_mut(),
+                    &mut pool,
+                    DEFAULT_SIM_FUEL,
+                    &mut s,
+                )
+                .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, target.name));
+            for counter in [s.cycles, s.stalls, s.mispredicts, s.predicted] {
+                digest.write(&counter.to_le_bytes());
+            }
+            for counter in arch(&s) {
+                digest.write(&counter.to_le_bytes());
+            }
+        }
+        digests.push((target.name.clone(), digest.finish()));
+    }
+    let pinned: Vec<(String, u64)> = IN_ORDER_PINS
+        .iter()
+        .map(|&(name, digest)| (name.to_owned(), digest))
+        .collect();
+    assert_eq!(digests, pinned, "in-order SimStats at n = {PIN_N} moved");
 }
 
 /// The architectural face of a stats record: everything except the
