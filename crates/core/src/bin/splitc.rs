@@ -221,7 +221,13 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_disasm(mut args: Vec<String>) -> Result<(), String> {
+fn cmd_disasm(args: Vec<String>) -> Result<(), String> {
+    print!("{}", disasm_text(args)?);
+    Ok(())
+}
+
+/// The listing `splitc disasm` prints for `args`.
+fn disasm_text(mut args: Vec<String>) -> Result<String, String> {
     let target_name = take_flag(&mut args, "--target").unwrap_or_else(|| "x86-sse".to_owned());
     let timing = take_flag(&mut args, "--timing")
         .map(|s| parse_timing(&s))
@@ -252,8 +258,7 @@ fn cmd_disasm(mut args: Vec<String>) -> Result<(), String> {
         .map_err(|e| format!("online compilation failed: {e}"))?;
     let prepared = splitc::splitc_targets::PreparedProgram::prepare_with(&program, &target, fuse)
         .map_err(|e| format!("deploy-time preparation failed: {e}"))?;
-    print!("{}", prepared.disasm());
-    Ok(())
+    Ok(prepared.disasm())
 }
 
 fn cmd_bench(mut args: Vec<String>) -> Result<(), String> {
@@ -568,6 +573,21 @@ mod tests {
             "in-order".into(),
         ])
         .expect("pipelined disasm succeeds");
+        // Each segment prints its reset-board summary: the loop body of
+        // `saxpy_f32` stalls on its loads and reads the loop counter first.
+        let text = disasm_text(vec![
+            "saxpy_f32".into(),
+            "--timing".into(),
+            "in-order".into(),
+        ])
+        .expect("pipelined disasm succeeds");
+        let body = text
+            .lines()
+            .find(|l| l.contains("; segment rows @5..28: "))
+            .unwrap_or_else(|| panic!("no summary line for the loop body:\n{text}"));
+        assert!(body.contains("stalls on a reset board; live-in "), "{body}");
+        assert!(body.contains(" r3@1"), "{body}");
+        assert!(!text.contains("prepaid"), "{text}");
         assert!(parse_timing("flat").is_ok());
         assert_eq!(parse_timing("in-order").unwrap(), TimingKind::InOrder);
         assert!(parse_timing("ooo").is_err());

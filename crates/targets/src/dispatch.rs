@@ -29,15 +29,24 @@
 //! What a region prepays depends on the timing tier. **Flat**: everything,
 //! cycles included — handlers touch no accounting but a branch's
 //! taken/not-taken cycles and a call's. **In-order**: everything but cycles.
-//! [`ExecCtx`] carries the run's pipeline, the region's closing enum pc and a
-//! watermark (the first row of the region not yet retired), and the handlers
-//! that close a region — branch, jump, call, return, and the trap path —
-//! first retire the `OpInfo` rows up to their own on the pipeline, in order,
-//! then make the one dynamic call (`branch` with the `BranchNz`'s own enum pc
-//! as the predictor site, `jump`, `call`). The two scalar selects, whose
-//! second read key is the source they chose, are the only charge points
-//! inside a region. Flat timing pays for this one predictable branch per
-//! region close and two stores per region entry.
+//! A region's rows then retire on the pipeline in **segments**: from the
+//! region's entry, or the row after a select, up to the next charge point —
+//! the control instruction that closes the region (through it, for a
+//! `Ret`, whose move is a plain row) or a scalar select, whose second read
+//! key is the source it chose. [`ExecCtx`] carries the run's pipeline, the
+//! current segment and a watermark (the first row not yet retired), and the
+//! handlers at charge points — branch, jump, call, return, the two selects
+//! — first *settle* the segment, then make the one dynamic call (`branch`
+//! with the `BranchNz`'s own enum pc, the segment's end, as the predictor
+//! site, `jump`, `call`, the select's row on its chosen key). A settle is
+//! one step: each segment carries a [`Summary`] recorded at prepare time —
+//! what its rows do to a reset board — which applies whenever every live-in
+//! key is ready by its first reader's issue slot, and then leaves exactly
+//! what the row walk would ([`InOrderPipeline::apply`] says why). Otherwise
+//! (a writeback still in flight past its slot, or a segment whose offsets do
+//! not fit 16 bits) the rows retire one by one, as the trap path's partial
+//! settle always does. Flat timing pays for this one predictable branch per
+//! region close and two stores per region entry, and builds no segments.
 //!
 //! On the threaded stream adjacent instructions are **fused into macro-ops**
 //! (compare+branch, load+ALU, and the 3- and 4-instruction
@@ -55,13 +64,14 @@
 //! Building the threaded stream is deploy-time work a device pays on every
 //! bring-up, so [`build_threaded`] allocates only what the function keeps,
 //! once each: `ops` and `meta` are sized from the enum stream's length
-//! (fusion only shortens it) and `targets` from its blocks and calls, while
-//! the two per-record scratch tables of the region pass live in a
-//! [`ThreadedScratch`] that `prepare_with` reuses across the functions of a
-//! program.
+//! (fusion only shortens it), `targets` from its blocks and calls and, under
+//! in-order timing, `segs` from its regions and selects and `keys` from what
+//! its segments recorded; the region pass's scratch tables live in a
+//! [`ThreadedScratch`] that `prepare_with` sizes once per program and reuses
+//! across its functions.
 
 use crate::exec::{
-    retire_run, store_slot_vec, Frame, FramePool, PInst, PreparedFunction, PreparedProgram,
+    retire_run, store_slot_vec, Frame, FramePool, OpInfo, PInst, PreparedFunction, PreparedProgram,
     SlotValue,
 };
 use crate::mcode::{AluOp, CmpPred, FpuOp, PReg, RedOp, RegClass, Width};
@@ -69,7 +79,7 @@ use crate::simulator::{
     alu, check_range, compare, fpu, normalize, read_lane_float, read_lane_int, read_mem,
     write_lane_float, write_lane_int, write_mem, MachineValue, SimError, SimStats,
 };
-use crate::timing::{InOrderPipeline, TimingKind, TimingModel};
+use crate::timing::{InOrderPipeline, Recorder, Summary, TimingKind, TimingModel};
 
 /// A handler executes one packed record against the live execution context.
 ///
@@ -229,13 +239,44 @@ fn refund_unretired(f: &PreparedFunction, k: usize, stats: &mut SimStats, flat: 
 /// (index == block index), and each call gets one for its return point.
 /// `charge` is the region's source-instruction count, prepaid (fuel and
 /// `stats.instructions`) when the region is entered; `stat` is the region's
-/// static counter sum, prepaid alongside it.
+/// static counter sum, prepaid alongside it; `seg` indexes the region's
+/// first segment under in-order timing (its others follow it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockTarget {
     pub(crate) ops_pc: u32,
     pub(crate) enum_pc: u32,
     pub(crate) charge: u32,
+    pub(crate) seg: u32,
     pub(crate) stat: StaticStats,
+}
+
+/// One straight-line segment of an in-order program: the `OpInfo` rows
+/// `[start, end)` a settle retires in one go, and their reset-board
+/// [`Summary`] — `None` where a key or an offset does not fit its 16 bits,
+/// which keeps the row walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Segment {
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+    pub(crate) summary: Option<Summary>,
+}
+
+/// Retire segment `seg` of `f` on `tm`: in one step from its summary if the
+/// board allows it, else row by row. `true` if the summary applied.
+#[inline(never)]
+pub(crate) fn retire_segment(
+    f: &PreparedFunction,
+    seg: &Segment,
+    stats: &mut SimStats,
+    tm: &mut InOrderPipeline,
+) -> bool {
+    if let Some(s) = &seg.summary {
+        if tm.apply(stats, s, &f.keys) {
+            return true;
+        }
+    }
+    retire_run(&f.info[seg.start as usize..seg.end as usize], stats, tm);
+    false
 }
 
 /// Per-record provenance: which enum-stream instructions a record covers and
@@ -337,8 +378,8 @@ pub(crate) struct ExecCtx<'a> {
     /// In-order watermark: first enum pc of the current region whose
     /// `OpInfo` row has not retired on `pipe`.
     charged: u32,
-    /// Enum pc of the control instruction closing the current region.
-    close: u32,
+    /// In-order: index of the current segment in `f.segs`.
+    seg: u32,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -373,23 +414,38 @@ impl<'a> ExecCtx<'a> {
             err: None,
             pipe,
             charged: 0,
-            close: 0,
+            seg: 0,
         }
     }
 
-    /// Under in-order timing, retire the `OpInfo` rows `[charged, upto)` of
-    /// the current region on the pipeline, in order, move the watermark, and
-    /// hand back the pipeline for the caller's one dynamic charge. Sound for
-    /// the reason the metered loop's run-then-charge is: the timing model
-    /// only ever sees the order of retirement. `None` under flat timing,
-    /// whose cycles were prepaid.
+    /// Under in-order timing, settle the current segment — retire its rows
+    /// on the pipeline, in one step where its summary applies — move the
+    /// watermark to its end, and hand back the pipeline and that end (the
+    /// charge point: the closing control instruction, or the select) for the
+    /// caller's one dynamic charge. Sound for the reason the metered loop's
+    /// run-then-charge is: the timing model only ever sees the order of
+    /// retirement. `None` under flat timing, whose cycles were prepaid.
     #[inline(always)]
-    fn settle(&mut self, upto: u32) -> Option<(&mut InOrderPipeline, &mut SimStats)> {
+    fn settle(&mut self) -> Option<(&mut InOrderPipeline, &mut SimStats, u32)> {
         let tm = self.pipe.as_deref_mut()?;
-        let rows = &self.f.info[self.charged as usize..upto as usize];
-        retire_run(rows, self.stats, tm);
-        self.charged = upto;
-        Some((tm, self.stats))
+        let seg = &self.f.segs[self.seg as usize];
+        retire_segment(self.f, seg, self.stats, tm);
+        self.charged = seg.end;
+        Some((tm, self.stats, seg.end))
+    }
+
+    /// The trap path's partial settle: under in-order timing, retire the
+    /// rows `[charged, upto)` one by one; `false` under flat timing.
+    fn retire_to(&mut self, upto: u32) -> bool {
+        let Some(tm) = self.pipe.as_deref_mut() else {
+            return false;
+        };
+        retire_run(
+            &self.f.info[self.charged as usize..upto as usize],
+            self.stats,
+            tm,
+        );
+        true
     }
 
     /// Run the handlers of the straight-line instructions `code`, the first
@@ -510,12 +566,13 @@ macro_rules! tryh {
 }
 
 /// Enter region `tidx`: prepay its fuel/instruction charge and its static
-/// counter sum, note where its rows start and close (what in-order timing
-/// retires them by), then jump to its first record — or deopt to the metered
-/// loop at its enum pc when the remaining fuel cannot cover the prepayment
-/// (the metered loop then raises `OutOfFuel` at exactly the instruction the
-/// legacy walk would, with nothing from this region charged yet and every
-/// earlier region settled on the pipeline the metered loop continues on).
+/// counter sum, note where its rows start and its first segment (what
+/// in-order timing retires them by), then jump to its first record — or
+/// deopt to the metered loop at its enum pc when the remaining fuel cannot
+/// cover the prepayment (the metered loop then raises `OutOfFuel` at exactly
+/// the instruction the legacy walk would, with nothing from this region
+/// charged yet and every earlier region settled on the pipeline the metered
+/// loop continues on).
 #[inline(always)]
 fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
     let t = &cx.f.targets[tidx as usize];
@@ -532,9 +589,7 @@ fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
         *cx.fuel -= charge;
         cx.stats.instructions += charge;
         t.stat.charge(cx.stats);
-        // A region's charge counts its instructions, the last of which is
-        // the control instruction that closes it.
-        (cx.charged, cx.close) = (t.enum_pc, t.enum_pc + t.charge - 1);
+        (cx.charged, cx.seg) = (t.enum_pc, t.seg);
         u64::from(t.ops_pc)
     } else {
         FLOW_DEOPT | u64::from(t.enum_pc)
@@ -576,7 +631,7 @@ pub(crate) fn run_ops(cx: &mut ExecCtx<'_>) -> Result<Threaded, SimError> {
             let k = r as u32 as usize;
             let first = f.meta[k].enum_pc;
             let own = u32::from(matches!(f.code[first as usize], PInst::Ret { .. }));
-            let flat = cx.settle(first + own).is_none();
+            let flat = !cx.retire_to(first + own);
             refund_unretired(f, k, cx.stats, flat);
             Err(cx.take_err())
         }
@@ -760,7 +815,8 @@ fn load_float(
 /// Retire a conditional branch on the threaded stream: its taken/not-taken
 /// cycles are the one charge region prepayment cannot know, then the target
 /// region is entered. The predictor site is the `BranchNz`'s own enum pc —
-/// the region's closing pc, also when a fused record retires it.
+/// the region's closing pc, where its last segment ends, also when a fused
+/// record retires it.
 #[inline(always)]
 fn branch(cx: &mut ExecCtx<'_>, taken: bool, then_region: u32, else_region: u32) -> u64 {
     let cost = &cx.prog.cost;
@@ -769,9 +825,9 @@ fn branch(cx: &mut ExecCtx<'_>, taken: bool, then_region: u32, else_region: u32)
     } else {
         (else_region, cost.branch_not_taken)
     };
-    let (f, site) = (cx.f, cx.close);
-    match cx.settle(site) {
-        Some((tm, stats)) => {
+    let f = cx.f;
+    match cx.settle() {
+        Some((tm, stats, site)) => {
             tm.branch(stats, site, taken, cycles, f.info[site as usize].key(1));
         }
         None => cx.stats.cycles += cycles,
@@ -869,15 +925,16 @@ fn h_float_cmp(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 
 /// In-order timing on the threaded stream: a scalar select's second read key
 /// is the source it chose, which its row cannot name, so the select is a
-/// charge point — the rows ahead of it retire, then it does, on `chosen`.
+/// charge point — the segment ending at it settles, then the select retires
+/// on `chosen`, and the next segment begins after it.
 #[inline(never)]
-fn retire_select(cx: &mut ExecCtx<'_>, pc: u32, chosen: u16) {
+fn retire_select(cx: &mut ExecCtx<'_>, chosen: u16) {
     let f = cx.f;
-    let at = f.meta[pc as usize].enum_pc;
-    if let Some((tm, stats)) = cx.settle(at) {
+    if let Some((tm, stats, at)) = cx.settle() {
         let info = &f.info[at as usize];
         info.retire(stats, tm, info.key_of(2, chosen));
         cx.charged = at + 1;
+        cx.seg += 1;
     }
 }
 
@@ -890,7 +947,7 @@ fn h_select_int(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     };
     cx.set_int(op.a as usize, cx.int_at(chosen as usize));
     if cx.pipe.is_some() {
-        retire_select(cx, pc, chosen);
+        retire_select(cx, chosen);
     }
     u64::from(pc) + 1
 }
@@ -903,7 +960,7 @@ fn h_select_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     };
     cx.set_float(op.a as usize, cx.float_at(chosen as usize));
     if cx.pipe.is_some() {
-        retire_select(cx, pc, chosen);
+        retire_select(cx, chosen);
     }
     u64::from(pc) + 1
 }
@@ -1198,14 +1255,14 @@ fn reload_error(value: Option<&SlotValue>, slot: u32) -> SimError {
 
 // --- control kinds: threaded stream only (the metered loop has arms). Each
 // closes its region, so under in-order timing each first settles the
-// region's rows on the pipeline. ---------------------------------------------
+// region's last segment on the pipeline. -------------------------------------
 
 fn h_jump(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
     // Fully static under flat timing: the jump's cycles and branch count
     // ride the region prepayment; only the next region's entry charge is
     // dynamic.
-    let (f, close) = (cx.f, cx.close);
-    if let Some((tm, stats)) = cx.settle(close) {
+    let f = cx.f;
+    if let Some((tm, stats, close)) = cx.settle() {
         tm.jump(stats, f.info[close as usize].cycles);
     }
     enter(cx, op.e)
@@ -1240,8 +1297,8 @@ fn h_call(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     // Charged once the arguments are built (they can trap), before the
     // callee runs — threaded, and on the same pipeline if there is one.
     let cost = cx.prog.cost.call;
-    match cx.settle(cx.close) {
-        Some((tm, stats)) => tm.call(stats, cost),
+    match cx.settle() {
+        Some((tm, stats, _)) => tm.call(stats, cost),
         None => cx.stats.cycles += cost,
     }
     let out = tryh!(
@@ -1265,22 +1322,22 @@ fn h_call(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 }
 
 // A return's own move is a plain row (its second read key is untracked), so
-// in-order timing settles the region through it.
+// the region's last segment runs through it.
 
 fn h_ret_none(_op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
-    cx.settle(cx.close + 1);
+    cx.settle();
     cx.ret = None;
     FLOW_RET
 }
 
 fn h_ret_int(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
-    cx.settle(cx.close + 1);
+    cx.settle();
     cx.ret = Some(MachineValue::Int(cx.int_at(op.a as usize)));
     FLOW_RET
 }
 
 fn h_ret_float(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
-    cx.settle(cx.close + 1);
+    cx.settle();
     cx.ret = Some(MachineValue::Float(cx.float_at(op.a as usize)));
     FLOW_RET
 }
@@ -1599,23 +1656,39 @@ fn rec(handler: Handler) -> OpRecord {
     }
 }
 
-/// The per-record scratch tables of [`build_threaded`]. They are cleared and
-/// reused from function to function (the `RegAssigner` recipe), so preparing
-/// a program allocates them once, at the size of its largest function; what
-/// is allocated per function is what the function keeps — `ops`, `meta` and
-/// `targets`, each sized up front from counts the enum stream already gives.
-#[derive(Default)]
+/// The scratch tables of [`build_threaded`]. [`ThreadedScratch::new`] sizes
+/// them once per program, for its longest function, and they are cleared
+/// and reused from function to function (the `RegAssigner` recipe); what is
+/// allocated per function is what the function keeps — `ops`, `meta`,
+/// `targets` and, under in-order timing, `segs` and `keys`, each sized up
+/// front from counts the enum stream or the recorder already gives.
 pub(crate) struct ThreadedScratch {
     /// Straight-line role of each record, driving the region pass.
     ends: Vec<End>,
     /// Per-record pairable kind, consumed by the pairing sweep.
     kinds: Vec<u8>,
+    /// The segment summaries' recorder, under in-order timing only.
+    recorder: Option<Recorder>,
+}
+
+impl ThreadedScratch {
+    /// Scratch for a program whose functions have at most `rows` enum-stream
+    /// instructions, prepared under `timing` for register files whose
+    /// scoreboard keys are below `keys`.
+    pub(crate) fn new(rows: usize, timing: TimingKind, keys: usize) -> Self {
+        ThreadedScratch {
+            ends: Vec::with_capacity(rows),
+            kinds: Vec::with_capacity(rows),
+            recorder: (timing == TimingKind::InOrder).then(|| Recorder::new(rows, keys)),
+        }
+    }
 }
 
 /// Lower the prepared enum stream of `pf` to a threaded dispatch stream:
 /// fuse macro-ops (when `fuse`), emit packed records (an unfused
 /// straight-line record is what the metered loop would lower), and resolve
-/// per-region fuel/instruction charges and what `timing` prepays with them.
+/// per-region fuel/instruction charges and what `timing` prepays with them —
+/// and, under in-order timing, each region's segments and their summaries.
 pub(crate) fn build_threaded(
     pf: &mut PreparedFunction,
     fuse: bool,
@@ -1625,28 +1698,42 @@ pub(crate) fn build_threaded(
 ) {
     let nblocks = pf.block_offsets.len();
     let code_len = pf.code.len() as u32;
-    // One region per block plus one per call (its return point).
-    let calls = pf
-        .code
-        .iter()
-        .filter(|inst| matches!(inst, PInst::Call(_)))
-        .count();
+    // One region per block plus one per call (its return point); one
+    // segment per region plus one per scalar select.
+    let (mut calls, mut selects) = (0, 0);
+    for inst in &pf.code {
+        match inst {
+            PInst::Call(_) => calls += 1,
+            PInst::SelectInt { .. } | PInst::SelectFloat { .. } => selects += 1,
+            _ => {}
+        }
+    }
     let mut targets: Vec<BlockTarget> = Vec::with_capacity(nblocks + calls);
     targets.extend(pf.block_offsets.iter().map(|&o| BlockTarget {
         ops_pc: 0,
         enum_pc: o,
         charge: 0,
+        seg: 0,
         stat: StaticStats::default(),
     }));
     // Fusion only ever shortens the stream, so the enum stream's length
     // bounds both tables.
     let mut ops: Vec<OpRecord> = Vec::with_capacity(pf.code.len());
     let mut meta: Vec<OpMeta> = Vec::with_capacity(pf.code.len());
-    let ThreadedScratch { ends, kinds } = scratch;
+    let ThreadedScratch {
+        ends,
+        kinds,
+        recorder,
+    } = scratch;
     ends.clear();
     ends.reserve(pf.code.len());
     kinds.clear();
     kinds.reserve(pf.code.len());
+    let mut segs = Vec::new();
+    if let Some(rec) = recorder.as_mut() {
+        rec.clear();
+        segs.reserve_exact(nblocks + calls + selects);
+    }
 
     {
         let code = &pf.code;
@@ -1706,6 +1793,7 @@ pub(crate) fn build_threaded(
                                     ops_pc: ops.len() as u32 + 1,
                                     enum_pc: p + 1,
                                     charge: 0,
+                                    seg: 0,
                                     stat: StaticStats::default(),
                                 });
                                 let mut r = rec(h_call);
@@ -1734,7 +1822,8 @@ pub(crate) fn build_threaded(
 
     // Region pass: every straight-line run from a region entry through its
     // closing control op gets its source-instruction count and the sum of
-    // its instructions' `OpInfo` charges as the entry's prepayment.
+    // its instructions' `OpInfo` charges as the entry's prepayment, and
+    // under in-order timing its segments.
     for bi in 0..nblocks {
         let first = targets[bi].ops_pc as usize;
         let last = if bi + 1 < nblocks {
@@ -1758,6 +1847,10 @@ pub(crate) fn build_threaded(
                         .for_each(|i| i.prepay(&mut sum));
                 }
                 targets[t].stat = StaticStats::of(&sum, timing);
+                if let Some(rec) = recorder.as_mut() {
+                    targets[t].seg = segs.len() as u32;
+                    record_segments(&pf.code, &pf.info, &targets[t], rec, &mut segs);
+                }
             }
             // Pairing sweep over the closed run: greedily weld neighbours
             // the table covers. Only the opener's handler changes; jumps
@@ -1788,6 +1881,42 @@ pub(crate) fn build_threaded(
     pf.ops = ops;
     pf.meta = meta;
     pf.targets = targets;
+    if let Some(rec) = recorder {
+        pf.keys = rec.keys.as_slice().into();
+    }
+    pf.segs = segs;
+}
+
+/// Cut region `t`'s rows into segments at its scalar selects, and record
+/// each segment's summary by retiring its rows through `rec`.
+fn record_segments(
+    code: &[PInst],
+    info: &[OpInfo],
+    t: &BlockTarget,
+    rec: &mut Recorder,
+    segs: &mut Vec<Segment>,
+) {
+    let close = t.enum_pc + t.charge - 1;
+    // A `Ret`'s move retires with the region's last segment.
+    let end = close + u32::from(matches!(code[close as usize], PInst::Ret { .. }));
+    let mut start = t.enum_pc;
+    for pc in t.enum_pc..=end {
+        if pc == end
+            || matches!(
+                code[pc as usize],
+                PInst::SelectInt { .. } | PInst::SelectFloat { .. }
+            )
+        {
+            let mut stats = SimStats::default();
+            retire_run(&info[start as usize..pc as usize], &mut stats, rec);
+            segs.push(Segment {
+                start,
+                end: pc,
+                summary: rec.summary(&stats),
+            });
+            start = pc + 1;
+        }
+    }
 }
 
 /// Try to fuse a macro-op from the first instructions of `code`, the rest of

@@ -45,7 +45,11 @@
 //!   rule**: a handler touches the timing model only if it closes a region
 //!   or its scoreboard key is dynamic (the two scalar selects), and it first
 //!   retires every row of the region ahead of itself — sound because the
-//!   timing model only ever sees the order of retirement;
+//!   timing model only ever sees the order of retirement. The rows between
+//!   two charge points form a *segment*, whose effect on a reset board is
+//!   recorded at prepare time; a segment whose live-in registers are ready
+//!   by their issue slots retires in one step from that summary, any other
+//!   row by row;
 //! * the **metered loop** ([`PreparedProgram::run_metered`]) pays fuel and
 //!   `stats.instructions` per instruction like the legacy walk: it runs the
 //!   handlers of one straight-line run back to back, each on a record
@@ -121,7 +125,9 @@ use crate::mcode::{
     AluOp, CmpPred, FpuOp, MFunction, MInst, MProgram, PReg, RedOp, RegClass, Width,
 };
 use crate::simulator::{MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH};
-use crate::timing::{FlatCost, InOrderPipeline, LatClass, TimingKind, TimingModel, NO_REG};
+use crate::timing::{
+    FlatCost, InOrderPipeline, LatClass, SlotKey, TimingKind, TimingModel, NO_REG,
+};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -545,8 +551,9 @@ const _: () = assert!(std::mem::size_of::<OpInfo>() <= 16);
 
 /// What retiring one instruction costs: the one per-instruction fact table.
 /// [`op_info`] states it once per [`PInst`] kind; region prepayment sums it,
-/// in-order timing retires it row by row when a region closes, the metered
-/// loop charges it per instruction and `disasm` prints it.
+/// in-order timing records segment summaries from it and retires it row by
+/// row where a summary does not apply, the metered loop charges it per
+/// instruction and `disasm` prints it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct OpInfo {
     /// The statically known cycle charge (which doubles as the unit latency
@@ -555,7 +562,8 @@ pub(crate) struct OpInfo {
     pub(crate) cycles: u64,
     /// Register number of the written operand and of the two read operands
     /// the scoreboard tracks; `u16::MAX` (one past the largest register
-    /// file) for an untracked operand.
+    /// file, so its keys are [`UNTRACKED`](crate::timing::UNTRACKED)) for
+    /// an untracked operand.
     regs: [u16; 3],
     /// The functional unit, which also decides the architectural counters
     /// the instruction bumps; `None` for the kinds the timing model prices
@@ -810,6 +818,12 @@ pub(crate) struct PreparedFunction {
     /// control can land plus the fuel/instruction charge and static counter
     /// sums prepaid on entry.
     pub(crate) targets: Vec<dispatch::BlockTarget>,
+    /// In-order timing only (empty under flat): the straight-line segments
+    /// of every region, a region's in order from its `BlockTarget::seg`.
+    pub(crate) segs: Vec<dispatch::Segment>,
+    /// The packed keys the segments' summaries name, each summary's in one
+    /// run.
+    pub(crate) keys: Box<[SlotKey]>,
 }
 
 /// A machine program pre-decoded for one target, ready to run many times.
@@ -927,7 +941,17 @@ impl PreparedProgram {
         let vector_bytes = target.vector_bytes() as usize;
         let mut fusion = FusionStats::default();
         let mut functions = Vec::with_capacity(program.functions.len());
-        let mut scratch = dispatch::ThreadedScratch::default();
+        // The builder's scratch is sized once: for the longest function (a
+        // block may gain a fall-off, a function without blocks is one) and
+        // for the larger scalar file's scoreboard keys.
+        let rows = program
+            .functions
+            .iter()
+            .map(|f| f.blocks.iter().map(|b| b.insts.len() + 1).sum::<usize>() + 1)
+            .max()
+            .unwrap_or(0);
+        let keys = 2 * layout.int_regs.max(layout.float_regs);
+        let mut scratch = dispatch::ThreadedScratch::new(rows, target.timing, keys);
         for f in &program.functions {
             let mut pf = prepare_function(f, target, &layout, &by_name)?;
             dispatch::build_threaded(&mut pf, fuse, target.timing, &mut fusion, &mut scratch);
@@ -1306,27 +1330,23 @@ impl PreparedProgram {
                 f.code.len(),
                 f.ops.len(),
             );
+            let mut segs = f.segs.iter().peekable();
             for (pi, meta) in f.meta.iter().enumerate() {
                 let enum_pc = meta.enum_pc as usize;
                 // Block label + region charge when an op starts a region.
                 if let Some(b) = f.block_offsets.iter().position(|&o| o as usize == enum_pc) {
-                    let t = &f.targets[b];
-                    let _ = writeln!(
-                        out,
-                        "  b{b}: (entry charge {} inst, prepaid {} cycles)",
-                        t.charge, t.stat.cycles
-                    );
+                    let _ = writeln!(out, "  b{b}: ({})", self.region_text(&f.targets[b]));
                 } else if let Some(t) = f
                     .targets
                     .iter()
                     .skip(f.block_offsets.len())
                     .find(|t| t.ops_pc as usize == pi)
                 {
-                    let _ = writeln!(
-                        out,
-                        "  .after-call: (entry charge {} inst, prepaid {} cycles)",
-                        t.charge, t.stat.cycles
-                    );
+                    let _ = writeln!(out, "  .after-call: ({})", self.region_text(t));
+                }
+                // Under in-order timing, a segment's summary where it starts.
+                while let Some(seg) = segs.next_if(|s| s.start as usize <= enum_pc) {
+                    let _ = writeln!(out, "        {}", segment_text(f, seg));
                 }
                 let span = enum_pc..enum_pc + meta.len as usize;
                 let at = if meta.len > 1 {
@@ -1376,6 +1396,18 @@ impl PreparedProgram {
             }
         }
         out
+    }
+
+    /// What a region's entry prepays, as text: no cycles under in-order
+    /// timing, whose regions retire segment by segment.
+    fn region_text(&self, t: &dispatch::BlockTarget) -> String {
+        match self.timing {
+            TimingKind::Flat => format!(
+                "entry charge {} inst, prepaid {} cycles",
+                t.charge, t.stat.cycles
+            ),
+            TimingKind::InOrder => format!("entry charge {} inst", t.charge),
+        }
     }
 
     /// The cycle charge of instruction `pc` of `f` as text: its [`OpInfo`]
@@ -1466,6 +1498,33 @@ fn write_params(
         }
     }
     Ok(())
+}
+
+/// One in-order segment as text: its rows and, from its summary, the cycles
+/// and stalls they take on a reset board and each live-in key with the slot
+/// it must be ready by for the summary to apply.
+fn segment_text(f: &PreparedFunction, seg: &dispatch::Segment) -> String {
+    let rows = format!("; segment rows @{}..{}", seg.start, seg.end);
+    let Some(s) = &seg.summary else {
+        return format!("{rows}: retired one by one (a key or an offset past 16 bits)");
+    };
+    let live: Vec<String> = f.keys[s.keys as usize..][..usize::from(s.live)]
+        .iter()
+        .map(|k| {
+            let file = if k.key & 1 == 1 { 'f' } else { 'r' };
+            format!("{file}{}@{}", k.key >> 1, k.at)
+        })
+        .collect();
+    format!(
+        "{rows}: {} cycles, {} stalls on a reset board; live-in {}",
+        s.cycles,
+        s.stalls,
+        if live.is_empty() {
+            "none".to_owned()
+        } else {
+            live.join(" ")
+        }
+    )
 }
 
 /// Compact one-line rendering of a pre-decoded instruction.
@@ -1974,6 +2033,8 @@ fn prepare_function(
         ops: Vec::new(),
         meta: Vec::new(),
         targets: Vec::new(),
+        segs: Vec::new(),
+        keys: Box::default(),
     })
 }
 
@@ -3569,15 +3630,246 @@ mod tests {
             !unfused.disasm().contains("fuse."),
             "no fused spans expected"
         );
-        // One listing for both tiers: in-order regions prepay no cycles and
-        // every op names its latency class.
+        // One listing for both tiers: in-order regions prepay no cycles,
+        // every op names its latency class and every segment prints its
+        // summary where it starts.
         assert!(!text.contains("; lat "), "{text}");
+        assert!(!text.contains("; segment "), "{text}");
         let in_order = target.with_timing(TimingKind::InOrder);
         let text = PreparedProgram::prepare(&p, &in_order).unwrap().disasm();
         assert!(text.contains("dispatch: threaded"), "{text}");
         assert!(text.contains("fuse.indvar4"), "{text}");
-        assert!(text.contains("prepaid 0 cycles)"), "{text}");
+        assert!(!text.contains("prepaid"), "{text}");
         assert!(text.contains("; lat alu + mov + alu ; fuel 4"), "{text}");
-        assert!(text.matches("prepaid").count() == text.matches("prepaid 0 ").count());
+        // The loop body: `acc += i` and the step read their sources before
+        // writing them, and the compare reads `n` in the fourth slot; the
+        // exit region's segment runs through the `Ret`.
+        let body = "; segment rows @4..8: 4 cycles, 0 stalls on a reset board; \
+                    live-in r0@4 r1@1 r2@2 r3@1";
+        assert!(text.contains(body), "{text}");
+        assert!(text.contains("; segment rows @9..10: "), "{text}");
+        assert_eq!(text.matches("; segment ").count(), 3, "{text}");
+    }
+
+    // --- segment summaries against the row walk, on real programs. The
+    // catalogue is compiled by the online compiler, which links the library
+    // build of this crate, so its programs are carried over into this
+    // build's types field by field, through the shape table.
+
+    use splitc::splitc_targets as lib;
+
+    /// The same value as this build's type.
+    trait Bridge<T> {
+        fn bridge(&self) -> T;
+    }
+
+    impl<T: Clone> Bridge<T> for T {
+        fn bridge(&self) -> T {
+            self.clone()
+        }
+    }
+
+    macro_rules! bridge_codes {
+        ($($ty:ident)+) => {$(
+            impl Bridge<$ty> for lib::$ty {
+                fn bridge(&self) -> $ty {
+                    $ty::from_code(self.code()).expect("one numbering")
+                }
+            }
+        )+};
+    }
+    bridge_codes!(RegClass Width AluOp FpuOp CmpPred RedOp);
+
+    impl Bridge<PReg> for lib::PReg {
+        fn bridge(&self) -> PReg {
+            PReg {
+                class: self.class.bridge(),
+                index: self.index,
+            }
+        }
+    }
+
+    impl Bridge<Option<PReg>> for Option<lib::PReg> {
+        fn bridge(&self) -> Option<PReg> {
+            self.as_ref().map(Bridge::bridge)
+        }
+    }
+
+    impl Bridge<Vec<PReg>> for Vec<lib::PReg> {
+        fn bridge(&self) -> Vec<PReg> {
+            self.iter().map(Bridge::bridge).collect()
+        }
+    }
+
+    macro_rules! bridge_inst {
+        ($($tag:literal $variant:ident {
+            $($role:ident $(($($class:tt)+))? $field:ident),*
+        })*) => {
+            impl Bridge<MInst> for lib::MInst {
+                fn bridge(&self) -> MInst {
+                    match self {
+                        $(lib::MInst::$variant { $($field),* } => MInst::$variant {
+                            $($field: Bridge::bridge($field)),*
+                        },)*
+                    }
+                }
+            }
+        };
+    }
+    crate::minst_shapes!(bridge_inst);
+
+    impl Bridge<MProgram> for lib::MProgram {
+        fn bridge(&self) -> MProgram {
+            let function = |f: &lib::MFunction| MFunction {
+                name: f.name.clone(),
+                params: f.params.bridge(),
+                blocks: f
+                    .blocks
+                    .iter()
+                    .map(|b| MBlock {
+                        insts: b.insts.iter().map(Bridge::bridge).collect(),
+                    })
+                    .collect(),
+                num_slots: f.num_slots,
+            };
+            MProgram {
+                name: self.name.clone(),
+                functions: self.functions.iter().map(function).collect(),
+            }
+        }
+    }
+
+    /// A branchy integer map and reduce the catalogue lacks.
+    const TIGHT_LOOP: &str = "fn tight(n: i32, x: *i32, y: *i32) -> i32 {
+        let acc: i32 = 0;
+        for (let i: i32 = 0; i < n; i = i + 1) {
+            let v: i32 = x[i];
+            let w: i32 = (v * 3 + i) - (v / 7);
+            if (w > 64) { y[i] = w - 64; } else { y[i] = 64 - w; }
+        }
+        for (let k: i32 = 0; k < n; k = k + 1) {
+            acc = acc + y[k];
+        }
+        return acc;
+    }";
+
+    /// SplitMix64: seeded, so every board below is reproducible.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A board as a run leaves one: a seeded prefix of ops on keys below
+    /// `keys` (divides among them), on a third of the boards with a call's
+    /// clear somewhere in it.
+    fn entry_board(rng: &mut Rng, cost: &CostModel, keys: u64) -> (InOrderPipeline, SimStats) {
+        use LatClass as L;
+        let classes = [L::Alu, L::Mul, L::Div, L::FpAdd, L::FpDiv, L::Load, L::Mov];
+        let mut tm = InOrderPipeline::new(cost);
+        let mut stats = SimStats::default();
+        let ops = rng.below(12);
+        let clear_at = (rng.below(3) == 0).then(|| rng.below(ops + 1));
+        for i in 0..=ops {
+            if clear_at == Some(i) {
+                tm.call(&mut stats, cost.call);
+            }
+            if i < ops {
+                let class = classes[rng.below(classes.len() as u64) as usize];
+                let latency = 1 + rng.below(24);
+                let [dst, a, b] = [(); 3].map(|()| rng.below(keys) as u32);
+                tm.op(&mut stats, class, latency, dst, a, b);
+            }
+        }
+        (tm, stats)
+    }
+
+    #[test]
+    fn segment_summaries_leave_what_the_row_walk_leaves_on_hostile_entry_boards() {
+        // Every segment of the catalogue and of `tight`, on two in-order
+        // presets, from seeded boards: settling it must leave the pipeline
+        // (`now`, `horizon`, `ready`, the BHT) and `SimStats` exactly as
+        // retiring its rows does. Besides the random boards, each segment
+        // meets one with every live-in key ready at exactly its slot — the
+        // summary must apply — and one with a live-in a cycle later — it
+        // must not.
+        let mut module = splitc::splitc_workloads::full_module("catalogue").unwrap();
+        let mut tight = splitc::splitc_minic::compile_source(TIGHT_LOOP, "tight").unwrap();
+        for m in [&mut module, &mut tight] {
+            splitc::splitc_opt::optimize_module(m, &splitc::splitc_opt::OptOptions::full());
+        }
+        let mut rng = Rng(0x5eed);
+        let (mut applied, mut walked, mut boundaries) = (0, 0, 0);
+        for preset in ["x86-sse", "cell-ppe"] {
+            let target = TargetDesc::preset(preset)
+                .unwrap()
+                .with_timing(TimingKind::InOrder);
+            let keys = 2 * u64::from(target.int_regs.max(target.float_regs));
+            let compiled = lib::TargetDesc::preset(preset).unwrap();
+            for m in [&module, &tight] {
+                let options = splitc::splitc_jit::JitOptions::split();
+                let (program, _) = splitc::splitc_jit::compile_module(m, &compiled, &options)
+                    .unwrap_or_else(|e| panic!("{} on {preset}: {e}", m.name));
+                let prepared = PreparedProgram::prepare(&program.bridge(), &target).unwrap();
+                for f in &prepared.functions {
+                    assert!(!f.segs.is_empty(), "{} on {preset}", f.name);
+                    for seg in &f.segs {
+                        let live = seg.summary.map_or(&[][..], |s| {
+                            &f.keys[s.keys as usize..][..usize::from(s.live)]
+                        });
+                        for round in 0..8 {
+                            let (mut board, stats) = entry_board(&mut rng, &target.cost, keys);
+                            // Rounds 1 and 2 sit on the entry check's boundary.
+                            let expect = match round {
+                                1 | 2 => {
+                                    let now = board.now();
+                                    for k in live {
+                                        let i = usize::from(k.key);
+                                        if board.ready.len() <= i {
+                                            board.ready.resize(i + 1, 0);
+                                        }
+                                        board.ready[i] = now + u64::from(k.at);
+                                    }
+                                    let late = round == 2 && !live.is_empty();
+                                    if late {
+                                        let k = &live[rng.below(live.len() as u64) as usize];
+                                        board.ready[usize::from(k.key)] += 1;
+                                    }
+                                    boundaries += 1;
+                                    Some(seg.summary.is_some() && !late)
+                                }
+                                _ => None,
+                            };
+                            let (mut row_board, mut row_stats) = (board.clone(), stats);
+                            let rows = &f.info[seg.start as usize..seg.end as usize];
+                            retire_run(rows, &mut row_stats, &mut row_board);
+                            let mut seg_stats = stats;
+                            let hit = dispatch::retire_segment(f, seg, &mut seg_stats, &mut board);
+                            let at = format!(
+                                "{} on {preset}, rows {}..{}, round {round}",
+                                f.name, seg.start, seg.end
+                            );
+                            assert_eq!((&board, seg_stats), (&row_board, row_stats), "{at}");
+                            if let Some(expect) = expect {
+                                assert_eq!(hit, expect, "{at}");
+                            }
+                            if hit {
+                                applied += 1;
+                            } else {
+                                walked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(boundaries > 0 && applied > 0 && walked > 0);
+        assert!(applied > walked, "{applied} applied, {walked} walked");
     }
 }

@@ -18,7 +18,14 @@
 //! all they can observe — the *order* of retirement, not when the host
 //! executed what — which is what lets the prepared executors run a whole
 //! straight-line region first and retire its instructions on the model
-//! afterwards, when the region closes. So results, memory images and all
+//! afterwards, when the region closes. The pipeline goes one step further
+//! for a straight-line *segment* of `op` retirements: its [`Summary`] is the
+//! pipeline's own result for those rows on a reset board, recorded once at
+//! prepare time by running them through [`TimingModel::op`]
+//! ([`Recorder`]), and [`InOrderPipeline::apply`] replays it at run time
+//! only when the entry board provably yields the same schedule, shifted — so
+//! the model still sees nothing but the order of retirement, and its timing
+//! rule is still stated once, in `op`. So results, memory images and all
 //! architectural counters (`instructions`, `loads`, `stores`, spills,
 //! `branches`, `vector_ops`) are bit-identical across models, and only the
 //! timing-class counters (`cycles`, `stalls`, `mispredicts`, `predicted`)
@@ -37,6 +44,11 @@ use serde::{Deserialize, Serialize};
 /// Sentinel operand meaning "no register tracked" (vector registers, stores,
 /// immediates): the scoreboard treats it as always ready and never writes it.
 pub(crate) const NO_REG: u32 = u32::MAX;
+
+/// The key of register number `u16::MAX`, which no register file holds:
+/// keys from here up — it names an untracked read operand of an `OpInfo`
+/// row — and [`NO_REG`] are never written, so they are always ready.
+pub(crate) const UNTRACKED: u32 = (u16::MAX as u32) << 1;
 
 /// Number of 2-bit counters in the branch history table. Sites index it by
 /// their low bits, so distinct static branches may alias — exactly like a
@@ -249,7 +261,7 @@ impl TimingModel for FlatCost {
 /// registers are not scoreboarded (vector ops still occupy issue slots and
 /// charge latency, but cross-register vector dependencies do not stall), and
 /// memory is not disambiguated (no store-to-load forwarding stalls).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InOrderPipeline {
     /// Cycle at which the most recent instruction issued.
     now: u64,
@@ -280,6 +292,12 @@ impl InOrderPipeline {
         }
     }
 
+    /// Cycle at which the most recent instruction issued.
+    #[cfg(test)]
+    pub(crate) fn now(&self) -> u64 {
+        self.now
+    }
+
     fn ready_at(&self, r: u32) -> u64 {
         if r == NO_REG {
             0
@@ -300,6 +318,48 @@ impl InOrderPipeline {
         if at > self.horizon {
             self.horizon = at;
         }
+    }
+
+    /// Retire a straight-line segment in one step from its [`Summary`], if
+    /// every live-in key is ready by its first reader's slot: `true`, and the
+    /// board and `stats` are exactly what retiring the segment's rows would
+    /// leave; `false`, with nothing changed, otherwise.
+    ///
+    /// Why exactly: [`TimingModel::op`] issues a row at `max(seq, ready[a],
+    /// ready[b])`, `seq` one past the previous issue. A live-in key ready by
+    /// `now + slot` cannot raise that maximum at its first reader's slot, nor
+    /// at any later one, just as on the reset board, where it reads 0; a key
+    /// the segment wrote reads the same offset on both boards. So, row by row
+    /// (by induction), every issue, drain and writeback happens at `now` plus
+    /// its reset-board cycle, and the cycles, stalls, ready offsets and
+    /// latest writeback the summary recorded are the row walk's, shifted.
+    #[inline]
+    pub(crate) fn apply(&mut self, stats: &mut SimStats, s: &Summary, keys: &[SlotKey]) -> bool {
+        let now = self.now;
+        let entries = &keys[s.keys as usize..][..usize::from(s.live) + usize::from(s.written)];
+        let (live, written) = entries.split_at(usize::from(s.live));
+        if live
+            .iter()
+            .any(|k| self.ready_at(u32::from(k.key)) > now + u64::from(k.at))
+        {
+            return false;
+        }
+        stats.cycles += u64::from(s.cycles);
+        stats.stalls += u64::from(s.stalls);
+        self.now = now + u64::from(s.cycles);
+        // Written keys are in ascending order: the last one sizes the board
+        // as writing them one by one would.
+        if let Some(last) = written.last() {
+            let len = usize::from(last.key) + 1;
+            if self.ready.len() < len {
+                self.ready.resize(len, 0);
+            }
+            for k in written {
+                self.ready[usize::from(k.key)] = now + u64::from(k.at);
+            }
+            self.horizon = self.horizon.max(now + u64::from(s.horizon));
+        }
+        true
     }
 }
 
@@ -374,6 +434,165 @@ impl TimingModel for InOrderPipeline {
         stats.stalls += drain;
         stats.cycles += drain;
         self.now = self.horizon;
+    }
+}
+
+/// One scoreboard key of a [`Summary`], packed: a live-in key with the
+/// reset-board issue slot (`now + 1`) of its first reader, or a key the
+/// segment writes with its final ready offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SlotKey {
+    pub(crate) key: u16,
+    pub(crate) at: u16,
+}
+
+/// What retiring one straight-line segment of `op` rows does to an
+/// [`InOrderPipeline`] whose board is reset (`now = 0`, every key ready):
+/// the pipeline's own result, recorded by a [`Recorder`], with every cycle
+/// relative to the segment's entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Summary {
+    /// First of the segment's entries in its function's key table: `live`
+    /// live-in keys, then `written` written keys in ascending order.
+    pub(crate) keys: u32,
+    pub(crate) live: u16,
+    pub(crate) written: u16,
+    /// Cycles the rows take, which is also how far they move `now`.
+    pub(crate) cycles: u16,
+    pub(crate) stalls: u16,
+    /// The latest writeback the rows schedule (0 if they write no key).
+    pub(crate) horizon: u16,
+}
+
+/// Records [`Summary`]s at prepare time: the rows of a segment retire
+/// through it on a reset board — [`InOrderPipeline::op`] does all the
+/// timing — while it notes each tracked key read before the segment writes
+/// it, with its slot, and each key written. The entries of one function's
+/// segments accumulate in `keys`, which is what the function keeps.
+#[derive(Debug)]
+pub(crate) struct Recorder {
+    board: InOrderPipeline,
+    pub(crate) keys: Vec<SlotKey>,
+    /// First entry of the segment being recorded.
+    first: usize,
+    /// Every key and slot of the segment so far fits its `u16`.
+    fits: bool,
+}
+
+impl Recorder {
+    /// A recorder over functions of at most `rows` instructions, for
+    /// registers whose keys are below `keys`: both tables are sized here,
+    /// once (a row reads at most two keys and writes one).
+    pub(crate) fn new(rows: usize, keys: usize) -> Self {
+        let mut board = InOrderPipeline::new(&CostModel::default());
+        board.ready.reserve_exact(keys);
+        Recorder {
+            board,
+            keys: Vec::with_capacity(3 * rows),
+            first: 0,
+            fits: true,
+        }
+    }
+
+    /// Start the next function: its key table begins empty.
+    pub(crate) fn clear(&mut self) {
+        self.keys.clear();
+        self.first = 0;
+    }
+
+    fn note(&mut self, key: u32, at: u64) {
+        match (u16::try_from(key), u16::try_from(at)) {
+            (Ok(key), Ok(at)) => self.keys.push(SlotKey { key, at }),
+            _ => self.fits = false,
+        }
+    }
+
+    /// Close the segment whose rows retired through the recorder with
+    /// `stats`: its summary, or `None` if a key or an offset does not fit 16
+    /// bits (the segment then keeps the row walk). The board is reset for
+    /// the next segment either way.
+    pub(crate) fn summary(&mut self, stats: &SimStats) -> Option<Summary> {
+        let entries = &mut self.keys[self.first..];
+        // Live-ins have a slot of at least 1; written keys are noted at 0.
+        entries.sort_unstable_by_key(|e| (e.at == 0, e.key));
+        let live = entries.iter().take_while(|e| e.at != 0).count();
+        let board = &mut self.board;
+        for e in &mut entries[live..] {
+            // At most the horizon, which is checked below.
+            e.at = board.ready[usize::from(e.key)] as u16;
+        }
+        for e in entries.iter() {
+            board.ready[usize::from(e.key)] = 0;
+        }
+        let written = entries.len() - live;
+        let fits = self.fits
+            && stats.cycles <= u64::from(u16::MAX)
+            && board.horizon <= u64::from(u16::MAX)
+            && u16::try_from(live.max(written)).is_ok()
+            && u32::try_from(self.first).is_ok();
+        if !self.fits {
+            // A key past 16 bits was never noted, so never reset above.
+            board.ready.clear();
+        }
+        let horizon = board.horizon;
+        (board.now, board.horizon, self.fits) = (0, 0, true);
+        if !fits {
+            self.keys.truncate(self.first);
+            return None;
+        }
+        let summary = Summary {
+            keys: self.first as u32,
+            live: live as u16,
+            written: written as u16,
+            cycles: stats.cycles as u16,
+            stalls: stats.stalls as u16,
+            horizon: horizon as u16,
+        };
+        self.first = self.keys.len();
+        Some(summary)
+    }
+}
+
+impl TimingModel for Recorder {
+    fn op(&mut self, stats: &mut SimStats, class: LatClass, cost: u64, dst: u32, a: u32, b: u32) {
+        let slot = self.board.now + 1;
+        for k in [a, b] {
+            // Ready 0 on the reset board: not written by the segment, and
+            // not read before either, since a live-in is marked ready at 1,
+            // which delays no issue slot (written directly: `set_ready`
+            // would move the horizon).
+            if k < UNTRACKED && self.board.ready_at(k) == 0 {
+                let i = k as usize;
+                if i >= self.board.ready.len() {
+                    self.board.ready.resize(i + 1, 0);
+                }
+                self.board.ready[i] = 1;
+                self.note(k, slot);
+            }
+        }
+        // A written key reads at least 2; its offset is read at the end.
+        if dst < UNTRACKED && self.board.ready_at(dst) < 2 {
+            self.note(dst, 0);
+        }
+        self.board.op(stats, class, cost, dst, a, b);
+    }
+
+    // Segments hold `op` rows only; the control hooks go to the board.
+
+    fn branch(&mut self, stats: &mut SimStats, site: u32, taken: bool, cost: u64, cond: u32) {
+        self.board.branch(stats, site, taken, cost, cond);
+    }
+
+    fn jump(&mut self, stats: &mut SimStats, cost: u64) {
+        self.board.jump(stats, cost);
+    }
+
+    fn call(&mut self, stats: &mut SimStats, cost: u64) {
+        self.board.call(stats, cost);
+    }
+
+    fn finish(&mut self, stats: &mut SimStats) {
+        self.board.finish(stats);
     }
 }
 

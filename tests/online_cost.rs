@@ -43,13 +43,23 @@ const DECODE_ALLOCATIONS_BUDGET: u64 = 540;
 /// Per program: the name index, the function list and the program's name.
 /// Per function, under either timing tier, eight vectors are kept (the name,
 /// the parameters, the block offsets, `code`, `info`, `ops`, `meta`,
-/// `targets`), plus at most one growth of each of the threaded builder's two
-/// scratch tables when a function is the largest so far (the catalogue
-/// measures 8.4 per function all told, the module with calls 9.7; with a
-/// second 1:1 record stream per function the ceiling was 11, and growing
-/// every table from empty measured 29.8).
+/// `targets`). The threaded builder's scratch tables are allocated once per
+/// program, sized for its longest function (the catalogue measures 8.1 per
+/// function all told, the module with calls 8.7; when each function that
+/// was the largest so far grew them, 8.4 and 9.7; with a second 1:1 record
+/// stream per function the ceiling was 11, and growing every table from
+/// empty measured 29.8).
 const PREPARE_ALLOCATIONS_PER_PROGRAM: u64 = 3;
 const PREPARE_ALLOCATIONS_PER_FUNCTION: u64 = 10;
+
+/// What in-order timing adds per function: the two tables of segment
+/// summaries each function keeps, `segs` (sized from its regions and
+/// selects) and `keys` (copied out of the recorder at its exact length).
+/// The recorder's own two scratch tables are allocated once per program, at
+/// the size of its longest function and its largest register file (the
+/// catalogue measures 10.2 per function all told, the module with calls
+/// 11.3).
+const PREPARE_IN_ORDER_ALLOCATIONS_PER_FUNCTION: u64 = 2;
 
 /// The optimized 17-kernel catalogue module, as the offline step ships it.
 fn catalogue() -> Module {
@@ -103,6 +113,11 @@ fn module_with_calls() -> Module {
 /// Prepare `module` for every preset under `timing`; returns the summed
 /// allocations of `prepare_with` and the gate they must stay under.
 fn prepare_everywhere(module: &Module, timing: TimingKind) -> (u64, u64) {
+    let per_function = PREPARE_ALLOCATIONS_PER_FUNCTION
+        + match timing {
+            TimingKind::Flat => 0,
+            TimingKind::InOrder => PREPARE_IN_ORDER_ALLOCATIONS_PER_FUNCTION,
+        };
     let (mut allocations, mut gate) = (0, 0);
     for mut target in TargetDesc::presets() {
         target.timing = timing;
@@ -120,7 +135,7 @@ fn prepare_everywhere(module: &Module, timing: TimingKind) -> (u64, u64) {
             .filter(|i| matches!(i, MInst::Call { .. }))
             .count() as u64;
         gate += PREPARE_ALLOCATIONS_PER_PROGRAM
-            + PREPARE_ALLOCATIONS_PER_FUNCTION * program.functions.len() as u64
+            + per_function * program.functions.len() as u64
             + 2 * calls;
     }
     (allocations, gate)
