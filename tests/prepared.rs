@@ -19,7 +19,7 @@ use splitc_jit::{compile_module, JitOptions, RegAllocMode};
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_runtime::{ExecutionEngine, FramePool};
 use splitc_targets::{
-    Fnv1a, MachineValue, SimStats, Simulator, TargetDesc, TimingKind, DEFAULT_SIM_FUEL,
+    Fnv1a, MachineValue, SimError, SimStats, Simulator, TargetDesc, TimingKind, DEFAULT_SIM_FUEL,
 };
 use splitc_vbc::Module;
 use splitc_workloads::{all_kernels, full_module, kernel, module_for};
@@ -51,6 +51,14 @@ const IN_ORDER_PINS: [(&str, u64); 9] = [
     ("riscv-rv64", 3_958_669_271_192_547_310),
     ("gpu-wide", 13_899_498_587_771_617_870),
 ];
+
+/// Presets of the fuel sweep: a scalar core, a SIMD core and a wide-vector
+/// core.
+const FUEL_SWEEP_PRESETS: [&str; 3] = ["x86-sse", "cell-spu", "gpu-wide"];
+
+/// Problem size of the fuel sweep: every loop still iterates, and a run is
+/// short enough to be swept at every fuel value.
+const FUEL_SWEEP_N: usize = 3;
 
 /// A kernel shape the catalogue lacks: a branchy integer map and reduce whose
 /// per-element load → ALU → compare → two-sided branch is what macro-op
@@ -223,6 +231,65 @@ fn in_order_catalogue_runs_at_n_4096_keep_their_recorded_stats_on_every_preset()
         .map(|&(name, digest)| (name.to_owned(), digest))
         .collect();
     assert_eq!(digests, pinned, "in-order SimStats at n = {PIN_N} moved");
+}
+
+#[test]
+fn fuel_exhaustion_on_compiled_kernels_matches_the_legacy_walk_at_every_fuel_value() {
+    // Every fuel value from 0 to one past a run's length, on every catalogue
+    // kernel compiled for a scalar, a SIMD and a wide-vector core under both
+    // timing tiers: below the length fuel runs dry inside some region, and
+    // the prepared run must stop at the legacy walk's instruction with the
+    // same counters, timing state and memory.
+    let mut runs = 0u64;
+    for kernel in all_kernels() {
+        let mut module =
+            module_for(std::slice::from_ref(&kernel), kernel.name).expect("kernel compiles");
+        optimize_module(&mut module, &OptOptions::full());
+        for preset in FUEL_SWEEP_PRESETS {
+            let base = TargetDesc::preset(preset).expect("a catalogue preset");
+            for target in [base.clone(), base.with_timing(TimingKind::InOrder)] {
+                let cell = format!("{} on {} ({:?})", kernel.name, preset, target.timing);
+                let (program, _jit) = compile_module(&module, &target, &JitOptions::split())
+                    .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                let prepared = PreparedProgram::prepare(&program, &target)
+                    .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                let mut fresh = Workspace::sized_for(FUEL_SWEEP_N);
+                let inputs = prepare(kernel.name, FUEL_SWEEP_N, 3, &mut fresh);
+                let legacy = |fuel| {
+                    let mut ws = fresh.clone();
+                    let mut sim = Simulator::new(&program, &target).with_fuel(fuel);
+                    let out = sim.run_legacy(kernel.name, &inputs.args, ws.bytes_mut());
+                    (out, sim.stats(), ws)
+                };
+                let (full, full_stats, _) = legacy(DEFAULT_SIM_FUEL);
+                assert!(full.is_ok(), "{cell}: {full:?}");
+                let total = full_stats.instructions;
+                let mut pool = FramePool::new();
+                for fuel in 0..=total + 1 {
+                    let (want, want_stats, want_ws) = legacy(fuel);
+                    let mut ws = fresh.clone();
+                    let mut stats = SimStats::default();
+                    let out = prepared.run(
+                        kernel.name,
+                        &inputs.args,
+                        ws.bytes_mut(),
+                        &mut pool,
+                        fuel,
+                        &mut stats,
+                    );
+                    assert_eq!(out, want, "{cell}, fuel {fuel}");
+                    assert_eq!(stats, want_stats, "{cell}, fuel {fuel}");
+                    assert!(ws.bytes() == want_ws.bytes(), "{cell}, fuel {fuel}: memory");
+                    if fuel < total {
+                        assert_eq!(out, Err(SimError::OutOfFuel), "{cell}, fuel {fuel}");
+                        assert_eq!(stats.instructions, fuel, "{cell}, fuel {fuel}");
+                    }
+                    runs += 1;
+                }
+            }
+        }
+    }
+    assert!(runs > 10_000, "{runs} runs");
 }
 
 /// The architectural face of a stats record: everything except the
