@@ -876,10 +876,25 @@ mod tests {
         }
     }
 
-    /// Run every function of `program`, prepared as `prepared`, on both
-    /// execution loops, and require bit-identical outcomes, stats and memory.
-    fn assert_loops_agree(prepared: &splitc_targets::PreparedProgram, program: &MProgram) {
-        use splitc_targets::{FramePool, MachineValue, PreparedProgram, SimStats};
+    /// Run every function of `program`, prepared for `target` as `prepared`,
+    /// and again on the legacy walk of `program` at the same fuel, and
+    /// require bit-identical outcomes, stats and memory.
+    fn assert_matches_legacy(
+        prepared: &splitc_targets::PreparedProgram,
+        program: &MProgram,
+        target: &TargetDesc,
+    ) {
+        use splitc_targets::{FramePool, MachineValue, SimError, SimStats, Simulator};
+        const FUEL: u64 = 2_000;
+        // Floats by their bits, so that a NaN result compares equal to itself.
+        let bits = |out: Result<Option<MachineValue>, SimError>| {
+            out.map(|v| {
+                v.map(|v| match v {
+                    MachineValue::Int(i) => (false, i as u64),
+                    MachineValue::Float(x) => (true, x.to_bits()),
+                })
+            })
+        };
         let mut pool = FramePool::new();
         for f in &program.functions {
             let args: Vec<MachineValue> = f
@@ -891,22 +906,19 @@ mod tests {
                     _ => MachineValue::Int(v),
                 })
                 .collect();
-            let mut outcomes = Vec::new();
-            for run in [PreparedProgram::run, PreparedProgram::run_metered] {
-                let mut mem: Vec<u8> = (0..=255).cycle().take(1024).collect();
-                let mut stats = SimStats::default();
-                let out = run(
-                    prepared, &f.name, &args, &mut mem, &mut pool, 2_000, &mut stats,
-                )
-                .map(|v| {
-                    v.map(|v| match v {
-                        MachineValue::Int(i) => (false, i as u64),
-                        MachineValue::Float(x) => (true, x.to_bits()),
-                    })
-                });
-                outcomes.push((out, stats, mem));
-            }
-            assert_eq!(outcomes[0], outcomes[1], "{} of {program:?}", f.name);
+            let mut mem: Vec<u8> = (0..=255).cycle().take(1024).collect();
+            let mut legacy_mem = mem.clone();
+            let mut stats = SimStats::default();
+            let out = prepared.run(&f.name, &args, &mut mem, &mut pool, FUEL, &mut stats);
+            let mut legacy = Simulator::new(program, target).with_fuel(FUEL);
+            let legacy_out = legacy.run_legacy(&f.name, &args, &mut legacy_mem);
+            assert_eq!(
+                (bits(out), stats, mem),
+                (bits(legacy_out), legacy.stats(), legacy_mem),
+                "{} on {} of {program:?}",
+                f.name,
+                target.name
+            );
         }
     }
 
@@ -917,10 +929,10 @@ mod tests {
         // runs. Here the length and FNV-1a are recomputed after the payload
         // is mutated — as anyone who can write the file would — so every
         // mutation reaches `MInst::get`, and what decodes reaches
-        // `prepare_with` and both execution loops. Accepted outcomes: a
-        // reject, a prepare error, or a run (result, trap or fuel exhaustion)
-        // that is bit-identical between the threaded and the metered loop.
-        // Never a panic — which under `debug_assertions` includes the
+        // `prepare_with` and the executor. Accepted outcomes: a reject, a
+        // prepare error, or a run (result, trap or fuel exhaustion) that is
+        // bit-identical to the legacy walk of the loaded program at the same
+        // fuel. Never a panic — which under `debug_assertions` includes the
         // `debug_assert!`s beside the executor's unchecked register reads.
         // The 2 400 entries split over two flat targets and one in-order
         // one; every other entry is prepared unfused as well.
@@ -997,7 +1009,7 @@ mod tests {
                         loaded.program
                     );
                     if let Ok(unfused) = unfused {
-                        assert_loops_agree(&unfused, &loaded.program);
+                        assert_matches_legacy(&unfused, &loaded.program, &target);
                         ran_unfused += 1;
                     }
                 }
@@ -1005,7 +1017,7 @@ mod tests {
                     unprepared += 1;
                     continue;
                 };
-                assert_loops_agree(&prepared, &loaded.program);
+                assert_matches_legacy(&prepared, &loaded.program, &target);
                 ran += 1;
                 if target.timing == TimingKind::InOrder {
                     ran_in_order += 1;

@@ -4,27 +4,23 @@
 //! Every [`PInst`] is lowered to an [`OpRecord`] — a packed 32-byte operand
 //! record whose first field is the **handler fn pointer** — and the handlers
 //! in this module are the only statement of what a straight-line instruction
-//! does to registers and memory. Both loops of the executor run them:
-//!
-//! * the threaded loop here ([`run_ops`]) is `(op.handler)(op, ctx, pc)` over
-//!   the one record stream a prepared function keeps, with no
-//!   per-instruction accounting at all: fuel and instruction counts are
-//!   hoisted into **per-region charges**. A region is a maximal
-//!   straight-line run (from a block entry, or from the return point of a
-//!   call, through its first control-flow op inclusive); its
-//!   source-instruction count and the sum of its `OpInfo` charges are
-//!   prepaid on entry. A region either fully retires (the prepaid charge is
-//!   exact), aborts the whole execution via a trap (`refund_unretired` gives
-//!   back what had not retired, on that cold path), or — when fuel can
-//!   no longer cover a prepayment — **deopts** to the metered loop, which
-//!   then reproduces legacy out-of-fuel timing to the instruction. Region
-//!   entry is also where the run's deadline, if its [`FramePool`] carries
-//!   one, is polled: one branch without a deadline, and a passed deadline
-//!   takes the same uncharged deopt;
-//! * the metered loop in [`exec`](crate::exec) keeps no stream: it lowers
-//!   each straight-line instruction with [`lower_metered`] as it reaches it,
-//!   paying fuel, `stats.instructions` and the instruction's `OpInfo` charge
-//!   around the handler calls.
+//! does to registers and memory. The threaded loop here ([`run_ops`]) is
+//! `(op.handler)(op, ctx, pc)` over the one record stream a prepared
+//! function keeps, with no per-instruction accounting at all: fuel and
+//! instruction counts are hoisted into **per-region charges**. A region is a
+//! maximal straight-line run (from a block entry, or from the return point
+//! of a call, through its first control-flow op inclusive); its
+//! source-instruction count and the sum of its `OpInfo` charges are prepaid
+//! on entry. A region either fully retires (the prepaid charge is exact),
+//! aborts the whole execution via a trap (`refund_unretired` gives back what
+//! had not retired, on that cold path), or — when fuel can no longer cover
+//! its prepayment — is never entered: the **fuel tail** ([`run_dry`]) runs
+//! the prefix of its instructions the fuel affords, each on a record
+//! lowered on the spot with [`lower`], charges what they fetched and stops
+//! the run with `OutOfFuel` at exactly the legacy walk's instruction. Region
+//! entry is also where the run's deadline, if its [`FramePool`] carries one,
+//! is polled: one branch without a deadline, and a passed deadline stops the
+//! run with `Cancelled`, uncharged, like the fuel tail.
 //!
 //! What a region prepays depends on the timing tier. **Flat**: everything,
 //! cycles included — handlers touch no accounting but a branch's
@@ -90,7 +86,7 @@ use crate::timing::{InOrderPipeline, Recorder, Summary, TimingKind, TimingModel}
 /// handler `pc + 2`, a branch its target region's first record.
 /// The high 32 bits are zero on that hot path, so the dispatch loop is one
 /// indirect call plus one never-taken branch; the cold outcomes — return,
-/// deopt, trap — come back tagged ([`FLOW_RET`] / [`FLOW_DEOPT`] /
+/// stop, trap — come back tagged ([`FLOW_RET`] / [`FLOW_STOP`] /
 /// [`FLOW_ERR`]) with their payload in the low bits, and any error or return
 /// value stashed in the context ([`ExecCtx::err`] / [`ExecCtx::ret`]).
 pub(crate) type Handler = fn(&OpRecord, &mut ExecCtx<'_>, u32) -> u64;
@@ -126,25 +122,18 @@ impl PartialEq for OpRecord {
 ///
 /// The function returned; the value (if any) is in [`ExecCtx::ret`].
 pub(crate) const FLOW_RET: u64 = 1 << 32;
-/// Fuel cannot cover the next region's prepayment: resume at the enum-stream
-/// pc in the low 32 bits on the metered loop.
-pub(crate) const FLOW_DEOPT: u64 = 2 << 32;
+/// The execution stopped at a region entry it never prepaid — the deadline
+/// passed, or fuel ran dry inside the region — so nothing is refunded; the
+/// error is in [`ExecCtx::err`].
+pub(crate) const FLOW_STOP: u64 = 2 << 32;
 /// The execution trapped; the error is in [`ExecCtx::err`] and the low 32
 /// bits index the faulting record (a welded handler reports the
 /// *constituent* that trapped, not the weld opener).
 pub(crate) const FLOW_ERR: u64 = 3 << 32;
 
-/// Result of driving the threaded stream.
-pub(crate) enum Threaded {
-    /// Ran to completion.
-    Done(Option<MachineValue>),
-    /// Switched to the metered loop at this enum-stream pc.
-    Deopt(u32),
-}
-
 /// The statically-known slice of one region's `SimStats` traffic: the sum of
-/// its instructions' `OpInfo` charges, i.e. everything the metered loop
-/// would charge that does not depend on runtime values. Prepaid on region
+/// its instructions' `OpInfo` charges, i.e. everything retiring them charges
+/// that does not depend on runtime values. Prepaid on region
 /// entry, so straight-line handlers touch no accounting at all. The only
 /// *dynamic* charges left to handlers under flat timing are the
 /// taken/not-taken cycles of conditional branches and the cycles of calls
@@ -372,8 +361,7 @@ pub(crate) struct ExecCtx<'a> {
     pub(crate) vb: usize,
     pub(crate) ret: Option<MachineValue>,
     pub(crate) err: Option<SimError>,
-    /// The run's pipeline under in-order timing — on the threaded stream
-    /// only: the metered loop takes it out and charges it itself.
+    /// The run's pipeline under in-order timing; `None` under flat timing.
     pub(crate) pipe: Option<&'a mut InOrderPipeline>,
     /// In-order watermark: first enum pc of the current region whose
     /// `OpInfo` row has not retired on `pipe`.
@@ -422,9 +410,9 @@ impl<'a> ExecCtx<'a> {
     /// on the pipeline, in one step where its summary applies — move the
     /// watermark to its end, and hand back the pipeline and that end (the
     /// charge point: the closing control instruction, or the select) for the
-    /// caller's one dynamic charge. Sound for the reason the metered loop's
-    /// run-then-charge is: the timing model only ever sees the order of
-    /// retirement. `None` under flat timing, whose cycles were prepaid.
+    /// caller's one dynamic charge. Sound because the timing model only ever
+    /// sees the order of retirement, not when the handlers ran. `None` under
+    /// flat timing, whose cycles were prepaid.
     #[inline(always)]
     fn settle(&mut self) -> Option<(&mut InOrderPipeline, &mut SimStats, u32)> {
         let tm = self.pipe.as_deref_mut()?;
@@ -434,8 +422,9 @@ impl<'a> ExecCtx<'a> {
         Some((tm, self.stats, seg.end))
     }
 
-    /// The trap path's partial settle: under in-order timing, retire the
-    /// rows `[charged, upto)` one by one; `false` under flat timing.
+    /// The partial settle of the trap path and the fuel tail: under in-order
+    /// timing, retire the rows `[charged, upto)` one by one; `false` under
+    /// flat timing.
     fn retire_to(&mut self, upto: u32) -> bool {
         let Some(tm) = self.pipe.as_deref_mut() else {
             return false;
@@ -449,12 +438,12 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Run the handlers of the straight-line instructions `code`, the first
-    /// of which sits at `pc` (the metered loop's inner loop), each on a
-    /// record lowered on the spot: how many retired, and the trap of the one
-    /// after them if it raised one.
-    pub(crate) fn run_straight(&mut self, code: &[PInst], pc: usize) -> (usize, Option<SimError>) {
+    /// of which sits at `pc` (the fuel tail's prefix), each on a record
+    /// lowered on the spot: how many retired, and the trap of the one after
+    /// them if it raised one.
+    fn run_straight(&mut self, code: &[PInst], pc: usize) -> (usize, Option<SimError>) {
         for (i, inst) in code.iter().enumerate() {
-            let op = lower_metered(inst);
+            let op = lower(inst);
             if (op.handler)(&op, self, (pc + i) as u32) >= FLOW_RET {
                 return (i, Some(self.take_err()));
             }
@@ -565,24 +554,28 @@ macro_rules! tryh {
     };
 }
 
+/// Stash `e` and signal [`FLOW_STOP`]: the run ends with nothing to refund.
+#[cold]
+#[inline(never)]
+fn stop(cx: &mut ExecCtx<'_>, e: SimError) -> u64 {
+    cx.err = Some(e);
+    FLOW_STOP
+}
+
 /// Enter region `tidx`: prepay its fuel/instruction charge and its static
 /// counter sum, note where its rows start and its first segment (what
-/// in-order timing retires them by), then jump to its first record — or
-/// deopt to the metered loop at its enum pc when the remaining fuel cannot
-/// cover the prepayment (the metered loop then raises `OutOfFuel` at exactly
-/// the instruction the legacy walk would, with nothing from this region
-/// charged yet and every earlier region settled on the pipeline the metered
-/// loop continues on).
+/// in-order timing retires them by), then jump to its first record — or,
+/// when the remaining fuel cannot cover the prepayment, hand the region to
+/// the fuel tail ([`run_dry`]). Either way every earlier region has settled.
 #[inline(always)]
 fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
     let t = &cx.f.targets[tidx as usize];
     // The deadline is polled here, at region entry, because it is the one
     // boundary every loop iteration crosses (one branch when none is set).
-    // Deopt *uncharged* to the metered loop (whose entry poll raises
-    // `Cancelled`): going through `FLOW_ERR` instead would trigger a
-    // trap-path refund for a region that was never charged.
+    // Nothing of this region is charged yet, so the run stops without the
+    // trap path's refund.
     if cx.pool.cancel_requested() {
-        return FLOW_DEOPT | u64::from(t.enum_pc);
+        return stop(cx, SimError::Cancelled);
     }
     let charge = u64::from(t.charge);
     if *cx.fuel >= charge {
@@ -592,13 +585,45 @@ fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
         (cx.charged, cx.seg) = (t.enum_pc, t.seg);
         u64::from(t.ops_pc)
     } else {
-        FLOW_DEOPT | u64::from(t.enum_pc)
+        run_dry(cx, tidx)
     }
+}
+
+/// The fuel tail: the remaining fuel F is below region `tidx`'s charge,
+/// which counts every instruction through the closing control op, so F
+/// affords a strict prefix of the region's straight-line instructions and
+/// the fetch that fails lies before that op. Run the prefix on records
+/// lowered on the spot, retire its rows — under in-order timing the scalar
+/// selects' handlers settle their segments and retire on the register they
+/// chose, as on the stream — and charge fuel, `stats.instructions` and the
+/// counters for what was fetched: the retired instructions, plus one that
+/// trapped. Then stop with the trap or `OutOfFuel`, where the legacy walk
+/// stops.
+#[cold]
+#[inline(never)]
+fn run_dry(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
+    let f = cx.f;
+    let t = &f.targets[tidx as usize];
+    let start = t.enum_pc as usize;
+    // Below the region's `u32` charge.
+    let afforded = *cx.fuel as usize;
+    (cx.charged, cx.seg) = (t.enum_pc, t.seg);
+    let (retired, trap) = cx.run_straight(&f.code[start..start + afforded], start);
+    cx.retire_to((start + retired) as u32);
+    let mut sum = SimStats::default();
+    for info in &f.info[start..start + retired] {
+        info.prepay(&mut sum);
+    }
+    StaticStats::of(&sum, cx.prog.timing).charge(cx.stats);
+    let fetched = (retired + usize::from(trap.is_some())) as u64;
+    *cx.fuel -= fetched;
+    cx.stats.instructions += fetched;
+    stop(cx, trap.unwrap_or(SimError::OutOfFuel))
 }
 
 /// Drive the threaded stream of `cx.f` from its entry region. On a handler
 /// error the prepaid charges are corrected before the error propagates.
-pub(crate) fn run_ops(cx: &mut ExecCtx<'_>) -> Result<Threaded, SimError> {
+pub(crate) fn run_ops(cx: &mut ExecCtx<'_>) -> Result<Option<MachineValue>, SimError> {
     let f = cx.f;
     let ops = &f.ops;
     let mut r = enter(cx, 0);
@@ -618,8 +643,8 @@ pub(crate) fn run_ops(cx: &mut ExecCtx<'_>) -> Result<Threaded, SimError> {
         r = (op.handler)(op, cx, pc as u32);
     }
     match r & !0xffff_ffff {
-        FLOW_RET => Ok(Threaded::Done(cx.ret.take())),
-        FLOW_DEOPT => Ok(Threaded::Deopt(r as u32)),
+        FLOW_RET => Ok(cx.ret.take()),
+        FLOW_STOP => Err(cx.take_err()),
         _ => {
             // The region was prepaid in full; give back the charges for
             // everything the legacy walk would not have retired by the
@@ -1253,9 +1278,8 @@ fn reload_error(value: Option<&SlotValue>, slot: u32) -> SimError {
     }
 }
 
-// --- control kinds: threaded stream only (the metered loop has arms). Each
-// closes its region, so under in-order timing each first settles the
-// region's last segment on the pipeline. -------------------------------------
+// --- control kinds: each closes its region, so under in-order timing each
+// first settles the region's last segment on the pipeline. -------------------
 
 fn h_jump(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
     // Fully static under flat timing: the jump's cycles and branch count
@@ -1313,7 +1337,6 @@ fn h_call(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
             cx.depth + 1,
             cx.stats,
             cx.pipe.as_deref_mut(),
-            true,
         )
     );
     cx.pool.give_argv(argv);
@@ -1686,7 +1709,7 @@ impl ThreadedScratch {
 
 /// Lower the prepared enum stream of `pf` to a threaded dispatch stream:
 /// fuse macro-ops (when `fuse`), emit packed records (an unfused
-/// straight-line record is what the metered loop would lower), and resolve
+/// straight-line record is what the fuel tail lowers too), and resolve
 /// per-region fuel/instruction charges and what `timing` prepays with them —
 /// and, under in-order timing, each region's segments and their summaries.
 pub(crate) fn build_threaded(
@@ -1801,7 +1824,7 @@ pub(crate) fn build_threaded(
                                 (r, End::Call(after))
                             }
                             inst if inst.is_control() => (lower_control(inst, &bidx), End::Control),
-                            _ => (lower_metered(inst), End::Normal),
+                            _ => (lower(inst), End::Normal),
                         };
                         (record, 1, FuseKind::None, end_kind, pair_kind(inst))
                     }
@@ -2048,7 +2071,7 @@ fn try_fuse(code: &[PInst], bidx: &impl Fn(u32) -> u32) -> Option<(OpRecord, u8,
         {
             // Same operands as the plain compare; the handler and the two
             // region indexes are what the fused record adds.
-            let mut r = lower_metered(cmp);
+            let mut r = lower(cmp);
             let kind = if matches!(cmp, PInst::IntCmp { .. }) {
                 r.handler = h_cmp_branch_int;
                 FuseKind::CmpBranchInt
@@ -2098,10 +2121,10 @@ fn lower_control(inst: &PInst, bidx: &impl Fn(u32) -> u32) -> OpRecord {
 }
 
 /// The unfused record of one straight-line enum instruction: what its
-/// handler needs. The threaded builder copies it and the metered loop, which
-/// keeps no stream, calls this for each instruction it reaches.
+/// handler needs. The threaded builder copies it into the stream, and the
+/// fuel tail lowers the prefix it runs with it.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn lower_metered(inst: &PInst) -> OpRecord {
+fn lower(inst: &PInst) -> OpRecord {
     let mut r;
     match *inst {
         PInst::Imm { dst, value } => {
@@ -2389,7 +2412,7 @@ pub(crate) fn lower_metered(inst: &PInst) -> OpRecord {
         | PInst::BranchNz { .. }
         | PInst::Call(_)
         | PInst::Ret { .. }
-        | PInst::FellOff { .. } => unreachable!("the metered loop has an arm for {inst:?}"),
+        | PInst::FellOff { .. } => unreachable!("{inst:?} closes a region: see `lower_control`"),
     }
     r
 }

@@ -29,37 +29,34 @@
 //!   instruction does** to registers and memory (see
 //!   [`dispatch`](crate::exec) internals).
 //!
-//! One executor runs those handlers, over **one record stream**, under two
-//! accounting disciplines:
+//! One executor runs those handlers, over **one record stream**, under one
+//! accounting discipline, **region prepayment**. The threaded loop
+//! ([`PreparedProgram::run`], either timing tier) dispatches the stream, in
+//! which adjacent instructions are **fused into macro-ops** (compare+branch,
+//! load+op, induction-variable steps) and welded in pairs. Fuel, instruction
+//! counts and the architectural counters summed from the [`OpInfo`] rows are
+//! prepaid per straight-line region. Under flat timing the region's summed
+//! cycles are prepaid with them. Under in-order timing a region prepays no
+//! cycles: the handler that closes it retires its rows on the run's
+//! [`InOrderPipeline`], in order, and then makes the one call that needs a
+//! run-time value (the branch's outcome and site, the jump, the call). The
+//! **charge-point rule**: a handler touches the timing model only if it
+//! closes a region or its scoreboard key is dynamic (the two scalar
+//! selects), and it first retires every row of the region ahead of itself —
+//! sound because the timing model only ever sees the order of retirement.
+//! The rows between two charge points form a *segment*, whose effect on a
+//! reset board is recorded at prepare time; a segment whose live-in
+//! registers are ready by their issue slots retires in one step from that
+//! summary, any other row by row.
 //!
-//! * the **threaded loop** ([`PreparedProgram::run`], either timing tier)
-//!   dispatches the stream, in which adjacent instructions are **fused into
-//!   macro-ops** (compare+branch, load+op, induction-variable steps) and
-//!   welded in pairs. Fuel, instruction counts and the architectural
-//!   counters summed from the [`OpInfo`] rows are prepaid per straight-line
-//!   region. Under flat timing the region's summed cycles are prepaid with
-//!   them. Under in-order timing a region prepays no cycles: the handler
-//!   that closes it retires its rows on the run's [`InOrderPipeline`], in
-//!   order, and then makes the one call that needs a run-time value (the
-//!   branch's outcome and site, the jump, the call). The **charge-point
-//!   rule**: a handler touches the timing model only if it closes a region
-//!   or its scoreboard key is dynamic (the two scalar selects), and it first
-//!   retires every row of the region ahead of itself — sound because the
-//!   timing model only ever sees the order of retirement. The rows between
-//!   two charge points form a *segment*, whose effect on a reset board is
-//!   recorded at prepare time; a segment whose live-in registers are ready
-//!   by their issue slots retires in one step from that summary, any other
-//!   row by row;
-//! * the **metered loop** ([`PreparedProgram::run_metered`]) pays fuel and
-//!   `stats.instructions` per instruction like the legacy walk: it runs the
-//!   handlers of one straight-line run back to back, each on a record
-//!   lowered on the spot, charges the timing model and the counters from
-//!   the rows of those that retired, and interprets the instruction that
-//!   closes the run itself. Only the control kinds (jump, branch, call,
-//!   return, fall-off), whose accounting differs between per-instruction
-//!   metering and region prepayment, and the two selects have such arms. It
-//!   is the cold path: the deoptimization target of the threaded loop when
-//!   fuel runs low, and a column of the differential suites.
+//! Two cold exits leave it. A trap gives back what its prepaid region had
+//! not retired. A region whose charge the
+//! remaining fuel cannot cover is never prepaid: the fuel affords a strict
+//! prefix of its straight-line instructions (the charge counts every one
+//! through the closing control op), so that prefix runs on records lowered
+//! on the spot, retires and is charged, and the run stops with
+//! [`SimError::OutOfFuel`] — or the prefix's own trap — where the legacy
+//! walk stops.
 //!
 //! Semantics are bit-identical to the legacy walk — results, traps and
 //! [`SimStats`] alike, under both timing tiers — which the cross-crate
@@ -73,11 +70,11 @@
 //!    The row *is* the store's wire encoding, the online compiler's def/use
 //!    walks and the prepare-time class check; nothing in `store.rs` or
 //!    `mir.rs` names the variant;
-//! 2. its arm in the legacy walk (`Simulator::call`, the independent
-//!    reference);
+//! 2. its arm in the legacy walk (`Simulator::call`, the reference the
+//!    executor is differenced against);
 //! 3. its [`PInst`] variant and translation arm in `prepare_function`;
-//! 4. its handler and `lower_metered` arm in `dispatch.rs` (plus a pair-kind
-//!    if it should weld);
+//! 4. its handler and `lower` arm in `dispatch.rs` (plus a pair-kind if it
+//!    should weld);
 //! 5. its row in [`op_info`] — all either timing tier needs, unless a
 //!    scoreboard key of the new kind is only known at run time.
 //!
@@ -120,14 +117,12 @@
 
 use crate::desc::{CostModel, TargetDesc};
 pub use crate::dispatch::FusionStats;
-use crate::dispatch::{self, ExecCtx, FuseKind, OpMeta, OpRecord, Threaded};
+use crate::dispatch::{self, ExecCtx, FuseKind, OpMeta, OpRecord};
 use crate::mcode::{
     AluOp, CmpPred, FpuOp, MFunction, MInst, MProgram, PReg, RedOp, RegClass, Width,
 };
 use crate::simulator::{MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH};
-use crate::timing::{
-    FlatCost, InOrderPipeline, LatClass, SlotKey, TimingKind, TimingModel, NO_REG,
-};
+use crate::timing::{InOrderPipeline, LatClass, SlotKey, TimingKind, TimingModel, NO_REG};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -182,12 +177,11 @@ pub(crate) fn store_slot_vec(slot_vec: &mut Vec<u8>, slots: usize, slot: usize, 
 /// pool can serve a whole sweep across many targets.
 ///
 /// A pool can also carry an optional wall-clock **deadline** for the runs it
-/// backs ([`FramePool::set_deadline`]): the executor polls it at region
-/// boundaries (region prepayment on the threaded path, function entry and
-/// branches on the metered path) and aborts with [`SimError::Cancelled`] once
-/// it has passed — how the serving tier stops a runaway kernel without
-/// killing the worker thread, and without a second thread: the thread that
-/// executes is the one that reads the clock.
+/// backs ([`FramePool::set_deadline`]): the executor polls it at every region
+/// entry and aborts with [`SimError::Cancelled`] once it has passed — how the
+/// serving tier stops a runaway kernel without killing the worker thread, and
+/// without a second thread: the thread that executes is the one that reads
+/// the clock.
 #[derive(Debug, Default)]
 pub struct FramePool {
     frames: Vec<Frame>,
@@ -240,8 +234,7 @@ impl FramePool {
     /// The deadline-carrying half of [`FramePool::cancel_requested`]: read the
     /// clock once per [`DEADLINE_POLL_INTERVAL`] polls. A passed deadline
     /// leaves the countdown at 0, so every later poll agrees (the clock is
-    /// monotonic) — the threaded loop's uncharged deopt relies on the metered
-    /// loop's entry poll raising the `Cancelled` it saw.
+    /// monotonic).
     #[cold]
     #[inline(never)]
     fn poll_deadline(&mut self, at: Instant) -> bool {
@@ -303,8 +296,8 @@ pub(crate) struct PCall {
 /// validated against the target's files at prepare time (vector handlers
 /// scale them to byte offsets); block targets are instruction offsets, call
 /// targets are function indices, and vector lane counts are baked in. The
-/// executors read it only for the control kinds; `disasm`, the fusion
-/// matcher and the lowering read the rest.
+/// threaded loop reads it only for a call's payload; `disasm`, the fusion
+/// matcher, the lowering and the executor's cold exits read the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum PInst {
     Imm {
@@ -552,8 +545,7 @@ const _: () = assert!(std::mem::size_of::<OpInfo>() <= 16);
 /// What retiring one instruction costs: the one per-instruction fact table.
 /// [`op_info`] states it once per [`PInst`] kind; region prepayment sums it,
 /// in-order timing records segment summaries from it and retires it row by
-/// row where a summary does not apply, the metered loop charges it per
-/// instruction and `disasm` prints it.
+/// row where a summary does not apply, and `disasm` prints it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct OpInfo {
     /// The statically known cycle charge (which doubles as the unit latency
@@ -569,8 +561,7 @@ pub(crate) struct OpInfo {
     /// the instruction bumps; `None` for the kinds the timing model prices
     /// through its control-flow hooks and for synthetic traps.
     pub(crate) class: Option<LatClass>,
-    /// Bit `i`: `regs[i]` names the float file. Plus [`OpInfo::BRANCH`] and
-    /// [`OpInfo::ARM`].
+    /// Bit `i`: `regs[i]` names the float file. Plus [`OpInfo::BRANCH`].
     tags: u8,
 }
 
@@ -584,10 +575,6 @@ const NO: PReg = PReg {
 impl OpInfo {
     /// Counts in `stats.branches`.
     const BRANCH: u8 = 1 << 3;
-    /// The metered loop has an arm for this kind: the control kinds, and the
-    /// selects whose read key is dynamic (on the threaded stream those are
-    /// the kinds whose handlers touch the timing model).
-    const ARM: u8 = 1 << 4;
 
     fn new(class: Option<LatClass>, cycles: u64, operands: [PReg; 3], mut tags: u8) -> OpInfo {
         let mut regs = [u16::MAX; 3];
@@ -631,46 +618,25 @@ impl OpInfo {
         }
     }
 
-    #[inline(always)]
-    fn has_arm(&self) -> bool {
-        self.tags & OpInfo::ARM != 0
-    }
-
-    /// The architectural counters this instruction counts in — they follow
-    /// from the unit that retires it — as increments packed one per
-    /// [`LANE_BITS`]-bit lane, so that a run of rows sums them with one add
-    /// per row and no data-dependent branch ([`bump_lanes`] unpacks).
-    #[inline(always)]
-    fn counter_lanes(&self) -> u64 {
-        use LatClass as L;
-        const LOADS: u64 = 1;
-        const STORES: u64 = 1 << LANE_BITS;
-        const SPILL_STORES: u64 = 1 << (2 * LANE_BITS);
-        const SPILL_RELOADS: u64 = 1 << (3 * LANE_BITS);
-        const VECTOR_OPS: u64 = 1 << (4 * LANE_BITS);
-        match self.class {
-            Some(L::Load) => LOADS,
-            Some(L::Store) => STORES,
-            Some(L::VecLoad) => LOADS | VECTOR_OPS,
-            Some(L::VecStore) => STORES | VECTOR_OPS,
-            Some(L::Vec | L::VecReduce) => VECTOR_OPS,
-            Some(L::SpillStore) => SPILL_STORES,
-            Some(L::SpillReload) => SPILL_RELOADS,
-            _ => 0,
-        }
-    }
-
-    /// Bump the architectural counters this instruction counts in.
-    #[inline(always)]
-    pub(crate) fn bump(&self, stats: &mut SimStats) {
-        stats.branches += u64::from(self.tags & OpInfo::BRANCH != 0);
-        bump_lanes(stats, self.counter_lanes());
-    }
-
-    /// Add the instruction's static charge to a region's running sum.
+    /// Add the instruction's static charge to a region's running sum: its
+    /// cycles and the architectural counters it counts in, which follow from
+    /// the unit that retires it.
     pub(crate) fn prepay(&self, sum: &mut SimStats) {
+        use LatClass as L;
         sum.cycles += self.cycles;
-        self.bump(sum);
+        sum.branches += u64::from(self.tags & OpInfo::BRANCH != 0);
+        match self.class {
+            Some(L::Load | L::VecLoad) => sum.loads += 1,
+            Some(L::Store | L::VecStore) => sum.stores += 1,
+            Some(L::SpillStore) => sum.spill_stores += 1,
+            Some(L::SpillReload) => sum.spill_reloads += 1,
+            _ => {}
+        }
+        let vector = matches!(
+            self.class,
+            Some(L::Vec | L::VecLoad | L::VecStore | L::VecReduce)
+        );
+        sum.vector_ops += u64::from(vector);
     }
 
     /// Retire the instruction on `tm` with `b` as its second read key (its
@@ -680,13 +646,6 @@ impl OpInfo {
     pub(crate) fn retire<T: TimingModel>(&self, stats: &mut SimStats, tm: &mut T, b: u32) {
         let class = self.class.expect("kinds priced by `op` have a class");
         tm.op(stats, class, self.cycles, self.dst_key(), self.key(1), b);
-    }
-
-    /// [`OpInfo::retire`] the instruction and [`OpInfo::bump`] its counters.
-    #[inline(always)]
-    fn charge<T: TimingModel>(&self, stats: &mut SimStats, tm: &mut T, b: u32) {
-        self.retire(stats, tm, b);
-        self.bump(stats);
     }
 }
 
@@ -715,12 +674,7 @@ pub(crate) fn op_info(inst: &PInst, cost: &CostModel) -> OpInfo {
         };
         OpInfo::new(Some(class), cycles, [dst, a, b], 0)
     };
-    let arm = |info: OpInfo| OpInfo {
-        tags: info.tags | OpInfo::ARM,
-        ..info
-    };
-    let control =
-        |cycles: u64, a: PReg, tags: u8| OpInfo::new(None, cycles, [NO, a, NO], tags | OpInfo::ARM);
+    let control = |cycles: u64, a: PReg, tags: u8| OpInfo::new(None, cycles, [NO, a, NO], tags);
     match *inst {
         PInst::Imm { dst, .. } => op(L::Mov, ik(dst), NO, NO),
         PInst::FImm { dst, .. } => op(L::Mov, fk(dst), NO, NO),
@@ -765,10 +719,10 @@ pub(crate) fn op_info(inst: &PInst, cost: &CostModel) -> OpInfo {
         // names `if_true`'s file and whoever retires it supplies the register.
         PInst::SelectInt {
             dst, cond, if_true, ..
-        } => arm(op(L::Mov, ik(dst), ik(cond), ik(if_true))),
+        } => op(L::Mov, ik(dst), ik(cond), ik(if_true)),
         PInst::SelectFloat {
             dst, cond, if_true, ..
-        } => arm(op(L::Mov, fk(dst), ik(cond), fk(if_true))),
+        } => op(L::Mov, fk(dst), ik(cond), fk(if_true)),
         PInst::SelectVec { cond, .. } => op(L::Mov, NO, ik(cond), NO),
         PInst::IntToFloat { dst, src, .. } => op(L::Convert, fk(dst), ik(src), NO),
         PInst::FloatToInt { dst, src, .. } => op(L::Convert, ik(dst), fk(src), NO),
@@ -788,7 +742,7 @@ pub(crate) fn op_info(inst: &PInst, cost: &CostModel) -> OpInfo {
         PInst::SpillFloat { src, .. } => op(L::SpillStore, NO, fk(src), NO),
         PInst::SpillVec { .. } => op(L::SpillStore, NO, NO, NO),
         PInst::Reload { class, dst, .. } => op(L::SpillReload, PReg { class, index: dst }, NO, NO),
-        PInst::Ret { value } => arm(op(L::Mov, NO, value.unwrap_or(NO), NO)),
+        PInst::Ret { value } => op(L::Mov, NO, value.unwrap_or(NO), NO),
         PInst::Jump { .. } => control(cost.branch_taken, NO, OpInfo::BRANCH),
         PInst::BranchNz { cond, .. } => control(0, ik(cond), OpInfo::BRANCH),
         PInst::Call(_) | PInst::FellOff { .. } => control(0, NO, 0),
@@ -1007,10 +961,9 @@ impl PreparedProgram {
     /// so frame allocations amortize across *runs*, not just across calls
     /// within one run. [`PreparedSimulator`] wraps it with an owned pool.
     /// Execution takes the threaded stream under either timing tier; fuel
-    /// and instruction counts are prepaid per straight-line region and the
-    /// engine deopts to the metered loop when a region's charge no longer
-    /// fits the budget, so behaviour is bit-identical to
-    /// [`PreparedProgram::run_metered`].
+    /// and instruction counts are prepaid per straight-line region, and a
+    /// region the remaining fuel cannot cover retires the prefix it affords
+    /// and stops the run, so behaviour is bit-identical to the legacy walk.
     ///
     /// # Errors
     ///
@@ -1022,21 +975,35 @@ impl PreparedProgram {
         args: &[MachineValue],
         mem: &mut [u8],
         pool: &mut FramePool,
-        fuel: u64,
+        mut fuel: u64,
         stats: &mut SimStats,
     ) -> Result<Option<MachineValue>, SimError> {
-        self.run_top(func, args, mem, pool, fuel, stats, true)
+        *stats = SimStats::default();
+        let fi = self
+            .function_index(func)
+            .ok_or_else(|| SimError::UnknownFunction(func.to_owned()))?;
+        match self.timing {
+            TimingKind::Flat => self.exec(fi, args, mem, pool, &mut fuel, 0, stats, None),
+            TimingKind::InOrder => {
+                let mut tm = InOrderPipeline::new(&self.cost);
+                tm.ready = std::mem::take(&mut pool.scoreboard);
+                tm.ready.clear();
+                let r = self.exec(fi, args, mem, pool, &mut fuel, 0, stats, Some(&mut tm));
+                tm.finish(stats);
+                pool.scoreboard = tm.ready;
+                r
+            }
+        }
     }
 
-    /// Execute `func` on the metered loop alone: fuel, counters and timing
-    /// per instruction, never the threaded stream — one column of the
-    /// differential suites. This is the cold path: it is what a threaded run
-    /// falls back to when fuel runs low, it keeps no record stream of its
-    /// own, and it lowers each instruction's record as it reaches it.
+    /// [`PreparedProgram::run`] under its former name, kept only because the
+    /// benchmark's `targets.metered_ns_per_inst` probe (`e2e/src/phases.rs`)
+    /// still calls it.
     ///
     /// # Errors
     ///
     /// Same conditions as [`PreparedProgram::run`].
+    #[doc(hidden)]
     pub fn run_metered(
         &self,
         func: &str,
@@ -1046,47 +1013,11 @@ impl PreparedProgram {
         fuel: u64,
         stats: &mut SimStats,
     ) -> Result<Option<MachineValue>, SimError> {
-        self.run_top(func, args, mem, pool, fuel, stats, false)
+        self.run(func, args, mem, pool, fuel, stats)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_top(
-        &self,
-        func: &str,
-        args: &[MachineValue],
-        mem: &mut [u8],
-        pool: &mut FramePool,
-        mut fuel: u64,
-        stats: &mut SimStats,
-        threaded: bool,
-    ) -> Result<Option<MachineValue>, SimError> {
-        *stats = SimStats::default();
-        let fi = self
-            .function_index(func)
-            .ok_or_else(|| SimError::UnknownFunction(func.to_owned()))?;
-        match self.timing {
-            TimingKind::Flat => self.exec(fi, args, mem, pool, &mut fuel, 0, stats, None, threaded),
-            TimingKind::InOrder => {
-                let mut tm = InOrderPipeline::new(&self.cost);
-                tm.ready = std::mem::take(&mut pool.scoreboard);
-                tm.ready.clear();
-                let pipe = Some(&mut tm);
-                let r = self.exec(fi, args, mem, pool, &mut fuel, 0, stats, pipe, threaded);
-                tm.finish(stats);
-                pool.scoreboard = tm.ready;
-                r
-            }
-        }
-    }
-
-    /// Run function `fi` in a fresh frame, charging `pipe` if the run is
-    /// pipelined and flat costs if not: on the threaded stream when
-    /// `threaded`, deopting to the metered loop whenever a region's charge no
-    /// longer fits the remaining fuel, else metered from the first
-    /// instruction. Calls made from metered code stay metered all the way
-    /// down: once fuel is too low for region prepayment the whole remaining
-    /// execution runs per-instruction, which reproduces the legacy walk's
-    /// out-of-fuel point exactly.
+    /// Run function `fi` on its threaded stream in a fresh frame, charging
+    /// `pipe` if the run is pipelined and flat costs if not.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn exec(
         &self,
@@ -1098,7 +1029,6 @@ impl PreparedProgram {
         depth: usize,
         stats: &mut SimStats,
         pipe: Option<&mut InOrderPipeline>,
-        threaded: bool,
     ) -> Result<Option<MachineValue>, SimError> {
         if depth > MAX_CALL_DEPTH {
             return Err(SimError::Trap("call depth exceeded".into()));
@@ -1118,186 +1048,10 @@ impl PreparedProgram {
         );
         let result = write_params(f, &mut frame, args).and_then(|()| {
             let mut cx = ExecCtx::new(self, f, &mut frame, mem, pool, fuel, stats, depth, pipe);
-            let mut start = 0;
-            if threaded {
-                match dispatch::run_ops(&mut cx)? {
-                    Threaded::Done(v) => return Ok(v),
-                    Threaded::Deopt(enum_pc) => start = enum_pc as usize,
-                }
-            }
-            // The metered loop holds the timing model itself; with none left
-            // in `cx`, the handlers it runs charge nothing.
-            match cx.pipe.take() {
-                Some(tm) => self.run_metered_from(&mut cx, start, tm),
-                None => self.run_metered_from(&mut cx, start, &mut FlatCost),
-            }
+            dispatch::run_ops(&mut cx)
         });
         pool.release(frame);
         result
-    }
-
-    /// The metered loop: walk the enum stream from `pc`, charging fuel and
-    /// `stats.instructions` per instruction exactly like the legacy block
-    /// walk. It alternates between a straight-line run — as many handlers as
-    /// the fuel covers, back to back, each on a record lowered on the spot,
-    /// then the [`OpInfo`] rows of those that retired, in order — and the one
-    /// instruction with an arm that closes the run. The timing model only
-    /// ever sees the order of retirement, so charging a run after executing
-    /// it is invisible.
-    fn run_metered_from<T: Meter>(
-        &self,
-        cx: &mut ExecCtx<'_>,
-        mut pc: usize,
-        tm: &mut T,
-    ) -> Result<Option<MachineValue>, SimError> {
-        let f = cx.f;
-        // Cooperative cancellation: poll at function entry (which is also
-        // every post-deopt resumption) and at branches below, so no loop
-        // runs without polling its deadline.
-        if cx.pool.cancel_requested() {
-            return Err(SimError::Cancelled);
-        }
-        let infos = f.info.as_slice();
-        loop {
-            // Every block ends in an instruction with an arm (`FellOff` where
-            // the code does not), so the scan stops inside the stream.
-            let run = infos[pc..].iter().take_while(|i| !i.has_arm()).count();
-            let afforded = run.min(usize::try_from(*cx.fuel).unwrap_or(usize::MAX));
-            let (retired, trap) = cx.run_straight(&f.code[pc..pc + afforded], pc);
-            charge_run(&infos[pc..pc + retired], cx.stats, tm);
-            // A trapping instruction spent its fuel and counts as fetched.
-            let fetched = (retired + usize::from(trap.is_some())) as u64;
-            *cx.fuel -= fetched;
-            cx.stats.instructions += fetched;
-            if let Some(e) = trap {
-                return Err(e);
-            }
-            pc += retired;
-
-            if *cx.fuel == 0 {
-                return Err(SimError::OutOfFuel);
-            }
-            *cx.fuel -= 1;
-            cx.stats.instructions += 1;
-            let info = &infos[pc];
-            match &f.code[pc] {
-                PInst::SelectInt {
-                    cond,
-                    if_true,
-                    if_false,
-                    ..
-                }
-                | PInst::SelectFloat {
-                    cond,
-                    if_true,
-                    if_false,
-                    ..
-                } => {
-                    // Read before the handler runs: `dst` may be `cond`.
-                    let chosen = if cx.int[usize::from(*cond)] != 0 {
-                        *if_true
-                    } else {
-                        *if_false
-                    };
-                    if let (_, Some(e)) = cx.run_straight(&f.code[pc..=pc], pc) {
-                        return Err(e);
-                    }
-                    info.charge(cx.stats, tm, info.key_of(2, chosen));
-                    pc += 1;
-                }
-                PInst::Jump { target } => {
-                    if cx.pool.cancel_requested() {
-                        return Err(SimError::Cancelled);
-                    }
-                    pc = *target as usize;
-                    tm.jump(cx.stats, info.cycles);
-                    info.bump(cx.stats);
-                }
-                PInst::BranchNz {
-                    cond,
-                    then_target,
-                    else_target,
-                } => {
-                    if cx.pool.cancel_requested() {
-                        return Err(SimError::Cancelled);
-                    }
-                    let taken = cx.int[usize::from(*cond)] != 0;
-                    // Predictor site id: this branch's own enum-stream
-                    // offset; the legacy walk numbers its sites the same way.
-                    let site = pc as u32;
-                    let (target, cycles) = if taken {
-                        (*then_target, self.cost.branch_taken)
-                    } else {
-                        (*else_target, self.cost.branch_not_taken)
-                    };
-                    pc = target as usize;
-                    tm.branch(cx.stats, site, taken, cycles, info.key(1));
-                    info.bump(cx.stats);
-                }
-                PInst::Call(call) => {
-                    self.call_metered(cx, call, tm)?;
-                    pc += 1;
-                }
-                PInst::Ret { value } => {
-                    // The move retires before the class check can trap.
-                    info.charge(cx.stats, tm, NO_REG);
-                    return match value.map(|r| cx.read(r)) {
-                        Some(None) => Err(SimError::Trap(
-                            "vector return values are unsupported".into(),
-                        )),
-                        Some(v) => Ok(v),
-                        None => Ok(None),
-                    };
-                }
-                PInst::FellOff { block } => {
-                    // The legacy walk charged fuel for the failed fetch but
-                    // did not count an instruction; mirror that exactly.
-                    cx.stats.instructions -= 1;
-                    return Err(SimError::Trap(format!(
-                        "fell off the end of block {block} in {}",
-                        f.name
-                    )));
-                }
-                other => unreachable!("{other:?} retires through its handler"),
-            }
-        }
-    }
-
-    /// Retire a call from metered code: build the arguments, charge the call,
-    /// run the callee metered — calls made from metered code stay metered all
-    /// the way down — and write its result back.
-    fn call_metered<T: Meter>(
-        &self,
-        cx: &mut ExecCtx<'_>,
-        call: &PCall,
-        tm: &mut T,
-    ) -> Result<(), SimError> {
-        let callee = match &call.callee {
-            Ok(index) => *index,
-            Err(name) => return Err(SimError::UnknownFunction(name.to_string())),
-        };
-        let mut argv = cx.pool.take_argv();
-        for &arg in call.args.iter() {
-            argv.push(
-                cx.read(arg).ok_or_else(|| {
-                    SimError::Trap("vector call arguments are unsupported".into())
-                })?,
-            );
-        }
-        tm.call(cx.stats, self.cost.call);
-        let out = self.exec(
-            callee,
-            &argv,
-            cx.mem,
-            cx.pool,
-            cx.fuel,
-            cx.depth + 1,
-            cx.stats,
-            tm.pipe(),
-            false,
-        )?;
-        cx.pool.give_argv(argv);
-        cx.write_returned(callee, call.ret, out)
     }
 
     /// Render the prepared (and fused) instruction streams of every function:
@@ -1424,21 +1178,6 @@ impl PreparedProgram {
     }
 }
 
-/// Width of one counter lane of [`OpInfo::counter_lanes`].
-const LANE_BITS: u32 = 12;
-
-/// Add a sum of at most `2^LANE_BITS - 1` rows' [`OpInfo::counter_lanes`] to
-/// the counters.
-#[inline(always)]
-fn bump_lanes(stats: &mut SimStats, lanes: u64) {
-    let lane = |i: u32| (lanes >> (i * LANE_BITS)) & ((1 << LANE_BITS) - 1);
-    stats.loads += lane(0);
-    stats.stores += lane(1);
-    stats.spill_stores += lane(2);
-    stats.spill_reloads += lane(3);
-    stats.vector_ops += lane(4);
-}
-
 /// Retire the rows of a straight-line run on `tm`, in order. Out of line on
 /// purpose: as parameters `stats` and `tm` are known not to alias the table,
 /// so their counters stay in registers across the run.
@@ -1446,34 +1185,6 @@ fn bump_lanes(stats: &mut SimStats, lanes: u64) {
 pub(crate) fn retire_run<T: TimingModel>(infos: &[OpInfo], stats: &mut SimStats, tm: &mut T) {
     for info in infos {
         info.retire(stats, tm, info.key(2));
-    }
-}
-
-/// The metered loop's charge for the rows of a straight-line run that
-/// retired: [`retire_run`], then the architectural counters a threaded
-/// region would have prepaid.
-fn charge_run<T: TimingModel>(infos: &[OpInfo], stats: &mut SimStats, tm: &mut T) {
-    retire_run(infos, stats, tm);
-    for chunk in infos.chunks((1 << LANE_BITS) - 1) {
-        bump_lanes(stats, chunk.iter().map(OpInfo::counter_lanes).sum());
-    }
-}
-
-/// The two timing models the metered loop is instantiated for, as what a
-/// nested [`PreparedProgram::exec`] takes.
-trait Meter: TimingModel {
-    fn pipe(&mut self) -> Option<&mut InOrderPipeline>;
-}
-
-impl Meter for FlatCost {
-    fn pipe(&mut self) -> Option<&mut InOrderPipeline> {
-        None
-    }
-}
-
-impl Meter for InOrderPipeline {
-    fn pipe(&mut self) -> Option<&mut InOrderPipeline> {
-        Some(self)
     }
 }
 
@@ -2066,8 +1777,7 @@ impl<'p> PreparedSimulator<'p> {
         self
     }
 
-    /// Statistics from the most recent [`PreparedSimulator::run`] /
-    /// [`PreparedSimulator::run_metered`].
+    /// Statistics from the most recent [`PreparedSimulator::run`].
     pub fn stats(&self) -> SimStats {
         self.stats
     }
@@ -2086,22 +1796,6 @@ impl<'p> PreparedSimulator<'p> {
     ) -> Result<Option<MachineValue>, SimError> {
         self.program
             .run(func, args, mem, &mut self.pool, self.fuel, &mut self.stats)
-    }
-
-    /// Execute `func` on the metered per-instruction loop (the reference
-    /// the threaded path is differenced against).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PreparedProgram::run`].
-    pub fn run_metered(
-        &mut self,
-        func: &str,
-        args: &[MachineValue],
-        mem: &mut [u8],
-    ) -> Result<Option<MachineValue>, SimError> {
-        self.program
-            .run_metered(func, args, mem, &mut self.pool, self.fuel, &mut self.stats)
     }
 }
 #[cfg(test)]
@@ -2852,10 +2546,8 @@ mod tests {
             let mut sim = PreparedSimulator::new(prog);
             let out = sim.run("count", &args, &mut mem).unwrap();
             outs.push((out, sim.stats()));
-            let out = sim.run_metered("count", &args, &mut mem).unwrap();
-            outs.push((out, sim.stats()));
         }
-        // 0+1+...+9 = 45; all four paths agree on result and full stats.
+        // 0+1+...+9 = 45; both streams agree on result and full stats.
         assert_eq!(outs[0].0, Some(MachineValue::Int(45)));
         assert!(outs.iter().all(|o| o == &outs[0]), "{outs:?}");
     }
@@ -2868,28 +2560,18 @@ mod tests {
         let mut mem = vec![0u8; 32];
         for timing in [TimingKind::Flat, TimingKind::InOrder] {
             let target = TargetDesc::x86_sse().with_timing(timing);
-            let prepared = PreparedProgram::prepare(&p, &target).unwrap();
-            for metered in [false, true] {
-                let run = if metered {
-                    PreparedProgram::run_metered
-                } else {
-                    PreparedProgram::run
-                };
+            for fuse in [true, false] {
+                let prepared = PreparedProgram::prepare_with(&p, &target, fuse).unwrap();
                 // The first poll after `set_deadline` reads the clock: nothing
-                // retires, nothing is charged — not even the entry region the
-                // threaded loop would have prepaid.
+                // retires, nothing is charged — not even the entry region.
                 let mut stats = SimStats::default();
                 pool.set_deadline(Some(Instant::now()));
-                let out = run(
-                    &prepared, "count", &args, &mut mem, &mut pool, 1_000, &mut stats,
-                );
-                assert_eq!(out, Err(SimError::Cancelled), "{timing:?} {metered}");
-                assert_eq!(stats, SimStats::default(), "{timing:?} {metered}");
+                let out = prepared.run("count", &args, &mut mem, &mut pool, 1_000, &mut stats);
+                assert_eq!(out, Err(SimError::Cancelled), "{timing:?} {fuse}");
+                assert_eq!(stats, SimStats::default(), "{timing:?} {fuse}");
                 // Clearing the deadline makes the same pool runnable again.
                 pool.set_deadline(None);
-                let out = run(
-                    &prepared, "count", &args, &mut mem, &mut pool, 1_000, &mut stats,
-                );
+                let out = prepared.run("count", &args, &mut mem, &mut pool, 1_000, &mut stats);
                 assert_eq!(out, Ok(Some(MachineValue::Int(45))));
             }
         }
@@ -3129,8 +2811,7 @@ mod tests {
     type RunOutcome = Result<Option<MachineValue>, SimError>;
 
     /// `(outcome, SimStats, memory)` of `func` on every execution path —
-    /// legacy walk, metered loop, threaded fused, threaded unfused — with
-    /// `fuel`.
+    /// legacy walk, threaded fused, threaded unfused — with `fuel`.
     fn run_every_path(
         program: &MProgram,
         target: &TargetDesc,
@@ -3146,29 +2827,24 @@ mod tests {
         results.push((out, legacy.stats(), mem));
         for fuse in [true, false] {
             let prepared = PreparedProgram::prepare_with(program, target, fuse).unwrap();
-            for metered in [false, true] {
-                let mut mem = vec![0u8; mem_len];
-                let mut sim = PreparedSimulator::new(&prepared).with_fuel(fuel);
-                let out = if metered {
-                    sim.run_metered(func, args, &mut mem)
-                } else {
-                    sim.run(func, args, &mut mem)
-                };
-                results.push((out, sim.stats(), mem));
-            }
+            let mut mem = vec![0u8; mem_len];
+            let mut sim = PreparedSimulator::new(&prepared).with_fuel(fuel);
+            let out = sim.run(func, args, &mut mem);
+            results.push((out, sim.stats(), mem));
         }
         results
     }
 
     #[test]
-    fn fuel_exhaustion_is_identical_across_fused_unfused_and_metered() {
+    fn fuel_exhaustion_is_identical_across_legacy_fused_and_unfused() {
         // `OutOfFuel` must trigger at the identical retired-instruction count
-        // on every path — legacy walk, metered loop, threaded fused and
-        // unfused — i.e. for every fuel value from 0 to "just enough",
-        // including ones that land *inside* a fused span, all paths agree on
-        // outcome, memory and full stats, under both timing tiers. On the
-        // every-kind program each fuel value adds exactly one instruction, so
-        // the sweep checks every `op_info` row against the legacy arm.
+        // on every path — legacy walk, threaded fused and unfused — i.e. for
+        // every fuel value from 0 to "just enough", including ones that land
+        // *inside* a fused span, all paths agree on outcome, memory and full
+        // stats, under both timing tiers. On the every-kind program each fuel
+        // value adds exactly one instruction to the prefix the fuel tail
+        // retires, so the sweep checks every `op_info` row against the legacy
+        // arm.
         let inputs = [
             (counting_loop(), "count", MachineValue::Int(4)),
             (every_kind_program(5), "kinds", MachineValue::Int(16)),
@@ -3236,8 +2912,9 @@ mod tests {
         // path gives back what had not retired: replace each instruction of
         // the every-kind program in turn by a load that always traps (so the
         // trap lands first, mid and last in regions, inside fused spans and
-        // in either half of a welded pair) and compare with the paths that
-        // never prepay. Last, a `Ret` whose move retires before it traps.
+        // in either half of a welded pair) and compare with the legacy walk,
+        // which never prepays. Last, a `Ret` whose move retires before it
+        // traps.
         let program = every_kind_program(5);
         let kinds = program.functions.len() - 1;
         let trapping_load = MInst::Load {
@@ -3276,14 +2953,29 @@ mod tests {
                     "{timing:?}, trap at {at}: paths diverged: {:?}",
                     results.iter().map(|r| (&r.0, &r.1)).collect::<Vec<_>>()
                 );
+                // Fuel for everything up to the trap, and for the trap too:
+                // fuel runs dry inside the trap's region, so the fuel tail
+                // stops before the trap or charges it as fetched.
+                let fetched = stats.instructions;
+                for fuel in [fetched - 1, fetched] {
+                    let args = [MachineValue::Int(16)];
+                    let results = run_every_path(&program, &target, "kinds", &args, 64, fuel);
+                    let trapped = matches!(results[0].0, Err(SimError::Trap(_)));
+                    assert_eq!(trapped, fuel == fetched, "at {at}, fuel {fuel}");
+                    assert!(
+                        results.iter().all(|r| r == &results[0]),
+                        "{timing:?}, trap at {at}, fuel {fuel}: paths diverged: {:?}",
+                        results.iter().map(|r| (&r.0, &r.1)).collect::<Vec<_>>()
+                    );
+                }
             }
         }
     }
 
     // --- named edges of pipelined timing: wherever the timing model's view
     // of a run depends on something only known at run time, every path —
-    // legacy walk, metered loop, threaded fused and unfused — must agree on
-    // the whole `SimStats`, `stalls`/`mispredicts`/`predicted` included.
+    // legacy walk, threaded fused and unfused — must agree on the whole
+    // `SimStats`, `stalls`/`mispredicts`/`predicted` included.
 
     fn r(i: u16) -> PReg {
         PReg::int(i)
@@ -3381,23 +3073,11 @@ mod tests {
         args: &[i64],
         fuel: u64,
     ) -> (RunOutcome, SimStats) {
-        agree_from(0, program, func, args, fuel)
-    }
-
-    /// [`agree_on_both_tiers`] over the paths of [`run_every_path`] from
-    /// index `first` on (1 leaves the legacy walk out).
-    fn agree_from(
-        first: usize,
-        program: &MProgram,
-        func: &str,
-        args: &[i64],
-        fuel: u64,
-    ) -> (RunOutcome, SimStats) {
         let args: Vec<MachineValue> = args.iter().copied().map(MachineValue::Int).collect();
         let mut pipelined = None;
         for timing in [TimingKind::Flat, TimingKind::InOrder] {
             let target = TargetDesc::x86_sse().with_timing(timing);
-            let results = &run_every_path(program, &target, func, &args, 64, fuel)[first..];
+            let results = run_every_path(program, &target, func, &args, 64, fuel);
             assert!(
                 results.iter().all(|r| r == &results[0]),
                 "{func}{args:?} under {timing:?}, fuel {fuel}: paths diverged: {:?}",
@@ -3511,29 +3191,46 @@ mod tests {
         // An unknown callee and a vector argument trap before the call is
         // charged; a vector return retires its move first. In each case the
         // multiply ahead of the trap has retired and nothing behind it has.
-        // (The legacy walk resolves the callee's name only after charging
-        // the call, so it sits out the unknown-callee case.)
         let lead = alu(AluOp::Mul, 1, 0, 0);
         let traps = [
-            (1, call("nowhere", vec![r(1)], Some(r(2))), "unknown callee"),
-            (0, call("f", vec![PReg::vec(0)], None), "vector argument"),
+            (call("nowhere", vec![r(1)], Some(r(2))), "unknown callee"),
+            (call("f", vec![PReg::vec(0)], None), "vector argument"),
             (
-                0,
                 MInst::Ret {
                     value: Some(PReg::vec(0)),
                 },
                 "vector return",
             ),
         ];
-        for (first, trap, what) in traps {
+        for (trap, what) in traps {
             let body = vec![lead.clone(), trap, imm(2, 1), ret(2)];
             let p = program(vec![func("f", 1, vec![body])]);
-            let (out, stats) = agree_from(first, &p, "f", &[3], DEFAULT_SIM_FUEL);
+            let (out, stats) = agree_on_both_tiers(&p, "f", &[3], DEFAULT_SIM_FUEL);
             assert!(
                 matches!(out, Err(SimError::Trap(_) | SimError::UnknownFunction(_))),
                 "{what}: {out:?}"
             );
             assert_eq!(stats.instructions, 2, "{what}");
+        }
+    }
+
+    #[test]
+    fn an_unknown_callee_traps_before_its_arguments_are_read_or_the_call_is_charged() {
+        // Found by the store's payload fuzz once its oracle became the
+        // legacy walk: the walk read a call's arguments and charged the call
+        // before it resolved the callee's name, where the prepared stream
+        // resolves the name first. With a vector argument as well, the name
+        // must still be what traps.
+        for args in [vec![r(1)], vec![PReg::vec(0)]] {
+            let body = vec![
+                alu(AluOp::Mul, 1, 0, 0),
+                call("nowhere", args, Some(r(2))),
+                ret(2),
+            ];
+            let p = program(vec![func("f", 1, vec![body])]);
+            let (out, stats) = agree_on_both_tiers(&p, "f", &[3], DEFAULT_SIM_FUEL);
+            assert_eq!(out, Err(SimError::UnknownFunction("nowhere".into())));
+            assert_eq!(stats.instructions, 2);
         }
     }
 

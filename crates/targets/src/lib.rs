@@ -9,8 +9,12 @@
 //! the virtual machine code ([`MProgram`]) emitted by the online compiler and
 //! reports deterministic cycle counts ([`SimStats`]): programs are prepared
 //! once per target ([`PreparedProgram`]) and run through
-//! [`PreparedSimulator`]; the block-walking [`Simulator`] is the independent
-//! reference the differential tests compare that executor against.
+//! [`PreparedSimulator`]; the block-walking [`Simulator`] is the reference
+//! the differential tests compare that executor against. It is not an
+//! independent one: both call the same ALU, FPU, compare, memory and lane
+//! helpers and charge cycles through the same [`TimingModel`] impls, so a
+//! bug there is caught only by the vbc interpreter differentials
+//! (`tests/differential.rs`, `tests/fuzz_differential.rs`).
 //!
 //! Absolute cycle numbers are synthetic; the experiments only rely on the
 //! *relative* behaviour (scalar vs. vectorized code, one target vs. another),

@@ -1144,6 +1144,11 @@ impl<'p> Simulator<'p> {
                     self.stats.branches += 1;
                 }
                 MInst::Call { callee, args, ret } => {
+                    // The name resolves before the arguments are read and the
+                    // call is charged, as on the prepared stream.
+                    if self.program.function(&callee).is_none() {
+                        return Err(SimError::UnknownFunction(callee));
+                    }
                     let mut argv = Vec::with_capacity(args.len());
                     for a in &args {
                         self.check_reg(&frame, *a, &f.name)?;

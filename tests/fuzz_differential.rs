@@ -547,9 +547,9 @@ fn check_program(source: &str, name: &str, seed: u64, float: bool) {
                 "seed {seed}: {} with {mode:?} (pipelined) memory image diverged\n--- source ---\n{source}",
                 target.name
             );
-            // The tier's other two columns — the metered loop and the unfused
-            // stream — must agree with that run on every counter, `stalls`,
-            // `mispredicts` and `predicted` included.
+            // The tier's other column — the unfused stream — must agree with
+            // that run on every counter, `stalls`, `mispredicts` and
+            // `predicted` included.
             let pipelined_unfused = PreparedProgram::prepare_with(&program, &pipe_target, false)
                 .unwrap_or_else(|e| {
                     panic!(
@@ -557,25 +557,21 @@ fn check_program(source: &str, name: &str, seed: u64, float: bool) {
                         target.name
                     )
                 });
-            for (path, prepared, metered) in [
-                ("pipelined metered", &pipelined, true),
-                ("pipelined unfused", &pipelined_unfused, false),
-            ] {
-                let mut path_ws = ws.clone();
-                let mut path_sim = PreparedSimulator::new(prepared);
-                let path_result = if metered {
-                    path_sim.run_metered(name, &args, path_ws.bytes_mut())
-                } else {
-                    path_sim.run(name, &args, path_ws.bytes_mut())
-                };
-                assert_eq!(
-                    (path_result, path_sim.stats()),
-                    (Ok(pipe_result), pipe_sim.stats()),
-                    "seed {seed}: {} with {mode:?}: {path} diverged from the pipelined run\n--- source ---\n{source}",
-                    target.name
-                );
-                assert_eq!(path_ws.bytes(), pipe_ws.bytes(), "seed {seed}: {path}");
-            }
+            let mut unfused_pipe_ws = ws.clone();
+            let mut unfused_pipe_sim = PreparedSimulator::new(&pipelined_unfused);
+            let unfused_pipe_result =
+                unfused_pipe_sim.run(name, &args, unfused_pipe_ws.bytes_mut());
+            assert_eq!(
+                (unfused_pipe_result, unfused_pipe_sim.stats()),
+                (Ok(pipe_result), pipe_sim.stats()),
+                "seed {seed}: {} with {mode:?}: pipelined unfused diverged from the pipelined run\n--- source ---\n{source}",
+                target.name
+            );
+            assert_eq!(
+                unfused_pipe_ws.bytes(),
+                pipe_ws.bytes(),
+                "seed {seed}: pipelined unfused"
+            );
             // The legacy walk under the same tier: every counter, the
             // timing-class ones included, must agree with the prepared run.
             let mut legacy_pipe_ws = ws.clone();

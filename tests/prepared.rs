@@ -6,9 +6,10 @@
 //! `MProgram` walk — results, memory effects and `SimStats` (cycles, stalls,
 //! mispredictions, spill traffic, every counter) alike — for every catalogue
 //! kernel on every simulated target under both timing tiers, whether the
-//! threaded loop runs fused or unfused, on the metered loop too, and with a
-//! deadline that never passes. These tests pin that equivalence down and also check that
-//! pooling/reuse never changes results.
+//! threaded loop runs fused or unfused, with a deadline that never passes,
+//! and (on three presets) at every fuel budget short of a run's length.
+//! These tests pin that
+//! equivalence down and also check that pooling/reuse never changes results.
 
 mod common;
 
@@ -125,44 +126,37 @@ fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
             let legacy_sum = checksum(legacy_result, &prepared_inputs, &legacy_ws);
 
             // Deploy-time prepared forms: the fused threaded loop, the
-            // unfused threaded loop, the metered loop, and the fused loop
-            // again polling a deadline one hour out (which reads the clock
-            // and must change nothing else) — all four must match the
-            // legacy walk bit-for-bit.
+            // unfused threaded loop, and the fused loop again polling a
+            // deadline one hour out (which reads the clock and must change
+            // nothing else) — all three must match the legacy walk
+            // bit-for-bit.
             let fused = PreparedProgram::prepare(&program, &target)
                 .unwrap_or_else(|e| panic!("{name} on {}: prepare failed: {e}", target.name));
             let unfused =
                 PreparedProgram::prepare_with(&program, &target, false).unwrap_or_else(|e| {
                     panic!("{name} on {}: unfused prepare failed: {e}", target.name)
                 });
-            let paths: [(&str, &PreparedProgram, bool, bool); 4] = [
-                ("fused", &fused, false, false),
-                ("unfused", &unfused, false, false),
-                ("metered", &fused, true, false),
-                ("deadline", &fused, false, true),
+            let paths: [(&str, &PreparedProgram, bool); 3] = [
+                ("fused", &fused, false),
+                ("unfused", &unfused, false),
+                ("deadline", &fused, true),
             ];
-            for (path, prepared, metered, deadline) in paths {
+            for (path, prepared, deadline) in paths {
                 let mut prepared_ws = Workspace::new(1 << 16);
                 let inputs = setup(&mut prepared_ws);
                 let mut pool = FramePool::new();
                 pool.set_deadline(deadline.then(|| Instant::now() + Duration::from_secs(3600)));
-                let run = if metered {
-                    PreparedProgram::run_metered
-                } else {
-                    PreparedProgram::run
-                };
                 let mut stats = SimStats::default();
-                let mem = prepared_ws.bytes_mut();
-                let result = run(
-                    prepared,
-                    name,
-                    &inputs.args,
-                    mem,
-                    &mut pool,
-                    DEFAULT_SIM_FUEL,
-                    &mut stats,
-                )
-                .unwrap_or_else(|e| panic!("{name} on {} ({path}): {e}", target.name));
+                let result = prepared
+                    .run(
+                        name,
+                        &inputs.args,
+                        prepared_ws.bytes_mut(),
+                        &mut pool,
+                        DEFAULT_SIM_FUEL,
+                        &mut stats,
+                    )
+                    .unwrap_or_else(|e| panic!("{name} on {} ({path}): {e}", target.name));
 
                 assert_eq!(
                     result, legacy_result,
@@ -481,7 +475,7 @@ fn executed_vector_spills_do_not_allocate_once_the_pool_is_warm() {
     // vector registers, so its loop body spills and reloads vectors on every
     // iteration. The first run sizes the recycled frame — and, under in-order
     // timing, the pipeline's scoreboard table, which the pool keeps; from the
-    // second run on, neither dispatch loop may touch the allocator under
+    // second run on, the dispatch loop may not touch the allocator under
     // either timing tier.
     let kernel = kernel("horner_f32").expect("horner_f32 is in the catalogue");
     let mut module =
@@ -491,24 +485,14 @@ fn executed_vector_spills_do_not_allocate_once_the_pool_is_warm() {
     let (program, _jit) = compile_module(&module, &flat, &JitOptions::split()).unwrap();
     let in_order = flat.clone().with_timing(TimingKind::InOrder);
 
-    for (target, metered) in [
-        (&flat, false),
-        (&flat, true),
-        (&in_order, false),
-        (&in_order, true),
-    ] {
+    for target in [&flat, &in_order] {
         let prepared = PreparedProgram::prepare(&program, target).unwrap();
         let mut sim = PreparedSimulator::new(&prepared);
         let run = |sim: &mut PreparedSimulator<'_>| {
             let mut ws = Workspace::new(1 << 16);
             let inputs = prepare(kernel.name, N, 5, &mut ws);
-            let (result, allocations) = allocations_in(|| {
-                if metered {
-                    sim.run_metered(kernel.name, &inputs.args, ws.bytes_mut())
-                } else {
-                    sim.run(kernel.name, &inputs.args, ws.bytes_mut())
-                }
-            });
+            let (result, allocations) =
+                allocations_in(|| sim.run(kernel.name, &inputs.args, ws.bytes_mut()));
             let sum = checksum(result.unwrap(), &inputs, &ws);
             (sum, sim.stats(), allocations)
         };
@@ -518,7 +502,7 @@ fn executed_vector_spills_do_not_allocate_once_the_pool_is_warm() {
             first_stats.spill_stores > 0 && first_stats.vector_ops > 0,
             "the kernel must actually spill vectors: {first_stats:?}"
         );
-        let path = format!("{:?}, metered: {metered}", target.timing);
+        let path = format!("{:?}", target.timing);
         assert_eq!(second_allocations, 0, "{path}");
         assert_eq!(second_stats, first_stats, "{path}");
         assert_eq!(second_sum, first_sum, "{path}");
