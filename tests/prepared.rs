@@ -20,7 +20,8 @@ use splitc_jit::{compile_module, JitOptions, RegAllocMode};
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_runtime::{ExecutionEngine, FramePool};
 use splitc_targets::{
-    Fnv1a, MachineValue, SimError, SimStats, Simulator, TargetDesc, TimingKind, DEFAULT_SIM_FUEL,
+    AluOp, Fnv1a, FpuOp, MBlock, MFunction, MInst, MProgram, MachineValue, PReg, RedOp, SimError,
+    SimStats, Simulator, TargetDesc, TimingKind, VectorUnit, Width, DEFAULT_SIM_FUEL,
 };
 use splitc_vbc::Module;
 use splitc_workloads::{all_kernels, full_module, kernel, module_for};
@@ -569,4 +570,345 @@ fn engine_pooled_sweep_path_matches_legacy_per_cell_execution() {
     // One compile (and one preparation) per catalogue target, however many
     // cells ran — derived from the catalogue, never a hardcoded count.
     assert_eq!(engine.stats().compiles, targets.len() as u64);
+}
+
+/// Whole-run digests of the lane pin below, one per vector unit: FNV-1a over
+/// every kernel × input image's outcome, memory and `SimStats`, in order.
+/// Recorded on an x86-64 host, where a NaN that arithmetic creates (`inf -
+/// inf`, `0 × inf`) has the sign bit set; other hosts may differ there.
+const LANE_PINS: [(&str, u64); 3] = [
+    ("x86-sse", 13_862_389_627_824_549_428),
+    ("gpu-wide", 17_593_320_651_900_494_093),
+    ("wide-256", 12_518_057_707_419_956_190),
+];
+
+const WIDTHS: [Width; 4] = [Width::W8, Width::W16, Width::W32, Width::W64];
+
+/// The vector units of the lane pin: SSE's 16 bytes, the GPU preset's 64 and
+/// a custom 256-byte unit.
+fn lane_pin_targets() -> [TargetDesc; 3] {
+    let mut wide = TargetDesc::x86_sse();
+    wide.name = "wide-256".into();
+    wide.vector = Some(VectorUnit {
+        bytes: 256,
+        regs: 8,
+    });
+    [TargetDesc::x86_sse(), TargetDesc::gpu_wide(), wide]
+}
+
+/// One straight-line function per vector instruction kind, element width,
+/// signedness and operator, for a `vb`-byte vector unit, each with its
+/// element width. A function takes a base address, reads its left operand at
+/// `base` and its right operand (or the scalar it splats) at `base + vb`, and
+/// stores a vector result at `base + 2 vb` or a reduction at `base + 3 vb`.
+/// The element-wise ops overwrite their left operand, so the lane loops run
+/// in place.
+fn lane_kernels(vb: i64) -> Vec<(Width, MFunction)> {
+    use MInst::*;
+    let (base, x, f) = (PReg::int(0), PReg::int(1), PReg::float(0));
+    let (v0, v1) = (PReg::vec(0), PReg::vec(1));
+    let load = |dst, offset| VecLoad { dst, base, offset };
+    let store = || VecStore {
+        base,
+        offset: 2 * vb,
+        src: v0,
+    };
+    let scalar = |float, dst| Load {
+        width: Width::W64,
+        float,
+        signed: true,
+        dst,
+        base,
+        offset: vb,
+    };
+    let reduced = |float, src| Store {
+        width: Width::W64,
+        float,
+        base,
+        offset: 3 * vb,
+        src,
+    };
+    let alu = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::Mul,
+        AluOp::Div,
+        AluOp::Rem,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Shl,
+        AluOp::Shr,
+        AluOp::Min,
+        AluOp::Max,
+    ];
+    let fpu = [
+        FpuOp::Add,
+        FpuOp::Sub,
+        FpuOp::Mul,
+        FpuOp::Div,
+        FpuOp::Min,
+        FpuOp::Max,
+    ];
+    let mut bodies = Vec::new();
+    for elem in WIDTHS {
+        let (src, dst) = (x, v0);
+        bodies.push((
+            elem,
+            vec![scalar(false, x), VecSplatInt { elem, dst, src }, store()],
+        ));
+        let src = f;
+        bodies.push((
+            elem,
+            vec![scalar(true, f), VecSplatFloat { elem, dst, src }, store()],
+        ));
+        for op in alu {
+            for signed in [false, true] {
+                let (lhs, rhs) = (v0, v1);
+                let inst = VecIntOp {
+                    op,
+                    elem,
+                    signed,
+                    dst,
+                    lhs,
+                    rhs,
+                };
+                bodies.push((elem, vec![load(v0, 0), load(v1, vb), inst, store()]));
+            }
+        }
+        for op in fpu {
+            let inst = VecFloatOp {
+                op,
+                elem,
+                dst,
+                lhs: v0,
+                rhs: v1,
+            };
+            bodies.push((elem, vec![load(v0, 0), load(v1, vb), inst, store()]));
+        }
+        for op in [RedOp::Add, RedOp::Min, RedOp::Max] {
+            for signed in [false, true] {
+                let inst = VecReduceInt {
+                    op,
+                    elem,
+                    signed,
+                    dst: x,
+                    src: v0,
+                };
+                bodies.push((elem, vec![load(v0, 0), inst, reduced(false, x)]));
+            }
+            let inst = VecReduceFloat {
+                op,
+                elem,
+                dst: f,
+                src: v0,
+            };
+            bodies.push((elem, vec![load(v0, 0), inst, reduced(true, f)]));
+        }
+    }
+    bodies
+        .into_iter()
+        .enumerate()
+        .map(|(i, (elem, mut insts))| {
+            insts.push(Ret { value: None });
+            let function = MFunction {
+                name: format!("k{i}"),
+                params: vec![base],
+                blocks: vec![MBlock { insts }],
+                num_slots: 0,
+            };
+            (elem, function)
+        })
+        .collect()
+}
+
+/// Sign-boundary integers of one `elem` lane, with or without zero.
+fn int_bounds(elem: Width, zero: bool) -> Vec<u64> {
+    let shift = 64 - 8 * elem.bytes() as u32;
+    let (min, max) = (i64::MIN >> shift, i64::MAX >> shift);
+    let mut v = vec![1, -1, 2, -2, 7, min, min + 1, max, max - 1];
+    if zero {
+        v.push(0);
+    }
+    v.into_iter().map(|x| x as u64).collect()
+}
+
+/// Shift counts around the lane width and the 64-bit mask, negatives too.
+fn shift_counts(elem: Width) -> Vec<u64> {
+    let bits = 8 * elem.bytes() as i64;
+    let counts = [0, 1, bits - 1, bits, bits + 1, 63, 64, 65, 127, 128, 255];
+    let negative = [-1, -63, -64, -65, i64::MIN];
+    counts
+        .into_iter()
+        .chain(negative)
+        .map(|x| x as u64)
+        .collect()
+}
+
+/// NaN (quiet, signalling, with a payload), ±0, ±inf, subnormals and the
+/// extremes, as bit patterns of one `elem` lane; W8 / W16 float lanes take
+/// integer boundaries.
+fn float_specials(elem: Width) -> Vec<u64> {
+    match elem {
+        Width::W32 => [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            -1.5,
+            f32::MIN_POSITIVE,
+            1e-40,
+            f32::MAX,
+            f32::MIN,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffa0_0001),
+        ]
+        .map(|v| u64::from(v.to_bits()))
+        .to_vec(),
+        Width::W64 => [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.0,
+            -1.5,
+            f64::MIN_POSITIVE,
+            1e-310,
+            3.5e38,
+            f64::MAX,
+            f64::MIN,
+            f64::from_bits(0x7ff8_0000_0000_1234),
+            f64::from_bits(0x7ff0_0000_0000_0001),
+        ]
+        .map(f64::to_bits)
+        .to_vec(),
+        _ => int_bounds(elem, true),
+    }
+}
+
+/// SplitMix64, so the pin's inputs depend on nothing outside this file.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One input image of the lane pin: the lane width its values are drawn at,
+/// then the left and right operands' value sets (`None` for random bytes).
+type Image<'a> = (Width, Option<&'a [u64]>, Option<&'a [u64]>);
+
+/// Fill `region` lane by lane with values drawn from `values` at width
+/// `lane`, or with random bytes when `values` is `None`.
+fn fill(region: &mut [u8], lane: Width, values: Option<&[u64]>, rng: &mut u64) {
+    let size = lane.bytes() as usize;
+    for chunk in region.chunks_exact_mut(size) {
+        let r = splitmix(rng);
+        let bits = values.map_or(r, |v| v[(r % v.len() as u64) as usize]);
+        chunk.copy_from_slice(&bits.to_le_bytes()[..size]);
+    }
+}
+
+#[test]
+fn vector_lanes_match_the_legacy_walk_and_their_recorded_digest() {
+    // Both executors read and write lanes through the same helpers, so the
+    // prepared-vs-legacy comparison alone cannot catch a helper bug: the
+    // digest, recorded before any change to those helpers, can. Every kind x
+    // width x signedness x operator runs against seeded images holding sign
+    // boundaries (zero divisors trap), shift counts past the width and below
+    // zero, and float specials; W64 images give the splats boundary scalars.
+    const BASE: usize = 64;
+    let (mut traps, mut completions) = (0u32, 0u32);
+    let mut digests = Vec::new();
+    for target in lane_pin_targets() {
+        let vb = target.vector_bytes() as usize;
+        let kernels = lane_kernels(vb as i64);
+        let program = MProgram {
+            name: "lanes".into(),
+            functions: kernels.iter().map(|(_, f)| f.clone()).collect(),
+        };
+        let prepared = PreparedProgram::prepare(&program, &target)
+            .unwrap_or_else(|e| panic!("{}: {e}", target.name));
+        let mut pool = FramePool::new();
+        let mut rng = 0x1a2e_5eed;
+        let mut digest = Fnv1a::new();
+        for (elem, function) in &kernels {
+            let elem = *elem;
+            let (bounds, divisors) = (int_bounds(elem, true), int_bounds(elem, false));
+            let (shifts, floats) = (shift_counts(elem), float_specials(elem));
+            let (wide_ints, wide_floats) =
+                (int_bounds(Width::W64, true), float_specials(Width::W64));
+            let images: [Image; 7] = [
+                (elem, None, None),
+                (elem, Some(&bounds), Some(&bounds)),
+                (elem, Some(&bounds), Some(&divisors)),
+                (elem, Some(&bounds), Some(&shifts)),
+                (elem, Some(&floats), Some(&floats)),
+                (Width::W64, Some(&wide_ints), Some(&wide_ints)),
+                (Width::W64, Some(&wide_floats), Some(&wide_floats)),
+            ];
+            for (image, (lane, lhs, rhs)) in images.into_iter().enumerate() {
+                let cell = format!(
+                    "{:?} on {}, image {image}",
+                    function.blocks[0].insts, target.name
+                );
+                let mut fresh = vec![0u8; BASE + 3 * vb + 8];
+                fill(&mut fresh[BASE..BASE + vb], lane, lhs, &mut rng);
+                fill(&mut fresh[BASE + vb..BASE + 2 * vb], lane, rhs, &mut rng);
+                let args = [MachineValue::Int(BASE as i64)];
+
+                let mut want_mem = fresh.clone();
+                let mut sim = Simulator::new(&program, &target);
+                let want = sim.run_legacy(&function.name, &args, &mut want_mem);
+                let mut mem = fresh.clone();
+                let mut stats = SimStats::default();
+                let out = prepared.run(
+                    &function.name,
+                    &args,
+                    &mut mem,
+                    &mut pool,
+                    DEFAULT_SIM_FUEL,
+                    &mut stats,
+                );
+                assert_eq!(out, want, "{cell}");
+                assert_eq!(stats, sim.stats(), "{cell}");
+                assert!(mem == want_mem, "{cell}: memory");
+
+                match &out {
+                    Ok(_) => completions += 1,
+                    Err(SimError::Trap(_)) => traps += 1,
+                    Err(e) => panic!("{cell}: {e}"),
+                }
+                digest.write(format!("{out:?}").as_bytes());
+                digest.write(&mem);
+                for counter in [
+                    stats.cycles,
+                    stats.stalls,
+                    stats.mispredicts,
+                    stats.predicted,
+                ] {
+                    digest.write(&counter.to_le_bytes());
+                }
+                for counter in arch(&stats) {
+                    digest.write(&counter.to_le_bytes());
+                }
+            }
+        }
+        digests.push((target.name.clone(), digest.finish()));
+    }
+    assert!(
+        traps > 0 && completions > traps,
+        "{traps} traps, {completions} completions"
+    );
+    let pinned: Vec<(String, u64)> = LANE_PINS
+        .iter()
+        .map(|&(name, digest)| (name.to_owned(), digest))
+        .collect();
+    assert_eq!(digests, pinned, "vector lane semantics moved");
 }
