@@ -121,7 +121,9 @@ use crate::dispatch::{self, ExecCtx, FuseKind, OpMeta, OpRecord};
 use crate::mcode::{
     AluOp, CmpPred, FpuOp, MFunction, MInst, MProgram, PReg, RedOp, RegClass, Width,
 };
-use crate::simulator::{MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH};
+use crate::simulator::{
+    lane_count, MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH,
+};
 use crate::timing::{InOrderPipeline, LatClass, SlotKey, TimingKind, TimingModel, NO_REG};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -836,8 +838,9 @@ impl PreparedProgram {
     /// 4. **Vectors.** Vector instructions are refused on a target without a
     ///    vector unit, and lane counts are computed here as `vector_bytes /
     ///    elem.bytes()`, so lanes × element size never exceeds
-    ///    `vector_bytes`. (Vector registers and spilled vectors are sliced
-    ///    with bounds checks besides.)
+    ///    `vector_bytes`, and there is at least one lane: an element wider
+    ///    than the vector register is refused. (Vector registers and spilled
+    ///    vectors are sliced with bounds checks besides.)
     /// 5. **Regions close.** Every straight-line region ends in a control
     ///    record (a synthetic fall-off where the code has no terminator), at
     ///    the region's first enum pc plus its instruction count less one: a
@@ -861,8 +864,9 @@ impl PreparedProgram {
     /// register file — and for an operand of a class its instruction does
     /// not take, which the legacy walk does not look for —
     /// [`SimError::NoVectorUnit`] for vector instructions on a scalar-only
-    /// target, and [`SimError::Trap`] for malformed control flow or a slot
-    /// table past the frame limit.
+    /// target, and [`SimError::Trap`] for malformed control flow, a slot
+    /// table past the frame limit or a vector element wider than the vector
+    /// register.
     pub fn prepare(program: &MProgram, target: &TargetDesc) -> Result<PreparedProgram, SimError> {
         PreparedProgram::prepare_with(program, target, true)
     }
@@ -1336,7 +1340,10 @@ fn prepare_function(
             })
         }
     };
-    let lanes_for = |elem: Width| (target.vector_bytes() / elem.bytes()) as u32;
+    let lanes_for = |elem: Width| -> Result<u32, SimError> {
+        require_simd()?;
+        Ok(lane_count(target.vector_bytes(), elem, fname)? as u32)
+    };
 
     let mut params = Vec::with_capacity(f.params.len());
     for p in &f.params {
@@ -1587,24 +1594,18 @@ fn prepare_function(
                         src: layout.resolve(*src, fname)?,
                     }
                 }
-                MInst::VecSplatInt { elem, dst, src } => {
-                    require_simd()?;
-                    PInst::VecSplatInt {
-                        elem: *elem,
-                        lanes: lanes_for(*elem),
-                        dst: layout.resolve(*dst, fname)?,
-                        src: layout.resolve(*src, fname)?,
-                    }
-                }
-                MInst::VecSplatFloat { elem, dst, src } => {
-                    require_simd()?;
-                    PInst::VecSplatFloat {
-                        elem: *elem,
-                        lanes: lanes_for(*elem),
-                        dst: layout.resolve(*dst, fname)?,
-                        src: layout.resolve(*src, fname)?,
-                    }
-                }
+                MInst::VecSplatInt { elem, dst, src } => PInst::VecSplatInt {
+                    elem: *elem,
+                    lanes: lanes_for(*elem)?,
+                    dst: layout.resolve(*dst, fname)?,
+                    src: layout.resolve(*src, fname)?,
+                },
+                MInst::VecSplatFloat { elem, dst, src } => PInst::VecSplatFloat {
+                    elem: *elem,
+                    lanes: lanes_for(*elem)?,
+                    dst: layout.resolve(*dst, fname)?,
+                    src: layout.resolve(*src, fname)?,
+                },
                 MInst::VecIntOp {
                     op,
                     elem,
@@ -1612,63 +1613,51 @@ fn prepare_function(
                     dst,
                     lhs,
                     rhs,
-                } => {
-                    require_simd()?;
-                    PInst::VecIntOp {
-                        op: *op,
-                        elem: *elem,
-                        signed: *signed,
-                        lanes: lanes_for(*elem),
-                        dst: layout.resolve(*dst, fname)?,
-                        lhs: layout.resolve(*lhs, fname)?,
-                        rhs: layout.resolve(*rhs, fname)?,
-                    }
-                }
+                } => PInst::VecIntOp {
+                    op: *op,
+                    elem: *elem,
+                    signed: *signed,
+                    lanes: lanes_for(*elem)?,
+                    dst: layout.resolve(*dst, fname)?,
+                    lhs: layout.resolve(*lhs, fname)?,
+                    rhs: layout.resolve(*rhs, fname)?,
+                },
                 MInst::VecFloatOp {
                     op,
                     elem,
                     dst,
                     lhs,
                     rhs,
-                } => {
-                    require_simd()?;
-                    PInst::VecFloatOp {
-                        op: *op,
-                        elem: *elem,
-                        double: *elem == Width::W64,
-                        lanes: lanes_for(*elem),
-                        dst: layout.resolve(*dst, fname)?,
-                        lhs: layout.resolve(*lhs, fname)?,
-                        rhs: layout.resolve(*rhs, fname)?,
-                    }
-                }
+                } => PInst::VecFloatOp {
+                    op: *op,
+                    elem: *elem,
+                    double: *elem == Width::W64,
+                    lanes: lanes_for(*elem)?,
+                    dst: layout.resolve(*dst, fname)?,
+                    lhs: layout.resolve(*lhs, fname)?,
+                    rhs: layout.resolve(*rhs, fname)?,
+                },
                 MInst::VecReduceInt {
                     op,
                     elem,
                     signed,
                     dst,
                     src,
-                } => {
-                    require_simd()?;
-                    PInst::VecReduceInt {
-                        op: *op,
-                        elem: *elem,
-                        signed: *signed,
-                        lanes: lanes_for(*elem),
-                        dst: layout.resolve(*dst, fname)?,
-                        src: layout.resolve(*src, fname)?,
-                    }
-                }
-                MInst::VecReduceFloat { op, elem, dst, src } => {
-                    require_simd()?;
-                    PInst::VecReduceFloat {
-                        op: *op,
-                        elem: *elem,
-                        lanes: lanes_for(*elem),
-                        dst: layout.resolve(*dst, fname)?,
-                        src: layout.resolve(*src, fname)?,
-                    }
-                }
+                } => PInst::VecReduceInt {
+                    op: *op,
+                    elem: *elem,
+                    signed: *signed,
+                    lanes: lanes_for(*elem)?,
+                    dst: layout.resolve(*dst, fname)?,
+                    src: layout.resolve(*src, fname)?,
+                },
+                MInst::VecReduceFloat { op, elem, dst, src } => PInst::VecReduceFloat {
+                    op: *op,
+                    elem: *elem,
+                    lanes: lanes_for(*elem)?,
+                    dst: layout.resolve(*dst, fname)?,
+                    src: layout.resolve(*src, fname)?,
+                },
                 MInst::Spill { slot, src } => {
                     let s = layout.resolve(*src, fname)?;
                     let slot = *slot;
@@ -1919,6 +1908,71 @@ mod tests {
         let err = PreparedProgram::prepare(&vecp, &TargetDesc::ultrasparc()).unwrap_err();
         assert!(matches!(err, SimError::NoVectorUnit { .. }));
         assert!(PreparedProgram::prepare(&vecp, &TargetDesc::x86_sse()).is_ok());
+    }
+
+    #[test]
+    fn vector_elements_wider_than_the_register_are_refused_by_both_paths() {
+        // A 4-byte vector unit has no W64 lane: every instruction that
+        // computes lanes is refused, by prepare and by the legacy walk alike,
+        // where both used to index lane 0 past the register and panic.
+        let target = TargetDesc {
+            vector: Some(crate::VectorUnit { bytes: 4, regs: 8 }),
+            ..TargetDesc::x86_sse()
+        };
+        let (elem, signed, op) = (Width::W64, true, RedOp::Add);
+        let (x, f, v) = (PReg::int(0), PReg::float(0), PReg::vec(0));
+        let (dst, lhs, rhs) = (v, v, v);
+        let insts = [
+            MInst::VecSplatInt { elem, dst, src: x },
+            MInst::VecSplatFloat { elem, dst, src: f },
+            MInst::VecIntOp {
+                op: AluOp::Add,
+                elem,
+                signed,
+                dst,
+                lhs,
+                rhs,
+            },
+            MInst::VecFloatOp {
+                op: FpuOp::Add,
+                elem,
+                dst,
+                lhs,
+                rhs,
+            },
+            MInst::VecReduceInt {
+                op,
+                elem,
+                signed,
+                dst: x,
+                src: v,
+            },
+            MInst::VecReduceFloat {
+                op,
+                elem,
+                dst: f,
+                src: v,
+            },
+        ];
+        for inst in insts {
+            let program = MProgram {
+                name: "wide".into(),
+                functions: vec![MFunction {
+                    name: "f".into(),
+                    params: vec![],
+                    blocks: vec![MBlock {
+                        insts: vec![inst.clone(), MInst::Ret { value: None }],
+                    }],
+                    num_slots: 0,
+                }],
+            };
+            let want = SimError::Trap("8-byte lanes in a 4-byte vector register in f".into());
+            let err = PreparedProgram::prepare(&program, &target).unwrap_err();
+            assert_eq!(err, want, "{inst:?}");
+            let mut sim = crate::Simulator::new(&program, &target);
+            let legacy = sim.run_legacy("f", &[], &mut [0u8; 16]);
+            assert_eq!(legacy, Err(want), "{inst:?}");
+        }
     }
 
     /// One instance of every `MInst` variant, every operand in the register

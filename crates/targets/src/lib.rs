@@ -14,7 +14,8 @@
 //! independent one: both call the same ALU, FPU, compare, memory and lane
 //! helpers and charge cycles through the same [`TimingModel`] impls, so a
 //! bug there is caught only by the vbc interpreter differentials
-//! (`tests/differential.rs`, `tests/fuzz_differential.rs`).
+//! (`tests/differential.rs`, `tests/fuzz_differential.rs`) and, for the
+//! lane helpers, by the recorded lane digest in `tests/prepared.rs`.
 //!
 //! Absolute cycle numbers are synthetic; the experiments only rely on the
 //! *relative* behaviour (scalar vs. vectorized code, one target vs. another),

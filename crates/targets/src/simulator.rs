@@ -392,8 +392,11 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    fn lanes(&self, elem: Width) -> usize {
-        (self.target.vector_bytes() / elem.bytes()) as usize
+    /// Lane count of `elem` on this target's vector unit, refusing (as
+    /// `prepare` does) a scalar-only target or an element wider than the unit.
+    fn lanes(&self, elem: Width, fname: &str) -> Result<usize, SimError> {
+        self.require_simd(fname)?;
+        lane_count(self.target.vector_bytes(), elem, fname)
     }
 
     fn new_frame(&self, f: &MFunction) -> Frame {
@@ -904,10 +907,9 @@ impl<'p> Simulator<'p> {
                     self.stats.vector_ops += 1;
                 }
                 MInst::VecSplatInt { elem, dst, src } => {
-                    self.require_simd(&f.name)?;
+                    let lanes = self.lanes(elem, &f.name)?;
                     let v = geti!(src);
                     self.check_reg(&frame, dst, &f.name)?;
-                    let lanes = self.lanes(elem);
                     let reg = &mut frame.vec[usize::from(dst.index)];
                     for lane in 0..lanes {
                         write_lane_int(reg, lane, elem, v);
@@ -923,10 +925,9 @@ impl<'p> Simulator<'p> {
                     self.stats.vector_ops += 1;
                 }
                 MInst::VecSplatFloat { elem, dst, src } => {
-                    self.require_simd(&f.name)?;
+                    let lanes = self.lanes(elem, &f.name)?;
                     let v = getf!(src);
                     self.check_reg(&frame, dst, &f.name)?;
-                    let lanes = self.lanes(elem);
                     let reg = &mut frame.vec[usize::from(dst.index)];
                     for lane in 0..lanes {
                         write_lane_float(reg, lane, elem, v);
@@ -949,11 +950,10 @@ impl<'p> Simulator<'p> {
                     lhs,
                     rhs,
                 } => {
-                    self.require_simd(&f.name)?;
+                    let lanes = self.lanes(elem, &f.name)?;
                     self.check_reg(&frame, dst, &f.name)?;
                     self.check_reg(&frame, lhs, &f.name)?;
                     self.check_reg(&frame, rhs, &f.name)?;
-                    let lanes = self.lanes(elem);
                     let a = frame.vec[usize::from(lhs.index)].clone();
                     let b = frame.vec[usize::from(rhs.index)].clone();
                     let out = &mut frame.vec[usize::from(dst.index)];
@@ -979,11 +979,10 @@ impl<'p> Simulator<'p> {
                     lhs,
                     rhs,
                 } => {
-                    self.require_simd(&f.name)?;
+                    let lanes = self.lanes(elem, &f.name)?;
                     self.check_reg(&frame, dst, &f.name)?;
                     self.check_reg(&frame, lhs, &f.name)?;
                     self.check_reg(&frame, rhs, &f.name)?;
-                    let lanes = self.lanes(elem);
                     let a = frame.vec[usize::from(lhs.index)].clone();
                     let b = frame.vec[usize::from(rhs.index)].clone();
                     let out = &mut frame.vec[usize::from(dst.index)];
@@ -1009,10 +1008,9 @@ impl<'p> Simulator<'p> {
                     dst,
                     src,
                 } => {
-                    self.require_simd(&f.name)?;
+                    let lanes = self.lanes(elem, &f.name)?;
                     self.check_reg(&frame, dst, &f.name)?;
                     self.check_reg(&frame, src, &f.name)?;
-                    let lanes = self.lanes(elem);
                     let reg = frame.vec[usize::from(src.index)].clone();
                     let mut acc = read_lane_int(&reg, 0, elem, signed);
                     for lane in 1..lanes {
@@ -1035,10 +1033,9 @@ impl<'p> Simulator<'p> {
                     self.stats.vector_ops += 1;
                 }
                 MInst::VecReduceFloat { op, elem, dst, src } => {
-                    self.require_simd(&f.name)?;
+                    let lanes = self.lanes(elem, &f.name)?;
                     self.check_reg(&frame, dst, &f.name)?;
                     self.check_reg(&frame, src, &f.name)?;
-                    let lanes = self.lanes(elem);
                     let reg = frame.vec[usize::from(src.index)].clone();
                     let mut acc = read_lane_float(&reg, 0, elem);
                     for lane in 1..lanes {
@@ -1256,7 +1253,8 @@ pub(crate) fn read_mem(mem: &[u8], addr: i64, len: u64) -> Result<u64, SimError>
     // the widest arm reads exactly the 8 bytes that were checked. This rests
     // on none of the prepare facts: an address is a run-time value, checked
     // here at every access. Reading a fixed width beats the variable-length
-    // `copy_from_slice` (a memcpy call) this compiled to before.
+    // `copy_from_slice` (a memcpy call) this compiled to before; the vector
+    // lane helpers (`lane` / `set_lane` below) follow the same rule, safely.
     let p = unsafe { mem.as_ptr().add(addr as usize) };
     Ok(unsafe {
         match len {
@@ -1285,37 +1283,82 @@ pub(crate) fn write_mem(mem: &mut [u8], addr: i64, len: u64, value: u64) -> Resu
     Ok(())
 }
 
-pub(crate) fn read_lane_int(reg: &[u8], lane: usize, elem: Width, signed: bool) -> i64 {
-    let size = elem.bytes() as usize;
-    let mut buf = [0u8; 8];
-    buf[..size].copy_from_slice(&reg[lane * size..lane * size + size]);
-    normalize(elem, signed, u64::from_le_bytes(buf) as i64)
-}
-
-pub(crate) fn write_lane_int(reg: &mut [u8], lane: usize, elem: Width, value: i64) {
-    let size = elem.bytes() as usize;
-    let bytes = (value as u64).to_le_bytes();
-    reg[lane * size..lane * size + size].copy_from_slice(&bytes[..size]);
-}
-
-pub(crate) fn read_lane_float(reg: &[u8], lane: usize, elem: Width) -> f64 {
-    let size = elem.bytes() as usize;
-    let mut buf = [0u8; 8];
-    buf[..size].copy_from_slice(&reg[lane * size..lane * size + size]);
-    match elem {
-        Width::W32 => f64::from(f32::from_bits(u64::from_le_bytes(buf) as u32)),
-        _ => f64::from_bits(u64::from_le_bytes(buf)),
+/// Lanes of `elem` in a `vector_bytes`-byte register. An element wider than
+/// the register has no lane 0 for a reduction to start from, so the
+/// instruction is refused: at prepare time by `prepare`, at run time by the
+/// legacy walk, with the same trap.
+pub(crate) fn lane_count(vector_bytes: u64, elem: Width, fname: &str) -> Result<usize, SimError> {
+    match vector_bytes / elem.bytes() {
+        0 => Err(SimError::Trap(format!(
+            "{}-byte lanes in a {vector_bytes}-byte vector register in {fname}",
+            elem.bytes()
+        ))),
+        lanes => Ok(lanes as usize),
     }
 }
 
+/// Bits of lane `i` of `reg`, `B` bytes wide, zero-extended. `B` is a
+/// constant at each call, so this is one bounds-checked slice and a
+/// fixed-width load, not a memcpy.
+#[inline(always)]
+fn lane<const B: usize>(reg: &[u8], i: usize) -> u64 {
+    let mut buf = [0u8; 8];
+    buf[..B].copy_from_slice(&reg[i * B..i * B + B]);
+    u64::from_le_bytes(buf)
+}
+
+/// Store the low `B` bytes of `bits` into lane `i` of `reg`.
+#[inline(always)]
+fn set_lane<const B: usize>(reg: &mut [u8], i: usize, bits: u64) {
+    reg[i * B..i * B + B].copy_from_slice(&bits.to_le_bytes()[..B]);
+}
+
+#[inline(always)]
+fn read_lane(reg: &[u8], i: usize, elem: Width) -> u64 {
+    match elem {
+        Width::W8 => lane::<1>(reg, i),
+        Width::W16 => lane::<2>(reg, i),
+        Width::W32 => lane::<4>(reg, i),
+        Width::W64 => lane::<8>(reg, i),
+    }
+}
+
+#[inline(always)]
+fn write_lane(reg: &mut [u8], i: usize, elem: Width, bits: u64) {
+    match elem {
+        Width::W8 => set_lane::<1>(reg, i, bits),
+        Width::W16 => set_lane::<2>(reg, i, bits),
+        Width::W32 => set_lane::<4>(reg, i, bits),
+        Width::W64 => set_lane::<8>(reg, i, bits),
+    }
+}
+
+#[inline]
+pub(crate) fn read_lane_int(reg: &[u8], lane: usize, elem: Width, signed: bool) -> i64 {
+    normalize(elem, signed, read_lane(reg, lane, elem) as i64)
+}
+
+#[inline]
+pub(crate) fn write_lane_int(reg: &mut [u8], lane: usize, elem: Width, value: i64) {
+    write_lane(reg, lane, elem, value as u64);
+}
+
+#[inline]
+pub(crate) fn read_lane_float(reg: &[u8], lane: usize, elem: Width) -> f64 {
+    let bits = read_lane(reg, lane, elem);
+    match elem {
+        Width::W32 => f64::from(f32::from_bits(bits as u32)),
+        _ => f64::from_bits(bits),
+    }
+}
+
+#[inline]
 pub(crate) fn write_lane_float(reg: &mut [u8], lane: usize, elem: Width, value: f64) {
-    let size = elem.bytes() as usize;
-    let raw = match elem {
+    let bits = match elem {
         Width::W32 => u64::from((value as f32).to_bits()),
         _ => value.to_bits(),
     };
-    let bytes = raw.to_le_bytes();
-    reg[lane * size..lane * size + size].copy_from_slice(&bytes[..size]);
+    write_lane(reg, lane, elem, bits);
 }
 
 #[cfg(test)]
