@@ -876,14 +876,55 @@ mod tests {
         }
     }
 
+    /// FNV-1a over one run: its outcome (variant, value bits, error text),
+    /// all eleven `SimStats` counters and the whole memory image.
+    fn run_digest(
+        out: &Result<Option<splitc_targets::MachineValue>, splitc_targets::SimError>,
+        s: &splitc_targets::SimStats,
+        mem: &[u8],
+    ) -> u64 {
+        use splitc_targets::MachineValue;
+        let mut h = Fnv1a::new();
+        match out {
+            Ok(Some(MachineValue::Int(v))) => {
+                h.write(b"int");
+                h.write(&v.to_le_bytes());
+            }
+            Ok(Some(MachineValue::Float(v))) => {
+                h.write(b"float");
+                h.write(&v.to_bits().to_le_bytes());
+            }
+            Ok(None) => h.write(b"none"),
+            Err(e) => h.write(format!("{e:?}").as_bytes()),
+        }
+        for counter in [
+            s.cycles,
+            s.instructions,
+            s.loads,
+            s.stores,
+            s.spill_stores,
+            s.spill_reloads,
+            s.branches,
+            s.vector_ops,
+            s.stalls,
+            s.mispredicts,
+            s.predicted,
+        ] {
+            h.write(&counter.to_le_bytes());
+        }
+        h.write(mem);
+        h.finish()
+    }
+
     /// Run every function of `program`, prepared for `target` as `prepared`,
     /// and again on the legacy walk of `program` at the same fuel, and
-    /// require bit-identical outcomes, stats and memory.
+    /// require bit-identical outcomes, stats and memory. Returns the fold of
+    /// the walk's run digests.
     fn assert_matches_legacy(
         prepared: &splitc_targets::PreparedProgram,
         program: &MProgram,
         target: &TargetDesc,
-    ) {
+    ) -> u64 {
         use splitc_targets::{FramePool, MachineValue, SimError, SimStats, Simulator};
         const FUEL: u64 = 2_000;
         // Floats by their bits, so that a NaN result compares equal to itself.
@@ -896,6 +937,7 @@ mod tests {
             })
         };
         let mut pool = FramePool::new();
+        let mut fold = Fnv1a::new();
         for f in &program.functions {
             let args: Vec<MachineValue> = f
                 .params
@@ -912,6 +954,8 @@ mod tests {
             let out = prepared.run(&f.name, &args, &mut mem, &mut pool, FUEL, &mut stats);
             let mut legacy = Simulator::new(program, target).with_fuel(FUEL);
             let legacy_out = legacy.run_legacy(&f.name, &args, &mut legacy_mem);
+            let digest = run_digest(&legacy_out, &legacy.stats(), &legacy_mem);
+            fold.write(&digest.to_le_bytes());
             assert_eq!(
                 (bits(out), stats, mem),
                 (bits(legacy_out), legacy.stats(), legacy_mem),
@@ -920,7 +964,11 @@ mod tests {
                 target.name
             );
         }
+        fold.finish()
     }
+
+    /// The fold of every run's digest in the payload fuzz below.
+    const PAYLOAD_FUZZ_PIN: u64 = 4_977_270_980_347_791_844;
 
     #[test]
     fn hostile_payloads_with_honest_checksums_never_panic() {
@@ -969,6 +1017,7 @@ mod tests {
         let mut rng = Rng(0x5eed_0021_c0de_u64);
         let (mut rejected, mut unprepared, mut ran, mut ran_unfused) = (0, 0, 0, 0);
         let mut ran_in_order = 0;
+        let mut cells = Vec::new();
         let targets = [
             TargetDesc::x86_sse(),
             TargetDesc::ultrasparc(),
@@ -1017,7 +1066,8 @@ mod tests {
                     unprepared += 1;
                     continue;
                 };
-                assert_matches_legacy(&prepared, &loaded.program, &target);
+                let digest = assert_matches_legacy(&prepared, &loaded.program, &target);
+                cells.push((format!("{} entry {entry}", target.name), digest));
                 ran += 1;
                 if target.timing == TimingKind::InOrder {
                     ran_in_order += 1;
@@ -1032,6 +1082,19 @@ mod tests {
         );
         assert!(rejected > 200 && unprepared > 200 && ran > 200);
         assert!(ran_unfused > 100 && ran_in_order > 100);
+        // Every run's digest, recorded from the legacy walk's runs: on a
+        // mismatch each entry's is printed, for a diff against a tree where
+        // the fold held.
+        let mut fold = Fnv1a::new();
+        for (_, digest) in &cells {
+            fold.write(&digest.to_le_bytes());
+        }
+        if fold.finish() != PAYLOAD_FUZZ_PIN {
+            for (cell, digest) in &cells {
+                println!("{digest:016x} {cell}");
+            }
+            panic!("{} runs fold to {}", cells.len(), fold.finish());
+        }
         store.clear();
     }
 

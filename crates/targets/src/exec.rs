@@ -1791,6 +1791,7 @@ impl<'p> PreparedSimulator<'p> {
 mod tests {
     use super::*;
     use crate::mcode::{MBlock, MProgram};
+    use crate::simulator::tests::Pins;
 
     fn call_program() -> MProgram {
         // main(f0) { f1 = sq(f0); return f1 }   sq(f0) { return f0*f0 }
@@ -2278,6 +2279,8 @@ mod tests {
             assert!(matches!(prepared, Err(SimError::Trap(_))));
             let legacy = crate::Simulator::new(&program, &target).run_legacy("f", &[], &mut []);
             assert_eq!(legacy, prepared.map(|_| None), "the legacy column");
+            let want = format!("f declares {over} spill slots, a frame holds at most 4096");
+            assert_eq!(legacy, Err(SimError::Trap(want)), "the walk's verdict");
         }
         let program = declaring(MAX_FRAME_SLOTS);
         let most = PreparedProgram::prepare(&program, &target).unwrap();
@@ -2339,6 +2342,7 @@ mod tests {
         // Hostile for both programs (the scalar load adds offset 8): negative
         // effective addresses, i64 overflow, and far-out-of-bounds positives.
         let bases = [-9i64, -12, i64::MIN, i64::MAX, i64::MAX - 8];
+        let mut pins = Pins::default();
         for (program, func) in [(&scalar, "peek"), (&vector, "vpeek")] {
             let prepared = PreparedProgram::prepare(program, &target).unwrap();
             for base in bases {
@@ -2347,6 +2351,8 @@ mod tests {
                 let legacy_err = legacy
                     .run_legacy(func, &[MachineValue::Int(base)], &mut mem)
                     .unwrap_err();
+                let cell = format!("{func} base {base}");
+                pins.record(cell, &Err(legacy_err.clone()), &legacy.stats(), &mem);
                 assert!(
                     matches!(legacy_err, SimError::Trap(_)),
                     "{func} base {base} (legacy): {legacy_err:?}"
@@ -2372,12 +2378,10 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SimError::Trap(_)), "straddle: {err:?}");
         let mut legacy = crate::Simulator::new(&vector, &target);
-        assert_eq!(
-            legacy
-                .run_legacy("vpeek", &[MachineValue::Int(base)], &mut mem)
-                .unwrap_err(),
-            err
-        );
+        let legacy_out = legacy.run_legacy("vpeek", &[MachineValue::Int(base)], &mut mem);
+        assert_eq!(legacy_out, Err(err));
+        pins.record("straddle", &legacy_out, &legacy.stats(), &mem);
+        pins.check(11_591_025_022_178_749_775);
         // In-bounds accesses still succeed on both paths.
         let ok = sim
             .run("vpeek", &[MachineValue::Int(64)], &mut mem)
@@ -2431,6 +2435,7 @@ mod tests {
             }],
         };
         let target = TargetDesc::x86_sse();
+        let mut pins = Pins::default();
         for (count, expect) in [(1i64, 2i32), (33, 0), (65, 2), (-1, 0), (64, 1)] {
             let program = lanes_program(count);
             let prepared = PreparedProgram::prepare(&program, &target).unwrap();
@@ -2443,9 +2448,14 @@ mod tests {
             sim.run("vshift", &[MachineValue::Int(16)], &mut mem)
                 .unwrap();
             let mut legacy = crate::Simulator::new(&program, &target);
-            legacy
-                .run_legacy("vshift", &[MachineValue::Int(16)], &mut legacy_mem)
-                .unwrap();
+            let legacy_out = legacy.run_legacy("vshift", &[MachineValue::Int(16)], &mut legacy_mem);
+            assert_eq!(legacy_out, Ok(None));
+            pins.record(
+                format!("count {count}"),
+                &legacy_out,
+                &legacy.stats(),
+                &legacy_mem,
+            );
             assert_eq!(mem, legacy_mem, "count {count}");
             for lane in 0..4 {
                 let mut b = [0u8; 4];
@@ -2457,10 +2467,12 @@ mod tests {
                 );
             }
         }
+        pins.check(14_959_827_650_551_127_222);
     }
 
     #[test]
     fn unterminated_blocks_trap_like_the_legacy_walk() {
+        let pins = &mut Pins::default();
         let p = MProgram {
             name: "m".into(),
             functions: vec![MFunction {
@@ -2478,7 +2490,7 @@ mod tests {
         // Fuel for the failed fetch is spent, but it is not an instruction.
         for timing in [TimingKind::Flat, TimingKind::InOrder] {
             let target = TargetDesc::powerpc().with_timing(timing);
-            let results = run_every_path(&p, &target, "f", &[], 16, 10);
+            let results = run_every_path(pins, &p, &target, "f", &[], 16, 10);
             let (out, stats, _) = &results[0];
             assert_eq!(
                 out,
@@ -2487,6 +2499,7 @@ mod tests {
             assert_eq!(stats.instructions, 1);
             assert!(results.iter().all(|r| r == &results[0]), "{results:?}");
         }
+        pins.check(1_783_455_619_393_839_448);
     }
 
     /// A counting loop whose back edge is the exact 4-instruction
@@ -2865,8 +2878,10 @@ mod tests {
     type RunOutcome = Result<Option<MachineValue>, SimError>;
 
     /// `(outcome, SimStats, memory)` of `func` on every execution path —
-    /// legacy walk, threaded fused, threaded unfused — with `fuel`.
+    /// legacy walk, threaded fused, threaded unfused — with `fuel`. The
+    /// walk's run is noted in `pins`.
     fn run_every_path(
+        pins: &mut Pins,
         program: &MProgram,
         target: &TargetDesc,
         func: &str,
@@ -2878,6 +2893,8 @@ mod tests {
         let mut mem = vec![0u8; mem_len];
         let mut legacy = crate::Simulator::new(program, target).with_fuel(fuel);
         let out = legacy.run_legacy(func, args, &mut mem);
+        let cell = format!("{func}{args:?} {:?}, fuel {fuel}", target.timing);
+        pins.record(cell, &out, &legacy.stats(), &mem);
         results.push((out, legacy.stats(), mem));
         for fuse in [true, false] {
             let prepared = PreparedProgram::prepare_with(program, target, fuse).unwrap();
@@ -2891,6 +2908,7 @@ mod tests {
 
     #[test]
     fn fuel_exhaustion_is_identical_across_legacy_fused_and_unfused() {
+        let pins = &mut Pins::default();
         // `OutOfFuel` must trigger at the identical retired-instruction count
         // on every path — legacy walk, threaded fused and unfused — i.e. for
         // every fuel value from 0 to "just enough", including ones that land
@@ -2935,13 +2953,14 @@ mod tests {
                     timing,
                     ..TargetDesc::x86_sse()
                 };
-                let full = run_every_path(program, &target, func, &[*arg], 64, DEFAULT_SIM_FUEL);
+                let full =
+                    run_every_path(pins, program, &target, func, &[*arg], 64, DEFAULT_SIM_FUEL);
                 assert!(full[0].0.is_ok(), "{func}: {:?}", full[0].0);
                 let total = full[0].1.instructions;
                 assert!(total > 8, "{func} must straddle several regions");
 
                 for fuel in 0..=total + 1 {
-                    let results = run_every_path(program, &target, func, &[*arg], 64, fuel);
+                    let results = run_every_path(pins, program, &target, func, &[*arg], 64, fuel);
                     assert!(
                         results.iter().all(|r| r == &results[0]),
                         "{func} under {timing:?}, fuel {fuel}: paths diverged: {results:?}"
@@ -2958,10 +2977,12 @@ mod tests {
                 }
             }
         }
+        pins.check(13_148_035_898_142_340_079);
     }
 
     #[test]
     fn a_trap_at_any_instruction_leaves_identical_stats_on_every_path() {
+        let pins = &mut Pins::default();
         // Region prepayment charges a whole region up front and the trap
         // path gives back what had not retired: replace each instruction of
         // the every-kind program in turn by a load that always traps (so the
@@ -2992,6 +3013,7 @@ mod tests {
                 let mut program = program.clone();
                 program.functions[kinds].blocks[0].insts[at] = trap.clone();
                 let results = run_every_path(
+                    pins,
                     &program,
                     &target,
                     "kinds",
@@ -3013,7 +3035,7 @@ mod tests {
                 let fetched = stats.instructions;
                 for fuel in [fetched - 1, fetched] {
                     let args = [MachineValue::Int(16)];
-                    let results = run_every_path(&program, &target, "kinds", &args, 64, fuel);
+                    let results = run_every_path(pins, &program, &target, "kinds", &args, 64, fuel);
                     let trapped = matches!(results[0].0, Err(SimError::Trap(_)));
                     assert_eq!(trapped, fuel == fetched, "at {at}, fuel {fuel}");
                     assert!(
@@ -3024,6 +3046,7 @@ mod tests {
                 }
             }
         }
+        pins.check(8_402_672_967_077_618_250);
     }
 
     // --- named edges of pipelined timing: wherever the timing model's view
@@ -3122,6 +3145,7 @@ mod tests {
     /// Run `func(args)` on every path under both timing tiers, assert that
     /// the paths of a tier agree, and hand back the pipelined outcome.
     fn agree_on_both_tiers(
+        pins: &mut Pins,
         program: &MProgram,
         func: &str,
         args: &[i64],
@@ -3131,7 +3155,7 @@ mod tests {
         let mut pipelined = None;
         for timing in [TimingKind::Flat, TimingKind::InOrder] {
             let target = TargetDesc::x86_sse().with_timing(timing);
-            let results = run_every_path(program, &target, func, &args, 64, fuel);
+            let results = run_every_path(pins, program, &target, func, &args, 64, fuel);
             assert!(
                 results.iter().all(|r| r == &results[0]),
                 "{func}{args:?} under {timing:?}, fuel {fuel}: paths diverged: {:?}",
@@ -3145,6 +3169,7 @@ mod tests {
 
     #[test]
     fn in_order_select_overwriting_its_condition_or_read_before_its_sources_change_agrees() {
+        let pins = &mut Pins::default();
         // `select r4 = r4 ? r3 : r1` overwrites its own condition, and the
         // sources of both selects are rewritten later in the same region: the
         // scoreboard key must be the source chosen when the select retired.
@@ -3163,24 +3188,27 @@ mod tests {
         ];
         let p = program(vec![func("f", 1, vec![body])]);
         for (arg, expect) in [(0, 63 + 1), (100, 7 + 1)] {
-            let (out, stats) = agree_on_both_tiers(&p, "f", &[arg], DEFAULT_SIM_FUEL);
+            let (out, stats) = agree_on_both_tiers(pins, &p, "f", &[arg], DEFAULT_SIM_FUEL);
             assert_eq!(out, Ok(Some(MachineValue::Int(expect))));
             assert!(stats.stalls > 0, "{stats:?}");
         }
+        pins.check(18_232_659_463_295_283_083);
     }
 
     #[test]
     fn in_order_select_after_a_load_stalls_on_the_chosen_source_only() {
+        let pins = &mut Pins::default();
         // The load-use stall lands on the select only when the condition
         // picks the loaded register.
         let body = vec![imm(2, 5), load(3, 0), select(4, 1, 3, 2), ret(4)];
         let p = program(vec![func("f", 2, vec![body])]);
-        let (out, loaded) = agree_on_both_tiers(&p, "f", &[16, 1], DEFAULT_SIM_FUEL);
+        let (out, loaded) = agree_on_both_tiers(pins, &p, "f", &[16, 1], DEFAULT_SIM_FUEL);
         assert_eq!(out, Ok(Some(MachineValue::Int(0))));
-        let (out, ready) = agree_on_both_tiers(&p, "f", &[16, 0], DEFAULT_SIM_FUEL);
+        let (out, ready) = agree_on_both_tiers(pins, &p, "f", &[16, 0], DEFAULT_SIM_FUEL);
         assert_eq!(out, Ok(Some(MachineValue::Int(5))));
         assert!(loaded.stalls > ready.stalls, "{loaded:?} vs {ready:?}");
         assert_eq!(loaded.instructions, ready.instructions);
+        pins.check(15_813_235_619_871_463_727);
     }
 
     /// `fact(n)` recursive, and `sum(n)` calling it from a loop whose back
@@ -3221,16 +3249,17 @@ mod tests {
 
     #[test]
     fn in_order_calls_in_a_loop_and_recursion_agree_at_every_fuel_value() {
+        let pins = &mut Pins::default();
         // A call drains the pipeline and clears the scoreboard, the callee
         // retires on the caller's pipeline, and fuel may run dry anywhere —
         // inside the callee, or inside the after-call region of either
         // caller.
         let p = calling_program();
-        let (out, full) = agree_on_both_tiers(&p, "sum", &[5], DEFAULT_SIM_FUEL);
+        let (out, full) = agree_on_both_tiers(pins, &p, "sum", &[5], DEFAULT_SIM_FUEL);
         assert_eq!(out, Ok(Some(MachineValue::Int(1 + 1 + 2 + 6 + 24))));
         assert!(full.stalls > 0 && full.mispredicts > 0, "{full:?}");
         for fuel in 0..=full.instructions {
-            let (out, stats) = agree_on_both_tiers(&p, "sum", &[5], fuel);
+            let (out, stats) = agree_on_both_tiers(pins, &p, "sum", &[5], fuel);
             if fuel < full.instructions {
                 assert_eq!(out, Err(SimError::OutOfFuel), "fuel {fuel}");
                 assert_eq!(stats.instructions, fuel);
@@ -3238,10 +3267,12 @@ mod tests {
                 assert_eq!(stats, full);
             }
         }
+        pins.check(17_963_264_832_283_678_265);
     }
 
     #[test]
     fn in_order_traps_at_a_call_or_a_return_agree_on_every_path() {
+        let pins = &mut Pins::default();
         // An unknown callee and a vector argument trap before the call is
         // charged; a vector return retires its move first. In each case the
         // multiply ahead of the trap has retired and nothing behind it has.
@@ -3259,17 +3290,19 @@ mod tests {
         for (trap, what) in traps {
             let body = vec![lead.clone(), trap, imm(2, 1), ret(2)];
             let p = program(vec![func("f", 1, vec![body])]);
-            let (out, stats) = agree_on_both_tiers(&p, "f", &[3], DEFAULT_SIM_FUEL);
+            let (out, stats) = agree_on_both_tiers(pins, &p, "f", &[3], DEFAULT_SIM_FUEL);
             assert!(
                 matches!(out, Err(SimError::Trap(_) | SimError::UnknownFunction(_))),
                 "{what}: {out:?}"
             );
             assert_eq!(stats.instructions, 2, "{what}");
         }
+        pins.check(5_081_620_875_485_787_330);
     }
 
     #[test]
     fn an_unknown_callee_traps_before_its_arguments_are_read_or_the_call_is_charged() {
+        let pins = &mut Pins::default();
         // Found by the store's payload fuzz once its oracle became the
         // legacy walk: the walk read a call's arguments and charged the call
         // before it resolved the callee's name, where the prepared stream
@@ -3282,14 +3315,16 @@ mod tests {
                 ret(2),
             ];
             let p = program(vec![func("f", 1, vec![body])]);
-            let (out, stats) = agree_on_both_tiers(&p, "f", &[3], DEFAULT_SIM_FUEL);
+            let (out, stats) = agree_on_both_tiers(pins, &p, "f", &[3], DEFAULT_SIM_FUEL);
             assert_eq!(out, Err(SimError::UnknownFunction("nowhere".into())));
             assert_eq!(stats.instructions, 2);
         }
+        pins.check(11_064_792_576_977_646_257);
     }
 
     #[test]
     fn in_order_branches_whose_sites_alias_in_the_bht_agree_on_every_path() {
+        let pins = &mut Pins::default();
         // A parity branch at enum pc 5 and the loop's back edge — an
         // induction-variable step, fused where fusion is on — at 5 + 256
         // share one 2-bit counter: the site must be the `BranchNz`'s own
@@ -3317,14 +3352,16 @@ mod tests {
         assert!(matches!(code[5], PInst::BranchNz { .. }));
         assert!(matches!(code[5 + 256], PInst::BranchNz { .. }));
         assert_eq!(prepared.fusion_stats().indvar, 1);
-        let (out, stats) = agree_on_both_tiers(&p, "f", &[9], DEFAULT_SIM_FUEL);
+        let (out, stats) = agree_on_both_tiers(pins, &p, "f", &[9], DEFAULT_SIM_FUEL);
         assert_eq!(out, Ok(Some(MachineValue::Int(9))));
         assert!(stats.mispredicts > 2, "{stats:?}");
         assert_eq!(stats.predicted + stats.mispredicts, stats.branches);
+        pins.check(6_480_282_514_286_095_334);
     }
 
     #[test]
     fn wide_vector_files_and_huge_costs_run_threaded_and_match_the_legacy_walk() {
+        let pins = &mut Pins::default();
         // Byte offsets into a 64 x 2 KiB vector file do not fit 16 bits and
         // these costs overflow 32 once a region sums them; records carry
         // register numbers and no costs, so neither can fail to pack.
@@ -3348,6 +3385,7 @@ mod tests {
         assert!(prepared.fusion_stats().total() > 0);
 
         let results = run_every_path(
+            pins,
             &program,
             &target,
             "kinds",
@@ -3365,6 +3403,7 @@ mod tests {
                 .map(|(out, stats, _)| (out, stats))
                 .collect::<Vec<_>>()
         );
+        pins.check(1_230_784_457_960_791_377);
     }
 
     #[test]

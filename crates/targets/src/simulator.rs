@@ -1362,10 +1362,87 @@ pub(crate) fn write_lane_float(reg: &mut [u8], lane: usize, elem: Width, value: 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::exec::{PreparedProgram, PreparedSimulator};
     use crate::mcode::{MBlock, MFunction};
+    use crate::Fnv1a;
+
+    /// FNV-1a over one run: its outcome (variant, value bits, error text),
+    /// all eleven [`SimStats`] counters and the whole memory image.
+    pub(crate) fn run_digest(
+        out: &Result<Option<MachineValue>, SimError>,
+        stats: &SimStats,
+        mem: &[u8],
+    ) -> u64 {
+        let mut h = Fnv1a::new();
+        match out {
+            Ok(Some(MachineValue::Int(v))) => {
+                h.write(b"int");
+                h.write(&v.to_le_bytes());
+            }
+            Ok(Some(MachineValue::Float(v))) => {
+                h.write(b"float");
+                h.write(&v.to_bits().to_le_bytes());
+            }
+            Ok(None) => h.write(b"none"),
+            Err(e) => h.write(format!("{e:?}").as_bytes()),
+        }
+        let s = stats;
+        for counter in [
+            s.cycles,
+            s.instructions,
+            s.loads,
+            s.stores,
+            s.spill_stores,
+            s.spill_reloads,
+            s.branches,
+            s.vector_ops,
+            s.stalls,
+            s.mispredicts,
+            s.predicted,
+        ] {
+            h.write(&counter.to_le_bytes());
+        }
+        h.write(mem);
+        h.finish()
+    }
+
+    /// The run digests of one test, in the order it made them. Every input
+    /// a unit test runs is fixed, so each run's answer is a constant: the
+    /// test folds the digests and compares the fold with the one it
+    /// recorded, printing every cell's digest first on a mismatch so that
+    /// the cell that moved shows in a diff against a tree where it held.
+    #[derive(Debug, Default)]
+    pub(crate) struct Pins(Vec<(String, u64)>);
+
+    impl Pins {
+        /// Note the [`run_digest`] of one run for `cell`.
+        pub(crate) fn record(
+            &mut self,
+            cell: impl Into<String>,
+            out: &Result<Option<MachineValue>, SimError>,
+            stats: &SimStats,
+            mem: &[u8],
+        ) {
+            self.0.push((cell.into(), run_digest(out, stats, mem)));
+        }
+
+        /// Assert that the fold of every cell's digest is `pinned`.
+        pub(crate) fn check(&self, pinned: u64) {
+            let mut fold = Fnv1a::new();
+            for (_, digest) in &self.0 {
+                fold.write(&digest.to_le_bytes());
+            }
+            let got = fold.finish();
+            if got != pinned {
+                for (cell, digest) in &self.0 {
+                    println!("{digest:016x} {cell}");
+                }
+                panic!("{} cells fold to {got}, recorded {pinned}", self.0.len());
+            }
+        }
+    }
 
     fn program(f: MFunction) -> MProgram {
         MProgram {
@@ -1757,6 +1834,7 @@ mod tests {
         };
         let p = program(f);
         let args = [MachineValue::Int(16), MachineValue::Int(100)];
+        let mut pins = Pins::default();
         for target in TargetDesc::presets() {
             let mut mem = vec![0u8; 256];
             for i in 0..100u8 {
@@ -1768,10 +1846,13 @@ mod tests {
             let out = sim.run("sum", &args, &mut mem).unwrap();
             let mut legacy = Simulator::new(&p, &target);
             let legacy_out = legacy.run_legacy("sum", &args, &mut legacy_mem).unwrap();
+            pins.record(&target.name, &Ok(legacy_out), &legacy.stats(), &legacy_mem);
             assert_eq!(out, legacy_out, "{}", target.name);
             assert_eq!(sim.stats(), legacy.stats(), "{}", target.name);
             assert_eq!(mem, legacy_mem, "{}", target.name);
         }
+        // Recorded from the legacy walk's runs.
+        pins.check(3_770_951_366_358_797_952);
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //! programs with out-of-range and negative counts must still agree
 //! bit-for-bit across every path.
 
+mod pins;
+
+use pins::Pins;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use splitc::serve::{Request, ServeModule, Server, ServerConfig};
 use splitc::splitc_minic::compile_source;
@@ -31,6 +34,15 @@ use splitc_targets::{
     MachineValue, PreparedProgram, PreparedSimulator, Simulator, TargetDesc, TimingKind,
 };
 use splitc_vbc::{Interpreter, Memory, Value};
+
+/// Recorded [`Pins`] folds, one per suite: each cell's digest was recorded
+/// from the legacy walk's run of that target × mode, flat and in order.
+const RANDOM_INT_PIN: u64 = 11_518_642_011_266_241_610;
+const BRANCH_DENSE_PIN: u64 = 7_297_958_210_671_976_461;
+const RANDOM_SHIFT_PIN: u64 = 10_025_957_613_943_935_369;
+const EXTREME_SHIFT_PIN: u64 = 9_255_172_541_159_258_375;
+const RANDOM_FLOAT_PIN: u64 = 15_538_265_218_304_311_018;
+const F32_CONSTANT_PIN: u64 = 18_088_835_998_026_170_991;
 
 /// Elements per generated kernel; deliberately not a multiple of a lane count.
 const N: usize = 97;
@@ -368,8 +380,9 @@ fn gen_float_program(seed: u64) -> String {
 /// the returned value and the output array bytes exactly, and all paths'
 /// `SimStats` against each other (so macro-op fusion is pinned to be
 /// observationally invisible). `float` selects the f32 input layout. Panics
-/// with the program source on any divergence.
-fn check_program(source: &str, name: &str, seed: u64, float: bool) {
+/// with the program source on any divergence. Each target × mode notes the
+/// digests of its flat and in-order runs in `pins`.
+fn check_program(pins: &mut Pins, source: &str, name: &str, seed: u64, float: bool) {
     let mut module = compile_source(source, "fuzz").unwrap_or_else(|e| {
         panic!("seed {seed}: generated program fails to compile: {e}\n--- source ---\n{source}")
     });
@@ -446,6 +459,14 @@ fn check_program(source: &str, name: &str, seed: u64, float: bool) {
                         target.name
                     )
                 });
+
+            let cell = format!("seed {seed}: {} with {mode:?}", target.name);
+            pins.record(
+                format!("{cell}, flat"),
+                &Ok(legacy_result),
+                &legacy_sim.stats(),
+                legacy_ws.bytes(),
+            );
 
             // Pre-decoded threaded loop, with macro-op fusion.
             let prepared = PreparedProgram::prepare(&program, &target).unwrap_or_else(|e| {
@@ -585,6 +606,12 @@ fn check_program(source: &str, name: &str, seed: u64, float: bool) {
                     )
                 });
             assert_eq!(legacy_pipe_result, expected_result);
+            pins.record(
+                format!("{cell}, in order"),
+                &Ok(legacy_pipe_result),
+                &legacy_pipe_sim.stats(),
+                legacy_pipe_ws.bytes(),
+            );
             assert_eq!(
                 pipe_sim.stats(),
                 legacy_pipe_sim.stats(),
@@ -637,18 +664,22 @@ fn check_program(source: &str, name: &str, seed: u64, float: bool) {
 
 #[test]
 fn random_int_programs_agree_everywhere() {
+    let mut pins = Pins::default();
     for seed in 0..40u64 {
         let source = gen_int_program(seed);
-        check_program(&source, "fuzz", seed, false);
+        check_program(&mut pins, &source, "fuzz", seed, false);
     }
+    pins.check(RANDOM_INT_PIN);
 }
 
 #[test]
 fn branch_dense_programs_agree_everywhere() {
+    let mut pins = Pins::default();
     for seed in 3000..3030u64 {
         let source = gen_branch_program(seed);
-        check_program(&source, "fuzz", seed, false);
+        check_program(&mut pins, &source, "fuzz", seed, false);
     }
+    pins.check(BRANCH_DENSE_PIN);
 }
 
 #[test]
@@ -686,14 +717,17 @@ fn branch_dense_programs_actually_trigger_fusion() {
 
 #[test]
 fn random_shift_programs_agree_everywhere() {
+    let mut pins = Pins::default();
     for seed in 2000..2030u64 {
         let source = gen_shift_program(seed);
-        check_program(&source, "fuzz", seed, false);
+        check_program(&mut pins, &source, "fuzz", seed, false);
     }
+    pins.check(RANDOM_SHIFT_PIN);
 }
 
 #[test]
 fn every_extreme_shift_count_agrees_on_every_path() {
+    let mut pins = Pins::default();
     // A deterministic sweep: each count in SHIFT_COUNTS applied as shl and
     // shr (constant count — reachable by the offline folder — and runtime
     // count, which only the execution paths see) to positive and negative
@@ -717,8 +751,9 @@ fn every_extreme_shift_count_agrees_on_every_path() {
     return acc;
 }}\n"
         );
-        check_program(&source, "fuzz", 0x5817 + ci as u64, false);
+        check_program(&mut pins, &source, "fuzz", 0x5817 + ci as u64, false);
     }
+    pins.check(EXTREME_SHIFT_PIN);
 }
 
 /// Serving mode: run `source` through the async serving layer — generated
@@ -844,14 +879,17 @@ fn random_programs_served_through_the_queue_match_direct_execution() {
 
 #[test]
 fn random_float_programs_agree_everywhere() {
+    let mut pins = Pins::default();
     for seed in 1000..1020u64 {
         let source = gen_float_program(seed);
-        check_program(&source, "fuzzf", seed, true);
+        check_program(&mut pins, &source, "fuzzf", seed, true);
     }
+    pins.check(RANDOM_FLOAT_PIN);
 }
 
 #[test]
 fn f32_constants_round_to_single_precision_on_every_path() {
+    let mut pins = Pins::default();
     // Regression pinned from fuzzer seed 1003: `1.4804` is not exactly
     // f32-representable. The bytecode used to carry the unrounded f64, which
     // scalar paths consumed as-is while SIMD lane splats rounded it — the
@@ -865,7 +903,8 @@ fn f32_constants_round_to_single_precision_on_every_path() {
             y[i] = (((v - v) - (v * c0)) - c0);
         }
     }";
-    check_program(source, "fuzzf", 1003, true);
+    check_program(&mut pins, source, "fuzzf", 1003, true);
+    pins.check(F32_CONSTANT_PIN);
 }
 
 #[test]

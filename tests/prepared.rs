@@ -12,8 +12,10 @@
 //! equivalence down and also check that pooling/reuse never changes results.
 
 mod common;
+mod pins;
 
 use common::{allocations_in, CountingAlloc};
+use pins::{run_digest, Pins};
 use splitc::splitc_minic::compile_source;
 use splitc::{checksum, prepare, PreparedKernel, PreparedProgram, PreparedSimulator, Workspace};
 use splitc_jit::{compile_module, JitOptions, RegAllocMode};
@@ -53,6 +55,13 @@ const IN_ORDER_PINS: [(&str, u64); 9] = [
     ("riscv-rv64", 3_958_669_271_192_547_310),
     ("gpu-wide", 13_899_498_587_771_617_870),
 ];
+
+/// Recorded [`Pins`] folds, one per suite that ran beside the legacy walk:
+/// each cell's [`run_digest`] was recorded from the walk's own run.
+const CATALOGUE_PIN: u64 = 271_629_626_111_733_328;
+const FUEL_SWEEP_PIN: u64 = 13_370_773_312_452_379_200;
+const IN_ORDER_N_173_PIN: u64 = 1_497_155_130_640_960_023;
+const POOLED_SWEEP_PIN: u64 = 14_848_782_949_687_389_979;
 
 /// Presets of the fuel sweep: a scalar core, a SIMD core and a wide-vector
 /// core.
@@ -106,6 +115,7 @@ fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
         compile_source(TIGHT_LOOP, "tight").expect("kernel compiles"),
         Box::new(prepare_tight),
     ));
+    let mut pins = Pins::default();
     for (mut module, setup) in programs {
         optimize_module(&mut module, &OptOptions::full());
         for target in TargetDesc::presets()
@@ -125,6 +135,12 @@ fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
                 .unwrap_or_else(|e| panic!("{name} on {} (legacy): {e}", target.name));
             let legacy_stats = legacy_sim.stats();
             let legacy_sum = checksum(legacy_result, &prepared_inputs, &legacy_ws);
+            pins.record(
+                format!("{name} on {} ({:?})", target.name, target.timing),
+                &Ok(legacy_result),
+                &legacy_stats,
+                legacy_ws.bytes(),
+            );
 
             // Deploy-time prepared forms: the fused threaded loop, the
             // unfused threaded loop, and the fused loop again polling a
@@ -179,6 +195,7 @@ fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
             }
         }
     }
+    pins.check(CATALOGUE_PIN);
 }
 
 #[test]
@@ -236,6 +253,7 @@ fn fuel_exhaustion_on_compiled_kernels_matches_the_legacy_walk_at_every_fuel_val
     // the prepared run must stop at the legacy walk's instruction with the
     // same counters, timing state and memory.
     let mut runs = 0u64;
+    let mut pins = Pins::default();
     for kernel in all_kernels() {
         let mut module =
             module_for(std::slice::from_ref(&kernel), kernel.name).expect("kernel compiles");
@@ -256,12 +274,15 @@ fn fuel_exhaustion_on_compiled_kernels_matches_the_legacy_walk_at_every_fuel_val
                     let out = sim.run_legacy(kernel.name, &inputs.args, ws.bytes_mut());
                     (out, sim.stats(), ws)
                 };
-                let (full, full_stats, _) = legacy(DEFAULT_SIM_FUEL);
+                let (full, full_stats, full_ws) = legacy(DEFAULT_SIM_FUEL);
                 assert!(full.is_ok(), "{cell}: {full:?}");
                 let total = full_stats.instructions;
+                let mut sweep = Fnv1a::new();
+                sweep.write(&run_digest(&full, &full_stats, full_ws.bytes()).to_le_bytes());
                 let mut pool = FramePool::new();
                 for fuel in 0..=total + 1 {
                     let (want, want_stats, want_ws) = legacy(fuel);
+                    sweep.write(&run_digest(&want, &want_stats, want_ws.bytes()).to_le_bytes());
                     let mut ws = fresh.clone();
                     let mut stats = SimStats::default();
                     let out = prepared.run(
@@ -281,10 +302,12 @@ fn fuel_exhaustion_on_compiled_kernels_matches_the_legacy_walk_at_every_fuel_val
                     }
                     runs += 1;
                 }
+                pins.push(cell, sweep.finish());
             }
         }
     }
     assert!(runs > 10_000, "{runs} runs");
+    pins.check(FUEL_SWEEP_PIN);
 }
 
 /// The architectural face of a stats record: everything except the
@@ -310,6 +333,7 @@ fn timing_tiers_are_architecturally_bit_identical_on_every_kernel_and_target() {
     // misprediction machinery, otherwise the pipelined tier proves nothing.
     let mut saw_stalls = false;
     let mut saw_mispredicts = false;
+    let mut pins = Pins::default();
     for kernel in all_kernels() {
         let mut module =
             module_for(std::slice::from_ref(&kernel), kernel.name).expect("kernel compiles");
@@ -406,6 +430,12 @@ fn timing_tiers_are_architecturally_bit_identical_on_every_kernel_and_target() {
                 .unwrap_or_else(|e| {
                     panic!("{} on {} (legacy pipelined): {e}", kernel.name, base.name)
                 });
+            pins.record(
+                format!("{} on {}", kernel.name, base.name),
+                &Ok(legacy_result),
+                &legacy_sim.stats(),
+                legacy_ws.bytes(),
+            );
             assert_eq!(
                 legacy_result, pipe_result,
                 "{} on {}",
@@ -438,6 +468,7 @@ fn timing_tiers_are_architecturally_bit_identical_on_every_kernel_and_target() {
         saw_mispredicts,
         "no kernel on any target mispredicted a single branch"
     );
+    pins.check(IN_ORDER_N_173_PIN);
 }
 
 #[test]
@@ -525,6 +556,7 @@ fn engine_pooled_sweep_path_matches_legacy_per_cell_execution() {
     let engine = ExecutionEngine::new(module.clone());
     let mut pool = FramePool::new();
     let targets = TargetDesc::presets();
+    let mut pins = Pins::default();
     for target in &targets {
         let (program, _jit) = compile_module(&module, target, &options).unwrap();
         for kernel in &kernels {
@@ -546,6 +578,12 @@ fn engine_pooled_sweep_path_matches_legacy_per_cell_execution() {
             let legacy_result = legacy
                 .run_legacy(kernel.name, &inputs_b.args, ws_b.bytes_mut())
                 .unwrap();
+            pins.record(
+                format!("{} on {}", kernel.name, target.name),
+                &Ok(legacy_result),
+                &legacy.stats(),
+                ws_b.bytes(),
+            );
             assert_eq!(
                 run.result, legacy_result,
                 "{} on {}",
@@ -570,6 +608,7 @@ fn engine_pooled_sweep_path_matches_legacy_per_cell_execution() {
     // One compile (and one preparation) per catalogue target, however many
     // cells ran — derived from the catalogue, never a hardcoded count.
     assert_eq!(engine.stats().compiles, targets.len() as u64);
+    pins.check(POOLED_SWEEP_PIN);
 }
 
 /// Whole-run digests of the lane pin below, one per vector unit: FNV-1a over
@@ -826,6 +865,7 @@ fn vector_lanes_match_the_legacy_walk_and_their_recorded_digest() {
     const BASE: usize = 64;
     let (mut traps, mut completions) = (0u32, 0u32);
     let mut digests = Vec::new();
+    let mut cells = Pins::default();
     for target in lane_pin_targets() {
         let vb = target.vector_bytes() as usize;
         let kernels = lane_kernels(vb as i64);
@@ -885,6 +925,7 @@ fn vector_lanes_match_the_legacy_walk_and_their_recorded_digest() {
                     Err(SimError::Trap(_)) => traps += 1,
                     Err(e) => panic!("{cell}: {e}"),
                 }
+                cells.record(&cell, &out, &stats, &mem);
                 digest.write(format!("{out:?}").as_bytes());
                 digest.write(&mem);
                 for counter in [
@@ -910,5 +951,8 @@ fn vector_lanes_match_the_legacy_walk_and_their_recorded_digest() {
         .iter()
         .map(|&(name, digest)| (name.to_owned(), digest))
         .collect();
+    if digests != pinned {
+        cells.print();
+    }
     assert_eq!(digests, pinned, "vector lane semantics moved");
 }
