@@ -916,26 +916,11 @@ mod tests {
         h.finish()
     }
 
-    /// Run every function of `program`, prepared for `target` as `prepared`,
-    /// and again on the legacy walk of `program` at the same fuel, and
-    /// require bit-identical outcomes, stats and memory. Returns the fold of
-    /// the walk's run digests.
-    fn assert_matches_legacy(
-        prepared: &splitc_targets::PreparedProgram,
-        program: &MProgram,
-        target: &TargetDesc,
-    ) -> u64 {
-        use splitc_targets::{FramePool, MachineValue, SimError, SimStats, Simulator};
+    /// Run every function of `program`, as prepared in `prepared`, on a
+    /// fresh image at a small fuel: the fold of the runs' digests.
+    fn run_every_function(prepared: &splitc_targets::PreparedProgram, program: &MProgram) -> u64 {
+        use splitc_targets::{FramePool, MachineValue, SimStats};
         const FUEL: u64 = 2_000;
-        // Floats by their bits, so that a NaN result compares equal to itself.
-        let bits = |out: Result<Option<MachineValue>, SimError>| {
-            out.map(|v| {
-                v.map(|v| match v {
-                    MachineValue::Int(i) => (false, i as u64),
-                    MachineValue::Float(x) => (true, x.to_bits()),
-                })
-            })
-        };
         let mut pool = FramePool::new();
         let mut fold = Fnv1a::new();
         for f in &program.functions {
@@ -949,20 +934,9 @@ mod tests {
                 })
                 .collect();
             let mut mem: Vec<u8> = (0..=255).cycle().take(1024).collect();
-            let mut legacy_mem = mem.clone();
             let mut stats = SimStats::default();
             let out = prepared.run(&f.name, &args, &mut mem, &mut pool, FUEL, &mut stats);
-            let mut legacy = Simulator::new(program, target).with_fuel(FUEL);
-            let legacy_out = legacy.run_legacy(&f.name, &args, &mut legacy_mem);
-            let digest = run_digest(&legacy_out, &legacy.stats(), &legacy_mem);
-            fold.write(&digest.to_le_bytes());
-            assert_eq!(
-                (bits(out), stats, mem),
-                (bits(legacy_out), legacy.stats(), legacy_mem),
-                "{} on {} of {program:?}",
-                f.name,
-                target.name
-            );
+            fold.write(&run_digest(&out, &stats, &mem).to_le_bytes());
         }
         fold.finish()
     }
@@ -978,10 +952,11 @@ mod tests {
         // is mutated — as anyone who can write the file would — so every
         // mutation reaches `MInst::get`, and what decodes reaches
         // `prepare_with` and the executor. Accepted outcomes: a reject, a
-        // prepare error, or a run (result, trap or fuel exhaustion) that is
-        // bit-identical to the legacy walk of the loaded program at the same
-        // fuel. Never a panic — which under `debug_assertions` includes the
-        // `debug_assert!`s beside the executor's unchecked register reads.
+        // prepare error, or a run (result, trap or fuel exhaustion) whose
+        // digest is the one recorded from the block walk of the loaded
+        // program at the same fuel, fused or not. Never a panic — which
+        // under `debug_assertions` includes the `debug_assert!`s beside the
+        // executor's unchecked register reads.
         // The 2 400 entries split over two flat targets and one in-order
         // one; every other entry is prepared unfused as well.
         use splitc_opt::{optimize_module, OptOptions};
@@ -1049,24 +1024,30 @@ mod tests {
                     continue;
                 };
                 let fused = PreparedProgram::prepare_with(&loaded.program, &target, true);
-                if entry % 2 == 1 {
-                    let unfused = PreparedProgram::prepare_with(&loaded.program, &target, false);
+                let unfused = (entry % 2 == 1)
+                    .then(|| PreparedProgram::prepare_with(&loaded.program, &target, false));
+                if let Some(unfused) = &unfused {
                     assert_eq!(
                         unfused.is_ok(),
                         fused.is_ok(),
                         "fusion decided whether {:?} prepares",
                         loaded.program
                     );
-                    if let Ok(unfused) = unfused {
-                        assert_matches_legacy(&unfused, &loaded.program, &target);
-                        ran_unfused += 1;
-                    }
                 }
                 let Ok(prepared) = fused else {
                     unprepared += 1;
                     continue;
                 };
-                let digest = assert_matches_legacy(&prepared, &loaded.program, &target);
+                let digest = run_every_function(&prepared, &loaded.program);
+                if let Some(Ok(unfused)) = &unfused {
+                    assert_eq!(
+                        run_every_function(unfused, &loaded.program),
+                        digest,
+                        "fusion changed a run of {:?}",
+                        loaded.program
+                    );
+                    ran_unfused += 1;
+                }
                 cells.push((format!("{} entry {entry}", target.name), digest));
                 ran += 1;
                 if target.timing == TimingKind::InOrder {
@@ -1082,7 +1063,7 @@ mod tests {
         );
         assert!(rejected > 200 && unprepared > 200 && ran > 200);
         assert!(ran_unfused > 100 && ran_in_order > 100);
-        // Every run's digest, recorded from the legacy walk's runs: on a
+        // Every run's digest, recorded from the block walk's runs: on a
         // mismatch each entry's is printed, for a diff against a tree where
         // the fold held.
         let mut fold = Fnv1a::new();

@@ -17,7 +17,7 @@
 //! its prepayment — is never entered: the **fuel tail** ([`run_dry`]) runs
 //! the prefix of its instructions the fuel affords, each on a record
 //! lowered on the spot with [`lower`], charges what they fetched and stops
-//! the run with `OutOfFuel` at exactly the legacy walk's instruction. Region
+//! the run with `OutOfFuel` at exactly the instruction it ran out on. Region
 //! entry is also where the run's deadline, if its [`FramePool`] carries one,
 //! is polled: one branch without a deadline, and a passed deadline stops the
 //! run with `Cancelled`, uncharged, like the fuel tail.
@@ -75,7 +75,7 @@ use crate::simulator::{
     alu, check_range, compare, fpu, normalize, read_lane_float, read_lane_int, read_mem,
     write_lane_float, write_lane_int, write_mem, MachineValue, SimError, SimStats,
 };
-use crate::timing::{InOrderPipeline, Recorder, Summary, TimingKind, TimingModel};
+use crate::timing::{InOrderPipeline, Recorder, Summary, TimingKind};
 
 /// A handler executes one packed record against the live execution context.
 ///
@@ -137,7 +137,7 @@ pub(crate) const FLOW_ERR: u64 = 3 << 32;
 /// entry, so straight-line handlers touch no accounting at all. The only
 /// *dynamic* charges left to handlers under flat timing are the
 /// taken/not-taken cycles of conditional branches and the cycles of calls
-/// (whose argv build can trap before the legacy walk charges them); under
+/// (whose argv build can trap before the call is charged); under
 /// in-order timing `cycles` is zero and the region's close retires its rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct StaticStats {
@@ -182,8 +182,8 @@ impl StaticStats {
 }
 
 /// Trap-path correction: record `k` of `f` raised an error after its region
-/// was prepaid in full, so give back the charges for everything the legacy
-/// walk would *not* have retired by that point — record `k` and the rest of
+/// was prepaid in full, so give back the charges for everything that had
+/// *not* retired by that point — record `k` and the rest of
 /// its region, except the faulting source instruction's own fetch. Cycles
 /// are given back only if they were prepaid (`flat`).
 #[cold]
@@ -597,8 +597,8 @@ fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
 /// selects' handlers settle their segments and retire on the register they
 /// chose, as on the stream — and charge fuel, `stats.instructions` and the
 /// counters for what was fetched: the retired instructions, plus one that
-/// trapped. Then stop with the trap or `OutOfFuel`, where the legacy walk
-/// stops.
+/// trapped. Then stop with the trap or `OutOfFuel`, at the instruction
+/// where fuel spent one instruction at a time runs out.
 #[cold]
 #[inline(never)]
 fn run_dry(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
@@ -647,8 +647,8 @@ pub(crate) fn run_ops(cx: &mut ExecCtx<'_>) -> Result<Option<MachineValue>, SimE
         FLOW_STOP => Err(cx.take_err()),
         _ => {
             // The region was prepaid in full; give back the charges for
-            // everything the legacy walk would not have retired by the
-            // faulting instruction (cold path). The low bits index the
+            // everything that had not retired by the faulting instruction
+            // (cold path). The low bits index the
             // faulting record — a welded handler reports the constituent
             // that trapped. Under in-order timing the rows ahead of it
             // retire first (a `Ret`'s own move too: it retires before its
@@ -718,7 +718,8 @@ fn red_from(bits: u16) -> RedOp {
     RedOp::from_code(bits as u8 & 3).unwrap_or(RedOp::Max)
 }
 
-/// Integer compare exactly as the legacy walk performs it.
+/// Integer compare: both operands normalized to `width`, then compared
+/// signed or unsigned.
 #[inline(always)]
 fn int_compare(pred: CmpPred, width: Width, signed: bool, a: i64, b: i64) -> i64 {
     let a = normalize(width, signed, a);
@@ -730,7 +731,8 @@ fn int_compare(pred: CmpPred, width: Width, signed: bool, a: i64, b: i64) -> i64
     }
 }
 
-/// Float compare exactly as the legacy walk performs it (NaN ⇒ `Ne`).
+/// Float compare, single precision rounding both operands first (NaN ⇒
+/// only `Ne` holds).
 #[inline(always)]
 fn float_compare(pred: CmpPred, double: bool, a: f64, b: f64) -> i64 {
     let (a, b) = if double {
@@ -862,8 +864,9 @@ fn branch(cx: &mut ExecCtx<'_>, taken: bool, then_region: u32, else_region: u32)
 
 // ---------------------------------------------------------------------------
 // Handlers: what each instruction does to registers and memory, stated once.
-// Evaluation order and trap points match the legacy walk's arm for the same
-// instruction. Straight-line handlers touch no accounting.
+// Evaluation order and trap points are part of each instruction's semantics,
+// pinned by the recorded run digests. Straight-line handlers touch no
+// accounting.
 // ---------------------------------------------------------------------------
 
 fn h_imm(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
@@ -1115,9 +1118,8 @@ fn h_vec_int_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     let vb = cx.vb;
     let (d, l, r) = (op.a as usize * vb, op.b as usize * vb, op.c as usize * vb);
     let (alu_op, elem, signed) = (alu_from(op.d), wfrom(op.d >> 4), op.d & (1 << 6) != 0);
-    // Lane-by-lane read-then-write is aliasing-safe without the legacy
-    // walk's per-op input clones: writing lane i of dst never changes a
-    // lane j > i of lhs/rhs.
+    // Lane-by-lane read-then-write is aliasing-safe without copying the
+    // inputs: writing lane i of dst never changes a lane j > i of lhs/rhs.
     for lane in 0..op.e as usize {
         let x = read_lane_int(&cx.vec[l..l + vb], lane, elem, signed);
         let y = read_lane_int(&cx.vec[r..r + vb], lane, elem, signed);
@@ -1366,7 +1368,7 @@ fn h_ret_float(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
 }
 
 fn h_ret_vec(_op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    // The legacy walk charges the move *before* noticing the bad class, so
+    // The move is charged *before* the bad class is noticed, so
     // the statically prepaid cycles stand (`refund_unretired` keeps them;
     // under in-order timing the trap path retires the move).
     fail(

@@ -4,8 +4,8 @@
 //! earlier stage that runs once. This module applies the same discipline to
 //! *execution*: a [`PreparedProgram`] is built once per `(program, target)`
 //! pair — at deploy time, right after online compilation — and can then be
-//! run any number of times with none of the per-run decoding the legacy
-//! [`Simulator`](crate::Simulator) walk pays on every instruction:
+//! run any number of times with none of the per-run decoding a block walk
+//! over the [`MProgram`] would pay on every instruction:
 //!
 //! * every function's blocks are **flattened into one linear instruction
 //!   stream**, with block jumps resolved to instruction offsets (no
@@ -55,12 +55,16 @@
 //! prefix of its straight-line instructions (the charge counts every one
 //! through the closing control op), so that prefix runs on records lowered
 //! on the spot, retires and is charged, and the run stops with
-//! [`SimError::OutOfFuel`] — or the prefix's own trap — where the legacy
-//! walk stops.
+//! [`SimError::OutOfFuel`] — or the prefix's own trap — at the instruction
+//! where fuel spent one instruction at a time would have run out.
 //!
-//! Semantics are bit-identical to the legacy walk — results, traps and
-//! [`SimStats`] alike, under both timing tiers — which the cross-crate
-//! differential tests assert.
+//! Two references check the executor: the vbc interpreter for results and
+//! memory (the cross-crate differential tests), and recorded digests of
+//! whole runs — outcome, every [`SimStats`] counter and the memory image,
+//! under both timing tiers — for everything else. The digests were recorded
+//! from a block walk that stated every instruction a second time; fused,
+//! unfused and in-order runs of the same inputs must also agree with each
+//! other.
 //!
 //! # Adding a machine instruction
 //!
@@ -70,13 +74,15 @@
 //!    The row *is* the store's wire encoding, the online compiler's def/use
 //!    walks and the prepare-time class check; nothing in `store.rs` or
 //!    `mir.rs` names the variant;
-//! 2. its arm in the legacy walk (`Simulator::call`, the reference the
-//!    executor is differenced against);
-//! 3. its [`PInst`] variant and translation arm in `prepare_function`;
-//! 4. its handler and `lower` arm in `dispatch.rs` (plus a pair-kind if it
+//! 2. its [`PInst`] variant and translation arm in `prepare_function`;
+//! 3. its handler and `lower` arm in `dispatch.rs` (plus a pair-kind if it
 //!    should weld);
-//! 5. its row in [`op_info`] — all either timing tier needs, unless a
+//! 4. its row in [`op_info`] — all either timing tier needs, unless a
 //!    scoreboard key of the new kind is only known at run time.
+//!
+//! Then add it to the unit programs that pin every kind (`every_kind_program`
+//! and `one_of_every_variant` in this module's tests) and record their new
+//! digests.
 //!
 //! # Example
 //!
@@ -171,12 +177,13 @@ pub(crate) fn store_slot_vec(slot_vec: &mut Vec<u8>, slots: usize, slot: usize, 
 
 /// A pool of reusable call frames (and call-argument scratch buffers).
 ///
-/// The legacy simulator allocated four `Vec`s — including a `Vec<Vec<u8>>`
-/// for the vector registers — on **every** call, including recursive ones.
-/// A `FramePool` hands frames out of a free list instead: after a short
-/// warm-up, running a kernel performs no allocation at all. Pools are
-/// target-agnostic (frames are resized on acquire, reusing capacity), so one
-/// pool can serve a whole sweep across many targets.
+/// Allocating a frame's register files and slot table — a `Vec<Vec<u8>>`
+/// for the vector registers among them — on **every** call, recursive ones
+/// included, would dominate short kernels. A `FramePool` hands frames out
+/// of a free list instead: after a short warm-up, running a kernel performs
+/// no allocation at all. Pools are target-agnostic (frames are resized on
+/// acquire, reusing capacity), so one pool can serve a whole sweep across
+/// many targets.
 ///
 /// A pool can also carry an optional wall-clock **deadline** for the runs it
 /// backs ([`FramePool::set_deadline`]): the executor polls it at every region
@@ -284,9 +291,8 @@ impl FramePool {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PCall {
     /// Dense index of the callee — or its name if the program has no such
-    /// function, which stays a runtime error (like the legacy walk) so dead
-    /// malformed calls don't poison preparation of an otherwise-valid
-    /// program.
+    /// function, which stays a runtime error so dead malformed calls don't
+    /// poison preparation of an otherwise-valid program.
     pub(crate) callee: Result<usize, Box<str>>,
     pub(crate) args: Box<[PReg]>,
     pub(crate) ret: Option<PReg>,
@@ -518,8 +524,8 @@ pub(crate) enum PInst {
         value: Option<PReg>,
     },
     /// Synthetic trap appended after any block that does not end in a
-    /// terminator, preserving the legacy "fell off the end" behaviour in a
-    /// flat stream.
+    /// terminator: running past a block's end traps ("fell off the end")
+    /// in a flat stream too.
     FellOff {
         block: u32,
     },
@@ -831,7 +837,7 @@ impl PreparedProgram {
     /// 2. **Slots.** A function declares at most `MAX_FRAME_SLOTS` spill
     ///    slots, which bounds what a call allocates. A slot *number* is not
     ///    trusted: the spill and reload handlers look it up with `get` and
-    ///    trap, as the legacy walk does.
+    ///    trap.
     /// 3. **Blocks.** Every `Jump` / `BranchNz` target names a block of its
     ///    function and is resolved to that block's region, so control only
     ///    ever lands on a region entry.
@@ -852,17 +858,15 @@ impl PreparedProgram {
     ///
     /// Validation is deliberately **eager and whole-program**: a malformed
     /// instruction fails deployment even if it sits in a function the
-    /// deployment would never execute (where the legacy walk only trapped on
-    /// execution). Failing at deploy time instead of on the Nth run is the
+    /// deployment would never execute (where a run would only trap on
+    /// executing it). Failing at deploy time instead of on the Nth run is the
     /// point of preparation; only *unknown call targets* stay lazy (they are
     /// a name-resolution property, not a malformed-code one).
     ///
     /// # Errors
     ///
-    /// Returns the same [`SimError`] variants the legacy walk would raise at
-    /// run time: [`SimError::BadRegister`] for an index beyond the target's
-    /// register file — and for an operand of a class its instruction does
-    /// not take, which the legacy walk does not look for —
+    /// Returns [`SimError::BadRegister`] for an index beyond the target's
+    /// register file or an operand of a class its instruction does not take,
     /// [`SimError::NoVectorUnit`] for vector instructions on a scalar-only
     /// target, and [`SimError::Trap`] for malformed control flow, a slot
     /// table past the frame limit or a vector element wider than the vector
@@ -967,7 +971,7 @@ impl PreparedProgram {
     /// Execution takes the threaded stream under either timing tier; fuel
     /// and instruction counts are prepaid per straight-line region, and a
     /// region the remaining fuel cannot cover retires the prefix it affords
-    /// and stops the run, so behaviour is bit-identical to the legacy walk.
+    /// and stops the run at the instruction the fuel runs out on.
     ///
     /// # Errors
     ///
@@ -1264,8 +1268,7 @@ const MAX_FRAME_SLOTS: u32 = 1 << 12;
 
 /// Fact 2, the size half: every call allocates the function's whole slot
 /// table, and a store entry can declare 2^32 - 1 slots in five bytes.
-/// `prepare` checks it once per function; the legacy walk, which prepares
-/// nothing, on entering one.
+/// `prepare` checks it once per function.
 pub(crate) fn check_frame_slots(f: &MFunction) -> Result<(), SimError> {
     if f.num_slots > MAX_FRAME_SLOTS {
         return Err(SimError::Trap(format!(
@@ -1914,8 +1917,9 @@ mod tests {
     #[test]
     fn vector_elements_wider_than_the_register_are_refused_by_both_paths() {
         // A 4-byte vector unit has no W64 lane: every instruction that
-        // computes lanes is refused, by prepare and by the legacy walk alike,
-        // where both used to index lane 0 past the register and panic.
+        // computes lanes is refused when the fused and the unfused stream
+        // are prepared, where running it used to index lane 0 past the
+        // register and panic.
         let target = TargetDesc {
             vector: Some(crate::VectorUnit { bytes: 4, regs: 8 }),
             ..TargetDesc::x86_sse()
@@ -1968,11 +1972,10 @@ mod tests {
                 }],
             };
             let want = SimError::Trap("8-byte lanes in a 4-byte vector register in f".into());
-            let err = PreparedProgram::prepare(&program, &target).unwrap_err();
-            assert_eq!(err, want, "{inst:?}");
-            let mut sim = crate::Simulator::new(&program, &target);
-            let legacy = sim.run_legacy("f", &[], &mut [0u8; 16]);
-            assert_eq!(legacy, Err(want), "{inst:?}");
+            for fuse in [true, false] {
+                let err = PreparedProgram::prepare_with(&program, &target, fuse).unwrap_err();
+                assert_eq!(err, want, "{inst:?}");
+            }
         }
     }
 
@@ -2259,8 +2262,7 @@ mod tests {
     fn a_function_declaring_more_slots_than_a_frame_holds_fails_at_prepare_time() {
         // Found by the store's payload fuzz: `num_slots` is five bytes of a
         // store entry, and every call of the function allocated that many
-        // slots — 64 GiB for `u32::MAX`, an abort no caller can catch. The
-        // legacy walk, which prepares nothing, traps on entering it.
+        // slots — 64 GiB for `u32::MAX`, an abort no caller can catch.
         let declaring = |num_slots| MProgram {
             name: "m".into(),
             functions: vec![MFunction {
@@ -2276,26 +2278,21 @@ mod tests {
         for over in [MAX_FRAME_SLOTS + 1, u32::MAX] {
             let program = declaring(over);
             let prepared = PreparedProgram::prepare(&program, &target);
-            assert!(matches!(prepared, Err(SimError::Trap(_))));
-            let legacy = crate::Simulator::new(&program, &target).run_legacy("f", &[], &mut []);
-            assert_eq!(legacy, prepared.map(|_| None), "the legacy column");
             let want = format!("f declares {over} spill slots, a frame holds at most 4096");
-            assert_eq!(legacy, Err(SimError::Trap(want)), "the walk's verdict");
+            assert_eq!(prepared.map(|_| ()), Err(SimError::Trap(want)));
         }
         let program = declaring(MAX_FRAME_SLOTS);
         let most = PreparedProgram::prepare(&program, &target).unwrap();
         let mut sim = PreparedSimulator::new(&most);
         assert_eq!(sim.run("f", &[], &mut []), Ok(None));
-        let mut legacy = crate::Simulator::new(&program, &target);
-        assert_eq!(legacy.run_legacy("f", &[], &mut []), Ok(None));
     }
 
     #[test]
     fn hostile_addresses_trap_identically_on_both_execution_paths() {
         // Negative bases, i64::MAX + positive offset (wraps negative) and a
         // vector access straddling the end of memory must all surface as
-        // `SimError::Trap` — never a slice panic — and the prepared path must
-        // agree with the legacy walk on each.
+        // `SimError::Trap` — never a slice panic — the same on the fused and
+        // the unfused stream, and as recorded.
         let scalar = MProgram {
             name: "m".into(),
             functions: vec![MFunction {
@@ -2344,27 +2341,22 @@ mod tests {
         let bases = [-9i64, -12, i64::MIN, i64::MAX, i64::MAX - 8];
         let mut pins = Pins::default();
         for (program, func) in [(&scalar, "peek"), (&vector, "vpeek")] {
-            let prepared = PreparedProgram::prepare(program, &target).unwrap();
+            let fused = PreparedProgram::prepare(program, &target).unwrap();
+            let unfused = PreparedProgram::prepare_with(program, &target, false).unwrap();
             for base in bases {
-                let mut mem = vec![0u8; mem_size];
-                let mut legacy = crate::Simulator::new(program, &target);
-                let legacy_err = legacy
-                    .run_legacy(func, &[MachineValue::Int(base)], &mut mem)
-                    .unwrap_err();
-                let cell = format!("{func} base {base}");
-                pins.record(cell, &Err(legacy_err.clone()), &legacy.stats(), &mem);
+                let runs = [&fused, &unfused].map(|prepared| {
+                    let mut mem = vec![0u8; mem_size];
+                    let mut sim = PreparedSimulator::new(prepared);
+                    let out = sim.run(func, &[MachineValue::Int(base)], &mut mem);
+                    (out, sim.stats(), mem)
+                });
+                let [(out, stats, mem), _] = &runs;
                 assert!(
-                    matches!(legacy_err, SimError::Trap(_)),
-                    "{func} base {base} (legacy): {legacy_err:?}"
+                    matches!(out, Err(SimError::Trap(_))),
+                    "{func} base {base}: {out:?}"
                 );
-                let mut sim = PreparedSimulator::new(&prepared);
-                let prepared_err = sim
-                    .run(func, &[MachineValue::Int(base)], &mut mem)
-                    .unwrap_err();
-                assert_eq!(
-                    prepared_err, legacy_err,
-                    "{func} base {base}: paths disagree on the trap"
-                );
+                assert!(runs[0] == runs[1], "{func} base {base}: paths disagree");
+                pins.record(format!("{func} base {base}"), out, stats, mem);
             }
         }
         // Straddling the end: scalar 8-byte load at len-4, 16-byte vector
@@ -2377,12 +2369,9 @@ mod tests {
             .run("vpeek", &[MachineValue::Int(base)], &mut mem)
             .unwrap_err();
         assert!(matches!(err, SimError::Trap(_)), "straddle: {err:?}");
-        let mut legacy = crate::Simulator::new(&vector, &target);
-        let legacy_out = legacy.run_legacy("vpeek", &[MachineValue::Int(base)], &mut mem);
-        assert_eq!(legacy_out, Err(err));
-        pins.record("straddle", &legacy_out, &legacy.stats(), &mem);
+        pins.record("straddle", &Err(err), &sim.stats(), &mem);
         pins.check(11_591_025_022_178_749_775);
-        // In-bounds accesses still succeed on both paths.
+        // In-bounds accesses still succeed.
         let ok = sim
             .run("vpeek", &[MachineValue::Int(64)], &mut mem)
             .unwrap();
@@ -2392,8 +2381,7 @@ mod tests {
     #[test]
     fn vector_lane_shifts_mask_counts_like_the_scalar_alu() {
         // AluOp::Shl/Shr through the SIMD lane path: counts splatted across
-        // the lanes mask modulo 64 exactly like the scalar ALU, on both the
-        // legacy walk and the prepared stream.
+        // the lanes mask modulo 64 exactly like the scalar ALU.
         let lanes_program = |count: i64| MProgram {
             name: "m".into(),
             functions: vec![MFunction {
@@ -2443,20 +2431,10 @@ mod tests {
             for lane in 0..4 {
                 mem[16 + lane * 4..16 + lane * 4 + 4].copy_from_slice(&1i32.to_le_bytes());
             }
-            let mut legacy_mem = mem.clone();
             let mut sim = PreparedSimulator::new(&prepared);
-            sim.run("vshift", &[MachineValue::Int(16)], &mut mem)
-                .unwrap();
-            let mut legacy = crate::Simulator::new(&program, &target);
-            let legacy_out = legacy.run_legacy("vshift", &[MachineValue::Int(16)], &mut legacy_mem);
-            assert_eq!(legacy_out, Ok(None));
-            pins.record(
-                format!("count {count}"),
-                &legacy_out,
-                &legacy.stats(),
-                &legacy_mem,
-            );
-            assert_eq!(mem, legacy_mem, "count {count}");
+            let out = sim.run("vshift", &[MachineValue::Int(16)], &mut mem);
+            assert_eq!(out, Ok(None));
+            pins.record(format!("count {count}"), &out, &sim.stats(), &mem);
             for lane in 0..4 {
                 let mut b = [0u8; 4];
                 b.copy_from_slice(&mem[16 + lane * 4..16 + lane * 4 + 4]);
@@ -2877,9 +2855,9 @@ mod tests {
 
     type RunOutcome = Result<Option<MachineValue>, SimError>;
 
-    /// `(outcome, SimStats, memory)` of `func` on every execution path —
-    /// legacy walk, threaded fused, threaded unfused — with `fuel`. The
-    /// walk's run is noted in `pins`.
+    /// `(outcome, SimStats, memory)` of `func` on both streams — threaded
+    /// fused, threaded unfused — with `fuel`. The fused run is noted in
+    /// `pins`.
     fn run_every_path(
         pins: &mut Pins,
         program: &MProgram,
@@ -2889,20 +2867,19 @@ mod tests {
         mem_len: usize,
         fuel: u64,
     ) -> Vec<(RunOutcome, SimStats, Vec<u8>)> {
-        let mut results = Vec::new();
-        let mut mem = vec![0u8; mem_len];
-        let mut legacy = crate::Simulator::new(program, target).with_fuel(fuel);
-        let out = legacy.run_legacy(func, args, &mut mem);
+        let results: Vec<_> = [true, false]
+            .into_iter()
+            .map(|fuse| {
+                let prepared = PreparedProgram::prepare_with(program, target, fuse).unwrap();
+                let mut mem = vec![0u8; mem_len];
+                let mut sim = PreparedSimulator::new(&prepared).with_fuel(fuel);
+                let out = sim.run(func, args, &mut mem);
+                (out, sim.stats(), mem)
+            })
+            .collect();
+        let (out, stats, mem) = &results[0];
         let cell = format!("{func}{args:?} {:?}, fuel {fuel}", target.timing);
-        pins.record(cell, &out, &legacy.stats(), &mem);
-        results.push((out, legacy.stats(), mem));
-        for fuse in [true, false] {
-            let prepared = PreparedProgram::prepare_with(program, target, fuse).unwrap();
-            let mut mem = vec![0u8; mem_len];
-            let mut sim = PreparedSimulator::new(&prepared).with_fuel(fuel);
-            let out = sim.run(func, args, &mut mem);
-            results.push((out, sim.stats(), mem));
-        }
+        pins.record(cell, out, stats, mem);
         results
     }
 
@@ -2910,13 +2887,13 @@ mod tests {
     fn fuel_exhaustion_is_identical_across_legacy_fused_and_unfused() {
         let pins = &mut Pins::default();
         // `OutOfFuel` must trigger at the identical retired-instruction count
-        // on every path — legacy walk, threaded fused and unfused — i.e. for
-        // every fuel value from 0 to "just enough", including ones that land
-        // *inside* a fused span, all paths agree on outcome, memory and full
-        // stats, under both timing tiers. On the every-kind program each fuel
-        // value adds exactly one instruction to the prefix the fuel tail
-        // retires, so the sweep checks every `op_info` row against the legacy
-        // arm.
+        // on every path — threaded fused and unfused, and the recorded runs
+        // of the block walk — i.e. for every fuel value from 0 to "just
+        // enough", including ones that land *inside* a fused span, all paths
+        // agree on outcome, memory and full stats, under both timing tiers.
+        // On the every-kind program each fuel value adds exactly one
+        // instruction to the prefix the fuel tail retires, so the sweep
+        // checks every `op_info` row against its recorded digest.
         let inputs = [
             (counting_loop(), "count", MachineValue::Int(4)),
             (every_kind_program(5), "kinds", MachineValue::Int(16)),
@@ -2987,9 +2964,9 @@ mod tests {
         // path gives back what had not retired: replace each instruction of
         // the every-kind program in turn by a load that always traps (so the
         // trap lands first, mid and last in regions, inside fused spans and
-        // in either half of a welded pair) and compare with the legacy walk,
-        // which never prepays. Last, a `Ret` whose move retires before it
-        // traps.
+        // in either half of a welded pair) and compare with the recorded
+        // runs of the block walk, which never prepaid. Last, a `Ret` whose
+        // move retires before it traps.
         let program = every_kind_program(5);
         let kinds = program.functions.len() - 1;
         let trapping_load = MInst::Load {
@@ -3050,9 +3027,10 @@ mod tests {
     }
 
     // --- named edges of pipelined timing: wherever the timing model's view
-    // of a run depends on something only known at run time, every path —
-    // legacy walk, threaded fused and unfused — must agree on the whole
-    // `SimStats`, `stalls`/`mispredicts`/`predicted` included.
+    // of a run depends on something only known at run time, both streams —
+    // threaded fused and unfused — must agree with each other and with the
+    // recorded runs of the block walk on the whole `SimStats`,
+    // `stalls`/`mispredicts`/`predicted` included.
 
     fn r(i: u16) -> PReg {
         PReg::int(i)

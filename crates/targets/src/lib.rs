@@ -9,13 +9,13 @@
 //! the virtual machine code ([`MProgram`]) emitted by the online compiler and
 //! reports deterministic cycle counts ([`SimStats`]): programs are prepared
 //! once per target ([`PreparedProgram`]) and run through
-//! [`PreparedSimulator`]; the block-walking [`Simulator`] is the reference
-//! the differential tests compare that executor against. It is not an
-//! independent one: both call the same ALU, FPU, compare, memory and lane
-//! helpers and charge cycles through the same [`TimingModel`] impls, so a
-//! bug there is caught only by the vbc interpreter differentials
-//! (`tests/differential.rs`, `tests/fuzz_differential.rs`) and, for the
-//! lane helpers, by the recorded lane digest in `tests/prepared.rs`.
+//! [`PreparedSimulator`]. Each machine instruction's semantics is stated
+//! once, by its handler. Two references check it: the vbc interpreter for
+//! values and memory (`tests/differential.rs`, `tests/fuzz_differential.rs`),
+//! and recorded digests of whole runs — outcome, every [`SimStats`] counter
+//! and the memory image — for cycles, stalls and mispredicts, recorded from
+//! the block walk this crate once carried beside the handlers
+//! (`tests/prepared.rs`, the fuzz suite and the executor's unit tests).
 //!
 //! Absolute cycle numbers are synthetic; the experiments only rely on the
 //! *relative* behaviour (scalar vs. vectorized code, one target vs. another),
@@ -80,7 +80,5 @@ pub use hash::Fnv1a;
 pub use mcode::{
     AluOp, CmpPred, FpuOp, MBlock, MFunction, MInst, MProgram, PReg, RedOp, RegClass, Width,
 };
-pub use simulator::{
-    MachineValue, SimError, SimStats, Simulator, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH,
-};
-pub use timing::{FlatCost, InOrderPipeline, LatClass, TimingKind, TimingModel};
+pub use simulator::{MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH};
+pub use timing::{InOrderPipeline, LatClass, TimingKind, TimingModel};

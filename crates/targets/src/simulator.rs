@@ -1,18 +1,17 @@
-//! Cycle-cost simulator for the virtual ISA.
+//! What a simulated run takes and gives, and the semantics its handlers share.
 //!
 //! The simulator stands in for the real x86/UltraSparc/PowerPC/ARM/Cell
 //! hardware of the paper: it executes machine code produced by the online
 //! compiler against a flat byte memory and charges each instruction the cost
-//! given by the target's [`CostModel`](crate::CostModel). Functional results
-//! must match the bytecode reference interpreter (this is checked by the
-//! cross-crate differential tests); cycle counts are what the experiments
-//! report.
+//! given by the target's [`CostModel`](crate::CostModel). The executor is
+//! [`PreparedProgram`](crate::PreparedProgram); this module holds its run
+//! types ([`MachineValue`], [`SimError`], [`SimStats`]) and the arithmetic,
+//! compare, memory and vector-lane helpers its `dispatch.rs` handlers call.
+//! Functional results must match the bytecode reference interpreter (checked
+//! by the cross-crate differential tests); cycle counts are what the
+//! experiments report.
 
-use crate::desc::TargetDesc;
-use crate::mcode::{
-    AluOp, CmpPred, FpuOp, MFunction, MInst, MProgram, PReg, RedOp, RegClass, Width,
-};
-use crate::timing::{FlatCost, InOrderPipeline, LatClass, TimingKind, TimingModel, NO_REG};
+use crate::mcode::{AluOp, CmpPred, FpuOp, Width};
 use std::error::Error;
 use std::fmt;
 
@@ -149,32 +148,6 @@ pub struct SimStats {
     pub predicted: u64,
 }
 
-/// Scoreboard key of a register for the timing model: `(index << 1) | float`.
-/// Vector registers are not scoreboarded (see
-/// [`InOrderPipeline`](crate::timing::InOrderPipeline)).
-fn tkey(r: PReg) -> u32 {
-    match r.class {
-        RegClass::Int => u32::from(r.index) << 1,
-        RegClass::Float => (u32::from(r.index) << 1) | 1,
-        RegClass::Vec => NO_REG,
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum SlotValue {
-    Empty,
-    Int(i64),
-    Float(f64),
-    Vec(Vec<u8>),
-}
-
-struct Frame {
-    int: Vec<i64>,
-    float: Vec<f64>,
-    vec: Vec<Vec<u8>>,
-    slots: Vec<SlotValue>,
-}
-
 pub(crate) fn normalize(width: Width, signed: bool, v: i64) -> i64 {
     match (width, signed) {
         (Width::W8, true) => v as i8 as i64,
@@ -281,948 +254,6 @@ pub(crate) fn compare<T: PartialOrd>(pred: CmpPred, a: T, b: T) -> i64 {
     i64::from(r)
 }
 
-/// The reference cycle-cost simulator for one target: the original
-/// block-walking interpreter, which decodes every instruction as it goes.
-///
-/// Programs are *served* by the pre-decoded executor
-/// ([`PreparedProgram`](crate::PreparedProgram), driven through
-/// [`PreparedSimulator`](crate::PreparedSimulator)); this walk shares no
-/// execution code with it and is the semantic reference the differential
-/// tests compare the prepared path against, bit for bit.
-///
-/// # Examples
-///
-/// ```
-/// use splitc_targets::{
-///     MachineValue, MBlock, MFunction, MInst, MProgram, PReg, PreparedProgram,
-///     PreparedSimulator, Simulator, TargetDesc, Width, AluOp,
-/// };
-///
-/// // fn add1(r0) { r1 = 1; r0 = r0 + r1; return r0 }
-/// let f = MFunction {
-///     name: "add1".into(),
-///     params: vec![PReg::int(0)],
-///     blocks: vec![MBlock {
-///         insts: vec![
-///             MInst::Imm { dst: PReg::int(1), value: 1 },
-///             MInst::IntOp {
-///                 op: AluOp::Add, width: Width::W32, signed: true,
-///                 dst: PReg::int(0), lhs: PReg::int(0), rhs: PReg::int(1),
-///             },
-///             MInst::Ret { value: Some(PReg::int(0)) },
-///         ],
-///     }],
-///     num_slots: 0,
-/// };
-/// let program = MProgram { name: "demo".into(), functions: vec![f] };
-/// let target = TargetDesc::x86_sse();
-/// let prepared = PreparedProgram::prepare(&program, &target).unwrap();
-/// let mut sim = PreparedSimulator::new(&prepared);
-/// let mut mem = vec![0u8; 64];
-/// let out = sim.run("add1", &[MachineValue::Int(41)], &mut mem).unwrap();
-/// assert_eq!(out, Some(MachineValue::Int(42)));
-/// assert!(sim.stats().cycles > 0);
-///
-/// // The reference walk agrees, result and statistics alike.
-/// let mut reference = Simulator::new(&program, &target);
-/// let same = reference.run_legacy("add1", &[MachineValue::Int(41)], &mut mem).unwrap();
-/// assert_eq!((same, reference.stats()), (out, sim.stats()));
-/// ```
-#[derive(Debug)]
-pub struct Simulator<'p> {
-    program: &'p MProgram,
-    target: &'p TargetDesc,
-    fuel: u64,
-    stats: SimStats,
-}
-
-impl<'p> Simulator<'p> {
-    /// Create a simulator for `program` on `target`.
-    pub fn new(program: &'p MProgram, target: &'p TargetDesc) -> Self {
-        Simulator {
-            program,
-            target,
-            fuel: DEFAULT_SIM_FUEL,
-            stats: SimStats::default(),
-        }
-    }
-
-    /// Override the instruction budget.
-    pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.fuel = fuel;
-        self
-    }
-
-    /// Statistics from the most recent [`Simulator::run_legacy`].
-    pub fn stats(&self) -> SimStats {
-        self.stats
-    }
-
-    /// Execute `func` with `args` against `mem` using the original
-    /// block-walking interpreter (no preparation, per-instruction decode).
-    ///
-    /// This is the semantic reference: the differential suites assert the
-    /// prepared path agrees with it bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] on unknown functions, register-file violations,
-    /// vector use on scalar-only targets, runtime traps or fuel exhaustion.
-    pub fn run_legacy(
-        &mut self,
-        func: &str,
-        args: &[MachineValue],
-        mem: &mut [u8],
-    ) -> Result<Option<MachineValue>, SimError> {
-        self.stats = SimStats::default();
-        let mut fuel = self.fuel;
-        match self.target.timing {
-            TimingKind::Flat => {
-                let mut tm = FlatCost;
-                let r = self.call(func, args, mem, &mut fuel, 0, &mut tm);
-                tm.finish(&mut self.stats);
-                r
-            }
-            TimingKind::InOrder => {
-                let mut tm = InOrderPipeline::new(&self.target.cost);
-                let r = self.call(func, args, mem, &mut fuel, 0, &mut tm);
-                tm.finish(&mut self.stats);
-                r
-            }
-        }
-    }
-
-    /// Lane count of `elem` on this target's vector unit, refusing (as
-    /// `prepare` does) a scalar-only target or an element wider than the unit.
-    fn lanes(&self, elem: Width, fname: &str) -> Result<usize, SimError> {
-        self.require_simd(fname)?;
-        lane_count(self.target.vector_bytes(), elem, fname)
-    }
-
-    fn new_frame(&self, f: &MFunction) -> Frame {
-        Frame {
-            int: vec![0; usize::from(self.target.int_regs)],
-            float: vec![0.0; usize::from(self.target.float_regs)],
-            // Scalar-only targets get an explicitly empty register file — no
-            // per-call vector bookkeeping at all. (The prepared path goes
-            // further and pools one flat buffer; see `exec::FramePool`.)
-            vec: match self.target.vector {
-                Some(v) => {
-                    vec![vec![0u8; self.target.vector_bytes() as usize]; usize::from(v.regs)]
-                }
-                None => Vec::new(),
-            },
-            slots: vec![SlotValue::Empty; f.num_slots as usize],
-        }
-    }
-
-    fn check_reg(&self, frame: &Frame, r: PReg, fname: &str) -> Result<(), SimError> {
-        let ok = match r.class {
-            RegClass::Int => usize::from(r.index) < frame.int.len(),
-            RegClass::Float => usize::from(r.index) < frame.float.len(),
-            RegClass::Vec => usize::from(r.index) < frame.vec.len(),
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(SimError::BadRegister {
-                reg: r.to_string(),
-                function: fname.to_owned(),
-            })
-        }
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn call<T: TimingModel>(
-        &mut self,
-        name: &str,
-        args: &[MachineValue],
-        mem: &mut [u8],
-        fuel: &mut u64,
-        depth: usize,
-        tm: &mut T,
-    ) -> Result<Option<MachineValue>, SimError> {
-        if depth > MAX_CALL_DEPTH {
-            return Err(SimError::Trap("call depth exceeded".into()));
-        }
-        let f = self
-            .program
-            .function(name)
-            .ok_or_else(|| SimError::UnknownFunction(name.to_owned()))?;
-        crate::exec::check_frame_slots(f)?;
-        if f.params.len() != args.len() {
-            return Err(SimError::BadArgumentCount {
-                expected: f.params.len(),
-                found: args.len(),
-            });
-        }
-        let mut frame = self.new_frame(f);
-        for (preg, value) in f.params.iter().zip(args) {
-            self.check_reg(&frame, *preg, &f.name)?;
-            match (preg.class, value) {
-                (RegClass::Int, MachineValue::Int(v)) => frame.int[usize::from(preg.index)] = *v,
-                (RegClass::Float, MachineValue::Float(v)) => {
-                    frame.float[usize::from(preg.index)] = *v;
-                }
-                (RegClass::Int, MachineValue::Float(v)) => {
-                    frame.int[usize::from(preg.index)] = *v as i64;
-                }
-                (RegClass::Float, MachineValue::Int(v)) => {
-                    frame.float[usize::from(preg.index)] = *v as f64;
-                }
-                (RegClass::Vec, _) => {
-                    return Err(SimError::Trap(
-                        "vector registers cannot be parameters".into(),
-                    ));
-                }
-            }
-        }
-
-        let cost = &self.target.cost;
-        // Offset of every block in the flat numbering the prepared stream
-        // uses (an unterminated block holds one extra synthetic slot there):
-        // branch-predictor site ids must agree across execution paths for
-        // the timing-class counters to be comparable.
-        let mut block_starts = Vec::with_capacity(f.blocks.len());
-        let mut flat_len = 0u32;
-        for b in &f.blocks {
-            block_starts.push(flat_len);
-            let terminated = b.insts.last().is_some_and(MInst::is_terminator);
-            flat_len += b.insts.len() as u32 + u32::from(!terminated);
-        }
-        let mut block = 0usize;
-        let mut index = 0usize;
-        loop {
-            if *fuel == 0 {
-                return Err(SimError::OutOfFuel);
-            }
-            *fuel -= 1;
-            let inst = f
-                .blocks
-                .get(block)
-                .and_then(|b| b.insts.get(index))
-                .ok_or_else(|| {
-                    SimError::Trap(format!("fell off the end of block {block} in {name}"))
-                })?
-                .clone();
-            index += 1;
-            self.stats.instructions += 1;
-
-            macro_rules! geti {
-                ($r:expr) => {{
-                    self.check_reg(&frame, $r, &f.name)?;
-                    frame.int[usize::from($r.index)]
-                }};
-            }
-            macro_rules! getf {
-                ($r:expr) => {{
-                    self.check_reg(&frame, $r, &f.name)?;
-                    frame.float[usize::from($r.index)]
-                }};
-            }
-
-            match inst {
-                MInst::Imm { dst, value } => {
-                    self.check_reg(&frame, dst, &f.name)?;
-                    frame.int[usize::from(dst.index)] = value;
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Mov,
-                        cost.mov,
-                        tkey(dst),
-                        NO_REG,
-                        NO_REG,
-                    );
-                }
-                MInst::FImm { dst, value } => {
-                    self.check_reg(&frame, dst, &f.name)?;
-                    frame.float[usize::from(dst.index)] = value;
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Mov,
-                        cost.mov,
-                        tkey(dst),
-                        NO_REG,
-                        NO_REG,
-                    );
-                }
-                MInst::Mov { dst, src } => {
-                    self.check_reg(&frame, dst, &f.name)?;
-                    self.check_reg(&frame, src, &f.name)?;
-                    match dst.class {
-                        RegClass::Int => {
-                            frame.int[usize::from(dst.index)] = frame.int[usize::from(src.index)]
-                        }
-                        RegClass::Float => {
-                            frame.float[usize::from(dst.index)] =
-                                frame.float[usize::from(src.index)];
-                        }
-                        RegClass::Vec => {
-                            let v = frame.vec[usize::from(src.index)].clone();
-                            frame.vec[usize::from(dst.index)] = v;
-                        }
-                    }
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Mov,
-                        cost.mov,
-                        tkey(dst),
-                        tkey(src),
-                        NO_REG,
-                    );
-                }
-                MInst::IntOp {
-                    op,
-                    width,
-                    signed,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    let a = geti!(lhs);
-                    let b = geti!(rhs);
-                    self.check_reg(&frame, dst, &f.name)?;
-                    frame.int[usize::from(dst.index)] = alu(op, width, signed, a, b)?;
-                    let (class, c) = match op {
-                        AluOp::Mul => (LatClass::Mul, cost.int_mul),
-                        AluOp::Div | AluOp::Rem => (LatClass::Div, cost.int_div),
-                        _ => (LatClass::Alu, cost.int_op),
-                    };
-                    tm.op(&mut self.stats, class, c, tkey(dst), tkey(lhs), tkey(rhs));
-                }
-                MInst::FloatOp {
-                    op,
-                    double,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    let a = getf!(lhs);
-                    let b = getf!(rhs);
-                    self.check_reg(&frame, dst, &f.name)?;
-                    frame.float[usize::from(dst.index)] = fpu(op, double, a, b);
-                    let (class, c) = match op {
-                        FpuOp::Mul => (LatClass::FpMul, cost.fp_mul),
-                        FpuOp::Div => (LatClass::FpDiv, cost.fp_div),
-                        _ => (LatClass::FpAdd, cost.fp_add),
-                    };
-                    tm.op(&mut self.stats, class, c, tkey(dst), tkey(lhs), tkey(rhs));
-                }
-                MInst::IntNeg { width, dst, src } => {
-                    let v = geti!(src);
-                    self.check_reg(&frame, dst, &f.name)?;
-                    frame.int[usize::from(dst.index)] = normalize(width, true, v.wrapping_neg());
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Alu,
-                        cost.int_op,
-                        tkey(dst),
-                        tkey(src),
-                        NO_REG,
-                    );
-                }
-                MInst::IntNot { width, dst, src } => {
-                    let v = geti!(src);
-                    self.check_reg(&frame, dst, &f.name)?;
-                    frame.int[usize::from(dst.index)] = normalize(width, false, !v);
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Alu,
-                        cost.int_op,
-                        tkey(dst),
-                        tkey(src),
-                        NO_REG,
-                    );
-                }
-                MInst::FloatNeg { double, dst, src } => {
-                    let v = getf!(src);
-                    self.check_reg(&frame, dst, &f.name)?;
-                    frame.float[usize::from(dst.index)] =
-                        if double { -v } else { f64::from(-(v as f32)) };
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::FpAdd,
-                        cost.fp_add,
-                        tkey(dst),
-                        tkey(src),
-                        NO_REG,
-                    );
-                }
-                MInst::IntCmp {
-                    pred,
-                    width,
-                    signed,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    let a = normalize(width, signed, geti!(lhs));
-                    let b = normalize(width, signed, geti!(rhs));
-                    self.check_reg(&frame, dst, &f.name)?;
-                    frame.int[usize::from(dst.index)] = if signed {
-                        compare(pred, a, b)
-                    } else {
-                        compare(pred, a as u64, b as u64)
-                    };
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Alu,
-                        cost.int_op,
-                        tkey(dst),
-                        tkey(lhs),
-                        tkey(rhs),
-                    );
-                }
-                MInst::FloatCmp {
-                    pred,
-                    double,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    let a = getf!(lhs);
-                    let b = getf!(rhs);
-                    let (a, b) = if double {
-                        (a, b)
-                    } else {
-                        (f64::from(a as f32), f64::from(b as f32))
-                    };
-                    self.check_reg(&frame, dst, &f.name)?;
-                    frame.int[usize::from(dst.index)] = if a.partial_cmp(&b).is_none() {
-                        i64::from(pred == CmpPred::Ne)
-                    } else {
-                        compare(pred, a, b)
-                    };
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::FpAdd,
-                        cost.fp_add,
-                        tkey(dst),
-                        tkey(lhs),
-                        tkey(rhs),
-                    );
-                }
-                MInst::Select {
-                    dst,
-                    cond,
-                    if_true,
-                    if_false,
-                } => {
-                    let c = geti!(cond) != 0;
-                    self.check_reg(&frame, dst, &f.name)?;
-                    self.check_reg(&frame, if_true, &f.name)?;
-                    self.check_reg(&frame, if_false, &f.name)?;
-                    let chosen = if c { if_true } else { if_false };
-                    match dst.class {
-                        RegClass::Int => {
-                            frame.int[usize::from(dst.index)] =
-                                frame.int[usize::from(chosen.index)];
-                        }
-                        RegClass::Float => {
-                            frame.float[usize::from(dst.index)] =
-                                frame.float[usize::from(chosen.index)];
-                        }
-                        RegClass::Vec => {
-                            let v = frame.vec[usize::from(chosen.index)].clone();
-                            frame.vec[usize::from(dst.index)] = v;
-                        }
-                    }
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Mov,
-                        cost.mov,
-                        tkey(dst),
-                        tkey(cond),
-                        tkey(chosen),
-                    );
-                }
-                MInst::IntToFloat {
-                    signed,
-                    double,
-                    dst,
-                    src,
-                } => {
-                    let v = geti!(src);
-                    self.check_reg(&frame, dst, &f.name)?;
-                    let x = if signed { v as f64 } else { v as u64 as f64 };
-                    frame.float[usize::from(dst.index)] =
-                        if double { x } else { f64::from(x as f32) };
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Convert,
-                        cost.convert,
-                        tkey(dst),
-                        tkey(src),
-                        NO_REG,
-                    );
-                }
-                MInst::FloatToInt {
-                    width,
-                    signed,
-                    dst,
-                    src,
-                } => {
-                    let v = getf!(src);
-                    self.check_reg(&frame, dst, &f.name)?;
-                    frame.int[usize::from(dst.index)] = normalize(width, signed, v as i64);
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Convert,
-                        cost.convert,
-                        tkey(dst),
-                        tkey(src),
-                        NO_REG,
-                    );
-                }
-                MInst::FloatCvt {
-                    to_double,
-                    dst,
-                    src,
-                } => {
-                    let v = getf!(src);
-                    self.check_reg(&frame, dst, &f.name)?;
-                    frame.float[usize::from(dst.index)] =
-                        if to_double { v } else { f64::from(v as f32) };
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Convert,
-                        cost.convert,
-                        tkey(dst),
-                        tkey(src),
-                        NO_REG,
-                    );
-                }
-                MInst::IntResize {
-                    width,
-                    signed,
-                    dst,
-                    src,
-                } => {
-                    let v = geti!(src);
-                    self.check_reg(&frame, dst, &f.name)?;
-                    frame.int[usize::from(dst.index)] = normalize(width, signed, v);
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Alu,
-                        cost.int_op,
-                        tkey(dst),
-                        tkey(src),
-                        NO_REG,
-                    );
-                }
-                MInst::Load {
-                    width,
-                    float,
-                    signed,
-                    dst,
-                    base,
-                    offset,
-                } => {
-                    let addr = geti!(base).wrapping_add(offset);
-                    let raw = read_mem(mem, addr, width.bytes())?;
-                    self.check_reg(&frame, dst, &f.name)?;
-                    if float {
-                        let x = match width {
-                            Width::W32 => f64::from(f32::from_bits(raw as u32)),
-                            _ => f64::from_bits(raw),
-                        };
-                        frame.float[usize::from(dst.index)] = x;
-                    } else {
-                        frame.int[usize::from(dst.index)] = normalize(width, signed, raw as i64);
-                    }
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Load,
-                        cost.load,
-                        tkey(dst),
-                        tkey(base),
-                        NO_REG,
-                    );
-                    self.stats.loads += 1;
-                }
-                MInst::Store {
-                    width,
-                    float,
-                    base,
-                    offset,
-                    src,
-                } => {
-                    let addr = geti!(base).wrapping_add(offset);
-                    let raw = if float {
-                        let v = getf!(src);
-                        match width {
-                            Width::W32 => u64::from((v as f32).to_bits()),
-                            _ => v.to_bits(),
-                        }
-                    } else {
-                        geti!(src) as u64
-                    };
-                    write_mem(mem, addr, width.bytes(), raw)?;
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Store,
-                        cost.store,
-                        NO_REG,
-                        tkey(base),
-                        tkey(src),
-                    );
-                    self.stats.stores += 1;
-                }
-                MInst::VecLoad { dst, base, offset } => {
-                    self.require_simd(&f.name)?;
-                    let addr = geti!(base).wrapping_add(offset);
-                    let width = self.target.vector_bytes();
-                    check_range(mem, addr, width)?;
-                    self.check_reg(&frame, dst, &f.name)?;
-                    frame.vec[usize::from(dst.index)]
-                        .copy_from_slice(&mem[addr as usize..(addr as usize + width as usize)]);
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::VecLoad,
-                        cost.vec_load,
-                        tkey(dst),
-                        tkey(base),
-                        NO_REG,
-                    );
-                    self.stats.loads += 1;
-                    self.stats.vector_ops += 1;
-                }
-                MInst::VecStore { base, offset, src } => {
-                    self.require_simd(&f.name)?;
-                    let addr = geti!(base).wrapping_add(offset);
-                    let width = self.target.vector_bytes();
-                    check_range(mem, addr, width)?;
-                    self.check_reg(&frame, src, &f.name)?;
-                    let data = frame.vec[usize::from(src.index)].clone();
-                    mem[addr as usize..(addr as usize + width as usize)].copy_from_slice(&data);
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::VecStore,
-                        cost.vec_store,
-                        NO_REG,
-                        tkey(base),
-                        tkey(src),
-                    );
-                    self.stats.stores += 1;
-                    self.stats.vector_ops += 1;
-                }
-                MInst::VecSplatInt { elem, dst, src } => {
-                    let lanes = self.lanes(elem, &f.name)?;
-                    let v = geti!(src);
-                    self.check_reg(&frame, dst, &f.name)?;
-                    let reg = &mut frame.vec[usize::from(dst.index)];
-                    for lane in 0..lanes {
-                        write_lane_int(reg, lane, elem, v);
-                    }
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Vec,
-                        cost.vec_op,
-                        tkey(dst),
-                        tkey(src),
-                        NO_REG,
-                    );
-                    self.stats.vector_ops += 1;
-                }
-                MInst::VecSplatFloat { elem, dst, src } => {
-                    let lanes = self.lanes(elem, &f.name)?;
-                    let v = getf!(src);
-                    self.check_reg(&frame, dst, &f.name)?;
-                    let reg = &mut frame.vec[usize::from(dst.index)];
-                    for lane in 0..lanes {
-                        write_lane_float(reg, lane, elem, v);
-                    }
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Vec,
-                        cost.vec_op,
-                        tkey(dst),
-                        tkey(src),
-                        NO_REG,
-                    );
-                    self.stats.vector_ops += 1;
-                }
-                MInst::VecIntOp {
-                    op,
-                    elem,
-                    signed,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    let lanes = self.lanes(elem, &f.name)?;
-                    self.check_reg(&frame, dst, &f.name)?;
-                    self.check_reg(&frame, lhs, &f.name)?;
-                    self.check_reg(&frame, rhs, &f.name)?;
-                    let a = frame.vec[usize::from(lhs.index)].clone();
-                    let b = frame.vec[usize::from(rhs.index)].clone();
-                    let out = &mut frame.vec[usize::from(dst.index)];
-                    for lane in 0..lanes {
-                        let x = read_lane_int(&a, lane, elem, signed);
-                        let y = read_lane_int(&b, lane, elem, signed);
-                        write_lane_int(out, lane, elem, alu(op, elem, signed, x, y)?);
-                    }
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Vec,
-                        cost.vec_op,
-                        tkey(dst),
-                        tkey(lhs),
-                        tkey(rhs),
-                    );
-                    self.stats.vector_ops += 1;
-                }
-                MInst::VecFloatOp {
-                    op,
-                    elem,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    let lanes = self.lanes(elem, &f.name)?;
-                    self.check_reg(&frame, dst, &f.name)?;
-                    self.check_reg(&frame, lhs, &f.name)?;
-                    self.check_reg(&frame, rhs, &f.name)?;
-                    let a = frame.vec[usize::from(lhs.index)].clone();
-                    let b = frame.vec[usize::from(rhs.index)].clone();
-                    let out = &mut frame.vec[usize::from(dst.index)];
-                    for lane in 0..lanes {
-                        let x = read_lane_float(&a, lane, elem);
-                        let y = read_lane_float(&b, lane, elem);
-                        write_lane_float(out, lane, elem, fpu(op, elem == Width::W64, x, y));
-                    }
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Vec,
-                        cost.vec_op,
-                        tkey(dst),
-                        tkey(lhs),
-                        tkey(rhs),
-                    );
-                    self.stats.vector_ops += 1;
-                }
-                MInst::VecReduceInt {
-                    op,
-                    elem,
-                    signed,
-                    dst,
-                    src,
-                } => {
-                    let lanes = self.lanes(elem, &f.name)?;
-                    self.check_reg(&frame, dst, &f.name)?;
-                    self.check_reg(&frame, src, &f.name)?;
-                    let reg = frame.vec[usize::from(src.index)].clone();
-                    let mut acc = read_lane_int(&reg, 0, elem, signed);
-                    for lane in 1..lanes {
-                        let x = read_lane_int(&reg, lane, elem, signed);
-                        acc = match op {
-                            RedOp::Add => alu(AluOp::Add, elem, signed, acc, x)?,
-                            RedOp::Min => alu(AluOp::Min, elem, signed, acc, x)?,
-                            RedOp::Max => alu(AluOp::Max, elem, signed, acc, x)?,
-                        };
-                    }
-                    frame.int[usize::from(dst.index)] = acc;
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::VecReduce,
-                        cost.vec_reduce,
-                        tkey(dst),
-                        tkey(src),
-                        NO_REG,
-                    );
-                    self.stats.vector_ops += 1;
-                }
-                MInst::VecReduceFloat { op, elem, dst, src } => {
-                    let lanes = self.lanes(elem, &f.name)?;
-                    self.check_reg(&frame, dst, &f.name)?;
-                    self.check_reg(&frame, src, &f.name)?;
-                    let reg = frame.vec[usize::from(src.index)].clone();
-                    let mut acc = read_lane_float(&reg, 0, elem);
-                    for lane in 1..lanes {
-                        let x = read_lane_float(&reg, lane, elem);
-                        acc = match op {
-                            RedOp::Add => fpu(FpuOp::Add, elem == Width::W64, acc, x),
-                            RedOp::Min => fpu(FpuOp::Min, elem == Width::W64, acc, x),
-                            RedOp::Max => fpu(FpuOp::Max, elem == Width::W64, acc, x),
-                        };
-                    }
-                    frame.float[usize::from(dst.index)] = acc;
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::VecReduce,
-                        cost.vec_reduce,
-                        tkey(dst),
-                        tkey(src),
-                        NO_REG,
-                    );
-                    self.stats.vector_ops += 1;
-                }
-                MInst::Spill { slot, src } => {
-                    self.check_reg(&frame, src, &f.name)?;
-                    let value = match src.class {
-                        RegClass::Int => SlotValue::Int(frame.int[usize::from(src.index)]),
-                        RegClass::Float => SlotValue::Float(frame.float[usize::from(src.index)]),
-                        RegClass::Vec => SlotValue::Vec(frame.vec[usize::from(src.index)].clone()),
-                    };
-                    *frame
-                        .slots
-                        .get_mut(slot as usize)
-                        .ok_or_else(|| SimError::Trap(format!("spill to invalid slot {slot}")))? =
-                        value;
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::SpillStore,
-                        cost.spill_store,
-                        NO_REG,
-                        tkey(src),
-                        NO_REG,
-                    );
-                    self.stats.spill_stores += 1;
-                }
-                MInst::Reload { slot, dst } => {
-                    self.check_reg(&frame, dst, &f.name)?;
-                    let value = frame.slots.get(slot as usize).cloned().ok_or_else(|| {
-                        SimError::Trap(format!("reload from invalid slot {slot}"))
-                    })?;
-                    match (dst.class, value) {
-                        (RegClass::Int, SlotValue::Int(v)) => frame.int[usize::from(dst.index)] = v,
-                        (RegClass::Float, SlotValue::Float(v)) => {
-                            frame.float[usize::from(dst.index)] = v
-                        }
-                        (RegClass::Vec, SlotValue::Vec(v)) => frame.vec[usize::from(dst.index)] = v,
-                        (_, SlotValue::Empty) => {
-                            return Err(SimError::Trap(format!(
-                                "reload of uninitialized slot {slot}"
-                            )));
-                        }
-                        _ => {
-                            return Err(SimError::Trap(format!(
-                                "reload class mismatch for slot {slot}"
-                            )));
-                        }
-                    }
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::SpillReload,
-                        cost.spill_load,
-                        tkey(dst),
-                        NO_REG,
-                        NO_REG,
-                    );
-                    self.stats.spill_reloads += 1;
-                }
-                MInst::Jump { target } => {
-                    block = target as usize;
-                    index = 0;
-                    tm.jump(&mut self.stats, cost.branch_taken);
-                    self.stats.branches += 1;
-                }
-                MInst::BranchNz {
-                    cond,
-                    then_target,
-                    else_target,
-                } => {
-                    let taken = geti!(cond) != 0;
-                    // Predictor site id: the branch's own flat offset,
-                    // captured before the redirect below.
-                    let site = block_starts[block] + index as u32 - 1;
-                    block = if taken {
-                        then_target as usize
-                    } else {
-                        else_target as usize
-                    };
-                    index = 0;
-                    let c = if taken {
-                        cost.branch_taken
-                    } else {
-                        cost.branch_not_taken
-                    };
-                    tm.branch(&mut self.stats, site, taken, c, tkey(cond));
-                    self.stats.branches += 1;
-                }
-                MInst::Call { callee, args, ret } => {
-                    // The name resolves before the arguments are read and the
-                    // call is charged, as on the prepared stream.
-                    if self.program.function(&callee).is_none() {
-                        return Err(SimError::UnknownFunction(callee));
-                    }
-                    let mut argv = Vec::with_capacity(args.len());
-                    for a in &args {
-                        self.check_reg(&frame, *a, &f.name)?;
-                        argv.push(match a.class {
-                            RegClass::Int => MachineValue::Int(frame.int[usize::from(a.index)]),
-                            RegClass::Float => {
-                                MachineValue::Float(frame.float[usize::from(a.index)])
-                            }
-                            RegClass::Vec => {
-                                return Err(SimError::Trap(
-                                    "vector call arguments are unsupported".into(),
-                                ));
-                            }
-                        });
-                    }
-                    tm.call(&mut self.stats, cost.call);
-                    let out = self.call(&callee, &argv, mem, fuel, depth + 1, tm)?;
-                    if let Some(r) = ret {
-                        self.check_reg(&frame, r, &f.name)?;
-                        match (r.class, out) {
-                            (RegClass::Int, Some(MachineValue::Int(v))) => {
-                                frame.int[usize::from(r.index)] = v;
-                            }
-                            (RegClass::Float, Some(MachineValue::Float(v))) => {
-                                frame.float[usize::from(r.index)] = v;
-                            }
-                            _ => {
-                                return Err(SimError::Trap(format!(
-                                    "call to {callee} did not produce the expected value"
-                                )));
-                            }
-                        }
-                    }
-                }
-                MInst::Ret { value } => {
-                    let src = value.map_or(NO_REG, tkey);
-                    tm.op(
-                        &mut self.stats,
-                        LatClass::Mov,
-                        cost.mov,
-                        NO_REG,
-                        src,
-                        NO_REG,
-                    );
-                    return Ok(match value {
-                        Some(r) => {
-                            self.check_reg(&frame, r, &f.name)?;
-                            Some(match r.class {
-                                RegClass::Int => MachineValue::Int(frame.int[usize::from(r.index)]),
-                                RegClass::Float => {
-                                    MachineValue::Float(frame.float[usize::from(r.index)])
-                                }
-                                RegClass::Vec => {
-                                    return Err(SimError::Trap(
-                                        "vector return values are unsupported".into(),
-                                    ));
-                                }
-                            })
-                        }
-                        None => None,
-                    });
-                }
-            }
-        }
-    }
-
-    fn require_simd(&self, fname: &str) -> Result<(), SimError> {
-        if self.target.has_simd() {
-            Ok(())
-        } else {
-            Err(SimError::NoVectorUnit {
-                function: fname.to_owned(),
-            })
-        }
-    }
-}
-
 /// Build the trap for a null/negative or out-of-range access. Out of line and
 /// cold: the `format!` machinery would otherwise be inlined into every load
 /// and store handler, bloating their frames.
@@ -1284,9 +315,8 @@ pub(crate) fn write_mem(mem: &mut [u8], addr: i64, len: u64, value: u64) -> Resu
 }
 
 /// Lanes of `elem` in a `vector_bytes`-byte register. An element wider than
-/// the register has no lane 0 for a reduction to start from, so the
-/// instruction is refused: at prepare time by `prepare`, at run time by the
-/// legacy walk, with the same trap.
+/// the register has no lane 0 for a reduction to start from, so `prepare`
+/// refuses the instruction with a trap.
 pub(crate) fn lane_count(vector_bytes: u64, elem: Width, fname: &str) -> Result<usize, SimError> {
     match vector_bytes / elem.bytes() {
         0 => Err(SimError::Trap(format!(
@@ -1364,8 +394,9 @@ pub(crate) fn write_lane_float(reg: &mut [u8], lane: usize, elem: Width, value: 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::desc::TargetDesc;
     use crate::exec::{PreparedProgram, PreparedSimulator};
-    use crate::mcode::{MBlock, MFunction};
+    use crate::mcode::{MBlock, MFunction, MInst, MProgram, PReg, RedOp};
     use crate::Fnv1a;
 
     /// FNV-1a over one run: its outcome (variant, value bits, error text),
@@ -1460,32 +491,10 @@ pub(crate) mod tests {
         })
     }
 
-    #[test]
-    fn integer_alu_semantics_match_wrapping_and_signedness() {
-        assert_eq!(alu(AluOp::Add, Width::W8, false, 200, 100).unwrap(), 44);
-        assert_eq!(alu(AluOp::Div, Width::W32, true, -7, 2).unwrap(), -3);
-        assert_eq!(
-            alu(AluOp::Div, Width::W32, false, -1i32 as i64 & 0xffff_ffff, 2).unwrap(),
-            0x7fff_ffff
-        );
-        assert_eq!(alu(AluOp::Max, Width::W8, false, 0xf0, 0x10).unwrap(), 0xf0);
-        assert_eq!(alu(AluOp::Max, Width::W8, true, -16, 16).unwrap(), 16);
-        assert!(alu(AluOp::Div, Width::W32, true, 1, 0).is_err());
-    }
-
-    #[test]
-    fn float_ops_round_through_f32_when_single_precision() {
-        let a = 1.000_000_1_f64;
-        let single = fpu(FpuOp::Add, false, a, a);
-        let double = fpu(FpuOp::Add, true, a, a);
-        assert_ne!(single, double);
-        assert_eq!(single, f64::from((a as f32) + (a as f32)));
-    }
-
-    #[test]
-    fn loads_stores_and_loop_execute_with_costs() {
+    /// `sum(base, n)`: the wrapping 8-bit sum of `n` bytes at `base`.
+    fn sum_loop() -> MProgram {
         // r0 = base pointer, r1 = n; sum *u8 elements into r2 (wrapping at 8 bits).
-        let f = MFunction {
+        program(MFunction {
             name: "sum".into(),
             params: vec![PReg::int(0), PReg::int(1)],
             blocks: vec![
@@ -1567,8 +576,34 @@ pub(crate) mod tests {
                 },
             ],
             num_slots: 0,
-        };
-        let p = program(f);
+        })
+    }
+
+    #[test]
+    fn integer_alu_semantics_match_wrapping_and_signedness() {
+        assert_eq!(alu(AluOp::Add, Width::W8, false, 200, 100).unwrap(), 44);
+        assert_eq!(alu(AluOp::Div, Width::W32, true, -7, 2).unwrap(), -3);
+        assert_eq!(
+            alu(AluOp::Div, Width::W32, false, -1i32 as i64 & 0xffff_ffff, 2).unwrap(),
+            0x7fff_ffff
+        );
+        assert_eq!(alu(AluOp::Max, Width::W8, false, 0xf0, 0x10).unwrap(), 0xf0);
+        assert_eq!(alu(AluOp::Max, Width::W8, true, -16, 16).unwrap(), 16);
+        assert!(alu(AluOp::Div, Width::W32, true, 1, 0).is_err());
+    }
+
+    #[test]
+    fn float_ops_round_through_f32_when_single_precision() {
+        let a = 1.000_000_1_f64;
+        let single = fpu(FpuOp::Add, false, a, a);
+        let double = fpu(FpuOp::Add, true, a, a);
+        assert_ne!(single, double);
+        assert_eq!(single, f64::from((a as f32) + (a as f32)));
+    }
+
+    #[test]
+    fn loads_stores_and_loop_execute_with_costs() {
+        let p = sum_loop();
         let target = TargetDesc::x86_sse();
         let prepared = PreparedProgram::prepare(&p, &target).unwrap();
         let mut sim = PreparedSimulator::new(&prepared);
@@ -1636,6 +671,45 @@ pub(crate) mod tests {
         let sparc = TargetDesc::ultrasparc();
         let err = PreparedProgram::prepare(&p, &sparc).unwrap_err();
         assert!(matches!(err, SimError::NoVectorUnit { .. }));
+    }
+
+    #[test]
+    fn scalar_stores_and_loads_move_exactly_their_width() {
+        // Nothing else pins a 16-bit scalar store's bytes: the catalogue's
+        // 16-bit kernels only load, and the generated programs are i32 / f32.
+        let value = 0x0807_0605_0403_0201_i64;
+        for width in [Width::W8, Width::W16, Width::W32, Width::W64] {
+            let (base, src, dst) = (PReg::int(0), PReg::int(1), PReg::int(2));
+            let insts = vec![
+                MInst::Store {
+                    width,
+                    float: false,
+                    base,
+                    offset: 0,
+                    src,
+                },
+                MInst::Load {
+                    width,
+                    float: false,
+                    signed: false,
+                    dst,
+                    base,
+                    offset: 0,
+                },
+                MInst::Ret { value: Some(dst) },
+            ];
+            let p = straight(insts, vec![base, src]);
+            let prepared = PreparedProgram::prepare(&p, &TargetDesc::x86_sse()).unwrap();
+            let mut mem = vec![0xaa_u8; 32];
+            let args = [MachineValue::Int(8), MachineValue::Int(value)];
+            let out = PreparedSimulator::new(&prepared).run("f", &args, &mut mem);
+            let n = width.bytes() as usize;
+            let loaded = normalize(width, false, value);
+            assert_eq!(out, Ok(Some(MachineValue::Int(loaded))), "{width:?}");
+            assert_eq!(mem[8..8 + n], value.to_le_bytes()[..n], "{width:?}");
+            let around = mem[..8].iter().chain(&mem[8 + n..]);
+            assert!(around.copied().all(|b| b == 0xaa), "{width:?}");
+        }
     }
 
     #[test]
@@ -1747,92 +821,9 @@ pub(crate) mod tests {
 
     #[test]
     fn prepared_and_legacy_walks_agree_on_results_and_stats() {
-        // The sum-loop program from `loads_stores_and_loop_execute_with_costs`,
-        // run through the prepared executor and the reference walk.
-        let f = MFunction {
-            name: "sum".into(),
-            params: vec![PReg::int(0), PReg::int(1)],
-            blocks: vec![
-                MBlock {
-                    insts: vec![
-                        MInst::Imm {
-                            dst: PReg::int(2),
-                            value: 0,
-                        },
-                        MInst::Imm {
-                            dst: PReg::int(3),
-                            value: 0,
-                        },
-                        MInst::Jump { target: 1 },
-                    ],
-                },
-                MBlock {
-                    insts: vec![
-                        MInst::IntCmp {
-                            pred: CmpPred::Lt,
-                            width: Width::W32,
-                            signed: true,
-                            dst: PReg::int(4),
-                            lhs: PReg::int(3),
-                            rhs: PReg::int(1),
-                        },
-                        MInst::BranchNz {
-                            cond: PReg::int(4),
-                            then_target: 2,
-                            else_target: 3,
-                        },
-                    ],
-                },
-                MBlock {
-                    insts: vec![
-                        MInst::IntOp {
-                            op: AluOp::Add,
-                            width: Width::W64,
-                            signed: true,
-                            dst: PReg::int(5),
-                            lhs: PReg::int(0),
-                            rhs: PReg::int(3),
-                        },
-                        MInst::Load {
-                            width: Width::W8,
-                            float: false,
-                            signed: false,
-                            dst: PReg::int(5),
-                            base: PReg::int(5),
-                            offset: 0,
-                        },
-                        MInst::IntOp {
-                            op: AluOp::Add,
-                            width: Width::W8,
-                            signed: false,
-                            dst: PReg::int(2),
-                            lhs: PReg::int(2),
-                            rhs: PReg::int(5),
-                        },
-                        MInst::Imm {
-                            dst: PReg::int(5),
-                            value: 1,
-                        },
-                        MInst::IntOp {
-                            op: AluOp::Add,
-                            width: Width::W32,
-                            signed: true,
-                            dst: PReg::int(3),
-                            lhs: PReg::int(3),
-                            rhs: PReg::int(5),
-                        },
-                        MInst::Jump { target: 1 },
-                    ],
-                },
-                MBlock {
-                    insts: vec![MInst::Ret {
-                        value: Some(PReg::int(2)),
-                    }],
-                },
-            ],
-            num_slots: 0,
-        };
-        let p = program(f);
+        // The sum loop on every preset, flat: results, stats and memory as
+        // the block walk this crate once carried left them, recorded.
+        let p = sum_loop();
         let args = [MachineValue::Int(16), MachineValue::Int(100)];
         let mut pins = Pins::default();
         for target in TargetDesc::presets() {
@@ -1840,18 +831,11 @@ pub(crate) mod tests {
             for i in 0..100u8 {
                 mem[16 + i as usize] = i;
             }
-            let mut legacy_mem = mem.clone();
             let prepared = PreparedProgram::prepare(&p, &target).unwrap();
             let mut sim = PreparedSimulator::new(&prepared);
-            let out = sim.run("sum", &args, &mut mem).unwrap();
-            let mut legacy = Simulator::new(&p, &target);
-            let legacy_out = legacy.run_legacy("sum", &args, &mut legacy_mem).unwrap();
-            pins.record(&target.name, &Ok(legacy_out), &legacy.stats(), &legacy_mem);
-            assert_eq!(out, legacy_out, "{}", target.name);
-            assert_eq!(sim.stats(), legacy.stats(), "{}", target.name);
-            assert_eq!(mem, legacy_mem, "{}", target.name);
+            let out = sim.run("sum", &args, &mut mem);
+            pins.record(&target.name, &out, &sim.stats(), &mem);
         }
-        // Recorded from the legacy walk's runs.
         pins.check(3_770_951_366_358_797_952);
     }
 

@@ -1,39 +1,37 @@
-//! Pluggable microarchitectural timing models.
+//! Microarchitectural timing: the in-order pipeline tier.
 //!
-//! Historically every execution path charged cycles directly from the
-//! target's [`CostModel`]: each retired instruction added its flat per-opcode
-//! cost to [`SimStats::cycles`] and nothing else. That *flat-cost* accounting
-//! is now one implementation of the [`TimingModel`] trait — still the default
-//! and still the differential reference — and the same call sites can instead
-//! drive an [`InOrderPipeline`]: a scoreboard-style in-order core with RAW
-//! hazard stalls from per-op latencies (which makes load-use stalls emerge
+//! Under flat timing ([`TimingKind::Flat`]) every retired instruction adds
+//! its per-opcode cost from the target's [`CostModel`] to
+//! [`SimStats::cycles`] and nothing else; the executor prepays those sums
+//! per straight-line region and needs no model at run time. Under
+//! [`TimingKind::InOrder`] the same retirements drive an
+//! [`InOrderPipeline`]: a scoreboard-style in-order core with RAW hazard
+//! stalls from per-op latencies (which makes load-use stalls emerge
 //! naturally), structural drains on unpipelined divide units, and a 2-bit
 //! branch-history-table predictor with a misprediction penalty derived from
 //! the target's branch cost.
 //!
-//! The contract every model must honour: **timing never changes
-//! architecture**. Models receive the resolved cycle charge and the operand
-//! registers of each retiring instruction, in program order, but cannot
-//! observe or influence values, memory, traps or control flow. That is also
-//! all they can observe — the *order* of retirement, not when the host
-//! executed what — which is what lets the prepared executors run a whole
-//! straight-line region first and retire its instructions on the model
-//! afterwards, when the region closes. The pipeline goes one step further
-//! for a straight-line *segment* of `op` retirements: its [`Summary`] is the
-//! pipeline's own result for those rows on a reset board, recorded once at
-//! prepare time by running them through [`TimingModel::op`]
-//! ([`Recorder`]), and [`InOrderPipeline::apply`] replays it at run time
-//! only when the entry board provably yields the same schedule, shifted — so
-//! the model still sees nothing but the order of retirement, and its timing
-//! rule is still stated once, in `op`. So results, memory images and all
-//! architectural counters (`instructions`, `loads`, `stores`, spills,
-//! `branches`, `vector_ops`) are bit-identical across models, and only the
-//! timing-class counters (`cycles`, `stalls`, `mispredicts`, `predicted`)
-//! may differ. [`FlatCost`] keeps the three timing-class extras at zero, so
-//! whole-struct [`SimStats`] equality against pre-refactor behaviour still
-//! holds under the default model.
+//! The contract: **timing never changes architecture**. The pipeline
+//! receives the resolved cycle charge and the operand registers of each
+//! retiring instruction, in program order, but cannot observe or influence
+//! values, memory, traps or control flow. That is also all it can observe —
+//! the *order* of retirement, not when the host executed what — which is
+//! what lets the executor run a whole straight-line region first and retire
+//! its instructions on the pipeline afterwards, when the region closes. The
+//! pipeline goes one step further for a straight-line *segment* of `op`
+//! retirements: its [`Summary`] is the pipeline's own result for those rows
+//! on a reset board, recorded once at prepare time by running them through
+//! [`TimingModel::op`] ([`Recorder`]), and [`InOrderPipeline::apply`]
+//! replays it at run time only when the entry board provably yields the
+//! same schedule, shifted — so the model still sees nothing but the order
+//! of retirement, and its timing rule is still stated once, in `op`. So
+//! results, memory images and all architectural counters (`instructions`,
+//! `loads`, `stores`, spills, `branches`, `vector_ops`) are bit-identical
+//! across tiers, and only the timing-class counters (`cycles`, `stalls`,
+//! `mispredicts`, `predicted`) may differ; flat timing keeps the last three
+//! at zero.
 //!
-//! The model selector ([`TimingKind`]) lives on
+//! The tier selector ([`TimingKind`]) lives on
 //! [`TargetDesc`](crate::TargetDesc) and feeds its fingerprint, so engine
 //! caches distinguish the same core with different timing tiers.
 
@@ -64,8 +62,8 @@ const BHT_SIZE: usize = 256;
 /// [`PreparedProgram`](crate::PreparedProgram) at prepare time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum TimingKind {
-    /// Flat per-opcode costs ([`FlatCost`]): the historical accounting and
-    /// the differential reference.
+    /// Flat per-opcode costs, prepaid per straight-line region: the
+    /// historical accounting.
     #[default]
     Flat,
     /// Scoreboarded in-order pipeline with hazard stalls and a 2-bit branch
@@ -155,73 +153,20 @@ impl LatClass {
     }
 }
 
-/// One timing model: the sink for every cycle charge an execution path makes.
+/// The sink for a straight-line instruction's retirement, which generic
+/// code charges row by row: [`InOrderPipeline`] at run time and, at prepare
+/// time, the [`Recorder`] that summarizes a segment of such rows. The
+/// control instructions (branch, jump, call) and the end of a run are
+/// charged on the concrete pipeline, by the handlers that close a region.
 ///
-/// The executors call exactly one method per retiring instruction, in
-/// program order (the legacy walk as each retires, the prepared executors a
-/// straight-line run at a time), passing the cost already resolved from the
-/// target's [`CostModel`]. Register operands are passed as packed scoreboard
-/// keys — `(index << 1) | float_bit`, or [`NO_REG`] for untracked operands —
-/// so the flat model can ignore them at zero cost while the pipeline
-/// scoreboards them.
-///
-/// Models mutate only the timing-class counters of [`SimStats`] (`cycles`,
-/// `stalls`, `mispredicts`, `predicted`); all architectural counters stay
-/// charged at the call sites.
+/// Register operands are passed as packed scoreboard keys —
+/// `(index << 1) | float_bit`, or [`NO_REG`] for untracked operands. A model
+/// mutates only the timing-class counters of [`SimStats`] (`cycles`,
+/// `stalls`); all architectural counters stay charged by the executor.
 pub trait TimingModel {
     /// A non-branch instruction retires: `class`/`cost` describe its unit and
     /// latency, `dst` its written register, `a`/`b` its read registers.
     fn op(&mut self, stats: &mut SimStats, class: LatClass, cost: u64, dst: u32, a: u32, b: u32);
-
-    /// A conditional branch retires. `site` is a deterministic static id of
-    /// the branch (its offset in the function's flattened instruction stream,
-    /// on every execution path), `taken` the outcome,
-    /// `cost` the already-resolved taken/not-taken charge and `cond` the
-    /// condition register.
-    fn branch(&mut self, stats: &mut SimStats, site: u32, taken: bool, cost: u64, cond: u32);
-
-    /// An unconditional jump retires (statically-known target).
-    fn jump(&mut self, stats: &mut SimStats, cost: u64);
-
-    /// A call instruction retires (charged before the callee executes, like
-    /// the flat accounting always did).
-    fn call(&mut self, stats: &mut SimStats, cost: u64);
-
-    /// The top-level run finished: flush any in-flight state (outstanding
-    /// writebacks for the pipeline; a no-op for flat costs).
-    fn finish(&mut self, stats: &mut SimStats);
-}
-
-/// The historical flat-cost accounting: every charge is `cycles += cost`,
-/// nothing else. Zero-sized and fully inlined, so the monomorphized executors
-/// compile to exactly the pre-refactor code — [`SimStats`] is bit-identical,
-/// including `stalls == mispredicts == predicted == 0`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlatCost;
-
-impl TimingModel for FlatCost {
-    #[inline(always)]
-    fn op(&mut self, stats: &mut SimStats, _class: LatClass, cost: u64, _d: u32, _a: u32, _b: u32) {
-        stats.cycles += cost;
-    }
-
-    #[inline(always)]
-    fn branch(&mut self, stats: &mut SimStats, _site: u32, _taken: bool, cost: u64, _cond: u32) {
-        stats.cycles += cost;
-    }
-
-    #[inline(always)]
-    fn jump(&mut self, stats: &mut SimStats, cost: u64) {
-        stats.cycles += cost;
-    }
-
-    #[inline(always)]
-    fn call(&mut self, stats: &mut SimStats, cost: u64) {
-        stats.cycles += cost;
-    }
-
-    #[inline(always)]
-    fn finish(&mut self, _stats: &mut SimStats) {}
 }
 
 /// A scoreboard-style in-order, single-issue pipeline.
@@ -249,8 +194,7 @@ impl TimingModel for FlatCost {
 ///   pay the call overhead) and clear the scoreboard: caller and callee
 ///   frames reuse scoreboard keys, so in-flight state must not leak across
 ///   the boundary.
-/// * [`TimingModel::finish`] drains outstanding writebacks at the end of the
-///   run.
+/// * `finish` drains outstanding writebacks at the end of the run.
 ///
 /// Every retiring instruction contributes at least one cycle, so
 /// `cycles >= instructions` always holds, and exactly one of
@@ -361,6 +305,73 @@ impl InOrderPipeline {
         }
         true
     }
+
+    /// A conditional branch retires. `site` is a deterministic static id of
+    /// the branch (its offset in the function's flattened instruction
+    /// stream), `taken` the outcome and `cond` the condition register's key.
+    /// The flat taken / not-taken charge is unused: a miss costs the penalty
+    /// fixed by [`InOrderPipeline::new`].
+    pub(crate) fn branch(
+        &mut self,
+        stats: &mut SimStats,
+        site: u32,
+        taken: bool,
+        _cost: u64,
+        cond: u32,
+    ) {
+        let seq = self.now + 1;
+        let issue = seq.max(self.ready_at(cond));
+        let stall = issue - seq;
+        stats.stalls += stall;
+        let ctr = &mut self.bht[site as usize & (BHT_SIZE - 1)];
+        let penalty = if (*ctr >= 2) == taken {
+            stats.predicted += 1;
+            0
+        } else {
+            stats.mispredicts += 1;
+            self.mispredict_penalty
+        };
+        if taken {
+            *ctr = (*ctr + 1).min(3);
+        } else {
+            *ctr = ctr.saturating_sub(1);
+        }
+        stats.cycles += 1 + stall + penalty;
+        self.now = issue + penalty;
+    }
+
+    /// An unconditional jump retires (statically-known target); its flat
+    /// charge is unused.
+    pub(crate) fn jump(&mut self, stats: &mut SimStats, _cost: u64) {
+        // Statically-known target: the front end follows it for free.
+        stats.predicted += 1;
+        stats.cycles += 1;
+        self.now += 1;
+    }
+
+    /// A call retires, charged `cost` before the callee executes.
+    pub(crate) fn call(&mut self, stats: &mut SimStats, cost: u64) {
+        let seq = self.now + 1;
+        // Drain: wait for every outstanding writeback before transferring.
+        let issue = seq.max(self.horizon);
+        let stall = issue - seq;
+        stats.stalls += stall;
+        let lat = cost.max(1);
+        stats.cycles += lat + stall;
+        self.now = issue + lat - 1;
+        // Caller and callee frames share scoreboard keys; start the callee
+        // (and, on return, the caller's continuation) with a clean board.
+        self.ready.clear();
+        self.horizon = self.now;
+    }
+
+    /// The top-level run finished: drain outstanding writebacks.
+    pub(crate) fn finish(&mut self, stats: &mut SimStats) {
+        let drain = self.horizon.saturating_sub(self.now);
+        stats.stalls += drain;
+        stats.cycles += drain;
+        self.now = self.horizon;
+    }
 }
 
 impl TimingModel for InOrderPipeline {
@@ -383,57 +394,6 @@ impl TimingModel for InOrderPipeline {
             stats.cycles += drain;
             self.now += drain;
         }
-    }
-
-    fn branch(&mut self, stats: &mut SimStats, site: u32, taken: bool, _cost: u64, cond: u32) {
-        let seq = self.now + 1;
-        let issue = seq.max(self.ready_at(cond));
-        let stall = issue - seq;
-        stats.stalls += stall;
-        let ctr = &mut self.bht[site as usize & (BHT_SIZE - 1)];
-        let penalty = if (*ctr >= 2) == taken {
-            stats.predicted += 1;
-            0
-        } else {
-            stats.mispredicts += 1;
-            self.mispredict_penalty
-        };
-        if taken {
-            *ctr = (*ctr + 1).min(3);
-        } else {
-            *ctr = ctr.saturating_sub(1);
-        }
-        stats.cycles += 1 + stall + penalty;
-        self.now = issue + penalty;
-    }
-
-    fn jump(&mut self, stats: &mut SimStats, _cost: u64) {
-        // Statically-known target: the front end follows it for free.
-        stats.predicted += 1;
-        stats.cycles += 1;
-        self.now += 1;
-    }
-
-    fn call(&mut self, stats: &mut SimStats, cost: u64) {
-        let seq = self.now + 1;
-        // Drain: wait for every outstanding writeback before transferring.
-        let issue = seq.max(self.horizon);
-        let stall = issue - seq;
-        stats.stalls += stall;
-        let lat = cost.max(1);
-        stats.cycles += lat + stall;
-        self.now = issue + lat - 1;
-        // Caller and callee frames share scoreboard keys; start the callee
-        // (and, on return, the caller's continuation) with a clean board.
-        self.ready.clear();
-        self.horizon = self.now;
-    }
-
-    fn finish(&mut self, stats: &mut SimStats) {
-        let drain = self.horizon.saturating_sub(self.now);
-        stats.stalls += drain;
-        stats.cycles += drain;
-        self.now = self.horizon;
     }
 }
 
@@ -576,24 +536,6 @@ impl TimingModel for Recorder {
         }
         self.board.op(stats, class, cost, dst, a, b);
     }
-
-    // Segments hold `op` rows only; the control hooks go to the board.
-
-    fn branch(&mut self, stats: &mut SimStats, site: u32, taken: bool, cost: u64, cond: u32) {
-        self.board.branch(stats, site, taken, cost, cond);
-    }
-
-    fn jump(&mut self, stats: &mut SimStats, cost: u64) {
-        self.board.jump(stats, cost);
-    }
-
-    fn call(&mut self, stats: &mut SimStats, cost: u64) {
-        self.board.call(stats, cost);
-    }
-
-    fn finish(&mut self, stats: &mut SimStats) {
-        self.board.finish(stats);
-    }
 }
 
 #[cfg(test)]
@@ -602,19 +544,6 @@ mod tests {
 
     fn stats() -> SimStats {
         SimStats::default()
-    }
-
-    #[test]
-    fn flat_cost_is_a_plain_accumulator() {
-        let mut s = stats();
-        let mut tm = FlatCost;
-        tm.op(&mut s, LatClass::Load, 3, 0, 2, NO_REG);
-        tm.branch(&mut s, 7, true, 2, 0);
-        tm.jump(&mut s, 2);
-        tm.call(&mut s, 10);
-        tm.finish(&mut s);
-        assert_eq!(s.cycles, 17);
-        assert_eq!((s.stalls, s.mispredicts, s.predicted), (0, 0, 0));
     }
 
     #[test]

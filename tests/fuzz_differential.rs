@@ -30,13 +30,12 @@ use splitc::splitc_minic::compile_source;
 use splitc::{run_on_target, Workspace};
 use splitc_jit::{compile_module, JitOptions, RegAllocMode};
 use splitc_opt::{optimize_module, OptOptions};
-use splitc_targets::{
-    MachineValue, PreparedProgram, PreparedSimulator, Simulator, TargetDesc, TimingKind,
-};
+use splitc_targets::{MachineValue, PreparedProgram, PreparedSimulator, TargetDesc, TimingKind};
 use splitc_vbc::{Interpreter, Memory, Value};
 
 /// Recorded [`Pins`] folds, one per suite: each cell's digest was recorded
-/// from the legacy walk's run of that target × mode, flat and in order.
+/// from the run of that target × mode, flat and in order, on the block walk
+/// that once stated every machine instruction beside the handlers.
 const RANDOM_INT_PIN: u64 = 11_518_642_011_266_241_610;
 const BRANCH_DENSE_PIN: u64 = 7_297_958_210_671_976_461;
 const RANDOM_SHIFT_PIN: u64 = 10_025_957_613_943_935_369;
@@ -222,7 +221,7 @@ fn count_lit(c: i64) -> String {
 /// i32`. Unlike [`gen_int_program`] this deliberately abandons the
 /// overflow-free discipline: every operation in the bytecode wraps
 /// deterministically, so shift results of any magnitude must still agree
-/// bit-for-bit across the interpreter, both simulator walks and every
+/// bit-for-bit across the interpreter, both threaded streams and every
 /// register-allocation mode — out-of-range counts included. Counts come from
 /// [`SHIFT_COUNTS`] (constants, which const-folding may evaluate offline) and
 /// from runtime values (`v`, `i` and expressions over them), which only the
@@ -375,13 +374,14 @@ fn gen_float_program(seed: u64) -> String {
 }
 
 /// Run `source` through the interpreter and every target × mode — **via
-/// every execution path**: the legacy `MProgram` block walk, the fused
-/// threaded-dispatch loop and the unfused threaded-dispatch loop — comparing
-/// the returned value and the output array bytes exactly, and all paths'
-/// `SimStats` against each other (so macro-op fusion is pinned to be
-/// observationally invisible). `float` selects the f32 input layout. Panics
-/// with the program source on any divergence. Each target × mode notes the
-/// digests of its flat and in-order runs in `pins`.
+/// every execution path**: the fused and the unfused threaded-dispatch loop,
+/// each under both timing tiers — comparing the returned value and the
+/// output array bytes exactly, and the paths' `SimStats` against each other
+/// (so macro-op fusion is pinned to be observationally invisible). Each
+/// target × mode notes the digests of its fused flat and in-order runs in
+/// `pins`, which hold every counter to the block walk's recorded runs.
+/// `float` selects the f32 input layout. Panics with the program source on
+/// any divergence.
 fn check_program(pins: &mut Pins, source: &str, name: &str, seed: u64, float: bool) {
     let mut module = compile_source(source, "fuzz").unwrap_or_else(|e| {
         panic!("seed {seed}: generated program fails to compile: {e}\n--- source ---\n{source}")
@@ -448,26 +448,6 @@ fn check_program(pins: &mut Pins, source: &str, name: &str, seed: u64, float: bo
                     )
                 });
 
-            // Legacy block walk.
-            let mut legacy_ws = ws.clone();
-            let mut legacy_sim = Simulator::new(&program, &target);
-            let legacy_result = legacy_sim
-                .run_legacy(name, &args, legacy_ws.bytes_mut())
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "seed {seed}: {} with {mode:?} (legacy) failed: {e}\n--- source ---\n{source}",
-                        target.name
-                    )
-                });
-
-            let cell = format!("seed {seed}: {} with {mode:?}", target.name);
-            pins.record(
-                format!("{cell}, flat"),
-                &Ok(legacy_result),
-                &legacy_sim.stats(),
-                legacy_ws.bytes(),
-            );
-
             // Pre-decoded threaded loop, with macro-op fusion.
             let prepared = PreparedProgram::prepare(&program, &target).unwrap_or_else(|e| {
                 panic!(
@@ -506,8 +486,14 @@ fn check_program(pins: &mut Pins, source: &str, name: &str, seed: u64, float: bo
                     )
                 });
 
+            let cell = format!("seed {seed}: {} with {mode:?}", target.name);
+            pins.record(
+                format!("{cell}, flat"),
+                &Ok(result),
+                &sim.stats(),
+                run_ws.bytes(),
+            );
             for (path, run_result, out_ws) in [
-                ("legacy", legacy_result, &legacy_ws),
                 ("prepared", result, &run_ws),
                 ("unfused", unfused_result, &unfused_ws),
             ] {
@@ -524,15 +510,9 @@ fn check_program(pins: &mut Pins, source: &str, name: &str, seed: u64, float: bo
                 );
             }
             assert_eq!(
-                sim.stats(),
-                legacy_sim.stats(),
-                "seed {seed}: {} with {mode:?}: prepared SimStats diverged from the legacy walk\n--- source ---\n{source}",
-                target.name
-            );
-            assert_eq!(
                 unfused_sim.stats(),
-                legacy_sim.stats(),
-                "seed {seed}: {} with {mode:?}: unfused SimStats diverged from the legacy walk\n--- source ---\n{source}",
+                sim.stats(),
+                "seed {seed}: {} with {mode:?}: unfused SimStats diverged from the fused run\n--- source ---\n{source}",
                 target.name
             );
 
@@ -564,7 +544,7 @@ fn check_program(pins: &mut Pins, source: &str, name: &str, seed: u64, float: bo
             );
             assert_eq!(
                 pipe_ws.bytes(),
-                legacy_ws.bytes(),
+                run_ws.bytes(),
                 "seed {seed}: {} with {mode:?} (pipelined) memory image diverged\n--- source ---\n{source}",
                 target.name
             );
@@ -593,32 +573,13 @@ fn check_program(pins: &mut Pins, source: &str, name: &str, seed: u64, float: bo
                 pipe_ws.bytes(),
                 "seed {seed}: pipelined unfused"
             );
-            // The legacy walk under the same tier: every counter, the
-            // timing-class ones included, must agree with the prepared run.
-            let mut legacy_pipe_ws = ws.clone();
-            let mut legacy_pipe_sim = Simulator::new(&program, &pipe_target);
-            let legacy_pipe_result = legacy_pipe_sim
-                .run_legacy(name, &args, legacy_pipe_ws.bytes_mut())
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "seed {seed}: {} with {mode:?} (legacy pipelined) failed: {e}\n--- source ---\n{source}",
-                        target.name
-                    )
-                });
-            assert_eq!(legacy_pipe_result, expected_result);
             pins.record(
                 format!("{cell}, in order"),
-                &Ok(legacy_pipe_result),
-                &legacy_pipe_sim.stats(),
-                legacy_pipe_ws.bytes(),
+                &Ok(pipe_result),
+                &pipe_sim.stats(),
+                pipe_ws.bytes(),
             );
-            assert_eq!(
-                pipe_sim.stats(),
-                legacy_pipe_sim.stats(),
-                "seed {seed}: {} with {mode:?}: pipelined SimStats diverged from the legacy walk\n--- source ---\n{source}",
-                target.name
-            );
-            let flat = legacy_sim.stats();
+            let flat = sim.stats();
             let pipe = pipe_sim.stats();
             assert_eq!(
                 (pipe.instructions, pipe.loads, pipe.stores, pipe.branches, pipe.vector_ops),

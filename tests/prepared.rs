@@ -2,14 +2,17 @@
 //!
 //! `PreparedProgram` (deploy-time flattening, resolved jumps/calls,
 //! prepare-time register validation, pooled frames, threaded fn-pointer
-//! dispatch with macro-op fusion) must be **bit-identical** to the legacy
-//! `MProgram` walk — results, memory effects and `SimStats` (cycles, stalls,
-//! mispredictions, spill traffic, every counter) alike — for every catalogue
-//! kernel on every simulated target under both timing tiers, whether the
-//! threaded loop runs fused or unfused, with a deadline that never passes,
-//! and (on three presets) at every fuel budget short of a run's length.
-//! These tests pin that
-//! equivalence down and also check that pooling/reuse never changes results.
+//! dispatch with macro-op fusion) must be **bit-identical** to the block walk
+//! over the `MProgram` that once stated every instruction a second time —
+//! results, memory effects and `SimStats` (cycles, stalls, mispredictions,
+//! spill traffic, every counter) alike — for every catalogue kernel on every
+//! simulated target under both timing tiers, whether the threaded loop runs
+//! fused or unfused, with a deadline that never passes, and (on three
+//! presets) at every fuel budget short of a run's length. The walk's answers
+//! are kept as recorded digests of whole runs ([`pins`]): every input here is
+//! fixed, so each answer is a constant, and "the legacy walk" in a test name
+//! means that recording. These tests pin the equivalence down and also check
+//! that pooling/reuse never changes results.
 
 mod common;
 mod pins;
@@ -23,7 +26,7 @@ use splitc_opt::{optimize_module, OptOptions};
 use splitc_runtime::{ExecutionEngine, FramePool};
 use splitc_targets::{
     AluOp, Fnv1a, FpuOp, MBlock, MFunction, MInst, MProgram, MachineValue, PReg, RedOp, SimError,
-    SimStats, Simulator, TargetDesc, TimingKind, VectorUnit, Width, DEFAULT_SIM_FUEL,
+    SimStats, TargetDesc, TimingKind, VectorUnit, Width, DEFAULT_SIM_FUEL,
 };
 use splitc_vbc::Module;
 use splitc_workloads::{all_kernels, full_module, kernel, module_for};
@@ -56,8 +59,8 @@ const IN_ORDER_PINS: [(&str, u64); 9] = [
     ("gpu-wide", 13_899_498_587_771_617_870),
 ];
 
-/// Recorded [`Pins`] folds, one per suite that ran beside the legacy walk:
-/// each cell's [`run_digest`] was recorded from the walk's own run.
+/// Recorded [`Pins`] folds, one per suite that once ran beside the block
+/// walk: each cell's [`run_digest`] was recorded from the walk's own run.
 const CATALOGUE_PIN: u64 = 271_629_626_111_733_328;
 const FUEL_SWEEP_PIN: u64 = 13_370_773_312_452_379_200;
 const IN_ORDER_N_173_PIN: u64 = 1_497_155_130_640_960_023;
@@ -122,31 +125,15 @@ fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
             .into_iter()
             .flat_map(|t| [t.clone(), t.with_timing(TimingKind::InOrder)])
         {
+            let name = module.name.as_str();
             let (program, _jit) = compile_module(&module, &target, &JitOptions::split())
-                .unwrap_or_else(|e| panic!("{} on {}: {e}", module.name, target.name));
-
-            // Legacy block-walking reference.
-            let mut legacy_ws = Workspace::new(1 << 16);
-            let prepared_inputs = setup(&mut legacy_ws);
-            let name = prepared_inputs.name.as_str();
-            let mut legacy_sim = Simulator::new(&program, &target);
-            let legacy_result = legacy_sim
-                .run_legacy(name, &prepared_inputs.args, legacy_ws.bytes_mut())
-                .unwrap_or_else(|e| panic!("{name} on {} (legacy): {e}", target.name));
-            let legacy_stats = legacy_sim.stats();
-            let legacy_sum = checksum(legacy_result, &prepared_inputs, &legacy_ws);
-            pins.record(
-                format!("{name} on {} ({:?})", target.name, target.timing),
-                &Ok(legacy_result),
-                &legacy_stats,
-                legacy_ws.bytes(),
-            );
+                .unwrap_or_else(|e| panic!("{name} on {}: {e}", target.name));
 
             // Deploy-time prepared forms: the fused threaded loop, the
             // unfused threaded loop, and the fused loop again polling a
             // deadline one hour out (which reads the clock and must change
-            // nothing else) — all three must match the legacy walk
-            // bit-for-bit.
+            // nothing else) — all three must match the walk's recorded run
+            // and each other bit-for-bit.
             let fused = PreparedProgram::prepare(&program, &target)
                 .unwrap_or_else(|e| panic!("{name} on {}: prepare failed: {e}", target.name));
             let unfused =
@@ -158,40 +145,46 @@ fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
                 ("unfused", &unfused, false),
                 ("deadline", &fused, true),
             ];
-            for (path, prepared, deadline) in paths {
-                let mut prepared_ws = Workspace::new(1 << 16);
-                let inputs = setup(&mut prepared_ws);
+            let runs = paths.map(|(path, prepared, deadline)| {
+                let mut ws = Workspace::new(1 << 16);
+                let inputs = setup(&mut ws);
                 let mut pool = FramePool::new();
                 pool.set_deadline(deadline.then(|| Instant::now() + Duration::from_secs(3600)));
                 let mut stats = SimStats::default();
                 let result = prepared
                     .run(
-                        name,
+                        &inputs.name,
                         &inputs.args,
-                        prepared_ws.bytes_mut(),
+                        ws.bytes_mut(),
                         &mut pool,
                         DEFAULT_SIM_FUEL,
                         &mut stats,
                     )
                     .unwrap_or_else(|e| panic!("{name} on {} ({path}): {e}", target.name));
-
+                let sum = checksum(result, &inputs, &ws);
+                (path, result, stats, ws, sum)
+            });
+            let (_, want, want_stats, want_ws, want_sum) = &runs[0];
+            let cell = format!("{name} on {} ({:?})", target.name, target.timing);
+            pins.record(cell, &Ok(*want), want_stats, want_ws.bytes());
+            for (path, result, stats, ws, sum) in &runs[1..] {
                 assert_eq!(
-                    result, legacy_result,
+                    result, want,
                     "{name} on {}: {path} result diverged",
                     target.name
                 );
                 assert_eq!(
-                    stats, legacy_stats,
+                    stats, want_stats,
                     "{name} on {} ({:?}): {path} SimStats (cycles/stalls/spills/...) diverged",
                     target.name, target.timing
                 );
                 assert_eq!(
-                    prepared_ws.bytes(),
-                    legacy_ws.bytes(),
+                    ws.bytes(),
+                    want_ws.bytes(),
                     "{name} on {}: {path} memory effects diverged",
                     target.name
                 );
-                assert_eq!(checksum(result, &inputs, &prepared_ws), legacy_sum);
+                assert_eq!(sum, want_sum);
             }
         }
     }
@@ -200,9 +193,10 @@ fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
 
 #[test]
 fn in_order_catalogue_runs_at_n_4096_keep_their_recorded_stats_on_every_preset() {
-    // At N = 173 the in-order tier is pinned against the legacy walk; this
-    // pins the long steady-state loops, where almost every region is
-    // entered from the board its own previous iteration left.
+    // At N = 173 the in-order tier is pinned against the block walk's
+    // recorded runs; this pins the long steady-state loops, where almost
+    // every region is entered from the board its own previous iteration
+    // left.
     let mut module = full_module("catalogue").expect("catalogue compiles");
     optimize_module(&mut module, &OptOptions::full());
     let kernels = all_kernels();
@@ -250,8 +244,9 @@ fn fuel_exhaustion_on_compiled_kernels_matches_the_legacy_walk_at_every_fuel_val
     // Every fuel value from 0 to one past a run's length, on every catalogue
     // kernel compiled for a scalar, a SIMD and a wide-vector core under both
     // timing tiers: below the length fuel runs dry inside some region, and
-    // the prepared run must stop at the legacy walk's instruction with the
-    // same counters, timing state and memory.
+    // the prepared run must stop after exactly that many instructions with
+    // the counters, timing state and memory the block walk's recorded run
+    // at that fuel had.
     let mut runs = 0u64;
     let mut pins = Pins::default();
     for kernel in all_kernels() {
@@ -268,21 +263,8 @@ fn fuel_exhaustion_on_compiled_kernels_matches_the_legacy_walk_at_every_fuel_val
                     .unwrap_or_else(|e| panic!("{cell}: {e}"));
                 let mut fresh = Workspace::sized_for(FUEL_SWEEP_N);
                 let inputs = prepare(kernel.name, FUEL_SWEEP_N, 3, &mut fresh);
-                let legacy = |fuel| {
-                    let mut ws = fresh.clone();
-                    let mut sim = Simulator::new(&program, &target).with_fuel(fuel);
-                    let out = sim.run_legacy(kernel.name, &inputs.args, ws.bytes_mut());
-                    (out, sim.stats(), ws)
-                };
-                let (full, full_stats, full_ws) = legacy(DEFAULT_SIM_FUEL);
-                assert!(full.is_ok(), "{cell}: {full:?}");
-                let total = full_stats.instructions;
-                let mut sweep = Fnv1a::new();
-                sweep.write(&run_digest(&full, &full_stats, full_ws.bytes()).to_le_bytes());
                 let mut pool = FramePool::new();
-                for fuel in 0..=total + 1 {
-                    let (want, want_stats, want_ws) = legacy(fuel);
-                    sweep.write(&run_digest(&want, &want_stats, want_ws.bytes()).to_le_bytes());
+                let mut run = |fuel| {
                     let mut ws = fresh.clone();
                     let mut stats = SimStats::default();
                     let out = prepared.run(
@@ -293,9 +275,17 @@ fn fuel_exhaustion_on_compiled_kernels_matches_the_legacy_walk_at_every_fuel_val
                         fuel,
                         &mut stats,
                     );
-                    assert_eq!(out, want, "{cell}, fuel {fuel}");
-                    assert_eq!(stats, want_stats, "{cell}, fuel {fuel}");
-                    assert!(ws.bytes() == want_ws.bytes(), "{cell}, fuel {fuel}: memory");
+                    let digest = run_digest(&out, &stats, ws.bytes());
+                    (out, stats, digest)
+                };
+                let (full, full_stats, digest) = run(DEFAULT_SIM_FUEL);
+                assert!(full.is_ok(), "{cell}: {full:?}");
+                let total = full_stats.instructions;
+                let mut sweep = Fnv1a::new();
+                sweep.write(&digest.to_le_bytes());
+                for fuel in 0..=total + 1 {
+                    let (out, stats, digest) = run(fuel);
+                    sweep.write(&digest.to_le_bytes());
                     if fuel < total {
                         assert_eq!(out, Err(SimError::OutOfFuel), "{cell}, fuel {fuel}");
                         assert_eq!(stats.instructions, fuel, "{cell}, fuel {fuel}");
@@ -419,41 +409,14 @@ fn timing_tiers_are_architecturally_bit_identical_on_every_kernel_and_target() {
                 base.name
             );
 
-            // The legacy walk under pipelined timing: every counter, the
-            // timing-class ones included, must agree with the prepared run
-            // (both paths number branch-predictor sites by flat offset).
-            let mut legacy_ws = Workspace::new(1 << 16);
-            let legacy_inputs = prepare(kernel.name, N, 42, &mut legacy_ws);
-            let mut legacy_sim = Simulator::new(&program, &pipe_target);
-            let legacy_result = legacy_sim
-                .run_legacy(kernel.name, &legacy_inputs.args, legacy_ws.bytes_mut())
-                .unwrap_or_else(|e| {
-                    panic!("{} on {} (legacy pipelined): {e}", kernel.name, base.name)
-                });
+            // Under pipelined timing every counter, the timing-class ones
+            // included, is the block walk's recorded one (both numbered
+            // branch-predictor sites by flat offset).
             pins.record(
                 format!("{} on {}", kernel.name, base.name),
-                &Ok(legacy_result),
-                &legacy_sim.stats(),
-                legacy_ws.bytes(),
-            );
-            assert_eq!(
-                legacy_result, pipe_result,
-                "{} on {}",
-                kernel.name, base.name
-            );
-            assert_eq!(
-                legacy_ws.bytes(),
+                &Ok(pipe_result),
+                &ps,
                 pipe_ws.bytes(),
-                "{} on {}",
-                kernel.name,
-                base.name
-            );
-            assert_eq!(
-                legacy_sim.stats(),
-                ps,
-                "{} on {}: pipelined SimStats diverged from the legacy walk",
-                kernel.name,
-                base.name
             );
 
             saw_stalls |= ps.stalls > 0;
@@ -544,7 +507,8 @@ fn executed_vector_spills_do_not_allocate_once_the_pool_is_warm() {
 #[test]
 fn engine_pooled_sweep_path_matches_legacy_per_cell_execution() {
     // The path sweeps actually take (engine cache -> prepared program ->
-    // worker frame pool) against a legacy walk of the same compiled program.
+    // worker frame pool) against the block walk's recorded run of the same
+    // compiled program.
     let kernels = all_kernels();
     let mut module = module_for(&kernels, "pooled").expect("catalogue compiles");
     optimize_module(&mut module, &OptOptions::full());
@@ -558,50 +522,24 @@ fn engine_pooled_sweep_path_matches_legacy_per_cell_execution() {
     let targets = TargetDesc::presets();
     let mut pins = Pins::default();
     for target in &targets {
-        let (program, _jit) = compile_module(&module, target, &options).unwrap();
         for kernel in &kernels {
-            let mut ws_a = Workspace::new(1 << 16);
-            let mut ws_b = Workspace::new(1 << 16);
-            let inputs_a = prepare(kernel.name, N, 7, &mut ws_a);
-            let inputs_b = prepare(kernel.name, N, 7, &mut ws_b);
+            let mut ws = Workspace::new(1 << 16);
+            let inputs = prepare(kernel.name, N, 7, &mut ws);
             let run = engine
                 .run_pooled(
                     target,
                     &options,
                     kernel.name,
-                    &inputs_a.args,
-                    ws_a.bytes_mut(),
+                    &inputs.args,
+                    ws.bytes_mut(),
                     &mut pool,
                 )
                 .unwrap();
-            let mut legacy = Simulator::new(&program, target);
-            let legacy_result = legacy
-                .run_legacy(kernel.name, &inputs_b.args, ws_b.bytes_mut())
-                .unwrap();
             pins.record(
                 format!("{} on {}", kernel.name, target.name),
-                &Ok(legacy_result),
-                &legacy.stats(),
-                ws_b.bytes(),
-            );
-            assert_eq!(
-                run.result, legacy_result,
-                "{} on {}",
-                kernel.name, target.name
-            );
-            assert_eq!(
-                run.stats,
-                legacy.stats(),
-                "{} on {}",
-                kernel.name,
-                target.name
-            );
-            assert_eq!(
-                checksum(run.result, &inputs_a, &ws_a),
-                checksum(legacy_result, &inputs_b, &ws_b),
-                "{} on {}",
-                kernel.name,
-                target.name
+                &Ok(run.result),
+                &run.stats,
+                ws.bytes(),
             );
         }
     }
@@ -856,9 +794,9 @@ fn fill(region: &mut [u8], lane: Width, values: Option<&[u64]>, rng: &mut u64) {
 
 #[test]
 fn vector_lanes_match_the_legacy_walk_and_their_recorded_digest() {
-    // Both executors read and write lanes through the same helpers, so the
-    // prepared-vs-legacy comparison alone cannot catch a helper bug: the
-    // digest, recorded before any change to those helpers, can. Every kind x
+    // The block walk this digest was checked against read and wrote lanes
+    // through the same helpers as the handlers, so only the digest, recorded
+    // before any change to those helpers, can catch a helper bug. Every kind x
     // width x signedness x operator runs against seeded images holding sign
     // boundaries (zero divisors trap), shift counts past the width and below
     // zero, and float specials; W64 images give the splats boundary scalars.
@@ -903,10 +841,7 @@ fn vector_lanes_match_the_legacy_walk_and_their_recorded_digest() {
                 fill(&mut fresh[BASE + vb..BASE + 2 * vb], lane, rhs, &mut rng);
                 let args = [MachineValue::Int(BASE as i64)];
 
-                let mut want_mem = fresh.clone();
-                let mut sim = Simulator::new(&program, &target);
-                let want = sim.run_legacy(&function.name, &args, &mut want_mem);
-                let mut mem = fresh.clone();
+                let mut mem = fresh;
                 let mut stats = SimStats::default();
                 let out = prepared.run(
                     &function.name,
@@ -916,9 +851,6 @@ fn vector_lanes_match_the_legacy_walk_and_their_recorded_digest() {
                     DEFAULT_SIM_FUEL,
                     &mut stats,
                 );
-                assert_eq!(out, want, "{cell}");
-                assert_eq!(stats, sim.stats(), "{cell}");
-                assert!(mem == want_mem, "{cell}: memory");
 
                 match &out {
                     Ok(_) => completions += 1,
