@@ -6,9 +6,13 @@
 //! splitc targets
 //! splitc run <module.svbc|kernels.mc> --kernel <fn> --target <name> [--arg i:<int>|f:<float>]...
 //! splitc disasm <catalogue-kernel|module.svbc|kernels.mc> [--target <name>] [--timing flat|in-order] [--no-fuse]
-//! splitc bench <catalogue-kernel> [--n <elems>] [--target <name>] [--jobs <N>] [--repeats <R>]
+//! splitc bench <catalogue-kernel> [--n <elems>] [--target <name>] [--repeats <R>]
+//! splitc report <all|table1|splitflow|regalloc|hetero|codesize|kpn> [n] [--json <path>]
 //! splitc serve-bench [--n <elems>] [--requests <R>] [--workers <N>] [--queue <Q>] [--cache-cap <C>] [--max-batch <B>] [--seed <S>] [--chaos | --store <dir>]
 //! ```
+//!
+//! Every subcommand refuses a flag given without its value and any argument
+//! it does not take, by name.
 //!
 //! * `build` runs the offline step (front end + optimizer) and writes the
 //!   compact deployment format.
@@ -29,10 +33,20 @@
 //! * `bench` prepares one of the workload-catalogue kernels (which take
 //!   pointer arguments) with generated data and reports simulated cycles on
 //!   the chosen target, or on all Table 1 targets when none is given. The
-//!   target × repeat matrix runs on the parallel sweep layer: `--jobs N`
-//!   fans it over N worker threads (`--jobs 0` = one per host core) that
-//!   share one engine, and `--repeats R` re-runs every cell R times to show
-//!   the compile-once-run-many amortization.
+//!   target × repeat matrix runs on the sweep layer over one engine, and
+//!   `--repeats R` re-runs every cell R times to show the
+//!   compile-once-run-many amortization.
+//! * `report` regenerates the paper's tables and figures (one experiment, or
+//!   `all` six in order) with `n` elements per kernel invocation (default
+//!   4096). `--json <path>` additionally writes the machine-readable golden
+//!   of the paper's measured quantity to `path` — by convention
+//!   `BENCH_sweep.json` at the repo root: the table1 kernels swept three
+//!   times over the full preset target catalogue on a fresh deployment, with
+//!   per-cell simulated cycles and checksums, the engine's cache counters and
+//!   the online work units. Every byte is a pure function of the source tree
+//!   (no clock is read), so the file is committed and CI diffs it: a change
+//!   that moves a cycle count, a checksum or a cache counter must regenerate
+//!   it. Host wall-clock numbers live in `e2e/` and nowhere else.
 //! * `serve-bench` drives mixed-module request traffic (every Table 1
 //!   kernel as its own deployment, one request template per kernel × target
 //!   of the full catalogue) through the serving tier: one bounded queue
@@ -65,17 +79,39 @@
 
 #![forbid(unsafe_code)]
 
+use splitc::experiments::{codesize, hetero, kpn, regalloc, splitflow, table1};
 use splitc::serve::{default_chaos_plan, run_load, run_store_bench, LoadConfig};
 use splitc::splitc_jit::JitOptions;
-use splitc::splitc_opt::OptOptions;
+use splitc::splitc_opt::{optimize_module, OptOptions};
+use splitc::splitc_runtime::Platform;
 use splitc::splitc_targets::{MachineValue, TargetDesc, TimingKind};
 use splitc::splitc_vbc::{decode_module, encode_module, Module};
-use splitc::sweep::{sweep_kernels, SweepConfig};
-use splitc::{fmt_cache_line, offline_compile, run_on_target, Workspace};
+use splitc::splitc_workloads::{module_for, table1_kernels, DEFAULT_N};
+use splitc::sweep::{sweep_engine, sweep_kernels, SweepConfig};
+use splitc::{
+    fmt_cache_line, offline_compile, run_on_target, ExecutionEngine, PipelineError, Workspace,
+};
 use std::process::ExitCode;
 
-fn usage() -> &'static str {
-    "usage:\n  splitc build <kernels.mc> -o <module.svbc> [--no-vectorize] [--strip]\n  splitc dis <module.svbc>\n  splitc targets\n  splitc run <module.svbc|kernels.mc> --kernel <fn> --target <name> [--arg i:<int>|f:<float>]...\n  splitc disasm <catalogue-kernel|module.svbc|kernels.mc> [--target <name>] [--timing flat|in-order] [--no-fuse]\n  splitc bench <kernel> [--n <elems>] [--target <name>] [--jobs <N>] [--repeats <R>]\n  splitc serve-bench [--n <elems>] [--requests <R>] [--workers <N>] [--queue <Q>] [--cache-cap <C>] [--max-batch <B>] [--seed <S>] [--chaos | --store <dir>]"
+/// The `report` line of the usage text, quoted whole by every `report`
+/// argument error.
+const REPORT_USAGE: &str =
+    "splitc report <all|table1|splitflow|regalloc|hetero|codesize|kpn> [n] [--json <path>]";
+
+/// The experiments `splitc report all` runs, in order.
+const EXPERIMENTS: [&str; 6] = [
+    "table1",
+    "splitflow",
+    "regalloc",
+    "hetero",
+    "codesize",
+    "kpn",
+];
+
+fn usage() -> String {
+    format!(
+        "usage:\n  splitc build <kernels.mc> -o <module.svbc> [--no-vectorize] [--strip]\n  splitc dis <module.svbc>\n  splitc targets\n  splitc run <module.svbc|kernels.mc> --kernel <fn> --target <name> [--arg i:<int>|f:<float>]...\n  splitc disasm <catalogue-kernel|module.svbc|kernels.mc> [--target <name>] [--timing flat|in-order] [--no-fuse]\n  splitc bench <kernel> [--n <elems>] [--target <name>] [--repeats <R>]\n  {REPORT_USAGE}\n  splitc serve-bench [--n <elems>] [--requests <R>] [--workers <N>] [--queue <Q>] [--cache-cap <C>] [--max-batch <B>] [--seed <S>] [--chaos | --store <dir>]"
+    )
 }
 
 /// Parse one `--arg` value of the form `i:<integer>` or `f:<float>`.
@@ -106,15 +142,34 @@ fn parse_timing(text: &str) -> Result<TimingKind, String> {
     }
 }
 
-/// Extract the value following `flag`, removing both from `args`.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
+/// Extract the value following `flag`, removing both from `args`; a `flag`
+/// with nothing after it is an error.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(pos) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
     if pos + 1 >= args.len() {
-        return None;
+        return Err(format!("{flag} requires a value"));
     }
     let value = args.remove(pos + 1);
     args.remove(pos);
-    Some(value)
+    Ok(Some(value))
+}
+
+/// [`take_flag`], parsing the value.
+fn take_parsed<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    flag: &str,
+) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    take_flag(args, flag)?
+        .map(|s| {
+            s.parse()
+                .map_err(|e| format!("bad {flag} value `{s}`: {e}"))
+        })
+        .transpose()
 }
 
 /// Remove a boolean switch from `args`, reporting whether it was present.
@@ -125,6 +180,23 @@ fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     } else {
         false
     }
+}
+
+/// Refuse the first of `args`, the arguments `command` did not take.
+fn refuse_leftovers(command: &str, args: &[String]) -> Result<(), String> {
+    match args.first() {
+        Some(extra) => Err(format!("{command} takes no argument `{extra}`")),
+        None => Ok(()),
+    }
+}
+
+/// The one positional argument left in `args` once `command` took its
+/// flags; `missing` is the error when there is none.
+fn sole_positional(command: &str, args: Vec<String>, missing: &str) -> Result<String, String> {
+    let mut args = args.into_iter();
+    let first = args.next().ok_or(missing)?;
+    refuse_leftovers(command, args.as_slice())?;
+    Ok(first)
 }
 
 /// Load a module from either a compact `.svbc` file or mini-C source.
@@ -141,11 +213,12 @@ fn load_module(path: &str) -> Result<Module, String> {
 }
 
 fn cmd_build(mut args: Vec<String>) -> Result<(), String> {
-    let output = take_flag(&mut args, "-o").ok_or("build requires -o <module.svbc>")?;
+    let output = take_flag(&mut args, "-o")?.ok_or("build requires -o <module.svbc>")?;
     let no_vectorize = take_switch(&mut args, "--no-vectorize");
     let strip = take_switch(&mut args, "--strip");
-    let input = args.first().ok_or("build requires an input file")?;
-    let source = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
+    let input = sole_positional("build", args, "build requires an input file")?;
+    let source =
+        std::fs::read_to_string(&input).map_err(|e| format!("cannot read {input}: {e}"))?;
     let opts = if no_vectorize {
         OptOptions {
             vectorize: false,
@@ -155,7 +228,7 @@ fn cmd_build(mut args: Vec<String>) -> Result<(), String> {
         OptOptions::full()
     };
     let (mut module, report) =
-        offline_compile(&source, input, &opts).map_err(|e| format!("offline step failed: {e}"))?;
+        offline_compile(&source, &input, &opts).map_err(|e| format!("offline step failed: {e}"))?;
     if strip {
         module.strip_annotations();
     }
@@ -173,29 +246,31 @@ fn cmd_build(mut args: Vec<String>) -> Result<(), String> {
 }
 
 fn cmd_dis(args: Vec<String>) -> Result<(), String> {
-    let input = args.first().ok_or("dis requires an input file")?;
-    let module = load_module(input)?;
+    let input = sole_positional("dis", args, "dis requires an input file")?;
+    let module = load_module(&input)?;
     print!("{module}");
     Ok(())
 }
 
-fn cmd_targets() {
+fn cmd_targets(args: Vec<String>) -> Result<(), String> {
+    refuse_leftovers("targets", &args)?;
     for t in TargetDesc::presets() {
         println!("{t}");
     }
+    Ok(())
 }
 
 fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
-    let kernel = take_flag(&mut args, "--kernel").ok_or("run requires --kernel <fn>")?;
-    let target_name = take_flag(&mut args, "--target").unwrap_or_else(|| "x86-sse".to_owned());
+    let kernel = take_flag(&mut args, "--kernel")?.ok_or("run requires --kernel <fn>")?;
+    let target_name = take_flag(&mut args, "--target")?.unwrap_or_else(|| "x86-sse".to_owned());
     let target = TargetDesc::preset(&target_name)
         .ok_or_else(|| format!("unknown target `{target_name}` (see `splitc targets`)"))?;
     let mut call_args = Vec::new();
-    while let Some(a) = take_flag(&mut args, "--arg") {
+    while let Some(a) = take_flag(&mut args, "--arg")? {
         call_args.push(parse_arg(&a)?);
     }
-    let input = args.first().ok_or("run requires an input file")?;
-    let module = load_module(input)?;
+    let input = sole_positional("run", args, "run requires an input file")?;
+    let module = load_module(&input)?;
     let mut ws = Workspace::new(1 << 20);
     let run = run_on_target(
         &module,
@@ -228,8 +303,8 @@ fn cmd_disasm(args: Vec<String>) -> Result<(), String> {
 
 /// The listing `splitc disasm` prints for `args`.
 fn disasm_text(mut args: Vec<String>) -> Result<String, String> {
-    let target_name = take_flag(&mut args, "--target").unwrap_or_else(|| "x86-sse".to_owned());
-    let timing = take_flag(&mut args, "--timing")
+    let target_name = take_flag(&mut args, "--target")?.unwrap_or_else(|| "x86-sse".to_owned());
+    let timing = take_flag(&mut args, "--timing")?
         .map(|s| parse_timing(&s))
         .transpose()?
         .unwrap_or_default();
@@ -237,18 +312,20 @@ fn disasm_text(mut args: Vec<String>) -> Result<String, String> {
         .ok_or_else(|| format!("unknown target `{target_name}` (see `splitc targets`)"))?
         .with_timing(timing);
     let fuse = !take_switch(&mut args, "--no-fuse");
-    let input = args
-        .first()
-        .ok_or("disasm requires a catalogue kernel name or an input file")?;
+    let input = sole_positional(
+        "disasm",
+        args,
+        "disasm requires a catalogue kernel name or an input file",
+    )?;
     // A bare catalogue name wins over a file of the same name: the catalogue
     // is the common case and its names never collide with real paths.
-    let module = match splitc::splitc_workloads::kernel(input) {
+    let module = match splitc::splitc_workloads::kernel(&input) {
         Some(k) => {
             let (module, _) = offline_compile(k.source, k.name, &OptOptions::full())
                 .map_err(|e| format!("cannot compile catalogue kernel {}: {e}", k.name))?;
             module
         }
-        None => load_module(input)?,
+        None => load_module(&input)?,
     };
     let options = JitOptions {
         fuse,
@@ -262,23 +339,11 @@ fn disasm_text(mut args: Vec<String>) -> Result<String, String> {
 }
 
 fn cmd_bench(mut args: Vec<String>) -> Result<(), String> {
-    let n: usize = take_flag(&mut args, "--n")
-        .map(|s| s.parse().map_err(|e| format!("bad --n value: {e}")))
-        .transpose()?
-        .unwrap_or(splitc::splitc_workloads::DEFAULT_N);
-    let jobs: usize = take_flag(&mut args, "--jobs")
-        .map(|s| s.parse().map_err(|e| format!("bad --jobs value: {e}")))
-        .transpose()?
-        .unwrap_or(1);
-    let repeats: usize = take_flag(&mut args, "--repeats")
-        .map(|s| s.parse().map_err(|e| format!("bad --repeats value: {e}")))
-        .transpose()?
-        .unwrap_or(1);
-    let target_filter = take_flag(&mut args, "--target");
-    let kernel_name = args
-        .first()
-        .ok_or("bench requires a catalogue kernel name")?;
-    let kernel = splitc::splitc_workloads::kernel(kernel_name)
+    let n: usize = take_parsed(&mut args, "--n")?.unwrap_or(DEFAULT_N);
+    let repeats: usize = take_parsed(&mut args, "--repeats")?.unwrap_or(1);
+    let target_filter = take_flag(&mut args, "--target")?;
+    let kernel_name = sole_positional("bench", args, "bench requires a catalogue kernel name")?;
+    let kernel = splitc::splitc_workloads::kernel(&kernel_name)
         .ok_or_else(|| format!("`{kernel_name}` is not in the workload catalogue"))?;
 
     let targets: Vec<TargetDesc> = match target_filter {
@@ -288,8 +353,8 @@ fn cmd_bench(mut args: Vec<String>) -> Result<(), String> {
         None => TargetDesc::table1_targets(),
     };
     // One deployment for the whole sweep: each target compiles exactly once,
-    // however many repeats and workers the matrix fans out over.
-    let cfg = SweepConfig::new(n).with_jobs(jobs).with_repeats(repeats);
+    // however many repeats the matrix runs.
+    let cfg = SweepConfig::new(n).with_repeats(repeats);
     let result =
         sweep_kernels(&[kernel], &targets, &cfg).map_err(|e| format!("sweep failed: {e}"))?;
     for cell in result.cells.iter().filter(|c| c.repeat == 0) {
@@ -302,42 +367,139 @@ fn cmd_bench(mut args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
+fn cmd_report(mut args: Vec<String>) -> Result<(), String> {
+    let usage_err = |e: String| format!("{e}\nusage: {REPORT_USAGE}");
+    let json_path = take_flag(&mut args, "--json").map_err(usage_err)?;
+    let mut args = args.into_iter();
+    let what = args
+        .next()
+        .ok_or_else(|| usage_err("report requires an experiment".to_owned()))?;
+    let experiments = match what.as_str() {
+        "all" => &EXPERIMENTS[..],
+        one => {
+            let i = EXPERIMENTS
+                .iter()
+                .position(|e| *e == one)
+                .ok_or_else(|| usage_err(format!("unknown experiment `{one}`")))?;
+            &EXPERIMENTS[i..=i]
+        }
+    };
+    let n: usize = match args.next() {
+        Some(n) => n
+            .parse()
+            .map_err(|e| usage_err(format!("bad n `{n}`: {e}")))?,
+        None => DEFAULT_N,
+    };
+    refuse_leftovers("report", args.as_slice()).map_err(usage_err)?;
+    for experiment in experiments {
+        print!(
+            "{}",
+            report_text(experiment, n).map_err(|e| format!("report failed: {e}"))?
+        );
+    }
+    if let Some(path) = json_path {
+        write_sweep_json(&path, n).map_err(|e| format!("report failed: {e}"))?;
+        println!("wrote sweep golden to {path}");
+    }
+    Ok(())
+}
+
+/// What `splitc report` prints for one of [`EXPERIMENTS`] at `n` elements.
+fn report_text(experiment: &str, n: usize) -> Result<String, PipelineError> {
+    Ok(match experiment {
+        "table1" => {
+            // One sweep over the whole preset catalogue — the RISC-V and GPU
+            // families included — rendered twice: first the paper's three
+            // columns (a pure subset of the measured cells, no re-compilation
+            // or re-run), then the full table showing how the same portable
+            // module lands on machines the paper never saw.
+            let full = table1::run_on(n, &TargetDesc::presets())?;
+            let paper: Vec<String> = TargetDesc::table1_targets()
+                .into_iter()
+                .map(|t| t.name)
+                .collect();
+            let mut paper_view = full.clone();
+            paper_view.targets = paper.clone();
+            for row in &mut paper_view.rows {
+                row.cells.retain(|c| paper.contains(&c.target));
+            }
+            format!(
+                "{}\nFull target catalogue (same sweep, same deployment):\n{}\n",
+                paper_view.render(),
+                full.render()
+            )
+        }
+        "splitflow" => format!("{}\n", splitflow::run(n, &[])?.render()),
+        "regalloc" => format!("{}\n", regalloc::run(n)?.render()),
+        "hetero" => {
+            let sizes = [n / 64, n / 16, n / 4, n, n * 4, n * 16];
+            format!("{}\n", hetero::run("saxpy_f32", &sizes)?.render())
+        }
+        "codesize" => format!("{}\n", codesize::run()?.render()),
+        "kpn" => format!(
+            "{}\n{}\n",
+            kpn::run(&Platform::cell_blade(3), n, 32)?.render(),
+            kpn::run(&Platform::phone(), n, 32)?.render()
+        ),
+        other => unreachable!("`{other}` is not one of the report experiments"),
+    })
+}
+
+/// Repeats per sweep cell in the `--json` golden.
+const JSON_SWEEP_REPEATS: usize = 3;
+
+/// Deploy a fresh engine, sweep the table1 kernels over the full preset
+/// catalogue (every backend family, the RISC-V and GPU targets included) and
+/// write the `BENCH_sweep.json` golden to `path`: totals, cache counters, and
+/// the per-(kernel, target) cycles and checksum of the first repeat.
+fn write_sweep_json(path: &str, n: usize) -> Result<(), Box<dyn std::error::Error>> {
+    let kernels = table1_kernels();
+    let mut module = module_for(&kernels, "bench-sweep")?;
+    optimize_module(&mut module, &OptOptions::full());
+    let engine = ExecutionEngine::new(module);
+    let cfg = SweepConfig::new(n).with_repeats(JSON_SWEEP_REPEATS);
+    let result = sweep_engine(&engine, &kernels, &TargetDesc::presets(), &cfg)?;
+    // Kernel and target names are catalogue identifiers (plain ASCII, no
+    // quotes or escapes), so `{:?}` writes them as JSON strings.
+    let detail: Vec<String> = result
+        .cells
+        .iter()
+        .filter(|c| c.repeat == 0)
+        .map(|cell| {
+            format!(
+                "        {{\"kernel\": {:?}, \"target\": {:?}, \"cycles\": {}, \"scaled_cycles\": {:.1}, \"checksum\": \"{:016x}\"}}",
+                cell.kernel, cell.target, cell.cycles, cell.scaled_cycles, cell.checksum,
+            )
+        })
+        .collect();
+    let json = format!(
+        "{{\n  \"schema\": \"splitc-bench-sweep/10\",\n  \"n\": {n},\n  \"repeats\": {JSON_SWEEP_REPEATS},\n  \"sweeps\": [\n    {{\n      \"cells\": {},\n      \"total_cycles\": {},\n      \"cache\": {{\"compiles\": {}, \"hits\": {}, \"evictions\": {}}},\n      \"online_work\": {},\n      \"cells_detail\": [\n{}\n      ]\n    }}\n  ]\n}}\n",
+        result.cells.len(),
+        result.total_cycles(),
+        result.cache.compiles,
+        result.cache.hits,
+        result.cache.evictions,
+        result.online_work,
+        detail.join(",\n"),
+    );
+    std::fs::write(path, json)?;
+    Ok(())
+}
+
 fn cmd_serve_bench(mut args: Vec<String>) -> Result<(), String> {
-    let n: usize = take_flag(&mut args, "--n")
-        .map(|s| s.parse().map_err(|e| format!("bad --n value: {e}")))
-        .transpose()?
-        .unwrap_or(1024);
-    let requests: usize = take_flag(&mut args, "--requests")
-        .map(|s| s.parse().map_err(|e| format!("bad --requests value: {e}")))
-        .transpose()?
-        .unwrap_or(256);
-    let workers: usize = take_flag(&mut args, "--workers")
-        .map(|s| s.parse().map_err(|e| format!("bad --workers value: {e}")))
-        .transpose()?
-        .unwrap_or(0);
-    let queue: usize = take_flag(&mut args, "--queue")
-        .map(|s| s.parse().map_err(|e| format!("bad --queue value: {e}")))
-        .transpose()?
-        .unwrap_or(64);
-    let cache_cap: usize = take_flag(&mut args, "--cache-cap")
-        .map(|s| s.parse().map_err(|e| format!("bad --cache-cap value: {e}")))
-        .transpose()?
-        .unwrap_or(0);
-    let max_batch: usize = take_flag(&mut args, "--max-batch")
-        .map(|s| s.parse().map_err(|e| format!("bad --max-batch value: {e}")))
-        .transpose()?
-        .unwrap_or(16);
-    let seed: Option<u64> = take_flag(&mut args, "--seed")
-        .map(|s| s.parse().map_err(|e| format!("bad --seed value: {e}")))
-        .transpose()?;
+    let n: usize = take_parsed(&mut args, "--n")?.unwrap_or(1024);
+    let requests: usize = take_parsed(&mut args, "--requests")?.unwrap_or(256);
+    let workers: usize = take_parsed(&mut args, "--workers")?.unwrap_or(0);
+    let queue: usize = take_parsed(&mut args, "--queue")?.unwrap_or(64);
+    let cache_cap: usize = take_parsed(&mut args, "--cache-cap")?.unwrap_or(0);
+    let max_batch: usize = take_parsed(&mut args, "--max-batch")?.unwrap_or(16);
+    let seed: Option<u64> = take_parsed(&mut args, "--seed")?;
     let chaos = take_switch(&mut args, "--chaos");
-    let store_dir = take_flag(&mut args, "--store");
+    let store_dir = take_flag(&mut args, "--store")?;
     if store_dir.is_some() && chaos {
         return Err("--store runs the cold-vs-warm pair of clean loads; drop --chaos".to_owned());
     }
-    if let Some(extra) = args.first() {
-        return Err(format!("serve-bench takes no argument `{extra}`"));
-    }
+    refuse_leftovers("serve-bench", &args)?;
     let mut cfg = LoadConfig::catalogue(n, requests);
     cfg.server = cfg
         .server
@@ -382,17 +544,14 @@ fn main() -> ExitCode {
     let result = match command.as_str() {
         "build" => cmd_build(args),
         "dis" => cmd_dis(args),
-        "targets" => {
-            cmd_targets();
-            Ok(())
-        }
+        "targets" => cmd_targets(args),
         "run" => cmd_run(args),
         "disasm" => cmd_disasm(args),
         "bench" => cmd_bench(args),
+        "report" => cmd_report(args),
         "serve-bench" => cmd_serve_bench(args),
         "--help" | "-h" | "help" => {
-            println!("{}", usage());
-            Ok(())
+            refuse_leftovers(&command, &args).map(|()| println!("{}", usage()))
         }
         other => Err(format!("unknown command `{other}`\n{}", usage())),
     };
@@ -424,11 +583,93 @@ mod tests {
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
-        assert_eq!(take_flag(&mut args, "-o").as_deref(), Some("out.svbc"));
+        assert_eq!(take_flag(&mut args, "-o"), Ok(Some("out.svbc".to_owned())));
         assert!(take_switch(&mut args, "--strip"));
         assert!(!take_switch(&mut args, "--strip"));
         assert_eq!(args, vec!["a.mc".to_owned()]);
-        assert_eq!(take_flag(&mut args, "--missing"), None);
+        assert_eq!(take_flag(&mut args, "--missing"), Ok(None));
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn a_flag_without_a_value_is_refused_by_every_subcommand() {
+        type Cmd = fn(Vec<String>) -> Result<(), String>;
+        let cases: [(Cmd, &[&str], &str); 8] = [
+            (cmd_build, &["k.mc", "-o"], "-o"),
+            (cmd_run, &["k.svbc", "--kernel"], "--kernel"),
+            (cmd_run, &["k.svbc", "--kernel", "f", "--arg"], "--arg"),
+            (cmd_disasm, &["saxpy_f32", "--target"], "--target"),
+            (cmd_bench, &["saxpy_f32", "--n"], "--n"),
+            (cmd_bench, &["saxpy_f32", "--target"], "--target"),
+            (cmd_serve_bench, &["--workers"], "--workers"),
+            (cmd_report, &["table1", "--json"], "--json"),
+        ];
+        for (cmd, args, flag) in cases {
+            let err = cmd(strings(args)).unwrap_err();
+            assert!(
+                err.contains(&format!("{flag} requires a value")),
+                "{args:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_unknown_argument_is_refused_by_every_subcommand() {
+        type Cmd = fn(Vec<String>) -> Result<(), String>;
+        let cases: [(Cmd, &[&str], &str); 8] = [
+            (cmd_build, &["k.mc", "-o", "k.svbc", "extra"], "extra"),
+            (cmd_dis, &["k.svbc", "extra"], "extra"),
+            (cmd_targets, &["extra"], "extra"),
+            (cmd_run, &["k.svbc", "--kernel", "f", "extra"], "extra"),
+            (cmd_disasm, &["saxpy_f32", "--bogus"], "--bogus"),
+            (cmd_bench, &["saxpy_f32", "--bogus", "extra"], "--bogus"),
+            (cmd_serve_bench, &["--bogus"], "--bogus"),
+            (cmd_report, &["table1", "512", "extra"], "extra"),
+        ];
+        for (cmd, args, extra) in cases {
+            let err = cmd(strings(args)).unwrap_err();
+            assert!(
+                err.contains(&format!("takes no argument `{extra}`")),
+                "{args:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn report_refuses_malformed_arguments_with_the_usage_text() {
+        for args in [
+            &[][..],
+            &["tabel1"][..],
+            &["table1", "51x"][..],
+            &["table1", "512", "extra"][..],
+            &["table1", "512", "--json"][..],
+        ] {
+            let err = cmd_report(strings(args)).unwrap_err();
+            assert!(err.contains(REPORT_USAGE), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn report_json_writes_the_sweep_golden() {
+        let path = std::env::temp_dir().join(format!(
+            "splitc-cli-report-{}-sweep.json",
+            std::process::id()
+        ));
+        let path_arg = path.to_string_lossy().into_owned();
+        cmd_report(strings(&["table1", "16", "--json", &path_arg])).expect("report succeeds");
+        let json = std::fs::read_to_string(&path).expect("golden written");
+        std::fs::remove_file(&path).ok();
+        assert!(
+            json.contains("\"schema\": \"splitc-bench-sweep/10\""),
+            "{json}"
+        );
+        assert!(json.contains("\"n\": 16,"), "{json}");
+        // 6 Table 1 kernels × 9 presets × 3 repeats.
+        assert!(json.contains("\"cells\": 162,"), "{json}");
+        assert!(!json.contains("jobs"), "{json}");
     }
 
     #[test]
@@ -596,17 +837,13 @@ mod tests {
 
     #[test]
     fn bench_runs_a_parallel_repeated_sweep() {
-        cmd_bench(vec![
-            "saxpy_f32".into(),
-            "--n".into(),
-            "64".into(),
-            "--jobs".into(),
-            "2".into(),
-            "--repeats".into(),
-            "3".into(),
-        ])
-        .expect("bench sweep succeeds");
+        cmd_bench(strings(&["saxpy_f32", "--n", "64", "--repeats", "3"]))
+            .expect("bench sweep succeeds");
         assert!(cmd_bench(vec!["not_a_kernel".into()]).is_err());
-        assert!(cmd_bench(vec!["saxpy_f32".into(), "--jobs".into(), "x".into()]).is_err());
+        assert!(cmd_bench(strings(&["saxpy_f32", "--repeats", "x"])).is_err());
+        // Sweeps are sequential: the old worker-count flag is refused by name.
+        let stale = ["--", "jobs"].concat();
+        let err = cmd_bench(strings(&["saxpy_f32", "--n", "64", &stale, "2"])).unwrap_err();
+        assert!(err.contains(&format!("`{stale}`")), "{err}");
     }
 }

@@ -8,7 +8,7 @@
 //! crossover and demonstrates performance portability from one binary.
 
 use crate::harness::prepare;
-use crate::report::{fmt_amortized_jit, fmt_cache_line, TextTable};
+use crate::report::{fmt_cache_line, TextTable};
 use crate::session::{PipelineError, Workspace};
 use splitc_jit::JitOptions;
 use splitc_opt::{optimize_module, OptOptions};
@@ -103,8 +103,6 @@ pub struct Hetero {
     pub cache: CacheStats,
     /// Total online-compilation work units spent by the deployment.
     pub online_work: u64,
-    /// Worker threads the measurement sweep used.
-    pub jobs: usize,
 }
 
 impl Hetero {
@@ -157,19 +155,14 @@ impl Hetero {
             Some(n) => format!("GPU offload beats the RISC-V host from n = {n} elements on"),
             None => "GPU offload never beats the RISC-V host in this sweep".to_owned(),
         };
-        let mut out = format!(
+        format!(
             "Heterogeneous deployment of `{}` (scaled cycles, lower is better)\n{}\n{}\n{}\n{}\n",
             self.kernel,
             table.render(),
             crossover,
             gpu_crossover,
             fmt_cache_line(&self.cache),
-        );
-        if self.jobs > 1 {
-            out.push_str(&fmt_amortized_jit(self.online_work, self.jobs));
-            out.push('\n');
-        }
-        out
+        )
     }
 }
 
@@ -180,20 +173,6 @@ impl Hetero {
 /// Returns a [`PipelineError`] if compilation or execution fails, or if the
 /// kernel is not in the workload catalogue.
 pub fn run(kernel_name: &str, sizes: &[usize]) -> Result<Hetero, PipelineError> {
-    run_with(kernel_name, sizes, 1)
-}
-
-/// Run the heterogeneity experiment with the size × configuration matrix
-/// fanned across `jobs` worker threads (0 = one per host core).
-///
-/// Every cell's inputs depend only on its problem size, so the parallel
-/// sweep is bit-identical to the sequential one.
-///
-/// # Errors
-///
-/// Same conditions as [`run`].
-pub fn run_with(kernel_name: &str, sizes: &[usize], jobs: usize) -> Result<Hetero, PipelineError> {
-    let jobs = crate::sweep::resolve_jobs(jobs);
     let k =
         kernel(kernel_name).ok_or_else(|| EngineError::UnknownKernel(kernel_name.to_owned()))?;
     let mut module =
@@ -221,24 +200,15 @@ pub fn run_with(kernel_name: &str, sizes: &[usize], jobs: usize) -> Result<Heter
         &options,
     )?;
 
-    // The measurement matrix: every (size, configuration) cell, sized so one
-    // per-worker workspace fits the largest problem of the sweep.
-    let mut matrix = Vec::with_capacity(sizes.len() * HeteroConfig::ALL.len());
+    // Every (size, configuration) cell, in one workspace sized for the
+    // largest problem of the sweep.
+    let mut ws = Workspace::sized_for(sizes.iter().copied().max().unwrap_or(0));
+    let mut rows = Vec::with_capacity(sizes.len());
     for &n in sizes {
+        let mut cells = Vec::with_capacity(HeteroConfig::ALL.len());
         for config in HeteroConfig::ALL {
-            matrix.push((n, config));
-        }
-    }
-    // Report the pool width the sweep actually runs with.
-    let jobs = splitc_runtime::pool_width(jobs, matrix.len());
-    let max_n = sizes.iter().copied().max().unwrap_or(0);
-    let outcomes: Vec<Result<HeteroCell, PipelineError>> = splitc_runtime::sweep(
-        &matrix,
-        jobs,
-        |_worker| Workspace::sized_for(max_n),
-        |ws, &(n, config), _| {
             ws.reset();
-            let prepared = prepare(kernel_name, n, 0x4e7 + n as u64, ws);
+            let prepared = prepare(kernel_name, n, 0x4e7 + n as u64, &mut ws);
             let (core, dma) = match config {
                 HeteroConfig::Workstation => (workstation.host(), None),
                 HeteroConfig::PhoneArm => (phone.core("arm").expect("phone has an arm core"), None),
@@ -264,30 +234,19 @@ pub fn run_with(kernel_name: &str, sizes: &[usize], jobs: usize) -> Result<Heter
                 let bytes_out = prepared.output.map(|(_, len)| len).unwrap_or(8);
                 run_offloaded(&run, dma, prepared.input_bytes, bytes_out).dma_cycles as f64
             });
-            Ok(HeteroCell {
+            cells.push(HeteroCell {
                 config,
                 compute: run.scaled_cycles,
                 transfer,
-            })
-        },
-    );
-
-    let mut rows: Vec<HeteroRow> = sizes
-        .iter()
-        .map(|&n| HeteroRow {
-            n,
-            cells: Vec::with_capacity(HeteroConfig::ALL.len()),
-        })
-        .collect();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        rows[i / HeteroConfig::ALL.len()].cells.push(outcome?);
+            });
+        }
+        rows.push(HeteroRow { n, cells });
     }
     Ok(Hetero {
         kernel: kernel_name.to_owned(),
         rows,
         cache: engine.stats(),
         online_work: engine.online_work(),
-        jobs,
     })
 }
 
@@ -350,15 +309,5 @@ mod tests {
     #[test]
     fn unknown_kernel_is_an_error() {
         assert!(run("not_a_kernel", &[16]).is_err());
-    }
-
-    #[test]
-    fn parallel_size_sweep_is_bit_identical_to_sequential() {
-        let sizes = [64, 1024, 8192];
-        let sequential = run_with("saxpy_f32", &sizes, 1).expect("sequential sweep runs");
-        let parallel = run_with("saxpy_f32", &sizes, 4).expect("parallel sweep runs");
-        assert_eq!(sequential.rows, parallel.rows);
-        assert_eq!(sequential.cache, parallel.cache);
-        assert!(parallel.render().contains("amortized online cost"));
     }
 }

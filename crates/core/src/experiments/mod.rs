@@ -10,8 +10,8 @@
 //! | [`kpn`] | Section 4 — Kahn process networks for portable concurrency |
 //!
 //! Every driver returns a structured result with a `render()` method that
-//! prints a paper-style table; the `report` binary of the `splitc-bench`
-//! crate is a thin wrapper around these functions.
+//! prints a paper-style table; `splitc report` is a thin wrapper around
+//! these functions.
 
 pub mod codesize;
 pub mod hetero;

@@ -17,7 +17,7 @@
 //!   (a conventional native compiler, which gives up portability).
 
 use crate::harness::prepare;
-use crate::report::{fmt_amortized_jit, fmt_cache_line, TextTable};
+use crate::report::{fmt_cache_line, TextTable};
 use crate::session::{PipelineError, Workspace};
 use splitc_jit::JitOptions;
 use splitc_opt::{optimize_module, OptOptions};
@@ -89,8 +89,6 @@ pub struct SplitFlow {
     pub cache: CacheStats,
     /// Total online-compilation work units across both deployments.
     pub online_work: u64,
-    /// Worker threads the measurement sweep used.
-    pub jobs: usize,
 }
 
 impl SplitFlow {
@@ -159,7 +157,7 @@ impl SplitFlow {
                 r.cycles.to_string(),
             ]);
         }
-        let mut out = format!(
+        format!(
             "Figure 1 reproduction — split compilation flow (n = {})\n{}\n\
              split vs jit-greedy : {:.2}x faster code, {:.2}x the online work\n\
              split vs jit-thorough: {:.2}x faster code, {:.2}x the online work\n\
@@ -172,44 +170,20 @@ impl SplitFlow {
             self.mean_online_work_ratio(Strategy::Split, Strategy::JitAnalyze),
             1.0 / self.mean_speedup(Strategy::Split, Strategy::OfflineNative),
             fmt_cache_line(&self.cache),
-        );
-        if self.jobs > 1 {
-            out.push_str(&fmt_amortized_jit(self.online_work, self.jobs));
-            out.push('\n');
-        }
-        out
+        )
     }
 }
 
 /// Run the split-compilation-flow experiment with `n` elements per kernel on
 /// the given targets (defaults to x86 and ARM when empty).
 ///
+/// Rows come kernel-major, then strategy, then target; every run reuses one
+/// scratch workspace.
+///
 /// # Errors
 ///
 /// Returns a [`PipelineError`] if compilation or execution fails.
 pub fn run(n: usize, targets: &[TargetDesc]) -> Result<SplitFlow, PipelineError> {
-    run_with(n, targets, 1)
-}
-
-/// One kernel deployed in both offline configurations (shared read-only by
-/// every measurement worker).
-struct DeployedKernel {
-    kernel: splitc_workloads::Kernel,
-    full_engine: ExecutionEngine,
-    full_report: splitc_opt::OptReport,
-    plain_engine: ExecutionEngine,
-    plain_report: splitc_opt::OptReport,
-}
-
-/// Run the split-compilation-flow experiment with the kernel × strategy ×
-/// target measurement matrix fanned across `jobs` worker threads
-/// (0 = one per host core). Bit-identical to the sequential run.
-///
-/// # Errors
-///
-/// Returns a [`PipelineError`] if compilation or execution fails.
-pub fn run_with(n: usize, targets: &[TargetDesc], jobs: usize) -> Result<SplitFlow, PipelineError> {
-    let jobs = crate::sweep::resolve_jobs(jobs);
     let default_targets = [TargetDesc::x86_sse(), TargetDesc::arm_neon()];
     let targets: &[TargetDesc] = if targets.is_empty() {
         &default_targets
@@ -217,7 +191,10 @@ pub fn run_with(n: usize, targets: &[TargetDesc], jobs: usize) -> Result<SplitFl
         targets
     };
 
-    let mut deployed = Vec::new();
+    let mut ws = Workspace::sized_for(n);
+    let mut rows = Vec::new();
+    let mut cache = CacheStats::default();
+    let mut engine_work = 0;
     for kernel in table1_kernels() {
         let base = module_for(std::slice::from_ref(&kernel), kernel.name)
             .map_err(PipelineError::Frontend)?;
@@ -237,85 +214,46 @@ pub fn run_with(n: usize, targets: &[TargetDesc], jobs: usize) -> Result<SplitFl
         let plain_engine = ExecutionEngine::new(plain_module);
         plain_engine.precompile(targets, &JitOptions::online_greedy())?;
 
-        deployed.push(DeployedKernel {
-            kernel,
-            full_engine,
-            full_report,
-            plain_engine,
-            plain_report,
-        });
-    }
-
-    // The measurement matrix, in the historical row order: kernel-major,
-    // then strategy, then target.
-    let mut matrix = Vec::with_capacity(deployed.len() * Strategy::ALL.len() * targets.len());
-    for ki in 0..deployed.len() {
         for strategy in Strategy::ALL {
-            for ti in 0..targets.len() {
-                matrix.push((ki, strategy, ti));
-            }
-        }
-    }
-    // Report the pool width the sweep actually runs with.
-    let jobs = splitc_runtime::pool_width(jobs, matrix.len());
-    let outcomes: Vec<Result<SplitFlowRow, PipelineError>> = splitc_runtime::sweep(
-        &matrix,
-        jobs,
-        |_worker| Workspace::sized_for(n),
-        |ws, &(ki, strategy, ti), _| {
-            let dk = &deployed[ki];
-            let target = &targets[ti];
             let (engine, jit, opt_report) = match strategy {
                 // The thorough JIT performs the same analyses as the offline
                 // step, only it pays for them at run time on the device.
                 Strategy::Split | Strategy::OfflineNative | Strategy::JitAnalyze => {
-                    (&dk.full_engine, JitOptions::split(), &dk.full_report)
+                    (&full_engine, JitOptions::split(), &full_report)
                 }
-                Strategy::JitGreedy => (
-                    &dk.plain_engine,
-                    JitOptions::online_greedy(),
-                    &dk.plain_report,
-                ),
+                Strategy::JitGreedy => (&plain_engine, JitOptions::online_greedy(), &plain_report),
             };
-            ws.reset();
-            let prepared = prepare(dk.kernel.name, n, 0xf16 + n as u64, ws);
-            let m = engine.run(target, &jit, dk.kernel.name, &prepared.args, ws.bytes_mut())?;
-            let (offline_work, online_work) = match strategy {
-                // The native oracle performs the online step ahead of time
-                // as well, so all of its work counts as offline.
-                Strategy::OfflineNative => (opt_report.offline_work + m.jit.total_work(), 0),
-                // The thorough JIT pays for everything at run time.
-                Strategy::JitAnalyze => (0, opt_report.offline_work + m.jit.total_work()),
-                _ => (opt_report.offline_work, m.jit.total_work()),
-            };
-            Ok(SplitFlowRow {
-                kernel: dk.kernel.name.to_owned(),
-                target: target.name.clone(),
-                strategy,
-                offline_work,
-                online_work,
-                cycles: m.stats.cycles,
-            })
-        },
-    );
-
-    let mut rows = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        rows.push(outcome?);
-    }
-    let mut cache = CacheStats::default();
-    let mut online_work = 0;
-    for dk in &deployed {
-        cache += dk.full_engine.stats();
-        cache += dk.plain_engine.stats();
-        online_work += dk.full_engine.online_work() + dk.plain_engine.online_work();
+            for target in targets {
+                ws.reset();
+                let prepared = prepare(kernel.name, n, 0xf16 + n as u64, &mut ws);
+                let m = engine.run(target, &jit, kernel.name, &prepared.args, ws.bytes_mut())?;
+                let (offline_work, online_work) = match strategy {
+                    // The native oracle performs the online step ahead of
+                    // time as well, so all of its work counts as offline.
+                    Strategy::OfflineNative => (opt_report.offline_work + m.jit.total_work(), 0),
+                    // The thorough JIT pays for everything at run time.
+                    Strategy::JitAnalyze => (0, opt_report.offline_work + m.jit.total_work()),
+                    _ => (opt_report.offline_work, m.jit.total_work()),
+                };
+                rows.push(SplitFlowRow {
+                    kernel: kernel.name.to_owned(),
+                    target: target.name.clone(),
+                    strategy,
+                    offline_work,
+                    online_work,
+                    cycles: m.stats.cycles,
+                });
+            }
+        }
+        cache += full_engine.stats();
+        cache += plain_engine.stats();
+        engine_work += full_engine.online_work() + plain_engine.online_work();
     }
     Ok(SplitFlow {
         n,
         rows,
         cache,
-        online_work,
-        jobs,
+        online_work: engine_work,
     })
 }
 
@@ -351,15 +289,5 @@ mod tests {
         assert_eq!(flow.cache.compiles, 6 * 2);
         assert_eq!(flow.cache.lookups(), 6 * (2 + 4)); // precompiles + 4 strategy runs
         assert!(flow.cache.hits > flow.cache.compiles);
-    }
-
-    #[test]
-    fn parallel_strategy_sweep_is_bit_identical_to_sequential() {
-        let targets = [TargetDesc::x86_sse(), TargetDesc::arm_neon()];
-        let sequential = run_with(128, &targets, 1).expect("sequential sweep runs");
-        let parallel = run_with(128, &targets, 4).expect("parallel sweep runs");
-        assert_eq!(sequential.rows, parallel.rows);
-        assert_eq!(sequential.cache, parallel.cache);
-        assert!(parallel.render().contains("amortized online cost"));
     }
 }

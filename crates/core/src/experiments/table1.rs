@@ -9,13 +9,13 @@
 //! scalar/vectorized run-time ratio — the paper's "relative" column.
 
 use crate::harness::{checksum, prepare};
-use crate::report::{fmt_amortized_jit, fmt_cache_line, fmt_speedup, TextTable};
+use crate::report::{fmt_cache_line, fmt_speedup, TextTable};
 use crate::session::{PipelineError, Workspace};
 use splitc_jit::JitOptions;
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_runtime::{CacheStats, ExecutionEngine};
 use splitc_targets::TargetDesc;
-use splitc_workloads::{module_for, table1_kernels, Kernel};
+use splitc_workloads::{module_for, table1_kernels};
 
 /// Measurements of one kernel on one target.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,8 +59,6 @@ pub struct Table1 {
     pub cache: CacheStats,
     /// Total online-compilation work units across both variants.
     pub online_work: u64,
-    /// Worker threads the measurement sweep used.
-    pub jobs: usize,
 }
 
 impl Table1 {
@@ -91,17 +89,12 @@ impl Table1 {
             }
             table.row(cells);
         }
-        let mut out = format!(
+        format!(
             "Table 1 reproduction — split automatic vectorization (n = {} elements, simulated cycles)\n{}{}\n",
             self.n,
             table.render(),
             fmt_cache_line(&self.cache),
-        );
-        if self.jobs > 1 {
-            out.push_str(&fmt_amortized_jit(self.online_work, self.jobs));
-            out.push('\n');
-        }
-        out
+        )
     }
 }
 
@@ -116,119 +109,65 @@ pub fn run(n: usize) -> Result<Table1, PipelineError> {
 
 /// Run the Table 1 experiment on a caller-chosen set of targets.
 ///
+/// Each kernel is compiled and deployed in both variants first; then each of
+/// its kernel × target cells runs both, reusing one scratch workspace.
+///
 /// # Errors
 ///
 /// Returns a [`PipelineError`] if any kernel fails to compile or execute.
 pub fn run_on(n: usize, targets: &[TargetDesc]) -> Result<Table1, PipelineError> {
-    run_with(n, targets, 1)
-}
-
-/// One kernel deployed in both offline variants (the offline step of the
-/// experiment; built once, shared read-only by every measurement worker).
-struct DeployedKernel {
-    kernel: Kernel,
-    scalar: ExecutionEngine,
-    vector: ExecutionEngine,
-}
-
-/// Run the Table 1 experiment with the measurement matrix fanned across
-/// `jobs` worker threads (0 = one per host core).
-///
-/// The offline step (module compilation and deployment) stays sequential;
-/// the kernel × target measurement matrix runs on the worker pool, every
-/// worker reusing one scratch workspace. Results are bit-identical to the
-/// sequential sweep whatever `jobs` is.
-///
-/// # Errors
-///
-/// Returns a [`PipelineError`] if any kernel fails to compile or execute.
-pub fn run_with(n: usize, targets: &[TargetDesc], jobs: usize) -> Result<Table1, PipelineError> {
-    let jobs = crate::sweep::resolve_jobs(jobs);
     let scalar_opts = OptOptions {
         vectorize: false,
         ..OptOptions::full()
     };
-    let vector_opts = OptOptions::full();
     let jit = JitOptions::split();
-
-    let mut deployed = Vec::new();
+    let mut ws = Workspace::sized_for(n);
+    let mut rows = Vec::new();
+    let mut cache = CacheStats::default();
+    let mut online_work = 0;
     for kernel in table1_kernels() {
         let base = module_for(std::slice::from_ref(&kernel), kernel.name)
             .map_err(PipelineError::Frontend)?;
         let mut scalar_module = base.clone();
         optimize_module(&mut scalar_module, &scalar_opts);
         let mut vector_module = base;
-        optimize_module(&mut vector_module, &vector_opts);
+        optimize_module(&mut vector_module, &OptOptions::full());
 
-        // Deploy each variant once; all compilation happens here, outside the
-        // measured sweep (the engine cache turns every measured run into a hit).
+        // Deploy each variant once; all compilation happens here, before the
+        // measured cells (the engine cache turns every measured run into a hit).
         let scalar = ExecutionEngine::new(scalar_module);
         let vector = ExecutionEngine::new(vector_module);
         scalar.precompile(targets, &jit)?;
         vector.precompile(targets, &jit)?;
-        deployed.push(DeployedKernel {
-            kernel,
-            scalar,
-            vector,
-        });
-    }
 
-    // The measurement matrix: every (kernel, target) cell runs both variants.
-    let mut matrix = Vec::with_capacity(deployed.len() * targets.len());
-    for ki in 0..deployed.len() {
-        for ti in 0..targets.len() {
-            matrix.push((ki, ti));
-        }
-    }
-    // Report the pool width the sweep actually runs with.
-    let jobs = splitc_runtime::pool_width(jobs, matrix.len());
-    let outcomes: Vec<Result<Table1Cell, PipelineError>> = splitc_runtime::sweep(
-        &matrix,
-        jobs,
-        |_worker| Workspace::sized_for(n),
-        |ws, &(ki, ti), _| {
-            let dk = &deployed[ki];
-            let target = &targets[ti];
-            let run_variant = |engine: &ExecutionEngine,
-                               ws: &mut Workspace|
-             -> Result<(u64, u64), PipelineError> {
+        let mut cells = Vec::with_capacity(targets.len());
+        for target in targets {
+            let mut run_variant = |engine: &ExecutionEngine| -> Result<(u64, u64), PipelineError> {
                 ws.reset();
-                let prepared = prepare(dk.kernel.name, n, 0xdac0 + n as u64, ws);
-                let m = engine.run(target, &jit, dk.kernel.name, &prepared.args, ws.bytes_mut())?;
-                Ok((m.stats.cycles, checksum(m.result, &prepared, ws)))
+                let prepared = prepare(kernel.name, n, 0xdac0 + n as u64, &mut ws);
+                let m = engine.run(target, &jit, kernel.name, &prepared.args, ws.bytes_mut())?;
+                Ok((m.stats.cycles, checksum(m.result, &prepared, &ws)))
             };
-            let (scalar_cycles, scalar_sum) = run_variant(&dk.scalar, ws)?;
-            let (vector_cycles, vector_sum) = run_variant(&dk.vector, ws)?;
+            let (scalar_cycles, scalar_sum) = run_variant(&scalar)?;
+            let (vector_cycles, vector_sum) = run_variant(&vector)?;
             debug_assert_eq!(
                 scalar_sum, vector_sum,
                 "{} on {}: vectorization changed the result",
-                dk.kernel.name, target.name
+                kernel.name, target.name
             );
-            Ok(Table1Cell {
+            cells.push(Table1Cell {
                 target: target.name.clone(),
                 scalar_cycles,
                 vector_cycles,
-            })
-        },
-    );
-
-    let mut rows: Vec<Table1Row> = deployed
-        .iter()
-        .map(|dk| Table1Row {
-            kernel: dk.kernel.name.to_owned(),
-            cells: Vec::with_capacity(targets.len()),
-        })
-        .collect();
-    for ((ki, _), outcome) in matrix.into_iter().zip(outcomes) {
-        rows[ki].cells.push(outcome?);
-    }
-
-    let mut cache = CacheStats::default();
-    let mut online_work = 0;
-    for dk in &deployed {
-        cache += dk.scalar.stats();
-        cache += dk.vector.stats();
-        online_work += dk.scalar.online_work() + dk.vector.online_work();
+            });
+        }
+        cache += scalar.stats();
+        cache += vector.stats();
+        online_work += scalar.online_work() + vector.online_work();
+        rows.push(Table1Row {
+            kernel: kernel.name.to_owned(),
+            cells,
+        });
     }
     Ok(Table1 {
         n,
@@ -236,7 +175,6 @@ pub fn run_with(n: usize, targets: &[TargetDesc], jobs: usize) -> Result<Table1,
         rows,
         cache,
         online_work,
-        jobs,
     })
 }
 
@@ -257,19 +195,6 @@ mod tests {
         assert_eq!(t.cache.compiles as usize, 6 * 2 * t.targets.len());
         assert_eq!(t.cache.hits, t.cache.compiles);
         assert!(t.render().contains("online compilations"));
-    }
-
-    #[test]
-    fn parallel_measurement_is_bit_identical_to_sequential() {
-        let targets = TargetDesc::table1_targets();
-        let sequential = run_with(128, &targets, 1).expect("sequential sweep runs");
-        let parallel = run_with(128, &targets, 4).expect("parallel sweep runs");
-        assert_eq!(sequential.rows, parallel.rows);
-        assert_eq!(sequential.cache.compiles, parallel.cache.compiles);
-        assert_eq!(sequential.cache.lookups(), parallel.cache.lookups());
-        assert_eq!(parallel.jobs, 4);
-        assert!(parallel.render().contains("amortized online cost"));
-        assert!(!sequential.render().contains("amortized online cost"));
     }
 
     #[test]

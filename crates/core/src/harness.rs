@@ -249,7 +249,7 @@ pub fn prepare(kernel: &str, n: usize, seed: u64, ws: &mut Workspace) -> Prepare
 /// that must agree across compilation strategies and targets.
 ///
 /// Checksums are only ever compared *within* one build of this crate; the
-/// committed `BENCH_sweep.json` golden (schema `splitc-bench-sweep/9`) pins
+/// committed `BENCH_sweep.json` golden (schema `splitc-bench-sweep/10`) pins
 /// them per (kernel, target) cell, so a change to this function or to
 /// [`Fnv1a`] must regenerate that file.
 pub fn checksum(result: Option<MachineValue>, prepared: &PreparedKernel, ws: &Workspace) -> u64 {

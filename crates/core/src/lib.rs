@@ -17,9 +17,9 @@
 //! the virtual targets ([`splitc_targets`]) and the heterogeneous runtime
 //! ([`splitc_runtime`]) into a single pipeline, hosts the experiment
 //! drivers that regenerate every table and figure of the paper
-//! (see [`experiments`]), provides the parallel sweep layer
-//! (see [`sweep`]) that fans kernel × target × repeat matrices across
-//! cores over one shared engine cache, and the serving layer
+//! (see [`experiments`]), provides the sweep layer (see [`sweep`]) that
+//! runs kernel × target × repeat matrices over one shared engine cache,
+//! and the serving layer
 //! (see [`serve`]) that exposes deployments behind a bounded request queue
 //! with fingerprint-deduplicated shared engines.
 //!
@@ -72,7 +72,7 @@ mod session;
 pub mod sweep;
 
 pub use harness::{checksum, checksum_bytes, prepare, PreparedKernel};
-pub use report::{fmt_amortized_jit, fmt_cache_line, fmt_speedup, TextTable};
+pub use report::{fmt_cache_line, fmt_speedup, TextTable};
 pub use session::{offline_compile, offline_optimize, run_on_target, PipelineError, Workspace};
 pub use sweep::{SweepCell, SweepConfig, SweepResult};
 // The shared execution layer, re-exported so facade users can hold a cached
@@ -85,7 +85,7 @@ pub use splitc_runtime::{
 };
 
 // Re-export the component crates so that downstream users (examples, tests,
-// the `report` binary) can reach the whole system through this facade.
+// the `splitc` binary) can reach the whole system through this facade.
 pub use splitc_jit;
 pub use splitc_minic;
 pub use splitc_opt;

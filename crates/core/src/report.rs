@@ -108,22 +108,6 @@ pub fn fmt_cache_line(cache: &splitc_runtime::CacheStats) -> String {
     line
 }
 
-/// Render the amortized online-compilation cost of a parallel sweep: total
-/// JIT work units spread over the worker pool.
-///
-/// Only emitted by reports of multi-worker runs (for `jobs <= 1` the plain
-/// cache line already tells the whole story), so single-threaded golden
-/// outputs keep their historical shape.
-pub fn fmt_amortized_jit(online_work: u64, jobs: usize) -> String {
-    let jobs = jobs.max(1);
-    format!(
-        "amortized online cost: {} work units over {} workers (~{} per worker)",
-        online_work,
-        jobs,
-        online_work / jobs as u64,
-    )
-}
-
 /// Format a speedup factor the way the paper prints them (`2.2`, `0.95`, `15.6`).
 pub fn fmt_speedup(x: f64) -> String {
     if x >= 10.0 {

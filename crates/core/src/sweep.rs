@@ -1,33 +1,30 @@
-//! Parallel `K kernels × T targets × R repeats` sweeps over one deployment.
+//! Sequential `K kernels × T targets × R repeats` sweeps over one deployment.
 //!
-//! This is the batching layer between the experiment drivers / CLI and the
-//! runtime's generic worker pool ([`splitc_runtime::sweep`]): it knows how to
-//! prepare catalogue-kernel inputs in a [`Workspace`], fans the full matrix
-//! out across worker threads that share one [`ExecutionEngine`], and returns
-//! the per-cell measurements in deterministic (kernel-major) order.
+//! This is the batching layer between the CLI and the runtime's
+//! [`ExecutionEngine`]: it knows how to prepare catalogue-kernel inputs in a
+//! [`Workspace`], runs the full matrix in kernel-major order on the calling
+//! thread, and returns the per-cell measurements in that order.
 //!
-//! Two amortizations happen here, per the paper's "compile once, run many
+//! Three amortizations happen here, per the paper's "compile once, run many
 //! times" economics:
 //!
-//! * **online compilation** — all workers share the engine's code cache
-//!   (one lock, compiles outside it), so a cold `(target, options)` pair is compiled exactly once no
-//!   matter how many cells race on it;
-//! * **workspace setup** — each worker allocates one scratch [`Workspace`]
-//!   and resets it per cell instead of reallocating, so repeated runs of the
-//!   same kernel pay for input generation only;
+//! * **online compilation** — every cell goes through the engine's code
+//!   cache, so a `(target, options)` pair is compiled exactly once however
+//!   many kernels and repeats run on it;
+//! * **workspace setup** — one scratch [`Workspace`] is reset per cell
+//!   instead of reallocated, so repeated runs of the same kernel pay for
+//!   input generation only;
 //! * **execution setup** — the engine caches the deploy-time-prepared
-//!   program (`PreparedProgram`) per (target, options) pair, and each worker
+//!   program (`PreparedProgram`) per (target, options) pair, and the sweep
 //!   holds one [`FramePool`](splitc_runtime::FramePool), so every repeat of
 //!   every cell runs pre-decoded code with recycled call frames
 //!   ([`ExecutionEngine::run_pooled`]).
 //!
 //! Determinism: a cell's inputs depend only on `(kernel, n, seed, repeat)`,
-//! never on which worker ran it or when, so a `--jobs 8` sweep is
-//! bit-identical to a `--jobs 1` sweep — the property the concurrency test
-//! suite pins down.
+//! so a cell reads the same whatever else the sweep runs.
 
 use crate::harness::{checksum, prepare};
-use crate::report::{fmt_amortized_jit, fmt_cache_line, TextTable};
+use crate::report::{fmt_cache_line, TextTable};
 use crate::session::{PipelineError, Workspace};
 use splitc_jit::JitOptions;
 use splitc_opt::{optimize_module, OptOptions};
@@ -35,15 +32,13 @@ use splitc_runtime::{CacheStats, ExecutionEngine, FramePool};
 use splitc_targets::TargetDesc;
 use splitc_workloads::{module_for, Kernel};
 
-/// Shape of one sweep: problem size, repetition count, worker pool size.
+/// Shape of one sweep: problem size, repetition count, seed and JIT options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepConfig {
     /// Elements processed per kernel invocation.
     pub n: usize,
     /// How many times each (kernel, target) cell is executed.
     pub repeats: usize,
-    /// Worker threads (1 = sequential on the calling thread, 0 = all cores).
-    pub jobs: usize,
     /// Base seed for input data; each repeat derives its own seed from it.
     pub seed: u64,
     /// Online-compilation configuration shared by every cell.
@@ -51,44 +46,20 @@ pub struct SweepConfig {
 }
 
 impl SweepConfig {
-    /// A sequential single-repeat sweep of `n` elements with split JIT options.
+    /// A single-repeat sweep of `n` elements with split JIT options.
     pub fn new(n: usize) -> Self {
         SweepConfig {
             n,
             repeats: 1,
-            jobs: 1,
             seed: 0xdac,
             options: JitOptions::split(),
         }
-    }
-
-    /// Same sweep, fanned over `jobs` workers.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
     }
 
     /// Same sweep, repeating every cell `repeats` times.
     pub fn with_repeats(mut self, repeats: usize) -> Self {
         self.repeats = repeats.max(1);
         self
-    }
-
-    /// The effective worker count (resolving 0 to the host's parallelism).
-    pub fn effective_jobs(&self) -> usize {
-        resolve_jobs(self.jobs)
-    }
-}
-
-/// Resolve a requested worker count: 0 means one worker per host core.
-///
-/// The single place the `--jobs 0` convention lives; the experiment drivers
-/// and [`SweepConfig::effective_jobs`] all route through it.
-pub fn resolve_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        splitc_runtime::default_jobs()
-    } else {
-        jobs
     }
 }
 
@@ -116,9 +87,6 @@ pub struct SweepCell {
 pub struct SweepResult {
     /// Elements processed per kernel invocation.
     pub n: usize,
-    /// Worker threads the sweep actually used (the requested count, 0
-    /// resolved to the host's cores, clamped to the number of cells).
-    pub jobs: usize,
     /// All cells, ordered by (kernel, target, repeat).
     pub cells: Vec<SweepCell>,
     /// Code-cache counters of the shared engine after the sweep.
@@ -155,88 +123,65 @@ impl SweepResult {
                 format!("{:016x}", cell.checksum),
             ]);
         }
-        let mut out = format!(
-            "Sweep (n = {}, {} cells, {} workers)\n{}{}\n",
+        format!(
+            "Sweep (n = {}, {} cells)\n{}{}\n",
             self.n,
             self.cells.len(),
-            self.jobs,
             table.render(),
             fmt_cache_line(&self.cache),
-        );
-        if self.jobs > 1 {
-            out.push_str(&fmt_amortized_jit(self.online_work, self.jobs));
-            out.push('\n');
-        }
-        out
+        )
     }
 }
 
 /// Sweep `kernels × targets × repeats` over an already-deployed engine.
 ///
 /// The engine's module must contain every kernel in `kernels` (e.g. built
-/// with [`module_for`]). Cells are returned in deterministic
-/// (kernel, target, repeat) order whatever `cfg.jobs` is.
+/// with [`module_for`]). Cells run and are returned in (kernel, target,
+/// repeat) order, reusing one scratch workspace (reset per cell) and one
+/// frame pool, so every run reuses the engine's deploy-time-prepared program
+/// and the same frames.
 ///
 /// # Errors
 ///
-/// Returns the first [`PipelineError`] any cell produced (compilation
-/// failures are deduplicated by the engine: every cell racing on a broken
-/// (target, options) pair reports the same error).
+/// Returns the first [`PipelineError`] a cell produced; the cells after it
+/// are not run.
 pub fn sweep_engine(
     engine: &ExecutionEngine,
     kernels: &[Kernel],
     targets: &[TargetDesc],
     cfg: &SweepConfig,
 ) -> Result<SweepResult, PipelineError> {
-    let mut matrix = Vec::with_capacity(kernels.len() * targets.len() * cfg.repeats.max(1));
-    for (ki, _) in kernels.iter().enumerate() {
-        for (ti, _) in targets.iter().enumerate() {
-            for repeat in 0..cfg.repeats.max(1) {
-                matrix.push((ki, ti, repeat));
+    let repeats = cfg.repeats.max(1);
+    let mut cells = Vec::with_capacity(kernels.len() * targets.len() * repeats);
+    let mut ws = Workspace::sized_for(cfg.n);
+    let mut pool = FramePool::new();
+    for kernel in kernels {
+        for target in targets {
+            for repeat in 0..repeats {
+                ws.reset();
+                let seed = cfg.seed.wrapping_add(repeat as u64);
+                let prepared = prepare(kernel.name, cfg.n, seed, &mut ws);
+                let run = engine.run_pooled(
+                    target,
+                    &cfg.options,
+                    kernel.name,
+                    &prepared.args,
+                    ws.bytes_mut(),
+                    &mut pool,
+                )?;
+                cells.push(SweepCell {
+                    kernel: kernel.name.to_owned(),
+                    target: target.name.clone(),
+                    repeat,
+                    cycles: run.stats.cycles,
+                    scaled_cycles: run.scaled_cycles,
+                    checksum: checksum(run.result, &prepared, &ws),
+                });
             }
         }
     }
-    // Record the worker count the pool will actually run with, so the
-    // amortized-per-worker figures divide by the real pool width.
-    let jobs = splitc_runtime::pool_width(cfg.effective_jobs(), matrix.len());
-    let outcomes: Vec<Result<SweepCell, PipelineError>> = splitc_runtime::sweep(
-        &matrix,
-        jobs,
-        // Per-worker amortized state: one scratch workspace (reset per cell)
-        // and one frame pool, so every run a worker executes reuses both the
-        // engine's deploy-time-prepared program and the worker's frames.
-        |_worker| (Workspace::sized_for(cfg.n), FramePool::new()),
-        |(ws, pool), &(ki, ti, repeat), _| {
-            let kernel = &kernels[ki];
-            let target = &targets[ti];
-            ws.reset();
-            let prepared = prepare(kernel.name, cfg.n, cfg.seed.wrapping_add(repeat as u64), ws);
-            let run = engine.run_pooled(
-                target,
-                &cfg.options,
-                kernel.name,
-                &prepared.args,
-                ws.bytes_mut(),
-                pool,
-            )?;
-            let sum = checksum(run.result, &prepared, ws);
-            Ok(SweepCell {
-                kernel: kernel.name.to_owned(),
-                target: target.name.clone(),
-                repeat,
-                cycles: run.stats.cycles,
-                scaled_cycles: run.scaled_cycles,
-                checksum: sum,
-            })
-        },
-    );
-    let mut cells = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        cells.push(outcome?);
-    }
     Ok(SweepResult {
         n: cfg.n,
-        jobs,
         cells,
         cache: engine.stats(),
         online_work: engine.online_work(),
@@ -267,30 +212,10 @@ mod tests {
     use splitc_workloads::table1_kernels;
 
     #[test]
-    fn parallel_sweeps_are_bit_identical_to_sequential_ones() {
-        let kernels = table1_kernels();
-        let targets = TargetDesc::table1_targets();
-        let sequential =
-            sweep_kernels(&kernels, &targets, &SweepConfig::new(96).with_repeats(2)).unwrap();
-        let parallel = sweep_kernels(
-            &kernels,
-            &targets,
-            &SweepConfig::new(96).with_repeats(2).with_jobs(4),
-        )
-        .unwrap();
-        assert_eq!(sequential.checksums(), parallel.checksums());
-        assert_eq!(sequential.cells, parallel.cells);
-        // Both sweeps compiled each (target, options) pair exactly once.
-        assert_eq!(sequential.cache.compiles, targets.len() as u64);
-        assert_eq!(parallel.cache.compiles, targets.len() as u64);
-        assert_eq!(parallel.cache.lookups(), sequential.cache.lookups());
-    }
-
-    #[test]
     fn cells_come_back_kernel_major() {
         let kernels = table1_kernels();
         let targets = TargetDesc::table1_targets();
-        let result = sweep_kernels(&kernels, &targets, &SweepConfig::new(64).with_jobs(3)).unwrap();
+        let result = sweep_kernels(&kernels, &targets, &SweepConfig::new(64)).unwrap();
         assert_eq!(result.cells.len(), kernels.len() * targets.len());
         let mut expected = Vec::new();
         for k in &kernels {
@@ -312,14 +237,8 @@ mod tests {
         let targets = [TargetDesc::x86_sse()];
         let result = sweep_kernels(kernels, &targets, &SweepConfig::new(32)).unwrap();
         let text = result.render();
+        assert!(text.starts_with("Sweep (n = 32, 1 cells)\n"), "{text}");
         assert!(text.contains("online compilations"));
-        assert!(!text.contains("amortized online cost"), "jobs = 1");
-        let parallel =
-            sweep_kernels(kernels, &targets, &SweepConfig::new(32).with_jobs(2)).unwrap();
-        // One kernel on one target: only one cell, so the pool clamps to one
-        // worker and the recorded width (and the render) reflect that.
-        assert_eq!(parallel.jobs, 1);
-        assert!(!parallel.render().contains("amortized online cost"));
     }
 
     #[test]
@@ -364,18 +283,5 @@ mod tests {
                 .any(|(ca, cb)| ca.cycles != cb.cycles),
             "the two tiers should not price every cell identically"
         );
-    }
-
-    #[test]
-    fn recorded_jobs_is_the_actual_pool_width() {
-        let kernels = table1_kernels();
-        let targets = TargetDesc::table1_targets();
-        // 18 cells, 4 workers requested -> 4 used.
-        let wide = sweep_kernels(&kernels, &targets, &SweepConfig::new(32).with_jobs(4)).unwrap();
-        assert_eq!(wide.jobs, 4);
-        // 18 cells, 100 workers requested -> clamped to the cell count, so
-        // the amortized-per-worker figure divides by a real pool width.
-        let over = sweep_kernels(&kernels, &targets, &SweepConfig::new(32).with_jobs(100)).unwrap();
-        assert_eq!(over.jobs, kernels.len() * targets.len());
     }
 }

@@ -24,7 +24,7 @@
 //! # Concurrency
 //!
 //! The engine is `Send + Sync` and built for many threads hammering one
-//! deployment (see [`crate::sweep`]):
+//! deployment (the [`crate::serve`] worker pool):
 //!
 //! * the cache's whole mutable state — the entry map, the [`CacheStats`]
 //!   counters, the LRU clock, the resident count and the bound — is **one
@@ -725,7 +725,7 @@ impl ExecutionEngine {
     }
 
     /// Like [`ExecutionEngine::run`], but drawing call frames from an
-    /// external [`FramePool`], so repeated runs (a sweep worker's whole job
+    /// external [`FramePool`], so repeated runs (a sweep's whole cell
     /// stream, all repeats of a measurement cell) recycle the register-file
     /// allocations instead of paying them per run.
     ///

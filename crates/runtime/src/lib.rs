@@ -11,9 +11,6 @@
 //!   deduplication over a one-lock cache — compiled programs shared via `Arc`, an
 //!   optional LRU bound for long-running deployments, and cache statistics
 //!   for the paper's "online compilation pays for itself" story.
-//! * [`sweep`] fans a list of independent jobs (kernel × target × repeat
-//!   matrices) across scoped worker threads with per-worker amortized state
-//!   and deterministic result order.
 //! * [`serve`] is the request front-end for long-running deployments: a
 //!   bounded MPMC work queue with backpressure, a worker pool, and shared
 //!   engines deduplicated by module fingerprint, with graceful lossless
@@ -72,7 +69,6 @@ mod platform;
 mod scheduler;
 pub mod serve;
 pub mod store;
-mod sweep;
 
 pub use engine::{
     CacheSnapshot, CacheStats, CompiledModule, EngineError, Execution, ExecutionEngine,
@@ -88,4 +84,3 @@ pub use store::{
 // Re-exported so engine callers can hold a frame pool (for `run_pooled`) and
 // reach the prepared artifact without a direct `splitc-targets` dependency.
 pub use splitc_targets::{FramePool, PreparedProgram, PreparedSimulator};
-pub use sweep::{default_jobs, pool_width, sweep};

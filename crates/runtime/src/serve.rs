@@ -506,8 +506,7 @@ impl FaultPlan {
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
-    /// Worker threads (0 = one per host core, the sweep `--jobs 0`
-    /// convention).
+    /// Worker threads (0 = one per host core).
     pub workers: usize,
     /// Bound on queued (accepted but not yet running) requests; clamped to
     /// at least 1. This is the backpressure knob: blocking submits throttle
@@ -941,7 +940,7 @@ impl Server {
     /// Start a server: spawn the worker pool and open the queue.
     pub fn start(config: ServerConfig) -> Self {
         let worker_count = if config.workers == 0 {
-            crate::sweep::default_jobs()
+            std::thread::available_parallelism().map_or(1, usize::from)
         } else {
             config.workers
         };
@@ -1142,7 +1141,7 @@ impl Drop for Server {
 
 /// One worker: pull batches until the queue is closed *and* drained. A
 /// worker-held [`FramePool`] recycles call frames across every request it
-/// serves — the same per-worker amortization the sweep pool uses — and
+/// serves — the same amortization a sweep gets from its one pool — and
 /// carries the deadline of the job being run ([`run_job`] sets it).
 fn worker_loop(inner: &Inner, worker: usize) {
     let mut pool = FramePool::new();
@@ -1895,7 +1894,8 @@ mod tests {
     #[test]
     fn zero_workers_resolves_to_the_host_core_count() {
         let server = Server::start(ServerConfig::default());
-        assert_eq!(server.workers(), crate::sweep::default_jobs());
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(server.workers(), cores);
         server.shutdown();
     }
 

@@ -965,7 +965,7 @@ impl PreparedProgram {
     /// Execute `func` with `args` against `mem`, drawing frames from `pool`
     /// and writing run statistics into `stats` (which is reset first).
     ///
-    /// This is the externally-pooled entry the engine and sweep workers use
+    /// This is the externally-pooled entry the engine, sweeps and servers use
     /// so frame allocations amortize across *runs*, not just across calls
     /// within one run. [`PreparedSimulator`] wraps it with an owned pool.
     /// Execution takes the threaded stream under either timing tier; fuel

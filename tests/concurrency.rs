@@ -1,5 +1,5 @@
 //! Concurrency stress tests for the one-lock, in-flight-deduplicated engine
-//! cache and the parallel sweep layer.
+//! cache, driven by raw threads sharing one engine.
 //!
 //! The properties pinned down here are the ones the paper's amortization
 //! story depends on at scale:
