@@ -7,7 +7,9 @@
 //! kernel suite against the estimated size of the native code the online
 //! compiler generates for each target — and against shipping one native binary
 //! per target, which is what the paper's "shipping many versions does not
-//! scale" argument is about.
+//! scale" argument is about. The annotation overhead it reports is what the
+//! records the online side reads cost: per function a presence byte, the
+//! keep ranking at about a byte per register, and one byte of kernel traits.
 
 use crate::report::TextTable;
 use crate::session::PipelineError;
@@ -33,7 +35,8 @@ pub struct CodeSizeRow {
 pub struct CodeSize {
     /// Number of kernels in the measured module.
     pub kernels: usize,
-    /// Bytes of the compact bytecode encoding (including annotations).
+    /// Bytes of the compact bytecode encoding (including annotations: each
+    /// function's keep ranking and kernel traits).
     pub bytecode_bytes: u64,
     /// Bytes of the bytecode encoding with annotations stripped.
     pub bytecode_bytes_stripped: u64,
@@ -130,10 +133,8 @@ mod tests {
             result.total_native_bytes(),
             result.bytecode_bytes
         );
-        // Annotations stay smaller than the code they describe. (The kernels
-        // are tiny, so the fixed key strings weigh relatively more than they
-        // would on application-sized modules.)
-        assert!(result.annotation_overhead() < 1.0);
+        // Annotations stay a small fraction of the code they describe.
+        assert!(result.annotation_overhead() < 0.1);
         assert!(result.render().contains("portable bytecode"));
     }
 }

@@ -384,11 +384,13 @@ impl<'t> RegAssigner<'t> {
         match self.mode {
             RegAllocMode::SplitAnnotations => {
                 // Translate the portable bytecode ranking to machine registers.
-                if let Some(order) = vbc_func.annotations.spill_order() {
+                // It is an untrusted hint: a register this function does not
+                // have is skipped, and one ranked twice keeps its first place.
+                if let Some(order) = &vbc_func.annotations.spill_order {
                     stats.annotations_used = true;
                     stats.regalloc_work += order.keep_order.len() as u64;
                     for vreg in &order.keep_order {
-                        if let Some(Some(p)) = vf.vbc_map.get(*vreg as usize) {
+                        if let Some(Some(p)) = vf.vbc_map.get(vreg.index()) {
                             rank(*p);
                         }
                     }

@@ -1,87 +1,52 @@
-//! Kernel-trait and module-level annotation pass.
+//! Kernel-trait annotation pass.
 //!
-//! Beyond optimization-specific annotations (vectorization summaries, spill
-//! orders), the paper proposes that annotations "express the hardware
-//! requirements or characteristics of a code module" so that the runtime can
-//! map computations onto the right core (Section 3). This pass derives those
-//! characteristics from the bytecode.
+//! Beyond the spill orders of split register allocation, the paper proposes
+//! that annotations "express the hardware requirements or characteristics of
+//! a code module" so that the runtime can map computations onto the right
+//! core (Section 3). This pass derives those characteristics from the
+//! bytecode: the three flags the runtime's core chooser reads.
 
-use crate::defuse::DefUse;
-use crate::indvars::{induction_variables, loop_bound};
 use crate::loops::LoopForest;
-use splitc_vbc::{keys, Function, Inst, KernelTraits, Module};
+use splitc_vbc::{Function, Inst, KernelTraits, Module};
 
 /// Derive [`KernelTraits`] for one function.
 pub fn kernel_traits(f: &Function) -> KernelTraits {
     let mut arith = 0usize;
-    let mut mem_bytes = 0u64;
     let mut branches = 0usize;
-    let mut insts = 0usize;
 
-    // Restrict the per-element estimates to the hottest (innermost) loop when
-    // there is one; otherwise use the whole function.
+    // Judge the hottest (innermost) loops when there are any; otherwise the
+    // whole function.
     let forest = LoopForest::compute(f);
     let inner = forest.innermost();
-    let in_scope = |b: splitc_vbc::BlockId| -> bool {
-        if inner.is_empty() {
-            true
-        } else {
-            inner.iter().any(|l| l.contains(b))
-        }
-    };
+    let in_scope = |b: splitc_vbc::BlockId| inner.is_empty() || inner.iter().any(|l| l.contains(b));
 
     for (block, inst) in f.iter_insts() {
         if !in_scope(block) {
             continue;
         }
-        insts += 1;
         match inst {
             Inst::Bin { .. } | Inst::Un { .. } | Inst::VecBin { .. } | Inst::VecReduce { .. } => {
                 arith += 1;
-            }
-            Inst::Load { ty, .. } | Inst::Store { ty, .. } => mem_bytes += ty.size_bytes(),
-            Inst::VecLoad { elem, .. } | Inst::VecStore { elem, .. } => {
-                // Per element of the portable vector, the traffic is one element.
-                mem_bytes += elem.size_bytes();
             }
             Inst::Branch { .. } => branches += 1,
             _ => {}
         }
     }
 
-    let _ = insts;
     KernelTraits {
         uses_fp: f.uses_float(),
         uses_vector: f.uses_vector_builtins(),
         control_intensive: branches >= 2 && branches * 2 >= arith.max(1),
-        ops_per_element: arith as f64,
-        bytes_per_element: mem_bytes as f64,
     }
 }
 
-/// Attach kernel traits and trip-count hints to every function, and mark the
-/// module as offline-optimized. Returns the number of functions annotated.
+/// Attach kernel traits to every function. Returns the number of functions
+/// annotated.
 pub fn annotate_module(m: &mut Module) -> usize {
-    let mut count = 0;
     for f in m.functions_mut() {
-        let traits = kernel_traits(f);
-        f.annotations.set_kernel_traits(&traits);
-
-        // Constant trip-count hint for the hottest loop, when derivable.
-        let forest = LoopForest::compute(f);
-        let du = DefUse::compute(f);
-        if let Some(l) = forest.innermost().first() {
-            let ivs = induction_variables(f, l, &du);
-            if let Some(b) = loop_bound(f, l, &du, &ivs) {
-                if let Some(c) = crate::indvars::constant_of(f, &du, b.bound) {
-                    f.annotations.set(keys::TRIP_COUNT_HINT, c);
-                }
-            }
-        }
-        count += 1;
+        f.annotations.kernel_traits = Some(kernel_traits(f));
     }
-    m.annotations.set(keys::OFFLINE_OPTIMIZED, true);
-    count
+    m.functions().len()
 }
 
 #[cfg(test)]
@@ -104,12 +69,6 @@ mod tests {
         assert!(t.uses_fp);
         assert!(!t.uses_vector);
         assert!(!t.control_intensive);
-        assert!(
-            t.ops_per_element >= 2.0,
-            "a multiply and an add: {}",
-            t.ops_per_element
-        );
-        assert!(t.bytes_per_element >= 12.0, "two loads and a store of f32");
     }
 
     #[test]
@@ -133,16 +92,17 @@ mod tests {
     }
 
     #[test]
-    fn module_annotation_adds_marker_and_hints() {
+    fn module_annotation_attaches_traits_to_every_function() {
         let mut m = compile_source(
-            "fn fill(x: *u8) { for (let i: i32 = 0; i < 256; i = i + 1) { x[i] = 1; } }",
+            "fn fill(x: *u8) { for (let i: i32 = 0; i < 256; i = i + 1) { x[i] = 1; } }
+             fn half(x: f32) -> f32 { return x * 0.5; }",
             "t",
         )
         .unwrap();
-        assert_eq!(annotate_module(&mut m), 1);
-        assert_eq!(m.annotations.get_bool(keys::OFFLINE_OPTIMIZED), Some(true));
-        let f = m.function("fill").unwrap();
-        assert!(f.annotations.kernel_traits().is_some());
-        assert_eq!(f.annotations.get_int(keys::TRIP_COUNT_HINT), Some(256));
+        assert_eq!(annotate_module(&mut m), 2);
+        for f in m.functions() {
+            assert_eq!(f.annotations.kernel_traits, Some(kernel_traits(f)));
+            assert_eq!(f.annotations.spill_order, None, "{}", f.name);
+        }
     }
 }

@@ -80,26 +80,6 @@ impl Liveness {
         self.live_in.iter().any(|s| s.contains(&r)) || self.live_out.iter().any(|s| s.contains(&r))
     }
 
-    /// Maximum number of simultaneously-live registers over all program points
-    /// (MAXLIVE), the quantity split register allocation reasons about.
-    pub fn max_pressure(&self, f: &Function) -> u32 {
-        let mut max = 0usize;
-        for block in &f.blocks {
-            let mut live = self.live_out[block.id.index()].clone();
-            max = max.max(live.len());
-            for inst in block.insts.iter().rev() {
-                if let Some(d) = inst.dst() {
-                    live.remove(&d);
-                }
-                inst.for_each_use(|u| {
-                    live.insert(u);
-                });
-                max = max.max(live.len());
-            }
-        }
-        max as u32
-    }
-
     /// Pressure (number of live registers) immediately before each instruction
     /// of block `b`, in instruction order.
     pub fn pressure_in_block(&self, f: &Function, b: BlockId) -> Vec<u32> {
@@ -214,7 +194,12 @@ mod tests {
     fn pressure_is_positive_and_bounded_by_register_count() {
         let (f, _, _) = loop_function();
         let live = Liveness::compute(&f);
-        let p = live.max_pressure(&f);
+        let p = f
+            .blocks
+            .iter()
+            .flat_map(|b| live.pressure_in_block(&f, b.id))
+            .max()
+            .unwrap_or(0);
         assert!(p >= 3, "n, acc and i are simultaneously live: {p}");
         assert!(p <= f.num_vregs() as u32);
         let per_inst = live.pressure_in_block(&f, splitc_vbc::BlockId(2));

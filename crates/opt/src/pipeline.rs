@@ -24,7 +24,7 @@ pub struct OptOptions {
     pub vectorize: bool,
     /// Split register allocation (offline spill ordering).
     pub split_regalloc: bool,
-    /// Kernel-trait annotations and module markers.
+    /// Kernel-trait annotations.
     pub annotate: bool,
 }
 
@@ -153,7 +153,7 @@ pub fn optimize_module(m: &mut Module, opts: &OptOptions) -> OptReport {
 mod tests {
     use super::*;
     use splitc_minic::compile_source;
-    use splitc_vbc::{keys, verify_module};
+    use splitc_vbc::verify_module;
 
     const KERNELS: &str = r#"
         fn vecadd(n: i32, x: *f32, y: *f32, z: *f32) {
@@ -174,7 +174,10 @@ mod tests {
         assert_eq!(report.spill_orders, 2);
         assert_eq!(report.annotated, 2);
         assert!(report.offline_work > 0);
-        assert_eq!(m.annotations.get_bool(keys::OFFLINE_OPTIMIZED), Some(true));
+        for f in m.functions() {
+            assert!(f.annotations.spill_order.is_some(), "{}", f.name);
+            assert!(f.annotations.kernel_traits.is_some(), "{}", f.name);
+        }
         verify_module(&m).unwrap();
     }
 

@@ -30,7 +30,6 @@ use crate::indvars::{
 use crate::loops::{Loop, LoopForest};
 use splitc_vbc::{
     BinOp, BlockId, CmpOp, Function, Immediate, Inst, Module, ReduceOp, ScalarType, Type, VReg,
-    VectorizedLoop,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -86,7 +85,6 @@ struct Plan {
     reductions: Vec<Reduction>,
     address_slice: BTreeSet<usize>,
     skip: BTreeSet<usize>,
-    trip_count_hint: Option<u64>,
 }
 
 /// Vectorize every eligible innermost loop of `f`.
@@ -118,20 +116,10 @@ pub fn vectorize_function(f: &mut Function) -> VectorizeReport {
             break;
         };
         handled.insert(plan.header);
-        let vec_body = transform(f, &plan);
-        handled.insert(vec_body.1);
+        handled.insert(transform(f, &plan));
         report
             .vectorized
             .push((plan.header, plan.elem, !plan.reductions.is_empty()));
-
-        let mut summary = f.annotations.vectorization().unwrap_or_default();
-        summary.loops.push(VectorizedLoop {
-            body_block: vec_body.0 .0,
-            elem: plan.elem,
-            reduction: !plan.reductions.is_empty(),
-            trip_count_hint: plan.trip_count_hint,
-        });
-        f.annotations.set_vectorization(&summary);
     }
     report
 }
@@ -518,7 +506,6 @@ fn analyze_loop(f: &Function, l: &Loop, du: &DefUse, work: &mut u64) -> Result<P
         }
     }
 
-    let trip_count_hint = bound_const.and_then(|n| u64::try_from(n).ok());
     Ok(Plan {
         header: l.header,
         body,
@@ -530,12 +517,11 @@ fn analyze_loop(f: &Function, l: &Loop, du: &DefUse, work: &mut u64) -> Result<P
         reductions,
         address_slice,
         skip,
-        trip_count_hint,
     })
 }
 
-/// Emit the vector loop described by `plan`; returns `(vec_body, vec_header)`.
-fn transform(f: &mut Function, plan: &Plan) -> (BlockId, BlockId) {
+/// Emit the vector loop described by `plan`; returns its header.
+fn transform(f: &mut Function, plan: &Plan) -> BlockId {
     let elem = plan.elem;
     let ivty = plan.iv.ty;
     let vec_pre = f.new_block();
@@ -849,7 +835,7 @@ fn transform(f: &mut Function, plan: &Plan) -> (BlockId, BlockId) {
     });
     f.block_mut(merge).insts = minsts;
 
-    (vec_body, vec_header)
+    vec_header
 }
 
 fn vec_operand(
@@ -909,7 +895,6 @@ mod tests {
         assert!(!report.vectorized[0].2, "saxpy has no reduction");
         verify_function(f).expect("vectorized function verifies");
         assert!(f.uses_vector_builtins());
-        assert!(f.annotations.vectorization().unwrap().any());
     }
 
     #[test]
@@ -1087,19 +1072,27 @@ mod tests {
     }
 
     #[test]
-    fn constant_trip_count_is_recorded_as_a_hint() {
+    fn constant_trip_count_is_rematerialized_in_the_vector_preheader() {
         let src = r#"
             fn k(x: *f32) {
                 for (let i: i32 = 0; i < 1024; i = i + 1) { x[i] = x[i] * 2.0; }
             }
         "#;
         let mut m = compile(src);
+        let blocks_before = m.function("k").unwrap().blocks.len();
         let f = m.function_mut("k").unwrap();
         let report = vectorize_function(f);
         assert_eq!(report.count(), 1, "rejections: {:?}", report.rejected);
-        let summary = f.annotations.vectorization().unwrap();
-        assert_eq!(summary.loops[0].trip_count_hint, Some(1024));
         verify_function(f).unwrap();
+        // The bound is a constant, so the vector preheader (the first new
+        // block) materializes it itself.
+        assert!(f.blocks[blocks_before].insts.iter().any(|i| matches!(
+            i,
+            Inst::Const {
+                imm: Immediate::Int(1024),
+                ..
+            }
+        )));
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! optimize_module(&mut module, &OptOptions::full());
 //!
 //! let platform = Platform::phone();
-//! let traits = module.function("dscal").unwrap().annotations.kernel_traits().unwrap();
+//! let traits = module.function("dscal").unwrap().annotations.kernel_traits.unwrap();
 //! let core = choose_core(&traits, &platform);
 //! assert_eq!(core.name, "arm"); // the vector-capable core, not the DSP
 //!

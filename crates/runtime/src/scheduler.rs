@@ -184,8 +184,6 @@ mod tests {
             uses_fp: fp,
             uses_vector: vector,
             control_intensive: control,
-            ops_per_element: 2.0,
-            bytes_per_element: 8.0,
         }
     }
 

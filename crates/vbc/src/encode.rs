@@ -23,28 +23,30 @@
 //! Decoding is also the first thing a device does with a module, so it is
 //! kept cheap: [`Reader::uleb`] reads the one-byte integers that make up most
 //! of an encoding (register numbers, small counts) without entering the
-//! general loop, keys and strings are moved into the structures that own
-//! them, and every collection is sized from its length field — through
-//! `cap_hint`, so that a hostile count can claim at most `MAX_PREALLOC`
-//! elements of memory before the truncated input fails.
+//! general loop, strings are moved into the structures that own them, and
+//! every collection is sized from its length field — through `cap_hint`, so
+//! that a hostile count can claim at most `MAX_PREALLOC` elements of memory
+//! before the truncated input fails. A function's annotations are the two
+//! typed records online code reads, behind one presence byte: a keep ranking
+//! costs one allocation, and kernel traits one byte.
 //!
 //! The low-level primitives ([`Writer`], [`Reader`]) are public so sibling
 //! wire formats (the artifact store's compiled-program encoding) share one
 //! LEB128/string/float discipline instead of growing divergent copies.
 
-use crate::annotations::{AnnotationSet, AnnotationValue};
+use crate::annotations::{AnnotationSet, KernelTraits, SpillOrder};
 use crate::function::{Block, Function};
 use crate::inst::{inst_shapes, BinOp, BlockId, CmpOp, Immediate, Inst, ReduceOp, UnOp, VReg};
 use crate::module::Module;
 use crate::types::{ScalarType, Type};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
 /// Magic bytes at the start of every encoded module.
 pub const MAGIC: &[u8; 4] = b"SVBC";
 /// Current format version.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// An error raised while decoding a module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -640,112 +642,70 @@ macro_rules! inst_codec {
 }
 inst_shapes!(inst_codec);
 
-fn write_value(w: &mut Writer, v: &AnnotationValue) {
-    match v {
-        AnnotationValue::Int(x) => {
-            w.u8(0);
-            w.sleb(*x);
-        }
-        AnnotationValue::Float(x) => {
-            w.u8(1);
-            w.f64(*x);
-        }
-        AnnotationValue::Bool(x) => {
-            w.u8(2);
-            x.put(w);
-        }
-        AnnotationValue::Str(x) => {
-            w.u8(3);
-            w.str(x);
-        }
-        AnnotationValue::List(xs) => {
-            w.u8(4);
-            w.uleb(xs.len() as u64);
-            for x in xs {
-                write_value(w, x);
-            }
-        }
-        AnnotationValue::Map(m) => {
-            w.u8(5);
-            write_map(w, m);
-        }
+/// The keep ranking alone: a count, then each register, which like every
+/// register on the wire must fit 32 bits.
+impl Wire for SpillOrder {
+    fn put(&self, w: &mut Writer) {
+        self.keep_order.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(SpillOrder {
+            keep_order: Wire::get(r)?,
+        })
     }
 }
 
-/// Deepest list/map nesting [`read_value`] follows. It recurses once per
-/// level, so without a cap a few hundred kilobytes of `04 01 04 01 …`
-/// overflow the decoding thread's stack — an abort no `catch_unwind` can
-/// turn into an error. The typed records the offline compiler writes nest
-/// two deep.
-const MAX_ANNOTATION_NESTING: usize = 16;
-
-/// Decode one annotation value that sits inside `depth` enclosing lists and
-/// maps.
-fn read_value(r: &mut Reader<'_>, depth: usize) -> Result<AnnotationValue, DecodeError> {
-    let tag = r.u8()?;
-    if matches!(tag, 4 | 5) && depth == MAX_ANNOTATION_NESTING {
-        return Err(DecodeError::BadTag {
-            what: "annotation nesting",
-            tag,
-        });
+/// The three flags as bits 0–2 of one byte. A set bit above them is an
+/// error, not ignored: it would be a second encoding of the same traits.
+impl Wire for KernelTraits {
+    fn put(&self, w: &mut Writer) {
+        w.u8(u8::from(self.uses_fp)
+            | u8::from(self.uses_vector) << 1
+            | u8::from(self.control_intensive) << 2);
     }
-    Ok(match tag {
-        0 => AnnotationValue::Int(r.sleb()?),
-        1 => AnnotationValue::Float(r.f64()?),
-        2 => AnnotationValue::Bool(Wire::get(r)?),
-        3 => AnnotationValue::Str(r.str()?),
-        4 => {
-            let n = r.uleb()? as usize;
-            let mut xs = Vec::with_capacity(cap_hint(n));
-            for _ in 0..n {
-                xs.push(read_value(r, depth + 1)?);
-            }
-            AnnotationValue::List(xs)
-        }
-        5 => AnnotationValue::Map(read_map(r, depth + 1)?),
-        tag => {
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let bits = r.u8()?;
+        if bits >> 3 != 0 {
             return Err(DecodeError::BadTag {
-                what: "annotation value",
-                tag,
-            })
-        }
-    })
-}
-
-/// A keyed collection (an annotation set, a `Map` value): a count, then the
-/// entries in key order.
-fn write_map(w: &mut Writer, m: &BTreeMap<String, AnnotationValue>) {
-    w.uleb(m.len() as u64);
-    for (k, x) in m {
-        w.str(k);
-        write_value(w, x);
-    }
-}
-
-/// Decode a keyed collection whose values sit inside `depth` lists and maps.
-///
-/// Each key must be strictly greater than the one before it, which is the
-/// order [`write_map`] emits. Taking them in any order would give one
-/// collection as many encodings as it has permutations, and taking a
-/// repeated key (last one wins) would give it arbitrarily many more.
-fn read_map(
-    r: &mut Reader<'_>,
-    depth: usize,
-) -> Result<BTreeMap<String, AnnotationValue>, DecodeError> {
-    let n = r.uleb()?;
-    let mut m = BTreeMap::new();
-    for i in 0..n {
-        let k = r.str()?;
-        if m.last_key_value().is_some_and(|(last, _)| *last >= k) {
-            return Err(DecodeError::BadTag {
-                what: "annotation key order",
-                // No tag byte is at fault; report which entry (low byte).
-                tag: i as u8,
+                what: "kernel traits",
+                tag: bits,
             });
         }
-        m.insert(k, read_value(r, depth)?);
+        Ok(KernelTraits {
+            uses_fp: bits & 1 != 0,
+            uses_vector: bits & 2 != 0,
+            control_intensive: bits & 4 != 0,
+        })
     }
-    Ok(m)
+}
+
+/// One presence byte — bit 0 for a spill order, bit 1 for kernel traits, the
+/// rest reserved and zero — then each record present, in that order.
+impl Wire for AnnotationSet {
+    fn put(&self, w: &mut Writer) {
+        w.u8(u8::from(self.spill_order.is_some()) | u8::from(self.kernel_traits.is_some()) << 1);
+        if let Some(order) = &self.spill_order {
+            order.put(w);
+        }
+        if let Some(traits) = &self.kernel_traits {
+            traits.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let present = r.u8()?;
+        if present >> 2 != 0 {
+            return Err(DecodeError::BadTag {
+                what: "annotation presence",
+                tag: present,
+            });
+        }
+        let spill_order = (present & 1 != 0).then(|| Wire::get(r)).transpose()?;
+        let kernel_traits = (present & 2 != 0).then(|| Wire::get(r)).transpose()?;
+        Ok(AnnotationSet {
+            spill_order,
+            kernel_traits,
+        })
+    }
 }
 
 fn write_function(w: &mut Writer, f: &Function) {
@@ -765,7 +725,7 @@ fn write_function(w: &mut Writer, f: &Function) {
             write_inst(w, inst);
         }
     }
-    write_map(w, f.annotations.as_map());
+    f.annotations.put(w);
 }
 
 fn read_function(r: &mut Reader<'_>) -> Result<Function, DecodeError> {
@@ -791,7 +751,7 @@ fn read_function(r: &mut Reader<'_>) -> Result<Function, DecodeError> {
             insts,
         });
     }
-    let annotations = AnnotationSet::from_map(read_map(r, 0)?);
+    let annotations = Wire::get(r)?;
     Ok(Function {
         name,
         params,
@@ -828,7 +788,6 @@ fn write_module(w: &mut Writer, m: &Module) {
     for f in m.functions() {
         write_function(w, f);
     }
-    write_map(w, m.annotations.as_map());
 }
 
 /// Decode a module previously produced by [`encode_module`].
@@ -836,9 +795,10 @@ fn write_module(w: &mut Writer, m: &Module) {
 /// # Errors
 ///
 /// Returns a [`DecodeError`] if the buffer is truncated, has the wrong magic
-/// or version, contains invalid tags, repeats a function name, nests an
-/// annotation value more than 16 lists/maps deep, or carries trailing bytes
-/// after the module (a decode must consume its input exactly).
+/// or version (a version-1 module, whose annotations were a string-keyed
+/// tree, is [`DecodeError::BadVersion`]), contains invalid tags or a set
+/// reserved bit, repeats a function name, or carries trailing bytes after
+/// the module (a decode must consume its input exactly).
 pub fn decode_module(bytes: &[u8]) -> Result<Module, DecodeError> {
     let mut r = Reader::new(bytes);
     if bytes.len() < 4 || &bytes[..4] != MAGIC {
@@ -869,9 +829,8 @@ pub fn decode_module(bytes: &[u8]) -> Result<Module, DecodeError> {
             tag: repeat as u8,
         });
     }
-    let annotations = AnnotationSet::from_map(read_map(&mut r, 0)?);
     r.finish()?;
-    Ok(Module::from_parts(name, functions, annotations))
+    Ok(Module::from_parts(name, functions))
 }
 
 /// Size in bytes of the compact encoding of `m`.
@@ -914,10 +873,18 @@ mod tests {
         b.switch_to(exit);
         b.ret(None);
         let mut f = b.finish();
-        f.annotations.set("splitc.loop.trip_count_hint", 4096i64);
+        f.annotations = AnnotationSet {
+            spill_order: Some(SpillOrder {
+                keep_order: vec![x, a, d],
+            }),
+            kernel_traits: Some(KernelTraits {
+                uses_fp: true,
+                uses_vector: true,
+                control_intensive: false,
+            }),
+        };
         let mut m = Module::new("kernels");
         m.add_function(f);
-        m.annotations.set("splitc.offline.optimized", true);
         m
     }
 
@@ -944,6 +911,19 @@ mod tests {
         let mut bytes = encode_module(&Module::new("m"));
         bytes[4] = 99;
         assert_eq!(decode_module(&bytes), Err(DecodeError::BadVersion(99)));
+    }
+
+    #[test]
+    fn version_1_modules_are_refused() {
+        // The empty module `m` as version 1 wrote it: name, no functions,
+        // an empty module annotation map. There is no version-1 reader.
+        assert_eq!(
+            decode_module(b"SVBC\x01\x01m\x00\x00"),
+            Err(DecodeError::BadVersion(1))
+        );
+        let mut bytes = encode_module(&sample_module());
+        bytes[4] = 1;
+        assert_eq!(decode_module(&bytes), Err(DecodeError::BadVersion(1)));
     }
 
     #[test]
@@ -1091,8 +1071,7 @@ mod tests {
         w.uleb(1); // blocks
         w.uleb(ninsts);
         insts(&mut w);
-        w.uleb(0); // function annotations
-        w.uleb(0); // module annotations
+        w.u8(0); // no annotations
         w.into_bytes()
     }
 
@@ -1283,17 +1262,14 @@ mod tests {
     }
 
     /// The bytes of a module named `m` with `functions` (already encoded,
-    /// `count` of them) and one module annotation `k` whose value is `value`.
-    fn assemble(count: u64, functions: &[u8], value: &[u8]) -> Vec<u8> {
+    /// `count` of them).
+    fn assemble(count: u64, functions: &[u8]) -> Vec<u8> {
         let mut w = Writer::new();
         w.bytes(MAGIC);
         w.u8(VERSION);
         w.str("m");
         w.uleb(count);
         w.bytes(functions);
-        w.uleb(1);
-        w.str("k");
-        w.bytes(value);
         w.into_bytes()
     }
 
@@ -1303,51 +1279,6 @@ mod tests {
         w.str(name);
         // params, no return type, vregs, entry, blocks, annotations.
         w.bytes(&[0, 0, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn annotation_nesting_is_capped_before_it_can_exhaust_the_stack() {
-        // 100 000 one-element lists inside each other: the parent recursed
-        // once per level and overflowed a 2 MiB stack (an abort, not a
-        // panic). A stack this small only survives if decoding stops early.
-        let bytes = assemble(0, &[], &[4, 1].repeat(100_000));
-        let decoded = std::thread::Builder::new()
-            .stack_size(256 << 10)
-            .spawn(move || decode_module(&bytes))
-            .unwrap()
-            .join()
-            .expect("the decoder returns instead of overflowing its stack");
-        assert_eq!(
-            decoded,
-            Err(DecodeError::BadTag {
-                what: "annotation nesting",
-                tag: 4
-            })
-        );
-        // Exactly at the cap a value round-trips (alternating lists and
-        // maps); one level deeper is refused, whichever container it is.
-        let nested = |levels: usize| {
-            (0..levels).fold(AnnotationValue::Int(7), |inner, level| {
-                if level % 2 == 0 {
-                    AnnotationValue::List(vec![inner])
-                } else {
-                    AnnotationValue::Map(BTreeMap::from([("x".to_owned(), inner)]))
-                }
-            })
-        };
-        let mut m = Module::new("m");
-        m.annotations.set("k", nested(MAX_ANNOTATION_NESTING));
-        assert_eq!(decode_module(&encode_module(&m)).as_ref(), Ok(&m));
-        for too_deep in [MAX_ANNOTATION_NESTING + 1, MAX_ANNOTATION_NESTING + 2] {
-            m.annotations.set("k", nested(too_deep));
-            assert!(matches!(
-                decode_module(&encode_module(&m)),
-                Err(DecodeError::BadTag {
-                    what: "annotation nesting",
-                    ..
-                })
-            ));
-        }
     }
 
     #[test]
@@ -1361,7 +1292,7 @@ mod tests {
         for i in 0..FUNCTIONS {
             empty_function(&mut w, &format!("f{i}"));
         }
-        let bytes = assemble(FUNCTIONS as u64, &w.into_bytes(), &[2, 1]);
+        let bytes = assemble(FUNCTIONS as u64, &w.into_bytes());
         let m = decode_module(&bytes).expect("decodes");
         assert_eq!(m.functions().len(), FUNCTIONS);
         assert_eq!(m.functions()[FUNCTIONS - 1].name, "f199999");
@@ -1378,7 +1309,7 @@ mod tests {
         empty_function(&mut w, "other");
         empty_function(&mut w, "twin");
         assert_eq!(
-            decode_module(&assemble(3, &w.into_bytes(), &[2, 1])),
+            decode_module(&assemble(3, &w.into_bytes())),
             Err(DecodeError::BadTag {
                 what: "duplicate function name",
                 tag: 2
@@ -1387,7 +1318,7 @@ mod tests {
         let mut w = Writer::new();
         empty_function(&mut w, "twin");
         empty_function(&mut w, "other");
-        let distinct = decode_module(&assemble(2, &w.into_bytes(), &[2, 1])).unwrap();
+        let distinct = decode_module(&assemble(2, &w.into_bytes())).unwrap();
         assert_eq!(distinct.functions().len(), 2);
     }
 
@@ -1419,9 +1350,7 @@ mod tests {
                 write_ret_none(w);
             })
         };
-        // An `AnnotationValue::Bool`.
-        let boolean = |flag: u8| assemble(0, &[], &[2, flag]);
-        for bytes in [ret, call, boolean].map(|make| [make(0), make(1), make(2), make(0xff)]) {
+        for bytes in [ret, call].map(|make| [make(0), make(1), make(2), make(0xff)]) {
             let [absent, present, two, high] = bytes;
             for honest in [absent, present] {
                 let m = decode_module(&honest).expect("0 and 1 decode");
@@ -1440,7 +1369,7 @@ mod tests {
                 write_type(&mut w, Type::Scalar(ScalarType::I32));
             }
             w.bytes(&[0, 0, 0, 0]); // vregs, entry, blocks, annotations
-            assemble(1, &w.into_bytes(), &[2, 1])
+            assemble(1, &w.into_bytes())
         };
         assert!(decode_module(&returning(0)).is_ok());
         assert!(decode_module(&returning(1)).is_ok());
@@ -1448,65 +1377,22 @@ mod tests {
     }
 
     #[test]
-    fn annotation_keys_must_ascend_strictly() {
-        // Module annotations `a` and `b`, as the writer orders them; then
-        // swapped, then `a` twice (the parent kept the last one).
-        let with_keys = |keys: &[&str]| {
-            let mut w = Writer::new();
-            w.bytes(MAGIC);
-            w.u8(VERSION);
-            w.str("m");
-            w.uleb(0);
-            w.uleb(keys.len() as u64);
-            for k in keys {
-                w.str(k);
-                w.bytes(&[0, 2]); // Int(1)
-            }
-            w.into_bytes()
-        };
-        let sorted = with_keys(&["a", "b"]);
-        let m = decode_module(&sorted).expect("ascending keys decode");
-        assert_eq!(encode_module(&m), sorted);
-        let order_error = |entry| {
-            Err(DecodeError::BadTag {
-                what: "annotation key order",
-                tag: entry,
-            })
-        };
-        assert_eq!(decode_module(&with_keys(&["b", "a"])), order_error(1));
-        assert_eq!(decode_module(&with_keys(&["a", "a"])), order_error(1));
-        assert_eq!(decode_module(&with_keys(&["a", "c", "b"])), order_error(2));
-        // The same rule inside a `Map` value: `{y, x}` and `{x, x}`.
-        let map = |first: &str, second: &str| {
-            let mut w = Writer::new();
-            w.u8(5);
-            w.uleb(2);
-            for k in [first, second] {
-                w.str(k);
-                w.bytes(&[2, 1]); // Bool(true)
-            }
-            assemble(0, &[], &w.into_bytes())
-        };
-        assert!(decode_module(&map("x", "y")).is_ok());
-        assert_eq!(decode_module(&map("y", "x")), order_error(1));
-        assert_eq!(decode_module(&map("x", "x")), order_error(1));
-    }
-
-    #[test]
     fn annotations_survive_round_trip() {
         let m = sample_module();
         let decoded = decode_module(&encode_module(&m)).unwrap();
+        let saxpy = decoded.function("saxpy").unwrap();
+        assert_eq!(saxpy.annotations, m.functions()[0].annotations);
         assert_eq!(
-            decoded.annotations.get_bool("splitc.offline.optimized"),
-            Some(true)
-        );
-        assert_eq!(
-            decoded
-                .function("saxpy")
-                .unwrap()
+            saxpy
                 .annotations
-                .get_int("splitc.loop.trip_count_hint"),
-            Some(4096)
+                .spill_order
+                .as_ref()
+                .map(|s| s.keep_order.len()),
+            Some(3)
         );
+        assert!(saxpy
+            .annotations
+            .kernel_traits
+            .is_some_and(|t| t.uses_vector));
     }
 }

@@ -75,7 +75,8 @@ pub struct Function {
     pub blocks: Vec<Block>,
     /// The entry block.
     pub entry: BlockId,
-    /// Split-compilation annotations attached to this function.
+    /// Split-compilation annotations attached to this function: the keep
+    /// ranking and the kernel traits, each optional.
     pub annotations: AnnotationSet,
 }
 
@@ -89,7 +90,7 @@ impl Function {
             vreg_types: Vec::new(),
             blocks: vec![Block::new(BlockId(0))],
             entry: BlockId(0),
-            annotations: AnnotationSet::new(),
+            annotations: AnnotationSet::default(),
         };
         for &ty in params {
             let r = f.new_vreg(ty);

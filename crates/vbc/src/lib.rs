@@ -9,9 +9,9 @@
 //!
 //! * the IR itself: [`Module`], [`Function`], [`Block`], [`Inst`], [`Type`];
 //! * [`FunctionBuilder`], a convenience API for emitting code;
-//! * [`AnnotationSet`] and typed annotation records ([`SpillOrder`],
-//!   [`VectorizationSummary`], [`KernelTraits`]) — the channel through which
-//!   the offline compiler talks to the JIT;
+//! * [`AnnotationSet`], each function's two typed annotation records
+//!   ([`SpillOrder`] for the JIT, [`KernelTraits`] for the core chooser) —
+//!   the channel through which the offline compiler talks to the online side;
 //! * a [`verify_module`]/[`verify_function`] load-time verifier;
 //! * a reference [`Interpreter`] and linear [`Memory`], defining the bytecode
 //!   semantics used for differential testing of the JIT;
@@ -70,10 +70,7 @@ mod pretty;
 mod types;
 mod verify;
 
-pub use annotations::{
-    keys, AnnotationSet, AnnotationValue, KernelTraits, SpillOrder, VectorizationSummary,
-    VectorizedLoop,
-};
+pub use annotations::{AnnotationSet, KernelTraits, SpillOrder};
 pub use builder::FunctionBuilder;
 pub use encode::{
     decode_module, encode_module, encoded_size, DecodeError, Reader, Writer, MAGIC, VERSION,

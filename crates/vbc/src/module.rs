@@ -4,10 +4,11 @@ use crate::annotations::AnnotationSet;
 use crate::function::Function;
 use serde::{Deserialize, Serialize};
 
-/// A deployable bytecode module: a set of functions plus module-level annotations.
+/// A deployable bytecode module: a set of uniquely named functions.
 ///
 /// A module is what the paper ships to the device: target-independent code
-/// with embedded annotations, compiled to native code on (or near) the system.
+/// with each function's annotations embedded, compiled to native code on (or
+/// near) the system.
 ///
 /// # Examples
 ///
@@ -25,8 +26,6 @@ pub struct Module {
     /// Module name.
     pub name: String,
     functions: Vec<Function>,
-    /// Module-level annotations (e.g. the offline-optimized marker).
-    pub annotations: AnnotationSet,
 }
 
 impl Module {
@@ -35,23 +34,14 @@ impl Module {
         Module {
             name: name.to_owned(),
             functions: Vec::new(),
-            annotations: AnnotationSet::new(),
         }
     }
 
     /// Assemble a module from decoded parts. The caller has checked that the
     /// function names are distinct, which [`Module::add_function`] would
     /// re-establish with a scan per function.
-    pub(crate) fn from_parts(
-        name: String,
-        functions: Vec<Function>,
-        annotations: AnnotationSet,
-    ) -> Self {
-        Module {
-            name,
-            functions,
-            annotations,
-        }
+    pub(crate) fn from_parts(name: String, functions: Vec<Function>) -> Self {
+        Module { name, functions }
     }
 
     /// Add a function, replacing any existing function with the same name.
@@ -92,15 +82,14 @@ impl Module {
         self.functions.iter().map(Function::num_insts).sum()
     }
 
-    /// Remove every annotation from the module and from all of its functions.
+    /// Remove every annotation from all of the module's functions.
     ///
     /// This is how the experiments build the "plain bytecode, no split
     /// compilation" baseline: the same code, stripped of the information the
     /// offline step distilled.
     pub fn strip_annotations(&mut self) {
-        self.annotations.clear();
         for f in &mut self.functions {
-            f.annotations.clear();
+            f.annotations = AnnotationSet::default();
         }
     }
 }
@@ -108,7 +97,8 @@ impl Module {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotations::keys;
+    use crate::annotations::{KernelTraits, SpillOrder};
+    use crate::inst::VReg;
 
     #[test]
     fn add_and_lookup_functions() {
@@ -126,25 +116,29 @@ mod tests {
         let mut m = Module::new("m");
         m.add_function(Function::new("a", &[], None));
         let mut replacement = Function::new("a", &[], None);
-        replacement.annotations.set("marker", true);
+        replacement.annotations.kernel_traits = Some(KernelTraits::default());
         m.add_function(replacement);
         assert_eq!(m.functions().len(), 1);
-        assert_eq!(
-            m.function("a").unwrap().annotations.get_bool("marker"),
-            Some(true)
-        );
+        assert!(m.function("a").unwrap().annotations.kernel_traits.is_some());
     }
 
     #[test]
     fn strip_annotations_removes_module_and_function_annotations() {
         let mut m = Module::new("m");
-        let mut f = Function::new("a", &[], None);
-        f.annotations.set(keys::TRIP_COUNT_HINT, 128i64);
-        m.add_function(f);
-        m.annotations.set(keys::OFFLINE_OPTIMIZED, true);
+        for name in ["a", "b"] {
+            let mut f = Function::new(name, &[], None);
+            f.annotations = AnnotationSet {
+                spill_order: Some(SpillOrder {
+                    keep_order: vec![VReg(0)],
+                }),
+                kernel_traits: Some(KernelTraits::default()),
+            };
+            m.add_function(f);
+        }
         m.strip_annotations();
-        assert!(m.annotations.is_empty());
-        assert!(m.function("a").unwrap().annotations.is_empty());
+        for f in m.functions() {
+            assert_eq!(f.annotations, AnnotationSet::default());
+        }
     }
 
     #[test]

@@ -109,10 +109,12 @@ pub fn write_function(out: &mut fmt::Formatter<'_>, func: &Function) -> fmt::Res
         .join(", ");
     let ret = func.ret.map(|t| format!(" -> {t}")).unwrap_or_default();
     writeln!(out, "fn {}({params}){ret} {{", func.name)?;
-    if !func.annotations.is_empty() {
-        for (k, v) in func.annotations.iter() {
-            writeln!(out, "  ;; @{k} = {v}")?;
-        }
+    if let Some(order) = &func.annotations.spill_order {
+        let ranked: Vec<_> = order.keep_order.iter().map(ToString::to_string).collect();
+        writeln!(out, "  ;; @keep_order = [{}]", ranked.join(", "))?;
+    }
+    if let Some(traits) = &func.annotations.kernel_traits {
+        writeln!(out, "  ;; @kernel_traits = {traits:?}")?;
     }
     for b in &func.blocks {
         writeln!(out, "{}:", b.id)?;
@@ -132,9 +134,6 @@ impl fmt::Display for Function {
 impl fmt::Display for Module {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, ";; module {}", self.name)?;
-        for (k, v) in self.annotations.iter() {
-            writeln!(f, ";; @{k} = {v}")?;
-        }
         for func in self.functions() {
             writeln!(f)?;
             write_function(f, func)?;
@@ -162,14 +161,21 @@ mod tests {
         let y = b.bin(BinOp::Mul, ScalarType::F32, a, x);
         b.ret(Some(y));
         let mut f = b.finish();
-        f.annotations.set("splitc.offline.optimized", true);
+        f.annotations.spill_order = Some(crate::SpillOrder {
+            keep_order: vec![x, a],
+        });
+        f.annotations.kernel_traits = Some(crate::KernelTraits {
+            uses_fp: true,
+            ..Default::default()
+        });
 
         let text = f.to_string();
         assert!(text.contains("fn axpy(%0: f32, %1: f32) -> f32 {"));
         assert!(text.contains("bb0:"));
         assert!(text.contains("%2 = mul.f32 %0, %1"));
         assert!(text.contains("ret %2"));
-        assert!(text.contains("@splitc.offline.optimized = true"));
+        assert!(text.contains(";; @keep_order = [%1, %0]"));
+        assert!(text.contains(";; @kernel_traits = KernelTraits { uses_fp: true,"));
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .function("saxpy_f32")
         .expect("kernel exists")
         .annotations
-        .kernel_traits()
+        .kernel_traits
         .expect("offline step attached kernel traits");
     let phone = Platform::phone();
     let core = choose_core(&traits, &phone);

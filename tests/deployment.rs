@@ -8,7 +8,7 @@ use splitc_jit::JitOptions;
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_runtime::{choose_core, Platform};
 use splitc_targets::{SimStats, TargetDesc};
-use splitc_vbc::{decode_module, encode_module, keys, verify_module};
+use splitc_vbc::{decode_module, encode_module, verify_module};
 use splitc_workloads::{all_kernels, full_module, module_for, table1_kernels};
 
 #[test]
@@ -32,10 +32,10 @@ fn the_full_suite_survives_the_wire_format_and_compiles_everywhere() {
         let received = decode_module(&wire).unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
         assert_eq!(encode_module(&received), wire, "{}", kernel.name);
     }
-    assert_eq!(
-        received.annotations.get_bool(keys::OFFLINE_OPTIMIZED),
-        Some(true)
-    );
+    assert!(received
+        .functions()
+        .iter()
+        .all(|f| f.annotations.spill_order.is_some() && f.annotations.kernel_traits.is_some()));
 
     // Device-side: verify, deploy once, compile for every machine.
     verify_module(&received).expect("verifies on the device");
@@ -276,7 +276,7 @@ fn kernel_traits_send_every_catalogue_kernel_to_a_sensible_core() {
             .function(kernel.name)
             .expect("kernel in module")
             .annotations
-            .kernel_traits()
+            .kernel_traits
             .expect("offline step attaches traits");
         let core = choose_core(&traits, &phone);
         if traits.uses_fp || traits.uses_vector {

@@ -10,8 +10,8 @@ use splitc_jit::JitOptions;
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_targets::MachineValue;
 use splitc_vbc::{
-    decode_module, encode_module, AnnotationValue, BinOp, FunctionBuilder, Interpreter, Memory,
-    Module, ScalarType, Type, Value,
+    decode_module, encode_module, encoded_size, AnnotationSet, BinOp, FunctionBuilder, Interpreter,
+    KernelTraits, Memory, Module, ScalarType, SpillOrder, Type, VReg, Value,
 };
 use splitc_workloads::SAXPY_F32;
 
@@ -33,50 +33,31 @@ impl Gen {
         self.next() % n.max(1)
     }
 
-    /// A normal f64 drawn from the full bit-pattern space (negative, tiny and
-    /// huge values included), mirroring proptest's `f64::NORMAL` coverage.
-    fn normal_f64(&mut self) -> f64 {
-        loop {
-            let v = f64::from_bits(self.next());
-            if v.is_normal() {
-                return v;
+    /// Arbitrary typed annotation records, each present or absent: a keep
+    /// ranking of any length, empty included, whose registers may be in
+    /// range, just past it or anywhere up to `u32::MAX`; and any traits.
+    fn annotations(&mut self, num_vregs: usize) -> AnnotationSet {
+        let spill_order = (self.below(3) != 0).then(|| SpillOrder {
+            keep_order: (0..self.below(6))
+                .map(|_| {
+                    VReg(match self.below(4) {
+                        0 => self.next() as u32,
+                        _ => self.below(num_vregs as u64 + 2) as u32,
+                    })
+                })
+                .collect(),
+        });
+        let kernel_traits = (self.below(3) != 0).then(|| {
+            let bits = self.next();
+            KernelTraits {
+                uses_fp: bits & 1 != 0,
+                uses_vector: bits & 2 != 0,
+                control_intensive: bits & 4 != 0,
             }
-        }
-    }
-
-    /// An arbitrary (but structurally valid) annotation value, at most
-    /// `depth` levels deep.
-    fn annotation_value(&mut self, depth: u32) -> AnnotationValue {
-        let choices = if depth == 0 { 4 } else { 6 };
-        match self.below(choices) {
-            0 => AnnotationValue::Int(self.next() as i64),
-            1 => AnnotationValue::Bool(self.next() & 1 == 1),
-            2 => AnnotationValue::Float(self.normal_f64()),
-            3 => {
-                let len = self.below(12) as usize;
-                AnnotationValue::Str(
-                    (0..len)
-                        .map(|_| (b'a' + self.below(26) as u8) as char)
-                        .collect(),
-                )
-            }
-            4 => {
-                let len = self.below(4) as usize;
-                AnnotationValue::List((0..len).map(|_| self.annotation_value(depth - 1)).collect())
-            }
-            _ => {
-                let len = self.below(4) as usize;
-                AnnotationValue::Map(
-                    (0..len)
-                        .map(|i| {
-                            let key: String = (0..=i)
-                                .map(|_| (b'a' + self.below(26) as u8) as char)
-                                .collect();
-                            (key, self.annotation_value(depth - 1))
-                        })
-                        .collect(),
-                )
-            }
+        });
+        AnnotationSet {
+            spill_order,
+            kernel_traits,
         }
     }
 
@@ -109,27 +90,36 @@ impl Gen {
         let last = *values.last().expect("at least the constants");
         b.ret(Some(last));
         let mut f = b.finish();
-        for _ in 0..self.below(4) {
-            let key: String = (0..1 + self.below(8))
-                .map(|_| (b'a' + self.below(26) as u8) as char)
-                .collect();
-            f.annotations.set(&key, self.annotation_value(2));
-        }
+        f.annotations = self.annotations(f.num_vregs());
         let mut m = Module::new("prop");
         m.add_function(f);
         m
     }
 }
 
-/// The wire format is lossless for arbitrary generated modules.
+/// The wire format is lossless for arbitrary generated modules and their
+/// annotation records, and `encoded_size` is the length of the encoding.
 #[test]
 fn encode_decode_round_trips() {
+    let (mut absent, mut empty, mut traits) = (0, 0, 0);
     for case in 0..CASES {
         let module = Gen(0xe2c0de + case).straight_line_module();
         let bytes = encode_module(&module);
+        assert_eq!(encoded_size(&module), bytes.len(), "case {case}");
         let decoded = decode_module(&bytes).expect("decodes");
         assert_eq!(decoded, module, "case {case}");
+        let a = &module.functions()[0].annotations;
+        match &a.spill_order {
+            None => absent += 1,
+            Some(order) if order.keep_order.is_empty() => empty += 1,
+            Some(_) => {}
+        }
+        traits += usize::from(a.kernel_traits.is_some());
     }
+    assert!(
+        absent > 0 && empty > 0 && traits > 0,
+        "the generator covers absent, empty and present records: {absent} {empty} {traits}"
+    );
 }
 
 /// Generated modules verify, fold, and still compute the same value in the
