@@ -2197,6 +2197,47 @@ mod tests {
         }
     }
 
+    /// Every register operand of `inst`, in field order — written out here,
+    /// like [`classed_operands`], as a second statement of the shape rows.
+    fn register_operands(inst: &mut MInst) -> Vec<&mut PReg> {
+        match inst {
+            MInst::Imm { dst, .. } | MInst::FImm { dst, .. } | MInst::Reload { dst, .. } => {
+                vec![dst]
+            }
+            MInst::Spill { src, .. } => vec![src],
+            MInst::IntOp { dst, lhs, rhs, .. }
+            | MInst::FloatOp { dst, lhs, rhs, .. }
+            | MInst::IntCmp { dst, lhs, rhs, .. }
+            | MInst::FloatCmp { dst, lhs, rhs, .. }
+            | MInst::VecIntOp { dst, lhs, rhs, .. }
+            | MInst::VecFloatOp { dst, lhs, rhs, .. } => vec![dst, lhs, rhs],
+            MInst::Mov { dst, src }
+            | MInst::IntNeg { dst, src, .. }
+            | MInst::IntNot { dst, src, .. }
+            | MInst::FloatNeg { dst, src, .. }
+            | MInst::IntToFloat { dst, src, .. }
+            | MInst::FloatToInt { dst, src, .. }
+            | MInst::FloatCvt { dst, src, .. }
+            | MInst::IntResize { dst, src, .. }
+            | MInst::VecSplatInt { dst, src, .. }
+            | MInst::VecSplatFloat { dst, src, .. }
+            | MInst::VecReduceInt { dst, src, .. }
+            | MInst::VecReduceFloat { dst, src, .. } => vec![dst, src],
+            MInst::Select {
+                dst,
+                cond,
+                if_true,
+                if_false,
+            } => vec![dst, cond, if_true, if_false],
+            MInst::Load { dst, base, .. } | MInst::VecLoad { dst, base, .. } => vec![dst, base],
+            MInst::Store { base, src, .. } | MInst::VecStore { base, src, .. } => vec![base, src],
+            MInst::BranchNz { cond, .. } => vec![cond],
+            MInst::Call { args, ret, .. } => args.iter_mut().chain(ret.as_mut()).collect(),
+            MInst::Ret { value } => value.as_mut().into_iter().collect(),
+            MInst::Jump { .. } => vec![],
+        }
+    }
+
     #[test]
     fn an_operand_in_the_wrong_register_file_fails_at_prepare_time_on_every_preset() {
         // The handlers index the file the instruction kind implies — the
@@ -2256,6 +2297,76 @@ mod tests {
         // 59 class-fixed operands over the instances above (`Load` and
         // `Store` appear twice), two wrong classes each, nine presets.
         assert_eq!(flipped, 59 * 2 * TargetDesc::presets().len());
+
+        // The index half of fact 1: every register operand, in the file of
+        // its own class, is refused one past that file's last register and
+        // accepted at the last — the operands whose handler dispatches on
+        // the class at run time (spills, reloads, call arguments and
+        // results, return values, parameters) included.
+        let program = |params: Vec<PReg>, inst: MInst| MProgram {
+            name: "m".into(),
+            functions: vec![MFunction {
+                name: "f".into(),
+                params,
+                blocks: vec![MBlock { insts: vec![inst] }],
+                num_slots: 1,
+            }],
+        };
+        let ret = MInst::Ret { value: None };
+        let mut resized = 0;
+        let mut simd_presets = 0;
+        for target in TargetDesc::presets() {
+            let file = |class| match class {
+                RegClass::Int => target.int_regs,
+                RegClass::Float => target.float_regs,
+                RegClass::Vec => target.vector.map_or(0, |v| v.regs),
+            };
+            let prepare_at = |params: &[PReg], inst: &MInst, at: usize, index: u16| {
+                let (mut params, mut inst) = (params.to_vec(), inst.clone());
+                let mut operands: Vec<&mut PReg> = params.iter_mut().collect();
+                operands.extend(register_operands(&mut inst));
+                operands[at].index = index;
+                PreparedProgram::prepare(&program(params, inst.clone()), &target)
+                    .map_err(|e| format!("{e:?} from {inst:?}"))
+            };
+            let mut cells: Vec<(Vec<PReg>, MInst)> = one_of_every_variant()
+                .into_iter()
+                .filter(|inst| target.has_simd() || !inst.is_vector())
+                .map(|inst| (vec![], inst))
+                .collect();
+            let mut params = vec![PReg::int(0), PReg::float(0)];
+            if target.has_simd() {
+                params.push(PReg::vec(0));
+                simd_presets += 1;
+            }
+            cells.push((params, ret.clone()));
+            for (params, inst) in &cells {
+                let mut all = params.clone();
+                all.extend(register_operands(&mut inst.clone()).into_iter().map(|r| *r));
+                for (at, r) in all.iter().enumerate() {
+                    let size = file(r.class);
+                    let past = prepare_at(params, inst, at, size);
+                    assert!(
+                        matches!(past, Err(ref e) if e.starts_with("BadRegister")),
+                        "{r} of {inst:?} at index {size} on {}: {past:?}",
+                        target.name
+                    );
+                    let last = prepare_at(params, inst, at, size - 1);
+                    assert!(
+                        last.is_ok(),
+                        "{r} of {inst:?} at index {} on {}: {last:?}",
+                        size - 1,
+                        target.name
+                    );
+                    resized += 1;
+                }
+            }
+        }
+        // 49 register operands outside the vector kinds (`Load` and `Store`
+        // appear twice), 18 inside them, and two parameters plus a vector
+        // one where there is a vector file.
+        let presets = TargetDesc::presets().len();
+        assert_eq!(resized, (49 + 2) * presets + (18 + 1) * simd_presets);
     }
 
     #[test]

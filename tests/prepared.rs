@@ -888,3 +888,83 @@ fn vector_lanes_match_the_legacy_walk_and_their_recorded_digest() {
     }
     assert_eq!(digests, pinned, "vector lane semantics moved");
 }
+
+/// Fold of the listing skeletons below: one [`Pins`] cell per catalogue
+/// kernel × preset × timing tier × fusion setting, each the FNV-1a of what
+/// `splitc disasm` prints for it with every instruction's own text blanked.
+const LISTING_SKELETON_PIN: u64 = 7_983_629_507_880_974_839;
+
+/// A `splitc disasm` listing with the instruction text blanked: on a record
+/// line, what lies between the `@span` column and `; cycles`, and inside a
+/// fused record's `{ … }`. Everything else stays: the header and its fusion
+/// counts, every function line, record index, span, pair mark, `fuse.*`
+/// kind, cycle, `lat` and fuel column, region charge and segment summary.
+fn listing_skeleton(listing: &str) -> String {
+    let mut out = String::new();
+    for line in listing.lines() {
+        let trimmed = line.trim_start();
+        let record = trimmed.starts_with(|c: char| c.is_ascii_digit())
+            && trimmed.contains('@')
+            && trimmed.contains(" ; cycles ");
+        if !record {
+            out.push_str(line);
+            out.push('\n');
+            continue;
+        }
+        let at = line.find('@').expect("a record line has a span");
+        let span_end = at + line[at..].find(' ').expect("a space follows the span");
+        let rest = line[span_end..].trim_start();
+        out.push_str(&line[..span_end]);
+        if let Some(kind) = rest.strip_prefix("fuse.") {
+            let kind = &kind[..kind.find(' ').expect("a space follows the fused kind")];
+            let close = line
+                .rfind("} ; cycles ")
+                .expect("a fused record closes its braces");
+            out.push_str(&format!(" fuse.{kind} {{ … "));
+            out.push_str(&line[close..]);
+        } else {
+            let cycles = line.find(" ; cycles ").expect("a record line has cycles");
+            out.push_str(" …");
+            out.push_str(&line[cycles..]);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn prepared_listings_keep_their_recorded_skeleton_on_every_cell() {
+    // What `splitc disasm <kernel> [--target t] [--timing in-order]
+    // [--no-fuse]` prints, for every catalogue kernel, preset, tier and
+    // fusion setting: record indexes, spans, fusion and weld decisions,
+    // cycle charges, region prepayments and in-order segment summaries are
+    // what preparation decides, and the skeleton pins all of them apart
+    // from how each instruction is spelt.
+    let mut pins = Pins::default();
+    for kernel in all_kernels() {
+        let mut module = compile_source(kernel.source, kernel.name).expect("kernel compiles");
+        optimize_module(&mut module, &OptOptions::full());
+        for target in TargetDesc::presets()
+            .into_iter()
+            .flat_map(|t| [t.clone(), t.with_timing(TimingKind::InOrder)])
+        {
+            for fuse in [true, false] {
+                let options = JitOptions {
+                    fuse,
+                    ..JitOptions::split()
+                };
+                let (program, _jit) = compile_module(&module, &target, &options)
+                    .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, target.name));
+                let prepared = PreparedProgram::prepare_with(&program, &target, fuse)
+                    .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, target.name));
+                let skeleton = listing_skeleton(&prepared.disasm());
+                let cell = format!(
+                    "{} on {} ({:?}, fuse {fuse})",
+                    kernel.name, target.name, target.timing
+                );
+                pins.push(cell, Fnv1a::hash(skeleton.as_bytes()));
+            }
+        }
+    }
+    pins.check(LISTING_SKELETON_PIN);
+}
