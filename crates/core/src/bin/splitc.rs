@@ -335,7 +335,7 @@ fn disasm_text(mut args: Vec<String>) -> Result<String, String> {
         .map_err(|e| format!("online compilation failed: {e}"))?;
     let prepared = splitc::splitc_targets::PreparedProgram::prepare_with(&program, &target, fuse)
         .map_err(|e| format!("deploy-time preparation failed: {e}"))?;
-    Ok(prepared.disasm())
+    Ok(prepared.disasm(&program))
 }
 
 fn cmd_bench(mut args: Vec<String>) -> Result<(), String> {

@@ -1,7 +1,7 @@
 //! Instruction handlers, threaded dispatch and macro-op fusion over the
 //! prepared stream.
 //!
-//! Every [`PInst`] is lowered to an [`OpRecord`] — a packed 32-byte operand
+//! Every [`MInst`] is lowered to an [`OpRecord`] — a packed 32-byte operand
 //! record whose first field is the **handler fn pointer** — and the handlers
 //! in this module are the only statement of what a straight-line instruction
 //! does to registers and memory. The threaded loop here ([`run_ops`]) is
@@ -15,8 +15,8 @@
 //! aborts the whole execution via a trap (`refund_unretired` gives back what
 //! had not retired, on that cold path), or — when fuel can no longer cover
 //! its prepayment — is never entered: the **fuel tail** ([`run_dry`]) runs
-//! the prefix of its instructions the fuel affords, each on a record
-//! lowered on the spot with [`lower`], charges what they fetched and stops
+//! the prefix of its instructions the fuel affords, each on its unfused
+//! record ([`lower`]), charges what they fetched and stops
 //! the run with `OutOfFuel` at exactly the instruction it ran out on. Region
 //! entry is also where the run's deadline, if its [`FramePool`] carries one,
 //! is polled: one branch without a deadline, and a passed deadline stops the
@@ -33,7 +33,7 @@
 //! current segment and a watermark (the first row not yet retired), and the
 //! handlers at charge points — branch, jump, call, return, the two selects
 //! — first *settle* the segment, then make the one dynamic call (`branch`
-//! with the `BranchNz`'s own enum pc, the segment's end, as the predictor
+//! with the `BranchNz`'s own row, the segment's end, as the predictor
 //! site, `jump`, `call`, the select's row on its chosen key). A settle is
 //! one step: each segment carries a [`Summary`] recorded at prepare time —
 //! what its rows do to a reset board — which applies whenever every live-in
@@ -57,20 +57,24 @@
 //! that charge dynamically read the program's
 //! [`CostModel`](crate::CostModel).
 //!
-//! Building the threaded stream is deploy-time work a device pays on every
-//! bring-up, so [`build_threaded`] allocates only what the function keeps,
-//! once each: `ops` and `meta` are sized from the enum stream's length
-//! (fusion only shortens it), `targets` from its blocks and calls and, under
-//! in-order timing, `segs` from its regions and selects and `keys` from what
-//! its segments recorded; the region pass's scratch tables live in a
-//! [`ThreadedScratch`] that `prepare_with` sizes once per program and reuses
-//! across its functions.
+//! Preparation walks each function's blocks once ([`build_threaded`]): it
+//! checks each instruction, lowers it to its unfused record ([`lower`]) and
+//! its `OpInfo` row, and fuses macro-ops over the rest of its block
+//! ([`try_fuse`]). The unfused records stay beside the threaded stream, one
+//! per *row*, for the fuel tail. This is deploy-time work a device pays on
+//! every bring-up, so the builder allocates only what the function keeps,
+//! once each: `code`, `info`, `ops` and `meta` are sized from its row count
+//! (fusion only shortens the stream), `calls` and `targets` from its blocks
+//! and calls and, under in-order timing, `segs` from its regions and selects
+//! and `keys` from what its segments recorded; the region pass's scratch
+//! tables live in a [`ThreadedScratch`] that `prepare_with` sizes once per
+//! program and reuses across its functions.
 
 use crate::exec::{
-    retire_run, store_slot_vec, Frame, FramePool, OpInfo, PInst, PreparedFunction, PreparedProgram,
-    SlotValue,
+    op_info, retire_run, store_slot_vec, CallSite, Frame, FramePool, OpInfo, Prep,
+    PreparedFunction, PreparedProgram, SlotValue,
 };
-use crate::mcode::{AluOp, CmpPred, FpuOp, PReg, RedOp, RegClass, Width};
+use crate::mcode::{AluOp, CmpPred, FpuOp, MFunction, MInst, PReg, RedOp, RegClass, Width};
 use crate::simulator::{
     alu, check_range, compare, fpu, normalize, read_lane_float, read_lane_int, read_mem,
     write_lane_float, write_lane_int, write_mem, MachineValue, SimError, SimStats,
@@ -191,26 +195,25 @@ fn refund_unretired(f: &PreparedFunction, k: usize, stats: &mut SimStats, flat: 
     let mut instructions = 0;
     let mut unretired = SimStats::default();
     for m in &f.meta[k..] {
-        let span = m.enum_pc as usize..m.enum_pc as usize + usize::from(m.len);
+        let span = m.row as usize..m.row as usize + usize::from(m.len);
         instructions += u64::from(m.len);
         f.info[span.clone()]
             .iter()
             .for_each(|i| i.prepay(&mut unretired));
-        if f.code[span.end - 1].is_control() {
+        if f.info[span.end - 1].is(OpInfo::CLOSES) {
             break;
         }
     }
-    let first = f.meta[k].enum_pc as usize;
-    match f.code[first] {
-        // Fuel stays consumed, but the failed fetch retired nothing.
-        PInst::FellOff { .. } => {}
-        // The move retired before the vector-class check trapped.
-        PInst::Ret { .. } => {
-            instructions -= 1;
-            unretired.cycles -= f.info[first].cycles;
-        }
-        // Only the first constituent of a record can trap: it was fetched.
-        _ => instructions -= 1,
+    let first = &f.info[f.meta[k].row as usize];
+    // Only the first constituent of a record can trap, and it was fetched —
+    // unless it is a fall-off, whose failed fetch retired nothing (its fuel
+    // stays consumed).
+    if !first.is(OpInfo::FELL_OFF) {
+        instructions -= 1;
+    }
+    // A return's move retired before its vector-class check trapped.
+    if first.is(OpInfo::RET) {
+        unretired.cycles -= first.cycles;
     }
     stats.instructions -= instructions;
     if flat {
@@ -233,7 +236,7 @@ fn refund_unretired(f: &PreparedFunction, k: usize, stats: &mut SimStats, flat: 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockTarget {
     pub(crate) ops_pc: u32,
-    pub(crate) enum_pc: u32,
+    pub(crate) row: u32,
     pub(crate) charge: u32,
     pub(crate) seg: u32,
     pub(crate) stat: StaticStats,
@@ -268,12 +271,12 @@ pub(crate) fn retire_segment(
     false
 }
 
-/// Per-record provenance: which enum-stream instructions a record covers and
+/// Per-record provenance: which rows a record covers and
 /// whether it is a fused macro-op. Cold data — only read by `disasm` and the
 /// trap path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct OpMeta {
-    pub(crate) enum_pc: u32,
+    pub(crate) row: u32,
     pub(crate) len: u8,
     pub(crate) fused: FuseKind,
     /// A pair opener: its handler also executes the following record.
@@ -283,7 +286,7 @@ pub(crate) struct OpMeta {
 /// The macro-op fusion catalogue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FuseKind {
-    /// Not fused: a 1:1 lowering of one enum instruction.
+    /// Not fused: the unfused record of one instruction.
     None,
     /// `IntCmp` + `BranchNz` on the compare result.
     CmpBranchInt,
@@ -363,7 +366,7 @@ pub(crate) struct ExecCtx<'a> {
     pub(crate) err: Option<SimError>,
     /// The run's pipeline under in-order timing; `None` under flat timing.
     pub(crate) pipe: Option<&'a mut InOrderPipeline>,
-    /// In-order watermark: first enum pc of the current region whose
+    /// In-order watermark: first row of the current region whose
     /// `OpInfo` row has not retired on `pipe`.
     charged: u32,
     /// In-order: index of the current segment in `f.segs`.
@@ -437,14 +440,12 @@ impl<'a> ExecCtx<'a> {
         true
     }
 
-    /// Run the handlers of the straight-line instructions `code`, the first
-    /// of which sits at `pc` (the fuel tail's prefix), each on a record
-    /// lowered on the spot: how many retired, and the trap of the one after
-    /// them if it raised one.
-    fn run_straight(&mut self, code: &[PInst], pc: usize) -> (usize, Option<SimError>) {
-        for (i, inst) in code.iter().enumerate() {
-            let op = lower(inst);
-            if (op.handler)(&op, self, (pc + i) as u32) >= FLOW_RET {
+    /// Run the unfused records `code` of straight-line instructions, the
+    /// first of which sits at row `pc` (the fuel tail's prefix): how many
+    /// retired, and the trap of the one after them if it raised one.
+    fn run_straight(&mut self, code: &[OpRecord], pc: usize) -> (usize, Option<SimError>) {
+        for (i, op) in code.iter().enumerate() {
+            if (op.handler)(op, self, (pc + i) as u32) >= FLOW_RET {
                 return (i, Some(self.take_err()));
             }
         }
@@ -582,7 +583,7 @@ fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
         *cx.fuel -= charge;
         cx.stats.instructions += charge;
         t.stat.charge(cx.stats);
-        (cx.charged, cx.seg) = (t.enum_pc, t.seg);
+        (cx.charged, cx.seg) = (t.row, t.seg);
         u64::from(t.ops_pc)
     } else {
         run_dry(cx, tidx)
@@ -592,8 +593,8 @@ fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
 /// The fuel tail: the remaining fuel F is below region `tidx`'s charge,
 /// which counts every instruction through the closing control op, so F
 /// affords a strict prefix of the region's straight-line instructions and
-/// the fetch that fails lies before that op. Run the prefix on records
-/// lowered on the spot, retire its rows — under in-order timing the scalar
+/// the fetch that fails lies before that op. Run the prefix on its unfused
+/// records, retire its rows — under in-order timing the scalar
 /// selects' handlers settle their segments and retire on the register they
 /// chose, as on the stream — and charge fuel, `stats.instructions` and the
 /// counters for what was fetched: the retired instructions, plus one that
@@ -604,10 +605,10 @@ fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
 fn run_dry(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
     let f = cx.f;
     let t = &f.targets[tidx as usize];
-    let start = t.enum_pc as usize;
+    let start = t.row as usize;
     // Below the region's `u32` charge.
     let afforded = *cx.fuel as usize;
-    (cx.charged, cx.seg) = (t.enum_pc, t.seg);
+    (cx.charged, cx.seg) = (t.row, t.seg);
     let (retired, trap) = cx.run_straight(&f.code[start..start + afforded], start);
     cx.retire_to((start + retired) as u32);
     let mut sum = SimStats::default();
@@ -654,8 +655,8 @@ pub(crate) fn run_ops(cx: &mut ExecCtx<'_>) -> Result<Option<MachineValue>, SimE
             // retire first (a `Ret`'s own move too: it retires before its
             // vector-class check traps) and no cycles were prepaid.
             let k = r as u32 as usize;
-            let first = f.meta[k].enum_pc;
-            let own = u32::from(matches!(f.code[first as usize], PInst::Ret { .. }));
+            let first = f.meta[k].row;
+            let own = u32::from(f.info[first as usize].is(OpInfo::RET));
             let flat = !cx.retire_to(first + own);
             refund_unretired(f, k, cx.stats, flat);
             Err(cx.take_err())
@@ -841,7 +842,7 @@ fn load_float(
 
 /// Retire a conditional branch on the threaded stream: its taken/not-taken
 /// cycles are the one charge region prepayment cannot know, then the target
-/// region is entered. The predictor site is the `BranchNz`'s own enum pc —
+/// region is entered. The predictor site is the `BranchNz`'s own row —
 /// the region's closing pc, where its last segment ends, also when a fused
 /// record retires it.
 #[inline(always)]
@@ -1299,12 +1300,10 @@ fn h_branch_nz(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
     branch(cx, taken, op.e, op.f)
 }
 
-/// A call: `e` is its own enum pc (the payload stays in the enum stream),
-/// `f` the after-call region.
+/// A call: `e` indexes the function's call table, `f` is the after-call
+/// region.
 fn h_call(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let PInst::Call(call) = &cx.f.code[op.e as usize] else {
-        unreachable!("call record must reference a call")
-    };
+    let call = &cx.f.calls[op.e as usize];
     let callee = match &call.callee {
         Ok(index) => *index,
         Err(name) => return fail(cx, SimError::UnknownFunction(name.to_string()), pc),
@@ -1616,46 +1615,44 @@ static PAIRS: [[Handler; NSECOND]; NFIRST] = [
     pair_row!(15),
 ];
 
-/// Pairable kind of one 1:1-lowered enum instruction ([`K_NONE`] when the
+/// The one of `[int, float, vec]` for a register of `class`: how a kind
+/// whose handler depends on an operand's class picks it.
+fn by_class<T>(class: RegClass, [int, float, vec]: [T; 3]) -> T {
+    match class {
+        RegClass::Int => int,
+        RegClass::Float => float,
+        RegClass::Vec => vec,
+    }
+}
+
+/// Pairable kind of one instruction's unfused record ([`K_NONE`] when the
 /// record cannot take part in a pair).
-fn pair_kind(inst: &PInst) -> u8 {
-    match inst {
-        PInst::Imm { .. } => K_IMM,
-        PInst::MovInt { .. } => K_MOV_INT,
-        PInst::IntOp { .. } => K_INT_OP,
-        PInst::IntResize { .. } => K_INT_RESIZE,
-        PInst::IntCmp { .. } => K_INT_CMP,
-        PInst::LoadInt { .. } => K_LOAD_INT,
-        PInst::StoreInt { .. } => K_STORE_INT,
-        PInst::SpillInt { .. } => K_SPILL_INT,
-        PInst::Reload {
-            class: RegClass::Int,
-            ..
-        } => K_RELOAD_INT,
-        PInst::FImm { .. } => K_FIMM,
-        PInst::MovFloat { .. } => K_MOV_FLOAT,
-        PInst::FloatOp { .. } => K_FLOAT_OP,
-        PInst::LoadFloat { .. } => K_LOAD_FLOAT,
-        PInst::StoreFloat { .. } => K_STORE_FLOAT,
-        PInst::SpillFloat { .. } => K_SPILL_FLOAT,
-        PInst::Reload {
-            class: RegClass::Float,
-            ..
-        } => K_RELOAD_FLOAT,
-        PInst::BranchNz { .. } => K_BRANCH_NZ,
-        PInst::Jump { .. } => K_JUMP,
-        PInst::Ret { value: None } => K_RET_NONE,
-        PInst::Ret { value: Some(r) } => match r.class {
-            RegClass::Int => K_RET_INT,
-            RegClass::Float => K_RET_FLOAT,
-            RegClass::Vec => K_NONE,
-        },
+fn pair_kind(inst: &MInst) -> u8 {
+    match *inst {
+        MInst::Imm { .. } => K_IMM,
+        MInst::FImm { .. } => K_FIMM,
+        MInst::Mov { dst, .. } => by_class(dst.class, [K_MOV_INT, K_MOV_FLOAT, K_NONE]),
+        MInst::IntOp { .. } => K_INT_OP,
+        MInst::IntResize { .. } => K_INT_RESIZE,
+        MInst::IntCmp { .. } => K_INT_CMP,
+        MInst::FloatOp { .. } => K_FLOAT_OP,
+        MInst::Load { float: false, .. } => K_LOAD_INT,
+        MInst::Load { float: true, .. } => K_LOAD_FLOAT,
+        MInst::Store { float: false, .. } => K_STORE_INT,
+        MInst::Store { float: true, .. } => K_STORE_FLOAT,
+        MInst::Spill { src, .. } => by_class(src.class, [K_SPILL_INT, K_SPILL_FLOAT, K_NONE]),
+        MInst::Reload { dst, .. } => by_class(dst.class, [K_RELOAD_INT, K_RELOAD_FLOAT, K_NONE]),
+        MInst::BranchNz { .. } => K_BRANCH_NZ,
+        MInst::Jump { .. } => K_JUMP,
+        MInst::Ret { value: None } => K_RET_NONE,
+        MInst::Ret { value: Some(r) } => by_class(r.class, [K_RET_INT, K_RET_FLOAT, K_NONE]),
         _ => K_NONE,
     }
 }
 
 // ---------------------------------------------------------------------------
-// Prepare-time lowering: enum stream -> threaded stream.
+// Prepare-time lowering: machine instructions -> records, rows and the
+// threaded stream.
 // ---------------------------------------------------------------------------
 
 /// Straight-line role of one record, driving the region pass.
@@ -1684,9 +1681,10 @@ fn rec(handler: Handler) -> OpRecord {
 /// The scratch tables of [`build_threaded`]. [`ThreadedScratch::new`] sizes
 /// them once per program, for its longest function, and they are cleared
 /// and reused from function to function (the `RegAssigner` recipe); what is
-/// allocated per function is what the function keeps — `ops`, `meta`,
-/// `targets` and, under in-order timing, `segs` and `keys`, each sized up
-/// front from counts the enum stream or the recorder already gives.
+/// allocated per function is what the function keeps — `code`, `info`,
+/// `calls`, `ops`, `meta`, `targets` and, under in-order timing, `segs` and
+/// `keys`, each sized up front from counts its blocks or the recorder
+/// already give.
 pub(crate) struct ThreadedScratch {
     /// Straight-line role of each record, driving the region pass.
     ends: Vec<End>,
@@ -1697,9 +1695,9 @@ pub(crate) struct ThreadedScratch {
 }
 
 impl ThreadedScratch {
-    /// Scratch for a program whose functions have at most `rows` enum-stream
-    /// instructions, prepared under `timing` for register files whose
-    /// scoreboard keys are below `keys`.
+    /// Scratch for a program whose functions have at most `rows` rows,
+    /// prepared under `timing` for register files whose scoreboard keys are
+    /// below `keys`.
     pub(crate) fn new(rows: usize, timing: TimingKind, keys: usize) -> Self {
         ThreadedScratch {
             ends: Vec::with_capacity(rows),
@@ -1709,140 +1707,163 @@ impl ThreadedScratch {
     }
 }
 
-/// Lower the prepared enum stream of `pf` to a threaded dispatch stream:
-/// fuse macro-ops (when `fuse`), emit packed records (an unfused
-/// straight-line record is what the fuel tail lowers too), and resolve
-/// per-region fuel/instruction charges and what `timing` prepays with them —
-/// and, under in-order timing, each region's segments and their summaries.
+/// Build `pf`'s rows and threaded stream from `f` in one walk over its
+/// blocks: check each instruction ([`Prep::check`]), lower it to its unfused
+/// record ([`lower`]) and its [`OpInfo`] row, and fuse macro-ops over the
+/// rest of its block (when `fuse`). Then resolve per-region fuel and
+/// instruction charges and what `timing` prepays with them, weld pairs (when
+/// `fuse`) and, under in-order timing, record each region's segments and
+/// their summaries.
+///
+/// # Errors
+///
+/// What [`Prep::check`] says of the first instruction it refuses.
 pub(crate) fn build_threaded(
     pf: &mut PreparedFunction,
+    f: &MFunction,
+    prep: &Prep<'_>,
     fuse: bool,
     timing: TimingKind,
     fusion: &mut FusionStats,
     scratch: &mut ThreadedScratch,
-) {
-    let nblocks = pf.block_offsets.len();
-    let code_len = pf.code.len() as u32;
+) -> Result<(), SimError> {
+    // A function without blocks is one block that falls off at once.
+    let nblocks = f.blocks.len().max(1);
+    let (mut rows, mut ncalls) = (usize::from(f.blocks.is_empty()), 0);
+    for b in &f.blocks {
+        rows += b.insts.len() + usize::from(!b.insts.last().is_some_and(MInst::is_terminator));
+        ncalls += b
+            .insts
+            .iter()
+            .filter(|i| matches!(i, MInst::Call { .. }))
+            .count();
+    }
+    let mut code: Vec<OpRecord> = Vec::with_capacity(rows);
+    let mut info: Vec<OpInfo> = Vec::with_capacity(rows);
+    let mut calls: Vec<CallSite> = Vec::with_capacity(ncalls);
     // One region per block plus one per call (its return point); one
     // segment per region plus one per scalar select.
-    let (mut calls, mut selects) = (0, 0);
-    for inst in &pf.code {
-        match inst {
-            PInst::Call(_) => calls += 1,
-            PInst::SelectInt { .. } | PInst::SelectFloat { .. } => selects += 1,
-            _ => {}
-        }
-    }
-    let mut targets: Vec<BlockTarget> = Vec::with_capacity(nblocks + calls);
-    targets.extend(pf.block_offsets.iter().map(|&o| BlockTarget {
+    let entry = BlockTarget {
         ops_pc: 0,
-        enum_pc: o,
+        row: 0,
         charge: 0,
         seg: 0,
         stat: StaticStats::default(),
-    }));
-    // Fusion only ever shortens the stream, so the enum stream's length
-    // bounds both tables.
-    let mut ops: Vec<OpRecord> = Vec::with_capacity(pf.code.len());
-    let mut meta: Vec<OpMeta> = Vec::with_capacity(pf.code.len());
+    };
+    let mut targets: Vec<BlockTarget> = Vec::with_capacity(nblocks + ncalls);
+    targets.resize(nblocks, entry);
+    let mut selects = 0;
+    // Fusion only ever shortens the stream, so the row count bounds both
+    // tables.
+    let mut ops: Vec<OpRecord> = Vec::with_capacity(rows);
+    let mut meta: Vec<OpMeta> = Vec::with_capacity(rows);
     let ThreadedScratch {
         ends,
         kinds,
         recorder,
     } = scratch;
     ends.clear();
-    ends.reserve(pf.code.len());
+    ends.reserve(rows);
     kinds.clear();
-    kinds.reserve(pf.code.len());
+    kinds.reserve(rows);
+
+    for bi in 0..nblocks {
+        let insts = f.blocks.get(bi).map_or(&[][..], |b| b.insts.as_slice());
+        (targets[bi].ops_pc, targets[bi].row) = (ops.len() as u32, code.len() as u32);
+        let mut i = 0;
+        while i < insts.len() {
+            let fused = if fuse { try_fuse(&insts[i..]) } else { None };
+            let len = fused.as_ref().map_or(1, |&(_, len, ..)| len);
+            let p = code.len() as u32;
+            for inst in &insts[i..i + usize::from(len)] {
+                let lanes = prep.check(inst, f)?;
+                let mut record = lower(inst, lanes);
+                if let MInst::Call { callee, args, ret } = inst {
+                    (record.e, record.f) = (calls.len() as u32, (nblocks + calls.len()) as u32);
+                    calls.push(CallSite {
+                        callee: prep.callee(callee),
+                        args: args.as_slice().into(),
+                        ret: *ret,
+                    });
+                }
+                let row = op_info(inst, prep.cost);
+                selects += usize::from(row.is(OpInfo::SELECT));
+                code.push(record);
+                info.push(row);
+            }
+            let (record, fused, end_kind, kind) = match fused {
+                Some((record, _, fused, end_kind)) => {
+                    let kind = match fused {
+                        FuseKind::CmpBranchInt => {
+                            fusion.cmp_branch += 1;
+                            K_CMP_BRANCH_INT
+                        }
+                        FuseKind::CmpBranchFloat => {
+                            fusion.cmp_branch += 1;
+                            K_CMP_BRANCH_FLOAT
+                        }
+                        FuseKind::LoadIntOp | FuseKind::LoadFloatOp => {
+                            fusion.load_op += 1;
+                            K_NONE
+                        }
+                        FuseKind::IndVar3 | FuseKind::IndVar4 => {
+                            fusion.indvar += 1;
+                            K_NONE
+                        }
+                        FuseKind::None => unreachable!(),
+                    };
+                    (record, fused, end_kind, kind)
+                }
+                None => {
+                    let (inst, record) = (&insts[i], code[p as usize]);
+                    let end_kind = if matches!(inst, MInst::Call { .. }) {
+                        targets.push(BlockTarget {
+                            ops_pc: ops.len() as u32 + 1,
+                            row: p + 1,
+                            ..entry
+                        });
+                        End::Call(record.f)
+                    } else if info[p as usize].is(OpInfo::CLOSES) {
+                        End::Control
+                    } else {
+                        End::Normal
+                    };
+                    (record, FuseKind::None, end_kind, pair_kind(inst))
+                }
+            };
+            ops.push(record);
+            meta.push(OpMeta {
+                row: p,
+                len,
+                fused,
+                paired: false,
+            });
+            ends.push(end_kind);
+            kinds.push(kind);
+            i += usize::from(len);
+        }
+        // Running past a block's end traps ("fell off the end") in the flat
+        // stream too.
+        if !insts.last().is_some_and(MInst::is_terminator) {
+            let mut record = rec(h_fell_off);
+            record.e = bi as u32;
+            meta.push(OpMeta {
+                row: code.len() as u32,
+                len: 1,
+                fused: FuseKind::None,
+                paired: false,
+            });
+            code.push(record);
+            info.push(OpInfo::FELL_OFF_ROW);
+            ops.push(record);
+            ends.push(End::Control);
+            kinds.push(K_NONE);
+        }
+    }
     let mut segs = Vec::new();
     if let Some(rec) = recorder.as_mut() {
         rec.clear();
-        segs.reserve_exact(nblocks + calls + selects);
-    }
-
-    {
-        let code = &pf.code;
-        let block_offsets = &pf.block_offsets;
-        // Branch targets were resolved to block-start enum offsets during
-        // preparation; map them back to dense block (= region) indexes.
-        let bidx = |enum_off: u32| -> u32 {
-            block_offsets
-                .binary_search(&enum_off)
-                .expect("branch target is a block start") as u32
-        };
-
-        for bi in 0..nblocks {
-            let start = block_offsets[bi];
-            let end = if bi + 1 < nblocks {
-                block_offsets[bi + 1]
-            } else {
-                code_len
-            };
-            targets[bi].ops_pc = ops.len() as u32;
-            let mut p = start;
-            while p < end {
-                let fused = if fuse {
-                    try_fuse(&code[p as usize..end as usize], &bidx)
-                } else {
-                    None
-                };
-                let (record, len, fused, end_kind, kind) = match fused {
-                    Some((record, len, fused, end_kind)) => {
-                        let kind = match fused {
-                            FuseKind::CmpBranchInt => {
-                                fusion.cmp_branch += 1;
-                                K_CMP_BRANCH_INT
-                            }
-                            FuseKind::CmpBranchFloat => {
-                                fusion.cmp_branch += 1;
-                                K_CMP_BRANCH_FLOAT
-                            }
-                            FuseKind::LoadIntOp | FuseKind::LoadFloatOp => {
-                                fusion.load_op += 1;
-                                K_NONE
-                            }
-                            FuseKind::IndVar3 | FuseKind::IndVar4 => {
-                                fusion.indvar += 1;
-                                K_NONE
-                            }
-                            FuseKind::None => unreachable!(),
-                        };
-                        (record, len, fused, end_kind, kind)
-                    }
-                    None => {
-                        let inst = &code[p as usize];
-                        let (record, end_kind) = match inst {
-                            PInst::Call(_) => {
-                                let after = targets.len() as u32;
-                                targets.push(BlockTarget {
-                                    ops_pc: ops.len() as u32 + 1,
-                                    enum_pc: p + 1,
-                                    charge: 0,
-                                    seg: 0,
-                                    stat: StaticStats::default(),
-                                });
-                                let mut r = rec(h_call);
-                                (r.e, r.f) = (p, after);
-                                (r, End::Call(after))
-                            }
-                            inst if inst.is_control() => (lower_control(inst, &bidx), End::Control),
-                            _ => (lower(inst), End::Normal),
-                        };
-                        (record, 1, FuseKind::None, end_kind, pair_kind(inst))
-                    }
-                };
-                ops.push(record);
-                meta.push(OpMeta {
-                    enum_pc: p,
-                    len,
-                    fused,
-                    paired: false,
-                });
-                ends.push(end_kind);
-                kinds.push(kind);
-                p += u32::from(len);
-            }
-        }
+        segs.reserve_exact(targets.len() + selects);
     }
 
     // Region pass: every straight-line run from a region entry through its
@@ -1867,14 +1888,14 @@ pub(crate) fn build_threaded(
                 let mut sum = SimStats::default();
                 for m in &meta[run_start..=j] {
                     targets[t].charge += u32::from(m.len);
-                    pf.info[m.enum_pc as usize..][..usize::from(m.len)]
+                    info[m.row as usize..][..usize::from(m.len)]
                         .iter()
                         .for_each(|i| i.prepay(&mut sum));
                 }
                 targets[t].stat = StaticStats::of(&sum, timing);
                 if let Some(rec) = recorder.as_mut() {
                     targets[t].seg = segs.len() as u32;
-                    record_segments(&pf.code, &pf.info, &targets[t], rec, &mut segs);
+                    record_segments(&info, &targets[t], rec, &mut segs);
                 }
             }
             // Pairing sweep over the closed run: greedily weld neighbours
@@ -1903,6 +1924,9 @@ pub(crate) fn build_threaded(
         }
     }
 
+    pf.code = code;
+    pf.info = info;
+    pf.calls = calls;
     pf.ops = ops;
     pf.meta = meta;
     pf.targets = targets;
@@ -1910,28 +1934,18 @@ pub(crate) fn build_threaded(
         pf.keys = rec.keys.as_slice().into();
     }
     pf.segs = segs;
+    Ok(())
 }
 
 /// Cut region `t`'s rows into segments at its scalar selects, and record
 /// each segment's summary by retiring its rows through `rec`.
-fn record_segments(
-    code: &[PInst],
-    info: &[OpInfo],
-    t: &BlockTarget,
-    rec: &mut Recorder,
-    segs: &mut Vec<Segment>,
-) {
-    let close = t.enum_pc + t.charge - 1;
+fn record_segments(info: &[OpInfo], t: &BlockTarget, rec: &mut Recorder, segs: &mut Vec<Segment>) {
+    let close = t.row + t.charge - 1;
     // A `Ret`'s move retires with the region's last segment.
-    let end = close + u32::from(matches!(code[close as usize], PInst::Ret { .. }));
-    let mut start = t.enum_pc;
-    for pc in t.enum_pc..=end {
-        if pc == end
-            || matches!(
-                code[pc as usize],
-                PInst::SelectInt { .. } | PInst::SelectFloat { .. }
-            )
-        {
+    let end = close + u32::from(info[close as usize].is(OpInfo::RET));
+    let mut start = t.row;
+    for pc in t.row..=end {
+        if pc == end || info[pc as usize].is(OpInfo::SELECT) {
             let mut stats = SimStats::default();
             retire_run(&info[start as usize..pc as usize], &mut stats, rec);
             segs.push(Segment {
@@ -1944,11 +1958,13 @@ fn record_segments(
     }
 }
 
-/// Try to fuse a macro-op from the first instructions of `code`, the rest of
-/// the current block. Greedy, longest shape first. Only the *first*
+/// Try to fuse a macro-op from the first instructions of `insts`, the rest
+/// of the current block. Greedy, longest shape first. Only the *first*
 /// constituent of any fused shape may trap (loads; `Div`/`Rem` are excluded
-/// from load+op), which the trap-path refund and settle rely on.
-fn try_fuse(code: &[PInst], bidx: &impl Fn(u32) -> u32) -> Option<(OpRecord, u8, FuseKind, End)> {
+/// from load+op), which the trap-path refund and settle rely on. Registers
+/// are matched with their classes, which [`Prep::check`] then holds to the
+/// ones each kind takes before the record is kept.
+fn try_fuse(insts: &[MInst]) -> Option<(OpRecord, u8, FuseKind, End)> {
     let indvar_flags = |aw: Width, asg: bool, pred: CmpPred, cw: Width, csg: bool| {
         wbits(aw)
             | u16::from(asg) << 2
@@ -1956,23 +1972,23 @@ fn try_fuse(code: &[PInst], bidx: &impl Fn(u32) -> u32) -> Option<(OpRecord, u8,
             | wbits(cw) << 6
             | u16::from(csg) << 8
     };
-    match *code {
+    match *insts {
         // indvar4: add tmp,i,s ; mov i,tmp ; cmp t,i,n ; bnz t
-        [PInst::IntOp {
+        [MInst::IntOp {
             op: AluOp::Add,
             width: aw,
             signed: asg,
             dst: tmp,
             lhs: i,
             rhs: s,
-        }, PInst::MovInt { dst: md, src: ms }, PInst::IntCmp {
+        }, MInst::Mov { dst: md, src: ms }, MInst::IntCmp {
             pred,
             width: cw,
             signed: csg,
             dst: t,
             lhs: cl,
             rhs: n,
-        }, PInst::BranchNz {
+        }, MInst::BranchNz {
             cond,
             then_target,
             else_target,
@@ -1980,27 +1996,27 @@ fn try_fuse(code: &[PInst], bidx: &impl Fn(u32) -> u32) -> Option<(OpRecord, u8,
             if ms == tmp && md == i && cl == i && cond == t =>
         {
             let mut r = rec(h_indvar4);
-            (r.a, r.b, r.c, r.d) = (tmp, i, s, n);
-            r.imm = i64::from(t) | i64::from(indvar_flags(aw, asg, pred, cw, csg)) << 16;
-            (r.e, r.f) = (bidx(then_target), bidx(else_target));
+            (r.a, r.b, r.c, r.d) = (tmp.index, i.index, s.index, n.index);
+            r.imm = i64::from(t.index) | i64::from(indvar_flags(aw, asg, pred, cw, csg)) << 16;
+            (r.e, r.f) = (then_target, else_target);
             Some((r, 4, FuseKind::IndVar4, End::Control))
         }
         // indvar3: add i,i,s ; cmp t,i,n ; bnz t
-        [PInst::IntOp {
+        [MInst::IntOp {
             op: AluOp::Add,
             width: aw,
             signed: asg,
             dst,
             lhs,
             rhs: s,
-        }, PInst::IntCmp {
+        }, MInst::IntCmp {
             pred,
             width: cw,
             signed: csg,
             dst: t,
             lhs: cl,
             rhs: n,
-        }, PInst::BranchNz {
+        }, MInst::BranchNz {
             cond,
             then_target,
             else_target,
@@ -2008,19 +2024,20 @@ fn try_fuse(code: &[PInst], bidx: &impl Fn(u32) -> u32) -> Option<(OpRecord, u8,
             if dst == lhs && cl == dst && cond == t =>
         {
             let mut r = rec(h_indvar3);
-            (r.a, r.b, r.c, r.d) = (dst, s, n, t);
+            (r.a, r.b, r.c, r.d) = (dst.index, s.index, n.index, t.index);
             r.imm = i64::from(indvar_flags(aw, asg, pred, cw, csg));
-            (r.e, r.f) = (bidx(then_target), bidx(else_target));
+            (r.e, r.f) = (then_target, else_target);
             Some((r, 3, FuseKind::IndVar3, End::Control))
         }
         // load+op (int): the ALU op consumes the loaded value.
-        [PInst::LoadInt {
+        [MInst::Load {
             width: lw,
+            float: false,
             signed: ls,
             dst: ld,
             base,
             offset,
-        }, PInst::IntOp {
+        }, MInst::IntOp {
             op,
             width: aw,
             signed: asg,
@@ -2036,18 +2053,20 @@ fn try_fuse(code: &[PInst], bidx: &impl Fn(u32) -> u32) -> Option<(OpRecord, u8,
                 | wbits(aw) << 7
                 | u16::from(asg) << 9;
             let mut r = rec(h_load_int_op);
-            (r.a, r.b, r.c, r.d) = (ld, base, lhs, rhs);
-            r.e = u32::from(ad) | u32::from(flags) << 16;
+            (r.a, r.b, r.c, r.d) = (ld.index, base.index, lhs.index, rhs.index);
+            r.e = u32::from(ad.index) | u32::from(flags) << 16;
             r.imm = offset;
             Some((r, 2, FuseKind::LoadIntOp, End::Normal))
         }
         // load+op (float): fp ops never trap, so all of them fuse.
-        [PInst::LoadFloat {
+        [MInst::Load {
             width: lw,
+            float: true,
             dst: ld,
             base,
             offset,
-        }, PInst::FloatOp {
+            ..
+        }, MInst::FloatOp {
             op,
             double,
             dst: ad,
@@ -2058,13 +2077,13 @@ fn try_fuse(code: &[PInst], bidx: &impl Fn(u32) -> u32) -> Option<(OpRecord, u8,
         {
             let flags = wbits(lw) | fpu_bits(op) << 2 | u16::from(double) << 5;
             let mut r = rec(h_load_float_op);
-            (r.a, r.b, r.c, r.d) = (ld, base, lhs, rhs);
-            r.e = u32::from(ad) | u32::from(flags) << 16;
+            (r.a, r.b, r.c, r.d) = (ld.index, base.index, lhs.index, rhs.index);
+            r.e = u32::from(ad.index) | u32::from(flags) << 16;
             r.imm = offset;
             Some((r, 2, FuseKind::LoadFloatOp, End::Normal))
         }
         // cmp+branch: the branch consumes the compare result.
-        [ref cmp @ (PInst::IntCmp { dst, .. } | PInst::FloatCmp { dst, .. }), PInst::BranchNz {
+        [ref cmp @ (MInst::IntCmp { dst, .. } | MInst::FloatCmp { dst, .. }), MInst::BranchNz {
             cond,
             then_target,
             else_target,
@@ -2073,85 +2092,43 @@ fn try_fuse(code: &[PInst], bidx: &impl Fn(u32) -> u32) -> Option<(OpRecord, u8,
         {
             // Same operands as the plain compare; the handler and the two
             // region indexes are what the fused record adds.
-            let mut r = lower(cmp);
-            let kind = if matches!(cmp, PInst::IntCmp { .. }) {
+            let mut r = lower(cmp, 0);
+            let kind = if matches!(cmp, MInst::IntCmp { .. }) {
                 r.handler = h_cmp_branch_int;
                 FuseKind::CmpBranchInt
             } else {
                 r.handler = h_cmp_branch_float;
                 FuseKind::CmpBranchFloat
             };
-            (r.e, r.f) = (bidx(then_target), bidx(else_target));
+            (r.e, r.f) = (then_target, else_target);
             Some((r, 2, kind, End::Control))
         }
         _ => None,
     }
 }
 
-/// The threaded-stream record of one control instruction other than a call.
-fn lower_control(inst: &PInst, bidx: &impl Fn(u32) -> u32) -> OpRecord {
-    let mut r;
-    match *inst {
-        PInst::Jump { target } => {
-            r = rec(h_jump);
-            r.e = bidx(target);
-        }
-        PInst::BranchNz {
-            cond,
-            then_target,
-            else_target,
-        } => {
-            r = rec(h_branch_nz);
-            (r.a, r.e, r.f) = (cond, bidx(then_target), bidx(else_target));
-        }
-        PInst::Ret { value } => {
-            r = rec(match value.map(|v| v.class) {
-                None => h_ret_none,
-                Some(RegClass::Int) => h_ret_int,
-                Some(RegClass::Float) => h_ret_float,
-                Some(RegClass::Vec) => h_ret_vec,
-            });
-            r.a = value.map_or(0, |v| v.index);
-        }
-        PInst::FellOff { block } => {
-            r = rec(h_fell_off);
-            r.e = block;
-        }
-        _ => unreachable!("straight-line kinds and calls are lowered elsewhere"),
-    }
-    r
-}
-
-/// The unfused record of one straight-line enum instruction: what its
-/// handler needs. The threaded builder copies it into the stream, and the
-/// fuel tail lowers the prefix it runs with it.
+/// The unfused record of one instruction that [`Prep::check`] accepted,
+/// with `lanes` the lane count of a vector kind that has one: what its
+/// handler needs. Block numbers are region indexes as they stand. A call's
+/// record is completed by the builder, which knows its call-table index
+/// (`e`) and its after-call region (`f`).
 #[allow(clippy::too_many_lines)]
-fn lower(inst: &PInst) -> OpRecord {
+pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
     let mut r;
     match *inst {
-        PInst::Imm { dst, value } => {
+        MInst::Imm { dst, value } => {
             r = rec(h_imm);
-            r.a = dst;
-            r.imm = value;
+            (r.a, r.imm) = (dst.index, value);
         }
-        PInst::FImm { dst, value } => {
+        MInst::FImm { dst, value } => {
             r = rec(h_fimm);
-            r.a = dst;
-            r.imm = value.to_bits() as i64;
+            (r.a, r.imm) = (dst.index, value.to_bits() as i64);
         }
-        PInst::MovInt { dst, src } => {
-            r = rec(h_mov_int);
-            (r.a, r.b) = (dst, src);
+        MInst::Mov { dst, src } => {
+            r = rec(by_class(dst.class, [h_mov_int, h_mov_float, h_mov_vec]));
+            (r.a, r.b) = (dst.index, src.index);
         }
-        PInst::MovFloat { dst, src } => {
-            r = rec(h_mov_float);
-            (r.a, r.b) = (dst, src);
-        }
-        PInst::MovVec { dst, src } => {
-            r = rec(h_mov_vec);
-            (r.a, r.b) = (dst, src);
-        }
-        PInst::IntOp {
+        MInst::IntOp {
             op,
             width,
             signed,
@@ -2160,10 +2137,10 @@ fn lower(inst: &PInst) -> OpRecord {
             rhs,
         } => {
             r = rec(h_int_op);
-            (r.a, r.b, r.c) = (dst, lhs, rhs);
+            (r.a, r.b, r.c) = (dst.index, lhs.index, rhs.index);
             r.d = alu_bits(op) | wbits(width) << 4 | u16::from(signed) << 6;
         }
-        PInst::FloatOp {
+        MInst::FloatOp {
             op,
             double,
             dst,
@@ -2171,22 +2148,22 @@ fn lower(inst: &PInst) -> OpRecord {
             rhs,
         } => {
             r = rec(h_float_op);
-            (r.a, r.b, r.c) = (dst, lhs, rhs);
+            (r.a, r.b, r.c) = (dst.index, lhs.index, rhs.index);
             r.d = fpu_bits(op) | u16::from(double) << 3;
         }
-        PInst::IntNeg { width, dst, src } => {
+        MInst::IntNeg { width, dst, src } => {
             r = rec(h_int_neg);
-            (r.a, r.b, r.d) = (dst, src, wbits(width));
+            (r.a, r.b, r.d) = (dst.index, src.index, wbits(width));
         }
-        PInst::IntNot { width, dst, src } => {
+        MInst::IntNot { width, dst, src } => {
             r = rec(h_int_not);
-            (r.a, r.b, r.d) = (dst, src, wbits(width));
+            (r.a, r.b, r.d) = (dst.index, src.index, wbits(width));
         }
-        PInst::FloatNeg { double, dst, src } => {
+        MInst::FloatNeg { double, dst, src } => {
             r = rec(h_float_neg);
-            (r.a, r.b, r.d) = (dst, src, u16::from(double));
+            (r.a, r.b, r.d) = (dst.index, src.index, u16::from(double));
         }
-        PInst::IntCmp {
+        MInst::IntCmp {
             pred,
             width,
             signed,
@@ -2195,10 +2172,10 @@ fn lower(inst: &PInst) -> OpRecord {
             rhs,
         } => {
             r = rec(h_int_cmp);
-            (r.a, r.b, r.c) = (dst, lhs, rhs);
+            (r.a, r.b, r.c) = (dst.index, lhs.index, rhs.index);
             r.d = pred_bits(pred) | wbits(width) << 3 | u16::from(signed) << 5;
         }
-        PInst::FloatCmp {
+        MInst::FloatCmp {
             pred,
             double,
             dst,
@@ -2206,215 +2183,178 @@ fn lower(inst: &PInst) -> OpRecord {
             rhs,
         } => {
             r = rec(h_float_cmp);
-            (r.a, r.b, r.c) = (dst, lhs, rhs);
+            (r.a, r.b, r.c) = (dst.index, lhs.index, rhs.index);
             r.d = pred_bits(pred) | u16::from(double) << 3;
         }
-        PInst::SelectInt {
+        MInst::Select {
             dst,
             cond,
             if_true,
             if_false,
         } => {
-            r = rec(h_select_int);
-            (r.a, r.b, r.c, r.d) = (dst, cond, if_true, if_false);
+            r = rec(by_class(
+                dst.class,
+                [h_select_int, h_select_float, h_select_vec],
+            ));
+            (r.a, r.b) = (dst.index, cond.index);
+            (r.c, r.d) = (if_true.index, if_false.index);
         }
-        PInst::SelectFloat {
-            dst,
-            cond,
-            if_true,
-            if_false,
-        } => {
-            r = rec(h_select_float);
-            (r.a, r.b, r.c, r.d) = (dst, cond, if_true, if_false);
-        }
-        PInst::SelectVec {
-            dst,
-            cond,
-            if_true,
-            if_false,
-        } => {
-            r = rec(h_select_vec);
-            (r.a, r.b, r.c, r.d) = (dst, cond, if_true, if_false);
-        }
-        PInst::IntToFloat {
+        MInst::IntToFloat {
             signed,
             double,
             dst,
             src,
         } => {
             r = rec(h_int_to_float);
-            (r.a, r.b) = (dst, src);
+            (r.a, r.b) = (dst.index, src.index);
             r.d = u16::from(signed) | u16::from(double) << 1;
         }
-        PInst::FloatToInt {
+        MInst::FloatToInt {
             width,
             signed,
             dst,
             src,
         } => {
             r = rec(h_float_to_int);
-            (r.a, r.b) = (dst, src);
+            (r.a, r.b) = (dst.index, src.index);
             r.d = wbits(width) | u16::from(signed) << 2;
         }
-        PInst::FloatCvt {
+        MInst::FloatCvt {
             to_double,
             dst,
             src,
         } => {
             r = rec(h_float_cvt);
-            (r.a, r.b, r.d) = (dst, src, u16::from(to_double));
+            (r.a, r.b, r.d) = (dst.index, src.index, u16::from(to_double));
         }
-        PInst::IntResize {
+        MInst::IntResize {
             width,
             signed,
             dst,
             src,
         } => {
             r = rec(h_int_resize);
-            (r.a, r.b) = (dst, src);
+            (r.a, r.b) = (dst.index, src.index);
             r.d = wbits(width) | u16::from(signed) << 2;
         }
-        PInst::LoadInt {
+        MInst::Load {
             width,
+            float,
             signed,
             dst,
             base,
             offset,
         } => {
-            r = rec(h_load_int);
-            (r.a, r.b, r.imm) = (dst, base, offset);
-            r.d = wbits(width) | u16::from(signed) << 2;
+            if float {
+                r = rec(h_load_float);
+                r.d = wbits(width);
+            } else {
+                r = rec(h_load_int);
+                r.d = wbits(width) | u16::from(signed) << 2;
+            }
+            (r.a, r.b, r.imm) = (dst.index, base.index, offset);
         }
-        PInst::LoadFloat {
+        MInst::Store {
             width,
-            dst,
-            base,
-            offset,
-        } => {
-            r = rec(h_load_float);
-            (r.a, r.b, r.imm) = (dst, base, offset);
-            r.d = wbits(width);
-        }
-        PInst::StoreInt {
-            width,
+            float,
             base,
             offset,
             src,
         } => {
-            r = rec(h_store_int);
-            (r.a, r.b, r.imm) = (src, base, offset);
+            r = rec(if float { h_store_float } else { h_store_int });
+            (r.a, r.b, r.imm) = (src.index, base.index, offset);
             r.d = wbits(width);
         }
-        PInst::StoreFloat {
-            width,
-            base,
-            offset,
-            src,
-        } => {
-            r = rec(h_store_float);
-            (r.a, r.b, r.imm) = (src, base, offset);
-            r.d = wbits(width);
-        }
-        PInst::VecLoad { dst, base, offset } => {
+        MInst::VecLoad { dst, base, offset } => {
             r = rec(h_vec_load);
-            (r.a, r.b, r.imm) = (dst, base, offset);
+            (r.a, r.b, r.imm) = (dst.index, base.index, offset);
         }
-        PInst::VecStore { base, offset, src } => {
+        MInst::VecStore { base, offset, src } => {
             r = rec(h_vec_store);
-            (r.a, r.b, r.imm) = (src, base, offset);
+            (r.a, r.b, r.imm) = (src.index, base.index, offset);
         }
-        PInst::VecSplatInt {
-            elem,
-            lanes,
-            dst,
-            src,
-        } => {
+        MInst::VecSplatInt { elem, dst, src } => {
             r = rec(h_vec_splat_int);
-            (r.a, r.b, r.d, r.e) = (dst, src, wbits(elem), lanes);
+            (r.a, r.b, r.d, r.e) = (dst.index, src.index, wbits(elem), lanes);
         }
-        PInst::VecSplatFloat {
-            elem,
-            lanes,
-            dst,
-            src,
-        } => {
+        MInst::VecSplatFloat { elem, dst, src } => {
             r = rec(h_vec_splat_float);
-            (r.a, r.b, r.d, r.e) = (dst, src, wbits(elem), lanes);
+            (r.a, r.b, r.d, r.e) = (dst.index, src.index, wbits(elem), lanes);
         }
-        PInst::VecIntOp {
+        MInst::VecIntOp {
             op,
             elem,
             signed,
-            lanes,
             dst,
             lhs,
             rhs,
         } => {
             r = rec(h_vec_int_op);
-            (r.a, r.b, r.c, r.e) = (dst, lhs, rhs, lanes);
+            (r.a, r.b, r.c, r.e) = (dst.index, lhs.index, rhs.index, lanes);
             r.d = alu_bits(op) | wbits(elem) << 4 | u16::from(signed) << 6;
         }
-        PInst::VecFloatOp {
+        MInst::VecFloatOp {
             op,
             elem,
-            double,
-            lanes,
             dst,
             lhs,
             rhs,
         } => {
             r = rec(h_vec_float_op);
-            (r.a, r.b, r.c, r.e) = (dst, lhs, rhs, lanes);
+            (r.a, r.b, r.c, r.e) = (dst.index, lhs.index, rhs.index, lanes);
+            let double = elem == Width::W64;
             r.d = fpu_bits(op) | wbits(elem) << 3 | u16::from(double) << 5;
         }
-        PInst::VecReduceInt {
+        MInst::VecReduceInt {
             op,
             elem,
             signed,
-            lanes,
             dst,
             src,
         } => {
             r = rec(h_vec_reduce_int);
-            (r.a, r.b, r.e) = (dst, src, lanes);
+            (r.a, r.b, r.e) = (dst.index, src.index, lanes);
             r.d = red_bits(op) | wbits(elem) << 2 | u16::from(signed) << 4;
         }
-        PInst::VecReduceFloat {
-            op,
-            elem,
-            lanes,
-            dst,
-            src,
-        } => {
+        MInst::VecReduceFloat { op, elem, dst, src } => {
             r = rec(h_vec_reduce_float);
-            (r.a, r.b, r.e) = (dst, src, lanes);
+            (r.a, r.b, r.e) = (dst.index, src.index, lanes);
             r.d = red_bits(op) | wbits(elem) << 2;
         }
-        PInst::SpillInt { slot, src } => {
-            r = rec(h_spill_int);
-            (r.a, r.e) = (src, slot);
+        MInst::Spill { slot, src } => {
+            r = rec(by_class(
+                src.class,
+                [h_spill_int, h_spill_float, h_spill_vec],
+            ));
+            (r.a, r.e) = (src.index, slot);
         }
-        PInst::SpillFloat { slot, src } => {
-            r = rec(h_spill_float);
-            (r.a, r.e) = (src, slot);
+        MInst::Reload { slot, dst } => {
+            r = rec(by_class(
+                dst.class,
+                [h_reload_int, h_reload_float, h_reload_vec],
+            ));
+            (r.a, r.e) = (dst.index, slot);
         }
-        PInst::SpillVec { slot, src } => {
-            r = rec(h_spill_vec);
-            (r.a, r.e) = (src, slot);
+        MInst::Jump { target } => {
+            r = rec(h_jump);
+            r.e = target;
         }
-        PInst::Reload { slot, class, dst } => {
-            r = rec(match class {
-                RegClass::Int => h_reload_int,
-                RegClass::Float => h_reload_float,
-                RegClass::Vec => h_reload_vec,
+        MInst::BranchNz {
+            cond,
+            then_target,
+            else_target,
+        } => {
+            r = rec(h_branch_nz);
+            (r.a, r.e, r.f) = (cond.index, then_target, else_target);
+        }
+        MInst::Call { .. } => r = rec(h_call),
+        MInst::Ret { value } => {
+            r = rec(match value {
+                None => h_ret_none,
+                Some(v) => by_class(v.class, [h_ret_int, h_ret_float, h_ret_vec]),
             });
-            (r.a, r.e) = (dst, slot);
+            r.a = value.map_or(0, |v| v.index);
         }
-        PInst::Jump { .. }
-        | PInst::BranchNz { .. }
-        | PInst::Call(_)
-        | PInst::Ret { .. }
-        | PInst::FellOff { .. } => unreachable!("{inst:?} closes a region: see `lower_control`"),
     }
     r
 }

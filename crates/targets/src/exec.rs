@@ -7,15 +7,17 @@
 //! run any number of times with none of the per-run decoding a block walk
 //! over the [`MProgram`] would pay on every instruction:
 //!
-//! * every function's blocks are **flattened into one linear instruction
-//!   stream**, with block jumps resolved to instruction offsets (no
-//!   `blocks[b].insts[i]` double indirection, no per-step instruction clone);
+//! * every function's blocks are **flattened into one linear record
+//!   stream**, with each block's number standing for the region its entry
+//!   opens (no `blocks[b].insts[i]` double indirection, no per-step
+//!   instruction clone);
 //! * call targets are resolved from `&str` names to **dense function
 //!   indices** (no per-call linear name lookup);
 //! * every register operand is **checked once at prepare time** — its class
 //!   against the register file its handler indexes, its index against that
-//!   file's size — so the hot loop never re-validates (the validator's whole
-//!   contract is listed on [`PreparedProgram::prepare`]);
+//!   file's size, both read off the instruction's `minst_shapes!` row — so
+//!   the hot loop never re-validates (the validator's whole contract is
+//!   listed on [`PreparedProgram::prepare`]);
 //! * what retiring each instruction costs — latency class, cycle charge,
 //!   scoreboard keys, counter bumps — is **tabulated once** per instruction
 //!   ([`OpInfo`], stated per kind by [`op_info`]) and vector lane counts are
@@ -24,9 +26,9 @@
 //!   and spill-slot allocations across calls and across runs (and carries the
 //!   run's optional wall-clock deadline, which the executing thread polls at
 //!   region boundaries — [`FramePool::set_deadline`]);
-//! * every straight-line instruction is lowered to a packed 32-byte operand
-//!   record whose fn-pointer **handler is the only statement of what the
-//!   instruction does** to registers and memory (see
+//! * every instruction is lowered straight from its [`MInst`] to a packed
+//!   32-byte operand record whose fn-pointer **handler is the only statement
+//!   of what the instruction does** to registers and memory (see
 //!   [`dispatch`](crate::exec) internals).
 //!
 //! One executor runs those handlers, over **one record stream**, under one
@@ -53,8 +55,8 @@
 //! not retired. A region whose charge the
 //! remaining fuel cannot cover is never prepaid: the fuel affords a strict
 //! prefix of its straight-line instructions (the charge counts every one
-//! through the closing control op), so that prefix runs on records lowered
-//! on the spot, retires and is charged, and the run stops with
+//! through the closing control op), so that prefix runs on its unfused
+//! records, retires and is charged, and the run stops with
 //! [`SimError::OutOfFuel`] — or the prefix's own trap — at the instruction
 //! where fuel spent one instruction at a time would have run out.
 //!
@@ -72,17 +74,16 @@
 //!    beside it: tag, fields in wire order, each field's role and — for a
 //!    register the handler will index in a fixed file — that file's class.
 //!    The row *is* the store's wire encoding, the online compiler's def/use
-//!    walks and the prepare-time class check; nothing in `store.rs` or
-//!    `mir.rs` names the variant;
-//! 2. its [`PInst`] variant and translation arm in `prepare_function`;
-//! 3. its handler and `lower` arm in `dispatch.rs` (plus a pair-kind if it
-//!    should weld);
-//! 4. its row in [`op_info`] — all either timing tier needs, unless a
+//!    walks and the prepare-time register check (`MInst::bad_operand`);
+//!    nothing in `store.rs` or `mir.rs` names the variant;
+//! 2. its handler and `lower` arm in `dispatch.rs` (plus a pair kind in
+//!    `pair_kind` if it should weld);
+//! 3. its row in [`op_info`] — all either timing tier needs, unless a
 //!    scoreboard key of the new kind is only known at run time.
 //!
 //! Then add it to the unit programs that pin every kind (`every_kind_program`
-//! and `one_of_every_variant` in this module's tests) and record their new
-//! digests.
+//! and `one_of_every_variant` in this module's tests) and to the operand
+//! lists written out beside them, and record their new digests.
 //!
 //! # Example
 //!
@@ -124,9 +125,7 @@
 use crate::desc::{CostModel, TargetDesc};
 pub use crate::dispatch::FusionStats;
 use crate::dispatch::{self, ExecCtx, FuseKind, OpMeta, OpRecord};
-use crate::mcode::{
-    AluOp, CmpPred, FpuOp, MFunction, MInst, MProgram, PReg, RedOp, RegClass, Width,
-};
+use crate::mcode::{AluOp, FpuOp, MFunction, MInst, MProgram, PReg, RegClass};
 use crate::simulator::{
     lane_count, MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH,
 };
@@ -286,10 +285,10 @@ impl FramePool {
     }
 }
 
-/// Payload of a call (boxed to keep [`PInst`] small); its registers are
-/// validated like every other operand.
+/// One call site of a prepared function, in its call table: a call record's
+/// `e` indexes it. Its registers are validated like every other operand.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PCall {
+pub(crate) struct CallSite {
     /// Dense index of the callee — or its name if the program has no such
     /// function, which stays a runtime error so dead malformed calls don't
     /// poison preparation of an otherwise-valid program.
@@ -298,262 +297,16 @@ pub(crate) struct PCall {
     pub(crate) ret: Option<PReg>,
 }
 
-/// One pre-decoded instruction of the flat stream.
-///
-/// Register operands are register numbers, `u16` like [`PReg::index`] and
-/// validated against the target's files at prepare time (vector handlers
-/// scale them to byte offsets); block targets are instruction offsets, call
-/// targets are function indices, and vector lane counts are baked in. The
-/// threaded loop reads it only for a call's payload; `disasm`, the fusion
-/// matcher, the lowering and the executor's cold exits read the rest.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum PInst {
-    Imm {
-        dst: u16,
-        value: i64,
-    },
-    FImm {
-        dst: u16,
-        value: f64,
-    },
-    MovInt {
-        dst: u16,
-        src: u16,
-    },
-    MovFloat {
-        dst: u16,
-        src: u16,
-    },
-    MovVec {
-        dst: u16,
-        src: u16,
-    },
-    IntOp {
-        op: AluOp,
-        width: Width,
-        signed: bool,
-        dst: u16,
-        lhs: u16,
-        rhs: u16,
-    },
-    FloatOp {
-        op: FpuOp,
-        double: bool,
-        dst: u16,
-        lhs: u16,
-        rhs: u16,
-    },
-    IntNeg {
-        width: Width,
-        dst: u16,
-        src: u16,
-    },
-    IntNot {
-        width: Width,
-        dst: u16,
-        src: u16,
-    },
-    FloatNeg {
-        double: bool,
-        dst: u16,
-        src: u16,
-    },
-    IntCmp {
-        pred: CmpPred,
-        width: Width,
-        signed: bool,
-        dst: u16,
-        lhs: u16,
-        rhs: u16,
-    },
-    FloatCmp {
-        pred: CmpPred,
-        double: bool,
-        dst: u16,
-        lhs: u16,
-        rhs: u16,
-    },
-    SelectInt {
-        dst: u16,
-        cond: u16,
-        if_true: u16,
-        if_false: u16,
-    },
-    SelectFloat {
-        dst: u16,
-        cond: u16,
-        if_true: u16,
-        if_false: u16,
-    },
-    SelectVec {
-        dst: u16,
-        cond: u16,
-        if_true: u16,
-        if_false: u16,
-    },
-    IntToFloat {
-        signed: bool,
-        double: bool,
-        dst: u16,
-        src: u16,
-    },
-    FloatToInt {
-        width: Width,
-        signed: bool,
-        dst: u16,
-        src: u16,
-    },
-    FloatCvt {
-        to_double: bool,
-        dst: u16,
-        src: u16,
-    },
-    IntResize {
-        width: Width,
-        signed: bool,
-        dst: u16,
-        src: u16,
-    },
-    LoadInt {
-        width: Width,
-        signed: bool,
-        dst: u16,
-        base: u16,
-        offset: i64,
-    },
-    LoadFloat {
-        width: Width,
-        dst: u16,
-        base: u16,
-        offset: i64,
-    },
-    StoreInt {
-        width: Width,
-        base: u16,
-        offset: i64,
-        src: u16,
-    },
-    StoreFloat {
-        width: Width,
-        base: u16,
-        offset: i64,
-        src: u16,
-    },
-    VecLoad {
-        dst: u16,
-        base: u16,
-        offset: i64,
-    },
-    VecStore {
-        base: u16,
-        offset: i64,
-        src: u16,
-    },
-    VecSplatInt {
-        elem: Width,
-        lanes: u32,
-        dst: u16,
-        src: u16,
-    },
-    VecSplatFloat {
-        elem: Width,
-        lanes: u32,
-        dst: u16,
-        src: u16,
-    },
-    VecIntOp {
-        op: AluOp,
-        elem: Width,
-        signed: bool,
-        lanes: u32,
-        dst: u16,
-        lhs: u16,
-        rhs: u16,
-    },
-    VecFloatOp {
-        op: FpuOp,
-        elem: Width,
-        double: bool,
-        lanes: u32,
-        dst: u16,
-        lhs: u16,
-        rhs: u16,
-    },
-    VecReduceInt {
-        op: RedOp,
-        elem: Width,
-        signed: bool,
-        lanes: u32,
-        dst: u16,
-        src: u16,
-    },
-    VecReduceFloat {
-        op: RedOp,
-        elem: Width,
-        lanes: u32,
-        dst: u16,
-        src: u16,
-    },
-    SpillInt {
-        slot: u32,
-        src: u16,
-    },
-    SpillFloat {
-        slot: u32,
-        src: u16,
-    },
-    SpillVec {
-        slot: u32,
-        src: u16,
-    },
-    Reload {
-        slot: u32,
-        class: RegClass,
-        dst: u16,
-    },
-    Jump {
-        target: u32,
-    },
-    BranchNz {
-        cond: u16,
-        then_target: u32,
-        else_target: u32,
-    },
-    Call(Box<PCall>),
-    Ret {
-        value: Option<PReg>,
-    },
-    /// Synthetic trap appended after any block that does not end in a
-    /// terminator: running past a block's end traps ("fell off the end")
-    /// in a flat stream too.
-    FellOff {
-        block: u32,
-    },
-}
-
-impl PInst {
-    /// The kinds that end a straight-line region of the threaded stream.
-    pub(crate) fn is_control(&self) -> bool {
-        matches!(
-            self,
-            PInst::Jump { .. }
-                | PInst::BranchNz { .. }
-                | PInst::Call(_)
-                | PInst::Ret { .. }
-                | PInst::FellOff { .. }
-        )
-    }
-}
-
 // The hot streams must stay cache-dense: operand records at exactly two per
 // 64-byte line, the per-instruction charge table at four.
 const _: () = assert!(std::mem::size_of::<OpRecord>() <= 32);
 const _: () = assert!(std::mem::size_of::<OpInfo>() <= 16);
 
 /// What retiring one instruction costs: the one per-instruction fact table.
-/// [`op_info`] states it once per [`PInst`] kind; region prepayment sums it,
+/// [`op_info`] states it once per [`MInst`] kind; region prepayment sums it,
 /// in-order timing records segment summaries from it and retires it row by
-/// row where a summary does not apply, and `disasm` prints it.
+/// row where a summary does not apply, the cold exits read its tags, and
+/// `disasm` prints it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct OpInfo {
     /// The statically known cycle charge (which doubles as the unit latency
@@ -569,7 +322,9 @@ pub(crate) struct OpInfo {
     /// the instruction bumps; `None` for the kinds the timing model prices
     /// through its control-flow hooks and for synthetic traps.
     pub(crate) class: Option<LatClass>,
-    /// Bit `i`: `regs[i]` names the float file. Plus [`OpInfo::BRANCH`].
+    /// Bit `i`: `regs[i]` names the float file. Plus the kind bits
+    /// [`OpInfo::BRANCH`], [`OpInfo::CLOSES`], [`OpInfo::RET`],
+    /// [`OpInfo::SELECT`] and [`OpInfo::FELL_OFF`].
     tags: u8,
 }
 
@@ -583,6 +338,24 @@ const NO: PReg = PReg {
 impl OpInfo {
     /// Counts in `stats.branches`.
     const BRANCH: u8 = 1 << 3;
+    /// Closes its straight-line region: a jump, branch, call, return or
+    /// fall-off.
+    pub(crate) const CLOSES: u8 = 1 << 4;
+    /// A `Ret`: its move retires before its value's class can trap.
+    pub(crate) const RET: u8 = 1 << 5;
+    /// A scalar select, a charge point under in-order timing: its second
+    /// read key is the source it chose.
+    pub(crate) const SELECT: u8 = 1 << 6;
+    /// The synthetic fall-off trap: its failed fetch retires nothing.
+    pub(crate) const FELL_OFF: u8 = 1 << 7;
+
+    /// The row of the synthetic trap after a block without a terminator.
+    pub(crate) const FELL_OFF_ROW: OpInfo = OpInfo {
+        cycles: 0,
+        regs: [u16::MAX; 3],
+        class: None,
+        tags: OpInfo::CLOSES | OpInfo::FELL_OFF,
+    };
 
     fn new(class: Option<LatClass>, cycles: u64, operands: [PReg; 3], mut tags: u8) -> OpInfo {
         let mut regs = [u16::MAX; 3];
@@ -598,6 +371,12 @@ impl OpInfo {
             class,
             tags,
         }
+    }
+
+    /// `true` if every bit of `tag` is set.
+    #[inline(always)]
+    pub(crate) fn is(&self, tag: u8) -> bool {
+        self.tags & tag == tag
     }
 
     /// Scoreboard key of read operand `i` (1 or 2).
@@ -658,9 +437,10 @@ impl OpInfo {
 }
 
 /// The [`OpInfo`] row of one instruction on a target with cost table `cost`.
-pub(crate) fn op_info(inst: &PInst, cost: &CostModel) -> OpInfo {
+/// A vector register is not scoreboarded, so an operand row names one as
+/// untracked.
+pub(crate) fn op_info(inst: &MInst, cost: &CostModel) -> OpInfo {
     use LatClass as L;
-    let (ik, fk) = (PReg::int, PReg::float);
     let op = |class: LatClass, dst: PReg, a: PReg, b: PReg| {
         let cycles = match class {
             L::Alu => cost.int_op,
@@ -682,14 +462,13 @@ pub(crate) fn op_info(inst: &PInst, cost: &CostModel) -> OpInfo {
         };
         OpInfo::new(Some(class), cycles, [dst, a, b], 0)
     };
-    let control = |cycles: u64, a: PReg, tags: u8| OpInfo::new(None, cycles, [NO, a, NO], tags);
+    let control = |cycles: u64, a: PReg, tags: u8| {
+        OpInfo::new(None, cycles, [NO, a, NO], OpInfo::CLOSES | tags)
+    };
     match *inst {
-        PInst::Imm { dst, .. } => op(L::Mov, ik(dst), NO, NO),
-        PInst::FImm { dst, .. } => op(L::Mov, fk(dst), NO, NO),
-        PInst::MovInt { dst, src } => op(L::Mov, ik(dst), ik(src), NO),
-        PInst::MovFloat { dst, src } => op(L::Mov, fk(dst), fk(src), NO),
-        PInst::MovVec { .. } => op(L::Mov, NO, NO, NO),
-        PInst::IntOp {
+        MInst::Imm { dst, .. } | MInst::FImm { dst, .. } => op(L::Mov, dst, NO, NO),
+        MInst::Mov { dst, src } => op(L::Mov, dst, src, NO),
+        MInst::IntOp {
             op: alu,
             dst,
             lhs,
@@ -701,9 +480,9 @@ pub(crate) fn op_info(inst: &PInst, cost: &CostModel) -> OpInfo {
                 AluOp::Div | AluOp::Rem => L::Div,
                 _ => L::Alu,
             };
-            op(class, ik(dst), ik(lhs), ik(rhs))
+            op(class, dst, lhs, rhs)
         }
-        PInst::FloatOp {
+        MInst::FloatOp {
             op: fpu,
             dst,
             lhs,
@@ -715,66 +494,74 @@ pub(crate) fn op_info(inst: &PInst, cost: &CostModel) -> OpInfo {
                 FpuOp::Div => L::FpDiv,
                 _ => L::FpAdd,
             };
-            op(class, fk(dst), fk(lhs), fk(rhs))
+            op(class, dst, lhs, rhs)
         }
-        PInst::IntNeg { dst, src, .. }
-        | PInst::IntNot { dst, src, .. }
-        | PInst::IntResize { dst, src, .. } => op(L::Alu, ik(dst), ik(src), NO),
-        PInst::FloatNeg { dst, src, .. } => op(L::FpAdd, fk(dst), fk(src), NO),
-        PInst::IntCmp { dst, lhs, rhs, .. } => op(L::Alu, ik(dst), ik(lhs), ik(rhs)),
-        PInst::FloatCmp { dst, lhs, rhs, .. } => op(L::FpAdd, ik(dst), fk(lhs), fk(rhs)),
+        MInst::IntNeg { dst, src, .. }
+        | MInst::IntNot { dst, src, .. }
+        | MInst::IntResize { dst, src, .. } => op(L::Alu, dst, src, NO),
+        MInst::FloatNeg { dst, src, .. } => op(L::FpAdd, dst, src, NO),
+        MInst::IntCmp { dst, lhs, rhs, .. } => op(L::Alu, dst, lhs, rhs),
+        MInst::FloatCmp { dst, lhs, rhs, .. } => op(L::FpAdd, dst, lhs, rhs),
         // The second read is whichever source the condition picks: the row
         // names `if_true`'s file and whoever retires it supplies the register.
-        PInst::SelectInt {
+        MInst::Select {
             dst, cond, if_true, ..
-        } => op(L::Mov, ik(dst), ik(cond), ik(if_true)),
-        PInst::SelectFloat {
-            dst, cond, if_true, ..
-        } => op(L::Mov, fk(dst), ik(cond), fk(if_true)),
-        PInst::SelectVec { cond, .. } => op(L::Mov, NO, ik(cond), NO),
-        PInst::IntToFloat { dst, src, .. } => op(L::Convert, fk(dst), ik(src), NO),
-        PInst::FloatToInt { dst, src, .. } => op(L::Convert, ik(dst), fk(src), NO),
-        PInst::FloatCvt { dst, src, .. } => op(L::Convert, fk(dst), fk(src), NO),
-        PInst::LoadInt { dst, base, .. } => op(L::Load, ik(dst), ik(base), NO),
-        PInst::LoadFloat { dst, base, .. } => op(L::Load, fk(dst), ik(base), NO),
-        PInst::StoreInt { base, src, .. } => op(L::Store, NO, ik(base), ik(src)),
-        PInst::StoreFloat { base, src, .. } => op(L::Store, NO, ik(base), fk(src)),
-        PInst::VecLoad { base, .. } => op(L::VecLoad, NO, ik(base), NO),
-        PInst::VecStore { base, .. } => op(L::VecStore, NO, ik(base), NO),
-        PInst::VecSplatInt { src, .. } => op(L::Vec, NO, ik(src), NO),
-        PInst::VecSplatFloat { src, .. } => op(L::Vec, NO, fk(src), NO),
-        PInst::VecIntOp { .. } | PInst::VecFloatOp { .. } => op(L::Vec, NO, NO, NO),
-        PInst::VecReduceInt { dst, .. } => op(L::VecReduce, ik(dst), NO, NO),
-        PInst::VecReduceFloat { dst, .. } => op(L::VecReduce, fk(dst), NO, NO),
-        PInst::SpillInt { src, .. } => op(L::SpillStore, NO, ik(src), NO),
-        PInst::SpillFloat { src, .. } => op(L::SpillStore, NO, fk(src), NO),
-        PInst::SpillVec { .. } => op(L::SpillStore, NO, NO, NO),
-        PInst::Reload { class, dst, .. } => op(L::SpillReload, PReg { class, index: dst }, NO, NO),
-        PInst::Ret { value } => op(L::Mov, NO, value.unwrap_or(NO), NO),
-        PInst::Jump { .. } => control(cost.branch_taken, NO, OpInfo::BRANCH),
-        PInst::BranchNz { cond, .. } => control(0, ik(cond), OpInfo::BRANCH),
-        PInst::Call(_) | PInst::FellOff { .. } => control(0, NO, 0),
+        } => {
+            let mut row = op(L::Mov, dst, cond, if_true);
+            if dst.class != RegClass::Vec {
+                row.tags |= OpInfo::SELECT;
+            }
+            row
+        }
+        MInst::IntToFloat { dst, src, .. }
+        | MInst::FloatToInt { dst, src, .. }
+        | MInst::FloatCvt { dst, src, .. } => op(L::Convert, dst, src, NO),
+        MInst::Load { dst, base, .. } => op(L::Load, dst, base, NO),
+        MInst::Store { base, src, .. } => op(L::Store, NO, base, src),
+        MInst::VecLoad { base, .. } => op(L::VecLoad, NO, base, NO),
+        MInst::VecStore { base, .. } => op(L::VecStore, NO, base, NO),
+        MInst::VecSplatInt { src, .. } | MInst::VecSplatFloat { src, .. } => {
+            op(L::Vec, NO, src, NO)
+        }
+        MInst::VecIntOp { .. } | MInst::VecFloatOp { .. } => op(L::Vec, NO, NO, NO),
+        MInst::VecReduceInt { dst, .. } | MInst::VecReduceFloat { dst, .. } => {
+            op(L::VecReduce, dst, NO, NO)
+        }
+        MInst::Spill { src, .. } => op(L::SpillStore, NO, src, NO),
+        MInst::Reload { dst, .. } => op(L::SpillReload, dst, NO, NO),
+        MInst::Ret { value } => {
+            let mut row = op(L::Mov, NO, value.unwrap_or(NO), NO);
+            row.tags |= OpInfo::CLOSES | OpInfo::RET;
+            row
+        }
+        MInst::Jump { .. } => control(cost.branch_taken, NO, OpInfo::BRANCH),
+        MInst::BranchNz { cond, .. } => control(0, cond, OpInfo::BRANCH),
+        MInst::Call { .. } => control(0, NO, 0),
     }
 }
 
-/// One function of a [`PreparedProgram`]: a flat, pre-validated instruction
-/// stream, the record stream lowered from it, and the frame layout it needs.
+/// One function of a [`PreparedProgram`]: its instructions' records and
+/// charge rows, the threaded stream built from them, and the frame layout
+/// it needs.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PreparedFunction {
     /// Shared with the program's name index.
     pub(crate) name: Arc<str>,
     pub(crate) params: Box<[PReg]>,
     pub(crate) num_slots: usize,
-    /// The flat per-instruction stream; every offset called an *enum pc*
-    /// indexes it (and `info`, which runs parallel to it).
-    pub(crate) code: Vec<PInst>,
-    /// What retiring each instruction of `code` costs.
+    /// The unfused record of every instruction, one *row* each: every
+    /// block's instructions in order, then a fall-off trap where the block
+    /// has no terminator (one trap for a function without blocks). Every
+    /// offset called a row indexes it and `info`; cold — the fuel tail runs
+    /// it, and the threaded stream copies what it does not fuse.
+    pub(crate) code: Vec<OpRecord>,
+    /// What retiring each row costs.
     pub(crate) info: Vec<OpInfo>,
-    /// Enum-stream offset of every block (one synthetic block if none).
-    pub(crate) block_offsets: Vec<u32>,
+    /// The function's calls, in row order; a call record's `e` indexes it.
+    pub(crate) calls: Vec<CallSite>,
     /// The threaded stream: fused and welded records with region prepayment.
     pub(crate) ops: Vec<OpRecord>,
-    /// Per-op enum-stream span and fusion kind (disasm / accounting, cold).
+    /// Per-op row span and fusion kind (disasm / accounting, cold).
     pub(crate) meta: Vec<OpMeta>,
     /// Region entries (block entries first, then after-call regions): where
     /// control can land plus the fuel/instruction charge and static counter
@@ -827,20 +614,24 @@ impl PreparedProgram {
     ///
     /// 1. **Registers.** Every register operand names a register of the file
     ///    *its handler indexes*: its class is the one the instruction kind
-    ///    implies (`MInst::class_mismatch`, generated from the class
-    ///    annotations of `minst_shapes!` — `Load` / `Store` by their `float`
-    ///    flag, the sources of `Mov` / `Select` by the destination's class),
-    ///    and its index is below that file's size on this target. Operands
-    ///    whose handler dispatches on the class at run time (spills and
-    ///    reloads, call arguments and results, return values, parameters)
-    ///    are checked against the file of their own class.
+    ///    implies (the class annotations of `minst_shapes!` — `Load` /
+    ///    `Store` by their `float` flag, the sources of `Mov` / `Select` by
+    ///    the destination's class), and its index is below that file's size
+    ///    on this target. Operands whose handler dispatches on the class at
+    ///    run time (spills and reloads, call arguments and results, return
+    ///    values) are checked against the file of their own class. One walk
+    ///    generated from the shape rows, `MInst::bad_operand`, checks every
+    ///    `def` / `use` / `odef` / `ouse` / `uses` operand of an
+    ///    instruction, so the rows state this fact once; parameters, which
+    ///    `write_params` dispatches on, are checked against their own
+    ///    class's file too.
     /// 2. **Slots.** A function declares at most `MAX_FRAME_SLOTS` spill
     ///    slots, which bounds what a call allocates. A slot *number* is not
     ///    trusted: the spill and reload handlers look it up with `get` and
     ///    trap.
     /// 3. **Blocks.** Every `Jump` / `BranchNz` target names a block of its
-    ///    function and is resolved to that block's region, so control only
-    ///    ever lands on a region entry.
+    ///    function, whose number is its region's index, so control only ever
+    ///    lands on a region entry.
     /// 4. **Vectors.** Vector instructions are refused on a target without a
     ///    vector unit, and lane counts are computed here as `vector_bytes /
     ///    elem.bytes()`, so lanes × element size never exceeds
@@ -849,7 +640,7 @@ impl PreparedProgram {
     ///    vectors are sliced with bounds checks besides.)
     /// 5. **Regions close.** Every straight-line region ends in a control
     ///    record (a synthetic fall-off where the code has no terminator), at
-    ///    the region's first enum pc plus its instruction count less one: a
+    ///    the region's first row plus its instruction count less one: a
     ///    sequential pc reaches a control record before it can pass the end
     ///    of the stream, and a straight-line record is never the last.
     ///
@@ -895,12 +686,18 @@ impl PreparedProgram {
             // First definition wins, matching `MProgram::function`.
             by_name.entry(Arc::from(f.name.as_str())).or_insert(i);
         }
-        let layout = Layout {
-            int_regs: usize::from(target.int_regs),
-            float_regs: usize::from(target.float_regs),
-            vec_regs: target.vector.map_or(0, |v| usize::from(v.regs)),
+        let vector_bytes = target.vector_bytes();
+        let prep = Prep {
+            files: [
+                usize::from(target.int_regs),
+                usize::from(target.float_regs),
+                target.vector.map_or(0, |v| usize::from(v.regs)),
+            ],
+            vector_bytes: target.has_simd().then_some(vector_bytes),
+            by_name: &by_name,
+            cost: &target.cost,
         };
-        let vector_bytes = target.vector_bytes() as usize;
+        let [int_regs, float_regs, vec_regs] = prep.files;
         let mut fusion = FusionStats::default();
         let mut functions = Vec::with_capacity(program.functions.len());
         // The builder's scratch is sized once: for the longest function (a
@@ -912,21 +709,26 @@ impl PreparedProgram {
             .map(|f| f.blocks.iter().map(|b| b.insts.len() + 1).sum::<usize>() + 1)
             .max()
             .unwrap_or(0);
-        let keys = 2 * layout.int_regs.max(layout.float_regs);
+        let keys = 2 * int_regs.max(float_regs);
         let mut scratch = dispatch::ThreadedScratch::new(rows, target.timing, keys);
         for f in &program.functions {
-            let mut pf = prepare_function(f, target, &layout, &by_name)?;
-            dispatch::build_threaded(&mut pf, fuse, target.timing, &mut fusion, &mut scratch);
-            functions.push(pf);
+            functions.push(prepare_function(
+                f,
+                &prep,
+                fuse,
+                target.timing,
+                &mut fusion,
+                &mut scratch,
+            )?);
         }
         Ok(PreparedProgram {
             name: program.name.clone(),
             functions,
             by_name,
-            int_regs: layout.int_regs,
-            float_regs: layout.float_regs,
-            vec_bytes_total: layout.vec_regs * vector_bytes,
-            vector_bytes,
+            int_regs,
+            float_regs,
+            vec_bytes_total: vec_regs * vector_bytes as usize,
+            vector_bytes: vector_bytes as usize,
             cost: target.cost,
             timing: target.timing,
             fused: fuse,
@@ -1064,9 +866,10 @@ impl PreparedProgram {
 
     /// Render the prepared (and fused) instruction streams of every function:
     /// resolved offsets, per-instruction cycle costs, fusion decisions and
-    /// per-region fuel charges. This is the debugging surface behind
-    /// `splitc disasm`.
-    pub fn disasm(&self) -> String {
+    /// per-region fuel charges, each instruction written from its [`MInst`]
+    /// in `program` — the program this one was prepared from. This is the
+    /// debugging surface behind `splitc disasm`.
+    pub fn disasm(&self, program: &MProgram) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -1092,29 +895,41 @@ impl PreparedProgram {
                 f.code.len(),
                 f.ops.len(),
             );
+            let insts = program.functions.get(fi).map(row_insts).unwrap_or_default();
+            // A row's instruction and its cycle charge as text.
+            let row_text = |row: usize| match insts.get(row) {
+                Some(Some(inst)) => (inst.to_string(), self.cost_text(f, row, Some(inst))),
+                Some(None) => {
+                    let block = f.code[row].e;
+                    (
+                        format!("FellOff {{ block: {block} }}"),
+                        self.cost_text(f, row, None),
+                    )
+                }
+                None => ("?".to_owned(), self.cost_text(f, row, None)),
+            };
+            let blocks = &f.targets[..f.targets.len() - f.calls.len()];
             let mut segs = f.segs.iter().peekable();
             for (pi, meta) in f.meta.iter().enumerate() {
-                let enum_pc = meta.enum_pc as usize;
+                let row = meta.row as usize;
                 // Block label + region charge when an op starts a region.
-                if let Some(b) = f.block_offsets.iter().position(|&o| o as usize == enum_pc) {
-                    let _ = writeln!(out, "  b{b}: ({})", self.region_text(&f.targets[b]));
-                } else if let Some(t) = f
-                    .targets
+                if let Some(b) = blocks.iter().position(|t| t.row as usize == row) {
+                    let _ = writeln!(out, "  b{b}: ({})", self.region_text(&blocks[b]));
+                } else if let Some(t) = f.targets[blocks.len()..]
                     .iter()
-                    .skip(f.block_offsets.len())
                     .find(|t| t.ops_pc as usize == pi)
                 {
                     let _ = writeln!(out, "  .after-call: ({})", self.region_text(t));
                 }
                 // Under in-order timing, a segment's summary where it starts.
-                while let Some(seg) = segs.next_if(|s| s.start as usize <= enum_pc) {
+                while let Some(seg) = segs.next_if(|s| s.start as usize <= row) {
                     let _ = writeln!(out, "        {}", segment_text(f, seg));
                 }
-                let span = enum_pc..enum_pc + meta.len as usize;
+                let span = row..row + meta.len as usize;
                 let at = if meta.len > 1 {
-                    format!("@{enum_pc}..{}", span.end)
+                    format!("@{row}..{}", span.end)
                 } else {
-                    format!("@{enum_pc}")
+                    format!("@{row}")
                 };
                 // A `+` after the record index marks a pair opener: its
                 // handler also executes the record printed below it.
@@ -1132,19 +947,16 @@ impl PreparedProgram {
                         lat = format!(" ; lat {}", classes.join(" + "));
                     }
                 }
+                let (parts, costs): (Vec<String>, Vec<String>) = span.map(row_text).unzip();
                 match meta.fused {
                     FuseKind::None => {
                         let _ = writeln!(
                             out,
                             "  {pi:>4}{pm}{at:<9} {:<58} ; cycles {}{lat}",
-                            pinst_text(&f.code[enum_pc]),
-                            self.cost_text(f, enum_pc)
+                            parts[0], costs[0]
                         );
                     }
                     kind => {
-                        let parts: Vec<String> =
-                            f.code[span.clone()].iter().map(pinst_text).collect();
-                        let costs: Vec<String> = span.map(|pc| self.cost_text(f, pc)).collect();
                         let _ = writeln!(
                             out,
                             "  {pi:>4}{pm}{at:<9} fuse.{} {{ {} }} ; cycles {}{lat} ; fuel {}",
@@ -1172,18 +984,37 @@ impl PreparedProgram {
         }
     }
 
-    /// The cycle charge of instruction `pc` of `f` as text: its [`OpInfo`]
-    /// charge, or what the executors resolve when the kind retires.
-    fn cost_text(&self, f: &PreparedFunction, pc: usize) -> String {
-        match &f.code[pc] {
-            PInst::BranchNz { .. } => {
+    /// The cycle charge of row `row` of `f`, whose instruction is `inst`
+    /// (`None` for a fall-off), as text: its [`OpInfo`] charge, or what the
+    /// executors resolve when the kind retires.
+    fn cost_text(&self, f: &PreparedFunction, row: usize, inst: Option<&MInst>) -> String {
+        match inst {
+            Some(MInst::BranchNz { .. }) => {
                 format!("{}/{}", self.cost.branch_taken, self.cost.branch_not_taken)
             }
-            PInst::Call(c) if c.callee.is_ok() => self.cost.call.to_string(),
-            PInst::Call(_) | PInst::FellOff { .. } => "0 (trap)".to_string(),
-            _ => f.info[pc].cycles.to_string(),
+            Some(MInst::Call { callee, .. }) if self.function_index(callee).is_some() => {
+                self.cost.call.to_string()
+            }
+            Some(MInst::Call { .. }) | None => "0 (trap)".to_string(),
+            Some(_) => f.info[row].cycles.to_string(),
         }
     }
+}
+
+/// Each row of `f`'s prepared code as its instruction, in the row order of
+/// [`PreparedFunction::code`]: `None` for a fall-off trap.
+fn row_insts(f: &MFunction) -> Vec<Option<&MInst>> {
+    let mut rows = Vec::new();
+    for b in &f.blocks {
+        rows.extend(b.insts.iter().map(Some));
+        if !b.insts.last().is_some_and(MInst::is_terminator) {
+            rows.push(None);
+        }
+    }
+    if f.blocks.is_empty() {
+        rows.push(None);
+    }
+    rows
 }
 
 /// Retire the rows of a straight-line run on `tm`, in order. Out of line on
@@ -1246,20 +1077,6 @@ fn segment_text(f: &PreparedFunction, seg: &dispatch::Segment) -> String {
     )
 }
 
-/// Compact one-line rendering of a pre-decoded instruction.
-fn pinst_text(inst: &PInst) -> String {
-    match inst {
-        PInst::Call(c) => match &c.callee {
-            Ok(index) => format!(
-                "Call {{ callee: #{index}, args: {:?}, ret: {:?} }}",
-                c.args, c.ret
-            ),
-            Err(name) => format!("CallUnknown {{ name: {name:?} }}"),
-        },
-        other => format!("{other:?}"),
-    }
-}
-
 /// Most spill slots one function may declare: 64 KiB of slot table per call
 /// (plus `vector_bytes` per slot once a vector is spilled), a hundred times
 /// what the register assigner has ever needed, and small enough that a
@@ -1279,466 +1096,114 @@ pub(crate) fn check_frame_slots(f: &MFunction) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Register-file shape of the target a program is being prepared for.
-struct Layout {
-    int_regs: usize,
-    float_regs: usize,
-    vec_regs: usize,
+/// What preparing one function needs of its program and target: what its
+/// instructions are checked against (facts 1, 3 and 4 of
+/// [`PreparedProgram::prepare`]), their costs and the callee names.
+pub(crate) struct Prep<'a> {
+    /// The size of each register file, indexed by [`RegClass::code`].
+    files: [usize; 3],
+    /// The vector register width in bytes; `None` without a vector unit.
+    vector_bytes: Option<u64>,
+    by_name: &'a HashMap<Arc<str>, usize>,
+    pub(crate) cost: &'a CostModel,
 }
 
-impl Layout {
-    /// Validate `r` against its class's register file; returns its number.
-    fn resolve(&self, r: PReg, fname: &str) -> Result<u16, SimError> {
-        let regs = match r.class {
-            RegClass::Int => self.int_regs,
-            RegClass::Float => self.float_regs,
-            RegClass::Vec => self.vec_regs,
+impl Prep<'_> {
+    /// Facts 1, 3 and 4 for `inst` of `f`: its lane count (0 for a kind
+    /// without lanes), or the error that refuses it. A vector kind's classes
+    /// are checked before the vector unit and the unit before any index, so
+    /// that a wrong class reads the same on every target and a vector kind
+    /// on a scalar-only target as a missing unit, not as registers past an
+    /// empty file.
+    pub(crate) fn check(&self, inst: &MInst, f: &MFunction) -> Result<u32, SimError> {
+        let bad = |r: PReg| SimError::BadRegister {
+            reg: r.to_string(),
+            function: f.name.clone(),
         };
-        if usize::from(r.index) < regs {
-            Ok(r.index)
-        } else {
-            Err(SimError::BadRegister {
-                reg: r.to_string(),
-                function: fname.to_owned(),
-            })
+        let mut lanes = 0;
+        if inst.is_vector() {
+            // Files of every size: the class half alone.
+            if let Some(r) = inst.bad_operand(&[usize::MAX; 3]) {
+                return Err(bad(r));
+            }
+            let Some(vector_bytes) = self.vector_bytes else {
+                return Err(SimError::NoVectorUnit {
+                    function: f.name.clone(),
+                });
+            };
+            if let Some(elem) = inst.lane_width() {
+                lanes = lane_count(vector_bytes, elem, &f.name)? as u32;
+            }
+        }
+        if let Some(r) = inst.bad_operand(&self.files) {
+            return Err(bad(r));
+        }
+        let blocks = match *inst {
+            MInst::Jump { target } => [Some(target), None],
+            MInst::BranchNz {
+                then_target,
+                else_target,
+                ..
+            } => [Some(then_target), Some(else_target)],
+            _ => [None, None],
+        };
+        match blocks
+            .into_iter()
+            .flatten()
+            .find(|&b| b as usize >= f.blocks.len())
+        {
+            Some(b) => Err(SimError::Trap(format!(
+                "jump to invalid block {b} in {}",
+                f.name
+            ))),
+            None => Ok(lanes),
         }
     }
 
-    /// Validate `r` for instructions that dispatch on its class at run time.
-    fn resolve_ref(&self, r: PReg, fname: &str) -> Result<PReg, SimError> {
-        self.resolve(r, fname).map(|_| r)
+    /// The dense index of function `name`, or the name itself if the
+    /// program has none.
+    pub(crate) fn callee(&self, name: &str) -> Result<usize, Box<str>> {
+        self.by_name.get(name).copied().ok_or_else(|| name.into())
     }
 }
 
-#[allow(clippy::too_many_lines)]
+/// Check `f`'s parameters, then build its records, rows and threaded stream
+/// in one walk, then check its slot table.
 fn prepare_function(
     f: &MFunction,
-    target: &TargetDesc,
-    layout: &Layout,
-    by_name: &HashMap<Arc<str>, usize>,
+    prep: &Prep<'_>,
+    fuse: bool,
+    timing: TimingKind,
+    fusion: &mut FusionStats,
+    scratch: &mut dispatch::ThreadedScratch,
 ) -> Result<PreparedFunction, SimError> {
-    let fname = &f.name;
-    // Pass 1: instruction offset of every block in the flat stream (blocks
-    // that do not end in a terminator get a synthetic trap appended).
-    let mut offsets = Vec::with_capacity(f.blocks.len());
-    let mut len = 0u32;
-    for b in &f.blocks {
-        offsets.push(len);
-        len += b.insts.len() as u32;
-        if !b.insts.last().is_some_and(MInst::is_terminator) {
-            len += 1;
-        }
+    // Fact 1 for the parameters, whose class `write_params` dispatches on.
+    if let Some(p) = f.params.iter().find(|p| p.past(&prep.files)) {
+        return Err(SimError::BadRegister {
+            reg: p.to_string(),
+            function: f.name.clone(),
+        });
     }
-    let block_offset = |target_block: u32| -> Result<u32, SimError> {
-        offsets.get(target_block as usize).copied().ok_or_else(|| {
-            SimError::Trap(format!("jump to invalid block {target_block} in {fname}"))
-        })
-    };
-    let require_simd = || -> Result<(), SimError> {
-        if target.has_simd() {
-            Ok(())
-        } else {
-            Err(SimError::NoVectorUnit {
-                function: fname.clone(),
-            })
-        }
-    };
-    let lanes_for = |elem: Width| -> Result<u32, SimError> {
-        require_simd()?;
-        Ok(lane_count(target.vector_bytes(), elem, fname)? as u32)
-    };
-
-    let mut params = Vec::with_capacity(f.params.len());
-    for p in &f.params {
-        params.push(layout.resolve_ref(*p, fname)?);
-    }
-
-    // Pass 2: pre-decode every instruction.
-    let mut code = Vec::with_capacity(len as usize);
-    for (bi, b) in f.blocks.iter().enumerate() {
-        for inst in &b.insts {
-            // Fact 1, the class half: the arms below check each operand's
-            // index against the file of *its own* class, and the handlers
-            // index the file the instruction kind implies — so the two must
-            // be the same file before anything is translated.
-            if let Some(r) = inst.class_mismatch() {
-                return Err(SimError::BadRegister {
-                    reg: r.to_string(),
-                    function: fname.clone(),
-                });
-            }
-            let p = match inst {
-                MInst::Imm { dst, value } => PInst::Imm {
-                    dst: layout.resolve(*dst, fname)?,
-                    value: *value,
-                },
-                MInst::FImm { dst, value } => PInst::FImm {
-                    dst: layout.resolve(*dst, fname)?,
-                    value: *value,
-                },
-                MInst::Mov { dst, src } => {
-                    let d = layout.resolve(*dst, fname)?;
-                    let s = layout.resolve(*src, fname)?;
-                    match dst.class {
-                        RegClass::Int => PInst::MovInt { dst: d, src: s },
-                        RegClass::Float => PInst::MovFloat { dst: d, src: s },
-                        RegClass::Vec => PInst::MovVec { dst: d, src: s },
-                    }
-                }
-                MInst::IntOp {
-                    op,
-                    width,
-                    signed,
-                    dst,
-                    lhs,
-                    rhs,
-                } => PInst::IntOp {
-                    op: *op,
-                    width: *width,
-                    signed: *signed,
-                    dst: layout.resolve(*dst, fname)?,
-                    lhs: layout.resolve(*lhs, fname)?,
-                    rhs: layout.resolve(*rhs, fname)?,
-                },
-                MInst::FloatOp {
-                    op,
-                    double,
-                    dst,
-                    lhs,
-                    rhs,
-                } => PInst::FloatOp {
-                    op: *op,
-                    double: *double,
-                    dst: layout.resolve(*dst, fname)?,
-                    lhs: layout.resolve(*lhs, fname)?,
-                    rhs: layout.resolve(*rhs, fname)?,
-                },
-                MInst::IntNeg { width, dst, src } => PInst::IntNeg {
-                    width: *width,
-                    dst: layout.resolve(*dst, fname)?,
-                    src: layout.resolve(*src, fname)?,
-                },
-                MInst::IntNot { width, dst, src } => PInst::IntNot {
-                    width: *width,
-                    dst: layout.resolve(*dst, fname)?,
-                    src: layout.resolve(*src, fname)?,
-                },
-                MInst::FloatNeg { double, dst, src } => PInst::FloatNeg {
-                    double: *double,
-                    dst: layout.resolve(*dst, fname)?,
-                    src: layout.resolve(*src, fname)?,
-                },
-                MInst::IntCmp {
-                    pred,
-                    width,
-                    signed,
-                    dst,
-                    lhs,
-                    rhs,
-                } => PInst::IntCmp {
-                    pred: *pred,
-                    width: *width,
-                    signed: *signed,
-                    dst: layout.resolve(*dst, fname)?,
-                    lhs: layout.resolve(*lhs, fname)?,
-                    rhs: layout.resolve(*rhs, fname)?,
-                },
-                MInst::FloatCmp {
-                    pred,
-                    double,
-                    dst,
-                    lhs,
-                    rhs,
-                } => PInst::FloatCmp {
-                    pred: *pred,
-                    double: *double,
-                    dst: layout.resolve(*dst, fname)?,
-                    lhs: layout.resolve(*lhs, fname)?,
-                    rhs: layout.resolve(*rhs, fname)?,
-                },
-                MInst::Select {
-                    dst,
-                    cond,
-                    if_true,
-                    if_false,
-                } => {
-                    let d = layout.resolve(*dst, fname)?;
-                    let c = layout.resolve(*cond, fname)?;
-                    let t = layout.resolve(*if_true, fname)?;
-                    let e = layout.resolve(*if_false, fname)?;
-                    match dst.class {
-                        RegClass::Int => PInst::SelectInt {
-                            dst: d,
-                            cond: c,
-                            if_true: t,
-                            if_false: e,
-                        },
-                        RegClass::Float => PInst::SelectFloat {
-                            dst: d,
-                            cond: c,
-                            if_true: t,
-                            if_false: e,
-                        },
-                        RegClass::Vec => PInst::SelectVec {
-                            dst: d,
-                            cond: c,
-                            if_true: t,
-                            if_false: e,
-                        },
-                    }
-                }
-                MInst::IntToFloat {
-                    signed,
-                    double,
-                    dst,
-                    src,
-                } => PInst::IntToFloat {
-                    signed: *signed,
-                    double: *double,
-                    dst: layout.resolve(*dst, fname)?,
-                    src: layout.resolve(*src, fname)?,
-                },
-                MInst::FloatToInt {
-                    width,
-                    signed,
-                    dst,
-                    src,
-                } => PInst::FloatToInt {
-                    width: *width,
-                    signed: *signed,
-                    dst: layout.resolve(*dst, fname)?,
-                    src: layout.resolve(*src, fname)?,
-                },
-                MInst::FloatCvt {
-                    to_double,
-                    dst,
-                    src,
-                } => PInst::FloatCvt {
-                    to_double: *to_double,
-                    dst: layout.resolve(*dst, fname)?,
-                    src: layout.resolve(*src, fname)?,
-                },
-                MInst::IntResize {
-                    width,
-                    signed,
-                    dst,
-                    src,
-                } => PInst::IntResize {
-                    width: *width,
-                    signed: *signed,
-                    dst: layout.resolve(*dst, fname)?,
-                    src: layout.resolve(*src, fname)?,
-                },
-                MInst::Load {
-                    width,
-                    float,
-                    signed,
-                    dst,
-                    base,
-                    offset,
-                } => {
-                    let d = layout.resolve(*dst, fname)?;
-                    let b = layout.resolve(*base, fname)?;
-                    if *float {
-                        PInst::LoadFloat {
-                            width: *width,
-                            dst: d,
-                            base: b,
-                            offset: *offset,
-                        }
-                    } else {
-                        PInst::LoadInt {
-                            width: *width,
-                            signed: *signed,
-                            dst: d,
-                            base: b,
-                            offset: *offset,
-                        }
-                    }
-                }
-                MInst::Store {
-                    width,
-                    float,
-                    base,
-                    offset,
-                    src,
-                } => {
-                    let b = layout.resolve(*base, fname)?;
-                    let s = layout.resolve(*src, fname)?;
-                    if *float {
-                        PInst::StoreFloat {
-                            width: *width,
-                            base: b,
-                            offset: *offset,
-                            src: s,
-                        }
-                    } else {
-                        PInst::StoreInt {
-                            width: *width,
-                            base: b,
-                            offset: *offset,
-                            src: s,
-                        }
-                    }
-                }
-                MInst::VecLoad { dst, base, offset } => {
-                    require_simd()?;
-                    PInst::VecLoad {
-                        dst: layout.resolve(*dst, fname)?,
-                        base: layout.resolve(*base, fname)?,
-                        offset: *offset,
-                    }
-                }
-                MInst::VecStore { base, offset, src } => {
-                    require_simd()?;
-                    PInst::VecStore {
-                        base: layout.resolve(*base, fname)?,
-                        offset: *offset,
-                        src: layout.resolve(*src, fname)?,
-                    }
-                }
-                MInst::VecSplatInt { elem, dst, src } => PInst::VecSplatInt {
-                    elem: *elem,
-                    lanes: lanes_for(*elem)?,
-                    dst: layout.resolve(*dst, fname)?,
-                    src: layout.resolve(*src, fname)?,
-                },
-                MInst::VecSplatFloat { elem, dst, src } => PInst::VecSplatFloat {
-                    elem: *elem,
-                    lanes: lanes_for(*elem)?,
-                    dst: layout.resolve(*dst, fname)?,
-                    src: layout.resolve(*src, fname)?,
-                },
-                MInst::VecIntOp {
-                    op,
-                    elem,
-                    signed,
-                    dst,
-                    lhs,
-                    rhs,
-                } => PInst::VecIntOp {
-                    op: *op,
-                    elem: *elem,
-                    signed: *signed,
-                    lanes: lanes_for(*elem)?,
-                    dst: layout.resolve(*dst, fname)?,
-                    lhs: layout.resolve(*lhs, fname)?,
-                    rhs: layout.resolve(*rhs, fname)?,
-                },
-                MInst::VecFloatOp {
-                    op,
-                    elem,
-                    dst,
-                    lhs,
-                    rhs,
-                } => PInst::VecFloatOp {
-                    op: *op,
-                    elem: *elem,
-                    double: *elem == Width::W64,
-                    lanes: lanes_for(*elem)?,
-                    dst: layout.resolve(*dst, fname)?,
-                    lhs: layout.resolve(*lhs, fname)?,
-                    rhs: layout.resolve(*rhs, fname)?,
-                },
-                MInst::VecReduceInt {
-                    op,
-                    elem,
-                    signed,
-                    dst,
-                    src,
-                } => PInst::VecReduceInt {
-                    op: *op,
-                    elem: *elem,
-                    signed: *signed,
-                    lanes: lanes_for(*elem)?,
-                    dst: layout.resolve(*dst, fname)?,
-                    src: layout.resolve(*src, fname)?,
-                },
-                MInst::VecReduceFloat { op, elem, dst, src } => PInst::VecReduceFloat {
-                    op: *op,
-                    elem: *elem,
-                    lanes: lanes_for(*elem)?,
-                    dst: layout.resolve(*dst, fname)?,
-                    src: layout.resolve(*src, fname)?,
-                },
-                MInst::Spill { slot, src } => {
-                    let s = layout.resolve(*src, fname)?;
-                    let slot = *slot;
-                    match src.class {
-                        RegClass::Int => PInst::SpillInt { slot, src: s },
-                        RegClass::Float => PInst::SpillFloat { slot, src: s },
-                        RegClass::Vec => PInst::SpillVec { slot, src: s },
-                    }
-                }
-                MInst::Reload { slot, dst } => PInst::Reload {
-                    slot: *slot,
-                    class: dst.class,
-                    dst: layout.resolve(*dst, fname)?,
-                },
-                MInst::Jump { target } => PInst::Jump {
-                    target: block_offset(*target)?,
-                },
-                MInst::BranchNz {
-                    cond,
-                    then_target,
-                    else_target,
-                } => PInst::BranchNz {
-                    cond: layout.resolve(*cond, fname)?,
-                    then_target: block_offset(*then_target)?,
-                    else_target: block_offset(*else_target)?,
-                },
-                MInst::Call { callee, args, ret } => {
-                    let mut resolved = Vec::with_capacity(args.len());
-                    for a in args {
-                        resolved.push(layout.resolve_ref(*a, fname)?);
-                    }
-                    let ret = match ret {
-                        Some(r) => Some(layout.resolve_ref(*r, fname)?),
-                        None => None,
-                    };
-                    PInst::Call(Box::new(PCall {
-                        callee: by_name
-                            .get(callee.as_str())
-                            .copied()
-                            .ok_or_else(|| callee.clone().into_boxed_str()),
-                        args: resolved.into_boxed_slice(),
-                        ret,
-                    }))
-                }
-                MInst::Ret { value } => PInst::Ret {
-                    value: match value {
-                        Some(r) => Some(layout.resolve_ref(*r, fname)?),
-                        None => None,
-                    },
-                },
-            };
-            code.push(p);
-        }
-        if !b.insts.last().is_some_and(MInst::is_terminator) {
-            code.push(PInst::FellOff { block: bi as u32 });
-        }
-    }
-    if f.blocks.is_empty() {
-        code.push(PInst::FellOff { block: 0 });
-        offsets.push(0);
-    }
-    check_frame_slots(f)?;
-    let (name, _) = by_name
+    let (name, _) = prep
+        .by_name
         .get_key_value(f.name.as_str())
         .expect("every function of the program is in its name index");
-    Ok(PreparedFunction {
+    let mut pf = PreparedFunction {
         name: Arc::clone(name),
-        params: params.into_boxed_slice(),
+        params: f.params.as_slice().into(),
         num_slots: f.num_slots as usize,
-        info: code.iter().map(|i| op_info(i, &target.cost)).collect(),
-        code,
-        block_offsets: offsets,
+        code: Vec::new(),
+        info: Vec::new(),
+        calls: Vec::new(),
         ops: Vec::new(),
         meta: Vec::new(),
         targets: Vec::new(),
         segs: Vec::new(),
         keys: Box::default(),
-    })
+    };
+    dispatch::build_threaded(&mut pf, f, prep, fuse, timing, fusion, scratch)?;
+    check_frame_slots(f)?;
+    Ok(pf)
 }
 
 /// A reusable executor over one [`PreparedProgram`] — the public driver of
@@ -1793,7 +1258,7 @@ impl<'p> PreparedSimulator<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mcode::{MBlock, MProgram};
+    use crate::mcode::{CmpPred, MBlock, RedOp, Width};
     use crate::simulator::tests::Pins;
 
     fn call_program() -> MProgram {
@@ -2691,7 +2156,7 @@ mod tests {
         assert!(fused.fused() && !unfused.fused());
         assert_eq!(fused.fusion_stats().indvar, 1, "back edge must fuse");
         assert_eq!(unfused.fusion_stats().total(), 0);
-        // Fewer records with fusion on, same enum stream either way.
+        // Fewer records with fusion on, the same unfused records either way.
         assert!(fused.functions[0].ops.len() < unfused.functions[0].ops.len());
         assert_eq!(fused.functions[0].code, unfused.functions[0].code);
 
@@ -3414,7 +2879,7 @@ mod tests {
     #[test]
     fn in_order_branches_whose_sites_alias_in_the_bht_agree_on_every_path() {
         let pins = &mut Pins::default();
-        // A parity branch at enum pc 5 and the loop's back edge — an
+        // A parity branch at row 5 and the loop's back edge — an
         // induction-variable step, fused where fusion is on — at 5 + 256
         // share one 2-bit counter: the site must be the `BranchNz`'s own
         // offset on every path, or the counter histories diverge.
@@ -3437,9 +2902,12 @@ mod tests {
         );
         let p = program(vec![f]);
         let prepared = PreparedProgram::prepare(&p, &TargetDesc::x86_sse()).unwrap();
-        let code = &prepared.functions[0].code;
-        assert!(matches!(code[5], PInst::BranchNz { .. }));
-        assert!(matches!(code[5 + 256], PInst::BranchNz { .. }));
+        // Both rows are conditional branches: they count as branches, close
+        // their regions and are charged only when they retire.
+        let info = &prepared.functions[0].info;
+        for row in [&info[5], &info[5 + 256]] {
+            assert!(row.is(OpInfo::BRANCH | OpInfo::CLOSES) && row.cycles == 0);
+        }
         assert_eq!(prepared.fusion_stats().indvar, 1);
         let (out, stats) = agree_on_both_tiers(pins, &p, "f", &[9], DEFAULT_SIM_FUEL);
         assert_eq!(out, Ok(Some(MachineValue::Int(9))));
@@ -3470,7 +2938,7 @@ mod tests {
         };
         let program = every_kind_program(63);
         let prepared = PreparedProgram::prepare(&program, &target).unwrap();
-        assert!(prepared.disasm().contains("dispatch: threaded"));
+        assert!(prepared.disasm(&program).contains("dispatch: threaded"));
         assert!(prepared.fusion_stats().total() > 0);
 
         let results = run_every_path(
@@ -3500,13 +2968,13 @@ mod tests {
         let p = counting_loop();
         let target = TargetDesc::x86_sse();
         let fused = PreparedProgram::prepare_with(&p, &target, true).unwrap();
-        let text = fused.disasm();
+        let text = fused.disasm(&p);
         assert!(text.contains("dispatch: threaded"), "{text}");
         assert!(text.contains("fuse.indvar4"), "{text}");
         assert!(text.contains("entry charge"), "{text}");
         let unfused = PreparedProgram::prepare_with(&p, &target, false).unwrap();
         assert!(
-            !unfused.disasm().contains("fuse."),
+            !unfused.disasm(&p).contains("fuse."),
             "no fused spans expected"
         );
         // One listing for both tiers: in-order regions prepay no cycles,
@@ -3515,7 +2983,7 @@ mod tests {
         assert!(!text.contains("; lat "), "{text}");
         assert!(!text.contains("; segment "), "{text}");
         let in_order = target.with_timing(TimingKind::InOrder);
-        let text = PreparedProgram::prepare(&p, &in_order).unwrap().disasm();
+        let text = PreparedProgram::prepare(&p, &in_order).unwrap().disasm(&p);
         assert!(text.contains("dispatch: threaded"), "{text}");
         assert!(text.contains("fuse.indvar4"), "{text}");
         assert!(!text.contains("prepaid"), "{text}");

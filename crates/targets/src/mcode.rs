@@ -51,6 +51,12 @@ impl PReg {
             index,
         }
     }
+
+    /// `true` if this register lies past the end of its class's file, the
+    /// files being `files[class.code()]` registers long.
+    pub(crate) fn past(self, files: &[usize; 3]) -> bool {
+        usize::from(self.index) >= files[usize::from(self.class.code())]
+    }
 }
 
 impl fmt::Display for PReg {
@@ -564,6 +570,10 @@ pub enum MInst {
 ///   (the class of field `f`) or `mem f` (float if the `bool` field `f` is
 ///   set, integer otherwise). A register role without one dispatches on the
 ///   operand's own class at run time, so every class is valid there.
+/// * a kind that names the `vec` file for an operand is a *vector kind*,
+///   refused on a target without a vector unit; a `val elem` field is the
+///   lane width of a vector kind that works lane by lane, from which
+///   preparation computes its lane count.
 #[doc(hidden)]
 #[macro_export]
 macro_rules! minst_shapes {
@@ -627,42 +637,143 @@ macro_rules! annotated_class {
     };
 }
 
-/// The six roles of [`minst_shapes!`]; any other word does not expand.
-macro_rules! known_role {
-    (def) => {};
-    (use) => {};
-    (odef) => {};
-    (ouse) => {};
-    (uses) => {};
-    (val) => {};
+/// The register operands of one `role` field of [`minst_shapes!`], as an
+/// iterator; the six roles are the only words that expand.
+macro_rules! role_regs {
+    (def $f:ident) => {
+        std::iter::once(*$f)
+    };
+    (use $f:ident) => {
+        std::iter::once(*$f)
+    };
+    (odef $f:ident) => {
+        $f.iter().copied()
+    };
+    (ouse $f:ident) => {
+        $f.iter().copied()
+    };
+    (uses $f:ident) => {
+        $f.iter().copied()
+    };
+    (val $f:ident) => {
+        std::iter::empty::<PReg>()
+    };
 }
 
-macro_rules! class_check {
+/// `true` for the register-file annotation `vec` of [`minst_shapes!`].
+macro_rules! names_vec {
+    (vec) => {
+        true
+    };
+    ($($other:tt)+) => {
+        false
+    };
+}
+
+/// The lane width a field of [`minst_shapes!`] gives: `Some` for the field
+/// named `elem`, `None` for any other (`lane_width!(field field)`).
+macro_rules! lane_width {
+    (elem $f:ident) => {
+        Some(*$f)
+    };
+    ($other:ident $f:ident) => {
+        None
+    };
+}
+
+/// How one `role` field of [`minst_shapes!`] is written in [`MInst`]'s
+/// `Display`: registers by their own `Display`, anything else by `Debug`.
+macro_rules! role_text {
+    (def $f:ident) => {
+        $f.to_string()
+    };
+    (use $f:ident) => {
+        $f.to_string()
+    };
+    (odef $f:ident) => {
+        $f.map_or_else(|| "none".to_owned(), |r| r.to_string())
+    };
+    (ouse $f:ident) => {
+        $f.map_or_else(|| "none".to_owned(), |r| r.to_string())
+    };
+    (uses $f:ident) => {
+        format!(
+            "[{}]",
+            $f.iter()
+                .map(PReg::to_string)
+                .collect::<Vec<_>>()
+                .join(", ")
+        )
+    };
+    (val $f:ident) => {
+        format!("{:?}", $f)
+    };
+}
+
+macro_rules! operand_walks {
     ($($tag:literal $variant:ident {
         $($role:ident $(($($class:tt)+))? $field:ident),*
     })*) => {
         impl MInst {
-            /// The first register operand whose class is not the one this
-            /// instruction's handler indexes it in (the annotations of
-            /// [`minst_shapes!`]), if there is one. Preparation refuses such
-            /// an instruction: the handlers index the file the instruction
-            /// kind implies without looking at the operand's class.
+            /// `true` for vector instructions (only valid on SIMD-capable
+            /// targets): the kinds whose row names the `vec` file.
+            pub fn is_vector(&self) -> bool {
+                match self {
+                    $(MInst::$variant { .. } => false $($(|| names_vec!($($class)+))?)*,)*
+                }
+            }
+
+            /// The lane width of a vector kind that works lane by lane: its
+            /// row's `elem` field.
             #[allow(unused_variables)]
-            pub(crate) fn class_mismatch(&self) -> Option<PReg> {
+            pub(crate) fn lane_width(&self) -> Option<Width> {
+                match self {
+                    $(MInst::$variant { $($field),* } => None $(.or(lane_width!($field $field)))*,)*
+                }
+            }
+
+            /// Fact 1 of `PreparedProgram::prepare` for this instruction, on
+            /// register files of `files[class.code()]` registers each: the
+            /// first register operand whose class is not the file its
+            /// handler indexes (the annotations of [`minst_shapes!`]; an
+            /// operand without one is indexed in the file of its own class),
+            /// else the first whose index is not below its file's size.
+            /// Preparation refuses an instruction that has one: the handlers
+            /// index the file the instruction kind implies, unchecked.
+            #[allow(unused_variables)]
+            pub(crate) fn bad_operand(&self, files: &[usize; 3]) -> Option<PReg> {
                 match self {
                     $(MInst::$variant { $($field),* } => {
-                        $(known_role!($role);)*
                         $($(if $field.class != annotated_class!($($class)+) {
                             return Some(*$field);
                         })?)*
+                        $(if let Some(r) = role_regs!($role $field).find(|r| r.past(files)) {
+                            return Some(r);
+                        })*
                         None
+                    })*
+                }
+            }
+        }
+
+        /// `Variant { field: value, … }` in row order, with registers
+        /// written `r3` / `f2` / `v1`.
+        impl fmt::Display for MInst {
+            #[allow(unused_variables)]
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self {
+                    $(MInst::$variant { $($field),* } => {
+                        let fields: Vec<String> = vec![
+                            $(format!("{}: {}", stringify!($field), role_text!($role $field))),*
+                        ];
+                        write!(f, "{} {{ {} }}", stringify!($variant), fields.join(", "))
                     })*
                 }
             }
         }
     };
 }
-minst_shapes!(class_check);
+minst_shapes!(operand_walks);
 
 impl MInst {
     /// `true` if this instruction ends a basic block.
@@ -670,21 +781,6 @@ impl MInst {
         matches!(
             self,
             MInst::Jump { .. } | MInst::BranchNz { .. } | MInst::Ret { .. }
-        )
-    }
-
-    /// `true` for vector instructions (only valid on SIMD-capable targets).
-    pub fn is_vector(&self) -> bool {
-        matches!(
-            self,
-            MInst::VecLoad { .. }
-                | MInst::VecStore { .. }
-                | MInst::VecSplatInt { .. }
-                | MInst::VecSplatFloat { .. }
-                | MInst::VecIntOp { .. }
-                | MInst::VecFloatOp { .. }
-                | MInst::VecReduceInt { .. }
-                | MInst::VecReduceFloat { .. }
         )
     }
 

@@ -37,28 +37,30 @@ const ALLOCATIONS_PER_MINST_BUDGET: f64 = 0.54;
 /// that the two typed records replaced).
 const DECODE_ALLOCATIONS_BUDGET: u64 = 230;
 
-/// What `PreparedProgram::prepare_with` may allocate, on top of two per call
-/// site (the boxed call record and its argument list).
+/// What `PreparedProgram::prepare_with` may allocate, on top of what the
+/// call tables cost: one per function that calls (its table) and one per
+/// call site (its argument list).
 ///
 /// Per program: the name index, the function list and the program's name.
-/// Per function, under either timing tier, eight vectors are kept (the name,
-/// the parameters, the block offsets, `code`, `info`, `ops`, `meta`,
-/// `targets`). The threaded builder's scratch tables are allocated once per
-/// program, sized for its longest function (the catalogue measures 8.1 per
-/// function all told, the module with calls 8.7; when each function that
-/// was the largest so far grew them, 8.4 and 9.7; with a second 1:1 record
+/// Per function, under either timing tier, seven vectors are kept (the name,
+/// the parameters, `code`, `info`, `ops`, `meta`, `targets`). The threaded
+/// builder's scratch tables are allocated once per program, sized for its
+/// longest function (the catalogue measures 7.1 per function all told, the
+/// module with calls 7.7 beside its call tables; with eight kept vectors and
+/// a boxed record per call, 8.1 and 8.7; when each function that was the
+/// largest so far grew the scratch, 8.4 and 9.7; with a second 1:1 record
 /// stream per function the ceiling was 11, and growing every table from
 /// empty measured 29.8).
 const PREPARE_ALLOCATIONS_PER_PROGRAM: u64 = 3;
-const PREPARE_ALLOCATIONS_PER_FUNCTION: u64 = 10;
+const PREPARE_ALLOCATIONS_PER_FUNCTION: u64 = 9;
 
 /// What in-order timing adds per function: the two tables of segment
 /// summaries each function keeps, `segs` (sized from its regions and
 /// selects) and `keys` (copied out of the recorder at its exact length).
 /// The recorder's own two scratch tables are allocated once per program, at
 /// the size of its longest function and its largest register file (the
-/// catalogue measures 10.2 per function all told, the module with calls
-/// 11.3).
+/// catalogue measures 9.2 per function all told, the module with calls
+/// 10.3).
 const PREPARE_IN_ORDER_ALLOCATIONS_PER_FUNCTION: u64 = 2;
 
 /// The optimized 17-kernel catalogue module, as the offline step ships it.
@@ -92,7 +94,7 @@ fn compile_everywhere(module: &Module, options: &JitOptions) -> (u64, usize, u64
     (allocations, emitted, work)
 }
 
-/// A module whose functions call each other, for the per-call-site term of
+/// A module whose functions call each other, for the call-table terms of
 /// the preparation gate.
 fn module_with_calls() -> Module {
     let mut module = compile_source(
@@ -127,16 +129,21 @@ fn prepare_everywhere(module: &Module, timing: TimingKind) -> (u64, u64) {
             allocations_in(|| PreparedProgram::prepare_with(&program, &target, true));
         prepared.unwrap_or_else(|e| panic!("{} on {}: {e}", module.name, target.name));
         allocations += n;
-        let calls = program
-            .functions
-            .iter()
-            .flat_map(|f| &f.blocks)
-            .flat_map(|b| &b.insts)
-            .filter(|i| matches!(i, MInst::Call { .. }))
-            .count() as u64;
+        let (mut calls, mut calling) = (0, 0);
+        for f in &program.functions {
+            let sites = f
+                .blocks
+                .iter()
+                .flat_map(|b| &b.insts)
+                .filter(|i| matches!(i, MInst::Call { .. }))
+                .count() as u64;
+            calls += sites;
+            calling += u64::from(sites > 0);
+        }
         gate += PREPARE_ALLOCATIONS_PER_PROGRAM
             + per_function * program.functions.len() as u64
-            + 2 * calls;
+            + calling
+            + calls;
     }
     (allocations, gate)
 }

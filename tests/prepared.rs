@@ -957,7 +957,7 @@ fn prepared_listings_keep_their_recorded_skeleton_on_every_cell() {
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, target.name));
                 let prepared = PreparedProgram::prepare_with(&program, &target, fuse)
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, target.name));
-                let skeleton = listing_skeleton(&prepared.disasm());
+                let skeleton = listing_skeleton(&prepared.disasm(&program));
                 let cell = format!(
                     "{} on {} ({:?}, fuse {fuse})",
                     kernel.name, target.name, target.timing
