@@ -1741,8 +1741,7 @@ pub(crate) fn build_threaded(
     let mut code: Vec<OpRecord> = Vec::with_capacity(rows);
     let mut info: Vec<OpInfo> = Vec::with_capacity(rows);
     let mut calls: Vec<CallSite> = Vec::with_capacity(ncalls);
-    // One region per block plus one per call (its return point); one
-    // segment per region plus one per scalar select.
+    // One region per block plus one per call (its return point).
     let entry = BlockTarget {
         ops_pc: 0,
         row: 0,
@@ -1860,6 +1859,7 @@ pub(crate) fn build_threaded(
             kinds.push(K_NONE);
         }
     }
+    // One segment per region plus one per scalar select.
     let mut segs = Vec::new();
     if let Some(rec) = recorder.as_mut() {
         rec.clear();

@@ -2972,6 +2972,17 @@ mod tests {
         assert!(text.contains("dispatch: threaded"), "{text}");
         assert!(text.contains("fuse.indvar4"), "{text}");
         assert!(text.contains("entry charge"), "{text}");
+        // Each row is written from its instruction, a fused record's
+        // constituents in order, the branch's targets as block numbers.
+        assert!(
+            text.contains("@0        Imm { dst: r1, value: 0 } "),
+            "{text}"
+        );
+        let step = "fuse.indvar4 { IntOp { op: Add, width: W64, signed: true, dst: r4, \
+                    lhs: r1, rhs: r2 } ; Mov { dst: r1, src: r4 } ; IntCmp { pred: Lt, \
+                    width: W64, signed: true, dst: r5, lhs: r1, rhs: r0 } ; BranchNz { \
+                    cond: r5, then_target: 1, else_target: 2 } } ; cycles 1 + 1 + 1 + 2/1";
+        assert!(text.contains(step), "{text}");
         let unfused = PreparedProgram::prepare_with(&p, &target, false).unwrap();
         assert!(
             !unfused.disasm(&p).contains("fuse."),
