@@ -889,19 +889,27 @@ fn vector_lanes_match_the_legacy_walk_and_their_recorded_digest() {
     assert_eq!(digests, pinned, "vector lane semantics moved");
 }
 
-/// Fold of the listing skeletons below: one [`Pins`] cell per catalogue
-/// kernel × preset × timing tier × fusion setting, each the FNV-1a of what
-/// `splitc disasm` prints for it with every instruction's own text blanked.
-const LISTING_SKELETON_PIN: u64 = 7_983_629_507_880_974_839;
+/// Fold of the listing skeletons below for `fuse: false`: one [`Pins`] cell
+/// per catalogue kernel × preset × timing tier, each the FNV-1a of what
+/// `splitc disasm --no-fuse` prints for it with the program header and every
+/// instruction's own text blanked.
+const UNWELDED_SKELETON_PIN: u64 = 11_288_217_003_864_215_142;
 
-/// A `splitc disasm` listing with the instruction text blanked: on a record
-/// line, what lies between the `@span` column and `; cycles`, and inside a
-/// fused record's `{ … }`. Everything else stays: the header and its fusion
-/// counts, every function line, record index, span, pair mark, `fuse.*`
-/// kind, cycle, `lat` and fuel column, region charge and segment summary.
+/// The same fold for `fuse: true`, whose listings also carry the weld marks.
+const WELDED_SKELETON_PIN: u64 = 3_976_652_646_236_226_118;
+
+/// A `splitc disasm` listing with the program header (every line before the
+/// first `fn` line) and the instruction text blanked: on a record line, what
+/// lies between the `@span` column and `; cycles`, and inside a fused
+/// record's `{ … }`. Everything else stays: every function line, record
+/// index, span, pair mark, `fuse.*` kind, cycle, `lat` and fuel column,
+/// region charge and segment summary.
 fn listing_skeleton(listing: &str) -> String {
     let mut out = String::new();
-    for line in listing.lines() {
+    let body = listing
+        .find("\nfn ")
+        .map_or(listing, |at| &listing[at + 1..]);
+    for line in body.lines() {
         let trimmed = line.trim_start();
         let record = trimmed.starts_with(|c: char| c.is_ascii_digit())
             && trimmed.contains('@')
@@ -940,7 +948,7 @@ fn prepared_listings_keep_their_recorded_skeleton_on_every_cell() {
     // cycle charges, region prepayments and in-order segment summaries are
     // what preparation decides, and the skeleton pins all of them apart
     // from how each instruction is spelt.
-    let mut pins = Pins::default();
+    let (mut welded, mut unwelded) = (Pins::default(), Pins::default());
     for kernel in all_kernels() {
         let mut module = compile_source(kernel.source, kernel.name).expect("kernel compiles");
         optimize_module(&mut module, &OptOptions::full());
@@ -962,9 +970,11 @@ fn prepared_listings_keep_their_recorded_skeleton_on_every_cell() {
                     "{} on {} ({:?}, fuse {fuse})",
                     kernel.name, target.name, target.timing
                 );
+                let pins = if fuse { &mut welded } else { &mut unwelded };
                 pins.push(cell, Fnv1a::hash(skeleton.as_bytes()));
             }
         }
     }
-    pins.check(LISTING_SKELETON_PIN);
+    unwelded.check(UNWELDED_SKELETON_PIN);
+    welded.check(WELDED_SKELETON_PIN);
 }
