@@ -24,12 +24,12 @@
 //!   prints the deploy-time artifact the executor actually dispatches: the
 //!   prepared instruction stream with resolved block offsets, per-instruction
 //!   cycle costs, per-region fuel-and-prepaid-cycle charges, and — unless
-//!   `--no-fuse` is given — the fused macro-ops with their constituent spans.
+//!   `--no-fuse` is given — a `+` on each record that opens a welded pair.
 //!   `--timing in-order` prepares under the pipelined timing tier instead:
 //!   the same stream, whose regions then prepay 0 cycles (the pipeline
 //!   computes them as each region closes) and whose ops are annotated with
 //!   their latency class, so stall attribution is inspectable. This is the
-//!   debugging surface for fusion and cost decisions.
+//!   debugging surface for weld and cost decisions.
 //! * `bench` prepares one of the workload-catalogue kernels (which take
 //!   pointer arguments) with generated data and reports simulated cycles on
 //!   the chosen target, or on all Table 1 targets when none is given. The
@@ -793,14 +793,14 @@ mod tests {
 
     #[test]
     fn disasm_prints_the_prepared_stream_for_catalogue_kernels() {
-        cmd_disasm(vec!["saxpy_f32".into()]).expect("fused disasm succeeds");
+        cmd_disasm(vec!["saxpy_f32".into()]).expect("welded disasm succeeds");
         cmd_disasm(vec![
             "sum_u8".into(),
             "--target".into(),
             "powerpc".into(),
             "--no-fuse".into(),
         ])
-        .expect("unfused disasm succeeds");
+        .expect("unwelded disasm succeeds");
         assert!(cmd_disasm(vec!["saxpy_f32".into(), "--target".into(), "vax".into()]).is_err());
         assert!(cmd_disasm(vec!["no_such_kernel_or_file".into()]).is_err());
         assert!(cmd_disasm(vec![]).is_err());

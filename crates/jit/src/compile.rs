@@ -19,11 +19,11 @@ pub struct JitOptions {
     /// this reproduces a JIT that ignores the vector builtins even on a
     /// vector-capable machine.
     pub allow_simd: bool,
-    /// Fuse adjacent instructions into macro-ops when the deployment is
-    /// prepared for execution (compare+branch, load+op, induction-variable
-    /// steps). Purely a dispatch-speed knob: results, traps and `SimStats`
-    /// are bit-identical with fusion on or off, which the differential
-    /// suites exploit by pinning `fuse: false` runs against fused ones.
+    /// Weld adjacent records in pairs when the deployment is prepared for
+    /// execution (the first record's handler runs both). Purely a
+    /// dispatch-speed knob: results, traps and `SimStats` are bit-identical
+    /// with welding on or off, which the differential suites exploit by
+    /// pinning `fuse: false` runs against welded ones.
     pub fuse: bool,
 }
 

@@ -954,11 +954,11 @@ mod tests {
         // `prepare_with` and the executor. Accepted outcomes: a reject, a
         // prepare error, or a run (result, trap or fuel exhaustion) whose
         // digest is the one recorded from the block walk of the loaded
-        // program at the same fuel, fused or not. Never a panic — which
+        // program at the same fuel, welded or not. Never a panic — which
         // under `debug_assertions` includes the `debug_assert!`s beside the
         // executor's unchecked register reads.
         // The 2 400 entries split over two flat targets and one in-order
-        // one; every other entry is prepared unfused as well.
+        // one; every other entry is prepared unwelded as well.
         use splitc_opt::{optimize_module, OptOptions};
         use splitc_targets::{PreparedProgram, TimingKind};
         let mut module = compile_source(
@@ -990,7 +990,7 @@ mod tests {
         let store = temp_store("payload-fuzz");
         let options = JitOptions::split();
         let mut rng = Rng(0x5eed_0021_c0de_u64);
-        let (mut rejected, mut unprepared, mut ran, mut ran_unfused) = (0, 0, 0, 0);
+        let (mut rejected, mut unprepared, mut ran, mut ran_unwelded) = (0, 0, 0, 0);
         let mut ran_in_order = 0;
         let mut cells = Vec::new();
         let targets = [
@@ -1023,30 +1023,30 @@ mod tests {
                     rejected += 1;
                     continue;
                 };
-                let fused = PreparedProgram::prepare_with(&loaded.program, &target, true);
-                let unfused = (entry % 2 == 1)
+                let welded = PreparedProgram::prepare_with(&loaded.program, &target, true);
+                let unwelded = (entry % 2 == 1)
                     .then(|| PreparedProgram::prepare_with(&loaded.program, &target, false));
-                if let Some(unfused) = &unfused {
+                if let Some(unwelded) = &unwelded {
                     assert_eq!(
-                        unfused.is_ok(),
-                        fused.is_ok(),
-                        "fusion decided whether {:?} prepares",
+                        unwelded.is_ok(),
+                        welded.is_ok(),
+                        "welding decided whether {:?} prepares",
                         loaded.program
                     );
                 }
-                let Ok(prepared) = fused else {
+                let Ok(prepared) = welded else {
                     unprepared += 1;
                     continue;
                 };
                 let digest = run_every_function(&prepared, &loaded.program);
-                if let Some(Ok(unfused)) = &unfused {
+                if let Some(Ok(unwelded)) = &unwelded {
                     assert_eq!(
-                        run_every_function(unfused, &loaded.program),
+                        run_every_function(unwelded, &loaded.program),
                         digest,
-                        "fusion changed a run of {:?}",
+                        "welding changed a run of {:?}",
                         loaded.program
                     );
-                    ran_unfused += 1;
+                    ran_unwelded += 1;
                 }
                 cells.push((format!("{} entry {entry}", target.name), digest));
                 ran += 1;
@@ -1059,10 +1059,10 @@ mod tests {
         // every outcome class is exercised, none by accident.
         println!(
             "payload fuzz: {rejected} rejected, {unprepared} failed to prepare, {ran} ran \
-             ({ran_unfused} unfused too, {ran_in_order} in order)"
+             ({ran_unwelded} unwelded too, {ran_in_order} in order)"
         );
         assert!(rejected > 200 && unprepared > 200 && ran > 200);
-        assert!(ran_unfused > 100 && ran_in_order > 100);
+        assert!(ran_unwelded > 100 && ran_in_order > 100);
         // Every run's digest, recorded from the block walk's runs: on a
         // mismatch each entry's is printed, for a diff against a tree where
         // the fold held.

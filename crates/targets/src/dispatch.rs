@@ -1,5 +1,5 @@
-//! Instruction handlers, threaded dispatch and macro-op fusion over the
-//! prepared stream.
+//! Instruction handlers, threaded dispatch and welding over the prepared
+//! stream.
 //!
 //! Every [`MInst`] is lowered to an [`OpRecord`] — a packed 32-byte operand
 //! record whose first field is the **handler fn pointer** — and the handlers
@@ -15,8 +15,8 @@
 //! aborts the whole execution via a trap (`refund_unretired` gives back what
 //! had not retired, on that cold path), or — when fuel can no longer cover
 //! its prepayment — is never entered: the **fuel tail** ([`run_dry`]) runs
-//! the prefix of its instructions the fuel affords, each on its unfused
-//! record ([`lower`]), charges what they fetched and stops
+//! the prefix of its instructions the fuel affords, each on its own handler,
+//! charges what they fetched and stops
 //! the run with `OutOfFuel` at exactly the instruction it ran out on. Region
 //! entry is also where the run's deadline, if its [`FramePool`] carries one,
 //! is polled: one branch without a deadline, and a passed deadline stops the
@@ -44,12 +44,11 @@
 //! settle always does. Flat timing pays for this one predictable branch per
 //! region close and two stores per region entry, and builds no segments.
 //!
-//! On the threaded stream adjacent instructions are **fused into macro-ops**
-//! (compare+branch, load+ALU, and the 3- and 4-instruction
-//! induction-variable steps the lowered indvar shape produces) whose handlers
-//! are compositions of the plain handlers' bodies, and any two adjacent
-//! records of common kinds are **welded**: the first one's handler runs
-//! both. Neither is visible in `SimStats`.
+//! The stream holds exactly one record per *row* — one machine instruction,
+//! or a synthesized fall-off trap — so a record's index is its row. The one
+//! dispatch optimization is **welding**: any two adjacent records of common
+//! kinds in a region are welded, the first one's handler swapped for one that
+//! runs both. It is not visible in `SimStats`.
 //!
 //! Nothing can fail to pack: register numbers are `u16` by type (vector
 //! handlers scale them to byte offsets), and records carry no cycle costs —
@@ -58,17 +57,16 @@
 //! [`CostModel`](crate::CostModel).
 //!
 //! Preparation walks each function's blocks once ([`build_threaded`]): it
-//! checks each instruction, lowers it to its unfused record ([`lower`]) and
-//! its `OpInfo` row, and fuses macro-ops over the rest of its block
-//! ([`try_fuse`]). The unfused records stay beside the threaded stream, one
-//! per *row*, for the fuel tail. This is deploy-time work a device pays on
-//! every bring-up, so the builder allocates only what the function keeps,
-//! once each: `code`, `info`, `ops` and `meta` are sized from its row count
-//! (fusion only shortens the stream), `calls` and `targets` from its blocks
-//! and calls and, under in-order timing, `segs` from its regions and selects
-//! and `keys` from what its segments recorded; the region pass's scratch
-//! tables live in a [`ThreadedScratch`] that `prepare_with` sizes once per
-//! program and reuses across its functions.
+//! checks each instruction and lowers it to its record ([`lower`]), its
+//! `OpInfo` row and its pair kind ([`pair_kind`]), which the welding sweep
+//! reads and from which the fuel tail recovers a welded opener's own handler
+//! ([`base`]). This is deploy-time work a device pays on every bring-up, so
+//! the builder allocates only what the function keeps, once each: `ops`,
+//! `info` and `kinds` are sized from its row count, `calls` and `targets`
+//! from its blocks and calls and, under in-order timing, `segs` from its
+//! regions and selects and `keys` from what its segments recorded; the
+//! region pass's scratch table lives in a [`ThreadedScratch`] that
+//! `prepare_with` sizes once per program and reuses across its functions.
 
 use crate::exec::{
     op_info, retire_run, store_slot_vec, CallSite, Frame, FramePool, OpInfo, Prep,
@@ -80,6 +78,7 @@ use crate::simulator::{
     write_lane_float, write_lane_int, write_mem, MachineValue, SimError, SimStats,
 };
 use crate::timing::{InOrderPipeline, Recorder, Summary, TimingKind};
+use std::ops::Range;
 
 /// A handler executes one packed record against the live execution context.
 ///
@@ -185,29 +184,25 @@ impl StaticStats {
     }
 }
 
-/// Trap-path correction: record `k` of `f` raised an error after its region
+/// Trap-path correction: row `k` of `f` raised an error after its region
 /// was prepaid in full, so give back the charges for everything that had
-/// *not* retired by that point — record `k` and the rest of
-/// its region, except the faulting source instruction's own fetch. Cycles
-/// are given back only if they were prepaid (`flat`).
+/// *not* retired by that point — row `k` and the rest of its region, except
+/// the faulting instruction's own fetch. Cycles are given back only if they
+/// were prepaid (`flat`).
 #[cold]
 fn refund_unretired(f: &PreparedFunction, k: usize, stats: &mut SimStats, flat: bool) {
     let mut instructions = 0;
     let mut unretired = SimStats::default();
-    for m in &f.meta[k..] {
-        let span = m.row as usize..m.row as usize + usize::from(m.len);
-        instructions += u64::from(m.len);
-        f.info[span.clone()]
-            .iter()
-            .for_each(|i| i.prepay(&mut unretired));
-        if f.info[span.end - 1].is(OpInfo::CLOSES) {
+    for info in &f.info[k..] {
+        instructions += 1;
+        info.prepay(&mut unretired);
+        if info.is(OpInfo::CLOSES) {
             break;
         }
     }
-    let first = &f.info[f.meta[k].row as usize];
-    // Only the first constituent of a record can trap, and it was fetched —
-    // unless it is a fall-off, whose failed fetch retired nothing (its fuel
-    // stays consumed).
+    let first = &f.info[k];
+    // The faulting instruction was fetched — unless it is a fall-off, whose
+    // failed fetch retired nothing (its fuel stays consumed).
     if !first.is(OpInfo::FELL_OFF) {
         instructions -= 1;
     }
@@ -229,13 +224,13 @@ fn refund_unretired(f: &PreparedFunction, k: usize, stats: &mut SimStats, flat: 
 
 /// Where control can land in the threaded stream: each basic block gets one
 /// (index == block index), and each call gets one for its return point.
-/// `charge` is the region's source-instruction count, prepaid (fuel and
-/// `stats.instructions`) when the region is entered; `stat` is the region's
-/// static counter sum, prepaid alongside it; `seg` indexes the region's
-/// first segment under in-order timing (its others follow it).
+/// `row` is the region's first row (and record); `charge` is its
+/// source-instruction count, prepaid (fuel and `stats.instructions`) when
+/// the region is entered; `stat` is the region's static counter sum, prepaid
+/// alongside it; `seg` indexes the region's first segment under in-order
+/// timing (its others follow it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockTarget {
-    pub(crate) ops_pc: u32,
     pub(crate) row: u32,
     pub(crate) charge: u32,
     pub(crate) seg: u32,
@@ -271,75 +266,20 @@ pub(crate) fn retire_segment(
     false
 }
 
-/// Per-record provenance: which rows a record covers and
-/// whether it is a fused macro-op. Cold data — only read by `disasm` and the
-/// trap path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct OpMeta {
-    pub(crate) row: u32,
-    pub(crate) len: u8,
-    pub(crate) fused: FuseKind,
-    /// A pair opener: its handler also executes the following record.
-    pub(crate) paired: bool,
-}
-
-/// The macro-op fusion catalogue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FuseKind {
-    /// Not fused: the unfused record of one instruction.
-    None,
-    /// `IntCmp` + `BranchNz` on the compare result.
-    CmpBranchInt,
-    /// `FloatCmp` + `BranchNz` on the compare result.
-    CmpBranchFloat,
-    /// `LoadInt` + dependent `IntOp` (no `Div`/`Rem`: only the first
-    /// constituent of a fused op may trap).
-    LoadIntOp,
-    /// `LoadFloat` + dependent `FloatOp` (fp ops never trap).
-    LoadFloatOp,
-    /// `add i,i,s ; cmp t,i,n ; bnz t` — the compact induction-variable step.
-    IndVar3,
-    /// `add tmp,i,s ; mov i,tmp ; cmp t,i,n ; bnz t` — the shape the
-    /// bytecode lowering actually produces for annotated induction variables.
-    IndVar4,
-}
-
-impl FuseKind {
-    /// Short label used by `disasm`.
-    pub(crate) fn label(self) -> &'static str {
-        match self {
-            FuseKind::None => "none",
-            FuseKind::CmpBranchInt => "cmp_branch.i",
-            FuseKind::CmpBranchFloat => "cmp_branch.f",
-            FuseKind::LoadIntOp => "load_op.i",
-            FuseKind::LoadFloatOp => "load_op.f",
-            FuseKind::IndVar3 => "indvar3",
-            FuseKind::IndVar4 => "indvar4",
-        }
-    }
-}
-
-/// Static macro-op fusion counts for one prepared program: how many fused
-/// records of each kind the prepare-time pass emitted across all functions.
+/// Static welding counts for one prepared program.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusionStats {
-    /// Fused compare+branch records (integer and floating-point).
-    pub cmp_branch: u64,
-    /// Fused load+ALU records (integer and floating-point).
-    pub load_op: u64,
-    /// Fused induction-variable step records (3- and 4-instruction shapes).
-    pub indvar: u64,
-    /// Adjacent records welded by the second-level pairing sweep: the first
-    /// record's handler executes both, halving dispatch round-trips on the
-    /// covered stretch. Constituents keep their own records, so any two
-    /// eligible neighbours pair regardless of shape.
+    /// Adjacent records welded by the pairing sweep: the first record's
+    /// handler executes both, halving dispatch round-trips on the covered
+    /// stretch. Constituents keep their own records, so any two eligible
+    /// neighbours pair regardless of shape.
     pub pair: u64,
 }
 
 impl FusionStats {
-    /// Total fused records of any kind.
+    /// Total welded pairs.
     pub fn total(&self) -> u64 {
-        self.cmp_branch + self.load_op + self.indvar + self.pair
+        self.pair
     }
 }
 
@@ -440,16 +380,24 @@ impl<'a> ExecCtx<'a> {
         true
     }
 
-    /// Run the unfused records `code` of straight-line instructions, the
-    /// first of which sits at row `pc` (the fuel tail's prefix): how many
-    /// retired, and the trap of the one after them if it raised one.
-    fn run_straight(&mut self, code: &[OpRecord], pc: usize) -> (usize, Option<SimError>) {
-        for (i, op) in code.iter().enumerate() {
-            if (op.handler)(op, self, (pc + i) as u32) >= FLOW_RET {
-                return (i, Some(self.take_err()));
+    /// Run the straight-line rows `rows` one at a time, each on its own
+    /// handler — a welded opener's is [`base`] of its pair kind — (the fuel
+    /// tail's prefix): how many retired, and the trap of the one after them
+    /// if it raised one.
+    fn run_straight(&mut self, rows: Range<usize>) -> (usize, Option<SimError>) {
+        let f = self.f;
+        for pc in rows.clone() {
+            let (op, kind) = (&f.ops[pc], usize::from(f.kinds[pc]));
+            let handler = if kind < NFIRST {
+                base(kind)
+            } else {
+                op.handler
+            };
+            if handler(op, self, pc as u32) >= FLOW_RET {
+                return (pc - rows.start, Some(self.take_err()));
             }
         }
-        (code.len(), None)
+        (rows.len(), None)
     }
 
     #[cold]
@@ -584,7 +532,7 @@ fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
         cx.stats.instructions += charge;
         t.stat.charge(cx.stats);
         (cx.charged, cx.seg) = (t.row, t.seg);
-        u64::from(t.ops_pc)
+        u64::from(t.row)
     } else {
         run_dry(cx, tidx)
     }
@@ -593,8 +541,8 @@ fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
 /// The fuel tail: the remaining fuel F is below region `tidx`'s charge,
 /// which counts every instruction through the closing control op, so F
 /// affords a strict prefix of the region's straight-line instructions and
-/// the fetch that fails lies before that op. Run the prefix on its unfused
-/// records, retire its rows — under in-order timing the scalar
+/// the fetch that fails lies before that op. Run the prefix one row at a
+/// time, retire its rows — under in-order timing the scalar
 /// selects' handlers settle their segments and retire on the register they
 /// chose, as on the stream — and charge fuel, `stats.instructions` and the
 /// counters for what was fetched: the retired instructions, plus one that
@@ -609,7 +557,7 @@ fn run_dry(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
     // Below the region's `u32` charge.
     let afforded = *cx.fuel as usize;
     (cx.charged, cx.seg) = (t.row, t.seg);
-    let (retired, trap) = cx.run_straight(&f.code[start..start + afforded], start);
+    let (retired, trap) = cx.run_straight(start..start + afforded);
     cx.retire_to((start + retired) as u32);
     let mut sum = SimStats::default();
     for info in &f.info[start..start + retired] {
@@ -649,16 +597,15 @@ pub(crate) fn run_ops(cx: &mut ExecCtx<'_>) -> Result<Option<MachineValue>, SimE
         _ => {
             // The region was prepaid in full; give back the charges for
             // everything that had not retired by the faulting instruction
-            // (cold path). The low bits index the
-            // faulting record — a welded handler reports the constituent
-            // that trapped. Under in-order timing the rows ahead of it
-            // retire first (a `Ret`'s own move too: it retires before its
-            // vector-class check traps) and no cycles were prepaid.
-            let k = r as u32 as usize;
-            let first = f.meta[k].row;
-            let own = u32::from(f.info[first as usize].is(OpInfo::RET));
-            let flat = !cx.retire_to(first + own);
-            refund_unretired(f, k, cx.stats, flat);
+            // (cold path). The low bits index the faulting row — a welded
+            // handler reports the constituent that trapped. Under in-order
+            // timing the rows ahead of it retire first (a `Ret`'s own move
+            // too: it retires before its vector-class check traps) and no
+            // cycles were prepaid.
+            let k = r as u32;
+            let own = u32::from(f.info[k as usize].is(OpInfo::RET));
+            let flat = !cx.retire_to(k + own);
+            refund_unretired(f, k as usize, cx.stats, flat);
             Err(cx.take_err())
         }
     }
@@ -666,8 +613,7 @@ pub(crate) fn run_ops(cx: &mut ExecCtx<'_>) -> Result<Option<MachineValue>, SimE
 
 // ---------------------------------------------------------------------------
 // Flag packing helpers: operand shapes (width / signedness / opcode) are
-// packed into the record's spare `u16`s (or `imm` for fused ops) at prepare
-// time and decoded branch-free-ly by the handlers. The numbering is the
+// packed into the record's spare `u16`s at prepare time and decoded branch-free-ly by the handlers. The numbering is the
 // enums' own (`code()` / `from_code()` in `mcode.rs`, shared with the
 // artifact store); the masks are the field widths of the packing. Flag bits
 // are only ever written from a valid enum, so a decoder's fallback is never
@@ -719,150 +665,6 @@ fn red_from(bits: u16) -> RedOp {
     RedOp::from_code(bits as u8 & 3).unwrap_or(RedOp::Max)
 }
 
-/// Integer compare: both operands normalized to `width`, then compared
-/// signed or unsigned.
-#[inline(always)]
-fn int_compare(pred: CmpPred, width: Width, signed: bool, a: i64, b: i64) -> i64 {
-    let a = normalize(width, signed, a);
-    let b = normalize(width, signed, b);
-    if signed {
-        compare(pred, a, b)
-    } else {
-        compare(pred, a as u64, b as u64)
-    }
-}
-
-/// Float compare, single precision rounding both operands first (NaN ⇒
-/// only `Ne` holds).
-#[inline(always)]
-fn float_compare(pred: CmpPred, double: bool, a: f64, b: f64) -> i64 {
-    let (a, b) = if double {
-        (a, b)
-    } else {
-        (f64::from(a as f32), f64::from(b as f32))
-    };
-    if a.partial_cmp(&b).is_none() {
-        i64::from(pred == CmpPred::Ne)
-    } else {
-        compare(pred, a, b)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Instruction bodies shared between a plain handler and the fused handlers
-// that contain the instruction: decoded operands in, effect out. A fused
-// handler is the exact sequence of its constituents' bodies — including
-// writes to intermediate destinations, which later code may read.
-// ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn int_op(
-    cx: &mut ExecCtx<'_>,
-    (dst, lhs, rhs): (u16, u16, u16),
-    (op, width, signed): (AluOp, Width, bool),
-) -> Result<i64, SimError> {
-    let v = alu(
-        op,
-        width,
-        signed,
-        cx.int_at(lhs.into()),
-        cx.int_at(rhs.into()),
-    )?;
-    cx.set_int(dst.into(), v);
-    Ok(v)
-}
-
-#[inline(always)]
-fn float_op(cx: &mut ExecCtx<'_>, (dst, lhs, rhs): (u16, u16, u16), op: FpuOp, double: bool) {
-    let v = fpu(op, double, cx.float_at(lhs.into()), cx.float_at(rhs.into()));
-    cx.set_float(dst.into(), v);
-}
-
-#[inline(always)]
-fn int_cmp(
-    cx: &mut ExecCtx<'_>,
-    (dst, lhs, rhs): (u16, u16, u16),
-    (pred, width, signed): (CmpPred, Width, bool),
-) -> i64 {
-    let t = int_compare(
-        pred,
-        width,
-        signed,
-        cx.int_at(lhs.into()),
-        cx.int_at(rhs.into()),
-    );
-    cx.set_int(dst.into(), t);
-    t
-}
-
-#[inline(always)]
-fn float_cmp(
-    cx: &mut ExecCtx<'_>,
-    (dst, lhs, rhs): (u16, u16, u16),
-    pred: CmpPred,
-    double: bool,
-) -> i64 {
-    let t = float_compare(
-        pred,
-        double,
-        cx.float_at(lhs.into()),
-        cx.float_at(rhs.into()),
-    );
-    cx.set_int(dst.into(), t);
-    t
-}
-
-#[inline(always)]
-fn load_int(
-    cx: &mut ExecCtx<'_>,
-    (dst, base, offset): (u16, u16, i64),
-    (width, signed): (Width, bool),
-) -> Result<(), SimError> {
-    let addr = cx.int_at(base.into()).wrapping_add(offset);
-    let raw = read_mem(cx.mem, addr, width.bytes())?;
-    cx.set_int(dst.into(), normalize(width, signed, raw as i64));
-    Ok(())
-}
-
-#[inline(always)]
-fn load_float(
-    cx: &mut ExecCtx<'_>,
-    (dst, base, offset): (u16, u16, i64),
-    width: Width,
-) -> Result<(), SimError> {
-    let addr = cx.int_at(base.into()).wrapping_add(offset);
-    let raw = read_mem(cx.mem, addr, width.bytes())?;
-    let v = match width {
-        Width::W32 => f64::from(f32::from_bits(raw as u32)),
-        _ => f64::from_bits(raw),
-    };
-    cx.set_float(dst.into(), v);
-    Ok(())
-}
-
-/// Retire a conditional branch on the threaded stream: its taken/not-taken
-/// cycles are the one charge region prepayment cannot know, then the target
-/// region is entered. The predictor site is the `BranchNz`'s own row —
-/// the region's closing pc, where its last segment ends, also when a fused
-/// record retires it.
-#[inline(always)]
-fn branch(cx: &mut ExecCtx<'_>, taken: bool, then_region: u32, else_region: u32) -> u64 {
-    let cost = &cx.prog.cost;
-    let (region, cycles) = if taken {
-        (then_region, cost.branch_taken)
-    } else {
-        (else_region, cost.branch_not_taken)
-    };
-    let f = cx.f;
-    match cx.settle() {
-        Some((tm, stats, site)) => {
-            tm.branch(stats, site, taken, cycles, f.info[site as usize].key(1));
-        }
-        None => cx.stats.cycles += cycles,
-    }
-    enter(cx, region)
-}
-
 // ---------------------------------------------------------------------------
 // Handlers: what each instruction does to registers and memory, stated once.
 // Evaluation order and trap points are part of each instruction's semantics,
@@ -898,13 +700,17 @@ fn h_mov_vec(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 }
 
 fn h_int_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let shape = (alu_from(op.d), wfrom(op.d >> 4), op.d & (1 << 6) != 0);
-    tryh!(cx, pc, int_op(cx, (op.a, op.b, op.c), shape));
+    let (alu_op, width, signed) = (alu_from(op.d), wfrom(op.d >> 4), op.d & (1 << 6) != 0);
+    let (x, y) = (cx.int_at(op.b as usize), cx.int_at(op.c as usize));
+    let v = tryh!(cx, pc, alu(alu_op, width, signed, x, y));
+    cx.set_int(op.a as usize, v);
     u64::from(pc) + 1
 }
 
 fn h_float_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    float_op(cx, (op.a, op.b, op.c), fpu_from(op.d), op.d & (1 << 3) != 0);
+    let (x, y) = (cx.float_at(op.b as usize), cx.float_at(op.c as usize));
+    let v = fpu(fpu_from(op.d), op.d & (1 << 3) != 0, x, y);
+    cx.set_float(op.a as usize, v);
     u64::from(pc) + 1
 }
 
@@ -936,19 +742,37 @@ fn h_float_neg(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     u64::from(pc) + 1
 }
 
+/// Integer compare: both operands normalized to the width, then compared
+/// signed or unsigned.
 fn h_int_cmp(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let shape = (pred_from(op.d), wfrom(op.d >> 3), op.d & (1 << 5) != 0);
-    int_cmp(cx, (op.a, op.b, op.c), shape);
+    let (pred, width, signed) = (pred_from(op.d), wfrom(op.d >> 3), op.d & (1 << 5) != 0);
+    let a = normalize(width, signed, cx.int_at(op.b as usize));
+    let b = normalize(width, signed, cx.int_at(op.c as usize));
+    let t = if signed {
+        compare(pred, a, b)
+    } else {
+        compare(pred, a as u64, b as u64)
+    };
+    cx.set_int(op.a as usize, t);
     u64::from(pc) + 1
 }
 
+/// Float compare, single precision rounding both operands first (NaN ⇒
+/// only `Ne` holds).
 fn h_float_cmp(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    float_cmp(
-        cx,
-        (op.a, op.b, op.c),
-        pred_from(op.d),
-        op.d & (1 << 3) != 0,
-    );
+    let (a, b) = (cx.float_at(op.b as usize), cx.float_at(op.c as usize));
+    let (a, b) = if op.d & (1 << 3) != 0 {
+        (a, b)
+    } else {
+        (f64::from(a as f32), f64::from(b as f32))
+    };
+    let pred = pred_from(op.d);
+    let t = if a.partial_cmp(&b).is_none() {
+        i64::from(pred == CmpPred::Ne)
+    } else {
+        compare(pred, a, b)
+    };
+    cx.set_int(op.a as usize, t);
     u64::from(pc) + 1
 }
 
@@ -1042,13 +866,25 @@ fn h_int_resize(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 }
 
 fn h_load_int(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let shape = (wfrom(op.d), op.d & (1 << 2) != 0);
-    tryh!(cx, pc, load_int(cx, (op.a, op.b, op.imm), shape));
+    let addr = cx.int_at(op.b as usize).wrapping_add(op.imm);
+    let width = wfrom(op.d);
+    let raw = tryh!(cx, pc, read_mem(cx.mem, addr, width.bytes()));
+    cx.set_int(
+        op.a as usize,
+        normalize(width, op.d & (1 << 2) != 0, raw as i64),
+    );
     u64::from(pc) + 1
 }
 
 fn h_load_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    tryh!(cx, pc, load_float(cx, (op.a, op.b, op.imm), wfrom(op.d)));
+    let addr = cx.int_at(op.b as usize).wrapping_add(op.imm);
+    let width = wfrom(op.d);
+    let raw = tryh!(cx, pc, read_mem(cx.mem, addr, width.bytes()));
+    let v = match width {
+        Width::W32 => f64::from(f32::from_bits(raw as u32)),
+        _ => f64::from_bits(raw),
+    };
+    cx.set_float(op.a as usize, v);
     u64::from(pc) + 1
 }
 
@@ -1295,9 +1131,26 @@ fn h_jump(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
     enter(cx, op.e)
 }
 
+/// A conditional branch: its taken/not-taken cycles are the one charge
+/// region prepayment cannot know, then the target region is entered. The
+/// predictor site is the `BranchNz`'s own row — the region's closing row,
+/// where its last segment ends, also when a welded record retires it.
 fn h_branch_nz(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
     let taken = cx.int_at(op.a as usize) != 0;
-    branch(cx, taken, op.e, op.f)
+    let cost = &cx.prog.cost;
+    let (region, cycles) = if taken {
+        (op.e, cost.branch_taken)
+    } else {
+        (op.f, cost.branch_not_taken)
+    };
+    let f = cx.f;
+    match cx.settle() {
+        Some((tm, stats, site)) => {
+            tm.branch(stats, site, taken, cycles, f.info[site as usize].key(1));
+        }
+        None => cx.stats.cycles += cycles,
+    }
+    enter(cx, region)
 }
 
 /// A call: `e` indexes the function's call table, `f` is the after-call
@@ -1387,96 +1240,18 @@ fn h_fell_off(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     fail(cx, e, pc)
 }
 
-// --- fused macro-ops -------------------------------------------------------
-
-/// The compare/step shape an induction-variable record packs in its flags.
-#[inline(always)]
-fn indvar_shapes(flags: u16) -> ((AluOp, Width, bool), (CmpPred, Width, bool)) {
-    (
-        (AluOp::Add, wfrom(flags), flags & (1 << 2) != 0),
-        (
-            pred_from(flags >> 3),
-            wfrom(flags >> 6),
-            flags & (1 << 8) != 0,
-        ),
-    )
-}
-
-fn h_cmp_branch_int(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
-    let shape = (pred_from(op.d), wfrom(op.d >> 3), op.d & (1 << 5) != 0);
-    let t = int_cmp(cx, (op.a, op.b, op.c), shape);
-    branch(cx, t != 0, op.e, op.f)
-}
-
-fn h_cmp_branch_float(op: &OpRecord, cx: &mut ExecCtx<'_>, _pc: u32) -> u64 {
-    let t = float_cmp(
-        cx,
-        (op.a, op.b, op.c),
-        pred_from(op.d),
-        op.d & (1 << 3) != 0,
-    );
-    branch(cx, t != 0, op.e, op.f)
-}
-
-fn h_load_int_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let (dst, flags) = (op.e as u16, (op.e >> 16) as u16);
-    let load_shape = (wfrom(flags), flags & (1 << 2) != 0);
-    let alu_shape = (
-        alu_from(flags >> 3),
-        wfrom(flags >> 7),
-        flags & (1 << 9) != 0,
-    );
-    // Only the load can trap (`Div`/`Rem` never fuse), which is what
-    // `refund_unretired` assumes of a fused record.
-    tryh!(cx, pc, load_int(cx, (op.a, op.b, op.imm), load_shape));
-    tryh!(cx, pc, int_op(cx, (dst, op.c, op.d), alu_shape));
-    u64::from(pc) + 1
-}
-
-fn h_load_float_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let (dst, flags) = (op.e as u16, (op.e >> 16) as u16);
-    tryh!(cx, pc, load_float(cx, (op.a, op.b, op.imm), wfrom(flags)));
-    float_op(
-        cx,
-        (dst, op.c, op.d),
-        fpu_from(flags >> 2),
-        flags & (1 << 5) != 0,
-    );
-    u64::from(pc) + 1
-}
-
-/// `add i,i,s ; cmp t,i,n ; bnz t` with `a = i, b = s, c = n, d = t`.
-fn h_indvar3(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let (step, cmp) = indvar_shapes(op.imm as u16);
-    tryh!(cx, pc, int_op(cx, (op.a, op.a, op.b), step));
-    let t = int_cmp(cx, (op.d, op.a, op.c), cmp);
-    branch(cx, t != 0, op.e, op.f)
-}
-
-/// `add tmp,i,s ; mov i,tmp ; cmp t,i,n ; bnz t` with `a = tmp, b = i,
-/// c = s, d = n` and `t` in the low half of `imm`.
-fn h_indvar4(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let (step, cmp) = indvar_shapes((op.imm >> 16) as u16);
-    let stepped = tryh!(cx, pc, int_op(cx, (op.a, op.b, op.c), step));
-    cx.set_int(op.b as usize, stepped);
-    let t = int_cmp(cx, (op.imm as u16, op.b, op.d), cmp);
-    branch(cx, t != 0, op.e, op.f)
-}
-
 // --- adjacent-record pairing -----------------------------------------------
 //
-// The catalogue above fuses *shapes* (a compare feeding a branch, a load
-// feeding an ALU op). Register-starved lowerings — exactly what the split
-// register allocator produces — are instead dominated by glue the catalogue
-// never matches: `Imm`/`Reload`/`Spill`/`IntResize` traffic around every ALU
-// op. The pairing sweep attacks the dispatch count directly: any two
-// adjacent records of pairable kinds are welded by swapping the first one's
-// handler for a combined handler that executes both records and tells the
-// loop to advance past the pair. Because each constituent keeps its own
-// record (the combined handler reads the partner at `op + 1`), there is no
-// operand re-packing, any kind can pair with any kind, and a trap in either
-// constituent is reported under that record's own index — so pairing is
-// invisible to `SimStats`.
+// Register-starved lowerings — exactly what the split register allocator
+// produces — are dominated by glue: `Imm`/`Reload`/`Spill`/`IntResize`
+// traffic around every ALU op. The pairing sweep cuts the dispatch count
+// directly: any two adjacent records of pairable kinds are welded by swapping
+// the first one's handler for a combined handler that executes both records
+// and tells the loop to advance past the pair. Because each constituent keeps
+// its own record (the combined handler reads the partner at `op + 1`), there
+// is no operand re-packing, any kind can pair with any kind, and a trap in
+// either constituent is reported under that record's own index — so pairing
+// is invisible to `SimStats`.
 
 /// Pairable record kinds: indexes into [`base`] and the [`PAIRS`] table.
 /// Kinds below [`NFIRST`] are straight-line (they fall through, so they can
@@ -1498,26 +1273,26 @@ const K_LOAD_FLOAT: u8 = 12;
 const K_STORE_FLOAT: u8 = 13;
 const K_SPILL_FLOAT: u8 = 14;
 const K_RELOAD_FLOAT: u8 = 15;
-const K_CMP_BRANCH_INT: u8 = 16;
-const K_CMP_BRANCH_FLOAT: u8 = 17;
-const K_BRANCH_NZ: u8 = 18;
-const K_JUMP: u8 = 19;
-const K_RET_NONE: u8 = 20;
-const K_RET_INT: u8 = 21;
-const K_RET_FLOAT: u8 = 22;
+const K_BRANCH_NZ: u8 = 16;
+const K_JUMP: u8 = 17;
+const K_RET_NONE: u8 = 18;
+const K_RET_INT: u8 = 19;
+const K_RET_FLOAT: u8 = 20;
 /// Not pairable (calls, vector ops, rare shapes).
 const K_NONE: u8 = u8::MAX;
 /// Kinds `0..NFIRST` may open a pair.
 const NFIRST: usize = 16;
 /// Kinds `0..NSECOND` may close a pair.
-const NSECOND: usize = 23;
+pub(crate) const NSECOND: usize = 21;
 
-/// The base handler for a pairable kind. `const` so the combined handlers
-/// below resolve their constituents at compile time: inside `h_pair` the
-/// inline-const call target is a literal fn pointer, which the optimizer
-/// turns into a direct (and then inlined) call — pairing would be a
-/// pessimization if the constituents stayed behind indirect calls.
-const fn base(k: usize) -> Handler {
+/// The base handler for a pairable kind: the handler [`lower`] gives an
+/// instruction of that kind. `const` so the combined handlers below resolve
+/// their constituents at compile time: inside `h_pair` the inline-const call
+/// target is a literal fn pointer, which the optimizer turns into a direct
+/// (and then inlined) call — pairing would be a pessimization if the
+/// constituents stayed behind indirect calls. The fuel tail calls it too, to
+/// run a welded opener alone.
+pub(crate) const fn base(k: usize) -> Handler {
     match k {
         0 => h_imm,
         1 => h_mov_int,
@@ -1535,12 +1310,10 @@ const fn base(k: usize) -> Handler {
         13 => h_store_float,
         14 => h_spill_float,
         15 => h_reload_float,
-        16 => h_cmp_branch_int,
-        17 => h_cmp_branch_float,
-        18 => h_branch_nz,
-        19 => h_jump,
-        20 => h_ret_none,
-        21 => h_ret_int,
+        16 => h_branch_nz,
+        17 => h_jump,
+        18 => h_ret_none,
+        19 => h_ret_int,
         _ => h_ret_float,
     }
 }
@@ -1589,8 +1362,6 @@ macro_rules! pair_row {
             h_pair::<$a, 18>,
             h_pair::<$a, 19>,
             h_pair::<$a, 20>,
-            h_pair::<$a, 21>,
-            h_pair::<$a, 22>,
         ]
     };
 }
@@ -1625,9 +1396,9 @@ fn by_class<T>(class: RegClass, [int, float, vec]: [T; 3]) -> T {
     }
 }
 
-/// Pairable kind of one instruction's unfused record ([`K_NONE`] when the
-/// record cannot take part in a pair).
-fn pair_kind(inst: &MInst) -> u8 {
+/// Pairable kind of one instruction's record ([`K_NONE`] when the record
+/// cannot take part in a pair).
+pub(crate) fn pair_kind(inst: &MInst) -> u8 {
     match *inst {
         MInst::Imm { .. } => K_IMM,
         MInst::FImm { .. } => K_FIMM,
@@ -1678,18 +1449,15 @@ fn rec(handler: Handler) -> OpRecord {
     }
 }
 
-/// The scratch tables of [`build_threaded`]. [`ThreadedScratch::new`] sizes
-/// them once per program, for its longest function, and they are cleared
-/// and reused from function to function (the `RegAssigner` recipe); what is
-/// allocated per function is what the function keeps — `code`, `info`,
-/// `calls`, `ops`, `meta`, `targets` and, under in-order timing, `segs` and
-/// `keys`, each sized up front from counts its blocks or the recorder
-/// already give.
+/// The scratch of [`build_threaded`]. [`ThreadedScratch::new`] sizes it once
+/// per program, for its longest function, and it is cleared and reused from
+/// function to function (the `RegAssigner` recipe); what is allocated per
+/// function is what the function keeps — `ops`, `info`, `kinds`, `calls`,
+/// `targets` and, under in-order timing, `segs` and `keys`, each sized up
+/// front from counts its blocks or the recorder already give.
 pub(crate) struct ThreadedScratch {
-    /// Straight-line role of each record, driving the region pass.
+    /// Straight-line role of each row, driving the region pass.
     ends: Vec<End>,
-    /// Per-record pairable kind, consumed by the pairing sweep.
-    kinds: Vec<u8>,
     /// The segment summaries' recorder, under in-order timing only.
     recorder: Option<Recorder>,
 }
@@ -1701,19 +1469,17 @@ impl ThreadedScratch {
     pub(crate) fn new(rows: usize, timing: TimingKind, keys: usize) -> Self {
         ThreadedScratch {
             ends: Vec::with_capacity(rows),
-            kinds: Vec::with_capacity(rows),
             recorder: (timing == TimingKind::InOrder).then(|| Recorder::new(rows, keys)),
         }
     }
 }
 
 /// Build `pf`'s rows and threaded stream from `f` in one walk over its
-/// blocks: check each instruction ([`Prep::check`]), lower it to its unfused
-/// record ([`lower`]) and its [`OpInfo`] row, and fuse macro-ops over the
-/// rest of its block (when `fuse`). Then resolve per-region fuel and
-/// instruction charges and what `timing` prepays with them, weld pairs (when
-/// `fuse`) and, under in-order timing, record each region's segments and
-/// their summaries.
+/// blocks: check each instruction ([`Prep::check`]) and lower it to its
+/// record ([`lower`]), its [`OpInfo`] row and its pair kind. Then resolve
+/// per-region fuel and instruction charges and what `timing` prepays with
+/// them, weld pairs (when `fuse`) and, under in-order timing, record each
+/// region's segments and their summaries.
 ///
 /// # Errors
 ///
@@ -1738,12 +1504,12 @@ pub(crate) fn build_threaded(
             .filter(|i| matches!(i, MInst::Call { .. }))
             .count();
     }
-    let mut code: Vec<OpRecord> = Vec::with_capacity(rows);
+    let mut ops: Vec<OpRecord> = Vec::with_capacity(rows);
     let mut info: Vec<OpInfo> = Vec::with_capacity(rows);
+    let mut kinds: Vec<u8> = Vec::with_capacity(rows);
     let mut calls: Vec<CallSite> = Vec::with_capacity(ncalls);
     // One region per block plus one per call (its return point).
     let entry = BlockTarget {
-        ops_pc: 0,
         row: 0,
         charge: 0,
         seg: 0,
@@ -1752,111 +1518,48 @@ pub(crate) fn build_threaded(
     let mut targets: Vec<BlockTarget> = Vec::with_capacity(nblocks + ncalls);
     targets.resize(nblocks, entry);
     let mut selects = 0;
-    // Fusion only ever shortens the stream, so the row count bounds both
-    // tables.
-    let mut ops: Vec<OpRecord> = Vec::with_capacity(rows);
-    let mut meta: Vec<OpMeta> = Vec::with_capacity(rows);
-    let ThreadedScratch {
-        ends,
-        kinds,
-        recorder,
-    } = scratch;
+    let ThreadedScratch { ends, recorder } = scratch;
     ends.clear();
     ends.reserve(rows);
-    kinds.clear();
-    kinds.reserve(rows);
 
     for bi in 0..nblocks {
         let insts = f.blocks.get(bi).map_or(&[][..], |b| b.insts.as_slice());
-        (targets[bi].ops_pc, targets[bi].row) = (ops.len() as u32, code.len() as u32);
-        let mut i = 0;
-        while i < insts.len() {
-            let fused = if fuse { try_fuse(&insts[i..]) } else { None };
-            let len = fused.as_ref().map_or(1, |&(_, len, ..)| len);
-            let p = code.len() as u32;
-            for inst in &insts[i..i + usize::from(len)] {
-                let lanes = prep.check(inst, f)?;
-                let mut record = lower(inst, lanes);
-                if let MInst::Call { callee, args, ret } = inst {
-                    (record.e, record.f) = (calls.len() as u32, (nblocks + calls.len()) as u32);
-                    calls.push(CallSite {
-                        callee: prep.callee(callee),
-                        args: args.as_slice().into(),
-                        ret: *ret,
-                    });
-                }
-                let row = op_info(inst, prep.cost);
-                selects += usize::from(row.is(OpInfo::SELECT));
-                code.push(record);
-                info.push(row);
-            }
-            let (record, fused, end_kind, kind) = match fused {
-                Some((record, _, fused, end_kind)) => {
-                    let kind = match fused {
-                        FuseKind::CmpBranchInt => {
-                            fusion.cmp_branch += 1;
-                            K_CMP_BRANCH_INT
-                        }
-                        FuseKind::CmpBranchFloat => {
-                            fusion.cmp_branch += 1;
-                            K_CMP_BRANCH_FLOAT
-                        }
-                        FuseKind::LoadIntOp | FuseKind::LoadFloatOp => {
-                            fusion.load_op += 1;
-                            K_NONE
-                        }
-                        FuseKind::IndVar3 | FuseKind::IndVar4 => {
-                            fusion.indvar += 1;
-                            K_NONE
-                        }
-                        FuseKind::None => unreachable!(),
-                    };
-                    (record, fused, end_kind, kind)
-                }
-                None => {
-                    let (inst, record) = (&insts[i], code[p as usize]);
-                    let end_kind = if matches!(inst, MInst::Call { .. }) {
-                        targets.push(BlockTarget {
-                            ops_pc: ops.len() as u32 + 1,
-                            row: p + 1,
-                            ..entry
-                        });
-                        End::Call(record.f)
-                    } else if info[p as usize].is(OpInfo::CLOSES) {
-                        End::Control
-                    } else {
-                        End::Normal
-                    };
-                    (record, FuseKind::None, end_kind, pair_kind(inst))
-                }
+        targets[bi].row = ops.len() as u32;
+        for inst in insts {
+            let lanes = prep.check(inst, f)?;
+            let mut record = lower(inst, lanes);
+            let row = op_info(inst, prep.cost);
+            let end = if let MInst::Call { callee, args, ret } = inst {
+                (record.e, record.f) = (calls.len() as u32, (nblocks + calls.len()) as u32);
+                calls.push(CallSite {
+                    callee: prep.callee(callee),
+                    args: args.as_slice().into(),
+                    ret: *ret,
+                });
+                targets.push(BlockTarget {
+                    row: ops.len() as u32 + 1,
+                    ..entry
+                });
+                End::Call(record.f)
+            } else if row.is(OpInfo::CLOSES) {
+                End::Control
+            } else {
+                End::Normal
             };
+            selects += usize::from(row.is(OpInfo::SELECT));
             ops.push(record);
-            meta.push(OpMeta {
-                row: p,
-                len,
-                fused,
-                paired: false,
-            });
-            ends.push(end_kind);
-            kinds.push(kind);
-            i += usize::from(len);
+            info.push(row);
+            kinds.push(pair_kind(inst));
+            ends.push(end);
         }
-        // Running past a block's end traps ("fell off the end") in the flat
-        // stream too.
+        // Running past a block's end traps ("fell off the end").
         if !insts.last().is_some_and(MInst::is_terminator) {
             let mut record = rec(h_fell_off);
             record.e = bi as u32;
-            meta.push(OpMeta {
-                row: code.len() as u32,
-                len: 1,
-                fused: FuseKind::None,
-                paired: false,
-            });
-            code.push(record);
-            info.push(OpInfo::FELL_OFF_ROW);
             ops.push(record);
-            ends.push(End::Control);
+            info.push(OpInfo::FELL_OFF_ROW);
             kinds.push(K_NONE);
+            ends.push(End::Control);
         }
     }
     // One segment per region plus one per scalar select.
@@ -1871,9 +1574,9 @@ pub(crate) fn build_threaded(
     // its instructions' `OpInfo` charges as the entry's prepayment, and
     // under in-order timing its segments.
     for bi in 0..nblocks {
-        let first = targets[bi].ops_pc as usize;
+        let first = targets[bi].row as usize;
         let last = if bi + 1 < nblocks {
-            targets[bi + 1].ops_pc as usize
+            targets[bi + 1].row as usize
         } else {
             ops.len()
         };
@@ -1886,12 +1589,8 @@ pub(crate) fn build_threaded(
             // Close the region run_start..=j.
             if let Some(t) = pending {
                 let mut sum = SimStats::default();
-                for m in &meta[run_start..=j] {
-                    targets[t].charge += u32::from(m.len);
-                    info[m.row as usize..][..usize::from(m.len)]
-                        .iter()
-                        .for_each(|i| i.prepay(&mut sum));
-                }
+                info[run_start..=j].iter().for_each(|i| i.prepay(&mut sum));
+                targets[t].charge = (j + 1 - run_start) as u32;
                 targets[t].stat = StaticStats::of(&sum, timing);
                 if let Some(rec) = recorder.as_mut() {
                     targets[t].seg = segs.len() as u32;
@@ -1908,7 +1607,6 @@ pub(crate) fn build_threaded(
                     let (a, b) = (kinds[k] as usize, kinds[k + 1] as usize);
                     if a < NFIRST && b < NSECOND {
                         ops[k].handler = PAIRS[a][b];
-                        meta[k].paired = true;
                         fusion.pair += 1;
                         k += 2;
                     } else {
@@ -1924,17 +1622,23 @@ pub(crate) fn build_threaded(
         }
     }
 
-    pf.code = code;
-    pf.info = info;
-    pf.calls = calls;
     pf.ops = ops;
-    pf.meta = meta;
+    pf.info = info;
+    pf.kinds = kinds;
+    pf.calls = calls;
     pf.targets = targets;
     if let Some(rec) = recorder {
         pf.keys = rec.keys.as_slice().into();
     }
     pf.segs = segs;
     Ok(())
+}
+
+/// Whether record `k` of `f` opens a welded pair: a pairable opener whose
+/// handler is no longer its kind's own.
+pub(crate) fn opens_pair(f: &PreparedFunction, k: usize) -> bool {
+    let kind = usize::from(f.kinds[k]);
+    kind < NFIRST && !std::ptr::eq(f.ops[k].handler as *const (), base(kind) as *const ())
 }
 
 /// Cut region `t`'s rows into segments at its scalar selects, and record
@@ -1958,156 +1662,7 @@ fn record_segments(info: &[OpInfo], t: &BlockTarget, rec: &mut Recorder, segs: &
     }
 }
 
-/// Try to fuse a macro-op from the first instructions of `insts`, the rest
-/// of the current block. Greedy, longest shape first. Only the *first*
-/// constituent of any fused shape may trap (loads; `Div`/`Rem` are excluded
-/// from load+op), which the trap-path refund and settle rely on. Registers
-/// are matched with their classes, which [`Prep::check`] then holds to the
-/// ones each kind takes before the record is kept.
-fn try_fuse(insts: &[MInst]) -> Option<(OpRecord, u8, FuseKind, End)> {
-    let indvar_flags = |aw: Width, asg: bool, pred: CmpPred, cw: Width, csg: bool| {
-        wbits(aw)
-            | u16::from(asg) << 2
-            | pred_bits(pred) << 3
-            | wbits(cw) << 6
-            | u16::from(csg) << 8
-    };
-    match *insts {
-        // indvar4: add tmp,i,s ; mov i,tmp ; cmp t,i,n ; bnz t
-        [MInst::IntOp {
-            op: AluOp::Add,
-            width: aw,
-            signed: asg,
-            dst: tmp,
-            lhs: i,
-            rhs: s,
-        }, MInst::Mov { dst: md, src: ms }, MInst::IntCmp {
-            pred,
-            width: cw,
-            signed: csg,
-            dst: t,
-            lhs: cl,
-            rhs: n,
-        }, MInst::BranchNz {
-            cond,
-            then_target,
-            else_target,
-        }, ..]
-            if ms == tmp && md == i && cl == i && cond == t =>
-        {
-            let mut r = rec(h_indvar4);
-            (r.a, r.b, r.c, r.d) = (tmp.index, i.index, s.index, n.index);
-            r.imm = i64::from(t.index) | i64::from(indvar_flags(aw, asg, pred, cw, csg)) << 16;
-            (r.e, r.f) = (then_target, else_target);
-            Some((r, 4, FuseKind::IndVar4, End::Control))
-        }
-        // indvar3: add i,i,s ; cmp t,i,n ; bnz t
-        [MInst::IntOp {
-            op: AluOp::Add,
-            width: aw,
-            signed: asg,
-            dst,
-            lhs,
-            rhs: s,
-        }, MInst::IntCmp {
-            pred,
-            width: cw,
-            signed: csg,
-            dst: t,
-            lhs: cl,
-            rhs: n,
-        }, MInst::BranchNz {
-            cond,
-            then_target,
-            else_target,
-        }, ..]
-            if dst == lhs && cl == dst && cond == t =>
-        {
-            let mut r = rec(h_indvar3);
-            (r.a, r.b, r.c, r.d) = (dst.index, s.index, n.index, t.index);
-            r.imm = i64::from(indvar_flags(aw, asg, pred, cw, csg));
-            (r.e, r.f) = (then_target, else_target);
-            Some((r, 3, FuseKind::IndVar3, End::Control))
-        }
-        // load+op (int): the ALU op consumes the loaded value.
-        [MInst::Load {
-            width: lw,
-            float: false,
-            signed: ls,
-            dst: ld,
-            base,
-            offset,
-        }, MInst::IntOp {
-            op,
-            width: aw,
-            signed: asg,
-            dst: ad,
-            lhs,
-            rhs,
-        }, ..]
-            if !matches!(op, AluOp::Div | AluOp::Rem) && (lhs == ld || rhs == ld) =>
-        {
-            let flags = wbits(lw)
-                | u16::from(ls) << 2
-                | alu_bits(op) << 3
-                | wbits(aw) << 7
-                | u16::from(asg) << 9;
-            let mut r = rec(h_load_int_op);
-            (r.a, r.b, r.c, r.d) = (ld.index, base.index, lhs.index, rhs.index);
-            r.e = u32::from(ad.index) | u32::from(flags) << 16;
-            r.imm = offset;
-            Some((r, 2, FuseKind::LoadIntOp, End::Normal))
-        }
-        // load+op (float): fp ops never trap, so all of them fuse.
-        [MInst::Load {
-            width: lw,
-            float: true,
-            dst: ld,
-            base,
-            offset,
-            ..
-        }, MInst::FloatOp {
-            op,
-            double,
-            dst: ad,
-            lhs,
-            rhs,
-        }, ..]
-            if lhs == ld || rhs == ld =>
-        {
-            let flags = wbits(lw) | fpu_bits(op) << 2 | u16::from(double) << 5;
-            let mut r = rec(h_load_float_op);
-            (r.a, r.b, r.c, r.d) = (ld.index, base.index, lhs.index, rhs.index);
-            r.e = u32::from(ad.index) | u32::from(flags) << 16;
-            r.imm = offset;
-            Some((r, 2, FuseKind::LoadFloatOp, End::Normal))
-        }
-        // cmp+branch: the branch consumes the compare result.
-        [ref cmp @ (MInst::IntCmp { dst, .. } | MInst::FloatCmp { dst, .. }), MInst::BranchNz {
-            cond,
-            then_target,
-            else_target,
-        }, ..]
-            if cond == dst =>
-        {
-            // Same operands as the plain compare; the handler and the two
-            // region indexes are what the fused record adds.
-            let mut r = lower(cmp, 0);
-            let kind = if matches!(cmp, MInst::IntCmp { .. }) {
-                r.handler = h_cmp_branch_int;
-                FuseKind::CmpBranchInt
-            } else {
-                r.handler = h_cmp_branch_float;
-                FuseKind::CmpBranchFloat
-            };
-            (r.e, r.f) = (then_target, else_target);
-            Some((r, 2, kind, End::Control))
-        }
-        _ => None,
-    }
-}
-
-/// The unfused record of one instruction that [`Prep::check`] accepted,
+/// The record of one instruction that [`Prep::check`] accepted,
 /// with `lanes` the lane count of a vector kind that has one: what its
 /// handler needs. Block numbers are region indexes as they stand. A call's
 /// record is completed by the builder, which knows its call-table index

@@ -33,9 +33,9 @@
 //!
 //! One executor runs those handlers, over **one record stream**, under one
 //! accounting discipline, **region prepayment**. The threaded loop
-//! ([`PreparedProgram::run`], either timing tier) dispatches the stream, in
-//! which adjacent instructions are **fused into macro-ops** (compare+branch,
-//! load+op, induction-variable steps) and welded in pairs. Fuel, instruction
+//! ([`PreparedProgram::run`], either timing tier) dispatches the stream, one
+//! record per instruction, in which adjacent records are welded in pairs
+//! (the first one's handler runs both). Fuel, instruction
 //! counts and the architectural counters summed from the [`OpInfo`] rows are
 //! prepaid per straight-line region. Under flat timing the region's summed
 //! cycles are prepaid with them. Under in-order timing a region prepays no
@@ -55,8 +55,8 @@
 //! not retired. A region whose charge the
 //! remaining fuel cannot cover is never prepaid: the fuel affords a strict
 //! prefix of its straight-line instructions (the charge counts every one
-//! through the closing control op), so that prefix runs on its unfused
-//! records, retires and is charged, and the run stops with
+//! through the closing control op), so that prefix runs one instruction at
+//! a time, retires and is charged, and the run stops with
 //! [`SimError::OutOfFuel`] — or the prefix's own trap — at the instruction
 //! where fuel spent one instruction at a time would have run out.
 //!
@@ -64,8 +64,8 @@
 //! memory (the cross-crate differential tests), and recorded digests of
 //! whole runs — outcome, every [`SimStats`] counter and the memory image,
 //! under both timing tiers — for everything else. The digests were recorded
-//! from a block walk that stated every instruction a second time; fused,
-//! unfused and in-order runs of the same inputs must also agree with each
+//! from a block walk that stated every instruction a second time; welded,
+//! unwelded and in-order runs of the same inputs must also agree with each
 //! other.
 //!
 //! # Adding a machine instruction
@@ -124,7 +124,7 @@
 
 use crate::desc::{CostModel, TargetDesc};
 pub use crate::dispatch::FusionStats;
-use crate::dispatch::{self, ExecCtx, FuseKind, OpMeta, OpRecord};
+use crate::dispatch::{self, ExecCtx, OpRecord};
 use crate::mcode::{AluOp, FpuOp, MFunction, MInst, MProgram, PReg, RegClass};
 use crate::simulator::{
     lane_count, MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH,
@@ -540,29 +540,26 @@ pub(crate) fn op_info(inst: &MInst, cost: &CostModel) -> OpInfo {
     }
 }
 
-/// One function of a [`PreparedProgram`]: its instructions' records and
-/// charge rows, the threaded stream built from them, and the frame layout
-/// it needs.
+/// One function of a [`PreparedProgram`]: its threaded stream, one record
+/// and one charge row per *row*, and the frame layout it needs.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PreparedFunction {
     /// Shared with the program's name index.
     pub(crate) name: Arc<str>,
     pub(crate) params: Box<[PReg]>,
     pub(crate) num_slots: usize,
-    /// The unfused record of every instruction, one *row* each: every
-    /// block's instructions in order, then a fall-off trap where the block
-    /// has no terminator (one trap for a function without blocks). Every
-    /// offset called a row indexes it and `info`; cold — the fuel tail runs
-    /// it, and the threaded stream copies what it does not fuse.
-    pub(crate) code: Vec<OpRecord>,
+    /// The threaded stream, one record per row: every block's instructions
+    /// in order, then a fall-off trap where the block has no terminator (one
+    /// trap for a function without blocks). A welded pair's opener runs its
+    /// partner too. Every offset called a row indexes it, `info` and `kinds`.
+    pub(crate) ops: Vec<OpRecord>,
     /// What retiring each row costs.
     pub(crate) info: Vec<OpInfo>,
+    /// Each row's pair kind, from which the fuel tail recovers a welded
+    /// opener's own handler (cold).
+    pub(crate) kinds: Vec<u8>,
     /// The function's calls, in row order; a call record's `e` indexes it.
     pub(crate) calls: Vec<CallSite>,
-    /// The threaded stream: fused and welded records with region prepayment.
-    pub(crate) ops: Vec<OpRecord>,
-    /// Per-op row span and fusion kind (disasm / accounting, cold).
-    pub(crate) meta: Vec<OpMeta>,
     /// Region entries (block entries first, then after-call regions): where
     /// control can land plus the fuel/instruction charge and static counter
     /// sums prepaid on entry.
@@ -602,7 +599,7 @@ pub struct PreparedProgram {
 }
 
 impl PreparedProgram {
-    /// Pre-decode `program` for `target`, with macro-op fusion enabled.
+    /// Pre-decode `program` for `target`, with welding enabled.
     ///
     /// A program is validated here, **once**, so the execution loop never
     /// re-checks it, and every function is then lowered to the one threaded
@@ -667,9 +664,9 @@ impl PreparedProgram {
     }
 
     /// Pre-decode `program` for `target`, choosing whether the threaded
-    /// stream fuses adjacent instructions into macro-ops (`fuse = false` is
-    /// the ablation/differential configuration; results, traps and
-    /// [`SimStats`] are bit-identical either way).
+    /// stream welds adjacent records in pairs (`fuse = false` is the
+    /// ablation/differential configuration; results, traps and [`SimStats`]
+    /// are bit-identical either way).
     ///
     /// # Errors
     ///
@@ -746,13 +743,13 @@ impl PreparedProgram {
         self.functions.len()
     }
 
-    /// `true` if the macro-op fusion pass ran over the threaded stream.
+    /// `true` if the welding sweep ran over the threaded stream.
     pub fn fused(&self) -> bool {
         self.fused
     }
 
-    /// Static macro-op fusion counts over the whole program (how many fused
-    /// records of each kind the prepare-time pass emitted).
+    /// Static welding counts over the whole program (how many pairs the
+    /// prepare-time sweep welded).
     pub fn fusion_stats(&self) -> FusionStats {
         self.fusion
     }
@@ -864,26 +861,21 @@ impl PreparedProgram {
         result
     }
 
-    /// Render the prepared (and fused) instruction streams of every function:
-    /// resolved offsets, per-instruction cycle costs, fusion decisions and
-    /// per-region fuel charges, each instruction written from its [`MInst`]
-    /// in `program` — the program this one was prepared from. This is the
+    /// Render the prepared instruction streams of every function: resolved
+    /// offsets, per-instruction cycle costs, weld decisions and per-region
+    /// fuel charges, each instruction written from its [`MInst`] in
+    /// `program` — the program this one was prepared from. This is the
     /// debugging surface behind `splitc disasm`.
     pub fn disasm(&self, program: &MProgram) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "; prepared program `{}` — {} function(s), dispatch: threaded, fusion: {}",
+            "; prepared program `{}` — {} function(s), dispatch: threaded, welding: {}",
             self.name,
             self.functions.len(),
             if self.fused { "on" } else { "off" },
         );
-        let fs = self.fusion;
-        let _ = writeln!(
-            out,
-            "; fused macro-ops: {} cmp+branch, {} load+op, {} indvar-step, {} paired",
-            fs.cmp_branch, fs.load_op, fs.indvar, fs.pair
-        );
+        let _ = writeln!(out, "; welded pairs: {}", self.fusion.pair);
         let _ = writeln!(out, "; timing model: {}", self.timing.label());
         for (fi, f) in self.functions.iter().enumerate() {
             let _ = writeln!(
@@ -892,32 +884,19 @@ impl PreparedProgram {
                 f.name,
                 f.params.len(),
                 f.num_slots,
-                f.code.len(),
+                f.info.len(),
                 f.ops.len(),
             );
             let insts = program.functions.get(fi).map(row_insts).unwrap_or_default();
-            // A row's instruction and its cycle charge as text.
-            let row_text = |row: usize| match insts.get(row) {
-                Some(Some(inst)) => (inst.to_string(), self.cost_text(f, row, Some(inst))),
-                Some(None) => {
-                    let block = f.code[row].e;
-                    (
-                        format!("FellOff {{ block: {block} }}"),
-                        self.cost_text(f, row, None),
-                    )
-                }
-                None => ("?".to_owned(), self.cost_text(f, row, None)),
-            };
             let blocks = &f.targets[..f.targets.len() - f.calls.len()];
             let mut segs = f.segs.iter().peekable();
-            for (pi, meta) in f.meta.iter().enumerate() {
-                let row = meta.row as usize;
-                // Block label + region charge when an op starts a region.
+            for row in 0..f.ops.len() {
+                // Block label + region charge when a row starts a region.
                 if let Some(b) = blocks.iter().position(|t| t.row as usize == row) {
                     let _ = writeln!(out, "  b{b}: ({})", self.region_text(&blocks[b]));
                 } else if let Some(t) = f.targets[blocks.len()..]
                     .iter()
-                    .find(|t| t.ops_pc as usize == pi)
+                    .find(|t| t.row as usize == row)
                 {
                     let _ = writeln!(out, "  .after-call: ({})", self.region_text(t));
                 }
@@ -925,48 +904,32 @@ impl PreparedProgram {
                 while let Some(seg) = segs.next_if(|s| s.start as usize <= row) {
                     let _ = writeln!(out, "        {}", segment_text(f, seg));
                 }
-                let span = row..row + meta.len as usize;
-                let at = if meta.len > 1 {
-                    format!("@{row}..{}", span.end)
-                } else {
-                    format!("@{row}")
+                let (text, cost) = match insts.get(row) {
+                    Some(Some(inst)) => (inst.to_string(), self.cost_text(f, row, Some(inst))),
+                    Some(None) => (
+                        format!("FellOff {{ block: {} }}", f.ops[row].e),
+                        self.cost_text(f, row, None),
+                    ),
+                    None => ("?".to_owned(), self.cost_text(f, row, None)),
                 };
+                let at = format!("@{row}");
                 // A `+` after the record index marks a pair opener: its
                 // handler also executes the record printed below it.
-                let pm = if meta.paired { "+" } else { " " };
+                let pm = if dispatch::opens_pair(f, row) {
+                    "+"
+                } else {
+                    " "
+                };
                 // Under the pipelined model the charge doubles as the op's
                 // result latency; name its latency class so the stall
                 // attribution in `SimStats` can be traced per op.
-                let mut lat = String::new();
-                if self.timing == TimingKind::InOrder {
-                    let classes: Vec<&str> = f.info[span.clone()]
-                        .iter()
-                        .filter_map(|i| i.class.map(LatClass::label))
-                        .collect();
-                    if !classes.is_empty() {
-                        lat = format!(" ; lat {}", classes.join(" + "));
+                let lat = match f.info[row].class {
+                    Some(class) if self.timing == TimingKind::InOrder => {
+                        format!(" ; lat {}", class.label())
                     }
-                }
-                let (parts, costs): (Vec<String>, Vec<String>) = span.map(row_text).unzip();
-                match meta.fused {
-                    FuseKind::None => {
-                        let _ = writeln!(
-                            out,
-                            "  {pi:>4}{pm}{at:<9} {:<58} ; cycles {}{lat}",
-                            parts[0], costs[0]
-                        );
-                    }
-                    kind => {
-                        let _ = writeln!(
-                            out,
-                            "  {pi:>4}{pm}{at:<9} fuse.{} {{ {} }} ; cycles {}{lat} ; fuel {}",
-                            kind.label(),
-                            parts.join(" ; "),
-                            costs.join(" + "),
-                            meta.len
-                        );
-                    }
-                }
+                    _ => String::new(),
+                };
+                let _ = writeln!(out, "  {row:>4}{pm}{at:<9} {text:<58} ; cycles {cost}{lat}");
             }
         }
         out
@@ -1002,7 +965,7 @@ impl PreparedProgram {
 }
 
 /// Each row of `f`'s prepared code as its instruction, in the row order of
-/// [`PreparedFunction::code`]: `None` for a fall-off trap.
+/// [`PreparedFunction::ops`]: `None` for a fall-off trap.
 fn row_insts(f: &MFunction) -> Vec<Option<&MInst>> {
     let mut rows = Vec::new();
     for b in &f.blocks {
@@ -1192,11 +1155,10 @@ fn prepare_function(
         name: Arc::clone(name),
         params: f.params.as_slice().into(),
         num_slots: f.num_slots as usize,
-        code: Vec::new(),
-        info: Vec::new(),
-        calls: Vec::new(),
         ops: Vec::new(),
-        meta: Vec::new(),
+        info: Vec::new(),
+        kinds: Vec::new(),
+        calls: Vec::new(),
         targets: Vec::new(),
         segs: Vec::new(),
         keys: Box::default(),
@@ -1382,7 +1344,7 @@ mod tests {
     #[test]
     fn vector_elements_wider_than_the_register_are_refused_by_both_paths() {
         // A 4-byte vector unit has no W64 lane: every instruction that
-        // computes lanes is refused when the fused and the unfused stream
+        // computes lanes is refused when the welded and the unwelded stream
         // are prepared, where running it used to index lane 0 past the
         // register and panic.
         let target = TargetDesc {
@@ -1617,6 +1579,42 @@ mod tests {
             },
             MInst::Ret { value: Some(f(1)) },
         ]
+    }
+
+    #[test]
+    fn every_pair_kind_names_the_handler_its_instructions_lower_to() {
+        // The fuel tail runs a welded opener alone on `base` of its pair
+        // kind, so that must be the handler `lower` gave the row. The
+        // variants are completed by the classes `Mov`, `Spill`, `Reload`
+        // and `Ret` dispatch on, so that every kind is met.
+        let (r, f) = (PReg::int, PReg::float);
+        let mut insts = one_of_every_variant();
+        insts.extend([
+            MInst::Mov {
+                dst: f(1),
+                src: f(2),
+            },
+            MInst::Spill { slot: 0, src: f(2) },
+            MInst::Reload { slot: 0, dst: f(1) },
+            MInst::Ret { value: None },
+            MInst::Ret { value: Some(r(1)) },
+        ]);
+        let mut kinds = Vec::new();
+        for inst in &insts {
+            let kind = dispatch::pair_kind(inst);
+            if usize::from(kind) < dispatch::NSECOND {
+                let own = dispatch::lower(inst, 1).handler;
+                let base = dispatch::base(kind.into());
+                assert!(
+                    std::ptr::eq(own as *const (), base as *const ()),
+                    "{inst:?}"
+                );
+                kinds.push(kind);
+            }
+        }
+        kinds.sort_unstable();
+        let every: Vec<u8> = (0..dispatch::NSECOND as u8).collect();
+        assert_eq!(kinds, every, "each pair kind once");
     }
 
     /// The register operands of `inst` whose register file its handler
@@ -1867,8 +1865,8 @@ mod tests {
     fn hostile_addresses_trap_identically_on_both_execution_paths() {
         // Negative bases, i64::MAX + positive offset (wraps negative) and a
         // vector access straddling the end of memory must all surface as
-        // `SimError::Trap` — never a slice panic — the same on the fused and
-        // the unfused stream, and as recorded.
+        // `SimError::Trap` — never a slice panic — the same on the welded and
+        // the unwelded stream, and as recorded.
         let scalar = MProgram {
             name: "m".into(),
             functions: vec![MFunction {
@@ -1917,10 +1915,10 @@ mod tests {
         let bases = [-9i64, -12, i64::MIN, i64::MAX, i64::MAX - 8];
         let mut pins = Pins::default();
         for (program, func) in [(&scalar, "peek"), (&vector, "vpeek")] {
-            let fused = PreparedProgram::prepare(program, &target).unwrap();
-            let unfused = PreparedProgram::prepare_with(program, &target, false).unwrap();
+            let welded = PreparedProgram::prepare(program, &target).unwrap();
+            let unwelded = PreparedProgram::prepare_with(program, &target, false).unwrap();
             for base in bases {
-                let runs = [&fused, &unfused].map(|prepared| {
+                let runs = [&welded, &unwelded].map(|prepared| {
                     let mut mem = vec![0u8; mem_size];
                     let mut sim = PreparedSimulator::new(prepared);
                     let out = sim.run(func, &[MachineValue::Int(base)], &mut mem);
@@ -2058,8 +2056,9 @@ mod tests {
 
     /// A counting loop whose back edge is the exact 4-instruction
     /// induction-variable shape the lowering emits (`add tmp,i,s ; mov i,tmp
-    /// ; cmp t,i,n ; bnz t`), with a body op so fused and unfused streams
-    /// differ in record count but must not differ in anything observable.
+    /// ; cmp t,i,n ; bnz t`), with a body op so the welded stream pairs the
+    /// body's rows but must not differ from the unwelded one in anything
+    /// observable.
     fn counting_loop() -> MProgram {
         let f = MFunction {
             name: "count".into(),
@@ -2148,21 +2147,28 @@ mod tests {
     }
 
     #[test]
-    fn fusion_is_toggleable_and_bit_identical_on_the_indvar_loop() {
+    fn welding_is_toggleable_and_bit_identical_on_the_indvar_loop() {
         let p = counting_loop();
         let target = TargetDesc::x86_sse();
-        let fused = PreparedProgram::prepare_with(&p, &target, true).unwrap();
-        let unfused = PreparedProgram::prepare_with(&p, &target, false).unwrap();
-        assert!(fused.fused() && !unfused.fused());
-        assert_eq!(fused.fusion_stats().indvar, 1, "back edge must fuse");
-        assert_eq!(unfused.fusion_stats().total(), 0);
-        // Fewer records with fusion on, the same unfused records either way.
-        assert!(fused.functions[0].ops.len() < unfused.functions[0].ops.len());
-        assert_eq!(fused.functions[0].code, unfused.functions[0].code);
+        let welded = PreparedProgram::prepare_with(&p, &target, true).unwrap();
+        let unwelded = PreparedProgram::prepare_with(&p, &target, false).unwrap();
+        assert!(welded.fused() && !unwelded.fused());
+        assert!(welded.fusion_stats().pair >= 1, "the loop must weld");
+        assert_eq!(unwelded.fusion_stats().total(), 0);
+        // One record per row either way; only openers' handlers differ.
+        let (w, u) = (&welded.functions[0], &unwelded.functions[0]);
+        assert_eq!((w.ops.len(), w.kinds.len()), (w.info.len(), w.info.len()));
+        assert_eq!((w.info.as_slice(), &w.kinds), (u.info.as_slice(), &u.kinds));
+        for k in 0..w.ops.len() {
+            assert!(!dispatch::opens_pair(u, k), "row {k}");
+            if !dispatch::opens_pair(w, k) {
+                assert_eq!(w.ops[k], u.ops[k], "row {k}");
+            }
+        }
 
         let args = [MachineValue::Int(10)];
         let mut outs = Vec::new();
-        for prog in [&fused, &unfused] {
+        for prog in [&welded, &unwelded] {
             let mut mem = vec![0u8; 32];
             let mut sim = PreparedSimulator::new(prog);
             let out = sim.run("count", &args, &mut mem).unwrap();
@@ -2432,7 +2438,7 @@ mod tests {
     type RunOutcome = Result<Option<MachineValue>, SimError>;
 
     /// `(outcome, SimStats, memory)` of `func` on both streams — threaded
-    /// fused, threaded unfused — with `fuel`. The fused run is noted in
+    /// welded, threaded unwelded — with `fuel`. The welded run is noted in
     /// `pins`.
     fn run_every_path(
         pins: &mut Pins,
@@ -2463,9 +2469,9 @@ mod tests {
     fn fuel_exhaustion_is_identical_across_legacy_fused_and_unfused() {
         let pins = &mut Pins::default();
         // `OutOfFuel` must trigger at the identical retired-instruction count
-        // on every path — threaded fused and unfused, and the recorded runs
+        // on every path — threaded welded and unwelded, and the recorded runs
         // of the block walk — i.e. for every fuel value from 0 to "just
-        // enough", including ones that land *inside* a fused span, all paths
+        // enough", including ones that land *inside* a welded pair, all paths
         // agree on outcome, memory and full stats, under both timing tiers.
         // On the every-kind program each fuel value adds exactly one
         // instruction to the prefix the fuel tail retires, so the sweep
@@ -2539,8 +2545,8 @@ mod tests {
         // Region prepayment charges a whole region up front and the trap
         // path gives back what had not retired: replace each instruction of
         // the every-kind program in turn by a load that always traps (so the
-        // trap lands first, mid and last in regions, inside fused spans and
-        // in either half of a welded pair) and compare with the recorded
+        // trap lands first, mid and last in regions and in either half of a
+        // welded pair) and compare with the recorded
         // runs of the block walk, which never prepaid. Last, a `Ret` whose
         // move retires before it traps.
         let program = every_kind_program(5);
@@ -2604,7 +2610,7 @@ mod tests {
 
     // --- named edges of pipelined timing: wherever the timing model's view
     // of a run depends on something only known at run time, both streams —
-    // threaded fused and unfused — must agree with each other and with the
+    // threaded welded and unwelded — must agree with each other and with the
     // recorded runs of the block walk on the whole `SimStats`,
     // `stalls`/`mispredicts`/`predicted` included.
 
@@ -2880,9 +2886,9 @@ mod tests {
     fn in_order_branches_whose_sites_alias_in_the_bht_agree_on_every_path() {
         let pins = &mut Pins::default();
         // A parity branch at row 5 and the loop's back edge — an
-        // induction-variable step, fused where fusion is on — at 5 + 256
-        // share one 2-bit counter: the site must be the `BranchNz`'s own
-        // offset on every path, or the counter histories diverge.
+        // induction-variable step — at 5 + 256 share one 2-bit counter: the
+        // site must be the `BranchNz`'s own row on every path, or the
+        // counter histories diverge.
         let mut filler: Vec<MInst> = (0..252).map(|k| imm(5, k)).collect();
         filler.push(MInst::Jump { target: 3 });
         let f = func(
@@ -2904,11 +2910,15 @@ mod tests {
         let prepared = PreparedProgram::prepare(&p, &TargetDesc::x86_sse()).unwrap();
         // Both rows are conditional branches: they count as branches, close
         // their regions and are charged only when they retire.
-        let info = &prepared.functions[0].info;
-        for row in [&info[5], &info[5 + 256]] {
+        let f = &prepared.functions[0];
+        for row in [&f.info[5], &f.info[5 + 256]] {
             assert!(row.is(OpInfo::BRANCH | OpInfo::CLOSES) && row.cycles == 0);
         }
-        assert_eq!(prepared.fusion_stats().indvar, 1);
+        // With welding on, the parity branch closes a welded pair and the
+        // back edge retires on its own record: the two sites alias across
+        // both ways a branch is dispatched.
+        assert!(dispatch::opens_pair(f, 4) && dispatch::opens_pair(f, 5 + 254));
+        assert!(!dispatch::opens_pair(f, 5 + 255));
         let (out, stats) = agree_on_both_tiers(pins, &p, "f", &[9], DEFAULT_SIM_FUEL);
         assert_eq!(out, Ok(Some(MachineValue::Int(9))));
         assert!(stats.mispredicts > 2, "{stats:?}");
@@ -2964,30 +2974,29 @@ mod tests {
     }
 
     #[test]
-    fn disasm_renders_fused_spans_and_region_charges() {
+    fn disasm_renders_weld_marks_and_region_charges() {
         let p = counting_loop();
         let target = TargetDesc::x86_sse();
-        let fused = PreparedProgram::prepare_with(&p, &target, true).unwrap();
-        let text = fused.disasm(&p);
+        let welded = PreparedProgram::prepare_with(&p, &target, true).unwrap();
+        let text = welded.disasm(&p);
         assert!(text.contains("dispatch: threaded"), "{text}");
-        assert!(text.contains("fuse.indvar4"), "{text}");
         assert!(text.contains("entry charge"), "{text}");
-        // Each row is written from its instruction, a fused record's
-        // constituents in order, the branch's targets as block numbers.
+        // Each row is written from its instruction, the branch's targets as
+        // block numbers; a `+` after the record index marks a pair opener.
         assert!(
-            text.contains("@0        Imm { dst: r1, value: 0 } "),
+            text.contains("     0+@0        Imm { dst: r1, value: 0 } "),
             "{text}"
         );
-        let step = "fuse.indvar4 { IntOp { op: Add, width: W64, signed: true, dst: r4, \
-                    lhs: r1, rhs: r2 } ; Mov { dst: r1, src: r4 } ; IntCmp { pred: Lt, \
-                    width: W64, signed: true, dst: r5, lhs: r1, rhs: r0 } ; BranchNz { \
-                    cond: r5, then_target: 1, else_target: 2 } } ; cycles 1 + 1 + 1 + 2/1";
-        assert!(text.contains(step), "{text}");
-        let unfused = PreparedProgram::prepare_with(&p, &target, false).unwrap();
         assert!(
-            !unfused.disasm(&p).contains("fuse."),
-            "no fused spans expected"
+            text.contains("     1 @1        Imm { dst: r2, value: 1 } "),
+            "{text}"
         );
+        let branch = "BranchNz { cond: r5, then_target: 1, else_target: 2 }";
+        assert!(text.contains(branch), "{text}");
+        let marks = |text: &str| text.lines().filter(|l| l.contains("+@")).count();
+        assert_eq!(marks(&text) as u64, welded.fusion_stats().pair, "{text}");
+        let unwelded = PreparedProgram::prepare_with(&p, &target, false).unwrap();
+        assert_eq!(marks(&unwelded.disasm(&p)), 0, "no weld marks expected");
         // One listing for both tiers: in-order regions prepay no cycles,
         // every op names its latency class and every segment prints its
         // summary where it starts.
@@ -2996,9 +3005,8 @@ mod tests {
         let in_order = target.with_timing(TimingKind::InOrder);
         let text = PreparedProgram::prepare(&p, &in_order).unwrap().disasm(&p);
         assert!(text.contains("dispatch: threaded"), "{text}");
-        assert!(text.contains("fuse.indvar4"), "{text}");
         assert!(!text.contains("prepaid"), "{text}");
-        assert!(text.contains("; lat alu + mov + alu ; fuel 4"), "{text}");
+        assert!(text.contains("; cycles 1 ; lat mov"), "{text}");
         // The loop body: `acc += i` and the step read their sources before
         // writing them, and the compare reads `n` in the fourth slot; the
         // exit region's segment runs through the `Ret`.

@@ -42,25 +42,26 @@ const DECODE_ALLOCATIONS_BUDGET: u64 = 230;
 /// call site (its argument list).
 ///
 /// Per program: the name index, the function list and the program's name.
-/// Per function, under either timing tier, seven vectors are kept (the name,
-/// the parameters, `code`, `info`, `ops`, `meta`, `targets`). The threaded
+/// Per function, under either timing tier, six vectors are kept (the name,
+/// the parameters, `ops`, `info`, `kinds`, `targets`). The threaded
 /// builder's scratch tables are allocated once per program, sized for its
-/// longest function (the catalogue measures 7.1 per function all told, the
-/// module with calls 7.7 beside its call tables; with eight kept vectors and
-/// a boxed record per call, 8.1 and 8.7; when each function that was the
-/// largest so far grew the scratch, 8.4 and 9.7; with a second 1:1 record
-/// stream per function the ceiling was 11, and growing every table from
-/// empty measured 29.8).
+/// longest function (the catalogue measures 6.1 per function all told, the
+/// module with calls 6.3 beside its call tables; with seven kept vectors —
+/// a second, unwelded record per row among them — 7.1 and 7.7; with eight
+/// and a boxed record per call, 8.1 and 8.7; when each function that was
+/// the largest so far grew the scratch, 8.4 and 9.7; with a second 1:1
+/// record stream per function the ceiling was 11, and growing every table
+/// from empty measured 29.8).
 const PREPARE_ALLOCATIONS_PER_PROGRAM: u64 = 3;
-const PREPARE_ALLOCATIONS_PER_FUNCTION: u64 = 9;
+const PREPARE_ALLOCATIONS_PER_FUNCTION: u64 = 8;
 
 /// What in-order timing adds per function: the two tables of segment
 /// summaries each function keeps, `segs` (sized from its regions and
 /// selects) and `keys` (copied out of the recorder at its exact length).
 /// The recorder's own two scratch tables are allocated once per program, at
 /// the size of its longest function and its largest register file (the
-/// catalogue measures 9.2 per function all told, the module with calls
-/// 10.3).
+/// catalogue measures 8.2 per function all told, the module with calls 9.0;
+/// 9.2 and 10.3 while each function kept a second record per row).
 const PREPARE_IN_ORDER_ALLOCATIONS_PER_FUNCTION: u64 = 2;
 
 /// The optimized 17-kernel catalogue module, as the offline step ships it.

@@ -2,12 +2,12 @@
 //!
 //! `PreparedProgram` (deploy-time flattening, resolved jumps/calls,
 //! prepare-time register validation, pooled frames, threaded fn-pointer
-//! dispatch with macro-op fusion) must be **bit-identical** to the block walk
+//! dispatch with welded pairs) must be **bit-identical** to the block walk
 //! over the `MProgram` that once stated every instruction a second time —
 //! results, memory effects and `SimStats` (cycles, stalls, mispredictions,
 //! spill traffic, every counter) alike — for every catalogue kernel on every
 //! simulated target under both timing tiers, whether the threaded loop runs
-//! fused or unfused, with a deadline that never passes, and (on three
+//! welded or unwelded, with a deadline that never passes, and (on three
 //! presets) at every fuel budget short of a run's length. The walk's answers
 //! are kept as recorded digests of whole runs ([`pins`]): every input here is
 //! fixed, so each answer is a constant, and "the legacy walk" in a test name
@@ -75,8 +75,8 @@ const FUEL_SWEEP_PRESETS: [&str; 3] = ["x86-sse", "cell-spu", "gpu-wide"];
 const FUEL_SWEEP_N: usize = 3;
 
 /// A kernel shape the catalogue lacks: a branchy integer map and reduce whose
-/// per-element load → ALU → compare → two-sided branch is what macro-op
-/// fusion and welding feed on.
+/// per-element load → ALU → compare → two-sided branch is what welding feeds
+/// on.
 const TIGHT_LOOP: &str = "fn tight(n: i32, x: *i32, y: *i32) -> i32 {
     let acc: i32 = 0;
     for (let i: i32 = 0; i < n; i = i + 1) {
@@ -129,21 +129,21 @@ fn prepared_execution_is_bit_identical_to_the_legacy_walk_on_all_targets() {
             let (program, _jit) = compile_module(&module, &target, &JitOptions::split())
                 .unwrap_or_else(|e| panic!("{name} on {}: {e}", target.name));
 
-            // Deploy-time prepared forms: the fused threaded loop, the
-            // unfused threaded loop, and the fused loop again polling a
+            // Deploy-time prepared forms: the welded threaded loop, the
+            // unwelded threaded loop, and the welded loop again polling a
             // deadline one hour out (which reads the clock and must change
             // nothing else) — all three must match the walk's recorded run
             // and each other bit-for-bit.
-            let fused = PreparedProgram::prepare(&program, &target)
+            let welded = PreparedProgram::prepare(&program, &target)
                 .unwrap_or_else(|e| panic!("{name} on {}: prepare failed: {e}", target.name));
-            let unfused =
+            let unwelded =
                 PreparedProgram::prepare_with(&program, &target, false).unwrap_or_else(|e| {
-                    panic!("{name} on {}: unfused prepare failed: {e}", target.name)
+                    panic!("{name} on {}: unwelded prepare failed: {e}", target.name)
                 });
             let paths: [(&str, &PreparedProgram, bool); 3] = [
-                ("fused", &fused, false),
-                ("unfused", &unfused, false),
-                ("deadline", &fused, true),
+                ("welded", &welded, false),
+                ("unwelded", &unwelded, false),
+                ("deadline", &welded, true),
             ];
             let runs = paths.map(|(path, prepared, deadline)| {
                 let mut ws = Workspace::new(1 << 16);
@@ -896,14 +896,13 @@ fn vector_lanes_match_the_legacy_walk_and_their_recorded_digest() {
 const UNWELDED_SKELETON_PIN: u64 = 11_288_217_003_864_215_142;
 
 /// The same fold for `fuse: true`, whose listings also carry the weld marks.
-const WELDED_SKELETON_PIN: u64 = 3_976_652_646_236_226_118;
+const WELDED_SKELETON_PIN: u64 = 12_266_345_046_819_542_682;
 
 /// A `splitc disasm` listing with the program header (every line before the
 /// first `fn` line) and the instruction text blanked: on a record line, what
-/// lies between the `@span` column and `; cycles`, and inside a fused
-/// record's `{ … }`. Everything else stays: every function line, record
-/// index, span, pair mark, `fuse.*` kind, cycle, `lat` and fuel column,
-/// region charge and segment summary.
+/// lies between the `@row` column and `; cycles`. Everything else stays:
+/// every function line, record index, row, pair mark, cycle and `lat`
+/// column, region charge and segment summary.
 fn listing_skeleton(listing: &str) -> String {
     let mut out = String::new();
     let body = listing
@@ -919,22 +918,12 @@ fn listing_skeleton(listing: &str) -> String {
             out.push('\n');
             continue;
         }
-        let at = line.find('@').expect("a record line has a span");
-        let span_end = at + line[at..].find(' ').expect("a space follows the span");
-        let rest = line[span_end..].trim_start();
-        out.push_str(&line[..span_end]);
-        if let Some(kind) = rest.strip_prefix("fuse.") {
-            let kind = &kind[..kind.find(' ').expect("a space follows the fused kind")];
-            let close = line
-                .rfind("} ; cycles ")
-                .expect("a fused record closes its braces");
-            out.push_str(&format!(" fuse.{kind} {{ … "));
-            out.push_str(&line[close..]);
-        } else {
-            let cycles = line.find(" ; cycles ").expect("a record line has cycles");
-            out.push_str(" …");
-            out.push_str(&line[cycles..]);
-        }
+        let at = line.find('@').expect("a record line has a row");
+        let row_end = at + line[at..].find(' ').expect("a space follows the row");
+        let cycles = line.find(" ; cycles ").expect("a record line has cycles");
+        out.push_str(&line[..row_end]);
+        out.push_str(" …");
+        out.push_str(&line[cycles..]);
         out.push('\n');
     }
     out
@@ -944,10 +933,10 @@ fn listing_skeleton(listing: &str) -> String {
 fn prepared_listings_keep_their_recorded_skeleton_on_every_cell() {
     // What `splitc disasm <kernel> [--target t] [--timing in-order]
     // [--no-fuse]` prints, for every catalogue kernel, preset, tier and
-    // fusion setting: record indexes, spans, fusion and weld decisions,
-    // cycle charges, region prepayments and in-order segment summaries are
-    // what preparation decides, and the skeleton pins all of them apart
-    // from how each instruction is spelt.
+    // welding setting: record indexes, rows, weld decisions, cycle charges,
+    // region prepayments and in-order segment summaries are what
+    // preparation decides, and the skeleton pins all of them apart from how
+    // each instruction is spelt. Every function keeps one record per row.
     let (mut welded, mut unwelded) = (Pins::default(), Pins::default());
     for kernel in all_kernels() {
         let mut module = compile_source(kernel.source, kernel.name).expect("kernel compiles");
@@ -965,7 +954,13 @@ fn prepared_listings_keep_their_recorded_skeleton_on_every_cell() {
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, target.name));
                 let prepared = PreparedProgram::prepare_with(&program, &target, fuse)
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, target.name));
-                let skeleton = listing_skeleton(&prepared.disasm(&program));
+                let listing = prepared.disasm(&program);
+                for line in listing.lines().filter(|l| l.starts_with("fn ")) {
+                    let counts = &line[line.rfind(", ").expect("a function line") + 2..];
+                    let (rows, records) = counts.split_once(" inst / ").expect("row counts");
+                    assert_eq!(format!("{rows} op"), records, "{line}");
+                }
+                let skeleton = listing_skeleton(&listing);
                 let cell = format!(
                     "{} on {} ({:?}, fuse {fuse})",
                     kernel.name, target.name, target.timing
