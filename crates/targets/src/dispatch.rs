@@ -380,10 +380,10 @@ impl<'a> ExecCtx<'a> {
         true
     }
 
-    /// Run the straight-line rows `rows` one at a time, each on its own
-    /// handler — a welded opener's is [`base`] of its pair kind — (the fuel
-    /// tail's prefix): how many retired, and the trap of the one after them
-    /// if it raised one.
+    /// Run the straight-line rows `rows` (the fuel tail's prefix) one at a
+    /// time, each on its own handler — for a welded opener, [`base`] of its
+    /// pair kind: how many retired, and the trap of the one after them if it
+    /// raised one.
     fn run_straight(&mut self, rows: Range<usize>) -> (usize, Option<SimError>) {
         let f = self.f;
         for pc in rows.clone() {
@@ -613,11 +613,12 @@ pub(crate) fn run_ops(cx: &mut ExecCtx<'_>) -> Result<Option<MachineValue>, SimE
 
 // ---------------------------------------------------------------------------
 // Flag packing helpers: operand shapes (width / signedness / opcode) are
-// packed into the record's spare `u16`s at prepare time and decoded branch-free-ly by the handlers. The numbering is the
-// enums' own (`code()` / `from_code()` in `mcode.rs`, shared with the
-// artifact store); the masks are the field widths of the packing. Flag bits
-// are only ever written from a valid enum, so a decoder's fallback is never
-// taken: it makes decoding total without a panic path in a handler.
+// packed into the record's spare `u16`s at prepare time and decoded
+// branch-free-ly by the handlers. The numbering is the enums' own (`code()` /
+// `from_code()` in `mcode.rs`, shared with the artifact store); the masks
+// are the field widths of the packing. Flag bits are only ever written from
+// a valid enum, so a decoder's fallback is never taken: it makes decoding
+// total without a panic path in a handler.
 // ---------------------------------------------------------------------------
 
 fn wbits(w: Width) -> u16 {
