@@ -2255,6 +2255,53 @@ mod tests {
         assert_eq!(selected, vec![10, 13, 16, 19]);
     }
 
+    /// The stock chaos plan (`splitc serve-bench --chaos`: panic at
+    /// p = 0.01, then a 200 µs latency fault at p = 0.005) folded over tags
+    /// 0..100 000 under the CI seed and `LoadConfig::catalogue`'s default:
+    /// panics, latency faults, and an FNV-1a digest of the selected
+    /// (tag, kind) pairs. A rewrite of the fault policy must reproduce them.
+    #[test]
+    fn the_stock_chaos_plan_makes_the_recorded_decisions() {
+        const PINNED: [(u64, u64, u64, u64); 2] = [
+            (2718, 1036, 438, 0xbc78_6cf6_525d_9d2e),
+            (0xdac, 1035, 438, 0x2593_c67b_9837_3d44),
+        ];
+        for (seed, panics, latencies, digest) in PINNED {
+            let plan = FaultPlan::seeded(seed)
+                .with_rule(FaultRule {
+                    kind: FaultKind::Panic,
+                    selector: FaultSelector::Probability(0.01),
+                })
+                .with_rule(FaultRule {
+                    kind: FaultKind::Latency(200_000),
+                    selector: FaultSelector::Probability(0.005),
+                });
+            let (mut p, mut l, mut fold) = (0, 0, Fnv1a::new());
+            for tag in 0..100_000u64 {
+                let kind = match plan.at(tag) {
+                    None => continue,
+                    Some(FaultKind::Panic) => {
+                        p += 1;
+                        0u8
+                    }
+                    Some(FaultKind::Latency(ns)) => {
+                        assert_eq!(ns, 200_000);
+                        l += 1;
+                        1u8
+                    }
+                };
+                fold.write(&tag.to_le_bytes());
+                fold.write(&[kind]);
+            }
+            assert_eq!(
+                (p, l, fold.finish()),
+                (panics, latencies, digest),
+                "seed {seed:#x}: digest {:#018x}",
+                fold.finish()
+            );
+        }
+    }
+
     #[test]
     fn panic_payloads_are_capped_at_a_fixed_size() {
         let short = panic_message(&"boom".to_owned() as &(dyn std::any::Any + Send));
