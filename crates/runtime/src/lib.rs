@@ -15,9 +15,8 @@
 //!   bounded MPMC work queue with backpressure, a worker pool, and shared
 //!   engines deduplicated by module fingerprint, with graceful lossless
 //!   shutdown and live [`serve::ServerStats`].
-//! * [`choose_core`] and [`list_schedule`] map kernels and task graphs onto
-//!   cores, guided by the kernel-trait annotations the offline compiler left
-//!   in the bytecode.
+//! * [`choose_core`] maps a kernel onto a core, guided by the kernel-trait
+//!   annotations the offline compiler left in the bytecode.
 //! * [`DmaModel`] and [`run_offloaded`] account for the cost of shipping
 //!   data to accelerators (the offload-profitability crossover of
 //!   experiment E4).
@@ -77,7 +76,7 @@ pub use hist::{Histogram, EMPTY_QUANTILE};
 pub use kpn::{pipeline, profile_pipeline, ChannelId, KpnReport, Network, Process, ProcessId};
 pub use offload::{run_offloaded, DmaModel, OffloadCost};
 pub use platform::{Core, Platform};
-pub use scheduler::{affinity, choose_core, list_schedule, Placement, Schedule, TaskEstimate};
+pub use scheduler::{affinity, choose_core};
 pub use store::{
     ArtifactStore, StoreKey, StoreLoad, StoredArtifact, STORE_FORMAT_VERSION, STORE_MAGIC,
 };
