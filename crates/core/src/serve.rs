@@ -22,13 +22,12 @@
 //! Throughput, round-trip time and cold-vs-warm bring-up are measured by the
 //! `e2e/` benchmark package (`serve_rps`, `serve_rtt_us`, `online_cold_ms`
 //! vs `online_warm_ms`). The CLI's `splitc serve-bench` is [`run_load`];
-//! `--chaos` is the same call with [`default_chaos_plan`] in `cfg.server`,
+//! `--chaos` is the same call with [`chaos_hook`] in `cfg.server`,
 //! `--store` is [`run_store_bench`].
 
 pub use splitc_runtime::serve::{
-    module_fingerprint, FaultKind, FaultPlan, FaultRule, FaultSelector, Request, Response,
-    ResponseHandle, ResponseLost, ServeModule, Server, ServerConfig, ServerStats, SubmitError,
-    PANIC_MESSAGE_CAP,
+    FaultHook, Request, Response, ResponseHandle, ResponseLost, ServeModule, Server, ServerConfig,
+    ServerStats, SubmitError, PANIC_MESSAGE_CAP,
 };
 use splitc_runtime::{EngineError, Histogram, EMPTY_QUANTILE};
 
@@ -61,13 +60,13 @@ pub struct LoadConfig {
     /// Online-compilation configuration shared by every request.
     pub options: JitOptions,
     /// The run's one seed: template `t` prepares its inputs from
-    /// `seed + t`, and the CLI derives its stock fault plan
-    /// ([`default_chaos_plan`]) from it, so two runs with one seed are
-    /// replays of each other.
+    /// `seed + t`, and the CLI derives its stock fault hook
+    /// ([`chaos_hook`]) from it, so two runs with one seed are replays of
+    /// each other.
     pub seed: u64,
     /// The server under load, configured exactly as any other server is.
     /// `server.queue_capacity` also sizes the generator's in-flight window
-    /// (twice the bound). A `server.faults` plan makes the run a chaos soak
+    /// (twice the bound). A `server.faults` hook makes the run a chaos soak
     /// — panics and deadline misses are then tallied instead of returned,
     /// and a slice of the traffic carries tight deadlines.
     pub server: ServerConfig,
@@ -172,24 +171,10 @@ impl LoadReport {
         for (target, count) in &stats.per_target {
             out.push_str(&format!("  {target:<12} {count} requests\n"));
         }
-        out.push_str(&fmt_fault_lines(stats));
         out.push_str(&fmt_cache_line(&stats.cache));
         out.push('\n');
         out
     }
-}
-
-/// Render the fault and deadline counter line (empty when the load saw no
-/// injected faults and no deadline misses — the healthy-path output stays
-/// unchanged).
-fn fmt_fault_lines(stats: &ServerStats) -> String {
-    if stats.faults_injected + stats.expired + stats.cancelled == 0 {
-        return String::new();
-    }
-    format!(
-        "faults: injected {} · expired {} · cancelled {}\n",
-        stats.faults_injected, stats.expired, stats.cancelled,
-    )
 }
 
 /// One traffic template: a fully prepared request prototype plus the
@@ -271,7 +256,7 @@ fn build_templates(cfg: &LoadConfig) -> Result<Vec<Template>, PipelineError> {
 /// order. A successful one must checksum to its template's single-threaded
 /// [`run_on_target`] reference and is folded into [`LoadReport::digest`].
 ///
-/// With a fault plan in `cfg.server.faults` the run is a chaos soak:
+/// With a fault hook in `cfg.server.faults` the run is a chaos soak:
 /// every 31st request carries a 3 ms deadline (so queue sheds and, under
 /// latency faults, mid-flight cancellation are exercised; which requests
 /// expire depends on real scheduling, the books hold for any mix), and
@@ -291,7 +276,7 @@ fn build_templates(cfg: &LoadConfig) -> Result<Vec<Template>, PipelineError> {
 ///
 /// Returns the first [`PipelineError`] from offline compilation or the
 /// reference runs, the first *semantic* error (trap, unknown kernel, JIT
-/// rejection) any served request produced, and — without a fault plan —
+/// rejection) any served request produced, and — without a fault hook —
 /// the first failure of any kind.
 ///
 /// # Panics
@@ -341,7 +326,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, PipelineError> {
             Err(err) if !chaos => return Err(err),
             Err(EngineError::DeadlineExceeded) => &mut missed_deadline,
             Err(EngineError::Panicked(_)) => &mut report.panicked,
-            // A plan injects panics and latency only: a semantic error
+            // A hook injects panics and latency only: a semantic error
             // under chaos is a serving bug.
             Err(err) => return Err(err),
         };
@@ -473,22 +458,51 @@ pub fn run_store_bench(cfg: &LoadConfig, dir: &Path) -> Result<StoreBenchReport,
     })
 }
 
-/// The CLI's stock chaos plan: sporadic panics, each answered
+/// What the stock chaos policy injects into one request.
+enum ChaosFault {
+    Panic,
+    /// A [`CHAOS_LATENCY`] sleep: results stay bit-identical, only
+    /// deadlines and queue waits feel it.
+    Latency,
+}
+
+/// How long a [`ChaosFault::Latency`] holds its request.
+const CHAOS_LATENCY: Duration = Duration::from_micros(200);
+
+/// The stock chaos policy's decision for the request tagged `tag`: a panic
+/// at p = 0.01, checked first, then a latency fault at p = 0.005. Check `i`
+/// draws 53 uniform bits from `splitmix64(seed ^ i·0x9E37_79B9_7F4A_7C15 ^
+/// tag)`, so every decision is a pure function of `(seed, tag)`.
+fn chaos_fault(seed: u64, tag: u64) -> Option<ChaosFault> {
+    let fires = |check: u64, p: f64| {
+        let mut x = seed ^ check.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ tag;
+        // SplitMix64's one-shot mixing step: full avalanche, so consecutive
+        // tags draw uncorrelated fractions.
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (((x ^ (x >> 31)) >> 11) as f64 / (1u64 << 53) as f64) < p
+    };
+    if fires(0, 0.01) {
+        Some(ChaosFault::Panic)
+    } else if fires(1, 0.005) {
+        Some(ChaosFault::Latency)
+    } else {
+        None
+    }
+}
+
+/// The CLI's stock chaos hook: sporadic panics, each answered
 /// [`EngineError::Panicked`] by a worker that keeps serving, and latency
-/// spikes. Every decision derives from `seed`, so a chaos run is a replay
-/// of any other run with the same seed and request count.
-pub fn default_chaos_plan(seed: u64) -> FaultPlan {
-    FaultPlan::seeded(seed)
-        .with_rule(FaultRule {
-            kind: FaultKind::Panic,
-            selector: FaultSelector::Probability(0.01),
-        })
-        // Latency spikes: results stay bit-identical, only deadlines and
-        // queue waits feel them.
-        .with_rule(FaultRule {
-            kind: FaultKind::Latency(200_000),
-            selector: FaultSelector::Probability(0.005),
-        })
+/// spikes. Every decision derives from `seed` and the request's tag, so a
+/// chaos run is a replay of any other run with the same seed and request
+/// count.
+pub fn chaos_hook(seed: u64) -> FaultHook {
+    FaultHook(Arc::new(move |tag| match chaos_fault(seed, tag) {
+        Some(ChaosFault::Panic) => panic!("injected panic at request {tag}"),
+        Some(ChaosFault::Latency) => std::thread::sleep(CHAOS_LATENCY),
+        None => {}
+    }))
 }
 
 #[cfg(test)]
@@ -549,10 +563,6 @@ mod tests {
         assert!(text.contains("queue-wait"), "latency lines are rendered");
         assert!(text.contains("p999"), "tail quantiles are rendered");
         assert!(text.contains("batches:"), "batch distribution is rendered");
-        assert!(
-            !text.contains("faults:"),
-            "a clean load prints no fault lines"
-        );
     }
 
     #[test]
@@ -585,11 +595,10 @@ mod tests {
         cfg.server.workers = 2;
         cfg.server.queue_capacity = 16;
         cfg.seed = 0xc4a05;
-        cfg.server.faults = Some(default_chaos_plan(cfg.seed));
+        cfg.server.faults = Some(chaos_hook(cfg.seed));
         // `run_load` itself asserts exactly-once answering and the exact
-        // books; the checks here pin what the stock plan promises.
+        // books; the checks here pin what the stock hook promises.
         let report = run_load(&cfg).unwrap();
-        assert!(report.stats.faults_injected > 0, "the plan actually fired");
         assert!(report.panicked > 0, "injected panics were answered");
         assert!(
             report.ok > report.requests / 2,
@@ -599,7 +608,6 @@ mod tests {
         );
         let text = report.render();
         assert!(text.contains("outcomes: ok"));
-        assert!(text.contains("faults: injected"));
     }
 
     /// A clean catalogue load (`catalogue(64, 540)`, its own fixed seed
@@ -620,6 +628,43 @@ mod tests {
                 (report.digest, report.ok, report.stats.cache.compiles),
                 (digest, ok, compiles),
                 "workers = {workers}"
+            );
+        }
+    }
+
+    /// The stock chaos policy folded over tags 0..100 000 under the CI seed
+    /// (2718) and `LoadConfig::catalogue`'s default (0xdac): panics, latency
+    /// faults, and an FNV-1a digest of the selected (tag, kind) pairs
+    /// (kind 0 = panic, 1 = latency). `serve-bench --chaos --seed S` injects
+    /// exactly these faults.
+    #[test]
+    fn the_stock_chaos_policy_makes_the_recorded_decisions() {
+        const PINNED: [(u64, u64, u64, u64); 2] = [
+            (2718, 1036, 438, 0xbc78_6cf6_525d_9d2e),
+            (0xdac, 1035, 438, 0x2593_c67b_9837_3d44),
+        ];
+        for (seed, panics, latencies, digest) in PINNED {
+            let (mut p, mut l, mut fold) = (0, 0, Fnv1a::new());
+            for tag in 0..100_000u64 {
+                let kind = match chaos_fault(seed, tag) {
+                    None => continue,
+                    Some(ChaosFault::Panic) => {
+                        p += 1;
+                        0u8
+                    }
+                    Some(ChaosFault::Latency) => {
+                        l += 1;
+                        1u8
+                    }
+                };
+                fold.write(&tag.to_le_bytes());
+                fold.write(&[kind]);
+            }
+            assert_eq!(
+                (p, l, fold.finish()),
+                (panics, latencies, digest),
+                "seed {seed:#x}: digest {:#018x}",
+                fold.finish()
             );
         }
     }

@@ -472,25 +472,14 @@ impl ExecutionEngine {
     /// rendezvous that dedups compiles) and populate it on miss or reject.
     ///
     /// The module fingerprint keying this deployment's entries is computed
-    /// here, once, over the canonical vbc encoding. Callers that already
-    /// hold that fingerprint (the serving tier does) should use
-    /// [`ExecutionEngine::with_store_keyed`] and skip the re-encode.
-    pub fn with_store(self, store: Arc<ArtifactStore>) -> Self {
+    /// here, once, as FNV-1a over the canonical vbc encoding. The on-disk
+    /// [`StoreKey`] is that fingerprint, not the encoding: the serving tier
+    /// tells colliding modules apart in memory (it compares encodings), but
+    /// two different modules engineered to share a 64-bit FNV-1a would still
+    /// share store entries. Whoever can write a module into a deployment
+    /// that has a store attached is inside the store's trust boundary.
+    pub fn with_store(mut self, store: Arc<ArtifactStore>) -> Self {
         let module_fp = Fnv1a::hash(&encode_module(&self.module));
-        self.with_store_keyed(store, module_fp)
-    }
-
-    /// Attach an on-disk [`ArtifactStore`] using a caller-supplied module
-    /// fingerprint (which must be the FNV-1a hash of the module's canonical
-    /// vbc encoding — the value [`ExecutionEngine::with_store`] computes).
-    ///
-    /// The on-disk [`StoreKey`] is that fingerprint, not the encoding: the
-    /// serving tier tells colliding modules apart in memory (it compares
-    /// encodings), but two different modules engineered to share a 64-bit
-    /// FNV-1a would still share store entries. Whoever can write a module
-    /// into a deployment that has a store attached is inside the store's
-    /// trust boundary.
-    pub fn with_store_keyed(mut self, store: Arc<ArtifactStore>, module_fp: u64) -> Self {
         self.store = Some(StoreHandle { store, module_fp });
         self
     }

@@ -11,10 +11,7 @@
 //! an LRU bound forces recompiles, and a graceful shutdown answers every
 //! accepted request.
 
-use splitc::serve::{
-    FaultKind, FaultPlan, FaultRule, FaultSelector, Request, ServeModule, Server, ServerConfig,
-    SubmitError,
-};
+use splitc::serve::{Request, ServeModule, Server, ServerConfig, SubmitError};
 use splitc::splitc_minic::compile_source;
 use splitc::{checksum_bytes, prepare, run_on_target, EngineError, Execution, Workspace};
 use splitc_jit::JitOptions;
@@ -850,11 +847,11 @@ fn a_hostile_module_and_a_panicking_compile_are_answered_and_the_worker_lives() 
     let hostile = ServeModule::new(hostile);
     let healthy = ServeModule::new(compile_source(source, "healthy").unwrap());
     // Tag 7 panics where its online step starts.
-    let plan = FaultPlan::seeded(1).with_rule(FaultRule {
-        kind: FaultKind::Panic,
-        selector: FaultSelector::tag_range(7, 8),
-    });
-    let server = Server::start(ServerConfig::default().with_workers(1).with_faults(plan));
+    let server = Server::start(ServerConfig::default().with_workers(1).with_faults(|tag| {
+        if tag == 7 {
+            panic!("injected panic")
+        }
+    }));
     let ask = |module: &ServeModule, tag: u64| {
         let request = Request {
             module: module.clone(),
