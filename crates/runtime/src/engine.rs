@@ -1209,33 +1209,43 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_tie_live_entries_to_compiles_minus_evictions() {
+    fn snapshots_tie_live_entries_to_compiles_and_disk_hits() {
         let engine = deployed();
-        engine.set_cache_capacity(2);
-        let options = JitOptions::split();
+        let configs = [
+            JitOptions::split(),
+            JitOptions::online_greedy(),
+            JitOptions::online_analyze(),
+        ];
+        let targets = TargetDesc::presets();
         let mut prev = engine.snapshot();
         assert_eq!(prev.live, 0);
-        for target in TargetDesc::presets() {
-            engine.program_for(&target, &options).unwrap();
-            engine.program_for(&target, &options).unwrap();
-            let snap = engine.snapshot();
-            // The consistency invariant the serving layer reads stats under.
-            assert_eq!(
-                snap.live,
-                (snap.stats.compiles + snap.stats.disk_hits - snap.stats.evictions) as usize
-            );
-            assert_eq!(
-                snap.stats.lookups(),
-                snap.stats.compiles + snap.stats.hits + snap.stats.disk_hits
-            );
-            // Pointwise monotonic across successive snapshots.
-            assert!(snap.stats.compiles >= prev.stats.compiles);
-            assert!(snap.stats.hits >= prev.stats.hits);
-            assert!(snap.stats.evictions >= prev.stats.evictions);
-            assert!(snap.online_work >= prev.online_work);
-            prev = snap;
+        for options in &configs {
+            for target in &targets {
+                engine.program_for(target, options).unwrap();
+                engine.program_for(target, options).unwrap();
+                let snap = engine.snapshot();
+                // The consistency invariant the serving layer reads stats under.
+                assert_eq!(
+                    snap.live,
+                    (snap.stats.compiles + snap.stats.disk_hits - snap.stats.evictions) as usize
+                );
+                assert_eq!(
+                    snap.stats.lookups(),
+                    snap.stats.compiles + snap.stats.hits + snap.stats.disk_hits
+                );
+                // Pointwise monotonic across successive snapshots.
+                assert!(snap.stats.compiles >= prev.stats.compiles);
+                assert!(snap.stats.hits >= prev.stats.hits);
+                assert!(snap.stats.evictions >= prev.stats.evictions);
+                assert!(snap.online_work >= prev.online_work);
+                prev = snap;
+            }
         }
-        assert_eq!(prev.live, 2, "the LRU bound caps resident entries");
+        assert_eq!(
+            prev.live,
+            configs.len() * targets.len(),
+            "one resident entry per (target, options) pair"
+        );
         assert_eq!(engine.stats(), prev.stats, "stats() is the snapshot view");
         assert_eq!(engine.online_work(), prev.online_work);
     }
