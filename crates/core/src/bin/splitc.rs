@@ -8,7 +8,7 @@
 //! splitc disasm <catalogue-kernel|module.svbc|kernels.mc> [--target <name>] [--timing flat|in-order] [--no-fuse]
 //! splitc bench <catalogue-kernel> [--n <elems>] [--target <name>] [--repeats <R>]
 //! splitc report <all|table1|splitflow|regalloc|hetero|codesize|kpn> [n] [--json <path>]
-//! splitc serve-bench [--n <elems>] [--requests <R>] [--workers <N>] [--queue <Q>] [--cache-cap <C>] [--max-batch <B>] [--seed <S>] [--chaos | --store <dir>]
+//! splitc serve-bench [--n <elems>] [--requests <R>] [--workers <N>] [--queue <Q>] [--max-batch <B>] [--seed <S>] [--chaos | --store <dir>]
 //! ```
 //!
 //! Every subcommand refuses a flag given without its value and any argument
@@ -47,16 +47,15 @@
 //!   (no clock is read), so the file is committed and CI diffs it: a change
 //!   that moves a cycle count, a checksum or a cache counter must regenerate
 //!   it. Host wall-clock numbers live in `e2e/` and nowhere else.
-//! * `serve-bench` drives mixed-module request traffic (every Table 1
-//!   kernel as its own deployment, one request template per kernel × target
-//!   of the full catalogue) through the serving tier: one bounded queue
-//!   (`--queue` is its bound) drained by `--workers` threads (0 = one per
-//!   host core) with continuous batching up to `--max-batch` requests per
-//!   pull, over shared, fingerprint-deduplicated engines, optionally
-//!   LRU-bounded with `--cache-cap`. Requests are clones of the templates
-//!   streamed through a bounded in-flight window (so 10⁵+ requests don't
-//!   need 10⁵ pre-built buffers), every response is verified against its
-//!   template's single-threaded reference checksum, and the run asserts
+//! * `serve-bench` drives mixed-module request traffic (every Table 1 kernel
+//!   as its own deployment, one request template per kernel × target of the
+//!   full catalogue) through the serving tier: one bounded queue (`--queue`
+//!   is its bound) drained by `--workers` threads (0 = one per host core)
+//!   with continuous batching up to `--max-batch` requests per pull, over
+//!   shared, fingerprint-deduplicated engines. Requests are clones of the
+//!   templates streamed through a bounded in-flight window (so 10⁵+ requests
+//!   don't need 10⁵ pre-built buffers), every response is verified against
+//!   its template's single-threaded reference checksum, and the run asserts
 //!   exactly-once answering and exact books (`accepted == completed +
 //!   expired`, response tallies equal the server counters). Prints the
 //!   per-outcome tallies, a digest of the verified responses, the server's
@@ -110,7 +109,7 @@ const EXPERIMENTS: [&str; 6] = [
 
 fn usage() -> String {
     format!(
-        "usage:\n  splitc build <kernels.mc> -o <module.svbc> [--no-vectorize] [--strip]\n  splitc dis <module.svbc>\n  splitc targets\n  splitc run <module.svbc|kernels.mc> --kernel <fn> --target <name> [--arg i:<int>|f:<float>]...\n  splitc disasm <catalogue-kernel|module.svbc|kernels.mc> [--target <name>] [--timing flat|in-order] [--no-fuse]\n  splitc bench <kernel> [--n <elems>] [--target <name>] [--repeats <R>]\n  {REPORT_USAGE}\n  splitc serve-bench [--n <elems>] [--requests <R>] [--workers <N>] [--queue <Q>] [--cache-cap <C>] [--max-batch <B>] [--seed <S>] [--chaos | --store <dir>]"
+        "usage:\n  splitc build <kernels.mc> -o <module.svbc> [--no-vectorize] [--strip]\n  splitc dis <module.svbc>\n  splitc targets\n  splitc run <module.svbc|kernels.mc> --kernel <fn> --target <name> [--arg i:<int>|f:<float>]...\n  splitc disasm <catalogue-kernel|module.svbc|kernels.mc> [--target <name>] [--timing flat|in-order] [--no-fuse]\n  splitc bench <kernel> [--n <elems>] [--target <name>] [--repeats <R>]\n  {REPORT_USAGE}\n  splitc serve-bench [--n <elems>] [--requests <R>] [--workers <N>] [--queue <Q>] [--max-batch <B>] [--seed <S>] [--chaos | --store <dir>]"
     )
 }
 
@@ -473,12 +472,11 @@ fn write_sweep_json(path: &str, n: usize) -> Result<(), Box<dyn std::error::Erro
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\": \"splitc-bench-sweep/10\",\n  \"n\": {n},\n  \"repeats\": {JSON_SWEEP_REPEATS},\n  \"sweeps\": [\n    {{\n      \"cells\": {},\n      \"total_cycles\": {},\n      \"cache\": {{\"compiles\": {}, \"hits\": {}, \"evictions\": {}}},\n      \"online_work\": {},\n      \"cells_detail\": [\n{}\n      ]\n    }}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"splitc-bench-sweep/11\",\n  \"n\": {n},\n  \"repeats\": {JSON_SWEEP_REPEATS},\n  \"sweeps\": [\n    {{\n      \"cells\": {},\n      \"total_cycles\": {},\n      \"cache\": {{\"compiles\": {}, \"hits\": {}}},\n      \"online_work\": {},\n      \"cells_detail\": [\n{}\n      ]\n    }}\n  ]\n}}\n",
         result.cells.len(),
         result.total_cycles(),
         result.cache.compiles,
         result.cache.hits,
-        result.cache.evictions,
         result.online_work,
         detail.join(",\n"),
     );
@@ -491,7 +489,6 @@ fn cmd_serve_bench(mut args: Vec<String>) -> Result<(), String> {
     let requests: usize = take_parsed(&mut args, "--requests")?.unwrap_or(256);
     let workers: usize = take_parsed(&mut args, "--workers")?.unwrap_or(0);
     let queue: usize = take_parsed(&mut args, "--queue")?.unwrap_or(64);
-    let cache_cap: usize = take_parsed(&mut args, "--cache-cap")?.unwrap_or(0);
     let max_batch: usize = take_parsed(&mut args, "--max-batch")?.unwrap_or(16);
     let seed: Option<u64> = take_parsed(&mut args, "--seed")?;
     let chaos = take_switch(&mut args, "--chaos");
@@ -505,7 +502,6 @@ fn cmd_serve_bench(mut args: Vec<String>) -> Result<(), String> {
         .server
         .with_workers(workers)
         .with_queue_capacity(queue)
-        .with_cache_capacity(cache_cap)
         .with_max_batch(max_batch);
     if let Some(seed) = seed {
         cfg.seed = seed;
@@ -614,7 +610,7 @@ mod tests {
     #[test]
     fn an_unknown_argument_is_refused_by_every_subcommand() {
         type Cmd = fn(Vec<String>) -> Result<(), String>;
-        let cases: [(Cmd, &[&str], &str); 8] = [
+        let cases: [(Cmd, &[&str], &str); 9] = [
             (cmd_build, &["k.mc", "-o", "k.svbc", "extra"], "extra"),
             (cmd_dis, &["k.svbc", "extra"], "extra"),
             (cmd_targets, &["extra"], "extra"),
@@ -622,6 +618,7 @@ mod tests {
             (cmd_disasm, &["saxpy_f32", "--bogus"], "--bogus"),
             (cmd_bench, &["saxpy_f32", "--bogus", "extra"], "--bogus"),
             (cmd_serve_bench, &["--bogus"], "--bogus"),
+            (cmd_serve_bench, &["--cache-cap", "1"], "--cache-cap"),
             (cmd_report, &["table1", "512", "extra"], "extra"),
         ];
         for (cmd, args, extra) in cases {
@@ -658,7 +655,7 @@ mod tests {
         let json = std::fs::read_to_string(&path).expect("golden written");
         std::fs::remove_file(&path).ok();
         assert!(
-            json.contains("\"schema\": \"splitc-bench-sweep/10\""),
+            json.contains("\"schema\": \"splitc-bench-sweep/11\""),
             "{json}"
         );
         assert!(json.contains("\"n\": 16,"), "{json}");

@@ -83,9 +83,7 @@ impl TextTable {
 /// them.
 ///
 /// The two-field shape (`compiles` across `lookups`, `hits` served from the
-/// cache) is kept byte-identical to the historical output; the `evictions`
-/// field is appended only when an LRU bound actually evicted something, so
-/// golden outputs of unbounded runs don't churn.
+/// cache) is kept byte-identical to the historical output.
 pub fn fmt_cache_line(cache: &splitc_runtime::CacheStats) -> String {
     let mut line = format!(
         "online compilations: {} across {} runs ({} served from the engine cache)",
@@ -93,9 +91,6 @@ pub fn fmt_cache_line(cache: &splitc_runtime::CacheStats) -> String {
         cache.lookups(),
         cache.hits,
     );
-    if cache.evictions > 0 {
-        line.push_str(&format!(", {} evicted by the LRU bound", cache.evictions));
-    }
     // The artifact-store counters only appear when a store was attached
     // (all three stay zero otherwise), so storeless golden outputs keep
     // their historical shape.

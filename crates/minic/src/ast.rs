@@ -23,11 +23,6 @@ impl MiniType {
         }
     }
 
-    /// `true` for pointer types.
-    pub fn is_ptr(self) -> bool {
-        matches!(self, MiniType::Ptr(_))
-    }
-
     /// The bytecode type this mini-C type lowers to.
     pub fn to_vbc(self) -> splitc_vbc::Type {
         match self {
@@ -283,12 +278,10 @@ mod tests {
     #[test]
     fn mini_type_properties() {
         let p = MiniType::Ptr(ScalarType::F32);
-        assert!(p.is_ptr());
         assert_eq!(p.elem(), ScalarType::F32);
         assert_eq!(p.to_vbc(), splitc_vbc::Type::Scalar(ScalarType::Ptr));
         assert_eq!(p.to_string(), "*f32");
         let s = MiniType::Scalar(ScalarType::U16);
-        assert!(!s.is_ptr());
         assert_eq!(s.to_vbc(), splitc_vbc::Type::Scalar(ScalarType::U16));
         assert_eq!(s.to_string(), "u16");
     }

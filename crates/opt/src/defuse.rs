@@ -60,11 +60,6 @@ impl DefUse {
     pub fn is_dead(&self, r: VReg) -> bool {
         self.uses(r).is_empty()
     }
-
-    /// Number of uses of `r`.
-    pub fn use_count(&self, r: VReg) -> usize {
-        self.uses(r).len()
-    }
 }
 
 /// Fetch the instruction at `pos`.
@@ -97,9 +92,6 @@ mod tests {
         let du = DefUse::compute(&f);
 
         assert!(du.defs(x).is_empty(), "parameters have no definition site");
-        assert_eq!(du.use_count(x), 1);
-        assert_eq!(du.use_count(y), 2);
-        assert_eq!(du.use_count(z), 1);
         assert!(du.single_def(y).is_some());
         assert!(!du.is_dead(one));
 

@@ -79,25 +79,6 @@ impl Liveness {
     pub fn crosses_blocks(&self, r: VReg) -> bool {
         self.live_in.iter().any(|s| s.contains(&r)) || self.live_out.iter().any(|s| s.contains(&r))
     }
-
-    /// Pressure (number of live registers) immediately before each instruction
-    /// of block `b`, in instruction order.
-    pub fn pressure_in_block(&self, f: &Function, b: BlockId) -> Vec<u32> {
-        let block = f.block(b);
-        let mut live = self.live_out[b.index()].clone();
-        let mut rev = Vec::with_capacity(block.insts.len());
-        for inst in block.insts.iter().rev() {
-            if let Some(d) = inst.dst() {
-                live.remove(&d);
-            }
-            inst.for_each_use(|u| {
-                live.insert(u);
-            });
-            rev.push(live.len() as u32);
-        }
-        rev.reverse();
-        rev
-    }
 }
 
 #[cfg(test)]
@@ -188,23 +169,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pressure_is_positive_and_bounded_by_register_count() {
-        let (f, _, _) = loop_function();
-        let live = Liveness::compute(&f);
-        let p = f
-            .blocks
-            .iter()
-            .flat_map(|b| live.pressure_in_block(&f, b.id))
-            .max()
-            .unwrap_or(0);
-        assert!(p >= 3, "n, acc and i are simultaneously live: {p}");
-        assert!(p <= f.num_vregs() as u32);
-        let per_inst = live.pressure_in_block(&f, splitc_vbc::BlockId(2));
-        assert_eq!(per_inst.len(), f.block(splitc_vbc::BlockId(2)).insts.len());
-        assert!(per_inst.iter().all(|x| *x > 0));
     }
 
     #[test]

@@ -120,11 +120,6 @@ impl LoopForest {
             })
             .collect()
     }
-
-    /// The loop whose header is `header`, if any.
-    pub fn loop_with_header(&self, header: BlockId) -> Option<&Loop> {
-        self.loops.iter().find(|l| l.header == header)
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +186,6 @@ mod tests {
             .unwrap();
         assert!(outer.blocks.len() > inner[0].blocks.len());
         assert!(outer.blocks.contains(&inner[0].header));
-        assert!(forest.loop_with_header(inner[0].header).is_some());
     }
 
     #[test]

@@ -26,12 +26,12 @@
 //! The engine is `Send + Sync` and built for many threads hammering one
 //! deployment (the [`crate::serve`] worker pool):
 //!
-//! * the cache's whole mutable state — the entry map, the [`CacheStats`]
-//!   counters, the LRU clock, the resident count and the bound — is **one
-//!   struct behind one lock**. The critical section of a hit is a map probe,
-//!   a stamp and an [`Arc`] clone, which is short next to hashing the target
-//!   description into its fingerprint (done before the lock is taken) and
-//!   tiny next to the run that follows, so one lock is not the bottleneck;
+//! * the cache's whole mutable state — the entry map and the [`CacheStats`]
+//!   counters — is **one struct behind one lock**. The critical section of a
+//!   hit is a map probe and an [`Arc`] clone, which is short next to hashing
+//!   the target description into its fingerprint (done before the lock is
+//!   taken) and tiny next to the run that follows, so one lock is not the
+//!   bottleneck;
 //! * compilation happens **outside** the lock. A cold lookup registers an
 //!   *in-flight* marker under the lock, releases it, and compiles; a second
 //!   thread racing on the same cold key finds the marker and waits on it
@@ -41,22 +41,13 @@
 //!   describes, and [`ExecutionEngine::snapshot`] reads under that lock. A
 //!   snapshot taken while workers are mid-flight is therefore *consistent*:
 //!   it never tears a single lookup apart, successive snapshots are
-//!   pointwise non-decreasing, and `compiles + disk_hits - evictions` always
-//!   equals the number of resident entries ([`CacheSnapshot::live`]). The
-//!   serving layer ([`crate::serve`]) relies on exactly these guarantees when
-//!   it reports cache counters from a live worker pool.
+//!   pointwise non-decreasing, and `compiles + disk_hits` always equals the
+//!   number of resident entries ([`CacheSnapshot::live`]). The serving layer
+//!   ([`crate::serve`]) relies on exactly these guarantees when it reports
+//!   cache counters from a live worker pool.
 //!
-//! # Eviction
-//!
-//! By default the cache grows without bound (one entry per distinct pair,
-//! which is small). Long-running multi-tenant deployments can bound it with
-//! [`ExecutionEngine::set_cache_capacity`]: an insert beyond the bound evicts
-//! the least-recently-used entry (by a logical clock ticked on every hit and
-//! insert) *in the same lock acquisition*, so no thread — and no snapshot —
-//! ever observes more than `capacity` resident entries, however many threads
-//! insert at once. Evictions count into [`CacheStats::evictions`]. A
-//! re-request of an evicted pair recompiles — bit-identically, since online
-//! compilation is deterministic — and counts as a fresh compile.
+//! Nothing is ever evicted: the cache holds at most one entry per distinct
+//! (target fingerprint, options) pair, and a deployment meets few of them.
 //!
 //! # Example
 //!
@@ -211,8 +202,7 @@ impl Execution {
 /// `compiles + hits + disk_hits` is the total number of program lookups; the
 /// gap between compiles and the rest is the amortization story of the paper:
 /// after the first run per (target, options) pair, the online compiler never
-/// runs again — unless a cache bound evicted the entry, which `evictions`
-/// counts. With an on-disk [`crate::ArtifactStore`] attached, even the
+/// runs again. With an on-disk [`crate::ArtifactStore`] attached, even the
 /// *first* lookup of a process can skip the compiler: `disk_hits` counts
 /// programs loaded from a prior process's compilation, `disk_misses` cold
 /// keys that had no entry on disk, and `disk_rejects` entries that existed
@@ -220,14 +210,11 @@ impl Execution {
 /// three stay 0 when no store is attached.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Online compilations performed (cache misses, including recompiles of
-    /// evicted entries).
+    /// Online compilations performed (cache misses).
     pub compiles: u64,
     /// Lookups served from the in-memory cache without compiling (including
     /// lookups that waited on a racing thread's in-flight compilation).
     pub hits: u64,
-    /// Entries removed by the LRU bound (0 while the cache is unbounded).
-    pub evictions: u64,
     /// Lookups served by loading a validated artifact from the on-disk
     /// store instead of compiling.
     pub disk_hits: u64,
@@ -243,7 +230,6 @@ impl std::ops::AddAssign for CacheStats {
     fn add_assign(&mut self, other: CacheStats) {
         self.compiles += other.compiles;
         self.hits += other.hits;
-        self.evictions += other.evictions;
         self.disk_hits += other.disk_hits;
         self.disk_misses += other.disk_misses;
         self.disk_rejects += other.disk_rejects;
@@ -254,16 +240,6 @@ impl CacheStats {
     /// Total lookups (compiles plus in-memory hits plus disk hits).
     pub fn lookups(&self) -> u64 {
         self.compiles + self.hits + self.disk_hits
-    }
-
-    /// Fraction of lookups served without compiling — from the in-memory
-    /// cache or the on-disk store (0.0 when there were none).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups() == 0 {
-            0.0
-        } else {
-            (self.hits + self.disk_hits) as f64 / self.lookups() as f64
-        }
     }
 }
 
@@ -277,11 +253,8 @@ type InFlightCell = OnceLock<Result<Arc<CompiledModule>, JitError>>;
 /// One slot of the code cache.
 #[derive(Debug)]
 enum Entry {
-    /// Compiled and cached, with its last-use stamp from the cache's clock.
-    Ready {
-        compiled: Arc<CompiledModule>,
-        stamp: u64,
-    },
+    /// Compiled and cached.
+    Ready(Arc<CompiledModule>),
     /// A thread is compiling this key right now; wait on the cell.
     InFlight(Arc<InFlightCell>),
 }
@@ -295,43 +268,6 @@ struct Cache {
     stats: CacheStats,
     /// Online-compilation work units spent so far.
     online_work: u64,
-    /// Logical LRU clock; every hit or insert takes the next tick.
-    clock: u64,
-    /// Number of `Ready` entries.
-    live: usize,
-    /// LRU bound on `live`; 0 means unbounded.
-    capacity: usize,
-}
-
-impl Cache {
-    /// Make `compiled` the resident entry for `key` (replacing the in-flight
-    /// marker), then evict down to the bound before the lock is released.
-    fn insert_ready(&mut self, key: CacheKey, compiled: Arc<CompiledModule>) {
-        self.clock += 1;
-        let stamp = self.clock;
-        self.entries.insert(key, Entry::Ready { compiled, stamp });
-        self.live += 1;
-        self.enforce_capacity();
-    }
-
-    /// Evict least-recently-used `Ready` entries until the cache fits its
-    /// bound. In-flight markers are left alone: their waiters hold the cell.
-    fn enforce_capacity(&mut self) {
-        while self.capacity != 0 && self.live > self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .filter_map(|(key, entry)| match entry {
-                    Entry::Ready { stamp, .. } => Some((*stamp, *key)),
-                    Entry::InFlight(_) => None,
-                })
-                .min_by_key(|(stamp, _)| *stamp);
-            let Some((_, key)) = lru else { break };
-            self.entries.remove(&key);
-            self.live -= 1;
-            self.stats.evictions += 1;
-        }
-    }
 }
 
 /// A consistent view of the engine's cache, taken under its lock (see
@@ -343,10 +279,9 @@ impl Cache {
 ///
 /// * `stats.lookups() == stats.compiles + stats.hits + stats.disk_hits`
 ///   (definitional);
-/// * `live == stats.compiles + stats.disk_hits - stats.evictions` — every
-///   resident entry got there by a compile or a validated disk load, and no
-///   lookup is ever half counted;
-/// * `live <= capacity` whenever a bound is set;
+/// * `live == stats.compiles + stats.disk_hits` — every resident entry got
+///   there by a compile or a validated disk load, and no lookup is ever half
+///   counted;
 /// * successive snapshots are pointwise non-decreasing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheSnapshot {
@@ -354,8 +289,8 @@ pub struct CacheSnapshot {
     pub stats: CacheStats,
     /// Total online-compilation work units spent at the snapshot instant.
     pub online_work: u64,
-    /// Compiled entries resident at the snapshot instant; always exactly
-    /// `stats.compiles + stats.disk_hits - stats.evictions`.
+    /// Compiled entries resident at the snapshot instant, counted in the map;
+    /// always exactly `stats.compiles + stats.disk_hits`.
     pub live: usize,
 }
 
@@ -440,9 +375,7 @@ fn compile(
 /// See the [module documentation](self) for the full story; in short, the
 /// engine guarantees one online compilation per distinct
 /// `(target fingerprint, JitOptions)` pair — even under concurrent cold
-/// lookups — and shares the compiled programs via [`Arc`]. An optional LRU
-/// bound ([`ExecutionEngine::set_cache_capacity`]) keeps long-running
-/// deployments from growing without limit.
+/// lookups — and shares the compiled programs via [`Arc`].
 #[derive(Debug)]
 pub struct ExecutionEngine {
     module: Arc<Module>,
@@ -453,7 +386,7 @@ pub struct ExecutionEngine {
 }
 
 impl ExecutionEngine {
-    /// Deploy `module` into a fresh engine with an empty, unbounded code cache.
+    /// Deploy `module` into a fresh engine with an empty code cache.
     pub fn new(module: Module) -> Self {
         ExecutionEngine::from_arc(Arc::new(module))
     }
@@ -503,23 +436,8 @@ impl ExecutionEngine {
         self.cache.lock().expect("engine cache poisoned")
     }
 
-    /// Bound the code cache to at most `capacity` compiled programs,
-    /// evicting least-recently-used entries immediately if it is already
-    /// over the bound. A `capacity` of 0 removes the bound.
-    pub fn set_cache_capacity(&self, capacity: usize) {
-        let mut cache = self.cache();
-        cache.capacity = capacity;
-        cache.enforce_capacity();
-    }
-
-    /// The current cache bound (0 = unbounded).
-    pub fn cache_capacity(&self) -> usize {
-        self.cache().capacity
-    }
-
     /// Total online-compilation work units spent by this deployment so far
-    /// (summed [`JitStats::total_work`] over every compile, including
-    /// recompiles after eviction).
+    /// (summed [`JitStats::total_work`] over every compile).
     pub fn online_work(&self) -> u64 {
         self.cache().online_work
     }
@@ -541,10 +459,8 @@ impl ExecutionEngine {
         let key = (target.fingerprint(), *options);
         let mut guard = self.cache();
         let cache = &mut *guard;
-        let cell = match cache.entries.get_mut(&key) {
-            Some(Entry::Ready { compiled, stamp }) => {
-                cache.clock += 1;
-                *stamp = cache.clock;
+        let cell = match cache.entries.get(&key) {
+            Some(Entry::Ready(compiled)) => {
                 cache.stats.hits += 1;
                 return Ok(Arc::clone(compiled));
             }
@@ -591,10 +507,9 @@ impl ExecutionEngine {
         .map(Arc::new);
         {
             // One acquisition does all the bookkeeping of this lookup: the
-            // probe outcome, the counter that explains the new entry, the
-            // insert and the eviction it may force — so a concurrent snapshot
-            // can never see the entry without its compile (or vice versa),
-            // nor the cache over its bound.
+            // probe outcome, the counter that explains the new entry and the
+            // insert — so a concurrent snapshot can never see the entry
+            // without its compile (or vice versa).
             let mut cache = self.cache();
             match probe {
                 // A disk hit is a resident entry that no compile explains:
@@ -610,7 +525,9 @@ impl ExecutionEngine {
                         cache.stats.compiles += 1;
                         cache.online_work += compiled.jit.total_work();
                     }
-                    cache.insert_ready(key, Arc::clone(compiled));
+                    cache
+                        .entries
+                        .insert(key, Entry::Ready(Arc::clone(compiled)));
                 }
                 // Drop the marker so a later request can retry.
                 Err(_) => {
@@ -776,22 +693,21 @@ impl ExecutionEngine {
     /// Take a consistent snapshot of the cache.
     ///
     /// The counters are read under the one lock every cache mutation takes,
-    /// so the result reflects one instant: no lookup, compile or eviction is
-    /// ever half-counted, `live == stats.compiles + stats.disk_hits -
-    /// stats.evictions` holds and `live` never exceeds a set bound in every
-    /// snapshot — the guarantees the serving layer's live statistics rely on.
+    /// so the result reflects one instant: no lookup or compile is ever
+    /// half-counted, and `live` — the `Ready` entries counted in the map under
+    /// the same lock — equals `stats.compiles + stats.disk_hits` in every
+    /// snapshot: the guarantees the serving layer's live statistics rely on.
     pub fn snapshot(&self) -> CacheSnapshot {
         let cache = self.cache();
         CacheSnapshot {
             stats: cache.stats,
             online_work: cache.online_work,
-            live: cache.live,
+            live: cache
+                .entries
+                .values()
+                .filter(|entry| matches!(entry, Entry::Ready(_)))
+                .count(),
         }
-    }
-
-    /// Number of (target, options) pairs currently held compiled in the cache.
-    pub fn compiled_variants(&self) -> usize {
-        self.cache().live
     }
 }
 
@@ -934,9 +850,7 @@ mod tests {
         assert_eq!(stats.compiles, (targets.len() * configs.len()) as u64);
         assert_eq!(stats.lookups(), 5 * 2 * 2);
         assert_eq!(stats.hits, stats.lookups() - stats.compiles);
-        assert_eq!(stats.evictions, 0, "unbounded cache never evicts");
-        assert_eq!(engine.compiled_variants(), 4);
-        assert!(stats.hit_rate() > 0.7);
+        assert_eq!(engine.snapshot().live, 4);
     }
 
     #[test]
@@ -989,7 +903,7 @@ mod tests {
         let platform = crate::Platform::cell_blade(4);
         let targets = platform.cores.iter().map(|core| &core.target);
         engine.precompile(targets, &JitOptions::split()).unwrap();
-        assert_eq!(engine.compiled_variants(), 2);
+        assert_eq!(engine.snapshot().live, 2);
         assert_eq!(engine.stats().compiles, 2);
         assert_eq!(engine.stats().hits, 3);
     }
@@ -1121,91 +1035,7 @@ mod tests {
             "every lookup is counted"
         );
         assert_eq!(stats.hits, stats.lookups() - stats.compiles);
-        assert_eq!(engine.compiled_variants(), expected as usize);
-    }
-
-    #[test]
-    fn lru_bound_evicts_exactly_compiles_minus_capacity() {
-        let engine = deployed();
-        let bound = 2usize;
-        engine.set_cache_capacity(bound);
-        assert_eq!(engine.cache_capacity(), bound);
-        let options = JitOptions::split();
-        let targets = TargetDesc::presets();
-        assert!(targets.len() > bound, "the sweep must overflow the bound");
-        for target in &targets {
-            engine.program_for(target, &options).unwrap();
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.compiles, targets.len() as u64);
-        assert_eq!(
-            stats.evictions,
-            stats.compiles - bound as u64,
-            "every insert beyond the bound evicts exactly one entry"
-        );
-        assert_eq!(engine.compiled_variants(), bound);
-        assert_eq!(stats.compiles + stats.hits, stats.lookups());
-    }
-
-    #[test]
-    fn recompile_after_eviction_is_bit_identical() {
-        let engine = deployed();
-        engine.set_cache_capacity(1);
-        let options = JitOptions::split();
-        let first = engine
-            .program_for(&TargetDesc::x86_sse(), &options)
-            .unwrap();
-        // Push x86 out of the single-entry cache...
-        engine
-            .program_for(&TargetDesc::powerpc(), &options)
-            .unwrap();
-        assert_eq!(engine.stats().evictions, 1);
-        // ...and ask for it again: a fresh compile with an identical program.
-        let again = engine
-            .program_for(&TargetDesc::x86_sse(), &options)
-            .unwrap();
-        assert!(
-            !Arc::ptr_eq(&first, &again),
-            "the evicted program must be recompiled, not resurrected"
-        );
-        assert_eq!(*first, *again, "recompilation is deterministic");
-        assert_eq!(engine.stats().compiles, 3);
-        assert_eq!(engine.stats().hits, 0);
-    }
-
-    #[test]
-    fn lru_evicts_the_least_recently_used_entry() {
-        let engine = deployed();
-        engine.set_cache_capacity(2);
-        let options = JitOptions::split();
-        engine
-            .program_for(&TargetDesc::x86_sse(), &options)
-            .unwrap();
-        engine
-            .program_for(&TargetDesc::powerpc(), &options)
-            .unwrap();
-        // Touch x86 so powerpc is the LRU victim.
-        engine
-            .program_for(&TargetDesc::x86_sse(), &options)
-            .unwrap();
-        engine
-            .program_for(&TargetDesc::ultrasparc(), &options)
-            .unwrap();
-        // x86 must still be cached (a hit), powerpc must recompile.
-        let hits_before = engine.stats().hits;
-        engine
-            .program_for(&TargetDesc::x86_sse(), &options)
-            .unwrap();
-        assert_eq!(engine.stats().hits, hits_before + 1, "x86 survived the LRU");
-        let compiles_before = engine.stats().compiles;
-        engine
-            .program_for(&TargetDesc::powerpc(), &options)
-            .unwrap();
-        assert_eq!(
-            engine.stats().compiles,
-            compiles_before + 1,
-            "powerpc was the eviction victim"
-        );
+        assert_eq!(engine.snapshot().live, expected as usize);
     }
 
     #[test]
@@ -1227,7 +1057,7 @@ mod tests {
                 // The consistency invariant the serving layer reads stats under.
                 assert_eq!(
                     snap.live,
-                    (snap.stats.compiles + snap.stats.disk_hits - snap.stats.evictions) as usize
+                    (snap.stats.compiles + snap.stats.disk_hits) as usize
                 );
                 assert_eq!(
                     snap.stats.lookups(),
@@ -1236,7 +1066,6 @@ mod tests {
                 // Pointwise monotonic across successive snapshots.
                 assert!(snap.stats.compiles >= prev.stats.compiles);
                 assert!(snap.stats.hits >= prev.stats.hits);
-                assert!(snap.stats.evictions >= prev.stats.evictions);
                 assert!(snap.online_work >= prev.online_work);
                 prev = snap;
             }
@@ -1248,45 +1077,6 @@ mod tests {
         );
         assert_eq!(engine.stats(), prev.stats, "stats() is the snapshot view");
         assert_eq!(engine.online_work(), prev.online_work);
-    }
-
-    #[test]
-    fn a_bounded_cache_is_never_observed_over_its_bound() {
-        // Three threads keep inserting cold keys into a cache bounded at 2
-        // while this thread snapshots it: the insert and the eviction it
-        // forces share one lock acquisition, so no snapshot may ever see a
-        // third resident entry.
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let engine = deployed();
-        let bound = 2usize;
-        engine.set_cache_capacity(bound);
-        let stop = AtomicBool::new(false);
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                scope.spawn(|| {
-                    let options = JitOptions::split();
-                    let targets = TargetDesc::presets();
-                    start.wait();
-                    while !stop.load(Ordering::Relaxed) {
-                        for target in &targets {
-                            engine.program_for(target, &options).unwrap();
-                        }
-                    }
-                });
-            }
-            start.wait();
-            let worst = (0..200_000)
-                .map(|_| engine.snapshot().live)
-                .max()
-                .unwrap_or(0);
-            stop.store(true, Ordering::Relaxed);
-            assert!(
-                worst <= bound,
-                "observed {worst} resident entries under a bound of {bound}"
-            );
-        });
-        assert!(engine.stats().evictions > 0, "the bound was exercised");
     }
 
     fn temp_store(name: &str) -> Arc<crate::ArtifactStore> {
@@ -1349,7 +1139,7 @@ mod tests {
         let snap = warm.snapshot();
         assert_eq!(
             snap.live,
-            (snap.stats.compiles + snap.stats.disk_hits - snap.stats.evictions) as usize
+            (snap.stats.compiles + snap.stats.disk_hits) as usize
         );
         store.clear();
     }
@@ -1490,24 +1280,5 @@ mod tests {
             other => panic!("the fresh compile overwrote the entry, got {other:?}"),
         }
         store.clear();
-    }
-
-    #[test]
-    fn shrinking_the_capacity_evicts_immediately() {
-        let engine = deployed();
-        let options = JitOptions::split();
-        for target in TargetDesc::table1_targets() {
-            engine.program_for(&target, &options).unwrap();
-        }
-        assert_eq!(engine.compiled_variants(), 3);
-        engine.set_cache_capacity(1);
-        assert_eq!(engine.compiled_variants(), 1);
-        assert_eq!(engine.stats().evictions, 2);
-        // Lifting the bound stops eviction again.
-        engine.set_cache_capacity(0);
-        for target in TargetDesc::presets() {
-            engine.program_for(&target, &options).unwrap();
-        }
-        assert_eq!(engine.compiled_variants(), TargetDesc::presets().len());
     }
 }

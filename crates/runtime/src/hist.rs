@@ -243,17 +243,6 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// The non-empty buckets as `(inclusive lower bound, count)` pairs, in
-    /// increasing value order — the distribution view used for batch sizes.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_low(i), c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -433,18 +422,5 @@ mod tests {
         for q in [0.0, 0.5, 1.0] {
             assert_eq!(h.quantile(q), 0, "single-sample quantile({q})");
         }
-    }
-
-    #[test]
-    fn nonzero_buckets_expose_the_distribution() {
-        let mut h = Histogram::new();
-        for _ in 0..7 {
-            h.record(1);
-        }
-        for _ in 0..2 {
-            h.record(4);
-        }
-        h.record(5);
-        assert_eq!(h.nonzero_buckets(), vec![(1, 7), (4, 2), (5, 1)]);
     }
 }

@@ -8,9 +8,9 @@
 //! * [`ExecutionEngine`] is the shared, cached execution layer: one deployed
 //!   module, one online compilation per distinct (core type, JIT config)
 //!   pair — guaranteed even under concurrent cold lookups by in-flight
-//!   deduplication over a one-lock cache — compiled programs shared via `Arc`, an
-//!   optional LRU bound for long-running deployments, and cache statistics
-//!   for the paper's "online compilation pays for itself" story.
+//!   deduplication over a one-lock cache — compiled programs shared via `Arc`,
+//!   and cache statistics for the paper's "online compilation pays for
+//!   itself" story.
 //! * [`serve`] is the request front-end for long-running deployments: a
 //!   bounded MPMC work queue with backpressure, a worker pool, and shared
 //!   engines deduplicated by module fingerprint, with graceful lossless

@@ -129,11 +129,6 @@ impl Platform {
     pub fn core(&self, name: &str) -> Option<&Core> {
         self.cores.iter().find(|c| c.name == name)
     }
-
-    /// Cores that have a SIMD unit.
-    pub fn simd_cores(&self) -> impl Iterator<Item = &Core> {
-        self.cores.iter().filter(|c| c.target.has_simd())
-    }
 }
 
 #[cfg(test)]
@@ -149,7 +144,6 @@ mod tests {
         let p = Platform::phone();
         assert_eq!(p.cores.len(), 2);
         assert!(p.core("dsp").is_some());
-        assert_eq!(p.simd_cores().count(), 1);
 
         let cell = Platform::cell_blade(4);
         assert_eq!(cell.cores.len(), 5);
@@ -163,7 +157,6 @@ mod tests {
         assert!(!gpu.host().target.has_simd(), "the RISC-V host is scalar");
         let accel = gpu.core("gpu").expect("node has a GPU");
         assert_eq!(accel.target.vector_bytes(), 64);
-        assert_eq!(gpu.simd_cores().count(), 1);
     }
 
     #[test]

@@ -429,6 +429,9 @@ impl fmt::Debug for FaultHook {
 }
 
 /// Configuration of a [`Server`].
+///
+/// There is no cache bound: each engine the server creates holds one compiled
+/// program per (target, options) pair it has been asked for, and keeps it.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads (0 = one per host core).
@@ -437,9 +440,6 @@ pub struct ServerConfig {
     /// at least 1. This is the backpressure knob: blocking submits throttle
     /// producers to the drain rate once the queue holds this many requests.
     pub queue_capacity: usize,
-    /// Per-engine LRU bound on compiled (target, options) pairs
-    /// ([`ExecutionEngine::set_cache_capacity`]); 0 = unbounded.
-    pub cache_capacity: usize,
     /// Most requests a worker serves as one continuous batch (same module,
     /// target and options; one program fetch, one frame pool); clamped to at
     /// least 1. 1 disables batching.
@@ -457,7 +457,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 0,
             queue_capacity: 256,
-            cache_capacity: 0,
             max_batch: 16,
             faults: None,
             store: None,
@@ -475,12 +474,6 @@ impl ServerConfig {
     /// Same configuration with a queue bound of `capacity` requests.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Same configuration with a per-engine code-cache bound.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
         self
     }
 
@@ -794,7 +787,6 @@ struct Inner {
     /// Module fingerprint → the shared engine of every module with that
     /// fingerprint (one, short of a collision); locked once per *batch*.
     engines: Mutex<HashMap<u64, Vec<EngineEntry>>>,
-    cache_capacity: usize,
     max_batch: usize,
     completed: AtomicU64,
     rejected: AtomicU64,
@@ -823,9 +815,6 @@ impl Inner {
         let mut engine = ExecutionEngine::from_arc(module.module_arc());
         if let Some(store) = &self.store {
             engine = engine.with_store(Arc::clone(store));
-        }
-        if self.cache_capacity > 0 {
-            engine.set_cache_capacity(self.cache_capacity);
         }
         let engine = Arc::new(engine);
         entries.push(EngineEntry {
@@ -868,7 +857,6 @@ impl Server {
         let inner = Arc::new(Inner {
             queue: BoundedQueue::new(config.queue_capacity),
             engines: Mutex::new(HashMap::new()),
-            cache_capacity: config.cache_capacity,
             max_batch: config.max_batch.max(1),
             completed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),

@@ -784,11 +784,6 @@ impl MInst {
         )
     }
 
-    /// `true` for spill/reload traffic inserted by the register allocator.
-    pub fn is_spill(&self) -> bool {
-        matches!(self, MInst::Spill { .. } | MInst::Reload { .. })
-    }
-
     /// Estimated encoded size in bytes, used by the code-size experiment (E5).
     ///
     /// The estimate models a 32-bit RISC-style encoding with extension words
@@ -834,15 +829,6 @@ impl MFunction {
     /// Total instruction count.
     pub fn num_insts(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len()).sum()
-    }
-
-    /// Number of spill/reload instructions (static count).
-    pub fn num_spill_insts(&self) -> usize {
-        self.blocks
-            .iter()
-            .flat_map(|b| b.insts.iter())
-            .filter(|i| i.is_spill())
-            .count()
     }
 
     /// Estimated code size in bytes (see [`MInst::estimated_bytes`]).
@@ -916,11 +902,6 @@ mod tests {
             rhs: PReg::vec(2),
         };
         assert!(v.is_vector() && !v.is_terminator());
-        let s = MInst::Spill {
-            slot: 0,
-            src: PReg::int(1),
-        };
-        assert!(s.is_spill());
     }
 
     #[test]

@@ -182,14 +182,6 @@ impl BinOp {
         )
     }
 
-    /// `true` if the operation is commutative.
-    pub fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Min | BinOp::Max
-        )
-    }
-
     /// Lowercase mnemonic for the textual listing.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -277,18 +269,6 @@ impl CmpOp {
             CmpOp::Le => CmpOp::Ge,
             CmpOp::Gt => CmpOp::Lt,
             CmpOp::Ge => CmpOp::Le,
-        }
-    }
-
-    /// The logical negation of the predicate (`a < b` ⇔ `!(a >= b)`).
-    pub fn negated(self) -> CmpOp {
-        match self {
-            CmpOp::Eq => CmpOp::Ne,
-            CmpOp::Ne => CmpOp::Eq,
-            CmpOp::Lt => CmpOp::Ge,
-            CmpOp::Le => CmpOp::Gt,
-            CmpOp::Gt => CmpOp::Le,
-            CmpOp::Ge => CmpOp::Lt,
         }
     }
 
@@ -749,14 +729,6 @@ impl Inst {
                 | Inst::VecReduce { .. }
         )
     }
-
-    /// `true` if the instruction accesses linear memory.
-    pub fn is_memory_access(&self) -> bool {
-        matches!(
-            self,
-            Inst::Load { .. } | Inst::Store { .. } | Inst::VecLoad { .. } | Inst::VecStore { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -776,6 +748,8 @@ mod tests {
         assert_eq!(i.uses(), vec![VReg(0), VReg(1)]);
         assert!(!i.is_terminator());
         assert!(!i.has_side_effects());
+        assert!(BinOp::Rem.int_only());
+        assert!(!BinOp::Add.int_only());
     }
 
     #[test]
@@ -788,7 +762,6 @@ mod tests {
         };
         assert_eq!(i.dst(), None);
         assert!(i.has_side_effects());
-        assert!(i.is_memory_access());
         assert_eq!(i.uses(), vec![VReg(0), VReg(1)]);
     }
 
@@ -1058,9 +1031,8 @@ mod tests {
     }
 
     #[test]
-    fn cmp_negation_is_involutive_and_swapping_consistent() {
+    fn cmp_swapping_is_involutive() {
         for op in CmpOp::ALL {
-            assert_eq!(op.negated().negated(), op);
             assert_eq!(op.swapped().swapped(), op);
         }
     }
@@ -1081,15 +1053,5 @@ mod tests {
         };
         assert!(w.is_vector());
         assert!(w.uses().is_empty());
-    }
-
-    #[test]
-    fn commutativity_flags() {
-        assert!(BinOp::Add.is_commutative());
-        assert!(BinOp::Mul.is_commutative());
-        assert!(!BinOp::Sub.is_commutative());
-        assert!(!BinOp::Shl.is_commutative());
-        assert!(BinOp::Rem.int_only());
-        assert!(!BinOp::Add.int_only());
     }
 }

@@ -191,11 +191,6 @@ impl Type {
     pub fn is_vector(self) -> bool {
         matches!(self, Type::Vector(_))
     }
-
-    /// `true` if this is a scalar type.
-    pub fn is_scalar(self) -> bool {
-        matches!(self, Type::Scalar(_))
-    }
 }
 
 impl From<ScalarType> for Type {
@@ -268,6 +263,5 @@ mod tests {
         assert_eq!(Type::Vector(ScalarType::F32).to_string(), "v<f32>");
         assert_eq!(Type::Vector(ScalarType::F32).elem(), ScalarType::F32);
         assert!(Type::Vector(ScalarType::F32).is_vector());
-        assert!(Type::Scalar(ScalarType::F32).is_scalar());
     }
 }

@@ -29,11 +29,6 @@ impl DataGen {
         (0..n).map(|_| self.rng.gen_range(-range..range)).collect()
     }
 
-    /// `n` double-precision values in `[-range, range)`.
-    pub fn f64s(&mut self, n: usize, range: f64) -> Vec<f64> {
-        (0..n).map(|_| self.rng.gen_range(-range..range)).collect()
-    }
-
     /// `n` bytes spanning the full `u8` range.
     pub fn u8s(&mut self, n: usize) -> Vec<u8> {
         (0..n).map(|_| self.rng.gen()).collect()
@@ -74,7 +69,6 @@ mod tests {
         assert_eq!(a.u16s(16), b.u16s(16));
         assert_eq!(a.i16s(16), b.i16s(16));
         assert_eq!(a.i32s(16, 1000), b.i32s(16, 1000));
-        assert_eq!(a.f64s(8, 1.0), b.f64s(8, 1.0));
     }
 
     #[test]

@@ -144,8 +144,7 @@ fn eight_racing_threads_compile_exactly_once_per_pair() {
         stats.lookups() - stats.compiles,
         "hits must account for every non-compiling lookup"
     );
-    assert_eq!(stats.evictions, 0, "unbounded cache never evicts");
-    assert_eq!(engine.compiled_variants(), expected_compiles as usize);
+    assert_eq!(engine.snapshot().live, expected_compiles as usize);
 
     // The reference sweep compiled the same set of pairs, once each, too.
     assert_eq!(reference_engine.stats().compiles, expected_compiles);
@@ -181,54 +180,6 @@ fn simultaneous_cold_start_on_one_key_compiles_once() {
             "all threads must share the winner's Arc'd program"
         );
     }
-}
-
-#[test]
-fn parallel_sweep_under_lru_pressure_stays_correct() {
-    // A bounded cache under 8-thread load: eviction churn must never change
-    // results, and the counters must stay consistent.
-    let engine = Arc::new(deploy());
-    engine.set_cache_capacity(2);
-    let targets = TargetDesc::presets();
-
-    let reference_engine = deploy();
-    let mut ws = Workspace::sized_for(N);
-    let reference: Vec<u64> = (0..targets.len())
-        .map(|ti| run_job(&reference_engine, &mut ws, (0, ti, 0)))
-        .collect();
-
-    let barrier = Arc::new(Barrier::new(THREADS));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|thread| {
-            let engine = Arc::clone(&engine);
-            let barrier = Arc::clone(&barrier);
-            let reference = reference.clone();
-            std::thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(thread as u64);
-                let mut order: Vec<usize> = (0..reference.len()).collect();
-                shuffle(&mut order, &mut rng);
-                let mut ws = Workspace::sized_for(N);
-                barrier.wait();
-                for _ in 0..3 {
-                    for &ti in &order {
-                        let sum = run_job(&engine, &mut ws, (0, ti, 0));
-                        assert_eq!(sum, reference[ti], "target {ti} diverged under eviction");
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("stress thread panicked");
-    }
-
-    let stats = engine.stats();
-    assert_eq!(stats.compiles + stats.hits, stats.lookups());
-    assert!(
-        stats.evictions > 0,
-        "a 2-entry cache swept over the whole target catalogue must evict"
-    );
-    assert!(engine.compiled_variants() <= 2, "the bound holds at rest");
 }
 
 #[test]
@@ -276,7 +227,7 @@ fn stats_snapshots_stay_consistent_while_workers_fill_the_cache() {
         let snap = engine.snapshot();
         assert_eq!(
             snap.live,
-            (snap.stats.compiles + snap.stats.disk_hits - snap.stats.evictions) as usize,
+            (snap.stats.compiles + snap.stats.disk_hits) as usize,
             "a snapshot tore a compile apart from its insert"
         );
         assert_eq!(
@@ -288,10 +239,6 @@ fn stats_snapshots_stay_consistent_while_workers_fill_the_cache() {
             "compiles went backwards"
         );
         assert!(snap.stats.hits >= prev.stats.hits, "hits went backwards");
-        assert!(
-            snap.stats.evictions >= prev.stats.evictions,
-            "evictions went backwards"
-        );
         assert!(snap.online_work >= prev.online_work, "work went backwards");
         prev = snap;
         observed += 1;
@@ -303,7 +250,7 @@ fn stats_snapshots_stay_consistent_while_workers_fill_the_cache() {
     let quiescent = engine.snapshot();
     assert_eq!(
         quiescent.live,
-        (quiescent.stats.compiles + quiescent.stats.disk_hits - quiescent.stats.evictions) as usize
+        (quiescent.stats.compiles + quiescent.stats.disk_hits) as usize
     );
     assert_eq!(quiescent.live, keys, "one resident entry per pair at rest");
     assert_eq!(

@@ -116,7 +116,7 @@ fn the_executor_reuses_compiled_code_across_cores_of_the_same_type() {
         );
     }
     // 1 PPE type + 1 SPU type, not 5 separate compilations.
-    assert_eq!(engine.compiled_variants(), 2);
+    assert_eq!(engine.snapshot().live, 2);
     assert_eq!(engine.stats().compiles, 2);
     assert_eq!(
         engine.stats().hits,

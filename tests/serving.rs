@@ -1,15 +1,14 @@
-//! Serving-grade tests for the async request layer: soak, cache churn under
-//! load, graceful shutdown, backpressure accounting, tear-free stats
-//! snapshots under churn, flood-versus-shutdown races, and hostile modules
-//! and panicking compiles that must be answered, not crash a worker.
+//! Serving-grade tests for the async request layer: soak, graceful shutdown,
+//! backpressure accounting, tear-free stats snapshots under churn,
+//! flood-versus-shutdown races, and hostile modules and panicking compiles
+//! that must be answered, not crash a worker.
 //!
-//! The contract under test: whatever the interleaving of submitting threads,
-//! worker scheduling and cache eviction, every served response is
-//! **bit-identical** to a fresh single-threaded [`run_on_target`] reference
-//! (same `Execution` measurement, same memory image), online compilation
-//! happens exactly once per distinct (module, target, options) triple unless
-//! an LRU bound forces recompiles, and a graceful shutdown answers every
-//! accepted request.
+//! The contract under test: whatever the interleaving of submitting threads
+//! and worker scheduling, every served response is **bit-identical** to a
+//! fresh single-threaded [`run_on_target`] reference (same `Execution`
+//! measurement, same memory image), online compilation happens exactly once
+//! per distinct (module, target, options) triple, and a graceful shutdown
+//! answers every accepted request.
 
 use splitc::serve::{Request, ServeModule, Server, ServerConfig, SubmitError};
 use splitc::splitc_minic::compile_source;
@@ -18,7 +17,7 @@ use splitc_jit::JitOptions;
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_targets::{MachineValue, TargetDesc};
 use splitc_vbc::{verify_module, Module};
-use splitc_workloads::{kernel, module_for, table1_kernels, Kernel};
+use splitc_workloads::{kernel, module_for, Kernel};
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -203,7 +202,6 @@ fn soak_many_threads_many_modules_all_targets_bit_identical_to_reference() {
         (names.len() * targets.len()) as u64,
         "exactly one compile per distinct (module, target, options) triple"
     );
-    assert_eq!(stats.cache.evictions, 0, "unbounded caches never evict");
     // Continuous batching: the engine is consulted once per served batch,
     // not once per request, so lookups track the batch count exactly and
     // every completion is accounted to exactly one batch.
@@ -232,109 +230,6 @@ fn soak_many_threads_many_modules_all_targets_bit_identical_to_reference() {
     for (name, count) in &stats.per_target {
         assert_eq!(count, &per_target_each, "uneven traffic on {name}");
     }
-}
-
-#[test]
-fn cache_churn_under_load_stays_bit_identical_while_evicting() {
-    const N: usize = 48;
-    const REPEATS: usize = 2;
-    const THREADS: usize = 4;
-    const CACHE_CAPACITY: usize = 2;
-    // One module holding the whole Table 1 catalogue; its engine's working
-    // set is the 9 preset targets — far over the 2-entry bound, so live
-    // requests race eviction and recompilation continuously.
-    let kernels = table1_kernels();
-    let module = ServeModule::new(offline(&kernels, "churn"));
-    let targets = TargetDesc::presets();
-    assert!(targets.len() > CACHE_CAPACITY);
-
-    let mut expected: HashMap<(usize, usize, usize), Expected> = HashMap::new();
-    for (ki, k) in kernels.iter().enumerate() {
-        for (ti, target) in targets.iter().enumerate() {
-            for rep in 0..REPEATS {
-                expected.insert(
-                    (ki, ti, rep),
-                    reference(module.module(), k.name, target, N, seed_for(ki, ti, rep)),
-                );
-            }
-        }
-    }
-    let expected = Arc::new(expected);
-
-    let cells: Vec<(usize, usize, usize)> = (0..kernels.len())
-        .flat_map(|ki| {
-            (0..targets.len()).flat_map(move |ti| (0..REPEATS).map(move |rep| (ki, ti, rep)))
-        })
-        .collect();
-    let server = Server::start(
-        ServerConfig::default()
-            .with_workers(4)
-            .with_queue_capacity(16)
-            .with_cache_capacity(CACHE_CAPACITY),
-    );
-
-    std::thread::scope(|scope| {
-        for thread in 0..THREADS {
-            let server = &server;
-            let cells = &cells;
-            let module = &module;
-            let kernels = &kernels;
-            let targets = &targets;
-            let expected = Arc::clone(&expected);
-            scope.spawn(move || {
-                let order = shuffled(cells.len(), thread, 5);
-                let mut handles = Vec::with_capacity(order.len());
-                for &cell in order.iter().map(|&i| &cells[i]) {
-                    let (ki, ti, rep) = cell;
-                    let request = request_for(
-                        module,
-                        kernels[ki].name,
-                        &targets[ti],
-                        N,
-                        seed_for(ki, ti, rep),
-                    );
-                    handles.push((cell, server.submit(request).expect("server is accepting")));
-                }
-                for ((ki, ti, rep), handle) in handles {
-                    let response = handle.wait().expect("every accepted request is answered");
-                    let run = response.outcome.unwrap_or_else(|e| {
-                        panic!("{} on {} failed: {e}", kernels[ki].name, targets[ti].name)
-                    });
-                    let want = &expected[&(ki, ti, rep)];
-                    assert_eq!(
-                        run, want.execution,
-                        "{} on {} rep {rep}: eviction churn changed a served measurement",
-                        kernels[ki].name, targets[ti].name
-                    );
-                    assert_eq!(
-                        response.mem, want.mem,
-                        "{} on {} rep {rep}: eviction churn changed a served memory image",
-                        kernels[ki].name, targets[ti].name
-                    );
-                }
-            });
-        }
-    });
-
-    let total = (THREADS * cells.len()) as u64;
-    let stats = server.shutdown();
-    assert_eq!(stats.completed, total);
-    assert_eq!(stats.engines, 1);
-    assert!(
-        stats.cache.evictions > 0,
-        "a {CACHE_CAPACITY}-entry cache over {} targets must evict",
-        targets.len()
-    );
-    assert!(
-        stats.cache.compiles > targets.len() as u64,
-        "evicted pairs must have been recompiled"
-    );
-    // The consistent-snapshot invariant at quiescence: resident entries are
-    // exactly compiles - evictions, and the LRU bound caps them.
-    assert!(stats.cache.compiles - stats.cache.evictions <= CACHE_CAPACITY as u64);
-    // One engine lookup per served batch (not per request, under batching).
-    assert_eq!(stats.cache.lookups(), stats.batch_sizes.count());
-    assert_eq!(stats.batch_sizes.sum(), total);
 }
 
 #[test]
