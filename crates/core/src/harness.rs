@@ -295,6 +295,61 @@ mod tests {
         }
     }
 
+    /// One FNV digest per catalogue kernel over everything [`prepare`]
+    /// produces — the args (floats as bits), `output`, `input_bytes` and the
+    /// whole workspace image — for n ∈ {0, 1, 7, 64, 4096} × three seeds.
+    #[test]
+    fn every_kernel_prepares_the_recorded_inputs() {
+        const RECORDED: [(&str, u64); 17] = [
+            ("vecadd_f32", 0x4887_a7f0_bf66_8d48),
+            ("saxpy_f32", 0x8737_f39c_8b0d_2d46),
+            ("dscal_f32", 0xd2d0_3697_0a34_7b35),
+            ("max_u8", 0x7bac_2f14_2add_aab3),
+            ("sum_u8", 0x7bac_2f14_2add_aab3),
+            ("sum_u16", 0xed5f_aa0a_4c8c_d3e1),
+            ("dot_f32", 0x3d49_a248_3ecf_b4b2),
+            ("min_i16", 0xed5f_aa0a_4c8c_d3e1),
+            ("brighten_u8", 0xe402_21ca_85e9_a705),
+            ("copy_u8", 0xe402_21ca_85e9_a705),
+            ("threshold_u8", 0xe402_21ca_85e9_a705),
+            ("histogram_u8", 0xc35d_e48c_b044_742f),
+            ("prefix_sum_i32", 0xf197_3481_0c10_e99f),
+            ("fir4_f32", 0x1cf8_0ad2_b30d_e332),
+            ("horner_f32", 0xa0e4_6788_b226_c4d0),
+            ("hotcold_f32", 0xca21_18c7_773e_8bfa),
+            ("hotcold_i32", 0x5ad5_8afb_b864_2a33),
+        ];
+        let mut digests = Vec::new();
+        for k in all_kernels() {
+            let mut acc = Fnv1a::new();
+            for n in [0, 1, 7, 64, 4096] {
+                for seed in [0, 99, 0xdac] {
+                    let mut ws = Workspace::sized_for(n);
+                    let p = prepare(k.name, n, seed, &mut ws);
+                    for arg in &p.args {
+                        let bits = match *arg {
+                            MachineValue::Int(v) => v as u64,
+                            MachineValue::Float(v) => v.to_bits(),
+                        };
+                        acc.write(&bits.to_le_bytes());
+                    }
+                    let (addr, len) = p.output.unwrap_or((u64::MAX, u64::MAX));
+                    for v in [addr, len, p.input_bytes] {
+                        acc.write(&v.to_le_bytes());
+                    }
+                    acc.write(ws.bytes());
+                }
+            }
+            digests.push((k.name, acc.finish()));
+        }
+        if digests != RECORDED {
+            for (name, digest) in &digests {
+                println!("(\"{name}\", {digest:#018x}),");
+            }
+        }
+        assert_eq!(digests, RECORDED);
+    }
+
     #[test]
     fn preparation_is_deterministic_for_a_seed() {
         let mut a = Workspace::new(1 << 16);
