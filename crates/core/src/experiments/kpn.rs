@@ -120,7 +120,7 @@ pub fn run(platform: &Platform, frame_elems: usize, frames: u64) -> Result<Kpn, 
         &stage_names,
         frames,
         |stage, _core| {
-            let mut ws = Workspace::new((4 * frame_elems + (1 << 12)).max(1 << 14));
+            let mut ws = Workspace::sized_for(frame_elems);
             let prepared = prepare(stage, frame_elems, 0x609, &mut ws);
             (prepared.args, ws.into_bytes())
         },

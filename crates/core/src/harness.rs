@@ -1,13 +1,16 @@
-//! Per-kernel input setup for the experiment drivers.
+//! Catalogue-kernel invocations for the experiment drivers: inputs in, a
+//! checksum out.
 //!
-//! Every benchmark kernel has its own signature; this module knows how to
-//! allocate and fill its inputs in a [`Workspace`] and how to summarize its
-//! outputs into a checksum so that different compilation strategies can be
-//! checked against each other.
+//! [`prepare`] reads a kernel's calling convention from its catalogue entry
+//! ([`splitc_workloads::Kernel::args`]) and builds its argument values and
+//! buffers in a [`Workspace`]; this module names no kernel. [`checksum`]
+//! folds a finished run's result and output buffer into one value, so that
+//! compilation strategies and targets can be checked against each other.
 
 use crate::session::Workspace;
 use splitc_targets::{Fnv1a, MachineValue};
-use splitc_workloads::DataGen;
+use splitc_vbc::ScalarType::{F32, I16, I32, U16, U8};
+use splitc_workloads::{Arg, DataGen, Fill};
 
 /// A kernel invocation prepared in a workspace.
 #[derive(Debug, Clone)]
@@ -24,224 +27,65 @@ pub struct PreparedKernel {
     pub input_bytes: u64,
 }
 
-/// Prepare inputs for `kernel` processing `n` elements, using `seed` for data.
+/// Prepare inputs for `kernel` processing `n` elements, using `seed` for data:
+/// its declared [`Kernel::args`](splitc_workloads::Kernel::args), in order,
+/// each buffer allocated in `ws` and filled from one [`DataGen`] stream.
 ///
 /// # Panics
 ///
-/// Panics if the kernel name is not part of the workload catalogue understood
-/// by this harness.
+/// Panics if the kernel name is not part of the workload catalogue.
 pub fn prepare(kernel: &str, n: usize, seed: u64, ws: &mut Workspace) -> PreparedKernel {
+    let Some(k) = splitc_workloads::kernel(kernel) else {
+        panic!("the experiment harness does not know kernel `{kernel}`");
+    };
     let mut gen = DataGen::new(seed);
-    let ni = n as i64;
-    match kernel {
-        "vecadd_f32" => {
-            let x = ws.alloc(4 * n as u64);
-            let y = ws.alloc(4 * n as u64);
-            let z = ws.alloc(4 * n as u64);
-            ws.write_f32s(x, &gen.f32s(n, 100.0));
-            ws.write_f32s(y, &gen.f32s(n, 100.0));
-            PreparedKernel {
-                name: kernel.into(),
-                args: vec![
-                    MachineValue::Int(ni),
-                    MachineValue::Int(x as i64),
-                    MachineValue::Int(y as i64),
-                    MachineValue::Int(z as i64),
-                ],
-                output: Some((z, 4 * n as u64)),
-                input_bytes: 8 * n as u64,
+    let mut prepared = PreparedKernel {
+        name: kernel.into(),
+        args: Vec::with_capacity(k.args.len()),
+        output: None,
+        input_bytes: 0,
+    };
+    for arg in k.args {
+        prepared.args.push(match *arg {
+            Arg::N => MachineValue::Int(n as i64),
+            Arg::Int(v) => MachineValue::Int(v),
+            Arg::Float(v) => MachineValue::Float(v),
+            Arg::Buf {
+                elem,
+                len,
+                fill,
+                output,
+            } => {
+                let len = len.elems(n);
+                let bytes = len as u64 * elem.size_bytes();
+                let addr = ws.alloc(bytes);
+                let out = &mut ws.bytes_mut()[addr as usize..(addr + bytes) as usize];
+                match (fill, elem) {
+                    (Fill::Zero, _) => {}
+                    (Fill::Any, U8) => put(out, gen.u8s(len), u8::to_le_bytes),
+                    (Fill::Any, U16) => put(out, gen.u16s(len), u16::to_le_bytes),
+                    (Fill::Any, I16) => put(out, gen.i16s(len), i16::to_le_bytes),
+                    (Fill::Within(b), I32) => put(out, gen.i32s(len, b), i32::to_le_bytes),
+                    (Fill::Within(b), F32) => put(out, gen.f32s(len, b as f32), f32::to_le_bytes),
+                    _ => panic!("`{kernel}`: no generator fills {elem:?} with {fill:?}"),
+                }
+                if fill != Fill::Zero {
+                    prepared.input_bytes += bytes;
+                }
+                if output {
+                    prepared.output = Some((addr, bytes));
+                }
+                MachineValue::Int(addr as i64)
             }
-        }
-        "saxpy_f32" => {
-            let x = ws.alloc(4 * n as u64);
-            let y = ws.alloc(4 * n as u64);
-            ws.write_f32s(x, &gen.f32s(n, 100.0));
-            ws.write_f32s(y, &gen.f32s(n, 100.0));
-            PreparedKernel {
-                name: kernel.into(),
-                args: vec![
-                    MachineValue::Int(ni),
-                    MachineValue::Float(1.75),
-                    MachineValue::Int(x as i64),
-                    MachineValue::Int(y as i64),
-                ],
-                output: Some((y, 4 * n as u64)),
-                input_bytes: 8 * n as u64,
-            }
-        }
-        "dscal_f32" => {
-            let x = ws.alloc(4 * n as u64);
-            ws.write_f32s(x, &gen.f32s(n, 100.0));
-            PreparedKernel {
-                name: kernel.into(),
-                args: vec![
-                    MachineValue::Int(ni),
-                    MachineValue::Float(0.5),
-                    MachineValue::Int(x as i64),
-                ],
-                output: Some((x, 4 * n as u64)),
-                input_bytes: 4 * n as u64,
-            }
-        }
-        "max_u8" | "sum_u8" => {
-            let x = ws.alloc(n as u64);
-            ws.write_u8s(x, &gen.u8s(n));
-            PreparedKernel {
-                name: kernel.into(),
-                args: vec![MachineValue::Int(ni), MachineValue::Int(x as i64)],
-                output: None,
-                input_bytes: n as u64,
-            }
-        }
-        "sum_u16" => {
-            let x = ws.alloc(2 * n as u64);
-            ws.write_u16s(x, &gen.u16s(n));
-            PreparedKernel {
-                name: kernel.into(),
-                args: vec![MachineValue::Int(ni), MachineValue::Int(x as i64)],
-                output: None,
-                input_bytes: 2 * n as u64,
-            }
-        }
-        "min_i16" => {
-            let x = ws.alloc(2 * n as u64);
-            ws.write_i16s(x, &gen.i16s(n));
-            PreparedKernel {
-                name: kernel.into(),
-                args: vec![MachineValue::Int(ni), MachineValue::Int(x as i64)],
-                output: None,
-                input_bytes: 2 * n as u64,
-            }
-        }
-        "dot_f32" => {
-            let x = ws.alloc(4 * n as u64);
-            let y = ws.alloc(4 * n as u64);
-            ws.write_f32s(x, &gen.f32s(n, 10.0));
-            ws.write_f32s(y, &gen.f32s(n, 10.0));
-            PreparedKernel {
-                name: kernel.into(),
-                args: vec![
-                    MachineValue::Int(ni),
-                    MachineValue::Int(x as i64),
-                    MachineValue::Int(y as i64),
-                ],
-                output: None,
-                input_bytes: 8 * n as u64,
-            }
-        }
-        "brighten_u8" | "copy_u8" | "threshold_u8" => {
-            let x = ws.alloc(n as u64);
-            let y = ws.alloc(n as u64);
-            ws.write_u8s(x, &gen.u8s(n));
-            PreparedKernel {
-                name: kernel.into(),
-                args: vec![
-                    MachineValue::Int(ni),
-                    MachineValue::Int(x as i64),
-                    MachineValue::Int(y as i64),
-                ],
-                output: Some((y, n as u64)),
-                input_bytes: n as u64,
-            }
-        }
-        "histogram_u8" => {
-            let x = ws.alloc(n as u64);
-            let counts = ws.alloc(4 * 256);
-            ws.write_u8s(x, &gen.u8s(n));
-            PreparedKernel {
-                name: kernel.into(),
-                args: vec![
-                    MachineValue::Int(ni),
-                    MachineValue::Int(x as i64),
-                    MachineValue::Int(counts as i64),
-                ],
-                output: Some((counts, 4 * 256)),
-                input_bytes: n as u64,
-            }
-        }
-        "prefix_sum_i32" => {
-            let x = ws.alloc(4 * n as u64);
-            let y = ws.alloc(4 * n as u64);
-            ws.write_i32s(x, &gen.i32s(n, 1000));
-            PreparedKernel {
-                name: kernel.into(),
-                args: vec![
-                    MachineValue::Int(ni),
-                    MachineValue::Int(x as i64),
-                    MachineValue::Int(y as i64),
-                ],
-                output: Some((y, 4 * n as u64)),
-                input_bytes: 4 * n as u64,
-            }
-        }
-        "fir4_f32" => {
-            // The filter reads up to x[i+3]: allocate three extra taps.
-            let x = ws.alloc(4 * (n as u64 + 4));
-            let y = ws.alloc(4 * n as u64);
-            ws.write_f32s(x, &gen.f32s(n + 4, 10.0));
-            PreparedKernel {
-                name: kernel.into(),
-                args: vec![
-                    MachineValue::Int(ni),
-                    MachineValue::Int(x as i64),
-                    MachineValue::Int(y as i64),
-                ],
-                output: Some((y, 4 * n as u64)),
-                input_bytes: 4 * (n as u64 + 4),
-            }
-        }
-        "horner_f32" => {
-            let x = ws.alloc(4 * n as u64);
-            let y = ws.alloc(4 * n as u64);
-            ws.write_f32s(x, &gen.f32s(n, 1.0));
-            PreparedKernel {
-                name: kernel.into(),
-                args: vec![
-                    MachineValue::Int(ni),
-                    MachineValue::Int(x as i64),
-                    MachineValue::Int(y as i64),
-                ],
-                output: Some((y, 4 * n as u64)),
-                input_bytes: 4 * n as u64,
-            }
-        }
-        "hotcold_f32" => {
-            let m = 32usize;
-            let x = ws.alloc(4 * m as u64);
-            let y = ws.alloc(4 * n as u64);
-            ws.write_f32s(x, &gen.f32s(m, 1.0));
-            ws.write_f32s(y, &gen.f32s(n, 1.0));
-            PreparedKernel {
-                name: kernel.into(),
-                args: vec![
-                    MachineValue::Int(ni),
-                    MachineValue::Int(m as i64),
-                    MachineValue::Int(x as i64),
-                    MachineValue::Int(y as i64),
-                ],
-                output: None,
-                input_bytes: 4 * (n + m) as u64,
-            }
-        }
-        "hotcold_i32" => {
-            let m = 32usize;
-            let x = ws.alloc(4 * m as u64);
-            let y = ws.alloc(4 * n as u64);
-            ws.write_i32s(x, &gen.i32s(m, 100));
-            ws.write_i32s(y, &gen.i32s(n, 100));
-            PreparedKernel {
-                name: kernel.into(),
-                args: vec![
-                    MachineValue::Int(ni),
-                    MachineValue::Int(m as i64),
-                    MachineValue::Int(x as i64),
-                    MachineValue::Int(y as i64),
-                ],
-                output: None,
-                input_bytes: 4 * (n + m) as u64,
-            }
-        }
-        other => panic!("the experiment harness does not know kernel `{other}`"),
+        });
+    }
+    prepared
+}
+
+/// Write `values` into `out` as little-endian `W`-byte elements.
+fn put<T, const W: usize>(out: &mut [u8], values: Vec<T>, le: fn(T) -> [u8; W]) {
+    for (at, v) in out.chunks_exact_mut(W).zip(values) {
+        at.copy_from_slice(&le(v));
     }
 }
 
@@ -249,9 +93,9 @@ pub fn prepare(kernel: &str, n: usize, seed: u64, ws: &mut Workspace) -> Prepare
 /// that must agree across compilation strategies and targets.
 ///
 /// Checksums are only ever compared *within* one build of this crate; the
-/// committed `BENCH_sweep.json` golden (schema `splitc-bench-sweep/10`) pins
-/// them per (kernel, target) cell, so a change to this function or to
-/// [`Fnv1a`] must regenerate that file.
+/// committed `BENCH_sweep.json` golden pins them per (kernel, target) cell,
+/// so a change to this function, to [`prepare`] or to [`Fnv1a`] must
+/// regenerate that file.
 pub fn checksum(result: Option<MachineValue>, prepared: &PreparedKernel, ws: &Workspace) -> u64 {
     checksum_bytes(result, prepared, ws.bytes())
 }
@@ -282,16 +126,36 @@ pub fn checksum_bytes(result: Option<MachineValue>, prepared: &PreparedKernel, m
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splitc_workloads::all_kernels;
+    use splitc_workloads::{all_kernels, module_for};
 
     #[test]
-    fn every_catalogue_kernel_is_supported_by_the_harness() {
+    fn every_kernel_declares_the_signature_it_compiles_to() {
+        use splitc_vbc::{ScalarType, Type};
         for k in all_kernels() {
-            let mut ws = Workspace::new(1 << 16);
-            let prepared = prepare(k.name, 128, 1, &mut ws);
-            assert_eq!(prepared.name, k.name);
-            assert!(!prepared.args.is_empty());
-            assert!(prepared.input_bytes > 0);
+            let module = module_for(std::slice::from_ref(&k), "k").unwrap();
+            let params = &module.function(k.name).unwrap().params;
+            assert_eq!(k.args.len(), params.len(), "{}", k.name);
+            for (arg, &(_, ty)) in k.args.iter().zip(params) {
+                let Type::Scalar(ty) = ty else {
+                    panic!("{}: vector parameter", k.name)
+                };
+                let fits = match arg {
+                    Arg::N | Arg::Int(_) => ty.is_int() && ty != ScalarType::Ptr,
+                    Arg::Float(_) => ty.is_float(),
+                    Arg::Buf { .. } => ty == ScalarType::Ptr,
+                };
+                assert!(fits, "{}: {arg:?} passed as {ty:?}", k.name);
+            }
+            let outputs = k
+                .args
+                .iter()
+                .filter(|a| matches!(a, Arg::Buf { output: true, .. }));
+            assert!(outputs.count() <= 1, "{}", k.name);
+            // Every size the drivers use fits the shared sizing rule.
+            for n in [0, 1, 4096, 65_536] {
+                let prepared = prepare(k.name, n, 1, &mut Workspace::sized_for(n));
+                assert_eq!(prepared.args.len(), k.args.len());
+            }
         }
     }
 

@@ -87,9 +87,11 @@ impl Workspace {
     }
 
     /// Create a workspace sized for a catalogue-kernel invocation over `n`
-    /// elements: room for a few 4-byte arrays of length `n` plus headroom,
-    /// never smaller than 16 KiB. The experiment drivers, the sweep layer
-    /// and the stress tests all share this one sizing rule.
+    /// elements: room for four 4-byte buffers of length `n` plus 4 KiB for
+    /// the fixed-length and padded ones, never smaller than 16 KiB. Every
+    /// experiment driver (the KPN pipeline's stages included), the sweep
+    /// layer and the stress tests share this one sizing rule; a test checks
+    /// each kernel's declared arguments against it.
     pub fn sized_for(n: usize) -> Self {
         Workspace::new((16 * n + (1 << 12)).max(1 << 14))
     }
@@ -165,60 +167,12 @@ impl Workspace {
             .collect()
     }
 
-    /// Write a slice of bytes at `addr`.
-    pub fn write_u8s(&mut self, addr: u64, data: &[u8]) {
-        self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
-    }
-
-    /// Read `n` bytes from `addr`.
-    pub fn read_u8s(&self, addr: u64, n: usize) -> Vec<u8> {
-        self.bytes[addr as usize..addr as usize + n].to_vec()
-    }
-
-    /// Write a slice of `u16` values at `addr`.
-    pub fn write_u16s(&mut self, addr: u64, data: &[u16]) {
-        for (i, v) in data.iter().enumerate() {
-            let at = addr as usize + 2 * i;
-            self.bytes[at..at + 2].copy_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Read `n` `u16` values from `addr`.
-    pub fn read_u16s(&self, addr: u64, n: usize) -> Vec<u16> {
-        (0..n)
-            .map(|i| {
-                let at = addr as usize + 2 * i;
-                u16::from_le_bytes([self.bytes[at], self.bytes[at + 1]])
-            })
-            .collect()
-    }
-
-    /// Write a slice of `i16` values at `addr`.
-    pub fn write_i16s(&mut self, addr: u64, data: &[i16]) {
-        for (i, v) in data.iter().enumerate() {
-            let at = addr as usize + 2 * i;
-            self.bytes[at..at + 2].copy_from_slice(&v.to_le_bytes());
-        }
-    }
-
     /// Write a slice of `i32` values at `addr`.
     pub fn write_i32s(&mut self, addr: u64, data: &[i32]) {
         for (i, v) in data.iter().enumerate() {
             let at = addr as usize + 4 * i;
             self.bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
         }
-    }
-
-    /// Read `n` `i32` values from `addr`.
-    pub fn read_i32s(&self, addr: u64, n: usize) -> Vec<i32> {
-        (0..n)
-            .map(|i| {
-                let at = addr as usize + 4 * i;
-                let mut b = [0u8; 4];
-                b.copy_from_slice(&self.bytes[at..at + 4]);
-                i32::from_le_bytes(b)
-            })
-            .collect()
     }
 }
 
@@ -265,14 +219,13 @@ mod tests {
         let a = ws.alloc(32);
         let b = ws.alloc(32);
         assert_ne!(a, b);
-        ws.write_u8s(a, &[1, 2, 3]);
-        assert_eq!(ws.read_u8s(a, 3), vec![1, 2, 3]);
-        ws.write_u16s(a, &[500, 60_000]);
-        assert_eq!(ws.read_u16s(a, 2), vec![500, 60_000]);
+        ws.write_f32s(a, &[1.5, -2.0]);
+        assert_eq!(ws.read_f32s(a, 2), vec![1.5, -2.0]);
         ws.write_i32s(b, &[-5, 7]);
-        assert_eq!(ws.read_i32s(b, 2), vec![-5, 7]);
-        ws.write_i16s(b, &[-3]);
-        assert_eq!(ws.bytes()[b as usize], 253);
+        assert_eq!(
+            &ws.bytes()[b as usize..][..8],
+            [251, 255, 255, 255, 7, 0, 0, 0]
+        );
     }
 
     #[test]

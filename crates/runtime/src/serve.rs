@@ -46,16 +46,18 @@
 //!   they sat in the queue are **shed at dequeue** — counted in
 //!   [`ServerStats::expired`], answered with
 //!   [`EngineError::DeadlineExceeded`], and *not* counted as completed (the
-//!   drain invariant becomes `accepted == completed + expired`). A request
-//!   whose deadline passes **mid-execution** is cancelled cooperatively by
-//!   the thread that executes it: the worker hands the deadline to its
-//!   [`FramePool`] before the run, the executor polls it at region
-//!   boundaries (reading the clock at the first poll and then once every few
-//!   dozen regions), the runaway kernel stops about a microsecond of
-//!   execution after its deadline, the worker is freed, and the client is
-//!   answered with `DeadlineExceeded` (counted as completed and in
-//!   [`ServerStats::cancelled`]). No other thread, lock or flag is involved,
-//!   so there is nothing to arm, disarm or order at shutdown.
+//!   drain invariant becomes `accepted == completed + expired`); a shed
+//!   request never reaches the cache, so it never triggers a compile. A
+//!   request whose deadline passes **mid-execution** (its own cold compile
+//!   included) is cancelled cooperatively by the thread that executes it:
+//!   the worker hands the deadline to its [`FramePool`] before the fetch,
+//!   the executor polls it at region boundaries (reading the clock at the
+//!   first poll and then once every few dozen regions), the runaway kernel
+//!   stops about a microsecond of execution after its deadline, the worker
+//!   is freed, and the client is answered with `DeadlineExceeded` (counted
+//!   as completed and in [`ServerStats::cancelled`]). No other thread, lock
+//!   or flag is involved, so there is nothing to arm, disarm or order at
+//!   shutdown.
 //! * **Every other failure is the answer.** A trap, an unknown kernel, a
 //!   JIT rejection or a panic is returned to the client as the
 //!   [`EngineError`] it is, after one attempt. Nothing is retried and no key
@@ -1071,9 +1073,9 @@ struct JobResult {
 }
 
 /// Serve one continuous batch (all jobs share a batch key): resolve the
-/// shared engine once, fetch the compiled program once, then run every job
-/// through exactly the execution path an unbatched run uses — so responses
-/// are bit-identical to unbatched serving; batching only amortizes lookups.
+/// shared engine once, then run every job through exactly the execution
+/// path an unbatched run uses, sharing one program fetch — so responses are
+/// bit-identical to unbatched serving; batching only amortizes lookups.
 ///
 /// Each job first passes the deadline shed: an already-expired request is
 /// answered [`EngineError::DeadlineExceeded`] without executing and counted
@@ -1083,34 +1085,9 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
     let batch_len = batch.len();
     let engine = inner.engine_for(&batch[0].request.module);
     let target_name = batch[0].request.target.name.clone();
-    // One program fetch covers the whole batch: the identical (target,
-    // options) artifact every job would have looked up individually. A
-    // batch whose every kernel is unknown skips the fetch entirely —
-    // matching the unbatched precheck, where unknown kernels never touch
-    // the cache.
-    let any_known = batch.iter().any(|j| {
-        j.request
-            .module
-            .module()
-            .function(&j.request.kernel)
-            .is_some()
-    });
-    // The batch-level fetch runs under the same panic guard as per-job
-    // execution: online compilation lives inside the panic-safe-worker
-    // contract too. A panicking compile becomes `Some(Err(Panicked))`, which
-    // sends every job to its own lookup inside its own `catch_unwind`, so
-    // each client is answered (with the real result if the panic doesn't
-    // reproduce) and the worker lives.
-    let program = if any_known {
-        Some(
-            catch_unwind(AssertUnwindSafe(|| {
-                engine.program_for(&batch[0].request.target, &batch[0].request.options)
-            }))
-            .unwrap_or_else(|payload| Err(EngineError::Panicked(panic_message(payload.as_ref())))),
-        )
-    } else {
-        None
-    };
+    // Fetched by the first job that runs, for all: the (target, options)
+    // artifact every job would have looked up itself.
+    let mut program = None;
     let mut served = 0u64;
     for job in batch.drain(..) {
         let Job {
@@ -1136,7 +1113,7 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
             });
             continue;
         }
-        let result = run_job(inner, &engine, program.as_ref(), request, pool);
+        let result = run_job(inner, &engine, &mut program, request, pool);
         if result.cancelled {
             inner.cancelled.fetch_add(1, Ordering::SeqCst);
         }
@@ -1179,10 +1156,10 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
 /// kernel through the one [`crate::engine::simulate`] call, under its
 /// deadline and the panic guard.
 ///
-/// `program` is the batch-level fetch: `Some(Ok(_))` serves the job;
-/// `Some(Err(_))` or `None` (the batch made no fetch) re-runs the per-job
-/// lookup, so each client receives exactly the error an unbatched run would
-/// have produced (`EngineError` is not `Clone`).
+/// `program` is the batch's program, fetched by its first job to get this
+/// far (a shed job or an unknown kernel never touches the cache) on that
+/// job's execute clock and under its deadline. A failed fetch is not kept:
+/// each client gets exactly the error an unbatched run would have produced.
 ///
 /// A panic answers with [`EngineError::Panicked`] (payload capped at
 /// [`PANIC_MESSAGE_CAP`] bytes) and costs the worker its frame pool
@@ -1192,7 +1169,7 @@ fn serve_batch(inner: &Inner, worker: usize, pool: &mut FramePool, batch: &mut V
 fn run_job(
     inner: &Inner,
     engine: &ExecutionEngine,
-    program: Option<&Result<Arc<CompiledModule>, EngineError>>,
+    program: &mut Option<Arc<CompiledModule>>,
     request: Request,
     pool: &mut FramePool,
 ) -> JobResult {
@@ -1225,13 +1202,9 @@ fn run_job(
         if let Some(FaultHook(hook)) = &inner.faults {
             hook(tag);
         }
-        let fetched;
         let compiled = match program {
-            Some(Ok(compiled)) => compiled,
-            _ => {
-                fetched = engine.program_for(&target, &options)?;
-                &fetched
-            }
+            Some(compiled) => compiled,
+            None => program.insert(engine.program_for(&target, &options)?),
         };
         crate::engine::simulate(compiled, &target, &kernel, &args, &mut mem, pool)
     }));
@@ -2025,6 +1998,41 @@ mod tests {
     }
 
     // --- Deadlines and fault hooks ---
+
+    #[test]
+    fn a_shed_request_never_triggers_a_compile() {
+        let module = triple_module();
+        let server = Server::start(ServerConfig::default().with_workers(1));
+        let passed = Instant::now();
+        let request = |x: i64, expired: bool| Request {
+            deadline: expired.then_some(passed),
+            ..triple_request(&module, x)
+        };
+        // A cold key whose every request is shed: nothing is fetched.
+        let handles: Vec<_> = (0..8)
+            .map(|x| server.submit(request(x, true)).unwrap())
+            .collect();
+        for handle in handles {
+            let outcome = handle.wait().unwrap().outcome;
+            assert!(matches!(outcome, Err(EngineError::DeadlineExceeded)));
+        }
+        let stats = server.stats();
+        assert_eq!((stats.expired, stats.completed), (8, 0));
+        let cache = (stats.cache.compiles, stats.cache.lookups());
+        assert_eq!((cache, stats.batch_sizes.count()), ((0, 0), 0));
+        // Shed and served requests interleaved on the key: one fetch per
+        // batch that serves anyone, none for a batch that serves no one.
+        let handles: Vec<_> = (0..16)
+            .map(|x| server.submit(request(x, x % 2 == 0)).unwrap())
+            .collect();
+        for handle in handles {
+            handle.wait().unwrap();
+        }
+        let stats = server.shutdown();
+        assert_eq!((stats.expired, stats.completed), (16, 8));
+        assert_eq!(stats.cache.compiles, 1);
+        assert_eq!(stats.cache.lookups(), stats.batch_sizes.count());
+    }
 
     #[test]
     fn a_cancelled_request_leaves_no_deadline_behind() {

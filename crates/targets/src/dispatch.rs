@@ -59,8 +59,9 @@
 //! Preparation walks each function's blocks once ([`build_threaded`]): it
 //! checks each instruction and lowers it to its record ([`lower`]), its
 //! `OpInfo` row and its pair kind ([`pair_kind`]), which the welding sweep
-//! reads and from which the fuel tail recovers a welded opener's own handler
-//! ([`base`]). This is deploy-time work a device pays on every bring-up, so
+//! reads and marks [`WELDED`] on each opener it welds, and from which the
+//! fuel tail recovers a welded opener's own handler ([`base`]) and `disasm`
+//! its weld marks. This is deploy-time work a device pays on every bring-up, so
 //! the builder allocates only what the function keeps, once each: `ops`,
 //! `info` and `kinds` are sized from its row count, `calls` and `targets`
 //! from its blocks and calls and, under in-order timing, `segs` from its
@@ -387,9 +388,9 @@ impl<'a> ExecCtx<'a> {
     fn run_straight(&mut self, rows: Range<usize>) -> (usize, Option<SimError>) {
         let f = self.f;
         for pc in rows.clone() {
-            let (op, kind) = (&f.ops[pc], usize::from(f.kinds[pc]));
-            let handler = if kind < NFIRST {
-                base(kind)
+            let (op, kind) = (&f.ops[pc], f.kinds[pc]);
+            let handler = if kind & WELDED != 0 {
+                base(usize::from(kind & !WELDED))
             } else {
                 op.handler
             };
@@ -1280,7 +1281,10 @@ const K_RET_NONE: u8 = 18;
 const K_RET_INT: u8 = 19;
 const K_RET_FLOAT: u8 = 20;
 /// Not pairable (calls, vector ops, rare shapes).
-const K_NONE: u8 = u8::MAX;
+const K_NONE: u8 = 0x7f;
+/// Set on a row's kind by the welding sweep when it welds the row to the
+/// next: the row opens a pair.
+pub(crate) const WELDED: u8 = 0x80;
 /// Kinds `0..NFIRST` may open a pair.
 const NFIRST: usize = 16;
 /// Kinds `0..NSECOND` may close a pair.
@@ -1608,6 +1612,7 @@ pub(crate) fn build_threaded(
                     let (a, b) = (kinds[k] as usize, kinds[k + 1] as usize);
                     if a < NFIRST && b < NSECOND {
                         ops[k].handler = PAIRS[a][b];
+                        kinds[k] |= WELDED;
                         fusion.pair += 1;
                         k += 2;
                     } else {
@@ -1635,11 +1640,10 @@ pub(crate) fn build_threaded(
     Ok(())
 }
 
-/// Whether record `k` of `f` opens a welded pair: a pairable opener whose
-/// handler is no longer its kind's own.
+/// Whether record `k` of `f` opens a welded pair: the welding sweep marked
+/// it when it swapped in the pair's handler.
 pub(crate) fn opens_pair(f: &PreparedFunction, k: usize) -> bool {
-    let kind = usize::from(f.kinds[k]);
-    kind < NFIRST && !std::ptr::eq(f.ops[k].handler as *const (), base(kind) as *const ())
+    f.kinds[k] & WELDED != 0
 }
 
 /// Cut region `t`'s rows into segments at its scalar selects, and record

@@ -295,11 +295,6 @@ impl Memory {
         self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
     }
 
-    /// Read `n` `u8` values starting at `addr`.
-    pub fn read_u8s(&self, addr: u64, n: usize) -> Vec<u8> {
-        self.bytes[addr as usize..addr as usize + n].to_vec()
-    }
-
     /// Write a slice of `u16` values starting at `addr`.
     pub fn write_u16s(&mut self, addr: u64, data: &[u16]) {
         for (i, v) in data.iter().enumerate() {

@@ -29,18 +29,96 @@ pub enum KernelKind {
 }
 
 /// A named benchmark kernel.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     /// Kernel (and bytecode function) name.
     pub name: &'static str,
     /// mini-C source text.
     pub source: &'static str,
-    /// Element type the kernel processes.
-    pub elem: ScalarType,
+    /// The calling convention: what the experiments pass for each parameter
+    /// of the kernel's signature, in order.
+    pub args: &'static [Arg],
     /// Role in the experiments.
     pub kind: KernelKind,
     /// `true` if the offline vectorizer is expected to vectorize its hot loop.
     pub vectorizable: bool,
+}
+
+/// One argument of a kernel invocation over `n` elements.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Arg {
+    /// The element count `n`.
+    N,
+    /// A fixed integer.
+    Int(i64),
+    /// A fixed float.
+    Float(f64),
+    /// The address of a fresh buffer, allocated and filled in argument
+    /// order.
+    Buf {
+        /// Element type.
+        elem: ScalarType,
+        /// Length in elements.
+        len: Len,
+        /// Contents before the call.
+        fill: Fill,
+        /// `true` for the one buffer the kernel writes its result to.
+        output: bool,
+    },
+}
+
+/// A buffer's length in elements, for an invocation over `n` elements.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Len {
+    /// `n`.
+    N,
+    /// `n` plus a fixed tail (a stencil's extra taps).
+    NPlus(usize),
+    /// Fixed, whatever `n` is.
+    Fixed(usize),
+}
+
+impl Len {
+    /// The length of this buffer in an invocation over `n` elements.
+    pub fn elems(self, n: usize) -> usize {
+        match self {
+            Len::N => n,
+            Len::NPlus(extra) => n + extra,
+            Len::Fixed(len) => len,
+        }
+    }
+}
+
+/// A buffer's contents before the call: zeroes, or one seeded
+/// [`DataGen`](crate::DataGen) call for its element type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fill {
+    /// Zeroes: the buffer is not input.
+    Zero,
+    /// Seeded values over the element type's whole range (`u8`, `u16`, `i16`).
+    Any,
+    /// Seeded values in `[-bound, bound)` (`f32`, `i32`).
+    Within(i32),
+}
+
+/// A buffer the kernel only reads.
+const fn input(elem: ScalarType, len: Len, fill: Fill) -> Arg {
+    Arg::Buf {
+        elem,
+        len,
+        fill,
+        output: false,
+    }
+}
+
+/// The buffer the kernel writes its result to.
+const fn output(elem: ScalarType, len: Len, fill: Fill) -> Arg {
+    Arg::Buf {
+        elem,
+        len,
+        fill,
+        output: true,
+    }
 }
 
 /// `vecadd fp` — element-wise single-precision addition (Table 1, row 1).
@@ -238,129 +316,177 @@ fn fir4_f32(n: i32, x: *f32, y: *f32) {
 }
 "#;
 
-/// The complete kernel catalogue.
-pub fn all_kernels() -> Vec<Kernel> {
-    vec![
+/// The catalogue, in order. Each kernel's `args` follow its mini-C
+/// signature, parameter for parameter.
+const CATALOGUE: [Kernel; 17] = {
+    use Fill::{Any, Within, Zero};
+    use ScalarType::{F32, I16, I32, U16, U8};
+    [
         Kernel {
             name: "vecadd_f32",
             source: VECADD_F32,
-            elem: ScalarType::F32,
+            args: &[
+                Arg::N,
+                input(F32, Len::N, Within(100)),
+                input(F32, Len::N, Within(100)),
+                output(F32, Len::N, Zero),
+            ],
             kind: KernelKind::Table1,
             vectorizable: true,
         },
         Kernel {
             name: "saxpy_f32",
             source: SAXPY_F32,
-            elem: ScalarType::F32,
+            args: &[
+                Arg::N,
+                Arg::Float(1.75),
+                input(F32, Len::N, Within(100)),
+                output(F32, Len::N, Within(100)),
+            ],
             kind: KernelKind::Table1,
             vectorizable: true,
         },
         Kernel {
             name: "dscal_f32",
             source: DSCAL_F32,
-            elem: ScalarType::F32,
+            args: &[Arg::N, Arg::Float(0.5), output(F32, Len::N, Within(100))],
             kind: KernelKind::Table1,
             vectorizable: true,
         },
         Kernel {
             name: "max_u8",
             source: MAX_U8,
-            elem: ScalarType::U8,
+            args: &[Arg::N, input(U8, Len::N, Any)],
             kind: KernelKind::Table1,
             vectorizable: true,
         },
         Kernel {
             name: "sum_u8",
             source: SUM_U8,
-            elem: ScalarType::U8,
+            args: &[Arg::N, input(U8, Len::N, Any)],
             kind: KernelKind::Table1,
             vectorizable: true,
         },
         Kernel {
             name: "sum_u16",
             source: SUM_U16,
-            elem: ScalarType::U16,
+            args: &[Arg::N, input(U16, Len::N, Any)],
             kind: KernelKind::Table1,
             vectorizable: true,
         },
         Kernel {
             name: "dot_f32",
             source: DOT_F32,
-            elem: ScalarType::F32,
+            args: &[
+                Arg::N,
+                input(F32, Len::N, Within(10)),
+                input(F32, Len::N, Within(10)),
+            ],
             kind: KernelKind::DataParallel,
             vectorizable: true,
         },
         Kernel {
             name: "min_i16",
             source: MIN_I16,
-            elem: ScalarType::I16,
+            args: &[Arg::N, input(I16, Len::N, Any)],
             kind: KernelKind::DataParallel,
             vectorizable: true,
         },
         Kernel {
             name: "brighten_u8",
             source: BRIGHTEN_U8,
-            elem: ScalarType::U8,
+            args: &[Arg::N, input(U8, Len::N, Any), output(U8, Len::N, Zero)],
             kind: KernelKind::PipelineStage,
             vectorizable: true,
         },
         Kernel {
             name: "copy_u8",
             source: COPY_U8,
-            elem: ScalarType::U8,
+            args: &[Arg::N, input(U8, Len::N, Any), output(U8, Len::N, Zero)],
             kind: KernelKind::PipelineStage,
             vectorizable: true,
         },
         Kernel {
             name: "threshold_u8",
             source: THRESHOLD_U8,
-            elem: ScalarType::U8,
+            args: &[Arg::N, input(U8, Len::N, Any), output(U8, Len::N, Zero)],
             kind: KernelKind::PipelineStage,
             vectorizable: true,
         },
         Kernel {
             name: "histogram_u8",
             source: HISTOGRAM_U8,
-            elem: ScalarType::U8,
+            args: &[
+                Arg::N,
+                input(U8, Len::N, Any),
+                output(I32, Len::Fixed(256), Zero),
+            ],
             kind: KernelKind::Scalar,
             vectorizable: false,
         },
         Kernel {
             name: "prefix_sum_i32",
             source: PREFIX_SUM_I32,
-            elem: ScalarType::I32,
+            args: &[
+                Arg::N,
+                input(I32, Len::N, Within(1000)),
+                output(I32, Len::N, Zero),
+            ],
             kind: KernelKind::Scalar,
             vectorizable: false,
         },
         Kernel {
             name: "fir4_f32",
             source: FIR4_F32,
-            elem: ScalarType::F32,
+            args: &[
+                Arg::N,
+                input(F32, Len::NPlus(4), Within(10)),
+                output(F32, Len::N, Zero),
+            ],
             kind: KernelKind::Scalar,
             vectorizable: false,
         },
         Kernel {
             name: "horner_f32",
             source: HORNER_F32,
-            elem: ScalarType::F32,
+            args: &[
+                Arg::N,
+                input(F32, Len::N, Within(1)),
+                output(F32, Len::N, Zero),
+            ],
             kind: KernelKind::RegisterPressure,
             vectorizable: true,
         },
         Kernel {
             name: "hotcold_f32",
             source: HOTCOLD_F32,
-            elem: ScalarType::F32,
+            args: &[
+                Arg::N,
+                Arg::Int(32),
+                input(F32, Len::Fixed(32), Within(1)),
+                input(F32, Len::N, Within(1)),
+            ],
             kind: KernelKind::RegisterPressure,
             vectorizable: true,
         },
         Kernel {
             name: "hotcold_i32",
             source: HOTCOLD_I32,
-            elem: ScalarType::I32,
+            args: &[
+                Arg::N,
+                Arg::Int(32),
+                input(I32, Len::Fixed(32), Within(100)),
+                input(I32, Len::N, Within(100)),
+            ],
             kind: KernelKind::RegisterPressure,
             vectorizable: true,
         },
     ]
+};
+
+/// The complete kernel catalogue.
+pub fn all_kernels() -> Vec<Kernel> {
+    CATALOGUE.to_vec()
 }
 
 /// The six kernels of Table 1, in the paper's row order.
@@ -389,7 +515,7 @@ pub fn pipeline_kernels() -> Vec<Kernel> {
 
 /// Look up a kernel by name.
 pub fn kernel(name: &str) -> Option<Kernel> {
-    all_kernels().into_iter().find(|k| k.name == name)
+    CATALOGUE.iter().find(|k| k.name == name).cloned()
 }
 
 /// Compile a set of kernels into a single (unoptimized) bytecode module.

@@ -33,7 +33,7 @@ mod kernels;
 pub use data::{DataGen, DEFAULT_N};
 pub use kernels::{
     all_kernels, full_module, kernel, module_for, pipeline_kernels, pressure_kernels,
-    table1_kernels, Kernel, KernelKind, BRIGHTEN_U8, COPY_U8, DOT_F32, DSCAL_F32, FIR4_F32,
-    HISTOGRAM_U8, HORNER_F32, HOTCOLD_F32, HOTCOLD_I32, MAX_U8, MIN_I16, PREFIX_SUM_I32, SAXPY_F32,
-    SUM_U16, SUM_U8, THRESHOLD_U8, VECADD_F32,
+    table1_kernels, Arg, Fill, Kernel, KernelKind, Len, BRIGHTEN_U8, COPY_U8, DOT_F32, DSCAL_F32,
+    FIR4_F32, HISTOGRAM_U8, HORNER_F32, HOTCOLD_F32, HOTCOLD_I32, MAX_U8, MIN_I16, PREFIX_SUM_I32,
+    SAXPY_F32, SUM_U16, SUM_U8, THRESHOLD_U8, VECADD_F32,
 };
