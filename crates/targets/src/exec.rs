@@ -1602,9 +1602,8 @@ mod tests {
         frame.slots.fill(slot);
         let mut mem: Vec<u8> = (0..1024).map(|i| i as u8).collect();
         let (mut fuel, mut stats) = (DEFAULT_SIM_FUEL, SimStats::default());
-        let (fuel_ref, stats_ref) = (&mut fuel, &mut stats);
         let mut cx = dispatch::ExecCtx::new(
-            prog, f, &mut frame, &mut mem, &mut pool, fuel_ref, stats_ref, 0, None,
+            prog, f, &mut frame, &mut mem, &mut pool, &mut fuel, &mut stats, 0, None,
         );
         let flow = handler(&f.ops[0], &mut cx, 0);
         let (ret, err) = (cx.ret.take(), cx.err.take());
@@ -1660,9 +1659,11 @@ mod tests {
                 num_slots: 1,
             }]);
             let prog = PreparedProgram::prepare_with(&program, &target, false).unwrap();
-            let own = prog.functions[0].ops[0].handler;
+            let (own, base) = (
+                prog.functions[0].ops[0].handler,
+                dispatch::base(kind.into()),
+            );
             for slot in [SlotValue::Int(-9), SlotValue::Float(2.5)] {
-                let base = dispatch::base(kind.into());
                 assert_eq!(
                     one_step(&prog, own, slot),
                     one_step(&prog, base, slot),
