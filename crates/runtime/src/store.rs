@@ -1111,4 +1111,287 @@ mod tests {
         }
         store.clear();
     }
+
+    const PIN_KEY: StoreKey = StoreKey {
+        module_fp: 1,
+        target_fp: 2,
+        options_fp: 3,
+    };
+
+    /// A program with one of each machine instruction variant: every code of
+    /// every operand enum, `Some` and `None`, empty and non-empty lists, and
+    /// one-, two- and three-byte register indices.
+    fn every_variant_program() -> MProgram {
+        let (i, f, v) = (PReg::int(3), PReg::float(300), PReg::vec(u16::MAX));
+        let mut insts = vec![
+            MInst::Imm {
+                dst: i,
+                value: -70_000,
+            },
+            MInst::FImm {
+                dst: f,
+                value: -0.375,
+            },
+            MInst::Mov { dst: v, src: v },
+            MInst::FloatNeg {
+                double: true,
+                dst: f,
+                src: f,
+            },
+            MInst::Select {
+                dst: f,
+                cond: i,
+                if_true: f,
+                if_false: f,
+            },
+            MInst::VecLoad {
+                dst: v,
+                base: i,
+                offset: 1 << 40,
+            },
+            MInst::VecStore {
+                base: i,
+                offset: -16,
+                src: v,
+            },
+            MInst::Spill { slot: 7, src: f },
+            MInst::Reload {
+                slot: u32::MAX,
+                dst: v,
+            },
+            MInst::Call {
+                callee: "callee".into(),
+                args: vec![i, f, v],
+                ret: Some(f),
+            },
+            MInst::Call {
+                callee: String::new(),
+                args: Vec::new(),
+                ret: None,
+            },
+            MInst::BranchNz {
+                cond: i,
+                then_target: 1,
+                else_target: 300,
+            },
+        ];
+        for signed in [false, true] {
+            for double in [false, true] {
+                insts.push(MInst::IntToFloat {
+                    signed,
+                    double,
+                    dst: f,
+                    src: i,
+                });
+            }
+            insts.push(MInst::FloatCvt {
+                to_double: signed,
+                dst: f,
+                src: f,
+            });
+        }
+        for width in (0..).map_while(Width::from_code) {
+            let signed = width.bytes() > 2;
+            insts.extend([
+                MInst::IntNeg {
+                    width,
+                    dst: i,
+                    src: i,
+                },
+                MInst::IntNot {
+                    width,
+                    dst: i,
+                    src: i,
+                },
+                MInst::FloatToInt {
+                    width,
+                    signed,
+                    dst: i,
+                    src: f,
+                },
+                MInst::IntResize {
+                    width,
+                    signed,
+                    dst: i,
+                    src: i,
+                },
+                MInst::Load {
+                    width,
+                    float: signed,
+                    signed,
+                    dst: i,
+                    base: i,
+                    offset: 8,
+                },
+                MInst::Store {
+                    width,
+                    float: !signed,
+                    base: i,
+                    offset: -8,
+                    src: f,
+                },
+                MInst::VecSplatInt {
+                    elem: width,
+                    dst: v,
+                    src: i,
+                },
+                MInst::VecSplatFloat {
+                    elem: width,
+                    dst: v,
+                    src: f,
+                },
+            ]);
+        }
+        for op in (0..).map_while(AluOp::from_code) {
+            insts.push(MInst::IntOp {
+                op,
+                width: Width::W32,
+                signed: true,
+                dst: i,
+                lhs: i,
+                rhs: i,
+            });
+            insts.push(MInst::VecIntOp {
+                op,
+                elem: Width::W16,
+                signed: false,
+                dst: v,
+                lhs: v,
+                rhs: v,
+            });
+        }
+        for op in (0..).map_while(FpuOp::from_code) {
+            insts.push(MInst::FloatOp {
+                op,
+                double: false,
+                dst: f,
+                lhs: f,
+                rhs: f,
+            });
+            insts.push(MInst::VecFloatOp {
+                op,
+                elem: Width::W64,
+                dst: v,
+                lhs: v,
+                rhs: v,
+            });
+        }
+        for pred in (0..).map_while(CmpPred::from_code) {
+            insts.push(MInst::IntCmp {
+                pred,
+                width: Width::W8,
+                signed: true,
+                dst: i,
+                lhs: i,
+                rhs: i,
+            });
+            insts.push(MInst::FloatCmp {
+                pred,
+                double: true,
+                dst: i,
+                lhs: f,
+                rhs: f,
+            });
+        }
+        for op in (0..).map_while(RedOp::from_code) {
+            insts.push(MInst::VecReduceInt {
+                op,
+                elem: Width::W32,
+                signed: true,
+                dst: i,
+                src: v,
+            });
+            insts.push(MInst::VecReduceFloat {
+                op,
+                elem: Width::W32,
+                dst: f,
+                src: v,
+            });
+        }
+        insts.push(MInst::Jump { target: 2 });
+        let blocks = [
+            insts,
+            vec![MInst::Ret { value: Some(i) }],
+            vec![MInst::Ret { value: None }],
+        ];
+        MProgram {
+            name: "variants".into(),
+            functions: vec![
+                MFunction {
+                    name: "every".into(),
+                    params: vec![i, f, v],
+                    blocks: blocks.into_iter().map(|insts| MBlock { insts }).collect(),
+                    num_slots: 1 << 20,
+                },
+                MFunction {
+                    name: String::new(),
+                    params: Vec::new(),
+                    blocks: Vec::new(),
+                    num_slots: 0,
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn every_machine_instruction_variant_is_written_as_the_recorded_bytes() {
+        let program = every_variant_program();
+        let jit = JitStats {
+            functions: 2,
+            verify_work: 300,
+            lowering_work: 1 << 40,
+            regalloc_work: 0,
+            static_spills: 1,
+            static_reloads: u64::MAX,
+            annotations_used: true,
+            used_simd: false,
+            scalarized: true,
+        };
+        let entry = encode_entry(&PIN_KEY, &program, &jit);
+        assert_eq!(
+            decode_entry(&entry, &PIN_KEY),
+            Ok(StoredArtifact { program, jit })
+        );
+        assert_eq!(
+            (entry.len(), Fnv1a::hash(&entry)),
+            (1184, 0xd479_e266_14ac_4255)
+        );
+    }
+
+    #[test]
+    fn hostile_primitives_decode_to_the_recorded_errors() {
+        // A program `p` of `functions` functions, the first named `f` with no
+        // parameters, `slots` spill slots and one block of one instruction.
+        let payload = |functions: u64, slots: u64, inst: &[u8]| {
+            let mut w = Writer::new();
+            w.str("p");
+            w.uleb(functions);
+            if functions == 1 {
+                w.str("f");
+                w.uleb(0);
+                w.uleb(slots);
+                w.uleb(1);
+                w.uleb(1);
+                w.bytes(inst);
+            }
+            w.into_bytes()
+        };
+        // A flag byte of 2 (`Ret.value`'s presence), an index of 2^32 (the
+        // slot count) and a count of 2^40 (the function count) followed by
+        // nothing.
+        let decoded = [
+            payload(1, 0, &[30, 2]),
+            payload(1, 1 << 32, &[30, 0]),
+            payload(1 << 40, 0, &[]),
+        ]
+        .map(|p| format!("{:?}", decode_entry(&entry_around(&PIN_KEY, &p), &PIN_KEY)));
+        assert_eq!(
+            decoded,
+            [
+                r#"Err(BadTag { what: "flag", tag: 2 })"#,
+                r#"Err(BadTag { what: "32-bit index", tag: 0 })"#,
+                "Err(UnexpectedEof)",
+            ]
+        );
+    }
 }

@@ -1395,4 +1395,202 @@ mod tests {
             .kernel_traits
             .is_some_and(|t| t.uses_vector));
     }
+
+    /// A module holding one of each instruction variant, with every scalar
+    /// type in a type position, both immediate kinds, every operator, `Some`
+    /// and `None`, empty and non-empty lists, and one- and multi-byte indices.
+    fn every_variant_module() -> Module {
+        let (a, b, c) = (VReg(0), VReg(200), VReg(u32::MAX));
+        let mut insts = vec![
+            Inst::Const {
+                dst: a,
+                ty: ScalarType::I64,
+                imm: Immediate::Int(-70_000),
+            },
+            Inst::Const {
+                dst: b,
+                ty: ScalarType::F64,
+                imm: Immediate::Float(-0.375),
+            },
+            Inst::Select {
+                ty: ScalarType::F32,
+                dst: a,
+                cond: b,
+                if_true: c,
+                if_false: a,
+            },
+            Inst::Load {
+                dst: a,
+                ty: ScalarType::U16,
+                addr: b,
+                offset: -3,
+            },
+            Inst::Store {
+                ty: ScalarType::I8,
+                addr: c,
+                offset: 1 << 40,
+                value: a,
+            },
+            Inst::Call {
+                dst: Some(c),
+                callee: "callee".into(),
+                args: vec![a, b, c],
+            },
+            Inst::Call {
+                dst: None,
+                callee: String::new(),
+                args: Vec::new(),
+            },
+            Inst::VecLoad {
+                dst: b,
+                elem: ScalarType::F32,
+                addr: a,
+                offset: 16,
+            },
+            Inst::VecStore {
+                elem: ScalarType::U8,
+                addr: a,
+                offset: -16,
+                value: b,
+            },
+        ];
+        for ty in ScalarType::ALL {
+            insts.push(Inst::Move { dst: a, ty, src: b });
+            insts.push(Inst::Cast {
+                dst: b,
+                to: ty,
+                src: c,
+                from: ScalarType::ALL[10 - ty as usize],
+            });
+            insts.push(Inst::VecWidth { dst: c, elem: ty });
+            insts.push(Inst::VecSplat {
+                dst: a,
+                elem: ty,
+                src: b,
+            });
+        }
+        for op in BinOp::ALL {
+            insts.push(Inst::Bin {
+                op,
+                ty: ScalarType::I32,
+                dst: a,
+                lhs: b,
+                rhs: c,
+            });
+            insts.push(Inst::VecBin {
+                op,
+                elem: ScalarType::I16,
+                dst: c,
+                lhs: a,
+                rhs: b,
+            });
+        }
+        for op in [UnOp::Neg, UnOp::Not] {
+            insts.push(Inst::Un {
+                op,
+                ty: ScalarType::U32,
+                dst: b,
+                src: a,
+            });
+        }
+        for op in CmpOp::ALL {
+            insts.push(Inst::Cmp {
+                op,
+                ty: ScalarType::U64,
+                dst: a,
+                lhs: c,
+                rhs: b,
+            });
+        }
+        for op in [ReduceOp::Add, ReduceOp::Min, ReduceOp::Max] {
+            insts.push(Inst::VecReduce {
+                op,
+                elem: ScalarType::Ptr,
+                dst: b,
+                src: c,
+            });
+        }
+        insts.push(Inst::Jump { target: BlockId(1) });
+        let blocks = [
+            insts,
+            vec![Inst::Branch {
+                cond: a,
+                then_bb: BlockId(2),
+                else_bb: BlockId(u32::MAX),
+            }],
+            vec![Inst::Ret { value: Some(b) }],
+            vec![Inst::Ret { value: None }],
+        ];
+        let f = Function {
+            name: "every".into(),
+            params: vec![
+                (a, Type::Scalar(ScalarType::I32)),
+                (c, Type::Vector(ScalarType::F64)),
+            ],
+            ret: Some(Type::Vector(ScalarType::I8)),
+            vreg_types: ScalarType::ALL
+                .into_iter()
+                .flat_map(|s| [Type::Scalar(s), Type::Vector(s)])
+                .collect(),
+            blocks: blocks
+                .into_iter()
+                .enumerate()
+                .map(|(id, insts)| Block {
+                    id: BlockId(id as u32),
+                    insts,
+                })
+                .collect(),
+            entry: BlockId(3),
+            annotations: AnnotationSet {
+                spill_order: Some(SpillOrder {
+                    keep_order: vec![c, a],
+                }),
+                kernel_traits: Some(KernelTraits {
+                    uses_fp: true,
+                    uses_vector: false,
+                    control_intensive: true,
+                }),
+            },
+        };
+        let mut m = Module::new("variants");
+        m.add_function(f);
+        m
+    }
+
+    #[test]
+    fn every_instruction_variant_encodes_to_the_recorded_bytes() {
+        let m = every_variant_module();
+        let bytes = encode_module(&m);
+        assert_eq!(decode_module(&bytes), Ok(m));
+        let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv1a), (870, 0x7e2a_0153_8b8c_28c3));
+    }
+
+    #[test]
+    fn hostile_primitives_decode_to_the_recorded_errors() {
+        // A flag byte of 2 (`Ret.value`'s presence), an index of 2^32 (the
+        // entry block) and a count of 2^40 (the function count) followed by
+        // nothing.
+        let flag = one_block_module(0, 1, |w| {
+            w.u8(18);
+            w.u8(2);
+        });
+        let index = one_block_module(1 << 32, 1, write_ret_none);
+        let mut count = Writer::new();
+        count.bytes(MAGIC);
+        count.u8(VERSION);
+        count.str("m");
+        count.uleb(1 << 40);
+        let decoded = [flag, index, count.into_bytes()].map(|b| format!("{:?}", decode_module(&b)));
+        assert_eq!(
+            decoded,
+            [
+                r#"Err(BadTag { what: "flag", tag: 2 })"#,
+                r#"Err(BadTag { what: "block", tag: 0 })"#,
+                "Err(UnexpectedEof)",
+            ]
+        );
+    }
 }
