@@ -73,7 +73,7 @@ pub mod sweep;
 
 pub use harness::{checksum, checksum_bytes, prepare, PreparedKernel};
 pub use report::{fmt_cache_line, fmt_speedup, TextTable};
-pub use session::{offline_compile, offline_optimize, run_on_target, PipelineError, Workspace};
+pub use session::{offline_compile, run_on_target, PipelineError, Workspace};
 pub use sweep::{SweepCell, SweepConfig, SweepResult};
 // The shared execution layer, re-exported so facade users can hold a cached
 // engine instead of paying one compilation per `run_on_target` call, plus

@@ -28,11 +28,6 @@ pub fn offline_compile(
     Ok((module, report))
 }
 
-/// Run the offline optimizer over an already-lowered module.
-pub fn offline_optimize(module: &mut Module, opts: &OptOptions) -> OptReport {
-    optimize_module(module, opts)
-}
-
 /// The online step plus execution, as a one-shot convenience: JIT-compile
 /// `module` for `target`, run `kernel` with `args` against `mem`, and return
 /// the measurements.

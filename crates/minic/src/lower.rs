@@ -83,15 +83,6 @@ pub fn compile_source(source: &str, module_name: &str) -> Result<Module, Compile
     Ok(module)
 }
 
-/// Type-check a program without keeping the generated code.
-///
-/// # Errors
-///
-/// Same conditions as [`compile_program`].
-pub fn check_program(program: &Program) -> Result<(), CompileError> {
-    compile_program(program, "check").map(|_| ())
-}
-
 struct VarInfo {
     reg: VReg,
     ty: MiniType,
@@ -866,6 +857,6 @@ mod tests {
         assert_eq!(sigs.len(), 2);
         assert_eq!(sigs["a"].params, vec![MiniType::Scalar(ScalarType::I32)]);
         assert_eq!(sigs["b"].ret, Some(MiniType::Scalar(ScalarType::F32)));
-        assert!(check_program(&p).is_ok());
+        assert!(compile_program(&p, "check").is_ok());
     }
 }

@@ -33,15 +33,18 @@
 //! | 38     | 8    | FNV-1a checksum of the payload (u64 LE) |
 //! | 46     | —    | payload: the wire-encoded [`MProgram`] + [`JitStats`] |
 //!
-//! The payload uses the vbc [`Writer`]/[`Reader`] primitives (LEB128
-//! integers, length-prefixed strings, raw f64 bits), so the whole file is
-//! decoded by the same hardened machinery the deployment format trusts. An
-//! instruction travels as the row of `splitc_targets::minst_shapes!` that
-//! describes its variant — the row's tag byte, then its fields in row order,
-//! each encoded as its Rust type prescribes (the private `Wire` trait: a
-//! register is a class byte and a LEB128 index, an operand enum its `code()`,
-//! a flag strictly 0 or 1) — and the encoder and the decoder are both
-//! generated from those rows, so there is one statement of the layout.
+//! The payload is encoded with the module codec's [`Wire`] trait, as the
+//! format `Wire<StoredArtifact>`, over the vbc [`Writer`]/[`Reader`]
+//! primitives, so the whole file is decoded by the same hardened machinery
+//! the deployment format trusts. An instruction travels as the row of
+//! `splitc_targets::minst_shapes!` that describes its variant — the row's
+//! tag byte, then its fields in row order, each encoded as its Rust type
+//! prescribes (a register is a class byte and a LEB128 index, an operand
+//! enum its `code()`; integers, strings, flags, `Option` and `Vec` use the
+//! impls shared with the module format) — and the encoder and the decoder
+//! are both generated from those rows, so there is one statement of the
+//! layout. A change to a shared impl changes this format too; it bumps
+//! [`splitc_vbc::VERSION`], which the header's vbc-version rung checks.
 //!
 //! # Validation ladder, failure is fallback
 //!
@@ -76,7 +79,7 @@ use splitc_targets::{
     minst_shapes, AluOp, CmpPred, Fnv1a, FpuOp, MBlock, MFunction, MInst, MProgram, PReg, RedOp,
     RegClass, Width,
 };
-use splitc_vbc::{DecodeError, Reader, Writer};
+use splitc_vbc::{DecodeError, Reader, Wire, Writer};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,22 +139,14 @@ pub enum StoreLoad {
 /// writes are atomic renames, all reads validate before trusting, so any
 /// number of engines in any number of processes can point at one directory.
 /// See the [module documentation](self) for layout and semantics.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ArtifactStore {
     dir: PathBuf,
-    /// Per-process counter making concurrent temp-file names unique.
-    temp_seq: AtomicU64,
 }
 
-/// Two stores are the same store iff they persist into the same directory
-/// (the temp-name counter is process-local bookkeeping, not identity).
-impl PartialEq for ArtifactStore {
-    fn eq(&self, other: &Self) -> bool {
-        self.dir == other.dir
-    }
-}
-
-impl Eq for ArtifactStore {}
+/// Makes temp-file names unique within the process, across every handle:
+/// two handles on one directory must never write the same temp path.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl ArtifactStore {
     /// Open (creating if necessary) a store rooted at `dir`.
@@ -162,10 +157,7 @@ impl ArtifactStore {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<ArtifactStore> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(ArtifactStore {
-            dir,
-            temp_seq: AtomicU64::new(0),
-        })
+        Ok(ArtifactStore { dir })
     }
 
     /// The directory this store persists into.
@@ -212,7 +204,7 @@ impl ArtifactStore {
             ".tmp-{:016x}-{}-{}",
             key.target_fp ^ key.options_fp,
             std::process::id(),
-            self.temp_seq.fetch_add(1, Ordering::Relaxed),
+            TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
         ));
         if fs::write(&tmp, &bytes).is_err() {
             let _ = fs::remove_file(&tmp);
@@ -326,92 +318,26 @@ fn decode_entry(bytes: &[u8], key: &StoreKey) -> Result<StoredArtifact, DecodeEr
 }
 
 // ---------------------------------------------------------------------------
-// Artifact payload codec: MProgram + JitStats over the vbc wire primitives.
+// Artifact payload codec: MProgram + JitStats as `Wire<StoredArtifact>`.
 //
 // This is a trust boundary exactly like `decode_module`: lengths are
-// attacker-controlled (a flipped bit), so pre-allocation hints are capped and
-// every tag is validated. Any change to what is written — a row of
-// `minst_shapes!` reordered or renumbered, an enum's `code()`, a `Wire` impl —
-// requires bumping STORE_FORMAT_VERSION.
+// attacker-controlled (a flipped bit), so every tag is validated, and the
+// impls shared with the module format (`u32`, `i64`, `f64`, `String`, `bool`,
+// `Option`, `Vec`) keep a flag to 0 or 1, an index to 32 bits and capped
+// pre-allocation. A change to what is written here — a row of `minst_shapes!`
+// reordered or renumbered, an enum's `code()`, an impl below — requires
+// bumping STORE_FORMAT_VERSION; a change to a shared impl changes both
+// formats and bumps `splitc_vbc::VERSION`, which the header also checks.
 // ---------------------------------------------------------------------------
-
-/// Cap on speculative pre-allocation from wire lengths (same rationale as
-/// the vbc decoder: a corrupt length must fail as EOF, not abort on OOM).
-const MAX_PREALLOC: usize = 1 << 12;
 
 fn bad(what: &'static str, tag: u8) -> DecodeError {
     DecodeError::BadTag { what, tag }
 }
 
-/// How a value of one *field type* travels. An instruction's codec is
-/// generated from its row of `minst_shapes!` — tag, then every field's `put`
-/// in row order; tag, then every field's `get` in the same order — so a
-/// field's Rust type picks its encoding in both directions at once, and the
-/// encoder and decoder have no second statement of the layout to drift on.
-///
-/// Every `get` is strict (a flag is 0 or 1, a code names a variant, an index
-/// fits its integer type): an entry that decodes is its own re-encoding.
-trait Wire: Sized {
-    fn put(&self, w: &mut Writer);
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
-}
-
-/// Slots, block numbers, counts that are 32-bit in memory: LEB128 on the
-/// wire, and a value past `u32::MAX` is an error, never truncated.
-impl Wire for u32 {
-    fn put(&self, w: &mut Writer) {
-        w.uleb(u64::from(*self));
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let v = r.uleb()?;
-        u32::try_from(v).map_err(|_| bad("32-bit index", v as u8))
-    }
-}
-
-impl Wire for i64 {
-    fn put(&self, w: &mut Writer) {
-        w.sleb(*self);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.sleb()
-    }
-}
-
-impl Wire for f64 {
-    fn put(&self, w: &mut Writer) {
-        w.f64(*self);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.f64()
-    }
-}
-
-impl Wire for String {
-    fn put(&self, w: &mut Writer) {
-        w.str(self);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.str()
-    }
-}
-
-impl Wire for bool {
-    fn put(&self, w: &mut Writer) {
-        w.u8(u8::from(*self));
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(bad("flag", tag)),
-        }
-    }
-}
-
 /// The operand enums travel as one byte, their `code()`.
 macro_rules! wire_code {
     ($($ty:ident $what:literal),+) => {$(
-        impl Wire for $ty {
+        impl Wire<StoredArtifact> for $ty {
             fn put(&self, w: &mut Writer) {
                 w.u8(self.code());
             }
@@ -431,7 +357,7 @@ wire_code!(
     RedOp "reduce op"
 );
 
-impl Wire for PReg {
+impl Wire<StoredArtifact> for PReg {
     fn put(&self, w: &mut Writer) {
         self.class.put(w);
         w.uleb(u64::from(self.index));
@@ -444,58 +370,25 @@ impl Wire for PReg {
     }
 }
 
-/// A presence flag, then the value if there is one.
-impl<T: Wire> Wire for Option<T> {
-    fn put(&self, w: &mut Writer) {
-        self.is_some().put(w);
-        if let Some(v) = self {
-            v.put(w);
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(if bool::get(r)? {
-            Some(T::get(r)?)
-        } else {
-            None
-        })
-    }
-}
-
-/// A count, then the elements.
-impl<T: Wire> Wire for Vec<T> {
-    fn put(&self, w: &mut Writer) {
-        w.uleb(self.len() as u64);
-        for v in self {
-            v.put(w);
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = r.uleb()? as usize;
-        let mut out = Vec::with_capacity(n.min(MAX_PREALLOC));
-        for _ in 0..n {
-            out.push(T::get(r)?);
-        }
-        Ok(out)
-    }
-}
-
 /// The codec of [`MInst`], generated from the rows of `minst_shapes!`.
 macro_rules! minst_codec {
     ($($tag:literal $variant:ident {
         $($role:ident $(($($class:tt)+))? $field:ident),*
     })*) => {
-        impl Wire for MInst {
+        impl Wire<StoredArtifact> for MInst {
             fn put(&self, w: &mut Writer) {
                 match self {
                     $(MInst::$variant { $($field),* } => {
                         w.u8($tag);
-                        $($field.put(w);)*
+                        $(Wire::<StoredArtifact>::put($field, w);)*
                     })*
                 }
             }
             fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
                 Ok(match r.u8()? {
-                    $($tag => MInst::$variant { $($field: Wire::get(r)?),* },)*
+                    $($tag => MInst::$variant {
+                        $($field: Wire::<StoredArtifact>::get(r)?),*
+                    },)*
                     tag => return Err(bad("machine instruction", tag)),
                 })
             }
@@ -504,7 +397,7 @@ macro_rules! minst_codec {
 }
 minst_shapes!(minst_codec);
 
-impl Wire for MBlock {
+impl Wire<StoredArtifact> for MBlock {
     fn put(&self, w: &mut Writer) {
         self.insts.put(w);
     }
@@ -515,25 +408,25 @@ impl Wire for MBlock {
     }
 }
 
-impl Wire for MFunction {
+impl Wire<StoredArtifact> for MFunction {
     fn put(&self, w: &mut Writer) {
-        self.name.put(w);
+        Wire::<StoredArtifact>::put(&self.name, w);
         self.params.put(w);
-        self.num_slots.put(w);
+        Wire::<StoredArtifact>::put(&self.num_slots, w);
         self.blocks.put(w);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(MFunction {
-            name: Wire::get(r)?,
+            name: Wire::<StoredArtifact>::get(r)?,
             params: Wire::get(r)?,
-            num_slots: Wire::get(r)?,
+            num_slots: Wire::<StoredArtifact>::get(r)?,
             blocks: Wire::get(r)?,
         })
     }
 }
 
 fn write_artifact(w: &mut Writer, program: &MProgram, jit: &JitStats) {
-    program.name.put(w);
+    Wire::<StoredArtifact>::put(&program.name, w);
     program.functions.put(w);
     for count in [
         jit.functions,
@@ -552,7 +445,7 @@ fn write_artifact(w: &mut Writer, program: &MProgram, jit: &JitStats) {
 
 fn read_artifact(r: &mut Reader<'_>) -> Result<StoredArtifact, DecodeError> {
     let program = MProgram {
-        name: Wire::get(r)?,
+        name: Wire::<StoredArtifact>::get(r)?,
         functions: Wire::get(r)?,
     };
     let mut counts = [0u64; 6];
@@ -717,6 +610,41 @@ mod tests {
         assert!(store.remove(&key));
         assert!(matches!(store.load(&key), StoreLoad::Miss));
         store.clear();
+    }
+
+    #[test]
+    fn two_handles_on_one_directory_never_share_a_temp_file() {
+        // Two handles, one thread each, saving keys that differ only in the
+        // module. Such keys share every part of a temp name but the counter,
+        // so unless every handle draws from one counter, a save can fail or
+        // publish another key's entry.
+        const SAVES: u64 = 400;
+        let first = temp_store("two-handles");
+        let second = ArtifactStore::open(first.dir()).expect("second handle opens");
+        let (artifact, key) = compiled_artifact();
+        let keyed = |i: u64| StoreKey {
+            module_fp: i,
+            ..key
+        };
+        std::thread::scope(|scope| {
+            for (parity, store) in [&first, &second].into_iter().enumerate() {
+                let artifact = &artifact;
+                scope.spawn(move || {
+                    for i in 0..SAVES {
+                        let key = keyed(2 * i + parity as u64);
+                        assert!(store.save(&key, &artifact.program, &artifact.jit));
+                    }
+                });
+            }
+        });
+        for i in 0..2 * SAVES {
+            assert!(
+                matches!(first.load(&keyed(i)), StoreLoad::Hit(_)),
+                "key {i}"
+            );
+        }
+        assert_eq!(first.len(), 2 * SAVES as usize);
+        first.clear();
     }
 
     /// Deterministic xorshift64* PRNG — no external crates, stable seeds.

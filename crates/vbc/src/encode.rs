@@ -30,9 +30,15 @@
 //! typed records online code reads, behind one presence byte: a keep ranking
 //! costs one allocation, and kernel traits one byte.
 //!
-//! The low-level primitives ([`Writer`], [`Reader`]) are public so sibling
-//! wire formats (the artifact store's compiled-program encoding) share one
-//! LEB128/string/float discipline instead of growing divergent copies.
+//! There is one codec trait, [`Wire`], for both wire formats of the
+//! workspace: this module implements it for the bytecode, and the artifact
+//! store implements it for compiled machine code. The primitives
+//! ([`Writer`], [`Reader`]) and the format-independent impls (integers,
+//! floats, strings, flags, `Option`, `Vec`, pairs) are shared, so each
+//! strictness rule is written once. A change to a shared impl therefore
+//! changes *both* formats: it must bump [`VERSION`], which every store entry
+//! records in its header, so entries written under the old rules fail the
+//! store's vbc-version rung instead of being misread.
 
 use crate::annotations::{AnnotationSet, KernelTraits, SpillOrder};
 use crate::function::{Block, Function};
@@ -388,70 +394,34 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn scalar_tag(t: ScalarType) -> u8 {
-    match t {
-        ScalarType::I8 => 0,
-        ScalarType::I16 => 1,
-        ScalarType::I32 => 2,
-        ScalarType::I64 => 3,
-        ScalarType::U8 => 4,
-        ScalarType::U16 => 5,
-        ScalarType::U32 => 6,
-        ScalarType::U64 => 7,
-        ScalarType::F32 => 8,
-        ScalarType::F64 => 9,
-        ScalarType::Ptr => 10,
-    }
-}
-
-fn scalar_from_tag(tag: u8) -> Result<ScalarType, DecodeError> {
-    ScalarType::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or(DecodeError::BadTag {
-            what: "scalar type",
-            tag,
-        })
-}
-
-fn write_type(w: &mut Writer, t: Type) {
-    match t {
-        Type::Scalar(s) => {
-            w.u8(0);
-            w.u8(scalar_tag(s));
-        }
-        Type::Vector(s) => {
-            w.u8(1);
-            w.u8(scalar_tag(s));
-        }
-    }
-}
-
-fn read_type(r: &mut Reader<'_>) -> Result<Type, DecodeError> {
-    let kind = r.u8()?;
-    let s = scalar_from_tag(r.u8()?)?;
-    match kind {
-        0 => Ok(Type::Scalar(s)),
-        1 => Ok(Type::Vector(s)),
-        tag => Err(DecodeError::BadTag { what: "type", tag }),
-    }
-}
-
-/// How a value of one *field type* travels. The codec of an instruction is
-/// generated from its row of `inst_shapes!` — tag, then every field's `put`
-/// in row order; tag, then every field's `get` in the same order — so a
-/// field's Rust type picks its encoding, in both directions at once, and
-/// there is no second statement of the layout for the two to disagree on.
+/// How a value of one *field type* travels in wire format `F`. The codec of
+/// an instruction is generated from its row of a shape table — tag, then
+/// every field's `put` in row order; tag, then every field's `get` in the
+/// same order — so a field's Rust type picks its encoding, in both directions
+/// at once, and there is no second statement of the layout for the two to
+/// disagree on.
 ///
-/// Every `get` is strict: a flag is 0 or 1, a tag names a variant, an index
-/// fits 32 bits. Anything else is a [`DecodeError`], because a byte string
-/// that decodes must be the *only* one that decodes to its module.
-trait Wire: Sized {
+/// `F` names the format: [`Module`] for the deployment encoding, the store's
+/// artifact type for the runtime's on-disk entries. The impls for integers,
+/// floats, strings, flags, `Option`, `Vec` and pairs hold for every format,
+/// so both formats share one copy of the strictness rules: a flag is 0 or 1,
+/// an index fits 32 bits, a wire length caps the pre-allocation it causes.
+/// Every `get` is strict, because a byte string that decodes must be the
+/// *only* one that decodes to its value.
+pub trait Wire<F = Module>: Sized {
+    /// Append the encoding of `self`.
     fn put(&self, w: &mut Writer);
+    /// Read one value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] on truncation or on any byte string that is
+    /// not the encoding of a value.
     fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
 }
 
-/// Read a LEB128 integer that names a 32-bit index (a register or a block).
+/// Read a LEB128 integer that names a 32-bit index (a register, a block, a
+/// slot).
 ///
 /// A value past `u32::MAX` is rejected, never truncated: `81 80 80 80 10`
 /// (2³² + 1) silently becoming register 1 would let two distinct byte strings
@@ -459,6 +429,101 @@ trait Wire: Sized {
 fn read_u32(r: &mut Reader<'_>, what: &'static str) -> Result<u32, DecodeError> {
     let v = r.uleb()?;
     u32::try_from(v).map_err(|_| DecodeError::BadTag { what, tag: v as u8 })
+}
+
+impl<F> Wire<F> for u32 {
+    fn put(&self, w: &mut Writer) {
+        w.uleb(u64::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        read_u32(r, "32-bit index")
+    }
+}
+
+impl<F> Wire<F> for i64 {
+    fn put(&self, w: &mut Writer) {
+        w.sleb(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.sleb()
+    }
+}
+
+impl<F> Wire<F> for f64 {
+    fn put(&self, w: &mut Writer) {
+        w.f64(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.f64()
+    }
+}
+
+impl<F> Wire<F> for String {
+    fn put(&self, w: &mut Writer) {
+        w.str(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.str()
+    }
+}
+
+impl<F> Wire<F> for bool {
+    fn put(&self, w: &mut Writer) {
+        w.u8(u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(DecodeError::BadTag { what: "flag", tag }),
+        }
+    }
+}
+
+/// A presence flag, then the value if there is one.
+impl<F, T: Wire<F>> Wire<F> for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        Wire::<F>::put(&self.is_some(), w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(if Wire::<F>::get(r)? {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// A count, then the elements.
+impl<F, T: Wire<F>> Wire<F> for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        w.uleb(self.len() as u64);
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = r.uleb()? as usize;
+        let mut out = Vec::with_capacity(cap_hint(n));
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// The two values in order.
+impl<F, A: Wire<F>, B: Wire<F>> Wire<F> for (A, B) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
 }
 
 impl Wire for VReg {
@@ -479,91 +544,7 @@ impl Wire for BlockId {
     }
 }
 
-impl Wire for i64 {
-    fn put(&self, w: &mut Writer) {
-        w.sleb(*self);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.sleb()
-    }
-}
-
-impl Wire for String {
-    fn put(&self, w: &mut Writer) {
-        w.str(self);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.str()
-    }
-}
-
-impl Wire for bool {
-    fn put(&self, w: &mut Writer) {
-        w.u8(u8::from(*self));
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(DecodeError::BadTag { what: "flag", tag }),
-        }
-    }
-}
-
-/// A presence flag, then the value if there is one.
-impl<T: Wire> Wire for Option<T> {
-    fn put(&self, w: &mut Writer) {
-        self.is_some().put(w);
-        if let Some(v) = self {
-            v.put(w);
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(if bool::get(r)? {
-            Some(T::get(r)?)
-        } else {
-            None
-        })
-    }
-}
-
-/// A count, then the elements.
-impl<T: Wire> Wire for Vec<T> {
-    fn put(&self, w: &mut Writer) {
-        w.uleb(self.len() as u64);
-        for v in self {
-            v.put(w);
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = r.uleb()? as usize;
-        let mut out = Vec::with_capacity(cap_hint(n));
-        for _ in 0..n {
-            out.push(T::get(r)?);
-        }
-        Ok(out)
-    }
-}
-
-impl Wire for ScalarType {
-    fn put(&self, w: &mut Writer) {
-        w.u8(scalar_tag(*self));
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        scalar_from_tag(r.u8()?)
-    }
-}
-
-impl Wire for Type {
-    fn put(&self, w: &mut Writer) {
-        write_type(w, *self);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        read_type(r)
-    }
-}
-
-/// An operator enum as one byte: its position in `$table`.
+/// An enum as one byte: its position in `$table`.
 macro_rules! wire_operator {
     ($ty:ty, $what:literal, $table:expr) => {
         impl Wire for $ty {
@@ -581,6 +562,7 @@ macro_rules! wire_operator {
         }
     };
 }
+wire_operator!(ScalarType, "scalar type", ScalarType::ALL);
 wire_operator!(BinOp, "binary operator", BinOp::ALL);
 wire_operator!(CmpOp, "comparison operator", CmpOp::ALL);
 wire_operator!(UnOp, "unary operator", [UnOp::Neg, UnOp::Not]);
@@ -589,6 +571,28 @@ wire_operator!(
     "reduce operator",
     [ReduceOp::Add, ReduceOp::Min, ReduceOp::Max]
 );
+
+/// A kind byte (0 scalar, 1 vector), then the scalar type. The scalar type is
+/// checked before the kind.
+impl Wire for Type {
+    fn put(&self, w: &mut Writer) {
+        let (kind, s) = match *self {
+            Type::Scalar(s) => (0, s),
+            Type::Vector(s) => (1, s),
+        };
+        w.u8(kind);
+        s.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let kind = r.u8()?;
+        let s = ScalarType::get(r)?;
+        match kind {
+            0 => Ok(Type::Scalar(s)),
+            1 => Ok(Type::Vector(s)),
+            tag => Err(DecodeError::BadTag { what: "type", tag }),
+        }
+    }
+}
 
 impl Wire for Immediate {
     fn put(&self, w: &mut Writer) {
@@ -615,28 +619,29 @@ impl Wire for Immediate {
     }
 }
 
-/// `write_inst` / `read_inst`, generated from the rows of `inst_shapes!`.
+/// The codec of [`Inst`], generated from the rows of `inst_shapes!`.
 macro_rules! inst_codec {
     ($($tag:literal $variant:ident { $($role:ident $field:ident),* })*) => {
-        fn write_inst(w: &mut Writer, inst: &Inst) {
-            match inst {
-                $(Inst::$variant { $($field),* } => {
-                    w.u8($tag);
-                    $($field.put(w);)*
-                })*
-            }
-        }
-
-        fn read_inst(r: &mut Reader<'_>) -> Result<Inst, DecodeError> {
-            Ok(match r.u8()? {
-                $($tag => Inst::$variant { $($field: Wire::get(r)?),* },)*
-                tag => {
-                    return Err(DecodeError::BadTag {
-                        what: "instruction",
-                        tag,
-                    })
+        impl Wire for Inst {
+            fn put(&self, w: &mut Writer) {
+                match self {
+                    $(Inst::$variant { $($field),* } => {
+                        w.u8($tag);
+                        $(<_ as Wire>::put($field, w);)*
+                    })*
                 }
-            })
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok(match r.u8()? {
+                    $($tag => Inst::$variant { $($field: <_ as Wire>::get(r)?),* },)*
+                    tag => {
+                        return Err(DecodeError::BadTag {
+                            what: "instruction",
+                            tag,
+                        })
+                    }
+                })
+            }
         }
     };
 }
@@ -710,45 +715,29 @@ impl Wire for AnnotationSet {
 
 fn write_function(w: &mut Writer, f: &Function) {
     w.str(&f.name);
-    w.uleb(f.params.len() as u64);
-    for (r, t) in &f.params {
-        r.put(w);
-        t.put(w);
-    }
+    f.params.put(w);
     f.ret.put(w);
     f.vreg_types.put(w);
     f.entry.put(w);
     w.uleb(f.blocks.len() as u64);
     for b in &f.blocks {
-        w.uleb(b.insts.len() as u64);
-        for inst in &b.insts {
-            write_inst(w, inst);
-        }
+        b.insts.put(w);
     }
     f.annotations.put(w);
 }
 
 fn read_function(r: &mut Reader<'_>) -> Result<Function, DecodeError> {
     let name = r.str()?;
-    let nparams = r.uleb()? as usize;
-    let mut params = Vec::with_capacity(cap_hint(nparams));
-    for _ in 0..nparams {
-        params.push((VReg::get(r)?, Type::get(r)?));
-    }
+    let params = Wire::get(r)?;
     let ret = Wire::get(r)?;
     let vreg_types = Wire::get(r)?;
     let entry = Wire::get(r)?;
     let nblocks = r.uleb()? as usize;
     let mut blocks = Vec::with_capacity(cap_hint(nblocks));
     for id in 0..nblocks {
-        let ninsts = r.uleb()? as usize;
-        let mut insts = Vec::with_capacity(cap_hint(ninsts));
-        for _ in 0..ninsts {
-            insts.push(read_inst(r)?);
-        }
         blocks.push(Block {
             id: BlockId(id as u32),
-            insts,
+            insts: Wire::get(r)?,
         });
     }
     let annotations = Wire::get(r)?;
@@ -1065,8 +1054,8 @@ mod tests {
         w.uleb(0); // parameters
         w.u8(0); // no return type
         w.uleb(2);
-        write_type(&mut w, Type::Scalar(ScalarType::I32));
-        write_type(&mut w, Type::Scalar(ScalarType::I32));
+        Type::Scalar(ScalarType::I32).put(&mut w);
+        Type::Scalar(ScalarType::I32).put(&mut w);
         w.uleb(entry);
         w.uleb(1); // blocks
         w.uleb(ninsts);
@@ -1078,7 +1067,7 @@ mod tests {
     fn write_move(w: &mut Writer, dst: u64, src: u64) {
         w.u8(1);
         w.uleb(dst);
-        w.u8(scalar_tag(ScalarType::I32));
+        ScalarType::I32.put(w);
         w.uleb(src);
     }
 
@@ -1366,7 +1355,7 @@ mod tests {
             w.u8(0); // parameters
             w.u8(flag);
             if flag != 0 {
-                write_type(&mut w, Type::Scalar(ScalarType::I32));
+                Type::Scalar(ScalarType::I32).put(&mut w);
             }
             w.bytes(&[0, 0, 0, 0]); // vregs, entry, blocks, annotations
             assemble(1, &w.into_bytes())

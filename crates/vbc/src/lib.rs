@@ -73,7 +73,7 @@ mod verify;
 pub use annotations::{AnnotationSet, KernelTraits, SpillOrder};
 pub use builder::FunctionBuilder;
 pub use encode::{
-    decode_module, encode_module, encoded_size, DecodeError, Reader, Writer, MAGIC, VERSION,
+    decode_module, encode_module, encoded_size, DecodeError, Reader, Wire, Writer, MAGIC, VERSION,
 };
 pub use function::{Block, Function};
 pub use inst::{BinOp, BlockId, CmpOp, Immediate, Inst, ReduceOp, UnOp, VReg};
