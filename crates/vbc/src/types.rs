@@ -49,7 +49,8 @@ pub enum ScalarType {
 }
 
 impl ScalarType {
-    /// All scalar types, useful for exhaustive property tests.
+    /// All scalar types in wire-tag order: the module format encodes a
+    /// scalar type as its position here, so the order is part of the format.
     pub const ALL: [ScalarType; 11] = [
         ScalarType::I8,
         ScalarType::I16,
