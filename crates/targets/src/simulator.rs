@@ -232,8 +232,25 @@ pub(crate) fn fpu(op: FpuOp, double: bool, a: f64, b: f64) -> f64 {
         FpuOp::Sub => a - b,
         FpuOp::Mul => a * b,
         FpuOp::Div => a / b,
-        FpuOp::Min => a.min(b),
-        FpuOp::Max => a.max(b),
+        // Spelled out, not `f64::min`/`max`, which leave the sign of a ±0
+        // tie and the NaN returned unspecified, so codegen could pick either
+        // and differ between a scalar and a vectorized lane loop. A tie
+        // returns `a`, one NaN returns the other operand, two NaNs return
+        // `b`, as the recorded run digests were pinned on x86-64.
+        FpuOp::Min => {
+            if a.is_nan() || b < a {
+                b
+            } else {
+                a
+            }
+        }
+        FpuOp::Max => {
+            if a.is_nan() || b > a {
+                b
+            } else {
+                a
+            }
+        }
     };
     if double {
         r
@@ -599,6 +616,41 @@ pub(crate) mod tests {
         let double = fpu(FpuOp::Add, true, a, a);
         assert_ne!(single, double);
         assert_eq!(single, f64::from((a as f32) + (a as f32)));
+    }
+
+    #[test]
+    fn float_min_max_define_signed_zero_ties_and_nans() {
+        // (a, b, min, max) as f64 bit patterns: a tie returns `a`, one NaN
+        // returns the other operand, two NaNs return `b`.
+        let (n1, n2) = (0x7ff8_0000_0000_1234, 0xfff8_0000_0000_0042);
+        let (zero, neg_zero, x) = (0.0f64.to_bits(), (-0.0f64).to_bits(), 2.5f64.to_bits());
+        let cases = [
+            (neg_zero, zero, neg_zero, neg_zero),
+            (zero, neg_zero, zero, zero),
+            (n1, n2, n2, n2),
+            (n1, x, x, x),
+            (x, n1, x, x),
+        ];
+        for (a, b, min, max) in cases {
+            let (a, b) = (f64::from_bits(a), f64::from_bits(b));
+            assert_eq!(
+                fpu(FpuOp::Min, true, a, b).to_bits(),
+                min,
+                "f64 min {a} {b}"
+            );
+            assert_eq!(
+                fpu(FpuOp::Max, true, a, b).to_bits(),
+                max,
+                "f64 max {a} {b}"
+            );
+            // Single precision: the same operands as f32 lanes, widened.
+            let single = |v: f64| f64::from(v as f32);
+            let bits32 = |v: u64| (f64::from_bits(v) as f32).to_bits();
+            let (a32, b32) = (single(a), single(b));
+            let got = |op| (fpu(op, false, a32, b32) as f32).to_bits();
+            assert_eq!(got(FpuOp::Min), bits32(min), "f32 min {a} {b}");
+            assert_eq!(got(FpuOp::Max), bits32(max), "f32 max {a} {b}");
+        }
     }
 
     #[test]

@@ -399,8 +399,23 @@ pub fn eval_bin(op: BinOp, ty: ScalarType, lhs: &Value, rhs: &Value) -> Result<V
             BinOp::Sub => a - b,
             BinOp::Mul => a * b,
             BinOp::Div => a / b,
-            BinOp::Min => a.min(b),
-            BinOp::Max => a.max(b),
+            // Spelled out, not `f64::min`/`max`, which leave the sign of a
+            // ±0 tie and the NaN returned unspecified: a tie returns `a`, one
+            // NaN returns the other operand, two NaNs return `b`.
+            BinOp::Min => {
+                if a.is_nan() || b < a {
+                    b
+                } else {
+                    a
+                }
+            }
+            BinOp::Max => {
+                if a.is_nan() || b > a {
+                    b
+                } else {
+                    a
+                }
+            }
             other => return Err(ExecError::Trap(format!("float {other} unsupported"))),
         };
         let r = if ty == ScalarType::F32 {
@@ -931,6 +946,38 @@ mod tests {
             ),
             0
         );
+    }
+
+    #[test]
+    fn float_min_max_define_signed_zero_ties_and_nans() {
+        // (a, b, min, max) as f64 bit patterns: a tie returns `a`, one NaN
+        // returns the other operand, two NaNs return `b`.
+        let (n1, n2) = (0x7ff8_0000_0000_1234, 0xfff8_0000_0000_0042);
+        let (zero, neg_zero, x) = (0.0f64.to_bits(), (-0.0f64).to_bits(), 2.5f64.to_bits());
+        let cases = [
+            (neg_zero, zero, neg_zero, neg_zero),
+            (zero, neg_zero, zero, zero),
+            (n1, n2, n2, n2),
+            (n1, x, x, x),
+            (x, n1, x, x),
+        ];
+        let eval =
+            |op, ty, a: f64, b: f64| match eval_bin(op, ty, &Value::Float(a), &Value::Float(b)) {
+                Ok(Value::Float(v)) => v,
+                other => panic!("{op} {ty}: {other:?}"),
+            };
+        for (a, b, min, max) in cases {
+            let (a, b) = (f64::from_bits(a), f64::from_bits(b));
+            assert_eq!(eval(BinOp::Min, ScalarType::F64, a, b).to_bits(), min);
+            assert_eq!(eval(BinOp::Max, ScalarType::F64, a, b).to_bits(), max);
+            // Single precision: the same operands as f32 values, widened.
+            let single = |v: f64| f64::from(v as f32);
+            let bits32 = |v: u64| (f64::from_bits(v) as f32).to_bits();
+            let (a32, b32) = (single(a), single(b));
+            let got = |op| (eval(op, ScalarType::F32, a32, b32) as f32).to_bits();
+            assert_eq!(got(BinOp::Min), bits32(min), "f32 min {a} {b}");
+            assert_eq!(got(BinOp::Max), bits32(max), "f32 max {a} {b}");
+        }
     }
 
     #[test]
