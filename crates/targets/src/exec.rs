@@ -2082,6 +2082,136 @@ mod tests {
     }
 
     #[test]
+    fn vector_division_traps_at_its_first_zero_lane_after_writing_the_lanes_before_it() {
+        // `VecIntOp` `Div` / `Rem` with one zero divisor, in lane k: the
+        // instruction traps at lane k, after lanes < k of its destination got
+        // the scalar ALU's result and before lanes >= k changed. The handler
+        // runs alone on a seeded frame, where the destination stays visible
+        // after the trap; a whole run gives the trap text and `SimStats`.
+        use crate::simulator::{alu, read_lane_int, write_lane_int};
+        let (v, a) = (PReg::vec, PReg::int(0));
+        let mut pins = Pins::default();
+        for target in [TargetDesc::x86_sse(), TargetDesc::gpu_wide()] {
+            let vb = target.vector_bytes() as usize;
+            let at = |i: usize| (i * vb) as i64;
+            for elem in [Width::W8, Width::W16, Width::W32, Width::W64] {
+                let lanes = vb / elem.bytes() as usize;
+                for (op, what) in [(AluOp::Div, "division"), (AluOp::Rem, "remainder")] {
+                    for signed in [false, true] {
+                        let insts = vec![
+                            MInst::VecLoad {
+                                dst: v(0),
+                                base: a,
+                                offset: at(0),
+                            },
+                            MInst::VecLoad {
+                                dst: v(1),
+                                base: a,
+                                offset: at(1),
+                            },
+                            MInst::VecLoad {
+                                dst: v(2),
+                                base: a,
+                                offset: at(2),
+                            },
+                            MInst::VecIntOp {
+                                op,
+                                elem,
+                                signed,
+                                dst: v(2),
+                                lhs: v(0),
+                                rhs: v(1),
+                            },
+                            MInst::VecStore {
+                                base: a,
+                                offset: at(2),
+                                src: v(2),
+                            },
+                            MInst::Ret { value: None },
+                        ];
+                        let program = MProgram {
+                            name: "m".into(),
+                            functions: vec![MFunction {
+                                name: "vdiv".into(),
+                                params: vec![a],
+                                blocks: vec![MBlock { insts }],
+                                num_slots: 0,
+                            }],
+                        };
+                        let welded = PreparedProgram::prepare(&program, &target).unwrap();
+                        let unwelded =
+                            PreparedProgram::prepare_with(&program, &target, false).unwrap();
+                        for k in [0, 1, lanes - 1] {
+                            let cell =
+                                format!("{op:?} {elem:?} signed {signed} k {k} on {}", target.name);
+                            // Left lanes -7 - i, right lanes i + 1 but a zero in
+                            // lane k, destination lanes 0x5a bytes.
+                            let mut image = vec![0x5a; 3 * vb];
+                            for i in 0..lanes {
+                                let y = if i == k { 0 } else { i as i64 + 1 };
+                                write_lane_int(&mut image[..vb], i, elem, -7 - i as i64);
+                                write_lane_int(&mut image[vb..2 * vb], i, elem, y);
+                            }
+                            let trap = SimError::Trap(format!("integer {what} by zero"));
+
+                            let f = &unwelded.functions[0];
+                            let mut pool = FramePool::new();
+                            let (int, float) = (unwelded.int_regs, unwelded.float_regs);
+                            let mut frame = pool.acquire(int, float, unwelded.vec_bytes_total, 0);
+                            frame.vec[..3 * vb].copy_from_slice(&image);
+                            let mut mem = vec![0u8; 64];
+                            let (mut fuel, mut stats) = (DEFAULT_SIM_FUEL, SimStats::default());
+                            let mut cx = dispatch::ExecCtx::new(
+                                &unwelded, f, &mut frame, &mut mem, &mut pool, &mut fuel,
+                                &mut stats, 0, None,
+                            );
+                            let flow = (f.ops[3].handler)(&f.ops[3], &mut cx, 3);
+                            assert_eq!(flow, dispatch::FLOW_ERR | 3, "{cell}");
+                            assert_eq!(cx.err.take(), Some(trap.clone()), "{cell}");
+                            assert_eq!(frame.vec[..2 * vb], image[..2 * vb], "{cell}: sources");
+                            let dst = &frame.vec[2 * vb..3 * vb];
+                            for i in 0..k {
+                                let x = read_lane_int(&image[..vb], i, elem, signed);
+                                let y = read_lane_int(&image[vb..2 * vb], i, elem, signed);
+                                let want = alu(op, elem, signed, x, y).unwrap();
+                                let got = read_lane_int(dst, i, elem, signed);
+                                assert_eq!(got, want, "{cell}: lane {i} before the trap");
+                            }
+                            let untouched = k * elem.bytes() as usize;
+                            assert!(
+                                dst[untouched..].iter().all(|&b| b == 0x5a),
+                                "{cell}: lanes from {k} on were written"
+                            );
+                            assert_eq!((fuel, stats), (DEFAULT_SIM_FUEL, SimStats::default()));
+
+                            let runs = [&welded, &unwelded].map(|prepared| {
+                                let mut mem = vec![0u8; 3 * vb + 64];
+                                mem[64..].copy_from_slice(&image);
+                                let mut sim = PreparedSimulator::new(prepared);
+                                let out = sim.run("vdiv", &[MachineValue::Int(64)], &mut mem);
+                                (out, sim.stats(), mem)
+                            });
+                            assert!(runs[0] == runs[1], "{cell}: welded and unwelded disagree");
+                            let (out, stats, mem) = &runs[0];
+                            assert_eq!(out, &Err(trap), "{cell}");
+                            assert_eq!(mem[64..], image, "{cell}: memory");
+                            let counters = (
+                                stats.instructions,
+                                stats.loads,
+                                stats.stores,
+                                stats.vector_ops,
+                            );
+                            assert_eq!(counters, (4, 3, 0, 3), "{cell}: stats");
+                            pins.record(cell, out, stats, mem);
+                        }
+                    }
+                }
+            }
+        }
+        pins.check(98_202_366_585_513_097);
+    }
+
+    #[test]
     fn unterminated_blocks_trap_like_the_legacy_walk() {
         let pins = &mut Pins::default();
         let p = MProgram {

@@ -889,6 +889,155 @@ fn vector_lanes_match_the_legacy_walk_and_their_recorded_digest() {
     assert_eq!(digests, pinned, "vector lane semantics moved");
 }
 
+/// Fold of the vector traffic pin below: one [`Pins`] cell per vector unit
+/// × timing tier × kernel × address, in that order.
+const VECTOR_TRAFFIC_PIN: u64 = 6_672_977_030_857_420_024;
+
+/// The kernels of the vector traffic pin for a `vb`-byte unit, each taking
+/// an address. `vload` loads the vector there and stores it at `vb`;
+/// `vstore` loads the vector at `vb` and stores it there. `vspill` loads
+/// three vectors from the address on, spills them and a scalar across four
+/// slots, reloads them crosswise, spills again over a slot it reloaded and
+/// stores all four vector registers and the scalar from `address + 3 vb`
+/// on. `vreload_first` reloads a vector from a slot no vector was spilled
+/// to, after a scalar spill to another; `vreload_class` reloads a vector
+/// from the scalar's slot.
+fn traffic_kernels(vb: i64) -> Vec<MFunction> {
+    use MInst::*;
+    let (a, c) = (PReg::int(0), PReg::int(1));
+    let v = PReg::vec;
+    let at = |offset| Imm {
+        dst: c,
+        value: offset,
+    };
+    let load = |dst, base, offset| VecLoad { dst, base, offset };
+    let store = |src, base, offset| VecStore { base, offset, src };
+    let function = |name: &str, mut insts: Vec<MInst>, num_slots| {
+        insts.push(Ret { value: None });
+        MFunction {
+            name: name.into(),
+            params: vec![a],
+            blocks: vec![MBlock { insts }],
+            num_slots,
+        }
+    };
+    let spill = |slot, src| Spill { slot, src };
+    let reload = |slot, dst| Reload { slot, dst };
+    vec![
+        function(
+            "vload",
+            vec![at(vb), load(v(0), a, 0), store(v(0), c, 0)],
+            0,
+        ),
+        function(
+            "vstore",
+            vec![at(vb), load(v(0), c, 0), store(v(0), a, 0)],
+            0,
+        ),
+        function(
+            "vspill",
+            vec![
+                load(v(0), a, 0),
+                load(v(1), a, vb),
+                load(v(2), a, 2 * vb),
+                spill(0, v(0)),
+                spill(3, v(1)),
+                spill(1, a),
+                spill(2, v(2)),
+                reload(3, v(0)),
+                reload(2, v(1)),
+                reload(0, v(2)),
+                spill(0, v(1)),
+                reload(0, v(3)),
+                reload(1, c),
+                store(v(0), a, 3 * vb),
+                store(v(1), a, 4 * vb),
+                store(v(2), a, 5 * vb),
+                store(v(3), a, 6 * vb),
+                Store {
+                    width: Width::W64,
+                    float: false,
+                    base: a,
+                    offset: 7 * vb,
+                    src: c,
+                },
+            ],
+            4,
+        ),
+        function("vreload_first", vec![spill(0, a), reload(1, v(0))], 2),
+        function("vreload_class", vec![spill(0, a), reload(0, v(0))], 1),
+    ]
+}
+
+#[test]
+fn vector_memory_and_spill_traffic_keep_their_recorded_digest() {
+    // Vector loads and stores at the last in-bounds address, one byte past
+    // it and at addresses <= 0, and vector spills and reloads across several
+    // slots, on the lane pin's three units under both timing tiers: trap
+    // text, memory and `SimStats` of each run. One pool serves every run, so
+    // a reload before any vector spill also meets a frame whose spill bytes
+    // an earlier run left behind.
+    let mut cells = Pins::default();
+    for unit in lane_pin_targets() {
+        let vb = unit.vector_bytes() as i64;
+        let size = 8 * vb + 64;
+        let program = MProgram {
+            name: "traffic".into(),
+            functions: traffic_kernels(vb),
+        };
+        let (last, past) = (size - vb, size - vb + 1);
+        let runs: [(&str, &[i64]); 5] = [
+            ("vload", &[last, past, 0, -1, -vb, i64::MIN]),
+            ("vstore", &[last, past, 0, -1, -vb, i64::MIN]),
+            ("vspill", &[64, size - 7 * vb - 8, size - 7 * vb - 7]),
+            ("vreload_first", &[64]),
+            ("vreload_class", &[64]),
+        ];
+        for target in [unit.clone(), unit.with_timing(TimingKind::InOrder)] {
+            let prepared = PreparedProgram::prepare(&program, &target)
+                .unwrap_or_else(|e| panic!("{}: {e}", target.name));
+            let mut pool = FramePool::new();
+            let mut rng = 0x7a11_c0de;
+            for (name, addresses) in runs {
+                for &address in addresses {
+                    let cell = format!("{name}({address}) on {} {:?}", target.name, target.timing);
+                    let mut mem = vec![0u8; size as usize];
+                    fill(&mut mem, Width::W64, None, &mut rng);
+                    let mut stats = SimStats::default();
+                    let out = prepared.run(
+                        name,
+                        &[MachineValue::Int(address)],
+                        &mut mem,
+                        &mut pool,
+                        DEFAULT_SIM_FUEL,
+                        &mut stats,
+                    );
+                    let expected = match (name, address) {
+                        (_, a) if a <= 0 => Some(format!("null or negative address {a}")),
+                        ("vload" | "vstore", a) if a == past => Some(format!(
+                            "out-of-bounds access at {a}+{vb} (memory size {size})"
+                        )),
+                        ("vspill", a) if a == size - 7 * vb - 7 => Some(format!(
+                            "out-of-bounds access at {}+8 (memory size {size})",
+                            a + 7 * vb
+                        )),
+                        ("vreload_first", _) => Some("reload of uninitialized slot 1".into()),
+                        ("vreload_class", _) => Some("reload class mismatch for slot 0".into()),
+                        _ => None,
+                    };
+                    match (&out, expected) {
+                        (Ok(None), None) => {}
+                        (Err(SimError::Trap(text)), Some(expected)) if *text == expected => {}
+                        (out, expected) => panic!("{cell}: {out:?}, expected {expected:?}"),
+                    }
+                    cells.record(&cell, &out, &stats, &mem);
+                }
+            }
+        }
+    }
+    cells.check(VECTOR_TRAFFIC_PIN);
+}
+
 /// Fold of the listing skeletons below for `fuse: false`: one [`Pins`] cell
 /// per catalogue kernel × preset × timing tier, each the FNV-1a of what
 /// `splitc disasm --no-fuse` prints for it with the program header and every
