@@ -394,7 +394,18 @@ pub(crate) fn write_lane_int(reg: &mut [u8], lane: usize, elem: Width, value: i6
 pub(crate) fn read_lane_float(reg: &[u8], lane: usize, elem: Width) -> f64 {
     let bits = read_lane(reg, lane, elem);
     match elem {
-        Width::W32 => f64::from(f32::from_bits(bits as u32)),
+        // Widened as `cvtss2sd` widens, a signalling NaN made quiet. Spelled
+        // out: Rust leaves a widened NaN's quiet bit unspecified, and the
+        // optimizer may drop a widening that a later narrowing undoes, which
+        // would let a float min/max lane pass a signalling NaN through.
+        Width::W32 => {
+            let x = f32::from_bits(bits as u32);
+            f64::from(if x.is_nan() {
+                f32::from_bits(x.to_bits() | 0x0040_0000)
+            } else {
+                x
+            })
+        }
         _ => f64::from_bits(bits),
     }
 }
@@ -650,6 +661,15 @@ pub(crate) mod tests {
             let got = |op| (fpu(op, false, a32, b32) as f32).to_bits();
             assert_eq!(got(FpuOp::Min), bits32(min), "f32 min {a} {b}");
             assert_eq!(got(FpuOp::Max), bits32(max), "f32 max {a} {b}");
+        }
+    }
+
+    #[test]
+    fn a_single_precision_lane_widens_a_signalling_nan_to_a_quiet_one() {
+        for (lane, quiet) in [(0xffa0_0001u32, 0xffe0_0001u32), (0x7fc0_1234, 0x7fc0_1234)] {
+            let v = read_lane_float(&lane.to_le_bytes(), 0, Width::W32);
+            assert_eq!((v as f32).to_bits(), quiet, "{lane:#x}");
+            assert_ne!(v.to_bits() & 1 << 51, 0, "{lane:#x}: quiet bit");
         }
     }
 
