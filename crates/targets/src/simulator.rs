@@ -226,17 +226,32 @@ pub(crate) fn alu(op: AluOp, width: Width, signed: bool, a: i64, b: i64) -> Resu
     Ok(normalize(width, signed, r))
 }
 
+/// `x`, with its quiet bit set if it is a NaN.
+#[inline(always)]
+fn quiet(x: f64) -> f64 {
+    if x.is_nan() {
+        f64::from_bits(x.to_bits() | 1 << 51)
+    } else {
+        x
+    }
+}
+
 pub(crate) fn fpu(op: FpuOp, double: bool, a: f64, b: f64) -> f64 {
+    // Which NaN comes back, and the sign of a ±0 min/max tie, are spelled
+    // out, not left to codegen: Rust leaves them unspecified, and the
+    // optimizer may commute an operation or pick another instruction for it,
+    // so a scalar and a vectorized lane loop could differ. As the recorded
+    // run digests were pinned on x86-64: arithmetic returns its first NaN
+    // operand, `a`'s before `b`'s, quieted; min/max return `a` on a tie, the
+    // other operand for one NaN and `b` for two, never quieted.
     let r = match op {
+        FpuOp::Add | FpuOp::Sub | FpuOp::Mul | FpuOp::Div if a.is_nan() || b.is_nan() => {
+            quiet(if a.is_nan() { a } else { b })
+        }
         FpuOp::Add => a + b,
         FpuOp::Sub => a - b,
         FpuOp::Mul => a * b,
         FpuOp::Div => a / b,
-        // Spelled out, not `f64::min`/`max`, which leave the sign of a ±0
-        // tie and the NaN returned unspecified, so codegen could pick either
-        // and differ between a scalar and a vectorized lane loop. A tie
-        // returns `a`, one NaN returns the other operand, two NaNs return
-        // `b`, as the recorded run digests were pinned on x86-64.
         FpuOp::Min => {
             if a.is_nan() || b < a {
                 b
@@ -398,14 +413,7 @@ pub(crate) fn read_lane_float(reg: &[u8], lane: usize, elem: Width) -> f64 {
         // out: Rust leaves a widened NaN's quiet bit unspecified, and the
         // optimizer may drop a widening that a later narrowing undoes, which
         // would let a float min/max lane pass a signalling NaN through.
-        Width::W32 => {
-            let x = f32::from_bits(bits as u32);
-            f64::from(if x.is_nan() {
-                f32::from_bits(x.to_bits() | 0x0040_0000)
-            } else {
-                x
-            })
-        }
+        Width::W32 => quiet(f64::from(f32::from_bits(bits as u32))),
         _ => f64::from_bits(bits),
     }
 }
@@ -661,6 +669,24 @@ pub(crate) mod tests {
             let got = |op| (fpu(op, false, a32, b32) as f32).to_bits();
             assert_eq!(got(FpuOp::Min), bits32(min), "f32 min {a} {b}");
             assert_eq!(got(FpuOp::Max), bits32(max), "f32 max {a} {b}");
+        }
+    }
+
+    #[test]
+    fn float_arithmetic_returns_its_first_nan_operand_quieted() {
+        let (signalling, quiet) = (0x7ff0_0000_0000_0001, 0xfff8_0400_0000_0000);
+        let (s, q) = (f64::from_bits(signalling), f64::from_bits(quiet));
+        for op in [FpuOp::Add, FpuOp::Sub, FpuOp::Mul, FpuOp::Div] {
+            for (a, b, want) in [
+                (s, q, signalling | 1 << 51),
+                (q, s, quiet),
+                (2.5, s, signalling | 1 << 51),
+                (q, 2.5, quiet),
+            ] {
+                assert_eq!(fpu(op, true, a, b).to_bits(), want, "{op:?} {a} {b}");
+            }
+            // Single precision narrows the NaN, keeping its payload's top bits.
+            assert_eq!((fpu(op, false, 2.5, q) as f32).to_bits(), 0xffc0_2000);
         }
     }
 
