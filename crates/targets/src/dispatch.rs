@@ -671,7 +671,10 @@ fn red_from(bits: u16) -> RedOp {
 // Handlers: what each instruction does to registers and memory, stated once.
 // Evaluation order and trap points are part of each instruction's semantics,
 // pinned by the recorded run digests. Straight-line handlers touch no
-// accounting.
+// accounting. A vector handler decides its operator and lane width once and
+// runs a lane loop specialized for both; because the optimizer may then
+// vectorize or commute that loop, `fpu` spells out which NaN and which ±0 a
+// float operation returns instead of leaving it to codegen.
 // ---------------------------------------------------------------------------
 
 fn h_imm(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
@@ -931,93 +934,145 @@ fn h_vec_store(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     u64::from(pc) + 1
 }
 
+// --- vector lanes: each handler below matches its operator and lane width
+// once, through `fixed!`, and runs a lane loop in which both are constants.
+// `alu`, `fpu` and the lane helpers inline into it, so each arm is its own
+// loop over one operation on fixed-width lanes; `alu` stays out of line in
+// `h_int_op`, whose operator is not a constant. ------------------------------
+
+/// `$body` with `$x` bound to the constant that `$v` equals: one arm per
+/// listed variant (or literal), so the optimizer specializes `$body` for
+/// each.
+macro_rules! fixed {
+    ($v:expr, $t:ident::{$($c:ident),+}, |$x:ident| $body:expr) => {
+        match $v {
+            $($t::$c => {
+                let $x = $t::$c;
+                $body
+            })+
+        }
+    };
+    ($v:expr, [$($c:literal),+], |$x:ident| $body:expr) => {
+        match $v {
+            $($c => {
+                let $x = $c;
+                $body
+            })+
+        }
+    };
+}
+
 fn h_vec_splat_int(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     let v = cx.int_at(op.b as usize);
-    let (vb, elem) = (cx.vb, wfrom(op.d));
+    let vb = cx.vb;
     let d = op.a as usize * vb;
     let reg = &mut cx.vec[d..d + vb];
-    for lane in 0..op.e as usize {
-        write_lane_int(reg, lane, elem, v);
-    }
+    fixed!(wfrom(op.d), Width::{W8, W16, W32, W64}, |w| {
+        for lane in 0..op.e as usize {
+            write_lane_int(reg, lane, w, v);
+        }
+    });
     u64::from(pc) + 1
 }
 
 fn h_vec_splat_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
     let v = cx.float_at(op.b as usize);
-    let (vb, elem) = (cx.vb, wfrom(op.d));
+    let vb = cx.vb;
     let d = op.a as usize * vb;
     let reg = &mut cx.vec[d..d + vb];
-    for lane in 0..op.e as usize {
-        write_lane_float(reg, lane, elem, v);
-    }
+    fixed!(wfrom(op.d), Width::{W8, W16, W32, W64}, |w| {
+        for lane in 0..op.e as usize {
+            write_lane_float(reg, lane, w, v);
+        }
+    });
     u64::from(pc) + 1
 }
 
 fn h_vec_int_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
+    let alu_op = alu_from(op.d);
+    fixed!(alu_op, AluOp::{Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Min, Max}, |o| {
+        fixed!(wfrom(op.d >> 4), Width::{W8, W16, W32, W64}, |w| {
+            fixed!(op.d & (1 << 6) != 0, [false, true], |s| int_lanes(op, cx, pc, o, w, s))
+        })
+    })
+}
+
+/// Lane i of register `op.a` from lane i of `op.b` and `op.c` through the
+/// ALU. Lane-by-lane read-then-write is aliasing-safe without copying the
+/// inputs: writing lane i of dst never changes a lane j > i of lhs/rhs. Only
+/// `Div` / `Rem` can fail, at the lane with the zero divisor, after the
+/// lanes before it were written.
+#[inline(always)]
+fn int_lanes(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32, o: AluOp, w: Width, s: bool) -> u64 {
     let vb = cx.vb;
     let (d, l, r) = (op.a as usize * vb, op.b as usize * vb, op.c as usize * vb);
-    let (alu_op, elem, signed) = (alu_from(op.d), wfrom(op.d >> 4), op.d & (1 << 6) != 0);
-    // Lane-by-lane read-then-write is aliasing-safe without copying the
-    // inputs: writing lane i of dst never changes a lane j > i of lhs/rhs.
+    let vec = &mut *cx.vec;
     for lane in 0..op.e as usize {
-        let x = read_lane_int(&cx.vec[l..l + vb], lane, elem, signed);
-        let y = read_lane_int(&cx.vec[r..r + vb], lane, elem, signed);
-        let v = tryh!(cx, pc, alu(alu_op, elem, signed, x, y));
-        write_lane_int(&mut cx.vec[d..d + vb], lane, elem, v);
+        let x = read_lane_int(&vec[l..l + vb], lane, w, s);
+        let y = read_lane_int(&vec[r..r + vb], lane, w, s);
+        match alu(o, w, s, x, y) {
+            Ok(v) => write_lane_int(&mut vec[d..d + vb], lane, w, v),
+            Err(e) => return fail(cx, e, pc),
+        }
     }
     u64::from(pc) + 1
 }
 
 fn h_vec_float_op(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let vb = cx.vb;
-    let (d, l, r) = (op.a as usize * vb, op.b as usize * vb, op.c as usize * vb);
-    let (fpu_op, elem, double) = (fpu_from(op.d), wfrom(op.d >> 3), op.d & (1 << 5) != 0);
-    for lane in 0..op.e as usize {
-        let x = read_lane_float(&cx.vec[l..l + vb], lane, elem);
-        let y = read_lane_float(&cx.vec[r..r + vb], lane, elem);
-        let v = fpu(fpu_op, double, x, y);
-        write_lane_float(&mut cx.vec[d..d + vb], lane, elem, v);
-    }
+    fixed!(fpu_from(op.d), FpuOp::{Add, Sub, Mul, Div, Min, Max}, |o| {
+        fixed!(wfrom(op.d >> 3), Width::{W8, W16, W32, W64}, |w| float_lanes(op, cx, o, w))
+    });
     u64::from(pc) + 1
 }
 
-fn h_vec_reduce_int(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
+/// [`int_lanes`] through the FPU, which cannot fail; W64 lanes compute in
+/// double precision, narrower ones round through single.
+#[inline(always)]
+fn float_lanes(op: &OpRecord, cx: &mut ExecCtx<'_>, o: FpuOp, w: Width) {
     let vb = cx.vb;
-    let s = op.b as usize * vb;
-    let (red, elem, signed) = (red_from(op.d), wfrom(op.d >> 2), op.d & (1 << 4) != 0);
-    let reg = &cx.vec[s..s + vb];
-    let mut acc = read_lane_int(reg, 0, elem, signed);
-    for lane in 1..op.e as usize {
-        let x = read_lane_int(reg, lane, elem, signed);
-        acc = tryh!(
-            cx,
-            pc,
-            match red {
-                RedOp::Add => alu(AluOp::Add, elem, signed, acc, x),
-                RedOp::Min => alu(AluOp::Min, elem, signed, acc, x),
-                RedOp::Max => alu(AluOp::Max, elem, signed, acc, x),
-            }
-        );
+    let (d, l, r) = (op.a as usize * vb, op.b as usize * vb, op.c as usize * vb);
+    let vec = &mut *cx.vec;
+    for lane in 0..op.e as usize {
+        let x = read_lane_float(&vec[l..l + vb], lane, w);
+        let y = read_lane_float(&vec[r..r + vb], lane, w);
+        let v = fpu(o, w == Width::W64, x, y);
+        write_lane_float(&mut vec[d..d + vb], lane, w, v);
     }
+}
+
+fn h_vec_reduce_int(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
+    let (vb, src) = (cx.vb, op.b as usize * cx.vb);
+    let reg = &cx.vec[src..src + vb];
+    let acc = fixed!(red_from(op.d), RedOp::{Add, Min, Max}, |r| {
+        let o = [AluOp::Add, AluOp::Min, AluOp::Max][r as usize]; // `RedOp` order
+        fixed!(wfrom(op.d >> 2), Width::{W8, W16, W32, W64}, |w| {
+            fixed!(op.d & (1 << 4) != 0, [false, true], |s| {
+                let mut acc = read_lane_int(reg, 0, w, s);
+                for lane in 1..op.e as usize {
+                    let x = read_lane_int(reg, lane, w, s);
+                    acc = tryh!(cx, pc, alu(o, w, s, acc, x));
+                }
+                acc
+            })
+        })
+    });
     cx.set_int(op.a as usize, acc);
     u64::from(pc) + 1
 }
 
 fn h_vec_reduce_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let vb = cx.vb;
-    let s = op.b as usize * vb;
-    let (red, elem) = (red_from(op.d), wfrom(op.d >> 2));
-    let double = elem == Width::W64;
-    let reg = &cx.vec[s..s + vb];
-    let mut acc = read_lane_float(reg, 0, elem);
-    for lane in 1..op.e as usize {
-        let x = read_lane_float(reg, lane, elem);
-        acc = match red {
-            RedOp::Add => fpu(FpuOp::Add, double, acc, x),
-            RedOp::Min => fpu(FpuOp::Min, double, acc, x),
-            RedOp::Max => fpu(FpuOp::Max, double, acc, x),
-        };
-    }
+    let (vb, src) = (cx.vb, op.b as usize * cx.vb);
+    let reg = &cx.vec[src..src + vb];
+    let acc = fixed!(red_from(op.d), RedOp::{Add, Min, Max}, |r| {
+        let o = [FpuOp::Add, FpuOp::Min, FpuOp::Max][r as usize]; // `RedOp` order
+        fixed!(wfrom(op.d >> 2), Width::{W8, W16, W32, W64}, |w| {
+            let mut acc = read_lane_float(reg, 0, w);
+            for lane in 1..op.e as usize {
+                acc = fpu(o, w == Width::W64, acc, read_lane_float(reg, lane, w));
+            }
+            acc
+        })
+    });
     cx.set_float(op.a as usize, acc);
     u64::from(pc) + 1
 }
@@ -1862,8 +1917,7 @@ pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
         } => {
             r = rec(h_vec_float_op);
             (r.a, r.b, r.c, r.e) = (dst.index, lhs.index, rhs.index, lanes);
-            let double = elem == Width::W64;
-            r.d = fpu_bits(op) | wbits(elem) << 3 | u16::from(double) << 5;
+            r.d = fpu_bits(op) | wbits(elem) << 3;
         }
         MInst::VecReduceInt {
             op,
