@@ -3077,8 +3077,8 @@ mod tests {
     #[test]
     fn in_order_branches_whose_sites_alias_in_the_bht_agree_on_every_path() {
         let pins = &mut Pins::default();
-        // A parity branch at row 5 and the loop's back edge — an
-        // induction-variable step — at 5 + 256 share one 2-bit counter: the
+        // A parity branch at row 7 and the loop's back edge — an
+        // induction-variable step — at 7 + 256 share one 2-bit counter: the
         // site must be the `BranchNz`'s own row on every path, or the
         // counter histories diverge.
         let mut filler: Vec<MInst> = (0..252).map(|k| imm(5, k)).collect();
@@ -3088,7 +3088,12 @@ mod tests {
             1,
             vec![
                 vec![imm(1, 0), imm(2, 1), imm(5, 0), MInst::Jump { target: 1 }],
-                vec![alu(AluOp::And, 3, 1, 2), bnz(3, 2, 3)],
+                vec![
+                    imm(5, 0),
+                    alu(AluOp::And, 3, 1, 2),
+                    icmp(CmpPred::Ne, 3, 3, 5),
+                    bnz(3, 2, 3),
+                ],
                 filler,
                 vec![
                     alu(AluOp::Add, 1, 1, 2),
@@ -3103,19 +3108,19 @@ mod tests {
         // Both rows are conditional branches: they count as branches, close
         // their regions and are charged only when they retire.
         let f = &prepared.functions[0];
-        for row in [&f.info[5], &f.info[5 + 256]] {
+        for row in [&f.info[7], &f.info[7 + 256]] {
             assert!(row.is(OpInfo::BRANCH | OpInfo::CLOSES) && row.cycles == 0);
         }
-        // With welding on, the parity branch closes a welded pair and the
-        // back edge retires on its own record: the two sites alias across
-        // both ways a branch is dispatched.
-        assert!(dispatch::opens_pair(f, 4) && dispatch::opens_pair(f, 5 + 254));
-        assert!(!dispatch::opens_pair(f, 5 + 255));
+        // With welding on, the parity branch closes a welded compare-branch
+        // pair and the back edge retires on its own record: the two sites
+        // alias across both ways a branch is dispatched.
+        assert!(dispatch::opens_pair(f, 6) && dispatch::opens_pair(f, 7 + 254));
+        assert!(!dispatch::opens_pair(f, 7 + 255));
         let (out, stats) = agree_on_both_tiers(pins, &p, "f", &[9], DEFAULT_SIM_FUEL);
         assert_eq!(out, Ok(Some(MachineValue::Int(9))));
         assert!(stats.mispredicts > 2, "{stats:?}");
         assert_eq!(stats.predicted + stats.mispredicts, stats.branches);
-        pins.check(6_480_282_514_286_095_334);
+        pins.check(13_450_099_493_915_888_476);
     }
 
     #[test]
