@@ -385,6 +385,20 @@ pub fn normalize_int(ty: ScalarType, v: i64) -> i64 {
     }
 }
 
+/// `v` as a value of float type `ty`: for F32, rounded to single precision
+/// and held in an `f64`. Narrowing a NaN keeps its sign and the top 22 bits
+/// of its payload and sets its quiet bit, spelled out because `as f32` leaves
+/// the NaN it returns unspecified.
+fn round_to(ty: ScalarType, v: f64) -> f64 {
+    if ty != ScalarType::F32 {
+        v
+    } else if v.is_nan() {
+        f64::from_bits((v.to_bits() | 1 << 51) & !0x1fff_ffff)
+    } else {
+        f64::from(v as f32)
+    }
+}
+
 /// Evaluate a scalar binary operation with bytecode semantics.
 ///
 /// # Errors
@@ -395,6 +409,13 @@ pub fn eval_bin(op: BinOp, ty: ScalarType, lhs: &Value, rhs: &Value) -> Result<V
         let a = lhs.as_float();
         let b = rhs.as_float();
         let r = match op {
+            // Spelled out, not left to Rust's operators, which leave the NaN
+            // they return unspecified: arithmetic returns its first NaN
+            // operand, `a`'s before `b`'s, quieted.
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div if a.is_nan() || b.is_nan() => {
+                let nan = if a.is_nan() { a } else { b };
+                f64::from_bits(nan.to_bits() | 1 << 51)
+            }
             BinOp::Add => a + b,
             BinOp::Sub => a - b,
             BinOp::Mul => a * b,
@@ -418,12 +439,7 @@ pub fn eval_bin(op: BinOp, ty: ScalarType, lhs: &Value, rhs: &Value) -> Result<V
             }
             other => return Err(ExecError::Trap(format!("float {other} unsupported"))),
         };
-        let r = if ty == ScalarType::F32 {
-            f64::from(r as f32)
-        } else {
-            r
-        };
-        return Ok(Value::Float(r));
+        return Ok(Value::Float(round_to(ty, r)));
     }
     let a = lhs.as_int();
     let b = rhs.as_int();
@@ -513,14 +529,7 @@ pub fn eval_cmp(op: CmpOp, ty: ScalarType, lhs: &Value, rhs: &Value) -> i64 {
 /// Evaluate a numeric cast with bytecode semantics.
 pub fn eval_cast(from: ScalarType, to: ScalarType, v: &Value) -> Value {
     match (from.is_float(), to.is_float()) {
-        (true, true) => {
-            let x = v.as_float();
-            Value::Float(if to == ScalarType::F32 {
-                f64::from(x as f32)
-            } else {
-                x
-            })
-        }
+        (true, true) => Value::Float(round_to(to, v.as_float())),
         (true, false) => Value::Int(normalize_int(to, v.as_float() as i64)),
         (false, true) => {
             let x = v.as_int();
@@ -529,11 +538,7 @@ pub fn eval_cast(from: ScalarType, to: ScalarType, v: &Value) -> Value {
             } else {
                 x as f64
             };
-            Value::Float(if to == ScalarType::F32 {
-                f64::from(f as f32)
-            } else {
-                f
-            })
+            Value::Float(round_to(to, f))
         }
         (false, false) => Value::Int(normalize_int(to, v.as_int())),
     }
@@ -977,6 +982,55 @@ mod tests {
             let got = |op| (eval(op, ScalarType::F32, a32, b32) as f32).to_bits();
             assert_eq!(got(BinOp::Min), bits32(min), "f32 min {a} {b}");
             assert_eq!(got(BinOp::Max), bits32(max), "f32 max {a} {b}");
+        }
+    }
+
+    #[test]
+    fn float_arithmetic_returns_its_first_nan_operand_quieted() {
+        // f64 bit patterns: a signalling and a quiet NaN whose payloads fit
+        // an f32 (the low 29 bits are clear), and a number.
+        let (snan, qnan, x) = (
+            0xfff4_0000_2000_0000,
+            0x7ffa_bcde_0000_0000,
+            1.5f64.to_bits(),
+        );
+        let quiet = |v: u64| v | 1 << 51;
+        let cases = [
+            (snan, x, quiet(snan)),
+            (x, snan, quiet(snan)),
+            (qnan, x, qnan),
+            (x, qnan, qnan),
+            (snan, qnan, quiet(snan)),
+            (qnan, snan, qnan),
+        ];
+        let eval = |op, ty, a: u64, b: u64| {
+            let (a, b) = (
+                Value::Float(f64::from_bits(a)),
+                Value::Float(f64::from_bits(b)),
+            );
+            match eval_bin(op, ty, &a, &b) {
+                Ok(Value::Float(v)) => v.to_bits(),
+                other => panic!("{op} {ty}: {other:?}"),
+            }
+        };
+        for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
+            for (a, b, want) in cases {
+                for ty in [ScalarType::F64, ScalarType::F32] {
+                    assert_eq!(eval(op, ty, a, b), want, "{op} {ty} {a:#x} {b:#x}");
+                }
+            }
+        }
+        // Narrowing to f32 keeps a NaN's sign and the top 22 bits of its
+        // payload, and sets its quiet bit.
+        let (low, high) = (0x7ff0_0000_0000_0001, 0xfff0_0001_e000_0001);
+        for (v, narrowed) in [(low, 0x7ff8_0000_0000_0000), (high, 0xfff8_0001_e000_0000)] {
+            assert_eq!(eval(BinOp::Add, ScalarType::F32, v, x), narrowed, "{v:#x}");
+            let cast = eval_cast(
+                ScalarType::F64,
+                ScalarType::F32,
+                &Value::Float(f64::from_bits(v)),
+            );
+            assert_eq!(cast.as_float().to_bits(), narrowed, "{v:#x}");
         }
     }
 
