@@ -46,9 +46,9 @@
 //!
 //! The stream holds exactly one record per *row* — one machine instruction,
 //! or a synthesized fall-off trap — so a record's index is its row. The one
-//! dispatch optimization is **welding**: any two adjacent records of common
-//! kinds in a region are welded, the first one's handler swapped for one that
-//! runs both. It is not visible in `SimStats`.
+//! dispatch optimization is **welding**: two adjacent records in a region
+//! whose kinds the weld table lists are welded, the first one's handler
+//! swapped for one that runs both. It is not visible in `SimStats`.
 //!
 //! Nothing can fail to pack: register numbers are `u16` by type (vector
 //! handlers scale them to byte offsets), and records carry no cycle costs —
@@ -272,9 +272,12 @@ pub(crate) fn retire_segment(
 pub struct FusionStats {
     /// Adjacent records welded by the pairing sweep: the first record's
     /// handler executes both, halving dispatch round-trips on the covered
-    /// stretch. Constituents keep their own records, so any two eligible
-    /// neighbours pair regardless of shape.
+    /// stretch. Constituents keep their own records, so a listed pair welds
+    /// regardless of shape.
     pub pair: u64,
+    /// Neighbours the sweep left apart although both kinds can weld: the
+    /// weld table does not list their pair.
+    pub unlisted: u64,
 }
 
 impl FusionStats {
@@ -1302,15 +1305,20 @@ fn h_fell_off(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
 // Register-starved lowerings — exactly what the split register allocator
 // produces — are dominated by glue: `Imm`/`Reload`/`Spill`/`IntResize`
 // traffic around every ALU op. The pairing sweep cuts the dispatch count
-// directly: any two adjacent records of pairable kinds are welded by swapping
-// the first one's handler for a combined handler that executes both records
-// and tells the loop to advance past the pair. Because each constituent keeps
-// its own record (the combined handler reads the partner at `op + 1`), there
-// is no operand re-packing, any kind can pair with any kind, and a trap in
-// either constituent is reported under that record's own index — so pairing
-// is invisible to `SimStats`.
+// directly: two adjacent records whose kinds the weld table lists are welded
+// by swapping the first one's handler for a combined handler that executes
+// both records and tells the loop to advance past the pair. Because each
+// constituent keeps its own record (the combined handler reads the partner at
+// `op + 1`), there is no operand re-packing, and a trap in either constituent
+// is reported under that record's own index — so pairing is invisible to
+// `SimStats`. Any opener kind could pair with any kind; each listed pair is one
+// more `h_pair` in the binary, so the table lists the census of what the JIT
+// emits: the pairs the greedy sweep meets in the catalogue and the
+// differential-fuzz programs on every preset, register-allocation mode and
+// SIMD setting. `the_weld_table_is_the_census_of_what_the_jit_emits`
+// (`tests/fuzz_differential.rs`) fails when either side moves.
 
-/// Pairable record kinds: indexes into [`base`] and the [`PAIRS`] table.
+/// Pairable record kinds: indexes into [`base`] and the weld table.
 /// Kinds below [`NFIRST`] are straight-line (they fall through, so they can
 /// *open* a pair); the control kinds after them can only *close* one — which
 /// is exactly where the enclosing straight-line run ends.
@@ -1398,53 +1406,37 @@ fn h_pair<const A: usize, const B: usize>(op: &OpRecord, cx: &mut ExecCtx<'_>, p
     (const { base(B) })(partner, cx, pc + 1)
 }
 
-macro_rules! pair_row {
-    ($a:expr) => {
-        [
-            h_pair::<$a, 0>,
-            h_pair::<$a, 1>,
-            h_pair::<$a, 2>,
-            h_pair::<$a, 3>,
-            h_pair::<$a, 4>,
-            h_pair::<$a, 5>,
-            h_pair::<$a, 6>,
-            h_pair::<$a, 7>,
-            h_pair::<$a, 8>,
-            h_pair::<$a, 9>,
-            h_pair::<$a, 10>,
-            h_pair::<$a, 11>,
-            h_pair::<$a, 12>,
-            h_pair::<$a, 13>,
-            h_pair::<$a, 14>,
-            h_pair::<$a, 15>,
-            h_pair::<$a, 16>,
-            h_pair::<$a, 17>,
-            h_pair::<$a, 18>,
-            h_pair::<$a, 19>,
-            h_pair::<$a, 20>,
-        ]
+/// Declares the weld table, one line per opener kind: `OPENER: CLOSER…;`.
+/// Only a listed pair instantiates [`h_pair`].
+macro_rules! weld_table {
+    ($($a:ident: $($b:ident)+;)+) => {
+        /// The combined handler of each listed pair, by `[opener][closer]`.
+        static PAIRS: [[Option<Handler>; NSECOND]; NFIRST] = {
+            let mut t = [[None; NSECOND]; NFIRST];
+            $($(t[$a as usize][$b as usize] = Some(h_pair::<{ $a as usize }, { $b as usize }> as Handler);)+)+
+            t
+        };
     };
 }
 
-/// Every combined pair handler, indexed `[opener kind][closer kind]`.
-static PAIRS: [[Handler; NSECOND]; NFIRST] = [
-    pair_row!(0),
-    pair_row!(1),
-    pair_row!(2),
-    pair_row!(3),
-    pair_row!(4),
-    pair_row!(5),
-    pair_row!(6),
-    pair_row!(7),
-    pair_row!(8),
-    pair_row!(9),
-    pair_row!(10),
-    pair_row!(11),
-    pair_row!(12),
-    pair_row!(13),
-    pair_row!(14),
-    pair_row!(15),
-];
+weld_table! {
+    K_IMM: K_IMM K_MOV_INT K_INT_OP K_INT_RESIZE K_INT_CMP K_SPILL_INT K_RELOAD_INT K_BRANCH_NZ K_RET_INT;
+    K_MOV_INT: K_IMM K_MOV_INT K_INT_OP K_SPILL_INT K_RELOAD_INT K_JUMP;
+    K_INT_OP: K_IMM K_MOV_INT K_INT_OP K_INT_RESIZE K_INT_CMP K_LOAD_INT K_STORE_INT K_SPILL_INT K_RELOAD_INT K_FIMM K_LOAD_FLOAT K_STORE_FLOAT K_SPILL_FLOAT K_RELOAD_FLOAT K_JUMP;
+    K_INT_RESIZE: K_IMM K_INT_OP K_INT_RESIZE K_SPILL_INT;
+    K_INT_CMP: K_BRANCH_NZ;
+    K_LOAD_INT: K_IMM K_INT_OP K_INT_RESIZE K_LOAD_INT K_SPILL_INT K_RELOAD_INT;
+    K_STORE_INT: K_IMM K_INT_OP K_STORE_INT K_RELOAD_INT;
+    K_SPILL_INT: K_IMM K_MOV_INT K_INT_OP K_INT_RESIZE K_LOAD_INT K_SPILL_INT K_RELOAD_INT K_FIMM K_MOV_FLOAT K_RELOAD_FLOAT K_JUMP;
+    K_RELOAD_INT: K_INT_OP K_INT_RESIZE K_INT_CMP K_STORE_INT K_SPILL_INT K_RELOAD_INT K_RET_INT;
+    K_FIMM: K_IMM K_INT_RESIZE K_FIMM K_MOV_FLOAT K_FLOAT_OP K_SPILL_FLOAT K_RET_FLOAT;
+    K_MOV_FLOAT: K_IMM K_FIMM K_MOV_FLOAT K_FLOAT_OP K_SPILL_FLOAT K_RELOAD_FLOAT K_JUMP;
+    K_FLOAT_OP: K_INT_OP K_INT_RESIZE K_RELOAD_INT K_FIMM K_MOV_FLOAT K_FLOAT_OP K_SPILL_FLOAT K_RELOAD_FLOAT K_JUMP;
+    K_LOAD_FLOAT: K_IMM K_INT_RESIZE K_RELOAD_INT K_FLOAT_OP K_LOAD_FLOAT K_SPILL_FLOAT;
+    K_STORE_FLOAT: K_IMM K_INT_OP K_RELOAD_INT K_STORE_FLOAT K_RELOAD_FLOAT;
+    K_SPILL_FLOAT: K_IMM K_INT_OP K_RELOAD_INT K_FIMM K_MOV_FLOAT K_FLOAT_OP K_LOAD_FLOAT K_SPILL_FLOAT K_RELOAD_FLOAT K_JUMP;
+    K_RELOAD_FLOAT: K_FLOAT_OP K_STORE_FLOAT K_SPILL_FLOAT K_RELOAD_FLOAT K_RET_FLOAT;
+}
 
 /// The one of `[int, float, vec]` for a register of `class`: how a kind
 /// whose handler depends on an operand's class picks it.
@@ -1658,21 +1650,24 @@ pub(crate) fn build_threaded(
                 }
             }
             // Pairing sweep over the closed run: greedily weld neighbours
-            // the table covers. Only the opener's handler changes; jumps
+            // the table lists. Only the opener's handler changes; jumps
             // can't land inside a run, so no entry point ever targets a
             // consumed partner.
             if fuse {
                 let mut k = run_start;
                 while k < j {
                     let (a, b) = (kinds[k] as usize, kinds[k + 1] as usize);
-                    if a < NFIRST && b < NSECOND {
-                        ops[k].handler = PAIRS[a][b];
-                        kinds[k] |= WELDED;
-                        fusion.pair += 1;
-                        k += 2;
-                    } else {
-                        k += 1;
+                    match PAIRS.get(a).and_then(|row| row.get(b)) {
+                        Some(&Some(pair)) => {
+                            ops[k].handler = pair;
+                            kinds[k] |= WELDED;
+                            fusion.pair += 1;
+                            k += 1;
+                        }
+                        Some(None) => fusion.unlisted += 1,
+                        None => {}
                     }
+                    k += 1;
                 }
             }
             pending = match ends[j] {

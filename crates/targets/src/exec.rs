@@ -3124,6 +3124,52 @@ mod tests {
     }
 
     #[test]
+    fn an_unlisted_pair_stays_unwelded_and_runs_as_its_own_records() {
+        let pins = &mut Pins::default();
+        // `IntOp -> Store` is in the weld table; `IntOp -> BranchNz`, which
+        // the JIT never emits (its compares feed branches), is not. The
+        // sweep welds rows 0–1 and leaves rows 2 and 3 on their own records.
+        let store = MInst::Store {
+            width: Width::W64,
+            float: false,
+            base: r(1),
+            offset: 8,
+            src: r(2),
+        };
+        let f = func(
+            "f",
+            2,
+            vec![
+                vec![
+                    alu(AluOp::Add, 2, 0, 0),
+                    store,
+                    alu(AluOp::Sub, 3, 2, 0),
+                    bnz(3, 1, 2),
+                ],
+                vec![ret(2)],
+                vec![ret(3)],
+            ],
+        );
+        let p = program(vec![f]);
+        let welded = PreparedProgram::prepare_with(&p, &TargetDesc::x86_sse(), true).unwrap();
+        let stats = welded.fusion_stats();
+        assert_eq!((stats.pair, stats.unlisted), (1, 1), "{stats:?}");
+        let text = welded.disasm(&p);
+        let marked: Vec<_> = text.lines().filter(|l| l.contains("+@")).collect();
+        assert!(
+            marked.len() == 1 && marked[0].starts_with("     0+@0 "),
+            "{text}"
+        );
+        // Welded and unwelded agree on results, memory and `SimStats` under
+        // both tiers, on either way out of the branch.
+        for n in [0, 21] {
+            let (out, _) = agree_on_both_tiers(pins, &p, "f", &[n, 16], DEFAULT_SIM_FUEL);
+            assert_eq!(out, Ok(Some(MachineValue::Int(2 * n))));
+        }
+        pins.check(10_339_735_099_568_126_287);
+    }
+
+    #[test]
     fn wide_vector_files_and_huge_costs_run_threaded_and_match_the_legacy_walk() {
         let pins = &mut Pins::default();
         // Byte offsets into a 64 x 2 KiB vector file do not fit 16 bits and

@@ -30,8 +30,13 @@ use splitc::splitc_minic::compile_source;
 use splitc::{run_on_target, Workspace};
 use splitc_jit::{compile_module, JitOptions, RegAllocMode};
 use splitc_opt::{optimize_module, OptOptions};
-use splitc_targets::{MachineValue, PreparedProgram, PreparedSimulator, TargetDesc, TimingKind};
+use splitc_targets::{
+    MInst, MProgram, MachineValue, PreparedProgram, PreparedSimulator, RegClass, TargetDesc,
+    TimingKind,
+};
 use splitc_vbc::{Interpreter, Memory, Value};
+use splitc_workloads::{all_kernels, full_module, module_for};
+use std::collections::BTreeSet;
 
 /// Recorded [`Pins`] folds, one per suite: each cell's digest was recorded
 /// from the run of that target × mode, flat and in order, on the block walk
@@ -673,6 +678,161 @@ fn branch_dense_programs_actually_trigger_welding() {
         }
     }
     assert!(welded >= WELD_FLOOR, "welding coverage collapsed: {welded}");
+}
+
+/// Every program of the weld census, with a name for its cell: the
+/// catalogue (one module holding all of it and one module per kernel) and
+/// the four generators over the seed ranges their suites run, each
+/// optimized offline as deployed and compiled for every preset,
+/// register-allocation mode and SIMD setting.
+fn weld_census(mut visit: impl FnMut(&str, &MProgram, &TargetDesc)) {
+    let mut modules = vec![("catalogue".to_owned(), full_module("catalogue").unwrap())];
+    for k in all_kernels() {
+        let module = module_for(std::slice::from_ref(&k), k.name).unwrap();
+        modules.push((k.name.to_owned(), module));
+    }
+    let generators = [
+        (gen_int_program as fn(u64) -> String, 0..40),
+        (gen_float_program, 1000..1020),
+        (gen_shift_program, 2000..2030),
+        (gen_branch_program, 3000..3030),
+    ];
+    for (generate, seeds) in generators {
+        for seed in seeds {
+            let module = compile_source(&generate(seed), "fuzz").unwrap();
+            modules.push((format!("fuzz seed {seed}"), module));
+        }
+    }
+    for (name, mut module) in modules {
+        optimize_module(&mut module, &OptOptions::full());
+        for target in TargetDesc::presets() {
+            for (regalloc, allow_simd) in MODES.into_iter().flat_map(|m| [(m, true), (m, false)]) {
+                let jit = JitOptions {
+                    regalloc,
+                    allow_simd,
+                    fuse: true,
+                };
+                let cell = format!(
+                    "{name} on {} ({regalloc:?}, simd {allow_simd})",
+                    target.name
+                );
+                let (program, _) = compile_module(&module, &target, &jit)
+                    .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                visit(&cell, &program, &target);
+            }
+        }
+    }
+}
+
+/// The weld table as `crates/targets/src/dispatch.rs` lists it, one line
+/// per opener: every (opener, closer) pair of kind names.
+fn listed_pairs() -> BTreeSet<(String, String)> {
+    let source = include_str!("../crates/targets/src/dispatch.rs");
+    let (_, table) = source
+        .split_once("\nweld_table! {\n")
+        .expect("the weld table");
+    let (table, _) = table.split_once("\n}").expect("the weld table's end");
+    let mut pairs = BTreeSet::new();
+    for line in table.lines() {
+        let (opener, closers) = line.trim().trim_end_matches(';').split_once(": ").unwrap();
+        for closer in closers.split(' ') {
+            pairs.insert((opener.to_owned(), closer.to_owned()));
+        }
+    }
+    pairs
+}
+
+/// The weld kind `dispatch.rs` gives `inst` (`pair_kind` there), by name;
+/// `None` for an instruction that never welds.
+fn weld_kind(inst: &MInst) -> Option<&'static str> {
+    let by_class = |class, int, float| match class {
+        RegClass::Int => Some(int),
+        RegClass::Float => Some(float),
+        RegClass::Vec => None,
+    };
+    match inst {
+        MInst::Imm { .. } => Some("K_IMM"),
+        MInst::FImm { .. } => Some("K_FIMM"),
+        MInst::Mov { dst, .. } => by_class(dst.class, "K_MOV_INT", "K_MOV_FLOAT"),
+        MInst::IntOp { .. } => Some("K_INT_OP"),
+        MInst::IntResize { .. } => Some("K_INT_RESIZE"),
+        MInst::IntCmp { .. } => Some("K_INT_CMP"),
+        MInst::FloatOp { .. } => Some("K_FLOAT_OP"),
+        MInst::Load { float, .. } => Some(["K_LOAD_INT", "K_LOAD_FLOAT"][usize::from(*float)]),
+        MInst::Store { float, .. } => Some(["K_STORE_INT", "K_STORE_FLOAT"][usize::from(*float)]),
+        MInst::Spill { src, .. } => by_class(src.class, "K_SPILL_INT", "K_SPILL_FLOAT"),
+        MInst::Reload { dst, .. } => by_class(dst.class, "K_RELOAD_INT", "K_RELOAD_FLOAT"),
+        MInst::BranchNz { .. } => Some("K_BRANCH_NZ"),
+        MInst::Jump { .. } => Some("K_JUMP"),
+        MInst::Ret { value: None } => Some("K_RET_NONE"),
+        MInst::Ret { value: Some(r) } => by_class(r.class, "K_RET_INT", "K_RET_FLOAT"),
+        _ => None,
+    }
+}
+
+/// The kind pair of every pair `prepared`, prepared from `program`, welds:
+/// `disasm` marks each opener with a `+` after its row, and a function's
+/// rows are its blocks' instructions, each block followed by a fall-off row
+/// unless it ends in a terminator.
+fn welded_pairs(program: &MProgram, prepared: &PreparedProgram) -> Vec<(String, String)> {
+    let listing = prepared.disasm(program);
+    let mut rows: Vec<Option<&MInst>> = Vec::new();
+    let mut functions = program.functions.iter();
+    let mut welded = Vec::new();
+    for line in listing.lines() {
+        if line.starts_with("fn ") {
+            let f = functions.next().expect("a listed function");
+            rows = f
+                .blocks
+                .iter()
+                .flat_map(|b| {
+                    let falls_off = !b.insts.last().is_some_and(MInst::is_terminator);
+                    b.insts.iter().map(Some).chain(falls_off.then_some(None))
+                })
+                .collect();
+        } else if let Some((row, _)) = line.split_once("+@") {
+            let row: usize = row.trim().parse().expect("an opener's row");
+            let kind = |row: usize| rows[row].and_then(weld_kind).expect("a weldable row");
+            welded.push((kind(row).to_owned(), kind(row + 1).to_owned()));
+        }
+    }
+    welded
+}
+
+#[test]
+fn the_weld_table_is_the_census_of_what_the_jit_emits() {
+    // The weld table (`dispatch.rs`) lists the kind pairs the welding sweep
+    // welds, and this test holds it to the census in both directions: no
+    // census program has neighbours the sweep leaves apart although both
+    // kinds can weld, and every listed pair is welded somewhere. A greedy
+    // sweep that never meets an unlisted pair decides at every position as
+    // one over the dense table of every opener × closer kind would, so the
+    // census programs keep the welded rows and counts of that rule.
+    let listed = listed_pairs();
+    let mut welded = BTreeSet::new();
+    weld_census(|cell, program, target| {
+        let prepared =
+            PreparedProgram::prepare(program, target).unwrap_or_else(|e| panic!("{cell}: {e}"));
+        let stats = prepared.fusion_stats();
+        assert_eq!(stats.unlisted, 0, "{cell}: neighbours of an unlisted pair");
+        let pairs = welded_pairs(program, &prepared);
+        assert_eq!(pairs.len() as u64, stats.pair, "{cell}");
+        welded.extend(pairs);
+    });
+    let unwelded: Vec<_> = listed.difference(&welded).collect();
+    assert!(
+        unwelded.is_empty(),
+        "listed, welded by no census program: {unwelded:?}"
+    );
+    let unlisted: Vec<_> = welded.difference(&listed).collect();
+    assert!(
+        unlisted.is_empty(),
+        "welded, not listed (is `weld_kind` stale?): {unlisted:?}"
+    );
+    println!(
+        "weld table: {} pairs, each welded by the census",
+        listed.len()
+    );
 }
 
 #[test]
