@@ -7,11 +7,17 @@
 //! and the online compiler (SIMD mapping, scalarization, all three register
 //! allocators) all have to meet in the same numbers.
 
+mod pins;
+
+use pins::{interp_digest, Pins};
 use splitc::{checksum, prepare, run_on_target, Workspace};
 use splitc_jit::{JitOptions, RegAllocMode};
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_targets::{MachineValue, TargetDesc};
-use splitc_vbc::{Interpreter, Memory, Value, DEFAULT_VECTOR_WIDTH_BYTES};
+use splitc_vbc::{
+    BinOp, FunctionBuilder, Interpreter, Memory, Module, ScalarType, Type, VReg, Value,
+    DEFAULT_VECTOR_WIDTH_BYTES,
+};
 use splitc_workloads::{all_kernels, module_for, Kernel};
 
 const N: usize = 173; // deliberately not a multiple of any lane count
@@ -237,4 +243,191 @@ fn disabling_simd_never_changes_results() {
             );
         }
     }
+}
+
+/// Size of the recorded interpreter runs: past the 256 lanes of a `u8`
+/// vector at 256 bytes and a multiple of no lane count, so every vector loop
+/// runs at every pinned width and leaves a scalar remainder.
+const PIN_N: usize = 301;
+
+/// Vector widths (bytes) of the recorded interpreter runs: the 128-bit SIMD
+/// units, the 64-byte GPU and one wider than any preset.
+const PIN_WIDTHS: [u64; 3] = [16, 64, 256];
+
+/// Recorded [`Pins`] fold of `interpreter_runs_keep_their_recorded_digest`.
+const INTERPRETER_PIN: u64 = 9_228_796_539_666_616_457;
+
+/// The kernel's inputs at `n`, as the interpreter's memory and arguments.
+fn interpreter_inputs(kernel: &str, n: usize) -> (Memory, Vec<Value>) {
+    let mut ws = Workspace::sized_for(n);
+    let prepared = prepare(kernel, n, 7, &mut ws);
+    let mut mem = Memory::new(ws.bytes().len());
+    mem.bytes_mut().copy_from_slice(ws.bytes());
+    let args = prepared
+        .args
+        .iter()
+        .map(|a| match a {
+            MachineValue::Int(v) => Value::Int(*v),
+            MachineValue::Float(v) => Value::Float(*v),
+        })
+        .collect();
+    (mem, args)
+}
+
+/// Run `func` of `module` at `width` with `fuel` and note its digest.
+fn record_run(
+    pins: &mut Pins,
+    cell: String,
+    module: &Module,
+    func: &str,
+    (width, fuel): (u64, u64),
+    args: &[Value],
+    mut mem: Memory,
+) {
+    let mut interp = Interpreter::new(module)
+        .with_vector_width(width)
+        .with_fuel(fuel);
+    let out = interp.run(func, args, &mut mem);
+    pins.push(cell, interp_digest(&out, &interp.stats(), mem.bytes()));
+}
+
+/// A one-function module built by `body`, which gets the builder and the
+/// function's parameters.
+fn hand_built(
+    name: &str,
+    params: usize,
+    body: impl FnOnce(&mut FunctionBuilder, &[VReg]),
+) -> Module {
+    let types = vec![Type::Scalar(ScalarType::Ptr); params];
+    let mut b = FunctionBuilder::new(name, &types, None);
+    let regs: Vec<_> = (0..params).map(|i| b.param(i)).collect();
+    body(&mut b, &regs);
+    b.ret(None);
+    let mut m = Module::new(name);
+    m.add_function(b.finish());
+    m
+}
+
+/// A 256-byte memory holding `words` as `i32`s at address 16.
+fn words_at_16(words: &[i32]) -> Memory {
+    let mut mem = Memory::new(256);
+    mem.write_i32s(16, words);
+    mem
+}
+
+/// The interpreter is the reference every target is checked against, so its
+/// own runs are pinned: every catalogue kernel at each pinned width, fuel
+/// running out inside vector loops, and each vector trap at each lane.
+#[test]
+fn interpreter_runs_keep_their_recorded_digest() {
+    let mut pins = Pins::default();
+    let run = |fuel| (DEFAULT_VECTOR_WIDTH_BYTES, fuel);
+    let full = splitc_vbc::DEFAULT_FUEL;
+
+    // Every catalogue kernel, vectorized, at each pinned width.
+    for kernel in all_kernels() {
+        let mut module =
+            module_for(std::slice::from_ref(&kernel), kernel.name).expect("kernel compiles");
+        optimize_module(&mut module, &OptOptions::full());
+        for width in PIN_WIDTHS {
+            let (mem, args) = interpreter_inputs(kernel.name, PIN_N);
+            let cell = format!("{} @ {width} B", kernel.name);
+            record_run(
+                &mut pins,
+                cell,
+                &module,
+                kernel.name,
+                (width, full),
+                &args,
+                mem,
+            );
+        }
+        // Fuel running out at several points inside the first vector loops.
+        if matches!(kernel.name, "saxpy_f32" | "max_u8" | "hotcold_i32") {
+            for fuel in (20..=44).chain([300, 301, 1_000]) {
+                let (mem, args) = interpreter_inputs(kernel.name, PIN_N);
+                let cell = format!("{} out of fuel at {fuel}", kernel.name);
+                record_run(&mut pins, cell, &module, kernel.name, run(fuel), &args, mem);
+            }
+        }
+    }
+
+    // A lane-count mismatch: 4 f32 lanes against 16 u8 lanes.
+    let mismatch = hand_built("mismatch", 0, |b, _| {
+        let f = b.const_float(ScalarType::F32, 1.0);
+        let i = b.const_int(ScalarType::U8, 1);
+        let a = b.vec_splat(ScalarType::F32, f);
+        let c = b.vec_splat(ScalarType::U8, i);
+        b.vec_bin(BinOp::Add, ScalarType::F32, a, c);
+    });
+    let cell = "lane-count mismatch".to_owned();
+    record_run(
+        &mut pins,
+        cell,
+        &mismatch,
+        "mismatch",
+        run(full),
+        &[],
+        Memory::new(64),
+    );
+
+    // A vector load and a vector store whose lane k straddles the end of
+    // memory; the store has written lanes 0..k when it traps.
+    let load = hand_built("vload", 1, |b, p| {
+        b.vec_load(ScalarType::F32, p[0], 0);
+    });
+    let store = hand_built("vstore", 2, |b, p| {
+        let v = b.vec_load(ScalarType::I32, p[1], 0);
+        b.vec_store(ScalarType::I32, p[0], 0, v);
+    });
+    for k in 0..4i64 {
+        let base = 256 - 4 * k - 2;
+        let mem = words_at_16(&[0x0102_0304, -5, 1 << 30, 77]);
+        let cell = format!("vector load out of bounds at lane {k}");
+        record_run(
+            &mut pins,
+            cell,
+            &load,
+            "vload",
+            run(full),
+            &[Value::Int(base)],
+            mem,
+        );
+        let mem = words_at_16(&[0x0102_0304, -5, 1 << 30, 77]);
+        let cell = format!("vector store out of bounds at lane {k}");
+        let args = [Value::Int(base), Value::Int(16)];
+        record_run(&mut pins, cell, &store, "vstore", run(full), &args, mem);
+    }
+
+    // An integer division and remainder by zero at lane k of a `VecBin`.
+    for (op, elem) in [
+        (BinOp::Div, ScalarType::I32),
+        (BinOp::Rem, ScalarType::I32),
+        (BinOp::Div, ScalarType::U32),
+    ] {
+        let module = hand_built("vdiv", 1, |b, p| {
+            let x = b.vec_load(elem, p[0], 0);
+            let y = b.vec_load(elem, p[0], 16);
+            let q = b.vec_bin(op, elem, x, y);
+            b.vec_store(elem, p[0], 32, q);
+        });
+        for k in 0..4 {
+            let mut divisors = [3, -2, 7, 5];
+            divisors[k] = 0;
+            let mut mem = words_at_16(&[-17, 9, i32::MIN, 40]);
+            mem.write_i32s(32, &divisors);
+            let cell = format!("{op} {elem} by zero at lane {k}");
+            record_run(
+                &mut pins,
+                cell,
+                &module,
+                "vdiv",
+                run(full),
+                &[Value::Int(16)],
+                mem,
+            );
+        }
+    }
+
+    pins.check(INTERPRETER_PIN);
 }

@@ -8,9 +8,11 @@
 //! up in a diff against the printout of a tree where the pin held.
 
 use splitc_targets::{Fnv1a, MachineValue, SimError, SimStats};
+use splitc_vbc::{ExecError, ExecStats, Value};
 
 /// FNV-1a over one run: its outcome (variant, value bits, error text), all
 /// eleven [`SimStats`] counters and the whole memory image.
+#[allow(dead_code)] // the interpreter's suite digests with `interp_digest`
 pub fn run_digest(
     out: &Result<Option<MachineValue>, SimError>,
     stats: &SimStats,
@@ -49,6 +51,42 @@ pub fn run_digest(
     h.finish()
 }
 
+/// FNV-1a over one run of the reference interpreter: its outcome (variant,
+/// value bits, error text), all three [`ExecStats`] counters and the whole
+/// memory image.
+#[allow(dead_code)] // only the interpreter's suite runs the interpreter
+pub fn interp_digest(out: &Result<Option<Value>, ExecError>, stats: &ExecStats, mem: &[u8]) -> u64 {
+    fn value(h: &mut Fnv1a, v: &Value) {
+        match v {
+            Value::Int(v) => {
+                h.write(b"int");
+                h.write(&v.to_le_bytes());
+            }
+            Value::Float(v) => {
+                h.write(b"float");
+                h.write(&v.to_bits().to_le_bytes());
+            }
+            Value::Vector(lanes) => {
+                h.write(b"vector");
+                for lane in lanes {
+                    value(h, lane);
+                }
+            }
+        }
+    }
+    let mut h = Fnv1a::new();
+    match out {
+        Ok(Some(v)) => value(&mut h, v),
+        Ok(None) => h.write(b"none"),
+        Err(e) => h.write(format!("{e:?}").as_bytes()),
+    }
+    for counter in [stats.executed, stats.memory_ops, stats.calls] {
+        h.write(&counter.to_le_bytes());
+    }
+    h.write(mem);
+    h.finish()
+}
+
 /// The cell digests of one suite, in the order it ran them.
 #[derive(Debug, Default)]
 pub struct Pins(Vec<(String, u64)>);
@@ -60,6 +98,7 @@ impl Pins {
     }
 
     /// Note the [`run_digest`] of one run for `cell`.
+    #[allow(dead_code)] // the interpreter's suite pushes `interp_digest`s
     pub fn record(
         &mut self,
         cell: impl Into<String>,
