@@ -236,22 +236,38 @@ fn quiet(x: f64) -> f64 {
     }
 }
 
+/// The NaN an invalid operation on numbers returns (0/0, ∞ − ∞, 0 × ∞,
+/// ∞/∞): negative and quiet, what x86-64 computes at run time.
+const INVALID_NAN: u64 = 0xfff8_0000_0000_0000;
+
+/// `r`, an arithmetic result whose operands are numbers, with a NaN replaced
+/// by [`INVALID_NAN`].
+#[inline(always)]
+fn or_invalid_nan(r: f64) -> f64 {
+    if r.is_nan() {
+        f64::from_bits(INVALID_NAN)
+    } else {
+        r
+    }
+}
+
 pub(crate) fn fpu(op: FpuOp, double: bool, a: f64, b: f64) -> f64 {
     // Which NaN comes back, and the sign of a ±0 min/max tie, are spelled
     // out, not left to codegen: Rust leaves them unspecified, and the
-    // optimizer may commute an operation or pick another instruction for it,
-    // so a scalar and a vectorized lane loop could differ. As the recorded
-    // run digests were pinned on x86-64: arithmetic returns its first NaN
-    // operand, `a`'s before `b`'s, quieted; min/max return `a` on a tie, the
-    // other operand for one NaN and `b` for two, never quieted.
+    // optimizer may commute an operation, pick another instruction for it or
+    // fold it, so a scalar and a vectorized lane loop could differ. As the
+    // recorded run digests were pinned on x86-64: arithmetic returns its
+    // first NaN operand, `a`'s before `b`'s, quieted, and `INVALID_NAN` when
+    // both operands are numbers; min/max return `a` on a tie, the other
+    // operand for one NaN and `b` for two, never quieted.
     let r = match op {
         FpuOp::Add | FpuOp::Sub | FpuOp::Mul | FpuOp::Div if a.is_nan() || b.is_nan() => {
             quiet(if a.is_nan() { a } else { b })
         }
-        FpuOp::Add => a + b,
-        FpuOp::Sub => a - b,
-        FpuOp::Mul => a * b,
-        FpuOp::Div => a / b,
+        FpuOp::Add => or_invalid_nan(a + b),
+        FpuOp::Sub => or_invalid_nan(a - b),
+        FpuOp::Mul => or_invalid_nan(a * b),
+        FpuOp::Div => or_invalid_nan(a / b),
         FpuOp::Min => {
             if a.is_nan() || b < a {
                 b
@@ -687,6 +703,26 @@ pub(crate) mod tests {
             }
             // Single precision narrows the NaN, keeping its payload's top bits.
             assert_eq!((fpu(op, false, 2.5, q) as f32).to_bits(), 0xffc0_2000);
+        }
+    }
+
+    #[test]
+    fn an_invalid_operation_on_numbers_returns_the_negative_quiet_nan() {
+        use std::hint::black_box;
+        let (zero, inf) = (black_box(0.0f64), black_box(f64::INFINITY));
+        for (op, a, b) in [
+            (FpuOp::Div, zero, zero),
+            (FpuOp::Sub, inf, inf),
+            (FpuOp::Add, inf, -inf),
+            (FpuOp::Mul, zero, inf),
+            (FpuOp::Div, inf, inf),
+        ] {
+            let (a, b) = (black_box(a), black_box(b));
+            assert_eq!(fpu(op, true, a, b).to_bits(), INVALID_NAN, "{op:?} {a} {b}");
+            // Single precision: the f32 default NaN, widened.
+            let single = fpu(op, false, a, b);
+            assert_eq!(single.to_bits(), INVALID_NAN, "f32 {op:?} {a} {b}");
+            assert_eq!((single as f32).to_bits(), 0xffc0_0000, "f32 {op:?} {a} {b}");
         }
     }
 

@@ -3,7 +3,16 @@
 //! The interpreter defines the *semantics* of the bytecode independently of
 //! any target. It is used for differential testing: whatever code the online
 //! compiler produces for a simulated target must compute the same results as
-//! the interpreter (see the cross-crate integration tests).
+//! the interpreter (see the cross-crate integration tests). The benchmark's
+//! set-up checks every output against it too.
+//!
+//! What a step costs: one fuel check, one match on the instruction, and no
+//! allocation once a run's vector registers hold vectors. A vector
+//! instruction builds its lanes in one scratch buffer and swaps it into its
+//! destination register, whose old buffer becomes the next scratch; it tests
+//! the element type once, not per lane. Only a register's first vector
+//! allocates. `tests/interpreter_alloc.rs` gates this: a run allocates as
+//! often at n = 4096 as at n = 64.
 
 use crate::inst::{BinOp, CmpOp, Inst, UnOp};
 use crate::module::Module;
@@ -208,11 +217,12 @@ impl Memory {
     pub fn load_scalar(&self, ty: ScalarType, addr: u64) -> Result<Value, ExecError> {
         let size = ty.size_bytes();
         self.check(addr, size)?;
-        let b = &self.bytes[addr as usize..(addr + size) as usize];
-        let raw = {
-            let mut buf = [0u8; 8];
-            buf[..b.len()].copy_from_slice(b);
-            u64::from_le_bytes(buf)
+        let at = addr as usize;
+        let raw = match size {
+            1 => u64::from(self.bytes[at]),
+            2 => u64::from(u16::from_le_bytes(self.array(at))),
+            4 => u64::from(u32::from_le_bytes(self.array(at))),
+            _ => u64::from_le_bytes(self.array(at)),
         };
         Ok(match ty {
             ScalarType::F32 => Value::Float(f32::from_bits(raw as u32) as f64),
@@ -243,9 +253,21 @@ impl Memory {
                 return Err(ExecError::Trap(format!("cannot store {v:?} as {t}")));
             }
         };
-        let bytes = raw.to_le_bytes();
-        self.bytes[addr as usize..(addr + size) as usize].copy_from_slice(&bytes[..size as usize]);
+        let at = addr as usize;
+        match size {
+            1 => self.bytes[at] = raw as u8,
+            2 => self.bytes[at..at + 2].copy_from_slice(&(raw as u16).to_le_bytes()),
+            4 => self.bytes[at..at + 4].copy_from_slice(&(raw as u32).to_le_bytes()),
+            _ => self.bytes[at..at + 8].copy_from_slice(&raw.to_le_bytes()),
+        }
         Ok(())
+    }
+
+    /// The `N` bytes at `at`, which [`Memory::check`] has bounded.
+    fn array<const N: usize>(&self, at: usize) -> [u8; N] {
+        let mut out = [0; N];
+        out.copy_from_slice(&self.bytes[at..at + N]);
+        out
     }
 
     /// Write a slice of `f32` values starting at `addr`.
@@ -399,6 +421,22 @@ fn round_to(ty: ScalarType, v: f64) -> f64 {
     }
 }
 
+/// The NaN an invalid operation on numbers returns (0/0, ∞ − ∞, 0 × ∞,
+/// ∞/∞): negative and quiet, what x86-64 computes at run time, spelled out
+/// because Rust leaves it to codegen (LLVM folds `0.0 / 0.0` to a positive
+/// one).
+const INVALID_NAN: u64 = 0xfff8_0000_0000_0000;
+
+/// `r`, an arithmetic result whose operands are numbers, with a NaN replaced
+/// by [`INVALID_NAN`].
+fn or_invalid_nan(r: f64) -> f64 {
+    if r.is_nan() {
+        f64::from_bits(INVALID_NAN)
+    } else {
+        r
+    }
+}
+
 /// Evaluate a scalar binary operation with bytecode semantics.
 ///
 /// # Errors
@@ -406,43 +444,51 @@ fn round_to(ty: ScalarType, v: f64) -> f64 {
 /// Returns a trap for division or remainder by zero.
 pub fn eval_bin(op: BinOp, ty: ScalarType, lhs: &Value, rhs: &Value) -> Result<Value, ExecError> {
     if ty.is_float() {
-        let a = lhs.as_float();
-        let b = rhs.as_float();
-        let r = match op {
-            // Spelled out, not left to Rust's operators, which leave the NaN
-            // they return unspecified: arithmetic returns its first NaN
-            // operand, `a`'s before `b`'s, quieted.
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div if a.is_nan() || b.is_nan() => {
-                let nan = if a.is_nan() { a } else { b };
-                f64::from_bits(nan.to_bits() | 1 << 51)
-            }
-            BinOp::Add => a + b,
-            BinOp::Sub => a - b,
-            BinOp::Mul => a * b,
-            BinOp::Div => a / b,
-            // Spelled out, not `f64::min`/`max`, which leave the sign of a
-            // ±0 tie and the NaN returned unspecified: a tie returns `a`, one
-            // NaN returns the other operand, two NaNs return `b`.
-            BinOp::Min => {
-                if a.is_nan() || b < a {
-                    b
-                } else {
-                    a
-                }
-            }
-            BinOp::Max => {
-                if a.is_nan() || b > a {
-                    b
-                } else {
-                    a
-                }
-            }
-            other => return Err(ExecError::Trap(format!("float {other} unsupported"))),
-        };
-        return Ok(Value::Float(round_to(ty, r)));
+        eval_float(op, ty, lhs.as_float(), rhs.as_float()).map(Value::Float)
+    } else {
+        eval_int(op, ty, lhs.as_int(), rhs.as_int()).map(Value::Int)
     }
-    let a = lhs.as_int();
-    let b = rhs.as_int();
+}
+
+/// [`eval_bin`] on float payloads of type `ty`.
+fn eval_float(op: BinOp, ty: ScalarType, a: f64, b: f64) -> Result<f64, ExecError> {
+    let r = match op {
+        // Spelled out, not left to Rust's operators, which leave the NaN
+        // they return unspecified: arithmetic returns its first NaN
+        // operand, `a`'s before `b`'s, quieted, and [`INVALID_NAN`] when
+        // both operands are numbers.
+        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div if a.is_nan() || b.is_nan() => {
+            let nan = if a.is_nan() { a } else { b };
+            f64::from_bits(nan.to_bits() | 1 << 51)
+        }
+        BinOp::Add => or_invalid_nan(a + b),
+        BinOp::Sub => or_invalid_nan(a - b),
+        BinOp::Mul => or_invalid_nan(a * b),
+        BinOp::Div => or_invalid_nan(a / b),
+        // Spelled out, not `f64::min`/`max`, which leave the sign of a
+        // ±0 tie and the NaN returned unspecified: a tie returns `a`, one
+        // NaN returns the other operand, two NaNs return `b`.
+        BinOp::Min => {
+            if a.is_nan() || b < a {
+                b
+            } else {
+                a
+            }
+        }
+        BinOp::Max => {
+            if a.is_nan() || b > a {
+                b
+            } else {
+                a
+            }
+        }
+        other => return Err(ExecError::Trap(format!("float {other} unsupported"))),
+    };
+    Ok(round_to(ty, r))
+}
+
+/// [`eval_bin`] on integer payloads of type `ty`.
+fn eval_int(op: BinOp, ty: ScalarType, a: i64, b: i64) -> Result<i64, ExecError> {
     let unsigned = ty.is_unsigned();
     let r = match op {
         BinOp::Add => a.wrapping_add(b),
@@ -499,7 +545,7 @@ pub fn eval_bin(op: BinOp, ty: ScalarType, lhs: &Value, rhs: &Value) -> Result<V
             }
         }
     };
-    Ok(Value::Int(normalize_int(ty, r)))
+    Ok(normalize_int(ty, r))
 }
 
 /// Evaluate a scalar comparison with bytecode semantics; returns 0 or 1.
@@ -592,6 +638,9 @@ pub struct Interpreter<'m> {
     /// Recycled call-argument scratch buffers (one per active call depth),
     /// so `Call` no longer collects a fresh `Vec<Value>` per invocation.
     argv_pool: Vec<Vec<Value>>,
+    /// Scratch lane buffer: a vector instruction builds its result here and
+    /// swaps it into the destination register (see [`Interpreter::put_lanes`]).
+    lanes: Vec<Value>,
 }
 
 impl<'m> Interpreter<'m> {
@@ -604,6 +653,7 @@ impl<'m> Interpreter<'m> {
             stats: ExecStats::default(),
             reg_pool: Vec::new(),
             argv_pool: Vec::new(),
+            lanes: Vec::new(),
         }
     }
 
@@ -638,7 +688,31 @@ impl<'m> Interpreter<'m> {
     ) -> Result<Option<Value>, ExecError> {
         self.stats = ExecStats::default();
         let mut fuel = self.fuel;
-        self.call_function(func, args, mem, &mut fuel)
+        let out = self.call_function(func, args, mem, &mut fuel);
+        // Every step spends one unit of fuel, so the fuel spent counts them.
+        self.stats.executed = self.fuel - fuel;
+        out
+    }
+
+    /// The scratch lane buffer, emptied, with room for `lanes` lanes.
+    fn scratch_lanes(&mut self, lanes: usize) -> &mut Vec<Value> {
+        self.lanes.clear();
+        self.lanes.reserve(lanes);
+        &mut self.lanes
+    }
+
+    /// Move the scratch lanes into `dst`. A vector register's old lane buffer
+    /// becomes the next scratch buffer; a register that holds no vector yet
+    /// takes the scratch buffer, and a new one replaces it, with room for the
+    /// lanes of the narrowest element so that it never grows.
+    fn put_lanes(&mut self, dst: &mut Value) {
+        match dst {
+            Value::Vector(old) => std::mem::swap(old, &mut self.lanes),
+            other => {
+                let fresh = Vec::with_capacity(self.vector_width_bytes as usize);
+                *other = Value::Vector(std::mem::replace(&mut self.lanes, fresh));
+            }
+        }
     }
 
     fn call_function(
@@ -681,20 +755,16 @@ impl<'m> Interpreter<'m> {
         fuel: &mut u64,
     ) -> Result<Option<Value>, ExecError> {
         let mut block = f.entry;
+        // The current block's instructions, fetched again only on a jump or
+        // branch; borrowed (lifetime `'m`) rather than cloned per step.
+        let mut insts = &f.block(block).insts[..];
         let mut index = 0usize;
         loop {
             if *fuel == 0 {
                 return Err(ExecError::OutOfFuel);
             }
             *fuel -= 1;
-            self.stats.executed += 1;
-            // Borrowing the instruction (lifetime `'m`, via the module
-            // reference) instead of cloning it: the old per-step
-            // `Inst::clone()` copied a `String` + `Vec` for every `Call` and
-            // a full enum payload for everything else.
-            let inst = f
-                .block(block)
-                .insts
+            let inst = insts
                 .get(index)
                 .ok_or_else(|| ExecError::Trap(format!("fell off the end of {block}")))?;
             index += 1;
@@ -806,7 +876,9 @@ impl<'m> Interpreter<'m> {
                 }
                 Inst::VecSplat { dst, elem, src } => {
                     let lanes = elem.lanes_for_width(self.vector_width_bytes) as usize;
-                    regs[dst.index()] = Value::Vector(vec![regs[src.index()].clone(); lanes]);
+                    self.scratch_lanes(lanes)
+                        .resize(lanes, regs[src.index()].clone());
+                    self.put_lanes(&mut regs[dst.index()]);
                 }
                 Inst::VecLoad {
                     dst,
@@ -817,11 +889,11 @@ impl<'m> Interpreter<'m> {
                     self.stats.memory_ops += 1;
                     let lanes = elem.lanes_for_width(self.vector_width_bytes);
                     let base = effective_addr(regs[addr.index()].as_int(), offset)?;
-                    let mut v = Vec::with_capacity(lanes as usize);
+                    let out = self.scratch_lanes(lanes as usize);
                     for i in 0..lanes {
-                        v.push(mem.load_scalar(elem, base + i * elem.size_bytes())?);
+                        out.push(mem.load_scalar(elem, base + i * elem.size_bytes())?);
                     }
-                    regs[dst.index()] = Value::Vector(v);
+                    self.put_lanes(&mut regs[dst.index()]);
                 }
                 Inst::VecStore {
                     elem,
@@ -831,8 +903,7 @@ impl<'m> Interpreter<'m> {
                 } => {
                     self.stats.memory_ops += 1;
                     let base = effective_addr(regs[addr.index()].as_int(), offset)?;
-                    let lanes = regs[value.index()].as_vector().to_vec();
-                    for (i, lane) in lanes.iter().enumerate() {
+                    for (i, lane) in regs[value.index()].as_vector().iter().enumerate() {
                         mem.store_scalar(elem, base + i as u64 * elem.size_bytes(), lane)?;
                     }
                 }
@@ -843,19 +914,31 @@ impl<'m> Interpreter<'m> {
                     lhs,
                     rhs,
                 } => {
-                    let a = regs[lhs.index()].as_vector().to_vec();
-                    let b = regs[rhs.index()].as_vector().to_vec();
+                    let a = regs[lhs.index()].as_vector();
+                    let b = regs[rhs.index()].as_vector();
                     if a.len() != b.len() {
                         return Err(ExecError::Trap("vector lane count mismatch".into()));
                     }
-                    let mut out = Vec::with_capacity(a.len());
-                    for (x, y) in a.iter().zip(&b) {
-                        out.push(eval_bin(op, elem, x, y)?);
+                    // One type test for all the lanes: each half takes payloads.
+                    let out = self.scratch_lanes(a.len());
+                    if elem.is_float() {
+                        for (x, y) in a.iter().zip(b) {
+                            out.push(Value::Float(eval_float(
+                                op,
+                                elem,
+                                x.as_float(),
+                                y.as_float(),
+                            )?));
+                        }
+                    } else {
+                        for (x, y) in a.iter().zip(b) {
+                            out.push(Value::Int(eval_int(op, elem, x.as_int(), y.as_int())?));
+                        }
                     }
-                    regs[dst.index()] = Value::Vector(out);
+                    self.put_lanes(&mut regs[dst.index()]);
                 }
                 Inst::VecReduce { op, elem, dst, src } => {
-                    let lanes = regs[src.index()].as_vector().to_vec();
+                    let lanes = regs[src.index()].as_vector();
                     let mut acc = lanes
                         .first()
                         .cloned()
@@ -867,6 +950,7 @@ impl<'m> Interpreter<'m> {
                 }
                 Inst::Jump { target } => {
                     block = target;
+                    insts = &f.block(block).insts;
                     index = 0;
                 }
                 Inst::Branch {
@@ -879,6 +963,7 @@ impl<'m> Interpreter<'m> {
                     } else {
                         else_bb
                     };
+                    insts = &f.block(block).insts;
                     index = 0;
                 }
                 Inst::Ret { value } => {
@@ -1031,6 +1116,28 @@ mod tests {
                 &Value::Float(f64::from_bits(v)),
             );
             assert_eq!(cast.as_float().to_bits(), narrowed, "{v:#x}");
+        }
+    }
+
+    #[test]
+    fn an_invalid_operation_on_numbers_returns_the_negative_quiet_nan() {
+        use std::hint::black_box;
+        let (zero, inf) = (black_box(0.0f64), black_box(f64::INFINITY));
+        for (op, a, b) in [
+            (BinOp::Div, zero, zero),
+            (BinOp::Sub, inf, inf),
+            (BinOp::Add, inf, -inf),
+            (BinOp::Mul, zero, inf),
+            (BinOp::Div, inf, inf),
+        ] {
+            let (a, b) = (Value::Float(black_box(a)), Value::Float(black_box(b)));
+            for ty in [ScalarType::F64, ScalarType::F32] {
+                let got = eval_bin(op, ty, &a, &b).unwrap().as_float();
+                assert_eq!(got.to_bits(), INVALID_NAN, "{op} {ty} {a:?} {b:?}");
+            }
+            // Single precision holds the f32 default NaN, widened.
+            let single = eval_bin(op, ScalarType::F32, &a, &b).unwrap().as_float();
+            assert_eq!((single as f32).to_bits(), 0xffc0_0000, "{op} {a:?} {b:?}");
         }
     }
 
