@@ -240,14 +240,20 @@ fn quiet(x: f64) -> f64 {
 /// ∞/∞): negative and quiet, what x86-64 computes at run time.
 const INVALID_NAN: u64 = 0xfff8_0000_0000_0000;
 
-/// `r`, an arithmetic result whose operands are numbers, with a NaN replaced
-/// by [`INVALID_NAN`].
+/// `r`, the result of an arithmetic operation on `a` and `b`, with its NaN
+/// spelled out: the first NaN operand, `a`'s before `b`'s, quieted, and
+/// [`INVALID_NAN`] when both are numbers. Any NaN operand makes `r` a NaN,
+/// so a number result costs one test.
 #[inline(always)]
-fn or_invalid_nan(r: f64) -> f64 {
-    if r.is_nan() {
-        f64::from_bits(INVALID_NAN)
-    } else {
+fn arith(a: f64, b: f64, r: f64) -> f64 {
+    if !r.is_nan() {
         r
+    } else if a.is_nan() {
+        quiet(a)
+    } else if b.is_nan() {
+        quiet(b)
+    } else {
+        f64::from_bits(INVALID_NAN)
     }
 }
 
@@ -261,13 +267,10 @@ pub(crate) fn fpu(op: FpuOp, double: bool, a: f64, b: f64) -> f64 {
     // both operands are numbers; min/max return `a` on a tie, the other
     // operand for one NaN and `b` for two, never quieted.
     let r = match op {
-        FpuOp::Add | FpuOp::Sub | FpuOp::Mul | FpuOp::Div if a.is_nan() || b.is_nan() => {
-            quiet(if a.is_nan() { a } else { b })
-        }
-        FpuOp::Add => or_invalid_nan(a + b),
-        FpuOp::Sub => or_invalid_nan(a - b),
-        FpuOp::Mul => or_invalid_nan(a * b),
-        FpuOp::Div => or_invalid_nan(a / b),
+        FpuOp::Add => arith(a, b, a + b),
+        FpuOp::Sub => arith(a, b, a - b),
+        FpuOp::Mul => arith(a, b, a * b),
+        FpuOp::Div => arith(a, b, a / b),
         FpuOp::Min => {
             if a.is_nan() || b < a {
                 b

@@ -10,9 +10,9 @@
 //! allocation once a run's vector registers hold vectors. A vector
 //! instruction builds its lanes in one scratch buffer and swaps it into its
 //! destination register, whose old buffer becomes the next scratch; it tests
-//! the element type once, not per lane. Only a register's first vector
-//! allocates. `tests/interpreter_alloc.rs` gates this: a run allocates as
-//! often at n = 4096 as at n = 64.
+//! the element type once, not per lane. So only a register's first vector
+//! allocates, and `tests/interpreter_alloc.rs` gates that a run allocates
+//! as often at n = 4096 as at n = 64.
 
 use crate::inst::{BinOp, CmpOp, Inst, UnOp};
 use crate::module::Module;
@@ -427,13 +427,17 @@ fn round_to(ty: ScalarType, v: f64) -> f64 {
 /// one).
 const INVALID_NAN: u64 = 0xfff8_0000_0000_0000;
 
-/// `r`, an arithmetic result whose operands are numbers, with a NaN replaced
-/// by [`INVALID_NAN`].
-fn or_invalid_nan(r: f64) -> f64 {
-    if r.is_nan() {
-        f64::from_bits(INVALID_NAN)
-    } else {
+/// `r`, the result of an arithmetic operation on `a` and `b`, with its NaN
+/// spelled out, not left to Rust's operators: the first NaN operand, `a`'s
+/// before `b`'s, quieted, and [`INVALID_NAN`] when both are numbers.
+fn arith(a: f64, b: f64, r: f64) -> f64 {
+    if !r.is_nan() {
         r
+    } else if a.is_nan() || b.is_nan() {
+        let nan = if a.is_nan() { a } else { b };
+        f64::from_bits(nan.to_bits() | 1 << 51)
+    } else {
+        f64::from_bits(INVALID_NAN)
     }
 }
 
@@ -453,18 +457,10 @@ pub fn eval_bin(op: BinOp, ty: ScalarType, lhs: &Value, rhs: &Value) -> Result<V
 /// [`eval_bin`] on float payloads of type `ty`.
 fn eval_float(op: BinOp, ty: ScalarType, a: f64, b: f64) -> Result<f64, ExecError> {
     let r = match op {
-        // Spelled out, not left to Rust's operators, which leave the NaN
-        // they return unspecified: arithmetic returns its first NaN
-        // operand, `a`'s before `b`'s, quieted, and [`INVALID_NAN`] when
-        // both operands are numbers.
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div if a.is_nan() || b.is_nan() => {
-            let nan = if a.is_nan() { a } else { b };
-            f64::from_bits(nan.to_bits() | 1 << 51)
-        }
-        BinOp::Add => or_invalid_nan(a + b),
-        BinOp::Sub => or_invalid_nan(a - b),
-        BinOp::Mul => or_invalid_nan(a * b),
-        BinOp::Div => or_invalid_nan(a / b),
+        BinOp::Add => arith(a, b, a + b),
+        BinOp::Sub => arith(a, b, a - b),
+        BinOp::Mul => arith(a, b, a * b),
+        BinOp::Div => arith(a, b, a / b),
         // Spelled out, not `f64::min`/`max`, which leave the sign of a
         // ±0 tie and the NaN returned unspecified: a tie returns `a`, one
         // NaN returns the other operand, two NaNs return `b`.
@@ -923,12 +919,8 @@ impl<'m> Interpreter<'m> {
                     let out = self.scratch_lanes(a.len());
                     if elem.is_float() {
                         for (x, y) in a.iter().zip(b) {
-                            out.push(Value::Float(eval_float(
-                                op,
-                                elem,
-                                x.as_float(),
-                                y.as_float(),
-                            )?));
+                            let (x, y) = (x.as_float(), y.as_float());
+                            out.push(Value::Float(eval_float(op, elem, x, y)?));
                         }
                     } else {
                         for (x, y) in a.iter().zip(b) {
@@ -1131,13 +1123,16 @@ mod tests {
             (BinOp::Div, inf, inf),
         ] {
             let (a, b) = (Value::Float(black_box(a)), Value::Float(black_box(b)));
-            for ty in [ScalarType::F64, ScalarType::F32] {
-                let got = eval_bin(op, ty, &a, &b).unwrap().as_float();
-                assert_eq!(got.to_bits(), INVALID_NAN, "{op} {ty} {a:?} {b:?}");
-            }
-            // Single precision holds the f32 default NaN, widened.
+            let double = eval_bin(op, ScalarType::F64, &a, &b).unwrap().as_float();
+            assert_eq!(double.to_bits(), INVALID_NAN, "{op} {a:?} {b:?}");
+            // Single precision: the f32 default NaN, widened.
             let single = eval_bin(op, ScalarType::F32, &a, &b).unwrap().as_float();
-            assert_eq!((single as f32).to_bits(), 0xffc0_0000, "{op} {a:?} {b:?}");
+            assert_eq!(single.to_bits(), INVALID_NAN, "f32 {op} {a:?} {b:?}");
+            assert_eq!(
+                (single as f32).to_bits(),
+                0xffc0_0000,
+                "f32 {op} {a:?} {b:?}"
+            );
         }
     }
 
