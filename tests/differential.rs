@@ -10,7 +10,7 @@
 mod pins;
 
 use pins::{interp_digest, Pins};
-use splitc::{checksum, prepare, run_on_target, Workspace};
+use splitc::{checksum, prepare, run_on_target, PreparedKernel, Workspace};
 use splitc_jit::{JitOptions, RegAllocMode};
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_targets::{MachineValue, TargetDesc};
@@ -50,13 +50,12 @@ fn has_float_reduction(module: &splitc_vbc::Module) -> bool {
     })
 }
 
-fn interpreter_checksum(module: &splitc_vbc::Module, kernel: &Kernel, vector_width: u64) -> u64 {
-    let mut ws = Workspace::new(1 << 16);
-    let prepared = prepare(kernel.name, N, 99, &mut ws);
-    // Mirror the workspace into the interpreter's memory.
+/// The interpreter's memory and arguments for a kernel prepared in `ws`:
+/// the workspace mirrored into the interpreter's memory.
+fn interpreter_inputs(prepared: &PreparedKernel, ws: &Workspace) -> (Memory, Vec<Value>) {
     let mut mem = Memory::new(ws.bytes().len());
     mem.bytes_mut().copy_from_slice(ws.bytes());
-    let args: Vec<Value> = prepared
+    let args = prepared
         .args
         .iter()
         .map(|a| match a {
@@ -64,6 +63,13 @@ fn interpreter_checksum(module: &splitc_vbc::Module, kernel: &Kernel, vector_wid
             MachineValue::Float(v) => Value::Float(*v),
         })
         .collect();
+    (mem, args)
+}
+
+fn interpreter_checksum(module: &splitc_vbc::Module, kernel: &Kernel, vector_width: u64) -> u64 {
+    let mut ws = Workspace::new(1 << 16);
+    let prepared = prepare(kernel.name, N, 99, &mut ws);
+    let (mut mem, args) = interpreter_inputs(&prepared, &ws);
     let mut interp = Interpreter::new(module).with_vector_width(vector_width);
     let result = interp
         .run(kernel.name, &args, &mut mem)
@@ -257,21 +263,11 @@ const PIN_WIDTHS: [u64; 3] = [16, 64, 256];
 /// Recorded [`Pins`] fold of `interpreter_runs_keep_their_recorded_digest`.
 const INTERPRETER_PIN: u64 = 9_228_796_539_666_616_457;
 
-/// The kernel's inputs at `n`, as the interpreter's memory and arguments.
-fn interpreter_inputs(kernel: &str, n: usize) -> (Memory, Vec<Value>) {
-    let mut ws = Workspace::sized_for(n);
-    let prepared = prepare(kernel, n, 7, &mut ws);
-    let mut mem = Memory::new(ws.bytes().len());
-    mem.bytes_mut().copy_from_slice(ws.bytes());
-    let args = prepared
-        .args
-        .iter()
-        .map(|a| match a {
-            MachineValue::Int(v) => Value::Int(*v),
-            MachineValue::Float(v) => Value::Float(*v),
-        })
-        .collect();
-    (mem, args)
+/// The interpreter's memory and arguments for `kernel` at [`PIN_N`].
+fn pinned_inputs(kernel: &str) -> (Memory, Vec<Value>) {
+    let mut ws = Workspace::sized_for(PIN_N);
+    let prepared = prepare(kernel, PIN_N, 7, &mut ws);
+    interpreter_inputs(&prepared, &ws)
 }
 
 /// Run `func` of `module` at `width` with `fuel` and note its digest.
@@ -330,7 +326,7 @@ fn interpreter_runs_keep_their_recorded_digest() {
             module_for(std::slice::from_ref(&kernel), kernel.name).expect("kernel compiles");
         optimize_module(&mut module, &OptOptions::full());
         for width in PIN_WIDTHS {
-            let (mem, args) = interpreter_inputs(kernel.name, PIN_N);
+            let (mem, args) = pinned_inputs(kernel.name);
             let cell = format!("{} @ {width} B", kernel.name);
             record_run(
                 &mut pins,
@@ -345,7 +341,7 @@ fn interpreter_runs_keep_their_recorded_digest() {
         // Fuel running out at several points inside the first vector loops.
         if matches!(kernel.name, "saxpy_f32" | "max_u8" | "hotcold_i32") {
             for fuel in (20..=44).chain([300, 301, 1_000]) {
-                let (mem, args) = interpreter_inputs(kernel.name, PIN_N);
+                let (mem, args) = pinned_inputs(kernel.name);
                 let cell = format!("{} out of fuel at {fuel}", kernel.name);
                 record_run(&mut pins, cell, &module, kernel.name, run(fuel), &args, mem);
             }
