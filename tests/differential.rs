@@ -15,8 +15,8 @@ use splitc_jit::{JitOptions, RegAllocMode};
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_targets::{MachineValue, TargetDesc};
 use splitc_vbc::{
-    BinOp, FunctionBuilder, Interpreter, Memory, Module, ScalarType, Type, VReg, Value,
-    DEFAULT_VECTOR_WIDTH_BYTES,
+    BinOp, ExecError, FunctionBuilder, Interpreter, Memory, Module, ReduceOp, ScalarType, Type,
+    VReg, Value, DEFAULT_VECTOR_WIDTH_BYTES,
 };
 use splitc_workloads::{all_kernels, module_for, Kernel};
 
@@ -426,4 +426,266 @@ fn interpreter_runs_keep_their_recorded_digest() {
     }
 
     pins.check(INTERPRETER_PIN);
+}
+
+/// Recorded [`Pins`] fold of `vector_paths_keep_their_recorded_digest`.
+const VECTOR_PATHS_PIN: u64 = 2_517_963_277_606_751_911;
+
+/// Run `func` of `module` at `width` against `mem`, note its digest for
+/// `cell` and return its outcome.
+fn pin_run(
+    pins: &mut Pins,
+    cell: String,
+    (module, func): (&Module, &str),
+    width: u64,
+    args: &[Value],
+    mem: &mut Memory,
+) -> Result<Option<Value>, ExecError> {
+    let mut interp = Interpreter::new(module).with_vector_width(width);
+    let out = interp.run(func, args, mem);
+    pins.push(cell, interp_digest(&out, &interp.stats(), mem.bytes()));
+    out
+}
+
+/// A `size`-byte memory whose bytes past address 16 come from a seeded
+/// generator: as lanes of any element type they hold negative and large
+/// values, and as floats the odd NaN, infinity and subnormal.
+fn seeded_memory(size: usize, seed: u64) -> Memory {
+    let mut mem = Memory::new(size);
+    let mut x = seed;
+    for byte in &mut mem.bytes_mut()[16..] {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        *byte = (x >> 56) as u8;
+    }
+    mem
+}
+
+/// Float values every float lane sweep meets, as `f32` bits: quiet NaNs of
+/// both signs with payloads, ±0, ±∞, a subnormal and plain numbers.
+const F32_SPECIALS: [u32; 10] = [
+    0x7fc0_1234,
+    0xffc0_0042,
+    0x0000_0000,
+    0x8000_0000,
+    0x7f80_0000,
+    0xff80_0000,
+    0x0000_0003,
+    0x3f80_0000,
+    0xc000_0000,
+    0x4b80_0001,
+];
+
+/// `mem` with every third `elem` lane from address 16 to `end` replaced by
+/// one of [`F32_SPECIALS`] (widened for `f64`); integer lanes are left as
+/// seeded.
+fn with_specials(mut mem: Memory, elem: ScalarType, end: u64) -> Memory {
+    let size = elem.size_bytes();
+    for (i, addr) in (16..end).step_by(3 * size as usize).enumerate() {
+        let bits = F32_SPECIALS[i % F32_SPECIALS.len()];
+        match elem {
+            ScalarType::F32 => mem.write_u8s(addr, &bits.to_le_bytes()),
+            ScalarType::F64 => {
+                let wide = f64::from(f32::from_bits(bits)).to_bits();
+                mem.write_u8s(addr, &wide.to_le_bytes());
+            }
+            _ => {}
+        }
+    }
+    mem
+}
+
+/// Element types a vector may hold.
+fn lane_types() -> impl Iterator<Item = ScalarType> {
+    ScalarType::ALL
+        .into_iter()
+        .filter(|t| *t != ScalarType::Ptr)
+}
+
+/// A one-function module returning one `ret` scalar, built by `body` from
+/// the builder and its one pointer parameter.
+fn returning(
+    name: &str,
+    ret: ScalarType,
+    body: impl FnOnce(&mut FunctionBuilder, VReg) -> VReg,
+) -> Module {
+    let mut b = FunctionBuilder::new(
+        name,
+        &[Type::Scalar(ScalarType::Ptr)],
+        Some(Type::Scalar(ret)),
+    );
+    let p = b.param(0);
+    let r = body(&mut b, p);
+    b.ret(Some(r));
+    let mut m = Module::new(name);
+    m.add_function(b.finish());
+    m
+}
+
+/// Vector paths the catalogue and `interpreter_runs_keep_their_recorded_digest`
+/// do not reach, pinned the same way: every operator on every element type,
+/// every reduction, narrow and wide lanes straddling the end of memory, a
+/// store of lanes of the wrong kind, and float reductions over NaNs and ±0.
+#[test]
+fn vector_paths_keep_their_recorded_digest() {
+    let mut pins = Pins::default();
+
+    for elem in lane_types() {
+        for width in [16, 64] {
+            // Every operator: two loaded vectors, the result stored, and a
+            // splat of a loaded scalar stored beside it. Float operators
+            // other than the arithmetic ones and min/max trap.
+            for op in BinOp::ALL {
+                let module = hand_built("vbin", 1, |b, p| {
+                    let x = b.vec_load(elem, p[0], 0);
+                    let y = b.vec_load(elem, p[0], 64);
+                    let s = b.load(elem, p[0], 256);
+                    let z = b.vec_splat(elem, s);
+                    b.vec_store(elem, p[0], 192, z);
+                    let r = b.vec_bin(op, elem, x, y);
+                    b.vec_store(elem, p[0], 128, r);
+                });
+                let mut mem = with_specials(seeded_memory(512, 3), elem, 288);
+                let cell = format!("vec.{op}.{elem} @ {width} B");
+                let out = pin_run(
+                    &mut pins,
+                    cell,
+                    (&module, "vbin"),
+                    width,
+                    &[Value::Int(16)],
+                    &mut mem,
+                );
+                let float_op = matches!(
+                    op,
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Min | BinOp::Max
+                );
+                if elem.is_float() && !float_op {
+                    let text = format!("float {op} unsupported");
+                    assert_eq!(out, Err(ExecError::Trap(text)), "vec.{op}.{elem}");
+                }
+            }
+            // Every reduction of a loaded vector.
+            for op in [ReduceOp::Add, ReduceOp::Min, ReduceOp::Max] {
+                let module = returning("vred", elem, |b, p| {
+                    let v = b.vec_load(elem, p, 0);
+                    b.vec_reduce(op, elem, v)
+                });
+                let mut mem = with_specials(seeded_memory(256, 5), elem, 80);
+                let cell = format!("vec.reduce.{op}.{elem} @ {width} B");
+                let args = [Value::Int(16)];
+                pin_run(&mut pins, cell, (&module, "vred"), width, &args, &mut mem).ok();
+            }
+        }
+    }
+
+    // Narrow and wide lanes: a vector load (stored back in bounds) and a
+    // vector store whose lane k straddles the end of memory, and one that
+    // ends exactly at it. The store has written lanes 0..k when it traps.
+    for elem in [ScalarType::U8, ScalarType::I16, ScalarType::F64] {
+        let load = hand_built("vload", 2, |b, p| {
+            let v = b.vec_load(elem, p[0], 0);
+            b.vec_store(elem, p[1], 0, v);
+        });
+        let store = hand_built("vstore", 2, |b, p| {
+            let v = b.vec_load(elem, p[1], 0);
+            b.vec_store(elem, p[0], 0, v);
+        });
+        let size = elem.size_bytes() as i64;
+        for width in [16, 64] {
+            let lanes = width as i64 / size;
+            for k in 0..=lanes {
+                let base = if k == lanes {
+                    256 - width as i64
+                } else {
+                    256 - size / 2 - k * size
+                };
+                let args = [Value::Int(base), Value::Int(16)];
+                for (module, func) in [(&load, "vload"), (&store, "vstore")] {
+                    let mut mem = with_specials(seeded_memory(256, 7), elem, 256);
+                    let cell = format!("{func}.{elem} @ {width} B from {base}");
+                    pin_run(&mut pins, cell, (module, func), width, &args, &mut mem).ok();
+                }
+            }
+        }
+    }
+
+    // A store of lanes of the wrong kind traps at lane 0 and writes
+    // nothing; bounds are checked before kinds, so a lane 0 past the end
+    // traps as out of bounds.
+    let kinds = [
+        (ScalarType::I32, ScalarType::F32, "Int(7)"),
+        (ScalarType::F32, ScalarType::I32, "Float(1.5)"),
+    ];
+    for (held, stored, lane) in kinds {
+        let module = hand_built("vkind", 1, |b, p| {
+            let c = if held.is_float() {
+                b.const_float(held, 1.5)
+            } else {
+                b.const_int(held, 7)
+            };
+            let v = b.vec_splat(held, c);
+            b.vec_store(stored, p[0], 0, v);
+        });
+        for width in [16, 64] {
+            for base in [16, 250, 254] {
+                let mut mem = seeded_memory(256, 11);
+                let before = mem.clone();
+                let cell = format!("{held} lanes stored as {stored} @ {width} B at {base}");
+                let args = [Value::Int(base)];
+                let out = pin_run(&mut pins, cell, (&module, "vkind"), width, &args, &mut mem);
+                let text = if base == 254 {
+                    "out-of-bounds access at 254+4 (memory size 256)".to_owned()
+                } else {
+                    format!("cannot store {lane} as {stored}")
+                };
+                assert_eq!(
+                    out,
+                    Err(ExecError::Trap(text)),
+                    "{held} as {stored} at {base}"
+                );
+                assert!(mem == before, "{held} as {stored} at {base} wrote a lane");
+            }
+        }
+    }
+
+    // f32 min, max and sum reductions over NaNs of both signs and ±0, in
+    // several orders; at 64 B each pattern is tiled with its rotations.
+    const QN1: u32 = 0x7fc0_1234;
+    const QN2: u32 = 0xffc0_0042;
+    const Z: u32 = 0;
+    const NZ: u32 = 0x8000_0000;
+    const ONE: u32 = 0x3f80_0000;
+    const M2: u32 = 0xc000_0000;
+    const INF: u32 = 0x7f80_0000;
+    let patterns: [[u32; 4]; 8] = [
+        [QN1, ONE, M2, QN2],
+        [NZ, Z, NZ, Z],
+        [Z, NZ, Z, NZ],
+        [ONE, QN1, NZ, Z],
+        [QN1, QN2, QN1, QN2],
+        [M2, QN2, INF, INF | NZ],
+        [Z, Z, NZ, NZ],
+        [QN2, Z, NZ, QN1],
+    ];
+    for op in [ReduceOp::Min, ReduceOp::Max, ReduceOp::Add] {
+        let module = returning("fred", ScalarType::F32, |b, p| {
+            let v = b.vec_load(ScalarType::F32, p, 0);
+            b.vec_reduce(op, ScalarType::F32, v)
+        });
+        for (i, pattern) in patterns.iter().enumerate() {
+            for width in [16u64, 64] {
+                let mut mem = Memory::new(256);
+                for lane in 0..width as usize / 4 {
+                    let bits = pattern[(lane + lane / 4) % 4];
+                    mem.write_u8s(16 + 4 * lane as u64, &bits.to_le_bytes());
+                }
+                let cell = format!("f32 reduce {op} of pattern {i} @ {width} B");
+                let args = [Value::Int(16)];
+                pin_run(&mut pins, cell, (&module, "fred"), width, &args, &mut mem).ok();
+            }
+        }
+    }
+
+    pins.check(VECTOR_PATHS_PIN);
 }
