@@ -7,18 +7,25 @@
 //! set-up checks every output against it too.
 //!
 //! What a step costs: one fuel check, one match on the instruction, and no
-//! allocation once a run's vector registers hold vectors. A vector
-//! instruction builds its lanes in one scratch buffer and swaps it into its
-//! destination register, whose old buffer becomes the next scratch; it tests
-//! the element type once, not per lane. So only a register's first vector
-//! allocates, and `tests/interpreter_alloc.rs` gates that a run allocates
-//! as often at n = 4096 as at n = 64.
+//! allocation once a run's vector registers hold vectors. A vector register
+//! holds typed lanes ([`Lanes`]), so a vector instruction decides their kind
+//! and its operator once and runs one loop over an `i64` or `f64` slice; a
+//! vector load or store checks its bounds once and moves the lanes in bounds
+//! in one pass. It builds its lanes in the scratch buffer of their kind and
+//! swaps that into its destination register, whose old buffer becomes the
+//! next scratch: only a register's first vector allocates
+//! (`tests/interpreter_alloc.rs` gates the count).
+//!
+//! Ill-typed programs, which verification rejects, have no meaning here: a
+//! lane-kind mismatch panics at the instruction that meets it, as a scalar
+//! one does. Only a vector store of lanes of the wrong kind traps, at lane 0.
 
 use crate::inst::{BinOp, CmpOp, Inst, UnOp};
 use crate::module::Module;
 use crate::types::ScalarType;
 use std::error::Error;
 use std::fmt;
+use std::mem::replace;
 
 /// Default vector register width assumed by the interpreter (bytes).
 ///
@@ -35,8 +42,97 @@ pub enum Value {
     Int(i64),
     /// Floating-point payload.
     Float(f64),
-    /// Vector payload: one scalar per lane.
-    Vector(Vec<Value>),
+    /// Vector payload: its lanes, all of one kind.
+    Vector(Lanes),
+}
+
+/// The lanes of a vector value, all of one kind. A lane holds what a scalar
+/// of the vector's element type would: an integer normalized to it, or a
+/// float rounded to it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Lanes {
+    /// Integer lanes.
+    Int(Vec<i64>),
+    /// Floating-point lanes.
+    Float(Vec<f64>),
+}
+
+impl Lanes {
+    fn len(&self) -> usize {
+        match self {
+            Lanes::Int(v) => v.len(),
+            Lanes::Float(v) => v.len(),
+        }
+    }
+}
+
+/// A lane payload: `i64` for [`Lanes::Int`], `f64` for [`Lanes::Float`].
+trait Lane: Sized {
+    /// Decode scalars of type `ty` from the front of `bytes` into `out`.
+    fn read(ty: ScalarType, bytes: &[u8], out: &mut [Self]);
+    /// Encode `lanes` as scalars of type `ty` at the front of `bytes`.
+    fn write(ty: ScalarType, lanes: &[Self], bytes: &mut [u8]);
+}
+
+impl Lane for i64 {
+    fn read(ty: ScalarType, bytes: &[u8], out: &mut [i64]) {
+        match ty {
+            ScalarType::I8 => decode(bytes, out, |b| i64::from(i8::from_le_bytes(b))),
+            ScalarType::U8 => decode(bytes, out, |b| i64::from(u8::from_le_bytes(b))),
+            ScalarType::I16 => decode(bytes, out, |b| i64::from(i16::from_le_bytes(b))),
+            ScalarType::U16 => decode(bytes, out, |b| i64::from(u16::from_le_bytes(b))),
+            ScalarType::I32 => decode(bytes, out, |b| i64::from(i32::from_le_bytes(b))),
+            ScalarType::U32 => decode(bytes, out, |b| i64::from(u32::from_le_bytes(b))),
+            _ => decode(bytes, out, i64::from_le_bytes), // I64, U64 and Ptr
+        }
+    }
+
+    fn write(ty: ScalarType, lanes: &[i64], bytes: &mut [u8]) {
+        match ty.size_bytes() {
+            1 => encode(lanes, bytes, |v| [v as u8]),
+            2 => encode(lanes, bytes, |v| (v as u16).to_le_bytes()),
+            4 => encode(lanes, bytes, |v| (v as u32).to_le_bytes()),
+            _ => encode(lanes, bytes, i64::to_le_bytes),
+        }
+    }
+}
+
+impl Lane for f64 {
+    fn read(ty: ScalarType, bytes: &[u8], out: &mut [f64]) {
+        if ty == ScalarType::F32 {
+            decode(bytes, out, |b| f64::from(f32::from_le_bytes(b)));
+        } else {
+            decode(bytes, out, f64::from_le_bytes);
+        }
+    }
+
+    fn write(ty: ScalarType, lanes: &[f64], bytes: &mut [u8]) {
+        if ty == ScalarType::F32 {
+            encode(lanes, bytes, |v| (v as f32).to_le_bytes());
+        } else {
+            encode(lanes, bytes, f64::to_le_bytes);
+        }
+    }
+}
+
+/// `out[i] = f(the N bytes at N * i)`.
+fn decode<const N: usize, T>(bytes: &[u8], out: &mut [T], f: impl Fn([u8; N]) -> T) {
+    for (o, b) in out.iter_mut().zip(bytes.chunks_exact(N)) {
+        *o = f(b.try_into().expect("chunks of N bytes"));
+    }
+}
+
+/// `the N bytes at N * i = f(lanes[i])`.
+fn encode<const N: usize, T: Copy>(lanes: &[T], bytes: &mut [u8], f: impl Fn(T) -> [u8; N]) {
+    for (b, &v) in bytes.chunks_exact_mut(N).zip(lanes) {
+        b.copy_from_slice(&f(v));
+    }
+}
+
+/// `buf` holding `n` lanes, for a vector instruction to overwrite them all.
+fn scratch<T: Copy + Default>(buf: &mut Vec<T>, n: usize) -> &mut [T] {
+    buf.resize(n, T::default());
+    buf
 }
 
 impl Value {
@@ -69,7 +165,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics if the value is not a [`Value::Vector`].
-    pub fn as_vector(&self) -> &[Value] {
+    pub fn as_vector(&self) -> &Lanes {
         match self {
             Value::Vector(v) => v,
             other => panic!("expected vector value, found {other:?}"),
@@ -81,7 +177,10 @@ impl Value {
     /// hot path goes through this).
     fn assign_from(&mut self, other: &Value) {
         match (self, other) {
-            (Value::Vector(dst), Value::Vector(src)) => dst.clone_from(src),
+            (Value::Vector(Lanes::Int(dst)), Value::Vector(Lanes::Int(src))) => dst.clone_from(src),
+            (Value::Vector(Lanes::Float(dst)), Value::Vector(Lanes::Float(src))) => {
+                dst.clone_from(src)
+            }
             (dst, src) => *dst = src.clone(),
         }
     }
@@ -215,19 +314,16 @@ impl Memory {
     ///
     /// Returns a trap on null or out-of-bounds access.
     pub fn load_scalar(&self, ty: ScalarType, addr: u64) -> Result<Value, ExecError> {
-        let size = ty.size_bytes();
-        self.check(addr, size)?;
-        let at = addr as usize;
-        let raw = match size {
-            1 => u64::from(self.bytes[at]),
-            2 => u64::from(u16::from_le_bytes(self.array(at))),
-            4 => u64::from(u32::from_le_bytes(self.array(at))),
-            _ => u64::from_le_bytes(self.array(at)),
-        };
-        Ok(match ty {
-            ScalarType::F32 => Value::Float(f32::from_bits(raw as u32) as f64),
-            ScalarType::F64 => Value::Float(f64::from_bits(raw)),
-            _ => Value::Int(normalize_int(ty, raw as i64)),
+        self.check(addr, ty.size_bytes())?;
+        let bytes = &self.bytes[addr as usize..];
+        Ok(if ty.is_float() {
+            let mut v = [0.0];
+            f64::read(ty, bytes, &mut v);
+            Value::Float(v[0])
+        } else {
+            let mut v = [0];
+            i64::read(ty, bytes, &mut v);
+            Value::Int(v[0])
         })
     }
 
@@ -243,31 +339,44 @@ impl Memory {
         addr: u64,
         value: &Value,
     ) -> Result<(), ExecError> {
-        let size = ty.size_bytes();
-        self.check(addr, size)?;
-        let raw: u64 = match (ty, value) {
-            (ScalarType::F32, Value::Float(v)) => u64::from((*v as f32).to_bits()),
-            (ScalarType::F64, Value::Float(v)) => v.to_bits(),
-            (t, Value::Int(v)) if t.is_int() => normalize_int(t, *v) as u64,
-            (t, v) => {
-                return Err(ExecError::Trap(format!("cannot store {v:?} as {t}")));
-            }
-        };
-        let at = addr as usize;
-        match size {
-            1 => self.bytes[at] = raw as u8,
-            2 => self.bytes[at..at + 2].copy_from_slice(&(raw as u16).to_le_bytes()),
-            4 => self.bytes[at..at + 4].copy_from_slice(&(raw as u32).to_le_bytes()),
-            _ => self.bytes[at..at + 8].copy_from_slice(&raw.to_le_bytes()),
+        self.check(addr, ty.size_bytes())?;
+        let bytes = &mut self.bytes[addr as usize..];
+        match value {
+            Value::Int(v) if ty.is_int() => i64::write(ty, &[*v], bytes),
+            Value::Float(v) if ty.is_float() => f64::write(ty, &[*v], bytes),
+            v => return Err(ExecError::Trap(format!("cannot store {v:?} as {ty}"))),
         }
         Ok(())
     }
 
-    /// The `N` bytes at `at`, which [`Memory::check`] has bounded.
-    fn array<const N: usize>(&self, at: usize) -> [u8; N] {
-        let mut out = [0; N];
-        out.copy_from_slice(&self.bytes[at..at + N]);
-        out
+    /// How many of `lanes` consecutive scalars of type `ty` from `addr` on
+    /// lie in bounds, and the trap [`Memory::check`] raises for the first
+    /// that does not.
+    fn fit(&self, ty: ScalarType, addr: u64, lanes: usize) -> (usize, Result<(), ExecError>) {
+        let size = ty.size_bytes();
+        let fit = ((self.bytes.len() as u64).saturating_sub(addr) / size).min(lanes as u64);
+        let trap = self.check(addr, size * lanes as u64);
+        let trap = trap.or_else(|_| self.check(addr + fit * size, size));
+        (fit as usize, trap)
+    }
+
+    /// Load consecutive scalars of type `ty` from `addr` (not null) into `v`,
+    /// or raise the trap of the first that does not lie in bounds.
+    fn load_vec<T: Lane>(&self, ty: ScalarType, addr: u64, v: &mut [T]) -> Result<(), ExecError> {
+        self.fit(ty, addr, v.len()).1?;
+        T::read(ty, &self.bytes[addr as usize..], v);
+        Ok(())
+    }
+
+    /// Store the lanes `v` as consecutive scalars of type `ty` from `addr`
+    /// (not null), as one scalar store per lane would: the lanes that lie in
+    /// bounds are written, then the first that does not raises its trap.
+    fn store_vec<T: Lane>(&mut self, ty: ScalarType, addr: u64, v: &[T]) -> Result<(), ExecError> {
+        let (fit, trap) = self.fit(ty, addr, v.len());
+        if fit > 0 {
+            T::write(ty, &v[..fit], &mut self.bytes[addr as usize..]);
+        }
+        trap
     }
 
     /// Write a slice of `f32` values starting at `addr`.
@@ -293,25 +402,6 @@ impl Memory {
             .collect()
     }
 
-    /// Write a slice of `f64` values starting at `addr`.
-    pub fn write_f64s(&mut self, addr: u64, data: &[f64]) {
-        for (i, v) in data.iter().enumerate() {
-            self.store_scalar(ScalarType::F64, addr + 8 * i as u64, &Value::Float(*v))
-                .expect("write_f64s in bounds");
-        }
-    }
-
-    /// Read `n` `f64` values starting at `addr`.
-    pub fn read_f64s(&self, addr: u64, n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| {
-                self.load_scalar(ScalarType::F64, addr + 8 * i as u64)
-                    .expect("read_f64s in bounds")
-                    .as_float()
-            })
-            .collect()
-    }
-
     /// Write a slice of `u8` values starting at `addr`.
     pub fn write_u8s(&mut self, addr: u64, data: &[u8]) {
         self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
@@ -319,48 +409,22 @@ impl Memory {
 
     /// Write a slice of `u16` values starting at `addr`.
     pub fn write_u16s(&mut self, addr: u64, data: &[u16]) {
-        for (i, v) in data.iter().enumerate() {
-            self.store_scalar(
-                ScalarType::U16,
-                addr + 2 * i as u64,
-                &Value::Int(i64::from(*v)),
-            )
-            .expect("write_u16s in bounds");
-        }
-    }
-
-    /// Read `n` `u16` values starting at `addr`.
-    pub fn read_u16s(&self, addr: u64, n: usize) -> Vec<u16> {
-        (0..n)
-            .map(|i| {
-                self.load_scalar(ScalarType::U16, addr + 2 * i as u64)
-                    .expect("read_u16s in bounds")
-                    .as_int() as u16
-            })
-            .collect()
+        let at = addr as usize;
+        encode(
+            data,
+            &mut self.bytes[at..at + 2 * data.len()],
+            u16::to_le_bytes,
+        );
     }
 
     /// Write a slice of `i32` values starting at `addr`.
     pub fn write_i32s(&mut self, addr: u64, data: &[i32]) {
-        for (i, v) in data.iter().enumerate() {
-            self.store_scalar(
-                ScalarType::I32,
-                addr + 4 * i as u64,
-                &Value::Int(i64::from(*v)),
-            )
-            .expect("write_i32s in bounds");
-        }
-    }
-
-    /// Read `n` `i32` values starting at `addr`.
-    pub fn read_i32s(&self, addr: u64, n: usize) -> Vec<i32> {
-        (0..n)
-            .map(|i| {
-                self.load_scalar(ScalarType::I32, addr + 4 * i as u64)
-                    .expect("read_i32s in bounds")
-                    .as_int() as i32
-            })
-            .collect()
+        let at = addr as usize;
+        encode(
+            data,
+            &mut self.bytes[at..at + 4 * data.len()],
+            i32::to_le_bytes,
+        );
     }
 
     /// Raw access to the underlying bytes (used by the target simulators so
@@ -448,100 +512,111 @@ fn arith(a: f64, b: f64, r: f64) -> f64 {
 /// Returns a trap for division or remainder by zero.
 pub fn eval_bin(op: BinOp, ty: ScalarType, lhs: &Value, rhs: &Value) -> Result<Value, ExecError> {
     if ty.is_float() {
-        eval_float(op, ty, lhs.as_float(), rhs.as_float()).map(Value::Float)
+        float_op(op, ty, Pair(lhs.as_float(), rhs.as_float())).map(Value::Float)
     } else {
-        eval_int(op, ty, lhs.as_int(), rhs.as_int()).map(Value::Int)
+        int_op(op, ty, Pair(lhs.as_int(), rhs.as_int())).map(Value::Int)
     }
 }
 
-/// [`eval_bin`] on float payloads of type `ty`.
-fn eval_float(op: BinOp, ty: ScalarType, a: f64, b: f64) -> Result<f64, ExecError> {
-    let r = match op {
-        BinOp::Add => arith(a, b, a + b),
-        BinOp::Sub => arith(a, b, a - b),
-        BinOp::Mul => arith(a, b, a * b),
-        BinOp::Div => arith(a, b, a / b),
+/// How an operation is applied: to one pair of scalars ([`Pair`]) or lane
+/// by lane ([`Zip`]). [`float_op`] and [`int_op`] pick the operation once and
+/// pass it to `apply` as a closure of its own type, so a lane loop is
+/// compiled once per operator.
+trait Apply<T> {
+    /// What applying the operation yields.
+    type Out;
+    /// The right-hand operands: what a division divides by.
+    fn divisors(&self) -> &[T];
+    /// Apply the operation `f`.
+    fn apply(self, f: impl Fn(T, T) -> T) -> Self::Out;
+}
+
+/// One scalar operation: `f(a, b)`.
+struct Pair<T>(T, T);
+
+impl<T: Copy> Apply<T> for Pair<T> {
+    type Out = T;
+    fn divisors(&self) -> &[T] {
+        std::slice::from_ref(&self.1)
+    }
+    fn apply(self, f: impl Fn(T, T) -> T) -> T {
+        f(self.0, self.1)
+    }
+}
+
+/// Lane by lane: `out[i] = f(a[i], b[i])`.
+struct Zip<'a, T>(&'a [T], &'a [T], &'a mut [T]);
+
+impl<T: Copy> Apply<T> for Zip<'_, T> {
+    type Out = ();
+    fn divisors(&self) -> &[T] {
+        self.1
+    }
+    fn apply(self, f: impl Fn(T, T) -> T) {
+        for ((o, &a), &b) in self.2.iter_mut().zip(self.0).zip(self.1) {
+            *o = f(a, b);
+        }
+    }
+}
+
+/// Apply the float operation `op` on type `ty` (each result rounded to
+/// `ty`): the one statement of float arithmetic, which [`eval_bin`],
+/// `VecBin` and `VecReduce` all run.
+fn float_op<A: Apply<f64>>(op: BinOp, ty: ScalarType, run: A) -> Result<A::Out, ExecError> {
+    let round = move |r| round_to(ty, r);
+    Ok(match op {
+        BinOp::Add => run.apply(|a, b| round(arith(a, b, a + b))),
+        BinOp::Sub => run.apply(|a, b| round(arith(a, b, a - b))),
+        BinOp::Mul => run.apply(|a, b| round(arith(a, b, a * b))),
+        BinOp::Div => run.apply(|a, b| round(arith(a, b, a / b))),
         // Spelled out, not `f64::min`/`max`, which leave the sign of a
         // ±0 tie and the NaN returned unspecified: a tie returns `a`, one
         // NaN returns the other operand, two NaNs return `b`.
-        BinOp::Min => {
-            if a.is_nan() || b < a {
-                b
-            } else {
-                a
-            }
-        }
-        BinOp::Max => {
-            if a.is_nan() || b > a {
-                b
-            } else {
-                a
-            }
-        }
+        BinOp::Min => run.apply(|a, b| round(if a.is_nan() || b < a { b } else { a })),
+        BinOp::Max => run.apply(|a, b| round(if a.is_nan() || b > a { b } else { a })),
         other => return Err(ExecError::Trap(format!("float {other} unsupported"))),
-    };
-    Ok(round_to(ty, r))
+    })
 }
 
-/// [`eval_bin`] on integer payloads of type `ty`.
-fn eval_int(op: BinOp, ty: ScalarType, a: i64, b: i64) -> Result<i64, ExecError> {
+/// Apply the integer operation `op` on type `ty` (each result normalized
+/// to `ty`): the one statement of integer arithmetic, which [`eval_bin`],
+/// `VecBin` and `VecReduce` all run. A zero divisor traps before any
+/// operand is divided.
+fn int_op<A: Apply<i64>>(op: BinOp, ty: ScalarType, run: A) -> Result<A::Out, ExecError> {
+    if matches!(op, BinOp::Div | BinOp::Rem) && run.divisors().contains(&0) {
+        let what = if op == BinOp::Div {
+            "division"
+        } else {
+            "remainder"
+        };
+        return Err(ExecError::Trap(format!("integer {what} by zero")));
+    }
+    let n = move |r| normalize_int(ty, r);
     let unsigned = ty.is_unsigned();
-    let r = match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                return Err(ExecError::Trap("integer division by zero".into()));
-            }
-            if unsigned {
-                ((a as u64) / (b as u64)) as i64
-            } else {
-                a.wrapping_div(b)
-            }
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                return Err(ExecError::Trap("integer remainder by zero".into()));
-            }
-            if unsigned {
-                ((a as u64) % (b as u64)) as i64
-            } else {
-                a.wrapping_rem(b)
-            }
-        }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
+    Ok(match op {
+        BinOp::Add => run.apply(|a, b| n(a.wrapping_add(b))),
+        BinOp::Sub => run.apply(|a, b| n(a.wrapping_sub(b))),
+        BinOp::Mul => run.apply(|a, b| n(a.wrapping_mul(b))),
+        BinOp::Div if unsigned => run.apply(|a, b| n(((a as u64) / (b as u64)) as i64)),
+        BinOp::Div => run.apply(|a, b| n(a.wrapping_div(b))),
+        BinOp::Rem if unsigned => run.apply(|a, b| n(((a as u64) % (b as u64)) as i64)),
+        BinOp::Rem => run.apply(|a, b| n(a.wrapping_rem(b))),
+        BinOp::And => run.apply(|a, b| n(a & b)),
+        BinOp::Or => run.apply(|a, b| n(a | b)),
+        BinOp::Xor => run.apply(|a, b| n(a ^ b)),
         // Shift counts are masked modulo 64 (see `BinOp::Shl`): `b as u32`
         // keeps the low 32 bits and `wrapping_shl`/`wrapping_shr` mask those
         // modulo 64, so negative and >= 64 counts reduce to `b & 63` — the
         // exact computation the machine-code `alu` helper performs, which is
         // what keeps all execution paths bit-identical on extreme counts.
-        BinOp::Shl => a.wrapping_shl(b as u32),
-        BinOp::Shr => {
-            if unsigned {
-                ((a as u64).wrapping_shr(b as u32)) as i64
-            } else {
-                a.wrapping_shr(b as u32)
-            }
-        }
-        BinOp::Min => {
-            if unsigned {
-                ((a as u64).min(b as u64)) as i64
-            } else {
-                a.min(b)
-            }
-        }
-        BinOp::Max => {
-            if unsigned {
-                ((a as u64).max(b as u64)) as i64
-            } else {
-                a.max(b)
-            }
-        }
-    };
-    Ok(normalize_int(ty, r))
+        BinOp::Shl => run.apply(|a, b| n(a.wrapping_shl(b as u32))),
+        BinOp::Shr if unsigned => run.apply(|a, b| n((a as u64).wrapping_shr(b as u32) as i64)),
+        BinOp::Shr => run.apply(|a, b| n(a.wrapping_shr(b as u32))),
+        BinOp::Min if unsigned => run.apply(|a, b| n((a as u64).min(b as u64) as i64)),
+        BinOp::Min => run.apply(|a, b| n(a.min(b))),
+        BinOp::Max if unsigned => run.apply(|a, b| n((a as u64).max(b as u64) as i64)),
+        BinOp::Max => run.apply(|a, b| n(a.max(b))),
+    })
 }
 
 /// Evaluate a scalar comparison with bytecode semantics; returns 0 or 1.
@@ -634,9 +709,11 @@ pub struct Interpreter<'m> {
     /// Recycled call-argument scratch buffers (one per active call depth),
     /// so `Call` no longer collects a fresh `Vec<Value>` per invocation.
     argv_pool: Vec<Vec<Value>>,
-    /// Scratch lane buffer: a vector instruction builds its result here and
-    /// swaps it into the destination register (see [`Interpreter::put_lanes`]).
-    lanes: Vec<Value>,
+    /// Scratch lane buffers, one per kind: a vector instruction builds its
+    /// lanes in the one of their kind and swaps it into its destination
+    /// register (see [`Interpreter::put_lanes`]).
+    ints: Vec<i64>,
+    floats: Vec<f64>,
 }
 
 impl<'m> Interpreter<'m> {
@@ -649,7 +726,8 @@ impl<'m> Interpreter<'m> {
             stats: ExecStats::default(),
             reg_pool: Vec::new(),
             argv_pool: Vec::new(),
-            lanes: Vec::new(),
+            ints: Vec::new(),
+            floats: Vec::new(),
         }
     }
 
@@ -690,24 +768,20 @@ impl<'m> Interpreter<'m> {
         out
     }
 
-    /// The scratch lane buffer, emptied, with room for `lanes` lanes.
-    fn scratch_lanes(&mut self, lanes: usize) -> &mut Vec<Value> {
-        self.lanes.clear();
-        self.lanes.reserve(lanes);
-        &mut self.lanes
-    }
-
-    /// Move the scratch lanes into `dst`. A vector register's old lane buffer
-    /// becomes the next scratch buffer; a register that holds no vector yet
-    /// takes the scratch buffer, and a new one replaces it, with room for the
-    /// lanes of the narrowest element so that it never grows.
-    fn put_lanes(&mut self, dst: &mut Value) {
-        match dst {
-            Value::Vector(old) => std::mem::swap(old, &mut self.lanes),
-            other => {
-                let fresh = Vec::with_capacity(self.vector_width_bytes as usize);
-                *other = Value::Vector(std::mem::replace(&mut self.lanes, fresh));
+    /// Move the lanes just built in the scratch buffer of their kind into
+    /// `dst`. A vector register of that kind hands its old buffer back as the
+    /// next scratch; any other register takes the buffer, and a new one with
+    /// room for the narrowest element's lanes replaces it, so none grows.
+    fn put_lanes(&mut self, float: bool, dst: &mut Value) {
+        let n = self.vector_width_bytes as usize;
+        let (floats, ints) = (&mut self.floats, &mut self.ints);
+        match (dst, float) {
+            (Value::Vector(Lanes::Float(old)), true) => std::mem::swap(old, floats),
+            (Value::Vector(Lanes::Int(old)), false) => std::mem::swap(old, ints),
+            (dst, true) => {
+                *dst = Value::Vector(Lanes::Float(replace(floats, Vec::with_capacity(n))))
             }
+            (dst, false) => *dst = Value::Vector(Lanes::Int(replace(ints, Vec::with_capacity(n)))),
         }
     }
 
@@ -872,9 +946,14 @@ impl<'m> Interpreter<'m> {
                 }
                 Inst::VecSplat { dst, elem, src } => {
                     let lanes = elem.lanes_for_width(self.vector_width_bytes) as usize;
-                    self.scratch_lanes(lanes)
-                        .resize(lanes, regs[src.index()].clone());
-                    self.put_lanes(&mut regs[dst.index()]);
+                    let (src, dst) = (src.index(), dst.index());
+                    if elem.is_float() {
+                        scratch(&mut self.floats, lanes).fill(regs[src].as_float());
+                        self.put_lanes(true, &mut regs[dst]);
+                    } else {
+                        scratch(&mut self.ints, lanes).fill(regs[src].as_int());
+                        self.put_lanes(false, &mut regs[dst]);
+                    }
                 }
                 Inst::VecLoad {
                     dst,
@@ -883,13 +962,16 @@ impl<'m> Interpreter<'m> {
                     offset,
                 } => {
                     self.stats.memory_ops += 1;
-                    let lanes = elem.lanes_for_width(self.vector_width_bytes);
+                    let lanes = elem.lanes_for_width(self.vector_width_bytes) as usize;
                     let base = effective_addr(regs[addr.index()].as_int(), offset)?;
-                    let out = self.scratch_lanes(lanes as usize);
-                    for i in 0..lanes {
-                        out.push(mem.load_scalar(elem, base + i * elem.size_bytes())?);
+                    let dst = &mut regs[dst.index()];
+                    if elem.is_float() {
+                        mem.load_vec(elem, base, scratch(&mut self.floats, lanes))?;
+                        self.put_lanes(true, dst);
+                    } else {
+                        mem.load_vec(elem, base, scratch(&mut self.ints, lanes))?;
+                        self.put_lanes(false, dst);
                     }
-                    self.put_lanes(&mut regs[dst.index()]);
                 }
                 Inst::VecStore {
                     elem,
@@ -899,8 +981,13 @@ impl<'m> Interpreter<'m> {
                 } => {
                     self.stats.memory_ops += 1;
                     let base = effective_addr(regs[addr.index()].as_int(), offset)?;
-                    for (i, lane) in regs[value.index()].as_vector().iter().enumerate() {
-                        mem.store_scalar(elem, base + i as u64 * elem.size_bytes(), lane)?;
+                    match regs[value.index()].as_vector() {
+                        Lanes::Int(v) if elem.is_int() => mem.store_vec(elem, base, v)?,
+                        Lanes::Float(v) if elem.is_float() => mem.store_vec(elem, base, v)?,
+                        // Lanes of the wrong kind trap as lane 0's scalar
+                        // store does (bounds first) and write nothing.
+                        Lanes::Int(v) => mem.store_scalar(elem, base, &Value::Int(v[0]))?,
+                        Lanes::Float(v) => mem.store_scalar(elem, base, &Value::Float(v[0]))?,
                     }
                 }
                 Inst::VecBin {
@@ -910,35 +997,42 @@ impl<'m> Interpreter<'m> {
                     lhs,
                     rhs,
                 } => {
-                    let a = regs[lhs.index()].as_vector();
-                    let b = regs[rhs.index()].as_vector();
+                    let (a, b) = (regs[lhs.index()].as_vector(), regs[rhs.index()].as_vector());
                     if a.len() != b.len() {
                         return Err(ExecError::Trap("vector lane count mismatch".into()));
                     }
-                    // One type test for all the lanes: each half takes payloads.
-                    let out = self.scratch_lanes(a.len());
-                    if elem.is_float() {
-                        for (x, y) in a.iter().zip(b) {
-                            let (x, y) = (x.as_float(), y.as_float());
-                            out.push(Value::Float(eval_float(op, elem, x, y)?));
+                    match (a, b) {
+                        (Lanes::Float(a), Lanes::Float(b)) if elem.is_float() => {
+                            let out = scratch(&mut self.floats, a.len());
+                            float_op(op, elem, Zip(a, b, out))?;
+                            self.put_lanes(true, &mut regs[dst.index()]);
                         }
-                    } else {
-                        for (x, y) in a.iter().zip(b) {
-                            out.push(Value::Int(eval_int(op, elem, x.as_int(), y.as_int())?));
+                        (Lanes::Int(a), Lanes::Int(b)) if elem.is_int() => {
+                            let out = scratch(&mut self.ints, a.len());
+                            int_op(op, elem, Zip(a, b, out))?;
+                            self.put_lanes(false, &mut regs[dst.index()]);
                         }
+                        _ => panic!("vector {op}.{elem} of lanes of another kind: {a:?}, {b:?}"),
                     }
-                    self.put_lanes(&mut regs[dst.index()]);
                 }
                 Inst::VecReduce { op, elem, dst, src } => {
-                    let lanes = regs[src.index()].as_vector();
-                    let mut acc = lanes
-                        .first()
-                        .cloned()
-                        .ok_or_else(|| ExecError::Trap("reduction of empty vector".into()))?;
-                    for lane in &lanes[1..] {
-                        acc = eval_bin(op.as_bin_op(), elem, &acc, lane)?;
-                    }
-                    regs[dst.index()] = acc;
+                    let op = op.as_bin_op();
+                    let empty = || ExecError::Trap("reduction of empty vector".into());
+                    regs[dst.index()] = match regs[src.index()].as_vector() {
+                        Lanes::Float(v) if elem.is_float() => {
+                            let (&first, rest) = v.split_first().ok_or_else(empty)?;
+                            let pair = |acc, &x| float_op(op, elem, Pair(acc, x));
+                            Value::Float(rest.iter().try_fold(first, pair)?)
+                        }
+                        Lanes::Int(v) if elem.is_int() => {
+                            let (&first, rest) = v.split_first().ok_or_else(empty)?;
+                            let pair = |acc, &x| int_op(op, elem, Pair(acc, x));
+                            Value::Int(rest.iter().try_fold(first, pair)?)
+                        }
+                        other => {
+                            panic!("vector reduce {op}.{elem} of lanes of another kind: {other:?}")
+                        }
+                    };
                 }
                 Inst::Jump { target } => {
                     block = target;
@@ -1236,6 +1330,34 @@ mod tests {
             interp16.run("w", &[], &mut mem).unwrap(),
             Some(Value::Int(16))
         );
+    }
+
+    /// Run `f`, which verification rejects, to the panic it meets.
+    fn run_ill_typed(f: crate::Function) {
+        assert!(crate::verify_function(&f).is_err(), "{} verifies", f.name);
+        run_simple(f, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "expected float value, found Vector")]
+    fn splatting_a_vector_register_panics() {
+        let mut b = FunctionBuilder::new("nest", &[], None);
+        let one = b.const_float(ScalarType::F32, 1.0);
+        let v = b.vec_splat(ScalarType::F32, one);
+        b.vec_splat(ScalarType::F32, v);
+        b.ret(None);
+        run_ill_typed(b.finish());
+    }
+
+    #[test]
+    #[should_panic(expected = "vector add.f32 of lanes of another kind")]
+    fn a_float_vector_operation_over_int_lanes_panics() {
+        let mut b = FunctionBuilder::new("mixed", &[], None);
+        let one = b.const_int(ScalarType::I32, 1);
+        let v = b.vec_splat(ScalarType::I32, one);
+        b.vec_bin(BinOp::Add, ScalarType::F32, v, v);
+        b.ret(None);
+        run_ill_typed(b.finish());
     }
 
     #[test]

@@ -78,8 +78,8 @@ pub use encode::{
 pub use function::{Block, Function};
 pub use inst::{BinOp, BlockId, CmpOp, Immediate, Inst, ReduceOp, UnOp, VReg};
 pub use interp::{
-    eval_bin, eval_cast, eval_cmp, normalize_int, ExecError, ExecStats, Interpreter, Memory, Value,
-    DEFAULT_FUEL, DEFAULT_VECTOR_WIDTH_BYTES,
+    eval_bin, eval_cast, eval_cmp, normalize_int, ExecError, ExecStats, Interpreter, Lanes, Memory,
+    Value, DEFAULT_FUEL, DEFAULT_VECTOR_WIDTH_BYTES,
 };
 pub use module::Module;
 pub use pretty::format_inst;

@@ -8,7 +8,7 @@
 //! up in a diff against the printout of a tree where the pin held.
 
 use splitc_targets::{Fnv1a, MachineValue, SimError, SimStats};
-use splitc_vbc::{ExecError, ExecStats, Value};
+use splitc_vbc::{ExecError, ExecStats, Lanes, Value};
 
 /// FNV-1a over one run: its outcome (variant, value bits, error text), all
 /// eleven [`SimStats`] counters and the whole memory image.
@@ -66,10 +66,17 @@ pub fn interp_digest(out: &Result<Option<Value>, ExecError>, stats: &ExecStats, 
                 h.write(b"float");
                 h.write(&v.to_bits().to_le_bytes());
             }
-            Value::Vector(lanes) => {
+            // The tag, then each lane as the scalar it holds.
+            Value::Vector(Lanes::Int(lanes)) => {
                 h.write(b"vector");
-                for lane in lanes {
-                    value(h, lane);
+                for &lane in lanes {
+                    value(h, &Value::Int(lane));
+                }
+            }
+            Value::Vector(Lanes::Float(lanes)) => {
+                h.write(b"vector");
+                for &lane in lanes {
+                    value(h, &Value::Float(lane));
                 }
             }
         }
