@@ -1620,14 +1620,9 @@ mod tests {
         )
     }
 
-    #[test]
-    fn every_pair_kind_names_the_handler_its_instructions_lower_to() {
-        // A welded pair runs each constituent on `base` of its pair kind, and
-        // so does the fuel tail for a welded opener alone, so that must act
-        // as the handler `lower` gave the row: both run the row from the same
-        // state and must leave the same one. The variants are completed by
-        // the classes `Mov`, `Spill`, `Reload` and `Ret` dispatch on, so
-        // that every kind is met.
+    /// [`one_of_every_variant`] completed by the classes `Mov`, `Spill`,
+    /// `Reload` and `Ret` dispatch on, so that every pair kind is met.
+    fn one_of_every_kind() -> Vec<MInst> {
         let (r, f) = (PReg::int, PReg::float);
         let mut insts = one_of_every_variant();
         insts.extend([
@@ -1640,25 +1635,78 @@ mod tests {
             MInst::Ret { value: None },
             MInst::Ret { value: Some(r(1)) },
         ]);
+        insts
+    }
+
+    /// `inst` alone in function `f`, followed by a `Ret` unless it is a
+    /// terminator.
+    fn alone(inst: &MInst) -> MProgram {
+        let mut block = vec![inst.clone()];
+        if !inst.is_terminator() {
+            block.push(MInst::Ret { value: None });
+        }
+        program(vec![MFunction {
+            name: "f".into(),
+            params: vec![],
+            blocks: vec![MBlock { insts: block }],
+            num_slots: 1,
+        }])
+    }
+
+    #[test]
+    fn every_kind_prepares_to_its_recorded_record_row_and_pair_kind() {
+        // What preparation states for each instruction: its record's operand
+        // fields, every field of its `OpInfo` row and its pair kind, under
+        // the default cost table and a pairwise distinct one. The fuel sweep
+        // sees a row only through the cycles and stalls it causes; this sees
+        // every field, untracked operands included.
+        let mut pins = Pins::default();
+        for (label, cost) in [
+            ("default", CostModel::default()),
+            ("distinct", distinct_costs()),
+        ] {
+            let target = TargetDesc {
+                cost,
+                ..TargetDesc::x86_sse()
+            };
+            for inst in one_of_every_kind() {
+                let prog = PreparedProgram::prepare_with(&alone(&inst), &target, false).unwrap();
+                let f = &prog.functions[0];
+                let (op, row) = (&f.ops[0], &f.info[0]);
+                let mut h = crate::Fnv1a::new();
+                h.write(&op.imm.to_le_bytes());
+                for x in [op.a, op.b, op.c, op.d] {
+                    h.write(&x.to_le_bytes());
+                }
+                for x in [op.e, op.f] {
+                    h.write(&x.to_le_bytes());
+                }
+                h.write(&row.cycles.to_le_bytes());
+                for x in row.regs {
+                    h.write(&x.to_le_bytes());
+                }
+                h.write(&[row.class.map_or(0xff, |c| c as u8), row.tags, f.kinds[0]]);
+                pins.note(format!("{inst:?} under the {label} costs"), h.finish());
+            }
+        }
+        pins.check(3_759_081_400_110_230_637);
+    }
+
+    #[test]
+    fn every_pair_kind_names_the_handler_its_instructions_lower_to() {
+        // A welded pair runs each constituent on `base` of its pair kind, and
+        // so does the fuel tail for a welded opener alone, so that must act
+        // as the handler `lower` gave the row: both run the row from the same
+        // state and must leave the same one.
         let target = TargetDesc::x86_sse();
         let mut kinds = Vec::new();
-        for inst in insts {
+        for inst in one_of_every_kind() {
             let kind = dispatch::pair_kind(&inst);
             if usize::from(kind) >= dispatch::NSECOND {
                 continue;
             }
             kinds.push(kind);
-            let mut block = vec![inst.clone()];
-            if !inst.is_terminator() {
-                block.push(MInst::Ret { value: None });
-            }
-            let program = program(vec![MFunction {
-                name: "f".into(),
-                params: vec![],
-                blocks: vec![MBlock { insts: block }],
-                num_slots: 1,
-            }]);
-            let prog = PreparedProgram::prepare_with(&program, &target, false).unwrap();
+            let prog = PreparedProgram::prepare_with(&alone(&inst), &target, false).unwrap();
             let (own, base) = (
                 prog.functions[0].ops[0].handler,
                 dispatch::base(kind.into()),
@@ -2657,26 +2705,12 @@ mod tests {
         results
     }
 
-    #[test]
-    fn fuel_exhaustion_is_identical_across_legacy_fused_and_unfused() {
-        let pins = &mut Pins::default();
-        // `OutOfFuel` must trigger at the identical retired-instruction count
-        // on every path — threaded welded and unwelded, and the recorded runs
-        // of the block walk — i.e. for every fuel value from 0 to "just
-        // enough", including ones that land *inside* a welded pair, all paths
-        // agree on outcome, memory and full stats, under both timing tiers.
-        // On the every-kind program each fuel value adds exactly one
-        // instruction to the prefix the fuel tail retires, so the sweep
-        // checks every `op_info` row against its recorded digest.
-        let inputs = [
-            (counting_loop(), "count", MachineValue::Int(4)),
-            (every_kind_program(5), "kinds", MachineValue::Int(16)),
-        ];
-        // Pairwise distinct costs, so a row charging the wrong table entry
-        // shows in `cycles`; and long enough that a consumer several
-        // instructions behind its producer still stalls under the pipeline,
-        // so a row naming the wrong scoreboard key shows in `stalls`.
-        let cost = CostModel {
+    /// Pairwise distinct costs, so a row charging the wrong table entry
+    /// shows in `cycles`; and long enough that a consumer several
+    /// instructions behind its producer still stalls under the pipeline, so
+    /// a row naming the wrong scoreboard key shows in `stalls`.
+    fn distinct_costs() -> CostModel {
+        CostModel {
             int_op: 23,
             int_mul: 29,
             int_div: 31,
@@ -2696,7 +2730,25 @@ mod tests {
             call: 97,
             spill_store: 101,
             spill_load: 103,
-        };
+        }
+    }
+
+    #[test]
+    fn fuel_exhaustion_is_identical_across_legacy_fused_and_unfused() {
+        let pins = &mut Pins::default();
+        // `OutOfFuel` must trigger at the identical retired-instruction count
+        // on every path — threaded welded and unwelded, and the recorded runs
+        // of the block walk — i.e. for every fuel value from 0 to "just
+        // enough", including ones that land *inside* a welded pair, all paths
+        // agree on outcome, memory and full stats, under both timing tiers.
+        // On the every-kind program each fuel value adds exactly one
+        // instruction to the prefix the fuel tail retires, so the sweep
+        // checks every `op_info` row against its recorded digest.
+        let inputs = [
+            (counting_loop(), "count", MachineValue::Int(4)),
+            (every_kind_program(5), "kinds", MachineValue::Int(16)),
+        ];
+        let cost = distinct_costs();
         for (program, func, arg) in &inputs {
             for timing in [TimingKind::Flat, TimingKind::InOrder] {
                 let target = TargetDesc {

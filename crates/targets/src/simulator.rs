@@ -511,7 +511,12 @@ pub(crate) mod tests {
             stats: &SimStats,
             mem: &[u8],
         ) {
-            self.0.push((cell.into(), run_digest(out, stats, mem)));
+            self.note(cell, run_digest(out, stats, mem));
+        }
+
+        /// Note `digest`, of anything but a run, for `cell`.
+        pub(crate) fn note(&mut self, cell: impl Into<String>, digest: u64) {
+            self.0.push((cell.into(), digest));
         }
 
         /// Assert that the fold of every cell's digest is `pinned`.
