@@ -57,10 +57,11 @@
 //! [`CostModel`](crate::CostModel).
 //!
 //! Preparation walks each function's blocks once ([`build_threaded`]): it
-//! checks each instruction and lowers it to its record ([`lower`]), its
-//! `OpInfo` row and its pair kind ([`pair_kind`]), which the welding sweep
-//! reads and marks [`WELDED`] on each opener it welds, and from which the
-//! fuel tail recovers a welded opener's own handler ([`base`]) and `disasm`
+//! checks each instruction and lowers it ([`lower`], one arm per [`MInst`]
+//! variant) to its record, its `OpInfo` row and its pair kind, which the
+//! welding sweep reads and marks [`WELDED`] on each opener it welds, and
+//! from which the fuel tail recovers a welded opener's own handler
+//! ([`base`], which also gives a pairable record its handler) and `disasm`
 //! its weld marks. This is deploy-time work a device pays on every bring-up, so
 //! the builder allocates only what the function keeps, once each: `ops`,
 //! `info` and `kinds` are sized from its row count, `calls` and `targets`
@@ -69,16 +70,17 @@
 //! region pass's scratch table lives in a [`ThreadedScratch`] that
 //! `prepare_with` sizes once per program and reuses across its functions.
 
+use crate::desc::CostModel;
 use crate::exec::{
-    op_info, retire_run, store_slot_vec, CallSite, Frame, FramePool, OpInfo, Prep,
-    PreparedFunction, PreparedProgram, SlotValue,
+    retire_run, store_slot_vec, CallSite, Frame, FramePool, OpInfo, Prep, PreparedFunction,
+    PreparedProgram, SlotValue, NO,
 };
 use crate::mcode::{AluOp, CmpPred, FpuOp, MFunction, MInst, PReg, RedOp, RegClass, Width};
 use crate::simulator::{
     alu, check_range, compare, fpu, normalize, read_lane_float, read_lane_int, read_mem,
     write_lane_float, write_lane_int, write_mem, MachineValue, SimError, SimStats,
 };
-use crate::timing::{InOrderPipeline, Recorder, Summary, TimingKind};
+use crate::timing::{InOrderPipeline, LatClass, Recorder, Summary, TimingKind};
 use std::ops::Range;
 
 /// A handler executes one packed record against the live execution context.
@@ -1448,31 +1450,6 @@ fn by_class<T>(class: RegClass, [int, float, vec]: [T; 3]) -> T {
     }
 }
 
-/// Pairable kind of one instruction's record ([`K_NONE`] when the record
-/// cannot take part in a pair).
-pub(crate) fn pair_kind(inst: &MInst) -> u8 {
-    match *inst {
-        MInst::Imm { .. } => K_IMM,
-        MInst::FImm { .. } => K_FIMM,
-        MInst::Mov { dst, .. } => by_class(dst.class, [K_MOV_INT, K_MOV_FLOAT, K_NONE]),
-        MInst::IntOp { .. } => K_INT_OP,
-        MInst::IntResize { .. } => K_INT_RESIZE,
-        MInst::IntCmp { .. } => K_INT_CMP,
-        MInst::FloatOp { .. } => K_FLOAT_OP,
-        MInst::Load { float: false, .. } => K_LOAD_INT,
-        MInst::Load { float: true, .. } => K_LOAD_FLOAT,
-        MInst::Store { float: false, .. } => K_STORE_INT,
-        MInst::Store { float: true, .. } => K_STORE_FLOAT,
-        MInst::Spill { src, .. } => by_class(src.class, [K_SPILL_INT, K_SPILL_FLOAT, K_NONE]),
-        MInst::Reload { dst, .. } => by_class(dst.class, [K_RELOAD_INT, K_RELOAD_FLOAT, K_NONE]),
-        MInst::BranchNz { .. } => K_BRANCH_NZ,
-        MInst::Jump { .. } => K_JUMP,
-        MInst::Ret { value: None } => K_RET_NONE,
-        MInst::Ret { value: Some(r) } => by_class(r.class, [K_RET_INT, K_RET_FLOAT, K_NONE]),
-        _ => K_NONE,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Prepare-time lowering: machine instructions -> records, rows and the
 // threaded stream.
@@ -1579,8 +1556,7 @@ pub(crate) fn build_threaded(
         targets[bi].row = ops.len() as u32;
         for inst in insts {
             let lanes = prep.check(inst, f)?;
-            let mut record = lower(inst, lanes);
-            let row = op_info(inst, prep.cost);
+            let (mut record, row, kind) = lower(inst, lanes, prep.cost);
             let end = if let MInst::Call { callee, args, ret } = inst {
                 (record.e, record.f) = (calls.len() as u32, (nblocks + calls.len()) as u32);
                 calls.push(CallSite {
@@ -1601,7 +1577,7 @@ pub(crate) fn build_threaded(
             selects += usize::from(row.is(OpInfo::SELECT));
             ops.push(record);
             info.push(row);
-            kinds.push(pair_kind(inst));
+            kinds.push(kind);
             ends.push(end);
         }
         // Running past a block's end traps ("fell off the end").
@@ -1717,26 +1693,47 @@ fn record_segments(info: &[OpInfo], t: &BlockTarget, rec: &mut Recorder, segs: &
     }
 }
 
-/// The record of one instruction that [`Prep::check`] accepted,
-/// with `lanes` the lane count of a vector kind that has one: what its
-/// handler needs. Block numbers are region indexes as they stand. A call's
-/// record is completed by the builder, which knows its call-table index
-/// (`e`) and its after-call region (`f`).
+/// A record the weld table can pair: its handler is [`base`] of its `kind`.
+fn weld(kind: u8) -> (OpRecord, u8) {
+    (rec(base(usize::from(kind))), kind)
+}
+
+/// A record no pair takes, on `handler`.
+fn lone(handler: Handler) -> (OpRecord, u8) {
+    (rec(handler), K_NONE)
+}
+
+/// The one prepare-time statement of an instruction that [`Prep::check`]
+/// accepted, with `lanes` the lane count of a vector kind that has one: its
+/// record (what its handler needs), its [`OpInfo`] row on a target with cost
+/// table `cost` and its pair kind ([`K_NONE`] when it cannot take part in a
+/// pair). Block numbers are region indexes as they stand. A call's record is
+/// completed by the builder, which knows its call-table index (`e`) and its
+/// after-call region (`f`). A vector register is not scoreboarded, so a row
+/// names one as untracked ([`NO`]).
 #[allow(clippy::too_many_lines)]
-pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
-    let mut r;
+pub(crate) fn lower(inst: &MInst, lanes: u32, cost: &CostModel) -> (OpRecord, OpInfo, u8) {
+    use LatClass as L;
+    let unit = |class, dst, a, b| OpInfo::unit(class, cost, dst, a, b);
+    let (mut r, row, kind);
     match *inst {
         MInst::Imm { dst, value } => {
-            r = rec(h_imm);
+            (r, kind) = weld(K_IMM);
             (r.a, r.imm) = (dst.index, value);
+            row = unit(L::Mov, dst, NO, NO);
         }
         MInst::FImm { dst, value } => {
-            r = rec(h_fimm);
+            (r, kind) = weld(K_FIMM);
             (r.a, r.imm) = (dst.index, value.to_bits() as i64);
+            row = unit(L::Mov, dst, NO, NO);
         }
         MInst::Mov { dst, src } => {
-            r = rec(by_class(dst.class, [h_mov_int, h_mov_float, h_mov_vec]));
+            (r, kind) = by_class(
+                dst.class,
+                [weld(K_MOV_INT), weld(K_MOV_FLOAT), lone(h_mov_vec)],
+            );
             (r.a, r.b) = (dst.index, src.index);
+            row = unit(L::Mov, dst, src, NO);
         }
         MInst::IntOp {
             op,
@@ -1746,9 +1743,15 @@ pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
             lhs,
             rhs,
         } => {
-            r = rec(h_int_op);
+            (r, kind) = weld(K_INT_OP);
             (r.a, r.b, r.c) = (dst.index, lhs.index, rhs.index);
             r.d = alu_bits(op) | wbits(width) << 4 | u16::from(signed) << 6;
+            let class = match op {
+                AluOp::Mul => L::Mul,
+                AluOp::Div | AluOp::Rem => L::Div,
+                _ => L::Alu,
+            };
+            row = unit(class, dst, lhs, rhs);
         }
         MInst::FloatOp {
             op,
@@ -1757,21 +1760,30 @@ pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
             lhs,
             rhs,
         } => {
-            r = rec(h_float_op);
+            (r, kind) = weld(K_FLOAT_OP);
             (r.a, r.b, r.c) = (dst.index, lhs.index, rhs.index);
             r.d = fpu_bits(op) | u16::from(double) << 3;
+            let class = match op {
+                FpuOp::Mul => L::FpMul,
+                FpuOp::Div => L::FpDiv,
+                _ => L::FpAdd,
+            };
+            row = unit(class, dst, lhs, rhs);
         }
         MInst::IntNeg { width, dst, src } => {
-            r = rec(h_int_neg);
+            (r, kind) = lone(h_int_neg);
             (r.a, r.b, r.d) = (dst.index, src.index, wbits(width));
+            row = unit(L::Alu, dst, src, NO);
         }
         MInst::IntNot { width, dst, src } => {
-            r = rec(h_int_not);
+            (r, kind) = lone(h_int_not);
             (r.a, r.b, r.d) = (dst.index, src.index, wbits(width));
+            row = unit(L::Alu, dst, src, NO);
         }
         MInst::FloatNeg { double, dst, src } => {
-            r = rec(h_float_neg);
+            (r, kind) = lone(h_float_neg);
             (r.a, r.b, r.d) = (dst.index, src.index, u16::from(double));
+            row = unit(L::FpAdd, dst, src, NO);
         }
         MInst::IntCmp {
             pred,
@@ -1781,9 +1793,10 @@ pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
             lhs,
             rhs,
         } => {
-            r = rec(h_int_cmp);
+            (r, kind) = weld(K_INT_CMP);
             (r.a, r.b, r.c) = (dst.index, lhs.index, rhs.index);
             r.d = pred_bits(pred) | wbits(width) << 3 | u16::from(signed) << 5;
+            row = unit(L::Alu, dst, lhs, rhs);
         }
         MInst::FloatCmp {
             pred,
@@ -1792,22 +1805,27 @@ pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
             lhs,
             rhs,
         } => {
-            r = rec(h_float_cmp);
+            (r, kind) = lone(h_float_cmp);
             (r.a, r.b, r.c) = (dst.index, lhs.index, rhs.index);
             r.d = pred_bits(pred) | u16::from(double) << 3;
+            row = unit(L::FpAdd, dst, lhs, rhs);
         }
+        // The row's second read is whichever source the condition picks: it
+        // names `if_true`'s file and whoever retires it supplies the register.
         MInst::Select {
             dst,
             cond,
             if_true,
             if_false,
         } => {
-            r = rec(by_class(
+            (r, kind) = lone(by_class(
                 dst.class,
                 [h_select_int, h_select_float, h_select_vec],
             ));
             (r.a, r.b) = (dst.index, cond.index);
             (r.c, r.d) = (if_true.index, if_false.index);
+            let select = by_class(dst.class, [OpInfo::SELECT, OpInfo::SELECT, 0]);
+            row = unit(L::Mov, dst, cond, if_true).with(select);
         }
         MInst::IntToFloat {
             signed,
@@ -1815,9 +1833,10 @@ pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
             dst,
             src,
         } => {
-            r = rec(h_int_to_float);
+            (r, kind) = lone(h_int_to_float);
             (r.a, r.b) = (dst.index, src.index);
             r.d = u16::from(signed) | u16::from(double) << 1;
+            row = unit(L::Convert, dst, src, NO);
         }
         MInst::FloatToInt {
             width,
@@ -1825,17 +1844,19 @@ pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
             dst,
             src,
         } => {
-            r = rec(h_float_to_int);
+            (r, kind) = lone(h_float_to_int);
             (r.a, r.b) = (dst.index, src.index);
             r.d = wbits(width) | u16::from(signed) << 2;
+            row = unit(L::Convert, dst, src, NO);
         }
         MInst::FloatCvt {
             to_double,
             dst,
             src,
         } => {
-            r = rec(h_float_cvt);
+            (r, kind) = lone(h_float_cvt);
             (r.a, r.b, r.d) = (dst.index, src.index, u16::from(to_double));
+            row = unit(L::Convert, dst, src, NO);
         }
         MInst::IntResize {
             width,
@@ -1843,9 +1864,10 @@ pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
             dst,
             src,
         } => {
-            r = rec(h_int_resize);
+            (r, kind) = weld(K_INT_RESIZE);
             (r.a, r.b) = (dst.index, src.index);
             r.d = wbits(width) | u16::from(signed) << 2;
+            row = unit(L::Alu, dst, src, NO);
         }
         MInst::Load {
             width,
@@ -1856,13 +1878,14 @@ pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
             offset,
         } => {
             if float {
-                r = rec(h_load_float);
+                (r, kind) = weld(K_LOAD_FLOAT);
                 r.d = wbits(width);
             } else {
-                r = rec(h_load_int);
+                (r, kind) = weld(K_LOAD_INT);
                 r.d = wbits(width) | u16::from(signed) << 2;
             }
             (r.a, r.b, r.imm) = (dst.index, base.index, offset);
+            row = unit(L::Load, dst, base, NO);
         }
         MInst::Store {
             width,
@@ -1871,25 +1894,30 @@ pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
             offset,
             src,
         } => {
-            r = rec(if float { h_store_float } else { h_store_int });
+            (r, kind) = weld(if float { K_STORE_FLOAT } else { K_STORE_INT });
             (r.a, r.b, r.imm) = (src.index, base.index, offset);
             r.d = wbits(width);
+            row = unit(L::Store, NO, base, src);
         }
         MInst::VecLoad { dst, base, offset } => {
-            r = rec(h_vec_load);
+            (r, kind) = lone(h_vec_load);
             (r.a, r.b, r.imm) = (dst.index, base.index, offset);
+            row = unit(L::VecLoad, NO, base, NO);
         }
         MInst::VecStore { base, offset, src } => {
-            r = rec(h_vec_store);
+            (r, kind) = lone(h_vec_store);
             (r.a, r.b, r.imm) = (src.index, base.index, offset);
+            row = unit(L::VecStore, NO, base, NO);
         }
         MInst::VecSplatInt { elem, dst, src } => {
-            r = rec(h_vec_splat_int);
+            (r, kind) = lone(h_vec_splat_int);
             (r.a, r.b, r.d, r.e) = (dst.index, src.index, wbits(elem), lanes);
+            row = unit(L::Vec, NO, src, NO);
         }
         MInst::VecSplatFloat { elem, dst, src } => {
-            r = rec(h_vec_splat_float);
+            (r, kind) = lone(h_vec_splat_float);
             (r.a, r.b, r.d, r.e) = (dst.index, src.index, wbits(elem), lanes);
+            row = unit(L::Vec, NO, src, NO);
         }
         MInst::VecIntOp {
             op,
@@ -1899,9 +1927,10 @@ pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
             lhs,
             rhs,
         } => {
-            r = rec(h_vec_int_op);
+            (r, kind) = lone(h_vec_int_op);
             (r.a, r.b, r.c, r.e) = (dst.index, lhs.index, rhs.index, lanes);
             r.d = alu_bits(op) | wbits(elem) << 4 | u16::from(signed) << 6;
+            row = unit(L::Vec, NO, NO, NO);
         }
         MInst::VecFloatOp {
             op,
@@ -1910,9 +1939,10 @@ pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
             lhs,
             rhs,
         } => {
-            r = rec(h_vec_float_op);
+            (r, kind) = lone(h_vec_float_op);
             (r.a, r.b, r.c, r.e) = (dst.index, lhs.index, rhs.index, lanes);
             r.d = fpu_bits(op) | wbits(elem) << 3;
+            row = unit(L::Vec, NO, NO, NO);
         }
         MInst::VecReduceInt {
             op,
@@ -1921,49 +1951,62 @@ pub(crate) fn lower(inst: &MInst, lanes: u32) -> OpRecord {
             dst,
             src,
         } => {
-            r = rec(h_vec_reduce_int);
+            (r, kind) = lone(h_vec_reduce_int);
             (r.a, r.b, r.e) = (dst.index, src.index, lanes);
             r.d = red_bits(op) | wbits(elem) << 2 | u16::from(signed) << 4;
+            row = unit(L::VecReduce, dst, NO, NO);
         }
         MInst::VecReduceFloat { op, elem, dst, src } => {
-            r = rec(h_vec_reduce_float);
+            (r, kind) = lone(h_vec_reduce_float);
             (r.a, r.b, r.e) = (dst.index, src.index, lanes);
             r.d = red_bits(op) | wbits(elem) << 2;
+            row = unit(L::VecReduce, dst, NO, NO);
         }
         MInst::Spill { slot, src } => {
-            r = rec(by_class(
+            (r, kind) = by_class(
                 src.class,
-                [h_spill_int, h_spill_float, h_spill_vec],
-            ));
+                [weld(K_SPILL_INT), weld(K_SPILL_FLOAT), lone(h_spill_vec)],
+            );
             (r.a, r.e) = (src.index, slot);
+            row = unit(L::SpillStore, NO, src, NO);
         }
         MInst::Reload { slot, dst } => {
-            r = rec(by_class(
+            (r, kind) = by_class(
                 dst.class,
-                [h_reload_int, h_reload_float, h_reload_vec],
-            ));
+                [weld(K_RELOAD_INT), weld(K_RELOAD_FLOAT), lone(h_reload_vec)],
+            );
             (r.a, r.e) = (dst.index, slot);
+            row = unit(L::SpillReload, dst, NO, NO);
         }
         MInst::Jump { target } => {
-            r = rec(h_jump);
+            (r, kind) = weld(K_JUMP);
             r.e = target;
+            row = OpInfo::control(cost.branch_taken, NO, OpInfo::BRANCH);
         }
         MInst::BranchNz {
             cond,
             then_target,
             else_target,
         } => {
-            r = rec(h_branch_nz);
+            (r, kind) = weld(K_BRANCH_NZ);
             (r.a, r.e, r.f) = (cond.index, then_target, else_target);
+            row = OpInfo::control(0, cond, OpInfo::BRANCH);
         }
-        MInst::Call { .. } => r = rec(h_call),
+        MInst::Call { .. } => {
+            (r, kind) = lone(h_call);
+            row = OpInfo::control(0, NO, 0);
+        }
         MInst::Ret { value } => {
-            r = rec(match value {
-                None => h_ret_none,
-                Some(v) => by_class(v.class, [h_ret_int, h_ret_float, h_ret_vec]),
-            });
+            (r, kind) = match value {
+                None => weld(K_RET_NONE),
+                Some(v) => by_class(
+                    v.class,
+                    [weld(K_RET_INT), weld(K_RET_FLOAT), lone(h_ret_vec)],
+                ),
+            };
             r.a = value.map_or(0, |v| v.index);
+            row = unit(L::Mov, NO, value.unwrap_or(NO), NO).with(OpInfo::CLOSES | OpInfo::RET);
         }
     }
-    r
+    (r, row, kind)
 }

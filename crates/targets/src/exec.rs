@@ -20,8 +20,8 @@
 //!   listed on [`PreparedProgram::prepare`]);
 //! * what retiring each instruction costs — latency class, cycle charge,
 //!   scoreboard keys, counter bumps — is **tabulated once** per instruction
-//!   ([`OpInfo`], stated per kind by [`op_info`]) and vector lane counts are
-//!   precomputed;
+//!   ([`OpInfo`], stated per kind by the instruction's `lower` arm in
+//!   `dispatch.rs`) and vector lane counts are precomputed;
 //! * call frames come from a [`FramePool`] that recycles the register-file
 //!   and spill-slot allocations across calls and across runs (and carries the
 //!   run's optional wall-clock deadline, which the executing thread polls at
@@ -76,10 +76,11 @@
 //!    The row *is* the store's wire encoding, the online compiler's def/use
 //!    walks and the prepare-time register check (`MInst::bad_operand`);
 //!    nothing in `store.rs` or `mir.rs` names the variant;
-//! 2. its handler and `lower` arm in `dispatch.rs` (plus a pair kind in
-//!    `pair_kind` if it should weld);
-//! 3. its row in [`op_info`] — all either timing tier needs, unless a
-//!    scoreboard key of the new kind is only known at run time.
+//! 2. its handler and `lower` arm in `dispatch.rs`. The arm states the
+//!    record, the [`OpInfo`] row — all either timing tier needs, unless a
+//!    scoreboard key of the new kind is only known at run time — and the
+//!    pair kind: `weld(K_…)` for a kind the weld table may pair, which also
+//!    gives the record that kind's handler, `lone(h_…)` otherwise.
 //!
 //! Then add it to the unit programs that pin every kind (`every_kind_program`
 //! and `one_of_every_variant` in this module's tests) and to the operand
@@ -125,7 +126,7 @@
 use crate::desc::{CostModel, TargetDesc};
 pub use crate::dispatch::FusionStats;
 use crate::dispatch::{self, ExecCtx, OpRecord};
-use crate::mcode::{AluOp, FpuOp, MFunction, MInst, MProgram, PReg, RegClass};
+use crate::mcode::{MFunction, MInst, MProgram, PReg, RegClass};
 use crate::simulator::{
     lane_count, MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH,
 };
@@ -303,7 +304,8 @@ const _: () = assert!(std::mem::size_of::<OpRecord>() <= 32);
 const _: () = assert!(std::mem::size_of::<OpInfo>() <= 16);
 
 /// What retiring one instruction costs: the one per-instruction fact table.
-/// [`op_info`] states it once per [`MInst`] kind; region prepayment sums it,
+/// Each [`MInst`] variant's `lower` arm (`dispatch.rs`) states it, from
+/// [`OpInfo::unit`] or [`OpInfo::control`]; region prepayment sums it,
 /// in-order timing records segment summaries from it and retires it row by
 /// row where a summary does not apply, the cold exits read its tags, and
 /// `disasm` prints it.
@@ -330,14 +332,14 @@ pub(crate) struct OpInfo {
 
 /// An [`OpInfo`] operand the scoreboard does not track: vector registers are
 /// not scoreboarded, and an absent operand is written as one.
-const NO: PReg = PReg {
+pub(crate) const NO: PReg = PReg {
     class: RegClass::Vec,
     index: 0,
 };
 
 impl OpInfo {
     /// Counts in `stats.branches`.
-    const BRANCH: u8 = 1 << 3;
+    pub(crate) const BRANCH: u8 = 1 << 3;
     /// Closes its straight-line region: a jump, branch, call, return or
     /// fall-off.
     pub(crate) const CLOSES: u8 = 1 << 4;
@@ -356,6 +358,44 @@ impl OpInfo {
         class: None,
         tags: OpInfo::CLOSES | OpInfo::FELL_OFF,
     };
+
+    /// The row of an instruction retired on unit `class`, at that unit's
+    /// charge in `cost`, writing `dst` and reading `a` and `b`.
+    pub(crate) fn unit(class: LatClass, cost: &CostModel, dst: PReg, a: PReg, b: PReg) -> OpInfo {
+        use LatClass as L;
+        let cycles = match class {
+            L::Alu => cost.int_op,
+            L::Mul => cost.int_mul,
+            L::Div => cost.int_div,
+            L::FpAdd => cost.fp_add,
+            L::FpMul => cost.fp_mul,
+            L::FpDiv => cost.fp_div,
+            L::Load => cost.load,
+            L::Store => cost.store,
+            L::Mov => cost.mov,
+            L::Convert => cost.convert,
+            L::Vec => cost.vec_op,
+            L::VecLoad => cost.vec_load,
+            L::VecStore => cost.vec_store,
+            L::VecReduce => cost.vec_reduce,
+            L::SpillStore => cost.spill_store,
+            L::SpillReload => cost.spill_load,
+        };
+        OpInfo::new(Some(class), cycles, [dst, a, b], 0)
+    }
+
+    /// The row of a control instruction, which the timing model prices
+    /// through its control-flow hooks: it closes its region at `cycles`,
+    /// reads `a` and carries the kind bits `tags` too.
+    pub(crate) fn control(cycles: u64, a: PReg, tags: u8) -> OpInfo {
+        OpInfo::new(None, cycles, [NO, a, NO], OpInfo::CLOSES | tags)
+    }
+
+    /// This row with the kind bits `tags` set too.
+    pub(crate) fn with(mut self, tags: u8) -> OpInfo {
+        self.tags |= tags;
+        self
+    }
 
     fn new(class: Option<LatClass>, cycles: u64, operands: [PReg; 3], mut tags: u8) -> OpInfo {
         let mut regs = [u16::MAX; 3];
@@ -433,110 +473,6 @@ impl OpInfo {
     pub(crate) fn retire<T: TimingModel>(&self, stats: &mut SimStats, tm: &mut T, b: u32) {
         let class = self.class.expect("kinds priced by `op` have a class");
         tm.op(stats, class, self.cycles, self.dst_key(), self.key(1), b);
-    }
-}
-
-/// The [`OpInfo`] row of one instruction on a target with cost table `cost`.
-/// A vector register is not scoreboarded, so an operand row names one as
-/// untracked.
-pub(crate) fn op_info(inst: &MInst, cost: &CostModel) -> OpInfo {
-    use LatClass as L;
-    let op = |class: LatClass, dst: PReg, a: PReg, b: PReg| {
-        let cycles = match class {
-            L::Alu => cost.int_op,
-            L::Mul => cost.int_mul,
-            L::Div => cost.int_div,
-            L::FpAdd => cost.fp_add,
-            L::FpMul => cost.fp_mul,
-            L::FpDiv => cost.fp_div,
-            L::Load => cost.load,
-            L::Store => cost.store,
-            L::Mov => cost.mov,
-            L::Convert => cost.convert,
-            L::Vec => cost.vec_op,
-            L::VecLoad => cost.vec_load,
-            L::VecStore => cost.vec_store,
-            L::VecReduce => cost.vec_reduce,
-            L::SpillStore => cost.spill_store,
-            L::SpillReload => cost.spill_load,
-        };
-        OpInfo::new(Some(class), cycles, [dst, a, b], 0)
-    };
-    let control = |cycles: u64, a: PReg, tags: u8| {
-        OpInfo::new(None, cycles, [NO, a, NO], OpInfo::CLOSES | tags)
-    };
-    match *inst {
-        MInst::Imm { dst, .. } | MInst::FImm { dst, .. } => op(L::Mov, dst, NO, NO),
-        MInst::Mov { dst, src } => op(L::Mov, dst, src, NO),
-        MInst::IntOp {
-            op: alu,
-            dst,
-            lhs,
-            rhs,
-            ..
-        } => {
-            let class = match alu {
-                AluOp::Mul => L::Mul,
-                AluOp::Div | AluOp::Rem => L::Div,
-                _ => L::Alu,
-            };
-            op(class, dst, lhs, rhs)
-        }
-        MInst::FloatOp {
-            op: fpu,
-            dst,
-            lhs,
-            rhs,
-            ..
-        } => {
-            let class = match fpu {
-                FpuOp::Mul => L::FpMul,
-                FpuOp::Div => L::FpDiv,
-                _ => L::FpAdd,
-            };
-            op(class, dst, lhs, rhs)
-        }
-        MInst::IntNeg { dst, src, .. }
-        | MInst::IntNot { dst, src, .. }
-        | MInst::IntResize { dst, src, .. } => op(L::Alu, dst, src, NO),
-        MInst::FloatNeg { dst, src, .. } => op(L::FpAdd, dst, src, NO),
-        MInst::IntCmp { dst, lhs, rhs, .. } => op(L::Alu, dst, lhs, rhs),
-        MInst::FloatCmp { dst, lhs, rhs, .. } => op(L::FpAdd, dst, lhs, rhs),
-        // The second read is whichever source the condition picks: the row
-        // names `if_true`'s file and whoever retires it supplies the register.
-        MInst::Select {
-            dst, cond, if_true, ..
-        } => {
-            let mut row = op(L::Mov, dst, cond, if_true);
-            if dst.class != RegClass::Vec {
-                row.tags |= OpInfo::SELECT;
-            }
-            row
-        }
-        MInst::IntToFloat { dst, src, .. }
-        | MInst::FloatToInt { dst, src, .. }
-        | MInst::FloatCvt { dst, src, .. } => op(L::Convert, dst, src, NO),
-        MInst::Load { dst, base, .. } => op(L::Load, dst, base, NO),
-        MInst::Store { base, src, .. } => op(L::Store, NO, base, src),
-        MInst::VecLoad { base, .. } => op(L::VecLoad, NO, base, NO),
-        MInst::VecStore { base, .. } => op(L::VecStore, NO, base, NO),
-        MInst::VecSplatInt { src, .. } | MInst::VecSplatFloat { src, .. } => {
-            op(L::Vec, NO, src, NO)
-        }
-        MInst::VecIntOp { .. } | MInst::VecFloatOp { .. } => op(L::Vec, NO, NO, NO),
-        MInst::VecReduceInt { dst, .. } | MInst::VecReduceFloat { dst, .. } => {
-            op(L::VecReduce, dst, NO, NO)
-        }
-        MInst::Spill { src, .. } => op(L::SpillStore, NO, src, NO),
-        MInst::Reload { dst, .. } => op(L::SpillReload, dst, NO, NO),
-        MInst::Ret { value } => {
-            let mut row = op(L::Mov, NO, value.unwrap_or(NO), NO);
-            row.tags |= OpInfo::CLOSES | OpInfo::RET;
-            row
-        }
-        MInst::Jump { .. } => control(cost.branch_taken, NO, OpInfo::BRANCH),
-        MInst::BranchNz { cond, .. } => control(0, cond, OpInfo::BRANCH),
-        MInst::Call { .. } => control(0, NO, 0),
     }
 }
 
@@ -1220,7 +1156,7 @@ impl<'p> PreparedSimulator<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mcode::{CmpPred, MBlock, RedOp, Width};
+    use crate::mcode::{AluOp, CmpPred, FpuOp, MBlock, RedOp, Width};
     use crate::simulator::tests::Pins;
 
     fn call_program() -> MProgram {
@@ -1581,45 +1517,6 @@ mod tests {
         ]
     }
 
-    /// What running record 0 of `prog`'s one function once on `handler`
-    /// leaves behind, from a frame with a distinct value in every register,
-    /// `slot` in every spill slot and a patterned memory.
-    fn one_step(
-        prog: &PreparedProgram,
-        handler: dispatch::Handler,
-        slot: SlotValue,
-    ) -> impl PartialEq + std::fmt::Debug {
-        let f = &prog.functions[0];
-        let mut pool = FramePool::new();
-        let (int, float, vec) = (prog.int_regs, prog.float_regs, prog.vec_bytes_total);
-        let mut frame = pool.acquire(int, float, vec, f.num_slots);
-        for (i, x) in frame.int.iter_mut().enumerate() {
-            *x = 8 * (i as i64 + 1);
-        }
-        for (i, x) in frame.float.iter_mut().enumerate() {
-            *x = 0.5 + 1.25 * i as f64;
-        }
-        frame.slots.fill(slot);
-        let mut mem: Vec<u8> = (0..1024).map(|i| i as u8).collect();
-        let (mut fuel, mut stats) = (DEFAULT_SIM_FUEL, SimStats::default());
-        let mut cx = dispatch::ExecCtx::new(
-            prog, f, &mut frame, &mut mem, &mut pool, &mut fuel, &mut stats, 0, None,
-        );
-        let flow = handler(&f.ops[0], &mut cx, 0);
-        let (ret, err) = (cx.ret.take(), cx.err.take());
-        (
-            flow,
-            ret,
-            err,
-            frame.int,
-            frame.float,
-            frame.slots,
-            mem,
-            fuel,
-            stats,
-        )
-    }
-
     /// [`one_of_every_variant`] completed by the classes `Mov`, `Spill`,
     /// `Reload` and `Ret` dispatch on, so that every pair kind is met.
     fn one_of_every_kind() -> Vec<MInst> {
@@ -1693,32 +1590,15 @@ mod tests {
     }
 
     #[test]
-    fn every_pair_kind_names_the_handler_its_instructions_lower_to() {
-        // A welded pair runs each constituent on `base` of its pair kind, and
-        // so does the fuel tail for a welded opener alone, so that must act
-        // as the handler `lower` gave the row: both run the row from the same
-        // state and must leave the same one.
-        let target = TargetDesc::x86_sse();
-        let mut kinds = Vec::new();
-        for inst in one_of_every_kind() {
-            let kind = dispatch::pair_kind(&inst);
-            if usize::from(kind) >= dispatch::NSECOND {
-                continue;
-            }
-            kinds.push(kind);
-            let prog = PreparedProgram::prepare_with(&alone(&inst), &target, false).unwrap();
-            let (own, base) = (
-                prog.functions[0].ops[0].handler,
-                dispatch::base(kind.into()),
-            );
-            for slot in [SlotValue::Int(-9), SlotValue::Float(2.5)] {
-                assert_eq!(
-                    one_step(&prog, own, slot),
-                    one_step(&prog, base, slot),
-                    "{inst:?}"
-                );
-            }
-        }
+    fn every_pair_kind_is_given_to_one_listed_instruction() {
+        // The weld table and `base` are indexed by the pair kinds `lower`
+        // gives; each must be met, `K_RET_NONE` too, which no listed pair
+        // names.
+        let mut kinds: Vec<u8> = one_of_every_kind()
+            .iter()
+            .map(|inst| dispatch::lower(inst, 0, &CostModel::default()).2)
+            .filter(|&kind| usize::from(kind) < dispatch::NSECOND)
+            .collect();
         kinds.sort_unstable();
         let every: Vec<u8> = (0..dispatch::NSECOND as u8).collect();
         assert_eq!(kinds, every, "each pair kind once");
@@ -2447,7 +2327,7 @@ mod tests {
     /// A program holding every straight-line instruction kind — vector ops,
     /// all three spill/reload classes, the three selects (one overwriting
     /// its own condition) and a call — so a fuel sweep over it isolates one
-    /// [`op_info`] row per fuel value. Wherever the register files allow,
+    /// [`OpInfo`] row per fuel value. Wherever the register files allow,
     /// an instruction reads what its predecessor wrote, so that under the
     /// pipelined tier a row naming the wrong scoreboard key changes the
     /// stall count. `vtop` is the highest vector register it uses;
@@ -2743,7 +2623,7 @@ mod tests {
         // agree on outcome, memory and full stats, under both timing tiers.
         // On the every-kind program each fuel value adds exactly one
         // instruction to the prefix the fuel tail retires, so the sweep
-        // checks every `op_info` row against its recorded digest.
+        // checks every `OpInfo` row against its recorded digest.
         let inputs = [
             (counting_loop(), "count", MachineValue::Int(4)),
             (every_kind_program(5), "kinds", MachineValue::Int(16)),

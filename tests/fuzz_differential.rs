@@ -742,7 +742,7 @@ fn listed_pairs() -> BTreeSet<(String, String)> {
     pairs
 }
 
-/// The weld kind `dispatch.rs` gives `inst` (`pair_kind` there), by name;
+/// The weld kind `dispatch.rs` gives `inst` (its `lower` arm there), by name;
 /// `None` for an instruction that never welds.
 fn weld_kind(inst: &MInst) -> Option<&'static str> {
     let by_class = |class, int, float| match class {
