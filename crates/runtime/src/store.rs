@@ -1066,12 +1066,6 @@ mod tests {
                 dst: f,
                 src: f,
             },
-            MInst::Select {
-                dst: f,
-                cond: i,
-                if_true: f,
-                if_false: f,
-            },
             MInst::VecLoad {
                 dst: v,
                 base: i,
@@ -1282,7 +1276,7 @@ mod tests {
         );
         assert_eq!(
             (entry.len(), Fnv1a::hash(&entry)),
-            (1184, 0xd479_e266_14ac_4255)
+            (1172, 0x93cb_8db8_a6b6_fb97)
         );
     }
 

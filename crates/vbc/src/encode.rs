@@ -1401,13 +1401,6 @@ mod tests {
                 ty: ScalarType::F64,
                 imm: Immediate::Float(-0.375),
             },
-            Inst::Select {
-                ty: ScalarType::F32,
-                dst: a,
-                cond: b,
-                if_true: c,
-                if_false: a,
-            },
             Inst::Load {
                 dst: a,
                 ty: ScalarType::U16,
@@ -1554,7 +1547,7 @@ mod tests {
         let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!((bytes.len(), fnv1a), (870, 0x7e2a_0153_8b8c_28c3));
+        assert_eq!((bytes.len(), fnv1a), (859, 0xad18_e067_76b1_8b65));
     }
 
     #[test]
