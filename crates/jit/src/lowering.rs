@@ -373,24 +373,6 @@ impl<'a> Lowerer<'a> {
                     });
                 }
             }
-            Inst::Select {
-                dst,
-                cond,
-                if_true,
-                if_false,
-                ..
-            } => {
-                let d = self.scalar_reg(*dst)?;
-                let c = self.scalar_reg(*cond)?;
-                let t = self.scalar_reg(*if_true)?;
-                let e = self.scalar_reg(*if_false)?;
-                self.emit(MInst::Select {
-                    dst: d,
-                    cond: c,
-                    if_true: t,
-                    if_false: e,
-                });
-            }
             Inst::Cast { dst, to, src, from } => {
                 let d = self.scalar_reg(*dst)?;
                 let s = self.scalar_reg(*src)?;

@@ -186,16 +186,6 @@ mod tests {
                 Some(dst),
             ),
             (
-                MInst::Select {
-                    dst: f(1),
-                    cond: r(5),
-                    if_true: f(6),
-                    if_false: f(7),
-                },
-                vec![r(5), f(6), f(7)],
-                Some(f(1)),
-            ),
-            (
                 MInst::IntToFloat {
                     signed: yes,
                     double: yes,
@@ -379,7 +369,7 @@ mod tests {
             .iter()
             .map(|(inst, ..)| std::mem::discriminant(inst))
             .collect();
-        assert_eq!(kinds.len(), 31, "one row per MInst variant");
+        assert_eq!(kinds.len(), 30, "one row per MInst variant");
         for (inst, reads, defines) in table {
             assert_eq!(uses(&inst), reads, "{inst:?}");
             assert_eq!(def(&inst), defines, "{inst:?}");

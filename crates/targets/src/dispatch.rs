@@ -25,16 +25,15 @@
 //! What a region prepays depends on the timing tier. **Flat**: everything,
 //! cycles included — handlers touch no accounting but a branch's
 //! taken/not-taken cycles and a call's. **In-order**: everything but cycles.
-//! A region's rows then retire on the pipeline in **segments**: from the
-//! region's entry, or the row after a select, up to the next charge point —
-//! the control instruction that closes the region (through it, for a
-//! `Ret`, whose move is a plain row) or a scalar select, whose second read
-//! key is the source it chose. [`ExecCtx`] carries the run's pipeline, the
-//! current segment and a watermark (the first row not yet retired), and the
-//! handlers at charge points — branch, jump, call, return, the two selects
-//! — first *settle* the segment, then make the one dynamic call (`branch`
-//! with the `BranchNz`'s own row, the segment's end, as the predictor
-//! site, `jump`, `call`, the select's row on its chosen key). A settle is
+//! A region's rows then retire on the pipeline as one **segment**: from the
+//! region's entry up to its one charge point, the control instruction that
+//! closes it (through it, for a `Ret`, whose move is a plain row). Every
+//! other row names its scoreboard keys statically. [`ExecCtx`] carries the
+//! run's pipeline, the current region's segment and a watermark (the first
+//! row not yet retired), and the handler at the charge point — branch,
+//! jump, call or return — first *settles* the segment, then makes the one
+//! dynamic call (`branch` with the `BranchNz`'s own row, the segment's end,
+//! as the predictor site, `jump`, `call`). A settle is
 //! one step: each segment carries a [`Summary`] recorded at prepare time —
 //! what its rows do to a reset board — which applies whenever every live-in
 //! key is ready by its first reader's issue slot, and then leaves exactly
@@ -66,7 +65,7 @@
 //! the builder allocates only what the function keeps, once each: `ops`,
 //! `info` and `kinds` are sized from its row count, `calls` and `targets`
 //! from its blocks and calls and, under in-order timing, `segs` from its
-//! regions and selects and `keys` from what its segments recorded; the
+//! regions and `keys` from what its segments recorded; the
 //! region pass's scratch table lives in a [`ThreadedScratch`] that
 //! `prepare_with` sizes once per program and reuses across its functions.
 
@@ -230,8 +229,7 @@ fn refund_unretired(f: &PreparedFunction, k: usize, stats: &mut SimStats, flat: 
 /// `row` is the region's first row (and record); `charge` is its
 /// source-instruction count, prepaid (fuel and `stats.instructions`) when
 /// the region is entered; `stat` is the region's static counter sum, prepaid
-/// alongside it; `seg` indexes the region's first segment under in-order
-/// timing (its others follow it).
+/// alongside it; `seg` indexes the region's segment under in-order timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockTarget {
     pub(crate) row: u32,
@@ -315,7 +313,7 @@ pub(crate) struct ExecCtx<'a> {
     /// In-order watermark: first row of the current region whose
     /// `OpInfo` row has not retired on `pipe`.
     charged: u32,
-    /// In-order: index of the current segment in `f.segs`.
+    /// In-order: index of the current region's segment in `f.segs`.
     seg: u32,
 }
 
@@ -355,11 +353,11 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Under in-order timing, settle the current segment — retire its rows
-    /// on the pipeline, in one step where its summary applies — move the
-    /// watermark to its end, and hand back the pipeline and that end (the
-    /// charge point: the closing control instruction, or the select) for the
-    /// caller's one dynamic charge. Sound because the timing model only ever
+    /// Under in-order timing, settle the current region's segment — retire
+    /// its rows on the pipeline, in one step where its summary applies —
+    /// move the watermark to its end, and hand back the pipeline and that
+    /// end (the charge point: the control instruction that closes the
+    /// region) for the caller's one dynamic charge. Sound because the timing model only ever
     /// sees the order of retirement, not when the handlers ran. `None` under
     /// flat timing, whose cycles were prepaid.
     #[inline(always)]
@@ -518,8 +516,8 @@ fn stop(cx: &mut ExecCtx<'_>, e: SimError) -> u64 {
 }
 
 /// Enter region `tidx`: prepay its fuel/instruction charge and its static
-/// counter sum, note where its rows start and its first segment (what
-/// in-order timing retires them by), then jump to its first record — or,
+/// counter sum, note where its rows start and its segment (what in-order
+/// timing retires them by), then jump to its first record — or,
 /// when the remaining fuel cannot cover the prepayment, hand the region to
 /// the fuel tail ([`run_dry`]). Either way every earlier region has settled.
 #[inline(always)]
@@ -548,11 +546,9 @@ fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
 /// which counts every instruction through the closing control op, so F
 /// affords a strict prefix of the region's straight-line instructions and
 /// the fetch that fails lies before that op. Run the prefix one row at a
-/// time, retire its rows — under in-order timing the scalar
-/// selects' handlers settle their segments and retire on the register they
-/// chose, as on the stream — and charge fuel, `stats.instructions` and the
-/// counters for what was fetched: the retired instructions, plus one that
-/// trapped. Then stop with the trap or `OutOfFuel`, at the instruction
+/// time, retire its rows — none of them is a charge point — and charge
+/// fuel, `stats.instructions` and the counters for what was fetched: the
+/// retired instructions, plus one that trapped. Then stop with the trap or `OutOfFuel`, at the instruction
 /// where fuel spent one instruction at a time runs out.
 #[cold]
 #[inline(never)]
@@ -562,7 +558,7 @@ fn run_dry(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
     let start = t.row as usize;
     // Below the region's `u32` charge.
     let afforded = *cx.fuel as usize;
-    (cx.charged, cx.seg) = (t.row, t.seg);
+    cx.charged = t.row;
     let (retired, trap) = cx.run_straight(start..start + afforded);
     cx.retire_to((start + retired) as u32);
     let mut sum = SimStats::default();
@@ -783,60 +779,6 @@ fn h_float_cmp(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
         compare(pred, a, b)
     };
     cx.set_int(op.a as usize, t);
-    u64::from(pc) + 1
-}
-
-/// In-order timing on the threaded stream: a scalar select's second read key
-/// is the source it chose, which its row cannot name, so the select is a
-/// charge point — the segment ending at it settles, then the select retires
-/// on `chosen`, and the next segment begins after it.
-#[inline(never)]
-fn retire_select(cx: &mut ExecCtx<'_>, chosen: u16) {
-    let f = cx.f;
-    if let Some((tm, stats, at)) = cx.settle() {
-        let info = &f.info[at as usize];
-        info.retire(stats, tm, info.key_of(2, chosen));
-        cx.charged = at + 1;
-        cx.seg += 1;
-    }
-}
-
-fn h_select_int(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    // The condition is read before the write: `dst` may be `cond`.
-    let chosen = if cx.int_at(op.b as usize) != 0 {
-        op.c
-    } else {
-        op.d
-    };
-    cx.set_int(op.a as usize, cx.int_at(chosen as usize));
-    if cx.pipe.is_some() {
-        retire_select(cx, chosen);
-    }
-    u64::from(pc) + 1
-}
-
-fn h_select_float(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let chosen = if cx.int_at(op.b as usize) != 0 {
-        op.c
-    } else {
-        op.d
-    };
-    cx.set_float(op.a as usize, cx.float_at(chosen as usize));
-    if cx.pipe.is_some() {
-        retire_select(cx, chosen);
-    }
-    u64::from(pc) + 1
-}
-
-fn h_select_vec(op: &OpRecord, cx: &mut ExecCtx<'_>, pc: u32) -> u64 {
-    let vb = cx.vb;
-    let chosen = if cx.int_at(op.b as usize) != 0 {
-        op.c
-    } else {
-        op.d
-    } as usize
-        * vb;
-    cx.vec.copy_within(chosen..chosen + vb, op.a as usize * vb);
     u64::from(pc) + 1
 }
 
@@ -1508,7 +1450,7 @@ impl ThreadedScratch {
 /// record ([`lower`]), its [`OpInfo`] row and its pair kind. Then resolve
 /// per-region fuel and instruction charges and what `timing` prepays with
 /// them, weld pairs (when `fuse`) and, under in-order timing, record each
-/// region's segments and their summaries.
+/// region's segment and its summary.
 ///
 /// # Errors
 ///
@@ -1546,7 +1488,6 @@ pub(crate) fn build_threaded(
     };
     let mut targets: Vec<BlockTarget> = Vec::with_capacity(nblocks + ncalls);
     targets.resize(nblocks, entry);
-    let mut selects = 0;
     let ThreadedScratch { ends, recorder } = scratch;
     ends.clear();
     ends.reserve(rows);
@@ -1574,7 +1515,6 @@ pub(crate) fn build_threaded(
             } else {
                 End::Normal
             };
-            selects += usize::from(row.is(OpInfo::SELECT));
             ops.push(record);
             info.push(row);
             kinds.push(kind);
@@ -1590,17 +1530,17 @@ pub(crate) fn build_threaded(
             ends.push(End::Control);
         }
     }
-    // One segment per region plus one per scalar select.
+    // One segment per region.
     let mut segs = Vec::new();
     if let Some(rec) = recorder.as_mut() {
         rec.clear();
-        segs.reserve_exact(targets.len() + selects);
+        segs.reserve_exact(targets.len());
     }
 
     // Region pass: every straight-line run from a region entry through its
     // closing control op gets its source-instruction count and the sum of
     // its instructions' `OpInfo` charges as the entry's prepayment, and
-    // under in-order timing its segments.
+    // under in-order timing its segment.
     for bi in 0..nblocks {
         let first = targets[bi].row as usize;
         let last = if bi + 1 < nblocks {
@@ -1622,7 +1562,7 @@ pub(crate) fn build_threaded(
                 targets[t].stat = StaticStats::of(&sum, timing);
                 if let Some(rec) = recorder.as_mut() {
                     targets[t].seg = segs.len() as u32;
-                    record_segments(&info, &targets[t], rec, &mut segs);
+                    segs.push(region_segment(&info, &targets[t], rec));
                 }
             }
             // Pairing sweep over the closed run: greedily weld neighbours
@@ -1672,24 +1612,18 @@ pub(crate) fn opens_pair(f: &PreparedFunction, k: usize) -> bool {
     f.kinds[k] & WELDED != 0
 }
 
-/// Cut region `t`'s rows into segments at its scalar selects, and record
-/// each segment's summary by retiring its rows through `rec`.
-fn record_segments(info: &[OpInfo], t: &BlockTarget, rec: &mut Recorder, segs: &mut Vec<Segment>) {
+/// Region `t`'s segment — its rows up to the control instruction that
+/// closes it — with the summary recorded by retiring them through `rec`.
+fn region_segment(info: &[OpInfo], t: &BlockTarget, rec: &mut Recorder) -> Segment {
     let close = t.row + t.charge - 1;
-    // A `Ret`'s move retires with the region's last segment.
+    // A `Ret`'s move retires with the region's rows.
     let end = close + u32::from(info[close as usize].is(OpInfo::RET));
-    let mut start = t.row;
-    for pc in t.row..=end {
-        if pc == end || info[pc as usize].is(OpInfo::SELECT) {
-            let mut stats = SimStats::default();
-            retire_run(&info[start as usize..pc as usize], &mut stats, rec);
-            segs.push(Segment {
-                start,
-                end: pc,
-                summary: rec.summary(&stats),
-            });
-            start = pc + 1;
-        }
+    let mut stats = SimStats::default();
+    retire_run(&info[t.row as usize..end as usize], &mut stats, rec);
+    Segment {
+        start: t.row,
+        end,
+        summary: rec.summary(&stats),
     }
 }
 
@@ -1809,23 +1743,6 @@ pub(crate) fn lower(inst: &MInst, lanes: u32, cost: &CostModel) -> (OpRecord, Op
             (r.a, r.b, r.c) = (dst.index, lhs.index, rhs.index);
             r.d = pred_bits(pred) | u16::from(double) << 3;
             row = unit(L::FpAdd, dst, lhs, rhs);
-        }
-        // The row's second read is whichever source the condition picks: it
-        // names `if_true`'s file and whoever retires it supplies the register.
-        MInst::Select {
-            dst,
-            cond,
-            if_true,
-            if_false,
-        } => {
-            (r, kind) = lone(by_class(
-                dst.class,
-                [h_select_int, h_select_float, h_select_vec],
-            ));
-            (r.a, r.b) = (dst.index, cond.index);
-            (r.c, r.d) = (if_true.index, if_false.index);
-            let select = by_class(dst.class, [OpInfo::SELECT, OpInfo::SELECT, 0]);
-            row = unit(L::Mov, dst, cond, if_true).with(select);
         }
         MInst::IntToFloat {
             signed,

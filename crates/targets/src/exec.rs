@@ -43,13 +43,13 @@
 //! [`InOrderPipeline`], in order, and then makes the one call that needs a
 //! run-time value (the branch's outcome and site, the jump, the call). The
 //! **charge-point rule**: a handler touches the timing model only if it
-//! closes a region or its scoreboard key is dynamic (the two scalar
-//! selects), and it first retires every row of the region ahead of itself —
-//! sound because the timing model only ever sees the order of retirement.
-//! The rows between two charge points form a *segment*, whose effect on a
-//! reset board is recorded at prepare time; a segment whose live-in
-//! registers are ready by their issue slots retires in one step from that
-//! summary, any other row by row.
+//! closes a region, and it first retires every row of the region ahead of
+//! itself — sound because the timing model only ever sees the order of
+//! retirement. Every straight-line row names its scoreboard keys
+//! statically, so a region's rows up to that one charge point form one
+//! *segment*, whose effect on a reset board is recorded at prepare time; a
+//! segment whose live-in registers are ready by their issue slots retires
+//! in one step from that summary, any other row by row.
 //!
 //! Two cold exits leave it. A trap gives back what its prepaid region had
 //! not retired. A region whose charge the
@@ -77,9 +77,9 @@
 //!    walks and the prepare-time register check (`MInst::bad_operand`);
 //!    nothing in `store.rs` or `mir.rs` names the variant;
 //! 2. its handler and `lower` arm in `dispatch.rs`. The arm states the
-//!    record, the [`OpInfo`] row — all either timing tier needs, unless a
-//!    scoreboard key of the new kind is only known at run time — and the
-//!    pair kind: `weld(K_…)` for a kind the weld table may pair, which also
+//!    record, the [`OpInfo`] row — all either timing tier needs: a
+//!    straight-line kind names its scoreboard keys statically, so that it is
+//!    never a charge point — and the pair kind: `weld(K_…)` for a kind the weld table may pair, which also
 //!    gives the record that kind's handler, `lone(h_…)` otherwise.
 //!
 //! Then add it to the unit programs that pin every kind (`every_kind_program`
@@ -325,8 +325,8 @@ pub(crate) struct OpInfo {
     /// through its control-flow hooks and for synthetic traps.
     pub(crate) class: Option<LatClass>,
     /// Bit `i`: `regs[i]` names the float file. Plus the kind bits
-    /// [`OpInfo::BRANCH`], [`OpInfo::CLOSES`], [`OpInfo::RET`],
-    /// [`OpInfo::SELECT`] and [`OpInfo::FELL_OFF`].
+    /// [`OpInfo::BRANCH`], [`OpInfo::CLOSES`], [`OpInfo::RET`] and
+    /// [`OpInfo::FELL_OFF`].
     tags: u8,
 }
 
@@ -345,9 +345,6 @@ impl OpInfo {
     pub(crate) const CLOSES: u8 = 1 << 4;
     /// A `Ret`: its move retires before its value's class can trap.
     pub(crate) const RET: u8 = 1 << 5;
-    /// A scalar select, a charge point under in-order timing: its second
-    /// read key is the source it chose.
-    pub(crate) const SELECT: u8 = 1 << 6;
     /// The synthetic fall-off trap: its failed fetch retires nothing.
     pub(crate) const FELL_OFF: u8 = 1 << 7;
 
@@ -419,19 +416,13 @@ impl OpInfo {
         self.tags & tag == tag
     }
 
-    /// Scoreboard key of read operand `i` (1 or 2).
+    /// Scoreboard key of operand `i` (0 written, 1 or 2 read). An untracked
+    /// read operand needs no special case here: no file holds register
+    /// `u16::MAX`, so the slot its key names is never written and always
+    /// reads ready.
     #[inline(always)]
     pub(crate) fn key(&self, i: usize) -> u32 {
-        self.key_of(i, self.regs[i])
-    }
-
-    /// Scoreboard key of register `reg` in the file read operand `i` names.
-    /// An untracked operand needs no special case here: no file holds
-    /// register `u16::MAX`, so the slot its key names is never written and
-    /// always reads ready.
-    #[inline(always)]
-    pub(crate) fn key_of(&self, i: usize, reg: u16) -> u32 {
-        (u32::from(reg) << 1) | u32::from(self.tags >> i & 1)
+        (u32::from(self.regs[i]) << 1) | u32::from(self.tags >> i & 1)
     }
 
     /// Scoreboard key of the written operand, which must not claim a slot
@@ -441,7 +432,7 @@ impl OpInfo {
         if self.regs[0] == u16::MAX {
             NO_REG
         } else {
-            self.key_of(0, self.regs[0])
+            self.key(0)
         }
     }
 
@@ -466,13 +457,18 @@ impl OpInfo {
         sum.vector_ops += u64::from(vector);
     }
 
-    /// Retire the instruction on `tm` with `b` as its second read key (its
-    /// own [`OpInfo::key`]`(2)` unless the key is dynamic). Only for kinds
-    /// with a latency class.
+    /// Retire the instruction on `tm`. Only for kinds with a latency class.
     #[inline(always)]
-    pub(crate) fn retire<T: TimingModel>(&self, stats: &mut SimStats, tm: &mut T, b: u32) {
+    pub(crate) fn retire<T: TimingModel>(&self, stats: &mut SimStats, tm: &mut T) {
         let class = self.class.expect("kinds priced by `op` have a class");
-        tm.op(stats, class, self.cycles, self.dst_key(), self.key(1), b);
+        tm.op(
+            stats,
+            class,
+            self.cycles,
+            self.dst_key(),
+            self.key(1),
+            self.key(2),
+        );
     }
 }
 
@@ -500,8 +496,8 @@ pub(crate) struct PreparedFunction {
     /// control can land plus the fuel/instruction charge and static counter
     /// sums prepaid on entry.
     pub(crate) targets: Vec<dispatch::BlockTarget>,
-    /// In-order timing only (empty under flat): the straight-line segments
-    /// of every region, a region's in order from its `BlockTarget::seg`.
+    /// In-order timing only (empty under flat): each region's straight-line
+    /// segment, in row order; `BlockTarget::seg` indexes a region's.
     pub(crate) segs: Vec<dispatch::Segment>,
     /// The packed keys the segments' summaries name, each summary's in one
     /// run.
@@ -548,8 +544,8 @@ impl PreparedProgram {
     /// 1. **Registers.** Every register operand names a register of the file
     ///    *its handler indexes*: its class is the one the instruction kind
     ///    implies (the class annotations of `minst_shapes!` — `Load` /
-    ///    `Store` by their `float` flag, the sources of `Mov` / `Select` by
-    ///    the destination's class), and its index is below that file's size
+    ///    `Store` by their `float` flag, the source of `Mov` by the
+    ///    destination's class), and its index is below that file's size
     ///    on this target. Operands whose handler dispatches on the class at
     ///    run time (spills and reloads, call arguments and results, return
     ///    values) are checked against the file of their own class. One walk
@@ -922,7 +918,7 @@ fn row_insts(f: &MFunction) -> Vec<Option<&MInst>> {
 #[inline(never)]
 pub(crate) fn retire_run<T: TimingModel>(infos: &[OpInfo], stats: &mut SimStats, tm: &mut T) {
     for info in infos {
-        info.retire(stats, tm, info.key(2));
+        info.retire(stats, tm);
     }
 }
 
@@ -1602,7 +1598,7 @@ mod tests {
     /// fixes — written out here, not read off `minst_shapes!`, so that the
     /// table's class annotations are checked against a second statement.
     /// (`Spill`, `Reload`, `Call` and `Ret` dispatch on the operand's own
-    /// class, as do the destinations of `Mov` and `Select`.)
+    /// class, as does the destination of `Mov`.)
     fn classed_operands(inst: &mut MInst) -> Vec<&mut PReg> {
         match inst {
             MInst::Imm { dst, .. } | MInst::FImm { dst, .. } => vec![dst],
@@ -1624,12 +1620,6 @@ mod tests {
             | MInst::VecSplatFloat { dst, src, .. }
             | MInst::VecReduceInt { dst, src, .. }
             | MInst::VecReduceFloat { dst, src, .. } => vec![dst, src],
-            MInst::Select {
-                cond,
-                if_true,
-                if_false,
-                ..
-            } => vec![cond, if_true, if_false],
             MInst::Load { dst, base, .. } | MInst::VecLoad { dst, base, .. } => vec![dst, base],
             MInst::Store { base, src, .. } | MInst::VecStore { base, src, .. } => vec![base, src],
             MInst::BranchNz { cond, .. } => vec![cond],
@@ -1667,12 +1657,6 @@ mod tests {
             | MInst::VecSplatFloat { dst, src, .. }
             | MInst::VecReduceInt { dst, src, .. }
             | MInst::VecReduceFloat { dst, src, .. } => vec![dst, src],
-            MInst::Select {
-                dst,
-                cond,
-                if_true,
-                if_false,
-            } => vec![dst, cond, if_true, if_false],
             MInst::Load { dst, base, .. } | MInst::VecLoad { dst, base, .. } => vec![dst, base],
             MInst::Store { base, src, .. } | MInst::VecStore { base, src, .. } => vec![base, src],
             MInst::BranchNz { cond, .. } => vec![cond],
@@ -1698,16 +1682,10 @@ mod tests {
                 num_slots: 1,
             }],
         };
-        let mut variants = one_of_every_variant();
-        variants.push(MInst::Select {
-            dst: PReg::float(1),
-            cond: PReg::int(1),
-            if_true: PReg::float(2),
-            if_false: PReg::float(3),
-        });
+        let variants = one_of_every_variant();
         let kinds: std::collections::HashSet<_> =
             variants.iter().map(std::mem::discriminant).collect();
-        assert_eq!(kinds.len(), 31, "one instance per MInst variant");
+        assert_eq!(kinds.len(), 30, "one instance per MInst variant");
         let mut flipped = 0;
         for target in TargetDesc::presets() {
             let file = |class| match class {
@@ -1744,9 +1722,9 @@ mod tests {
                 }
             }
         }
-        // 59 class-fixed operands over the instances above (`Load` and
+        // 56 class-fixed operands over the instances above (`Load` and
         // `Store` appear twice), two wrong classes each, nine presets.
-        assert_eq!(flipped, 59 * 2 * TargetDesc::presets().len());
+        assert_eq!(flipped, 56 * 2 * TargetDesc::presets().len());
 
         // The index half of fact 1: every register operand, in the file of
         // its own class, is refused one past that file's last register and
@@ -1812,11 +1790,11 @@ mod tests {
                 }
             }
         }
-        // 49 register operands outside the vector kinds (`Load` and `Store`
+        // 45 register operands outside the vector kinds (`Load` and `Store`
         // appear twice), 18 inside them, and two parameters plus a vector
         // one where there is a vector file.
         let presets = TargetDesc::presets().len();
-        assert_eq!(resized, (49 + 2) * presets + (18 + 1) * simd_presets);
+        assert_eq!(resized, (45 + 2) * presets + (18 + 1) * simd_presets);
     }
 
     #[test]
@@ -2755,26 +2733,6 @@ mod tests {
         }
     }
 
-    fn select(dst: u16, cond: u16, if_true: u16, if_false: u16) -> MInst {
-        MInst::Select {
-            dst: r(dst),
-            cond: r(cond),
-            if_true: r(if_true),
-            if_false: r(if_false),
-        }
-    }
-
-    fn load(dst: u16, base: u16) -> MInst {
-        MInst::Load {
-            width: Width::W64,
-            float: false,
-            signed: true,
-            dst: r(dst),
-            base: r(base),
-            offset: 0,
-        }
-    }
-
     fn bnz(cond: u16, then_target: u32, else_target: u32) -> MInst {
         MInst::BranchNz {
             cond: r(cond),
@@ -2836,50 +2794,6 @@ mod tests {
             pipelined = Some((out.clone(), *stats));
         }
         pipelined.expect("both tiers ran")
-    }
-
-    #[test]
-    fn in_order_select_overwriting_its_condition_or_read_before_its_sources_change_agrees() {
-        let pins = &mut Pins::default();
-        // `select r4 = r4 ? r3 : r1` overwrites its own condition, and the
-        // sources of both selects are rewritten later in the same region: the
-        // scoreboard key must be the source chosen when the select retired.
-        let body = vec![
-            imm(1, 7),
-            imm(2, 9),
-            alu(AluOp::Mul, 3, 1, 2),
-            icmp(CmpPred::Lt, 4, 0, 2),
-            select(4, 4, 3, 1),
-            alu(AluOp::Div, 3, 2, 1),
-            imm(1, 0),
-            select(5, 1, 2, 3),
-            imm(3, 1),
-            alu(AluOp::Add, 5, 5, 4),
-            ret(5),
-        ];
-        let p = program(vec![func("f", 1, vec![body])]);
-        for (arg, expect) in [(0, 63 + 1), (100, 7 + 1)] {
-            let (out, stats) = agree_on_both_tiers(pins, &p, "f", &[arg], DEFAULT_SIM_FUEL);
-            assert_eq!(out, Ok(Some(MachineValue::Int(expect))));
-            assert!(stats.stalls > 0, "{stats:?}");
-        }
-        pins.check(18_232_659_463_295_283_083);
-    }
-
-    #[test]
-    fn in_order_select_after_a_load_stalls_on_the_chosen_source_only() {
-        let pins = &mut Pins::default();
-        // The load-use stall lands on the select only when the condition
-        // picks the loaded register.
-        let body = vec![imm(2, 5), load(3, 0), select(4, 1, 3, 2), ret(4)];
-        let p = program(vec![func("f", 2, vec![body])]);
-        let (out, loaded) = agree_on_both_tiers(pins, &p, "f", &[16, 1], DEFAULT_SIM_FUEL);
-        assert_eq!(out, Ok(Some(MachineValue::Int(0))));
-        let (out, ready) = agree_on_both_tiers(pins, &p, "f", &[16, 0], DEFAULT_SIM_FUEL);
-        assert_eq!(out, Ok(Some(MachineValue::Int(5))));
-        assert!(loaded.stalls > ready.stalls, "{loaded:?} vs {ready:?}");
-        assert_eq!(loaded.instructions, ready.instructions);
-        pins.check(15_813_235_619_871_463_727);
     }
 
     /// `fact(n)` recursive, and `sum(n)` calling it from a loop whose back
@@ -3320,8 +3234,8 @@ mod tests {
 
     #[test]
     fn segment_summaries_leave_what_the_row_walk_leaves_on_hostile_entry_boards() {
-        // Every segment of the catalogue and of `tight`, on two in-order
-        // presets, from seeded boards: settling it must leave the pipeline
+        // Every region of the catalogue and of `tight` is one segment. Each
+        // segment, on two in-order presets, from seeded boards: settling it must leave the pipeline
         // (`now`, `horizon`, `ready`, the BHT) and `SimStats` exactly as
         // retiring its rows does. Besides the random boards, each segment
         // meets one with every live-in key ready at exactly its slot — the
@@ -3346,7 +3260,12 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{} on {preset}: {e}", m.name));
                 let prepared = PreparedProgram::prepare(&program.bridge(), &target).unwrap();
                 for f in &prepared.functions {
-                    assert!(!f.segs.is_empty(), "{} on {preset}", f.name);
+                    // Exactly one segment per region, from its entry.
+                    assert_eq!(f.segs.len(), f.targets.len(), "{} on {preset}", f.name);
+                    for t in &f.targets {
+                        let seg = &f.segs[t.seg as usize];
+                        assert_eq!(seg.start, t.row, "{} on {preset}", f.name);
+                    }
                     for seg in &f.segs {
                         let live = seg.summary.map_or(&[][..], |s| {
                             &f.keys[s.keys as usize..][..usize::from(s.live)]

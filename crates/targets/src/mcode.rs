@@ -334,17 +334,6 @@ pub enum MInst {
         /// Right operand.
         rhs: PReg,
     },
-    /// Conditional select within one register class.
-    Select {
-        /// Destination register.
-        dst: PReg,
-        /// Integer condition register (non-zero selects `if_true`).
-        cond: PReg,
-        /// Value when the condition is non-zero.
-        if_true: PReg,
-        /// Value when the condition is zero.
-        if_false: PReg,
-    },
     /// Integer to floating-point conversion.
     IntToFloat {
         /// Treat the source as signed.
@@ -589,7 +578,6 @@ macro_rules! minst_shapes {
             7 FloatNeg { val double, def(float) dst, use(float) src }
             8 IntCmp { val pred, val width, val signed, def(int) dst, use(int) lhs, use(int) rhs }
             9 FloatCmp { val pred, val double, def(int) dst, use(float) lhs, use(float) rhs }
-            10 Select { def dst, use(int) cond, use(same dst) if_true, use(same dst) if_false }
             11 IntToFloat { val signed, val double, def(float) dst, use(int) src }
             12 FloatToInt { val width, val signed, def(int) dst, use(float) src }
             13 FloatCvt { val to_double, def(float) dst, use(float) src }

@@ -18,9 +18,10 @@
 //! the *order* of retirement, not when the host executed what — which is
 //! what lets the executor run a whole straight-line region first and retire
 //! its instructions on the pipeline afterwards, when the region closes. The
-//! pipeline goes one step further for a straight-line *segment* of `op`
-//! retirements: its [`Summary`] is the pipeline's own result for those rows
-//! on a reset board, recorded once at prepare time by running them through
+//! pipeline goes one step further for a region's *segment*, its `op`
+//! retirements up to the control instruction that closes it: the segment's
+//! [`Summary`] is the pipeline's own result for those rows on a reset
+//! board, recorded once at prepare time by running them through
 //! [`TimingModel::op`] ([`Recorder`]), and [`InOrderPipeline::apply`]
 //! replays it at run time only when the entry board provably yields the
 //! same schedule, shifted — so the model still sees nothing but the order
@@ -111,7 +112,7 @@ pub enum LatClass {
     Load,
     /// Scalar store.
     Store,
-    /// Register move / immediate / select / return.
+    /// Register move / immediate / return.
     Mov,
     /// Int<->float conversion.
     Convert,

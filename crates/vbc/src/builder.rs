@@ -158,19 +158,6 @@ impl FunctionBuilder {
         dst
     }
 
-    /// Emit a select (`cond ? if_true : if_false`).
-    pub fn select(&mut self, ty: ScalarType, cond: VReg, if_true: VReg, if_false: VReg) -> VReg {
-        let dst = self.new_vreg(Type::Scalar(ty));
-        self.push(Inst::Select {
-            ty,
-            dst,
-            cond,
-            if_true,
-            if_false,
-        });
-        dst
-    }
-
     /// Emit a numeric conversion from `from` to `to`.
     pub fn cast(&mut self, from: ScalarType, to: ScalarType, src: VReg) -> VReg {
         let dst = self.new_vreg(Type::Scalar(to));

@@ -170,7 +170,6 @@ impl Function {
             | Inst::Bin { ty, .. }
             | Inst::Un { ty, .. }
             | Inst::Cmp { ty, .. }
-            | Inst::Select { ty, .. }
             | Inst::Load { ty, .. }
             | Inst::Store { ty, .. } => ty.is_float(),
             Inst::Cast { to, from, .. } => to.is_float() || from.is_float(),

@@ -390,19 +390,6 @@ pub enum Inst {
         /// Right operand.
         rhs: VReg,
     },
-    /// `dst = cond != 0 ? if_true : if_false` on scalars of type `ty`.
-    Select {
-        /// Operand/result scalar type.
-        ty: ScalarType,
-        /// Destination register.
-        dst: VReg,
-        /// Condition register (`i32`).
-        cond: VReg,
-        /// Value when the condition is non-zero.
-        if_true: VReg,
-        /// Value when the condition is zero.
-        if_false: VReg,
-    },
     /// `dst = cast<to>(src)` — numeric conversion from `from` to `to`.
     Cast {
         /// Destination register.
@@ -554,7 +541,6 @@ macro_rules! inst_shapes {
             2 Bin { val op, val ty, def dst, use lhs, use rhs }
             3 Un { val op, val ty, def dst, use src }
             4 Cmp { val op, val ty, def dst, use lhs, use rhs }
-            5 Select { val ty, def dst, use cond, use if_true, use if_false }
             6 Cast { def dst, val to, use src, val from }
             7 Load { def dst, val ty, use addr, val offset }
             8 Store { val ty, use addr, val offset, use value }
@@ -809,28 +795,20 @@ mod tests {
             }),
             vec![VReg(4)]
         );
-        let select = Inst::Select {
-            ty: ScalarType::I32,
-            dst: VReg(0),
-            cond: VReg(1),
-            if_true: VReg(2),
-            if_false: VReg(3),
-        };
-        assert_eq!(visited(&select), select.uses());
     }
 
     #[test]
     fn rewrite_regs_shifts_every_operand() {
-        let mut i = Inst::Select {
+        let mut i = Inst::Bin {
+            op: BinOp::Add,
             ty: ScalarType::I32,
             dst: VReg(0),
-            cond: VReg(1),
-            if_true: VReg(2),
-            if_false: VReg(3),
+            lhs: VReg(1),
+            rhs: VReg(2),
         };
         i.rewrite_regs(|r| VReg(r.0 + 10));
         assert_eq!(i.dst(), Some(VReg(10)));
-        assert_eq!(i.uses(), vec![VReg(11), VReg(12), VReg(13)]);
+        assert_eq!(i.uses(), vec![VReg(11), VReg(12)]);
     }
 
     /// One instance of every `Inst` variant with every register operand
@@ -881,17 +859,6 @@ mod tests {
                     rhs,
                 },
                 vec![lhs, rhs],
-                Some(dst),
-            ),
-            (
-                Inst::Select {
-                    ty,
-                    dst,
-                    cond: VReg(7),
-                    if_true: VReg(8),
-                    if_false: VReg(9),
-                },
-                vec![VReg(7), VReg(8), VReg(9)],
                 Some(dst),
             ),
             (
@@ -1007,7 +974,7 @@ mod tests {
             .iter()
             .map(|(inst, ..)| std::mem::discriminant(inst))
             .collect();
-        assert_eq!(kinds.len(), 19, "one row per Inst variant");
+        assert_eq!(kinds.len(), 18, "one row per Inst variant");
         for (inst, reads, defines) in table {
             assert_eq!(inst.uses(), reads, "{inst:?}");
             assert_eq!(inst.dst(), defines, "{inst:?}");

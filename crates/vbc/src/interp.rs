@@ -173,8 +173,8 @@ impl Value {
     }
 
     /// Copy `other` into `self`, reusing a vector's lane allocation instead
-    /// of dropping and reallocating it (the interpreter's `Move`/`Select`
-    /// hot path goes through this).
+    /// of dropping and reallocating it (the interpreter's `Move` hot path
+    /// goes through this).
     fn assign_from(&mut self, other: &Value) {
         match (self, other) {
             (Value::Vector(Lanes::Int(dst)), Value::Vector(Lanes::Int(src))) => dst.clone_from(src),
@@ -882,20 +882,6 @@ impl<'m> Interpreter<'m> {
                 } => {
                     regs[dst.index()] =
                         Value::Int(eval_cmp(op, ty, &regs[lhs.index()], &regs[rhs.index()]));
-                }
-                Inst::Select {
-                    dst,
-                    cond,
-                    if_true,
-                    if_false,
-                    ..
-                } => {
-                    let chosen = if regs[cond.index()].as_int() != 0 {
-                        if_true
-                    } else {
-                        if_false
-                    };
-                    copy_reg(regs, dst.index(), chosen.index());
                 }
                 Inst::Cast { dst, to, src, from } => {
                     regs[dst.index()] = eval_cast(from, to, &regs[src.index()]);

@@ -29,15 +29,6 @@ pub fn format_inst(inst: &Inst) -> String {
             lhs,
             rhs,
         } => format!("{dst} = cmp.{op}.{ty} {lhs}, {rhs}"),
-        Inst::Select {
-            ty,
-            dst,
-            cond,
-            if_true,
-            if_false,
-        } => {
-            format!("{dst} = select.{ty} {cond} ? {if_true} : {if_false}")
-        }
         Inst::Cast { dst, to, src, from } => format!("{dst} = cast.{from}.{to} {src}"),
         Inst::Load {
             dst,
@@ -219,13 +210,6 @@ mod tests {
                 dst: VReg(2),
                 lhs: VReg(0),
                 rhs: VReg(1),
-            },
-            Inst::Select {
-                ty: ScalarType::I32,
-                dst: VReg(3),
-                cond: VReg(2),
-                if_true: VReg(0),
-                if_false: VReg(1),
             },
             Inst::Cast {
                 dst: VReg(4),

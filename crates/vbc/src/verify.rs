@@ -229,18 +229,6 @@ fn check_types(f: &Function, block: BlockId, inst: &Inst) -> Result<(), VerifyEr
             expect_type(f, block, *lhs, scalar(*ty), "cmp lhs")?;
             expect_type(f, block, *rhs, scalar(*ty), "cmp rhs")
         }
-        Inst::Select {
-            ty,
-            dst,
-            cond,
-            if_true,
-            if_false,
-        } => {
-            expect_type(f, block, *dst, scalar(*ty), "select dst")?;
-            expect_type(f, block, *cond, scalar(ScalarType::I32), "select cond")?;
-            expect_type(f, block, *if_true, scalar(*ty), "select true value")?;
-            expect_type(f, block, *if_false, scalar(*ty), "select false value")
-        }
         Inst::Cast { dst, to, src, from } => {
             expect_type(f, block, *dst, scalar(*to), "cast dst")?;
             expect_type(f, block, *src, scalar(*from), "cast src")

@@ -72,7 +72,6 @@ fn type_fields(inst: &mut Inst) -> Vec<&mut ScalarType> {
         | Inst::Bin { ty, .. }
         | Inst::Un { ty, .. }
         | Inst::Cmp { ty, .. }
-        | Inst::Select { ty, .. }
         | Inst::Load { ty, .. }
         | Inst::Store { ty, .. } => vec![ty],
         Inst::Cast { to, from, .. } => vec![to, from],
