@@ -354,7 +354,7 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
 pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
     for f in m.functions() {
         verify_function(f)?;
-        for (_, inst) in f.iter_insts() {
+        for (block, inst) in f.iter_insts() {
             if let Inst::Call { callee, args, dst } = inst {
                 let Some(target) = m.function(callee) else {
                     return Err(VerifyError::UnknownCallee {
@@ -370,12 +370,19 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
                         found: args.len(),
                     });
                 }
-                if dst.is_some() && target.ret.is_none() {
-                    return Err(VerifyError::TypeMismatch {
-                        function: f.name.clone(),
-                        block: f.entry,
-                        detail: format!("call to void function {callee} expects a result"),
-                    });
+                for (&arg, &(_, ty)) in args.iter().zip(&target.params) {
+                    expect_type(f, block, arg, ty, "call argument")?;
+                }
+                match (dst, target.ret) {
+                    (Some(_), None) => {
+                        return Err(VerifyError::TypeMismatch {
+                            function: f.name.clone(),
+                            block: f.entry,
+                            detail: format!("call to void function {callee} expects a result"),
+                        });
+                    }
+                    (Some(dst), Some(ret)) => expect_type(f, block, *dst, ret, "call result")?,
+                    (None, _) => {}
                 }
             }
         }
@@ -522,6 +529,53 @@ mod tests {
             verify_module(&m),
             Err(VerifyError::BadArity { .. })
         ));
+    }
+
+    /// `twice(i32) -> i32` and a `main` calling it through `call`, which is
+    /// given `twice`'s own registers to build its call.
+    fn calling_twice(call: impl FnOnce(&mut FunctionBuilder)) -> Module {
+        let mut m = Module::new("m");
+        let i32 = Type::Scalar(ScalarType::I32);
+        let mut b = FunctionBuilder::new("twice", &[i32], Some(i32));
+        let x = b.param(0);
+        let y = b.bin(BinOp::Add, ScalarType::I32, x, x);
+        b.ret(Some(y));
+        m.add_function(b.finish());
+        let mut b = FunctionBuilder::new("main", &[], None);
+        call(&mut b);
+        b.ret(None);
+        m.add_function(b.finish());
+        m
+    }
+
+    #[test]
+    fn a_call_argument_of_another_type_than_the_parameter_is_refused() {
+        // Unchecked, the compiled module ran to a result while the
+        // reference interpreter panicked on it.
+        let m = calling_twice(|b| {
+            let x = b.const_float(ScalarType::F32, 1.5);
+            b.call("twice", &[x], Some(Type::Scalar(ScalarType::I32)));
+        });
+        let e = verify_module(&m).unwrap_err();
+        assert!(matches!(e, VerifyError::TypeMismatch { .. }), "{e:?}");
+        assert!(e.to_string().contains("call argument"), "{e}");
+    }
+
+    #[test]
+    fn a_call_result_of_another_type_than_the_return_type_is_refused() {
+        let m = calling_twice(|b| {
+            let x = b.const_int(ScalarType::I32, 1);
+            b.call("twice", &[x], Some(Type::Scalar(ScalarType::F64)));
+        });
+        let e = verify_module(&m).unwrap_err();
+        assert!(matches!(e, VerifyError::TypeMismatch { .. }), "{e:?}");
+        assert!(e.to_string().contains("call result"), "{e}");
+        // The same call taking an `i32` verifies.
+        let m = calling_twice(|b| {
+            let x = b.const_int(ScalarType::I32, 1);
+            b.call("twice", &[x], Some(Type::Scalar(ScalarType::I32)));
+        });
+        assert_eq!(verify_module(&m), Ok(()));
     }
 
     #[test]
