@@ -101,16 +101,6 @@ impl Platform {
         )
     }
 
-    /// A homogeneous multiprocessor with `n` copies of `target`.
-    pub fn homogeneous(name: &str, target: TargetDesc, n: usize) -> Self {
-        let names: Vec<String> = (0..n).map(|i| format!("core{i}")).collect();
-        Platform::new(
-            name,
-            names.iter().map(|s| (s.as_str(), target.clone())).collect(),
-            DmaModel::on_chip(),
-        )
-    }
-
     /// The host core (core 0).
     ///
     /// # Panics
@@ -118,11 +108,6 @@ impl Platform {
     /// Panics if the platform has no cores.
     pub fn host(&self) -> &Core {
         &self.cores[0]
-    }
-
-    /// Cores other than the host — the accelerators.
-    pub fn accelerators(&self) -> impl Iterator<Item = &Core> {
-        self.cores.iter().skip(1)
     }
 
     /// Look up a core by role name.
@@ -147,7 +132,8 @@ mod tests {
 
         let cell = Platform::cell_blade(4);
         assert_eq!(cell.cores.len(), 5);
-        assert_eq!(cell.accelerators().count(), 4);
+        let spu = TargetDesc::cell_spu();
+        assert!(cell.cores[1..].iter().all(|c| c.target == spu));
         assert!(!cell.host().target.has_simd());
         assert!(cell.core("spu3").is_some());
         assert!(cell.core("spu4").is_none());
@@ -161,7 +147,8 @@ mod tests {
 
     #[test]
     fn homogeneous_platforms_replicate_the_target() {
-        let h = Platform::homogeneous("quad", TargetDesc::arm_neon(), 4);
+        let quad = vec![("core", TargetDesc::arm_neon()); 4];
+        let h = Platform::new("quad", quad, DmaModel::on_chip());
         assert_eq!(h.cores.len(), 4);
         assert!(h.cores.iter().all(|c| c.target.name == "arm-neon"));
         assert_eq!(h.cores[3].id, 3);
