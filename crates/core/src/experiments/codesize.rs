@@ -16,7 +16,7 @@ use crate::session::PipelineError;
 use splitc_jit::{compile_module, JitOptions};
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_targets::TargetDesc;
-use splitc_vbc::encoded_size;
+use splitc_vbc::encode_module;
 use splitc_workloads::full_module;
 
 /// Native-code size for one target.
@@ -89,10 +89,10 @@ impl CodeSize {
 pub fn run() -> Result<CodeSize, PipelineError> {
     let mut module = full_module("suite").map_err(PipelineError::Frontend)?;
     optimize_module(&mut module, &OptOptions::full());
-    let bytecode_bytes = encoded_size(&module) as u64;
+    let bytecode_bytes = encode_module(&module).len() as u64;
     let mut stripped = module.clone();
     stripped.strip_annotations();
-    let bytecode_bytes_stripped = encoded_size(&stripped) as u64;
+    let bytecode_bytes_stripped = encode_module(&stripped).len() as u64;
 
     let mut rows = Vec::new();
     for target in TargetDesc::presets() {

@@ -96,15 +96,6 @@ impl fmt::Display for DecodeError {
 
 impl Error for DecodeError {}
 
-/// Byte destination of a [`Writer`]: an actual buffer, or a counter that
-/// only measures. The counter is what lets [`encoded_size`] report the
-/// exact encoded length without allocating the encoding.
-#[derive(Debug)]
-enum Sink {
-    Buffer(Vec<u8>),
-    Counter(usize),
-}
-
 /// Low-level encoder for the wire formats of this workspace: bytes, LEB128
 /// variable-length integers (unsigned, and signed via zigzag), raw IEEE-754
 /// doubles and length-prefixed UTF-8 strings.
@@ -114,7 +105,7 @@ enum Sink {
 /// with the matching hardened [`Reader`].
 #[derive(Debug)]
 pub struct Writer {
-    out: Sink,
+    buf: Vec<u8>,
 }
 
 impl Default for Writer {
@@ -126,51 +117,18 @@ impl Default for Writer {
 impl Writer {
     /// A writer that accumulates bytes into a buffer.
     pub fn new() -> Self {
-        Writer {
-            out: Sink::Buffer(Vec::new()),
-        }
-    }
-    /// A writer that only counts bytes (for size measurement without
-    /// allocation — see [`encoded_size`]).
-    fn counting() -> Self {
-        Writer {
-            out: Sink::Counter(0),
-        }
-    }
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        match &self.out {
-            Sink::Buffer(buf) => buf.len(),
-            Sink::Counter(n) => *n,
-        }
-    }
-    /// `true` if nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        Writer { buf: Vec::new() }
     }
     /// The accumulated bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a counting writer, which never materialized them.
     pub fn into_bytes(self) -> Vec<u8> {
-        match self.out {
-            Sink::Buffer(buf) => buf,
-            Sink::Counter(_) => panic!("a counting Writer holds no bytes"),
-        }
+        self.buf
     }
     fn push(&mut self, b: u8) {
-        match &mut self.out {
-            Sink::Buffer(buf) => buf.push(b),
-            Sink::Counter(n) => *n += 1,
-        }
+        self.buf.push(b);
     }
     /// Append raw bytes verbatim.
     pub fn bytes(&mut self, bytes: &[u8]) {
-        match &mut self.out {
-            Sink::Buffer(buf) => buf.extend_from_slice(bytes),
-            Sink::Counter(n) => *n += bytes.len(),
-        }
+        self.buf.extend_from_slice(bytes);
     }
     /// Append one byte.
     pub fn u8(&mut self, v: u8) {
@@ -822,16 +780,6 @@ pub fn decode_module(bytes: &[u8]) -> Result<Module, DecodeError> {
     Ok(Module::from_parts(name, functions))
 }
 
-/// Size in bytes of the compact encoding of `m`.
-///
-/// Runs the encoder against a counting sink, so measuring costs no
-/// allocation — the bytes are never materialized.
-pub fn encoded_size(m: &Module) -> usize {
-    let mut w = Writer::counting();
-    write_module(&mut w, m);
-    w.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,7 +836,7 @@ mod tests {
     #[test]
     fn encoding_is_compact() {
         let m = sample_module();
-        let compact = encoded_size(&m);
+        let compact = encode_module(&m).len();
         // The compact format should be far smaller than a naive debug dump.
         let debug = format!("{m:?}").len();
         assert!(compact * 4 < debug, "compact {compact} vs debug {debug}");
@@ -1197,14 +1145,6 @@ mod tests {
         let mut twice = encode_module(&m);
         twice.extend_from_slice(&encode_module(&m));
         assert_eq!(decode_module(&twice), Err(DecodeError::TrailingBytes));
-    }
-
-    #[test]
-    fn encoded_size_matches_encoding_without_allocating() {
-        let m = sample_module();
-        assert_eq!(encoded_size(&m), encode_module(&m).len());
-        let empty = Module::new("empty");
-        assert_eq!(encoded_size(&empty), encode_module(&empty).len());
     }
 
     /// Deterministic xorshift64* PRNG — no external crates, stable seeds.

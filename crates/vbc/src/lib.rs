@@ -72,9 +72,7 @@ mod verify;
 
 pub use annotations::{AnnotationSet, KernelTraits, SpillOrder};
 pub use builder::FunctionBuilder;
-pub use encode::{
-    decode_module, encode_module, encoded_size, DecodeError, Reader, Wire, Writer, MAGIC, VERSION,
-};
+pub use encode::{decode_module, encode_module, DecodeError, Reader, Wire, Writer, MAGIC, VERSION};
 pub use function::{Block, Function};
 pub use inst::{BinOp, BlockId, CmpOp, Immediate, Inst, ReduceOp, UnOp, VReg};
 pub use interp::{

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  offline work     : {} units", report.offline_work);
     println!(
         "  bytecode size    : {} bytes",
-        splitc::splitc_vbc::encoded_size(&module)
+        splitc::splitc_vbc::encode_module(&module).len()
     );
     println!();
 
