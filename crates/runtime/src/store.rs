@@ -1316,4 +1316,58 @@ mod tests {
             ]
         );
     }
+
+    #[test]
+    fn a_retired_instruction_tag_is_refused() {
+        // Tag 10 was a conditional select. An entry holding it where a `Mov`
+        // stood, with its four register operands, is refused as a whole.
+        let (f, r) = (PReg::float, PReg::int);
+        let mov = MInst::Mov {
+            dst: f(1),
+            src: f(2),
+        };
+        let program = MProgram {
+            name: "p".into(),
+            functions: vec![MFunction {
+                name: "f".into(),
+                params: Vec::new(),
+                blocks: vec![MBlock {
+                    insts: vec![mov.clone(), MInst::Ret { value: None }],
+                }],
+                num_slots: 0,
+            }],
+        };
+        let mut w = Writer::new();
+        write_artifact(&mut w, &program, &JitStats::default());
+        let honest = w.into_bytes();
+        let mut w = Writer::new();
+        Wire::<StoredArtifact>::put(&mov, &mut w);
+        let mov = w.into_bytes();
+        let mut w = Writer::new();
+        w.u8(10);
+        for reg in [f(1), r(1), f(2), f(3)] {
+            Wire::<StoredArtifact>::put(&reg, &mut w);
+        }
+        let retired = w.into_bytes();
+        let at = honest.windows(mov.len()).position(|s| s == mov).unwrap();
+        let mut hostile = honest[..at].to_vec();
+        hostile.extend_from_slice(&retired);
+        hostile.extend_from_slice(&honest[at + mov.len()..]);
+
+        let store = temp_store("retired-tag");
+        let path = store.entry_path(&PIN_KEY);
+        std::fs::write(&path, entry_around(&PIN_KEY, &honest)).unwrap();
+        assert!(matches!(store.load(&PIN_KEY), StoreLoad::Hit(_)));
+        let entry = entry_around(&PIN_KEY, &hostile);
+        assert_eq!(
+            decode_entry(&entry, &PIN_KEY),
+            Err(DecodeError::BadTag {
+                what: "machine instruction",
+                tag: 10
+            })
+        );
+        std::fs::write(&path, entry).unwrap();
+        assert!(matches!(store.load(&PIN_KEY), StoreLoad::Reject));
+        store.clear();
+    }
 }

@@ -1491,6 +1491,31 @@ mod tests {
     }
 
     #[test]
+    fn a_retired_instruction_tag_is_refused() {
+        // Tag 5 was a conditional select: a type and four registers. In
+        // place of an instruction it is a bad tag, whatever follows it.
+        let retired = one_block_module(0, 2, |w| {
+            w.u8(5);
+            ScalarType::I32.put(w);
+            w.bytes(&[1, 0, 1, 1]);
+            write_ret_none(w);
+        });
+        assert_eq!(
+            decode_module(&retired),
+            Err(DecodeError::BadTag {
+                what: "instruction",
+                tag: 5
+            })
+        );
+        // The same registers moved instead decode.
+        let honest = one_block_module(0, 2, |w| {
+            write_move(w, 1, 0);
+            write_ret_none(w);
+        });
+        assert!(decode_module(&honest).is_ok());
+    }
+
+    #[test]
     fn hostile_primitives_decode_to_the_recorded_errors() {
         // A flag byte of 2 (`Ret.value`'s presence), an index of 2^32 (the
         // entry block) and a count of 2^40 (the function count) followed by
