@@ -33,8 +33,8 @@
 //! row not yet retired), and the handler at the charge point — branch,
 //! jump, call or return — first *settles* the segment, then makes the one
 //! dynamic call (`branch` with the `BranchNz`'s own row, the segment's end,
-//! as the predictor site, `jump`, `call`). A settle is
-//! one step: each segment carries a [`Summary`] recorded at prepare time —
+//! as the predictor site, `jump`, `call`). A settle is one step: each
+//! segment carries a [`Summary`] recorded at prepare time —
 //! what its rows do to a reset board — which applies whenever every live-in
 //! key is ready by its first reader's issue slot, and then leaves exactly
 //! what the row walk would ([`InOrderPipeline::apply`] says why). Otherwise
@@ -357,9 +357,9 @@ impl<'a> ExecCtx<'a> {
     /// its rows on the pipeline, in one step where its summary applies —
     /// move the watermark to its end, and hand back the pipeline and that
     /// end (the charge point: the control instruction that closes the
-    /// region) for the caller's one dynamic charge. Sound because the timing model only ever
-    /// sees the order of retirement, not when the handlers ran. `None` under
-    /// flat timing, whose cycles were prepaid.
+    /// region) for the caller's one dynamic charge. Sound because the timing
+    /// model only ever sees the order of retirement, not when the handlers
+    /// ran. `None` under flat timing, whose cycles were prepaid.
     #[inline(always)]
     fn settle(&mut self) -> Option<(&mut InOrderPipeline, &mut SimStats, u32)> {
         let tm = self.pipe.as_deref_mut()?;
@@ -548,8 +548,9 @@ fn enter(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {
 /// the fetch that fails lies before that op. Run the prefix one row at a
 /// time, retire its rows — none of them is a charge point — and charge
 /// fuel, `stats.instructions` and the counters for what was fetched: the
-/// retired instructions, plus one that trapped. Then stop with the trap or `OutOfFuel`, at the instruction
-/// where fuel spent one instruction at a time runs out.
+/// retired instructions, plus one that trapped. Then stop with the trap or
+/// `OutOfFuel`, at the instruction where fuel spent one instruction at a
+/// time runs out.
 #[cold]
 #[inline(never)]
 fn run_dry(cx: &mut ExecCtx<'_>, tidx: u32) -> u64 {

@@ -79,8 +79,9 @@
 //! 2. its handler and `lower` arm in `dispatch.rs`. The arm states the
 //!    record, the [`OpInfo`] row — all either timing tier needs: a
 //!    straight-line kind names its scoreboard keys statically, so that it is
-//!    never a charge point — and the pair kind: `weld(K_…)` for a kind the weld table may pair, which also
-//!    gives the record that kind's handler, `lone(h_…)` otherwise.
+//!    never a charge point — and the pair kind: `weld(K_…)` for a kind the
+//!    weld table may pair, which also gives the record that kind's handler,
+//!    `lone(h_…)` otherwise.
 //!
 //! Then add it to the unit programs that pin every kind (`every_kind_program`
 //! and `one_of_every_variant` in this module's tests) and to the operand

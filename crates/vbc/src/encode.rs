@@ -123,16 +123,13 @@ impl Writer {
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
-    fn push(&mut self, b: u8) {
-        self.buf.push(b);
-    }
     /// Append raw bytes verbatim.
     pub fn bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
     /// Append one byte.
     pub fn u8(&mut self, v: u8) {
-        self.push(v);
+        self.buf.push(v);
     }
     /// Append a fixed-width little-endian `u64` (used by headers whose
     /// layout must not depend on the value, e.g. checksums).
@@ -145,10 +142,10 @@ impl Writer {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
             if v == 0 {
-                self.push(byte);
+                self.u8(byte);
                 break;
             }
-            self.push(byte | 0x80);
+            self.u8(byte | 0x80);
         }
     }
     /// Append a signed LEB128 integer (zigzag encoding).

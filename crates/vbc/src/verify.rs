@@ -373,16 +373,15 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
                 for (&arg, &(_, ty)) in args.iter().zip(&target.params) {
                     expect_type(f, block, arg, ty, "call argument")?;
                 }
-                match (dst, target.ret) {
-                    (Some(_), None) => {
+                if let Some(dst) = dst {
+                    let Some(ret) = target.ret else {
                         return Err(VerifyError::TypeMismatch {
                             function: f.name.clone(),
                             block: f.entry,
                             detail: format!("call to void function {callee} expects a result"),
                         });
-                    }
-                    (Some(dst), Some(ret)) => expect_type(f, block, *dst, ret, "call result")?,
-                    (None, _) => {}
+                    };
+                    expect_type(f, block, *dst, ret, "call result")?;
                 }
             }
         }
@@ -531,8 +530,7 @@ mod tests {
         ));
     }
 
-    /// `twice(i32) -> i32` and a `main` calling it through `call`, which is
-    /// given `twice`'s own registers to build its call.
+    /// `twice(i32) -> i32` and a `main` whose body `call` builds.
     fn calling_twice(call: impl FnOnce(&mut FunctionBuilder)) -> Module {
         let mut m = Module::new("m");
         let i32 = Type::Scalar(ScalarType::I32);
