@@ -29,12 +29,12 @@ use splitc::serve::{Request, ServeModule, Server, ServerConfig};
 use splitc::splitc_minic::compile_source;
 use splitc::{run_on_target, Workspace};
 use splitc_jit::{compile_module, JitOptions, RegAllocMode};
-use splitc_opt::{optimize_module, OptOptions};
+use splitc_opt::{optimize_module, profiles, DefUse, InstPos, Liveness, OptOptions, OptReport};
 use splitc_targets::{
-    MInst, MProgram, MachineValue, PreparedProgram, PreparedSimulator, RegClass, TargetDesc,
+    Fnv1a, MInst, MProgram, MachineValue, PreparedProgram, PreparedSimulator, RegClass, TargetDesc,
     TimingKind,
 };
-use splitc_vbc::{Interpreter, Memory, Value};
+use splitc_vbc::{encode_module, BlockId, Function, Interpreter, Memory, Module, VReg, Value};
 use splitc_workloads::{all_kernels, full_module, module_for};
 use std::collections::BTreeSet;
 
@@ -47,6 +47,10 @@ const RANDOM_SHIFT_PIN: u64 = 10_025_957_613_943_935_369;
 const EXTREME_SHIFT_PIN: u64 = 9_255_172_541_159_258_375;
 const RANDOM_FLOAT_PIN: u64 = 15_538_265_218_304_311_018;
 const F32_CONSTANT_PIN: u64 = 18_088_835_998_026_170_991;
+
+/// Recorded fold of [`offline_digest`] over [`offline_modules`]: what the
+/// offline step makes of each module, byte for byte and bit for bit.
+const OFFLINE_PIN: u64 = 10_706_766_766_879_029_535;
 
 /// Fewest welded pairs the branch-dense seeds 3000..3030 may prepare to
 /// across the three modes on x86-sse: about nine tenths of the 4 983 they
@@ -1072,4 +1076,203 @@ fn the_generator_actually_produces_variety() {
         sources.len(),
         "every seed yields a new program"
     );
+}
+
+/// Seeds per generator that the offline pin and the analysis oracle cover.
+const OFFLINE_SEEDS: u64 = 10;
+
+/// The modules the offline pin and the analysis oracle cover, as the front
+/// end emits them: the 17-kernel catalogue as one module (the benchmark's
+/// deployed module) and the first [`OFFLINE_SEEDS`] seeds of each
+/// generator's suite range.
+fn offline_modules() -> Vec<(String, Module)> {
+    let mut modules = vec![("catalogue".to_owned(), full_module("catalogue").unwrap())];
+    let generators = [
+        (gen_int_program as fn(u64) -> String, 0),
+        (gen_float_program, 1000),
+        (gen_shift_program, 2000),
+        (gen_branch_program, 3000),
+    ];
+    for (generate, first) in generators {
+        for seed in first..first + OFFLINE_SEEDS {
+            let module = compile_source(&generate(seed), "fuzz").unwrap();
+            modules.push((format!("fuzz seed {seed}"), module));
+        }
+    }
+    modules
+}
+
+/// FNV-1a over what the full offline step makes of `module`: the encoded
+/// module, every [`OptReport`] counter, and every function's spill profile
+/// rows as `(reg, accesses bits, span_blocks, score bits)`.
+fn offline_digest(module: &mut Module) -> u64 {
+    let OptReport {
+        folded,
+        copies_propagated,
+        dce_removed,
+        vectorized_loops,
+        rejections,
+        spill_orders,
+        annotated,
+        offline_work,
+    } = optimize_module(module, &OptOptions::full());
+    let mut h = Fnv1a::new();
+    h.write(&encode_module(module));
+    for count in [
+        folded,
+        copies_propagated,
+        dce_removed,
+        spill_orders,
+        annotated,
+    ] {
+        h.write(&(count as u64).to_le_bytes());
+    }
+    h.write(&offline_work.to_le_bytes());
+    for (name, loops) in &vectorized_loops {
+        h.write(name.as_bytes());
+        h.write(&(*loops as u64).to_le_bytes());
+    }
+    for (name, reasons) in &rejections {
+        h.write(name.as_bytes());
+        for reason in reasons {
+            h.write(reason.as_bytes());
+        }
+    }
+    for f in module.functions() {
+        h.write(f.name.as_bytes());
+        for p in profiles(f) {
+            h.write(&p.reg.0.to_le_bytes());
+            h.write(&p.accesses.to_bits().to_le_bytes());
+            h.write(&(p.span_blocks as u64).to_le_bytes());
+            h.write(&p.score.to_bits().to_le_bytes());
+        }
+    }
+    h.finish()
+}
+
+#[test]
+fn the_offline_step_makes_the_recorded_modules_and_spill_profiles() {
+    let cells: Vec<(String, u64)> = offline_modules()
+        .into_iter()
+        .map(|(name, mut module)| {
+            let digest = offline_digest(&mut module);
+            (name, digest)
+        })
+        .collect();
+    let mut fold = Fnv1a::new();
+    for (_, digest) in &cells {
+        fold.write(&digest.to_le_bytes());
+    }
+    if fold.finish() != OFFLINE_PIN {
+        for (name, digest) in &cells {
+            println!("{name}: {digest:#018x}");
+        }
+    }
+    assert_eq!(
+        fold.finish(),
+        OFFLINE_PIN,
+        "the offline step moved over {} modules (cells printed above)",
+        cells.len()
+    );
+}
+
+/// Whether some CFG path from the top of `from` reads `r` before writing
+/// it, by depth-first search over the blocks; an instruction reads its
+/// operands before it writes its result.
+fn read_before_write(f: &Function, from: BlockId, r: VReg) -> bool {
+    let mut seen = vec![false; f.blocks.len()];
+    let mut stack = vec![from];
+    while let Some(b) = stack.pop() {
+        if std::mem::replace(&mut seen[b.index()], true) {
+            continue;
+        }
+        let mut first = None;
+        for inst in &f.block(b).insts {
+            let mut reads = false;
+            inst.for_each_use(|u| reads |= u == r);
+            if reads || inst.dst() == Some(r) {
+                first = Some(reads);
+                break;
+            }
+        }
+        match first {
+            Some(true) => return true,
+            Some(false) => {}
+            None => stack.extend(f.block(b).successors()),
+        }
+    }
+    false
+}
+
+/// Check `Liveness` and `DefUse` of `f` against a brute-force search and a
+/// naive scan.
+fn check_analyses(f: &Function, cell: &str) {
+    let live = Liveness::compute(f);
+    let mut reachable = vec![false; f.blocks.len()];
+    let mut stack = vec![f.entry];
+    while let Some(b) = stack.pop() {
+        if !std::mem::replace(&mut reachable[b.index()], true) {
+            stack.extend(f.block(b).successors());
+        }
+    }
+    for block in &f.blocks {
+        let b = block.id;
+        for r in (0..f.num_vregs() as u32).map(VReg) {
+            let (live_in, live_out) = if reachable[b.index()] {
+                let out = block.successors().any(|s| read_before_write(f, s, r));
+                (read_before_write(f, b, r), out)
+            } else {
+                (false, false)
+            };
+            assert_eq!(
+                (live.live_in(b).contains(&r), live.live_out(b).contains(&r)),
+                (live_in, live_out),
+                "{cell}, {}: liveness of {r} at {b} (in, out)",
+                f.name
+            );
+        }
+    }
+
+    let du = DefUse::compute(f);
+    for r in (0..f.num_vregs() as u32).map(VReg) {
+        let (mut defs, mut uses) = (Vec::new(), Vec::new());
+        for block in &f.blocks {
+            for (index, inst) in block.insts.iter().enumerate() {
+                let pos = InstPos {
+                    block: block.id,
+                    index,
+                };
+                inst.for_each_use(|u| {
+                    if u == r {
+                        uses.push(pos);
+                    }
+                });
+                if inst.dst() == Some(r) {
+                    defs.push(pos);
+                }
+            }
+        }
+        let what = format!("{cell}, {}: {r}", f.name);
+        assert_eq!(du.defs(r), &defs[..], "{what}: definitions");
+        assert_eq!(du.uses(r), &uses[..], "{what}: uses");
+        let single = match defs[..] {
+            [pos] => Some(pos),
+            _ => None,
+        };
+        assert_eq!(du.single_def(r), single, "{what}: single definition");
+        assert_eq!(du.is_dead(r), uses.is_empty(), "{what}: dead");
+    }
+}
+
+#[test]
+fn liveness_and_def_use_match_a_brute_force_search() {
+    for (name, mut module) in offline_modules() {
+        for f in module.functions() {
+            check_analyses(f, &format!("{name} as emitted"));
+        }
+        optimize_module(&mut module, &OptOptions::full());
+        for f in module.functions() {
+            check_analyses(f, &format!("{name} optimized"));
+        }
+    }
 }
