@@ -1,5 +1,8 @@
 //! Control-flow-graph utilities shared by the offline analyses.
+//!
+//! Each allocates a fixed number of arrays whatever the size of the function.
 
+use crate::rows::Rows;
 use splitc_vbc::{BlockId, Function};
 
 /// Reverse post-order of the reachable blocks of `f`, starting at the entry.
@@ -8,8 +11,10 @@ use splitc_vbc::{BlockId, Function};
 pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
     let mut visited = vec![false; f.blocks.len()];
     let mut post = Vec::with_capacity(f.blocks.len());
-    // Iterative DFS with an explicit stack of (block, next-successor-index).
-    let mut stack: Vec<(BlockId, usize)> = vec![(f.entry, 0)];
+    // Iterative DFS with an explicit stack of (block, next-successor-index);
+    // a block is pushed once, so the stack never outgrows the block count.
+    let mut stack: Vec<(BlockId, usize)> = Vec::with_capacity(f.blocks.len());
+    stack.push((f.entry, 0));
     visited[f.entry.index()] = true;
     while let Some((b, i)) = stack.pop() {
         match f.block(b).successors().nth(i) {
@@ -37,19 +42,21 @@ pub fn reachable(f: &Function) -> Vec<bool> {
     mask
 }
 
-/// Predecessor lists restricted to reachable blocks.
-pub fn predecessors(f: &Function) -> Vec<Vec<BlockId>> {
+/// Predecessor lists restricted to reachable blocks, one row per block,
+/// each in block order.
+pub fn predecessors(f: &Function) -> Rows<BlockId> {
     let reach = reachable(f);
-    let mut preds = vec![Vec::new(); f.blocks.len()];
-    for b in &f.blocks {
-        if !reach[b.id.index()] {
-            continue;
-        }
-        for s in b.successors() {
-            preds[s.index()].push(b.id);
-        }
-    }
-    preds
+    let edges = || {
+        f.blocks
+            .iter()
+            .filter(|b| reach[b.id.index()])
+            .flat_map(|b| b.successors().map(move |s| (s, b.id)))
+    };
+    let mut counts = vec![0; f.blocks.len() + 1];
+    edges().for_each(|(s, _)| counts[s.index()] += 1);
+    let mut preds = Rows::with_counts(counts);
+    edges().for_each(|(s, p)| preds.push(s.index(), p));
+    preds.seal()
 }
 
 #[cfg(test)]
@@ -106,10 +113,8 @@ mod tests {
         let f = loop_function();
         let preds = predecessors(&f);
         // header (bb1) has the entry and the body as predecessors.
-        assert_eq!(preds[1].len(), 2);
-        assert!(preds[1].contains(&f.entry));
-        assert!(preds[1].contains(&BlockId(2)));
+        assert_eq!(preds.row(1), [f.entry, BlockId(2)]);
         // exit (bb3) has only the header.
-        assert_eq!(preds[3], vec![BlockId(1)]);
+        assert_eq!(preds.row(3), [BlockId(1)]);
     }
 }

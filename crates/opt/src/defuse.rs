@@ -1,9 +1,15 @@
 //! Definition/use chains over the (non-SSA) bytecode.
+//!
+//! Layout: two register-indexed [`Rows`] tables of [`InstPos`], definitions
+//! and uses, filled in program order after a counting pass: four
+//! allocations whatever the size of the function. Dead-code elimination,
+//! folding and the vectorizer recompute it on every round of their loops.
 
+use crate::rows::Rows;
 use splitc_vbc::{BlockId, Function, Inst, VReg};
 
 /// A position inside a function: block id plus instruction index in the block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstPos {
     /// The containing block.
     pub block: BlockId,
@@ -14,15 +20,23 @@ pub struct InstPos {
 /// Definition and use sites for every virtual register of a function.
 #[derive(Debug, Clone, Default)]
 pub struct DefUse {
-    defs: Vec<Vec<InstPos>>,
-    uses: Vec<Vec<InstPos>>,
+    defs: Rows<InstPos>,
+    uses: Rows<InstPos>,
 }
 
 impl DefUse {
-    /// Compute def/use chains for `f`.
+    /// Compute def/use chains for `f`. Each register's sites are in program
+    /// order; an instruction that reads a register twice lists it twice.
     pub fn compute(f: &Function) -> Self {
-        let mut defs = vec![Vec::new(); f.num_vregs()];
-        let mut uses = vec![Vec::new(); f.num_vregs()];
+        let rows = f.num_vregs() + 1;
+        let (mut defs, mut uses) = (vec![0; rows], vec![0; rows]);
+        for inst in f.blocks.iter().flat_map(|b| &b.insts) {
+            if let Some(d) = inst.dst() {
+                defs[d.index()] += 1;
+            }
+            inst.for_each_use(|u| uses[u.index()] += 1);
+        }
+        let (mut defs, mut uses) = (Rows::with_counts(defs), Rows::with_counts(uses));
         for block in &f.blocks {
             for (index, inst) in block.insts.iter().enumerate() {
                 let pos = InstPos {
@@ -30,22 +44,23 @@ impl DefUse {
                     index,
                 };
                 if let Some(d) = inst.dst() {
-                    defs[d.index()].push(pos);
+                    defs.push(d.index(), pos);
                 }
-                inst.for_each_use(|u| uses[u.index()].push(pos));
+                inst.for_each_use(|u| uses.push(u.index(), pos));
             }
         }
+        let (defs, uses) = (defs.seal(), uses.seal());
         DefUse { defs, uses }
     }
 
     /// All definition sites of `r` (parameters have no explicit definition site).
     pub fn defs(&self, r: VReg) -> &[InstPos] {
-        &self.defs[r.index()]
+        self.defs.row(r.index())
     }
 
     /// All use sites of `r`.
     pub fn uses(&self, r: VReg) -> &[InstPos] {
-        &self.uses[r.index()]
+        self.uses.row(r.index())
     }
 
     /// If `r` is defined by exactly one instruction, return its position.

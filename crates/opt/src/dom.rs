@@ -41,7 +41,7 @@ impl Dominators {
             changed = false;
             for &b in rpo.iter().skip(1) {
                 let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[b.index()] {
+                for &p in preds.row(b.index()) {
                     if idom[p.index()].is_none() {
                         continue;
                     }

@@ -1,83 +1,104 @@
-//! Backward liveness dataflow analysis and register-pressure measurement.
-//!
-//! Liveness is the basis of the split register allocation experiment (E3):
-//! the offline step measures, for every program point, which virtual registers
-//! are simultaneously live and ranks them for spilling.
+//! Backward liveness dataflow analysis, the basis of the split register
+//! allocation experiment (E3): spill ranks count the blocks a value is live
+//! across. Layout: one bit per register, `⌈vregs / 64⌉` `u64` words per
+//! block, and each per-block set (`use`, `def`, `live_in`, `live_out`) one
+//! flat array of `blocks × words` words. The reverse-postorder fixpoint runs
+//! word by word, as a block's word depends only on the same word of its
+//! successors; the four arrays and the postorder are all it allocates.
 
-use crate::cfg::{predecessors, reverse_postorder};
+use crate::cfg::reverse_postorder;
 use splitc_vbc::{BlockId, Function, VReg};
-use std::collections::BTreeSet;
 
 /// Per-block live-in/live-out sets.
 #[derive(Debug, Clone, Default)]
 pub struct Liveness {
-    live_in: Vec<BTreeSet<VReg>>,
-    live_out: Vec<BTreeSet<VReg>>,
+    vregs: usize,
+    words: usize,
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
+}
+
+/// The word of `r` within its block's set, and its bit in that word.
+fn word_bit(r: VReg) -> (usize, u64) {
+    (r.index() / 64, 1 << (r.index() % 64))
 }
 
 impl Liveness {
-    /// Compute liveness for `f` with a standard backward fixed-point iteration.
+    /// Compute liveness for `f` with a standard backward fixed-point
+    /// iteration. Blocks unreachable from the entry have empty sets.
     pub fn compute(f: &Function) -> Self {
-        let nblocks = f.blocks.len();
-        let mut use_set = vec![BTreeSet::new(); nblocks];
-        let mut def_set = vec![BTreeSet::new(); nblocks];
+        let (vregs, words) = (f.num_vregs(), f.num_vregs().div_ceil(64));
+        let size = f.blocks.len() * words;
+        let (mut use_set, mut def_set) = (vec![0u64; size], vec![0u64; size]);
         for block in &f.blocks {
-            let b = block.id.index();
+            let base = block.id.index() * words;
             for inst in &block.insts {
+                // An instruction reads its operands before it writes its result.
                 inst.for_each_use(|u| {
-                    if !def_set[b].contains(&u) {
-                        use_set[b].insert(u);
-                    }
+                    let (w, bit) = word_bit(u);
+                    use_set[base + w] |= bit & !def_set[base + w];
                 });
                 if let Some(d) = inst.dst() {
-                    def_set[b].insert(d);
+                    let (w, bit) = word_bit(d);
+                    def_set[base + w] |= bit;
                 }
             }
         }
 
-        let mut live_in = vec![BTreeSet::new(); nblocks];
-        let mut live_out = vec![BTreeSet::new(); nblocks];
+        let (mut live_in, mut live_out) = (vec![0u64; size], vec![0u64; size]);
         let rpo = reverse_postorder(f);
-        let _ = predecessors(f);
         let mut changed = true;
         while changed {
             changed = false;
             for &b in rpo.iter().rev() {
-                let bi = b.index();
-                let mut out = BTreeSet::new();
-                for s in f.block(b).successors() {
-                    out.extend(live_in[s.index()].iter().copied());
-                }
-                let mut inn = use_set[bi].clone();
-                for r in &out {
-                    if !def_set[bi].contains(r) {
-                        inn.insert(*r);
+                let base = b.index() * words;
+                for w in 0..words {
+                    let out = f
+                        .block(b)
+                        .successors()
+                        .fold(0, |out, s| out | live_in[s.index() * words + w]);
+                    let inn = use_set[base + w] | (out & !def_set[base + w]);
+                    if out != live_out[base + w] || inn != live_in[base + w] {
+                        live_out[base + w] = out;
+                        live_in[base + w] = inn;
+                        changed = true;
                     }
-                }
-                if out != live_out[bi] || inn != live_in[bi] {
-                    live_out[bi] = out;
-                    live_in[bi] = inn;
-                    changed = true;
                 }
             }
         }
-        Liveness { live_in, live_out }
+        Liveness {
+            vregs,
+            words,
+            live_in,
+            live_out,
+        }
     }
 
-    /// Registers live on entry to `b`.
-    pub fn live_in(&self, b: BlockId) -> &BTreeSet<VReg> {
-        &self.live_in[b.index()]
+    /// `true` if `r` is live on entry to `b`.
+    pub fn is_live_in(&self, b: BlockId, r: VReg) -> bool {
+        let (w, bit) = word_bit(r);
+        self.live_in[b.index() * self.words + w] & bit != 0
     }
 
-    /// Registers live on exit from `b`.
-    pub fn live_out(&self, b: BlockId) -> &BTreeSet<VReg> {
-        &self.live_out[b.index()]
+    /// `true` if `r` is live on exit from `b`.
+    pub fn is_live_out(&self, b: BlockId, r: VReg) -> bool {
+        let (w, bit) = word_bit(r);
+        self.live_out[b.index() * self.words + w] & bit != 0
     }
 
-    /// `true` if `r` is live across the boundary of any block (i.e. its live
-    /// range spans more than a single basic block).
-    pub fn crosses_blocks(&self, r: VReg) -> bool {
-        self.live_in.iter().any(|s| s.contains(&r)) || self.live_out.iter().any(|s| s.contains(&r))
+    /// For every register, the number of blocks it is live into or out of;
+    /// a register whose count is 0 never crosses a block boundary.
+    pub fn spans(&self) -> Vec<u32> {
+        let mut spans = vec![0; self.vregs];
+        for (i, (inn, out)) in self.live_in.iter().zip(&self.live_out).enumerate() {
+            let first = (i % self.words) * 64;
+            let mut bits = inn | out;
+            while bits != 0 {
+                spans[first + bits.trailing_zeros() as usize] += 1;
+                bits &= bits - 1;
+            }
+        }
+        spans
     }
 }
 
@@ -140,10 +161,10 @@ mod tests {
         let (f, acc, i) = loop_function();
         let live = Liveness::compute(&f);
         let header = splitc_vbc::BlockId(1);
-        assert!(live.live_in(header).contains(&acc));
-        assert!(live.live_in(header).contains(&i));
-        assert!(live.live_in(header).contains(&f.params[0].0));
-        assert!(live.crosses_blocks(acc));
+        assert!(live.is_live_in(header, acc));
+        assert!(live.is_live_in(header, i));
+        assert!(live.is_live_in(header, f.params[0].0));
+        assert!(live.spans()[acc.index()] > 0);
     }
 
     #[test]
@@ -161,10 +182,7 @@ mod tests {
                         && du.uses(d).iter().all(|p| p.block == blk.id)
                         && blk.id == body
                     {
-                        assert!(
-                            !live.live_out(body).contains(&d),
-                            "{d} should die in the body"
-                        );
+                        assert!(!live.is_live_out(body, d), "{d} should die in the body");
                     }
                 }
             }
@@ -182,8 +200,13 @@ mod tests {
         let live = Liveness::compute(&f);
         // Parameters are used before any definition, so they are live into the
         // entry block; nothing is live out of the single block.
-        assert_eq!(live.live_in(f.entry).len(), 1);
-        assert!(live.live_in(f.entry).contains(&x));
-        assert!(live.live_out(f.entry).is_empty());
+        let regs = || (0..f.num_vregs() as u32).map(VReg);
+        assert_eq!(
+            regs()
+                .filter(|&r| live.is_live_in(f.entry, r))
+                .collect::<Vec<_>>(),
+            [x]
+        );
+        assert!(!regs().any(|r| live.is_live_out(f.entry, r)));
     }
 }

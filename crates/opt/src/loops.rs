@@ -32,7 +32,8 @@ impl Loop {
     /// computation.
     pub fn preheader(&self, f: &Function) -> Option<BlockId> {
         let preds = predecessors(f);
-        let outside: Vec<_> = preds[self.header.index()]
+        let outside: Vec<_> = preds
+            .row(self.header.index())
             .iter()
             .copied()
             .filter(|p| !self.contains(*p))
@@ -74,7 +75,7 @@ impl LoopForest {
                     let mut stack = vec![latch];
                     while let Some(b) = stack.pop() {
                         if body.insert(b) {
-                            for &p in &preds[b.index()] {
+                            for &p in preds.row(b.index()) {
                                 stack.push(p);
                             }
                         }

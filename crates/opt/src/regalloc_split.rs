@@ -7,8 +7,13 @@
 //! number of physical registers, then performs *assignment* in linear time by
 //! keeping the highest-ranked values and spilling the rest (see
 //! `splitc_jit::regassign`).
+//!
+//! Cost: [`profiles`] takes one [`Liveness`], one loop forest, one walk adding
+//! each access to a register-indexed array at its block's weight, and one pass
+//! over the liveness bitsets for the spans. Weights are 1, 10, 100 or 1 000,
+//! so every sum is an integer below 2^53 and exact: the order of summation
+//! cannot move a bit of any score.
 
-use crate::defuse::DefUse;
 use crate::liveness::Liveness;
 use crate::loops::LoopForest;
 use splitc_vbc::{Function, Module, SpillOrder, VReg};
@@ -46,47 +51,34 @@ pub fn compute_spill_order(f: &Function) -> SpillOrder {
 /// not need a portable ranking, which keeps the annotation compact (the paper
 /// insists on "compact, portable annotations").
 pub fn profiles(f: &Function) -> Vec<RegProfile> {
-    let du = DefUse::compute(f);
     let live = Liveness::compute(f);
     let forest = LoopForest::compute(f);
-    // An access executed inside a loop is worth an order of magnitude more per
-    // nesting level (the classic static spill-cost estimate).
-    let depth_weight = |block: splitc_vbc::BlockId| -> f64 {
-        let depth = forest
-            .loops
-            .iter()
-            .filter(|l| l.contains(block))
-            .count()
-            .min(3);
-        10f64.powi(depth as i32)
-    };
-    let mut out: Vec<RegProfile> = (0..f.num_vregs())
-        .map(|i| {
-            let reg = VReg(i as u32);
-            let accesses: f64 = du
-                .uses(reg)
-                .iter()
-                .chain(du.defs(reg).iter())
-                .map(|pos| depth_weight(pos.block))
-                .sum();
-            let span_blocks = (0..f.blocks.len())
-                .filter(|b| {
-                    let id = splitc_vbc::BlockId(*b as u32);
-                    live.live_in(id).contains(&reg) || live.live_out(id).contains(&reg)
-                })
-                .count();
-            RegProfile {
+    let mut accesses = vec![0.0; f.num_vregs()];
+    for block in &f.blocks {
+        // An access executed inside a loop is worth an order of magnitude
+        // more per nesting level (the classic static spill-cost estimate).
+        let depth = forest.loops.iter().filter(|l| l.contains(block.id)).count();
+        let weight = 10f64.powi(depth.min(3) as i32);
+        for inst in &block.insts {
+            inst.for_each_use(|u| accesses[u.index()] += weight);
+            if let Some(d) = inst.dst() {
+                accesses[d.index()] += weight;
+            }
+        }
+    }
+    let mut out = Vec::with_capacity(f.num_vregs());
+    for (i, (&accesses, &span)) in accesses.iter().zip(&live.spans()).enumerate() {
+        let reg = VReg(i as u32);
+        if accesses > 0.0 && (span > 0 || f.params.iter().any(|(r, _)| *r == reg)) {
+            let span_blocks = (span as usize).max(1);
+            out.push(RegProfile {
                 reg,
                 accesses,
-                span_blocks: span_blocks.max(1),
-                score: accesses / span_blocks.max(1) as f64,
-            }
-        })
-        .filter(|p| {
-            p.accesses > 0.0
-                && (live.crosses_blocks(p.reg) || f.params.iter().any(|(r, _)| *r == p.reg))
-        })
-        .collect();
+                span_blocks,
+                score: accesses / span_blocks as f64,
+            });
+        }
+    }
     out.sort_by(|a, b| {
         b.score
             .partial_cmp(&a.score)

@@ -1225,7 +1225,7 @@ fn check_analyses(f: &Function, cell: &str) {
                 (false, false)
             };
             assert_eq!(
-                (live.live_in(b).contains(&r), live.live_out(b).contains(&r)),
+                (live.is_live_in(b, r), live.is_live_out(b, r)),
                 (live_in, live_out),
                 "{cell}, {}: liveness of {r} at {b} (in, out)",
                 f.name
