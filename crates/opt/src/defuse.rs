@@ -1,6 +1,6 @@
 //! Definition/use chains over the (non-SSA) bytecode.
 //!
-//! Layout: two register-indexed [`Rows`] tables of [`InstPos`], definitions
+//! Layout: two register-indexed `Rows` tables of [`InstPos`], definitions
 //! and uses, filled in program order after a counting pass: four
 //! allocations whatever the size of the function. Dead-code elimination,
 //! folding and the vectorizer recompute it on every round of their loops.

@@ -52,7 +52,7 @@ pub mod liveness;
 pub mod loops;
 pub mod pipeline;
 pub mod regalloc_split;
-pub mod rows;
+mod rows;
 pub mod vectorize;
 
 pub use annotate::{annotate_module, kernel_traits};

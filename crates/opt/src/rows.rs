@@ -11,7 +11,7 @@ pub struct Rows<T> {
 
 impl<T: Copy + Default> Rows<T> {
     /// An empty table whose row `r` will hold `start[r]` items (the last is 0).
-    pub fn with_counts(mut start: Vec<u32>) -> Self {
+    pub(crate) fn with_counts(mut start: Vec<u32>) -> Self {
         // Exclusive prefix sums: `start[r]` is row `r`'s fill cursor.
         let mut total = 0;
         for c in &mut start {
@@ -22,13 +22,13 @@ impl<T: Copy + Default> Rows<T> {
     }
 
     /// Append `item` to row `r`.
-    pub fn push(&mut self, r: usize, item: T) {
+    pub(crate) fn push(&mut self, r: usize, item: T) {
         self.items[self.start[r] as usize] = item;
         self.start[r] += 1;
     }
 
     /// Finish a filled table: each cursor now ends its row and starts the next.
-    pub fn seal(mut self) -> Self {
+    pub(crate) fn seal(mut self) -> Self {
         self.start.rotate_right(1);
         self.start[0] = 0;
         self
