@@ -377,7 +377,7 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
                     let Some(ret) = target.ret else {
                         return Err(VerifyError::TypeMismatch {
                             function: f.name.clone(),
-                            block: f.entry,
+                            block,
                             detail: format!("call to void function {callee} expects a result"),
                         });
                     };
@@ -574,6 +574,27 @@ mod tests {
             b.call("twice", &[x], Some(Type::Scalar(ScalarType::I32)));
         });
         assert_eq!(verify_module(&m), Ok(()));
+    }
+
+    #[test]
+    fn a_taken_result_of_a_void_callee_names_the_block_of_the_call() {
+        let mut m = Module::new("m");
+        let mut b = FunctionBuilder::new("nothing", &[], None);
+        b.ret(None);
+        m.add_function(b.finish());
+        let mut b = FunctionBuilder::new("main", &[], None);
+        let later = b.new_block();
+        b.jump(later);
+        b.switch_to(later);
+        b.call("nothing", &[], Some(Type::Scalar(ScalarType::I32)));
+        b.ret(None);
+        m.add_function(b.finish());
+        let e = verify_module(&m).unwrap_err();
+        assert!(
+            matches!(e, VerifyError::TypeMismatch { block, .. } if block == later),
+            "{e:?}"
+        );
+        assert!(e.to_string().contains("void function nothing"), "{e}");
     }
 
     #[test]
