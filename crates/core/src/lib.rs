@@ -21,7 +21,8 @@
 //! runs kernel × target × repeat matrices over one shared engine cache,
 //! and the serving layer
 //! (see [`serve`]) that exposes deployments behind a bounded request queue
-//! with fingerprint-deduplicated shared engines.
+//! with shared engines deduplicated by module encoding, each compiling once
+//! per (target, options) pair compared by value.
 //!
 //! # Quick start
 //!

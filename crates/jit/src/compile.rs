@@ -9,8 +9,8 @@ use std::fmt;
 
 /// Options controlling the online compilation of a module.
 ///
-/// The type is `Hash + Eq` so that execution caches can key compiled code by
-/// `(target fingerprint, JitOptions)`.
+/// The type is `Copy + Eq` so that execution caches can key compiled code by
+/// `(target, JitOptions)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JitOptions {
     /// How register assignment obtains its keep ranking.

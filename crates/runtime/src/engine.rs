@@ -5,11 +5,11 @@
 //! a single time, and the online step for each concrete core stays cheap. The
 //! [`ExecutionEngine`] enforces the same discipline at run time: it owns one
 //! deployed module (behind an [`Arc`], so deployments can be shared) and a
-//! code cache keyed by `(target fingerprint, [`JitOptions`])`, so each
-//! distinct (core type, JIT configuration) pair is compiled **exactly once**
-//! no matter how many kernels, repeats or cores ask for it. Compiled programs
-//! are handed out as [`Arc<CompiledModule>`] — nothing is ever recompiled or
-//! cloned on the hot path.
+//! code cache keyed by `(`[`TargetDesc`]`, [`JitOptions`])`, compared by
+//! value, so each distinct (core type, JIT configuration) pair is compiled
+//! **exactly once** no matter how many kernels, repeats or cores ask for it.
+//! Compiled programs are handed out as [`Arc<CompiledModule>`] — nothing is
+//! ever recompiled or cloned on the hot path.
 //!
 //! Since the pre-decoded execution representation landed, the deploy-time
 //! step also *prepares* each compiled program
@@ -26,11 +26,11 @@
 //! The engine is `Send + Sync` and built for many threads hammering one
 //! deployment (the [`crate::serve`] worker pool):
 //!
-//! * the cache's whole mutable state — the entry map and the [`CacheStats`]
+//! * the cache's whole mutable state — the entries and the [`CacheStats`]
 //!   counters — is **one struct behind one lock**. The critical section of a
-//!   hit is a map probe and an [`Arc`] clone, which is short next to hashing
-//!   the target description into its fingerprint (done before the lock is
-//!   taken) and tiny next to the run that follows, so one lock is not the
+//!   hit is a scan comparing the requested pair with each resident one (a
+//!   name compare rejects most) and an [`Arc`] clone: no hashing, no
+//!   allocation, tiny next to the run that follows, so one lock is not the
 //!   bottleneck;
 //! * compilation happens **outside** the lock. A cold lookup registers an
 //!   *in-flight* marker under the lock, releases it, and compiles; a second
@@ -47,7 +47,9 @@
 //!   cache counters from a live worker pool.
 //!
 //! Nothing is ever evicted: the cache holds at most one entry per distinct
-//! (target fingerprint, options) pair, and a deployment meets few of them.
+//! (target, options) pair, and a deployment meets few of them. The target's
+//! [`fingerprint`](TargetDesc::fingerprint) is only part of the on-disk
+//! [`StoreKey`], computed when a cold miss probes an attached store.
 //!
 //! # Example
 //!
@@ -85,7 +87,6 @@ use splitc_targets::{
     DEFAULT_SIM_FUEL,
 };
 use splitc_vbc::{encode_module, Module};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -243,9 +244,6 @@ impl CacheStats {
     }
 }
 
-/// Cache key: one distinct (target fingerprint, JIT configuration) pair.
-type CacheKey = (u64, JitOptions);
-
 /// The slot racing threads rendezvous on: set exactly once, either with the
 /// shared compiled program or with the compile error.
 type InFlightCell = OnceLock<Result<Arc<CompiledModule>, JitError>>;
@@ -264,10 +262,27 @@ enum Entry {
 /// which is what makes [`ExecutionEngine::snapshot`] consistent.
 #[derive(Debug, Default)]
 struct Cache {
-    entries: HashMap<CacheKey, Entry>,
+    /// One slot per distinct (target, options) pair.
+    entries: Vec<(TargetDesc, JitOptions, Entry)>,
     stats: CacheStats,
     /// Online-compilation work units spent so far.
     online_work: u64,
+}
+
+impl Cache {
+    /// Where the `(target, options)` slot is: both compared by value.
+    fn position(&self, target: &TargetDesc, options: &JitOptions) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|(t, o, _)| o == options && t == target)
+    }
+
+    /// Drop the `(target, options)` slot, so a later request can retry.
+    fn remove(&mut self, target: &TargetDesc, options: &JitOptions) {
+        if let Some(i) = self.position(target, options) {
+            self.entries.swap_remove(i);
+        }
+    }
 }
 
 /// A consistent view of the engine's cache, taken under its lock (see
@@ -300,7 +315,8 @@ pub struct CacheSnapshot {
 /// forever while the panic propagates).
 struct InFlightGuard<'a> {
     cache: &'a Mutex<Cache>,
-    key: CacheKey,
+    target: &'a TargetDesc,
+    options: &'a JitOptions,
     cell: &'a Arc<InFlightCell>,
     armed: bool,
 }
@@ -311,7 +327,7 @@ impl Drop for InFlightGuard<'_> {
             return;
         }
         if let Ok(mut guard) = self.cache.lock() {
-            guard.entries.remove(&self.key);
+            guard.remove(self.target, self.options);
         }
         let _ = self.cell.set(Err(JitError::Internal(
             "online compilation panicked".to_owned(),
@@ -374,7 +390,7 @@ fn compile(
 ///
 /// See the [module documentation](self) for the full story; in short, the
 /// engine guarantees one online compilation per distinct
-/// `(target fingerprint, JitOptions)` pair — even under concurrent cold
+/// `(TargetDesc, JitOptions)` pair — even under concurrent cold
 /// lookups — and shares the compiled programs via [`Arc`].
 #[derive(Debug)]
 pub struct ExecutionEngine {
@@ -427,11 +443,6 @@ impl ExecutionEngine {
         &self.module
     }
 
-    /// The deployed module as a shareable handle.
-    pub fn module_arc(&self) -> Arc<Module> {
-        Arc::clone(&self.module)
-    }
-
     fn cache(&self) -> MutexGuard<'_, Cache> {
         self.cache.lock().expect("engine cache poisoned")
     }
@@ -444,7 +455,7 @@ impl ExecutionEngine {
 
     /// Compile the module for `target` under `options`, or fetch the program
     /// from the cache. Exactly one compilation ever happens per distinct
-    /// `(target fingerprint, options)` pair, even when many threads request a
+    /// `(target, options)` pair, even when many threads request a
     /// cold pair at once: the losers of the race wait for the winner's result
     /// (and count as cache hits) instead of compiling again.
     ///
@@ -456,10 +467,9 @@ impl ExecutionEngine {
         target: &TargetDesc,
         options: &JitOptions,
     ) -> Result<Arc<CompiledModule>, EngineError> {
-        let key = (target.fingerprint(), *options);
         let mut guard = self.cache();
         let cache = &mut *guard;
-        let cell = match cache.entries.get(&key) {
+        let cell = match cache.position(target, options).map(|i| &cache.entries[i].2) {
             Some(Entry::Ready(compiled)) => {
                 cache.stats.hits += 1;
                 return Ok(Arc::clone(compiled));
@@ -479,9 +489,8 @@ impl ExecutionEngine {
             }
             None => {
                 let cell = Arc::new(InFlightCell::new());
-                cache
-                    .entries
-                    .insert(key, Entry::InFlight(Arc::clone(&cell)));
+                let entry = Entry::InFlight(Arc::clone(&cell));
+                cache.entries.push((target.clone(), *options, entry));
                 cell
             }
         };
@@ -495,11 +504,12 @@ impl ExecutionEngine {
         // each — never a thundering herd of decodes.
         let mut in_flight = InFlightGuard {
             cache: &self.cache,
-            key,
+            target,
+            options,
             cell: &cell,
             armed: true,
         };
-        let (probe, loaded) = self.probe_store(target, options, key.0);
+        let (probe, loaded) = self.probe_store(target, options);
         let outcome = match loaded {
             Some(compiled) => Ok(compiled),
             None => compile(&self.module, target, options),
@@ -525,14 +535,12 @@ impl ExecutionEngine {
                         cache.stats.compiles += 1;
                         cache.online_work += compiled.jit.total_work();
                     }
-                    cache
-                        .entries
-                        .insert(key, Entry::Ready(Arc::clone(compiled)));
+                    let i = cache
+                        .position(target, options)
+                        .expect("only the compiling thread removes its in-flight slot");
+                    cache.entries[i].2 = Entry::Ready(Arc::clone(compiled));
                 }
-                // Drop the marker so a later request can retry.
-                Err(_) => {
-                    cache.entries.remove(&key);
-                }
+                Err(_) => cache.remove(target, options),
             }
         }
         in_flight.armed = false;
@@ -557,14 +565,13 @@ impl ExecutionEngine {
         &self,
         target: &TargetDesc,
         options: &JitOptions,
-        target_fp: u64,
     ) -> (DiskProbe, Option<CompiledModule>) {
         let Some(handle) = &self.store else {
             return (DiskProbe::NoStore, None);
         };
         let skey = StoreKey {
             module_fp: handle.module_fp,
-            target_fp,
+            target_fp: target.fingerprint(),
             options_fp: options.fingerprint(),
         };
         match handle.store.load(&skey) {
@@ -704,8 +711,8 @@ impl ExecutionEngine {
             online_work: cache.online_work,
             live: cache
                 .entries
-                .values()
-                .filter(|entry| matches!(entry, Entry::Ready(_)))
+                .iter()
+                .filter(|(_, _, entry)| matches!(entry, Entry::Ready(_)))
                 .count(),
         }
     }
@@ -826,7 +833,7 @@ mod tests {
         assert_eq!(mem_a, mem_b);
         assert_eq!(a.stats.instructions, b.stats.instructions);
         assert!(b.stats.cycles >= b.stats.instructions);
-        // Distinct fingerprints: the engine compiled one variant per tier.
+        // Distinct targets: the engine compiled one variant per tier.
         assert_eq!(engine.stats().compiles, 2);
     }
 
@@ -854,7 +861,7 @@ mod tests {
     }
 
     #[test]
-    fn cores_with_equal_fingerprints_share_code() {
+    fn cores_with_equal_targets_share_code() {
         let engine = deployed();
         let options = JitOptions::split();
         let a = engine

@@ -93,16 +93,6 @@ impl Network {
         ProcessId(self.processes.len() - 1)
     }
 
-    /// All processes.
-    pub fn processes(&self) -> &[Process] {
-        &self.processes
-    }
-
-    /// Number of channels.
-    pub fn num_channels(&self) -> usize {
-        self.num_channels
-    }
-
     /// Simulate the network with each process pinned to a core by `mapping`
     /// (indexed by process id) on a machine with `num_cores` cores.
     ///
@@ -394,7 +384,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(net.processes().len(), 2);
+        assert_eq!(net.processes.len(), 2);
         assert_eq!(costs.len(), 2);
         assert!(costs
             .iter()

@@ -6,14 +6,14 @@
 //! * [`Platform`] / [`Core`] describe heterogeneous systems (workstation,
 //!   phone SoC with a DSP, Cell-style blade with SIMD accelerators).
 //! * [`ExecutionEngine`] is the shared, cached execution layer: one deployed
-//!   module, one online compilation per distinct (core type, JIT config)
-//!   pair — guaranteed even under concurrent cold lookups by in-flight
+//!   module, one online compilation per distinct (target, JIT config)
+//!   pair, both compared by value — guaranteed even under concurrent cold lookups by in-flight
 //!   deduplication over a one-lock cache — compiled programs shared via `Arc`,
 //!   and cache statistics for the paper's "online compilation pays for
 //!   itself" story.
 //! * [`serve`] is the request front-end for long-running deployments: a
 //!   bounded MPMC work queue with backpressure, a worker pool, and shared
-//!   engines deduplicated by module fingerprint, with graceful lossless
+//!   engines deduplicated by module encoding, with graceful lossless
 //!   shutdown and live [`serve::ServerStats`].
 //! * [`choose_core`] maps a kernel onto a core, guided by the kernel-trait
 //!   annotations the offline compiler left in the bytecode.

@@ -17,10 +17,10 @@
 //!   lock-free mirror of its length for up to 50 µs (`POLL_BUDGET`) before
 //!   it parks; the mirror is a hint, and every park follows a locked check.
 //! * **Continuous batching.** A worker that pops a job also drains every
-//!   queued request with the same *batch key* — `(module fingerprint, target
-//!   fingerprint, JitOptions)` — up to [`ServerConfig::max_batch`], and runs
-//!   the whole batch against one shared engine with **one compiled-program
-//!   fetch and one [`FramePool`]**. Each request is still simulated
+//!   queued request for the same module, options and target, all compared
+//!   by value, up to [`ServerConfig::max_batch`], and runs the whole batch
+//!   against one shared engine with **one compiled-program fetch and one
+//!   [`FramePool`]**. Each request is still simulated
 //!   individually through the very same execution path an unbatched run
 //!   uses, so every [`Response`] is bit-identical to unbatched execution;
 //!   batching only amortizes the cache lookup and the frame-pool warmup.
@@ -31,10 +31,12 @@
 //!   p50/p99/p999 for both phases plus the batch-size distribution.
 //!
 //! Every distinct deployed module is backed by **one shared
-//! [`ExecutionEngine`]**, deduplicated by module fingerprint in one locked
-//! registry (consulted once per batch); the engine's in-flight-deduplicated
-//! cache guarantees exactly one online compilation per (target, options)
-//! pair however many requests race on a cold pair.
+//! [`ExecutionEngine`]**, deduplicated by module encoding (indexed by its
+//! fingerprint) in one locked registry consulted once per batch; the
+//! engine's in-flight-deduplicated cache guarantees exactly one online
+//! compilation per (target, options) pair, compared by value, however many
+//! requests race on a cold pair. No target is hashed on the served path: its
+//! fingerprint is only part of an on-disk store key, computed on a cold miss.
 //!
 //! # Deadlines and failures
 //!
@@ -734,34 +736,23 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// A queued unit of work: the request, its response rendezvous, the cached
-/// target fingerprint (computed once at submit so batch-key comparisons in
-/// the queue are integer-cheap) and the accept timestamp.
+/// A queued unit of work: the request, its response rendezvous and the
+/// accept timestamp.
 struct Job {
     request: Request,
     tx: SyncSender<Response>,
-    target_fp: u64,
     accepted_at: Instant,
 }
 
-impl Job {
-    /// The continuous-batching key: jobs with equal keys are served by the
-    /// same compiled program and may share a batch. Equal target
-    /// *fingerprints* mean the targets are machine-code-identical, which is
-    /// precisely the interchangeability batching needs.
-    fn batch_key(&self) -> (u64, u64, JitOptions) {
-        (
-            self.request.module.fingerprint(),
-            self.target_fp,
-            self.request.options,
-        )
-    }
-}
-
-/// Two jobs may share a continuous batch: equal keys, and — a fingerprint
-/// being an index, not an identity — the same module encoding.
+/// Two jobs may share a continuous batch — one compiled program serves both —
+/// when they name the same module (fingerprint first, a fingerprint being an
+/// index, then the encoding), the same options and the same target.
 fn same_batch(a: &Job, b: &Job) -> bool {
-    a.batch_key() == b.batch_key() && a.request.module.is_encoded_as(&b.request.module.encoded)
+    let (a, b) = (&a.request, &b.request);
+    a.module.fingerprint() == b.module.fingerprint()
+        && a.module.is_encoded_as(&b.module.encoded)
+        && a.options == b.options
+        && a.target == b.target
 }
 
 /// A registry entry: the engine plus the canonical encoding of the module it
@@ -828,7 +819,7 @@ impl Inner {
 }
 
 /// The serving front-end: one bounded queue, drained batch-wise by a worker
-/// pool over fingerprint-deduplicated shared engines.
+/// pool over shared engines deduplicated by module encoding.
 ///
 /// See the [module documentation](self) for the full contract. The server is
 /// `Send + Sync`; clients on any number of threads submit through `&self`.
@@ -920,11 +911,9 @@ impl Server {
         // buffer of 1 means the worker's send never blocks — even if the
         // client dropped the handle without waiting.
         let (tx, rx) = mpsc::sync_channel(1);
-        let target_fp = request.target.fingerprint();
         let job = Job {
             request,
             tx,
-            target_fp,
             accepted_at: Instant::now(),
         };
         match self.inner.queue.push(job, block) {
@@ -942,11 +931,6 @@ impl Server {
                 Err(SubmitError::ShuttingDown(Box::new(job.request)))
             }
         }
-    }
-
-    /// Requests currently waiting in the queue.
-    pub fn queue_depth(&self) -> usize {
-        self.inner.queue.snapshot().depth
     }
 
     /// Current counters; safe to read while the pool is serving.
@@ -1072,7 +1056,7 @@ struct JobResult {
     cancelled: bool,
 }
 
-/// Serve one continuous batch (all jobs share a batch key): resolve the
+/// Serve one continuous batch (all jobs pass [`same_batch`]): resolve the
 /// shared engine once, then run every job through exactly the execution
 /// path an unbatched run uses, sharing one program fetch — so responses are
 /// bit-identical to unbatched serving; batching only amortizes lookups.
@@ -1895,7 +1879,7 @@ mod tests {
                 ..triple_request(&module, 0)
             })
             .unwrap();
-        while server.queue_depth() > 0 {
+        while server.stats().queue_depth > 0 {
             std::thread::yield_now();
         }
         // …then build a same-key backlog it must drain as one batch.
@@ -1969,7 +1953,7 @@ mod tests {
                 ..request(&triple, 0)
             })
             .unwrap();
-        while server.queue_depth() > 0 {
+        while server.stats().queue_depth > 0 {
             std::thread::yield_now();
         }
         let handles: Vec<_> = (4..12)
@@ -1995,6 +1979,109 @@ mod tests {
         assert_eq!(stats.cache.compiles, 2);
         assert_eq!((stats.accepted, stats.completed, stats.expired), (9, 9, 0));
         assert_eq!(stats.batch_sizes.sum(), stats.completed);
+    }
+
+    // --- Target identity ---
+
+    /// Serve `requests` as a backlog behind the stalling sentinel, so the
+    /// one worker sweeps them all from one queue; the responses in order,
+    /// then the drained server's stats.
+    fn served_as_a_backlog(
+        module: &ServeModule,
+        requests: Vec<Request>,
+    ) -> (Vec<Response>, ServerStats) {
+        let server = stalling_server();
+        let mut sentinel = server
+            .submit(Request {
+                tag: SENTINEL_TAG,
+                ..triple_request(module, 0)
+            })
+            .unwrap();
+        while server.stats().queue_depth > 0 {
+            std::thread::yield_now();
+        }
+        let handles: Vec<_> = requests
+            .into_iter()
+            .map(|request| server.submit(request).unwrap())
+            .collect();
+        assert_still_stalled(&mut sentinel);
+        sentinel.wait().unwrap().outcome.unwrap();
+        let responses = handles.into_iter().map(|h| h.wait().unwrap()).collect();
+        (responses, server.shutdown())
+    }
+
+    #[test]
+    fn a_nan_clock_scale_target_compiles_once_and_its_requests_share_a_batch() {
+        // Compared with `f64 ==`, a NaN scale would equal nothing, itself
+        // included: every request would compile and batch alone.
+        let module = triple_module();
+        let nan_target = || TargetDesc {
+            clock_scale: f64::NAN,
+            ..TargetDesc::x86_sse()
+        };
+        let requests = (1..=6)
+            .map(|x| Request {
+                target: nan_target(),
+                ..triple_request(&module, x)
+            })
+            .collect();
+        let (responses, stats) = served_as_a_backlog(&module, requests);
+        for (x, response) in (1..).zip(responses) {
+            assert_eq!(response.batch, 6, "the backlog was served as one batch");
+            let run = response.outcome.unwrap();
+            assert_eq!(run.result, Some(MachineValue::Int(3 * x)));
+            assert!(run.scaled_cycles.is_nan());
+        }
+        // The sentinel's x86-sse and the NaN-scaled one: two programs.
+        assert_eq!(stats.cache.compiles, 2);
+        assert_eq!(stats.batch_sizes.count(), 2);
+
+        let engine = crate::ExecutionEngine::from_arc(module.module_arc());
+        for _ in 0..5 {
+            engine
+                .program_for(&nan_target(), &JitOptions::split())
+                .unwrap();
+        }
+        assert_eq!((engine.stats().compiles, engine.stats().hits), (1, 4));
+        assert_eq!(engine.snapshot().live, 1);
+    }
+
+    #[test]
+    fn targets_that_differ_in_one_cost_field_get_two_programs_and_never_share_a_batch() {
+        let module = triple_module();
+        // Same name and every other field: only the multiply costs more.
+        let mut recosted = TargetDesc::x86_sse();
+        recosted.cost.int_mul += 5;
+        let requests = (4..12)
+            .map(|x| Request {
+                target: if x % 2 == 0 {
+                    TargetDesc::x86_sse()
+                } else {
+                    recosted.clone()
+                },
+                ..triple_request(&module, x)
+            })
+            .collect();
+        let (responses, stats) = served_as_a_backlog(&module, requests);
+        let mut cycles = [None, None];
+        for (x, response) in (4..).zip(responses) {
+            assert_eq!(response.batch, 4, "a sweep takes one target's jobs only");
+            let run = response.outcome.unwrap();
+            assert_eq!(run.result, Some(MachineValue::Int(3 * x)));
+            let seen = cycles[(x % 2) as usize].get_or_insert(run.stats.cycles);
+            assert_eq!(*seen, run.stats.cycles);
+        }
+        assert_ne!(cycles[0], cycles[1], "each target charged its own costs");
+        assert_eq!(stats.cache.compiles, 2);
+
+        let engine = crate::ExecutionEngine::from_arc(module.module_arc());
+        let options = JitOptions::split();
+        let plain = engine
+            .program_for(&TargetDesc::x86_sse(), &options)
+            .unwrap();
+        let dear = engine.program_for(&recosted, &options).unwrap();
+        assert!(!Arc::ptr_eq(&plain, &dear));
+        assert_eq!(engine.stats().compiles, 2);
     }
 
     // --- Deadlines and fault hooks ---

@@ -117,7 +117,12 @@ impl Default for CostModel {
 }
 
 /// A virtual target: register files, optional SIMD unit and cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Two descriptions are equal when every field is, `clock_scale` compared by
+/// its bits (a NaN scale equals itself): equal targets compile to
+/// interchangeable machine code, so engines and served batches share one
+/// program between them (e.g. every SPU of a Cell blade).
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TargetDesc {
     /// Human-readable target name (e.g. `"x86-sse"`).
     pub name: String,
@@ -135,11 +140,34 @@ pub struct TargetDesc {
     /// factor is applied consistently.
     pub clock_scale: f64,
     /// Which timing model the simulator charges cycles through (defaults to
-    /// [`TimingKind::Flat`], the differential reference). Feeds the
-    /// fingerprint: the same core with a different timing tier compiles and
-    /// caches separately.
+    /// [`TimingKind::Flat`], the differential reference). Part of the
+    /// target's identity: the same core with a different timing tier
+    /// compiles and caches separately.
     pub timing: TimingKind,
 }
+
+impl PartialEq for TargetDesc {
+    fn eq(&self, other: &Self) -> bool {
+        let TargetDesc {
+            name,
+            int_regs,
+            float_regs,
+            vector,
+            cost,
+            clock_scale,
+            timing,
+        } = self;
+        *name == other.name
+            && *int_regs == other.int_regs
+            && *float_regs == other.float_regs
+            && *vector == other.vector
+            && *cost == other.cost
+            && clock_scale.to_bits() == other.clock_scale.to_bits()
+            && *timing == other.timing
+    }
+}
+
+impl Eq for TargetDesc {}
 
 impl TargetDesc {
     /// `true` if the JIT may emit SIMD instructions for this target.
@@ -147,13 +175,10 @@ impl TargetDesc {
         self.vector.is_some()
     }
 
-    /// A stable fingerprint of everything that influences code generation and
-    /// simulation for this target: name, register files, SIMD unit, cost
-    /// model, clock scale and timing tier.
-    ///
-    /// Two targets with equal fingerprints compile to interchangeable machine
-    /// code, which is what lets an execution cache share compiled programs
-    /// between cores of the same type (e.g. every SPU of a Cell blade).
+    /// A stable 64-bit digest of every field (name, register files, SIMD
+    /// unit, cost model, clock scale and timing tier): the target's part of
+    /// an on-disk artifact store key, the same in every process sharing a
+    /// store directory. In memory, targets are compared by value.
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a over a canonical field serialization; no dependency on the
         // (unstable) std hasher so the value is reproducible across runs.
@@ -208,8 +233,8 @@ impl TargetDesc {
         cycles as f64 * self.clock_scale
     }
 
-    /// This target with a different timing tier (same core otherwise). The
-    /// fingerprint changes, so engines compile and cache it separately.
+    /// This target with a different timing tier (same core otherwise): a
+    /// different target, which engines compile and cache separately.
     #[must_use]
     pub fn with_timing(mut self, timing: TimingKind) -> Self {
         self.timing = timing;

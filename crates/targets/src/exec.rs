@@ -676,11 +676,6 @@ impl PreparedProgram {
         self.functions.len()
     }
 
-    /// `true` if the welding sweep ran over the threaded stream.
-    pub fn fused(&self) -> bool {
-        self.fused
-    }
-
     /// Static welding counts over the whole program (how many pairs the
     /// prepare-time sweep welded).
     pub fn fusion_stats(&self) -> FusionStats {
@@ -2248,7 +2243,7 @@ mod tests {
         let target = TargetDesc::x86_sse();
         let welded = PreparedProgram::prepare_with(&p, &target, true).unwrap();
         let unwelded = PreparedProgram::prepare_with(&p, &target, false).unwrap();
-        assert!(welded.fused() && !unwelded.fused());
+        assert!(welded.fused && !unwelded.fused);
         assert!(welded.fusion_stats().pair >= 1, "the loop must weld");
         assert_eq!(unwelded.fusion_stats().total(), 0);
         // One record per row either way; only openers' handlers differ.

@@ -1,7 +1,7 @@
 //! A tiny reproducible hasher shared across the workspace.
 //!
 //! Several layers need a *stable* 64-bit digest — target fingerprints
-//! (code-cache keys), module fingerprints (serving-layer deployment dedup),
+//! (artifact-store keys), module fingerprints (serving-layer deployment dedup),
 //! result checksums (differential suites) — and none of them can use the
 //! std hasher, whose values are randomized per process. They all speak
 //! FNV-1a through this one implementation so the constants and the

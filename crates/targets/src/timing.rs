@@ -33,7 +33,7 @@
 //! at zero.
 //!
 //! The tier selector ([`TimingKind`]) lives on
-//! [`TargetDesc`](crate::TargetDesc) and feeds its fingerprint, so engine
+//! [`TargetDesc`](crate::TargetDesc) and is part of its identity, so engine
 //! caches distinguish the same core with different timing tiers.
 
 use crate::desc::CostModel;
@@ -58,9 +58,9 @@ const BHT_SIZE: usize = 256;
 ///
 /// This is a property of the *modeled core* (like its register file or cost
 /// table), not of the JIT configuration: it lives on the target description,
-/// feeds [`TargetDesc::fingerprint`](crate::TargetDesc::fingerprint) so
-/// engine cache keys distinguish models, and is copied onto every
-/// [`PreparedProgram`](crate::PreparedProgram) at prepare time.
+/// is part of its equality so engine caches distinguish models, and is
+/// copied onto every [`PreparedProgram`](crate::PreparedProgram) at prepare
+/// time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum TimingKind {
     /// Flat per-opcode costs, prepaid per straight-line region: the

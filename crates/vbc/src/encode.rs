@@ -195,10 +195,6 @@ impl<'a> Reader<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
-    /// Bytes consumed so far.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -930,7 +926,7 @@ mod tests {
     fn uleb_boundaries_around_the_one_byte_path() {
         let read = |bytes: &[u8]| {
             let mut r = Reader::new(bytes);
-            r.uleb().map(|v| (v, r.pos()))
+            r.uleb().map(|v| (v, r.pos))
         };
         // The largest value the one-byte path takes, and the first two the
         // general loop does.
@@ -961,7 +957,7 @@ mod tests {
     fn sleb_rejects_padded_encodings_too() {
         let read = |bytes: &[u8]| {
             let mut r = Reader::new(bytes);
-            r.sleb().map(|v| (v, r.pos()))
+            r.sleb().map(|v| (v, r.pos))
         };
         // Signed integers are zigzag over `uleb`: −1 is `01`, and its padded
         // twin `81 00` is rejected; `ff 7f` is the minimal form of −8192.

@@ -182,17 +182,6 @@ impl Function {
             _ => false,
         })
     }
-
-    /// Predecessor lists for every block, indexed by [`BlockId::index`].
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for b in &self.blocks {
-            for s in b.successors() {
-                preds[s.index()].push(b.id);
-            }
-        }
-        preds
-    }
 }
 
 #[cfg(test)]
@@ -257,14 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn successors_and_predecessors_are_consistent() {
+    fn successors_list_both_branch_targets() {
         let f = sample();
         let entry_succs: Vec<BlockId> = f.block(f.entry).successors().collect();
         assert_eq!(entry_succs, vec![BlockId(1), BlockId(2)]);
-        let preds = f.predecessors();
-        assert_eq!(preds[1], vec![f.entry]);
-        assert_eq!(preds[2], vec![f.entry]);
-        assert!(preds[0].is_empty());
     }
 
     #[test]
