@@ -26,7 +26,7 @@ mod pins;
 use pins::Pins;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use splitc::serve::{Request, ServeModule, Server, ServerConfig};
-use splitc::splitc_minic::compile_source;
+use splitc::splitc_minic::{compile_source, lex, TokenKind};
 use splitc::{run_on_target, Workspace};
 use splitc_jit::{compile_module, JitOptions, RegAllocMode};
 use splitc_opt::{optimize_module, profiles, DefUse, InstPos, Liveness, OptOptions, OptReport};
@@ -1172,6 +1172,129 @@ fn the_offline_step_makes_the_recorded_modules_and_spill_profiles() {
         fold.finish(),
         OFFLINE_PIN,
         "the offline step moved over {} modules (cells printed above)",
+        cells.len()
+    );
+}
+
+/// Sources the front-end pin reads besides the catalogue and the
+/// generators: the lexer's and the parser's edges, one a line.
+const FRONT_END_CASES: &[&str] = &[
+    // An unexpected character.
+    "fn f() { let x: i32 = $; }",
+    // An exponent without digits.
+    "fn f() -> f32 { return 1e+; }",
+    // An integer literal beyond `i64`.
+    "fn f() -> i64 { return 99999999999999999999; }",
+    // A doubled digit separator.
+    "fn f() -> i32 { return 1__0; }",
+    // Non-ASCII white space between tokens: columns count characters.
+    "fn f(x: i32)\u{a0}-> i32 {\u{3000}return\u{a0}x; }",
+    "fn f() {\u{3000}\u{a0}\u{2028}\x0b\x0clet x: i32 = $; }",
+    // A non-ASCII letter inside an identifier.
+    "fn f() { let ab\u{e9}c: i32 = 1; }",
+    // CRLF line ends.
+    "fn f(x: i32) -> i32 {\r\n    // a comment\r\n    return x;\r\n}\r\n",
+    // A `//` comment at the end of the input, without a newline.
+    "fn f() { return; } // the end",
+    // Numbers: separators, exponents, a fraction, a trailing dot.
+    "fn f() -> f64 { return 1_0.2_5e-1_0 + 2E3 + 0.5 + 7e+2; }",
+    "fn f() -> f32 { return 1.; }",
+    "fn f() -> i32 { return 9_223_372_036_854_775_807; }",
+    // Syntax errors.
+    "fn f( { }",
+    "fn f() { 1 + ; }",
+    "fn f() { let x: nosuch = 1; }",
+    "fn f() { 1 + 2 = 3; }",
+    "fn f() { let x: i32 = 1;",
+    "fn f() -> i32 { return (1 + 2; }",
+    "fn f(x: *i32) -> i32 { return x[0; }",
+    "fn (x: i32) { }",
+    // Every operator and keyword, and two type errors.
+    "fn g(a: i32, b: i32) -> i32 { if (a < b && a <= b || !(a > b) & (a >= b) | (a == b) ^ (a != b)) \
+     { return ~a << 1 >> 2 % 3 / 4 * 5 - 6 + -b; } else { while (a < b) { a = a + 1; } } \
+     for (let i: i32 = 0; i < b; i = i + 1) { a = min(a, max(i, b as i32)); } return a; }",
+    "fn f(a: f32, b: i32) -> f32 { return a + b; }",
+    "fn f() -> i32 { return y; }",
+    // A multi-byte character where a token starts.
+    "fn f() { let x: i32 = 1 \u{2212} 2; }",
+    "",
+];
+
+/// FNV-1a over what the front end makes of `source`: every token's kind
+/// and `(line, col)` span, or the lexer's error text; then the encoded,
+/// unoptimized module, or the error text of the first stage that refuses
+/// the source.
+fn front_end_digest(source: &str) -> u64 {
+    let mut h = Fnv1a::new();
+    match lex(source) {
+        Ok(tokens) => {
+            for t in &tokens {
+                match &t.kind {
+                    TokenKind::Int(v) => {
+                        h.write(b"int");
+                        h.write(&v.to_le_bytes());
+                    }
+                    TokenKind::Float(v) => {
+                        h.write(b"float");
+                        h.write(&v.to_bits().to_le_bytes());
+                    }
+                    TokenKind::Ident(name) => {
+                        h.write(b"ident");
+                        h.write(name.as_bytes());
+                    }
+                    other => h.write(other.to_string().as_bytes()),
+                }
+                h.write(&t.span.line.to_le_bytes());
+                h.write(&t.span.col.to_le_bytes());
+            }
+        }
+        Err(e) => h.write(e.to_string().as_bytes()),
+    }
+    match compile_source(source, "pin") {
+        Ok(module) => h.write(&encode_module(&module)),
+        Err(e) => h.write(e.to_string().as_bytes()),
+    }
+    h.finish()
+}
+
+/// Recorded fold of [`front_end_digest`] over the catalogue as one source,
+/// the generators' sources over their suites' seed ranges and
+/// [`FRONT_END_CASES`].
+const FRONT_END_PIN: u64 = 5_973_516_742_679_456_602;
+
+#[test]
+fn the_front_end_reads_every_source_to_the_recorded_tokens_and_errors() {
+    let catalogue: Vec<&str> = all_kernels().iter().map(|k| k.source).collect();
+    let mut sources = vec![("catalogue".to_owned(), catalogue.join("\n"))];
+    let generators = [
+        (gen_int_program as fn(u64) -> String, 0..40),
+        (gen_float_program, 1000..1020),
+        (gen_shift_program, 2000..2030),
+        (gen_branch_program, 3000..3030),
+    ];
+    for (generate, seeds) in generators {
+        sources.extend(seeds.map(|seed| (format!("fuzz seed {seed}"), generate(seed))));
+    }
+    for (i, case) in FRONT_END_CASES.iter().enumerate() {
+        sources.push((format!("case {i}"), (*case).to_owned()));
+    }
+    let cells: Vec<(String, u64)> = sources
+        .iter()
+        .map(|(name, source)| (name.clone(), front_end_digest(source)))
+        .collect();
+    let mut fold = Fnv1a::new();
+    for (_, digest) in &cells {
+        fold.write(&digest.to_le_bytes());
+    }
+    if fold.finish() != FRONT_END_PIN {
+        for (name, digest) in &cells {
+            println!("{name}: {digest:#018x}");
+        }
+    }
+    assert_eq!(
+        fold.finish(),
+        FRONT_END_PIN,
+        "the front end moved over {} sources (cells printed above)",
         cells.len()
     );
 }
