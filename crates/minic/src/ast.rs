@@ -110,163 +110,163 @@ pub enum UnaryOp {
 
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub enum Expr<'a> {
     /// Integer literal.
     IntLit(i64),
     /// Floating-point literal.
     FloatLit(f64),
     /// Variable reference.
-    Var(String),
+    Var(&'a str),
     /// Unary operation.
     Unary {
         /// Operator.
         op: UnaryOp,
         /// Operand.
-        expr: Box<Expr>,
+        expr: Box<Expr<'a>>,
     },
     /// Binary operation.
     Binary {
         /// Operator.
         op: BinaryOp,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: Box<Expr<'a>>,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: Box<Expr<'a>>,
     },
     /// Explicit conversion `expr as T`.
     Cast {
         /// Converted expression.
-        expr: Box<Expr>,
+        expr: Box<Expr<'a>>,
         /// Target type.
         ty: MiniType,
     },
     /// Function or intrinsic call.
     Call {
         /// Callee name.
-        name: String,
+        name: &'a str,
         /// Argument expressions.
-        args: Vec<Expr>,
+        args: Vec<Expr<'a>>,
     },
     /// Pointer indexing `p[i]` (element load when used as a value).
     Index {
         /// Pointer variable name.
-        ptr: String,
+        ptr: &'a str,
         /// Element index expression.
-        index: Box<Expr>,
+        index: Box<Expr<'a>>,
     },
 }
 
 /// An assignable location.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LValue {
+pub enum LValue<'a> {
     /// A local variable or parameter.
-    Var(String),
+    Var(&'a str),
     /// An element of an array pointed to by a pointer variable.
     Index {
         /// Pointer variable name.
-        ptr: String,
+        ptr: &'a str,
         /// Element index expression.
-        index: Expr,
+        index: Expr<'a>,
     },
 }
 
 /// A statement.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub enum Stmt<'a> {
     /// `let name: ty = init;`
     Let {
         /// Variable name.
-        name: String,
+        name: &'a str,
         /// Declared type.
         ty: MiniType,
         /// Initializer expression.
-        init: Expr,
+        init: Expr<'a>,
     },
     /// `target = value;`
     Assign {
         /// Assigned location.
-        target: LValue,
+        target: LValue<'a>,
         /// Assigned value.
-        value: Expr,
+        value: Expr<'a>,
     },
     /// `if (cond) { .. } else { .. }`
     If {
         /// Condition.
-        cond: Expr,
+        cond: Expr<'a>,
         /// Then branch.
-        then_blk: BlockStmt,
+        then_blk: BlockStmt<'a>,
         /// Optional else branch.
-        else_blk: Option<BlockStmt>,
+        else_blk: Option<BlockStmt<'a>>,
     },
     /// `while (cond) { .. }`
     While {
         /// Loop condition.
-        cond: Expr,
+        cond: Expr<'a>,
         /// Loop body.
-        body: BlockStmt,
+        body: BlockStmt<'a>,
     },
     /// `for (init; cond; step) { .. }`
     For {
         /// Initialization statement (a `let` or assignment).
-        init: Box<Stmt>,
+        init: Box<Stmt<'a>>,
         /// Loop condition.
-        cond: Expr,
+        cond: Expr<'a>,
         /// Step statement (an assignment).
-        step: Box<Stmt>,
+        step: Box<Stmt<'a>>,
         /// Loop body.
-        body: BlockStmt,
+        body: BlockStmt<'a>,
     },
     /// `return expr?;`
     Return {
         /// Returned value, if any.
-        value: Option<Expr>,
+        value: Option<Expr<'a>>,
     },
     /// An expression evaluated for its side effects (e.g. a call).
     Expr {
         /// The expression.
-        expr: Expr,
+        expr: Expr<'a>,
     },
 }
 
 /// A brace-delimited statement list.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct BlockStmt {
+pub struct BlockStmt<'a> {
     /// The statements, in order.
-    pub stmts: Vec<Stmt>,
+    pub stmts: Vec<Stmt<'a>>,
 }
 
 /// A function parameter.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Param {
+pub struct Param<'a> {
     /// Parameter name.
-    pub name: String,
+    pub name: &'a str,
     /// Parameter type.
     pub ty: MiniType,
 }
 
 /// A function declaration.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FuncDecl {
+pub struct FuncDecl<'a> {
     /// Function name.
-    pub name: String,
+    pub name: &'a str,
     /// Parameters, in order.
-    pub params: Vec<Param>,
+    pub params: Vec<Param<'a>>,
     /// Return type, or `None` for a void function.
     pub ret: Option<MiniType>,
     /// Function body.
-    pub body: BlockStmt,
+    pub body: BlockStmt<'a>,
 }
 
 /// A whole translation unit.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Program {
+pub struct Program<'a> {
     /// All function declarations.
-    pub functions: Vec<FuncDecl>,
+    pub functions: Vec<FuncDecl<'a>>,
 }
 
-impl Program {
+impl<'a> Program<'a> {
     /// Look up a function by name.
-    pub fn function(&self, name: &str) -> Option<&FuncDecl> {
+    pub fn function(&self, name: &str) -> Option<&FuncDecl<'a>> {
         self.functions.iter().find(|f| f.name == name)
     }
 }
@@ -298,7 +298,7 @@ mod tests {
     fn program_lookup() {
         let p = Program {
             functions: vec![FuncDecl {
-                name: "f".into(),
+                name: "f",
                 params: vec![],
                 ret: None,
                 body: BlockStmt::default(),

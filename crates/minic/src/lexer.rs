@@ -1,4 +1,14 @@
 //! Hand-written lexer for the mini-C kernel language.
+//!
+//! Layout: the lexer walks the bytes of the source `&str` with one cursor.
+//! An identifier's token borrows its slice of the source, and a number is
+//! parsed straight from its slice, so a whole lexing run allocates the token
+//! vector and nothing else; only a number spelled with `_` separators copies
+//! its digits once, without them. Tokens and the source's syntax are ASCII;
+//! a byte at or above `0x80` starts a multi-byte character, which is decoded
+//! only to ask whether it is white space or to name it in an error. Columns
+//! count characters, not bytes: every character but `\n` advances the column
+//! by one, white space included, and `\n` starts the next line.
 
 use crate::error::CompileError;
 use crate::token::{Span, Token, TokenKind};
@@ -17,87 +27,99 @@ use crate::token::{Span, Token, TokenKind};
 /// let tokens = lex("fn f() { return; }").unwrap();
 /// assert!(tokens.len() > 5);
 /// ```
-pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
-    Lexer::new(source).run()
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, CompileError> {
+    Lexer {
+        source,
+        bytes: source.as_bytes(),
+        pos: 0,
+        line: 1,
+        col: 1,
+    }
+    .run()
 }
 
 struct Lexer<'a> {
-    chars: Vec<char>,
+    source: &'a str,
+    bytes: &'a [u8],
     pos: usize,
     line: u32,
     col: u32,
-    source: &'a str,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(source: &'a str) -> Self {
-        Lexer {
-            chars: source.chars().collect(),
-            pos: 0,
-            line: 1,
-            col: 1,
-            source,
-        }
-    }
-
     fn span(&self) -> Span {
         Span::new(self.line, self.col)
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+    fn byte_at(&self, pos: usize) -> Option<u8> {
+        self.bytes.get(pos).copied()
     }
 
-    fn peek2(&self) -> Option<char> {
-        self.chars.get(self.pos + 1).copied()
+    /// The (possibly multi-byte) character at the cursor.
+    fn char_here(&self) -> char {
+        self.source[self.pos..]
+            .chars()
+            .next()
+            .expect("the cursor is on a character boundary")
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == '\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
+    /// Step over `n` bytes of ASCII other than `\n`.
+    fn advance(&mut self, n: usize) {
+        self.pos += n;
+        self.col += n as u32;
     }
 
     fn skip_trivia(&mut self) {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
+        while let Some(b) = self.byte_at(self.pos) {
+            match b {
+                b'\n' => {
+                    self.pos += 1;
+                    self.line += 1;
+                    self.col = 1;
                 }
-                Some('/') if self.peek2() == Some('/') => {
-                    while let Some(c) = self.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
+                b'/' if self.byte_at(self.pos + 1) == Some(b'/') => {
+                    // Up to the line end, which the next round consumes.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
+                    let chars = rest[..len].iter().filter(|&&c| !is_continuation(c)).count();
+                    self.pos += len;
+                    self.col += chars as u32;
+                }
+                _ if b.is_ascii() => {
+                    if !char::from(b).is_whitespace() {
+                        return;
                     }
+                    self.advance(1);
                 }
-                _ => break,
+                _ => {
+                    let c = self.char_here();
+                    if !c.is_whitespace() {
+                        return;
+                    }
+                    self.pos += c.len_utf8();
+                    self.col += 1;
+                }
             }
         }
     }
 
-    fn run(mut self) -> Result<Vec<Token>, CompileError> {
-        let mut tokens = Vec::new();
+    fn run(mut self) -> Result<Vec<Token<'a>>, CompileError> {
+        // About one token per four bytes of kernel source, so the vector
+        // rarely grows more than once.
+        let mut tokens = Vec::with_capacity(self.bytes.len() / 4 + 1);
         loop {
             self.skip_trivia();
             let span = self.span();
-            let Some(c) = self.peek() else {
+            let Some(b) = self.byte_at(self.pos) else {
                 tokens.push(Token {
                     kind: TokenKind::Eof,
                     span,
                 });
                 return Ok(tokens);
             };
-            let kind = if c.is_ascii_digit() {
+            let kind = if b.is_ascii_digit() {
                 self.number(span)?
-            } else if c.is_ascii_alphabetic() || c == '_' {
+            } else if b.is_ascii_alphabetic() || b == b'_' {
                 self.ident()
             } else {
                 self.symbol(span)?
@@ -106,31 +128,35 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn number(&mut self, span: Span) -> Result<TokenKind, CompileError> {
+    fn number(&mut self, span: Span) -> Result<TokenKind<'a>, CompileError> {
         let start = self.pos;
+        let mut end = start;
         let mut is_float = false;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || c == '_' {
-                self.bump();
-            } else if c == '.' && !is_float && self.peek2().is_some_and(|d| d.is_ascii_digit()) {
+        while let Some(c) = self.byte_at(end) {
+            let next = self.byte_at(end + 1);
+            if c.is_ascii_digit() || c == b'_' {
+                end += 1;
+            } else if c == b'.' && !is_float && next.is_some_and(|d| d.is_ascii_digit()) {
                 is_float = true;
-                self.bump();
-            } else if (c == 'e' || c == 'E')
-                && self
-                    .peek2()
-                    .is_some_and(|d| d.is_ascii_digit() || d == '-' || d == '+')
+                end += 1;
+            } else if (c == b'e' || c == b'E')
+                && next.is_some_and(|d| d.is_ascii_digit() || d == b'-' || d == b'+')
             {
                 is_float = true;
-                self.bump();
-                self.bump();
+                end += 2;
             } else {
                 break;
             }
         }
-        let text: String = self.chars[start..self.pos]
-            .iter()
-            .filter(|c| **c != '_')
-            .collect();
+        self.advance(end - start);
+        let spelled = &self.source[start..end];
+        let owned;
+        let text = if spelled.contains('_') {
+            owned = spelled.replace('_', "");
+            owned.as_str()
+        } else {
+            spelled
+        };
         if is_float {
             text.parse::<f64>()
                 .map(TokenKind::Float)
@@ -142,17 +168,14 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn ident(&mut self) -> TokenKind {
+    fn ident(&mut self) -> TokenKind<'a> {
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        match text.as_str() {
+        let len = self.bytes[start..]
+            .iter()
+            .position(|&c| !(c.is_ascii_alphanumeric() || c == b'_'))
+            .unwrap_or(self.bytes.len() - start);
+        self.advance(len);
+        match &self.source[start..start + len] {
             "fn" => TokenKind::KwFn,
             "let" => TokenKind::KwLet,
             "if" => TokenKind::KwIf,
@@ -161,75 +184,67 @@ impl<'a> Lexer<'a> {
             "for" => TokenKind::KwFor,
             "return" => TokenKind::KwReturn,
             "as" => TokenKind::KwAs,
-            _ => TokenKind::Ident(text),
+            text => TokenKind::Ident(text),
         }
     }
 
-    fn symbol(&mut self, span: Span) -> Result<TokenKind, CompileError> {
-        let c = self
-            .bump()
-            .expect("symbol called with a character available");
-        let two = |l: &mut Self, next: char, yes: TokenKind, no: TokenKind| {
-            if l.peek() == Some(next) {
-                l.bump();
-                yes
+    fn symbol(&mut self, span: Span) -> Result<TokenKind<'a>, CompileError> {
+        let next = self.byte_at(self.pos + 1);
+        // A two-byte operator when the next byte is `second`.
+        let two = |second: u8, yes: TokenKind<'a>, no: TokenKind<'a>| {
+            if next == Some(second) {
+                (2, yes)
             } else {
-                no
+                (1, no)
             }
         };
-        Ok(match c {
-            '(' => TokenKind::LParen,
-            ')' => TokenKind::RParen,
-            '{' => TokenKind::LBrace,
-            '}' => TokenKind::RBrace,
-            '[' => TokenKind::LBracket,
-            ']' => TokenKind::RBracket,
-            ',' => TokenKind::Comma,
-            ';' => TokenKind::Semi,
-            ':' => TokenKind::Colon,
-            '*' => TokenKind::Star,
-            '+' => TokenKind::Plus,
-            '/' => TokenKind::Slash,
-            '%' => TokenKind::Percent,
-            '^' => TokenKind::Caret,
-            '~' => TokenKind::Tilde,
-            '-' => two(self, '>', TokenKind::Arrow, TokenKind::Minus),
-            '&' => two(self, '&', TokenKind::AndAnd, TokenKind::Amp),
-            '|' => two(self, '|', TokenKind::OrOr, TokenKind::Pipe),
-            '!' => two(self, '=', TokenKind::NotEq, TokenKind::Bang),
-            '=' => two(self, '=', TokenKind::EqEq, TokenKind::Assign),
-            '<' => {
-                if self.peek() == Some('<') {
-                    self.bump();
-                    TokenKind::Shl
-                } else {
-                    two(self, '=', TokenKind::Le, TokenKind::Lt)
-                }
-            }
-            '>' => {
-                if self.peek() == Some('>') {
-                    self.bump();
-                    TokenKind::Shr
-                } else {
-                    two(self, '=', TokenKind::Ge, TokenKind::Gt)
-                }
-            }
-            other => {
-                let _ = self.source;
+        let (len, kind) = match self.bytes[self.pos] {
+            b'(' => (1, TokenKind::LParen),
+            b')' => (1, TokenKind::RParen),
+            b'{' => (1, TokenKind::LBrace),
+            b'}' => (1, TokenKind::RBrace),
+            b'[' => (1, TokenKind::LBracket),
+            b']' => (1, TokenKind::RBracket),
+            b',' => (1, TokenKind::Comma),
+            b';' => (1, TokenKind::Semi),
+            b':' => (1, TokenKind::Colon),
+            b'*' => (1, TokenKind::Star),
+            b'+' => (1, TokenKind::Plus),
+            b'/' => (1, TokenKind::Slash),
+            b'%' => (1, TokenKind::Percent),
+            b'^' => (1, TokenKind::Caret),
+            b'~' => (1, TokenKind::Tilde),
+            b'-' => two(b'>', TokenKind::Arrow, TokenKind::Minus),
+            b'&' => two(b'&', TokenKind::AndAnd, TokenKind::Amp),
+            b'|' => two(b'|', TokenKind::OrOr, TokenKind::Pipe),
+            b'!' => two(b'=', TokenKind::NotEq, TokenKind::Bang),
+            b'=' => two(b'=', TokenKind::EqEq, TokenKind::Assign),
+            b'<' if next == Some(b'<') => (2, TokenKind::Shl),
+            b'<' => two(b'=', TokenKind::Le, TokenKind::Lt),
+            b'>' if next == Some(b'>') => (2, TokenKind::Shr),
+            b'>' => two(b'=', TokenKind::Ge, TokenKind::Gt),
+            _ => {
                 return Err(CompileError::lex(
                     span,
-                    format!("unexpected character `{other}`"),
+                    format!("unexpected character `{}`", self.char_here()),
                 ));
             }
-        })
+        };
+        self.advance(len);
+        Ok(kind)
     }
+}
+
+/// `true` for the second and later bytes of a multi-byte UTF-8 character.
+fn is_continuation(b: u8) -> bool {
+    b & 0xC0 == 0x80
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -237,7 +252,7 @@ mod tests {
     fn lexes_keywords_idents_and_symbols() {
         let k = kinds("fn add(a: i32) -> i32 { return a + 1; }");
         assert_eq!(k[0], TokenKind::KwFn);
-        assert_eq!(k[1], TokenKind::Ident("add".into()));
+        assert_eq!(k[1], TokenKind::Ident("add"));
         assert!(k.contains(&TokenKind::Arrow));
         assert!(k.contains(&TokenKind::KwReturn));
         assert_eq!(*k.last().unwrap(), TokenKind::Eof);
@@ -290,7 +305,7 @@ mod tests {
     #[test]
     fn skips_comments_and_tracks_positions() {
         let toks = lex("// a comment\n  x").unwrap();
-        assert_eq!(toks[0].kind, TokenKind::Ident("x".into()));
+        assert_eq!(toks[0].kind, TokenKind::Ident("x"));
         assert_eq!(toks[0].span, Span::new(2, 3));
     }
 

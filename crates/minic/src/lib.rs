@@ -56,6 +56,6 @@ pub use ast::{
 };
 pub use error::{CompileError, Stage};
 pub use lexer::lex;
-pub use lower::{compile_program, compile_source, signatures, FuncSig};
-pub use parser::parse;
+pub use lower::{compile_program, compile_source};
+pub use parser::{parse, MAX_NESTING};
 pub use token::{Span, Token, TokenKind};

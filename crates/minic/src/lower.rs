@@ -11,33 +11,6 @@ use crate::parser::parse;
 use splitc_vbc::{
     verify_module, BinOp, CmpOp, FunctionBuilder, Module, ScalarType, Type, UnOp, VReg,
 };
-use std::collections::HashMap;
-
-/// The signature of a callable function, as seen by call sites.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuncSig {
-    /// Parameter types, in order.
-    pub params: Vec<MiniType>,
-    /// Return type, or `None` for void.
-    pub ret: Option<MiniType>,
-}
-
-/// Collect the signatures of every function in a program.
-pub fn signatures(program: &Program) -> HashMap<String, FuncSig> {
-    program
-        .functions
-        .iter()
-        .map(|f| {
-            (
-                f.name.clone(),
-                FuncSig {
-                    params: f.params.iter().map(|p| p.ty).collect(),
-                    ret: f.ret,
-                },
-            )
-        })
-        .collect()
-}
 
 /// Compile a parsed program into a bytecode module named `module_name`.
 ///
@@ -45,11 +18,11 @@ pub fn signatures(program: &Program) -> HashMap<String, FuncSig> {
 ///
 /// Returns a [`CompileError`] on any type error (mismatched operand types,
 /// unknown variables or functions, bad argument counts, missing returns).
-pub fn compile_program(program: &Program, module_name: &str) -> Result<Module, CompileError> {
-    let sigs = signatures(program);
+pub fn compile_program(program: &Program<'_>, module_name: &str) -> Result<Module, CompileError> {
     let mut module = Module::new(module_name);
+    let mut symbols = Symbols::default();
     for f in &program.functions {
-        module.add_function(lower_function(f, &sigs)?);
+        module.add_function(lower_function(f, &program.functions, &mut symbols)?);
     }
     Ok(module)
 }
@@ -88,69 +61,93 @@ struct VarInfo {
     ty: MiniType,
 }
 
-struct Lowering<'a> {
-    b: FunctionBuilder,
-    sigs: &'a HashMap<String, FuncSig>,
-    scopes: Vec<HashMap<String, VarInfo>>,
-    ret: Option<MiniType>,
-    func_name: String,
+/// The variables in scope while one function is lowered: one table per
+/// function, reused for the next. A declaration is pushed on `vars` and a
+/// name is looked up from the innermost declaration outwards, comparing
+/// names borrowed from the syntax tree; closing a scope truncates `vars` to
+/// where the scope began.
+#[derive(Default)]
+struct Symbols<'a> {
+    vars: Vec<(&'a str, VarInfo)>,
+    /// Where each open scope's declarations begin in `vars`.
+    scopes: Vec<usize>,
 }
 
-fn lower_function(
-    decl: &FuncDecl,
-    sigs: &HashMap<String, FuncSig>,
+struct Lowering<'p, 'a> {
+    b: FunctionBuilder,
+    /// Every function of the program, for the signatures of calls.
+    functions: &'p [FuncDecl<'a>],
+    symbols: &'p mut Symbols<'a>,
+    ret: Option<MiniType>,
+    func_name: &'a str,
+}
+
+fn lower_function<'a>(
+    decl: &FuncDecl<'a>,
+    functions: &[FuncDecl<'a>],
+    symbols: &mut Symbols<'a>,
 ) -> Result<splitc_vbc::Function, CompileError> {
     let param_types: Vec<Type> = decl.params.iter().map(|p| p.ty.to_vbc()).collect();
     let ret_ty = decl.ret.map(MiniType::to_vbc);
-    let b = FunctionBuilder::new(&decl.name, &param_types, ret_ty);
+    let b = FunctionBuilder::new(decl.name, &param_types, ret_ty);
+    symbols.vars.clear();
+    symbols.scopes.clear();
     let mut lowering = Lowering {
         b,
-        sigs,
-        scopes: vec![HashMap::new()],
+        functions,
+        symbols,
         ret: decl.ret,
-        func_name: decl.name.clone(),
+        func_name: decl.name,
     };
+    lowering.open_scope();
     for (i, p) in decl.params.iter().enumerate() {
         let reg = lowering.b.param(i);
-        lowering.declare(&p.name, VarInfo { reg, ty: p.ty })?;
+        lowering.declare(p.name, VarInfo { reg, ty: p.ty })?;
     }
     lowering.lower_block(&decl.body)?;
     lowering.terminate_open_blocks();
     Ok(lowering.b.finish())
 }
 
-impl Lowering<'_> {
+impl<'a> Lowering<'_, 'a> {
     fn err(&self, msg: impl std::fmt::Display) -> CompileError {
         CompileError::lower(format!("in function `{}`: {msg}", self.func_name))
     }
 
-    fn declare(&mut self, name: &str, info: VarInfo) -> Result<(), CompileError> {
-        let scope = self.scopes.last_mut().expect("at least one scope");
-        if scope.contains_key(name) {
+    fn open_scope(&mut self) {
+        self.symbols.scopes.push(self.symbols.vars.len());
+    }
+
+    fn close_scope(&mut self) {
+        let start = self.symbols.scopes.pop().expect("a scope is open");
+        self.symbols.vars.truncate(start);
+    }
+
+    fn declare(&mut self, name: &'a str, info: VarInfo) -> Result<(), CompileError> {
+        let start = *self.symbols.scopes.last().expect("at least one scope");
+        if self.symbols.vars[start..].iter().any(|(n, _)| *n == name) {
             return Err(CompileError::lower(format!(
                 "in function `{}`: variable `{name}` is declared twice in the same scope",
                 self.func_name
             )));
         }
-        scope.insert(name.to_owned(), info);
+        self.symbols.vars.push((name, info));
         Ok(())
     }
 
     fn lookup(&self, name: &str) -> Result<(VReg, MiniType), CompileError> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return Ok((v.reg, v.ty));
-            }
+        match self.symbols.vars.iter().rev().find(|(n, _)| *n == name) {
+            Some((_, v)) => Ok((v.reg, v.ty)),
+            None => Err(self.err(format!("unknown variable `{name}`"))),
         }
-        Err(self.err(format!("unknown variable `{name}`")))
     }
 
-    fn lower_block(&mut self, block: &BlockStmt) -> Result<(), CompileError> {
-        self.scopes.push(HashMap::new());
+    fn lower_block(&mut self, block: &BlockStmt<'a>) -> Result<(), CompileError> {
+        self.open_scope();
         for stmt in &block.stmts {
             self.lower_stmt(stmt)?;
         }
-        self.scopes.pop();
+        self.close_scope();
         Ok(())
     }
 
@@ -191,7 +188,7 @@ impl Lowering<'_> {
         }
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt) -> Result<(), CompileError> {
+    fn lower_stmt(&mut self, stmt: &Stmt<'a>) -> Result<(), CompileError> {
         match stmt {
             Stmt::Let { name, ty, init } => {
                 let (value, vty) = self.lower_expr(init, Some(*ty))?;
@@ -218,10 +215,10 @@ impl Lowering<'_> {
                 step,
                 body,
             } => {
-                self.scopes.push(HashMap::new());
+                self.open_scope();
                 self.lower_stmt(init)?;
                 self.lower_loop(None, cond, Some(step), body)?;
-                self.scopes.pop();
+                self.close_scope();
                 Ok(())
             }
             Stmt::Return { value } => {
@@ -260,7 +257,7 @@ impl Lowering<'_> {
         self.b.push(splitc_vbc::Inst::Move { dst, ty: sty, src });
     }
 
-    fn lower_assign(&mut self, target: &LValue, value: &Expr) -> Result<(), CompileError> {
+    fn lower_assign(&mut self, target: &LValue<'a>, value: &Expr<'a>) -> Result<(), CompileError> {
         match target {
             LValue::Var(name) => {
                 let (reg, ty) = self.lookup(name)?;
@@ -293,9 +290,9 @@ impl Lowering<'_> {
 
     fn lower_if(
         &mut self,
-        cond: &Expr,
-        then_blk: &BlockStmt,
-        else_blk: Option<&BlockStmt>,
+        cond: &Expr<'a>,
+        then_blk: &BlockStmt<'a>,
+        else_blk: Option<&BlockStmt<'a>>,
     ) -> Result<(), CompileError> {
         let c = self.lower_condition(cond)?;
         let then_bb = self.b.new_block();
@@ -328,9 +325,9 @@ impl Lowering<'_> {
     fn lower_loop(
         &mut self,
         _preheader: Option<()>,
-        cond: &Expr,
-        step: Option<&Stmt>,
-        body: &BlockStmt,
+        cond: &Expr<'a>,
+        step: Option<&Stmt<'a>>,
+        body: &BlockStmt<'a>,
     ) -> Result<(), CompileError> {
         let header = self.b.new_block();
         let body_bb = self.b.new_block();
@@ -355,7 +352,7 @@ impl Lowering<'_> {
     }
 
     /// Lower a boolean context expression to an `i32` truth value.
-    fn lower_condition(&mut self, cond: &Expr) -> Result<VReg, CompileError> {
+    fn lower_condition(&mut self, cond: &Expr<'a>) -> Result<VReg, CompileError> {
         let (v, ty) = self.lower_expr(cond, Some(MiniType::Scalar(ScalarType::I32)))?;
         let MiniType::Scalar(s) = ty else {
             return Err(self.err("pointers cannot be used as conditions"));
@@ -372,7 +369,7 @@ impl Lowering<'_> {
     }
 
     /// Compute the byte address of `ptr[index]`.
-    fn lower_address(&mut self, ptr: &str, index: &Expr) -> Result<VReg, CompileError> {
+    fn lower_address(&mut self, ptr: &str, index: &Expr<'a>) -> Result<VReg, CompileError> {
         let (preg, pty) = self.lookup(ptr)?;
         let MiniType::Ptr(elem) = pty else {
             return Err(self.err(format!("`{ptr}` is not a pointer and cannot be indexed")));
@@ -397,7 +394,7 @@ impl Lowering<'_> {
 
     fn lower_expr(
         &mut self,
-        expr: &Expr,
+        expr: &Expr<'a>,
         hint: Option<MiniType>,
     ) -> Result<(VReg, MiniType), CompileError> {
         match expr {
@@ -449,7 +446,7 @@ impl Lowering<'_> {
     fn lower_unary(
         &mut self,
         op: UnaryOp,
-        expr: &Expr,
+        expr: &Expr<'a>,
         hint: Option<MiniType>,
     ) -> Result<(VReg, MiniType), CompileError> {
         let (v, ty) = self.lower_expr(expr, hint)?;
@@ -479,8 +476,8 @@ impl Lowering<'_> {
     fn lower_binary(
         &mut self,
         op: BinaryOp,
-        lhs: &Expr,
-        rhs: &Expr,
+        lhs: &Expr<'a>,
+        rhs: &Expr<'a>,
         hint: Option<MiniType>,
     ) -> Result<(VReg, MiniType), CompileError> {
         if op.is_logical() {
@@ -563,7 +560,11 @@ impl Lowering<'_> {
         Ok((self.b.bin(b, s, lv, rv), lty))
     }
 
-    fn lower_call(&mut self, name: &str, args: &[Expr]) -> Result<(VReg, MiniType), CompileError> {
+    fn lower_call(
+        &mut self,
+        name: &str,
+        args: &[Expr<'a>],
+    ) -> Result<(VReg, MiniType), CompileError> {
         // Intrinsics: element-wise min/max, which keep loop bodies branch-free
         // so that the offline vectorizer can handle reduction kernels.
         if name == "min" || name == "max" {
@@ -588,20 +589,22 @@ impl Lowering<'_> {
             return Ok((self.b.bin(op, s, a, bv), aty));
         }
 
-        let sig = self
-            .sigs
-            .get(name)
-            .cloned()
+        // Of two functions with one name, a call sees the later.
+        let functions = self.functions;
+        let callee = functions
+            .iter()
+            .rev()
+            .find(|f| f.name == name)
             .ok_or_else(|| self.err(format!("call to unknown function `{name}`")))?;
-        if sig.params.len() != args.len() {
+        if callee.params.len() != args.len() {
             return Err(self.err(format!(
                 "`{name}` expects {} arguments, {} supplied",
-                sig.params.len(),
+                callee.params.len(),
                 args.len()
             )));
         }
         let mut arg_regs = Vec::with_capacity(args.len());
-        for (arg, pty) in args.iter().zip(&sig.params) {
+        for (arg, pty) in args.iter().zip(callee.params.iter().map(|p| &p.ty)) {
             let (v, vty) = self.lower_expr(arg, Some(*pty))?;
             if vty != *pty {
                 return Err(self.err(format!(
@@ -610,7 +613,7 @@ impl Lowering<'_> {
             }
             arg_regs.push(v);
         }
-        match sig.ret {
+        match callee.ret {
             Some(rty) => {
                 let dst = self
                     .b
@@ -852,11 +855,97 @@ mod tests {
 
     #[test]
     fn signatures_collects_all_functions() {
-        let p = parse("fn a(x: i32) {} fn b() -> f32 { return 0.0; }").unwrap();
-        let sigs = signatures(&p);
-        assert_eq!(sigs.len(), 2);
-        assert_eq!(sigs["a"].params, vec![MiniType::Scalar(ScalarType::I32)]);
-        assert_eq!(sigs["b"].ret, Some(MiniType::Scalar(ScalarType::F32)));
+        // A call sees every function of the program, declared before or after it.
+        let src =
+            "fn c() -> f32 { a(1); return b(); } fn a(x: i32) {} fn b() -> f32 { return 0.0; }";
+        let p = parse(src).unwrap();
         assert!(compile_program(&p, "check").is_ok());
+        let err = compile_source("fn a(x: i32) {} fn c() { a(1.0); }", "t").unwrap_err();
+        assert!(err.to_string().contains("argument type mismatch"), "{err}");
+    }
+
+    /// Compile `source`, in the test's own thread (2 MiB of stack unless
+    /// `RUST_MIN_STACK` says otherwise), and say whether the parser refused
+    /// it for nesting too deep.
+    fn refused_as_too_deep(source: &str) -> bool {
+        match compile_source(source, "deep") {
+            Ok(_) => false,
+            Err(e) => {
+                let text = e.to_string();
+                assert!(text.contains("nesting deeper than 128 levels"), "{text}");
+                true
+            }
+        }
+    }
+
+    #[test]
+    fn deep_nesting_of_parentheses_is_refused() {
+        let nested = |n| {
+            format!(
+                "fn f() -> i32 {{ return {}1{}; }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        assert!(refused_as_too_deep(&nested(3_000)));
+        assert!(!refused_as_too_deep(&nested(120)));
+        // Near the limit on both counts, the parser's and the lowering's
+        // recursion fit in the thread's stack, in a debug build too.
+        let sums = |n| {
+            format!(
+                "fn f(x: i32) -> i32 {{ return {}x{}; }}",
+                "x + (".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        assert!(!refused_as_too_deep(&sums(125)));
+        assert!(refused_as_too_deep(&sums(130)));
+    }
+
+    #[test]
+    fn deep_nesting_of_if_blocks_is_refused() {
+        // Each level opens an `if` statement and its block.
+        let nested = |n| {
+            format!(
+                "fn f(x: i32) -> i32 {{ {} return x; {} return 0; }}",
+                "if (x > 0) { ".repeat(n),
+                "} ".repeat(n)
+            )
+        };
+        assert!(refused_as_too_deep(&nested(10_000)));
+        assert!(!refused_as_too_deep(&nested(60)));
+        let chained = |n| {
+            format!(
+                "fn f(x: i32) -> i32 {{ {} {{ return 1; }} return 0; }}",
+                "if (x > 0) { return 0; } else ".repeat(n)
+            )
+        };
+        assert!(refused_as_too_deep(&chained(10_000)));
+        assert!(!refused_as_too_deep(&chained(120)));
+    }
+
+    #[test]
+    fn deep_nesting_of_unary_minus_is_refused() {
+        let nested = |n| format!("fn f(x: i32) -> i32 {{ return {}x; }}", "-".repeat(n));
+        assert!(refused_as_too_deep(&nested(100_000)));
+        assert!(!refused_as_too_deep(&nested(120)));
+        let casts = |n| format!("fn f(x: i32) -> i32 {{ return x{}; }}", " as i32".repeat(n));
+        assert!(refused_as_too_deep(&casts(100_000)));
+        assert!(!refused_as_too_deep(&casts(120)));
+    }
+
+    #[test]
+    fn deep_nesting_of_an_operator_chain_is_refused() {
+        // A left-deep tree: the parser loops, but lowering and `Drop` recurse.
+        let chain = |n| format!("fn f(x: i32) -> i32 {{ return x{}; }}", " + x".repeat(n));
+        assert!(refused_as_too_deep(&chain(100_000)));
+        assert!(!refused_as_too_deep(&chain(120)));
+        let err = compile_source(&chain(100_000), "deep").unwrap_err();
+        // The 128th `+`, which would make the tree 129 levels high.
+        let col = "fn f(x: i32) -> i32 { return x".len() + 127 * " + x".len() + 2;
+        assert_eq!(
+            err.to_string(),
+            format!("parse error at 1:{col}: nesting deeper than 128 levels")
+        );
     }
 }

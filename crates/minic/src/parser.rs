@@ -1,4 +1,17 @@
 //! Recursive-descent parser for the mini-C kernel language.
+//!
+//! Binary operators are parsed by precedence climbing over one table,
+//! [`binary_op`]; every level is left-associative, so the trees are those
+//! of a grammar with one rule per level. Tokens are read in place: the
+//! parser copies a token's kind (an identifier is a slice of the source)
+//! and never clones it.
+//!
+//! The lowering and the tree's `Drop` recurse through the syntax tree, so
+//! the parser refuses a source that nests deeper than [`MAX_NESTING`]:
+//! blocks and `if` statements inside each other, parenthesized, indexed or
+//! argument expressions, prefix operators, and the height of an expression
+//! tree, which a chain of left-associative operators or casts grows one
+//! level per operator.
 
 use crate::ast::{
     BinaryOp, BlockStmt, Expr, FuncDecl, LValue, MiniType, Param, Program, Stmt, UnaryOp,
@@ -8,11 +21,20 @@ use crate::lexer::lex;
 use crate::token::{Span, Token, TokenKind};
 use splitc_vbc::ScalarType;
 
+/// The deepest nesting a source may reach, counted separately for the
+/// parser's recursion (blocks, `if` statements, sub-expressions and prefix
+/// operators open around a token) and for the height of each expression
+/// tree. The catalogue and the generated test programs reach 8 brackets and
+/// expressions 15 high. At this limit a debug build parses and lowers the
+/// deepest sources in 1 MiB of stack, half a test thread's.
+pub const MAX_NESTING: u32 = 128;
+
 /// Parse a whole mini-C source file into a [`Program`].
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error found.
+/// Returns the first lexical or syntactic error found, and an error at the
+/// first token that nests deeper than [`MAX_NESTING`].
 ///
 /// # Examples
 ///
@@ -22,18 +44,59 @@ use splitc_vbc::ScalarType;
 /// assert_eq!(program.functions.len(), 1);
 /// assert_eq!(program.functions[0].name, "id");
 /// ```
-pub fn parse(source: &str) -> Result<Program, CompileError> {
+pub fn parse(source: &str) -> Result<Program<'_>, CompileError> {
     let tokens = lex(source)?;
-    Parser { tokens, pos: 0 }.program()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        height: 0,
+    }
+    .program()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+fn too_deep(at: Span) -> CompileError {
+    CompileError::parse(at, format!("nesting deeper than {MAX_NESTING} levels"))
+}
+
+/// The binary operator `kind` spells and its precedence level (higher binds
+/// tighter), or `None` for a token that is not a binary operator.
+fn binary_op(kind: &TokenKind<'_>) -> Option<(BinaryOp, u8)> {
+    Some(match kind {
+        TokenKind::OrOr => (BinaryOp::LogOr, 0),
+        TokenKind::AndAnd => (BinaryOp::LogAnd, 1),
+        TokenKind::Pipe => (BinaryOp::BitOr, 2),
+        TokenKind::Caret => (BinaryOp::BitXor, 3),
+        TokenKind::Amp => (BinaryOp::BitAnd, 4),
+        TokenKind::EqEq => (BinaryOp::Eq, 5),
+        TokenKind::NotEq => (BinaryOp::Ne, 5),
+        TokenKind::Lt => (BinaryOp::Lt, 6),
+        TokenKind::Le => (BinaryOp::Le, 6),
+        TokenKind::Gt => (BinaryOp::Gt, 6),
+        TokenKind::Ge => (BinaryOp::Ge, 6),
+        TokenKind::Shl => (BinaryOp::Shl, 7),
+        TokenKind::Shr => (BinaryOp::Shr, 7),
+        TokenKind::Plus => (BinaryOp::Add, 8),
+        TokenKind::Minus => (BinaryOp::Sub, 8),
+        TokenKind::Star => (BinaryOp::Mul, 9),
+        TokenKind::Slash => (BinaryOp::Div, 9),
+        TokenKind::Percent => (BinaryOp::Rem, 9),
+        _ => return None,
+    })
+}
+
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
+    /// Blocks, `if` statements, sub-expressions and prefix operators open
+    /// around the current token.
+    depth: u32,
+    /// Height of the expression parsed last: 1 for a leaf.
+    height: u32,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &TokenKind<'a> {
         &self.tokens[self.pos].kind
     }
 
@@ -41,24 +104,23 @@ impl Parser {
         self.tokens[self.pos].span
     }
 
-    fn advance(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
+    /// Step past the current token; the end of input is never passed.
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: &TokenKind<'_>) -> bool {
         if self.peek() == kind {
-            self.advance();
+            self.bump();
             true
         } else {
             false
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<(), CompileError> {
+    fn expect(&mut self, kind: &TokenKind<'_>) -> Result<(), CompileError> {
         if self.eat(kind) {
             Ok(())
         } else {
@@ -69,10 +131,10 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, CompileError> {
-        match self.peek().clone() {
+    fn ident(&mut self) -> Result<&'a str, CompileError> {
+        match *self.peek() {
             TokenKind::Ident(name) => {
-                self.advance();
+                self.bump();
                 Ok(name)
             }
             other => Err(CompileError::parse(
@@ -82,7 +144,30 @@ impl Parser {
         }
     }
 
-    fn program(&mut self) -> Result<Program, CompileError> {
+    /// Open one more level of nesting at the token at `at`.
+    fn enter(&mut self, at: Span) -> Result<(), CompileError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(too_deep(at));
+        }
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// Record `height` as the height of the expression whose root is the
+    /// token at `at`.
+    fn set_height(&mut self, height: u32, at: Span) -> Result<(), CompileError> {
+        if height > MAX_NESTING {
+            return Err(too_deep(at));
+        }
+        self.height = height;
+        Ok(())
+    }
+
+    fn program(&mut self) -> Result<Program<'a>, CompileError> {
         let mut functions = Vec::new();
         while self.peek() != &TokenKind::Eof {
             functions.push(self.func_decl()?);
@@ -90,7 +175,7 @@ impl Parser {
         Ok(Program { functions })
     }
 
-    fn func_decl(&mut self) -> Result<FuncDecl, CompileError> {
+    fn func_decl(&mut self) -> Result<FuncDecl<'a>, CompileError> {
         self.expect(&TokenKind::KwFn)?;
         let name = self.ident()?;
         self.expect(&TokenKind::LParen)?;
@@ -125,7 +210,7 @@ impl Parser {
         let ptr = self.eat(&TokenKind::Star);
         let span = self.span();
         let name = self.ident()?;
-        let scalar = ScalarType::from_mnemonic(&name)
+        let scalar = ScalarType::from_mnemonic(name)
             .ok_or_else(|| CompileError::parse(span, format!("unknown type `{name}`")))?;
         Ok(if ptr {
             MiniType::Ptr(scalar)
@@ -134,8 +219,10 @@ impl Parser {
         })
     }
 
-    fn block(&mut self) -> Result<BlockStmt, CompileError> {
+    fn block(&mut self) -> Result<BlockStmt<'a>, CompileError> {
+        let at = self.span();
         self.expect(&TokenKind::LBrace)?;
+        self.enter(at)?;
         let mut stmts = Vec::new();
         while self.peek() != &TokenKind::RBrace {
             if self.peek() == &TokenKind::Eof {
@@ -143,11 +230,12 @@ impl Parser {
             }
             stmts.push(self.stmt()?);
         }
+        self.leave();
         self.expect(&TokenKind::RBrace)?;
         Ok(BlockStmt { stmts })
     }
 
-    fn stmt(&mut self) -> Result<Stmt, CompileError> {
+    fn stmt(&mut self) -> Result<Stmt<'a>, CompileError> {
         match self.peek() {
             TokenKind::KwLet => {
                 let s = self.let_stmt()?;
@@ -156,7 +244,7 @@ impl Parser {
             }
             TokenKind::KwIf => self.if_stmt(),
             TokenKind::KwWhile => {
-                self.advance();
+                self.bump();
                 self.expect(&TokenKind::LParen)?;
                 let cond = self.expr()?;
                 self.expect(&TokenKind::RParen)?;
@@ -165,7 +253,7 @@ impl Parser {
             }
             TokenKind::KwFor => self.for_stmt(),
             TokenKind::KwReturn => {
-                self.advance();
+                self.bump();
                 let value = if self.peek() == &TokenKind::Semi {
                     None
                 } else {
@@ -182,7 +270,7 @@ impl Parser {
         }
     }
 
-    fn let_stmt(&mut self) -> Result<Stmt, CompileError> {
+    fn let_stmt(&mut self) -> Result<Stmt<'a>, CompileError> {
         self.expect(&TokenKind::KwLet)?;
         let name = self.ident()?;
         self.expect(&TokenKind::Colon)?;
@@ -192,8 +280,11 @@ impl Parser {
         Ok(Stmt::Let { name, ty, init })
     }
 
-    fn if_stmt(&mut self) -> Result<Stmt, CompileError> {
+    fn if_stmt(&mut self) -> Result<Stmt<'a>, CompileError> {
+        let at = self.span();
         self.expect(&TokenKind::KwIf)?;
+        // An `else if` chain nests one statement per link.
+        self.enter(at)?;
         self.expect(&TokenKind::LParen)?;
         let cond = self.expr()?;
         self.expect(&TokenKind::RParen)?;
@@ -210,6 +301,7 @@ impl Parser {
         } else {
             None
         };
+        self.leave();
         Ok(Stmt::If {
             cond,
             then_blk,
@@ -217,7 +309,7 @@ impl Parser {
         })
     }
 
-    fn for_stmt(&mut self) -> Result<Stmt, CompileError> {
+    fn for_stmt(&mut self) -> Result<Stmt<'a>, CompileError> {
         self.expect(&TokenKind::KwFor)?;
         self.expect(&TokenKind::LParen)?;
         let init = if self.peek() == &TokenKind::KwLet {
@@ -240,7 +332,7 @@ impl Parser {
     }
 
     /// An assignment or expression statement, without the trailing `;`.
-    fn simple_stmt(&mut self) -> Result<Stmt, CompileError> {
+    fn simple_stmt(&mut self) -> Result<Stmt<'a>, CompileError> {
         let span = self.span();
         let expr = self.expr()?;
         if self.eat(&TokenKind::Assign) {
@@ -261,222 +353,84 @@ impl Parser {
         }
     }
 
-    fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.logical_or()
+    fn expr(&mut self) -> Result<Expr<'a>, CompileError> {
+        self.enter(self.span())?;
+        let e = self.binary(0)?;
+        self.leave();
+        Ok(e)
     }
 
-    fn logical_or(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.logical_and()?;
-        while self.eat(&TokenKind::OrOr) {
-            let rhs = self.logical_and()?;
-            lhs = Expr::Binary {
-                op: BinaryOp::LogOr,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn logical_and(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.bit_or()?;
-        while self.eat(&TokenKind::AndAnd) {
-            let rhs = self.bit_or()?;
-            lhs = Expr::Binary {
-                op: BinaryOp::LogAnd,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bit_or(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.bit_xor()?;
-        while self.eat(&TokenKind::Pipe) {
-            let rhs = self.bit_xor()?;
-            lhs = Expr::Binary {
-                op: BinaryOp::BitOr,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.bit_and()?;
-        while self.eat(&TokenKind::Caret) {
-            let rhs = self.bit_and()?;
-            lhs = Expr::Binary {
-                op: BinaryOp::BitXor,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bit_and(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.equality()?;
-        while self.eat(&TokenKind::Amp) {
-            let rhs = self.equality()?;
-            lhs = Expr::Binary {
-                op: BinaryOp::BitAnd,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn equality(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = if self.eat(&TokenKind::EqEq) {
-                BinaryOp::Eq
-            } else if self.eat(&TokenKind::NotEq) {
-                BinaryOp::Ne
-            } else {
-                break;
-            };
-            let rhs = self.relational()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn relational(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.shift()?;
-        loop {
-            let op = if self.eat(&TokenKind::Lt) {
-                BinaryOp::Lt
-            } else if self.eat(&TokenKind::Le) {
-                BinaryOp::Le
-            } else if self.eat(&TokenKind::Gt) {
-                BinaryOp::Gt
-            } else if self.eat(&TokenKind::Ge) {
-                BinaryOp::Ge
-            } else {
-                break;
-            };
-            let rhs = self.shift()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn shift(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = if self.eat(&TokenKind::Shl) {
-                BinaryOp::Shl
-            } else if self.eat(&TokenKind::Shr) {
-                BinaryOp::Shr
-            } else {
-                break;
-            };
-            let rhs = self.additive()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn additive(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = if self.eat(&TokenKind::Plus) {
-                BinaryOp::Add
-            } else if self.eat(&TokenKind::Minus) {
-                BinaryOp::Sub
-            } else {
-                break;
-            };
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, CompileError> {
+    /// Precedence climbing: a unary operand, then every binary operator of
+    /// level `min` or tighter, each taking as its right operand everything
+    /// that binds tighter than itself.
+    fn binary(&mut self, min: u8) -> Result<Expr<'a>, CompileError> {
         let mut lhs = self.unary()?;
-        loop {
-            let op = if self.eat(&TokenKind::Star) {
-                BinaryOp::Mul
-            } else if self.eat(&TokenKind::Slash) {
-                BinaryOp::Div
-            } else if self.eat(&TokenKind::Percent) {
-                BinaryOp::Rem
-            } else {
-                break;
-            };
-            let rhs = self.unary()?;
+        let mut height = self.height;
+        while let Some((op, level)) = binary_op(self.peek()).filter(|&(_, level)| level >= min) {
+            let at = self.span();
+            self.bump();
+            let rhs = self.binary(level + 1)?;
+            self.set_height(height.max(self.height) + 1, at)?;
+            height = self.height;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             };
         }
+        self.height = height;
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, CompileError> {
-        let op = if self.eat(&TokenKind::Minus) {
-            Some(UnaryOp::Neg)
-        } else if self.eat(&TokenKind::Bang) {
-            Some(UnaryOp::LogNot)
-        } else if self.eat(&TokenKind::Tilde) {
-            Some(UnaryOp::BitNot)
-        } else {
-            None
+    fn unary(&mut self) -> Result<Expr<'a>, CompileError> {
+        let op = match self.peek() {
+            TokenKind::Minus => UnaryOp::Neg,
+            TokenKind::Bang => UnaryOp::LogNot,
+            TokenKind::Tilde => UnaryOp::BitNot,
+            _ => return self.postfix(),
         };
-        if let Some(op) = op {
-            let expr = self.unary()?;
-            return Ok(Expr::Unary {
-                op,
-                expr: Box::new(expr),
-            });
-        }
-        self.postfix()
+        let at = self.span();
+        self.bump();
+        self.enter(at)?;
+        let expr = self.unary()?;
+        self.leave();
+        self.set_height(self.height + 1, at)?;
+        Ok(Expr::Unary {
+            op,
+            expr: Box::new(expr),
+        })
     }
 
-    fn postfix(&mut self) -> Result<Expr, CompileError> {
+    fn postfix(&mut self) -> Result<Expr<'a>, CompileError> {
         let mut expr = self.primary()?;
         loop {
-            if self.eat(&TokenKind::KwAs) {
-                let ty = self.ty()?;
-                expr = Expr::Cast {
-                    expr: Box::new(expr),
-                    ty,
-                };
-            } else {
+            let at = self.span();
+            if !self.eat(&TokenKind::KwAs) {
                 break;
             }
+            let ty = self.ty()?;
+            self.set_height(self.height + 1, at)?;
+            expr = Expr::Cast {
+                expr: Box::new(expr),
+                ty,
+            };
         }
         Ok(expr)
     }
 
-    fn primary(&mut self) -> Result<Expr, CompileError> {
+    fn primary(&mut self) -> Result<Expr<'a>, CompileError> {
         let span = self.span();
-        match self.advance() {
-            TokenKind::Int(v) => Ok(Expr::IntLit(v)),
-            TokenKind::Float(v) => Ok(Expr::FloatLit(v)),
+        let token = *self.peek();
+        self.bump();
+        match token {
+            TokenKind::Int(v) => {
+                self.height = 1;
+                Ok(Expr::IntLit(v))
+            }
+            TokenKind::Float(v) => {
+                self.height = 1;
+                Ok(Expr::FloatLit(v))
+            }
             TokenKind::LParen => {
                 let e = self.expr()?;
                 self.expect(&TokenKind::RParen)?;
@@ -485,24 +439,29 @@ impl Parser {
             TokenKind::Ident(name) => {
                 if self.eat(&TokenKind::LParen) {
                     let mut args = Vec::new();
+                    let mut height = 0;
                     if self.peek() != &TokenKind::RParen {
                         loop {
                             args.push(self.expr()?);
+                            height = height.max(self.height);
                             if !self.eat(&TokenKind::Comma) {
                                 break;
                             }
                         }
                     }
                     self.expect(&TokenKind::RParen)?;
+                    self.set_height(height + 1, span)?;
                     Ok(Expr::Call { name, args })
                 } else if self.eat(&TokenKind::LBracket) {
                     let index = self.expr()?;
                     self.expect(&TokenKind::RBracket)?;
+                    self.set_height(self.height + 1, span)?;
                     Ok(Expr::Index {
                         ptr: name,
                         index: Box::new(index),
                     })
                 } else {
+                    self.height = 1;
                     Ok(Expr::Var(name))
                 }
             }

@@ -24,15 +24,15 @@ impl fmt::Display for Span {
     }
 }
 
-/// A lexical token kind.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+/// A lexical token kind. An identifier borrows its text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'a> {
     /// Integer literal.
     Int(i64),
     /// Floating-point literal.
     Float(f64),
-    /// Identifier or keyword candidate.
-    Ident(String),
+    /// Identifier (not a keyword).
+    Ident(&'a str),
     /// `fn`
     KwFn,
     /// `let`
@@ -115,7 +115,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Int(v) => write!(f, "integer literal {v}"),
@@ -166,10 +166,10 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
     /// The token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Where the token starts.
     pub span: Span,
 }
@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn token_kinds_display_readably() {
         assert_eq!(TokenKind::KwFn.to_string(), "`fn`");
-        assert_eq!(TokenKind::Ident("x".into()).to_string(), "identifier `x`");
+        assert_eq!(TokenKind::Ident("x").to_string(), "identifier `x`");
         assert_eq!(TokenKind::Int(7).to_string(), "integer literal 7");
     }
 }

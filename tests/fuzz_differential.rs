@@ -26,7 +26,9 @@ mod pins;
 use pins::Pins;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use splitc::serve::{Request, ServeModule, Server, ServerConfig};
-use splitc::splitc_minic::{compile_source, lex, TokenKind};
+use splitc::splitc_minic::{
+    compile_source, lex, parse, BlockStmt, Expr, LValue, Stmt, TokenKind, MAX_NESTING,
+};
 use splitc::{run_on_target, Workspace};
 use splitc_jit::{compile_module, JitOptions, RegAllocMode};
 use splitc_opt::{optimize_module, profiles, DefUse, InstPos, Liveness, OptOptions, OptReport};
@@ -1257,6 +1259,74 @@ fn front_end_digest(source: &str) -> u64 {
     h.finish()
 }
 
+/// The height of an expression tree: 1 for a leaf.
+fn expr_height(e: &Expr<'_>) -> u32 {
+    1 + match e {
+        Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Var(_) => 0,
+        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => expr_height(expr),
+        Expr::Index { index, .. } => expr_height(index),
+        Expr::Binary { lhs, rhs, .. } => expr_height(lhs).max(expr_height(rhs)),
+        Expr::Call { args, .. } => args.iter().map(expr_height).max().unwrap_or(0),
+    }
+}
+
+/// The height of the tallest expression among `stmts` and the blocks they hold.
+fn tallest_expr(stmts: &[Stmt<'_>]) -> u32 {
+    let block = |b: &BlockStmt<'_>| tallest_expr(&b.stmts);
+    let lvalue = |t: &LValue<'_>| match t {
+        LValue::Var(_) => 0,
+        LValue::Index { index, .. } => expr_height(index),
+    };
+    stmts
+        .iter()
+        .map(|s| match s {
+            Stmt::Let { init: e, .. } | Stmt::Expr { expr: e } => expr_height(e),
+            Stmt::Return { value } => value.as_ref().map_or(0, expr_height),
+            Stmt::Assign { target, value } => lvalue(target).max(expr_height(value)),
+            Stmt::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => expr_height(cond)
+                .max(block(then_blk))
+                .max(else_blk.as_ref().map_or(0, block)),
+            Stmt::While { cond, body } => expr_height(cond).max(block(body)),
+            Stmt::For {
+                init,
+                cond,
+                step,
+                body,
+            } => tallest_expr(std::slice::from_ref(init))
+                .max(expr_height(cond))
+                .max(tallest_expr(std::slice::from_ref(step)))
+                .max(block(body)),
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// How deep `source` nests: the most brackets open around one token, and
+/// the height of its tallest expression.
+fn nesting(source: &str) -> (u32, u32) {
+    let (mut open, mut deepest) = (0u32, 0u32);
+    for t in lex(source).expect("the source lexes") {
+        match t.kind {
+            TokenKind::LParen | TokenKind::LBrace | TokenKind::LBracket => open += 1,
+            TokenKind::RParen | TokenKind::RBrace | TokenKind::RBracket => open -= 1,
+            _ => {}
+        }
+        deepest = deepest.max(open);
+    }
+    let program = parse(source).expect("the source parses");
+    let tallest = program
+        .functions
+        .iter()
+        .map(|f| tallest_expr(&f.body.stmts))
+        .max()
+        .unwrap_or(0);
+    (deepest, tallest)
+}
+
 /// Recorded fold of [`front_end_digest`] over the catalogue as one source,
 /// the generators' sources over their suites' seed ranges and
 /// [`FRONT_END_CASES`].
@@ -1275,6 +1345,17 @@ fn the_front_end_reads_every_source_to_the_recorded_tokens_and_errors() {
     for (generate, seeds) in generators {
         sources.extend(seeds.map(|seed| (format!("fuzz seed {seed}"), generate(seed))));
     }
+    // The parser refuses deeper nesting than `MAX_NESTING`; the programs
+    // the suites compile stay far below it (8 brackets, expressions 15 high).
+    let (brackets, height) = sources.iter().fold((0, 0), |(b, h), (_, source)| {
+        let (sb, sh) = nesting(source);
+        (b.max(sb), h.max(sh))
+    });
+    println!("deepest nesting: {brackets} brackets, expressions {height} high");
+    assert!(
+        brackets.max(height) <= MAX_NESTING / 8,
+        "{brackets}, {height}"
+    );
     for (i, case) in FRONT_END_CASES.iter().enumerate() {
         sources.push((format!("case {i}"), (*case).to_owned()));
     }
