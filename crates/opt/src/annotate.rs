@@ -11,19 +11,25 @@ use splitc_vbc::{Function, Inst, KernelTraits, Module};
 
 /// Derive [`KernelTraits`] for one function.
 pub fn kernel_traits(f: &Function) -> KernelTraits {
+    traits_in(f, &LoopForest::compute(f))
+}
+
+/// [`kernel_traits`] of `f`, whose loops are `forest`.
+fn traits_in(f: &Function, forest: &LoopForest) -> KernelTraits {
     let mut arith = 0usize;
     let mut branches = 0usize;
 
     // Judge the hottest (innermost) loops when there are any; otherwise the
     // whole function.
-    let forest = LoopForest::compute(f);
-    let inner = forest.innermost();
-    let in_scope = |b: splitc_vbc::BlockId| inner.is_empty() || inner.iter().any(|l| l.contains(b));
+    let in_scope =
+        |b: splitc_vbc::BlockId| forest.is_empty() || forest.innermost().any(|l| l.contains(b));
 
-    for (block, inst) in f.iter_insts() {
-        if !in_scope(block) {
-            continue;
-        }
+    for inst in f
+        .blocks
+        .iter()
+        .filter(|block| in_scope(block.id))
+        .flat_map(|block| &block.insts)
+    {
         match inst {
             Inst::Bin { .. } | Inst::Un { .. } | Inst::VecBin { .. } | Inst::VecReduce { .. } => {
                 arith += 1;
@@ -43,8 +49,11 @@ pub fn kernel_traits(f: &Function) -> KernelTraits {
 /// Attach kernel traits to every function. Returns the number of functions
 /// annotated.
 pub fn annotate_module(m: &mut Module) -> usize {
+    // One forest, refilled for each function.
+    let mut forest = LoopForest::default();
     for f in m.functions_mut() {
-        f.annotations.kernel_traits = Some(kernel_traits(f));
+        forest.recompute(f);
+        f.annotations.kernel_traits = Some(traits_in(f, &forest));
     }
     m.functions().len()
 }

@@ -1,62 +1,73 @@
 //! Control-flow-graph utilities shared by the offline analyses.
 //!
-//! Each allocates a fixed number of arrays whatever the size of the function.
+//! [`Cfg`] keeps the reverse post-order and the predecessor rows of one
+//! function in a fixed number of arrays whatever the size of the function,
+//! which a rebuild for the next function, or for the same function changed,
+//! reuses.
 
 use crate::rows::Rows;
 use splitc_vbc::{BlockId, Function};
 
-/// Reverse post-order of the reachable blocks of `f`, starting at the entry.
-///
-/// Blocks that are unreachable from the entry are not included.
-pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
-    let mut visited = vec![false; f.blocks.len()];
-    let mut post = Vec::with_capacity(f.blocks.len());
-    // Iterative DFS with an explicit stack of (block, next-successor-index);
-    // a block is pushed once, so the stack never outgrows the block count.
-    let mut stack: Vec<(BlockId, usize)> = Vec::with_capacity(f.blocks.len());
-    stack.push((f.entry, 0));
-    visited[f.entry.index()] = true;
-    while let Some((b, i)) = stack.pop() {
-        match f.block(b).successors().nth(i) {
-            Some(s) => {
-                stack.push((b, i + 1));
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
-                    stack.push((s, 0));
+/// The reachable blocks of a function in reverse post-order, and their
+/// predecessors.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Cfg {
+    /// Reverse post-order of the reachable blocks, starting at the entry.
+    pub(crate) rpo: Vec<BlockId>,
+    /// Predecessor lists restricted to reachable blocks, one row per block,
+    /// each in block order.
+    pub(crate) preds: Rows<BlockId>,
+    /// Whether each block is reachable from the entry.
+    reachable: Vec<bool>,
+    stack: Vec<(BlockId, usize)>,
+}
+
+impl Cfg {
+    /// Rebuild both tables for `f`.
+    pub(crate) fn recompute(&mut self, f: &Function) {
+        self.order(f);
+        let reachable = &self.reachable;
+        let edges = || {
+            f.blocks
+                .iter()
+                .filter(|b| reachable[b.id.index()])
+                .flat_map(|b| b.successors().map(move |s| (s, b.id)))
+        };
+        let counts = self.preds.counts(f.blocks.len());
+        edges().for_each(|(s, _)| counts[s.index()] += 1);
+        self.preds.fill();
+        edges().for_each(|(s, p)| self.preds.push(s.index(), p));
+        self.preds.seal();
+    }
+
+    /// Rebuild the reverse post-order (and the reachable set), not the
+    /// predecessors.
+    pub(crate) fn order(&mut self, f: &Function) {
+        let n = f.blocks.len();
+        self.reachable.clear();
+        self.reachable.resize(n, false);
+        self.rpo.clear();
+        self.rpo.reserve(n);
+        // Iterative DFS with an explicit stack of (block, next-successor-index);
+        // a block is pushed once, so the stack never outgrows the block count.
+        self.stack.clear();
+        self.stack.reserve(n);
+        self.stack.push((f.entry, 0));
+        self.reachable[f.entry.index()] = true;
+        while let Some((b, i)) = self.stack.pop() {
+            match f.block(b).successors().nth(i) {
+                Some(s) => {
+                    self.stack.push((b, i + 1));
+                    if !self.reachable[s.index()] {
+                        self.reachable[s.index()] = true;
+                        self.stack.push((s, 0));
+                    }
                 }
+                None => self.rpo.push(b),
             }
-            None => post.push(b),
         }
+        self.rpo.reverse();
     }
-    post.reverse();
-    post
-}
-
-/// The set of blocks reachable from the entry, as a boolean mask indexed by
-/// [`BlockId::index`].
-pub fn reachable(f: &Function) -> Vec<bool> {
-    let mut mask = vec![false; f.blocks.len()];
-    for b in reverse_postorder(f) {
-        mask[b.index()] = true;
-    }
-    mask
-}
-
-/// Predecessor lists restricted to reachable blocks, one row per block,
-/// each in block order.
-pub fn predecessors(f: &Function) -> Rows<BlockId> {
-    let reach = reachable(f);
-    let edges = || {
-        f.blocks
-            .iter()
-            .filter(|b| reach[b.id.index()])
-            .flat_map(|b| b.successors().map(move |s| (s, b.id)))
-    };
-    let mut counts = vec![0; f.blocks.len() + 1];
-    edges().for_each(|(s, _)| counts[s.index()] += 1);
-    let mut preds = Rows::with_counts(counts);
-    edges().for_each(|(s, p)| preds.push(s.index(), p));
-    preds.seal()
 }
 
 #[cfg(test)]
@@ -86,7 +97,9 @@ mod tests {
     #[test]
     fn rpo_starts_at_entry_and_covers_reachable_blocks() {
         let f = loop_function();
-        let rpo = reverse_postorder(&f);
+        let mut cfg = Cfg::default();
+        cfg.order(&f);
+        let rpo = cfg.rpo;
         assert_eq!(rpo[0], f.entry);
         assert_eq!(rpo.len(), 4);
         // The header must come before both the body and the exit.
@@ -103,18 +116,20 @@ mod tests {
         f.block_mut(dead)
             .insts
             .push(splitc_vbc::Inst::Ret { value: None });
-        let rpo = reverse_postorder(&f);
-        assert!(!rpo.contains(&dead));
-        assert!(!reachable(&f)[dead.index()]);
+        let mut cfg = Cfg::default();
+        cfg.recompute(&f);
+        assert!(!cfg.rpo.contains(&dead));
+        assert!(cfg.preds.row(dead.index()).is_empty());
     }
 
     #[test]
     fn predecessors_match_successors() {
         let f = loop_function();
-        let preds = predecessors(&f);
+        let mut cfg = Cfg::default();
+        cfg.recompute(&f);
         // header (bb1) has the entry and the body as predecessors.
-        assert_eq!(preds.row(1), [f.entry, BlockId(2)]);
+        assert_eq!(cfg.preds.row(1), [f.entry, BlockId(2)]);
         // exit (bb3) has only the header.
-        assert_eq!(preds.row(3), [BlockId(1)]);
+        assert_eq!(cfg.preds.row(3), [BlockId(1)]);
     }
 }

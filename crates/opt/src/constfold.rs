@@ -3,10 +3,16 @@
 //! These are classical "cheap" optimizations that the offline compiler runs so
 //! that the JIT does not have to; they also clean up the address-arithmetic
 //! chains produced by the front end before vectorization.
+//!
+//! Layout: a round needs how many times each register is defined, and its
+//! single-definition constants and copies: three register-indexed arrays,
+//! `defs`, `consts` and `copies`, allocated once per run and refilled in
+//! place every round and, in [`fold_module`], for every function. An instruction is rewritten in place, and counted as
+//! propagated when a register it reads changed.
 
-use crate::defuse::DefUse;
-use splitc_vbc::{eval_bin, eval_cast, eval_cmp, Function, Immediate, Inst, Module, Value};
-use std::collections::HashMap;
+use splitc_vbc::{
+    eval_bin, eval_cast, eval_cmp, Function, Immediate, Inst, Module, ScalarType, VReg, Value,
+};
 
 /// Statistics of one folding run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -17,7 +23,7 @@ pub struct FoldStats {
     pub copies_propagated: usize,
 }
 
-fn const_value(inst: &Inst) -> Option<(splitc_vbc::ScalarType, Value)> {
+fn const_value(inst: &Inst) -> Option<(ScalarType, Value)> {
     if let Inst::Const { ty, imm, .. } = inst {
         let v = if ty.is_float() {
             Value::Float(imm.as_f64())
@@ -30,7 +36,7 @@ fn const_value(inst: &Inst) -> Option<(splitc_vbc::ScalarType, Value)> {
     }
 }
 
-fn value_to_imm(ty: splitc_vbc::ScalarType, v: &Value) -> Immediate {
+fn value_to_imm(ty: ScalarType, v: &Value) -> Immediate {
     if ty.is_float() {
         Immediate::Float(v.as_float())
     } else {
@@ -44,128 +50,155 @@ fn value_to_imm(ty: splitc_vbc::ScalarType, v: &Value) -> Immediate {
 /// when every operand register has a *single* definition in the whole function
 /// and that definition is a constant.
 pub fn fold_function(f: &mut Function) -> FoldStats {
-    let mut stats = FoldStats::default();
-    loop {
-        let du = DefUse::compute(f);
-        // Map: register -> its constant value, for single-def constants.
-        let mut consts: HashMap<splitc_vbc::VReg, (splitc_vbc::ScalarType, Value)> = HashMap::new();
-        // Map: register -> replacement register, for single-def copies of single-def sources.
-        let mut copies: HashMap<splitc_vbc::VReg, splitc_vbc::VReg> = HashMap::new();
-        for block in &f.blocks {
-            for inst in &block.insts {
-                if let Some(dst) = inst.dst() {
-                    if du.single_def(dst).is_some() {
-                        if let Some(cv) = const_value(inst) {
-                            consts.insert(dst, cv);
-                        } else if let Inst::Move { src, .. } = inst {
-                            let src_single =
-                                du.single_def(*src).is_some() || du.defs(*src).is_empty();
-                            if src_single {
-                                copies.insert(dst, *src);
+    Folder::default().fold(f)
+}
+
+/// The tables of a folding run, reused from one function to the next.
+#[derive(Default)]
+struct Folder {
+    /// How many instructions define each register.
+    defs: Vec<u32>,
+    /// Register -> its constant value, for single-def constants.
+    consts: Vec<Option<(ScalarType, Value)>>,
+    /// Register -> replacement register, for single-def copies of single-def
+    /// sources.
+    copies: Vec<Option<VReg>>,
+}
+
+impl Folder {
+    fn fold(&mut self, f: &mut Function) -> FoldStats {
+        let Folder {
+            defs,
+            consts,
+            copies,
+        } = self;
+        let mut stats = FoldStats::default();
+        loop {
+            defs.clear();
+            defs.resize(f.num_vregs(), 0);
+            for d in f.blocks.iter().flat_map(|b| &b.insts).filter_map(Inst::dst) {
+                defs[d.index()] += 1;
+            }
+            consts.clear();
+            consts.resize(f.num_vregs(), None);
+            copies.clear();
+            copies.resize(f.num_vregs(), None);
+            let mut num_copies = 0;
+            for block in &f.blocks {
+                for inst in &block.insts {
+                    if let Some(dst) = inst.dst() {
+                        if defs[dst.index()] == 1 {
+                            if let Some(cv) = const_value(inst) {
+                                consts[dst.index()] = Some(cv);
+                            } else if let Inst::Move { src, .. } = inst {
+                                if defs[src.index()] <= 1 {
+                                    copies[dst.index()] = Some(*src);
+                                    num_copies += 1;
+                                }
                             }
                         }
                     }
                 }
             }
-        }
-        // Resolve copy chains (a -> b -> c becomes a -> c).
-        let resolve = |mut r: splitc_vbc::VReg| {
-            let mut hops = 0;
-            while let Some(next) = copies.get(&r) {
-                r = *next;
-                hops += 1;
-                if hops > copies.len() {
-                    break;
-                }
-            }
-            r
-        };
-
-        let mut changed = 0usize;
-        let mut propagated = 0usize;
-        for block in &mut f.blocks {
-            for inst in &mut block.insts {
-                // Copy propagation: rewrite used registers to their sources.
-                let before = inst.clone();
-                inst.rewrite_regs(|r| {
-                    if Some(r) == inst_dst_of(&before) {
-                        r
-                    } else {
-                        resolve(r)
+            // Resolve copy chains (a -> b -> c becomes a -> c).
+            let resolve = |mut r: VReg| {
+                let mut hops = 0;
+                while let Some(next) = copies[r.index()] {
+                    r = next;
+                    hops += 1;
+                    if hops > num_copies {
+                        break;
                     }
-                });
-                if *inst != before {
-                    propagated += 1;
                 }
+                r
+            };
+            let constant = |r: &VReg| consts[r.index()].as_ref().map(|(_, v)| v);
 
-                // Constant folding.
-                let folded: Option<Inst> = match &*inst {
-                    Inst::Bin {
-                        op,
-                        ty,
-                        dst,
-                        lhs,
-                        rhs,
-                    } => match (consts.get(lhs), consts.get(rhs)) {
-                        (Some((_, a)), Some((_, b))) => {
-                            eval_bin(*op, *ty, a, b).ok().map(|v| Inst::Const {
-                                dst: *dst,
-                                ty: *ty,
-                                imm: value_to_imm(*ty, &v),
-                            })
+            let mut changed = 0usize;
+            let mut propagated = 0usize;
+            for block in &mut f.blocks {
+                for inst in &mut block.insts {
+                    // Copy propagation: rewrite used registers to their sources.
+                    let dst = inst.dst();
+                    let mut rewritten = false;
+                    inst.rewrite_regs(|r| {
+                        if Some(r) == dst {
+                            r
+                        } else {
+                            let to = resolve(r);
+                            rewritten |= to != r;
+                            to
                         }
-                        _ => None,
-                    },
-                    Inst::Cmp {
-                        op,
-                        ty,
-                        dst,
-                        lhs,
-                        rhs,
-                    } => match (consts.get(lhs), consts.get(rhs)) {
-                        (Some((_, a)), Some((_, b))) => Some(Inst::Const {
-                            dst: *dst,
-                            ty: splitc_vbc::ScalarType::I32,
-                            imm: Immediate::Int(eval_cmp(*op, *ty, a, b)),
+                    });
+                    if rewritten {
+                        propagated += 1;
+                    }
+
+                    // Constant folding.
+                    let folded: Option<Inst> = match &*inst {
+                        Inst::Bin {
+                            op,
+                            ty,
+                            dst,
+                            lhs,
+                            rhs,
+                        } => match (constant(lhs), constant(rhs)) {
+                            (Some(a), Some(b)) => {
+                                eval_bin(*op, *ty, a, b).ok().map(|v| Inst::Const {
+                                    dst: *dst,
+                                    ty: *ty,
+                                    imm: value_to_imm(*ty, &v),
+                                })
+                            }
+                            _ => None,
+                        },
+                        Inst::Cmp {
+                            op,
+                            ty,
+                            dst,
+                            lhs,
+                            rhs,
+                        } => match (constant(lhs), constant(rhs)) {
+                            (Some(a), Some(b)) => Some(Inst::Const {
+                                dst: *dst,
+                                ty: ScalarType::I32,
+                                imm: Immediate::Int(eval_cmp(*op, *ty, a, b)),
+                            }),
+                            _ => None,
+                        },
+                        Inst::Cast { dst, to, src, from } => constant(src).map(|v| {
+                            let out = eval_cast(*from, *to, v);
+                            Inst::Const {
+                                dst: *dst,
+                                ty: *to,
+                                imm: value_to_imm(*to, &out),
+                            }
                         }),
                         _ => None,
-                    },
-                    Inst::Cast { dst, to, src, from } => consts.get(src).map(|(_, v)| {
-                        let out = eval_cast(*from, *to, v);
-                        Inst::Const {
-                            dst: *dst,
-                            ty: *to,
-                            imm: value_to_imm(*to, &out),
-                        }
-                    }),
-                    _ => None,
-                };
-                if let Some(new_inst) = folded {
-                    if *inst != new_inst {
+                    };
+                    // A folded instruction is a `const` now, never what it was.
+                    if let Some(new_inst) = folded {
                         *inst = new_inst;
                         changed += 1;
                     }
                 }
             }
+            stats.folded += changed;
+            stats.copies_propagated += propagated;
+            if changed == 0 && propagated == 0 {
+                break;
+            }
         }
-        stats.folded += changed;
-        stats.copies_propagated += propagated;
-        if changed == 0 && propagated == 0 {
-            break;
-        }
+        stats
     }
-    stats
-}
-
-fn inst_dst_of(inst: &Inst) -> Option<splitc_vbc::VReg> {
-    inst.dst()
 }
 
 /// Run [`fold_function`] over every function of a module.
 pub fn fold_module(m: &mut Module) -> FoldStats {
     let mut total = FoldStats::default();
+    let mut folder = Folder::default();
     for f in m.functions_mut() {
-        let s = fold_function(f);
+        let s = folder.fold(f);
         total.folded += s.folded;
         total.copies_propagated += s.copies_propagated;
     }

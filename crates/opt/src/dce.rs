@@ -1,15 +1,27 @@
 //! Dead-code elimination.
+//!
+//! Layout: a round needs only how many times each register is read, one
+//! register-indexed array of counts that every round refills and, in
+//! [`eliminate_dead_code_module`], every function reuses.
 
-use crate::defuse::DefUse;
 use splitc_vbc::{Function, Module};
 
 /// Remove instructions whose result is never used and that have no side
 /// effects, iterating to a fixed point. Returns the number of instructions
 /// removed.
 pub fn eliminate_dead_code(f: &mut Function) -> usize {
+    eliminate_with(f, &mut Vec::new())
+}
+
+/// [`eliminate_dead_code`], counting each round's uses in `uses`.
+fn eliminate_with(f: &mut Function, uses: &mut Vec<u32>) -> usize {
     let mut removed_total = 0;
     loop {
-        let du = DefUse::compute(f);
+        uses.clear();
+        uses.resize(f.num_vregs(), 0);
+        for inst in f.blocks.iter().flat_map(|b| &b.insts) {
+            inst.for_each_use(|u| uses[u.index()] += 1);
+        }
         let mut removed = 0;
         for block in &mut f.blocks {
             let before = block.insts.len();
@@ -18,7 +30,7 @@ pub fn eliminate_dead_code(f: &mut Function) -> usize {
                     return true;
                 }
                 match inst.dst() {
-                    Some(d) => !du.is_dead(d),
+                    Some(d) => uses[d.index()] != 0,
                     None => true,
                 }
             });
@@ -33,7 +45,11 @@ pub fn eliminate_dead_code(f: &mut Function) -> usize {
 
 /// Run [`eliminate_dead_code`] over every function of a module.
 pub fn eliminate_dead_code_module(m: &mut Module) -> usize {
-    m.functions_mut().iter_mut().map(eliminate_dead_code).sum()
+    let mut uses = Vec::new();
+    m.functions_mut()
+        .iter_mut()
+        .map(|f| eliminate_with(f, &mut uses))
+        .sum()
 }
 
 #[cfg(test)]

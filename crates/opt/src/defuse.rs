@@ -3,7 +3,9 @@
 //! Layout: two register-indexed `Rows` tables of [`InstPos`], definitions
 //! and uses, filled in program order after a counting pass: four
 //! allocations whatever the size of the function. Dead-code elimination,
-//! folding and the vectorizer recompute it on every round of their loops.
+//! folding and the vectorizer recompute it on every round of their loops,
+//! in place ([`DefUse::recompute`]), so a round allocates only when the
+//! function outgrew the arrays.
 
 use crate::rows::Rows;
 use splitc_vbc::{BlockId, Function, Inst, VReg};
@@ -28,15 +30,24 @@ impl DefUse {
     /// Compute def/use chains for `f`. Each register's sites are in program
     /// order; an instruction that reads a register twice lists it twice.
     pub fn compute(f: &Function) -> Self {
-        let rows = f.num_vregs() + 1;
-        let (mut defs, mut uses) = (vec![0; rows], vec![0; rows]);
+        let mut du = DefUse::default();
+        du.recompute(f);
+        du
+    }
+
+    /// Recompute the chains for `f` (changed since, or another function) in
+    /// this table's arrays.
+    pub fn recompute(&mut self, f: &Function) {
+        let rows = f.num_vregs();
+        let (defs, uses) = (self.defs.counts(rows), self.uses.counts(rows));
         for inst in f.blocks.iter().flat_map(|b| &b.insts) {
             if let Some(d) = inst.dst() {
                 defs[d.index()] += 1;
             }
             inst.for_each_use(|u| uses[u.index()] += 1);
         }
-        let (mut defs, mut uses) = (Rows::with_counts(defs), Rows::with_counts(uses));
+        self.defs.fill();
+        self.uses.fill();
         for block in &f.blocks {
             for (index, inst) in block.insts.iter().enumerate() {
                 let pos = InstPos {
@@ -44,13 +55,13 @@ impl DefUse {
                     index,
                 };
                 if let Some(d) = inst.dst() {
-                    defs.push(d.index(), pos);
+                    self.defs.push(d.index(), pos);
                 }
-                inst.for_each_use(|u| uses.push(u.index(), pos));
+                inst.for_each_use(|u| self.uses.push(u.index(), pos));
             }
         }
-        let (defs, uses) = (defs.seal(), uses.seal());
-        DefUse { defs, uses }
+        self.defs.seal();
+        self.uses.seal();
     }
 
     /// All definition sites of `r` (parameters have no explicit definition site).

@@ -1,10 +1,10 @@
 //! Dominator computation (iterative algorithm of Cooper, Harvey and Kennedy).
 
-use crate::cfg::{predecessors, reverse_postorder};
+use crate::cfg::Cfg;
 use splitc_vbc::{BlockId, Function};
 
 /// Immediate-dominator tree of a function's reachable blocks.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Dominators {
     /// `idom[b]` is the immediate dominator of block `b`; the entry maps to
     /// itself and unreachable blocks map to `None`.
@@ -15,14 +15,27 @@ pub struct Dominators {
 impl Dominators {
     /// Compute dominators for `f`.
     pub fn compute(f: &Function) -> Self {
-        let rpo = reverse_postorder(f);
-        let preds = predecessors(f);
-        let mut order = vec![usize::MAX; f.blocks.len()];
+        let mut cfg = Cfg::default();
+        cfg.recompute(f);
+        let mut dom = Dominators::default();
+        dom.recompute(f, &cfg, &mut Vec::new());
+        dom
+    }
+
+    /// Recompute the tree for `f` in place from its `cfg`, with `order` as
+    /// working space.
+    pub(crate) fn recompute(&mut self, f: &Function, cfg: &Cfg, order: &mut Vec<usize>) {
+        let (rpo, preds) = (&cfg.rpo, &cfg.preds);
+        order.clear();
+        order.resize(f.blocks.len(), usize::MAX);
         for (i, b) in rpo.iter().enumerate() {
             order[b.index()] = i;
         }
-        let mut idom: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
+        let idom = &mut self.idom;
+        idom.clear();
+        idom.resize(f.blocks.len(), None);
         idom[f.entry.index()] = Some(f.entry);
+        self.entry = f.entry;
 
         let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| -> BlockId {
             while a != b {
@@ -47,7 +60,7 @@ impl Dominators {
                     }
                     new_idom = Some(match new_idom {
                         None => p,
-                        Some(cur) => intersect(&idom, cur, p),
+                        Some(cur) => intersect(idom, cur, p),
                     });
                 }
                 if let Some(ni) = new_idom {
@@ -57,10 +70,6 @@ impl Dominators {
                     }
                 }
             }
-        }
-        Dominators {
-            idom,
-            entry: f.entry,
         }
     }
 

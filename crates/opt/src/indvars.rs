@@ -40,7 +40,7 @@ pub struct LoopBound {
 
 /// `true` if every definition of `r` lies outside `l` (parameters and
 /// constants defined before the loop count as invariant).
-pub fn is_loop_invariant(l: &Loop, du: &DefUse, r: VReg) -> bool {
+pub fn is_loop_invariant(l: &Loop<'_>, du: &DefUse, r: VReg) -> bool {
     du.defs(r).iter().all(|pos| !l.contains(pos.block)) || du.defs(r).is_empty()
 }
 
@@ -56,37 +56,30 @@ pub fn constant_of(f: &Function, du: &DefUse, r: VReg) -> Option<i64> {
     }
 }
 
-/// Find the basic induction variables of loop `l`.
+/// Find the basic induction variables of loop `l`, in register order.
 ///
 /// An induction variable is a register whose only definition inside the loop
 /// is `move iv, tmp` where `tmp = add iv, c` (or `add c, iv`) with `c` a
 /// compile-time constant.
-pub fn induction_variables(f: &Function, l: &Loop, du: &DefUse) -> Vec<InductionVar> {
-    let mut out = Vec::new();
-    for reg_idx in 0..f.num_vregs() {
+pub fn induction_variables<'a>(
+    f: &'a Function,
+    l: Loop<'a>,
+    du: &'a DefUse,
+) -> impl Iterator<Item = InductionVar> + 'a {
+    (0..f.num_vregs()).filter_map(move |reg_idx| {
         let reg = VReg(reg_idx as u32);
         let ty = match f.vreg_type(reg) {
             splitc_vbc::Type::Scalar(s) if s.is_int() && s != ScalarType::Ptr => s,
-            _ => continue,
+            _ => return None,
         };
-        let defs_inside: Vec<InstPos> = du
-            .defs(reg)
-            .iter()
-            .copied()
-            .filter(|p| l.contains(p.block))
-            .collect();
-        let [update_pos] = defs_inside.as_slice() else {
-            continue;
+        let mut defs_inside = du.defs(reg).iter().filter(|p| l.contains(p.block));
+        let (Some(&update_pos), None) = (defs_inside.next(), defs_inside.next()) else {
+            return None;
         };
-        let Inst::Move { src, .. } = inst_at(f, *update_pos) else {
-            continue;
+        let Inst::Move { src, .. } = inst_at(f, update_pos) else {
+            return None;
         };
-        let Some(add_pos) = du.single_def(*src) else {
-            continue;
-        };
-        if !l.contains(add_pos.block) {
-            continue;
-        }
+        let add_pos = du.single_def(*src).filter(|p| l.contains(p.block))?;
         let Inst::Bin {
             op: BinOp::Add,
             lhs,
@@ -94,7 +87,7 @@ pub fn induction_variables(f: &Function, l: &Loop, du: &DefUse) -> Vec<Induction
             ..
         } = inst_at(f, add_pos)
         else {
-            continue;
+            return None;
         };
         let step = if *lhs == reg {
             constant_of(f, du, *rhs)
@@ -102,22 +95,19 @@ pub fn induction_variables(f: &Function, l: &Loop, du: &DefUse) -> Vec<Induction
             constant_of(f, du, *lhs)
         } else {
             None
-        };
-        let Some(step) = step else { continue };
+        }?;
         // The induction variable must be initialized outside the loop.
-        let has_outside_def = du.defs(reg).iter().any(|p| !l.contains(p.block));
-        if !has_outside_def {
-            continue;
+        if !du.defs(reg).iter().any(|p| !l.contains(p.block)) {
+            return None;
         }
-        out.push(InductionVar {
+        Some(InductionVar {
             reg,
             ty,
             step,
-            update_pos: *update_pos,
+            update_pos,
             add_pos,
-        });
-    }
-    out
+        })
+    })
 }
 
 /// Recognize the counted-loop exit condition in the header of `l`.
@@ -129,7 +119,12 @@ pub fn induction_variables(f: &Function, l: &Loop, du: &DefUse) -> Vec<Induction
 ///   %c = cmp.lt.<ty> %iv, %bound
 ///   branch %c, <body>, <exit>
 /// ```
-pub fn loop_bound(f: &Function, l: &Loop, du: &DefUse, ivs: &[InductionVar]) -> Option<LoopBound> {
+pub fn loop_bound(
+    f: &Function,
+    l: &Loop<'_>,
+    du: &DefUse,
+    ivs: &[InductionVar],
+) -> Option<LoopBound> {
     let header = f.block(l.header);
     let Some(Inst::Branch {
         cond,
@@ -195,16 +190,16 @@ mod tests {
             "fn k(n: i32, x: *f32) { for (let i: i32 = 0; i < n; i = i + 1) { x[i] = x[i] + 1.0; } }",
             "k",
         );
-        let l = forest.innermost()[0];
+        let l = forest.innermost().next().unwrap();
         let du = DefUse::compute(&f);
-        let ivs = induction_variables(&f, l, &du);
+        let ivs: Vec<_> = induction_variables(&f, l, &du).collect();
         assert_eq!(ivs.len(), 1);
         assert_eq!(ivs[0].step, 1);
         assert_eq!(ivs[0].ty, ScalarType::I32);
-        let bound = loop_bound(&f, l, &du, &ivs).expect("counted loop");
+        let bound = loop_bound(&f, &l, &du, &ivs).expect("counted loop");
         assert_eq!(bound.iv, ivs[0].reg);
         assert_eq!(bound.cmp, CmpOp::Lt);
-        assert!(is_loop_invariant(l, &du, bound.bound));
+        assert!(is_loop_invariant(&l, &du, bound.bound));
     }
 
     #[test]
@@ -213,9 +208,9 @@ mod tests {
             "fn k(n: i32, x: *f32) { for (let i: i32 = 0; i < n; i = i + 4) { x[i] = 0.0; } }",
             "k",
         );
-        let l = forest.innermost()[0];
+        let l = forest.innermost().next().unwrap();
         let du = DefUse::compute(&f);
-        let ivs = induction_variables(&f, l, &du);
+        let ivs: Vec<_> = induction_variables(&f, l, &du).collect();
         assert_eq!(ivs.len(), 1);
         assert_eq!(ivs[0].step, 4);
     }
@@ -227,11 +222,11 @@ mod tests {
             "fn k(n: i32, x: *i32) { let i: i32 = 0; while (i < n) { i = i + x[i]; } }",
             "k",
         );
-        let l = forest.innermost()[0];
+        let l = forest.innermost().next().unwrap();
         let du = DefUse::compute(&f);
-        let ivs = induction_variables(&f, l, &du);
+        let ivs: Vec<_> = induction_variables(&f, l, &du).collect();
         assert!(ivs.is_empty());
-        assert!(loop_bound(&f, l, &du, &ivs).is_none());
+        assert!(loop_bound(&f, &l, &du, &ivs).is_none());
     }
 
     #[test]
@@ -246,9 +241,9 @@ mod tests {
             "#,
             "k",
         );
-        let l = forest.innermost()[0];
+        let l = forest.innermost().next().unwrap();
         let du = DefUse::compute(&f);
-        let ivs = induction_variables(&f, l, &du);
+        let ivs: Vec<_> = induction_variables(&f, l, &du).collect();
         assert_eq!(ivs.len(), 1, "only i, not the f32 accumulator");
         assert_eq!(ivs[0].ty, ScalarType::I32);
     }

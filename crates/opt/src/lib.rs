@@ -64,5 +64,5 @@ pub use indvars::{induction_variables, loop_bound, InductionVar, LoopBound};
 pub use liveness::Liveness;
 pub use loops::{Loop, LoopForest};
 pub use pipeline::{optimize_module, OptOptions, OptReport};
-pub use regalloc_split::{annotate_spill_orders, compute_spill_order, profiles, RegProfile};
-pub use vectorize::{vectorize_function, vectorize_module, VectorizeReport};
+pub use regalloc_split::{annotate_spill_orders, profiles, RegProfile};
+pub use vectorize::{vectorize_function, vectorize_module, Reason, VectorizeReport};

@@ -4,9 +4,10 @@
 //! block, and each per-block set (`use`, `def`, `live_in`, `live_out`) one
 //! flat array of `blocks × words` words. The reverse-postorder fixpoint runs
 //! word by word, as a block's word depends only on the same word of its
-//! successors; the four arrays and the postorder are all it allocates.
+//! successors; the four arrays and the postorder are all it allocates, and
+//! [`Liveness::recompute`] refills them for the next function.
 
-use crate::cfg::reverse_postorder;
+use crate::cfg::Cfg;
 use splitc_vbc::{BlockId, Function, VReg};
 
 /// Per-block live-in/live-out sets.
@@ -16,6 +17,10 @@ pub struct Liveness {
     words: usize,
     live_in: Vec<u64>,
     live_out: Vec<u64>,
+    /// Working space of the fixpoint, kept for the next rebuild.
+    use_set: Vec<u64>,
+    def_set: Vec<u64>,
+    cfg: Cfg,
 }
 
 /// The word of `r` within its block's set, and its bit in that word.
@@ -23,13 +28,31 @@ fn word_bit(r: VReg) -> (usize, u64) {
     (r.index() / 64, 1 << (r.index() % 64))
 }
 
+/// Empty `v` and make it `len` zero words, reusing its storage.
+fn zeroed(v: &mut Vec<u64>, len: usize) {
+    v.clear();
+    v.resize(len, 0);
+}
+
 impl Liveness {
     /// Compute liveness for `f` with a standard backward fixed-point
     /// iteration. Blocks unreachable from the entry have empty sets.
     pub fn compute(f: &Function) -> Self {
+        let mut live = Liveness::default();
+        live.recompute(f);
+        live
+    }
+
+    /// Compute liveness for `f` (changed since, or another function) in this
+    /// table's arrays.
+    pub fn recompute(&mut self, f: &Function) {
         let (vregs, words) = (f.num_vregs(), f.num_vregs().div_ceil(64));
+        self.vregs = vregs;
+        self.words = words;
         let size = f.blocks.len() * words;
-        let (mut use_set, mut def_set) = (vec![0u64; size], vec![0u64; size]);
+        let (use_set, def_set) = (&mut self.use_set, &mut self.def_set);
+        zeroed(use_set, size);
+        zeroed(def_set, size);
         for block in &f.blocks {
             let base = block.id.index() * words;
             for inst in &block.insts {
@@ -45,12 +68,14 @@ impl Liveness {
             }
         }
 
-        let (mut live_in, mut live_out) = (vec![0u64; size], vec![0u64; size]);
-        let rpo = reverse_postorder(f);
+        let (live_in, live_out) = (&mut self.live_in, &mut self.live_out);
+        zeroed(live_in, size);
+        zeroed(live_out, size);
+        self.cfg.order(f);
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in rpo.iter().rev() {
+            for &b in self.cfg.rpo.iter().rev() {
                 let base = b.index() * words;
                 for w in 0..words {
                     let out = f
@@ -66,12 +91,6 @@ impl Liveness {
                 }
             }
         }
-        Liveness {
-            vregs,
-            words,
-            live_in,
-            live_out,
-        }
     }
 
     /// `true` if `r` is live on entry to `b`.
@@ -86,10 +105,12 @@ impl Liveness {
         self.live_out[b.index() * self.words + w] & bit != 0
     }
 
-    /// For every register, the number of blocks it is live into or out of;
-    /// a register whose count is 0 never crosses a block boundary.
-    pub fn spans(&self) -> Vec<u32> {
-        let mut spans = vec![0; self.vregs];
+    /// For every register, the number of blocks it is live into or out of,
+    /// written over `spans`; a register whose count is 0 never crosses a
+    /// block boundary.
+    pub fn fill_spans(&self, spans: &mut Vec<u32>) {
+        spans.clear();
+        spans.resize(self.vregs, 0);
         for (i, (inn, out)) in self.live_in.iter().zip(&self.live_out).enumerate() {
             let first = (i % self.words) * 64;
             let mut bits = inn | out;
@@ -98,7 +119,6 @@ impl Liveness {
                 bits &= bits - 1;
             }
         }
-        spans
     }
 }
 
@@ -164,7 +184,9 @@ mod tests {
         assert!(live.is_live_in(header, acc));
         assert!(live.is_live_in(header, i));
         assert!(live.is_live_in(header, f.params[0].0));
-        assert!(live.spans()[acc.index()] > 0);
+        let mut spans = Vec::new();
+        live.fill_spans(&mut spans);
+        assert!(spans[acc.index()] > 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::annotate::annotate_module;
 use crate::constfold::fold_module;
 use crate::dce::eliminate_dead_code_module;
 use crate::regalloc_split::annotate_spill_orders;
-use crate::vectorize::vectorize_module;
+use crate::vectorize::{Reason, Vectorizer};
 use splitc_vbc::Module;
 use std::collections::BTreeMap;
 
@@ -84,7 +84,7 @@ pub struct OptReport {
     /// Loops vectorized, per function.
     pub vectorized_loops: BTreeMap<String, usize>,
     /// Loops examined but rejected, per function, with reasons.
-    pub rejections: BTreeMap<String, Vec<String>>,
+    pub rejections: BTreeMap<String, Vec<Reason>>,
     /// Functions that received a spill-order annotation.
     pub spill_orders: usize,
     /// Functions that received kernel-trait annotations.
@@ -115,16 +115,16 @@ pub fn optimize_module(m: &mut Module, opts: &OptOptions) -> OptReport {
         report.offline_work += m.num_insts() as u64;
     }
     if opts.vectorize {
-        let per_fn = vectorize_module(m);
-        for (name, r) in per_fn {
+        let mut vectorizer = Vectorizer::default();
+        for f in m.functions_mut() {
+            let r = vectorizer.run(f);
             report.offline_work += r.analysis_work;
             if r.count() > 0 {
-                report.vectorized_loops.insert(name.clone(), r.count());
+                report.vectorized_loops.insert(f.name.clone(), r.count());
             }
             if !r.rejected.is_empty() {
-                report
-                    .rejections
-                    .insert(name, r.rejected.into_iter().map(|(_, why)| why).collect());
+                let reasons = r.rejected.into_iter().map(|(_, why)| why).collect();
+                report.rejections.insert(f.name.clone(), reasons);
             }
         }
         // Clean up after the vectorizer: the cloned address chains leave some

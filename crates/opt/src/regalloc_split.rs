@@ -10,7 +10,8 @@
 //!
 //! Cost: [`profiles`] takes one [`Liveness`], one loop forest, one walk adding
 //! each access to a register-indexed array at its block's weight, and one pass
-//! over the liveness bitsets for the spans. Weights are 1, 10, 100 or 1 000,
+//! over the liveness bitsets for the spans; [`annotate_spill_orders`] keeps
+//! all of them from one function to the next. Weights are 1, 10, 100 or 1 000,
 //! so every sum is an integer below 2^53 and exact: the order of summation
 //! cannot move a bit of any score.
 
@@ -32,68 +33,97 @@ pub struct RegProfile {
     pub score: f64,
 }
 
-/// Compute offline spill-ordering information for one function.
+/// The per-register profiles, sorted from most to least profitable to keep:
+/// the order of a function's [`SpillOrder`].
 ///
 /// Registers are ranked by how profitable they are to keep in a physical
 /// register: frequently-accessed, short-lived values first. The ranking is
 /// *portable*: it does not depend on the number of physical registers of any
 /// particular target, which is only known to the online compiler.
-pub fn compute_spill_order(f: &Function) -> SpillOrder {
-    SpillOrder {
-        keep_order: profiles(f).into_iter().map(|p| p.reg).collect(),
-    }
-}
-
-/// The per-register profiles, sorted from most to least profitable to keep.
 ///
 /// Only values whose live range crosses a basic-block boundary are profiled:
 /// block-local temporaries are handled by the online scratch allocator and do
 /// not need a portable ranking, which keeps the annotation compact (the paper
 /// insists on "compact, portable annotations").
 pub fn profiles(f: &Function) -> Vec<RegProfile> {
-    let live = Liveness::compute(f);
-    let forest = LoopForest::compute(f);
-    let mut accesses = vec![0.0; f.num_vregs()];
-    for block in &f.blocks {
-        // An access executed inside a loop is worth an order of magnitude
-        // more per nesting level (the classic static spill-cost estimate).
-        let depth = forest.loops.iter().filter(|l| l.contains(block.id)).count();
-        let weight = 10f64.powi(depth.min(3) as i32);
-        for inst in &block.insts {
-            inst.for_each_use(|u| accesses[u.index()] += weight);
-            if let Some(d) = inst.dst() {
-                accesses[d.index()] += weight;
+    let mut profiler = Profiler::default();
+    profiler.profile(f);
+    profiler.out
+}
+
+/// The analyses and arrays under the spill profiles, reused from one
+/// function to the next.
+#[derive(Default)]
+struct Profiler {
+    live: Liveness,
+    forest: LoopForest,
+    accesses: Vec<f64>,
+    spans: Vec<u32>,
+    /// The last function's profiles, sorted.
+    out: Vec<RegProfile>,
+}
+
+impl Profiler {
+    /// Profile `f` into `self.out`.
+    fn profile(&mut self, f: &Function) {
+        self.live.recompute(f);
+        self.forest.recompute(f);
+        let accesses = &mut self.accesses;
+        accesses.clear();
+        accesses.resize(f.num_vregs(), 0.0);
+        for block in &f.blocks {
+            // An access executed inside a loop is worth an order of magnitude
+            // more per nesting level (the classic static spill-cost estimate).
+            let depth = self.forest.depth(block.id);
+            let weight = 10f64.powi(depth.min(3) as i32);
+            for inst in &block.insts {
+                inst.for_each_use(|u| accesses[u.index()] += weight);
+                if let Some(d) = inst.dst() {
+                    accesses[d.index()] += weight;
+                }
             }
         }
+        self.live.fill_spans(&mut self.spans);
+        let out = &mut self.out;
+        out.clear();
+        out.reserve(f.num_vregs());
+        for (i, (&accesses, &span)) in accesses.iter().zip(&self.spans).enumerate() {
+            let reg = VReg(i as u32);
+            if accesses > 0.0 && (span > 0 || f.params.iter().any(|(r, _)| *r == reg)) {
+                let span_blocks = (span as usize).max(1);
+                out.push(RegProfile {
+                    reg,
+                    accesses,
+                    span_blocks,
+                    score: accesses / span_blocks as f64,
+                });
+            }
+        }
+        // Registers are distinct, so no two profiles compare equal and the
+        // in-place unstable sort gives the one order.
+        out.sort_unstable_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.reg.0.cmp(&b.reg.0))
+        });
     }
-    let mut out = Vec::with_capacity(f.num_vregs());
-    for (i, (&accesses, &span)) in accesses.iter().zip(&live.spans()).enumerate() {
-        let reg = VReg(i as u32);
-        if accesses > 0.0 && (span > 0 || f.params.iter().any(|(r, _)| *r == reg)) {
-            let span_blocks = (span as usize).max(1);
-            out.push(RegProfile {
-                reg,
-                accesses,
-                span_blocks,
-                score: accesses / span_blocks as f64,
-            });
+
+    fn spill_order(&mut self, f: &Function) -> SpillOrder {
+        self.profile(f);
+        SpillOrder {
+            keep_order: self.out.iter().map(|p| p.reg).collect(),
         }
     }
-    out.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.reg.0.cmp(&b.reg.0))
-    });
-    out
 }
 
 /// Attach a [`SpillOrder`] annotation to every function of `m`.
 ///
 /// Returns the number of functions annotated.
 pub fn annotate_spill_orders(m: &mut Module) -> usize {
+    let mut profiler = Profiler::default();
     for f in m.functions_mut() {
-        f.annotations.spill_order = Some(compute_spill_order(f));
+        f.annotations.spill_order = Some(profiler.spill_order(f));
     }
     m.functions().len()
 }
@@ -124,14 +154,14 @@ mod tests {
     #[test]
     fn every_live_register_is_ranked_exactly_once() {
         let f = pressure_kernel();
-        let order = compute_spill_order(&f);
+        let keep_order: Vec<_> = profiles(&f).iter().map(|p| p.reg).collect();
         let mut seen = std::collections::BTreeSet::new();
-        for r in &order.keep_order {
+        for r in &keep_order {
             assert!(seen.insert(*r), "register {r} ranked twice");
             assert!(r.index() < f.num_vregs());
         }
         assert!(
-            order.keep_order.len() >= 10,
+            keep_order.len() >= 10,
             "the polynomial kernel is register-hungry"
         );
     }
@@ -157,7 +187,8 @@ mod tests {
         assert_eq!(annotate_spill_orders(&mut m), 1);
         let f = m.function("f").unwrap();
         let stored = f.annotations.spill_order.as_ref().unwrap();
-        assert_eq!(*stored, compute_spill_order(f));
+        let ranked: Vec<_> = profiles(f).iter().map(|p| p.reg).collect();
+        assert_eq!(stored.keep_order, ranked);
         assert!(!stored.keep_order.is_empty());
     }
 }

@@ -22,6 +22,20 @@
 //! offline whole-program analysis to establish exactly this kind of fact);
 //! accesses through the *same* pointer are only accepted when they address the
 //! same element `p[i]`, i.e. an in-place update.
+//!
+//! ## Layout
+//!
+//! A run keeps its loop forest, def-use chains and per-loop tables in arrays
+//! it reuses for every loop, every round and, over a module, every function:
+//! a role per body instruction (value, skipped update, or address chain),
+//! the induction variables, reductions and accesses, and the small maps of
+//! the vector body (splats, vector accumulators, scalar-to-vector
+//! registers), each a list searched linearly because a vectorizable body
+//! holds a few dozen instructions. The element types are a bitmask, the
+//! blocks already examined a flag per block, and the body being cloned is
+//! moved out of its block and back rather than copied. A rejection's reason
+//! is fixed text unless it names a value, so rejecting a loop allocates
+//! nothing.
 
 use crate::defuse::{inst_at, DefUse, InstPos};
 use crate::indvars::{
@@ -31,7 +45,12 @@ use crate::loops::{Loop, LoopForest};
 use splitc_vbc::{
     BinOp, BlockId, CmpOp, Function, Immediate, Inst, Module, ReduceOp, ScalarType, Type, VReg,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::fmt;
+
+/// Why a loop was not vectorized.
+pub type Reason = Cow<'static, str>;
 
 /// Outcome of vectorizing one function.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -39,7 +58,7 @@ pub struct VectorizeReport {
     /// Headers of loops that were vectorized, with their element type.
     pub vectorized: Vec<(BlockId, ScalarType, bool)>,
     /// Headers of loops that were examined but rejected, with the reason.
-    pub rejected: Vec<(BlockId, String)>,
+    pub rejected: Vec<(BlockId, Reason)>,
     /// Abstract work units spent on analysis (used by the split-compilation
     /// cost experiment E2).
     pub analysis_work: u64,
@@ -72,8 +91,87 @@ struct Reduction {
     other: VReg,
 }
 
-/// Everything needed to emit the vector version of one loop.
-#[derive(Debug, Clone)]
+/// What the vector body makes of one scalar body instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Cloned over vectors (or dropped, for constants and the back edge).
+    Value,
+    /// The induction variable's update or a reduction's update, which the
+    /// vector loop replaces.
+    Skip,
+    /// Part of an access's address chain, cloned over scalars.
+    Address,
+}
+
+/// A set of scalar types, one bit per type in declaration order.
+#[derive(Clone, Copy, Default)]
+struct TypeSet(u16);
+
+impl TypeSet {
+    fn insert(&mut self, t: ScalarType) {
+        self.0 |= 1 << t as u16;
+    }
+
+    fn len(self) -> u32 {
+        self.0.count_ones()
+    }
+
+    fn iter(self) -> impl Iterator<Item = ScalarType> {
+        ScalarType::ALL
+            .into_iter()
+            .filter(move |t| self.0 & (1 << *t as u16) != 0)
+    }
+}
+
+/// Written as a `BTreeSet<ScalarType>` is: `{F32, F64}`.
+impl fmt::Debug for TypeSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// The instructions of one address chain, at most five: the base-plus-offset
+/// add, the cast of the offset to a pointer, the scaling multiply, the
+/// constant it scales by and the widening cast of the index.
+#[derive(Default)]
+struct Chain {
+    pos: [InstPos; 5],
+    len: usize,
+}
+
+impl Chain {
+    fn push(&mut self, p: InstPos) {
+        self.pos[self.len] = p;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[InstPos] {
+        &self.pos[..self.len]
+    }
+}
+
+/// The tables one [`vectorize_function`] call reuses for every loop.
+#[derive(Default)]
+struct Scratch {
+    /// Role of each instruction of the body under analysis.
+    roles: Vec<Role>,
+    ivs: Vec<InductionVar>,
+    reductions: Vec<Reduction>,
+    accesses: Vec<AffineAccess>,
+    /// Scalar register to its splat, in the order the splats are emitted.
+    splats: Vec<(VReg, VReg)>,
+    /// Each reduction's vector accumulator, in reduction order.
+    vaccs: Vec<VReg>,
+    /// Scalar register to its clone in the vector body; the latest entry
+    /// for a register wins.
+    regmap: Vec<(VReg, VReg)>,
+    /// Registers of the vector body that hold vectors.
+    vector_regs: Vec<VReg>,
+}
+
+/// Everything needed to emit the vector version of one loop, besides the
+/// body's roles and reductions, which stay in [`Scratch`].
+#[derive(Debug, Clone, Copy)]
 struct Plan {
     header: BlockId,
     body: BlockId,
@@ -82,56 +180,90 @@ struct Plan {
     bound: LoopBound,
     bound_const: Option<i64>,
     elem: ScalarType,
-    reductions: Vec<Reduction>,
-    address_slice: BTreeSet<usize>,
-    skip: BTreeSet<usize>,
 }
 
 /// Vectorize every eligible innermost loop of `f`.
 pub fn vectorize_function(f: &mut Function) -> VectorizeReport {
-    let mut report = VectorizeReport::default();
-    let mut handled: HashSet<BlockId> = HashSet::new();
-    loop {
-        let forest = LoopForest::compute(f);
-        let du = DefUse::compute(f);
-        report.analysis_work += f.num_insts() as u64 * 2;
-        let mut plan: Option<Plan> = None;
-        for l in forest.innermost() {
-            if handled.contains(&l.header) {
-                continue;
-            }
-            report.analysis_work += l.blocks.len() as u64 + f.block(l.header).insts.len() as u64;
-            match analyze_loop(f, l, &du, &mut report.analysis_work) {
-                Ok(p) => {
-                    plan = Some(p);
-                    break;
-                }
-                Err(reason) => {
-                    handled.insert(l.header);
-                    report.rejected.push((l.header, reason));
-                }
-            }
-        }
-        let Some(plan) = plan else {
-            break;
-        };
-        handled.insert(plan.header);
-        handled.insert(transform(f, &plan));
-        report
-            .vectorized
-            .push((plan.header, plan.elem, !plan.reductions.is_empty()));
-    }
-    report
+    Vectorizer::default().run(f)
 }
 
 /// Vectorize every function of a module; returns per-function reports.
 pub fn vectorize_module(m: &mut Module) -> BTreeMap<String, VectorizeReport> {
+    let mut vectorizer = Vectorizer::default();
     let mut out = BTreeMap::new();
     for f in m.functions_mut() {
         let name = f.name.clone();
-        out.insert(name, vectorize_function(f));
+        out.insert(name, vectorizer.run(f));
     }
     out
+}
+
+/// The analyses and tables of a vectorizing run, reused from one round and
+/// one function to the next.
+#[derive(Default)]
+pub(crate) struct Vectorizer {
+    forest: LoopForest,
+    du: DefUse,
+    scratch: Scratch,
+    /// Blocks whose loop was examined; vectorizing adds four blocks per loop.
+    handled: Vec<bool>,
+}
+
+impl Vectorizer {
+    /// Vectorize every eligible innermost loop of `f`.
+    pub(crate) fn run(&mut self, f: &mut Function) -> VectorizeReport {
+        let Vectorizer {
+            forest,
+            du,
+            scratch,
+            handled,
+        } = self;
+        let mut report = VectorizeReport::default();
+        handled.clear();
+        let mut first = true;
+        loop {
+            forest.recompute(f);
+            du.recompute(f);
+            if std::mem::take(&mut first) {
+                // Every candidate is examined once, rejected or vectorized.
+                let candidates = forest.innermost().count();
+                report.rejected.reserve(candidates);
+                report.vectorized.reserve(candidates);
+                handled.reserve(f.blocks.len() + 4 * candidates);
+            }
+            handled.resize(f.blocks.len(), false);
+            report.analysis_work += f.num_insts() as u64 * 2;
+            let mut plan: Option<Plan> = None;
+            for l in forest.innermost() {
+                if handled[l.header.index()] {
+                    continue;
+                }
+                report.analysis_work +=
+                    l.num_blocks() as u64 + f.block(l.header).insts.len() as u64;
+                match analyze_loop(f, l, du, &mut report.analysis_work, scratch) {
+                    Ok(p) => {
+                        plan = Some(p);
+                        break;
+                    }
+                    Err(reason) => {
+                        handled[l.header.index()] = true;
+                        report.rejected.push((l.header, reason));
+                    }
+                }
+            }
+            let Some(plan) = plan else {
+                break;
+            };
+            handled[plan.header.index()] = true;
+            let vec_header = transform(f, &plan, scratch);
+            handled.resize(f.blocks.len(), false);
+            handled[vec_header.index()] = true;
+            report
+                .vectorized
+                .push((plan.header, plan.elem, !scratch.reductions.is_empty()));
+        }
+        report
+    }
 }
 
 fn vectorizable_value_op(op: BinOp, elem: ScalarType) -> bool {
@@ -186,13 +318,13 @@ fn identity_imm(op: BinOp, elem: ScalarType) -> Immediate {
 /// `add.ptr base, cast.ptr(mul.i64 cast.i64(iv), sizeof(elem))`.
 fn analyze_address(
     f: &Function,
-    l: &Loop,
+    l: Loop<'_>,
     du: &DefUse,
     addr: VReg,
     elem: ScalarType,
     iv: &InductionVar,
-) -> Result<(VReg, Vec<InstPos>), String> {
-    let mut slice = Vec::new();
+) -> Result<(VReg, Chain), Reason> {
+    let mut slice = Chain::default();
     let add_pos = du
         .single_def(addr)
         .filter(|p| l.contains(p.block))
@@ -209,9 +341,9 @@ fn analyze_address(
         return Err("address is not base+offset".into());
     };
     // One side is the loop-invariant base, the other the scaled index.
-    let (base, scaled_ptr) = if is_loop_invariant(l, du, *lhs) {
+    let (base, scaled_ptr) = if is_loop_invariant(&l, du, *lhs) {
         (*lhs, *rhs)
-    } else if is_loop_invariant(l, du, *rhs) {
+    } else if is_loop_invariant(&l, du, *rhs) {
         (*rhs, *lhs)
     } else {
         return Err("no loop-invariant base pointer".into());
@@ -249,7 +381,8 @@ fn analyze_address(
         return Err(format!(
             "access stride {scale} does not match the element size {}",
             elem.size_bytes()
-        ));
+        )
+        .into());
     }
     // The constant feeding the scale may itself live inside the loop body (the
     // front end materializes it next to the access); it must then be cloned
@@ -279,25 +412,35 @@ fn analyze_address(
     Ok((base, slice))
 }
 
-fn analyze_loop(f: &Function, l: &Loop, du: &DefUse, work: &mut u64) -> Result<Plan, String> {
+/// Decide whether `l` can be vectorized. On success the body's roles and
+/// reductions are left in `s` for [`transform`].
+fn analyze_loop(
+    f: &Function,
+    l: Loop<'_>,
+    du: &DefUse,
+    work: &mut u64,
+    s: &mut Scratch,
+) -> Result<Plan, Reason> {
     // Structural shape: exactly header + one body block.
-    if l.blocks.len() != 2 {
-        return Err(format!("loop has {} blocks, expected 2", l.blocks.len()));
+    let blocks = l.num_blocks();
+    if blocks != 2 {
+        return Err(format!("loop has {blocks} blocks, expected 2").into());
     }
-    let body = *l
-        .blocks
-        .iter()
-        .find(|b| **b != l.header)
+    let body = l
+        .blocks()
+        .find(|b| *b != l.header)
         .expect("two-block loop has a body");
-    if l.latches != vec![body] {
+    if l.latches != [body] {
         return Err("loop body is not the single latch".into());
     }
-    let preheader = l.preheader(f).ok_or("loop has no unique preheader")?;
+    let preheader = l.preheader().ok_or("loop has no unique preheader")?;
 
-    let ivs = induction_variables(f, l, du);
+    s.ivs.clear();
+    s.ivs.extend(induction_variables(f, l, du));
     *work += f.block(body).insts.len() as u64 * 4;
-    let bound = loop_bound(f, l, du, &ivs).ok_or("not a counted loop")?;
-    let iv = *ivs
+    let bound = loop_bound(f, &l, du, &s.ivs).ok_or("not a counted loop")?;
+    let iv = *s
+        .ivs
         .iter()
         .find(|iv| iv.reg == bound.iv)
         .ok_or("loop bound does not test the induction variable")?;
@@ -305,7 +448,8 @@ fn analyze_loop(f: &Function, l: &Loop, du: &DefUse, work: &mut u64) -> Result<P
         return Err(format!(
             "induction step is {}, only unit stride is vectorized",
             iv.step
-        ));
+        )
+        .into());
     }
     if bound.cmp != CmpOp::Lt {
         return Err("only `<` loop bounds are vectorized".into());
@@ -313,7 +457,7 @@ fn analyze_loop(f: &Function, l: &Loop, du: &DefUse, work: &mut u64) -> Result<P
     // The bound must be usable in the new preheader: either defined outside
     // the loop or a constant we can re-materialize.
     let bound_const = constant_of(f, du, bound.bound);
-    if !is_loop_invariant(l, du, bound.bound) && bound_const.is_none() {
+    if !is_loop_invariant(&l, du, bound.bound) && bound_const.is_none() {
         return Err("loop bound is not loop-invariant".into());
     }
 
@@ -323,28 +467,25 @@ fn analyze_loop(f: &Function, l: &Loop, du: &DefUse, work: &mut u64) -> Result<P
     // lane (e.g. `x[i] = i`), which the portable builtins cannot express.
     let body_insts = &f.block(body).insts;
     *work += body_insts.len() as u64 * 8;
+    s.roles.clear();
+    s.roles.resize(body_insts.len(), Role::Value);
 
     // Identify the induction-variable update chain.
-    let mut skip: BTreeSet<usize> = BTreeSet::new();
     if iv.update_pos.block != body || iv.add_pos.block != body {
         return Err("induction variable is not updated in the loop body".into());
     }
-    skip.insert(iv.update_pos.index);
-    skip.insert(iv.add_pos.index);
+    s.roles[iv.update_pos.index] = Role::Skip;
+    s.roles[iv.add_pos.index] = Role::Skip;
 
     // Recognize reductions.
-    let mut reductions: Vec<Reduction> = Vec::new();
+    s.reductions.clear();
     for (index, inst) in body_insts.iter().enumerate() {
         let Inst::Move { dst: acc, src, .. } = inst else {
             continue;
         };
         // Accumulator: defined outside the loop, updated exactly once inside.
-        let defs_inside: Vec<_> = du
-            .defs(*acc)
-            .iter()
-            .filter(|p| l.contains(p.block))
-            .collect();
-        if defs_inside.len() != 1 || !du.defs(*acc).iter().any(|p| !l.contains(p.block)) {
+        let defs_inside = du.defs(*acc).iter().filter(|p| l.contains(p.block));
+        if defs_inside.count() != 1 || !du.defs(*acc).iter().any(|p| !l.contains(p.block)) {
             continue;
         }
         let Some(bin_pos) = du.single_def(*src).filter(|p| p.block == body) else {
@@ -375,7 +516,7 @@ fn analyze_loop(f: &Function, l: &Loop, du: &DefUse, work: &mut u64) -> Result<P
         if !ok_uses {
             continue;
         }
-        reductions.push(Reduction {
+        s.reductions.push(Reduction {
             acc: *acc,
             op: *op,
             elem: *ty,
@@ -384,15 +525,15 @@ fn analyze_loop(f: &Function, l: &Loop, du: &DefUse, work: &mut u64) -> Result<P
             other,
         });
     }
-    for r in &reductions {
-        skip.insert(r.bin_pos.index);
-        skip.insert(r.move_pos.index);
+    for r in &s.reductions {
+        s.roles[r.bin_pos.index] = Role::Skip;
+        s.roles[r.move_pos.index] = Role::Skip;
     }
 
-    // Memory accesses and the address slice.
-    let mut accesses: Vec<AffineAccess> = Vec::new();
-    let mut address_slice: BTreeSet<usize> = BTreeSet::new();
-    let mut elem_types: BTreeSet<ScalarType> = BTreeSet::new();
+    // Memory accesses and the address slice; an update the vector loop
+    // replaces stays skipped even when an address also reads it.
+    s.accesses.clear();
+    let mut elem_types = TypeSet::default();
     for (index, inst) in body_insts.iter().enumerate() {
         let pos = InstPos { block: body, index };
         match inst {
@@ -406,15 +547,17 @@ fn analyze_loop(f: &Function, l: &Loop, du: &DefUse, work: &mut u64) -> Result<P
                     return Err("displaced accesses are not vectorized".into());
                 }
                 let (base, slice) = analyze_address(f, l, du, *addr, *ty, &iv)?;
-                for p in slice {
-                    if p.block == body {
-                        address_slice.insert(p.index);
-                    } else {
+                for p in slice.as_slice() {
+                    if p.block != body {
                         return Err("address computed outside the loop body".into());
+                    }
+                    let role = &mut s.roles[p.index];
+                    if *role == Role::Value {
+                        *role = Role::Address;
                     }
                 }
                 elem_types.insert(*ty);
-                accesses.push(AffineAccess {
+                s.accesses.push(AffineAccess {
                     base,
                     elem: *ty,
                     is_store: matches!(inst, Inst::Store { .. }),
@@ -426,21 +569,18 @@ fn analyze_loop(f: &Function, l: &Loop, du: &DefUse, work: &mut u64) -> Result<P
     }
 
     // Classify the remaining instructions.
-    let mut local_defs: HashSet<VReg> = HashSet::new();
     for (index, inst) in body_insts.iter().enumerate() {
-        if skip.contains(&index) || address_slice.contains(&index) {
+        if s.roles[index] != Role::Value {
             continue;
         }
-        let pos = InstPos { block: body, index };
         match inst {
             Inst::Load { .. } | Inst::Store { .. } => {}
             Inst::Const { .. } => {}
-            Inst::Bin { op, ty, dst, .. } => {
+            Inst::Bin { op, ty, .. } => {
                 if !vectorizable_value_op(*op, *ty) {
-                    return Err(format!("operator `{op}` cannot be vectorized"));
+                    return Err(format!("operator `{op}` cannot be vectorized").into());
                 }
                 elem_types.insert(*ty);
-                local_defs.insert(*dst);
             }
             Inst::Move { dst, .. } => {
                 // A per-iteration local variable: every definition and use must
@@ -453,22 +593,21 @@ fn analyze_loop(f: &Function, l: &Loop, du: &DefUse, work: &mut u64) -> Result<P
                 if !all_inside {
                     return Err("scalar value is live out of the loop".into());
                 }
-                local_defs.insert(*dst);
             }
             Inst::Jump { target } if *target == l.header && index + 1 == body_insts.len() => {}
             other => {
                 return Err(format!(
                     "instruction `{}` cannot be vectorized",
                     splitc_vbc::format_inst(other)
-                ));
+                )
+                .into());
             }
         }
-        let _ = pos;
     }
 
     // The induction variable must not feed value computations.
     for (index, inst) in body_insts.iter().enumerate() {
-        if skip.contains(&index) || address_slice.contains(&index) {
+        if s.roles[index] != Role::Value {
             continue;
         }
         let mut reads_iv = false;
@@ -480,27 +619,24 @@ fn analyze_loop(f: &Function, l: &Loop, du: &DefUse, work: &mut u64) -> Result<P
 
     // Element type consistency.
     if elem_types.len() != 1 {
-        return Err(format!(
-            "mixed element types {elem_types:?} in one loop are not vectorized"
-        ));
+        return Err(
+            format!("mixed element types {elem_types:?} in one loop are not vectorized").into(),
+        );
     }
-    let elem = *elem_types.iter().next().expect("one element type");
+    let elem = elem_types.iter().next().expect("one element type");
     if elem == ScalarType::Ptr {
         return Err("pointer-typed elements are not vectorized".into());
     }
-    for r in &reductions {
-        if r.elem != elem {
-            return Err("reduction element type differs from the loop element type".into());
-        }
+    if s.reductions.iter().any(|r| r.elem != elem) {
+        return Err("reduction element type differs from the loop element type".into());
     }
 
     // Dependence test: loads and stores through the same base pointer always
     // address `base[i]` here (unit stride, same index), which is safe; distinct
     // bases are assumed not to alias (established offline, as in the paper).
-    let stores: Vec<_> = accesses.iter().filter(|a| a.is_store).collect();
-    for s in &stores {
-        for a in &accesses {
-            if a.pos != s.pos && a.base == s.base && a.elem != s.elem {
+    for st in s.accesses.iter().filter(|a| a.is_store) {
+        for a in &s.accesses {
+            if a.pos != st.pos && a.base == st.base && a.elem != st.elem {
                 return Err("conflicting accesses through one pointer".into());
             }
         }
@@ -514,14 +650,12 @@ fn analyze_loop(f: &Function, l: &Loop, du: &DefUse, work: &mut u64) -> Result<P
         bound,
         bound_const,
         elem,
-        reductions,
-        address_slice,
-        skip,
     })
 }
 
-/// Emit the vector loop described by `plan`; returns its header.
-fn transform(f: &mut Function, plan: &Plan) -> BlockId {
+/// Emit the vector loop described by `plan` and the roles and reductions
+/// [`analyze_loop`] left in `s`; returns the vector loop's header.
+fn transform(f: &mut Function, plan: &Plan, s: &mut Scratch) -> BlockId {
     let elem = plan.elem;
     let ivty = plan.iv.ty;
     let vec_pre = f.new_block();
@@ -550,8 +684,57 @@ fn transform(f: &mut Function, plan: &Plan) -> BlockId {
         _ => {}
     }
 
+    // The scalar body stays as the epilogue; it is only read here, so it is
+    // moved out of its block while fresh registers are made, and back.
+    let body_insts = std::mem::take(&mut f.block_mut(plan.body).insts);
+    let roles = &s.roles;
+    let reductions = &s.reductions;
+    // A register the vector body must read as a splat: defined outside the
+    // body (or by a body constant) and not by an instruction it clones.
+    let defined_in_body = |r: VReg| {
+        body_insts
+            .iter()
+            .zip(roles)
+            .any(|(bi, role)| *role == Role::Value && bi.dst() == Some(r))
+    };
+    // The immediate of the body's last `const` defining `r`.
+    let const_in_body = |r: VReg| {
+        body_insts.iter().rev().find_map(|bi| match bi {
+            Inst::Const { dst, imm, .. } if *dst == r => Some(*imm),
+            _ => None,
+        })
+    };
+
+    // Splats of loop-invariant scalars and of in-body constants used by value
+    // ops, in first-use order; each gets its register when it is emitted.
+    s.splats.clear();
+    let unassigned = VReg(u32::MAX);
+    for (inst, role) in body_insts.iter().zip(roles) {
+        if *role != Role::Value {
+            continue;
+        }
+        let value_operands = match inst {
+            Inst::Bin { lhs, rhs, .. } => [Some(*lhs), Some(*rhs)],
+            Inst::Store { value, .. } => [Some(*value), None],
+            Inst::Move { src, .. } => [Some(*src), None],
+            _ => [None, None],
+        };
+        for r in value_operands.into_iter().flatten() {
+            let splat = !defined_in_body(r) || const_in_body(r).is_some();
+            if splat && r != plan.iv.reg && !s.splats.iter().any(|(k, _)| *k == r) {
+                s.splats.push((r, unassigned));
+            }
+        }
+    }
+    // Reduction sources may also be loop-invariant (degenerate but legal).
+    for red in reductions {
+        if !defined_in_body(red.other) && !s.splats.iter().any(|(k, _)| *k == red.other) {
+            s.splats.push((red.other, unassigned));
+        }
+    }
+
     // --- Vector preheader: lane count, vector trip count, splats, accumulators. ---
-    let mut pre: Vec<Inst> = Vec::new();
+    let mut pre: Vec<Inst> = Vec::with_capacity(6 + 2 * s.splats.len() + 2 * reductions.len());
     let vl64 = f.new_vreg(Type::Scalar(ScalarType::I64));
     pre.push(Inst::VecWidth { dst: vl64, elem });
     let vl = if ivty == ScalarType::I64 {
@@ -596,56 +779,14 @@ fn transform(f: &mut Function, plan: &Plan) -> BlockId {
         rhs: rem,
     });
 
-    // Splats of loop-invariant scalars and of in-body constants used by value ops.
-    let body_insts: Vec<Inst> = f.block(plan.body).insts.clone();
-    let mut const_in_body: HashMap<VReg, Immediate> = HashMap::new();
-    for inst in &body_insts {
-        if let Inst::Const { dst, imm, .. } = inst {
-            const_in_body.insert(*dst, *imm);
-        }
-    }
-    let mut splats: HashMap<VReg, VReg> = HashMap::new();
-    let mut needs_splat: Vec<VReg> = Vec::new();
-    for (index, inst) in body_insts.iter().enumerate() {
-        if plan.skip.contains(&index) || plan.address_slice.contains(&index) {
-            continue;
-        }
-        let value_operands: Vec<VReg> = match inst {
-            Inst::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Store { value, .. } => vec![*value],
-            Inst::Move { src, .. } => vec![*src],
-            _ => Vec::new(),
-        };
-        for r in value_operands {
-            let defined_in_body = body_insts.iter().enumerate().any(|(i, bi)| {
-                !plan.address_slice.contains(&i) && bi.dst() == Some(r) && !plan.skip.contains(&i)
-            });
-            let is_const = const_in_body.contains_key(&r);
-            if (!defined_in_body || is_const) && !splats.contains_key(&r) && r != plan.iv.reg {
-                needs_splat.push(r);
-                splats.insert(r, VReg(u32::MAX)); // placeholder, filled below
-            }
-        }
-    }
-    // Reduction sources may also be loop-invariant (degenerate but legal).
-    for red in &plan.reductions {
-        let defined_in_body = body_insts.iter().enumerate().any(|(i, bi)| {
-            !plan.address_slice.contains(&i)
-                && bi.dst() == Some(red.other)
-                && !plan.skip.contains(&i)
-        });
-        if !defined_in_body && !splats.contains_key(&red.other) {
-            needs_splat.push(red.other);
-            splats.insert(red.other, VReg(u32::MAX));
-        }
-    }
-    for r in needs_splat {
-        let src = if let Some(imm) = const_in_body.get(&r) {
+    for i in 0..s.splats.len() {
+        let r = s.splats[i].0;
+        let src = if let Some(imm) = const_in_body(r) {
             let c = f.new_vreg(Type::Scalar(elem));
             pre.push(Inst::Const {
                 dst: c,
                 ty: elem,
-                imm: *imm,
+                imm,
             });
             c
         } else {
@@ -653,12 +794,12 @@ fn transform(f: &mut Function, plan: &Plan) -> BlockId {
         };
         let v = f.new_vreg(Type::Vector(elem));
         pre.push(Inst::VecSplat { dst: v, elem, src });
-        splats.insert(r, v);
+        s.splats[i].1 = v;
     }
 
     // Vector accumulators.
-    let mut vaccs: HashMap<VReg, VReg> = HashMap::new();
-    for red in &plan.reductions {
+    s.vaccs.clear();
+    for red in reductions {
         let ident = f.new_vreg(Type::Scalar(elem));
         pre.push(Inst::Const {
             dst: ident,
@@ -671,7 +812,7 @@ fn transform(f: &mut Function, plan: &Plan) -> BlockId {
             elem,
             src: ident,
         });
-        vaccs.insert(red.acc, vacc);
+        s.vaccs.push(vacc);
     }
     pre.push(Inst::Jump { target: vec_header });
     f.block_mut(vec_pre).insts = pre;
@@ -694,33 +835,26 @@ fn transform(f: &mut Function, plan: &Plan) -> BlockId {
     ];
 
     // --- Vector loop body: clone of the scalar body over vectors. ---
-    let mut vbody: Vec<Inst> = Vec::new();
+    let mut vbody: Vec<Inst> = Vec::with_capacity(body_insts.len() + reductions.len() + 2);
     // Registers in the clone: scalar address temporaries get fresh scalar
     // registers; value-producing instructions get fresh vector registers.
-    let mut regmap: HashMap<VReg, VReg> = HashMap::new();
-    let mut vector_regs: HashSet<VReg> = HashSet::new();
-
-    // Helper lookups have to be done without closures to keep the borrow
-    // checker happy while `f` is mutated for fresh registers.
-    for (index, inst) in body_insts.iter().enumerate() {
-        if plan.skip.contains(&index) {
-            continue;
-        }
-        if plan.address_slice.contains(&index) {
-            // Clone the scalar address computation with fresh registers.
-            let mut cloned = inst.clone();
-            let dst = inst.dst().expect("address computations define a value");
-            let fresh = f.new_vreg(f.vreg_type(dst));
-            cloned.rewrite_regs(|r| {
-                if r == dst {
-                    fresh
-                } else {
-                    *regmap.get(&r).unwrap_or(&r)
-                }
-            });
-            regmap.insert(dst, fresh);
-            vbody.push(cloned);
-            continue;
+    s.regmap.clear();
+    s.vector_regs.clear();
+    for (inst, role) in body_insts.iter().zip(roles) {
+        match role {
+            Role::Skip => continue,
+            Role::Address => {
+                // Clone the scalar address computation with fresh registers.
+                let mut cloned = inst.clone();
+                let dst = inst.dst().expect("address computations define a value");
+                let fresh = f.new_vreg(f.vreg_type(dst));
+                let regmap = &s.regmap;
+                cloned.rewrite_regs(|r| if r == dst { fresh } else { mapped(regmap, r) });
+                s.regmap.push((dst, fresh));
+                vbody.push(cloned);
+                continue;
+            }
+            Role::Value => {}
         }
         match inst {
             Inst::Load {
@@ -729,7 +863,7 @@ fn transform(f: &mut Function, plan: &Plan) -> BlockId {
                 addr,
                 offset,
             } => {
-                let vaddr = *regmap.get(addr).unwrap_or(addr);
+                let vaddr = mapped(&s.regmap, *addr);
                 let vdst = f.new_vreg(Type::Vector(*ty));
                 vbody.push(Inst::VecLoad {
                     dst: vdst,
@@ -737,8 +871,8 @@ fn transform(f: &mut Function, plan: &Plan) -> BlockId {
                     addr: vaddr,
                     offset: *offset,
                 });
-                regmap.insert(*dst, vdst);
-                vector_regs.insert(vdst);
+                s.regmap.push((*dst, vdst));
+                s.vector_regs.push(vdst);
             }
             Inst::Store {
                 ty,
@@ -746,8 +880,8 @@ fn transform(f: &mut Function, plan: &Plan) -> BlockId {
                 offset,
                 value,
             } => {
-                let vaddr = *regmap.get(addr).unwrap_or(addr);
-                let vvalue = vec_operand(*value, &regmap, &vector_regs, &splats);
+                let vaddr = mapped(&s.regmap, *addr);
+                let vvalue = vec_operand(s, *value);
                 vbody.push(Inst::VecStore {
                     elem: *ty,
                     addr: vaddr,
@@ -762,8 +896,8 @@ fn transform(f: &mut Function, plan: &Plan) -> BlockId {
                 lhs,
                 rhs,
             } => {
-                let vl_ = vec_operand(*lhs, &regmap, &vector_regs, &splats);
-                let vr = vec_operand(*rhs, &regmap, &vector_regs, &splats);
+                let vl_ = vec_operand(s, *lhs);
+                let vr = vec_operand(s, *rhs);
                 let vdst = f.new_vreg(Type::Vector(*ty));
                 vbody.push(Inst::VecBin {
                     op: *op,
@@ -772,13 +906,13 @@ fn transform(f: &mut Function, plan: &Plan) -> BlockId {
                     lhs: vl_,
                     rhs: vr,
                 });
-                regmap.insert(*dst, vdst);
-                vector_regs.insert(vdst);
+                s.regmap.push((*dst, vdst));
+                s.vector_regs.push(vdst);
             }
             Inst::Move { dst, src, .. } => {
-                let v = vec_operand(*src, &regmap, &vector_regs, &splats);
-                regmap.insert(*dst, v);
-                vector_regs.insert(v);
+                let v = vec_operand(s, *src);
+                s.regmap.push((*dst, v));
+                s.vector_regs.push(v);
             }
             Inst::Const { .. } => {
                 // Handled through the splat table when used by value ops; the
@@ -789,9 +923,8 @@ fn transform(f: &mut Function, plan: &Plan) -> BlockId {
         }
     }
     // Reduction updates.
-    for red in &plan.reductions {
-        let vacc = vaccs[&red.acc];
-        let vother = vec_operand(red.other, &regmap, &vector_regs, &splats);
+    for (red, &vacc) in s.reductions.iter().zip(&s.vaccs) {
+        let vother = vec_operand(s, red.other);
         vbody.push(Inst::VecBin {
             op: red.op,
             elem,
@@ -810,11 +943,11 @@ fn transform(f: &mut Function, plan: &Plan) -> BlockId {
     });
     vbody.push(Inst::Jump { target: vec_header });
     f.block_mut(vec_body).insts = vbody;
+    f.block_mut(plan.body).insts = body_insts;
 
     // --- Merge block: fold vector accumulators back into the scalars. ---
-    let mut minsts: Vec<Inst> = Vec::new();
-    for red in &plan.reductions {
-        let vacc = vaccs[&red.acc];
+    let mut minsts: Vec<Inst> = Vec::with_capacity(2 * s.reductions.len() + 1);
+    for (red, &vacc) in s.reductions.iter().zip(&s.vaccs) {
         let partial = f.new_vreg(Type::Scalar(elem));
         minsts.push(Inst::VecReduce {
             op: reduce_op(red.op).expect("reduction operator"),
@@ -838,23 +971,33 @@ fn transform(f: &mut Function, plan: &Plan) -> BlockId {
     vec_header
 }
 
-fn vec_operand(
-    r: VReg,
-    regmap: &HashMap<VReg, VReg>,
-    vector_regs: &HashSet<VReg>,
-    splats: &HashMap<VReg, VReg>,
-) -> VReg {
-    if let Some(mapped) = regmap.get(&r) {
-        if vector_regs.contains(mapped) {
-            return *mapped;
+/// `r`'s latest clone in the vector body, or `r` itself.
+fn mapped(regmap: &[(VReg, VReg)], r: VReg) -> VReg {
+    regmap
+        .iter()
+        .rev()
+        .find_map(|&(k, v)| (k == r).then_some(v))
+        .unwrap_or(r)
+}
+
+/// The vector register the vector body reads for the scalar `r`.
+fn vec_operand(s: &Scratch, r: VReg) -> VReg {
+    let clone = s
+        .regmap
+        .iter()
+        .rev()
+        .find_map(|&(k, v)| (k == r).then_some(v));
+    if let Some(mapped) = clone {
+        if s.vector_regs.contains(&mapped) {
+            return mapped;
         }
     }
-    if let Some(s) = splats.get(&r) {
-        return *s;
+    if let Some(&(_, splat)) = s.splats.iter().find(|(k, _)| *k == r) {
+        return splat;
     }
     // Fall back to the mapped scalar (this only happens for values that the
     // legality analysis guaranteed are vectors or splats).
-    *regmap.get(&r).unwrap_or(&r)
+    clone.unwrap_or(r)
 }
 
 #[cfg(test)]
