@@ -208,7 +208,7 @@ impl<'a> Lowering<'_, 'a> {
                 then_blk,
                 else_blk,
             } => self.lower_if(cond, then_blk, else_blk.as_ref()),
-            Stmt::While { cond, body } => self.lower_loop(None, cond, None, body),
+            Stmt::While { cond, body } => self.lower_loop(cond, None, body),
             Stmt::For {
                 init,
                 cond,
@@ -217,7 +217,7 @@ impl<'a> Lowering<'_, 'a> {
             } => {
                 self.open_scope();
                 self.lower_stmt(init)?;
-                self.lower_loop(None, cond, Some(step), body)?;
+                self.lower_loop(cond, Some(step), body)?;
                 self.close_scope();
                 Ok(())
             }
@@ -324,7 +324,6 @@ impl<'a> Lowering<'_, 'a> {
 
     fn lower_loop(
         &mut self,
-        _preheader: Option<()>,
         cond: &Expr<'a>,
         step: Option<&Stmt<'a>>,
         body: &BlockStmt<'a>,

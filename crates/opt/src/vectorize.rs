@@ -849,7 +849,13 @@ fn transform(f: &mut Function, plan: &Plan, s: &mut Scratch) -> BlockId {
                 let dst = inst.dst().expect("address computations define a value");
                 let fresh = f.new_vreg(f.vreg_type(dst));
                 let regmap = &s.regmap;
-                cloned.rewrite_regs(|r| if r == dst { fresh } else { mapped(regmap, r) });
+                cloned.rewrite_regs(|r| {
+                    if r == dst {
+                        fresh
+                    } else {
+                        clone_of(regmap, r).unwrap_or(r)
+                    }
+                });
                 s.regmap.push((dst, fresh));
                 vbody.push(cloned);
                 continue;
@@ -863,7 +869,7 @@ fn transform(f: &mut Function, plan: &Plan, s: &mut Scratch) -> BlockId {
                 addr,
                 offset,
             } => {
-                let vaddr = mapped(&s.regmap, *addr);
+                let vaddr = clone_of(&s.regmap, *addr).unwrap_or(*addr);
                 let vdst = f.new_vreg(Type::Vector(*ty));
                 vbody.push(Inst::VecLoad {
                     dst: vdst,
@@ -880,7 +886,7 @@ fn transform(f: &mut Function, plan: &Plan, s: &mut Scratch) -> BlockId {
                 offset,
                 value,
             } => {
-                let vaddr = mapped(&s.regmap, *addr);
+                let vaddr = clone_of(&s.regmap, *addr).unwrap_or(*addr);
                 let vvalue = vec_operand(s, *value);
                 vbody.push(Inst::VecStore {
                     elem: *ty,
@@ -971,22 +977,17 @@ fn transform(f: &mut Function, plan: &Plan, s: &mut Scratch) -> BlockId {
     vec_header
 }
 
-/// `r`'s latest clone in the vector body, or `r` itself.
-fn mapped(regmap: &[(VReg, VReg)], r: VReg) -> VReg {
+/// `r`'s latest clone in the vector body.
+fn clone_of(regmap: &[(VReg, VReg)], r: VReg) -> Option<VReg> {
     regmap
         .iter()
         .rev()
         .find_map(|&(k, v)| (k == r).then_some(v))
-        .unwrap_or(r)
 }
 
 /// The vector register the vector body reads for the scalar `r`.
 fn vec_operand(s: &Scratch, r: VReg) -> VReg {
-    let clone = s
-        .regmap
-        .iter()
-        .rev()
-        .find_map(|&(k, v)| (k == r).then_some(v));
+    let clone = clone_of(&s.regmap, r);
     if let Some(mapped) = clone {
         if s.vector_regs.contains(&mapped) {
             return mapped;
