@@ -353,4 +353,25 @@ mod tests {
             .unwrap();
         assert!(matches!(qdef, Inst::Bin { op: BinOp::Div, .. }));
     }
+
+    #[test]
+    fn a_nan_constant_is_folded_once_and_folding_ends() {
+        // `NaN != NaN`: an instruction compared with its own copy always
+        // looked rewritten, so a folded NaN made every round change.
+        let mut b = FunctionBuilder::new("f", &[], Some(Type::Scalar(ScalarType::F32)));
+        let z = b.const_float(ScalarType::F32, 0.0);
+        let q = b.bin(BinOp::Div, ScalarType::F32, z, z);
+        b.ret(Some(q));
+        let mut f = b.finish();
+        let stats = fold_function(&mut f);
+        assert_eq!(stats.folded, 1);
+        assert_eq!(stats.copies_propagated, 0);
+        let qdef = f
+            .block(f.entry)
+            .insts
+            .iter()
+            .find(|i| i.dst() == Some(q))
+            .unwrap();
+        assert!(matches!(qdef, Inst::Const { imm: Immediate::Float(v), .. } if v.is_nan()));
+    }
 }

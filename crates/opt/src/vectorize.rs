@@ -130,31 +130,13 @@ impl fmt::Debug for TypeSet {
     }
 }
 
-/// The instructions of one address chain, at most five: the base-plus-offset
-/// add, the cast of the offset to a pointer, the scaling multiply, the
-/// constant it scales by and the widening cast of the index.
-#[derive(Default)]
-struct Chain {
-    pos: [InstPos; 5],
-    len: usize,
-}
-
-impl Chain {
-    fn push(&mut self, p: InstPos) {
-        self.pos[self.len] = p;
-        self.len += 1;
-    }
-
-    fn as_slice(&self) -> &[InstPos] {
-        &self.pos[..self.len]
-    }
-}
-
-/// The tables one [`vectorize_function`] call reuses for every loop.
+/// The per-loop tables a [`Vectorizer`] reuses for every loop.
 #[derive(Default)]
 struct Scratch {
     /// Role of each instruction of the body under analysis.
     roles: Vec<Role>,
+    /// The instructions of the address chain under analysis.
+    chain: Vec<InstPos>,
     ivs: Vec<InductionVar>,
     reductions: Vec<Reduction>,
     accesses: Vec<AffineAccess>,
@@ -315,7 +297,8 @@ fn identity_imm(op: BinOp, elem: ScalarType) -> Immediate {
 }
 
 /// Recognize the unit-stride address chain produced by the front end:
-/// `add.ptr base, cast.ptr(mul.i64 cast.i64(iv), sizeof(elem))`.
+/// `add.ptr base, cast.ptr(mul.i64 cast.i64(iv), sizeof(elem))`. Returns
+/// the base and leaves the chain's instructions in `slice`.
 fn analyze_address(
     f: &Function,
     l: Loop<'_>,
@@ -323,8 +306,9 @@ fn analyze_address(
     addr: VReg,
     elem: ScalarType,
     iv: &InductionVar,
-) -> Result<(VReg, Chain), Reason> {
-    let mut slice = Chain::default();
+    slice: &mut Vec<InstPos>,
+) -> Result<VReg, Reason> {
+    slice.clear();
     let add_pos = du
         .single_def(addr)
         .filter(|p| l.contains(p.block))
@@ -409,7 +393,7 @@ fn analyze_address(
     if idx_root != iv.reg {
         return Err("index is not the loop induction variable".into());
     }
-    Ok((base, slice))
+    Ok(base)
 }
 
 /// Decide whether `l` can be vectorized. On success the body's roles and
@@ -546,8 +530,8 @@ fn analyze_loop(
                 if *offset != 0 {
                     return Err("displaced accesses are not vectorized".into());
                 }
-                let (base, slice) = analyze_address(f, l, du, *addr, *ty, &iv)?;
-                for p in slice.as_slice() {
+                let base = analyze_address(f, l, du, *addr, *ty, &iv, &mut s.chain)?;
+                for p in &s.chain {
                     if p.block != body {
                         return Err("address computed outside the loop body".into());
                     }
