@@ -5,7 +5,7 @@ use splitc_vbc::{BlockId, Function};
 
 /// Immediate-dominator tree of a function's reachable blocks.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Dominators {
+pub(crate) struct Dominators {
     /// `idom[b]` is the immediate dominator of block `b`; the entry maps to
     /// itself and unreachable blocks map to `None`.
     idom: Vec<Option<BlockId>>,
@@ -13,15 +13,6 @@ pub struct Dominators {
 }
 
 impl Dominators {
-    /// Compute dominators for `f`.
-    pub fn compute(f: &Function) -> Self {
-        let mut cfg = Cfg::default();
-        cfg.recompute(f);
-        let mut dom = Dominators::default();
-        dom.recompute(f, &cfg, &mut Vec::new());
-        dom
-    }
-
     /// Recompute the tree for `f` in place from its `cfg`, with `order` as
     /// working space.
     pub(crate) fn recompute(&mut self, f: &Function, cfg: &Cfg, order: &mut Vec<usize>) {
@@ -106,6 +97,14 @@ mod tests {
     use super::*;
     use splitc_vbc::{CmpOp, FunctionBuilder, ScalarType, Type};
 
+    fn dominators(f: &Function) -> Dominators {
+        let mut cfg = Cfg::default();
+        cfg.recompute(f);
+        let mut dom = Dominators::default();
+        dom.recompute(f, &cfg, &mut Vec::new());
+        dom
+    }
+
     /// Diamond: entry -> {left, right} -> join, plus a loop join -> header.
     fn diamond_with_loop() -> Function {
         let mut b = FunctionBuilder::new("g", &[Type::Scalar(ScalarType::I32)], None);
@@ -132,7 +131,7 @@ mod tests {
     #[test]
     fn entry_dominates_everything() {
         let f = diamond_with_loop();
-        let dom = Dominators::compute(&f);
+        let dom = dominators(&f);
         for blk in &f.blocks {
             assert!(
                 dom.dominates(f.entry, blk.id),
@@ -145,7 +144,7 @@ mod tests {
     #[test]
     fn join_is_dominated_by_entry_not_by_branches() {
         let f = diamond_with_loop();
-        let dom = Dominators::compute(&f);
+        let dom = dominators(&f);
         let left = BlockId(1);
         let right = BlockId(2);
         let join = BlockId(3);
@@ -161,7 +160,7 @@ mod tests {
         f.block_mut(dead)
             .insts
             .push(splitc_vbc::Inst::Ret { value: None });
-        let dom = Dominators::compute(&f);
+        let dom = dominators(&f);
         assert!(dom.dominates(BlockId(3), BlockId(3)));
         assert!(!dom.is_reachable(dead));
         assert!(dom.is_reachable(f.entry));

@@ -59,7 +59,6 @@ pub use annotate::{annotate_module, kernel_traits};
 pub use constfold::{fold_function, fold_module, FoldStats};
 pub use dce::{eliminate_dead_code, eliminate_dead_code_module};
 pub use defuse::{DefUse, InstPos};
-pub use dom::Dominators;
 pub use indvars::{induction_variables, loop_bound, InductionVar, LoopBound};
 pub use liveness::Liveness;
 pub use loops::{Loop, LoopForest};

@@ -9,7 +9,7 @@ use crate::annotate::annotate_module;
 use crate::constfold::fold_module;
 use crate::dce::eliminate_dead_code_module;
 use crate::regalloc_split::annotate_spill_orders;
-use crate::vectorize::{Reason, Vectorizer};
+use crate::vectorize::{vectorize_module, Reason};
 use splitc_vbc::Module;
 use std::collections::BTreeMap;
 
@@ -115,9 +115,8 @@ pub fn optimize_module(m: &mut Module, opts: &OptOptions) -> OptReport {
         report.offline_work += m.num_insts() as u64;
     }
     if opts.vectorize {
-        let mut vectorizer = Vectorizer::default();
-        for f in m.functions_mut() {
-            let r = vectorizer.run(f);
+        let reports = vectorize_module(m);
+        for (f, r) in m.functions().iter().zip(reports) {
             report.offline_work += r.analysis_work;
             if r.count() > 0 {
                 report.vectorized_loops.insert(f.name.clone(), r.count());

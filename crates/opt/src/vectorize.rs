@@ -34,8 +34,8 @@
 //! holds a few dozen instructions. The element types are a bitmask, the
 //! blocks already examined a flag per block, and the body being cloned is
 //! moved out of its block and back rather than copied. A rejection's reason
-//! is fixed text unless it names a value, so rejecting a loop allocates
-//! nothing.
+//! is fixed text unless it names a value; rejecting a loop allocates only
+//! to format a reason that names one.
 
 use crate::defuse::{inst_at, DefUse, InstPos};
 use crate::indvars::{
@@ -46,7 +46,6 @@ use splitc_vbc::{
     BinOp, BlockId, CmpOp, Function, Immediate, Inst, Module, ReduceOp, ScalarType, Type, VReg,
 };
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why a loop was not vectorized.
@@ -169,15 +168,14 @@ pub fn vectorize_function(f: &mut Function) -> VectorizeReport {
     Vectorizer::default().run(f)
 }
 
-/// Vectorize every function of a module; returns per-function reports.
-pub fn vectorize_module(m: &mut Module) -> BTreeMap<String, VectorizeReport> {
+/// Vectorize every function of a module; returns one report per function,
+/// in the module's function order.
+pub fn vectorize_module(m: &mut Module) -> Vec<VectorizeReport> {
     let mut vectorizer = Vectorizer::default();
-    let mut out = BTreeMap::new();
-    for f in m.functions_mut() {
-        let name = f.name.clone();
-        out.insert(name, vectorizer.run(f));
-    }
-    out
+    m.functions_mut()
+        .iter_mut()
+        .map(|f| vectorizer.run(f))
+        .collect()
 }
 
 /// The analyses and tables of a vectorizing run, reused from one round and
@@ -1229,8 +1227,8 @@ mod tests {
         let scalar = m.clone();
         let reports = vectorize_module(&mut m);
         assert_eq!(reports.len(), 2);
-        assert!(reports.values().all(|r| r.count() == 1));
-        assert!(reports.values().all(|r| r.analysis_work > 0));
+        assert!(reports.iter().all(|r| r.count() == 1));
+        assert!(reports.iter().all(|r| r.analysis_work > 0));
         // Code size grows (vector loop + epilogue) but the module still verifies.
         assert!(m.num_insts() > scalar.num_insts());
         splitc_vbc::verify_module(&m).unwrap();
