@@ -1,6 +1,6 @@
 //! The online compiler driver.
 
-use crate::lowering::lower_function;
+use crate::lowering::{lower_function, VirtualFunc};
 use crate::regassign::{RegAllocMode, RegAssigner};
 use splitc_targets::{MProgram, TargetDesc};
 use splitc_vbc::{verify_module, Module, VerifyError};
@@ -207,8 +207,9 @@ pub fn compile_module(
         functions: Vec::with_capacity(module.functions().len()),
     };
     let mut regs = RegAssigner::new(target, options.regalloc);
+    let mut vf = VirtualFunc::default();
     for func in module.functions() {
-        let vf = lower_function(func, target, use_simd)?;
+        lower_function(&mut vf, func, target, use_simd)?;
         stats.lowering_work += vf.emitted;
         stats.functions += 1;
         if func.uses_vector_builtins() {
@@ -218,7 +219,7 @@ pub fn compile_module(
                 stats.scalarized = true;
             }
         }
-        program.functions.push(regs.assign(vf, func, &mut stats)?);
+        program.functions.push(regs.assign(&mut vf, func, &mut stats)?);
     }
     Ok((program, stats))
 }

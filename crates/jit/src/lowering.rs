@@ -12,14 +12,16 @@
 //!   operation becomes an unrolled sequence of scalar operations — exactly the
 //!   fallback the paper describes for the UltraSparc and PowerPC JITs.
 //!
-//! Lowering allocates per function and per block, never per instruction or
-//! operand. The lanes of a scalarized vector register are handed out by one
+//! Lowering allocates per function (its parameter list), never per block,
+//! instruction or operand: every function is lowered into one instruction
+//! buffer with block bounds, and the buffer and the register tables are
+//! reused from function to function. The lanes of a scalarized vector register are handed out by one
 //! run of the per-class counter, so they have consecutive indices and the
 //! "lane list" is a range — `(class, first index, count)`, kept in a dense
 //! table indexed by bytecode register — that is copied, not cloned, each time
 //! an operation names the register. And every bytecode instruction lowers to a
 //! known number of machine instructions (one, or one per lane when
-//! scalarized), so each block is sized once to its exact length even where
+//! scalarized), so the buffer is sized once per function even where
 //! scalarization expands it severalfold.
 
 use crate::compile::JitError;
@@ -29,25 +31,38 @@ use splitc_vbc::{
     DEFAULT_VECTOR_WIDTH_BYTES,
 };
 
-/// Machine code with unbounded virtual register indices, before assignment.
-#[derive(Debug, Clone)]
+/// Machine code with unbounded virtual register indices, before assignment:
+/// one function at a time, in tables that are cleared and reused from
+/// function to function.
+#[derive(Debug, Default)]
 pub(crate) struct VirtualFunc {
-    /// Function name.
-    pub name: String,
     /// Virtual registers holding the parameters, in order.
     pub params: Vec<PReg>,
-    /// One instruction vector per basic block (indices match the bytecode).
-    pub blocks: Vec<Vec<MInst>>,
+    /// The function's instructions, block after block (block order is the
+    /// bytecode's).
+    pub insts: Vec<MInst>,
+    /// `insts[bounds[b]..bounds[b + 1]]` are block `b`'s instructions.
+    pub bounds: Vec<usize>,
     /// The machine register of each bytecode register, indexed by
     /// [`VReg::index`]; `None` for registers lowering never met and for
     /// vector registers that were scalarized into lanes.
     pub vbc_map: Vec<Option<PReg>>,
+    /// The lanes of each scalarized vector register, indexed by
+    /// [`VReg::index`]; empty when the vector builtins map onto SIMD.
+    lanes: Vec<Option<Lanes>>,
     /// Virtual registers created per class (int, float, vector): the indices
     /// of a class are exactly `0..count`, so `class offset + index` numbers
     /// every virtual register of the function densely.
     pub counts: [u32; 3],
     /// Machine instructions emitted (lowering work measure).
     pub emitted: u64,
+}
+
+impl VirtualFunc {
+    /// The number of blocks.
+    pub fn num_blocks(&self) -> usize {
+        self.bounds.len().saturating_sub(1)
+    }
 }
 
 /// Position of a register class in per-class tables (int, float, vector).
@@ -98,21 +113,15 @@ struct Lowerer<'a> {
     func: &'a Function,
     target: &'a TargetDesc,
     use_simd: bool,
-    map: Vec<Option<PReg>>,
-    /// The lanes of each scalarized vector register, indexed by
-    /// [`VReg::index`]; empty when the vector builtins map onto SIMD.
-    lanes: Vec<Option<Lanes>>,
-    next: [u32; 3],
-    blocks: Vec<Vec<MInst>>,
-    current: usize,
-    emitted: u64,
+    /// The tables being filled; `params` and `bounds` are the driver's.
+    out: &'a mut VirtualFunc,
 }
 
 impl<'a> Lowerer<'a> {
     /// Hand out `count` fresh virtual registers of `class` with consecutive
     /// indices and return the first index.
     fn fresh_run(&mut self, class: RegClass, count: u32) -> Result<u16, JitError> {
-        let next = &mut self.next[class_index(class)];
+        let next = &mut self.out.counts[class_index(class)];
         let first = *next;
         *next += count;
         if *next > u32::from(u16::MAX) + 1 {
@@ -130,7 +139,7 @@ impl<'a> Lowerer<'a> {
     }
 
     fn scalar_reg(&mut self, r: VReg) -> Result<PReg, JitError> {
-        if let Some(p) = self.map[r.index()] {
+        if let Some(p) = self.out.vbc_map[r.index()] {
             return Ok(p);
         }
         let class = match self.func.vreg_type(r) {
@@ -143,7 +152,7 @@ impl<'a> Lowerer<'a> {
             }
         };
         let p = self.fresh(class)?;
-        self.map[r.index()] = Some(p);
+        self.out.vbc_map[r.index()] = Some(p);
         Ok(p)
     }
 
@@ -159,7 +168,7 @@ impl<'a> Lowerer<'a> {
 
     /// The scalar lane registers standing in for vector register `r`.
     fn lane_regs(&mut self, r: VReg, elem: ScalarType) -> Result<Lanes, JitError> {
-        if let Some(l) = self.lanes[r.index()] {
+        if let Some(l) = self.out.lanes[r.index()] {
             return Ok(l);
         }
         let class = scalar_class(elem);
@@ -171,7 +180,7 @@ impl<'a> Lowerer<'a> {
             first,
             count,
         };
-        self.lanes[r.index()] = Some(l);
+        self.out.lanes[r.index()] = Some(l);
         Ok(l)
     }
 
@@ -193,17 +202,17 @@ impl<'a> Lowerer<'a> {
     }
 
     fn vec_reg(&mut self, r: VReg) -> Result<PReg, JitError> {
-        if let Some(p) = self.map[r.index()] {
+        if let Some(p) = self.out.vbc_map[r.index()] {
             return Ok(p);
         }
         let p = self.fresh(RegClass::Vec)?;
-        self.map[r.index()] = Some(p);
+        self.out.vbc_map[r.index()] = Some(p);
         Ok(p)
     }
 
     fn emit(&mut self, inst: MInst) {
-        self.emitted += 1;
-        self.blocks[self.current].push(inst);
+        self.out.emitted += 1;
+        self.out.insts.push(inst);
     }
 
     fn alu_of(op: BinOp) -> AluOp {
@@ -435,20 +444,16 @@ impl<'a> Lowerer<'a> {
                     src: v,
                 });
             }
-            Inst::Call { dst, callee, args } => {
+            Inst::Call { dst, site } => {
                 let ret = match dst {
                     Some(d) => Some(self.scalar_reg(*d)?),
                     None => None,
                 };
-                let mut margs = Vec::with_capacity(args.len());
-                for a in args {
+                let mut margs = Vec::with_capacity(site.args.len());
+                for a in &site.args {
                     margs.push(self.scalar_reg(*a)?);
                 }
-                self.emit(MInst::Call {
-                    callee: callee.clone(),
-                    args: margs,
-                    ret,
-                });
+                self.emit(MInst::call(site.callee.as_str(), margs, ret));
             }
             Inst::VecWidth { dst, elem } => {
                 // This is where the online compiler resolves the portable lane
@@ -632,26 +637,31 @@ impl<'a> Lowerer<'a> {
     }
 }
 
-/// Lower one bytecode function to virtual machine code for `target`.
+/// Lower one bytecode function to virtual machine code for `target`, into
+/// `vf`, whose tables are cleared first.
 ///
 /// `use_simd` selects between direct SIMD mapping and scalarization of the
 /// portable vector builtins; it must only be `true` when the target has a
 /// vector unit.
 pub(crate) fn lower_function(
+    vf: &mut VirtualFunc,
     func: &Function,
     target: &TargetDesc,
     use_simd: bool,
-) -> Result<VirtualFunc, JitError> {
+) -> Result<(), JitError> {
+    vf.vbc_map.clear();
+    vf.vbc_map.resize(func.num_vregs(), None);
+    vf.lanes.clear();
+    vf.lanes.resize(if use_simd { 0 } else { func.num_vregs() }, None);
+    vf.insts.clear();
+    vf.bounds.clear();
+    vf.counts = [0; 3];
+    vf.emitted = 0;
     let mut low = Lowerer {
         func,
         target,
         use_simd,
-        map: vec![None; func.num_vregs()],
-        lanes: vec![None; if use_simd { 0 } else { func.num_vregs() }],
-        next: [0, 0, 0],
-        blocks: vec![Vec::new(); func.blocks.len()],
-        current: 0,
-        emitted: 0,
+        out: vf,
     };
     // Parameters first, so they occupy the first virtual registers.
     let mut params = Vec::with_capacity(func.params.len());
@@ -664,23 +674,23 @@ pub(crate) fn lower_function(
         }
         params.push(low.scalar_reg(*reg)?);
     }
+    // Scalarization expands a function severalfold; size the buffer once.
+    let len = func
+        .blocks
+        .iter()
+        .flat_map(|b| &b.insts)
+        .map(|i| low.lowered_len(i))
+        .sum();
+    low.out.insts.reserve_exact(len);
     for block in &func.blocks {
-        low.current = block.id.index();
-        // Scalarization expands a block severalfold; size it once.
-        let len = block.insts.iter().map(|i| low.lowered_len(i)).sum();
-        low.blocks[low.current].reserve_exact(len);
+        low.out.bounds.push(low.out.insts.len());
         for inst in &block.insts {
             low.lower_inst(inst)?;
         }
     }
-    Ok(VirtualFunc {
-        name: func.name.clone(),
-        params,
-        blocks: low.blocks,
-        vbc_map: low.map,
-        counts: low.next,
-        emitted: low.emitted,
-    })
+    vf.bounds.push(vf.insts.len());
+    vf.params = params;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -688,6 +698,12 @@ mod tests {
     use super::*;
     use splitc_minic::compile_source;
     use splitc_opt::{optimize_module, OptOptions};
+
+    fn lowered(f: &Function, target: &TargetDesc, use_simd: bool) -> VirtualFunc {
+        let mut vf = VirtualFunc::default();
+        lower_function(&mut vf, f, target, use_simd).unwrap();
+        vf
+    }
 
     fn saxpy_module(vectorized: bool) -> splitc_vbc::Module {
         let mut m = compile_source(
@@ -708,12 +724,12 @@ mod tests {
         let m = saxpy_module(false);
         let f = m.function("saxpy").unwrap();
         let target = TargetDesc::x86_sse();
-        let vf = lower_function(f, &target, true).unwrap();
-        assert_eq!(vf.blocks.len(), f.blocks.len());
+        let vf = lowered(f, &target, true);
+        assert_eq!(vf.num_blocks(), f.blocks.len());
         assert_eq!(vf.params.len(), 4);
         assert!(vf.emitted as usize >= f.num_insts());
         // No vector machine instructions in scalar bytecode.
-        assert!(vf.blocks.iter().flatten().all(|i| !i.is_vector()));
+        assert!(vf.insts.iter().all(|i| !i.is_vector()));
     }
 
     #[test]
@@ -721,13 +737,12 @@ mod tests {
         let m = saxpy_module(true);
         let f = m.function("saxpy").unwrap();
         let target = TargetDesc::x86_sse();
-        let vf = lower_function(f, &target, true).unwrap();
-        assert!(vf.blocks.iter().flatten().any(|i| i.is_vector()));
+        let vf = lowered(f, &target, true);
+        assert!(vf.insts.iter().any(|i| i.is_vector()));
         // The portable lane count folded to 4 (16 bytes / f32).
         assert!(vf
-            .blocks
+            .insts
             .iter()
-            .flatten()
             .any(|i| matches!(i, MInst::Imm { value: 4, .. })));
     }
 
@@ -736,23 +751,22 @@ mod tests {
         let m = saxpy_module(true);
         let f = m.function("saxpy").unwrap();
         let target = TargetDesc::ultrasparc();
-        let vf = lower_function(f, &target, false).unwrap();
+        let vf = lowered(f, &target, false);
         // No vector machine instructions may appear...
-        assert!(vf.blocks.iter().flatten().all(|i| !i.is_vector()));
+        assert!(vf.insts.iter().all(|i| !i.is_vector()));
         // ...but the vector body is unrolled: more machine instructions than
         // the SIMD lowering of the same bytecode.
-        let simd = lower_function(f, &TargetDesc::x86_sse(), true).unwrap();
+        let simd = lowered(f, &TargetDesc::x86_sse(), true);
         assert!(vf.emitted > simd.emitted);
         // The scalarization factor still shows up as the lane-count constant.
         assert!(vf
-            .blocks
+            .insts
             .iter()
-            .flatten()
             .any(|i| matches!(i, MInst::Imm { value: 4, .. })));
     }
 
     #[test]
-    fn lowered_blocks_are_sized_once_to_their_exact_length() {
+    fn the_buffer_is_sized_once_to_the_exact_length() {
         // `lowered_len` must agree with what `lower_inst` emits, with SIMD
         // (one machine instruction each) and scalarized (one per lane).
         let m = saxpy_module(true);
@@ -761,11 +775,29 @@ mod tests {
             (TargetDesc::x86_sse(), true),
             (TargetDesc::ultrasparc(), false),
         ] {
-            let vf = lower_function(f, &target, use_simd).unwrap();
-            for (b, block) in vf.blocks.iter().enumerate() {
-                assert_eq!(block.capacity(), block.len(), "{}: block {b}", target.name);
-            }
+            let vf = lowered(f, &target, use_simd);
+            assert_eq!(vf.insts.capacity(), vf.insts.len(), "{}", target.name);
+            assert_eq!(vf.insts.len() as u64, vf.emitted, "{}", target.name);
+            assert_eq!(vf.bounds.first(), Some(&0));
+            assert_eq!(vf.bounds.last(), Some(&vf.insts.len()));
+            assert!(vf.bounds.windows(2).all(|w| w[0] <= w[1]));
         }
+    }
+
+    #[test]
+    fn a_reused_buffer_lowers_each_function_as_a_fresh_one() {
+        let m = saxpy_module(true);
+        let f = m.function("saxpy").unwrap();
+        let target = TargetDesc::ultrasparc();
+        let mut vf = lowered(f, &target, false);
+        let fresh = (vf.insts.clone(), vf.bounds.clone(), vf.vbc_map.clone());
+        let add = compile_source("fn add(a: i32, b: i32) -> i32 { return a + b; }", "k").unwrap();
+        let add = add.function("add").unwrap();
+        lower_function(&mut vf, add, &target, false).unwrap();
+        assert_eq!(vf.insts.len() as u64, vf.emitted);
+        assert_eq!((vf.params.len(), vf.num_blocks()), (2, add.blocks.len()));
+        lower_function(&mut vf, f, &target, false).unwrap();
+        assert_eq!((vf.insts, vf.bounds, vf.vbc_map), fresh);
     }
 
     #[test]
@@ -781,12 +813,11 @@ mod tests {
         .unwrap();
         optimize_module(&mut m, &OptOptions::full());
         let f = m.function("max_u8").unwrap();
-        let vf = lower_function(f, &TargetDesc::powerpc(), false).unwrap();
+        let vf = lowered(f, &TargetDesc::powerpc(), false);
         // 16 u8 lanes -> at least 16 scalar loads in the unrolled vector body.
         let loads = vf
-            .blocks
+            .insts
             .iter()
-            .flatten()
             .filter(|i| {
                 matches!(
                     i,
@@ -802,6 +833,6 @@ mod tests {
             "16 unrolled lanes plus the scalar epilogue, got {loads}"
         );
         // A scalarized reduction is sized like the other lane-wise operations.
-        assert!(vf.blocks.iter().all(|b| b.capacity() == b.len()));
+        assert_eq!(vf.insts.capacity(), vf.insts.len());
     }
 }

@@ -2,28 +2,28 @@
 //!
 //! The lowering phase produces machine instructions whose register indices are
 //! *virtual* (unbounded); the register assignment phase then rewrites them to
-//! the target's physical registers. This module provides the def/use
-//! introspection that rewrite needs, without allocating: operands are handed
-//! to a visitor in operand order, a `Call`'s argument list is walked where it
-//! lies.
+//! the target's physical registers. This module provides the two walks that
+//! rewrite needs, without allocating: one reads an instruction's operands
+//! (uses handed to a visitor in operand order, the definition returned), one
+//! writes the assigned registers back; a `Call`'s argument list is walked
+//! where it lies.
 
 use splitc_targets::{minst_shapes, MInst, PReg};
 
-/// Hand `$x`, a field of role `$role`, to `$f` once per register it reads.
-/// Works on `&` and `&mut` bindings alike (operands arrive as `&PReg` or
-/// `&mut PReg`), so one rule set serves the read-only and the rewriting walk.
+/// Hand `$x`, a field of role `$role` bound by reference, to `$f` once per
+/// register it reads, as a `PReg`.
 macro_rules! visit_use {
     (use $x:ident $f:ident) => {
-        $f($x)
+        $f(*$x)
     };
     (ouse $x:ident $f:ident) => {
         if let Some(r) = $x {
-            $f(r)
+            $f(*r)
         }
     };
-    (uses $x:ident $f:ident) => {
-        for r in $x {
-            $f(r)
+    (call $x:ident $f:ident) => {
+        for r in &$x.args {
+            $f(*r)
         }
     };
     ($other:ident $x:ident $f:ident) => {};
@@ -32,67 +32,79 @@ macro_rules! visit_use {
 /// `$found` unless `$x`, a field of role `$role`, is the definition.
 macro_rules! or_def {
     (def $x:ident $found:ident) => {
-        Some($x)
+        Some(*$x)
     };
     (odef $x:ident $found:ident) => {
-        $x.into()
+        *$x
     };
     ($other:ident $x:ident $found:ident) => {
         $found
     };
 }
 
-/// The four walks, generated from the rows of `minst_shapes!`: uses are
+/// Store into `$x`, a field of role `$role` bound by `&mut`: the next of
+/// `$uses` (a slice, cursor `$k`) if it is read, the index `$def` if it is
+/// the definition.
+macro_rules! write_operand {
+    (def $x:ident $uses:ident $k:ident $def:ident) => {
+        $x.index = $def
+    };
+    (odef $x:ident $uses:ident $k:ident $def:ident) => {
+        if let Some(r) = $x {
+            r.index = $def;
+        }
+    };
+    (use $x:ident $uses:ident $k:ident $def:ident) => {{
+        *$x = $uses[$k];
+        $k += 1;
+    }};
+    (ouse $x:ident $uses:ident $k:ident $def:ident) => {
+        if let Some(r) = $x {
+            *r = $uses[$k];
+            $k += 1;
+        }
+    };
+    (call $x:ident $uses:ident $k:ident $def:ident) => {
+        for r in &mut $x.args {
+            *r = $uses[$k];
+            $k += 1;
+        }
+    };
+    (val $x:ident $uses:ident $k:ident $def:ident) => {};
+}
+
+/// The two walks, generated from the rows of `minst_shapes!`: uses are
 /// visited in row (= operand) order.
 macro_rules! walks {
     ($($tag:literal $variant:ident {
         $($role:ident $(($($class:tt)+))? $field:ident),*
     })*) => {
-        /// Call `f` on every register read by `inst`, in operand order.
+        /// Hand every register `inst` reads to `f`, in operand order, and
+        /// return the register it defines, if any.
         #[allow(unused_variables)]
-        pub(crate) fn for_each_use(inst: &MInst, mut f: impl FnMut(PReg)) {
-            let mut visit = |r: &PReg| f(*r);
+        pub(crate) fn operands(inst: &MInst, mut f: impl FnMut(PReg)) -> Option<PReg> {
             match inst {
                 $(MInst::$variant { $($field),* } => {
-                    $(visit_use!($role $field visit);)*
-                })*
-            }
-        }
-
-        /// Call `f` on every *use* operand of `inst`, in operand order, for
-        /// rewriting in place (the definition is untouched).
-        #[allow(unused_variables)]
-        pub(crate) fn for_each_use_mut(inst: &mut MInst, mut f: impl FnMut(&mut PReg)) {
-            match inst {
-                $(MInst::$variant { $($field),* } => {
+                    let found: Option<PReg> = None;
                     $(visit_use!($role $field f);)*
-                })*
-            }
-        }
-
-        /// The register defined by a machine instruction, if any.
-        #[allow(unused_variables)]
-        pub(crate) fn def(inst: &MInst) -> Option<PReg> {
-            match inst {
-                $(MInst::$variant { $($field),* } => {
-                    let found: Option<&PReg> = None;
-                    $(let found: Option<&PReg> = or_def!($role $field found);)*
-                    found.copied()
-                })*
-            }
-        }
-
-        /// The *definition* operand of `inst`, if it has one, for rewriting
-        /// in place.
-        #[allow(unused_variables)]
-        pub(crate) fn def_mut(inst: &mut MInst) -> Option<&mut PReg> {
-            match inst {
-                $(MInst::$variant { $($field),* } => {
-                    let found: Option<&mut PReg> = None;
-                    $(let found: Option<&mut PReg> = or_def!($role $field found);)*
+                    $(let found = or_def!($role $field found);)*
                     found
                 })*
             }
+        }
+
+        /// Rewrite `inst`'s operands in place: the registers it reads
+        /// become `uses`, in operand order (one per use), and the register
+        /// it defines, if any, keeps its class and takes index `def`.
+        #[allow(unused_variables, unused_mut, unused_assignments)]
+        pub(crate) fn write_operands(inst: &mut MInst, uses: &[PReg], def: u16) {
+            let mut k = 0;
+            match inst {
+                $(MInst::$variant { $($field),* } => {
+                    $(write_operand!($role $field uses k def);)*
+                })*
+            }
+            debug_assert_eq!(k, uses.len(), "one register per use operand");
         }
     };
 }
@@ -105,8 +117,12 @@ mod tests {
 
     fn uses(inst: &MInst) -> Vec<PReg> {
         let mut out = Vec::new();
-        for_each_use(inst, |r| out.push(r));
+        operands(inst, |r| out.push(r));
         out
+    }
+
+    fn def(inst: &MInst) -> Option<PReg> {
+        operands(inst, |_| {})
     }
 
     /// One instance of every `MInst` variant with every register operand
@@ -340,20 +356,12 @@ mod tests {
                 None,
             ),
             (
-                MInst::Call {
-                    callee: "g".into(),
-                    args: vec![r(9), f(9), r(2)],
-                    ret: Some(f(1)),
-                },
+                MInst::call("g", vec![r(9), f(9), r(2)], Some(f(1))),
                 vec![r(9), f(9), r(2)],
                 Some(f(1)),
             ),
             (
-                MInst::Call {
-                    callee: "g".into(),
-                    args: vec![],
-                    ret: None,
-                },
+                MInst::call("g", vec![], None),
                 vec![],
                 None,
             ),
@@ -373,16 +381,8 @@ mod tests {
         for (inst, reads, defines) in table {
             assert_eq!(uses(&inst), reads, "{inst:?}");
             assert_eq!(def(&inst), defines, "{inst:?}");
-            // The rewriting walks visit the same operands in the same order,
-            // and never the other kind.
-            let mut rewritten = inst.clone();
-            let mut seen = Vec::new();
-            for_each_use_mut(&mut rewritten, |r| {
-                seen.push(*r);
-                r.index += 100;
-            });
-            assert_eq!(seen, reads, "{inst:?}");
-            assert_eq!(def(&rewritten), defines, "{inst:?}");
+            // The writing walk stores the uses in the same order, and the
+            // definition's index only.
             let moved: Vec<PReg> = reads
                 .iter()
                 .map(|r| PReg {
@@ -390,19 +390,12 @@ mod tests {
                     ..*r
                 })
                 .collect();
+            let mut rewritten = inst.clone();
+            write_operands(&mut rewritten, &moved, 77);
             assert_eq!(uses(&rewritten), moved, "{inst:?}");
-            let mut renamed = inst.clone();
-            assert_eq!(def_mut(&mut renamed).copied(), defines, "{inst:?}");
-            if let Some(d) = def_mut(&mut renamed) {
-                d.index += 100;
-            }
-            assert_eq!(uses(&renamed), reads, "{inst:?}");
             assert_eq!(
-                def(&renamed),
-                defines.map(|d| PReg {
-                    index: d.index + 100,
-                    ..d
-                }),
+                def(&rewritten),
+                defines.map(|d| PReg { index: 77, ..d }),
                 "{inst:?}"
             );
         }
@@ -420,8 +413,7 @@ mod tests {
         };
         assert_eq!(def(&i), Some(PReg::int(0)));
         assert_eq!(uses(&i), vec![PReg::int(1), PReg::int(2)]);
-        for_each_use_mut(&mut i, |r| r.index += 10);
-        *def_mut(&mut i).unwrap() = PReg::int(5);
+        write_operands(&mut i, &[PReg::int(11), PReg::int(12)], 5);
         assert_eq!(def(&i), Some(PReg::int(5)));
         assert_eq!(uses(&i), vec![PReg::int(11), PReg::int(12)]);
     }
@@ -436,8 +428,10 @@ mod tests {
             src: PReg::float(1),
         };
         assert_eq!(def(&s), None);
-        assert!(def_mut(&mut s).is_none());
         assert_eq!(uses(&s), vec![PReg::int(0), PReg::float(1)]);
+        write_operands(&mut s, &[PReg::int(3), PReg::float(4)], 9);
+        assert_eq!(uses(&s), vec![PReg::int(3), PReg::float(4)]);
+        assert_eq!(def(&s), None);
         let b = MInst::BranchNz {
             cond: PReg::int(3),
             then_target: 1,
@@ -450,16 +444,11 @@ mod tests {
 
     #[test]
     fn calls_use_args_and_define_ret() {
-        let mut c = MInst::Call {
-            callee: "g".into(),
-            args: vec![PReg::int(1), PReg::float(0)],
-            ret: Some(PReg::float(2)),
-        };
+        let mut c = MInst::call("g", vec![PReg::int(1), PReg::float(0)], Some(PReg::float(2)));
         assert_eq!(def(&c), Some(PReg::float(2)));
         assert_eq!(uses(&c).len(), 2);
-        for_each_use_mut(&mut c, |r| r.index += 1);
+        write_operands(&mut c, &[PReg::int(2), PReg::float(1)], 7);
         assert_eq!(uses(&c), vec![PReg::int(2), PReg::float(1)]);
-        def_mut(&mut c).unwrap().index = 7;
         assert_eq!(def(&c), Some(PReg::float(7)));
     }
 }

@@ -90,6 +90,7 @@ use crate::lowering::{class_index, VirtualFunc};
 use crate::mir;
 use splitc_targets::{MBlock, MFunction, MInst, PReg, RegClass, TargetDesc};
 use splitc_vbc::Function;
+use std::ops::Range;
 
 /// How the online compiler decides which values keep registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -200,11 +201,16 @@ pub(crate) struct RegAssigner<'t> {
     /// Source of block stamps, unique within the function.
     stamp: u32,
 
-    // --- Per block. ---
-    /// The use operands of the block, instruction after instruction.
+    /// The use operands of the function, instruction after instruction, laid
+    /// out by the globals scan.
     ops: Vec<UseOp>,
-    /// `ops[starts[i]..starts[i + 1]]` are the operands of instruction `i`.
-    starts: Vec<usize>,
+    /// `ops[starts[i]..starts[i + 1]]` are the use operands of instruction
+    /// `i` (numbered across the function).
+    starts: Vec<u32>,
+    /// The register instruction `i` defines, if any.
+    defs: Vec<Option<PReg>>,
+
+    // --- Per block. ---
     /// Free scratch registers per class, next to hand out last.
     free: [Vec<u16>; 3],
     /// Dense number of the local resident in each physical register, per
@@ -239,6 +245,7 @@ impl<'t> RegAssigner<'t> {
             stamp: 0,
             ops: Vec::new(),
             starts: Vec::new(),
+            defs: Vec::new(),
             free: Default::default(),
             occupant: Default::default(),
             phys: Vec::new(),
@@ -246,14 +253,17 @@ impl<'t> RegAssigner<'t> {
         }
     }
 
-    /// Assign physical registers and stack slots, producing final machine code.
+    /// Assign physical registers and stack slots, producing final machine
+    /// code. `vf`'s instructions are moved out; its tables stay for the next
+    /// function.
     pub(crate) fn assign(
         &mut self,
-        vf: VirtualFunc,
+        vf: &mut VirtualFunc,
         vbc_func: &Function,
         stats: &mut JitStats,
     ) -> Result<MFunction, JitError> {
         stats.regalloc_work += vf.emitted;
+        let name = vbc_func.name.as_str();
 
         let [ints, floats, vecs] = vf.counts.map(|n| n as usize);
         self.base = [0, ints, ints + floats];
@@ -261,15 +271,15 @@ impl<'t> RegAssigner<'t> {
         self.vregs.resize(ints + floats + vecs, VState::default());
         self.stamp = 0;
 
-        self.find_globals(&vf);
-        self.rank_globals(&vf, vbc_func, stats);
-        self.place_globals(&vf.name)?;
+        self.find_globals(vf);
+        self.rank_globals(vf, vbc_func, stats);
+        self.place_globals(name)?;
 
         // Parameters must end up in registers: the simulator's calling
         // convention delivers arguments to registers, not to stack slots. A
         // spilled parameter is delivered into a scratch register and stored
         // by the prologue.
-        let mut params = vf.params;
+        let mut params = std::mem::take(&mut vf.params);
         let mut prologue: Vec<MInst> = Vec::new();
         for (i, p) in params.iter_mut().enumerate() {
             let c = class_index(p.class);
@@ -289,7 +299,7 @@ impl<'t> RegAssigner<'t> {
                         .any(|s| matches!(s, MInst::Spill { src, .. } if *src == deliver))
                     {
                         return Err(JitError::RegisterPressure {
-                            function: vf.name,
+                            function: name.to_owned(),
                             detail: "too many parameters for the register file".into(),
                         });
                     }
@@ -301,16 +311,17 @@ impl<'t> RegAssigner<'t> {
         }
 
         // Rewrite every block; the first one starts with the prologue.
-        let mut blocks = Vec::with_capacity(vf.blocks.len());
-        for insts in vf.blocks {
+        let mut blocks = Vec::with_capacity(vf.num_blocks());
+        let mut insts = vf.insts.drain(..);
+        for bounds in vf.bounds.windows(2) {
             let mut out = std::mem::take(&mut prologue);
             stats.static_spills += out.len() as u64;
-            self.rewrite_block(insts, &mut out, &vf.name, stats)?;
+            self.rewrite_block(bounds[0]..bounds[1], &mut insts, &mut out, name, stats)?;
             blocks.push(MBlock { insts: out });
         }
 
         Ok(MFunction {
-            name: vf.name,
+            name: name.to_owned(),
             params,
             blocks,
             num_slots: self.next_slot,
@@ -320,17 +331,25 @@ impl<'t> RegAssigner<'t> {
     /// Mark the globals — the values that live across a block boundary — and
     /// record the order in which registers first appear. See the module docs
     /// for why one scan finds exactly what a liveness fixpoint would.
+    ///
+    /// The same walk, the only one that matches on the instructions before
+    /// they are rewritten, lays every instruction's use operands and
+    /// definition out in `ops`, `starts` and `defs`.
     fn find_globals(&mut self, vf: &VirtualFunc) {
         let base = self.base;
         let (vregs, appearance) = (&mut self.vregs, &mut self.appearance);
+        let (ops, starts, defs) = (&mut self.ops, &mut self.starts, &mut self.defs);
         appearance.clear();
+        ops.clear();
+        starts.clear();
+        defs.clear();
         let mut num_globals = 0;
         for p in &vf.params {
             let v = &mut vregs[dense(base, *p)];
             num_globals += u64::from(!v.global);
             v.global = true;
         }
-        for insts in &vf.blocks {
+        for b in 0..vf.num_blocks() {
             self.stamp += 1;
             let stamp = self.stamp;
             let mut appear = |v: &mut VState, r: PReg| {
@@ -339,25 +358,35 @@ impl<'t> RegAssigner<'t> {
                     appearance.push(r);
                 }
             };
-            for inst in insts {
-                let def = mir::def(inst);
+            for inst in &vf.insts[vf.bounds[b]..vf.bounds[b + 1]] {
+                let start = ops.len();
+                starts.push(start as u32);
+                let def = mir::operands(inst, |reg| ops.push(UseOp { reg, next: NONE }));
+                defs.push(def);
                 if let Some(d) = def {
                     appear(&mut vregs[dense(base, d)], d);
                 }
-                mir::for_each_use(inst, |u| {
-                    let v = &mut vregs[dense(base, u)];
+                for op in &ops[start..] {
+                    let v = &mut vregs[dense(base, op.reg)];
                     if v.stamp != stamp && !v.global {
                         v.global = true;
                         num_globals += 1;
                     }
-                    appear(v, u);
-                });
+                    appear(v, op.reg);
+                }
                 if let Some(d) = def {
                     vregs[dense(base, d)].stamp = stamp;
                 }
             }
         }
+        starts.push(ops.len() as u32);
         self.num_globals = num_globals;
+    }
+
+    /// The use operands of instruction `i`, from the table the globals scan
+    /// laid out.
+    fn uses_of(&self, i: usize) -> Range<usize> {
+        self.starts[i] as usize..self.starts[i + 1] as usize
     }
 
     /// Rank the globals from most to least worth keeping in a physical
@@ -417,7 +446,7 @@ impl<'t> RegAssigner<'t> {
     fn score_globals(&mut self, vf: &VirtualFunc, stats: &mut JitStats) {
         let base = self.base;
         let vregs = &mut self.vregs;
-        for insts in &vf.blocks {
+        for b in 0..vf.num_blocks() {
             self.stamp += 1;
             let stamp = self.stamp;
             let mut access = |r: PReg| {
@@ -430,12 +459,15 @@ impl<'t> RegAssigner<'t> {
                     }
                 }
             };
-            for inst in insts {
+            for i in vf.bounds[b]..vf.bounds[b + 1] {
                 stats.regalloc_work += 1;
-                if let Some(d) = mir::def(inst) {
+                if let Some(d) = self.defs[i] {
                     access(d);
                 }
-                mir::for_each_use(inst, &mut access);
+                let uses = self.starts[i] as usize..self.starts[i + 1] as usize;
+                for op in &self.ops[uses] {
+                    access(op.reg);
+                }
             }
         }
         // Score in register order, so that the stable sort breaks ties by
@@ -484,9 +516,12 @@ impl<'t> RegAssigner<'t> {
         Ok(())
     }
 
+    /// Rewrite the instructions `block` (numbered across the function),
+    /// taken in order from `insts`, into `out`.
     fn rewrite_block(
         &mut self,
-        insts: Vec<MInst>,
+        block: Range<usize>,
+        insts: &mut impl Iterator<Item = MInst>,
         out: &mut Vec<MInst>,
         fname: &str,
         stats: &mut JitStats,
@@ -494,44 +529,40 @@ impl<'t> RegAssigner<'t> {
         let base = self.base;
         self.stamp += 1;
         let stamp = self.stamp;
+        let first = block.start;
+        let block_ops = self.starts[first] as usize..self.starts[block.end] as usize;
 
-        // Lay the use operands of the block out flat, then chain each to the
-        // next instruction reading the same register by one reverse scan.
-        // The scan leaves every register read in the block stamped with the
-        // block and `next_use` at its first read.
-        self.ops.clear();
-        self.starts.clear();
+        // Chain each use operand of the block to the next instruction reading
+        // the same register by one reverse scan over the table. The scan
+        // leaves every register read in the block stamped with the block and
+        // `next_use` at its first read (instructions numbered from the
+        // block's first).
+        //
         // Spill code the placement already implies: a reload per read of a
         // spilled global, a store per write of one.
         let mut spill_code = 0;
-        for inst in &insts {
-            self.starts.push(self.ops.len());
-            let ops = &mut self.ops;
-            mir::for_each_use(inst, |reg| ops.push(UseOp { reg, next: NONE }));
-            if let Some(d) = mir::def(inst) {
+        for i in block.clone().rev() {
+            if let Some(d) = self.defs[i] {
                 spill_code +=
                     usize::from(matches!(self.vregs[dense(base, d)].loc, Loc::Spilled(_)));
             }
-        }
-        self.starts.push(self.ops.len());
-        for idx in (0..insts.len()).rev() {
-            let operands = &mut self.ops[self.starts[idx]..self.starts[idx + 1]];
-            for op in operands.iter_mut() {
+            let uses = self.uses_of(i);
+            for op in &mut self.ops[uses.clone()] {
                 let v = &self.vregs[dense(base, op.reg)];
                 spill_code += usize::from(matches!(v.loc, Loc::Spilled(_)));
                 if v.stamp == stamp {
                     op.next = v.next_use;
                 }
             }
-            for op in operands.iter() {
+            for op in &self.ops[uses] {
                 let v = &mut self.vregs[dense(base, op.reg)];
                 v.stamp = stamp;
-                v.next_use = idx as u32;
+                v.next_use = (i - first) as u32;
             }
         }
         // Size the block once: only the evictions of block-local values, which
         // depend on the walk below, can still make it grow.
-        out.reserve_exact(insts.len() + spill_code);
+        out.reserve_exact(block.len() + spill_code);
 
         // Every register not handed to a kept global is scratch, lowest
         // index first.
@@ -547,8 +578,10 @@ impl<'t> RegAssigner<'t> {
             detail: format!("not enough {} scratch registers", class_name(class)),
         };
 
-        for (idx, mut inst) in insts.into_iter().enumerate() {
-            let operands = self.starts[idx]..self.starts[idx + 1];
+        for i in block {
+            let idx = i - first;
+            let mut inst = insts.next().expect("one instruction per table row");
+            let operands = self.uses_of(i);
             self.phys.clear();
 
             // --- Resolve uses. ---
@@ -593,10 +626,6 @@ impl<'t> RegAssigner<'t> {
                     index,
                 });
             }
-            let mut resolved = self.phys.iter();
-            mir::for_each_use_mut(&mut inst, |r| {
-                *r = *resolved.next().expect("one register per use operand");
-            });
 
             // Free the scratch copies of spilled globals (their value has
             // been read) and the locals whose last use is this instruction;
@@ -617,10 +646,11 @@ impl<'t> RegAssigner<'t> {
 
             // --- Resolve the definition. ---
             let mut post_spill: Option<MInst> = None;
-            if let Some(d) = mir::def(&inst) {
+            let mut def_index = 0;
+            if let Some(d) = self.defs[i] {
                 let c = class_index(d.class);
                 let v = dense(base, d);
-                let index = match self.vregs[v].loc {
+                def_index = match self.vregs[v].loc {
                     Loc::Kept(r) | Loc::Reg(r) => r,
                     Loc::Spilled(slot) => {
                         let s = self
@@ -644,9 +674,6 @@ impl<'t> RegAssigner<'t> {
                         s
                     }
                 };
-                mir::def_mut(&mut inst)
-                    .expect("the instruction has a definition")
-                    .index = index;
 
                 // A local that nothing in the block reads can release its
                 // register immediately.
@@ -656,6 +683,7 @@ impl<'t> RegAssigner<'t> {
                     self.occupant[c][usize::from(s)] = NONE;
                 }
             }
+            mir::write_operands(&mut inst, &self.phys, def_index);
 
             // Drop trivial moves that the assignment made redundant.
             let redundant = matches!(&inst, MInst::Mov { dst, src } if dst == src);
@@ -669,7 +697,7 @@ impl<'t> RegAssigner<'t> {
         }
 
         // Locals do not outlive their block.
-        for op in &self.ops {
+        for op in &self.ops[block_ops] {
             let loc = &mut self.vregs[dense(base, op.reg)].loc;
             if let Loc::Reg(_) | Loc::Slot(_) = loc {
                 *loc = Loc::Nowhere;

@@ -76,7 +76,7 @@
 
 use splitc_jit::JitStats;
 use splitc_targets::{
-    minst_shapes, AluOp, CmpPred, Fnv1a, FpuOp, MBlock, MFunction, MInst, MProgram, PReg, RedOp,
+    minst_shapes, AluOp, CmpPred, Fnv1a, FpuOp, MBlock, MCall, MFunction, MInst, MProgram, PReg, RedOp,
     RegClass, Width,
 };
 use splitc_vbc::{DecodeError, Reader, Wire, Writer};
@@ -367,6 +367,20 @@ impl Wire<StoredArtifact> for PReg {
         let index = r.uleb()?;
         let index = u16::try_from(index).map_err(|_| bad("register index", index as u8))?;
         Ok(PReg { class, index })
+    }
+}
+
+/// The callee name, then the arguments.
+impl Wire<StoredArtifact> for MCall {
+    fn put(&self, w: &mut Writer) {
+        w.str(&self.callee);
+        self.args.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(MCall {
+            callee: r.str()?,
+            args: Wire::<StoredArtifact>::get(r)?,
+        })
     }
 }
 
@@ -685,6 +699,9 @@ mod tests {
         (@push use $x:ident $out:ident) => {
             $out.push($x)
         };
+        (@push call $x:ident $out:ident) => {
+            $out.extend(&mut $x.args)
+        };
         (@push $many:ident $x:ident $out:ident) => {
             $out.extend($x)
         };
@@ -757,10 +774,10 @@ mod tests {
                             ..
                         },
                     ) => *[then_target, else_target][rng.below(2)] = far,
-                    (0, MInst::Call { callee, args, .. }) => match rng.below(3) {
-                        0 => callee.push('?'),
-                        1 => args.clear(),
-                        _ => args.push(PReg::vec(0)),
+                    (0, MInst::Call { site, .. }) => match rng.below(3) {
+                        0 => site.callee.push('?'),
+                        1 => site.args.clear(),
+                        _ => site.args.push(PReg::vec(0)),
                     },
                     (0, MInst::Load { float, .. } | MInst::Store { float, .. }) => *float = !*float,
                     (1, _) => {
@@ -1081,16 +1098,8 @@ mod tests {
                 slot: u32::MAX,
                 dst: v,
             },
-            MInst::Call {
-                callee: "callee".into(),
-                args: vec![i, f, v],
-                ret: Some(f),
-            },
-            MInst::Call {
-                callee: String::new(),
-                args: Vec::new(),
-                ret: None,
-            },
+            MInst::call("callee", vec![i, f, v], Some(f)),
+            MInst::call("", Vec::new(), None),
             MInst::BranchNz {
                 cond: i,
                 then_target: 1,

@@ -1499,11 +1499,11 @@ pub(crate) fn build_threaded(
         for inst in insts {
             let lanes = prep.check(inst, f)?;
             let (mut record, row, kind) = lower(inst, lanes, prep.cost);
-            let end = if let MInst::Call { callee, args, ret } = inst {
+            let end = if let MInst::Call { site, ret } = inst {
                 (record.e, record.f) = (calls.len() as u32, (nblocks + calls.len()) as u32);
                 calls.push(CallSite {
-                    callee: prep.callee(callee),
-                    args: args.as_slice().into(),
+                    callee: prep.callee(&site.callee),
+                    args: site.args.as_slice().into(),
                     ret: *ret,
                 });
                 targets.push(BlockTarget {

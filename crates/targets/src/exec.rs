@@ -883,7 +883,7 @@ impl PreparedProgram {
             Some(MInst::BranchNz { .. }) => {
                 format!("{}/{}", self.cost.branch_taken, self.cost.branch_not_taken)
             }
-            Some(MInst::Call { callee, .. }) if self.function_index(callee).is_some() => {
+            Some(MInst::Call { site, .. }) if self.function_index(&site.callee).is_some() => {
                 self.cost.call.to_string()
             }
             Some(MInst::Call { .. }) | None => "0 (trap)".to_string(),
@@ -1177,11 +1177,7 @@ mod tests {
             params: vec![PReg::float(0)],
             blocks: vec![MBlock {
                 insts: vec![
-                    MInst::Call {
-                        callee: "sq".into(),
-                        args: vec![PReg::float(0)],
-                        ret: Some(PReg::float(1)),
-                    },
+                    MInst::call("sq", vec![PReg::float(0)], Some(PReg::float(1))),
                     MInst::Ret {
                         value: Some(PReg::float(1)),
                     },
@@ -1494,11 +1490,7 @@ mod tests {
                 then_target: 0,
                 else_target: 0,
             },
-            MInst::Call {
-                callee: "f".into(),
-                args: vec![r(1), f(1)],
-                ret: Some(r(2)),
-            },
+            MInst::call("f", vec![r(1), f(1)], Some(r(2))),
             MInst::Ret { value: Some(f(1)) },
         ]
     }
@@ -1656,7 +1648,7 @@ mod tests {
             MInst::Load { dst, base, .. } | MInst::VecLoad { dst, base, .. } => vec![dst, base],
             MInst::Store { base, src, .. } | MInst::VecStore { base, src, .. } => vec![base, src],
             MInst::BranchNz { cond, .. } => vec![cond],
-            MInst::Call { args, ret, .. } => args.iter_mut().chain(ret.as_mut()).collect(),
+            MInst::Call { site, ret } => site.args.iter_mut().chain(ret.as_mut()).collect(),
             MInst::Ret { value } => value.as_mut().into_iter().collect(),
             MInst::Jump { .. } => vec![],
         }
@@ -2486,11 +2478,7 @@ mod tests {
             mov(f(3), f(2)),
             reload(2, v(vtop)),
             vstore(r(0), v(vtop)),
-            MInst::Call {
-                callee: "sq".into(),
-                args: vec![f(3)],
-                ret: Some(f(4)),
-            },
+            MInst::call("sq", vec![f(3)], Some(f(4))),
             f2i(Width::W64, r(4), f(4)),
             alu(AluOp::Add, r(5), r(5), r(4)),
             MInst::Jump { target: 1 },
@@ -2738,11 +2726,7 @@ mod tests {
     }
 
     fn call(callee: &str, args: Vec<PReg>, ret: Option<PReg>) -> MInst {
-        MInst::Call {
-            callee: callee.into(),
-            args,
-            ret,
-        }
+        MInst::call(callee, args, ret)
     }
 
     fn ret(value: u16) -> MInst {
@@ -3136,6 +3120,15 @@ mod tests {
     impl Bridge<Vec<PReg>> for Vec<lib::PReg> {
         fn bridge(&self) -> Vec<PReg> {
             self.iter().map(Bridge::bridge).collect()
+        }
+    }
+
+    impl Bridge<Box<crate::MCall>> for Box<lib::MCall> {
+        fn bridge(&self) -> Box<crate::MCall> {
+            Box::new(crate::MCall {
+                callee: self.callee.clone(),
+                args: self.args.bridge(),
+            })
         }
     }
 

@@ -78,7 +78,7 @@ pub use desc::{CostModel, TargetDesc, VectorUnit, GPU_DIVERGENCE_PENALTY};
 pub use exec::{FramePool, FusionStats, PreparedProgram, PreparedSimulator};
 pub use hash::Fnv1a;
 pub use mcode::{
-    AluOp, CmpPred, FpuOp, MBlock, MFunction, MInst, MProgram, PReg, RedOp, RegClass, Width,
+    AluOp, CmpPred, FpuOp, MBlock, MCall, MFunction, MInst, MProgram, PReg, RedOp, RegClass, Width,
 };
 pub use simulator::{MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH};
 pub use timing::{InOrderPipeline, LatClass, TimingKind, TimingModel};

@@ -523,10 +523,9 @@ pub enum MInst {
     /// Direct call with a virtual calling convention (the simulator copies the
     /// argument registers into the callee's parameter registers).
     Call {
-        /// Callee function name.
-        callee: String,
-        /// Argument registers, in order.
-        args: Vec<PReg>,
+        /// The callee's name and the argument registers, boxed: the only
+        /// owned payload of any variant stays out of the others' size.
+        site: Box<MCall>,
         /// Register receiving the return value, if any.
         ret: Option<PReg>,
     },
@@ -535,6 +534,28 @@ pub enum MInst {
         /// Returned register, if any.
         value: Option<PReg>,
     },
+}
+
+/// The callee and the arguments of an [`MInst::Call`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MCall {
+    /// Callee function name.
+    pub callee: String,
+    /// Argument registers, in order.
+    pub args: Vec<PReg>,
+}
+
+impl MInst {
+    /// `ret = callee(args)`: an [`MInst::Call`] with its site boxed.
+    pub fn call(callee: impl Into<String>, args: Vec<PReg>, ret: Option<PReg>) -> MInst {
+        MInst::Call {
+            site: Box::new(MCall {
+                callee: callee.into(),
+                args,
+            }),
+            ret,
+        }
+    }
 }
 
 /// The shape of every [`MInst`] variant, stated once: `minst_shapes!(cb)`
@@ -552,8 +573,9 @@ pub enum MInst {
 ///   needs a `STORE_FORMAT_VERSION` bump.
 /// * `role` says what the field is: `def` a register the instruction
 ///   writes, `use` one it reads, `odef` / `ouse` an `Option<PReg>` written /
-///   read, `uses` a `Vec<PReg>` read in order, `val` anything that is not a
-///   register (immediates, widths, slots, block numbers, names).
+///   read, `call` a boxed [`MCall`] (in a store entry its callee name, then
+///   its argument registers, read in order), `val` anything that is not a
+///   register (immediates, widths, slots, block numbers).
 /// * a `def` / `use` may name, in parentheses, the register file the
 ///   instruction's handler indexes it in: `int`, `float`, `vec`, `same f`
 ///   (the class of field `f`) or `mem f` (float if the `bool` field `f` is
@@ -596,7 +618,7 @@ macro_rules! minst_shapes {
             26 Reload { val slot, def dst }
             27 Jump { val target }
             28 BranchNz { use(int) cond, val then_target, val else_target }
-            29 Call { val callee, uses args, odef ret }
+            29 Call { call site, odef ret }
             30 Ret { ouse value }
         }
     };
@@ -640,8 +662,8 @@ macro_rules! role_regs {
     (ouse $f:ident) => {
         $f.iter().copied()
     };
-    (uses $f:ident) => {
-        $f.iter().copied()
+    (call $f:ident) => {
+        $f.args.iter().copied()
     };
     (val $f:ident) => {
         std::iter::empty::<PReg>()
@@ -670,31 +692,38 @@ macro_rules! lane_width {
 }
 
 /// How one `role` field of [`minst_shapes!`] is written in [`MInst`]'s
-/// `Display`: registers by their own `Display`, anything else by `Debug`.
+/// `Display`, as `name: value`: registers by their own `Display`, a call
+/// site as its two fields, anything else by `Debug`.
 macro_rules! role_text {
     (def $f:ident) => {
-        $f.to_string()
+        format!("{}: {}", stringify!($f), $f)
     };
     (use $f:ident) => {
-        $f.to_string()
+        role_text!(def $f)
     };
     (odef $f:ident) => {
-        $f.map_or_else(|| "none".to_owned(), |r| r.to_string())
+        format!(
+            "{}: {}",
+            stringify!($f),
+            $f.map_or_else(|| "none".to_owned(), |r| r.to_string())
+        )
     };
     (ouse $f:ident) => {
-        $f.map_or_else(|| "none".to_owned(), |r| r.to_string())
+        role_text!(odef $f)
     };
-    (uses $f:ident) => {
+    (call $f:ident) => {
         format!(
-            "[{}]",
-            $f.iter()
+            "callee: {:?}, args: [{}]",
+            $f.callee,
+            $f.args
+                .iter()
                 .map(PReg::to_string)
                 .collect::<Vec<_>>()
                 .join(", ")
         )
     };
     (val $f:ident) => {
-        format!("{:?}", $f)
+        format!("{}: {:?}", stringify!($f), $f)
     };
 }
 
@@ -751,9 +780,7 @@ macro_rules! operand_walks {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 match self {
                     $(MInst::$variant { $($field),* } => {
-                        let fields: Vec<String> = vec![
-                            $(format!("{}: {}", stringify!($field), role_text!($role $field))),*
-                        ];
+                        let fields: Vec<String> = vec![$(role_text!($role $field)),*];
                         write!(f, "{} {{ {} }}", stringify!($variant), fields.join(", "))
                     })*
                 }
@@ -786,7 +813,7 @@ impl MInst {
             MInst::VecLoad { offset, .. } | MInst::VecStore { offset, .. } => {
                 5 + imm_extra(*offset)
             }
-            MInst::Call { args, .. } => 4 + args.len() as u64,
+            MInst::Call { site, .. } => 4 + site.args.len() as u64,
             i if i.is_vector() => 5,
             _ => 4,
         }

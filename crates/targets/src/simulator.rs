@@ -1007,11 +1007,7 @@ pub(crate) mod tests {
             params: vec![PReg::float(0)],
             blocks: vec![MBlock {
                 insts: vec![
-                    MInst::Call {
-                        callee: "sq".into(),
-                        args: vec![PReg::float(0)],
-                        ret: Some(PReg::float(1)),
-                    },
+                    MInst::call("sq", vec![PReg::float(0)], Some(PReg::float(1))),
                     MInst::Ret {
                         value: Some(PReg::float(1)),
                     },

@@ -190,11 +190,7 @@ impl FunctionBuilder {
     /// Emit a direct call.
     pub fn call(&mut self, callee: &str, args: &[VReg], ret: Option<Type>) -> Option<VReg> {
         let dst = ret.map(|ty| self.new_vreg(ty));
-        self.push(Inst::Call {
-            dst,
-            callee: callee.to_owned(),
-            args: args.to_vec(),
-        });
+        self.push(Inst::call(dst, callee, args.to_vec()));
         dst
     }
 

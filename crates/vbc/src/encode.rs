@@ -42,7 +42,9 @@
 
 use crate::annotations::{AnnotationSet, KernelTraits, SpillOrder};
 use crate::function::{Block, Function};
-use crate::inst::{inst_shapes, BinOp, BlockId, CmpOp, Immediate, Inst, ReduceOp, UnOp, VReg};
+use crate::inst::{
+    inst_shapes, BinOp, BlockId, CallSite, CmpOp, Immediate, Inst, ReduceOp, UnOp, VReg,
+};
 use crate::module::Module;
 use crate::types::{ScalarType, Type};
 use std::collections::HashSet;
@@ -466,6 +468,16 @@ impl<F, T: Wire<F>> Wire<F> for Vec<T> {
     }
 }
 
+/// The boxed value as itself: a box adds no byte.
+impl<F, T: Wire<F>> Wire<F> for Box<T> {
+    fn put(&self, w: &mut Writer) {
+        T::put(self, w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        T::get(r).map(Box::new)
+    }
+}
+
 /// The two values in order.
 impl<F, A: Wire<F>, B: Wire<F>> Wire<F> for (A, B) {
     fn put(&self, w: &mut Writer) {
@@ -567,6 +579,20 @@ impl Wire for Immediate {
                 tag,
             }),
         }
+    }
+}
+
+/// The callee name, then the arguments.
+impl Wire for CallSite {
+    fn put(&self, w: &mut Writer) {
+        w.str(&self.callee);
+        self.args.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(CallSite {
+            callee: r.str()?,
+            args: Wire::get(r)?,
+        })
     }
 }
 
@@ -1346,16 +1372,8 @@ mod tests {
                 offset: 1 << 40,
                 value: a,
             },
-            Inst::Call {
-                dst: Some(c),
-                callee: "callee".into(),
-                args: vec![a, b, c],
-            },
-            Inst::Call {
-                dst: None,
-                callee: String::new(),
-                args: Vec::new(),
-            },
+            Inst::call(Some(c), "callee", vec![a, b, c]),
+            Inst::call(None, "", Vec::new()),
             Inst::VecLoad {
                 dst: b,
                 elem: ScalarType::F32,

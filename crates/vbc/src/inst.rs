@@ -427,10 +427,10 @@ pub enum Inst {
     Call {
         /// Destination for the return value, if the callee returns one.
         dst: Option<VReg>,
-        /// Callee name.
-        callee: String,
-        /// Argument registers, in order.
-        args: Vec<VReg>,
+        /// The callee's name and the argument registers, boxed: the only
+        /// owned payload of any variant stays out of the other seventeen's
+        /// size.
+        site: Box<CallSite>,
     },
     /// `dst = <number of lanes of `elem` in one target vector register>`.
     ///
@@ -520,6 +520,28 @@ pub enum Inst {
     },
 }
 
+/// The callee and the arguments of an [`Inst::Call`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CallSite {
+    /// Callee name.
+    pub callee: String,
+    /// Argument registers, in order.
+    pub args: Vec<VReg>,
+}
+
+impl Inst {
+    /// `dst = callee(args)`: an [`Inst::Call`] with its site boxed.
+    pub fn call(dst: Option<VReg>, callee: impl Into<String>, args: Vec<VReg>) -> Inst {
+        Inst::Call {
+            dst,
+            site: Box::new(CallSite {
+                callee: callee.into(),
+                args,
+            }),
+        }
+    }
+}
+
 /// The shape of every [`Inst`] variant, stated once: `inst_shapes!(cb)`
 /// expands to `cb! { rows }`, one row per variant, and the walks below and the
 /// instruction codec in `encode.rs` are each a small macro over the rows.
@@ -530,9 +552,10 @@ pub enum Inst {
 /// operand order of the walks, so reordering or renumbering a row changes the
 /// format and needs a [`VERSION`](crate::VERSION) bump. `role` says what the
 /// field is: `def` the register the instruction writes, `use` one it reads,
-/// `odef` / `ouse` an `Option<VReg>` written / read, `uses` a `Vec<VReg>` read
-/// in order, `val` anything that is not a register (types, operators,
-/// immediates, displacements, block numbers, names).
+/// `odef` / `ouse` an `Option<VReg>` written / read, `call` a boxed
+/// [`CallSite`] (on the wire its callee name, then its argument registers,
+/// read in order), `val` anything that is not a register (types, operators,
+/// immediates, displacements, block numbers).
 macro_rules! inst_shapes {
     ($cb:ident) => {
         $cb! {
@@ -544,7 +567,7 @@ macro_rules! inst_shapes {
             6 Cast { def dst, val to, use src, val from }
             7 Load { def dst, val ty, use addr, val offset }
             8 Store { val ty, use addr, val offset, use value }
-            9 Call { odef dst, val callee, uses args }
+            9 Call { odef dst, call site }
             10 VecWidth { def dst, val elem }
             11 VecSplat { def dst, val elem, use src }
             12 VecLoad { def dst, val elem, use addr, val offset }
@@ -560,8 +583,9 @@ macro_rules! inst_shapes {
 pub(crate) use inst_shapes;
 
 /// Run `$body` with `$r` bound to each register of `$x`, a field of role
-/// `$role` bound by reference (`&VReg` or `&mut VReg` alike). A role that is
-/// none of the six does not expand.
+/// `$role` bound by reference (`&VReg` or `&mut VReg` alike; a `call` site
+/// only by `&mut`, [`each_use!`] reads it). A role that is none of the six
+/// does not expand.
 macro_rules! each_reg {
     (val $x:ident |$r:ident| $body:expr) => {};
     (def $($rest:tt)*) => {
@@ -579,8 +603,8 @@ macro_rules! each_reg {
             $body;
         }
     };
-    (uses $x:ident |$r:ident| $body:expr) => {
-        for $r in $x {
+    (call $x:ident |$r:ident| $body:expr) => {
+        for $r in &mut $x.args {
             $body;
         }
     };
@@ -590,6 +614,11 @@ macro_rules! each_reg {
 macro_rules! each_use {
     (def $($rest:tt)*) => {};
     (odef $($rest:tt)*) => {};
+    (call $x:ident |$r:ident| $body:expr) => {
+        for $r in &$x.args {
+            $body;
+        }
+    };
     ($($rest:tt)*) => {
         each_reg!($($rest)*)
     };
@@ -782,11 +811,7 @@ mod tests {
             i.for_each_use(|r| regs.push(r));
             regs
         };
-        let call = Inst::Call {
-            dst: Some(VReg(9)),
-            callee: "f".into(),
-            args: vec![VReg(3), VReg(1), VReg(3)],
-        };
+        let call = Inst::call(Some(VReg(9)), "f", vec![VReg(3), VReg(1), VReg(3)]);
         assert_eq!(visited(&call), vec![VReg(3), VReg(1), VReg(3)]);
         assert_eq!(visited(&Inst::Ret { value: None }), vec![]);
         assert_eq!(
@@ -892,23 +917,11 @@ mod tests {
                 None,
             ),
             (
-                Inst::Call {
-                    dst: Some(dst),
-                    callee: "g".into(),
-                    args: vec![VReg(9), VReg(2), VReg(9)],
-                },
+                Inst::call(Some(dst), "g", vec![VReg(9), VReg(2), VReg(9)]),
                 vec![VReg(9), VReg(2), VReg(9)],
                 Some(dst),
             ),
-            (
-                Inst::Call {
-                    dst: None,
-                    callee: "g".into(),
-                    args: vec![],
-                },
-                vec![],
-                None,
-            ),
+            (Inst::call(None, "g", vec![]), vec![], None),
             (Inst::VecWidth { dst, elem: ty }, vec![], Some(dst)),
             (Inst::VecSplat { dst, elem: ty, src }, vec![src], Some(dst)),
             (

@@ -20,7 +20,7 @@
 //! lane-kind mismatch panics at the instruction that meets it, as a scalar
 //! one does. Only a vector store of lanes of the wrong kind traps, at lane 0.
 
-use crate::inst::{BinOp, CmpOp, Inst, UnOp};
+use crate::inst::{BinOp, CallSite, CmpOp, Inst, UnOp};
 use crate::module::Module;
 use crate::types::ScalarType;
 use std::error::Error;
@@ -906,11 +906,8 @@ impl<'m> Interpreter<'m> {
                     let a = effective_addr(regs[addr.index()].as_int(), offset)?;
                     mem.store_scalar(ty, a, &regs[value.index()])?;
                 }
-                Inst::Call {
-                    dst,
-                    ref callee,
-                    ref args,
-                } => {
+                Inst::Call { dst, ref site } => {
+                    let CallSite { callee, args } = &**site;
                     // The argument buffer comes from a pool instead of being
                     // collected fresh per call; the error paths just drop it
                     // (the pool refills on the next successful call).

@@ -74,7 +74,7 @@ pub use annotations::{AnnotationSet, KernelTraits, SpillOrder};
 pub use builder::FunctionBuilder;
 pub use encode::{decode_module, encode_module, DecodeError, Reader, Wire, Writer, MAGIC, VERSION};
 pub use function::{Block, Function};
-pub use inst::{BinOp, BlockId, CmpOp, Immediate, Inst, ReduceOp, UnOp, VReg};
+pub use inst::{BinOp, BlockId, CallSite, CmpOp, Immediate, Inst, ReduceOp, UnOp, VReg};
 pub use interp::{
     eval_bin, eval_cast, eval_cmp, normalize_int, ExecError, ExecStats, Interpreter, Lanes, Memory,
     Value, DEFAULT_FUEL, DEFAULT_VECTOR_WIDTH_BYTES,

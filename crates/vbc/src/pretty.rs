@@ -42,8 +42,10 @@ pub fn format_inst(inst: &Inst) -> String {
             offset,
             value,
         } => format!("store.{ty} [{addr}{offset:+}], {value}"),
-        Inst::Call { dst, callee, args } => {
-            let args = args
+        Inst::Call { dst, site } => {
+            let callee = &site.callee;
+            let args = site
+                .args
                 .iter()
                 .map(ToString::to_string)
                 .collect::<Vec<_>>()
@@ -229,11 +231,7 @@ mod tests {
                 offset: 8,
                 value: VReg(5),
             },
-            Inst::Call {
-                dst: None,
-                callee: "f".into(),
-                args: vec![VReg(0), VReg(1)],
-            },
+            Inst::call(None, "f", vec![VReg(0), VReg(1)]),
             Inst::VecWidth {
                 dst: VReg(6),
                 elem: ScalarType::U16,

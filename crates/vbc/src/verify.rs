@@ -13,9 +13,10 @@
 //! `tests/online_cost.rs` gates the count at exactly zero.
 
 use crate::function::Function;
-use crate::inst::{BlockId, Inst, VReg};
+use crate::inst::{BinOp, BlockId, CallSite, Inst, VReg};
 use crate::module::Module;
 use crate::types::{ScalarType, Type};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -149,28 +150,122 @@ impl fmt::Display for VerifyError {
 
 impl Error for VerifyError {}
 
+/// What is wrong with an instruction, before a name is copied: the checks
+/// return this, and [`report`] — cold and never inlined — is the one place
+/// that builds a [`VerifyError`], so the checks themselves stay small
+/// enough to inline into the walk.
+#[derive(Debug, Clone, Copy)]
+enum Defect<'a> {
+    MissingTerminator,
+    EarlyTerminator(usize),
+    BadBlockTarget(BlockId),
+    BadRegister(VReg),
+    /// `what` register `reg` does not have type `expected`.
+    Type {
+        what: &'static str,
+        reg: VReg,
+        expected: Type,
+    },
+    /// An integer-only operator on a float type; `vector` for `VecBin`.
+    IntOnly {
+        op: BinOp,
+        ty: ScalarType,
+        vector: bool,
+    },
+    ReturnMismatch,
+    UnknownCallee(&'a str),
+    BadArity {
+        callee: &'a str,
+        expected: usize,
+        found: usize,
+    },
+    /// A call takes the result of a callee that returns none.
+    VoidResult(&'a str),
+}
+
+/// The [`VerifyError`] for `defect` in block `block` of `f`.
+#[cold]
+#[inline(never)]
+fn report(f: &Function, block: BlockId, defect: Defect<'_>) -> VerifyError {
+    let function = f.name.clone();
+    let mismatch = |detail| VerifyError::TypeMismatch {
+        function: f.name.clone(),
+        block,
+        detail,
+    };
+    match defect {
+        Defect::MissingTerminator => VerifyError::MissingTerminator { function, block },
+        Defect::EarlyTerminator(index) => VerifyError::EarlyTerminator {
+            function,
+            block,
+            index,
+        },
+        Defect::BadBlockTarget(target) => VerifyError::BadBlockTarget {
+            function,
+            block,
+            target,
+        },
+        Defect::BadRegister(reg) => VerifyError::BadRegister {
+            function,
+            block,
+            reg,
+        },
+        Defect::Type {
+            what,
+            reg,
+            expected,
+        } => {
+            let actual = f.vreg_type(reg);
+            mismatch(format!("{what} {reg} has type {actual}, expected {expected}"))
+        }
+        Defect::IntOnly { op, ty, vector } => mismatch(if vector {
+            format!("integer-only operator {op} applied to vector of {ty}")
+        } else {
+            format!("integer-only operator {op} applied to {ty}")
+        }),
+        Defect::ReturnMismatch => VerifyError::ReturnMismatch { function, block },
+        Defect::UnknownCallee(callee) => VerifyError::UnknownCallee {
+            function,
+            callee: callee.to_owned(),
+        },
+        Defect::BadArity {
+            callee,
+            expected,
+            found,
+        } => VerifyError::BadArity {
+            function,
+            callee: callee.to_owned(),
+            expected,
+            found,
+        },
+        Defect::VoidResult(callee) => {
+            mismatch(format!("call to void function {callee} expects a result"))
+        }
+    }
+}
+
+#[inline]
 fn expect_type(
     f: &Function,
-    block: BlockId,
     reg: VReg,
     expected: Type,
-    what: &str,
-) -> Result<(), VerifyError> {
-    let actual = f.vreg_type(reg);
-    if actual != expected {
-        return Err(VerifyError::TypeMismatch {
-            function: f.name.clone(),
-            block,
-            detail: format!("{what} {reg} has type {actual}, expected {expected}"),
-        });
+    what: &'static str,
+) -> Result<(), Defect<'static>> {
+    if f.vreg_type(reg) == expected {
+        Ok(())
+    } else {
+        Err(Defect::Type {
+            what,
+            reg,
+            expected,
+        })
     }
-    Ok(())
 }
 
 /// Every register the instruction names is below `num_vregs`. Reports the
 /// first offender in operand order, the destination last.
-fn check_regs(f: &Function, block: BlockId, inst: &Inst) -> Result<(), VerifyError> {
-    let limit = f.num_vregs() as u32;
+#[inline]
+fn check_regs(limit: u32, inst: &Inst) -> Result<(), Defect<'static>> {
     let mut bad = None;
     let mut check = |r: VReg| {
         if bad.is_none() && r.0 >= limit {
@@ -181,24 +276,27 @@ fn check_regs(f: &Function, block: BlockId, inst: &Inst) -> Result<(), VerifyErr
     if let Some(d) = inst.dst() {
         check(d);
     }
-    match bad {
-        None => Ok(()),
-        Some(reg) => Err(VerifyError::BadRegister {
-            function: f.name.clone(),
-            block,
-            reg,
-        }),
-    }
+    bad.map_or(Ok(()), |reg| Err(Defect::BadRegister(reg)))
 }
 
-fn check_types(f: &Function, block: BlockId, inst: &Inst) -> Result<(), VerifyError> {
+/// The operand types of `inst`, then its block targets (below `nblocks`).
+#[inline]
+fn check_types(f: &Function, nblocks: usize, inst: &Inst) -> Result<(), Defect<'static>> {
     let scalar = Type::Scalar;
     let vector = Type::Vector;
-    match inst {
-        Inst::Const { dst, ty, .. } => expect_type(f, block, *dst, scalar(*ty), "const dst"),
+    let ptr = scalar(ScalarType::Ptr);
+    let target = |b: BlockId| {
+        if b.index() < nblocks {
+            Ok(())
+        } else {
+            Err(Defect::BadBlockTarget(b))
+        }
+    };
+    match *inst {
+        Inst::Const { dst, ty, .. } => expect_type(f, dst, scalar(ty), "const dst"),
         Inst::Move { dst, ty, src } => {
-            expect_type(f, block, *dst, scalar(*ty), "move dst")?;
-            expect_type(f, block, *src, scalar(*ty), "move src")
+            expect_type(f, dst, scalar(ty), "move dst")?;
+            expect_type(f, src, scalar(ty), "move src")
         }
         Inst::Bin {
             ty,
@@ -208,60 +306,60 @@ fn check_types(f: &Function, block: BlockId, inst: &Inst) -> Result<(), VerifyEr
             op,
         } => {
             if op.int_only() && ty.is_float() {
-                return Err(VerifyError::TypeMismatch {
-                    function: f.name.clone(),
-                    block,
-                    detail: format!("integer-only operator {op} applied to {ty}"),
+                return Err(Defect::IntOnly {
+                    op,
+                    ty,
+                    vector: false,
                 });
             }
-            expect_type(f, block, *dst, scalar(*ty), "bin dst")?;
-            expect_type(f, block, *lhs, scalar(*ty), "bin lhs")?;
-            expect_type(f, block, *rhs, scalar(*ty), "bin rhs")
+            expect_type(f, dst, scalar(ty), "bin dst")?;
+            expect_type(f, lhs, scalar(ty), "bin lhs")?;
+            expect_type(f, rhs, scalar(ty), "bin rhs")
         }
         Inst::Un { ty, dst, src, .. } => {
-            expect_type(f, block, *dst, scalar(*ty), "un dst")?;
-            expect_type(f, block, *src, scalar(*ty), "un src")
+            expect_type(f, dst, scalar(ty), "un dst")?;
+            expect_type(f, src, scalar(ty), "un src")
         }
         Inst::Cmp {
             ty, dst, lhs, rhs, ..
         } => {
-            expect_type(f, block, *dst, scalar(ScalarType::I32), "cmp dst")?;
-            expect_type(f, block, *lhs, scalar(*ty), "cmp lhs")?;
-            expect_type(f, block, *rhs, scalar(*ty), "cmp rhs")
+            expect_type(f, dst, scalar(ScalarType::I32), "cmp dst")?;
+            expect_type(f, lhs, scalar(ty), "cmp lhs")?;
+            expect_type(f, rhs, scalar(ty), "cmp rhs")
         }
         Inst::Cast { dst, to, src, from } => {
-            expect_type(f, block, *dst, scalar(*to), "cast dst")?;
-            expect_type(f, block, *src, scalar(*from), "cast src")
+            expect_type(f, dst, scalar(to), "cast dst")?;
+            expect_type(f, src, scalar(from), "cast src")
         }
         Inst::Load { dst, ty, addr, .. } => {
-            expect_type(f, block, *dst, scalar(*ty), "load dst")?;
-            expect_type(f, block, *addr, scalar(ScalarType::Ptr), "load address")
+            expect_type(f, dst, scalar(ty), "load dst")?;
+            expect_type(f, addr, ptr, "load address")
         }
         Inst::Store {
             ty, addr, value, ..
         } => {
-            expect_type(f, block, *addr, scalar(ScalarType::Ptr), "store address")?;
-            expect_type(f, block, *value, scalar(*ty), "store value")
+            expect_type(f, addr, ptr, "store address")?;
+            expect_type(f, value, scalar(ty), "store value")
         }
         Inst::Call { .. } => Ok(()), // signature checked at module level
         Inst::VecWidth { dst, .. } => {
-            expect_type(f, block, *dst, scalar(ScalarType::I64), "vecwidth dst")
+            expect_type(f, dst, scalar(ScalarType::I64), "vecwidth dst")
         }
         Inst::VecSplat { dst, elem, src } => {
-            expect_type(f, block, *dst, vector(*elem), "splat dst")?;
-            expect_type(f, block, *src, scalar(*elem), "splat src")
+            expect_type(f, dst, vector(elem), "splat dst")?;
+            expect_type(f, src, scalar(elem), "splat src")
         }
         Inst::VecLoad {
             dst, elem, addr, ..
         } => {
-            expect_type(f, block, *dst, vector(*elem), "vload dst")?;
-            expect_type(f, block, *addr, scalar(ScalarType::Ptr), "vload address")
+            expect_type(f, dst, vector(elem), "vload dst")?;
+            expect_type(f, addr, ptr, "vload address")
         }
         Inst::VecStore {
             elem, addr, value, ..
         } => {
-            expect_type(f, block, *addr, scalar(ScalarType::Ptr), "vstore address")?;
-            expect_type(f, block, *value, vector(*elem), "vstore value")
+            expect_type(f, addr, ptr, "vstore address")?;
+            expect_type(f, value, vector(elem), "vstore value")
         }
         Inst::VecBin {
             elem,
@@ -271,33 +369,63 @@ fn check_types(f: &Function, block: BlockId, inst: &Inst) -> Result<(), VerifyEr
             op,
         } => {
             if op.int_only() && elem.is_float() {
-                return Err(VerifyError::TypeMismatch {
-                    function: f.name.clone(),
-                    block,
-                    detail: format!("integer-only operator {op} applied to vector of {elem}"),
+                return Err(Defect::IntOnly {
+                    op,
+                    ty: elem,
+                    vector: true,
                 });
             }
-            expect_type(f, block, *dst, vector(*elem), "vbin dst")?;
-            expect_type(f, block, *lhs, vector(*elem), "vbin lhs")?;
-            expect_type(f, block, *rhs, vector(*elem), "vbin rhs")
+            expect_type(f, dst, vector(elem), "vbin dst")?;
+            expect_type(f, lhs, vector(elem), "vbin lhs")?;
+            expect_type(f, rhs, vector(elem), "vbin rhs")
         }
         Inst::VecReduce { elem, dst, src, .. } => {
-            expect_type(f, block, *dst, scalar(*elem), "vreduce dst")?;
-            expect_type(f, block, *src, vector(*elem), "vreduce src")
+            expect_type(f, dst, scalar(elem), "vreduce dst")?;
+            expect_type(f, src, vector(elem), "vreduce src")
         }
-        Inst::Branch { cond, .. } => {
-            expect_type(f, block, *cond, scalar(ScalarType::I32), "branch condition")
+        Inst::Branch {
+            cond,
+            then_bb,
+            else_bb,
+        } => {
+            expect_type(f, cond, scalar(ScalarType::I32), "branch condition")?;
+            target(then_bb)?;
+            target(else_bb)
         }
-        Inst::Jump { .. } => Ok(()),
+        Inst::Jump { target: to } => target(to),
         Inst::Ret { value } => match (value, f.ret) {
-            (Some(v), Some(ty)) => expect_type(f, block, *v, ty, "return value"),
+            (Some(v), Some(ty)) => expect_type(f, v, ty, "return value"),
             (None, None) => Ok(()),
-            _ => Err(VerifyError::ReturnMismatch {
-                function: f.name.clone(),
-                block,
-            }),
+            _ => Err(Defect::ReturnMismatch),
         },
     }
+}
+
+/// The checks of [`verify_function`], reporting the block of the first
+/// defect with it.
+fn check_function(f: &Function) -> Result<(), (BlockId, Defect<'static>)> {
+    let nblocks = f.blocks.len();
+    if f.entry.index() >= nblocks {
+        return Err((f.entry, Defect::BadBlockTarget(f.entry)));
+    }
+    let limit = f.num_vregs() as u32;
+    for b in &f.blocks {
+        let Some((last, body)) = b.insts.split_last().filter(|(t, _)| t.is_terminator()) else {
+            return Err((b.id, Defect::MissingTerminator));
+        };
+        let check = |inst: &Inst| {
+            check_regs(limit, inst)?;
+            check_types(f, nblocks, inst)
+        };
+        for (i, inst) in body.iter().enumerate() {
+            if inst.is_terminator() {
+                return Err((b.id, Defect::EarlyTerminator(i)));
+            }
+            check(inst).map_err(|d| (b.id, d))?;
+        }
+        check(last).map_err(|d| (b.id, d))?;
+    }
+    Ok(())
 }
 
 /// Verify a single function in isolation (no inter-procedural checks).
@@ -307,81 +435,65 @@ fn check_types(f: &Function, block: BlockId, inst: &Inst) -> Result<(), VerifyEr
 /// Returns the first [`VerifyError`] found: malformed block structure,
 /// out-of-range registers or block targets, or operand type mismatches.
 pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
-    if f.entry.index() >= f.blocks.len() {
-        return Err(VerifyError::BadBlockTarget {
-            function: f.name.clone(),
-            block: f.entry,
-            target: f.entry,
+    check_function(f).map_err(|(block, defect)| report(f, block, defect))
+}
+
+/// The call at `site` in `f` against its callee's signature, found in
+/// `callees` (first definition of each name).
+fn check_call<'m>(
+    f: &Function,
+    dst: Option<VReg>,
+    site: &'m CallSite,
+    callees: &HashMap<&str, &Function>,
+) -> Result<(), Defect<'m>> {
+    let Some(target) = callees.get(site.callee.as_str()) else {
+        return Err(Defect::UnknownCallee(&site.callee));
+    };
+    if target.params.len() != site.args.len() {
+        return Err(Defect::BadArity {
+            callee: &site.callee,
+            expected: target.params.len(),
+            found: site.args.len(),
         });
     }
-    for b in &f.blocks {
-        if b.terminator().is_none() {
-            return Err(VerifyError::MissingTerminator {
-                function: f.name.clone(),
-                block: b.id,
-            });
-        }
-        for (i, inst) in b.insts.iter().enumerate() {
-            if inst.is_terminator() && i + 1 != b.insts.len() {
-                return Err(VerifyError::EarlyTerminator {
-                    function: f.name.clone(),
-                    block: b.id,
-                    index: i,
-                });
-            }
-            check_regs(f, b.id, inst)?;
-            check_types(f, b.id, inst)?;
-            for target in inst.successor_slots().into_iter().flatten() {
-                if target.index() >= f.blocks.len() {
-                    return Err(VerifyError::BadBlockTarget {
-                        function: f.name.clone(),
-                        block: b.id,
-                        target,
-                    });
-                }
-            }
-        }
+    for (&arg, &(_, ty)) in site.args.iter().zip(&target.params) {
+        expect_type(f, arg, ty, "call argument")?;
+    }
+    if let Some(dst) = dst {
+        let Some(ret) = target.ret else {
+            return Err(Defect::VoidResult(&site.callee));
+        };
+        expect_type(f, dst, ret, "call result")?;
     }
     Ok(())
 }
 
 /// Verify every function of a module plus inter-procedural call signatures.
 ///
+/// Callees are resolved through one name index, built at the first call
+/// (a module without calls allocates nothing), so verification is linear in
+/// the module's size.
+///
 /// # Errors
 ///
 /// Returns the first error found; see [`verify_function`] for intra-procedural
 /// checks. Additionally reports unknown callees and arity mismatches.
 pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
+    let mut callees: Option<HashMap<&str, &Function>> = None;
     for f in m.functions() {
         verify_function(f)?;
-        for (block, inst) in f.iter_insts() {
-            if let Inst::Call { callee, args, dst } = inst {
-                let Some(target) = m.function(callee) else {
-                    return Err(VerifyError::UnknownCallee {
-                        function: f.name.clone(),
-                        callee: callee.clone(),
+        for b in &f.blocks {
+            for inst in &b.insts {
+                if let Inst::Call { dst, site } = inst {
+                    let callees = callees.get_or_insert_with(|| {
+                        let mut index = HashMap::with_capacity(m.functions().len());
+                        for g in m.functions() {
+                            // First definition wins, as in `Module::function`.
+                            index.entry(g.name.as_str()).or_insert(g);
+                        }
+                        index
                     });
-                };
-                if target.params.len() != args.len() {
-                    return Err(VerifyError::BadArity {
-                        function: f.name.clone(),
-                        callee: callee.clone(),
-                        expected: target.params.len(),
-                        found: args.len(),
-                    });
-                }
-                for (&arg, &(_, ty)) in args.iter().zip(&target.params) {
-                    expect_type(f, block, arg, ty, "call argument")?;
-                }
-                if let Some(dst) = dst {
-                    let Some(ret) = target.ret else {
-                        return Err(VerifyError::TypeMismatch {
-                            function: f.name.clone(),
-                            block,
-                            detail: format!("call to void function {callee} expects a result"),
-                        });
-                    };
-                    expect_type(f, block, *dst, ret, "call result")?;
+                    check_call(f, *dst, site, callees).map_err(|d| report(f, b.id, d))?;
                 }
             }
         }
@@ -393,7 +505,7 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::inst::{BinOp, Immediate};
+    use crate::inst::Immediate;
 
     fn valid_add() -> Function {
         let mut b = FunctionBuilder::new(

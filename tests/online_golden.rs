@@ -166,18 +166,18 @@ fn mutate_inst(module: &mut Module, at: (usize, usize, usize), seen: &mut Verdic
             *inst_mut(module, at) = original.clone();
         };
         with(module, seen, &|inst| {
-            if let Inst::Call { callee, .. } = inst {
-                callee.push_str("_missing");
+            if let Inst::Call { site, .. } = inst {
+                site.callee.push_str("_missing");
             }
         });
         with(module, seen, &|inst| {
-            if let Inst::Call { args, .. } = inst {
-                args.pop();
+            if let Inst::Call { site, .. } = inst {
+                site.args.pop();
             }
         });
         with(module, seen, &|inst| {
-            if let Inst::Call { args, .. } = inst {
-                args.push(VReg(0));
+            if let Inst::Call { site, .. } = inst {
+                site.args.push(VReg(0));
             }
         });
         with(module, seen, &|inst| {
@@ -305,8 +305,8 @@ fn record_defect_pairs(module: &mut Module, seen: &mut Verdicts) {
     // procedural pass of a function runs to the end first.
     let calls = &mut module_with_calls();
     let driver = 2;
-    if let Inst::Call { callee, .. } = &mut calls.functions_mut()[driver].blocks[0].insts[1] {
-        callee.push_str("_missing");
+    if let Inst::Call { site, .. } = &mut calls.functions_mut()[driver].blocks[0].insts[1] {
+        site.callee.push_str("_missing");
     } else {
         panic!("the driver's second instruction is its first call");
     }
