@@ -492,6 +492,7 @@ mod tests {
     use splitc_jit::{compile_module, JitOptions};
     use splitc_minic::compile_source;
     use splitc_targets::TargetDesc;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn temp_store(name: &str) -> ArtifactStore {
         let dir =
@@ -886,6 +887,21 @@ mod tests {
         fold.finish()
     }
 
+    /// The kinds (variant names) of the instructions of `program`.
+    fn kinds_of(program: &MProgram) -> BTreeSet<String> {
+        program
+            .functions
+            .iter()
+            .flat_map(|f| &f.blocks)
+            .flat_map(|b| &b.insts)
+            .map(|inst| {
+                let text = format!("{inst:?}");
+                let end = text.find([' ', '{']).unwrap_or(text.len());
+                text[..end].to_owned()
+            })
+            .collect()
+    }
+
     /// The fold of every run's digest in the payload fuzz below.
     const PAYLOAD_FUZZ_PIN: u64 = 4_977_270_980_347_791_844;
 
@@ -938,6 +954,10 @@ mod tests {
         let (mut rejected, mut unprepared, mut ran, mut ran_unwelded) = (0, 0, 0, 0);
         let mut ran_in_order = 0;
         let mut cells = Vec::new();
+        // Per machine-instruction kind: the hostile entries holding one that
+        // decoded, and those that prepared and ran; and the kinds of the seeds.
+        let mut reach: BTreeMap<String, [u32; 2]> = BTreeMap::new();
+        let mut seeded = BTreeSet::new();
         let targets = [
             TargetDesc::x86_sse(),
             TargetDesc::ultrasparc(),
@@ -945,6 +965,7 @@ mod tests {
         ];
         for target in targets {
             let (program, jit) = compile_module(&module, &target, &options).unwrap();
+            seeded.extend(kinds_of(&program));
             let key = StoreKey {
                 module_fp: Fnv1a::hash(&splitc_vbc::encode_module(&module)),
                 target_fp: target.fingerprint(),
@@ -968,6 +989,10 @@ mod tests {
                     rejected += 1;
                     continue;
                 };
+                let kinds = kinds_of(&loaded.program);
+                for kind in &kinds {
+                    reach.entry(kind.clone()).or_default()[0] += 1;
+                }
                 let welded = PreparedProgram::prepare_with(&loaded.program, &target, true);
                 let unwelded = (entry % 2 == 1)
                     .then(|| PreparedProgram::prepare_with(&loaded.program, &target, false));
@@ -994,6 +1019,9 @@ mod tests {
                     ran_unwelded += 1;
                 }
                 cells.push((format!("{} entry {entry}", target.name), digest));
+                for kind in kinds {
+                    reach.entry(kind).or_default()[1] += 1;
+                }
                 ran += 1;
                 if target.timing == TimingKind::InOrder {
                     ran_in_order += 1;
@@ -1008,6 +1036,19 @@ mod tests {
         );
         assert!(rejected > 200 && unprepared > 200 && ran > 200);
         assert!(ran_unwelded > 100 && ran_in_order > 100);
+        // What the fuzz reaches, kind by kind: every kind of the seeds must
+        // be in some entry that prepares and runs.
+        let mut table = format!("{:<16} {:>8} {:>8}\n", "kind", "decoded", "ran");
+        for (kind, [decoded, ran]) in &reach {
+            table.push_str(&format!("{kind:<16} {decoded:>8} {ran:>8}\n"));
+        }
+        print!("{table}");
+        let missed: Vec<_> = seeded
+            .iter()
+            .filter(|kind| reach.get(*kind).is_none_or(|[_, ran]| *ran == 0))
+            .collect();
+        assert!(seeded.contains("Call"), "the seeds call");
+        assert!(missed.is_empty(), "kinds of the seeds no entry ran: {missed:?}");
         // Every run's digest, recorded from the block walk's runs: on a
         // mismatch each entry's is printed, for a diff against a tree where
         // the fold held.

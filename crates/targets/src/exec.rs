@@ -127,9 +127,9 @@
 use crate::desc::{CostModel, TargetDesc};
 pub use crate::dispatch::FusionStats;
 use crate::dispatch::{self, ExecCtx, OpRecord};
-use crate::mcode::{MFunction, MInst, MProgram, PReg, RegClass};
+use crate::mcode::{MFunction, MInst, MProgram, PReg, RegClass, Refusal};
 use crate::simulator::{
-    lane_count, MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH,
+    MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH,
 };
 use crate::timing::{InOrderPipeline, LatClass, SlotKey, TimingKind, TimingModel, NO_REG};
 use std::collections::HashMap;
@@ -1001,53 +1001,32 @@ pub(crate) struct Prep<'a> {
 
 impl Prep<'_> {
     /// Facts 1, 3 and 4 for `inst` of `f`: its lane count (0 for a kind
-    /// without lanes), or the error that refuses it. A vector kind's classes
-    /// are checked before the vector unit and the unit before any index, so
-    /// that a wrong class reads the same on every target and a vector kind
-    /// on a scalar-only target as a missing unit, not as registers past an
-    /// empty file.
+    /// without lanes), or the error that refuses it, checked in the order
+    /// [`MInst::prepare_check`] states (class, then vector unit, then index,
+    /// then block).
+    #[inline]
     pub(crate) fn check(&self, inst: &MInst, f: &MFunction) -> Result<u32, SimError> {
-        let bad = |r: PReg| SimError::BadRegister {
-            reg: r.to_string(),
-            function: f.name.clone(),
-        };
-        let mut lanes = 0;
-        if inst.is_vector() {
-            // Files of every size: the class half alone.
-            if let Some(r) = inst.bad_operand(&[usize::MAX; 3]) {
-                return Err(bad(r));
-            }
-            let Some(vector_bytes) = self.vector_bytes else {
-                return Err(SimError::NoVectorUnit {
-                    function: f.name.clone(),
-                });
-            };
-            if let Some(elem) = inst.lane_width() {
-                lanes = lane_count(vector_bytes, elem, &f.name)? as u32;
-            }
-        }
-        if let Some(r) = inst.bad_operand(&self.files) {
-            return Err(bad(r));
-        }
-        let blocks = match *inst {
-            MInst::Jump { target } => [Some(target), None],
-            MInst::BranchNz {
-                then_target,
-                else_target,
-                ..
-            } => [Some(then_target), Some(else_target)],
-            _ => [None, None],
-        };
-        match blocks
-            .into_iter()
-            .flatten()
-            .find(|&b| b as usize >= f.blocks.len())
-        {
-            Some(b) => Err(SimError::Trap(format!(
-                "jump to invalid block {b} in {}",
-                f.name
-            ))),
-            None => Ok(lanes),
+        inst.prepare_check(&self.files, self.vector_bytes, f.blocks.len())
+            .map_err(|refusal| self.refused(refusal, f))
+    }
+
+    /// The error for `refusal` of an instruction of `f`.
+    #[cold]
+    #[inline(never)]
+    fn refused(&self, refusal: Refusal, f: &MFunction) -> SimError {
+        let function = f.name.clone();
+        match refusal {
+            Refusal::Register(r) => SimError::BadRegister {
+                reg: r.to_string(),
+                function,
+            },
+            Refusal::NoVectorUnit => SimError::NoVectorUnit { function },
+            Refusal::WideLanes(elem) => SimError::Trap(format!(
+                "{}-byte lanes in a {}-byte vector register in {function}",
+                elem.bytes(),
+                self.vector_bytes.unwrap_or(0)
+            )),
+            Refusal::Block(b) => SimError::Trap(format!("jump to invalid block {b} in {function}")),
         }
     }
 

@@ -691,6 +691,40 @@ macro_rules! lane_width {
     };
 }
 
+/// The block a field of [`minst_shapes!`] names: `Some` for the `val`
+/// fields named `target`, `then_target` and `else_target`, `None` for any
+/// other (`block_target!(field field)`).
+macro_rules! block_target {
+    (target $f:ident) => {
+        Some(*$f)
+    };
+    (then_target $f:ident) => {
+        Some(*$f)
+    };
+    (else_target $f:ident) => {
+        Some(*$f)
+    };
+    ($other:ident $f:ident) => {
+        None::<u32>
+    };
+}
+
+/// Why preparation refuses an instruction (facts 1, 3 and 4 of
+/// `PreparedProgram::prepare`), before the function's name is attached.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Refusal {
+    /// A register operand of a class its handler does not index, or past
+    /// the end of its file.
+    Register(PReg),
+    /// A vector kind on a target without a vector unit.
+    NoVectorUnit,
+    /// A vector kind whose lanes are wider than the vector register: it
+    /// has no lane 0 for a reduction to start from.
+    WideLanes(Width),
+    /// A jump to a block the function does not have.
+    Block(u32),
+}
+
 /// How one `role` field of [`minst_shapes!`] is written in [`MInst`]'s
 /// `Display`, as `name: value`: registers by their own `Display`, a call
 /// site as its two fields, anything else by `Debug`.
@@ -740,34 +774,58 @@ macro_rules! operand_walks {
                 }
             }
 
-            /// The lane width of a vector kind that works lane by lane: its
-            /// row's `elem` field.
-            #[allow(unused_variables)]
-            pub(crate) fn lane_width(&self) -> Option<Width> {
-                match self {
-                    $(MInst::$variant { $($field),* } => None $(.or(lane_width!($field $field)))*,)*
-                }
-            }
-
-            /// Fact 1 of `PreparedProgram::prepare` for this instruction, on
-            /// register files of `files[class.code()]` registers each: the
-            /// first register operand whose class is not the file its
-            /// handler indexes (the annotations of [`minst_shapes!`]; an
-            /// operand without one is indexed in the file of its own class),
-            /// else the first whose index is not below its file's size.
-            /// Preparation refuses an instruction that has one: the handlers
-            /// index the file the instruction kind implies, unchecked.
-            #[allow(unused_variables)]
-            pub(crate) fn bad_operand(&self, files: &[usize; 3]) -> Option<PReg> {
+            /// Facts 1, 3 and 4 of `PreparedProgram::prepare` for this
+            /// instruction, in one match, on register files of
+            /// `files[class.code()]` registers each, a vector unit
+            /// `vector_bytes` wide (`None` without one) and a function of
+            /// `blocks` blocks: the lane count of a vector kind that works
+            /// lane by lane (its row's `elem` field; 0 for any other kind), or
+            /// the first refusal in this order:
+            ///
+            /// 1. a register operand whose class is not the file its handler
+            ///    indexes (the annotations of [`minst_shapes!`]; an operand
+            ///    without one is indexed in the file of its own class), so that
+            ///    a wrong class reads the same on every target;
+            /// 2. a vector kind without a vector unit, so that it reads as a
+            ///    missing unit, not as registers past an empty file; then lanes
+            ///    wider than the vector register;
+            /// 3. the first register operand whose index is not below its
+            ///    file's size;
+            /// 4. a jump to a block at or past `blocks`.
+            #[allow(unused_variables, unused_mut)]
+            pub(crate) fn prepare_check(
+                &self,
+                files: &[usize; 3],
+                vector_bytes: Option<u64>,
+                blocks: usize,
+            ) -> Result<u32, Refusal> {
                 match self {
                     $(MInst::$variant { $($field),* } => {
                         $($(if $field.class != annotated_class!($($class)+) {
-                            return Some(*$field);
+                            return Err(Refusal::Register(*$field));
                         })?)*
+                        let mut lanes = 0;
+                        if false $($(|| names_vec!($($class)+))?)* {
+                            let Some(vector_bytes) = vector_bytes else {
+                                return Err(Refusal::NoVectorUnit);
+                            };
+                            let width: Option<Width> = None $(.or(lane_width!($field $field)))*;
+                            if let Some(elem) = width {
+                                lanes = vector_bytes / elem.bytes();
+                                if lanes == 0 {
+                                    return Err(Refusal::WideLanes(elem));
+                                }
+                            }
+                        }
                         $(if let Some(r) = role_regs!($role $field).find(|r| r.past(files)) {
-                            return Some(r);
+                            return Err(Refusal::Register(r));
                         })*
-                        None
+                        $(if let Some(b) = block_target!($field $field) {
+                            if b as usize >= blocks {
+                                return Err(Refusal::Block(b));
+                            }
+                        })*
+                        Ok(lanes as u32)
                     })*
                 }
             }

@@ -365,19 +365,6 @@ pub(crate) fn write_mem(mem: &mut [u8], addr: i64, len: u64, value: u64) -> Resu
     Ok(())
 }
 
-/// Lanes of `elem` in a `vector_bytes`-byte register. An element wider than
-/// the register has no lane 0 for a reduction to start from, so `prepare`
-/// refuses the instruction with a trap.
-pub(crate) fn lane_count(vector_bytes: u64, elem: Width, fname: &str) -> Result<usize, SimError> {
-    match vector_bytes / elem.bytes() {
-        0 => Err(SimError::Trap(format!(
-            "{}-byte lanes in a {vector_bytes}-byte vector register in {fname}",
-            elem.bytes()
-        ))),
-        lanes => Ok(lanes as usize),
-    }
-}
-
 /// Bits of lane `i` of `reg`, `B` bytes wide, zero-extended. `B` is a
 /// constant at each call, so this is one bounds-checked slice and a
 /// fixed-width load, not a memcpy.

@@ -1248,6 +1248,31 @@ mod tests {
     }
 
     #[test]
+    fn verifying_is_linear_in_the_function_count() {
+        // Every function calls the next one (the last calls the first), so a
+        // verifier that resolves each callee by scanning the function list
+        // makes n²/2 name comparisons here (2·10¹⁰): minutes, not a flaky
+        // timer (such a verifier took 78 s in a debug build at half this
+        // count).
+        const FUNCTIONS: usize = 200_000;
+        let mut w = Writer::new();
+        for i in 0..FUNCTIONS {
+            w.str(&format!("f{i}"));
+            // params, no return type, vregs, entry, one block of two
+            // instructions.
+            w.bytes(&[0, 0, 0, 0, 1, 2]);
+            w.bytes(&[9, 0]); // call without a result
+            w.str(&format!("f{}", (i + 1) % FUNCTIONS));
+            w.uleb(0); // arguments
+            w.bytes(&[18, 0]); // ret
+            w.u8(0); // annotations
+        }
+        let m = decode_module(&assemble(FUNCTIONS as u64, &w.into_bytes())).expect("decodes");
+        assert_eq!(m.functions().len(), FUNCTIONS);
+        assert_eq!(crate::verify_module(&m), Ok(()));
+    }
+
+    #[test]
     fn a_repeated_function_name_is_rejected() {
         // `add_function` would have replaced the first `twin` with the
         // second: a one-function module that re-encodes shorter, so two byte

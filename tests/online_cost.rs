@@ -7,7 +7,9 @@
 //! PreparedProgram::prepare_with`: heap allocations per stage (the online
 //! half allocates per function and per block, never per instruction or
 //! operand), linear growth of allocations and `JitStats::total_work()` with
-//! the size of the input, and a ceiling on what a hostile length field can
+//! the size of the input, the bytes compilation asks for per emitted
+//! instruction, the size of either instruction enum (every stage moves
+//! instructions by value) and a ceiling on what a hostile length field can
 //! make the decoder allocate. The counts are the same in debug and release
 //! builds; CI prints the table for both.
 
@@ -19,50 +21,70 @@ use splitc_jit::{compile_module, JitOptions, JitStats};
 use splitc_opt::{optimize_module, OptOptions};
 use splitc_targets::{MInst, MProgram, PreparedProgram, TargetDesc, TimingKind};
 use splitc_vbc::{
-    decode_module, encode_module, verify_module, DecodeError, Module, Writer, MAGIC, VERSION,
+    decode_module, encode_module, verify_module, DecodeError, Inst, Module, Writer, MAGIC, VERSION,
 };
+use std::mem::size_of;
 use splitc_workloads::full_module;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Ceiling on allocations per emitted machine instruction for the catalogue
-/// module across the presets: twice the 0.27 measured when the gate was set
-/// (the lowered and the rewritten blocks, the per-function tables; the parent
-/// of that change measured 1.37, most of it `verify_module`).
-const ALLOCATIONS_PER_MINST_BUDGET: f64 = 0.54;
+/// module across the presets: the 0.154 measured when the gate was last set
+/// (0.151 split, 0.154 online_analyze), rounded up. What is allocated is the
+/// output — each block's instruction vector, each function's name, parameter
+/// list and block list — and the tables' growth; lowering fills one buffer
+/// reused across functions. Earlier ceilings: 0.54 (twice the 0.27 measured
+/// with one lowered vector per block and the assigner's second walk; 0.248
+/// just before this gate), and 1.37 before that, most of it
+/// `verify_module`.
+const ALLOCATIONS_PER_MINST_BUDGET: f64 = 0.16;
 
-/// Ceiling on the allocations of decoding the optimized catalogue module
-/// (225 when the gate was set; 529 with the string-keyed annotation trees
-/// that the two typed records replaced).
-const DECODE_ALLOCATIONS_BUDGET: u64 = 230;
+/// Ceiling on the bytes compilation asks the allocator for, per emitted
+/// machine instruction (catalogue, every preset, each mode): 57.9 measured
+/// with 24-byte instructions (split; 58.5 online_analyze), rounded up. It
+/// was 145.8 with 56-byte ones and a lowered vector per block.
+const BYTES_PER_MINST_BUDGET: f64 = 59.0;
 
-/// What `PreparedProgram::prepare_with` may allocate, on top of what the
-/// call tables cost: one per function that calls (its table) and one per
-/// call site (its argument list).
+/// Ceiling on the allocations of decoding the optimized catalogue module:
+/// what it measures (225; 529 with the string-keyed annotation trees that
+/// the two typed records replaced).
+const DECODE_ALLOCATIONS_BUDGET: u64 = 225;
+
+/// What `PreparedProgram::prepare_with` allocates, on top of what the call
+/// tables cost: one per function that calls (its table) and one per call
+/// site (its argument list). The ceilings are what the catalogue and the
+/// module with calls measure, exactly.
 ///
-/// Per program: the name index, the function list and the program's name.
-/// Per function, under either timing tier, six vectors are kept (the name,
-/// the parameters, `ops`, `info`, `kinds`, `targets`). The threaded
-/// builder's scratch tables are allocated once per program, sized for its
-/// longest function (the catalogue measures 6.1 per function all told, the
-/// module with calls 6.3 beside its call tables; with seven kept vectors —
-/// a second, unwelded record per row among them — 7.1 and 7.7; with eight
-/// and a boxed record per call, 8.1 and 8.7; when each function that was
-/// the largest so far grew the scratch, 8.4 and 9.7; with a second 1:1
-/// record stream per function the ceiling was 11, and growing every table
-/// from empty measured 29.8).
-const PREPARE_ALLOCATIONS_PER_PROGRAM: u64 = 3;
-const PREPARE_ALLOCATIONS_PER_FUNCTION: u64 = 8;
+/// Per program: the name index, the function list, the program's name and
+/// the threaded builder's scratch row table, sized once for the longest
+/// function. Per function, under either timing tier, six vectors are kept
+/// (the name, the parameters, `ops`, `info`, `kinds`, `targets`). (The
+/// ceilings were 3 per program and 8 per function while they were set at
+/// measurements rounded up: 6.1 per function all told; with seven kept
+/// vectors — a second, unwelded record per row among them — 7.1 and 7.7;
+/// with eight and a boxed record per call, 8.1 and 8.7; when each function
+/// that was the largest so far grew the scratch, 8.4 and 9.7; with a second
+/// 1:1 record stream per function the ceiling was 11, and growing every
+/// table from empty measured 29.8.)
+const PREPARE_ALLOCATIONS_PER_PROGRAM: u64 = 4;
+const PREPARE_ALLOCATIONS_PER_FUNCTION: u64 = 6;
 
-/// What in-order timing adds per function: the two tables of segment
-/// summaries each function keeps, `segs` (sized from its regions and
-/// selects) and `keys` (copied out of the recorder at its exact length).
-/// The recorder's own two scratch tables are allocated once per program, at
-/// the size of its longest function and its largest register file (the
-/// catalogue measures 8.2 per function all told, the module with calls 9.0;
-/// 9.2 and 10.3 while each function kept a second record per row).
+/// What in-order timing adds: per program, the recorder's two scratch
+/// tables, allocated once at the size of its longest function and its
+/// largest register file; per function, the two tables of segment summaries
+/// it keeps, `segs` (sized from its regions) and `keys` (copied out of the
+/// recorder at its exact length). (The per-function ceiling was 2 over a
+/// rounded-up measurement of 8.2, 9.0 for the module with calls.)
+const PREPARE_IN_ORDER_ALLOCATIONS_PER_PROGRAM: u64 = 2;
 const PREPARE_IN_ORDER_ALLOCATIONS_PER_FUNCTION: u64 = 2;
+
+/// `size_of` of each instruction enum, in bytes. Every online stage moves
+/// instructions by value, so a variant wider than the others widens them
+/// all: `Call` keeps its callee name and argument list behind one box for
+/// this (it was 56 bytes with them inline).
+const INST_BYTES: usize = 24;
+const MINST_BYTES: usize = 24;
 
 /// The optimized 17-kernel catalogue module, as the offline step ships it.
 fn catalogue() -> Module {
@@ -80,19 +102,31 @@ fn modes() -> [(&'static str, JitOptions); 3] {
     ]
 }
 
-/// Compile `module` for every preset; returns the summed allocations, emitted
-/// machine instructions and online work units.
-fn compile_everywhere(module: &Module, options: &JitOptions) -> (u64, usize, u64) {
-    let (mut allocations, mut emitted, mut work) = (0, 0, 0);
+/// What compiling a module for every preset cost, summed over the presets.
+#[derive(Default)]
+struct CompileCost {
+    allocations: u64,
+    bytes: u64,
+    /// Machine instructions emitted.
+    emitted: usize,
+    /// Online work units.
+    work: u64,
+}
+
+/// Compile `module` for every preset.
+fn compile_everywhere(module: &Module, options: &JitOptions) -> CompileCost {
+    let mut cost = CompileCost::default();
     for target in TargetDesc::presets() {
-        let (compiled, n) = allocations_in(|| compile_module(module, &target, options));
+        let ((compiled, bytes), n) =
+            allocations_in(|| bytes_allocated_in(|| compile_module(module, &target, options)));
         let (program, stats): (MProgram, JitStats) =
             compiled.unwrap_or_else(|e| panic!("{} on {}: {e}", module.name, target.name));
-        allocations += n;
-        emitted += program.num_insts();
-        work += stats.total_work();
+        cost.allocations += n;
+        cost.bytes += bytes;
+        cost.emitted += program.num_insts();
+        cost.work += stats.total_work();
     }
-    (allocations, emitted, work)
+    cost
 }
 
 /// A module whose functions call each other, for the call-table terms of
@@ -116,11 +150,16 @@ fn module_with_calls() -> Module {
 /// Prepare `module` for every preset under `timing`; returns the summed
 /// allocations of `prepare_with` and the gate they must stay under.
 fn prepare_everywhere(module: &Module, timing: TimingKind) -> (u64, u64) {
-    let per_function = PREPARE_ALLOCATIONS_PER_FUNCTION
-        + match timing {
-            TimingKind::Flat => 0,
-            TimingKind::InOrder => PREPARE_IN_ORDER_ALLOCATIONS_PER_FUNCTION,
-        };
+    let (per_program, per_function) = match timing {
+        TimingKind::Flat => (
+            PREPARE_ALLOCATIONS_PER_PROGRAM,
+            PREPARE_ALLOCATIONS_PER_FUNCTION,
+        ),
+        TimingKind::InOrder => (
+            PREPARE_ALLOCATIONS_PER_PROGRAM + PREPARE_IN_ORDER_ALLOCATIONS_PER_PROGRAM,
+            PREPARE_ALLOCATIONS_PER_FUNCTION + PREPARE_IN_ORDER_ALLOCATIONS_PER_FUNCTION,
+        ),
+    };
     let (mut allocations, mut gate) = (0, 0);
     for mut target in TargetDesc::presets() {
         target.timing = timing;
@@ -141,7 +180,7 @@ fn prepare_everywhere(module: &Module, timing: TimingKind) -> (u64, u64) {
             calls += sites;
             calling += u64::from(sites > 0);
         }
-        gate += PREPARE_ALLOCATIONS_PER_PROGRAM
+        gate += per_program
             + per_function * program.functions.len() as u64
             + calling
             + calls;
@@ -155,8 +194,19 @@ fn prepare_everywhere(module: &Module, timing: TimingKind) -> (u64, u64) {
 fn online_compilation_stays_within_its_allocation_budget() {
     let module = catalogue();
     let bytes = encode_module(&module);
-    // (stage, allocations, ceiling)
+    // (stage, measured, ceiling)
     let mut rows: Vec<(String, u64, u64)> = Vec::new();
+
+    rows.push((
+        "size_of::<Inst>() (bytes, exact)".into(),
+        size_of::<Inst>() as u64,
+        INST_BYTES as u64,
+    ));
+    rows.push((
+        "size_of::<MInst>() (bytes, exact)".into(),
+        size_of::<MInst>() as u64,
+        MINST_BYTES as u64,
+    ));
 
     let (decoded, n) = allocations_in(|| decode_module(&bytes));
     assert_eq!(decoded.as_ref(), Ok(&module));
@@ -165,14 +215,24 @@ fn online_compilation_stays_within_its_allocation_budget() {
     let (verdict, n) = allocations_in(|| verify_module(&module));
     assert_eq!(verdict, Ok(()));
     rows.push(("verify_module".into(), n, 0));
+    // Callees are resolved through one name index, built at the first call.
+    let calls = module_with_calls();
+    let (verdict, n) = allocations_in(|| verify_module(&calls));
+    assert_eq!(verdict, Ok(()));
+    rows.push(("verify_module, calls".into(), n, 1));
 
     for (label, options) in modes() {
-        let (allocations, emitted, _) = compile_everywhere(&module, &options);
-        let gate = (ALLOCATIONS_PER_MINST_BUDGET * emitted as f64) as u64;
+        let cost = compile_everywhere(&module, &options);
+        let emitted = cost.emitted;
         rows.push((
             format!("compile_module x9, {label} ({emitted} minsts)"),
-            allocations,
-            gate,
+            cost.allocations,
+            (ALLOCATIONS_PER_MINST_BUDGET * emitted as f64) as u64,
+        ));
+        rows.push((
+            format!("compile_module x9, {label}, bytes"),
+            cost.bytes,
+            (BYTES_PER_MINST_BUDGET * emitted as f64) as u64,
         ));
     }
 
@@ -198,6 +258,12 @@ fn online_compilation_stays_within_its_allocation_budget() {
     print!("{table}");
     let over: Vec<_> = rows.iter().filter(|(_, n, gate)| n > gate).collect();
     assert!(over.is_empty(), "stages over their ceiling: {over:?}");
+    // The sizes are pinned both ways: a smaller enum is worth a new pin.
+    assert_eq!(
+        (size_of::<Inst>(), size_of::<MInst>()),
+        (INST_BYTES, MINST_BYTES),
+        "instruction sizes moved"
+    );
 }
 
 /// One function of `loops` sequential reduction loops over the same array.
@@ -219,11 +285,13 @@ fn sequential_loops(loops: usize) -> Module {
 fn online_cost_grows_linearly_with_function_size() {
     const K: usize = 6;
     for (label, options) in modes() {
+        let small = compile_everywhere(&sequential_loops(K), &options);
+        let double_work = compile_everywhere(&sequential_loops(2 * K), &options).work;
+        let large = compile_everywhere(&sequential_loops(8 * K), &options);
         let (small_allocs, small_minsts, small_work) =
-            compile_everywhere(&sequential_loops(K), &options);
-        let (_, _, double_work) = compile_everywhere(&sequential_loops(2 * K), &options);
+            (small.allocations, small.emitted, small.work);
         let (large_allocs, large_minsts, large_work) =
-            compile_everywhere(&sequential_loops(8 * K), &options);
+            (large.allocations, large.emitted, large.work);
         println!(
             "{label}: {K} loops: {small_allocs} allocations, {small_minsts} minsts, {small_work} work; \
              {} loops: {large_allocs} allocations, {large_minsts} minsts, {large_work} work",
