@@ -219,7 +219,9 @@ pub fn compile_module(
                 stats.scalarized = true;
             }
         }
-        program.functions.push(regs.assign(&mut vf, func, &mut stats)?);
+        program
+            .functions
+            .push(regs.assign(&mut vf, func, &mut stats)?);
     }
     Ok((program, stats))
 }

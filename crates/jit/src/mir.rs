@@ -360,11 +360,7 @@ mod tests {
                 vec![r(9), f(9), r(2)],
                 Some(f(1)),
             ),
-            (
-                MInst::call("g", vec![], None),
-                vec![],
-                None,
-            ),
+            (MInst::call("g", vec![], None), vec![], None),
             (MInst::Ret { value: Some(f(2)) }, vec![f(2)], None),
             (MInst::Ret { value: None }, vec![], None),
         ]
@@ -444,7 +440,11 @@ mod tests {
 
     #[test]
     fn calls_use_args_and_define_ret() {
-        let mut c = MInst::call("g", vec![PReg::int(1), PReg::float(0)], Some(PReg::float(2)));
+        let mut c = MInst::call(
+            "g",
+            vec![PReg::int(1), PReg::float(0)],
+            Some(PReg::float(2)),
+        );
         assert_eq!(def(&c), Some(PReg::float(2)));
         assert_eq!(uses(&c).len(), 2);
         write_operands(&mut c, &[PReg::int(2), PReg::float(1)], 7);

@@ -25,20 +25,23 @@
 //! 1. **Globals**, one forward scan. A register is global iff it is a
 //!    parameter or *upward-exposed* in some block: read there before any
 //!    write in that block (a per-block "defined" stamp decides). The same
-//!    scan records the order in which registers first appear.
+//!    scan records the order in which registers first appear, and lays every
+//!    instruction's use operands and definition out in flat tables: it is
+//!    the only walk that matches on an instruction before the rewrite
+//!    writes the assigned registers back.
 //! 2. **Ranking**: parameters, then the mode's order (annotation / none /
 //!    score), then whatever is left in order of first appearance; a `ranked`
 //!    flag per register de-duplicates.
 //! 3. **Placement**: in ranking order, each global takes the next register of
 //!    its class until only `SCRATCH_REGS` are left, then a stack slot.
-//! 4. **Rewrite**, block by block. One forward walk lays the block's use
-//!    operands out flat and one reverse walk chains each operand to the next
-//!    instruction reading the same register, leaving every register's cursor
+//! 4. **Rewrite**, block by block. One reverse scan over the block's rows
+//!    of the operand table chains each operand to the next instruction
+//!    reading the same register, leaving every register's cursor
 //!    (`next_use`) at its first read. The forward rewrite then resolves each
 //!    operand from the table (reloading spilled globals and evicted locals
-//!    into scratch registers), writes the physical registers into the
-//!    instruction in place, advances the cursors, frees what died, and
-//!    resolves the definition. Instructions are moved, not cloned.
+//!    into scratch registers), advances the cursors, frees what died,
+//!    resolves the definition, and writes the physical registers into the
+//!    instruction in one walk. Instructions are moved, not cloned.
 //!
 //! Every step is linear in the number of instructions and operands, with two
 //! bounded factors: an operand looks through the earlier operands of its own
@@ -48,8 +51,8 @@
 //! its scan and an `O(g log g)` sort of the `g` globals. No step allocates
 //! per instruction: the tables live in the `RegAssigner` and are cleared and
 //! reused from block to block and function to function; what is allocated is
-//! the output (one vector per block) and the tables' growth to the largest
-//! function seen.
+//! the output (one vector per block, the function's name and block list)
+//! and the tables' growth to the largest function seen.
 //!
 //! # Why the globals need no liveness fixpoint
 //!

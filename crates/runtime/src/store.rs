@@ -76,8 +76,8 @@
 
 use splitc_jit::JitStats;
 use splitc_targets::{
-    minst_shapes, AluOp, CmpPred, Fnv1a, FpuOp, MBlock, MCall, MFunction, MInst, MProgram, PReg, RedOp,
-    RegClass, Width,
+    minst_shapes, AluOp, CmpPred, Fnv1a, FpuOp, MBlock, MCall, MFunction, MInst, MProgram, PReg,
+    RedOp, RegClass, Width,
 };
 use splitc_vbc::{DecodeError, Reader, Wire, Writer};
 use std::fs;
@@ -1048,7 +1048,10 @@ mod tests {
             .filter(|kind| reach.get(*kind).is_none_or(|[_, ran]| *ran == 0))
             .collect();
         assert!(seeded.contains("Call"), "the seeds call");
-        assert!(missed.is_empty(), "kinds of the seeds no entry ran: {missed:?}");
+        assert!(
+            missed.is_empty(),
+            "kinds of the seeds no entry ran: {missed:?}"
+        );
         // Every run's digest, recorded from the block walk's runs: on a
         // mismatch each entry's is printed, for a diff against a tree where
         // the fold held.

@@ -74,7 +74,7 @@
 //!    beside it: tag, fields in wire order, each field's role and — for a
 //!    register the handler will index in a fixed file — that file's class.
 //!    The row *is* the store's wire encoding, the online compiler's def/use
-//!    walks and the prepare-time register check (`MInst::bad_operand`);
+//!    walks and the prepare-time check (`MInst::prepare_check`);
 //!    nothing in `store.rs` or `mir.rs` names the variant;
 //! 2. its handler and `lower` arm in `dispatch.rs`. The arm states the
 //!    record, the [`OpInfo`] row — all either timing tier needs: a
@@ -127,10 +127,8 @@
 use crate::desc::{CostModel, TargetDesc};
 pub use crate::dispatch::FusionStats;
 use crate::dispatch::{self, ExecCtx, OpRecord};
-use crate::mcode::{MFunction, MInst, MProgram, PReg, RegClass, Refusal};
-use crate::simulator::{
-    MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH,
-};
+use crate::mcode::{MFunction, MInst, MProgram, PReg, Refusal, RegClass};
+use crate::simulator::{MachineValue, SimError, SimStats, DEFAULT_SIM_FUEL, MAX_CALL_DEPTH};
 use crate::timing::{InOrderPipeline, LatClass, SlotKey, TimingKind, TimingModel, NO_REG};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -550,9 +548,10 @@ impl PreparedProgram {
     ///    on this target. Operands whose handler dispatches on the class at
     ///    run time (spills and reloads, call arguments and results, return
     ///    values) are checked against the file of their own class. One walk
-    ///    generated from the shape rows, `MInst::bad_operand`, checks every
-    ///    `def` / `use` / `odef` / `ouse` / `uses` operand of an
-    ///    instruction, so the rows state this fact once; parameters, which
+    ///    generated from the shape rows, `MInst::prepare_check`, checks every
+    ///    `def` / `use` / `odef` / `ouse` / `call` operand of an
+    ///    instruction (with facts 3 and 4, in one match), so the rows state
+    ///    this fact once; parameters, which
     ///    `write_params` dispatches on, are checked against their own
     ///    class's file too.
     /// 2. **Slots.** A function declares at most `MAX_FRAME_SLOTS` spill

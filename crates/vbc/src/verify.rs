@@ -6,11 +6,14 @@
 //! traditional bytecode tool chains (Section 2.2).
 //!
 //! Because the device pays for it on every bring-up, verifying a well-formed
-//! module allocates nothing: operands are visited through
+//! module without calls allocates nothing: operands are visited through
 //! [`Inst::for_each_use`], the at most two successors of a terminator are
 //! read in place, and types come straight out of the function's register
-//! table. Only the error path builds anything (the [`VerifyError`] itself);
-//! `tests/online_cost.rs` gates the count at exactly zero.
+//! table; a module with calls allocates one name index for its callees, so
+//! that verification stays linear in the module's size. The checks return
+//! a small `Copy` defect, and one cold constructor builds the
+//! [`VerifyError`] from it, so the checks inline into the walk;
+//! `tests/online_cost.rs` gates both counts exactly (0 and 1).
 
 use crate::function::Function;
 use crate::inst::{BinOp, BlockId, CallSite, Inst, VReg};
@@ -216,7 +219,9 @@ fn report(f: &Function, block: BlockId, defect: Defect<'_>) -> VerifyError {
             expected,
         } => {
             let actual = f.vreg_type(reg);
-            mismatch(format!("{what} {reg} has type {actual}, expected {expected}"))
+            mismatch(format!(
+                "{what} {reg} has type {actual}, expected {expected}"
+            ))
         }
         Defect::IntOnly { op, ty, vector } => mismatch(if vector {
             format!("integer-only operator {op} applied to vector of {ty}")
@@ -342,9 +347,7 @@ fn check_types(f: &Function, nblocks: usize, inst: &Inst) -> Result<(), Defect<'
             expect_type(f, value, scalar(ty), "store value")
         }
         Inst::Call { .. } => Ok(()), // signature checked at module level
-        Inst::VecWidth { dst, .. } => {
-            expect_type(f, dst, scalar(ScalarType::I64), "vecwidth dst")
-        }
+        Inst::VecWidth { dst, .. } => expect_type(f, dst, scalar(ScalarType::I64), "vecwidth dst"),
         Inst::VecSplat { dst, elem, src } => {
             expect_type(f, dst, vector(elem), "splat dst")?;
             expect_type(f, src, scalar(elem), "splat src")
