@@ -10,13 +10,12 @@
 //! [`Inst::for_each_use`], the at most two successors of a terminator are
 //! read in place, and types come straight out of the function's register
 //! table; a module with calls allocates one name index for its callees, so
-//! that verification stays linear in the module's size. The checks return
-//! a small `Copy` defect, and one cold constructor builds the
-//! [`VerifyError`] from it, so the checks inline into the walk;
+//! that verification stays linear in the module's size. Every error is
+//! built in one cold function, `fail`, so the checks inline into the walk;
 //! `tests/online_cost.rs` gates both counts exactly (0 and 1).
 
 use crate::function::Function;
-use crate::inst::{BinOp, BlockId, CallSite, Inst, VReg};
+use crate::inst::{BlockId, CallSite, Inst, VReg};
 use crate::module::Module;
 use crate::types::{ScalarType, Type};
 use std::collections::HashMap;
@@ -153,124 +152,39 @@ impl fmt::Display for VerifyError {
 
 impl Error for VerifyError {}
 
-/// What is wrong with an instruction, before a name is copied: the checks
-/// return this, and [`report`] — cold and never inlined — is the one place
-/// that builds a [`VerifyError`], so the checks themselves stay small
-/// enough to inline into the walk.
-#[derive(Debug, Clone, Copy)]
-enum Defect<'a> {
-    MissingTerminator,
-    EarlyTerminator(usize),
-    BadBlockTarget(BlockId),
-    BadRegister(VReg),
-    /// `what` register `reg` does not have type `expected`.
-    Type {
-        what: &'static str,
-        reg: VReg,
-        expected: Type,
-    },
-    /// An integer-only operator on a float type; `vector` for `VecBin`.
-    IntOnly {
-        op: BinOp,
-        ty: ScalarType,
-        vector: bool,
-    },
-    ReturnMismatch,
-    UnknownCallee(&'a str),
-    BadArity {
-        callee: &'a str,
-        expected: usize,
-        found: usize,
-    },
-    /// A call takes the result of a callee that returns none.
-    VoidResult(&'a str),
-}
-
-/// The [`VerifyError`] for `defect` in block `block` of `f`.
+/// The error `build` makes of `f`'s name. Every error of the verifier is
+/// built here — cold and never inlined — so that the checks on the path a
+/// well-formed module takes stay small enough to inline into the walk.
 #[cold]
 #[inline(never)]
-fn report(f: &Function, block: BlockId, defect: Defect<'_>) -> VerifyError {
-    let function = f.name.clone();
-    let mismatch = |detail| VerifyError::TypeMismatch {
-        function: f.name.clone(),
-        block,
-        detail,
-    };
-    match defect {
-        Defect::MissingTerminator => VerifyError::MissingTerminator { function, block },
-        Defect::EarlyTerminator(index) => VerifyError::EarlyTerminator {
-            function,
-            block,
-            index,
-        },
-        Defect::BadBlockTarget(target) => VerifyError::BadBlockTarget {
-            function,
-            block,
-            target,
-        },
-        Defect::BadRegister(reg) => VerifyError::BadRegister {
-            function,
-            block,
-            reg,
-        },
-        Defect::Type {
-            what,
-            reg,
-            expected,
-        } => {
-            let actual = f.vreg_type(reg);
-            mismatch(format!(
-                "{what} {reg} has type {actual}, expected {expected}"
-            ))
-        }
-        Defect::IntOnly { op, ty, vector } => mismatch(if vector {
-            format!("integer-only operator {op} applied to vector of {ty}")
-        } else {
-            format!("integer-only operator {op} applied to {ty}")
-        }),
-        Defect::ReturnMismatch => VerifyError::ReturnMismatch { function, block },
-        Defect::UnknownCallee(callee) => VerifyError::UnknownCallee {
-            function,
-            callee: callee.to_owned(),
-        },
-        Defect::BadArity {
-            callee,
-            expected,
-            found,
-        } => VerifyError::BadArity {
-            function,
-            callee: callee.to_owned(),
-            expected,
-            found,
-        },
-        Defect::VoidResult(callee) => {
-            mismatch(format!("call to void function {callee} expects a result"))
-        }
-    }
+fn fail<T>(f: &Function, build: impl FnOnce(String) -> VerifyError) -> Result<T, VerifyError> {
+    Err(build(f.name.clone()))
 }
 
 #[inline]
 fn expect_type(
     f: &Function,
+    block: BlockId,
     reg: VReg,
     expected: Type,
-    what: &'static str,
-) -> Result<(), Defect<'static>> {
-    if f.vreg_type(reg) == expected {
-        Ok(())
-    } else {
-        Err(Defect::Type {
-            what,
-            reg,
-            expected,
-        })
+    what: &str,
+) -> Result<(), VerifyError> {
+    let actual = f.vreg_type(reg);
+    if actual != expected {
+        return fail(f, |function| VerifyError::TypeMismatch {
+            function,
+            block,
+            detail: format!("{what} {reg} has type {actual}, expected {expected}"),
+        });
     }
+    Ok(())
 }
 
 /// Every register the instruction names is below `num_vregs`. Reports the
 /// first offender in operand order, the destination last.
 #[inline]
-fn check_regs(limit: u32, inst: &Inst) -> Result<(), Defect<'static>> {
+fn check_regs(f: &Function, block: BlockId, inst: &Inst) -> Result<(), VerifyError> {
+    let limit = f.num_vregs() as u32;
     let mut bad = None;
     let mut check = |r: VReg| {
         if bad.is_none() && r.0 >= limit {
@@ -281,27 +195,25 @@ fn check_regs(limit: u32, inst: &Inst) -> Result<(), Defect<'static>> {
     if let Some(d) = inst.dst() {
         check(d);
     }
-    bad.map_or(Ok(()), |reg| Err(Defect::BadRegister(reg)))
+    match bad {
+        None => Ok(()),
+        Some(reg) => fail(f, |function| VerifyError::BadRegister {
+            function,
+            block,
+            reg,
+        }),
+    }
 }
 
-/// The operand types of `inst`, then its block targets (below `nblocks`).
 #[inline]
-fn check_types(f: &Function, nblocks: usize, inst: &Inst) -> Result<(), Defect<'static>> {
+fn check_types(f: &Function, block: BlockId, inst: &Inst) -> Result<(), VerifyError> {
     let scalar = Type::Scalar;
     let vector = Type::Vector;
-    let ptr = scalar(ScalarType::Ptr);
-    let target = |b: BlockId| {
-        if b.index() < nblocks {
-            Ok(())
-        } else {
-            Err(Defect::BadBlockTarget(b))
-        }
-    };
-    match *inst {
-        Inst::Const { dst, ty, .. } => expect_type(f, dst, scalar(ty), "const dst"),
+    match inst {
+        Inst::Const { dst, ty, .. } => expect_type(f, block, *dst, scalar(*ty), "const dst"),
         Inst::Move { dst, ty, src } => {
-            expect_type(f, dst, scalar(ty), "move dst")?;
-            expect_type(f, src, scalar(ty), "move src")
+            expect_type(f, block, *dst, scalar(*ty), "move dst")?;
+            expect_type(f, block, *src, scalar(*ty), "move src")
         }
         Inst::Bin {
             ty,
@@ -311,58 +223,60 @@ fn check_types(f: &Function, nblocks: usize, inst: &Inst) -> Result<(), Defect<'
             op,
         } => {
             if op.int_only() && ty.is_float() {
-                return Err(Defect::IntOnly {
-                    op,
-                    ty,
-                    vector: false,
+                return fail(f, |function| VerifyError::TypeMismatch {
+                    function,
+                    block,
+                    detail: format!("integer-only operator {op} applied to {ty}"),
                 });
             }
-            expect_type(f, dst, scalar(ty), "bin dst")?;
-            expect_type(f, lhs, scalar(ty), "bin lhs")?;
-            expect_type(f, rhs, scalar(ty), "bin rhs")
+            expect_type(f, block, *dst, scalar(*ty), "bin dst")?;
+            expect_type(f, block, *lhs, scalar(*ty), "bin lhs")?;
+            expect_type(f, block, *rhs, scalar(*ty), "bin rhs")
         }
         Inst::Un { ty, dst, src, .. } => {
-            expect_type(f, dst, scalar(ty), "un dst")?;
-            expect_type(f, src, scalar(ty), "un src")
+            expect_type(f, block, *dst, scalar(*ty), "un dst")?;
+            expect_type(f, block, *src, scalar(*ty), "un src")
         }
         Inst::Cmp {
             ty, dst, lhs, rhs, ..
         } => {
-            expect_type(f, dst, scalar(ScalarType::I32), "cmp dst")?;
-            expect_type(f, lhs, scalar(ty), "cmp lhs")?;
-            expect_type(f, rhs, scalar(ty), "cmp rhs")
+            expect_type(f, block, *dst, scalar(ScalarType::I32), "cmp dst")?;
+            expect_type(f, block, *lhs, scalar(*ty), "cmp lhs")?;
+            expect_type(f, block, *rhs, scalar(*ty), "cmp rhs")
         }
         Inst::Cast { dst, to, src, from } => {
-            expect_type(f, dst, scalar(to), "cast dst")?;
-            expect_type(f, src, scalar(from), "cast src")
+            expect_type(f, block, *dst, scalar(*to), "cast dst")?;
+            expect_type(f, block, *src, scalar(*from), "cast src")
         }
         Inst::Load { dst, ty, addr, .. } => {
-            expect_type(f, dst, scalar(ty), "load dst")?;
-            expect_type(f, addr, ptr, "load address")
+            expect_type(f, block, *dst, scalar(*ty), "load dst")?;
+            expect_type(f, block, *addr, scalar(ScalarType::Ptr), "load address")
         }
         Inst::Store {
             ty, addr, value, ..
         } => {
-            expect_type(f, addr, ptr, "store address")?;
-            expect_type(f, value, scalar(ty), "store value")
+            expect_type(f, block, *addr, scalar(ScalarType::Ptr), "store address")?;
+            expect_type(f, block, *value, scalar(*ty), "store value")
         }
         Inst::Call { .. } => Ok(()), // signature checked at module level
-        Inst::VecWidth { dst, .. } => expect_type(f, dst, scalar(ScalarType::I64), "vecwidth dst"),
+        Inst::VecWidth { dst, .. } => {
+            expect_type(f, block, *dst, scalar(ScalarType::I64), "vecwidth dst")
+        }
         Inst::VecSplat { dst, elem, src } => {
-            expect_type(f, dst, vector(elem), "splat dst")?;
-            expect_type(f, src, scalar(elem), "splat src")
+            expect_type(f, block, *dst, vector(*elem), "splat dst")?;
+            expect_type(f, block, *src, scalar(*elem), "splat src")
         }
         Inst::VecLoad {
             dst, elem, addr, ..
         } => {
-            expect_type(f, dst, vector(elem), "vload dst")?;
-            expect_type(f, addr, ptr, "vload address")
+            expect_type(f, block, *dst, vector(*elem), "vload dst")?;
+            expect_type(f, block, *addr, scalar(ScalarType::Ptr), "vload address")
         }
         Inst::VecStore {
             elem, addr, value, ..
         } => {
-            expect_type(f, addr, ptr, "vstore address")?;
-            expect_type(f, value, vector(elem), "vstore value")
+            expect_type(f, block, *addr, scalar(ScalarType::Ptr), "vstore address")?;
+            expect_type(f, block, *value, vector(*elem), "vstore value")
         }
         Inst::VecBin {
             elem,
@@ -372,63 +286,33 @@ fn check_types(f: &Function, nblocks: usize, inst: &Inst) -> Result<(), Defect<'
             op,
         } => {
             if op.int_only() && elem.is_float() {
-                return Err(Defect::IntOnly {
-                    op,
-                    ty: elem,
-                    vector: true,
+                return fail(f, |function| VerifyError::TypeMismatch {
+                    function,
+                    block,
+                    detail: format!("integer-only operator {op} applied to vector of {elem}"),
                 });
             }
-            expect_type(f, dst, vector(elem), "vbin dst")?;
-            expect_type(f, lhs, vector(elem), "vbin lhs")?;
-            expect_type(f, rhs, vector(elem), "vbin rhs")
+            expect_type(f, block, *dst, vector(*elem), "vbin dst")?;
+            expect_type(f, block, *lhs, vector(*elem), "vbin lhs")?;
+            expect_type(f, block, *rhs, vector(*elem), "vbin rhs")
         }
         Inst::VecReduce { elem, dst, src, .. } => {
-            expect_type(f, dst, scalar(elem), "vreduce dst")?;
-            expect_type(f, src, vector(elem), "vreduce src")
+            expect_type(f, block, *dst, scalar(*elem), "vreduce dst")?;
+            expect_type(f, block, *src, vector(*elem), "vreduce src")
         }
-        Inst::Branch {
-            cond,
-            then_bb,
-            else_bb,
-        } => {
-            expect_type(f, cond, scalar(ScalarType::I32), "branch condition")?;
-            target(then_bb)?;
-            target(else_bb)
+        Inst::Branch { cond, .. } => {
+            expect_type(f, block, *cond, scalar(ScalarType::I32), "branch condition")
         }
-        Inst::Jump { target: to } => target(to),
+        Inst::Jump { .. } => Ok(()),
         Inst::Ret { value } => match (value, f.ret) {
-            (Some(v), Some(ty)) => expect_type(f, v, ty, "return value"),
+            (Some(v), Some(ty)) => expect_type(f, block, *v, ty, "return value"),
             (None, None) => Ok(()),
-            _ => Err(Defect::ReturnMismatch),
+            _ => fail(f, |function| VerifyError::ReturnMismatch {
+                function,
+                block,
+            }),
         },
     }
-}
-
-/// The checks of [`verify_function`], reporting the block of the first
-/// defect with it.
-fn check_function(f: &Function) -> Result<(), (BlockId, Defect<'static>)> {
-    let nblocks = f.blocks.len();
-    if f.entry.index() >= nblocks {
-        return Err((f.entry, Defect::BadBlockTarget(f.entry)));
-    }
-    let limit = f.num_vregs() as u32;
-    for b in &f.blocks {
-        let Some((last, body)) = b.insts.split_last().filter(|(t, _)| t.is_terminator()) else {
-            return Err((b.id, Defect::MissingTerminator));
-        };
-        let check = |inst: &Inst| {
-            check_regs(limit, inst)?;
-            check_types(f, nblocks, inst)
-        };
-        for (i, inst) in body.iter().enumerate() {
-            if inst.is_terminator() {
-                return Err((b.id, Defect::EarlyTerminator(i)));
-            }
-            check(inst).map_err(|d| (b.id, d))?;
-        }
-        check(last).map_err(|d| (b.id, d))?;
-    }
-    Ok(())
 }
 
 /// Verify a single function in isolation (no inter-procedural checks).
@@ -438,35 +322,80 @@ fn check_function(f: &Function) -> Result<(), (BlockId, Defect<'static>)> {
 /// Returns the first [`VerifyError`] found: malformed block structure,
 /// out-of-range registers or block targets, or operand type mismatches.
 pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
-    check_function(f).map_err(|(block, defect)| report(f, block, defect))
+    if f.entry.index() >= f.blocks.len() {
+        return fail(f, |function| VerifyError::BadBlockTarget {
+            function,
+            block: f.entry,
+            target: f.entry,
+        });
+    }
+    for b in &f.blocks {
+        if b.terminator().is_none() {
+            return fail(f, |function| VerifyError::MissingTerminator {
+                function,
+                block: b.id,
+            });
+        }
+        for (i, inst) in b.insts.iter().enumerate() {
+            if inst.is_terminator() && i + 1 != b.insts.len() {
+                return fail(f, |function| VerifyError::EarlyTerminator {
+                    function,
+                    block: b.id,
+                    index: i,
+                });
+            }
+            check_regs(f, b.id, inst)?;
+            check_types(f, b.id, inst)?;
+            for target in inst.successor_slots().into_iter().flatten() {
+                if target.index() >= f.blocks.len() {
+                    return fail(f, |function| VerifyError::BadBlockTarget {
+                        function,
+                        block: b.id,
+                        target,
+                    });
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
-/// The call at `site` in `f` against its callee's signature, found in
-/// `callees` (first definition of each name).
-fn check_call<'m>(
+/// The call `dst = site` in block `block` of `f` against its callee's
+/// signature, found in `callees` (first definition of each name).
+fn check_call(
     f: &Function,
+    block: BlockId,
     dst: Option<VReg>,
-    site: &'m CallSite,
+    site: &CallSite,
     callees: &HashMap<&str, &Function>,
-) -> Result<(), Defect<'m>> {
-    let Some(target) = callees.get(site.callee.as_str()) else {
-        return Err(Defect::UnknownCallee(&site.callee));
+) -> Result<(), VerifyError> {
+    let callee = &site.callee;
+    let Some(target) = callees.get(callee.as_str()) else {
+        return fail(f, |function| VerifyError::UnknownCallee {
+            function,
+            callee: callee.clone(),
+        });
     };
     if target.params.len() != site.args.len() {
-        return Err(Defect::BadArity {
-            callee: &site.callee,
+        return fail(f, |function| VerifyError::BadArity {
+            function,
+            callee: callee.clone(),
             expected: target.params.len(),
             found: site.args.len(),
         });
     }
     for (&arg, &(_, ty)) in site.args.iter().zip(&target.params) {
-        expect_type(f, arg, ty, "call argument")?;
+        expect_type(f, block, arg, ty, "call argument")?;
     }
     if let Some(dst) = dst {
         let Some(ret) = target.ret else {
-            return Err(Defect::VoidResult(&site.callee));
+            return fail(f, |function| VerifyError::TypeMismatch {
+                function,
+                block,
+                detail: format!("call to void function {callee} expects a result"),
+            });
         };
-        expect_type(f, dst, ret, "call result")?;
+        expect_type(f, block, dst, ret, "call result")?;
     }
     Ok(())
 }
@@ -485,19 +414,17 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
     let mut callees: Option<HashMap<&str, &Function>> = None;
     for f in m.functions() {
         verify_function(f)?;
-        for b in &f.blocks {
-            for inst in &b.insts {
-                if let Inst::Call { dst, site } = inst {
-                    let callees = callees.get_or_insert_with(|| {
-                        let mut index = HashMap::with_capacity(m.functions().len());
-                        for g in m.functions() {
-                            // First definition wins, as in `Module::function`.
-                            index.entry(g.name.as_str()).or_insert(g);
-                        }
-                        index
-                    });
-                    check_call(f, *dst, site, callees).map_err(|d| report(f, b.id, d))?;
-                }
+        for (block, inst) in f.iter_insts() {
+            if let Inst::Call { dst, site } = inst {
+                let callees = callees.get_or_insert_with(|| {
+                    let mut index = HashMap::with_capacity(m.functions().len());
+                    for g in m.functions() {
+                        // First definition wins, as in `Module::function`.
+                        index.entry(g.name.as_str()).or_insert(g);
+                    }
+                    index
+                });
+                check_call(f, block, *dst, site, callees)?;
             }
         }
     }
@@ -508,7 +435,7 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::inst::Immediate;
+    use crate::inst::{BinOp, Immediate};
 
     fn valid_add() -> Function {
         let mut b = FunctionBuilder::new(
